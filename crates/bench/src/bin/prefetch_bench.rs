@@ -28,13 +28,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use flowkv::FlowKvConfig;
-use flowkv_bench::{run_cell_with_vfs, workload, HarnessArgs, BASE_EVENTS, EVENTS_PER_SECOND};
+use flowkv_bench::{run_cell_with, workload, HarnessArgs, BASE_EVENTS, EVENTS_PER_SECOND};
 use flowkv_common::codec::crc32;
 use flowkv_common::telemetry::{SampleValue, Telemetry};
 use flowkv_common::vfs::{SlowVfs, StdVfs};
 use flowkv_lsm::DbConfig;
 use flowkv_nexmark::{GeneratorConfig, QueryId, QueryParams};
-use flowkv_spe::BackendChoice;
+use flowkv_spe::{BackendChoice, FactoryOptions};
 
 /// FlowKV sized so window state spills to the data log well before its
 /// trigger fires — the reads the ring exists to anticipate.
@@ -190,10 +190,10 @@ fn main() {
                 let run_once = || {
                     let telemetry = Telemetry::new_shared();
                     let handle = Arc::clone(&telemetry);
-                    let outcome = run_cell_with_vfs(
+                    let outcome = run_cell_with(
                         query,
                         &backend,
-                        Some(std::sync::Arc::clone(&vfs)),
+                        FactoryOptions::new().vfs(Arc::clone(&vfs)),
                         cold_workload(events),
                         params,
                         timeout,

@@ -9,7 +9,7 @@
 //! - `tiered`: wrapped in the two-tier layout with a small pinned hot
 //!   budget — sealed windows demote to compressed columnar cold blocks
 //!   and promote back on access;
-//! - `tiered0`: the pathological `tier_hot_bytes = 0` cell — every
+//! - `tiered0`: the pathological `hot_bytes = 0` cell — every
 //!   write seals to a cold block immediately, so the whole run's state
 //!   round-trips through the columnar codec.
 //!
@@ -28,13 +28,14 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use flowkv::tier::TierConfig;
 use flowkv_bench::{
-    flowkv_cfg, lsm_cfg, run_cell, workload, HarnessArgs, BASE_EVENTS, EVENTS_PER_SECOND,
+    flowkv_cfg, lsm_cfg, run_cell_with, workload, HarnessArgs, BASE_EVENTS, EVENTS_PER_SECOND,
 };
 use flowkv_common::codec::crc32;
 use flowkv_common::telemetry::{SampleValue, Telemetry};
 use flowkv_nexmark::{QueryId, QueryParams};
-use flowkv_spe::BackendChoice;
+use flowkv_spe::{BackendChoice, FactoryOptions};
 
 /// 10× the fig8/fig9 harness default — the "state far larger than the
 /// buffers" regime the tier exists for.
@@ -114,14 +115,24 @@ fn main() {
             ] {
                 let telemetry = Telemetry::new_shared();
                 let handle = Arc::clone(&telemetry);
-                let outcome =
-                    run_cell(query, &backend, workload(events, 8), params, timeout, |o| {
+                let factory_opts = match tier {
+                    None => FactoryOptions::new(),
+                    Some(hot) => FactoryOptions::new().tiered(TierConfig::new(hot as usize)),
+                };
+                let outcome = run_cell_with(
+                    query,
+                    &backend,
+                    factory_opts,
+                    workload(events, 8),
+                    params,
+                    timeout,
+                    |o| {
                         o.collect_outputs = true;
                         o.record_latency = true;
                         o.watermark_interval = 100;
                         o.telemetry = Some(handle);
-                        o.tier_hot_bytes = tier;
-                    });
+                    },
+                );
                 let cell = match outcome.result() {
                     Some(r) => {
                         let mut lines: Vec<Vec<u8>> = r
@@ -210,7 +221,7 @@ fn main() {
                 // small smoke scales.
                 assert!(
                     tiered.mode != "tiered0" || tiered.tier.demotions > 0,
-                    "{} on {}: tier_hot_bytes=0 run never demoted — the cell did not exercise \
+                    "{} on {}: hot_bytes=0 run never demoted — the cell did not exercise \
                      the cold tier",
                     hot.query,
                     hot.backend
@@ -226,7 +237,7 @@ fn main() {
     json.push_str(&format!("  \"events\": {events},\n"));
     json.push_str(&format!("  \"state_multiplier\": {STATE_MULTIPLIER},\n"));
     json.push_str(&format!("  \"window_ms\": {window_ms},\n"));
-    json.push_str(&format!("  \"tier_hot_bytes\": {hot_bytes},\n"));
+    json.push_str(&format!("  \"hot_bytes\": {hot_bytes},\n"));
     json.push_str(&format!(
         "  \"cores\": {},\n",
         std::thread::available_parallelism().map_or(1, |n| n.get())

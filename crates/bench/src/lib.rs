@@ -191,16 +191,25 @@ pub fn run_cell(
     timeout: Duration,
     tune: impl FnOnce(&mut RunOptions),
 ) -> CellOutcome {
-    run_cell_with_vfs(query, backend, None, gen_cfg, params, timeout, tune)
+    run_cell_with(
+        query,
+        backend,
+        FactoryOptions::new(),
+        gen_cfg,
+        params,
+        timeout,
+        tune,
+    )
 }
 
-/// [`run_cell`] with the stores mounted on a caller-provided [`Vfs`] —
-/// how the prefetch harness injects emulated device read latency.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_with_vfs(
+/// [`run_cell`] with the backend built under `factory_opts` — how the
+/// prefetch harness mounts the stores on a latency-injecting
+/// [`Vfs`](flowkv_common::vfs::Vfs) and the tiered harness wraps them
+/// in the two-tier layout.
+pub fn run_cell_with(
     query: QueryId,
     backend: &BackendChoice,
-    vfs: Option<std::sync::Arc<dyn flowkv_common::vfs::Vfs>>,
+    factory_opts: FactoryOptions,
     gen_cfg: GeneratorConfig,
     params: QueryParams,
     timeout: Duration,
@@ -221,14 +230,10 @@ pub fn run_cell_with_vfs(
     if opts.telemetry.is_none() && opts.telemetry_out.is_some() {
         opts.telemetry = Some(flowkv_common::telemetry::Telemetry::new_shared());
     }
-    let factory = match vfs {
-        Some(vfs) => backend.build(FactoryOptions::new().vfs(vfs)),
-        None => backend.build(FactoryOptions::new()),
-    };
     let outcome = run_job(
         &job,
         EventGenerator::new(gen_cfg).tuples_with_telemetry(opts.telemetry.clone()),
-        factory,
+        backend.build(factory_opts),
         &opts,
     );
     match outcome {

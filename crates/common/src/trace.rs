@@ -1079,7 +1079,7 @@ struct TraceAcc {
 /// Reconstructs per-batch critical paths from analyzer events and
 /// aggregates them into the per-stage attribution table.
 ///
-/// Stage accounting rules (documented in DESIGN.md §12):
+/// Stage accounting rules (documented in DESIGN.md §10):
 /// - `queue` sums `queue_wait` instants (channel residency measured at
 ///   the receiver against the sender's stamp);
 /// - `exchange` sums `exchange_send` spans (send-side backpressure);

@@ -375,7 +375,7 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The injectable fault taxonomy (DESIGN.md §9).
+/// The injectable fault taxonomy (DESIGN.md §7).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FaultKind {

@@ -2,20 +2,19 @@
 //!
 //! Runs a rate-limited NEXMark Q12 job (RMW pattern: per-bidder counts
 //! over a global window) with snapshot publication enabled, then
-//! measures the serving path in three phases over the same live
+//! measures the serving path in two phases over the same live
 //! registry:
 //!
-//! 1. **baseline** — the legacy thread-per-connection core, one point
-//!    lookup per round trip (what every pre-v2 deployment ran);
-//! 2. **pipelined** — the event-loop core with protocol v2 and
-//!    `--depth` point lookups in flight per connection;
-//! 3. **mixed** — the event-loop core under a realistic blend of
-//!    pipelined point batches, multi-key `LookupMany` frames, and
-//!    prefix-filtered scans.
+//! 1. **pipelined** — protocol v2 with `--depth` point lookups in
+//!    flight per connection;
+//! 2. **mixed** — a realistic blend of pipelined point batches,
+//!    multi-key `LookupMany` frames, and prefix-filtered scans.
 //!
 //! Reports sustained lookup throughput and p50/p99/p999 latency per
-//! phase, the pipelining speedup over the baseline, and writes the same
-//! numbers to `--out` (default `BENCH_serve.json`).
+//! phase and writes the same numbers to `--out` (default
+//! `BENCH_serve.json`). The committed `BENCH_serve.json` additionally
+//! records the removed thread-per-connection core's depth-1 baseline
+//! (63k lookups/s) as history.
 //!
 //! Usage:
 //! `cargo run --release -p flowkv-serve --bin serve_bench -- \
@@ -201,22 +200,11 @@ fn main() {
         )
     });
 
-    // Two servers over the same registry: the legacy threaded core as
-    // the baseline, the event loop as the measured core.
-    let mut baseline_server = ServerBuilder::new("127.0.0.1:0", Arc::clone(&registry))
-        .threaded(true)
-        .spawn()
-        .expect("baseline server spawn");
     let mut server = ServerBuilder::new("127.0.0.1:0", Arc::clone(&registry))
         .spawn()
         .expect("server spawn");
     let addr = server.local_addr();
-    eprintln!(
-        "serve_bench: {} core on {addr}, {} baseline on {}",
-        server.core(),
-        baseline_server.core(),
-        baseline_server.local_addr()
-    );
+    eprintln!("serve_bench: state server on {addr}");
 
     // Wait for the first snapshots, then sample real keys off a scan so
     // the lookup mix queries state that actually exists.
@@ -235,26 +223,7 @@ fn main() {
     eprintln!("serve_bench: sampled {} live keys", keys.len());
     let keys = Arc::new(keys);
 
-    // Phase 1 — thread-per-connection baseline, one lookup per round
-    // trip (protocol v1 semantics regardless of the negotiated version).
-    let phase_keys = Arc::clone(&keys);
-    let baseline = measure_phase(
-        "threaded_depth1",
-        baseline_server.local_addr(),
-        threads,
-        measure_secs,
-        move |client, rng, _| {
-            let key = &phase_keys[rng.gen_range(0..phase_keys.len())];
-            client
-                .lookup_latest(JOB, OPERATOR, key)
-                .expect("lookup failed");
-            1
-        },
-    );
-    baseline.print();
-
-    // Phase 2 — the event loop with `depth` point lookups pipelined per
-    // round trip.
+    // Phase 1 — `depth` point lookups pipelined per round trip.
     let phase_keys = Arc::clone(&keys);
     let pipelined = measure_phase(
         "event_loop_pipelined",
@@ -269,8 +238,8 @@ fn main() {
     );
     pipelined.print();
 
-    // Phase 3 — mixed workload on the event loop: pipelined point
-    // batches, a LookupMany frame, and a prefix-filtered scan.
+    // Phase 2 — mixed workload: pipelined point batches, a LookupMany
+    // frame, and a prefix-filtered scan.
     let phase_keys = Arc::clone(&keys);
     let mixed = measure_phase("event_loop_mixed", addr, threads, measure_secs, {
         move |client, rng, i| {
@@ -309,29 +278,23 @@ fn main() {
     });
     mixed.print();
 
-    let speedup = pipelined.throughput() / baseline.throughput().max(1.0);
-    println!("pipelining speedup: {speedup:.2}x over thread-per-connection at depth {depth}");
-
-    // Let the job drain, then shut the servers down.
+    // Let the job drain, then shut the server down.
     let outcome = job_thread.join().expect("job thread panicked");
     let job_ok = matches!(outcome, CellOutcome::Ok(_));
     let (job_inputs, job_outputs) = match &outcome {
         CellOutcome::Ok(r) => (r.input_count, r.output_count),
         _ => (0, 0),
     };
-    let requests = server.requests_served() + baseline_server.requests_served();
+    let requests = server.requests_served();
     server.shutdown();
-    baseline_server.shutdown();
     println!("job: ok={job_ok} inputs={job_inputs} outputs={job_outputs} (server answered {requests} frames)");
 
     let json = format!(
         "{{\n  \"benchmark\": \"serve_point_lookups\",\n  \"query\": \"Q12\",\n  \
          \"pattern\": \"RMW\",\n  \"events\": {events},\n  \"ingest_rate\": {rate},\n  \
          \"threads\": {threads},\n  \"pipeline_depth\": {depth},\n  \
-         \"phases\": [\n    {},\n    {},\n    {}\n  ],\n  \
-         \"pipelining_speedup\": {speedup:.2},\n  \
+         \"phases\": [\n    {},\n    {}\n  ],\n  \
          \"job_completed_ok\": {job_ok}\n}}\n",
-        baseline.json(),
         pipelined.json(),
         mixed.json(),
     );

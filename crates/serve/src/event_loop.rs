@@ -10,8 +10,7 @@
 //! connection, so thousands of idle clients cost one sleeping thread.
 //!
 //! Protocol versions, the v2 handshake, and request-id correlation are
-//! all inside [`Session`] — shared with the legacy threaded core, so
-//! both cores speak identical wire bytes.
+//! all inside [`Session`].
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};

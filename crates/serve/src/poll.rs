@@ -295,8 +295,8 @@ pub use imp::Poller;
 mod imp {
     use super::*;
 
-    /// Unsupported-platform stub; construction fails so the server
-    /// builder can fall back to the threaded core.
+    /// Unsupported-platform stub; construction fails, and with it
+    /// `ServerBuilder::spawn`.
     pub struct Poller;
 
     impl Poller {

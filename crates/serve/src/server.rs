@@ -6,27 +6,18 @@
 //! concurrent queries cost no copies and no coordination with the job's
 //! workers.
 //!
-//! Two serving cores share one wire-protocol state machine
-//! ([`Session`]):
-//!
-//! * The default **event-loop core** ([`event_loop`](crate::event_loop))
-//!   multiplexes every connection onto one readiness-polled thread with
-//!   per-connection read/write buffers. Pipelined clients get every
-//!   buffered frame answered per wake-up.
-//! * The legacy **threaded core** dedicates a thread per connection,
-//!   blocking on each read. It remains available via
-//!   [`ServerBuilder::threaded`] as a baseline and as the fallback on
-//!   platforms without readiness polling.
-//!
-//! Both cores are configured through [`ServerBuilder`]; the old
-//! `StateServer::spawn*` constructors survive as deprecated wrappers.
+//! The serving core is a single-threaded event loop
+//! ([`event_loop`](crate::event_loop)): every connection is multiplexed
+//! onto one readiness-polled thread with per-connection read/write
+//! buffers, and pipelined clients get every buffered frame answered per
+//! wake-up. The wire protocol lives in one per-connection state machine
+//! ([`Session`]). [`ServerBuilder`] is the one construction path.
 
-use std::io::BufWriter;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::hash::partition_of;
@@ -39,12 +30,9 @@ use flowkv_common::trace::{self, TraceHandle};
 use flowkv_common::types::{Timestamp, MAX_TIMESTAMP};
 
 use crate::protocol::{
-    read_frame, split_request_id, write_frame, write_frame_v2, ErrorCode, Request, Response,
-    ScanEntry, StateInfo, MAX_PROTOCOL, PROTOCOL_V1, PROTOCOL_V2,
+    split_request_id, write_frame, write_frame_v2, ErrorCode, Request, Response, ScanEntry,
+    StateInfo, MAX_PROTOCOL, PROTOCOL_V1, PROTOCOL_V2,
 };
-
-/// How often the threaded accept loop re-checks the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
 /// Default cap on concurrently open client connections.
 const DEFAULT_MAX_CONNECTIONS: usize = 1024;
@@ -87,8 +75,8 @@ impl ServeProbes {
     }
 }
 
-/// Everything a serving core needs to answer requests, shared across
-/// connections and cores.
+/// Everything the serving core needs to answer requests, shared across
+/// connections.
 pub(crate) struct ServeShared {
     pub registry: Arc<StateRegistry>,
     pub telemetry: Option<Arc<Telemetry>>,
@@ -96,13 +84,11 @@ pub(crate) struct ServeShared {
     pub probes: Option<ServeProbes>,
 }
 
-/// Per-connection wire-protocol state machine, shared by both cores.
+/// Per-connection wire-protocol state machine.
 ///
 /// A session starts in protocol v1. A [`Request::Hello`] switches it to
 /// the negotiated version; from then on every frame carries (and every
-/// response echoes) a request id. Keeping this logic in one place is
-/// what guarantees the event-loop core and the threaded core speak
-/// byte-identical protocol.
+/// response echoes) a request id.
 pub(crate) struct Session {
     version: u8,
 }
@@ -202,7 +188,6 @@ pub struct ServerBuilder {
     trace: Option<TraceHandle>,
     max_connections: usize,
     read_timeout: Option<Duration>,
-    threaded: bool,
 }
 
 impl ServerBuilder {
@@ -216,7 +201,6 @@ impl ServerBuilder {
             trace: None,
             max_connections: DEFAULT_MAX_CONNECTIONS,
             read_timeout: None,
-            threaded: false,
         }
     }
 
@@ -249,15 +233,11 @@ impl ServerBuilder {
         self
     }
 
-    /// Selects the legacy thread-per-connection core instead of the
-    /// event loop. Useful as a benchmark baseline; platforms without
-    /// readiness polling fall back to it automatically.
-    pub fn threaded(mut self, threaded: bool) -> Self {
-        self.threaded = threaded;
-        self
-    }
-
     /// Binds the address and starts serving.
+    ///
+    /// Fails — rather than serving some other way — when the address
+    /// cannot be bound or the platform's readiness poller cannot be
+    /// created (descriptor limit reached; no polling API at all).
     pub fn spawn(self) -> Result<StateServer> {
         let addrs = self
             .addrs
@@ -270,6 +250,7 @@ impl ServerBuilder {
         let local = listener
             .local_addr()
             .map_err(|e| StoreError::io("state server local_addr", e))?;
+        let poller = crate::poll::Poller::new()?;
         let telemetry = match (self.telemetry, self.trace) {
             (telemetry, Some(handle)) => {
                 let t = telemetry.unwrap_or_else(Telemetry::new_shared);
@@ -287,42 +268,34 @@ impl ServerBuilder {
             served: Arc::clone(&served),
             probes,
         });
-
-        #[cfg(unix)]
-        let poller = if self.threaded {
-            None
-        } else {
-            // A poller that cannot be built (exotic platform, fd limit)
-            // downgrades to the threaded core instead of failing spawn.
-            crate::poll::Poller::new().ok()
-        };
-        #[cfg(not(unix))]
-        let poller: Option<crate::poll::Poller> = None;
-
-        let core = if poller.is_some() {
-            "event-loop"
-        } else {
-            "threaded"
-        };
         let max_connections = self.max_connections;
-        let read_timeout = self.read_timeout;
+        let idle_timeout = self.read_timeout;
         let thread = {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("flowkv-serve-core".into())
-                .spawn(move || match poller {
+                .spawn(move || {
                     #[cfg(unix)]
-                    Some(poller) => crate::event_loop::run(
+                    crate::event_loop::run(
                         poller,
                         listener,
                         shared,
                         stop,
                         crate::event_loop::EventLoopConfig {
                             max_connections,
-                            idle_timeout: read_timeout,
+                            idle_timeout,
                         },
-                    ),
-                    _ => accept_loop(listener, shared, stop, max_connections, read_timeout),
+                    );
+                    // Unreachable off unix: `Poller::new` above always fails there.
+                    #[cfg(not(unix))]
+                    drop((
+                        poller,
+                        listener,
+                        shared,
+                        stop,
+                        max_connections,
+                        idle_timeout,
+                    ));
                 })
                 .map_err(|e| StoreError::io("state server core thread", e))?
         };
@@ -331,7 +304,6 @@ impl ServerBuilder {
             stop,
             core_thread: Some(thread),
             served,
-            core,
         })
     }
 }
@@ -339,37 +311,15 @@ impl ServerBuilder {
 /// A running state server.
 ///
 /// Dropping the handle (or calling [`StateServer::shutdown`]) stops the
-/// serving core and joins its threads.
+/// serving core and joins its thread.
 pub struct StateServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     core_thread: Option<JoinHandle<()>>,
     served: Arc<AtomicU64>,
-    core: &'static str,
 }
 
 impl StateServer {
-    /// Binds `addr` and starts serving queries over `registry`.
-    #[deprecated(note = "use `ServerBuilder::new(addr, registry).spawn()`")]
-    pub fn spawn(addr: impl ToSocketAddrs, registry: Arc<StateRegistry>) -> Result<Self> {
-        ServerBuilder::new(addr, registry).spawn()
-    }
-
-    /// Like `spawn`, additionally exposing `telemetry` through the
-    /// metrics and Prometheus opcodes.
-    #[deprecated(note = "use `ServerBuilder::new(addr, registry).telemetry(t).spawn()`")]
-    pub fn spawn_with_telemetry(
-        addr: impl ToSocketAddrs,
-        registry: Arc<StateRegistry>,
-        telemetry: Option<Arc<Telemetry>>,
-    ) -> Result<Self> {
-        let mut builder = ServerBuilder::new(addr, registry);
-        if let Some(t) = telemetry {
-            builder = builder.telemetry(t);
-        }
-        builder.spawn()
-    }
-
     /// The address the server is listening on.
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
@@ -378,11 +328,6 @@ impl StateServer {
     /// Total requests answered so far (including errors).
     pub fn requests_served(&self) -> u64 {
         self.served.load(Ordering::Relaxed)
-    }
-
-    /// Which serving core is running: `"event-loop"` or `"threaded"`.
-    pub fn core(&self) -> &'static str {
-        self.core
     }
 
     /// Stops accepting connections and joins the serving core.
@@ -400,108 +345,6 @@ impl StateServer {
 impl Drop for StateServer {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<ServeShared>,
-    stop: Arc<AtomicBool>,
-    max_connections: usize,
-    read_timeout: Option<Duration>,
-) {
-    let open = Arc::new(AtomicI64::new(0));
-    let mut conn_threads = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if open.load(Ordering::Relaxed) >= max_connections as i64 {
-                    drop(stream);
-                    continue;
-                }
-                open.fetch_add(1, Ordering::Relaxed);
-                if let Some(p) = &shared.probes {
-                    p.connections_total.inc();
-                    p.connections_open.set(open.load(Ordering::Relaxed));
-                }
-                let thread_shared = Arc::clone(&shared);
-                let thread_stop = Arc::clone(&stop);
-                let thread_open = Arc::clone(&open);
-                let handle = std::thread::Builder::new()
-                    .name("flowkv-serve-conn".into())
-                    .spawn(move || {
-                        serve_connection(stream, &thread_shared, &thread_stop, read_timeout);
-                        let n = thread_open.fetch_sub(1, Ordering::Relaxed) - 1;
-                        if let Some(p) = &thread_shared.probes {
-                            p.connections_open.set(n);
-                        }
-                    });
-                match handle {
-                    Ok(h) => conn_threads.push(h),
-                    Err(_) => {
-                        open.fetch_sub(1, Ordering::Relaxed);
-                        continue;
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-        // Reap finished connection threads so a long-lived server does
-        // not accumulate handles.
-        conn_threads.retain(|h| !h.is_finished());
-    }
-    for h in conn_threads {
-        let _ = h.join();
-    }
-}
-
-fn serve_connection(
-    stream: TcpStream,
-    shared: &ServeShared,
-    stop: &AtomicBool,
-    read_timeout: Option<Duration>,
-) {
-    // A finite socket timeout doubles as the shutdown poll interval: an
-    // idle connection wakes up, notices the flag, and exits.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let _ = stream.set_nodelay(true);
-    let mut reader = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut writer = BufWriter::new(stream);
-    let mut session = Session::new();
-    let mut out = Vec::new();
-    let mut last_active = Instant::now();
-    while !stop.load(Ordering::SeqCst) {
-        let payload = match read_frame(&mut reader) {
-            Ok(Some(p)) => p,
-            Ok(None) => return,
-            Err(StoreError::Io { source, .. })
-                if matches!(
-                    source.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if read_timeout.is_some_and(|t| last_active.elapsed() > t) {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        };
-        last_active = Instant::now();
-        out.clear();
-        if session.handle(shared, &payload, &mut out).is_err() {
-            return;
-        }
-        use std::io::Write as _;
-        if writer.write_all(&out).is_err() || writer.flush().is_err() {
-            return;
-        }
     }
 }
 
@@ -783,7 +626,7 @@ pub fn route_key(job: &str, operator: &str, key: &[u8], partitions: usize) -> St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ScanFilter;
+    use crate::protocol::{read_frame, ScanFilter};
     use flowkv_common::registry::{StatePattern, StateView, ViewValue};
     use flowkv_common::types::WindowId;
 

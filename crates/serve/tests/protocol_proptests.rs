@@ -187,20 +187,20 @@ fn scan_entry_strategy() -> impl Strategy<Value = ScanEntry> {
 
 fn metrics_strategy() -> impl Strategy<Value = flowkv_common::metrics::MetricsSnapshot> {
     prop::collection::vec(any::<u64>(), 12..13).prop_map(|v| {
-        let mut m = flowkv_common::metrics::MetricsSnapshot::default();
-        m.write_nanos = v[0];
-        m.read_nanos = v[1];
-        m.compaction_nanos = v[2];
-        m.bytes_written = v[3];
-        m.bytes_read = v[4];
-        m.records_written = v[5];
-        m.records_read = v[6];
-        m.prefetch_hits = v[7];
-        m.prefetch_misses = v[8];
-        m.prefetch_evictions = v[9];
-        m.flushes = v[10];
-        m.compactions = v[11];
-        m
+        flowkv_common::metrics::MetricsSnapshot {
+            write_nanos: v[0],
+            read_nanos: v[1],
+            compaction_nanos: v[2],
+            bytes_written: v[3],
+            bytes_read: v[4],
+            records_written: v[5],
+            records_read: v[6],
+            prefetch_hits: v[7],
+            prefetch_misses: v[8],
+            prefetch_evictions: v[9],
+            flushes: v[10],
+            compactions: v[11],
+        }
     })
 }
 
@@ -445,7 +445,7 @@ proptest! {
             partitions,
             entries,
             watermark,
-            metrics: metrics.clone(),
+            metrics,
             registry,
         };
         let legacy = make(Vec::new()).encode();

@@ -7,8 +7,7 @@
 //! outputs are byte-identical. Around it: protocol-compatibility tests
 //! proving a v1 client round-trips unchanged against the v2 event-loop
 //! server, that pipelined v2 batches correlate by request id, and that
-//! both serving cores (event loop and legacy threaded) speak the same
-//! wire bytes.
+//! `spawn()` fails rather than serving without its readiness poller.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,8 +20,7 @@ use flowkv_common::telemetry::{validate_prometheus, Telemetry};
 use flowkv_common::types::{Tuple, WindowId, MAX_TIMESTAMP, MIN_TIMESTAMP};
 use flowkv_nexmark::{EventGenerator, GeneratorConfig, QueryId, QueryParams};
 use flowkv_serve::{
-    route_key, Request, Response, ScanFilter, ServerBuilder, StateClient, StateServer, PROTOCOL_V1,
-    PROTOCOL_V2,
+    route_key, Request, Response, ScanFilter, ServerBuilder, StateClient, PROTOCOL_V1, PROTOCOL_V2,
 };
 use flowkv_spe::{run_job, RunOptions};
 
@@ -110,8 +108,6 @@ fn concurrent_queries_never_change_job_output() {
         .spawn()
         .unwrap();
     let addr = server.local_addr();
-    #[cfg(unix)]
-    assert_eq!(server.core(), "event-loop");
 
     let stop = Arc::new(AtomicBool::new(false));
     let hits = Arc::new(AtomicU64::new(0));
@@ -133,7 +129,7 @@ fn concurrent_queries_never_change_job_output() {
                 // Refresh the key sample from a live scan now and then;
                 // before any snapshot exists these return UnknownState,
                 // which is fine — keep polling.
-                if sampled.is_empty() || i % 64 == 0 {
+                if sampled.is_empty() || i.is_multiple_of(64) {
                     if let Ok(scan) = client.scan(JOB, OPERATOR, MIN_TIMESTAMP, MAX_TIMESTAMP, 512)
                     {
                         scanned.fetch_add(scan.entries.len() as u64, Ordering::Relaxed);
@@ -150,7 +146,7 @@ fn concurrent_queries_never_change_job_output() {
                 // Exercise the batched v2 surface against the live job:
                 // a multi-key lookup over the sample, and a filtered
                 // scan restricted to one sampled key's prefix.
-                if i % 32 == 0 && !sampled.is_empty() {
+                if i.is_multiple_of(32) && !sampled.is_empty() {
                     let keys: Vec<Vec<u8>> = sampled.iter().take(8).cloned().collect();
                     if let Ok(batch) = client.lookup_many(JOB, OPERATOR, &keys, None) {
                         assert_eq!(batch.found.len(), keys.len());
@@ -465,60 +461,64 @@ fn pipelined_v2_batches_correlate_by_request_id() {
     server.shutdown();
 }
 
-/// Both serving cores speak identical wire bytes: the legacy threaded
-/// core (kept as the benchmark baseline behind
-/// [`ServerBuilder::threaded`]) serves the same v1 and v2 traffic.
+/// `spawn()` has one serving core: when the readiness poller cannot be
+/// created it returns the error instead of serving some other way.
+///
+/// The failure is injected by exhausting the process's descriptors —
+/// `epoll_create1` needs one — so the case re-runs itself alone in a
+/// child process, where starving descriptors cannot disturb the other
+/// tests of this binary.
 #[test]
-fn threaded_core_serves_both_protocol_versions() {
+fn spawn_surfaces_poller_failure_instead_of_falling_back() {
+    const CHILD: &str = "FLOWKV_SERVE_FD_STARVED_CHILD";
+    if std::env::var_os(CHILD).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "spawn_surfaces_poller_failure_instead_of_falling_back",
+                "--test-threads=1",
+            ])
+            .env(CHILD, "1")
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "child failed:\n{}\n{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+
     let registry = StateRegistry::new_shared();
     let keys = publish_fixture(&registry, 2);
+    let builder = ServerBuilder::new("127.0.0.1:0", Arc::clone(&registry));
+    // Take every descriptor, then give one back: enough for the
+    // listening socket, none left for the poller.
+    let mut hog = Vec::new();
+    while let Ok(file) = std::fs::File::open("/dev/null") {
+        hog.push(file);
+    }
+    hog.pop();
+    let starved = builder.spawn();
+    drop(hog);
+    match starved {
+        Err(e) => assert!(e.to_string().contains("epoll_create1"), "{e}"),
+        Ok(_) => panic!("spawn served without a poller"),
+    }
+
+    // With descriptors back, the same configuration serves both
+    // protocol versions.
     let mut server = ServerBuilder::new("127.0.0.1:0", Arc::clone(&registry))
-        .threaded(true)
         .max_connections(8)
         .read_timeout(Duration::from_secs(30))
         .spawn()
         .unwrap();
-    assert_eq!(server.core(), "threaded");
-
     let mut v1 = StateClient::connect_v1(server.local_addr()).unwrap();
     v1.ping().unwrap();
-    assert!(v1
-        .lookup_latest(JOB, OPERATOR, &keys[0])
-        .unwrap()
-        .found
-        .is_some());
-
     let mut v2 = StateClient::connect(server.local_addr()).unwrap();
     assert_eq!(v2.version(), PROTOCOL_V2);
     let batch = v2.lookup_many(JOB, OPERATOR, &keys, None).unwrap();
     assert!(batch.found.iter().all(|f| f.is_some()));
-
-    server.shutdown();
-}
-
-/// The deprecated one-shot constructors still work — they are thin
-/// wrappers over [`ServerBuilder`] kept for source compatibility.
-#[test]
-#[allow(deprecated)]
-fn deprecated_spawn_wrappers_still_serve() {
-    let registry = StateRegistry::new_shared();
-    publish_fixture(&registry, 2);
-    let mut server = StateServer::spawn("127.0.0.1:0", Arc::clone(&registry)).unwrap();
-    let mut client = StateClient::connect(server.local_addr()).unwrap();
-    client.ping().unwrap();
-    assert_eq!(client.list_states().unwrap().len(), 2);
-    server.shutdown();
-
-    let mut server = StateServer::spawn_with_telemetry(
-        "127.0.0.1:0",
-        Arc::clone(&registry),
-        Some(Telemetry::new_shared()),
-    )
-    .unwrap();
-    let mut client = StateClient::connect(server.local_addr()).unwrap();
-    assert!(client
-        .prometheus()
-        .unwrap()
-        .contains("flowkv_serve_requests_total"));
     server.shutdown();
 }

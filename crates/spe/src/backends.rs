@@ -17,10 +17,18 @@ use crate::memstore::InMemoryFactory;
 /// Options applied when materialising a [`BackendChoice`] into a
 /// [`StateBackendFactory`] — the one place every cross-cutting seam
 /// (fault-injecting VFS, two-tier layout, whatever comes next) plugs in,
-/// so the choice enum stops growing `factory_*` constructor variants.
+/// so the choice enum needs no constructor per combination.
 ///
-/// ```ignore
-/// let factory = choice.build(FactoryOptions::new().vfs(vfs).tiered(tier_cfg));
+/// ```
+/// use flowkv::tier::TierConfig;
+/// use flowkv_common::vfs::StdVfs;
+/// use flowkv_spe::{BackendChoice, FactoryOptions};
+///
+/// let choice = &BackendChoice::all_small_for_tests()[1];
+/// let options = FactoryOptions::new()
+///     .vfs(StdVfs::shared())
+///     .tiered(TierConfig::new(1 << 20));
+/// assert_eq!(choice.build(options).name(), "tiered");
 /// ```
 #[derive(Clone, Default)]
 pub struct FactoryOptions {
@@ -117,36 +125,6 @@ impl BackendChoice {
                 }
             }
         }
-    }
-
-    /// Builds the plain factory, with no options applied.
-    #[deprecated(note = "use `build(FactoryOptions::new())`")]
-    pub fn factory(&self) -> Arc<dyn StateBackendFactory> {
-        self.build(FactoryOptions::new())
-    }
-
-    /// Builds a factory whose backends perform every file operation
-    /// through `vfs`.
-    #[deprecated(note = "use `build(FactoryOptions::new().vfs(vfs))`")]
-    pub fn factory_with_vfs(&self, vfs: Arc<dyn Vfs>) -> Arc<dyn StateBackendFactory> {
-        self.build(FactoryOptions::new().vfs(vfs))
-    }
-
-    /// Wraps this backend's factory in the two-tier hot/cold layout.
-    #[deprecated(note = "use `build(FactoryOptions::new().tiered(cfg))`")]
-    pub fn factory_tiered(&self, cfg: flowkv::tier::TierConfig) -> Arc<dyn StateBackendFactory> {
-        self.build(FactoryOptions::new().tiered(cfg))
-    }
-
-    /// Tiered factory whose inner store *and* cold log both run through
-    /// `vfs`, so fault injection covers the whole two-tier stack.
-    #[deprecated(note = "use `build(FactoryOptions::new().tiered(cfg).vfs(vfs))`")]
-    pub fn factory_tiered_with_vfs(
-        &self,
-        cfg: flowkv::tier::TierConfig,
-        vfs: Arc<dyn Vfs>,
-    ) -> Arc<dyn StateBackendFactory> {
-        self.build(FactoryOptions::new().tiered(cfg).vfs(vfs))
     }
 
     /// Scaled-down variants for tests: small buffers everywhere.

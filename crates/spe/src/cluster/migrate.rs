@@ -24,6 +24,7 @@ use flowkv_common::error::{Result, StoreError};
 use flowkv_common::hash::partition_of;
 use flowkv_common::trace::SpanRecorder;
 
+use crate::executor::worker_ckpt_dir;
 use crate::job::{Job, Stage, WindowSpec};
 use crate::operator::WindowOperator;
 
@@ -32,17 +33,15 @@ pub(crate) fn cluster_ckpt_dir(root: &Path, worker: usize) -> std::path::PathBuf
     root.join(format!("w{worker}"))
 }
 
-/// The checkpoint directory of one operator partition, matching the
-/// layout `run_job` writes (`<worker root>/<stage>/p<partition>`).
+/// The checkpoint directory of one operator partition of one shard, in
+/// the layout the runner writes.
 fn partition_ckpt_dir(
     root: &Path,
     worker: usize,
     stage: &str,
     partition: usize,
 ) -> std::path::PathBuf {
-    cluster_ckpt_dir(root, worker)
-        .join(stage)
-        .join(format!("p{partition}"))
+    worker_ckpt_dir(&cluster_ckpt_dir(root, worker), stage, partition)
 }
 
 /// Repartitions the coordinated checkpoint under `old_root` (written by

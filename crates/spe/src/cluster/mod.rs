@@ -27,11 +27,9 @@ use flowkv::KeyRangePartitioner;
 use flowkv_common::backend::StateBackendFactory;
 use flowkv_common::error::StoreError;
 use flowkv_common::metrics::MetricsSnapshot;
-use flowkv_common::telemetry::Telemetry;
-use flowkv_common::trace::{self as ftrace, Tracer};
 use flowkv_common::types::Tuple;
 
-use crate::executor::{run_job_items, JobError, JobResult, RunOptions, SourceItem};
+use crate::executor::{run_job_inner, JobError, JobResult, RunCtx, RunOptions, SourceItem};
 use crate::job::{Job, Stage};
 
 /// The outcome of a cluster run.
@@ -99,11 +97,6 @@ pub fn run_cluster(
     factory: Arc<dyn StateBackendFactory>,
     options: &RunOptions,
 ) -> Result<ClusterResult, JobError> {
-    // Tier here, once: `migrate::repartition` drives the factory
-    // directly (outside any executor), and an unwrapped migration store
-    // could not read a tiered shard's checkpoint. The name guard inside
-    // keeps the per-shard executors from wrapping a second time.
-    let factory = crate::executor::maybe_tier_factory(factory, options);
     let started = Instant::now();
     let n = options.workers.max(1);
 
@@ -112,16 +105,11 @@ pub fn run_cluster(
     // coordinator's own lane (migration spans) as `pid::MAX`. Shards
     // never write trace files themselves — the coordinator drains the
     // shared tracer once, after both phases.
-    let trace_sample = if options.trace_sample > 0 {
-        options.trace_sample
-    } else if options.trace.is_some() || options.trace_out.is_some() {
-        1
-    } else {
-        0
-    };
-    let tracer: Option<Arc<Tracer>> =
-        (trace_sample > 0).then(|| options.trace.clone().unwrap_or_else(Tracer::new));
-    let coord_rec = tracer.as_ref().map(|t| t.thread(u32::MAX, "coordinator"));
+    let ctx = RunCtx::resolve(options);
+    let coord_rec = ctx
+        .tracer
+        .as_ref()
+        .map(|t| t.thread(u32::MAX, "coordinator"));
 
     let stateful: Vec<usize> = job
         .stages
@@ -178,7 +166,7 @@ pub fn run_cluster(
         rescale_part
             .as_ref()
             .map(|p| (p, barrier_at.expect("validated above"))),
-        options.watermark_interval as u64,
+        options.watermark_interval,
         options.watermark_slack,
     );
     if rescale_part.is_some() && !plan.barrier_taken {
@@ -191,13 +179,11 @@ pub fn run_cluster(
         plan.phase1,
         &factory,
         options,
+        &ctx,
         &PhaseConfig {
             label: "",
-            data_root: options.data_dir.clone(),
             checkpoint_root: old_ckpt.clone(),
             restore_root: None,
-            tracer: tracer.clone(),
-            trace_sample,
             pid_base: 0,
         },
     )?;
@@ -247,13 +233,11 @@ pub fn run_cluster(
             phase2_items,
             &factory,
             options,
+            &ctx,
             &PhaseConfig {
                 label: "r",
-                data_root: options.data_dir.clone(),
                 checkpoint_root: None,
                 restore_root: Some(new_ckpt),
-                tracer: tracer.clone(),
-                trace_sample,
                 pid_base: n as u32,
             },
         )?;
@@ -268,12 +252,7 @@ pub fn run_cluster(
         workers = m;
     }
 
-    if let (Some(tracer), Some(path)) = (&tracer, &options.trace_out) {
-        let json = ftrace::chrome_trace_json(&tracer.drain());
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("trace export failed ({}): {e}", path.display());
-        }
-    }
+    ctx.export_trace(options.trace_out.as_ref());
 
     canonical_sort(&mut outputs);
     Ok(ClusterResult {
@@ -293,13 +272,9 @@ struct PhaseConfig {
     /// Worker-directory prefix: phase-1 workers are `w0..`, rescaled
     /// workers `rw0..` (also the telemetry `worker` label).
     label: &'static str,
-    data_root: PathBuf,
     checkpoint_root: Option<PathBuf>,
     restore_root: Option<PathBuf>,
-    /// Shared cluster tracer (when tracing): every shard of the phase
-    /// records into it under pid `pid_base + shard`.
-    tracer: Option<Arc<Tracer>>,
-    trace_sample: u64,
+    /// Shard `i` of the phase traces under Chrome pid `pid_base + i`.
     pid_base: u32,
 }
 
@@ -312,27 +287,26 @@ fn run_phase(
     shards: Vec<Vec<SourceItem>>,
     factory: &Arc<dyn StateBackendFactory>,
     options: &RunOptions,
+    ctx: &RunCtx,
     phase: &PhaseConfig,
 ) -> Result<Vec<JobResult>, JobError> {
     let seed = crate::backoff::fault_seed();
     let mut handles = Vec::with_capacity(shards.len());
-    let mut hubs: Vec<Option<Arc<Telemetry>>> = Vec::with_capacity(shards.len());
+    let mut hubs = Vec::with_capacity(shards.len());
     for (i, items) in shards.into_iter().enumerate() {
-        let hub = options.telemetry.as_ref().map(|_| Telemetry::new_shared());
-        hubs.push(hub.clone());
+        let shard_ctx = ctx.shard(phase.pid_base + i as u32);
+        hubs.push(shard_ctx.telemetry.clone());
         let job = worker_job.clone();
         let factory = Arc::clone(factory);
-        let data_dir = phase.data_root.join(format!("{}w{i}", phase.label));
-        let mut wopts = RunOptions::new(&data_dir);
-        // The coordinator injects the global schedule; shard-local
-        // automatic watermarks would lag it and change firing decisions.
-        wopts.watermark_interval = usize::MAX;
+        let data_dir = options.data_dir.join(format!("{}w{i}", phase.label));
+        // A shard runs under the job's options, except for what the
+        // coordinator owns: the source (the shard's items already carry
+        // the global schedule and barrier, unpaced), the merged outputs,
+        // the checkpoint layout, and the job-level artefacts.
+        let mut wopts = options.clone();
         wopts.collect_outputs = true;
-        wopts.record_latency = options.record_latency;
-        wopts.timeout = options.timeout;
-        wopts.channel_capacity = options.channel_capacity;
-        wopts.batch_size = options.batch_size;
-        wopts.batch_linger = options.batch_linger;
+        wopts.rate_limit = None;
+        wopts.checkpoint_after_tuples = None;
         wopts.checkpoint_dir = phase
             .checkpoint_root
             .as_ref()
@@ -341,37 +315,27 @@ fn run_phase(
             .restore_root
             .as_ref()
             .map(|d| migrate::cluster_ckpt_dir(d, i));
-        wopts.telemetry = hub;
-        if let Some(tracer) = &phase.tracer {
-            wopts.trace = Some(Arc::clone(tracer));
-            wopts.trace_sample = phase.trace_sample;
-            wopts.trace_pid = phase.pid_base + i as u32;
-        }
-        let max_restarts = options.max_restarts;
-        let backoff = options.restart_backoff;
+        wopts.registry = None;
+        wopts.telemetry_out = None;
+        wopts.trace_out = None;
         let handle = std::thread::Builder::new()
             .name(format!("cluster-{}w{i}", phase.label))
             .spawn(move || -> Result<JobResult, JobError> {
                 let mut attempt = 0u32;
                 loop {
-                    let mut opts = wopts.clone();
                     // A fresh store root per attempt: a failed attempt's
                     // half-written files never leak into the retry.
-                    opts.data_dir = data_dir.join(format!("a{attempt}"));
-                    match run_job_items(
-                        &job,
-                        items.clone().into_iter(),
-                        Arc::clone(&factory),
-                        &opts,
-                    ) {
+                    wopts.data_dir = data_dir.join(format!("a{attempt}"));
+                    let items = items.iter().cloned();
+                    match run_job_inner(&job, items, Arc::clone(&factory), &wopts, &shard_ctx).0 {
                         Ok(r) => return Ok(r),
                         Err(e) => {
-                            if attempt >= max_restarts {
+                            if attempt >= wopts.max_restarts {
                                 return Err(e);
                             }
                             attempt += 1;
                             std::thread::sleep(crate::backoff::jittered_backoff(
-                                backoff,
+                                wopts.restart_backoff,
                                 attempt,
                                 seed ^ (i as u64),
                             ));
@@ -403,7 +367,7 @@ fn run_phase(
     if let Some(e) = first_error {
         return Err(e);
     }
-    if let Some(job_hub) = &options.telemetry {
+    if let Some(job_hub) = &ctx.telemetry {
         for (i, hub) in hubs.iter().enumerate() {
             if let Some(hub) = hub {
                 job_hub.registry().merge(
@@ -420,7 +384,7 @@ fn run_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backends::BackendChoice;
+    use crate::backends::{BackendChoice, FactoryOptions};
     use crate::functions::{CountAggregate, MedianProcess};
     use crate::job::{AggregateSpec, JobBuilder};
     use crate::window::WindowAssigner;
@@ -461,7 +425,9 @@ mod tests {
             .build()
     }
 
-    fn triples(outputs: &[Tuple]) -> Vec<(Vec<u8>, Vec<u8>, i64)> {
+    type Triples = Vec<(Vec<u8>, Vec<u8>, i64)>;
+
+    fn triples(outputs: &[Tuple]) -> Triples {
         outputs
             .iter()
             .map(|t| (t.key.clone(), t.value.clone(), t.timestamp))
@@ -504,7 +470,7 @@ mod tests {
     fn sharded_output_is_identical_across_parallelisms() {
         for job in [count_job(), session_job()] {
             let input = tuples(4_000, 29);
-            let mut reference: Option<Vec<(Vec<u8>, Vec<u8>, i64)>> = None;
+            let mut reference: Option<Triples> = None;
             for n in [1usize, 2, 4] {
                 let dir = ScratchDir::new("cluster-eq").unwrap();
                 let mut opts = RunOptions::new(dir.path());

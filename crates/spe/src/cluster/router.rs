@@ -1,27 +1,25 @@
-//! The coordinator's source router: one pass over the source stream
-//! that slices tuples across key-range shards while computing the
-//! *global* watermark/barrier schedule every shard must observe.
+//! The coordinator's source router: one pass over the scheduled source
+//! stream that slices tuples across key-range shards while every shard
+//! receives the *global* watermark/barrier schedule.
 //!
 //! A shard that derived its own watermarks from the tuples it happens to
 //! own would lag the global event clock (its max timestamp trails the
 //! stream's), and a lagging watermark can flip a session-window merge
 //! decision at the gap boundary — producing output that differs from the
-//! N=1 run. The router therefore injects identical
-//! [`SourceItem::Watermark`]s into every shard, derived from the full
-//! stream exactly as the single-worker source thread would: every
-//! `wm_interval` source tuples, at `max_ts - slack`.
+//! N=1 run. The router therefore runs the full stream through the same
+//! [`Schedule`] the single-worker run uses and copies each of its
+//! watermarks into every shard.
 //!
-//! For a rescale the same pass splits the stream at the barrier offset:
-//! tuples up to and including offset `B` go to the old shards followed
-//! by a [`SourceItem::Barrier`] and a [`SourceItem::Halt`]; everything
-//! after `B` — including the watermark due *at* `B`, which must not fire
-//! windows the barrier just snapshotted — goes to the new shards with
-//! the schedule (tuple count and max timestamp) carrying over.
+//! For a rescale the same pass splits the stream at the barrier: tuples
+//! up to and including offset `B` go to the old shards followed by a
+//! [`SourceItem::Barrier`] and a [`SourceItem::Halt`]; everything after
+//! the barrier — including the watermark due *at* `B`, which must not
+//! fire windows the barrier just snapshotted — goes to the new shards.
 
 use flowkv::KeyRangePartitioner;
-use flowkv_common::types::{Tuple, MIN_TIMESTAMP};
+use flowkv_common::types::Tuple;
 
-use crate::executor::SourceItem;
+use crate::executor::{Schedule, SourceItem};
 use crate::job::Stage;
 
 /// The routed item streams for one cluster run.
@@ -47,63 +45,55 @@ pub(crate) fn route(
     prefix: &[Stage],
     partitioner: &KeyRangePartitioner,
     rescale: Option<(&KeyRangePartitioner, u64)>,
-    wm_interval: u64,
+    wm_interval: usize,
     slack: i64,
 ) -> RoutePlan {
-    let wm_interval = wm_interval.max(1);
     let mut phase1: Vec<Vec<SourceItem>> = vec![Vec::new(); partitioner.shards()];
     let mut phase2: Option<Vec<Vec<SourceItem>>> =
         rescale.map(|(p, _)| vec![Vec::new(); p.shards()]);
-    let barrier_at = rescale.map(|(_, b)| b);
     let mut barrier_taken = false;
     let mut count: u64 = 0;
-    let mut max_ts = MIN_TIMESTAMP;
     let mut derived: Vec<Tuple> = Vec::new();
     let mut next: Vec<Tuple> = Vec::new();
-    for tuple in source {
-        count += 1;
-        max_ts = max_ts.max(tuple.timestamp);
-        derived.clear();
-        derived.push(tuple);
-        for stage in prefix {
-            let Stage::Stateless { f, .. } = stage else {
-                unreachable!("router prefix is stateless by construction");
-            };
-            next.clear();
-            for t in &derived {
-                f(t, &mut next);
-            }
-            std::mem::swap(&mut derived, &mut next);
-        }
-        // Tuple `B` itself is pre-barrier: the single-stream source emits
-        // the tuple first, then the barrier.
-        let post_barrier = barrier_at.is_some_and(|b| count > b);
-        let (part, shards) = match (&mut phase2, post_barrier) {
-            (Some(p2), true) => (rescale.unwrap().0, p2),
+    for item in Schedule::new(source, wm_interval, slack, rescale.map(|(_, b)| b)) {
+        // Everything the schedule emits after the barrier — the
+        // watermark sharing its offset included — belongs to phase 2:
+        // firing that watermark in phase 1 would consume window state
+        // the barrier just checkpointed, and the migrated state would
+        // fire the same windows again.
+        let (part, shards) = match (&mut phase2, barrier_taken) {
+            (Some(p2), true) => (rescale.expect("phase 2 implies rescale").0, p2),
             _ => (partitioner, &mut phase1),
         };
-        for t in derived.drain(..) {
-            shards[part.shard_of(&t.key)].push(SourceItem::Tuple(t));
-        }
-        if barrier_at == Some(count) {
-            for shard in &mut phase1 {
-                shard.push(SourceItem::Barrier);
+        match item {
+            SourceItem::Tuple(tuple) => {
+                count += 1;
+                derived.clear();
+                derived.push(tuple);
+                for stage in prefix {
+                    let Stage::Stateless { f, .. } = stage else {
+                        unreachable!("router prefix is stateless by construction");
+                    };
+                    next.clear();
+                    for t in &derived {
+                        f(t, &mut next);
+                    }
+                    std::mem::swap(&mut derived, &mut next);
+                }
+                for t in derived.drain(..) {
+                    shards[part.shard_of(&t.key)].push(SourceItem::Tuple(t));
+                }
             }
-            barrier_taken = true;
-        }
-        if count.is_multiple_of(wm_interval) {
-            let wm = max_ts.saturating_sub(slack);
-            // The watermark due at the barrier offset belongs to phase 2:
-            // firing it in phase 1 would consume window state the barrier
-            // just checkpointed, and the migrated state would fire the
-            // same windows again.
-            let at_or_past_barrier = barrier_at.is_some_and(|b| count >= b);
-            let shards = match (&mut phase2, at_or_past_barrier) {
-                (Some(p2), true) => p2,
-                _ => &mut phase1,
-            };
-            for shard in shards.iter_mut() {
-                shard.push(SourceItem::Watermark(wm));
+            SourceItem::Barrier => {
+                for shard in &mut phase1 {
+                    shard.push(SourceItem::Barrier);
+                }
+                barrier_taken = true;
+            }
+            control => {
+                for shard in shards.iter_mut() {
+                    shard.push(control.clone());
+                }
             }
         }
     }
@@ -128,11 +118,75 @@ mod tests {
         Tuple::new(key.into(), vec![1], ts)
     }
 
+    /// A hundred tuples, one per millisecond, each on its own key.
+    fn hundred() -> impl Iterator<Item = Tuple> {
+        (0..100i64).map(|i| t(&format!("k{i}"), i))
+    }
+
+    /// The schedule's control items with their positions in tuples:
+    /// `(tuples seen so far, item)`.
+    fn controls(schedule: impl Iterator<Item = SourceItem>) -> Vec<(u64, SourceItem)> {
+        let mut seen = 0;
+        let mut out = Vec::new();
+        for item in schedule {
+            match item {
+                SourceItem::Tuple(_) => seen += 1,
+                control => out.push((seen, control)),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn schedule_puts_the_barrier_before_the_watermark_of_the_same_count() {
+        let got = controls(Schedule::new(hundred(), 10, 0, Some(50)));
+        let at_50: Vec<&SourceItem> = got
+            .iter()
+            .filter(|(seen, _)| *seen == 50)
+            .map(|(_, item)| item)
+            .collect();
+        assert!(
+            matches!(at_50[..], [SourceItem::Barrier, SourceItem::Watermark(49)]),
+            "{at_50:?}"
+        );
+        // One barrier in the whole stream, and the cadence is untouched
+        // around it.
+        assert_eq!(got.len(), 11, "{got:?}");
+    }
+
+    #[test]
+    fn schedule_applies_the_slack_to_every_watermark() {
+        let got = controls(Schedule::new(hundred(), 10, 2, None));
+        let want: Vec<(u64, i64)> = (1..=10).map(|i| (i * 10, i as i64 * 10 - 1 - 2)).collect();
+        let wms: Vec<(u64, i64)> = got
+            .iter()
+            .map(|(seen, item)| match item {
+                SourceItem::Watermark(ts) => (*seen, *ts),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(wms, want);
+    }
+
+    #[test]
+    fn checkpoint_offset_beyond_the_stream_end_emits_no_barrier() {
+        let got = controls(Schedule::new(hundred(), 10, 0, Some(101)));
+        assert!(
+            got.iter()
+                .all(|(_, item)| matches!(item, SourceItem::Watermark(_))),
+            "{got:?}"
+        );
+        let old = KeyRangePartitioner::new(2);
+        let new = KeyRangePartitioner::new(4);
+        let plan = route(hundred(), &[], &old, Some((&new, 101)), 10, 0);
+        assert!(!plan.barrier_taken);
+        assert!(plan.phase2.unwrap().iter().all(|shard| shard.is_empty()));
+    }
+
     #[test]
     fn every_shard_sees_the_same_watermark_schedule() {
         let part = KeyRangePartitioner::new(3);
-        let source = (0..100i64).map(|i| t(&format!("k{i}"), i));
-        let plan = route(source, &[], &part, None, 10, 2);
+        let plan = route(hundred(), &[], &part, None, 10, 2);
         assert_eq!(plan.input_count, 100);
         assert!(!plan.barrier_taken);
         let wms = |shard: &[SourceItem]| -> Vec<i64> {
@@ -172,8 +226,7 @@ mod tests {
     fn rescale_splits_at_the_barrier_with_halt_and_carried_schedule() {
         let old = KeyRangePartitioner::new(2);
         let new = KeyRangePartitioner::new(4);
-        let source = (0..100i64).map(|i| t(&format!("k{i}"), i));
-        let plan = route(source, &[], &old, Some((&new, 50)), 10, 0);
+        let plan = route(hundred(), &[], &old, Some((&new, 50)), 10, 0);
         assert!(plan.barrier_taken);
         let phase2 = plan.phase2.as_ref().unwrap();
         for shard in &plan.phase1 {

@@ -115,10 +115,23 @@ impl WorkerOp {
 /// Options controlling one job run.
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
-/// [`RunOptions::new`] (then mutate fields) or, preferably, through
-/// [`RunOptions::builder`]. Direct struct-literal construction is
-/// deprecated and impossible outside this crate, so new knobs can be
-/// added without a breaking change.
+/// [`RunOptions::new`] and assign the fields that differ from the
+/// defaults. Struct-literal construction is impossible outside this
+/// crate, so new knobs can be added without a breaking change.
+///
+/// # Examples
+///
+/// ```
+/// use std::time::Duration;
+/// use flowkv_spe::executor::RunOptions;
+///
+/// let mut opts = RunOptions::new("/tmp/flowkv-doc");
+/// opts.collect_outputs = true;
+/// opts.watermark_interval = 50;
+/// opts.max_restarts = 2;
+/// opts.restart_backoff = Duration::from_millis(10);
+/// assert_eq!(opts.max_restarts, 2);
+/// ```
 #[derive(Clone)]
 #[non_exhaustive]
 pub struct RunOptions {
@@ -238,18 +251,6 @@ pub struct RunOptions {
     /// The cluster coordinator assigns each key-range shard its index
     /// so Perfetto shows one process lane per worker.
     pub trace_pid: u32,
-    /// Two-tier state layout: when set, every state backend is wrapped
-    /// in a [`flowkv::tier::TieredStore`] whose hot tier is capped at
-    /// this many bytes per partition; sealed cold windows demote to
-    /// compressed columnar blocks and promote back on access. `Some(0)`
-    /// is the pathological forced-demotion mode (every write seals to a
-    /// cold block immediately). `None` (the default) keeps the store
-    /// hot-only. Outputs are byte-identical either way.
-    pub tier_hot_bytes: Option<u64>,
-    /// Dictionary-encode the value column of cold blocks (in addition
-    /// to the always-on key dictionary and timestamp delta encoding).
-    /// Only consulted when `tier_hot_bytes` is set.
-    pub tier_compress: bool,
 }
 
 impl RunOptions {
@@ -286,8 +287,6 @@ impl RunOptions {
             trace_sample: 0,
             trace_out: None,
             trace_pid: 0,
-            tier_hot_bytes: None,
-            tier_compress: true,
         }
     }
 
@@ -303,229 +302,6 @@ impl RunOptions {
             prefetch_budget_bytes: self.prefetch_budget_bytes,
             shuffle_seed: self.io_shuffle_seed,
         })
-    }
-
-    /// Starts a builder rooted at `data_dir` — the preferred way to
-    /// construct options.
-    pub fn builder(data_dir: impl Into<PathBuf>) -> RunOptionsBuilder {
-        RunOptionsBuilder {
-            opts: RunOptions::new(data_dir),
-        }
-    }
-}
-
-/// Fluent builder for [`RunOptions`].
-///
-/// # Examples
-///
-/// ```
-/// use std::time::Duration;
-/// use flowkv_spe::executor::RunOptions;
-///
-/// let opts = RunOptions::builder("/tmp/flowkv-doc")
-///     .collect_outputs(true)
-///     .watermark_interval(50)
-///     .max_restarts(2)
-///     .restart_backoff(Duration::from_millis(10))
-///     .build();
-/// assert_eq!(opts.max_restarts, 2);
-/// ```
-#[derive(Clone)]
-pub struct RunOptionsBuilder {
-    opts: RunOptions,
-}
-
-impl RunOptionsBuilder {
-    /// Tuples between source watermarks.
-    pub fn watermark_interval(mut self, n: usize) -> Self {
-        self.opts.watermark_interval = n;
-        self
-    }
-
-    /// Out-of-orderness allowance subtracted from the max timestamp.
-    pub fn watermark_slack(mut self, slack: i64) -> Self {
-        self.opts.watermark_slack = slack;
-        self
-    }
-
-    /// Collect output tuples into [`JobResult::outputs`].
-    pub fn collect_outputs(mut self, yes: bool) -> Self {
-        self.opts.collect_outputs = yes;
-        self
-    }
-
-    /// Record per-output latencies.
-    pub fn record_latency(mut self, yes: bool) -> Self {
-        self.opts.record_latency = yes;
-        self
-    }
-
-    /// Cap the source rate (tuples per second of wall time).
-    pub fn rate_limit(mut self, rate: u64) -> Self {
-        self.opts.rate_limit = Some(rate);
-        self
-    }
-
-    /// Abort the run after this much wall time.
-    pub fn timeout(mut self, limit: Duration) -> Self {
-        self.opts.timeout = Some(limit);
-        self
-    }
-
-    /// Capacity of inter-stage channels.
-    pub fn channel_capacity(mut self, cap: usize) -> Self {
-        self.opts.channel_capacity = cap;
-        self
-    }
-
-    /// Emit an aligned checkpoint barrier after `n` source tuples,
-    /// writing the snapshot into `dir`.
-    pub fn checkpoint(mut self, n: u64, dir: impl Into<PathBuf>) -> Self {
-        self.opts.checkpoint_after_tuples = Some(n);
-        self.opts.checkpoint_dir = Some(dir.into());
-        self
-    }
-
-    /// Restore every window operator from this checkpoint before
-    /// processing.
-    pub fn restore_from(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.opts.restore_from = Some(dir.into());
-        self
-    }
-
-    /// Collect tuples dropped as late into [`JobResult::late_tuples`].
-    pub fn collect_late(mut self, yes: bool) -> Self {
-        self.opts.collect_late = yes;
-        self
-    }
-
-    /// Publish queryable-state snapshots into `registry`.
-    pub fn registry(mut self, registry: Arc<StateRegistry>) -> Self {
-        self.opts.registry = Some(registry);
-        self
-    }
-
-    /// Tuples per exchange micro-batch.
-    pub fn batch_size(mut self, n: usize) -> Self {
-        self.opts.batch_size = n;
-        self
-    }
-
-    /// Longest a partially filled source batch may linger.
-    pub fn batch_linger(mut self, linger: Duration) -> Self {
-        self.opts.batch_linger = linger;
-        self
-    }
-
-    /// Shared telemetry hub recording per-operator probes.
-    pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
-        self.opts.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Stream telemetry as JSONL to this file.
-    pub fn telemetry_out(mut self, path: impl Into<PathBuf>) -> Self {
-        self.opts.telemetry_out = Some(path.into());
-        self
-    }
-
-    /// Interval between JSONL snapshot lines.
-    pub fn telemetry_interval(mut self, interval: Duration) -> Self {
-        self.opts.telemetry_interval = interval;
-        self
-    }
-
-    /// Bounded restarts for [`crate::supervisor::run_supervised`].
-    pub fn max_restarts(mut self, n: u32) -> Self {
-        self.opts.max_restarts = n;
-        self
-    }
-
-    /// Base delay of the supervised exponential restart backoff.
-    pub fn restart_backoff(mut self, backoff: Duration) -> Self {
-        self.opts.restart_backoff = backoff;
-        self
-    }
-
-    /// Number of key-range shards for [`crate::cluster::run_cluster`].
-    pub fn workers(mut self, n: usize) -> Self {
-        self.opts.workers = n;
-        self
-    }
-
-    /// Rescale the cluster to this parallelism mid-stream (see
-    /// [`crate::cluster::run_cluster`]).
-    pub fn rescale_to(mut self, n: usize) -> Self {
-        self.opts.rescale_to = Some(n);
-        self
-    }
-
-    /// Background I/O ring threads per state backend (`0` = synchronous).
-    pub fn io_threads(mut self, n: usize) -> Self {
-        self.opts.io_threads = n;
-        self
-    }
-
-    /// Event-time lookahead for prefetch submissions, in milliseconds.
-    pub fn prefetch_horizon(mut self, horizon: i64) -> Self {
-        self.opts.prefetch_horizon = horizon;
-        self
-    }
-
-    /// Soft cap on resident prefetched bytes per store instance.
-    pub fn prefetch_budget_bytes(mut self, bytes: u64) -> Self {
-        self.opts.prefetch_budget_bytes = bytes;
-        self
-    }
-
-    /// Test knob: reorder ring completions pseudo-randomly from `seed`.
-    pub fn io_shuffle_seed(mut self, seed: u64) -> Self {
-        self.opts.io_shuffle_seed = Some(seed);
-        self
-    }
-
-    /// Record spans into this shared tracer.
-    pub fn trace(mut self, tracer: Arc<flowkv_common::trace::Tracer>) -> Self {
-        self.opts.trace = Some(tracer);
-        self
-    }
-
-    /// Trace every `n`-th sealed source batch (`0` = tracing off).
-    pub fn trace_sample(mut self, n: u64) -> Self {
-        self.opts.trace_sample = n;
-        self
-    }
-
-    /// Write Chrome trace-event JSON to `path` when the run ends.
-    pub fn trace_out(mut self, path: impl Into<PathBuf>) -> Self {
-        self.opts.trace_out = Some(path.into());
-        self
-    }
-
-    /// Chrome `pid` for this executor's threads in trace exports.
-    pub fn trace_pid(mut self, pid: u32) -> Self {
-        self.opts.trace_pid = pid;
-        self
-    }
-
-    /// Wrap every state backend in the two-tier hot/cold layout with
-    /// this hot-tier byte budget per partition (`0` forces demotion on
-    /// every write).
-    pub fn tier_hot_bytes(mut self, bytes: u64) -> Self {
-        self.opts.tier_hot_bytes = Some(bytes);
-        self
-    }
-
-    /// Dictionary-encode cold-block values (`true` by default; only
-    /// consulted when `tier_hot_bytes` is set).
-    pub fn tier_compress(mut self, on: bool) -> Self {
-        self.opts.tier_compress = on;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> RunOptions {
-        self.opts
     }
 }
 
@@ -596,31 +372,97 @@ impl JobResult {
     }
 }
 
-/// One element of an externally coordinated source stream, consumed by
-/// [`run_job_items`].
+/// One element of the source stream the runner consumes.
 ///
-/// Plain [`run_job`] wraps its tuple iterator in [`SourceItem::Tuple`]
-/// and keeps the automatic watermark/barrier cadence; a cluster
-/// coordinator instead injects the *global* schedule explicitly so every
-/// key-range shard observes byte-identical event time (a shard-local
+/// [`run_job`] derives the stream from its tuple iterator with
+/// [`Schedule`]. A cluster coordinator computes the same schedule once
+/// over the whole stream and hands every key-range shard its slice of
+/// the tuples under the *global* watermarks and barrier (a shard-local
 /// watermark would lag the global one and could flip session-window
 /// merge decisions at the boundary).
 #[derive(Clone, Debug)]
-pub enum SourceItem {
+pub(crate) enum SourceItem {
     /// A data tuple.
     Tuple(Tuple),
-    /// An explicit watermark. Injected watermarks bypass the automatic
-    /// `watermark_interval` cadence (which still runs alongside unless
-    /// the interval is set out of reach).
+    /// A source watermark.
     Watermark(Timestamp),
-    /// An aligned checkpoint barrier (same effect as reaching
-    /// `checkpoint_after_tuples`).
+    /// An aligned checkpoint barrier.
     Barrier,
     /// Ends the stream *without* the final `MAX_TIMESTAMP` watermark:
     /// open windows stay open in the operators' checkpointed state
     /// instead of firing. This is how a rescale pauses a shard — the
     /// un-fired windows migrate and fire at the new parallelism.
     Halt,
+}
+
+/// The source schedule: the one place that decides where a tuple stream
+/// carries a watermark or a checkpoint barrier.
+///
+/// Every `interval` tuples a watermark follows, at the largest timestamp
+/// seen so far minus `slack`. A barrier follows tuple number
+/// `checkpoint_after`; when both fall on the same tuple the barrier
+/// comes first, so the snapshot never holds the effect of firing the
+/// watermark that shares its offset.
+pub(crate) struct Schedule<I> {
+    tuples: I,
+    interval: u64,
+    slack: i64,
+    checkpoint_after: Option<u64>,
+    count: u64,
+    max_ts: Timestamp,
+    barrier_due: bool,
+    watermark_due: Option<Timestamp>,
+}
+
+impl<I: Iterator<Item = Tuple>> Schedule<I> {
+    /// The schedule a single-stream run's options ask for.
+    pub(crate) fn for_run(tuples: I, options: &RunOptions) -> Self {
+        Schedule::new(
+            tuples,
+            options.watermark_interval,
+            options.watermark_slack,
+            options.checkpoint_after_tuples,
+        )
+    }
+
+    pub(crate) fn new(
+        tuples: I,
+        interval: usize,
+        slack: i64,
+        checkpoint_after: Option<u64>,
+    ) -> Self {
+        Schedule {
+            tuples,
+            interval: interval.max(1) as u64,
+            slack,
+            checkpoint_after,
+            count: 0,
+            max_ts: MIN_TIMESTAMP,
+            barrier_due: false,
+            watermark_due: None,
+        }
+    }
+}
+
+impl<I: Iterator<Item = Tuple>> Iterator for Schedule<I> {
+    type Item = SourceItem;
+
+    fn next(&mut self) -> Option<SourceItem> {
+        if std::mem::take(&mut self.barrier_due) {
+            return Some(SourceItem::Barrier);
+        }
+        if let Some(wm) = self.watermark_due.take() {
+            return Some(SourceItem::Watermark(wm));
+        }
+        let tuple = self.tuples.next()?;
+        self.count += 1;
+        self.max_ts = self.max_ts.max(tuple.timestamp);
+        self.barrier_due = self.checkpoint_after == Some(self.count);
+        if self.count.is_multiple_of(self.interval) {
+            self.watermark_due = Some(self.max_ts.saturating_sub(self.slack));
+        }
+        Some(SourceItem::Tuple(tuple))
+    }
 }
 
 /// One message on an inter-stage channel.
@@ -698,6 +540,17 @@ struct ExchangeProbe {
     /// Tuples per sealed batch, recorded at flush time. Compare against
     /// the configured batch size for the fill ratio.
     batch_fill: Arc<Histogram>,
+}
+
+impl ExchangeProbe {
+    fn new(telemetry: &Telemetry, operator: &str, partition: usize) -> Self {
+        let labels = format!("{{operator={operator},partition={partition}}}");
+        let registry = telemetry.registry();
+        ExchangeProbe {
+            stall_nanos: registry.counter(&format!("exchange_stall_nanos{labels}")),
+            batch_fill: registry.histogram(&format!("exchange_batch_fill{labels}")),
+        }
+    }
 }
 
 /// A batching sender over one channel boundary.
@@ -869,6 +722,7 @@ struct WorkerReport {
     late: Vec<Tuple>,
 }
 
+#[derive(Default)]
 struct SinkReport {
     outputs: Vec<Tuple>,
     outputs_pre: Vec<Tuple>,
@@ -877,6 +731,82 @@ struct SinkReport {
     /// End-to-end latency distribution (empty unless `record_latency`).
     latency: HistogramSnapshot,
     checkpoint_complete: bool,
+}
+
+/// A run's observability context: the telemetry hub and span tracer its
+/// threads record into. Resolved from the options once per run and
+/// handed down — to every attempt of a supervised run, and (through
+/// [`RunCtx::shard`]) to every shard of a cluster run.
+#[derive(Clone)]
+pub(crate) struct RunCtx {
+    pub(crate) telemetry: Option<Arc<Telemetry>>,
+    pub(crate) tracer: Option<Arc<Tracer>>,
+    /// Every `trace_sample`-th sealed source batch is traced; `0`
+    /// exactly when `tracer` is `None`.
+    pub(crate) trace_sample: u64,
+    pub(crate) trace_pid: u32,
+}
+
+impl RunCtx {
+    pub(crate) fn resolve(options: &RunOptions) -> Self {
+        // An explicit tracer wins; `trace_out` alone gets a private one,
+        // and either implies a sample rate of 1 when none was chosen.
+        let trace_sample = if options.trace_sample > 0 {
+            options.trace_sample
+        } else if options.trace.is_some() || options.trace_out.is_some() {
+            1
+        } else {
+            0
+        };
+        let tracer = (trace_sample > 0).then(|| options.trace.clone().unwrap_or_else(Tracer::new));
+        // An explicit hub wins; a JSONL sink alone gets a fresh one, and
+        // so does tracing — stores and I/O rings reach the tracer only
+        // through their telemetry handle. Otherwise the run is fully
+        // uninstrumented.
+        let telemetry = options.telemetry.clone().or_else(|| {
+            (options.telemetry_out.is_some() || tracer.is_some()).then(Telemetry::new_shared)
+        });
+        RunCtx {
+            telemetry,
+            tracer,
+            trace_sample,
+            trace_pid: options.trace_pid,
+        }
+        .installed()
+    }
+
+    /// The context of cluster shard `pid`: the same tracer under the
+    /// shard's own Chrome pid, and a hub of its own, whose registry the
+    /// coordinator folds into the job's under a `worker` label.
+    pub(crate) fn shard(&self, pid: u32) -> Self {
+        RunCtx {
+            telemetry: self.telemetry.as_ref().map(|_| Telemetry::new_shared()),
+            trace_pid: pid,
+            ..self.clone()
+        }
+        .installed()
+    }
+
+    fn installed(self) -> Self {
+        if let (Some(t), Some(tracer)) = (&self.telemetry, &self.tracer) {
+            t.set_trace(TraceHandle {
+                tracer: Arc::clone(tracer),
+                pid: self.trace_pid,
+            });
+        }
+        self
+    }
+
+    /// Drains the tracer into `path` as Chrome trace-event JSON.
+    /// Best-effort, like the telemetry writer.
+    pub(crate) fn export_trace(&self, path: Option<&PathBuf>) {
+        if let (Some(tracer), Some(path)) = (&self.tracer, path) {
+            let json = ftrace::chrome_trace_json(&tracer.drain());
+            if let Err(e) = std::fs::write(path, json) {
+                eprintln!("failed to write trace export to {}: {e}", path.display());
+            }
+        }
+    }
 }
 
 /// Runs `job` over the tuples of `source` using state backends from
@@ -891,22 +821,8 @@ pub fn run_job(
     factory: Arc<dyn StateBackendFactory>,
     options: &RunOptions,
 ) -> Result<JobResult, JobError> {
-    run_job_inner(job, source.map(SourceItem::Tuple), factory, options).0
-}
-
-/// [`run_job`] over a pre-coordinated item stream: tuples interleaved
-/// with explicit watermarks, barriers, and an optional [`SourceItem::Halt`].
-///
-/// This is the executor entry the cluster coordinator uses — one call
-/// per key-range shard, each shard receiving its slice of the tuples but
-/// the *same* global watermark/barrier schedule.
-pub fn run_job_items(
-    job: &Job,
-    source: impl Iterator<Item = SourceItem> + Send + 'static,
-    factory: Arc<dyn StateBackendFactory>,
-    options: &RunOptions,
-) -> Result<JobResult, JobError> {
-    run_job_inner(job, source, factory, options).0
+    let items = Schedule::for_run(source, options);
+    run_job_inner(job, items, factory, options, &RunCtx::resolve(options)).0
 }
 
 /// What the supervisor can salvage from a failed attempt: whether the
@@ -924,76 +840,45 @@ pub(crate) struct AttemptSalvage {
 /// offset (in tuples) at which the aligned barrier was injected.
 pub(crate) const SOURCE_OFFSET_FILE: &str = "SOURCE_OFFSET";
 
-/// Applies the `tier_hot_bytes` knob: wraps `factory` in a
-/// [`flowkv::tier::TieredFactory`] when tiering was requested and the
-/// factory is not already tiered (the cluster coordinator wraps before
-/// fanning out to per-shard executors, which would otherwise wrap
-/// again).
-pub(crate) fn maybe_tier_factory(
-    factory: Arc<dyn StateBackendFactory>,
-    options: &RunOptions,
-) -> Arc<dyn StateBackendFactory> {
-    let Some(hot_bytes) = options.tier_hot_bytes else {
-        return factory;
-    };
-    if factory.name() == "tiered" {
-        return factory;
-    }
-    let cfg = flowkv::tier::TierConfig {
-        hot_bytes: hot_bytes as usize,
-        compress: options.tier_compress,
-        ..flowkv::tier::TierConfig::default()
-    };
-    Arc::new(flowkv::tier::TieredFactory::new(factory, cfg))
+/// What every thread of one run shares.
+#[derive(Clone, Copy)]
+struct RunShared<'a> {
+    job: &'a Job,
+    options: &'a RunOptions,
+    ctx: &'a RunCtx,
+    factory: &'a dyn StateBackendFactory,
+    /// Raised to stop every thread: on the first failure, on timeout,
+    /// and once the sink has finished.
+    abort: &'a AtomicBool,
+    /// The run's clock epoch: tuple and watermark origins are
+    /// nanoseconds since it.
+    epoch: Instant,
 }
 
-/// [`run_job`], additionally returning the sink-side salvage the
-/// supervisor needs even when the run fails.
+/// The one runner: executes `job` over a scheduled item stream,
+/// additionally returning the sink-side salvage the supervisor needs
+/// even when the run fails. [`run_job`], every supervised attempt, and
+/// every cluster shard are calls of this function.
 pub(crate) fn run_job_inner(
     job: &Job,
-    source: impl Iterator<Item = SourceItem> + Send + 'static,
+    source: impl Iterator<Item = SourceItem> + Send,
     factory: Arc<dyn StateBackendFactory>,
     options: &RunOptions,
+    ctx: &RunCtx,
 ) -> (Result<JobResult, JobError>, AttemptSalvage) {
-    let factory = maybe_tier_factory(factory, options);
     let n = job.parallelism;
     let started = Instant::now();
-    let epoch = started;
-    let abort = Arc::new(AtomicBool::new(false));
-
-    // Resolve the telemetry hub: an explicit hub wins; a JSONL sink alone
-    // gets a fresh one; neither leaves the run fully uninstrumented.
-    let run_telemetry: Option<Arc<Telemetry>> = match (&options.telemetry, &options.telemetry_out) {
-        (Some(t), _) => Some(Arc::clone(t)),
-        (None, Some(_)) => Some(Telemetry::new_shared()),
-        (None, None) => None,
+    let abort = AtomicBool::new(false);
+    let timed_out = AtomicBool::new(false);
+    let writer_stop = AtomicBool::new(false);
+    let run = RunShared {
+        job,
+        options,
+        ctx,
+        factory: &*factory,
+        abort: &abort,
+        epoch: started,
     };
-    // Resolve the span tracer: an explicit tracer wins; `trace_out`
-    // alone gets a private one and implies a sample rate of 1. Tracing
-    // forces a telemetry hub into existence — stores and I/O rings reach
-    // the tracer only through their telemetry handle.
-    let trace_sample = if options.trace_sample > 0 {
-        options.trace_sample
-    } else if options.trace.is_some() || options.trace_out.is_some() {
-        1
-    } else {
-        0
-    };
-    let run_tracer: Option<Arc<Tracer>> = if trace_sample > 0 {
-        Some(options.trace.clone().unwrap_or_else(Tracer::new))
-    } else {
-        None
-    };
-    let run_telemetry = match (run_telemetry, &run_tracer) {
-        (None, Some(_)) => Some(Telemetry::new_shared()),
-        (t, _) => t,
-    };
-    if let (Some(t), Some(tracer)) = (&run_telemetry, &run_tracer) {
-        t.set_trace(TraceHandle {
-            tracer: Arc::clone(tracer),
-            pid: options.trace_pid,
-        });
-    }
 
     // Channels: stage boundaries plus the sink boundary.
     let num_boundaries = job.stages.len() + 1;
@@ -1001,104 +886,218 @@ pub(crate) fn run_job_inner(
     let mut receivers: Vec<Vec<Receiver<Envelope>>> = Vec::with_capacity(num_boundaries);
     for boundary in 0..num_boundaries {
         let width = if boundary == num_boundaries - 1 { 1 } else { n };
-        let mut tx = Vec::with_capacity(width);
-        let mut rx = Vec::with_capacity(width);
-        for _ in 0..width {
-            let (t, r) = bounded(options.channel_capacity);
-            tx.push(t);
-            rx.push(r);
-        }
+        let (tx, rx) = (0..width)
+            .map(|_| bounded(options.channel_capacity))
+            .unzip();
         senders.push(tx);
         receivers.push(rx);
     }
 
-    let mut handles = Vec::new();
+    std::thread::scope(|s| {
+        let spawn = std::thread::Builder::new;
+        let source_tx = senders[0].clone();
+        let source_handle = spawn()
+            .name("spe-source".into())
+            .spawn_scoped(s, move || run_source(run, source, source_tx))
+            .expect("spawn source");
+        let mut handles = Vec::new();
+        for (stage_idx, stage) in job.stages.iter().enumerate() {
+            for (worker, rx) in receivers[stage_idx].iter().enumerate() {
+                let rx = rx.clone();
+                let next = senders[stage_idx + 1].clone();
+                let handle = spawn()
+                    .name(format!("spe-{}-{}", stage.name(), worker))
+                    .spawn_scoped(s, move || run_worker(run, stage_idx, worker, rx, next))
+                    .expect("spawn worker");
+                handles.push(handle);
+            }
+        }
+        let sink_rx = receivers[num_boundaries - 1][0].clone();
+        let sink_handle = spawn()
+            .name("spe-sink".into())
+            .spawn_scoped(s, move || run_sink(run, sink_rx))
+            .expect("spawn sink");
 
-    // Source thread (boundary 0).
-    let source_tx = senders[0].clone();
-    let abort_src = Arc::clone(&abort);
-    let wm_interval = options.watermark_interval.max(1);
-    let slack = options.watermark_slack;
-    let rate_limit = options.rate_limit;
-    let checkpoint_after = options.checkpoint_after_tuples;
-    let batch_size = options.batch_size.max(1);
-    let linger_nanos = options.batch_linger.as_nanos() as u64;
-    let source_probe = run_telemetry.as_ref().map(|t| ExchangeProbe {
-        stall_nanos: t
-            .registry()
-            .counter("exchange_stall_nanos{operator=source,partition=0}"),
-        batch_fill: t
-            .registry()
-            .histogram("exchange_batch_fill{operator=source,partition=0}"),
-    });
-    let source_counters = run_telemetry.as_ref().map(|t| {
+        // The threads hold their own clones; drop the runner's copies
+        // so disconnects propagate.
+        drop(receivers);
+        drop(senders);
+
+        // JSONL telemetry writer: periodic registry snapshots interleaved
+        // with drained flight-recorder events, plus one final snapshot when
+        // the run ends. Best-effort — a full disk never fails the job.
+        let writer_handle = ctx
+            .telemetry
+            .as_deref()
+            .zip(options.telemetry_out.as_deref())
+            .map(|(t, path)| {
+                let interval = options.telemetry_interval.max(Duration::from_millis(10));
+                let stop = &writer_stop;
+                spawn()
+                    .name("spe-telemetry".into())
+                    .spawn_scoped(s, move || write_telemetry_jsonl(t, path, interval, stop))
+                    .expect("spawn telemetry writer")
+            });
+
+        // Watchdog for the wall-clock timeout: parked until the deadline,
+        // or until the runner wakes it because the run is over.
+        let watchdog = options.timeout.map(|limit| {
+            let deadline = started + limit;
+            let (abort, timed_out) = (&abort, &timed_out);
+            s.spawn(move || {
+                while !abort.load(Ordering::Relaxed) {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        timed_out.store(true, Ordering::Relaxed);
+                        abort.store(true, Ordering::Relaxed);
+                        return;
+                    }
+                    std::thread::park_timeout(deadline - now);
+                }
+            })
+        });
+
+        // Join everything, aggregating reports and the first error.
+        let mut first_error: Option<JobError> = None;
+        let input_count = source_handle.join().unwrap_or_else(|_| {
+            first_error = Some(JobError::Panic("source panicked".into()));
+            0
+        });
+        let mut merged = MetricsSnapshot::default();
+        let mut dropped_late = 0;
+        let mut late_tuples = Vec::new();
+        for handle in handles {
+            let error = match handle.join() {
+                Ok(Ok(report)) => {
+                    merged = merged.merged(&report.metrics);
+                    dropped_late += report.dropped_late;
+                    late_tuples.extend(report.late);
+                    continue;
+                }
+                Ok(Err(e)) => JobError::Store(e),
+                Err(_) => JobError::Panic("worker panicked".into()),
+            };
+            abort.store(true, Ordering::Relaxed);
+            first_error.get_or_insert(error);
+        }
+        let sink = sink_handle.join();
+        abort.store(true, Ordering::Relaxed);
+        if let Some(w) = watchdog {
+            w.thread().unpark();
+            let _ = w.join();
+        }
+        writer_stop.store(true, Ordering::Relaxed);
+        if let Some(w) = writer_handle {
+            if let Ok(Err(e)) = w.join() {
+                eprintln!("telemetry writer failed: {e}");
+            }
+        }
+        // Exported before any error return — the trace of a failed run
+        // is the one you want most.
+        ctx.export_trace(options.trace_out.as_ref());
+        let Ok(sink) = sink else {
+            return (
+                Err(JobError::Panic("sink panicked".into())),
+                AttemptSalvage::default(),
+            );
+        };
+
+        // Persist the barrier's source offset next to the snapshot so the
+        // supervisor can rewind the log source on recovery. Written via
+        // temporary file + rename, like the stores' own manifests, so a
+        // crash mid-write leaves no half-formed offset.
+        if sink.checkpoint_complete {
+            if let (Some(dir), Some(offset)) =
+                (&options.checkpoint_dir, options.checkpoint_after_tuples)
+            {
+                let tmp = dir.join("SOURCE_OFFSET.tmp");
+                let target = dir.join(SOURCE_OFFSET_FILE);
+                let write = std::fs::write(&tmp, offset.to_string())
+                    .and_then(|_| std::fs::rename(&tmp, &target));
+                if let Err(e) = write {
+                    eprintln!("failed to persist checkpoint source offset: {e}");
+                }
+            }
+        }
+
+        let salvage = AttemptSalvage {
+            checkpoint_complete: sink.checkpoint_complete,
+            outputs_pre: sink.outputs_pre,
+            pre_count: sink.pre_count,
+        };
+        if timed_out.load(Ordering::Relaxed) {
+            return (Err(JobError::Timeout), salvage);
+        }
+        if let Some(e) = first_error {
+            return (Err(e), salvage);
+        }
+        let result = JobResult {
+            outputs: sink.outputs,
+            output_count: sink.output_count,
+            input_count,
+            elapsed: started.elapsed(),
+            store_metrics: merged,
+            latency: LatencySummary::from_histogram(&sink.latency),
+            latency_histogram: sink.latency,
+            dropped_late,
+            checkpoint_taken: salvage.checkpoint_complete,
+            late_tuples,
+            outputs_pre_checkpoint: salvage.outputs_pre.clone(),
+        };
+        (Ok(result), salvage)
+    })
+}
+
+/// The body of the `spe-source` thread: paces the item stream, stamps
+/// and batches its tuples into the first exchange, and forwards its
+/// watermarks and barriers. Returns the number of tuples sent.
+fn run_source(
+    run: RunShared<'_>,
+    source: impl Iterator<Item = SourceItem>,
+    txs: Vec<Sender<Envelope>>,
+) -> u64 {
+    let RunShared { options, ctx, .. } = run;
+    let counters = ctx.telemetry.as_ref().map(|t| {
         (
             t.registry().counter("source_tuples_total"),
             t.registry().gauge("source_watermark"),
         )
     });
-    let source_trace = run_tracer
+    let recorder = ctx
+        .tracer
         .as_ref()
-        .map(|tracer| (Arc::clone(tracer), options.trace_pid, trace_sample));
-    let source_handle = std::thread::Builder::new()
-        .name("spe-source".into())
-        .spawn(move || -> Result<u64, StoreError> {
-            let t0 = epoch;
-            let pace_start = Instant::now();
-            let mut count: u64 = 0;
-            let mut max_ts = MIN_TIMESTAMP;
-            let source_trace = source_trace
-                .map(|(tracer, pid, sample)| (tracer.thread(pid, "source"), tracer, sample));
-            let src_rec = source_trace.as_ref().map(|(rec, _, _)| Arc::clone(rec));
-            let mut barrier_seq: u64 = 0;
-            let mut exchange = Exchange::new(
-                source_tx,
-                batch_size,
-                0,
-                source_probe,
-                source_trace.map(|(recorder, tracer, sample)| ExchangeTrace::Source {
-                    tracer,
-                    recorder,
-                    sample,
-                    sealed: 0,
-                }),
-            );
-            let mut last_flush: u64 = 0;
-            let mut halted = false;
-            for item in source {
-                if abort_src.load(Ordering::Relaxed) {
-                    break;
-                }
-                let tuple = match item {
-                    SourceItem::Tuple(tuple) => tuple,
-                    SourceItem::Watermark(ts) => {
-                        let origin = t0.elapsed().as_nanos() as u64;
-                        if let Some((_, watermark)) = &source_counters {
-                            watermark.set(ts);
-                        }
-                        exchange.broadcast(|| Msg::Watermark { ts, origin });
-                        last_flush = origin;
-                        continue;
-                    }
-                    SourceItem::Barrier => {
-                        if let Some(rec) = &src_rec {
-                            barrier_seq += 1;
-                            rec.instant(
-                                "barrier_inject",
-                                "barrier",
-                                None,
-                                vec![("barrier", barrier_seq as i64)],
-                            );
-                        }
-                        exchange.broadcast(|| Msg::Barrier);
-                        continue;
-                    }
-                    SourceItem::Halt => {
-                        halted = true;
-                        break;
-                    }
-                };
-                if let Some(rate) = rate_limit {
+        .map(|tracer| tracer.thread(ctx.trace_pid, "source"));
+    let mut exchange = Exchange::new(
+        txs,
+        options.batch_size,
+        0,
+        ctx.telemetry
+            .as_deref()
+            .map(|t| ExchangeProbe::new(t, "source", 0)),
+        ctx.tracer
+            .as_ref()
+            .zip(recorder.clone())
+            .map(|(tracer, recorder)| ExchangeTrace::Source {
+                tracer: Arc::clone(tracer),
+                recorder,
+                sample: ctx.trace_sample,
+                sealed: 0,
+            }),
+    );
+    let linger_nanos = options.batch_linger.as_nanos() as u64;
+    let now = || run.epoch.elapsed().as_nanos() as u64;
+    let pace_start = Instant::now();
+    let mut count: u64 = 0;
+    let mut barrier_seq: u64 = 0;
+    let mut last_flush: u64 = 0;
+    let mut halted = false;
+    for item in source {
+        if run.abort.load(Ordering::Relaxed) {
+            break;
+        }
+        match item {
+            SourceItem::Tuple(tuple) => {
+                if let Some(rate) = options.rate_limit {
                     // Token pacing: stay at or below `rate` tuples/sec.
                     // The clock is only consulted at burst boundaries
                     // (every 16 tuples), like `source::PacedSource`;
@@ -1112,36 +1111,15 @@ pub(crate) fn run_job_inner(
                         }
                     }
                 }
-                max_ts = max_ts.max(tuple.timestamp);
-                let origin = t0.elapsed().as_nanos() as u64;
+                let origin = now();
                 if !exchange.send(tuple, origin) {
                     break;
                 }
                 count += 1;
-                if let Some((tuples, _)) = &source_counters {
+                if let Some((tuples, _)) = &counters {
                     tuples.inc();
                 }
-                if checkpoint_after == Some(count) {
-                    if let Some(rec) = &src_rec {
-                        barrier_seq += 1;
-                        rec.instant(
-                            "barrier_inject",
-                            "barrier",
-                            None,
-                            vec![("barrier", barrier_seq as i64)],
-                        );
-                    }
-                    exchange.broadcast(|| Msg::Barrier);
-                }
-                if count.is_multiple_of(wm_interval as u64) {
-                    let origin = t0.elapsed().as_nanos() as u64;
-                    let wm = max_ts.saturating_sub(slack);
-                    if let Some((_, watermark)) = &source_counters {
-                        watermark.set(wm);
-                    }
-                    exchange.broadcast(|| Msg::Watermark { ts: wm, origin });
-                    last_flush = origin;
-                } else if !exchange.has_pending() {
+                if !exchange.has_pending() {
                     last_flush = origin;
                 } else if origin.saturating_sub(last_flush) >= linger_nanos {
                     // Slow stream: don't sit on a partial batch forever.
@@ -1149,372 +1127,178 @@ pub(crate) fn run_job_inner(
                     last_flush = origin;
                 }
             }
-            if !halted {
-                let origin = t0.elapsed().as_nanos() as u64;
-                exchange.broadcast(|| Msg::Watermark {
-                    ts: MAX_TIMESTAMP,
-                    origin,
-                });
+            SourceItem::Watermark(ts) => {
+                let origin = now();
+                if let Some((_, watermark)) = &counters {
+                    watermark.set(ts);
+                }
+                exchange.broadcast(|| Msg::Watermark { ts, origin });
+                last_flush = origin;
             }
-            exchange.broadcast(|| Msg::End);
-            Ok(count)
-        })
-        .expect("spawn source");
-
-    // Stage workers.
-    for (stage_idx, stage) in job.stages.iter().enumerate() {
-        let upstreams = if stage_idx == 0 { 1 } else { n };
-        #[allow(clippy::needless_range_loop)] // `worker` also names threads and dirs.
-        for worker in 0..n {
-            let rx = receivers[stage_idx][worker].clone();
-            let next = senders[stage_idx + 1].clone();
-            let stage = stage.clone();
-            let abort = Arc::clone(&abort);
-            let factory = Arc::clone(&factory);
-            let data_dir = options.data_dir.join(&job.name);
-            let paths = WorkerPaths {
-                checkpoint_dir: options.checkpoint_dir.clone(),
-                restore_from: options.restore_from.clone(),
-                collect_late: options.collect_late,
-                registry: options.registry.clone(),
-                job_name: job.name.clone(),
-                batch_size,
-                telemetry: run_telemetry.clone(),
-                io: options.io_policy(),
-                epoch,
-            };
-            let handle = std::thread::Builder::new()
-                .name(format!("spe-{}-{}", stage.name(), worker))
-                .spawn(move || -> Result<WorkerReport, StoreError> {
-                    run_worker(
-                        stage, worker, upstreams, rx, next, abort, factory, data_dir, paths,
-                    )
-                })
-                .expect("spawn worker");
-            handles.push(handle);
+            SourceItem::Barrier => {
+                if let Some(rec) = &recorder {
+                    barrier_seq += 1;
+                    rec.instant(
+                        "barrier_inject",
+                        "barrier",
+                        None,
+                        vec![("barrier", barrier_seq as i64)],
+                    );
+                }
+                exchange.broadcast(|| Msg::Barrier);
+            }
+            SourceItem::Halt => {
+                halted = true;
+                break;
+            }
         }
     }
+    if !halted {
+        let origin = now();
+        exchange.broadcast(|| Msg::Watermark {
+            ts: MAX_TIMESTAMP,
+            origin,
+        });
+    }
+    exchange.broadcast(|| Msg::End);
+    count
+}
 
-    // Sink thread.
-    let sink_rx = receivers[num_boundaries - 1][0].clone();
+/// The body of the `spe-sink` thread: counts (and optionally collects)
+/// outputs, splits them at the checkpoint barrier, and samples
+/// end-to-end latency until every last-stage worker has ended.
+fn run_sink(run: RunShared<'_>, rx: Receiver<Envelope>) -> SinkReport {
+    let RunShared { options, ctx, .. } = run;
+    let n = run.job.parallelism;
     let collect = options.collect_outputs;
-    let record_latency = options.record_latency;
-    let abort_sink = Arc::clone(&abort);
     // The latency histogram lives in the registry when telemetry is on
     // (so snapshots and Prometheus scrapes see it live), standalone
     // otherwise; either way the sink never buffers raw samples.
-    let sink_hist = if record_latency {
-        Some(match &run_telemetry {
-            Some(t) => t.registry().histogram("sink_latency_nanos"),
-            None => Arc::new(Histogram::new()),
-        })
-    } else {
-        None
-    };
-    let sink_tuples = run_telemetry
+    let hist = options.record_latency.then(|| match &ctx.telemetry {
+        Some(t) => t.registry().histogram("sink_latency_nanos"),
+        None => Arc::new(Histogram::new()),
+    });
+    let sink_tuples = ctx
+        .telemetry
         .as_ref()
         .map(|t| t.registry().counter("sink_tuples_total"));
-    let sink_trace = run_telemetry.as_ref().and_then(|t| t.trace());
-    let sink_handle = std::thread::Builder::new()
-        .name("spe-sink".into())
-        .spawn(move || -> SinkReport {
-            let t0 = epoch;
-            let sink_rec = sink_trace.map(|h| h.thread("sink"));
-            let mut sink_barrier_seq: u64 = 0;
-            let mut report = SinkReport {
-                outputs: Vec::new(),
-                outputs_pre: Vec::new(),
-                output_count: 0,
-                pre_count: 0,
-                latency: HistogramSnapshot::default(),
-                checkpoint_complete: false,
-            };
-            let mut ends = 0;
-            let mut barrier_from = vec![false; n];
-            // Observable consequence of the per-channel ordering
-            // invariant (see [`Msg`]): each sender's watermarks arrive
-            // non-decreasing. The pre/post checkpoint split below relies
-            // on the same invariant.
-            let mut last_wm = vec![MIN_TIMESTAMP; n];
-            loop {
-                match sink_rx.recv_timeout(Duration::from_millis(100)) {
-                    Ok(env) => match env.msg {
-                        Msg::Batch(batch, bt) => {
-                            // One arrival instant for the whole batch,
-                            // but one origin per tuple: latency samples
-                            // reflect each tuple's true departure.
-                            let now = if record_latency {
-                                t0.elapsed().as_nanos() as u64
-                            } else {
-                                0
-                            };
-                            if let (Some(rec), Some(bt)) = (&sink_rec, bt) {
-                                // The batch's trace ends here: one
-                                // queue_wait for the final hop, one
-                                // batch_done carrying the end-to-end
-                                // total (tracer clock) and the worst
-                                // per-tuple latency (run clock) so the
-                                // analyzer can reconcile against the
-                                // sink's LatencySummary.
-                                let tnow = rec.now_nanos();
-                                rec.instant(
-                                    "queue_wait",
-                                    "queue",
-                                    Some(bt.ctx),
-                                    vec![
-                                        ("wait", tnow.saturating_sub(bt.sent_nanos) as i64),
-                                        ("tuples", batch.len() as i64),
-                                    ],
-                                );
-                                let arrive = t0.elapsed().as_nanos() as u64;
-                                let e2e_max = batch
-                                    .iter()
-                                    .map(|s| arrive.saturating_sub(s.origin))
-                                    .max()
-                                    .unwrap_or(0);
-                                rec.instant(
-                                    "batch_done",
-                                    "sink",
-                                    Some(bt.ctx),
-                                    vec![
-                                        ("total", tnow.saturating_sub(bt.ctx.born) as i64),
-                                        ("e2e_max", e2e_max as i64),
-                                        ("tuples", batch.len() as i64),
-                                    ],
-                                );
-                            }
-                            if let Some(tuples) = &sink_tuples {
-                                tuples.add(batch.len() as u64);
-                            }
-                            for stamped in batch {
-                                report.output_count += 1;
-                                // Batches flush before barriers, so
-                                // "arrived before that sender's barrier"
-                                // stays an exact pre/post checkpoint
-                                // split under batching.
-                                if !barrier_from[env.sender] {
-                                    report.pre_count += 1;
-                                    if collect {
-                                        report.outputs_pre.push(stamped.tuple.clone());
-                                    }
-                                }
-                                if let Some(hist) = &sink_hist {
-                                    hist.record(now.saturating_sub(stamped.origin));
-                                }
-                                if collect {
-                                    report.outputs.push(stamped.tuple);
-                                }
-                            }
-                        }
-                        Msg::Watermark { ts, .. } => {
-                            debug_assert!(
-                                ts >= last_wm[env.sender],
-                                "per-channel watermark order violated: {} < {}",
-                                ts,
-                                last_wm[env.sender]
-                            );
-                            last_wm[env.sender] = ts;
-                        }
-                        Msg::Barrier => {
-                            barrier_from[env.sender] = true;
-                            if barrier_from.iter().all(|&b| b) {
-                                report.checkpoint_complete = true;
-                                if let Some(rec) = &sink_rec {
-                                    sink_barrier_seq += 1;
-                                    rec.instant(
-                                        "barrier_commit",
-                                        "barrier",
-                                        None,
-                                        vec![("barrier", sink_barrier_seq as i64)],
-                                    );
-                                }
-                            }
-                        }
-                        Msg::End => {
-                            ends += 1;
-                            if ends == n {
-                                break;
-                            }
-                        }
-                    },
-                    Err(RecvTimeoutError::Timeout) => {
-                        if abort_sink.load(Ordering::Relaxed) {
-                            break;
+    let rec = ctx
+        .telemetry
+        .as_ref()
+        .and_then(|t| t.trace())
+        .map(|h| h.thread("sink"));
+    let now = || run.epoch.elapsed().as_nanos() as u64;
+    let mut barrier_seq: u64 = 0;
+    let mut report = SinkReport::default();
+    let mut ends = 0;
+    let mut barrier_from = vec![false; n];
+    // Observable consequence of the per-channel ordering invariant (see
+    // [`Msg`]): each sender's watermarks arrive non-decreasing. The
+    // pre/post checkpoint split below relies on the same invariant.
+    let mut last_wm = vec![MIN_TIMESTAMP; n];
+    loop {
+        let env = match rx.recv_timeout(Duration::from_millis(100)) {
+            Ok(env) => env,
+            Err(RecvTimeoutError::Timeout) if !run.abort.load(Ordering::Relaxed) => continue,
+            Err(_) => break,
+        };
+        match env.msg {
+            Msg::Batch(batch, bt) => {
+                // One arrival instant for the whole batch, but one
+                // origin per tuple: latency samples reflect each
+                // tuple's true departure.
+                let arrived = if hist.is_some() { now() } else { 0 };
+                if let (Some(rec), Some(bt)) = (&rec, bt) {
+                    // The batch's trace ends here: one queue_wait for
+                    // the final hop, one batch_done carrying the
+                    // end-to-end total (tracer clock) and the worst
+                    // per-tuple latency (run clock) so the analyzer can
+                    // reconcile against the sink's LatencySummary.
+                    let tnow = rec.now_nanos();
+                    rec.instant(
+                        "queue_wait",
+                        "queue",
+                        Some(bt.ctx),
+                        vec![
+                            ("wait", tnow.saturating_sub(bt.sent_nanos) as i64),
+                            ("tuples", batch.len() as i64),
+                        ],
+                    );
+                    let arrive = now();
+                    let e2e_max = batch
+                        .iter()
+                        .map(|s| arrive.saturating_sub(s.origin))
+                        .max()
+                        .unwrap_or(0);
+                    rec.instant(
+                        "batch_done",
+                        "sink",
+                        Some(bt.ctx),
+                        vec![
+                            ("total", tnow.saturating_sub(bt.ctx.born) as i64),
+                            ("e2e_max", e2e_max as i64),
+                            ("tuples", batch.len() as i64),
+                        ],
+                    );
+                }
+                if let Some(tuples) = &sink_tuples {
+                    tuples.add(batch.len() as u64);
+                }
+                for stamped in batch {
+                    report.output_count += 1;
+                    // Batches flush before barriers, so "arrived before
+                    // that sender's barrier" stays an exact pre/post
+                    // checkpoint split under batching.
+                    if !barrier_from[env.sender] {
+                        report.pre_count += 1;
+                        if collect {
+                            report.outputs_pre.push(stamped.tuple.clone());
                         }
                     }
-                    Err(RecvTimeoutError::Disconnected) => break,
+                    if let Some(hist) = &hist {
+                        hist.record(arrived.saturating_sub(stamped.origin));
+                    }
+                    if collect {
+                        report.outputs.push(stamped.tuple);
+                    }
                 }
             }
-            if let Some(hist) = &sink_hist {
-                report.latency = hist.snapshot();
+            Msg::Watermark { ts, .. } => {
+                debug_assert!(
+                    ts >= last_wm[env.sender],
+                    "per-channel watermark order violated: {} < {}",
+                    ts,
+                    last_wm[env.sender]
+                );
+                last_wm[env.sender] = ts;
             }
-            report
-        })
-        .expect("spawn sink");
-
-    // Receivers were cloned into threads; drop the runner's copies so
-    // disconnects propagate.
-    drop(receivers);
-    drop(senders);
-
-    // JSONL telemetry writer: periodic registry snapshots interleaved
-    // with drained flight-recorder events, plus one final snapshot when
-    // the run ends. Best-effort — a full disk never fails the job.
-    let writer_stop = Arc::new(AtomicBool::new(false));
-    let writer_handle = match (&run_telemetry, &options.telemetry_out) {
-        (Some(t), Some(path)) => {
-            let t = Arc::clone(t);
-            let path = path.clone();
-            let interval = options.telemetry_interval.max(Duration::from_millis(10));
-            let stop = Arc::clone(&writer_stop);
-            Some(
-                std::thread::Builder::new()
-                    .name("spe-telemetry".into())
-                    .spawn(move || write_telemetry_jsonl(&t, &path, interval, &stop))
-                    .expect("spawn telemetry writer"),
-            )
-        }
-        _ => None,
-    };
-
-    // Watchdog for the wall-clock timeout.
-    let timed_out = Arc::new(AtomicBool::new(false));
-    let watchdog = options.timeout.map(|limit| {
-        let abort = Arc::clone(&abort);
-        let timed_out = Arc::clone(&timed_out);
-        let deadline = Instant::now() + limit;
-        std::thread::spawn(move || {
-            while Instant::now() < deadline {
-                if abort.load(Ordering::Relaxed) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            timed_out.store(true, Ordering::Relaxed);
-            abort.store(true, Ordering::Relaxed);
-        })
-    });
-
-    // Join everything, aggregating reports and the first error.
-    let mut first_error: Option<JobError> = None;
-    let input_count = match source_handle.join() {
-        Ok(Ok(count)) => count,
-        Ok(Err(e)) => {
-            first_error = Some(JobError::Store(e));
-            0
-        }
-        Err(_) => {
-            first_error = Some(JobError::Panic("source panicked".into()));
-            0
-        }
-    };
-    let mut merged = MetricsSnapshot::default();
-    let mut dropped_late = 0;
-    let mut late_tuples = Vec::new();
-    for handle in handles {
-        match handle.join() {
-            Ok(Ok(report)) => {
-                merged = merged.merged(&report.metrics);
-                dropped_late += report.dropped_late;
-                late_tuples.extend(report.late);
-            }
-            Ok(Err(e)) => {
-                abort.store(true, Ordering::Relaxed);
-                if first_error.is_none() {
-                    first_error = Some(JobError::Store(e));
+            Msg::Barrier => {
+                barrier_from[env.sender] = true;
+                if barrier_from.iter().all(|&b| b) {
+                    report.checkpoint_complete = true;
+                    if let Some(rec) = &rec {
+                        barrier_seq += 1;
+                        rec.instant(
+                            "barrier_commit",
+                            "barrier",
+                            None,
+                            vec![("barrier", barrier_seq as i64)],
+                        );
+                    }
                 }
             }
-            Err(_) => {
-                abort.store(true, Ordering::Relaxed);
-                if first_error.is_none() {
-                    first_error = Some(JobError::Panic("worker panicked".into()));
+            Msg::End => {
+                ends += 1;
+                if ends == n {
+                    break;
                 }
             }
         }
     }
-    let sink = match sink_handle.join() {
-        Ok(sink) => sink,
-        Err(_) => {
-            abort.store(true, Ordering::Relaxed);
-            writer_stop.store(true, Ordering::Relaxed);
-            if let Some(w) = watchdog {
-                let _ = w.join();
-            }
-            if let Some(w) = writer_handle {
-                let _ = w.join();
-            }
-            return (
-                Err(JobError::Panic("sink panicked".into())),
-                AttemptSalvage::default(),
-            );
-        }
-    };
-    abort.store(true, Ordering::Relaxed);
-    if let Some(w) = watchdog {
-        let _ = w.join();
+    if let Some(hist) = &hist {
+        report.latency = hist.snapshot();
     }
-    writer_stop.store(true, Ordering::Relaxed);
-    if let Some(w) = writer_handle {
-        if let Ok(Err(e)) = w.join() {
-            eprintln!("telemetry writer failed: {e}");
-        }
-    }
-
-    // Export the run's spans as Chrome trace-event JSON. Written before
-    // the error returns below — the trace of a failed run is the one
-    // you want most. Best-effort, like the telemetry writer.
-    if let (Some(tracer), Some(path)) = (&run_tracer, &options.trace_out) {
-        let json = ftrace::chrome_trace_json(&tracer.drain());
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("failed to write trace export to {}: {e}", path.display());
-        }
-    }
-
-    // Persist the barrier's source offset next to the snapshot so the
-    // supervisor can rewind the log source on recovery. Written via
-    // temporary file + rename, like the stores' own manifests, so a
-    // crash mid-write leaves no half-formed offset.
-    if sink.checkpoint_complete {
-        if let (Some(dir), Some(offset)) =
-            (&options.checkpoint_dir, options.checkpoint_after_tuples)
-        {
-            let tmp = dir.join("SOURCE_OFFSET.tmp");
-            let target = dir.join(SOURCE_OFFSET_FILE);
-            let write = std::fs::write(&tmp, offset.to_string())
-                .and_then(|_| std::fs::rename(&tmp, &target));
-            if let Err(e) = write {
-                eprintln!("failed to persist checkpoint source offset: {e}");
-            }
-        }
-    }
-
-    let salvage = AttemptSalvage {
-        checkpoint_complete: sink.checkpoint_complete,
-        outputs_pre: sink.outputs_pre,
-        pre_count: sink.pre_count,
-    };
-    if timed_out.load(Ordering::Relaxed) {
-        return (Err(JobError::Timeout), salvage);
-    }
-    if let Some(e) = first_error {
-        return (Err(e), salvage);
-    }
-
-    let latency = LatencySummary::from_histogram(&sink.latency);
-    let result = JobResult {
-        outputs: sink.outputs,
-        output_count: sink.output_count,
-        input_count,
-        elapsed: started.elapsed(),
-        store_metrics: merged,
-        latency,
-        latency_histogram: sink.latency,
-        dropped_late,
-        checkpoint_taken: salvage.checkpoint_complete,
-        late_tuples,
-        outputs_pre_checkpoint: salvage.outputs_pre.clone(),
-    };
-    (Ok(result), salvage)
+    report
 }
 
 /// The body of the `spe-telemetry` writer thread: drains the flight
@@ -1558,26 +1342,9 @@ fn write_telemetry_jsonl(
     out.flush()
 }
 
-/// Checkpoint and restore locations handed to each worker, plus the
-/// optional queryable-state registry, the exchange batch size, and the
-/// run's telemetry hub.
-struct WorkerPaths {
-    checkpoint_dir: Option<PathBuf>,
-    restore_from: Option<PathBuf>,
-    collect_late: bool,
-    registry: Option<Arc<StateRegistry>>,
-    job_name: String,
-    batch_size: usize,
-    telemetry: Option<Arc<Telemetry>>,
-    io: Option<IoPolicy>,
-    /// The run's clock epoch — lets the worker convert run-clock stamps
-    /// (tuple/watermark origins) into tracer-clock instants when it
-    /// originates a fire trace.
-    epoch: Instant,
-}
-
-/// Per-worker directory inside a checkpoint.
-fn worker_ckpt_dir(root: &std::path::Path, stage_name: &str, worker: usize) -> PathBuf {
+/// Per-worker directory inside a checkpoint — the one owner of that
+/// layout (the cluster's state migration reads and writes it too).
+pub(crate) fn worker_ckpt_dir(root: &std::path::Path, stage_name: &str, worker: usize) -> PathBuf {
     root.join(stage_name).join(format!("p{worker}"))
 }
 
@@ -1618,28 +1385,33 @@ impl WorkerProbe {
 }
 
 /// The body of one stage worker.
-#[allow(clippy::too_many_arguments)]
 fn run_worker(
-    stage: Stage,
+    run: RunShared<'_>,
+    stage_idx: usize,
     worker: usize,
-    upstreams: usize,
     rx: Receiver<Envelope>,
     next: Vec<Sender<Envelope>>,
-    abort: Arc<AtomicBool>,
-    factory: Arc<dyn StateBackendFactory>,
-    data_dir: PathBuf,
-    paths: WorkerPaths,
 ) -> Result<WorkerReport, StoreError> {
+    let RunShared {
+        job,
+        options,
+        abort,
+        ..
+    } = run;
+    let telemetry = run.ctx.telemetry.as_ref();
+    let stage = &job.stages[stage_idx];
+    let upstreams = if stage_idx == 0 { 1 } else { job.parallelism };
+    let io = options.io_policy();
     let mut operator: Option<WorkerOp> = None;
     // Span recorder for this worker thread, registered when the run's
     // telemetry hub carries a tracer. Store calls record through the
     // thread-local context (see `TracedBackend`), so the backend wrap
     // below is the only store-side hookup needed.
-    let trace_handle = paths.telemetry.as_ref().and_then(|t| t.trace());
+    let trace_handle = telemetry.and_then(|t| t.trace());
     let trace_rec = trace_handle
         .as_ref()
         .map(|h| h.thread(&format!("{}/p{}", stage.name(), worker)));
-    let stateful = match &stage {
+    let stateful = match stage {
         Stage::Window(spec) => Some((spec.name.clone(), spec.semantics())),
         Stage::IntervalJoin(spec) => Some((spec.name.clone(), spec.semantics())),
         Stage::Stateless { .. } => None,
@@ -1649,45 +1421,32 @@ fn run_worker(
             operator: name,
             partition: worker,
             semantics,
-            data_dir,
-            telemetry: paths.telemetry.clone(),
-            io: paths.io.clone(),
+            data_dir: options.data_dir.join(&job.name),
+            telemetry: telemetry.cloned(),
+            io: io.clone(),
         };
-        let mut backend = factory.create(&ctx)?;
+        let mut backend = run.factory.create(&ctx)?;
         if trace_rec.is_some() {
             backend = ftrace::TracedBackend::wrap(backend);
         }
-        let mut op = match &stage {
+        let mut op = match stage {
             Stage::Window(spec) => WorkerOp::Window(WindowOperator::new(spec.clone(), backend)),
             Stage::IntervalJoin(spec) => {
                 WorkerOp::Join(IntervalJoinOperator::new(spec.clone(), backend))
             }
             Stage::Stateless { .. } => unreachable!("stateful checked above"),
         };
-        if let Some(src) = &paths.restore_from {
+        if let Some(src) = &options.restore_from {
             op.restore(&worker_ckpt_dir(src, stage.name(), worker))?;
         }
-        op.set_collect_late(paths.collect_late);
+        op.set_collect_late(options.collect_late);
         operator = Some(op);
     }
 
-    let probe = paths
-        .telemetry
-        .as_ref()
-        .map(|t| WorkerProbe::new(t, stage.name(), worker));
-    let exchange_probe = paths.telemetry.as_ref().map(|t| {
-        let labels = format!("{{operator={},partition={}}}", stage.name(), worker);
-        ExchangeProbe {
-            stall_nanos: t
-                .registry()
-                .counter(&format!("exchange_stall_nanos{labels}")),
-            batch_fill: t
-                .registry()
-                .histogram(&format!("exchange_batch_fill{labels}")),
-        }
-    });
+    let probe = telemetry.map(|t| WorkerProbe::new(t, stage.name(), worker));
+    let exchange_probe = telemetry.map(|t| ExchangeProbe::new(t, stage.name(), worker));
 
-    let io_on = paths.io.is_some() && operator.is_some();
+    let io_on = io.is_some() && operator.is_some();
     let mut wms = vec![MIN_TIMESTAMP; upstreams];
     let mut origins = vec![0u64; upstreams];
     let mut current_wm = MIN_TIMESTAMP;
@@ -1707,7 +1466,7 @@ fn run_worker(
     let mut stamped_out: Vec<Stamped> = Vec::new();
     let mut exchange = Exchange::new(
         next,
-        paths.batch_size,
+        options.batch_size,
         worker,
         exchange_probe,
         trace_handle.as_ref().map(|h| ExchangeTrace::Inherit {
@@ -1716,14 +1475,14 @@ fn run_worker(
     );
     // Monotone snapshot counter for the queryable-state registry.
     let mut publish_epoch = 0u64;
-    let state_key = paths
+    let state_key = options
         .registry
         .as_ref()
-        .map(|_| StateKey::new(paths.job_name.clone(), stage.name(), worker));
+        .map(|_| StateKey::new(job.name.clone(), stage.name(), worker));
     // Advisory per-entry TTL published with every snapshot, derived
     // from the stage's window semantics (the serving layer surfaces it
     // on v2 state listings).
-    let publish_ttl = match &stage {
+    let publish_ttl = match stage {
         Stage::Window(spec) => spec.semantics().window.retention_hint_ms(),
         Stage::IntervalJoin(spec) => spec.semantics().window.retention_hint_ms(),
         Stage::Stateless { .. } => None,
@@ -1737,7 +1496,7 @@ fn run_worker(
                         watermark: Timestamp|
      -> Result<(), StoreError> {
         let (Some(registry), Some(key), Some(op)) = (
-            paths.registry.as_ref(),
+            options.registry.as_ref(),
             state_key.as_ref(),
             operator.as_mut(),
         ) else {
@@ -1767,7 +1526,7 @@ fn run_worker(
     // anyway, and `rx.len()` takes the channel lock.
     let mut clock = probe.as_ref().map(|_| Instant::now());
     let mut recv_count = 0u32;
-    let result = (|| -> Result<WorkerReport, StoreError> {
+    let result = (|| -> Result<(), StoreError> {
         'recv: loop {
             let env = if let Some(env) = pending.pop_front() {
                 // Held messages replay inside the busy span of the
@@ -1851,7 +1610,7 @@ fn run_worker(
                             None
                         };
                         stamped_out.clear();
-                        match &stage {
+                        match stage {
                             Stage::Stateless { f, .. } => {
                                 for stamped in &batch {
                                     outputs.clear();
@@ -1882,7 +1641,7 @@ fn run_worker(
                         ftrace::end_here(batch_span, &[("out", stamped_out.len() as i64)]);
                         for stamped in stamped_out.drain(..) {
                             if !exchange.send(stamped.tuple, stamped.origin) {
-                                return Ok(WorkerReport::default());
+                                return Ok(());
                             }
                         }
                         // Windowed stages often emit nothing per batch —
@@ -1936,7 +1695,7 @@ fn run_worker(
                         // batches already carry the ingest trace.
                         let fire_scope = match (&trace_rec, &trace_handle) {
                             (Some(rec), Some(h)) if operator.is_some() => {
-                                let run_now = paths.epoch.elapsed().as_nanos() as u64;
+                                let run_now = run.epoch.elapsed().as_nanos() as u64;
                                 let born = rec
                                     .now_nanos()
                                     .saturating_sub(run_now.saturating_sub(origin));
@@ -1973,7 +1732,7 @@ fn run_worker(
                             fired = outputs.len();
                             for out in outputs.drain(..) {
                                 if !exchange.send(out, origin) {
-                                    return Ok(WorkerReport::default());
+                                    return Ok(());
                                 }
                             }
                         }
@@ -2027,7 +1786,7 @@ fn run_worker(
                             // the barrier, keeping the pre/post-snapshot
                             // split exact downstream.
                             if let (Some(dir), Some(op)) =
-                                (&paths.checkpoint_dir, operator.as_mut())
+                                (&options.checkpoint_dir, operator.as_mut())
                             {
                                 let ckpt_span = trace_rec.as_ref().map(|rec| {
                                     rec.begin_with(
@@ -2066,28 +1825,25 @@ fn run_worker(
                 *last = now;
             }
         }
-        Ok(WorkerReport::default())
+        Ok(())
     })();
 
     // Collect the operator's accounting and release its store even on the
     // error path.
-    let mut report = match &result {
-        Ok(_) => WorkerReport::default(),
-        Err(_) => WorkerReport::default(),
-    };
+    let mut report = WorkerReport::default();
     if let Some(mut op) = operator {
         report.dropped_late = op.dropped_late();
         report.late = op.take_late();
         report.metrics = op.backend_mut().metrics().snapshot();
         let _ = op.backend_mut().close();
     }
-    result.map(|_| report)
+    result.map(|()| report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backends::BackendChoice;
+    use crate::backends::{BackendChoice, FactoryOptions};
     use crate::functions::{CountAggregate, FnProcess};
     use crate::job::{AggregateSpec, JobBuilder};
     use crate::window::WindowAssigner;
@@ -2308,6 +2064,29 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, JobError::Timeout), "{err}");
+
+        // A healthy run does not wait on its watchdog: the fastest of a
+        // few tiny timed runs ends well inside what used to be the
+        // watchdog's 20 ms polling step.
+        let fastest = (0..5)
+            .map(|i| {
+                let mut opts = RunOptions::new(dir.path().join(format!("healthy-{i}")));
+                opts.timeout = Some(Duration::from_secs(60));
+                run_job(
+                    &job,
+                    tuples(200, 10).into_iter(),
+                    BackendChoice::all_small_for_tests()[0].build(FactoryOptions::new()),
+                    &opts,
+                )
+                .unwrap()
+                .elapsed
+            })
+            .min()
+            .unwrap();
+        assert!(
+            fastest < Duration::from_millis(20),
+            "timed run padded to {fastest:?}"
+        );
     }
 
     #[test]
@@ -2326,7 +2105,8 @@ mod tests {
                 AggregateSpec::Incremental(StdArc::new(CountAggregate)),
             )
             .build();
-        let mut reference: Option<(Vec<(Vec<u8>, Vec<u8>)>, Vec<(Vec<u8>, Vec<u8>)>)> = None;
+        type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
+        let mut reference: Option<(Pairs, Pairs)> = None;
         for batch_size in [1usize, 8, 256] {
             let dir = ScratchDir::new("exec-batched").unwrap();
             let ckpt = ScratchDir::new("exec-batched-ckpt").unwrap();
@@ -2350,8 +2130,7 @@ mod tests {
                 "one latency sample per tuple, not per batch (batch_size {batch_size})"
             );
             let sorted = |v: &[Tuple]| {
-                let mut v: Vec<(Vec<u8>, Vec<u8>)> =
-                    v.iter().map(|t| (t.key.clone(), t.value.clone())).collect();
+                let mut v: Pairs = v.iter().map(|t| (t.key.clone(), t.value.clone())).collect();
                 v.sort();
                 v
             };

@@ -38,9 +38,7 @@ pub mod window;
 
 pub use backends::{BackendChoice, FactoryOptions};
 pub use cluster::{run_cluster, ClusterResult};
-pub use executor::{
-    run_job, run_job_items, JobError, JobResult, RunOptions, RunOptionsBuilder, SourceItem,
-};
+pub use executor::{run_job, JobError, JobResult, RunOptions};
 pub use job::{AggregateSpec, Job, JobBuilder, Stage};
 pub use latency::Stamped;
 pub use supervisor::{run_supervised, SupervisedResult};

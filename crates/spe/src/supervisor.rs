@@ -4,7 +4,7 @@
 //! a rewindable source: on failure, the engine restores every operator
 //! from the last completed checkpoint and replays the source from the
 //! checkpointed offset. [`run_supervised`] implements the supervisor
-//! half of that contract over [`run_job`]'s single attempts:
+//! half of that contract over single attempts of the one runner:
 //!
 //! 1. Run the job. On success, return its outputs (prefixed by any
 //!    outputs already committed by a crashed attempt's checkpoint).
@@ -38,7 +38,9 @@ use std::time::Instant;
 use flowkv_common::backend::StateBackendFactory;
 use flowkv_common::types::Tuple;
 
-use crate::executor::{run_job_inner, JobError, JobResult, RunOptions, SOURCE_OFFSET_FILE};
+use crate::executor::{
+    run_job_inner, JobError, JobResult, RunCtx, RunOptions, Schedule, SOURCE_OFFSET_FILE,
+};
 use crate::job::Job;
 use crate::source::LogSource;
 
@@ -88,19 +90,21 @@ pub fn run_supervised(
     factory: Arc<dyn StateBackendFactory>,
     options: &RunOptions,
 ) -> Result<SupervisedResult, JobError> {
-    let recovery = options.telemetry.as_ref().map(|t| {
+    // One context for the whole supervised run: every attempt records
+    // into the same hub and tracer.
+    let ctx = RunCtx::resolve(options);
+    let recovery = ctx.telemetry.as_ref().map(|t| {
         (
             t.registry().counter("recovery_restarts_total"),
             t.registry().counter("recovery_replayed_tuples_total"),
             t.registry().histogram("recovery_restore_nanos"),
         )
     });
-    // Recovery lifecycle spans land on a dedicated supervisor lane when
-    // the caller passed a tracer in.
-    let sup_rec = options
-        .trace
+    // Recovery lifecycle spans land on a dedicated supervisor lane.
+    let sup_rec = ctx
+        .tracer
         .as_ref()
-        .map(|t| t.thread(options.trace_pid, "supervisor"));
+        .map(|t| t.thread(ctx.trace_pid, "supervisor"));
 
     let backoff_seed = crate::backoff::fault_seed();
     let mut committed: Vec<Tuple> = Vec::new();
@@ -145,12 +149,9 @@ pub fn run_supervised(
             }
         }
         let source = LogSource::open_at(source_path, resume_offset).map_err(JobError::Store)?;
-        let (result, salvage) = run_job_inner(
-            job,
-            source.map(crate::executor::SourceItem::Tuple),
-            Arc::clone(&factory),
-            &attempt_opts,
-        );
+        let items = Schedule::for_run(source, &attempt_opts);
+        let (result, salvage) =
+            run_job_inner(job, items, Arc::clone(&factory), &attempt_opts, &ctx);
 
         match result {
             Ok(mut result) => {
@@ -173,7 +174,7 @@ pub fn run_supervised(
                 // recorder's last events and every span still open at
                 // the moment of death go to stderr as JSONL.
                 if matches!(err, JobError::Panic(_)) {
-                    if let Some(t) = &options.telemetry {
+                    if let Some(t) = &ctx.telemetry {
                         flowkv_common::trace::dump_crash_context(t);
                     }
                 }
@@ -228,7 +229,7 @@ pub fn run_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backends::BackendChoice;
+    use crate::backends::{BackendChoice, FactoryOptions};
     use crate::functions::CountAggregate;
     use crate::job::{AggregateSpec, JobBuilder};
     use crate::source::TupleLog;
@@ -275,11 +276,10 @@ mod tests {
         let dir = ScratchDir::new("sup-healthy").unwrap();
         let log = dir.path().join("stream.log");
         TupleLog::record(&log, tuples(3000, 10).into_iter()).unwrap();
-        let opts = RunOptions::builder(dir.path().join("data"))
-            .collect_outputs(true)
-            .watermark_interval(50)
-            .max_restarts(2)
-            .build();
+        let mut opts = RunOptions::new(dir.path().join("data"));
+        opts.collect_outputs = true;
+        opts.watermark_interval = 50;
+        opts.max_restarts = 2;
         let sup = run_supervised(
             &count_job(),
             &log,
@@ -300,10 +300,9 @@ mod tests {
         TupleLog::record(&log, tuples(3000, 10).into_iter()).unwrap();
 
         // Reference: the same job, no faults.
-        let ref_opts = RunOptions::builder(dir.path().join("ref"))
-            .collect_outputs(true)
-            .watermark_interval(50)
-            .build();
+        let mut ref_opts = RunOptions::new(dir.path().join("ref"));
+        ref_opts.collect_outputs = true;
+        ref_opts.watermark_interval = 50;
         let reference = crate::executor::run_job(
             &count_job(),
             LogSource::open(&log).unwrap(),
@@ -316,10 +315,10 @@ mod tests {
         // well past the checkpoint.
         let counter = FaultVfs::counting(StdVfs::shared());
         let ckpt = dir.path().join("ckpt");
-        let counted_opts = RunOptions::builder(dir.path().join("count"))
-            .watermark_interval(50)
-            .checkpoint(1500, &ckpt)
-            .build();
+        let mut counted_opts = RunOptions::new(dir.path().join("count"));
+        counted_opts.watermark_interval = 50;
+        counted_opts.checkpoint_after_tuples = Some(1500);
+        counted_opts.checkpoint_dir = Some(ckpt.clone());
         run_supervised(
             &count_job(),
             &log,
@@ -335,14 +334,14 @@ mod tests {
         let telemetry = Telemetry::new_shared();
         let faulty = FaultVfs::new(StdVfs::shared(), FaultPlan::crash_at(total_ops * 9 / 10));
         let ckpt2 = dir.path().join("ckpt2");
-        let opts = RunOptions::builder(dir.path().join("data"))
-            .collect_outputs(true)
-            .watermark_interval(50)
-            .checkpoint(1500, &ckpt2)
-            .max_restarts(2)
-            .restart_backoff(std::time::Duration::from_millis(1))
-            .telemetry(std::sync::Arc::clone(&telemetry))
-            .build();
+        let mut opts = RunOptions::new(dir.path().join("data"));
+        opts.collect_outputs = true;
+        opts.watermark_interval = 50;
+        opts.checkpoint_after_tuples = Some(1500);
+        opts.checkpoint_dir = Some(ckpt2.clone());
+        opts.max_restarts = 2;
+        opts.restart_backoff = std::time::Duration::from_millis(1);
+        opts.telemetry = Some(std::sync::Arc::clone(&telemetry));
         let sup = run_supervised(
             &count_job(),
             &log,
@@ -381,11 +380,10 @@ mod tests {
         // initial attempt and both allowed restarts all hit one.
         let plan = (1..=500).fold(FaultPlan::new(), |p, op| p.with_fault(op, FaultKind::Crash));
         let faulty = FaultVfs::new(StdVfs::shared(), plan);
-        let opts = RunOptions::builder(dir.path().join("data"))
-            .watermark_interval(50)
-            .max_restarts(2)
-            .restart_backoff(std::time::Duration::from_millis(1))
-            .build();
+        let mut opts = RunOptions::new(dir.path().join("data"));
+        opts.watermark_interval = 50;
+        opts.max_restarts = 2;
+        opts.restart_backoff = std::time::Duration::from_millis(1);
         let err = run_supervised(
             &count_job(),
             &log,

@@ -10,12 +10,15 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use common::{cell_seed, fault_seed, nexmark_generator, sorted_triples};
 use flowkv_common::scratch::ScratchDir;
+use flowkv_common::telemetry::{SampleValue, Telemetry};
 use flowkv_common::vfs::{FaultPlan, FaultVfs, StdVfs};
 use flowkv_nexmark::{EventGenerator, QueryId, QueryParams};
 use flowkv_spe::source::{LogSource, TupleLog};
-use flowkv_spe::{run_job, run_supervised, BackendChoice, FactoryOptions, RunOptions};
+use flowkv_spe::{run_cluster, run_job, run_supervised, BackendChoice, FactoryOptions, RunOptions};
 
 const NUM_EVENTS: u64 = 5_000;
 const DEFAULT_SEED: u64 = 0xA5F0;
@@ -39,10 +42,9 @@ fn reorder_row(query: QueryId) {
     let job = query.build(QueryParams::new(1_000).with_parallelism(2));
 
     for backend in &BackendChoice::all_small_for_tests() {
-        let ref_opts = RunOptions::builder(dir.path().join(format!("{}-ref", backend.name())))
-            .collect_outputs(true)
-            .watermark_interval(100)
-            .build();
+        let mut ref_opts = RunOptions::new(dir.path().join(format!("{}-ref", backend.name())));
+        ref_opts.collect_outputs = true;
+        ref_opts.watermark_interval = 100;
         let reference = run_job(
             &job,
             LogSource::open(&log).unwrap(),
@@ -66,13 +68,12 @@ fn reorder_row(query: QueryId) {
 
         for round in 0..2u64 {
             let shuffle = cell_seed(seed, query, backend, round);
-            let opts =
-                RunOptions::builder(dir.path().join(format!("{}-ring{round}", backend.name())))
-                    .collect_outputs(true)
-                    .watermark_interval(100)
-                    .io_threads(IO_THREADS)
-                    .io_shuffle_seed(shuffle)
-                    .build();
+            let mut opts =
+                RunOptions::new(dir.path().join(format!("{}-ring{round}", backend.name())));
+            opts.collect_outputs = true;
+            opts.watermark_interval = 100;
+            opts.io_threads = IO_THREADS;
+            opts.io_shuffle_seed = Some(shuffle);
             let ring_run = run_job(
                 &job,
                 LogSource::open(&log).unwrap(),
@@ -106,10 +107,9 @@ fn crash_cell(query: QueryId, backend: &BackendChoice, seed: u64) {
     TupleLog::record(&log, generator().tuples()).unwrap();
     let job = query.build(QueryParams::new(1_000).with_parallelism(2));
 
-    let ref_opts = RunOptions::builder(dir.path().join("ref"))
-        .collect_outputs(true)
-        .watermark_interval(100)
-        .build();
+    let mut ref_opts = RunOptions::new(dir.path().join("ref"));
+    ref_opts.collect_outputs = true;
+    ref_opts.watermark_interval = 100;
     let reference = run_job(
         &job,
         LogSource::open(&log).unwrap(),
@@ -123,11 +123,11 @@ fn crash_cell(query: QueryId, backend: &BackendChoice, seed: u64) {
     // noisier than in the synchronous matrix, and the early half is
     // where in-flight prefetches are most likely to be live.
     let counter = FaultVfs::counting(StdVfs::shared());
-    let counted_opts = RunOptions::builder(dir.path().join("count"))
-        .watermark_interval(100)
-        .checkpoint(NUM_EVENTS / 2, dir.path().join("count-ckpt"))
-        .io_threads(IO_THREADS)
-        .build();
+    let mut counted_opts = RunOptions::new(dir.path().join("count"));
+    counted_opts.watermark_interval = 100;
+    counted_opts.checkpoint_after_tuples = Some(NUM_EVENTS / 2);
+    counted_opts.checkpoint_dir = Some(dir.path().join("count-ckpt"));
+    counted_opts.io_threads = IO_THREADS;
     run_job(
         &job,
         LogSource::open(&log).unwrap(),
@@ -141,15 +141,15 @@ fn crash_cell(query: QueryId, backend: &BackendChoice, seed: u64) {
     let combo_seed = cell_seed(seed, query, backend, 7);
     let plan = FaultPlan::random_crash(combo_seed, total_ops / 2);
     let faulty = FaultVfs::new(StdVfs::shared(), plan);
-    let opts = RunOptions::builder(dir.path().join("data"))
-        .collect_outputs(true)
-        .watermark_interval(100)
-        .checkpoint(NUM_EVENTS / 2, dir.path().join("ckpt"))
-        .max_restarts(2)
-        .restart_backoff(std::time::Duration::from_millis(1))
-        .io_threads(IO_THREADS)
-        .io_shuffle_seed(combo_seed)
-        .build();
+    let mut opts = RunOptions::new(dir.path().join("data"));
+    opts.collect_outputs = true;
+    opts.watermark_interval = 100;
+    opts.checkpoint_after_tuples = Some(NUM_EVENTS / 2);
+    opts.checkpoint_dir = Some(dir.path().join("ckpt"));
+    opts.max_restarts = 2;
+    opts.restart_backoff = std::time::Duration::from_millis(1);
+    opts.io_threads = IO_THREADS;
+    opts.io_shuffle_seed = Some(combo_seed);
     let sup = run_supervised(
         &job,
         &log,
@@ -230,4 +230,63 @@ fn async_crash_q7() {
 #[test]
 fn async_crash_q11_median() {
     crash_row(QueryId::Q11Median);
+}
+
+/// Sharding keeps the ring: an N=2 cluster run with the ring on matches
+/// the N=1 synchronous run, and its shards' stores really submitted
+/// prefetches (the job hub carries them, folded in under `worker`
+/// labels).
+#[test]
+fn sharded_ring_matches_single_sync_and_prefetches() {
+    let dir = ScratchDir::new("async-sharded-ring").unwrap();
+    let job = QueryId::Q11Median.build(QueryParams::new(1_000).with_parallelism(2));
+    let backend = BackendChoice::FlowKv(flowkv::FlowKvConfig::small_for_tests());
+
+    let mut ref_opts = RunOptions::new(dir.path().join("ref"));
+    ref_opts.collect_outputs = true;
+    ref_opts.watermark_interval = 100;
+    let reference = run_job(
+        &job,
+        generator().tuples(),
+        backend.build(FactoryOptions::new()),
+        &ref_opts,
+    )
+    .expect("N=1 sync reference");
+    assert!(
+        !reference.outputs.is_empty(),
+        "reference produced no output"
+    );
+
+    let telemetry = Telemetry::new_shared();
+    let mut opts = RunOptions::new(dir.path().join("sharded"));
+    opts.watermark_interval = 100;
+    opts.workers = 2;
+    opts.io_threads = IO_THREADS;
+    opts.telemetry = Some(Arc::clone(&telemetry));
+    let sharded = run_cluster(
+        &job,
+        generator().tuples(),
+        backend.build(FactoryOptions::new()),
+        &opts,
+    )
+    .expect("N=2 ring run");
+    assert_eq!(
+        sorted_triples(&sharded.outputs),
+        sorted_triples(&reference.outputs),
+        "N=2 ring run diverged from the N=1 synchronous run"
+    );
+    let issued: u64 = telemetry
+        .registry()
+        .snapshot()
+        .iter()
+        .filter(|s| s.name.starts_with("prefetch_issued_total"))
+        .map(|s| match s.value {
+            SampleValue::Counter(v) => v,
+            _ => 0,
+        })
+        .sum();
+    assert!(
+        issued > 0,
+        "no shard submitted a prefetch: the ring was off"
+    );
 }

@@ -8,7 +8,7 @@
 //! failure reproduces with `FLOWKV_FAULT_SEED=<seed> cargo test`.
 //!
 //! The tiered cells re-run the matrix with the two-tier hot/cold layout
-//! forced into pathological demotion (`tier_hot_bytes = 0`), once with
+//! forced into pathological demotion (`TierConfig::hot_bytes = 0`), once with
 //! an early crash cap (most likely to land mid-demotion, while cold
 //! blocks are being sealed) and once with a late cap (most likely to
 //! land mid-promotion, while cold blocks are being read back).
@@ -56,10 +56,9 @@ fn crash_matrix_cell(
     let tier_cfg = flowkv::tier::TierConfig::new(0);
 
     // Undisturbed hot-only reference run.
-    let ref_opts = RunOptions::builder(dir.path().join("ref"))
-        .collect_outputs(true)
-        .watermark_interval(100)
-        .build();
+    let mut ref_opts = RunOptions::new(dir.path().join("ref"));
+    ref_opts.collect_outputs = true;
+    ref_opts.watermark_interval = 100;
     let reference = run_job(
         &job,
         LogSource::open(&log).unwrap(),
@@ -83,10 +82,10 @@ fn crash_matrix_cell(
     // Measure the run's store-op footprint so the crash point can be
     // drawn from the range the run actually exercises.
     let counter = FaultVfs::counting(StdVfs::shared());
-    let counted_opts = RunOptions::builder(dir.path().join("count"))
-        .watermark_interval(100)
-        .checkpoint(NUM_EVENTS / 2, dir.path().join("count-ckpt"))
-        .build();
+    let mut counted_opts = RunOptions::new(dir.path().join("count"));
+    counted_opts.watermark_interval = 100;
+    counted_opts.checkpoint_after_tuples = Some(NUM_EVENTS / 2);
+    counted_opts.checkpoint_dir = Some(dir.path().join("count-ckpt"));
     let counted_factory = if tiered {
         backend.build(
             FactoryOptions::new()
@@ -124,14 +123,14 @@ fn crash_matrix_cell(
     let plan = FaultPlan::random_crash(combo_seed, total_ops * cap_num / cap_den);
     let faulty = FaultVfs::new(StdVfs::shared(), plan);
     let telemetry = Telemetry::new_shared();
-    let opts = RunOptions::builder(dir.path().join("data"))
-        .collect_outputs(true)
-        .watermark_interval(100)
-        .checkpoint(NUM_EVENTS / 2, dir.path().join("ckpt"))
-        .max_restarts(2)
-        .restart_backoff(std::time::Duration::from_millis(1))
-        .telemetry(Arc::clone(&telemetry))
-        .build();
+    let mut opts = RunOptions::new(dir.path().join("data"));
+    opts.collect_outputs = true;
+    opts.watermark_interval = 100;
+    opts.checkpoint_after_tuples = Some(NUM_EVENTS / 2);
+    opts.checkpoint_dir = Some(dir.path().join("ckpt"));
+    opts.max_restarts = 2;
+    opts.restart_backoff = std::time::Duration::from_millis(1);
+    opts.telemetry = Some(Arc::clone(&telemetry));
     let faulty_factory = if tiered {
         backend.build(FactoryOptions::new().tiered(tier_cfg).vfs(faulty.clone()))
     } else {

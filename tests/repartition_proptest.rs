@@ -9,7 +9,7 @@
 //!
 //! The tiered cases run the same property with every store (source and
 //! targets) wrapped in the forced-demotion two-tier layout
-//! (`tier_hot_bytes = 0`): all state lives in compressed columnar cold
+//! (`TierConfig::hot_bytes = 0`): all state lives in compressed columnar cold
 //! blocks, so the round-trip proves `extract_range`/`inject_entries`
 //! migrate cold blocks losslessly.
 

@@ -31,10 +31,9 @@ fn rescale_cell(query: QueryId, backend: &BackendChoice) {
     let job = query.build(QueryParams::new(1_000).with_parallelism(2));
 
     // Plain single-process reference.
-    let ref_opts = RunOptions::builder(dir.path().join("ref"))
-        .collect_outputs(true)
-        .watermark_interval(WM_INTERVAL)
-        .build();
+    let mut ref_opts = RunOptions::new(dir.path().join("ref"));
+    ref_opts.collect_outputs = true;
+    ref_opts.watermark_interval = WM_INTERVAL;
     let reference = run_job(
         &job,
         generator().tuples(),
@@ -52,10 +51,9 @@ fn rescale_cell(query: QueryId, backend: &BackendChoice) {
 
     // Sharded at N=1 and N=4.
     for n in [1usize, 4] {
-        let opts = RunOptions::builder(dir.path().join(format!("n{n}")))
-            .watermark_interval(WM_INTERVAL)
-            .workers(n)
-            .build();
+        let mut opts = RunOptions::new(dir.path().join(format!("n{n}")));
+        opts.watermark_interval = WM_INTERVAL;
+        opts.workers = n;
         let result = run_cluster(
             &job,
             generator().tuples(),
@@ -73,12 +71,12 @@ fn rescale_cell(query: QueryId, backend: &BackendChoice) {
     }
 
     // Live rescale N=2→4 at the stream's midpoint.
-    let ropts = RunOptions::builder(dir.path().join("rescale"))
-        .watermark_interval(WM_INTERVAL)
-        .workers(2)
-        .rescale_to(4)
-        .checkpoint(NUM_EVENTS / 2, dir.path().join("rescale-ckpt"))
-        .build();
+    let mut ropts = RunOptions::new(dir.path().join("rescale"));
+    ropts.watermark_interval = WM_INTERVAL;
+    ropts.workers = 2;
+    ropts.rescale_to = Some(4);
+    ropts.checkpoint_after_tuples = Some(NUM_EVENTS / 2);
+    ropts.checkpoint_dir = Some(dir.path().join("rescale-ckpt"));
     let rescaled = run_cluster(
         &job,
         generator().tuples(),
@@ -134,10 +132,10 @@ fn sharded_crash_recovers_with_identical_output() {
     let job = query.build(QueryParams::new(1_000).with_parallelism(2));
 
     let opts = |root: &str| {
-        RunOptions::builder(dir.path().join(root))
-            .watermark_interval(WM_INTERVAL)
-            .workers(4)
-            .build()
+        let mut opts = RunOptions::new(dir.path().join(root));
+        opts.watermark_interval = WM_INTERVAL;
+        opts.workers = 4;
+        opts
     };
     let clean = run_cluster(
         &job,

@@ -4,7 +4,7 @@
 //! Three tiered configurations per cell:
 //!
 //! 1. a moderate hot budget (some windows demote, some stay hot),
-//! 2. the pathological `tier_hot_bytes = 0` cell — every write
+//! 2. the pathological `hot_bytes = 0` cell — every write
 //!    immediately seals to a compressed cold block, so *all* served
 //!    state round-trips through the columnar codec (the telemetry
 //!    assert proves demotion actually happened), and
@@ -62,19 +62,16 @@ fn tiered_run(
 ) -> u64 {
     let job = query.build(QueryParams::new(1_000).with_parallelism(2));
     let telemetry = Telemetry::new_shared();
-    let mut builder = RunOptions::builder(dir.join(label))
-        .collect_outputs(true)
-        .watermark_interval(100)
-        .tier_hot_bytes(hot_bytes)
-        .telemetry(Arc::clone(&telemetry));
-    if io_threads > 0 {
-        builder = builder.io_threads(io_threads);
-    }
-    let opts = builder.build();
+    let mut opts = RunOptions::new(dir.join(label));
+    opts.collect_outputs = true;
+    opts.watermark_interval = 100;
+    opts.io_threads = io_threads;
+    opts.telemetry = Some(Arc::clone(&telemetry));
+    let tier = TierConfig::new(hot_bytes as usize);
     let result = run_job(
         &job,
         LogSource::open(log).unwrap(),
-        backend.build(FactoryOptions::new()),
+        backend.build(FactoryOptions::new().tiered(tier)),
         &opts,
     )
     .unwrap_or_else(|e| {
@@ -102,10 +99,9 @@ fn differential_cell(query: QueryId, backend: &BackendChoice) {
     TupleLog::record(&log, nexmark_generator(NUM_EVENTS, 23).tuples()).unwrap();
     let job = query.build(QueryParams::new(1_000).with_parallelism(2));
 
-    let ref_opts = RunOptions::builder(dir.path().join("hot-only"))
-        .collect_outputs(true)
-        .watermark_interval(100)
-        .build();
+    let mut ref_opts = RunOptions::new(dir.path().join("hot-only"));
+    ref_opts.collect_outputs = true;
+    ref_opts.watermark_interval = 100;
     let reference = run_job(
         &job,
         LogSource::open(&log).unwrap(),
@@ -141,7 +137,7 @@ fn differential_cell(query: QueryId, backend: &BackendChoice) {
     let forced = tiered_run(query, backend, &log, d, "forced", 0, 0, &expected);
     assert!(
         forced > 0,
-        "{} on {}: tier_hot_bytes=0 run never demoted — the cell did not exercise the cold tier",
+        "{} on {}: hot_bytes=0 run never demoted — the cell did not exercise the cold tier",
         query.name(),
         backend.name()
     );
@@ -190,10 +186,9 @@ fn tiered_crash_cell(query: QueryId, backend: &BackendChoice, seed: u64) {
     let job = query.build(QueryParams::new(1_000).with_parallelism(2));
     let tier_cfg = TierConfig::new(0);
 
-    let ref_opts = RunOptions::builder(dir.path().join("ref"))
-        .collect_outputs(true)
-        .watermark_interval(100)
-        .build();
+    let mut ref_opts = RunOptions::new(dir.path().join("ref"));
+    ref_opts.collect_outputs = true;
+    ref_opts.watermark_interval = 100;
     let reference = run_job(
         &job,
         LogSource::open(&log).unwrap(),
@@ -211,10 +206,10 @@ fn tiered_crash_cell(query: QueryId, backend: &BackendChoice, seed: u64) {
     // Count the tiered run's store-op footprint (cold-log traffic
     // included), then crash inside it.
     let counter = FaultVfs::counting(StdVfs::shared());
-    let counted_opts = RunOptions::builder(dir.path().join("count"))
-        .watermark_interval(100)
-        .checkpoint(NUM_EVENTS / 2, dir.path().join("count-ckpt"))
-        .build();
+    let mut counted_opts = RunOptions::new(dir.path().join("count"));
+    counted_opts.watermark_interval = 100;
+    counted_opts.checkpoint_after_tuples = Some(NUM_EVENTS / 2);
+    counted_opts.checkpoint_dir = Some(dir.path().join("count-ckpt"));
     run_job(
         &job,
         LogSource::open(&log).unwrap(),
@@ -243,13 +238,13 @@ fn tiered_crash_cell(query: QueryId, backend: &BackendChoice, seed: u64) {
     let combo_seed = cell_seed(seed, query, backend, 29);
     let plan = FaultPlan::random_crash(combo_seed, total_ops * 9 / 10);
     let faulty = FaultVfs::new(StdVfs::shared(), plan);
-    let opts = RunOptions::builder(dir.path().join("data"))
-        .collect_outputs(true)
-        .watermark_interval(100)
-        .checkpoint(NUM_EVENTS / 2, dir.path().join("ckpt"))
-        .max_restarts(2)
-        .restart_backoff(std::time::Duration::from_millis(1))
-        .build();
+    let mut opts = RunOptions::new(dir.path().join("data"));
+    opts.collect_outputs = true;
+    opts.watermark_interval = 100;
+    opts.checkpoint_after_tuples = Some(NUM_EVENTS / 2);
+    opts.checkpoint_dir = Some(dir.path().join("ckpt"));
+    opts.max_restarts = 2;
+    opts.restart_backoff = std::time::Duration::from_millis(1);
     let sup = run_supervised(
         &job,
         &log,

@@ -36,11 +36,10 @@ fn q7_cluster_trace_exports_one_pid_per_worker() {
     let job = QueryId::Q7.build(QueryParams::new(1_000).with_parallelism(2));
     let backend = &BackendChoice::all_small_for_tests()[0];
     let path = dir.path().join("q7.trace.json");
-    let opts = RunOptions::builder(dir.path().join("run"))
-        .watermark_interval(WM_INTERVAL)
-        .workers(2)
-        .trace_out(&path)
-        .build();
+    let mut opts = RunOptions::new(dir.path().join("run"));
+    opts.watermark_interval = WM_INTERVAL;
+    opts.workers = 2;
+    opts.trace_out = Some(path.clone());
     let result = run_cluster(
         &job,
         generator().tuples(),
@@ -122,12 +121,11 @@ fn q11_attribution_reconciles_with_latency_summary() {
     let job = QueryId::Q11.build(QueryParams::new(1_000).with_parallelism(2));
     let backend = &BackendChoice::all_small_for_tests()[0];
     let tracer = Tracer::new();
-    let opts = RunOptions::builder(dir.path().join("run"))
-        .watermark_interval(WM_INTERVAL)
-        .record_latency(true)
-        .trace(Arc::clone(&tracer))
-        .trace_sample(1)
-        .build();
+    let mut opts = RunOptions::new(dir.path().join("run"));
+    opts.watermark_interval = WM_INTERVAL;
+    opts.record_latency = true;
+    opts.trace = Some(Arc::clone(&tracer));
+    opts.trace_sample = 1;
     let result = run_job(
         &job,
         generator().tuples(),
