@@ -49,7 +49,7 @@ fn window_ms_for(events: u64) -> i64 {
     (events * 1_000 / EVENTS_PER_SECOND) as i64 / 8
 }
 
-/// Sorted-output checksum, byte-compatible with `pipeline_bench`.
+/// Sorted-output checksum: order-independent CRC32 over `key\tvalue\tts` lines.
 fn checksum(outputs: &[Tuple]) -> u32 {
     let mut lines: Vec<Vec<u8>> = outputs
         .iter()

@@ -191,30 +191,6 @@ pub fn run_cell(
     timeout: Duration,
     tune: impl FnOnce(&mut RunOptions),
 ) -> CellOutcome {
-    run_cell_with(
-        query,
-        backend,
-        FactoryOptions::new(),
-        gen_cfg,
-        params,
-        timeout,
-        tune,
-    )
-}
-
-/// [`run_cell`] with the backend built under `factory_opts` — how the
-/// prefetch harness mounts the stores on a latency-injecting
-/// [`Vfs`](flowkv_common::vfs::Vfs) and the tiered harness wraps them
-/// in the two-tier layout.
-pub fn run_cell_with(
-    query: QueryId,
-    backend: &BackendChoice,
-    factory_opts: FactoryOptions,
-    gen_cfg: GeneratorConfig,
-    params: QueryParams,
-    timeout: Duration,
-    tune: impl FnOnce(&mut RunOptions),
-) -> CellOutcome {
     let dir = match ScratchDir::new(&format!("bench-{}-{}", query.name(), backend.name())) {
         Ok(d) => d,
         Err(e) => return CellOutcome::Failed(e.to_string()),
@@ -233,7 +209,7 @@ pub fn run_cell_with(
     let outcome = run_job(
         &job,
         EventGenerator::new(gen_cfg).tuples_with_telemetry(opts.telemetry.clone()),
-        backend.build(factory_opts),
+        backend.build(FactoryOptions::new()),
         &opts,
     );
     match outcome {

@@ -26,14 +26,25 @@
 //!    installing them. [`IoRing::with_shuffle_seed`] builds a ring that
 //!    inserts completions at seeded pseudo-random positions so tests can
 //!    prove output equivalence under adversarial completion orderings.
+//!
+//! Stores do not drive the ring directly. Every read-ahead user — AAR
+//! window files, AUR predictive batches, the cold tier's blocks, the
+//! LSM's block warm-ups — goes through one [`Lane`], which owns the
+//! submission lifecycle (in-flight table, byte budget, drain, wait,
+//! abandon, panic re-raise, accounting); a store supplies only its
+//! candidates, the job body and the validate-then-install check.
 
 use std::any::Any;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 use std::io;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
+use crate::telemetry::{Counter, Histogram, Telemetry};
+use crate::types::Timestamp;
 use crate::vfs::Vfs;
 
 /// A background job: runs on a pool thread against the ring's VFS and
@@ -106,32 +117,24 @@ impl Completion {
     }
 }
 
-/// Per-worker I/O policy: how many ring threads to run and how far ahead
-/// (in event time) the prefetcher may look. Carried on
-/// [`OperatorContext`](crate::backend::OperatorContext) so each backend
-/// factory can build a ring over its own VFS.
+/// Per-worker I/O policy: how many ring threads each backend runs.
+/// Carried on [`OperatorContext`](crate::backend::OperatorContext) so each
+/// backend factory can build a ring over its own VFS.
 #[derive(Clone, Debug)]
 pub struct IoPolicy {
     /// Pool threads per backend ring. `0` disables the ring entirely
     /// (callers must treat `threads == 0` as "stay synchronous").
     pub threads: usize,
-    /// How far ahead of current stream time (milliseconds of event time)
-    /// prefetch submissions may target.
-    pub prefetch_horizon: i64,
-    /// Soft cap on bytes of prefetched state resident per store instance.
-    pub prefetch_budget_bytes: u64,
     /// Test knob: when set, completions are inserted at seeded
     /// pseudo-random queue positions to exercise reordering.
     pub shuffle_seed: Option<u64>,
 }
 
 impl IoPolicy {
-    /// A policy with `threads` ring threads and default horizon/budget.
+    /// A policy with `threads` ring threads and in-order completions.
     pub fn with_threads(threads: usize) -> Self {
         IoPolicy {
             threads,
-            prefetch_horizon: 500,
-            prefetch_budget_bytes: 8 << 20,
             shuffle_seed: None,
         }
     }
@@ -296,23 +299,12 @@ impl IoRing {
     }
 
     /// Blocks until nothing is queued or running. Finished completions
-    /// are left in place for `drain_tag`/`wait` — unlike [`IoRing::quiesce`],
-    /// which takes them.
+    /// are left in place for `drain_tag`/`wait`.
     pub fn wait_idle(&self) {
         let mut st = self.shared.state.lock().expect("ioring lock");
         while !st.queue.is_empty() || st.in_flight > 0 {
             st = self.shared.done.wait(st).expect("ioring idle");
         }
-    }
-
-    /// Blocks until nothing is queued or running, then removes and
-    /// returns every remaining completion (all tags).
-    pub fn quiesce(&self) -> Vec<Completion> {
-        let mut st = self.shared.state.lock().expect("ioring lock");
-        while !st.queue.is_empty() || st.in_flight > 0 {
-            st = self.shared.done.wait(st).expect("ioring quiesce");
-        }
-        std::mem::take(&mut st.completions)
     }
 
     /// Submissions queued or running (completions not yet drained do not
@@ -438,6 +430,273 @@ fn worker_loop(shared: Arc<Shared>, vfs: Arc<dyn Vfs>) {
     }
 }
 
+/// How far past current stream time (milliseconds of event time) a
+/// window's trigger may lie for its state to be read ahead.
+const PREFETCH_HORIZON_MS: i64 = 500;
+
+/// Soft cap on bytes of read-ahead state per lane: what the store holds
+/// installed plus what is still in flight.
+const PREFETCH_BUDGET_BYTES: u64 = 8 << 20;
+
+/// Prefetch-accuracy telemetry of one store instance.
+///
+/// The Zapridou & Ailamaki framing: a prefetch is only useful when it is
+/// both *timely* (completes before the window fires) and *accurate* (the
+/// data is still what the trigger needs). These families measure exactly
+/// that:
+///
+/// - `prefetch_issued_total{store=…}` — windows submitted to the ring;
+/// - `prefetch_hits_total{store=…}` — reads served from prefetched state;
+/// - `prefetch_late_total{store=…}` — prefetches that completed after
+///   their window was consumed, or whose window fired while the read was
+///   still in flight (the foreground fell back to a synchronous read);
+/// - `prefetch_wasted_bytes{store=…}` — bytes loaded in the background
+///   and then discarded because validation failed (the store compacted,
+///   restored, or appended under the in-flight read);
+/// - `prefetch_timeliness_ms{store=…}` — histogram of the ETT
+///   predicted-vs-actual absolute error on prefetch-served reads: how
+///   much slack (or deficit) the predictor gave the scheduler.
+///
+/// The store counts what its foreground reads observe (`hits`, `late`,
+/// `timeliness_ms`); submissions and waste are counted by the [`Lane`]
+/// the probe is attached to.
+#[derive(Clone)]
+pub struct PrefetchProbe {
+    issued: Arc<Counter>,
+    wasted_bytes: Arc<Counter>,
+    /// Reads served from prefetched state.
+    pub hits: Arc<Counter>,
+    /// Prefetches that lost the race with their window's trigger.
+    pub late: Arc<Counter>,
+    /// ETT |actual − predicted| (ms) on prefetch-served reads.
+    pub timeliness_ms: Arc<Histogram>,
+}
+
+impl PrefetchProbe {
+    /// Resolves the probe's metric families, labelled `{store=tag}`.
+    pub fn new(telemetry: &Telemetry, tag: &str) -> Self {
+        let registry = telemetry.registry();
+        PrefetchProbe {
+            issued: registry.counter(&format!("prefetch_issued_total{{store={tag}}}")),
+            hits: registry.counter(&format!("prefetch_hits_total{{store={tag}}}")),
+            late: registry.counter(&format!("prefetch_late_total{{store={tag}}}")),
+            wasted_bytes: registry.counter(&format!("prefetch_wasted_bytes{{store={tag}}}")),
+            timeliness_ms: registry.histogram(&format!("prefetch_timeliness_ms{{store={tag}}}")),
+        }
+    }
+}
+
+/// Wraps a typed lane job as a ring job. A [`StoreError`](crate::error::StoreError)
+/// crosses the ring as text; the foreground re-wraps it with path
+/// context on receipt.
+fn erase<R: Send + 'static>(
+    job: impl FnOnce(&Arc<dyn Vfs>) -> crate::error::Result<R> + Send + 'static,
+) -> IoJob {
+    Box::new(move |vfs| match job(vfs) {
+        Ok(payload) => Ok(Box::new(payload) as Box<dyn Any + Send>),
+        Err(e) => Err(io::Error::other(e.to_string())),
+    })
+}
+
+/// Unwraps a completion of an [`erase`]d job, re-raising a captured
+/// panic on the calling thread.
+fn unerase<R: 'static>(completion: Completion) -> io::Result<R> {
+    completion.into_result().map(|payload| {
+        *payload
+            .downcast::<R>()
+            .expect("lane completion carries the payload type its job returned")
+    })
+}
+
+/// One store's read-ahead lane on a (possibly shared) [`IoRing`].
+///
+/// The lane owns everything about a background read that is not the
+/// store's own business: the ring handle and routing tag, which keys
+/// (`K`: a window, a `(key, window)` pair, a block) have a read in
+/// flight and how many bytes those reads are expected to bring, the
+/// horizon and byte budget that bound read-ahead, collecting finished
+/// reads, and the `prefetch_*` accounting. Payloads (`T`) are a bag:
+/// they arrive in any order and the store must validate each against
+/// its current state before installing it.
+///
+/// A panic captured on a pool thread (an injected crash fault)
+/// re-raises on the calling thread from whichever method consumes that
+/// completion, after the lane's own bookkeeping is unwound.
+pub struct Lane<K, T> {
+    ring: Arc<IoRing>,
+    tag: u64,
+    /// Submission id → (keys the read covers, estimated bytes).
+    inflight: HashMap<u64, (Vec<K>, u64)>,
+    /// Key → the submission covering it.
+    by_key: HashMap<K, u64>,
+    inflight_bytes: u64,
+    probe: Option<PrefetchProbe>,
+    _payload: PhantomData<fn() -> T>,
+}
+
+impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
+    /// A lane submitting to `ring` under routing tag `tag`.
+    pub fn new(ring: Arc<IoRing>, tag: u64) -> Self {
+        Lane {
+            ring,
+            tag,
+            inflight: HashMap::new(),
+            by_key: HashMap::new(),
+            inflight_bytes: 0,
+            probe: None,
+            _payload: PhantomData,
+        }
+    }
+
+    /// Counts this lane's submissions and waste on `probe`.
+    pub fn set_probe(&mut self, probe: PrefetchProbe) {
+        self.probe = Some(probe);
+    }
+
+    /// Latest trigger time worth reading ahead for at `stream_time`.
+    pub fn due(&self, stream_time: Timestamp) -> Timestamp {
+        stream_time.saturating_add(PREFETCH_HORIZON_MS)
+    }
+
+    /// Whether a read of `est_bytes` fits the budget, given `resident`
+    /// bytes of read-ahead state the store already holds installed.
+    pub fn admits(&self, resident: u64, est_bytes: u64) -> bool {
+        resident + self.inflight_bytes + est_bytes <= PREFETCH_BUDGET_BYTES
+    }
+
+    /// True when no submission is outstanding.
+    pub fn is_idle(&self) -> bool {
+        self.inflight.is_empty()
+    }
+
+    /// True when an outstanding submission covers `key`.
+    pub fn covers(&self, key: &K) -> bool {
+        self.by_key.contains_key(key)
+    }
+
+    /// Submits one background read covering `keys`, expected to bring
+    /// about `est_bytes`. The job runs on a pool thread against the
+    /// ring's VFS and must not touch store state.
+    pub fn submit(
+        &mut self,
+        keys: Vec<K>,
+        est_bytes: u64,
+        job: impl FnOnce(&Arc<dyn Vfs>) -> crate::error::Result<T> + Send + 'static,
+    ) {
+        let id = self.ring.submit(self.tag, erase(job));
+        if let Some(p) = &self.probe {
+            p.issued.add(keys.len() as u64);
+        }
+        for key in &keys {
+            self.by_key.insert(key.clone(), id);
+        }
+        self.inflight.insert(id, (keys, est_bytes));
+        self.inflight_bytes += est_bytes;
+    }
+
+    /// Drops the bookkeeping of submission `id`; false when the lane
+    /// never tracked it.
+    fn forget(&mut self, id: u64) -> bool {
+        let Some((keys, est_bytes)) = self.inflight.remove(&id) else {
+            return false;
+        };
+        for key in &keys {
+            self.by_key.remove(key);
+        }
+        self.inflight_bytes -= est_bytes;
+        true
+    }
+
+    /// Collects every finished read without blocking. An `Err` is a
+    /// read that failed in the background — never a store failure: the
+    /// foreground simply reads synchronously when it needs the data.
+    pub fn drain(&mut self) -> Vec<io::Result<T>> {
+        if self.is_idle() {
+            return Vec::new();
+        }
+        let mut done = self.ring.drain_tag(self.tag);
+        done.retain(|c| self.forget(c.id));
+        done.into_iter().map(unerase).collect()
+    }
+
+    /// Blocks until the read covering `key` finishes and returns it, or
+    /// `None` when no outstanding submission covers `key`.
+    pub fn wait_for(&mut self, key: &K) -> Option<io::Result<T>> {
+        let id = *self.by_key.get(key)?;
+        let completion = self.ring.wait(id);
+        self.forget(id);
+        Some(unerase(completion))
+    }
+
+    /// Blocks until every outstanding read finishes and returns them
+    /// all — for callers about to move the bytes those reads target.
+    pub fn wait_all(&mut self) -> Vec<io::Result<T>> {
+        let ids: Vec<u64> = self.inflight.keys().copied().collect();
+        let done: Vec<Completion> = ids.into_iter().map(|id| self.ring.wait(id)).collect();
+        self.inflight.clear();
+        self.by_key.clear();
+        self.inflight_bytes = 0;
+        done.into_iter().map(unerase).collect()
+    }
+
+    /// Waits out every outstanding read and discards the payloads as
+    /// waste (`bytes_of` each) — for callers invalidating the state the
+    /// reads were planned against (close, restore).
+    pub fn abandon(&mut self, bytes_of: impl Fn(&T) -> u64) {
+        for payload in self.wait_all().into_iter().flatten() {
+            self.waste(bytes_of(&payload));
+        }
+    }
+
+    /// Records that validation installed `reads` finished reads.
+    pub fn installed(&self, reads: i64) {
+        if reads > 0 {
+            crate::trace::instant_here("prefetch_install", "prefetch", &[("reads", reads)]);
+        }
+    }
+
+    /// Records `bytes` read in the background and then discarded.
+    pub fn waste(&self, bytes: u64) {
+        if bytes == 0 {
+            return;
+        }
+        if let Some(p) = &self.probe {
+            p.wasted_bytes.add(bytes);
+        }
+        crate::trace::instant_here("prefetch_waste", "prefetch", &[("bytes", bytes as i64)]);
+    }
+
+    /// Runs `job` on the pool and blocks for its result: a synchronous
+    /// read that still happens off the worker thread, so it shares the
+    /// fault surface and telemetry of background reads.
+    pub fn read_through<R: Send + 'static>(
+        &self,
+        job: impl FnOnce(&Arc<dyn Vfs>) -> crate::error::Result<R> + Send + 'static,
+    ) -> io::Result<R> {
+        self.read_through_each([job])
+            .pop()
+            .expect("one job, one result")
+    }
+
+    /// [`Lane::read_through`] for several jobs submitted together, so
+    /// the pool overlaps them; results come back in job order.
+    pub fn read_through_each<R: Send + 'static, J>(
+        &self,
+        jobs: impl IntoIterator<Item = J>,
+    ) -> Vec<io::Result<R>>
+    where
+        J: FnOnce(&Arc<dyn Vfs>) -> crate::error::Result<R> + Send + 'static,
+    {
+        let ids: Vec<u64> = jobs
+            .into_iter()
+            .map(|job| self.ring.submit(self.tag, erase(job)))
+            .collect();
+        ids.into_iter()
+            .map(|id| unerase(self.ring.wait(id)))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,9 +720,9 @@ mod tests {
         }
         even.sort_unstable();
         assert_eq!(even, vec![0, 2]);
-        let odd = r.quiesce();
-        assert!(odd.iter().all(|c| c.tag == 1));
-        assert_eq!(odd.len(), 2);
+        r.wait_idle();
+        assert!(r.drain_tag(0).is_empty());
+        assert_eq!(r.drain_tag(1).len(), 2);
     }
 
     #[test]
@@ -524,7 +783,8 @@ mod tests {
             for i in 0..8u64 {
                 r.submit(0, Box::new(move |_vfs| Ok(Box::new(i) as _)));
             }
-            r.quiesce()
+            r.wait_idle();
+            r.drain_tag(0)
                 .into_iter()
                 .map(|c| *c.into_result().unwrap().downcast::<u64>().unwrap())
                 .collect()
@@ -599,7 +859,7 @@ mod tests {
     }
 
     #[test]
-    fn quiesce_waits_for_running_jobs() {
+    fn wait_idle_waits_for_running_jobs() {
         let r = ring(2);
         for _ in 0..6 {
             r.submit(
@@ -610,8 +870,133 @@ mod tests {
                 }),
             );
         }
-        let all = r.quiesce();
-        assert_eq!(all.len(), 6);
+        r.wait_idle();
         assert_eq!(r.pending(), 0);
+        assert_eq!(r.drain_tag(3).len(), 6);
+    }
+
+    fn lane(threads: usize) -> Lane<u32, u64> {
+        Lane::new(Arc::new(ring(threads)), 9)
+    }
+
+    /// The panic message `f` unwinds with.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(AssertUnwindSafe(f)).unwrap_err();
+        err.downcast_ref::<&str>()
+            .copied()
+            .unwrap_or_default()
+            .to_string()
+    }
+
+    /// Submits a job on key 1 that panics on its pool thread, plus a
+    /// healthy one on key 2, and waits for both to finish.
+    fn lane_with_crashed_read() -> Lane<u32, u64> {
+        let mut l = lane(1);
+        l.submit(vec![1], 100, |_vfs| panic!("flowkv-fault: injected crash"));
+        l.submit(vec![2], 50, |_vfs| Ok(2));
+        l.ring.wait_idle();
+        assert!(l.covers(&1) && l.covers(&2));
+        assert_eq!(l.inflight_bytes, 150);
+        l
+    }
+
+    #[test]
+    fn lane_drain_re_raises_pool_panics_after_unwinding_its_books() {
+        let mut l = lane_with_crashed_read();
+        let msg = panic_message(|| drop(l.drain()));
+        assert_eq!(msg, "flowkv-fault: injected crash");
+        assert!(l.is_idle() && !l.covers(&1) && !l.covers(&2));
+        assert_eq!(l.inflight_bytes, 0);
+    }
+
+    #[test]
+    fn lane_wait_for_re_raises_pool_panics_after_unwinding_its_books() {
+        let mut l = lane_with_crashed_read();
+        let msg = panic_message(|| drop(l.wait_for(&1)));
+        assert_eq!(msg, "flowkv-fault: injected crash");
+        assert!(!l.covers(&1));
+        assert_eq!(l.inflight_bytes, 50);
+        // The healthy read is untouched and still collectable; a key
+        // nobody submitted is not waited for.
+        assert_eq!(l.wait_for(&2).unwrap().unwrap(), 2);
+        assert!(l.wait_for(&3).is_none());
+        assert_eq!(l.inflight_bytes, 0);
+    }
+
+    #[test]
+    fn lane_abandon_re_raises_pool_panics_after_unwinding_its_books() {
+        let mut l = lane_with_crashed_read();
+        let msg = panic_message(|| l.abandon(|_| 0));
+        assert_eq!(msg, "flowkv-fault: injected crash");
+        assert!(l.is_idle());
+        assert_eq!(l.inflight_bytes, 0);
+        assert_eq!(l.ring.pending(), 0);
+    }
+
+    #[test]
+    fn lane_abandon_counts_discarded_payloads_as_waste() {
+        let telemetry = Telemetry::new_shared();
+        let mut l = lane(2);
+        l.set_probe(PrefetchProbe::new(&telemetry, "t"));
+        l.submit(vec![1, 2], 10, |_vfs| Ok(7));
+        l.submit(vec![3], 10, |vfs| {
+            vfs.read(std::path::Path::new("/definitely/not/here.aurd"))?;
+            Ok(0)
+        });
+        l.abandon(|payload| *payload);
+        assert!(l.is_idle());
+        let count = |name: &str| telemetry.registry().counter(name).get();
+        // Issued counts keys, not submissions; a failed read wastes nothing.
+        assert_eq!(count("prefetch_issued_total{store=t}"), 3);
+        assert_eq!(count("prefetch_wasted_bytes{store=t}"), 7);
+    }
+
+    #[test]
+    fn lane_admission_respects_the_byte_budget() {
+        let mut l = lane(1);
+        let half = PREFETCH_BUDGET_BYTES / 2;
+        assert!(l.admits(0, half));
+        l.submit(vec![1], half, |_vfs| Ok(1));
+        assert!(l.admits(0, half));
+        // What the store already holds installed counts too.
+        assert!(!l.admits(1, half));
+        l.submit(vec![2], half, |_vfs| Ok(2));
+        assert!(!l.admits(0, 1));
+        // Finished reads leave the in-flight total once drained.
+        l.ring.wait_idle();
+        let mut got: Vec<u64> = l.drain().into_iter().map(Result::unwrap).collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![1, 2]);
+        assert!(l.admits(0, PREFETCH_BUDGET_BYTES));
+        assert!(!l.admits(0, PREFETCH_BUDGET_BYTES + 1));
+        assert_eq!(l.due(1_000), 1_000 + PREFETCH_HORIZON_MS);
+        assert_eq!(l.due(Timestamp::MAX), Timestamp::MAX);
+    }
+
+    #[test]
+    fn lane_payloads_arrive_intact_under_shuffled_completions() {
+        let shuffled = IoRing::with_shuffle_seed(StdVfs::shared(), 1, 42);
+        let mut l: Lane<u64, (u64, Vec<u8>)> = Lane::new(Arc::new(shuffled), 0);
+        for i in 0..8u64 {
+            l.submit(vec![i], 1, move |_vfs| Ok((i, vec![i as u8; 4])));
+        }
+        // A read-through sharing the lane's tag is never mistaken for
+        // one of its background reads.
+        let through = l.read_through_each((0..3u8).map(|i| move |_vfs: &Arc<dyn Vfs>| Ok(i)));
+        let through: Vec<u8> = through.into_iter().map(Result::unwrap).collect();
+        assert_eq!(through, vec![0, 1, 2]);
+        l.ring.wait_idle();
+        let got: Vec<(u64, Vec<u8>)> = l.drain().into_iter().map(Result::unwrap).collect();
+        // One pool thread finishes in submission order, so any other
+        // order is the seeded shuffle.
+        assert_ne!(
+            got.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
+            (0..8).collect::<Vec<_>>()
+        );
+        for (i, bytes) in &got {
+            assert_eq!(bytes, &vec![*i as u8; 4]);
+        }
+        assert_eq!(got.len(), 8);
+        assert!(l.is_idle());
     }
 }

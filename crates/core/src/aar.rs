@@ -13,7 +13,6 @@
 //! - once drained, the file is deleted — no compaction ever runs, the
 //!   headline CPU saving of this store over an LSM baseline.
 
-use std::any::Any;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -22,15 +21,13 @@ use std::sync::Arc;
 use flowkv_common::backend::WindowChunk;
 use flowkv_common::codec::{put_len_prefixed, put_varint_u64, Decoder};
 use flowkv_common::error::{Result, StoreError};
-use flowkv_common::ioring::{Completion, IoOutcome, IoPolicy, IoRing};
+use flowkv_common::ioring::{IoRing, Lane, PrefetchProbe};
 use flowkv_common::logfile::{LogReader, LogWriter};
 use flowkv_common::metrics::{OpCategory, StoreMetrics};
 use flowkv_common::registry::ViewValue;
 use flowkv_common::telemetry::Telemetry;
 use flowkv_common::types::{Timestamp, WindowId};
 use flowkv_common::vfs::{StdVfs, Vfs};
-
-use crate::probe::{ring_err, PrefetchProbe};
 
 /// File name of the log holding one window's state.
 fn window_file_name(window: WindowId) -> String {
@@ -104,21 +101,12 @@ pub struct AarStore {
     encode_buf: Vec<u8>,
     metrics: Arc<StoreMetrics>,
     vfs: Arc<dyn Vfs>,
-    /// Background I/O ring shared by this worker's store instances.
-    ring: Option<Arc<IoRing>>,
-    ring_tag: u64,
-    /// How far past current stream time (ms of event time) window ends
-    /// may lie for their file to be prefetched.
-    horizon: i64,
-    /// Soft cap on prefetched + in-flight bytes for this instance.
-    budget_bytes: u64,
+    /// Read-ahead lane on the worker's background I/O ring, keyed by
+    /// window; `None` keeps every read synchronous.
+    lane: Option<Lane<WindowId, AarAsyncRead>>,
     /// Bumped by close/restore so stale completions can't install.
     epoch: u64,
     prefetched: HashMap<WindowId, PrefetchedWindow>,
-    /// Submission id → (window, estimated bytes).
-    inflight: HashMap<u64, (WindowId, u64)>,
-    inflight_windows: HashSet<WindowId>,
-    inflight_bytes: u64,
     prefetch_probe: Option<PrefetchProbe>,
 }
 
@@ -163,15 +151,9 @@ impl AarStore {
             encode_buf: Vec::new(),
             metrics,
             vfs,
-            ring: None,
-            ring_tag: 0,
-            horizon: 500,
-            budget_bytes: 8 << 20,
+            lane: None,
             epoch: 0,
             prefetched: HashMap::new(),
-            inflight: HashMap::new(),
-            inflight_windows: HashSet::new(),
-            inflight_bytes: 0,
             prefetch_probe: None,
         };
         store.scan_existing_files()?;
@@ -179,18 +161,23 @@ impl AarStore {
     }
 
     /// Attaches the worker's background I/O ring; `tag` routes this
-    /// instance's completions, `policy` sets horizon and budget.
-    pub fn with_ring(mut self, ring: Arc<IoRing>, tag: u64, policy: &IoPolicy) -> Self {
-        self.ring = Some(ring);
-        self.ring_tag = tag;
-        self.horizon = policy.prefetch_horizon;
-        self.budget_bytes = policy.prefetch_budget_bytes;
+    /// instance's completions.
+    pub fn with_ring(mut self, ring: Arc<IoRing>, tag: u64) -> Self {
+        let mut lane = Lane::new(ring, tag);
+        if let Some(p) = &self.prefetch_probe {
+            lane.set_probe(p.clone());
+        }
+        self.lane = Some(lane);
         self
     }
 
     /// Wires prefetch-accuracy telemetry, labelled `{store=tag}`.
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>, tag: &str) -> Self {
-        self.prefetch_probe = Some(PrefetchProbe::new(&telemetry, tag));
+        let probe = PrefetchProbe::new(&telemetry, tag);
+        if let Some(lane) = &mut self.lane {
+            lane.set_probe(probe.clone());
+        }
+        self.prefetch_probe = Some(probe);
         self
     }
 
@@ -247,7 +234,7 @@ impl AarStore {
                         }
                     }
                     None => {
-                        let late = self.inflight_windows.contains(&window);
+                        let late = self.lane.as_ref().is_some_and(|l| l.covers(&window));
                         if late {
                             // The window fired before its background read
                             // landed; fall back to a synchronous read.
@@ -367,95 +354,59 @@ impl AarStore {
         Ok(())
     }
 
-    /// Drives the background prefetcher: drains finished ring reads,
+    /// Drives the background prefetcher: installs finished ring reads,
     /// then schedules file reads for every on-disk window whose aligned
     /// trigger (its end boundary) falls within the horizon of
     /// `stream_time`.
     pub fn advance_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
-        if self.ring.is_none() {
+        let Some(lane) = self.lane.as_mut() else {
             return Ok(());
+        };
+        // A failed background read just means the window drains
+        // synchronously; reads racing a drain's file deletion lose
+        // their file mid-scan routinely.
+        for read in lane.drain().into_iter().flatten() {
+            self.install(read);
         }
-        self.drain_ring()?;
         self.submit_prefetch(stream_time)
     }
 
-    /// Drains finished completions for this instance, re-raising panics
-    /// captured on pool threads (injected crash faults) here on the
-    /// worker thread.
-    fn drain_ring(&mut self) -> Result<()> {
-        let Some(ring) = self.ring.clone() else {
-            return Ok(());
+    /// Installs one finished read's file prefix if the window is still
+    /// exactly as anticipated: same epoch, still on disk, not mid-drain,
+    /// not already prefetched.
+    fn install(&mut self, read: AarAsyncRead) {
+        let Some(lane) = &self.lane else {
+            return;
         };
-        for completion in ring.drain_tag(self.ring_tag) {
-            self.settle(completion)?;
+        if read.epoch == self.epoch
+            && self.on_disk.contains(&read.window)
+            && !self.drains.contains_key(&read.window)
+            && !self.prefetched.contains_key(&read.window)
+        {
+            self.metrics.add_bytes_read(read.bytes);
+            self.prefetched.insert(
+                read.window,
+                PrefetchedWindow {
+                    pairs: read.pairs,
+                    end_offset: read.end_offset,
+                    terminal: read.terminal,
+                    bytes: read.bytes,
+                },
+            );
+            lane.installed(1);
+        } else {
+            lane.waste(read.bytes);
         }
-        Ok(())
-    }
-
-    /// Retires one completion: validates the window is still exactly as
-    /// anticipated (same epoch, still on disk, not mid-drain, not
-    /// already prefetched) and installs its file prefix.
-    fn settle(&mut self, completion: Completion) -> Result<()> {
-        if let Some((window, est)) = self.inflight.remove(&completion.id) {
-            self.inflight_windows.remove(&window);
-            self.inflight_bytes = self.inflight_bytes.saturating_sub(est);
-        }
-        match completion.into_result() {
-            Ok(payload) => {
-                let read = payload
-                    .downcast::<AarAsyncRead>()
-                    .map_err(|_| StoreError::invalid_state("aar ring returned foreign payload"))?;
-                if read.epoch == self.epoch
-                    && self.on_disk.contains(&read.window)
-                    && !self.drains.contains_key(&read.window)
-                    && !self.prefetched.contains_key(&read.window)
-                {
-                    self.metrics.add_bytes_read(read.bytes);
-                    self.prefetched.insert(
-                        read.window,
-                        PrefetchedWindow {
-                            pairs: read.pairs,
-                            end_offset: read.end_offset,
-                            terminal: read.terminal,
-                            bytes: read.bytes,
-                        },
-                    );
-                    flowkv_common::trace::instant_here(
-                        "prefetch_install",
-                        "prefetch",
-                        &[("windows", 1)],
-                    );
-                } else {
-                    self.waste(read.bytes);
-                }
-                Ok(())
-            }
-            // A failed background read just means the window drains
-            // synchronously; reads racing a drain's file deletion lose
-            // their file mid-scan routinely.
-            Err(_) => Ok(()),
-        }
-    }
-
-    fn waste(&mut self, bytes: u64) {
-        if let Some(p) = &self.prefetch_probe {
-            p.wasted_bytes.add(bytes);
-        }
-        flowkv_common::trace::instant_here(
-            "prefetch_waste",
-            "prefetch",
-            &[("bytes", bytes as i64)],
-        );
     }
 
     /// Submits one background file read per due window, bounded by the
     /// byte budget. Each job scans a consistent snapshot — the file up
     /// to its length at submission — and never touches store state.
     fn submit_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
-        let Some(ring) = self.ring.clone() else {
+        let Some(lane) = self.lane.as_mut() else {
             return Ok(());
         };
-        let due = stream_time.saturating_add(self.horizon);
+        let due = lane.due(stream_time);
         let mut candidates: Vec<WindowId> = self
             .on_disk
             .iter()
@@ -463,14 +414,13 @@ impl AarStore {
             .filter(|w| {
                 w.end <= due
                     && !self.prefetched.contains_key(w)
-                    && !self.inflight_windows.contains(w)
+                    && !lane.covers(w)
                     && !self.drains.contains_key(w)
             })
             .collect();
         // Soonest-triggering windows claim the budget first.
         candidates.sort();
-        let mut resident =
-            self.prefetched.values().map(|p| p.bytes).sum::<u64>() + self.inflight_bytes;
+        let resident = self.prefetched.values().map(|p| p.bytes).sum::<u64>();
         for window in candidates {
             // Push buffered log bytes out so the snapshot is complete,
             // and bound the scan at the current end of the file.
@@ -484,16 +434,15 @@ impl AarStore {
             if end_offset == 0 {
                 continue;
             }
-            if resident + end_offset > self.budget_bytes {
+            if !lane.admits(resident, end_offset) {
                 break;
             }
-            resident += end_offset;
             let epoch = self.epoch;
-            let job = move |vfs: &Arc<dyn Vfs>| -> std::io::Result<Box<dyn Any + Send>> {
+            lane.submit(vec![window], end_offset, move |vfs| {
                 let mut pairs: Vec<Pair> = Vec::new();
                 let mut bytes = 0u64;
                 let mut terminal = false;
-                let mut reader = LogReader::open_in(vfs, &path).map_err(ring_err)?;
+                let mut reader = LogReader::open_in(vfs, &path)?;
                 loop {
                     // Stop *before* crossing the snapshot boundary: bytes
                     // past `end_offset` may belong to a flush the
@@ -506,7 +455,7 @@ impl AarStore {
                     match reader.next_record() {
                         Ok(Some((loc, payload))) => {
                             bytes += loc.disk_len();
-                            decode_batch(&payload, &mut pairs).map_err(ring_err)?;
+                            decode_batch(&payload, &mut pairs)?;
                         }
                         Ok(None) => break,
                         // A torn record below the snapshot boundary ends
@@ -517,53 +466,20 @@ impl AarStore {
                             terminal = true;
                             break;
                         }
-                        Err(e) => return Err(ring_err(e)),
+                        Err(e) => return Err(e),
                     }
                 }
-                Ok(Box::new(AarAsyncRead {
+                Ok(AarAsyncRead {
                     window,
                     epoch,
                     end_offset,
                     terminal,
                     pairs,
                     bytes,
-                }) as Box<dyn Any + Send>)
-            };
-            let id = ring.submit(self.ring_tag, Box::new(job));
-            if let Some(p) = &self.prefetch_probe {
-                p.issued.inc();
-            }
-            self.inflight.insert(id, (window, end_offset));
-            self.inflight_windows.insert(window);
-            self.inflight_bytes += end_offset;
+                })
+            });
         }
         Ok(())
-    }
-
-    /// Waits out every outstanding submission, re-raising captured
-    /// panics and discarding payloads — callers are invalidating the
-    /// store wholesale (close/restore).
-    fn abandon_inflight(&mut self) {
-        let Some(ring) = self.ring.clone() else {
-            return;
-        };
-        let ids: Vec<u64> = self.inflight.keys().copied().collect();
-        for id in ids {
-            let completion = ring.wait(id);
-            match completion.outcome {
-                IoOutcome::Panicked(payload) => std::panic::resume_unwind(payload),
-                IoOutcome::Ok(payload) => {
-                    if let Ok(read) = payload.downcast::<AarAsyncRead>() {
-                        let bytes = read.bytes;
-                        self.waste(bytes);
-                    }
-                }
-                IoOutcome::Err(_) => {}
-            }
-        }
-        self.inflight.clear();
-        self.inflight_windows.clear();
-        self.inflight_bytes = 0;
     }
 
     /// Copies every live `(key, window)` value list into `out` for the
@@ -591,33 +507,22 @@ impl AarStore {
                 w.flush()?;
             }
         }
-        match self.ring.clone() {
-            Some(ring) => {
+        match &self.lane {
+            Some(lane) => {
                 // Route the snapshot reads through the ring: one job per
                 // window file, submitted together so the pool overlaps
                 // them, then collected in window order.
-                let ids: Vec<(WindowId, u64)> = windows
-                    .iter()
-                    .map(|&window| {
-                        let path = self.dir.join(window_file_name(window));
-                        let job =
-                            move |vfs: &Arc<dyn Vfs>| -> std::io::Result<Box<dyn Any + Send>> {
-                                Ok(Box::new(read_window_file(vfs, &path).map_err(ring_err)?)
-                                    as Box<dyn Any + Send>)
-                            };
-                        (window, ring.submit(self.ring_tag, Box::new(job)))
-                    })
-                    .collect();
-                for (window, id) in ids {
-                    let payload = ring.wait(id).into_result().map_err(|e| {
+                let reads = lane.read_through_each(windows.iter().map(|&window| {
+                    let path = self.dir.join(window_file_name(window));
+                    move |vfs: &Arc<dyn Vfs>| read_window_file(vfs, &path)
+                }));
+                for (&window, pairs) in windows.iter().zip(reads) {
+                    let pairs = pairs.map_err(|e| {
                         StoreError::io_at(
                             "aar view read",
                             self.dir.join(window_file_name(window)),
                             e,
                         )
-                    })?;
-                    let pairs = *payload.downcast::<Vec<Pair>>().map_err(|_| {
-                        StoreError::invalid_state("aar ring returned foreign payload")
                     })?;
                     for (key, value) in pairs {
                         push_view_value(out, key, window, value)?;
@@ -723,10 +628,11 @@ impl AarStore {
     pub fn close(&mut self) -> Result<()> {
         // Wait out background reads before deleting the files from under
         // them, and invalidate any completion drained later.
-        self.abandon_inflight();
+        if let Some(lane) = &mut self.lane {
+            lane.abandon(|read| read.bytes);
+            lane.waste(self.prefetched.values().map(|p| p.bytes).sum());
+        }
         self.epoch += 1;
-        let stale: u64 = self.prefetched.values().map(|p| p.bytes).sum();
-        self.waste(stale);
         self.prefetched.clear();
         self.buffer.clear();
         self.buffer_bytes = 0;
@@ -1043,7 +949,7 @@ mod tests {
     fn ring_store(dir: &Path) -> (AarStore, Arc<IoRing>) {
         let s = store(dir);
         let ring = Arc::new(IoRing::new(s.vfs.clone(), 2));
-        let s = s.with_ring(ring.clone(), 3, &IoPolicy::with_threads(2));
+        let s = s.with_ring(ring.clone(), 3);
         (s, ring)
     }
 
@@ -1057,7 +963,7 @@ mod tests {
         s.flush().unwrap();
         // The window's end (100) is within the 500 ms default horizon.
         s.advance_prefetch(0).unwrap();
-        assert_eq!(s.inflight.len(), 1);
+        assert!(!s.lane.as_ref().unwrap().is_idle());
         ring.wait_idle();
         s.advance_prefetch(0).unwrap();
         assert!(s.prefetched.contains_key(&win));
@@ -1106,7 +1012,7 @@ mod tests {
         s.advance_prefetch(0).unwrap();
         s.close().unwrap();
         assert_eq!(ring.pending(), 0);
-        assert!(s.inflight.is_empty());
+        assert!(s.lane.as_ref().unwrap().is_idle());
         // A fresh write cycle works against the bumped epoch.
         s.append(b"k", win, b"v2").unwrap();
         s.flush().unwrap();

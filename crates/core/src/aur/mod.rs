@@ -23,13 +23,12 @@ pub mod index_log;
 pub mod prefetch;
 pub mod stat;
 
-use std::any::Any;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use flowkv_common::error::{Result, StoreError};
-use flowkv_common::ioring::{Completion, IoOutcome, IoPolicy, IoRing};
+use flowkv_common::ioring::{IoRing, Lane, PrefetchProbe};
 use flowkv_common::logfile::{copy_range, LogReader, LogWriter, RandomAccessLog};
 use flowkv_common::metrics::{OpCategory, StoreMetrics};
 use flowkv_common::registry::ViewValue;
@@ -39,7 +38,6 @@ use flowkv_common::vfs::{StdVfs, Vfs};
 
 use crate::aar::push_view_value;
 use crate::ett::{EttObservation, EttPredictor};
-use crate::probe::{ring_err, PrefetchProbe};
 use index_log::{decode_values, encode_values_into, IndexEntry, IndexEntryRef};
 use prefetch::PrefetchBuffer;
 use stat::{StatTable, StateKey};
@@ -148,33 +146,15 @@ pub struct AurStore {
     /// Prefetch-accuracy telemetry; `None` keeps the hot path untouched.
     ett_probe: Option<EttProbe>,
     vfs: Arc<dyn Vfs>,
-    /// Background I/O ring of the owning backend; `None` keeps every
-    /// read synchronous (the default, and the reference semantics).
-    ring: Option<Arc<IoRing>>,
-    /// Completion routing tag of this instance on the shared ring.
-    ring_tag: u64,
-    /// Event-time lookahead for prefetch submissions (milliseconds).
-    horizon: i64,
-    /// Soft cap on resident plus in-flight prefetched bytes.
-    budget_bytes: u64,
+    /// Read-ahead lane on the owning backend's background I/O ring,
+    /// keyed by `(key, window)`; `None` keeps every read synchronous
+    /// (the default, and the reference semantics).
+    lane: Option<Lane<StateKey, AsyncBatch>>,
     /// Bumped by close/restore so completions submitted against a
     /// previous incarnation of the store are discarded on arrival.
     epoch: u64,
-    /// Outstanding ring submissions by id.
-    inflight: HashMap<u64, Inflight>,
-    /// Windows covered by an outstanding submission, nested by key so
-    /// hot-path probes use borrowed slices.
-    inflight_windows: HashMap<Vec<u8>, HashSet<WindowId>>,
-    /// Estimated on-disk bytes of outstanding submissions.
-    inflight_bytes: u64,
-    /// Prefetch issued/hit/late/wasted counters; `None` without telemetry.
+    /// Prefetch hit/late/timeliness counters; `None` without telemetry.
     prefetch_probe: Option<PrefetchProbe>,
-}
-
-/// Foreground bookkeeping for one outstanding ring submission.
-struct Inflight {
-    windows: Vec<StateKey>,
-    est_bytes: u64,
 }
 
 /// Payload of one background predictive-read submission.
@@ -292,14 +272,8 @@ impl AurStore {
             metrics,
             ett_probe: None,
             vfs,
-            ring: None,
-            ring_tag: 0,
-            horizon: 500,
-            budget_bytes: 8 << 20,
+            lane: None,
             epoch: 0,
-            inflight: HashMap::new(),
-            inflight_windows: HashMap::new(),
-            inflight_bytes: 0,
             prefetch_probe: None,
         };
         if let Some(generation) = store.find_generation()? {
@@ -312,7 +286,11 @@ impl AurStore {
     /// Enables predicted-vs-actual trigger-time telemetry, tagging
     /// metrics and flight events with `tag` (typically `operator/p<N>`).
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>, tag: &str) -> Self {
-        self.prefetch_probe = Some(PrefetchProbe::new(&telemetry, tag));
+        let probe = PrefetchProbe::new(&telemetry, tag);
+        if let Some(lane) = &mut self.lane {
+            lane.set_probe(probe.clone());
+        }
+        self.prefetch_probe = Some(probe);
         self.ett_probe = Some(EttProbe::new(telemetry, tag));
         self
     }
@@ -322,11 +300,12 @@ impl AurStore {
     /// [`AurStore::advance_prefetch`], and snapshot/compaction index
     /// scans run on the ring's pool. `tag` routes this instance's
     /// completions on the shared ring.
-    pub fn with_ring(mut self, ring: Arc<IoRing>, tag: u64, policy: &IoPolicy) -> Self {
-        self.ring = Some(ring);
-        self.ring_tag = tag;
-        self.horizon = policy.prefetch_horizon;
-        self.budget_bytes = policy.prefetch_budget_bytes;
+    pub fn with_ring(mut self, ring: Arc<IoRing>, tag: u64) -> Self {
+        let mut lane = Lane::new(ring, tag);
+        if let Some(p) = &self.prefetch_probe {
+            lane.set_probe(p.clone());
+        }
+        self.lane = Some(lane);
         self
     }
 
@@ -366,7 +345,7 @@ impl AurStore {
         // Land any finished background reads first: a completion parked
         // in the ring's done queue since the last tick can serve this
         // very trigger.
-        self.drain_ring()?;
+        self.drain_lane();
         let mut disk_values = Vec::new();
         let mut from_prefetch = false;
         {
@@ -389,7 +368,10 @@ impl AurStore {
                     // race, and the completion is discarded at the next
                     // drain (its disk_records check fails or the window
                     // is gone from the Stat table).
-                    let late = self.inflight_contains(key, window);
+                    let late = self
+                        .lane
+                        .as_ref()
+                        .is_some_and(|l| !l.is_idle() && l.covers(&(key.to_vec(), window)));
                     if late {
                         if let Some(p) = &self.prefetch_probe {
                             p.late.inc();
@@ -657,7 +639,9 @@ impl AurStore {
     pub fn close(&mut self) -> Result<()> {
         // Wait out background reads before yanking the files from under
         // them, and invalidate any completion drained later.
-        self.abandon_inflight();
+        if let Some(lane) = &mut self.lane {
+            lane.abandon(|batch| batch.windows.iter().map(|w| w.bytes).sum());
+        }
         self.epoch += 1;
         self.buffer.clear();
         self.buffer_bytes = 0;
@@ -836,23 +820,12 @@ impl AurStore {
         path: &Path,
     ) -> Result<Vec<IndexEntry>> {
         let scan_start = self.index_scan_start;
-        match self.ring.clone() {
-            Some(ring) => {
+        match &self.lane {
+            Some(lane) => {
                 let consumed = self.consumed_records.clone();
                 let job_path = path.to_path_buf();
-                let job = move |vfs: &Arc<dyn Vfs>| -> std::io::Result<Box<dyn Any + Send>> {
-                    let live =
-                        scan_live_index(vfs, &job_path, scan_start, &consumed).map_err(ring_err)?;
-                    Ok(Box::new(live) as Box<dyn Any + Send>)
-                };
-                let id = ring.submit(self.ring_tag, Box::new(job));
-                let payload = ring
-                    .wait(id)
-                    .into_result()
-                    .map_err(|e| StoreError::io_at(context, path, e))?;
-                Ok(*payload
-                    .downcast::<Vec<IndexEntry>>()
-                    .map_err(|_| StoreError::invalid_state("aur ring returned foreign payload"))?)
+                lane.read_through(move |vfs| scan_live_index(vfs, &job_path, scan_start, &consumed))
+                    .map_err(|e| StoreError::io_at(context, path, e))
             }
             None => scan_live_index(&self.vfs, path, scan_start, &self.consumed_records),
         }
@@ -867,27 +840,20 @@ impl AurStore {
         wanted: Vec<(StateKey, u64)>,
     ) -> Result<Vec<(StateKey, Vec<Vec<u8>>)>> {
         let data_path = self.dir.join(data_file_name(self.generation));
-        match self.ring.clone() {
-            Some(ring) => {
+        match &self.lane {
+            Some(lane) => {
                 let job_path = data_path.clone();
-                let job = move |vfs: &Arc<dyn Vfs>| -> std::io::Result<Box<dyn Any + Send>> {
-                    let mut data = RandomAccessLog::open_in(vfs, &job_path).map_err(ring_err)?;
+                lane.read_through(move |vfs| {
+                    let mut data = RandomAccessLog::open_in(vfs, &job_path)?;
                     let mut loaded: Vec<(StateKey, Vec<Vec<u8>>)> =
                         Vec::with_capacity(wanted.len());
                     for (state_key, offset) in wanted {
-                        let payload = data.read_record_at(offset).map_err(ring_err)?;
-                        loaded.push((state_key, decode_values(&payload).map_err(ring_err)?));
+                        let payload = data.read_record_at(offset)?;
+                        loaded.push((state_key, decode_values(&payload)?));
                     }
-                    Ok(Box::new(loaded) as Box<dyn Any + Send>)
-                };
-                let id = ring.submit(self.ring_tag, Box::new(job));
-                let payload = ring
-                    .wait(id)
-                    .into_result()
-                    .map_err(|e| StoreError::io_at(context, &data_path, e))?;
-                Ok(*payload
-                    .downcast::<Vec<(StateKey, Vec<Vec<u8>>)>>()
-                    .map_err(|_| StoreError::invalid_state("aur ring returned foreign payload"))?)
+                    Ok(loaded)
+                })
+                .map_err(|e| StoreError::io_at(context, &data_path, e))
             }
             None => {
                 if self.data_reader.is_none() {
@@ -905,69 +871,25 @@ impl AurStore {
         }
     }
 
-    /// True when `(key, window)` is covered by an outstanding submission.
-    fn inflight_contains(&self, key: &[u8], window: WindowId) -> bool {
-        self.inflight_windows
-            .get(key)
-            .is_some_and(|ws| ws.contains(&window))
-    }
-
     /// Drives the background prefetcher (called by the engine at batch
     /// and watermark boundaries): drains finished ring reads into the
     /// prefetch buffer, then schedules reads for every window whose
     /// ETT-predicted trigger falls within the horizon of `stream_time`.
     pub fn advance_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
-        if self.ring.is_none() {
-            return Ok(());
-        }
-        self.drain_ring()?;
+        self.drain_lane();
         self.submit_prefetch(stream_time)
     }
 
-    /// Drains finished completions for this instance. Panics captured on
-    /// a pool thread (injected crash faults) re-raise here, on the
-    /// worker thread, exactly as if the read had been synchronous.
-    fn drain_ring(&mut self) -> Result<()> {
-        let Some(ring) = self.ring.clone() else {
-            return Ok(());
+    /// Validates and installs every finished background read. A failed
+    /// one is not a store failure: its windows are simply served by the
+    /// synchronous path instead — reads racing a compaction or restore
+    /// routinely lose their files mid-scan.
+    fn drain_lane(&mut self) {
+        let Some(lane) = self.lane.as_mut() else {
+            return;
         };
-        for completion in ring.drain_tag(self.ring_tag) {
-            self.settle(completion)?;
-        }
-        Ok(())
-    }
-
-    /// Retires one completion: unwinds the in-flight bookkeeping, then
-    /// validates and installs the payload.
-    fn settle(&mut self, completion: Completion) -> Result<()> {
-        if let Some(meta) = self.inflight.remove(&completion.id) {
-            for (key, window) in &meta.windows {
-                let emptied = match self.inflight_windows.get_mut(key) {
-                    Some(ws) => {
-                        ws.remove(window);
-                        ws.is_empty()
-                    }
-                    None => false,
-                };
-                if emptied {
-                    self.inflight_windows.remove(key);
-                }
-            }
-            self.inflight_bytes = self.inflight_bytes.saturating_sub(meta.est_bytes);
-        }
-        match completion.into_result() {
-            Ok(payload) => {
-                let batch = payload
-                    .downcast::<AsyncBatch>()
-                    .map_err(|_| StoreError::invalid_state("aur ring returned foreign payload"))?;
-                self.install(*batch);
-                Ok(())
-            }
-            // A failed background read is not a store failure: the
-            // window is simply served by the synchronous path instead.
-            // Reads racing a compaction or restore routinely lose their
-            // files mid-scan.
-            Err(_) => Ok(()),
+        for batch in lane.drain().into_iter().flatten() {
+            self.install(batch);
         }
     }
 
@@ -977,11 +899,14 @@ impl AurStore {
     /// compaction or restore (generation/epoch), a consume (Stat entry
     /// gone), or a flush adding records (disk_records advanced).
     fn install(&mut self, batch: AsyncBatch) {
+        let Some(lane) = &self.lane else {
+            return;
+        };
         let stale = batch.generation != self.generation || batch.epoch != self.epoch;
         let mut installed = 0i64;
         for w in batch.windows {
             if stale {
-                self.waste(w.bytes);
+                lane.waste(w.bytes);
                 continue;
             }
             match self.stat.get(&w.key, w.window) {
@@ -994,35 +919,18 @@ impl AurStore {
                     self.prefetch.extend((w.key, w.window), w.values);
                     installed += 1;
                 }
-                Some(_) => self.waste(w.bytes),
+                Some(_) => lane.waste(w.bytes),
                 // Consumed before the read completed: the prefetch was
                 // issued but lost the race.
                 None => {
                     if let Some(p) = &self.prefetch_probe {
                         p.late.inc();
                     }
-                    self.waste(w.bytes);
+                    lane.waste(w.bytes);
                 }
             }
         }
-        if installed > 0 {
-            flowkv_common::trace::instant_here(
-                "prefetch_install",
-                "prefetch",
-                &[("windows", installed)],
-            );
-        }
-    }
-
-    fn waste(&mut self, bytes: u64) {
-        if let Some(p) = &self.prefetch_probe {
-            p.wasted_bytes.add(bytes);
-        }
-        flowkv_common::trace::instant_here(
-            "prefetch_waste",
-            "prefetch",
-            &[("bytes", bytes as i64)],
-        );
+        lane.installed(installed);
     }
 
     /// Submits one background read covering every window due within the
@@ -1032,7 +940,7 @@ impl AurStore {
     /// length) and never mutates store state — all bookkeeping commits
     /// happen at drain time on the worker thread.
     fn submit_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
-        let Some(ring) = self.ring.clone() else {
+        let Some(lane) = self.lane.as_mut() else {
             return Ok(());
         };
         if self.cfg.read_batch_ratio <= 0.0 || self.stat.is_empty() {
@@ -1042,17 +950,17 @@ impl AurStore {
         // so stacking a fresh submission on every tick while earlier
         // ones are still running multiplies that scan instead of
         // advancing it. The next tick after the drain tops up coverage.
-        if !self.inflight.is_empty() {
+        if !lane.is_idle() {
             return Ok(());
         }
-        let due = stream_time.max(self.latest_ts).saturating_add(self.horizon);
-        let candidates = self.stat.select_soonest(0, Some(due), |k, w| {
-            self.prefetch.contains(k, w) || self.inflight_contains(k, w)
-        });
+        let due = lane.due(stream_time.max(self.latest_ts));
+        let candidates = self
+            .stat
+            .select_soonest(0, Some(due), |k, w| self.prefetch.contains(k, w));
         if candidates.is_empty() {
             return Ok(());
         }
-        let resident = self.prefetch.memory_bytes() as u64 + self.inflight_bytes;
+        let resident = self.prefetch.memory_bytes() as u64;
         let mut est_bytes = 0u64;
         let mut cands: Vec<(Vec<u8>, WindowId, u64)> = Vec::new();
         for (k, w) in candidates {
@@ -1068,7 +976,7 @@ impl AurStore {
             let Some(s) = self.stat.get(&k, w) else {
                 continue;
             };
-            if resident + est_bytes + s.disk_bytes > self.budget_bytes {
+            if !lane.admits(resident + est_bytes, s.disk_bytes) {
                 break;
             }
             est_bytes += s.disk_bytes;
@@ -1106,9 +1014,9 @@ impl AurStore {
         for (i, (k, w, _)) in cands.iter().enumerate() {
             selected.entry(k.clone()).or_default().insert(*w, i);
         }
-        let templates = cands.clone();
-        let job = move |vfs: &Arc<dyn Vfs>| -> std::io::Result<Box<dyn Any + Send>> {
-            let mut out: Vec<AsyncWindow> = templates
+        let keys: Vec<StateKey> = cands.iter().map(|(k, w, _)| (k.clone(), *w)).collect();
+        lane.submit(keys, est_bytes, move |vfs| {
+            let mut out: Vec<AsyncWindow> = cands
                 .into_iter()
                 .map(|(key, window, disk_records)| AsyncWindow {
                     key,
@@ -1121,17 +1029,16 @@ impl AurStore {
                 .collect();
             let mut wanted: Vec<(usize, u64)> = Vec::new();
             let mut seen: HashMap<StateKey, u64> = HashMap::new();
-            let mut reader =
-                LogReader::open_at_in(vfs, &index_path, scan_start).map_err(ring_err)?;
+            let mut reader = LogReader::open_at_in(vfs, &index_path, scan_start)?;
             // Stop *before* crossing the snapshot boundary: bytes past
             // `index_limit` may belong to a flush the foreground is
             // writing concurrently, and reading into a half-written
             // record would fail the whole batch as a torn file.
             while reader.offset() < index_limit {
-                let Some((_, payload)) = reader.next_record().map_err(ring_err)? else {
+                let Some((_, payload)) = reader.next_record()? else {
                     break;
                 };
-                let entry = IndexEntryRef::decode(&payload).map_err(ring_err)?;
+                let entry = IndexEntryRef::decode(&payload)?;
                 let dead_prefix = consumed
                     .get(entry.key)
                     .and_then(|ws| ws.get(&entry.window))
@@ -1156,68 +1063,23 @@ impl AurStore {
             // in append order — identical to the synchronous read.
             wanted.sort_by_key(|&(_, offset)| offset);
             if !wanted.is_empty() {
-                let mut data = RandomAccessLog::open_in(vfs, &data_path).map_err(ring_err)?;
+                let mut data = RandomAccessLog::open_in(vfs, &data_path)?;
                 for (idx, offset) in wanted {
-                    let payload = data.read_record_at(offset).map_err(ring_err)?;
-                    let values = decode_values(&payload).map_err(ring_err)?;
+                    let payload = data.read_record_at(offset)?;
+                    let values = decode_values(&payload)?;
                     let slot = &mut out[idx];
                     slot.bytes += payload.len() as u64;
                     slot.found_records += 1;
                     slot.values.extend(values);
                 }
             }
-            Ok(Box::new(AsyncBatch {
+            Ok(AsyncBatch {
                 generation,
                 epoch,
                 windows: out,
-            }) as Box<dyn Any + Send>)
-        };
-        let id = ring.submit(self.ring_tag, Box::new(job));
-        if let Some(p) = &self.prefetch_probe {
-            p.issued.add(cands.len() as u64);
-        }
-        for (k, w, _) in &cands {
-            self.inflight_windows
-                .entry(k.clone())
-                .or_default()
-                .insert(*w);
-        }
-        self.inflight.insert(
-            id,
-            Inflight {
-                windows: cands.into_iter().map(|(k, w, _)| (k, w)).collect(),
-                est_bytes,
-            },
-        );
-        self.inflight_bytes += est_bytes;
+            })
+        });
         Ok(())
-    }
-
-    /// Waits out every outstanding submission, re-raising captured
-    /// panics (a crash fault on a pool thread must never vanish) and
-    /// discarding the payloads — callers are invalidating the store
-    /// wholesale (close/restore).
-    fn abandon_inflight(&mut self) {
-        let Some(ring) = self.ring.clone() else {
-            return;
-        };
-        let ids: Vec<u64> = self.inflight.keys().copied().collect();
-        for id in ids {
-            let completion = ring.wait(id);
-            match completion.outcome {
-                IoOutcome::Panicked(payload) => std::panic::resume_unwind(payload),
-                IoOutcome::Ok(payload) => {
-                    if let Ok(batch) = payload.downcast::<AsyncBatch>() {
-                        let bytes = batch.windows.iter().map(|w| w.bytes).sum();
-                        self.waste(bytes);
-                    }
-                }
-                IoOutcome::Err(_) => {}
-            }
-        }
-        self.inflight.clear();
-        self.inflight_windows.clear();
-        self.inflight_bytes = 0;
     }
 
     /// Compacts when space amplification exceeds the configured MSA
@@ -1768,7 +1630,7 @@ mod tests {
     fn ring_store(dir: &Path) -> (AurStore, Arc<IoRing>) {
         let s = session_store(dir, cfg_small());
         let ring = Arc::new(IoRing::new(s.vfs.clone(), 2));
-        let s = s.with_ring(ring.clone(), 7, &IoPolicy::with_threads(2));
+        let s = s.with_ring(ring.clone(), 7);
         (s, ring)
     }
 
@@ -1783,7 +1645,7 @@ mod tests {
         // default 500 ms horizon of stream time 50: one submission
         // covers both windows.
         s.advance_prefetch(50).unwrap();
-        assert_eq!(s.inflight.len(), 1);
+        assert!(!s.lane.as_ref().unwrap().is_idle());
         ring.wait_idle();
         s.advance_prefetch(50).unwrap();
         assert_eq!(s.prefetched_windows(), 2);
@@ -1821,7 +1683,7 @@ mod tests {
         s.advance_prefetch(50).unwrap();
         s.close().unwrap();
         assert_eq!(ring.pending(), 0);
-        assert!(s.inflight.is_empty());
+        assert!(s.lane.as_ref().unwrap().is_idle());
         // A fresh write cycle works against the bumped epoch.
         s.append(b"a", w(200, 300), b"v2", 210).unwrap();
         s.flush().unwrap();

@@ -57,7 +57,6 @@ pub mod ett;
 pub mod partition;
 pub mod partitioner;
 pub mod pattern;
-pub mod probe;
 pub mod rmw;
 pub mod store;
 pub mod tier;

@@ -117,8 +117,8 @@ impl FlowKvStore {
                         Arc::clone(&metrics),
                         Arc::clone(&vfs),
                     )?;
-                    if let (Some(r), Some(p)) = (&ring, &io) {
-                        store = store.with_ring(Arc::clone(r), j as u64, p);
+                    if let Some(r) = &ring {
+                        store = store.with_ring(Arc::clone(r), j as u64);
                     }
                     if let Some(t) = &telemetry {
                         store = store.with_telemetry(Arc::clone(t), &format!("{tag}/inst{j}"));
@@ -144,8 +144,8 @@ impl FlowKvStore {
                         Arc::clone(&metrics),
                         Arc::clone(&vfs),
                     )?;
-                    if let (Some(r), Some(p)) = (&ring, &io) {
-                        store = store.with_ring(Arc::clone(r), j as u64, p);
+                    if let Some(r) = &ring {
+                        store = store.with_ring(Arc::clone(r), j as u64);
                     }
                     if let Some(t) = &telemetry {
                         store = store.with_telemetry(Arc::clone(t), &format!("{tag}/inst{j}"));

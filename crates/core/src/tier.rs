@@ -34,7 +34,6 @@
 //!   both tiers (cold rows first), so rescaling migrates cold state
 //!   losslessly.
 
-use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -46,7 +45,7 @@ use flowkv_common::backend::{
 use flowkv_common::codec::{self, Decoder};
 use flowkv_common::columnar::{self, BlockKind, ColdRow};
 use flowkv_common::error::{Result, StoreError};
-use flowkv_common::ioring::{IoPolicy, IoRing};
+use flowkv_common::ioring::{IoRing, Lane};
 use flowkv_common::metrics::{OpCategory, StoreMetrics};
 use flowkv_common::registry::{StateView, ViewValue};
 use flowkv_common::telemetry::{Counter, Gauge, MetricRegistry, Telemetry};
@@ -126,6 +125,10 @@ struct BlockRef {
     /// Rows inside, for accounting.
     rows: u32,
 }
+
+/// What a prefetch read yields: the window and the payloads of the
+/// blocks it had at submission.
+type PrefetchedBlocks = (WindowId, Vec<Vec<u8>>);
 
 /// Per-key hot-tier bookkeeping.
 #[derive(Default)]
@@ -214,10 +217,9 @@ pub struct TieredStore {
     dead_bytes: u64,
     hot: BTreeMap<WindowId, HotWindow>,
     hot_bytes: usize,
-    ring: Option<IoRing>,
-    policy: Option<IoPolicy>,
-    /// In-flight prefetch submissions: ring id → (window, estimated bytes).
-    inflight: HashMap<u64, (WindowId, u64)>,
+    /// Read-ahead lane on the tier's own I/O ring, keyed by window;
+    /// `None` keeps cold reads synchronous.
+    lane: Option<Lane<WindowId, PrefetchedBlocks>>,
     /// Completed prefetches awaiting promotion: raw block payloads.
     prefetched: HashMap<WindowId, Vec<Vec<u8>>>,
     prefetched_bytes: u64,
@@ -244,14 +246,14 @@ impl TieredStore {
         vfs.create_dir_all(&cold_dir)
             .map_err(|e| StoreError::io_at("tier dir", &cold_dir, e))?;
         let cold_path = cold_dir.join(COLD_LOG);
-        let policy = ctx.io.clone().filter(|p| p.threads > 0);
-        let ring = policy.as_ref().map(|p| {
-            IoRing::with_telemetry(
+        let lane = ctx.io.as_ref().filter(|p| p.threads > 0).map(|p| {
+            let ring = IoRing::with_telemetry(
                 Arc::clone(&vfs),
                 p.threads,
                 p.shuffle_seed,
                 ctx.telemetry.clone(),
-            )
+            );
+            Lane::new(Arc::new(ring), TIER_RING_TAG)
         });
         let store_metrics = inner.metrics();
         Ok(TieredStore {
@@ -268,9 +270,7 @@ impl TieredStore {
             dead_bytes: 0,
             hot: BTreeMap::new(),
             hot_bytes: 0,
-            ring,
-            policy,
-            inflight: HashMap::new(),
+            lane,
             prefetched: HashMap::new(),
             prefetched_bytes: 0,
             counters: TierCounters::new(ctx.telemetry.as_ref()),
@@ -403,8 +403,11 @@ impl TieredStore {
     }
 
     /// Ring job reading the given block payloads from the cold log.
-    fn block_read_job(path: PathBuf, refs: Vec<BlockRef>) -> flowkv_common::ioring::IoJob {
-        Box::new(move |vfs: &Arc<dyn Vfs>| {
+    fn block_read_job(
+        path: PathBuf,
+        refs: Vec<BlockRef>,
+    ) -> impl FnOnce(&Arc<dyn Vfs>) -> Result<Vec<Vec<u8>>> + Send {
+        move |vfs| {
             let file = vfs.open_read(&path)?;
             let mut out: Vec<Vec<u8>> = Vec::with_capacity(refs.len());
             for r in &refs {
@@ -412,8 +415,8 @@ impl TieredStore {
                 file.read_exact_at(&mut buf, r.offset)?;
                 out.push(buf);
             }
-            Ok(Box::new(out) as Box<dyn Any + Send>)
-        })
+            Ok(out)
+        }
     }
 
     /// Fetches a cold window's block payloads: from the prefetch buffer,
@@ -437,21 +440,12 @@ impl TieredStore {
             }
             return Ok(blobs);
         }
-        let pending = self
-            .inflight
-            .iter()
-            .find(|(_, (w, _))| *w == window)
-            .map(|(id, _)| *id);
-        if let Some(id) = pending {
-            self.inflight.remove(&id);
-            let ring = self.ring.as_ref().expect("inflight implies ring");
-            match ring.wait(id).into_result() {
-                Ok(payload) => {
+        let pending = self.lane.as_mut().and_then(|l| l.wait_for(&window));
+        if let Some(read) = pending {
+            match read {
+                Ok((_, mut blobs)) => {
                     self.counters.prefetch_hits.inc();
                     self.store_metrics.add_prefetch_hit();
-                    let mut blobs = *payload
-                        .downcast::<Vec<Vec<u8>>>()
-                        .expect("tier prefetch payload");
                     let bytes: u64 = blobs.iter().map(|b| b.len() as u64).sum();
                     self.store_metrics.add_bytes_read(bytes);
                     // Same prefix rule as the prefetch-buffer hit above.
@@ -470,20 +464,11 @@ impl TieredStore {
         } else {
             self.store_metrics.add_prefetch_miss();
         }
-        let blobs = if let Some(ring) = &self.ring {
+        let blobs = if let Some(lane) = &self.lane {
             // Route even miss reads through the ring so cold I/O shares
             // the fault surface and telemetry of background reads.
-            let id = ring.submit(
-                TIER_RING_TAG,
-                Self::block_read_job(self.cold_path.clone(), refs.to_vec()),
-            );
-            let payload = ring
-                .wait(id)
-                .into_result()
-                .map_err(|e| self.io_err("tier promote read", e))?;
-            *payload
-                .downcast::<Vec<Vec<u8>>>()
-                .expect("tier promote payload")
+            lane.read_through(Self::block_read_job(self.cold_path.clone(), refs.to_vec()))
+                .map_err(|e| self.io_err("tier promote read", e))?
         } else {
             self.read_blocks_sync(refs)?
         };
@@ -495,27 +480,18 @@ impl TieredStore {
     /// Resolves every in-flight prefetch (before compaction moves the
     /// offsets they were submitted against).
     fn settle_inflight(&mut self) {
-        if self.ring.is_none() {
-            return;
-        }
-        let pending = std::mem::take(&mut self.inflight);
-        let mut landed: Vec<(WindowId, Vec<Vec<u8>>)> = Vec::new();
-        {
-            let ring = self.ring.as_ref().expect("checked above");
-            for (id, (window, _)) in pending {
-                match ring.wait(id).into_result() {
-                    Ok(payload) => {
-                        let blobs = *payload
-                            .downcast::<Vec<Vec<u8>>>()
-                            .expect("tier prefetch payload");
-                        landed.push((window, blobs));
-                    }
-                    Err(_) => self.counters.prefetch_wasted.inc(),
-                }
+        let landed = self.lane.as_mut().map(|l| l.wait_all()).unwrap_or_default();
+        self.install_prefetches(landed);
+    }
+
+    /// Installs finished prefetch reads; a failed one just means the
+    /// window promotes from a fresh read.
+    fn install_prefetches(&mut self, landed: Vec<std::io::Result<PrefetchedBlocks>>) {
+        for read in landed {
+            match read {
+                Ok((window, blobs)) => self.install_prefetch(window, blobs),
+                Err(_) => self.counters.prefetch_wasted.inc(),
             }
-        }
-        for (window, blobs) in landed {
-            self.install_prefetch(window, blobs);
         }
     }
 
@@ -1128,50 +1104,24 @@ impl StateBackend for TieredStore {
     }
 
     fn advance_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
-        if let Some(ring) = &self.ring {
-            // Install whatever finished since the last boundary.
-            let done = ring.drain_tag(TIER_RING_TAG);
-            for completion in done {
-                let Some((window, _)) = self.inflight.remove(&completion.id) else {
-                    continue;
-                };
-                match completion.into_result() {
-                    Ok(payload) => {
-                        let blobs = *payload
-                            .downcast::<Vec<Vec<u8>>>()
-                            .expect("tier prefetch payload");
-                        self.install_prefetch(window, blobs);
-                    }
-                    Err(_) => self.counters.prefetch_wasted.inc(),
-                }
-            }
+        // Install whatever finished since the last boundary.
+        let landed = self.lane.as_mut().map(|l| l.drain()).unwrap_or_default();
+        self.install_prefetches(landed);
+        if let Some(lane) = self.lane.as_mut() {
             // Submit reads for cold windows about to trigger.
-            if let Some(policy) = self.policy.clone() {
-                let horizon = stream_time.saturating_add(policy.prefetch_horizon);
-                let candidates: Vec<(WindowId, Vec<BlockRef>, u64)> = self
-                    .index
-                    .iter()
-                    .filter(|(w, _)| w.end <= horizon)
-                    .filter(|(w, _)| !self.prefetched.contains_key(w))
-                    .filter(|(w, _)| !self.inflight.values().any(|(iw, _)| iw == *w))
-                    .map(|(w, refs)| {
-                        let bytes = refs.iter().map(|r| u64::from(r.len)).sum();
-                        (*w, refs.clone(), bytes)
-                    })
-                    .collect();
-                for (window, refs, bytes) in candidates {
-                    let pending: u64 = self.inflight.values().map(|(_, b)| b).sum();
-                    if self.prefetched_bytes + pending + bytes > policy.prefetch_budget_bytes {
-                        break;
-                    }
-                    let ring = self.ring.as_ref().expect("checked above");
-                    let id = ring.submit(
-                        TIER_RING_TAG,
-                        Self::block_read_job(self.cold_path.clone(), refs),
-                    );
-                    self.inflight.insert(id, (window, bytes));
-                    self.counters.prefetch_submitted.inc();
+            let due = lane.due(stream_time);
+            for (window, refs) in &self.index {
+                if window.end > due || self.prefetched.contains_key(window) || lane.covers(window) {
+                    continue;
                 }
+                let bytes = refs.iter().map(|r| u64::from(r.len)).sum();
+                if !lane.admits(self.prefetched_bytes, bytes) {
+                    break;
+                }
+                let window = *window;
+                let read = Self::block_read_job(self.cold_path.clone(), refs.clone());
+                lane.submit(vec![window], bytes, move |vfs| Ok((window, read(vfs)?)));
+                self.counters.prefetch_submitted.inc();
             }
         }
         self.inner.advance_prefetch(stream_time)
@@ -1267,9 +1217,8 @@ impl StateBackend for TieredStore {
 
     fn close(&mut self) -> Result<()> {
         self.settle_inflight();
-        if let Some(ring) = self.ring.take() {
-            drop(ring.quiesce());
-        }
+        // Dropping the lane drops the tier's ring, joining its threads.
+        self.lane = None;
         self.inner.close()?;
         let _ = self.vfs.remove_file(&self.cold_path);
         let _ = self.vfs.remove_file(&self.cold_dir.join("cold.log.tmp"));

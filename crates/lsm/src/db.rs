@@ -6,13 +6,12 @@
 //! happens inline. The time those take is charged to the metrics block so
 //! the paper's CPU-breakdown figures can be regenerated.
 
-use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use flowkv_common::error::{Result, StoreError};
-use flowkv_common::ioring::{IoOutcome, IoRing};
+use flowkv_common::ioring::{IoRing, Lane};
 use flowkv_common::metrics::{OpCategory, StoreMetrics};
 use flowkv_common::vfs::{StdVfs, Vfs};
 
@@ -108,14 +107,14 @@ pub struct Db {
     metrics: Arc<StoreMetrics>,
     /// Round-robin pointers choosing the next file to push down per level.
     compaction_cursor: Vec<usize>,
-    /// Background ring for block warm-up reads, when configured.
-    ring: Option<Arc<IoRing>>,
-    ring_tag: u64,
-    /// In-flight warm reads: job id → `(file_no, offset, length)`.
-    warm_inflight: HashMap<u64, (u64, u64, u64)>,
-    /// Blocks with a warm read outstanding, to suppress resubmission.
-    warm_pending: HashSet<(u64, u64)>,
+    /// Read-ahead lane for block warm-ups, keyed by `(file_no, offset)`
+    /// and yielding that key with the block's bytes; `None` without a
+    /// background ring.
+    warm: Option<Lane<(u64, u64), WarmBlock>>,
 }
+
+/// A warmed block: `(file_no, offset, raw bytes)`.
+type WarmBlock = (u64, u64, Vec<u8>);
 
 impl Db {
     /// Opens (or creates) a database in `dir`.
@@ -154,10 +153,7 @@ impl Db {
             cache,
             metrics,
             compaction_cursor: vec![0; MAX_LEVELS],
-            ring: None,
-            ring_tag: 0,
-            warm_inflight: HashMap::new(),
-            warm_pending: HashSet::new(),
+            warm: None,
         };
         for meta in db
             .version
@@ -354,13 +350,12 @@ impl Db {
     /// Attaches a background I/O ring; subsequent [`Db::warm_batch`]
     /// calls schedule block reads on it under `tag`.
     pub fn set_ring(&mut self, ring: Arc<IoRing>, tag: u64) {
-        self.ring = Some(ring);
-        self.ring_tag = tag;
+        self.warm = Some(Lane::new(ring, tag));
     }
 
     /// Whether a background ring is attached.
     pub fn has_ring(&self) -> bool {
-        self.ring.is_some()
+        self.warm.is_some()
     }
 
     /// Schedules background reads of the uncached blocks a `get` of each
@@ -369,7 +364,7 @@ impl Db {
     /// compaction is discarded and the foreground read proceeds as if it
     /// never happened. No-op without a ring.
     pub fn warm_batch(&mut self, keys: &[Vec<u8>]) -> Result<()> {
-        if self.ring.is_none() {
+        if self.warm.is_none() {
             return Ok(());
         }
         self.drain_warm()?;
@@ -394,20 +389,15 @@ impl Db {
                 let Some((off, len)) = self.ensure_reader(&meta)?.warm_plan(key) else {
                     continue;
                 };
-                if !self.warm_pending.insert((meta.file_no, off)) {
+                let lane = self.warm.as_mut().expect("checked above");
+                let file_no = meta.file_no;
+                if lane.covers(&(file_no, off)) {
                     continue;
                 }
-                let path = self.dir.join(SstMeta::file_name(meta.file_no));
-                let ring = self.ring.as_ref().expect("checked above");
-                let id = ring.submit(
-                    self.ring_tag,
-                    Box::new(move |vfs: &Arc<dyn Vfs>| {
-                        read_region_in(vfs, &path, off, len)
-                            .map(|raw| Box::new(raw) as Box<dyn Any + Send>)
-                            .map_err(|e| std::io::Error::other(e.to_string()))
-                    }),
-                );
-                self.warm_inflight.insert(id, (meta.file_no, off, len));
+                let path = self.dir.join(SstMeta::file_name(file_no));
+                lane.submit(vec![(file_no, off)], len, move |vfs| {
+                    Ok((file_no, off, read_region_in(vfs, &path, off, len)?))
+                });
             }
         }
         Ok(())
@@ -417,50 +407,33 @@ impl Db {
     /// panic captured by a background job (an injected crash fault) on
     /// the calling thread.
     pub fn drain_warm(&mut self) -> Result<()> {
-        let Some(ring) = &self.ring else {
+        let Some(lane) = self.warm.as_mut() else {
             return Ok(());
         };
-        let done = ring.drain_tag(self.ring_tag);
+        let done = lane.drain();
         if done.is_empty() {
             return Ok(());
         }
         let live: HashSet<u64> = self.version.all_file_nos().into_iter().collect();
         let mut installed = 0i64;
-        let mut wasted = 0i64;
-        for completion in done {
-            let Some((file_no, off, len)) = self.warm_inflight.remove(&completion.id) else {
-                continue;
-            };
-            self.warm_pending.remove(&(file_no, off));
-            match completion.into_result() {
-                // A compaction may have retired the file while the read
-                // was in flight; file numbers are never reused, so the
-                // stale block could never be read again — drop it.
-                Ok(payload) if live.contains(&file_no) => {
-                    let raw = *payload
-                        .downcast::<Vec<u8>>()
-                        .expect("warm job yields bytes");
-                    self.metrics.add_bytes_read(len + 4);
-                    self.cache.insert((file_no, off), Arc::new(raw));
-                    installed += 1;
-                }
-                Ok(_) => wasted += len as i64,
-                // A failed warm is only a missed warm: if the foreground
-                // actually needs the block, its own read surfaces the
-                // error with full context.
-                Err(_) => {}
+        let mut wasted = 0u64;
+        // A failed warm is only a missed warm: if the foreground
+        // actually needs the block, its own read surfaces the error
+        // with full context.
+        for (file_no, off, raw) in done.into_iter().flatten() {
+            // A compaction may have retired the file while the read
+            // was in flight; file numbers are never reused, so the
+            // stale block could never be read again — drop it.
+            if live.contains(&file_no) {
+                self.metrics.add_bytes_read(raw.len() as u64 + 4);
+                self.cache.insert((file_no, off), Arc::new(raw));
+                installed += 1;
+            } else {
+                wasted += raw.len() as u64;
             }
         }
-        if installed > 0 {
-            flowkv_common::trace::instant_here(
-                "prefetch_install",
-                "prefetch",
-                &[("blocks", installed)],
-            );
-        }
-        if wasted > 0 {
-            flowkv_common::trace::instant_here("prefetch_waste", "prefetch", &[("bytes", wasted)]);
-        }
+        lane.installed(installed);
+        lane.waste(wasted);
         Ok(())
     }
 
@@ -468,15 +441,9 @@ impl Db {
     /// re-raising captured crash-fault panics. Called before operations
     /// that invalidate the file set the reads were planned against.
     fn abandon_warm(&mut self) {
-        let Some(ring) = &self.ring else {
-            return;
-        };
-        for (id, _) in self.warm_inflight.drain() {
-            if let IoOutcome::Panicked(payload) = ring.wait(id).outcome {
-                std::panic::resume_unwind(payload);
-            }
+        if let Some(lane) = self.warm.as_mut() {
+            lane.abandon(|_| 0);
         }
-        self.warm_pending.clear();
     }
 
     /// Copies a consistent snapshot of the database into `dst`.

@@ -11,8 +11,8 @@
 //! Tuples move between stages in micro-batches of up to
 //! [`RunOptions::batch_size`] (one channel operation per batch instead
 //! of per tuple). Batches are force-flushed before every watermark,
-//! barrier, and end marker, and additionally after
-//! [`RunOptions::batch_linger`] on slow streams, so event-time
+//! barrier, and end marker, and additionally once a partial batch has
+//! lingered 5 ms on a slow stream, so event-time
 //! semantics, checkpoint alignment, and the sink's accounting are
 //! independent of the batch size — see DESIGN.md § Exchange layer.
 //!
@@ -175,10 +175,6 @@ pub struct RunOptions {
     /// checkpoint alignment are identical at every batch size. `1` (the
     /// default) reproduces the classic tuple-at-a-time exchange.
     pub batch_size: usize,
-    /// Longest a partially filled source batch may linger before being
-    /// flushed anyway (checked as the next tuple arrives), bounding the
-    /// extra latency batching can add to slow, rate-limited streams.
-    pub batch_linger: Duration,
     /// Shared telemetry hub. When set, every worker records per-operator
     /// busy/idle time, queue depth, backpressure-stall time, batch fill,
     /// watermark lag, and checkpoint-barrier alignment time into its
@@ -221,13 +217,6 @@ pub struct RunOptions {
     /// [`flowkv_common::ioring::IoRing`]. Outputs are byte-identical
     /// either way.
     pub io_threads: usize,
-    /// How far ahead of current stream time (milliseconds of event time)
-    /// prefetch submissions may look when selecting windows whose
-    /// ETT-predicted trigger is approaching.
-    pub prefetch_horizon: i64,
-    /// Soft cap on resident prefetched bytes per store instance; new
-    /// submissions are deferred while the cap is exceeded.
-    pub prefetch_budget_bytes: u64,
     /// Test-only knob: reorder ring completions pseudo-randomly from this
     /// seed to prove ordering independence. `None` in production.
     pub io_shuffle_seed: Option<u64>,
@@ -247,10 +236,6 @@ pub struct RunOptions {
     /// loadable) to this file when the run ends. Implies `trace_sample
     /// = 1` when no sample rate was chosen.
     pub trace_out: Option<PathBuf>,
-    /// Chrome `pid` tagged on this executor's threads in trace exports.
-    /// The cluster coordinator assigns each key-range shard its index
-    /// so Perfetto shows one process lane per worker.
-    pub trace_pid: u32,
 }
 
 impl RunOptions {
@@ -271,7 +256,6 @@ impl RunOptions {
             collect_late: false,
             registry: None,
             batch_size: 1,
-            batch_linger: Duration::from_millis(5),
             telemetry: None,
             telemetry_out: None,
             telemetry_interval: Duration::from_millis(250),
@@ -280,13 +264,10 @@ impl RunOptions {
             workers: 1,
             rescale_to: None,
             io_threads: 0,
-            prefetch_horizon: 500,
-            prefetch_budget_bytes: 8 << 20,
             io_shuffle_seed: None,
             trace: None,
             trace_sample: 0,
             trace_out: None,
-            trace_pid: 0,
         }
     }
 
@@ -298,8 +279,6 @@ impl RunOptions {
         }
         Some(IoPolicy {
             threads: self.io_threads,
-            prefetch_horizon: self.prefetch_horizon,
-            prefetch_budget_bytes: self.prefetch_budget_bytes,
             shuffle_seed: self.io_shuffle_seed,
         })
     }
@@ -744,6 +723,9 @@ pub(crate) struct RunCtx {
     /// Every `trace_sample`-th sealed source batch is traced; `0`
     /// exactly when `tracer` is `None`.
     pub(crate) trace_sample: u64,
+    /// Chrome `pid` tagged on this run's threads in trace exports: `0`,
+    /// or the shard's index under [`RunCtx::shard`], so Perfetto shows
+    /// one process lane per worker.
     pub(crate) trace_pid: u32,
 }
 
@@ -770,7 +752,7 @@ impl RunCtx {
             telemetry,
             tracer,
             trace_sample,
-            trace_pid: options.trace_pid,
+            trace_pid: 0,
         }
         .installed()
     }
@@ -1048,6 +1030,11 @@ pub(crate) fn run_job_inner(
     })
 }
 
+/// Longest a partially filled source batch may linger before being
+/// flushed anyway (checked as the next tuple arrives), bounding the
+/// extra latency batching can add to slow, rate-limited streams.
+const BATCH_LINGER_NANOS: u64 = 5_000_000;
+
 /// The body of the `spe-source` thread: paces the item stream, stamps
 /// and batches its tuples into the first exchange, and forwards its
 /// watermarks and barriers. Returns the number of tuples sent.
@@ -1084,7 +1071,6 @@ fn run_source(
                 sealed: 0,
             }),
     );
-    let linger_nanos = options.batch_linger.as_nanos() as u64;
     let now = || run.epoch.elapsed().as_nanos() as u64;
     let pace_start = Instant::now();
     let mut count: u64 = 0;
@@ -1100,9 +1086,9 @@ fn run_source(
                 if let Some(rate) = options.rate_limit {
                     // Token pacing: stay at or below `rate` tuples/sec.
                     // The clock is only consulted at burst boundaries
-                    // (every 16 tuples), like `source::PacedSource`;
-                    // per-tuple clock reads would reintroduce the
-                    // per-element overhead batching removes.
+                    // (every 16 tuples); per-tuple clock reads would
+                    // reintroduce the per-element overhead batching
+                    // removes.
                     if count.is_multiple_of(16) {
                         let expected = Duration::from_secs_f64(count as f64 / rate as f64);
                         let elapsed = pace_start.elapsed();
@@ -1121,7 +1107,7 @@ fn run_source(
                 }
                 if !exchange.has_pending() {
                     last_flush = origin;
-                } else if origin.saturating_sub(last_flush) >= linger_nanos {
+                } else if origin.saturating_sub(last_flush) >= BATCH_LINGER_NANOS {
                     // Slow stream: don't sit on a partial batch forever.
                     exchange.flush();
                     last_flush = origin;

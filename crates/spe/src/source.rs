@@ -5,11 +5,10 @@
 //! tuples from the checkpoint's offset. [`TupleLog`] persists a tuple
 //! stream into a checksummed log file and [`LogSource`] replays it from
 //! any offset — exactly the contract Kafka provides the paper's
-//! deployment. [`PacedSource`] additionally caps the delivery rate, the
-//! broker's role in the paper's fixed-rate latency runs (§6.2).
+//! deployment. (The broker's other role, the fixed-rate feed of the
+//! paper's latency runs (§6.2), is `RunOptions::rate_limit`.)
 
 use std::path::Path;
-use std::time::{Duration, Instant};
 
 use flowkv_common::codec::Decoder;
 use flowkv_common::error::Result;
@@ -98,61 +97,6 @@ impl Iterator for LogSource {
     }
 }
 
-/// Caps any tuple iterator at a fixed delivery rate (tuples/second of
-/// wall time) — the fixed-rate broker feed of the paper's latency runs.
-///
-/// Pacing is checked once per `burst` tuples rather than per tuple:
-/// reading the clock (and possibly sleeping) for every tuple costs a
-/// syscall-scale pause on the hot path, the same per-element overhead
-/// the micro-batched exchange removes from the channels. A burst adds
-/// at most `burst / rate` of delivery jitter (1.6 ms at the default
-/// burst of 16 and 10 k tuples/s) while the average rate is exact.
-pub struct PacedSource<I> {
-    inner: I,
-    rate_per_sec: u64,
-    burst: u64,
-    delivered: u64,
-    started: Option<Instant>,
-}
-
-impl<I: Iterator<Item = Tuple>> PacedSource<I> {
-    /// Wraps `inner`, delivering at most `rate_per_sec` tuples/second.
-    pub fn new(inner: I, rate_per_sec: u64) -> Self {
-        PacedSource {
-            inner,
-            rate_per_sec: rate_per_sec.max(1),
-            burst: 16,
-            delivered: 0,
-            started: None,
-        }
-    }
-
-    /// Overrides the pacing granularity; `1` re-checks the clock for
-    /// every tuple (classic per-tuple pacing).
-    pub fn with_burst(mut self, burst: u64) -> Self {
-        self.burst = burst.max(1);
-        self
-    }
-}
-
-impl<I: Iterator<Item = Tuple>> Iterator for PacedSource<I> {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
-        if self.delivered.is_multiple_of(self.burst) {
-            let started = *self.started.get_or_insert_with(Instant::now);
-            let due = Duration::from_secs_f64(self.delivered as f64 / self.rate_per_sec as f64);
-            let elapsed = started.elapsed();
-            if due > elapsed {
-                std::thread::sleep(due - elapsed);
-            }
-        }
-        let tuple = self.inner.next()?;
-        self.delivered += 1;
-        Some(tuple)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,25 +160,5 @@ mod tests {
         drop(f);
         let replayed: Vec<Tuple> = LogSource::open(&path).unwrap().collect();
         assert_eq!(replayed.len(), 49);
-    }
-
-    #[test]
-    fn paced_source_respects_the_rate() {
-        let start = Instant::now();
-        let delivered: Vec<Tuple> = PacedSource::new(tuples(50).into_iter(), 1_000).collect();
-        assert_eq!(delivered.len(), 50);
-        // 50 tuples at 1000/s needs ≥ ~48 ms of wall time (the last
-        // burst boundary is at tuple 48).
-        assert!(start.elapsed() >= Duration::from_millis(40));
-    }
-
-    #[test]
-    fn per_tuple_pacing_still_available() {
-        let start = Instant::now();
-        let delivered: Vec<Tuple> = PacedSource::new(tuples(30).into_iter(), 1_000)
-            .with_burst(1)
-            .collect();
-        assert_eq!(delivered.len(), 30);
-        assert!(start.elapsed() >= Duration::from_millis(25));
     }
 }

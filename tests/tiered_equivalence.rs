@@ -48,7 +48,7 @@ fn counter_value(telemetry: &Telemetry, name: &str) -> u64 {
 }
 
 /// Runs one tiered configuration of the cell and compares against the
-/// hot-only checksum. Returns the run's demotion count.
+/// hot-only checksum. Returns the run's telemetry hub.
 #[allow(clippy::too_many_arguments)]
 fn tiered_run(
     query: QueryId,
@@ -59,7 +59,7 @@ fn tiered_run(
     hot_bytes: u64,
     io_threads: usize,
     expected: &SortedOutputs,
-) -> u64 {
+) -> Arc<Telemetry> {
     let job = query.build(QueryParams::new(1_000).with_parallelism(2));
     let telemetry = Telemetry::new_shared();
     let mut opts = RunOptions::new(dir.join(label));
@@ -88,7 +88,7 @@ fn tiered_run(
         query.name(),
         backend.name()
     );
-    counter_value(&telemetry, "tier_demotions_total")
+    telemetry
 }
 
 /// One differential cell: hot-only reference, then the three tiered
@@ -136,15 +136,21 @@ fn differential_cell(query: QueryId, backend: &BackendChoice) {
     );
     let forced = tiered_run(query, backend, &log, d, "forced", 0, 0, &expected);
     assert!(
-        forced > 0,
+        counter_value(&forced, "tier_demotions_total") > 0,
         "{} on {}: hot_bytes=0 run never demoted — the cell did not exercise the cold tier",
         query.name(),
         backend.name()
     );
     let forced_ring = tiered_run(query, backend, &log, d, "forced-ring", 0, 2, &expected);
     assert!(
-        forced_ring > 0,
+        counter_value(&forced_ring, "tier_demotions_total") > 0,
         "{} on {}: ring-enabled forced run never demoted",
+        query.name(),
+        backend.name()
+    );
+    assert!(
+        counter_value(&forced_ring, "tier_prefetch_submitted_total") > 0,
+        "{} on {}: the tier never read ahead through its ring",
         query.name(),
         backend.name()
     );
