@@ -15,6 +15,7 @@ use flowkv_common::backend::{
 };
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::types::WindowId;
+use flowkv_common::vfs::{SlowVfs, StdVfs};
 use flowkv_spe::{BackendChoice, FactoryOptions};
 
 /// Backends under comparison (the in-memory store is not a persistent
@@ -29,6 +30,7 @@ fn backends() -> Vec<BackendChoice> {
 fn make(
     choice: &BackendChoice,
     semantics: OperatorSemantics,
+    options: FactoryOptions,
 ) -> (Box<dyn StateBackend>, ScratchDir) {
     let dir = ScratchDir::new(&format!("micro-{}", choice.name())).unwrap();
     let ctx = OperatorContext {
@@ -39,10 +41,7 @@ fn make(
         telemetry: None,
         io: None,
     };
-    (
-        choice.build(FactoryOptions::new()).create(&ctx).unwrap(),
-        dir,
-    )
+    (choice.build(options).create(&ctx).unwrap(), dir)
 }
 
 /// AAR: append a window's worth of tuples across many keys, then drain
@@ -58,7 +57,7 @@ fn bench_aar(c: &mut Criterion) {
     for choice in backends() {
         group.bench_function(BenchmarkId::from_parameter(choice.name()), |b| {
             b.iter_batched(
-                || make(&choice, semantics),
+                || make(&choice, semantics, FactoryOptions::new()),
                 |(mut store, _dir)| {
                     let w = WindowId::new(0, 1_000);
                     for i in 0..keys * per_key {
@@ -93,7 +92,7 @@ fn bench_aur(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter(choice.name()), |b| {
             b.iter_batched(
                 || {
-                    let (mut store, dir) = make(&choice, semantics);
+                    let (mut store, dir) = make(&choice, semantics, FactoryOptions::new());
                     for k in 0..keys {
                         let window = WindowId::new(k as i64 * 10, k as i64 * 10 + 100);
                         for j in 0..per_key {
@@ -125,6 +124,49 @@ fn bench_aur(c: &mut Criterion) {
     group.finish();
 }
 
+/// AUR on a cold device: one predictive batch read of 256 flushed
+/// records where every device read sleeps 150 µs (`SlowVfs`), so the
+/// time is the round-trip count — a handful of extents, not two reads
+/// per record (~80 ms).
+fn bench_aur_cold(c: &mut Criterion) {
+    let mut group = c.benchmark_group("aur_cold_batch_read");
+    group.measurement_time(Duration::from_secs(5));
+    group.sample_size(10);
+    let semantics =
+        OperatorSemantics::new(AggregateKind::FullList, WindowKind::Session { gap: 100 });
+    let records = 256u64;
+    let window = WindowId::new(0, 1_000);
+    // One store instance and a batch ratio of 1: the first trigger's
+    // batch read selects every flushed window.
+    let choice = BackendChoice::FlowKv(
+        flowkv_bench::flowkv_cfg()
+            .with_store_instances(1)
+            .with_read_batch_ratio(1.0),
+    );
+    group.bench_function(BenchmarkId::from_parameter("flowkv_150us"), |b| {
+        b.iter_batched(
+            || {
+                let cold = SlowVfs::wrap(StdVfs::shared(), Duration::from_micros(150));
+                let (mut store, dir) = make(&choice, semantics, FactoryOptions::new().vfs(cold));
+                for k in 0..records {
+                    store
+                        .append(&k.to_le_bytes(), window, &[5u8; 48], k as i64)
+                        .unwrap();
+                }
+                store.flush().unwrap();
+                (store, dir)
+            },
+            |(mut store, _dir)| {
+                let values = store.take_values(&0u64.to_le_bytes(), window).unwrap();
+                assert_eq!(values.len(), 1);
+                store.close().unwrap();
+            },
+            criterion::BatchSize::PerIteration,
+        );
+    });
+    group.finish();
+}
+
 /// RMW: take/put aggregate cycles over a working set of keys.
 fn bench_rmw(c: &mut Criterion) {
     let mut group = c.benchmark_group("rmw_cycle");
@@ -139,7 +181,7 @@ fn bench_rmw(c: &mut Criterion) {
     for choice in backends() {
         group.bench_function(BenchmarkId::from_parameter(choice.name()), |b| {
             b.iter_batched(
-                || make(&choice, semantics),
+                || make(&choice, semantics, FactoryOptions::new()),
                 |(mut store, _dir)| {
                     let w = WindowId::new(0, 1_000);
                     for round in 0..rounds {
@@ -164,5 +206,5 @@ fn bench_rmw(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_aar, bench_aur, bench_rmw);
+criterion_group!(benches, bench_aar, bench_aur, bench_aur_cold, bench_rmw);
 criterion_main!(benches);

@@ -447,9 +447,10 @@ const PREFETCH_BUDGET_BYTES: u64 = 8 << 20;
 ///
 /// - `prefetch_issued_total{store=…}` — windows submitted to the ring;
 /// - `prefetch_hits_total{store=…}` — reads served from prefetched state;
-/// - `prefetch_late_total{store=…}` — prefetches that completed after
-///   their window was consumed, or whose window fired while the read was
-///   still in flight (the foreground fell back to a synchronous read);
+/// - `prefetch_late_total{store=…}` — windows whose trigger fired while
+///   their read was still in flight (the foreground fell back to a
+///   synchronous read); counted once, at the trigger — the completion
+///   that later finds the window consumed is waste, not a second late;
 /// - `prefetch_wasted_bytes{store=…}` — bytes loaded in the background
 ///   and then discarded because validation failed (the store compacted,
 ///   restored, or appended under the in-flight read);

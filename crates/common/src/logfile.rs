@@ -22,6 +22,7 @@
 //! crash-tested without touching its code.
 
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -31,6 +32,24 @@ use crate::vfs::{StdVfs, Vfs, VfsFile};
 
 /// Size of the per-record header (`len` + `crc`).
 pub const RECORD_HEADER_LEN: u64 = 8;
+
+/// Bytes a [`LogReader`] fetches per device read (`BufReader`'s default:
+/// chunks that stay cache-resident while records are copied out of them).
+const READ_BYTES: usize = 8 << 10;
+
+/// Bytes a [`LogReader::open_scan_in`] reader fetches per device read. A
+/// read costs a round trip, not a byte count: an index-log scan walks the
+/// live region of the log on every batch read, and at 8 KiB a cold scan
+/// paid eight times the round trips it pays now.
+const SCAN_READ_BYTES: usize = 64 << 10;
+
+/// Largest run of unwanted bytes [`RandomAccessLog::read_records`] fetches
+/// and discards to serve two wanted records with one device read.
+const EXTENT_GAP_BYTES: u64 = 4 << 10;
+
+/// Largest extent one device read fetches (a single record larger than
+/// this is still one read); bounds the reusable extent buffer.
+const EXTENT_MAX_BYTES: u64 = 1 << 20;
 
 /// The location of a record inside a log file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -228,7 +247,22 @@ impl LogReader {
 
     /// [`LogReader::open_at`] through an explicit [`Vfs`].
     pub fn open_at_in(vfs: &Arc<dyn Vfs>, path: impl AsRef<Path>, offset: u64) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
+        Self::open_buffered(vfs, path.as_ref(), offset, READ_BYTES)
+    }
+
+    /// [`LogReader::open_at_in`] for scans on a device whose reads are
+    /// expensive per call: fetches 64 KiB per device read.
+    pub fn open_scan_in(vfs: &Arc<dyn Vfs>, path: impl AsRef<Path>, offset: u64) -> Result<Self> {
+        Self::open_buffered(vfs, path.as_ref(), offset, SCAN_READ_BYTES)
+    }
+
+    fn open_buffered(
+        vfs: &Arc<dyn Vfs>,
+        path: &Path,
+        offset: u64,
+        read_bytes: usize,
+    ) -> Result<Self> {
+        let path = path.to_path_buf();
         let file = vfs
             .open_read(&path)
             .map_err(|e| StoreError::io_at("log open", &path, e))?;
@@ -242,7 +276,7 @@ impl LogReader {
                 "start offset past end of log",
             ));
         }
-        let mut reader = BufReader::new(file);
+        let mut reader = BufReader::with_capacity(read_bytes, file);
         reader
             .seek(SeekFrom::Start(offset))
             .map_err(|e| StoreError::io_at("log seek", &path, e))?;
@@ -301,11 +335,14 @@ impl LogReader {
     }
 }
 
-/// Random-access reads of individual records.
+/// Random-access reads of records at known locations.
 pub struct RandomAccessLog {
     file: Box<dyn VfsFile>,
     path: PathBuf,
     file_len: u64,
+    /// Extent buffer of [`RandomAccessLog::read_records`], reused across
+    /// calls so a long-lived reader allocates once.
+    extent: Vec<u8>,
 }
 
 impl RandomAccessLog {
@@ -327,6 +364,7 @@ impl RandomAccessLog {
             file,
             path,
             file_len,
+            extent: Vec::new(),
         })
     }
 
@@ -344,45 +382,123 @@ impl RandomAccessLog {
         Ok(end <= self.file_len)
     }
 
-    /// Reads and verifies the record starting at `offset`.
+    /// Reads and verifies the record starting at `offset` when its length
+    /// is not known: one read learns the length from the header, a second
+    /// fetches the record. Callers holding the length use
+    /// [`RandomAccessLog::read_records`] and pay one read.
     pub fn read_record_at(&mut self, offset: u64) -> Result<Vec<u8>> {
-        if !self.covers(offset + RECORD_HEADER_LEN)? {
-            return Err(StoreError::corruption(
-                &self.path,
-                offset,
-                "record offset past end of log",
-            ));
+        let header_end = offset.saturating_add(RECORD_HEADER_LEN);
+        if !self.covers(header_end)? {
+            return Err(self.corruption(offset, "record offset past end of log"));
         }
-        self.file
-            .seek(SeekFrom::Start(offset))
-            .map_err(|e| StoreError::io_at("log seek", &self.path, e))?;
         let mut header = [0u8; 8];
         self.file
-            .read_exact(&mut header)
+            .read_exact_at(&mut header, offset)
             .map_err(|e| StoreError::io_at("log read header", &self.path, e))?;
-        let (len, crc) = split_header(&header);
-        // Validate the length against the file before trusting it with an
-        // allocation: a corrupt header must surface as an error, not as a
-        // multi-gigabyte buffer.
-        if !self.covers(offset + RECORD_HEADER_LEN + u64::from(len))? {
-            return Err(StoreError::corruption(
-                &self.path,
-                offset,
-                "record length runs past end of log",
-            ));
-        }
-        let mut payload = vec![0u8; len as usize];
-        self.file
-            .read_exact(&mut payload)
-            .map_err(|e| StoreError::io_at("log read body", &self.path, e))?;
-        if crc32(&payload) != crc {
-            return Err(StoreError::corruption(
-                &self.path,
-                offset,
-                "checksum mismatch",
-            ));
-        }
+        let (len, _) = split_header(&header);
+        let mut payload = Vec::new();
+        self.read_records(
+            &[(offset, RECORD_HEADER_LEN + u64::from(len))],
+            |_, record| {
+                payload.extend_from_slice(record_payload(record));
+                Ok(())
+            },
+        )?;
         Ok(payload)
+    }
+
+    /// Reads the records at `wanted` — `(offset, on-disk length)` pairs,
+    /// header included, sorted by offset — and hands each one's verified
+    /// bytes (header and payload; see [`record_payload`]) to
+    /// `each(position in wanted, record)`, in `wanted` order.
+    ///
+    /// This is the "one sequential scan … in offset order" of the
+    /// paper's predictive batch read: a read costs a device round trip,
+    /// not a byte count, so records at most `EXTENT_GAP_BYTES` apart
+    /// are merged into one extent and fetched with a single positioned
+    /// read; the bytes in between are fetched, never examined, and
+    /// dropped. Every record is still checked on its own: its header must
+    /// carry the length the caller's index recorded and its payload must
+    /// match its checksum, else [`StoreError::Corruption`] names that
+    /// record's offset. An extent that would run past the end of the file
+    /// is rejected before any buffer is sized for it.
+    pub fn read_records(
+        &mut self,
+        wanted: &[(u64, u64)],
+        mut each: impl FnMut(usize, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        let mut next = 0;
+        while next < wanted.len() {
+            let (run, span) = self.next_extent(wanted, next)?;
+            let extent_len = usize::try_from(span.end - span.start)
+                .map_err(|_| self.corruption(span.start, "record length exceeds address space"))?;
+            if self.extent.len() < extent_len {
+                self.extent.resize(extent_len, 0);
+            }
+            self.file
+                .read_exact_at(&mut self.extent[..extent_len], span.start)
+                .map_err(|e| StoreError::io_at("log read extent", &self.path, e))?;
+            for (i, &(offset, disk_len)) in wanted[run.clone()].iter().enumerate() {
+                // In range by construction: `next_extent` grew `span`
+                // to cover every record of `run`.
+                let at = (offset - span.start) as usize;
+                let record = &self.extent[at..at + disk_len as usize];
+                let (header, payload) = record.split_at(RECORD_HEADER_LEN as usize);
+                let (len, crc) = split_header(header.try_into().expect("split at header length"));
+                if RECORD_HEADER_LEN + u64::from(len) != disk_len {
+                    return Err(self.corruption(offset, "record length disagrees with index"));
+                }
+                if crc32(payload) != crc {
+                    return Err(self.corruption(offset, "checksum mismatch"));
+                }
+                each(run.start + i, record)?;
+            }
+            next = run.end;
+        }
+        Ok(())
+    }
+
+    /// Plans the extent starting at `wanted[first]`: the positions of the
+    /// records it serves and the byte range it fetches. A record joins
+    /// while it starts no more than the gap allowance past the previous
+    /// one and the extent stays within its cap; anything else — a wider
+    /// gap, an overlap, an unsorted offset — starts the next extent.
+    fn next_extent(
+        &mut self,
+        wanted: &[(u64, u64)],
+        first: usize,
+    ) -> Result<(Range<usize>, Range<u64>)> {
+        let start = wanted[first].0;
+        let mut end = start;
+        let mut last = first;
+        for (i, &(offset, disk_len)) in wanted.iter().enumerate().skip(first) {
+            if disk_len < RECORD_HEADER_LEN {
+                return Err(self.corruption(offset, "indexed length shorter than a header"));
+            }
+            let record_end = offset
+                .checked_add(disk_len)
+                .ok_or_else(|| self.corruption(offset, "record end overflows"))?;
+            let joins = i == first
+                || (offset >= end
+                    && offset - end <= EXTENT_GAP_BYTES
+                    && record_end - start <= EXTENT_MAX_BYTES);
+            if !joins {
+                break;
+            }
+            // Checked against the file before the length sizes a buffer:
+            // a corrupt index must surface as an error, not as a
+            // multi-gigabyte allocation.
+            if !self.covers(record_end)? {
+                return Err(self.corruption(offset, "record runs past end of log"));
+            }
+            end = record_end;
+            last = i;
+        }
+        Ok((first..last + 1, start..end))
+    }
+
+    fn corruption(&self, offset: u64, detail: &str) -> StoreError {
+        StoreError::corruption(&self.path, offset, detail)
     }
 
     /// Path of the underlying file.
@@ -391,36 +507,19 @@ impl RandomAccessLog {
     }
 }
 
-/// Copies `len` bytes starting at `offset` from `src` into `dst`.
-///
-/// This is the reproduction of the paper's zero-copy byte transfer (§5):
-/// AUR compaction relocates whole byte ranges of a data log — identified
-/// by scanning the index log — without decoding the values in between.
-/// `std::io::copy` specializes to `copy_file_range`/`sendfile` on Linux
-/// when both ends are real files.
-pub fn copy_range<S: Read + Seek>(
-    src: &mut S,
-    dst: &mut impl Write,
-    offset: u64,
-    len: u64,
-) -> Result<u64> {
-    src.seek(SeekFrom::Start(offset))
-        .map_err(|e| StoreError::io("range seek", e))?;
-    let mut limited = src.take(len);
-    let copied = std::io::copy(&mut limited, dst).map_err(|e| StoreError::io("range copy", e))?;
-    if copied != len {
-        return Err(StoreError::invalid_state(format!(
-            "range copy truncated: wanted {len} bytes, copied {copied}"
-        )));
-    }
-    Ok(copied)
+/// The payload of a record handed out by
+/// [`RandomAccessLog::read_records`] (everything after the header).
+pub fn record_payload(record: &[u8]) -> &[u8] {
+    &record[RECORD_HEADER_LEN as usize..]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scratch::ScratchDir;
-    use std::fs::{File, OpenOptions};
+    use crate::vfs::{FaultKind, FaultPlan, FaultVfs};
+    use proptest::prelude::*;
+    use std::fs::OpenOptions;
 
     fn scratch(name: &str) -> ScratchDir {
         ScratchDir::new(name).expect("scratch dir")
@@ -554,6 +653,203 @@ mod tests {
         assert_eq!(ra.read_record_at(l2.offset).unwrap(), b"second, after open");
     }
 
+    /// Writes one record per payload and returns the `(offset, on-disk
+    /// length)` of each, as an index would hold them.
+    fn write_records(path: &Path, payloads: &[Vec<u8>]) -> Vec<(u64, u64)> {
+        let mut w = LogWriter::create(path).unwrap();
+        let locations = payloads
+            .iter()
+            .map(|p| {
+                let loc = w.append(p).unwrap();
+                (loc.offset, loc.disk_len())
+            })
+            .collect();
+        w.flush().unwrap();
+        locations
+    }
+
+    fn collect_records(log: &mut RandomAccessLog, wanted: &[(u64, u64)]) -> Result<Vec<Vec<u8>>> {
+        let mut out = Vec::new();
+        log.read_records(wanted, |i, record| {
+            assert_eq!(i, out.len(), "records arrive in wanted order");
+            out.push(record_payload(record).to_vec());
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    fn flip_byte(path: &Path, at: u64) {
+        let mut data = std::fs::read(path).unwrap();
+        data[at as usize] ^= 0x01;
+        std::fs::write(path, &data).unwrap();
+    }
+
+    fn corruption_offset(err: StoreError) -> u64 {
+        match err {
+            StoreError::Corruption { offset, .. } => offset,
+            other => panic!("expected corruption, got {other}"),
+        }
+    }
+
+    /// Device reads the merge rule allows for `wanted`: the specification
+    /// `read_records` is checked against.
+    fn expected_extents(wanted: &[(u64, u64)]) -> u64 {
+        let mut extents = 0;
+        let (mut start, mut end) = (0, 0);
+        for &(offset, disk_len) in wanted {
+            let joins = extents > 0
+                && offset - end <= EXTENT_GAP_BYTES
+                && offset + disk_len - start <= EXTENT_MAX_BYTES;
+            if !joins {
+                extents += 1;
+                start = offset;
+            }
+            end = offset + disk_len;
+        }
+        extents
+    }
+
+    /// On-disk record sizes that, when the record is skipped, leave a gap
+    /// just below, at and just above the merge allowance, plus one large
+    /// enough that three of them cross the extent cap.
+    fn disk_len_strategy() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            6 => RECORD_HEADER_LEN..200,
+            1 => Just(EXTENT_GAP_BYTES - 1),
+            1 => Just(EXTENT_GAP_BYTES),
+            1 => Just(EXTENT_GAP_BYTES + 1),
+            1 => Just(EXTENT_MAX_BYTES / 2 - 100),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn batched_read_matches_per_record_reads(
+            records in prop::collection::vec((disk_len_strategy(), any::<bool>(), any::<u8>()), 1..24)
+        ) {
+            let dir = scratch("log-batch-prop");
+            let path = dir.path().join("a.log");
+            let payloads: Vec<Vec<u8>> = records
+                .iter()
+                .map(|&(disk_len, _, fill)| vec![fill; (disk_len - RECORD_HEADER_LEN) as usize])
+                .collect();
+            let locations = write_records(&path, &payloads);
+            let wanted: Vec<(u64, u64)> = locations
+                .iter()
+                .zip(&records)
+                .filter(|(_, &(_, want, _))| want)
+                .map(|(loc, _)| *loc)
+                .collect();
+
+            let counting = FaultVfs::counting(StdVfs::shared());
+            let vfs: Arc<dyn Vfs> = counting.clone();
+            let mut log = RandomAccessLog::open_in(&vfs, &path).unwrap();
+            let opened = counting.ops();
+            let batched = collect_records(&mut log, &wanted).unwrap();
+            prop_assert_eq!(counting.ops() - opened, expected_extents(&wanted));
+
+            let mut single = RandomAccessLog::open(&path).unwrap();
+            let one_by_one: Vec<Vec<u8>> = wanted
+                .iter()
+                .map(|&(offset, _)| single.read_record_at(offset).unwrap())
+                .collect();
+            prop_assert_eq!(batched, one_by_one);
+        }
+    }
+
+    #[test]
+    fn batched_read_ignores_gap_bytes_and_checks_every_wanted_record() {
+        let dir = scratch("log-batch-corrupt");
+        let path = dir.path().join("a.log");
+        let payloads = vec![vec![1u8; 40], vec![2u8; 40], vec![3u8; 40], vec![4u8; 40]];
+        let locations = write_records(&path, &payloads);
+        let wanted = [locations[0], locations[2], locations[3]];
+
+        // A flipped bit in the skipped record sits in a gap: never examined.
+        flip_byte(&path, locations[1].0 + RECORD_HEADER_LEN + 5);
+        let mut log = RandomAccessLog::open(&path).unwrap();
+        assert_eq!(
+            collect_records(&mut log, &wanted).unwrap(),
+            vec![
+                payloads[0].clone(),
+                payloads[2].clone(),
+                payloads[3].clone()
+            ]
+        );
+
+        // An index length that disagrees with the record's header names
+        // that record, whether it is too short or too long.
+        for wrong in [locations[2].1 - 1, locations[2].1 + 1] {
+            let err = collect_records(&mut log, &[locations[0], (locations[2].0, wrong)]);
+            assert_eq!(corruption_offset(err.unwrap_err()), locations[2].0);
+        }
+
+        // A flipped bit in a wanted record names that record, not the
+        // extent's first one.
+        flip_byte(&path, locations[2].0 + RECORD_HEADER_LEN + 5);
+        let err = collect_records(&mut log, &wanted).unwrap_err();
+        assert_eq!(corruption_offset(err), locations[2].0);
+    }
+
+    #[test]
+    fn batched_read_rejects_extents_past_the_end_of_the_log() {
+        let dir = scratch("log-batch-eof");
+        let path = dir.path().join("a.log");
+        let locations = write_records(&path, &[vec![7u8; 16], vec![8u8; 16]]);
+        let mut log = RandomAccessLog::open(&path).unwrap();
+        // Lengths no file could hold must fail before any buffer is sized
+        // for them; so must an offset whose end overflows.
+        for bad in [
+            (locations[1].0, locations[1].1 + 1),
+            (locations[1].0, u64::MAX / 2),
+            (u64::MAX - 4, 16),
+            (locations[1].0, RECORD_HEADER_LEN - 1),
+        ] {
+            let err = collect_records(&mut log, &[locations[0], bad]).unwrap_err();
+            assert_eq!(corruption_offset(err), bad.0, "{bad:?}");
+        }
+        // Out-of-order and overlapping locations cost extra reads, never
+        // wrong bytes.
+        let shuffled = [locations[1], locations[0], locations[0]];
+        assert_eq!(
+            collect_records(&mut log, &shuffled).unwrap(),
+            vec![vec![8u8; 16], vec![7u8; 16], vec![7u8; 16]]
+        );
+    }
+
+    #[test]
+    fn batched_read_sees_records_appended_after_open() {
+        let dir = scratch("log-batch-grow");
+        let path = dir.path().join("a.log");
+        let mut w = LogWriter::create(&path).unwrap();
+        let l1 = w.append(b"first").unwrap();
+        w.flush().unwrap();
+        let mut log = RandomAccessLog::open(&path).unwrap();
+        let l2 = w.append(b"second, after open").unwrap();
+        w.flush().unwrap();
+        let wanted = [(l1.offset, l1.disk_len()), (l2.offset, l2.disk_len())];
+        assert_eq!(
+            collect_records(&mut log, &wanted).unwrap(),
+            vec![b"first".to_vec(), b"second, after open".to_vec()]
+        );
+    }
+
+    #[test]
+    fn short_read_inside_an_extent_is_an_io_error_and_retries_cleanly() {
+        let dir = scratch("log-batch-short");
+        let path = dir.path().join("a.log");
+        let payloads = vec![vec![1u8; 40], vec![2u8; 40]];
+        let locations = write_records(&path, &payloads);
+        // Op 1 opens the file; op 2 is the extent read.
+        let plan = FaultPlan::new().with_fault(2, FaultKind::ShortRead);
+        let vfs: Arc<dyn Vfs> = FaultVfs::new(StdVfs::shared(), plan);
+        let mut log = RandomAccessLog::open_in(&vfs, &path).unwrap();
+        let err = collect_records(&mut log, &locations).unwrap_err();
+        assert!(matches!(err, StoreError::Io { .. }), "{err}");
+        assert_eq!(collect_records(&mut log, &locations).unwrap(), payloads);
+    }
+
     #[test]
     fn empty_log_reads_cleanly() {
         let dir = scratch("log-empty");
@@ -561,26 +857,6 @@ mod tests {
         LogWriter::create(&path).unwrap().flush().unwrap();
         let mut r = LogReader::open(&path).unwrap();
         assert!(r.next_record().unwrap().is_none());
-    }
-
-    #[test]
-    fn copy_range_moves_exact_bytes() {
-        let dir = scratch("log-copyrange");
-        let src_path = dir.path().join("src.log");
-        let mut w = LogWriter::create(&src_path).unwrap();
-        w.append(b"aaaa").unwrap();
-        let keep = w.append(b"keep these bytes").unwrap();
-        w.append(b"zzzz").unwrap();
-        w.flush().unwrap();
-
-        let dst_path = dir.path().join("dst.log");
-        let mut src = File::open(&src_path).unwrap();
-        let mut dst = File::create(&dst_path).unwrap();
-        copy_range(&mut src, &mut dst, keep.offset, keep.disk_len()).unwrap();
-        dst.sync_all().unwrap();
-
-        let mut r = LogReader::open(&dst_path).unwrap();
-        assert_eq!(r.next_record().unwrap().unwrap().1, b"keep these bytes");
     }
 
     #[test]

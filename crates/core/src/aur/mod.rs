@@ -11,13 +11,16 @@
 //! - on a read miss, performs a **predictive batch read**: one sequential
 //!   scan of the index log collects the locations of the requested window
 //!   *and* of the `N = ratio × live-windows` windows closest to
-//!   triggering, loads them in offset order, and parks them in the
-//!   **prefetch buffer** ([`prefetch`]);
+//!   triggering, loads them in offset order — one device read per run
+//!   of neighbouring records, not one per record — and parks them in
+//!   the **prefetch buffer** ([`prefetch`]);
+//! - writes each flush in **predicted-trigger order**, so the windows a
+//!   batch read wants together sit together in the data log;
 //! - **integrates compaction** with that machinery: dead bytes are
 //!   tracked as windows are consumed, and when space amplification
 //!   exceeds the configured MSA the store relocates the live byte ranges
-//!   of the data log into a new generation using zero-copy range copies
-//!   (paper §5).
+//!   of the data log into a new generation — raw record bytes out of
+//!   the same extent reads, never decoded (paper §5).
 
 pub mod index_log;
 pub mod prefetch;
@@ -29,7 +32,7 @@ use std::sync::Arc;
 
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::{IoRing, Lane, PrefetchProbe};
-use flowkv_common::logfile::{copy_range, LogReader, LogWriter, RandomAccessLog};
+use flowkv_common::logfile::{record_payload, LogReader, LogWriter, RandomAccessLog};
 use flowkv_common::metrics::{OpCategory, StoreMetrics};
 use flowkv_common::registry::ViewValue;
 use flowkv_common::telemetry::{Counter, Histogram, Telemetry};
@@ -80,7 +83,7 @@ fn scan_live_index(
 ) -> Result<Vec<IndexEntry>> {
     let mut live: Vec<IndexEntry> = Vec::new();
     let mut seen: HashMap<StateKey, u64> = HashMap::new();
-    let mut reader = LogReader::open_at_in(vfs, path, scan_start)?;
+    let mut reader = LogReader::open_scan_in(vfs, path, scan_start)?;
     while let Some((_, payload)) = reader.next_record()? {
         let entry = IndexEntryRef::decode(&payload)?;
         let dead_prefix = consumed
@@ -101,6 +104,30 @@ fn scan_live_index(
         }
     }
     Ok(live)
+}
+
+/// Loads the data-log records at `wanted` — `(offset, on-disk length,
+/// slot)` — and hands each record's values to `each(slot, values,
+/// on-disk length)`. Records are fetched in offset order, neighbours
+/// sharing one device read; a window's records stay in append order
+/// because offsets grow with appends.
+fn load_values<S>(
+    data: &mut RandomAccessLog,
+    mut wanted: Vec<(u64, u64, S)>,
+    mut each: impl FnMut(S, Vec<Vec<u8>>, u64),
+) -> Result<()> {
+    wanted.sort_by_key(|&(offset, ..)| offset);
+    let locations: Vec<(u64, u64)> = wanted.iter().map(|&(o, len, _)| (o, len)).collect();
+    let mut slots = wanted.into_iter().map(|(.., slot)| slot);
+    data.read_records(&locations, |_, record| {
+        let slot = slots.next().expect("one slot per location, in order");
+        each(
+            slot,
+            decode_values(record_payload(record))?,
+            record.len() as u64,
+        );
+        Ok(())
+    })
 }
 
 fn index_file_name(generation: u64) -> String {
@@ -155,6 +182,13 @@ pub struct AurStore {
     epoch: u64,
     /// Prefetch hit/late/timeliness counters; `None` without telemetry.
     prefetch_probe: Option<PrefetchProbe>,
+    /// When the next scan for read-ahead candidates can find one the last
+    /// scan did not: `None` at the next tick, `Some(t)` once the due bound
+    /// reaches `t`. A window becomes a candidate only when a flush puts it
+    /// on disk, when a background read lands (its windows may have been
+    /// rejected), or when stream time reaches its ETT; every other tick
+    /// would walk the whole Stat table to submit nothing.
+    next_prefetch_scan: Option<Timestamp>,
 }
 
 /// Payload of one background predictive-read submission.
@@ -275,6 +309,7 @@ impl AurStore {
             lane: None,
             epoch: 0,
             prefetch_probe: None,
+            next_prefetch_scan: None,
         };
         if let Some(generation) = store.find_generation()? {
             store.generation = generation;
@@ -466,19 +501,40 @@ impl AurStore {
             return Ok(());
         }
         let _t = self.metrics.timer(OpCategory::Write);
+        self.next_prefetch_scan = None;
         self.ensure_writers()?;
-        let groups = std::mem::take(&mut self.buffer);
+        // Predicted-trigger order: windows that fire together are read
+        // together, so they are written side by side — and the layout is
+        // a function of the input, not of `HashMap` iteration order, so
+        // a run's device-op sequence (and any fault planted in it)
+        // replays.
+        struct Group {
+            ett: Option<Timestamp>,
+            max_ts: Timestamp,
+            state_key: StateKey,
+            values: Vec<Vec<u8>>,
+        }
+        let mut groups: Vec<Group> = self
+            .buffer
+            .drain()
+            .map(|(state_key, values)| {
+                let stat = self.stat.get(&state_key.0, state_key.1);
+                Group {
+                    ett: stat.and_then(|s| s.ett),
+                    max_ts: stat.map_or(Timestamp::MIN, |s| s.max_ts),
+                    state_key,
+                    values,
+                }
+            })
+            .collect();
+        groups.sort_unstable_by(|a, b| (a.ett, &a.state_key).cmp(&(b.ett, &b.state_key)));
         self.buffer_bytes = 0;
-        for ((key, window), values) in groups {
+        for group in groups {
+            let (max_ts, (key, window), values) = (group.max_ts, group.state_key, group.values);
             encode_values_into(&mut self.encode_buf, &values);
             let data_writer = self.data_writer.as_mut().expect("ensured above");
             let loc = data_writer.append(&self.encode_buf)?;
             self.data_total += loc.disk_len();
-            let max_ts = self
-                .stat
-                .get(&key, window)
-                .map(|s| s.max_ts)
-                .unwrap_or(Timestamp::MIN);
             let entry = IndexEntry {
                 key: key.clone(),
                 window,
@@ -534,13 +590,12 @@ impl AurStore {
             }
             let index_path = self.dir.join(index_file_name(self.generation));
             if self.vfs.exists(&index_path) {
-                let mut wanted: Vec<(StateKey, u64)> = self
+                let wanted: Vec<(u64, u64, StateKey)> = self
                     .scan_live_index_routed("aur view scan", &index_path)?
                     .into_iter()
                     .filter(|e| self.stat.get(&e.key, e.window).is_some())
-                    .map(|e| ((e.key, e.window), e.offset))
+                    .map(|e| (e.offset, e.len, (e.key, e.window)))
                     .collect();
-                wanted.sort_by_key(|(_, offset)| *offset);
                 if !wanted.is_empty() {
                     for ((key, window), values) in
                         self.read_records_routed("aur view read", wanted)?
@@ -643,6 +698,7 @@ impl AurStore {
             lane.abandon(|batch| batch.windows.iter().map(|w| w.bytes).sum());
         }
         self.epoch += 1;
+        self.next_prefetch_scan = None;
         self.buffer.clear();
         self.buffer_bytes = 0;
         self.stat.clear();
@@ -730,12 +786,12 @@ impl AurStore {
         // incarnation of the window. While the scan is still inside a
         // contiguous dead prefix, it also advances `index_scan_start` so
         // future scans skip those entries for good.
-        let mut wanted: Vec<(StateKey, u64, u64)> = Vec::new();
+        let mut wanted: Vec<(u64, u64, StateKey)> = Vec::new();
         let mut seen: HashMap<StateKey, u64> = HashMap::new();
         let mut prefix_dead: Vec<StateKey> = Vec::new();
         let mut new_scan_start: Option<u64> = None;
         let mut scanned_bytes = 0u64;
-        let mut reader = LogReader::open_at_in(&self.vfs, &index_path, self.index_scan_start)?;
+        let mut reader = LogReader::open_scan_in(&self.vfs, &index_path, self.index_scan_start)?;
         while let Some((loc, payload)) = reader.next_record()? {
             scanned_bytes += loc.disk_len();
             let entry = IndexEntryRef::decode(&payload)?;
@@ -772,7 +828,7 @@ impl AurStore {
                 .get(entry.key)
                 .is_some_and(|ws| ws.contains(&entry.window));
             if is_selected {
-                wanted.push(((entry.key.to_vec(), entry.window), entry.offset, entry.len));
+                wanted.push((entry.offset, entry.len, (entry.key.to_vec(), entry.window)));
             }
         }
         self.metrics.add_bytes_read(scanned_bytes);
@@ -793,20 +849,12 @@ impl AurStore {
             }
         }
 
-        // Load in offset order for sequential I/O; records of one window
-        // stay in append order because offsets grow with appends.
-        wanted.sort_by_key(|(_, offset, _)| *offset);
-        if self.data_reader.is_none() {
-            let data_path = self.dir.join(data_file_name(self.generation));
-            self.data_reader = Some(RandomAccessLog::open_in(&self.vfs, &data_path)?);
-        }
+        self.open_data_reader()?;
         let data = self.data_reader.as_mut().expect("opened above");
-        for (state_key, offset, len) in wanted {
-            let payload = data.read_record_at(offset)?;
-            self.metrics.add_bytes_read(len);
-            let values = decode_values(&payload)?;
+        load_values(data, wanted, |state_key, values, disk_len| {
+            self.metrics.add_bytes_read(disk_len);
             self.prefetch.extend(state_key, values);
-        }
+        })?;
         Ok(self.prefetch.take(key, window).unwrap_or_default())
     }
 
@@ -831,41 +879,40 @@ impl AurStore {
         }
     }
 
-    /// Reads data-log records at the given (offset-sorted) locations,
-    /// through the ring when attached; the synchronous path reuses the
-    /// store's cached random-access reader.
+    /// Opens the cached reader over the current generation's data log
+    /// unless it is open already.
+    fn open_data_reader(&mut self) -> Result<()> {
+        if self.data_reader.is_none() {
+            let data_path = self.dir.join(data_file_name(self.generation));
+            self.data_reader = Some(RandomAccessLog::open_in(&self.vfs, &data_path)?);
+        }
+        Ok(())
+    }
+
+    /// Reads the data-log records at `wanted` (`(offset, on-disk length,
+    /// state key)`), through the ring when attached; the synchronous
+    /// path reuses the store's cached random-access reader.
     fn read_records_routed(
         &mut self,
         context: &'static str,
-        wanted: Vec<(StateKey, u64)>,
+        wanted: Vec<(u64, u64, StateKey)>,
     ) -> Result<Vec<(StateKey, Vec<Vec<u8>>)>> {
-        let data_path = self.dir.join(data_file_name(self.generation));
+        let mut loaded = Vec::with_capacity(wanted.len());
         match &self.lane {
             Some(lane) => {
+                let data_path = self.dir.join(data_file_name(self.generation));
                 let job_path = data_path.clone();
                 lane.read_through(move |vfs| {
                     let mut data = RandomAccessLog::open_in(vfs, &job_path)?;
-                    let mut loaded: Vec<(StateKey, Vec<Vec<u8>>)> =
-                        Vec::with_capacity(wanted.len());
-                    for (state_key, offset) in wanted {
-                        let payload = data.read_record_at(offset)?;
-                        loaded.push((state_key, decode_values(&payload)?));
-                    }
+                    load_values(&mut data, wanted, |sk, values, _| loaded.push((sk, values)))?;
                     Ok(loaded)
                 })
                 .map_err(|e| StoreError::io_at(context, &data_path, e))
             }
             None => {
-                if self.data_reader.is_none() {
-                    self.data_reader = Some(RandomAccessLog::open_in(&self.vfs, &data_path)?);
-                }
-                let mut loaded = Vec::with_capacity(wanted.len());
-                if let Some(data) = self.data_reader.as_mut() {
-                    for (state_key, offset) in wanted {
-                        let payload = data.read_record_at(offset)?;
-                        loaded.push((state_key, decode_values(&payload)?));
-                    }
-                }
+                self.open_data_reader()?;
+                let data = self.data_reader.as_mut().expect("opened above");
+                load_values(data, wanted, |sk, values, _| loaded.push((sk, values)))?;
                 Ok(loaded)
             }
         }
@@ -888,7 +935,11 @@ impl AurStore {
         let Some(lane) = self.lane.as_mut() else {
             return;
         };
-        for batch in lane.drain().into_iter().flatten() {
+        let done = lane.drain();
+        if !done.is_empty() {
+            self.next_prefetch_scan = None;
+        }
+        for batch in done.into_iter().flatten() {
             self.install(batch);
         }
     }
@@ -919,15 +970,11 @@ impl AurStore {
                     self.prefetch.extend((w.key, w.window), w.values);
                     installed += 1;
                 }
-                Some(_) => lane.waste(w.bytes),
-                // Consumed before the read completed: the prefetch was
-                // issued but lost the race.
-                None => {
-                    if let Some(p) = &self.prefetch_probe {
-                        p.late.inc();
-                    }
-                    lane.waste(w.bytes);
-                }
+                // Grown, already resident, or consumed under the read.
+                // A consumed window is not counted late here: if its
+                // trigger beat this read, `take` counted it then; if a
+                // synchronous batch served it as a hit, nothing was late.
+                _ => lane.waste(w.bytes),
             }
         }
         lane.installed(installed);
@@ -954,9 +1001,13 @@ impl AurStore {
             return Ok(());
         }
         let due = lane.due(stream_time.max(self.latest_ts));
+        if self.next_prefetch_scan.is_some_and(|at| due < at) {
+            return Ok(());
+        }
         let candidates = self
             .stat
             .select_soonest(0, Some(due), |k, w| self.prefetch.contains(k, w));
+        self.next_prefetch_scan = Some(self.stat.next_due_after(due));
         if candidates.is_empty() {
             return Ok(());
         }
@@ -977,6 +1028,9 @@ impl AurStore {
                 continue;
             };
             if !lane.admits(resident + est_bytes, s.disk_bytes) {
+                // The rest become admissible as triggers drain the
+                // prefetch buffer, which no event announces.
+                self.next_prefetch_scan = None;
                 break;
             }
             est_bytes += s.disk_bytes;
@@ -1007,12 +1061,24 @@ impl AurStore {
         };
         let data_path = self.dir.join(data_file_name(self.generation));
         let scan_start = self.index_scan_start;
-        let consumed = self.consumed_records.clone();
         let generation = self.generation;
         let epoch = self.epoch;
-        let mut selected: HashMap<Vec<u8>, HashMap<WindowId, usize>> = HashMap::new();
+        // Per selected window: its slot in the batch and how many of its
+        // leading index entries are dead. The job consults the
+        // dead-prefix counters of selected windows only, so only those
+        // travel with it.
+        let mut selected: HashMap<Vec<u8>, HashMap<WindowId, (usize, u64)>> = HashMap::new();
         for (i, (k, w, _)) in cands.iter().enumerate() {
-            selected.entry(k.clone()).or_default().insert(*w, i);
+            let dead_prefix = self
+                .consumed_records
+                .get(k)
+                .and_then(|ws| ws.get(w))
+                .copied()
+                .unwrap_or(0);
+            selected
+                .entry(k.clone())
+                .or_default()
+                .insert(*w, (i, dead_prefix));
         }
         let keys: Vec<StateKey> = cands.iter().map(|(k, w, _)| (k.clone(), *w)).collect();
         lane.submit(keys, est_bytes, move |vfs| {
@@ -1027,9 +1093,10 @@ impl AurStore {
                     bytes: 0,
                 })
                 .collect();
-            let mut wanted: Vec<(usize, u64)> = Vec::new();
-            let mut seen: HashMap<StateKey, u64> = HashMap::new();
-            let mut reader = LogReader::open_at_in(vfs, &index_path, scan_start)?;
+            let mut wanted: Vec<(u64, u64, usize)> = Vec::new();
+            // Live-or-dead entries of each selected window seen so far.
+            let mut seen = vec![0u64; out.len()];
+            let mut reader = LogReader::open_scan_in(vfs, &index_path, scan_start)?;
             // Stop *before* crossing the snapshot boundary: bytes past
             // `index_limit` may belong to a flush the foreground is
             // writing concurrently, and reading into a half-written
@@ -1039,39 +1106,24 @@ impl AurStore {
                     break;
                 };
                 let entry = IndexEntryRef::decode(&payload)?;
-                let dead_prefix = consumed
-                    .get(entry.key)
-                    .and_then(|ws| ws.get(&entry.window))
-                    .copied()
-                    .unwrap_or(0);
-                let is_dead = if dead_prefix == 0 {
-                    false
-                } else {
-                    let position = seen.entry((entry.key.to_vec(), entry.window)).or_insert(0);
-                    let dead = *position < dead_prefix;
-                    *position += 1;
-                    dead
-                };
-                if is_dead {
+                let Some(&(idx, dead_prefix)) =
+                    selected.get(entry.key).and_then(|ws| ws.get(&entry.window))
+                else {
                     continue;
-                }
-                if let Some(&idx) = selected.get(entry.key).and_then(|ws| ws.get(&entry.window)) {
-                    wanted.push((idx, entry.offset));
+                };
+                seen[idx] += 1;
+                if seen[idx] > dead_prefix {
+                    wanted.push((entry.offset, entry.len, idx));
                 }
             }
-            // Offset order: sequential I/O, and a window's records stay
-            // in append order — identical to the synchronous read.
-            wanted.sort_by_key(|&(_, offset)| offset);
             if !wanted.is_empty() {
                 let mut data = RandomAccessLog::open_in(vfs, &data_path)?;
-                for (idx, offset) in wanted {
-                    let payload = data.read_record_at(offset)?;
-                    let values = decode_values(&payload)?;
+                load_values(&mut data, wanted, |idx, values, disk_len| {
                     let slot = &mut out[idx];
-                    slot.bytes += payload.len() as u64;
+                    slot.bytes += disk_len;
                     slot.found_records += 1;
                     slot.values.extend(values);
-                }
+                })?;
             }
             Ok(AsyncBatch {
                 generation,
@@ -1104,8 +1156,8 @@ impl AurStore {
         self.compact()
     }
 
-    /// Rewrites the data log keeping only live byte ranges (zero-copy
-    /// range transfer, paper §5) and bumps the generation.
+    /// Rewrites the data log keeping only live records (byte-range
+    /// relocation without decoding, paper §5) and bumps the generation.
     fn compact(&mut self) -> Result<()> {
         let _t = self.metrics.timer(OpCategory::Compaction);
         if let Some(w) = self.data_writer.as_mut() {
@@ -1129,31 +1181,33 @@ impl AurStore {
             // Collect live entries in append order, skipping each state
             // key's dead prefix of consumed records (everything before
             // `index_scan_start` is known dead).
-            let live: Vec<IndexEntry> = self
+            let mut live: Vec<IndexEntry> = self
                 .scan_live_index_routed("aur compact scan", &old_index)?
                 .into_iter()
                 .filter(|e| self.stat.get(&e.key, e.window).is_some())
                 .collect();
-            // Relocate the live byte ranges of the data log.
-            let mut src = self
-                .vfs
-                .open_read(&old_data)
-                .map_err(|e| StoreError::io_at("aur compact open", &old_data, e))?;
+            // Relocate the live records of the data log: raw bytes out
+            // of the extent reads (checksum-verified, never decoded),
+            // dead records in between fetched only where skipping them
+            // would cost an extra device read.
+            let mut src = RandomAccessLog::open_in(&self.vfs, &old_data)?;
             let mut dst = std::io::BufWriter::new(
                 self.vfs
                     .create(&new_data_path)
                     .map_err(|e| StoreError::io_at("aur compact create", &new_data_path, e))?,
             );
             let mut new_index = LogWriter::create_in(&self.vfs, &new_index_path)?;
-            let mut new_offset = 0u64;
-            for mut entry in live {
-                copy_range(&mut src, &mut dst, entry.offset, entry.len)?;
-                moved += entry.len;
-                entry.offset = new_offset;
-                new_offset += entry.len;
-                new_index.append(&entry.encode())?;
-            }
+            let locations: Vec<(u64, u64)> = live.iter().map(|e| (e.offset, e.len)).collect();
             use std::io::Write as _;
+            src.read_records(&locations, |i, record| {
+                dst.write_all(record)
+                    .map_err(|e| StoreError::io_at("aur compact copy", &new_data_path, e))?;
+                let entry = &mut live[i];
+                entry.offset = moved;
+                moved += entry.len;
+                new_index.append(&entry.encode())?;
+                Ok(())
+            })?;
             dst.flush()
                 .map_err(|e| StoreError::io_at("aur compact flush", &new_data_path, e))?;
             dst.into_inner()
@@ -1230,6 +1284,7 @@ impl AurStore {
     fn rebuild_from_index(&mut self) -> Result<()> {
         self.stat.clear();
         self.prefetch.clear();
+        self.next_prefetch_scan = None;
         self.consumed_records.clear();
         self.index_scan_start = 0;
         self.data_reader = None;
@@ -1241,7 +1296,7 @@ impl AurStore {
         }
         // Truncate any torn tail left by a crash mid-flush.
         LogWriter::open_append_in(&self.vfs, &index_path)?;
-        let mut reader = LogReader::open_in(&self.vfs, &index_path)?;
+        let mut reader = LogReader::open_scan_in(&self.vfs, &index_path, 0)?;
         while let Some((_, payload)) = reader.next_record()? {
             let entry = IndexEntry::decode(&payload)?;
             self.latest_ts = self.latest_ts.max(entry.max_ts);
@@ -1672,6 +1727,123 @@ mod tests {
             s.take(b"a", w(0, 100)).unwrap(),
             vec![b"v1".to_vec(), b"v2".to_vec()]
         );
+    }
+
+    /// A telemetry-probed store on a one-thread ring whose thread is
+    /// parked until the returned sender fires (or drops), so every read
+    /// the store submits stays in flight for as long as the test needs.
+    fn gated_ring_store(
+        dir: &Path,
+    ) -> (
+        AurStore,
+        Arc<IoRing>,
+        Arc<Telemetry>,
+        std::sync::mpsc::Sender<()>,
+    ) {
+        let telemetry = Telemetry::new_shared();
+        let s = session_store(dir, cfg_small()).with_telemetry(telemetry.clone(), "t/p0");
+        let ring = Arc::new(IoRing::new(s.vfs.clone(), 1));
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        ring.submit(
+            u64::MAX,
+            Box::new(move |_| {
+                let _ = gate.recv();
+                Ok(Box::new(()) as _)
+            }),
+        );
+        (s.with_ring(ring.clone(), 7), ring, telemetry, release)
+    }
+
+    fn counter(telemetry: &Telemetry, name: &str) -> u64 {
+        let name = format!("{name}{{store=t/p0}}");
+        let samples = telemetry.registry().snapshot();
+        match samples.iter().find(|s| s.name == name).map(|s| &s.value) {
+            Some(flowkv_common::telemetry::SampleValue::Counter(v)) => *v,
+            _ => panic!("{name} is not a registered counter"),
+        }
+    }
+
+    #[test]
+    fn a_trigger_that_beats_its_read_is_late_once() {
+        let dir = ScratchDir::new("aur-ring-late").unwrap();
+        let (mut s, ring, telemetry, release) = gated_ring_store(dir.path());
+        s.append(b"a", w(0, 100), b"v1", 10).unwrap();
+        s.flush().unwrap();
+        s.advance_prefetch(50).unwrap();
+        // The trigger beats the parked read: counted late here, served
+        // synchronously.
+        assert_eq!(s.take(b"a", w(0, 100)).unwrap(), vec![b"v1".to_vec()]);
+        assert_eq!(counter(&telemetry, "prefetch_late_total"), 1);
+        // The completion then finds the window consumed: waste, and not
+        // a second late.
+        release.send(()).unwrap();
+        ring.wait_idle();
+        s.advance_prefetch(50).unwrap();
+        assert_eq!(counter(&telemetry, "prefetch_late_total"), 1);
+        assert!(counter(&telemetry, "prefetch_wasted_bytes") > 0);
+    }
+
+    #[test]
+    fn a_window_served_as_a_hit_under_an_inflight_read_is_waste_not_late() {
+        let dir = ScratchDir::new("aur-ring-hit-waste").unwrap();
+        let (mut s, ring, telemetry, release) = gated_ring_store(dir.path());
+        for (key, ts) in [(b"a", 10), (b"b", 20), (b"c", 30)] {
+            s.append(key, w(0, 100), b"v", ts).unwrap();
+        }
+        s.flush().unwrap();
+        // `c` has unflushed values, so the submission covers `a` and `b`
+        // only; its own trigger then runs a synchronous batch read that
+        // loads `a` and `b` while the ring read for them is still parked.
+        s.append(b"c", w(0, 100), b"v2", 40).unwrap();
+        s.advance_prefetch(50).unwrap();
+        assert_eq!(s.take(b"c", w(0, 100)).unwrap().len(), 2);
+        assert_eq!(s.take(b"a", w(0, 100)).unwrap(), vec![b"v".to_vec()]);
+        assert_eq!(counter(&telemetry, "prefetch_hits_total"), 1);
+        release.send(()).unwrap();
+        ring.wait_idle();
+        s.advance_prefetch(50).unwrap();
+        assert_eq!(counter(&telemetry, "prefetch_late_total"), 0);
+        assert!(counter(&telemetry, "prefetch_wasted_bytes") > 0);
+    }
+
+    #[test]
+    fn candidate_scan_reruns_after_a_flush_and_when_a_window_comes_due() {
+        let dir = ScratchDir::new("aur-ring-rescan").unwrap();
+        let s = AurStore::open(
+            dir.path(),
+            cfg_small(),
+            EttPredictor::SessionGap { gap: 10_000 },
+            StoreMetrics::new_shared(),
+        )
+        .unwrap();
+        let ring = Arc::new(IoRing::new(s.vfs.clone(), 1));
+        let mut s = s.with_ring(ring.clone(), 7);
+        let in_flight = |s: &AurStore| !s.lane.as_ref().unwrap().is_idle();
+
+        // ETT 10_010 lies beyond the 500 ms horizon of stream time 50:
+        // nothing to read ahead, and nothing new until the due bound
+        // reaches it.
+        s.append(b"a", w(0, 100), b"v1", 10).unwrap();
+        s.flush().unwrap();
+        s.advance_prefetch(50).unwrap();
+        s.advance_prefetch(9_000).unwrap();
+        assert!(!in_flight(&s));
+        s.advance_prefetch(9_600).unwrap();
+        assert!(in_flight(&s), "a window that came due was not read ahead");
+        ring.wait_idle();
+        s.advance_prefetch(9_600).unwrap();
+        s.advance_prefetch(9_600).unwrap();
+        assert_eq!(s.prefetched_windows(), 1);
+
+        // A flush puts a second due window on disk: the next tick must
+        // find it although stream time has not moved.
+        s.append(b"b", w(0, 100), b"v2", 20).unwrap();
+        s.flush().unwrap();
+        s.advance_prefetch(9_600).unwrap();
+        assert!(in_flight(&s), "a freshly flushed window was not read ahead");
+        ring.wait_idle();
+        s.advance_prefetch(9_600).unwrap();
+        assert_eq!(s.prefetched_windows(), 2);
     }
 
     #[test]

@@ -171,6 +171,19 @@ impl StatTable {
             .collect()
     }
 
+    /// The earliest ETT later than `due` among windows with on-disk
+    /// state — the bound stream time must reach before a window that
+    /// [`StatTable::select_soonest`] found not yet due becomes due — or
+    /// `Timestamp::MAX` when every such window is due already.
+    pub fn next_due_after(&self, due: Timestamp) -> Timestamp {
+        self.iter()
+            .filter(|(_, _, stat)| stat.disk_records > 0)
+            .filter_map(|(_, _, stat)| stat.ett)
+            .filter(|&ett| ett > due)
+            .min()
+            .unwrap_or(Timestamp::MAX)
+    }
+
     /// Approximate memory footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.map
@@ -266,6 +279,22 @@ mod tests {
         // Without a due bound, only the n soonest are taken.
         let selected = t.select_soonest(1, None, |_, _| false);
         assert_eq!(selected.len(), 1);
+    }
+
+    #[test]
+    fn next_due_is_the_earliest_ett_past_the_bound() {
+        let mut t = StatTable::new();
+        let p = EttPredictor::SessionGap { gap: 10 };
+        for (key, ts) in [(b"a", 5i64), (b"b", 30), (b"c", 50)] {
+            t.observe_append(key, w(0, 200), ts, &p);
+            t.add_disk(key, w(0, 200), 10);
+        }
+        // Still in the write buffer only: a flush, not time, makes it a
+        // candidate.
+        t.observe_append(b"d", w(0, 200), 20, &p);
+        assert_eq!(t.next_due_after(15), 40);
+        assert_eq!(t.next_due_after(40), 60);
+        assert_eq!(t.next_due_after(60), Timestamp::MAX);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use flowkv_common::codec::{put_len_prefixed, Decoder};
 use flowkv_common::error::{Result, StoreError};
-use flowkv_common::logfile::{LogReader, LogWriter, RandomAccessLog};
+use flowkv_common::logfile::{record_payload, LogReader, LogWriter, RandomAccessLog};
 use flowkv_common::metrics::{OpCategory, StoreMetrics};
 use flowkv_common::registry::ViewValue;
 use flowkv_common::types::WindowId;
@@ -333,11 +333,17 @@ impl RmwStore {
             self.reader = Some(RandomAccessLog::open_in(&self.vfs, &path)?);
         }
         let log = self.reader.as_mut().expect("opened above");
-        let payload = log.read_record_at(offset)?;
+        let mut aggregate = Vec::new();
+        // The index holds the record's length, so a point read is one
+        // device read.
+        log.read_records(&[(offset, len)], |_, record| {
+            let mut dec = Decoder::new(record_payload(record));
+            let _composite = dec.get_len_prefixed()?;
+            aggregate = dec.get_len_prefixed()?.to_vec();
+            Ok(())
+        })?;
         self.metrics.add_bytes_read(len);
-        let mut dec = Decoder::new(&payload);
-        let _composite = dec.get_len_prefixed()?;
-        Ok(dec.get_len_prefixed()?.to_vec())
+        Ok(aggregate)
     }
 
     fn ensure_writer(&mut self) -> Result<()> {
@@ -387,12 +393,15 @@ impl RmwStore {
             // Deterministic relocation order keeps the new log sequential.
             let mut live: Vec<(Vec<u8>, (u64, u64))> = self.index.drain().collect();
             live.sort_by_key(|(_, (offset, _))| *offset);
-            for (composite, (offset, _len)) in live {
-                let payload = old.read_record_at(offset)?;
-                let loc = new_writer.append(&payload)?;
+            let locations: Vec<(u64, u64)> = live.iter().map(|(_, loc)| *loc).collect();
+            let mut composites = live.into_iter().map(|(composite, _)| composite);
+            old.read_records(&locations, |_, record| {
+                let composite = composites.next().expect("one composite per location");
+                let loc = new_writer.append(record_payload(record))?;
                 moved += loc.disk_len();
                 new_index.insert(composite, (loc.offset, loc.disk_len()));
-            }
+                Ok(())
+            })?;
         }
         new_writer.sync()?;
         let _ = self.vfs.remove_file(&old_path);

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use common::{cell_seed, fault_seed, nexmark_generator, sorted_triples};
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::telemetry::{SampleValue, Telemetry};
-use flowkv_common::vfs::{FaultPlan, FaultVfs, StdVfs};
+use flowkv_common::vfs::{FaultKind, FaultPlan, FaultVfs, StdVfs};
 use flowkv_nexmark::{QueryId, QueryParams};
 use flowkv_spe::source::{LogSource, TupleLog};
 use flowkv_spe::{run_job, run_supervised, BackendChoice, FactoryOptions, RunOptions};
@@ -242,4 +242,68 @@ fn tiered_crash_q11_median() {
 #[test]
 fn tiered_crash_q11() {
     tiered_crash_row(QueryId::Q11);
+}
+
+/// A short read landing inside a batched extent read of the AUR data log
+/// (`RandomAccessLog::read_records`): the attempt fails with a structured
+/// I/O error, supervision restores and replays, and the output is
+/// byte-identical to an undisturbed run.
+///
+/// One operator worker keeps the store-op sequence a function of the
+/// input, so the op that is an extent read can be found by probing: plant
+/// the fault at successive ops of plain runs — backwards from the end,
+/// where the closing watermark fires every remaining session — until one
+/// dies inside `log read extent`, then plant it there under supervision.
+#[test]
+fn short_read_inside_an_extent_recovers() {
+    let backend = &BackendChoice::all_small_for_tests()[1];
+    let dir = ScratchDir::new("crash-matrix-short-read").unwrap();
+    let log = dir.path().join("events.log");
+    TupleLog::record(&log, nexmark_generator(NUM_EVENTS, 7).tuples()).unwrap();
+    let job = QueryId::Q11Median.build(QueryParams::new(1_000).with_parallelism(1));
+    let options = |name: &str| {
+        let mut opts = RunOptions::new(dir.path().join(name));
+        opts.collect_outputs = true;
+        opts.watermark_interval = 100;
+        opts.checkpoint_after_tuples = Some(NUM_EVENTS / 2);
+        opts.checkpoint_dir = Some(dir.path().join(format!("{name}-ckpt")));
+        opts
+    };
+    let run = |name: &str, vfs: Arc<FaultVfs>| {
+        run_job(
+            &job,
+            LogSource::open(&log).unwrap(),
+            backend.build(FactoryOptions::new().vfs(vfs)),
+            &options(name),
+        )
+    };
+
+    let counter = FaultVfs::counting(StdVfs::shared());
+    let reference = run("ref", counter.clone()).expect("undisturbed run");
+    assert!(!reference.outputs.is_empty());
+    let total_ops = counter.ops();
+
+    let short_read_at = |op| FaultPlan::new().with_fault(op, FaultKind::ShortRead);
+    let extent_op = (1..=total_ops)
+        .rev()
+        .find(|&op| {
+            let vfs = FaultVfs::new(StdVfs::shared(), short_read_at(op));
+            run(&format!("probe-{op}"), vfs)
+                .is_err_and(|e| e.to_string().contains("log read extent"))
+        })
+        .expect("the run never reads an extent");
+
+    let faulty = FaultVfs::new(StdVfs::shared(), short_read_at(extent_op));
+    let mut opts = options("data");
+    opts.max_restarts = 2;
+    opts.restart_backoff = std::time::Duration::from_millis(1);
+    let factory = backend.build(FactoryOptions::new().vfs(faulty.clone()));
+    let sup = run_supervised(&job, &log, factory, &opts).expect("supervised run");
+    assert_eq!(faulty.fired(), vec![(extent_op, FaultKind::ShortRead)]);
+    assert_eq!(sup.restarts, 1, "one short read must cost one restart");
+    assert_eq!(
+        sorted_triples(&sup.all_outputs()),
+        sorted_triples(&reference.outputs),
+        "recovered output diverged (short read at op {extent_op})"
+    );
 }
