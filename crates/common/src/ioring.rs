@@ -32,7 +32,10 @@
 //! LSM's block warm-ups — goes through one [`Lane`], which owns the
 //! submission lifecycle (in-flight table, byte budget, drain, wait,
 //! abandon, panic re-raise, accounting); a store supplies only its
-//! candidates, the job body and the validate-then-install check.
+//! candidates, the job body and the validate-then-install check. The
+//! lane is also the only code that knows whether a ring exists: a store
+//! without one holds a lane of width zero, which runs the same job
+//! bodies on the worker thread.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -122,8 +125,9 @@ impl Completion {
 /// backend factory can build a ring over its own VFS.
 #[derive(Clone, Debug)]
 pub struct IoPolicy {
-    /// Pool threads per backend ring. `0` disables the ring entirely
-    /// (callers must treat `threads == 0` as "stay synchronous").
+    /// Pool threads per backend ring. `0` builds no ring: the stores
+    /// keep their [`Lane::inline`] lane and every read runs on the
+    /// worker thread.
     pub threads: usize,
     /// Test knob: when set, completions are inserted at seeded
     /// pseudo-random queue positions to exercise reordering.
@@ -487,15 +491,19 @@ impl PrefetchProbe {
     }
 }
 
-/// Wraps a typed lane job as a ring job. A [`StoreError`](crate::error::StoreError)
-/// crosses the ring as text; the foreground re-wraps it with path
-/// context on receipt.
+/// How a lane job's [`StoreError`](crate::error::StoreError) reaches
+/// the foreground: as text, which the caller re-wraps with path context.
+fn as_io_error(e: crate::error::StoreError) -> io::Error {
+    io::Error::other(e.to_string())
+}
+
+/// Wraps a typed lane job as a ring job.
 fn erase<R: Send + 'static>(
     job: impl FnOnce(&Arc<dyn Vfs>) -> crate::error::Result<R> + Send + 'static,
 ) -> IoJob {
     Box::new(move |vfs| match job(vfs) {
         Ok(payload) => Ok(Box::new(payload) as Box<dyn Any + Send>),
-        Err(e) => Err(io::Error::other(e.to_string())),
+        Err(e) => Err(as_io_error(e)),
     })
 }
 
@@ -520,11 +528,21 @@ fn unerase<R: 'static>(completion: Completion) -> io::Result<R> {
 /// they arrive in any order and the store must validate each against
 /// its current state before installing it.
 ///
+/// The lane is also the one place that knows whether a ring exists. A
+/// lane [without threads](Lane::inline) has width zero: it admits no
+/// read-ahead, so nothing is ever in flight, and a read-through job
+/// runs on the calling thread — the same closure against the same
+/// `Vfs`, its error crossing back as the same text. Stores therefore
+/// hold a plain `Lane` and never ask which kind they have.
+///
 /// A panic captured on a pool thread (an injected crash fault)
 /// re-raises on the calling thread from whichever method consumes that
 /// completion, after the lane's own bookkeeping is unwound.
 pub struct Lane<K, T> {
-    ring: Arc<IoRing>,
+    /// The pool jobs run on; `None` is the lane of width zero.
+    ring: Option<Arc<IoRing>>,
+    /// What jobs read through: the ring's VFS when there is a ring.
+    vfs: Arc<dyn Vfs>,
     tag: u64,
     /// Submission id → (keys the read covers, estimated bytes).
     inflight: HashMap<u64, (Vec<K>, u64)>,
@@ -538,9 +556,19 @@ pub struct Lane<K, T> {
 impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
     /// A lane submitting to `ring` under routing tag `tag`.
     pub fn new(ring: Arc<IoRing>, tag: u64) -> Self {
+        let mut lane = Self::inline(Arc::clone(ring.vfs()));
+        lane.ring = Some(ring);
+        lane.tag = tag;
+        lane
+    }
+
+    /// A lane without threads over `vfs`: no read-ahead, and every
+    /// read-through job runs on the caller's thread.
+    pub fn inline(vfs: Arc<dyn Vfs>) -> Self {
         Lane {
-            ring,
-            tag,
+            ring: None,
+            vfs,
+            tag: 0,
             inflight: HashMap::new(),
             by_key: HashMap::new(),
             inflight_bytes: 0,
@@ -560,9 +588,11 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
     }
 
     /// Whether a read of `est_bytes` fits the budget, given `resident`
-    /// bytes of read-ahead state the store already holds installed.
+    /// bytes of read-ahead state the store already holds installed. A
+    /// lane without threads admits nothing, not even `admits(0, 0)` —
+    /// which is how a store asks whether read-ahead is worth planning.
     pub fn admits(&self, resident: u64, est_bytes: u64) -> bool {
-        resident + self.inflight_bytes + est_bytes <= PREFETCH_BUDGET_BYTES
+        self.ring.is_some() && resident + self.inflight_bytes + est_bytes <= PREFETCH_BUDGET_BYTES
     }
 
     /// True when no submission is outstanding.
@@ -577,14 +607,19 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
 
     /// Submits one background read covering `keys`, expected to bring
     /// about `est_bytes`. The job runs on a pool thread against the
-    /// ring's VFS and must not touch store state.
+    /// ring's VFS and must not touch store state. Read-ahead is
+    /// advisory, so a lane without threads refuses: the job is dropped
+    /// unrun and nothing is ever in flight.
     pub fn submit(
         &mut self,
         keys: Vec<K>,
         est_bytes: u64,
         job: impl FnOnce(&Arc<dyn Vfs>) -> crate::error::Result<T> + Send + 'static,
     ) {
-        let id = self.ring.submit(self.tag, erase(job));
+        let Some(ring) = &self.ring else {
+            return;
+        };
+        let id = ring.submit(self.tag, erase(job));
         if let Some(p) = &self.probe {
             p.issued.add(keys.len() as u64);
         }
@@ -593,6 +628,14 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
         }
         self.inflight.insert(id, (keys, est_bytes));
         self.inflight_bytes += est_bytes;
+    }
+
+    /// The ring behind a read in flight: only a lane with one admits a
+    /// submission.
+    fn pool(&self) -> &IoRing {
+        self.ring
+            .as_deref()
+            .expect("a read in flight implies a ring")
     }
 
     /// Drops the bookkeeping of submission `id`; false when the lane
@@ -615,7 +658,7 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
         if self.is_idle() {
             return Vec::new();
         }
-        let mut done = self.ring.drain_tag(self.tag);
+        let mut done = self.pool().drain_tag(self.tag);
         done.retain(|c| self.forget(c.id));
         done.into_iter().map(unerase).collect()
     }
@@ -624,7 +667,7 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
     /// `None` when no outstanding submission covers `key`.
     pub fn wait_for(&mut self, key: &K) -> Option<io::Result<T>> {
         let id = *self.by_key.get(key)?;
-        let completion = self.ring.wait(id);
+        let completion = self.pool().wait(id);
         self.forget(id);
         Some(unerase(completion))
     }
@@ -633,7 +676,7 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
     /// all — for callers about to move the bytes those reads target.
     pub fn wait_all(&mut self) -> Vec<io::Result<T>> {
         let ids: Vec<u64> = self.inflight.keys().copied().collect();
-        let done: Vec<Completion> = ids.into_iter().map(|id| self.ring.wait(id)).collect();
+        let done: Vec<Completion> = ids.into_iter().map(|id| self.pool().wait(id)).collect();
         self.inflight.clear();
         self.by_key.clear();
         self.inflight_bytes = 0;
@@ -667,9 +710,11 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
         crate::trace::instant_here("prefetch_waste", "prefetch", &[("bytes", bytes as i64)]);
     }
 
-    /// Runs `job` on the pool and blocks for its result: a synchronous
-    /// read that still happens off the worker thread, so it shares the
-    /// fault surface and telemetry of background reads.
+    /// Runs `job` and blocks for its result: on the pool when the lane
+    /// has one — a synchronous read that still happens off the worker
+    /// thread, sharing the telemetry of background reads — and on the
+    /// calling thread otherwise. Either way the job reads through the
+    /// same VFS, so injected faults fire at the same operation.
     pub fn read_through<R: Send + 'static>(
         &self,
         job: impl FnOnce(&Arc<dyn Vfs>) -> crate::error::Result<R> + Send + 'static,
@@ -688,13 +733,17 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
     where
         J: FnOnce(&Arc<dyn Vfs>) -> crate::error::Result<R> + Send + 'static,
     {
+        let Some(ring) = &self.ring else {
+            return jobs
+                .into_iter()
+                .map(|job| job(&self.vfs).map_err(as_io_error))
+                .collect();
+        };
         let ids: Vec<u64> = jobs
             .into_iter()
-            .map(|job| self.ring.submit(self.tag, erase(job)))
+            .map(|job| ring.submit(self.tag, erase(job)))
             .collect();
-        ids.into_iter()
-            .map(|id| unerase(self.ring.wait(id)))
-            .collect()
+        ids.into_iter().map(|id| unerase(ring.wait(id))).collect()
     }
 }
 
@@ -895,7 +944,7 @@ mod tests {
         let mut l = lane(1);
         l.submit(vec![1], 100, |_vfs| panic!("flowkv-fault: injected crash"));
         l.submit(vec![2], 50, |_vfs| Ok(2));
-        l.ring.wait_idle();
+        l.pool().wait_idle();
         assert!(l.covers(&1) && l.covers(&2));
         assert_eq!(l.inflight_bytes, 150);
         l
@@ -931,7 +980,7 @@ mod tests {
         assert_eq!(msg, "flowkv-fault: injected crash");
         assert!(l.is_idle());
         assert_eq!(l.inflight_bytes, 0);
-        assert_eq!(l.ring.pending(), 0);
+        assert_eq!(l.pool().pending(), 0);
     }
 
     #[test]
@@ -964,7 +1013,7 @@ mod tests {
         l.submit(vec![2], half, |_vfs| Ok(2));
         assert!(!l.admits(0, 1));
         // Finished reads leave the in-flight total once drained.
-        l.ring.wait_idle();
+        l.pool().wait_idle();
         let mut got: Vec<u64> = l.drain().into_iter().map(Result::unwrap).collect();
         got.sort_unstable();
         assert_eq!(got, vec![1, 2]);
@@ -972,6 +1021,91 @@ mod tests {
         assert!(!l.admits(0, PREFETCH_BUDGET_BYTES + 1));
         assert_eq!(l.due(1_000), 1_000 + PREFETCH_HORIZON_MS);
         assert_eq!(l.due(Timestamp::MAX), Timestamp::MAX);
+    }
+
+    /// The same job through a lane of width zero and of width one.
+    fn both_widths<R: Send + 'static>(
+        vfs: impl Fn() -> Arc<dyn Vfs>,
+        job: impl Fn(&Arc<dyn Vfs>) -> crate::error::Result<R> + Clone + Send + 'static,
+    ) -> [io::Result<R>; 2] {
+        let inline: Lane<u32, u64> = Lane::inline(vfs());
+        let pooled: Lane<u32, u64> = Lane::new(Arc::new(IoRing::new(vfs(), 1)), 9);
+        [inline.read_through(job.clone()), pooled.read_through(job)]
+    }
+
+    #[test]
+    fn threadless_lane_runs_read_through_on_the_calling_thread() {
+        let [inline, pooled] = both_widths(StdVfs::shared, |_vfs| Ok(std::thread::current().id()));
+        assert_eq!(inline.unwrap(), std::thread::current().id());
+        assert_ne!(pooled.unwrap(), std::thread::current().id());
+    }
+
+    #[test]
+    fn threadless_lane_surfaces_job_errors_with_the_ring_paths_text() {
+        let [inline, pooled] = both_widths(StdVfs::shared, |vfs| {
+            let path = std::path::Path::new("/definitely/not/here.aurd");
+            vfs.read(path)
+                .map_err(|e| crate::error::StoreError::io_at("lane test read", path, e))
+        });
+        let (inline, pooled) = (inline.unwrap_err(), pooled.unwrap_err());
+        assert!(inline.to_string().contains("lane test read"), "{inline}");
+        assert_eq!(inline.to_string(), pooled.to_string());
+        assert_eq!(inline.kind(), pooled.kind());
+    }
+
+    #[test]
+    fn threadless_lane_fires_faults_at_the_same_op_index() {
+        use crate::vfs::{FaultKind, FaultPlan, FaultVfs};
+        let dir = crate::scratch::ScratchDir::new("lane-fault").unwrap();
+        let path = dir.path().join("f");
+        std::fs::write(&path, b"x").unwrap();
+        // Three faultable ops per job; the fault is planted on the second.
+        let faulty = || -> Arc<dyn Vfs> {
+            FaultVfs::new(
+                StdVfs::shared(),
+                FaultPlan::new().with_fault(2, FaultKind::Enospc),
+            )
+        };
+        let [inline, pooled] = both_widths(faulty, move |vfs| {
+            Ok([vfs.read(&path), vfs.read(&path), vfs.read(&path)].map(|r| r.is_ok()))
+        });
+        assert_eq!(inline.unwrap(), [true, false, true]);
+        assert_eq!(pooled.unwrap(), [true, false, true]);
+        // An injected crash unwinds the caller from either lane.
+        let crashing =
+            || -> Arc<dyn Vfs> { FaultVfs::new(StdVfs::shared(), FaultPlan::crash_at(1)) };
+        let inline: Lane<u32, u64> = Lane::inline(crashing());
+        let pooled: Lane<u32, u64> = Lane::new(Arc::new(IoRing::new(crashing(), 1)), 9);
+        for lane in [inline, pooled] {
+            let msg = panic_message(|| {
+                let _ = lane.read_through(|vfs| Ok(vfs.read(std::path::Path::new("/x")).is_ok()));
+            });
+            assert_eq!(msg, "flowkv-fault: injected crash");
+        }
+    }
+
+    #[test]
+    fn threadless_lane_is_always_idle_and_refuses_submissions() {
+        let ran = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let mut l: Lane<u32, u64> = Lane::inline(StdVfs::shared());
+        assert!(l.is_idle());
+        assert!(!l.admits(0, 0), "a lane without threads admits nothing");
+        let flag = Arc::clone(&ran);
+        l.submit(vec![1], 10, move |_vfs| {
+            flag.store(true, std::sync::atomic::Ordering::SeqCst);
+            Ok(1)
+        });
+        assert!(l.is_idle() && !l.covers(&1));
+        assert_eq!(l.inflight_bytes, 0);
+        assert!(l.drain().is_empty());
+        assert!(l.wait_for(&1).is_none());
+        assert!(l.wait_all().is_empty());
+        l.abandon(|_| 0);
+        assert!(!ran.load(std::sync::atomic::Ordering::SeqCst), "job ran");
+        // Read-through still works, in job order.
+        let through = l.read_through_each((0..3u8).map(|i| move |_vfs: &Arc<dyn Vfs>| Ok(i)));
+        let through: Vec<u8> = through.into_iter().map(Result::unwrap).collect();
+        assert_eq!(through, vec![0, 1, 2]);
     }
 
     #[test]
@@ -986,7 +1120,7 @@ mod tests {
         let through = l.read_through_each((0..3u8).map(|i| move |_vfs: &Arc<dyn Vfs>| Ok(i)));
         let through: Vec<u8> = through.into_iter().map(Result::unwrap).collect();
         assert_eq!(through, vec![0, 1, 2]);
-        l.ring.wait_idle();
+        l.pool().wait_idle();
         let got: Vec<(u64, Vec<u8>)> = l.drain().into_iter().map(Result::unwrap).collect();
         // One pool thread finishes in submission order, so any other
         // order is the seeded shuffle.

@@ -101,9 +101,10 @@ pub struct AarStore {
     encode_buf: Vec<u8>,
     metrics: Arc<StoreMetrics>,
     vfs: Arc<dyn Vfs>,
-    /// Read-ahead lane on the worker's background I/O ring, keyed by
-    /// window; `None` keeps every read synchronous.
-    lane: Option<Lane<WindowId, AarAsyncRead>>,
+    /// Read-ahead lane keyed by window: without threads (every read
+    /// synchronous) until [`AarStore::with_ring`] attaches the worker's
+    /// background I/O ring.
+    lane: Lane<WindowId, AarAsyncRead>,
     /// Bumped by close/restore so stale completions can't install.
     epoch: u64,
     prefetched: HashMap<WindowId, PrefetchedWindow>,
@@ -150,8 +151,8 @@ impl AarStore {
             drains: HashMap::new(),
             encode_buf: Vec::new(),
             metrics,
+            lane: Lane::inline(Arc::clone(&vfs)),
             vfs,
-            lane: None,
             epoch: 0,
             prefetched: HashMap::new(),
             prefetch_probe: None,
@@ -163,20 +164,17 @@ impl AarStore {
     /// Attaches the worker's background I/O ring; `tag` routes this
     /// instance's completions.
     pub fn with_ring(mut self, ring: Arc<IoRing>, tag: u64) -> Self {
-        let mut lane = Lane::new(ring, tag);
+        self.lane = Lane::new(ring, tag);
         if let Some(p) = &self.prefetch_probe {
-            lane.set_probe(p.clone());
+            self.lane.set_probe(p.clone());
         }
-        self.lane = Some(lane);
         self
     }
 
     /// Wires prefetch-accuracy telemetry, labelled `{store=tag}`.
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>, tag: &str) -> Self {
         let probe = PrefetchProbe::new(&telemetry, tag);
-        if let Some(lane) = &mut self.lane {
-            lane.set_probe(probe.clone());
-        }
+        self.lane.set_probe(probe.clone());
         self.prefetch_probe = Some(probe);
         self
     }
@@ -234,7 +232,7 @@ impl AarStore {
                         }
                     }
                     None => {
-                        let late = self.lane.as_ref().is_some_and(|l| l.covers(&window));
+                        let late = self.lane.covers(&window);
                         if late {
                             // The window fired before its background read
                             // landed; fall back to a synchronous read.
@@ -359,13 +357,10 @@ impl AarStore {
     /// trigger (its end boundary) falls within the horizon of
     /// `stream_time`.
     pub fn advance_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
-        let Some(lane) = self.lane.as_mut() else {
-            return Ok(());
-        };
         // A failed background read just means the window drains
         // synchronously; reads racing a drain's file deletion lose
         // their file mid-scan routinely.
-        for read in lane.drain().into_iter().flatten() {
+        for read in self.lane.drain().into_iter().flatten() {
             self.install(read);
         }
         self.submit_prefetch(stream_time)
@@ -375,9 +370,7 @@ impl AarStore {
     /// exactly as anticipated: same epoch, still on disk, not mid-drain,
     /// not already prefetched.
     fn install(&mut self, read: AarAsyncRead) {
-        let Some(lane) = &self.lane else {
-            return;
-        };
+        let lane = &self.lane;
         if read.epoch == self.epoch
             && self.on_disk.contains(&read.window)
             && !self.drains.contains_key(&read.window)
@@ -403,9 +396,11 @@ impl AarStore {
     /// byte budget. Each job scans a consistent snapshot — the file up
     /// to its length at submission — and never touches store state.
     fn submit_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
-        let Some(lane) = self.lane.as_mut() else {
+        let lane = &mut self.lane;
+        // Nothing to plan for a lane that admits no read at all.
+        if !lane.admits(0, 0) {
             return Ok(());
-        };
+        }
         let due = lane.due(stream_time);
         let mut candidates: Vec<WindowId> = self
             .on_disk
@@ -507,36 +502,18 @@ impl AarStore {
                 w.flush()?;
             }
         }
-        match &self.lane {
-            Some(lane) => {
-                // Route the snapshot reads through the ring: one job per
-                // window file, submitted together so the pool overlaps
-                // them, then collected in window order.
-                let reads = lane.read_through_each(windows.iter().map(|&window| {
-                    let path = self.dir.join(window_file_name(window));
-                    move |vfs: &Arc<dyn Vfs>| read_window_file(vfs, &path)
-                }));
-                for (&window, pairs) in windows.iter().zip(reads) {
-                    let pairs = pairs.map_err(|e| {
-                        StoreError::io_at(
-                            "aar view read",
-                            self.dir.join(window_file_name(window)),
-                            e,
-                        )
-                    })?;
-                    for (key, value) in pairs {
-                        push_view_value(out, key, window, value)?;
-                    }
-                }
-            }
-            None => {
-                for window in windows {
-                    let pairs =
-                        read_window_file(&self.vfs, &self.dir.join(window_file_name(window)))?;
-                    for (key, value) in pairs {
-                        push_view_value(out, key, window, value)?;
-                    }
-                }
+        // One job per window file, submitted together so a pool overlaps
+        // them, then collected in window order.
+        let reads = self.lane.read_through_each(windows.iter().map(|&window| {
+            let path = self.dir.join(window_file_name(window));
+            move |vfs: &Arc<dyn Vfs>| read_window_file(vfs, &path)
+        }));
+        for (&window, pairs) in windows.iter().zip(reads) {
+            let pairs = pairs.map_err(|e| {
+                StoreError::io_at("aar view read", self.dir.join(window_file_name(window)), e)
+            })?;
+            for (key, value) in pairs {
+                push_view_value(out, key, window, value)?;
             }
         }
         for (&window, pairs) in &self.buffer {
@@ -628,10 +605,9 @@ impl AarStore {
     pub fn close(&mut self) -> Result<()> {
         // Wait out background reads before deleting the files from under
         // them, and invalidate any completion drained later.
-        if let Some(lane) = &mut self.lane {
-            lane.abandon(|read| read.bytes);
-            lane.waste(self.prefetched.values().map(|p| p.bytes).sum());
-        }
+        self.lane.abandon(|read| read.bytes);
+        self.lane
+            .waste(self.prefetched.values().map(|p| p.bytes).sum());
         self.epoch += 1;
         self.prefetched.clear();
         self.buffer.clear();
@@ -963,7 +939,7 @@ mod tests {
         s.flush().unwrap();
         // The window's end (100) is within the 500 ms default horizon.
         s.advance_prefetch(0).unwrap();
-        assert!(!s.lane.as_ref().unwrap().is_idle());
+        assert!(!s.lane.is_idle());
         ring.wait_idle();
         s.advance_prefetch(0).unwrap();
         assert!(s.prefetched.contains_key(&win));
@@ -1012,7 +988,7 @@ mod tests {
         s.advance_prefetch(0).unwrap();
         s.close().unwrap();
         assert_eq!(ring.pending(), 0);
-        assert!(s.lane.as_ref().unwrap().is_idle());
+        assert!(s.lane.is_idle());
         // A fresh write cycle works against the bumped epoch.
         s.append(b"k", win, b"v2").unwrap();
         s.flush().unwrap();

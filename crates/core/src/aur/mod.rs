@@ -70,40 +70,83 @@ fn data_file_name(generation: u64) -> String {
     format!("data_{generation}.aurd")
 }
 
-/// Walks an index log from `scan_start`, skipping each state key's dead
-/// prefix of consumed records, and returns the surviving entries in log
-/// order. Shared by the synchronous and ring-offloaded scans of
-/// `collect_view` and `compact`; callers apply Stat-liveness filtering
-/// (the ring job can't touch the store's `Stat`).
-fn scan_live_index(
+/// Dead leading index entries per state key, nested by key so scans can
+/// probe with borrowed slices.
+type ConsumedRecords = HashMap<Vec<u8>, HashMap<WindowId, u64>>;
+
+/// How many of `(key, window)`'s leading index entries are dead.
+fn dead_prefix_of(consumed: &ConsumedRecords, key: &[u8], window: WindowId) -> u64 {
+    consumed
+        .get(key)
+        .and_then(|ws| ws.get(&window))
+        .copied()
+        .unwrap_or(0)
+}
+
+/// What a walk of the index log saw besides the live entries it visited.
+struct IndexWalk {
+    /// Offset of the first live entry, or of the walk's end when every
+    /// entry was dead: nothing before it needs scanning again.
+    live_start: u64,
+    /// State key of each entry in the dead run ahead of `live_start`.
+    dead_run: Vec<StateKey>,
+    /// On-disk bytes of the entries walked.
+    scanned_bytes: u64,
+}
+
+/// The one index-log scan (paper §4.2): walks `path` from `start`, up to
+/// but never across `limit`, and hands `visit` every entry that is not
+/// in its state key's dead prefix — the first `dead_prefix(key, window)`
+/// entries of a key, counted from `start`, belong to an already-consumed
+/// incarnation of the window. The synchronous batch read, the ring job,
+/// the view scan and the compaction scan differ only in what `visit`
+/// selects and in what they commit from the result.
+fn walk_index(
     vfs: &Arc<dyn Vfs>,
     path: &Path,
-    scan_start: u64,
-    consumed: &HashMap<Vec<u8>, HashMap<WindowId, u64>>,
-) -> Result<Vec<IndexEntry>> {
-    let mut live: Vec<IndexEntry> = Vec::new();
+    start: u64,
+    limit: Option<u64>,
+    dead_prefix: impl Fn(&[u8], WindowId) -> u64,
+    mut visit: impl FnMut(IndexEntryRef<'_>),
+) -> Result<IndexWalk> {
     let mut seen: HashMap<StateKey, u64> = HashMap::new();
-    let mut reader = LogReader::open_scan_in(vfs, path, scan_start)?;
-    while let Some((_, payload)) = reader.next_record()? {
-        let entry = IndexEntryRef::decode(&payload)?;
-        let dead_prefix = consumed
-            .get(entry.key)
-            .and_then(|ws| ws.get(&entry.window))
-            .copied()
-            .unwrap_or(0);
-        let is_dead = if dead_prefix == 0 {
-            false
-        } else {
-            let position = seen.entry((entry.key.to_vec(), entry.window)).or_insert(0);
-            let dead = *position < dead_prefix;
-            *position += 1;
-            dead
+    let mut live_start: Option<u64> = None;
+    let mut dead_run: Vec<StateKey> = Vec::new();
+    let mut scanned_bytes = 0u64;
+    let mut reader = LogReader::open_scan_in(vfs, path, start)?;
+    // Stop *before* crossing the limit: bytes past it may belong to a
+    // flush the foreground is writing concurrently, and reading into a
+    // half-written record would fail the whole walk as a torn file.
+    while limit.is_none_or(|limit| reader.offset() < limit) {
+        let Some((loc, payload)) = reader.next_record()? else {
+            break;
         };
+        scanned_bytes += loc.disk_len();
+        let entry = IndexEntryRef::decode(&payload)?;
+        // Position counting only matters for keys with consumed records;
+        // the common case skips the per-entry bookkeeping.
+        let dead_prefix = dead_prefix(entry.key, entry.window);
+        let is_dead = dead_prefix > 0 && {
+            let position = seen.entry((entry.key.to_vec(), entry.window)).or_insert(0);
+            *position += 1;
+            *position <= dead_prefix
+        };
+        if live_start.is_none() {
+            if is_dead {
+                dead_run.push((entry.key.to_vec(), entry.window));
+            } else {
+                live_start = Some(loc.offset);
+            }
+        }
         if !is_dead {
-            live.push(entry.to_owned());
+            visit(entry);
         }
     }
-    Ok(live)
+    Ok(IndexWalk {
+        live_start: live_start.unwrap_or(reader.offset()),
+        dead_run,
+        scanned_bytes,
+    })
 }
 
 /// Loads the data-log records at `wanted` — `(offset, on-disk length,
@@ -153,8 +196,10 @@ pub struct AurStore {
     /// Number of *dead* leading index-log entries per state key: a
     /// consumed window's records stay in the logs until compaction, and
     /// re-appending to the same `(key, window)` must not resurrect them.
-    /// Nested by key so scans can probe with borrowed slices.
-    consumed_records: HashMap<Vec<u8>, HashMap<WindowId, u64>>,
+    /// Shared so a view or compaction scan running on the lane reads the
+    /// counters in place; that scan is over before the next update, so
+    /// `Arc::make_mut` never copies.
+    consumed_records: Arc<ConsumedRecords>,
     /// Offset of the first possibly-live index-log entry: windows are
     /// mostly consumed in append order, so the dead prefix of the index
     /// log grows monotonically and scans can skip it permanently.
@@ -173,10 +218,11 @@ pub struct AurStore {
     /// Prefetch-accuracy telemetry; `None` keeps the hot path untouched.
     ett_probe: Option<EttProbe>,
     vfs: Arc<dyn Vfs>,
-    /// Read-ahead lane on the owning backend's background I/O ring,
-    /// keyed by `(key, window)`; `None` keeps every read synchronous
-    /// (the default, and the reference semantics).
-    lane: Option<Lane<StateKey, AsyncBatch>>,
+    /// Read-ahead lane keyed by `(key, window)`: without threads until
+    /// [`AurStore::with_ring`] attaches the owning backend's I/O ring
+    /// (every read synchronous — the default, and the reference
+    /// semantics).
+    lane: Lane<StateKey, AsyncBatch>,
     /// Bumped by close/restore so completions submitted against a
     /// previous incarnation of the store are discarded on arrival.
     epoch: u64,
@@ -298,15 +344,15 @@ impl AurStore {
             generation: 0,
             data_total: 0,
             data_dead: 0,
-            consumed_records: HashMap::new(),
+            consumed_records: Arc::default(),
             index_scan_start: 0,
             data_reader: None,
             latest_ts: Timestamp::MIN,
             encode_buf: Vec::new(),
             metrics,
             ett_probe: None,
+            lane: Lane::inline(Arc::clone(&vfs)),
             vfs,
-            lane: None,
             epoch: 0,
             prefetch_probe: None,
             next_prefetch_scan: None,
@@ -322,9 +368,7 @@ impl AurStore {
     /// metrics and flight events with `tag` (typically `operator/p<N>`).
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>, tag: &str) -> Self {
         let probe = PrefetchProbe::new(&telemetry, tag);
-        if let Some(lane) = &mut self.lane {
-            lane.set_probe(probe.clone());
-        }
+        self.lane.set_probe(probe.clone());
         self.prefetch_probe = Some(probe);
         self.ett_probe = Some(EttProbe::new(telemetry, tag));
         self
@@ -336,11 +380,10 @@ impl AurStore {
     /// scans run on the ring's pool. `tag` routes this instance's
     /// completions on the shared ring.
     pub fn with_ring(mut self, ring: Arc<IoRing>, tag: u64) -> Self {
-        let mut lane = Lane::new(ring, tag);
+        self.lane = Lane::new(ring, tag);
         if let Some(p) = &self.prefetch_probe {
-            lane.set_probe(p.clone());
+            self.lane.set_probe(p.clone());
         }
-        self.lane = Some(lane);
         self
     }
 
@@ -403,10 +446,7 @@ impl AurStore {
                     // race, and the completion is discarded at the next
                     // drain (its disk_records check fails or the window
                     // is gone from the Stat table).
-                    let late = self
-                        .lane
-                        .as_ref()
-                        .is_some_and(|l| !l.is_idle() && l.covers(&(key.to_vec(), window)));
+                    let late = !self.lane.is_idle() && self.lane.covers(&(key.to_vec(), window));
                     if late {
                         if let Some(p) = &self.prefetch_probe {
                             p.late.inc();
@@ -442,8 +482,7 @@ impl AurStore {
                 }
                 self.data_dead += stat.disk_bytes;
                 if stat.disk_records > 0 {
-                    *self
-                        .consumed_records
+                    *Arc::make_mut(&mut self.consumed_records)
                         .entry(key.to_vec())
                         .or_default()
                         .entry(window)
@@ -591,15 +630,12 @@ impl AurStore {
             let index_path = self.dir.join(index_file_name(self.generation));
             if self.vfs.exists(&index_path) {
                 let wanted: Vec<(u64, u64, StateKey)> = self
-                    .scan_live_index_routed("aur view scan", &index_path)?
+                    .scan_live_index("aur view scan", &index_path)?
                     .into_iter()
-                    .filter(|e| self.stat.get(&e.key, e.window).is_some())
                     .map(|e| (e.offset, e.len, (e.key, e.window)))
                     .collect();
                 if !wanted.is_empty() {
-                    for ((key, window), values) in
-                        self.read_records_routed("aur view read", wanted)?
-                    {
+                    for ((key, window), values) in self.read_records("aur view read", wanted)? {
                         for value in values {
                             push_view_value(out, key.clone(), window, value)?;
                         }
@@ -694,16 +730,15 @@ impl AurStore {
     pub fn close(&mut self) -> Result<()> {
         // Wait out background reads before yanking the files from under
         // them, and invalidate any completion drained later.
-        if let Some(lane) = &mut self.lane {
-            lane.abandon(|batch| batch.windows.iter().map(|w| w.bytes).sum());
-        }
+        self.lane
+            .abandon(|batch| batch.windows.iter().map(|w| w.bytes).sum());
         self.epoch += 1;
         self.next_prefetch_scan = None;
         self.buffer.clear();
         self.buffer_bytes = 0;
         self.stat.clear();
         self.prefetch.clear();
-        self.consumed_records.clear();
+        Arc::make_mut(&mut self.consumed_records).clear();
         self.index_scan_start = 0;
         self.data_reader = None;
         self.data_writer = None;
@@ -780,71 +815,41 @@ impl AurStore {
         selected.entry(key.to_vec()).or_default().insert(window);
 
         // One sequential scan of the index log collects the locations of
-        // every selected window's records. The first
-        // `consumed_records[state key]` entries of a key (counted from
-        // the scan start) are dead: they belong to an already-consumed
-        // incarnation of the window. While the scan is still inside a
-        // contiguous dead prefix, it also advances `index_scan_start` so
-        // future scans skip those entries for good.
+        // every selected window's live records.
         let mut wanted: Vec<(u64, u64, StateKey)> = Vec::new();
-        let mut seen: HashMap<StateKey, u64> = HashMap::new();
-        let mut prefix_dead: Vec<StateKey> = Vec::new();
-        let mut new_scan_start: Option<u64> = None;
-        let mut scanned_bytes = 0u64;
-        let mut reader = LogReader::open_scan_in(&self.vfs, &index_path, self.index_scan_start)?;
-        while let Some((loc, payload)) = reader.next_record()? {
-            scanned_bytes += loc.disk_len();
-            let entry = IndexEntryRef::decode(&payload)?;
-            // Dead-prefix accounting only matters for keys with consumed
-            // records; the common case skips the per-entry bookkeeping.
-            let dead_prefix = if self.consumed_records.is_empty() {
-                0
-            } else {
-                self.consumed_records
+        let walk = walk_index(
+            &self.vfs,
+            &index_path,
+            self.index_scan_start,
+            None,
+            |key, window| dead_prefix_of(&self.consumed_records, key, window),
+            |entry| {
+                let is_selected = selected
                     .get(entry.key)
-                    .and_then(|ws| ws.get(&entry.window))
-                    .copied()
-                    .unwrap_or(0)
-            };
-            let is_dead = if dead_prefix == 0 {
-                false
-            } else {
-                let position = seen.entry((entry.key.to_vec(), entry.window)).or_insert(0);
-                let dead = *position < dead_prefix;
-                *position += 1;
-                dead
-            };
-            if new_scan_start.is_none() {
-                if is_dead {
-                    prefix_dead.push((entry.key.to_vec(), entry.window));
-                } else {
-                    new_scan_start = Some(loc.offset);
+                    .is_some_and(|ws| ws.contains(&entry.window));
+                if is_selected && self.stat.get(entry.key, entry.window).is_some() {
+                    wanted.push((entry.offset, entry.len, (entry.key.to_vec(), entry.window)));
                 }
-            }
-            if is_dead || self.stat.get(entry.key, entry.window).is_none() {
-                continue;
-            }
-            let is_selected = selected
-                .get(entry.key)
-                .is_some_and(|ws| ws.contains(&entry.window));
-            if is_selected {
-                wanted.push((entry.offset, entry.len, (entry.key.to_vec(), entry.window)));
-            }
-        }
-        self.metrics.add_bytes_read(scanned_bytes);
-        // Commit the advanced scan start: the skipped entries leave the
-        // per-key dead-prefix accounting.
-        self.index_scan_start = new_scan_start.unwrap_or(reader.offset());
-        for (key, window) in prefix_dead {
-            if let Some(ws) = self.consumed_records.get_mut(&key) {
-                if let Some(count) = ws.get_mut(&window) {
-                    *count -= 1;
-                    if *count == 0 {
-                        ws.remove(&window);
+            },
+        )?;
+        self.metrics.add_bytes_read(walk.scanned_bytes);
+        // Commit the advanced scan start: future scans skip the dead run
+        // at the head for good, and its entries leave the per-key
+        // dead-prefix accounting.
+        self.index_scan_start = walk.live_start;
+        if !walk.dead_run.is_empty() {
+            let consumed = Arc::make_mut(&mut self.consumed_records);
+            for (key, window) in walk.dead_run {
+                if let Some(ws) = consumed.get_mut(&key) {
+                    if let Some(count) = ws.get_mut(&window) {
+                        *count -= 1;
+                        if *count == 0 {
+                            ws.remove(&window);
+                        }
                     }
-                }
-                if ws.is_empty() {
-                    self.consumed_records.remove(&key);
+                    if ws.is_empty() {
+                        consumed.remove(&key);
+                    }
                 }
             }
         }
@@ -858,25 +863,33 @@ impl AurStore {
         Ok(self.prefetch.take(key, window).unwrap_or_default())
     }
 
-    /// Runs [`scan_live_index`] for a generation's index log, offloading
-    /// to the I/O ring when one is attached. Serving-snapshot and
-    /// compaction scans both block on the result, but routing them
-    /// through the ring keeps every disk read on the pool threads.
-    fn scan_live_index_routed(
-        &self,
-        context: &'static str,
-        path: &Path,
-    ) -> Result<Vec<IndexEntry>> {
+    /// The entries of a generation's index log that belong to live
+    /// windows, in log order — the scan of `collect_view` and `compact`,
+    /// run on the lane. The walk skips dead prefixes; Stat liveness is
+    /// applied here because a lane job can't touch the store's `Stat`.
+    /// Commits nothing: `consumed_records` and `index_scan_start` stay
+    /// as they are.
+    fn scan_live_index(&self, context: &'static str, path: &Path) -> Result<Vec<IndexEntry>> {
         let scan_start = self.index_scan_start;
-        match &self.lane {
-            Some(lane) => {
-                let consumed = self.consumed_records.clone();
-                let job_path = path.to_path_buf();
-                lane.read_through(move |vfs| scan_live_index(vfs, &job_path, scan_start, &consumed))
-                    .map_err(|e| StoreError::io_at(context, path, e))
-            }
-            None => scan_live_index(&self.vfs, path, scan_start, &self.consumed_records),
-        }
+        let consumed = Arc::clone(&self.consumed_records);
+        let job_path = path.to_path_buf();
+        let mut live = self
+            .lane
+            .read_through(move |vfs| {
+                let mut live: Vec<IndexEntry> = Vec::new();
+                walk_index(
+                    vfs,
+                    &job_path,
+                    scan_start,
+                    None,
+                    |key, window| dead_prefix_of(&consumed, key, window),
+                    |entry| live.push(entry.to_owned()),
+                )?;
+                Ok(live)
+            })
+            .map_err(|e| StoreError::io_at(context, path, e))?;
+        live.retain(|e| self.stat.get(&e.key, e.window).is_some());
+        Ok(live)
     }
 
     /// Opens the cached reader over the current generation's data log
@@ -890,32 +903,22 @@ impl AurStore {
     }
 
     /// Reads the data-log records at `wanted` (`(offset, on-disk length,
-    /// state key)`), through the ring when attached; the synchronous
-    /// path reuses the store's cached random-access reader.
-    fn read_records_routed(
-        &mut self,
+    /// state key)`) on the lane.
+    fn read_records(
+        &self,
         context: &'static str,
         wanted: Vec<(u64, u64, StateKey)>,
     ) -> Result<Vec<(StateKey, Vec<Vec<u8>>)>> {
-        let mut loaded = Vec::with_capacity(wanted.len());
-        match &self.lane {
-            Some(lane) => {
-                let data_path = self.dir.join(data_file_name(self.generation));
-                let job_path = data_path.clone();
-                lane.read_through(move |vfs| {
-                    let mut data = RandomAccessLog::open_in(vfs, &job_path)?;
-                    load_values(&mut data, wanted, |sk, values, _| loaded.push((sk, values)))?;
-                    Ok(loaded)
-                })
-                .map_err(|e| StoreError::io_at(context, &data_path, e))
-            }
-            None => {
-                self.open_data_reader()?;
-                let data = self.data_reader.as_mut().expect("opened above");
-                load_values(data, wanted, |sk, values, _| loaded.push((sk, values)))?;
+        let data_path = self.dir.join(data_file_name(self.generation));
+        let job_path = data_path.clone();
+        self.lane
+            .read_through(move |vfs| {
+                let mut loaded = Vec::with_capacity(wanted.len());
+                let mut data = RandomAccessLog::open_in(vfs, &job_path)?;
+                load_values(&mut data, wanted, |sk, values, _| loaded.push((sk, values)))?;
                 Ok(loaded)
-            }
-        }
+            })
+            .map_err(|e| StoreError::io_at(context, &data_path, e))
     }
 
     /// Drives the background prefetcher (called by the engine at batch
@@ -932,10 +935,7 @@ impl AurStore {
     /// synchronous path instead — reads racing a compaction or restore
     /// routinely lose their files mid-scan.
     fn drain_lane(&mut self) {
-        let Some(lane) = self.lane.as_mut() else {
-            return;
-        };
-        let done = lane.drain();
+        let done = self.lane.drain();
         if !done.is_empty() {
             self.next_prefetch_scan = None;
         }
@@ -950,9 +950,7 @@ impl AurStore {
     /// compaction or restore (generation/epoch), a consume (Stat entry
     /// gone), or a flush adding records (disk_records advanced).
     fn install(&mut self, batch: AsyncBatch) {
-        let Some(lane) = &self.lane else {
-            return;
-        };
+        let lane = &self.lane;
         let stale = batch.generation != self.generation || batch.epoch != self.epoch;
         let mut installed = 0i64;
         for w in batch.windows {
@@ -987,10 +985,9 @@ impl AurStore {
     /// length) and never mutates store state — all bookkeeping commits
     /// happen at drain time on the worker thread.
     fn submit_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
-        let Some(lane) = self.lane.as_mut() else {
-            return Ok(());
-        };
-        if self.cfg.read_batch_ratio <= 0.0 || self.stat.is_empty() {
+        let lane = &mut self.lane;
+        // Nothing to plan for a lane that admits no read at all.
+        if self.cfg.read_batch_ratio <= 0.0 || self.stat.is_empty() || !lane.admits(0, 0) {
             return Ok(());
         }
         // One scan in flight per store: each job replays the index scan,
@@ -1069,12 +1066,7 @@ impl AurStore {
         // travel with it.
         let mut selected: HashMap<Vec<u8>, HashMap<WindowId, (usize, u64)>> = HashMap::new();
         for (i, (k, w, _)) in cands.iter().enumerate() {
-            let dead_prefix = self
-                .consumed_records
-                .get(k)
-                .and_then(|ws| ws.get(w))
-                .copied()
-                .unwrap_or(0);
+            let dead_prefix = dead_prefix_of(&self.consumed_records, k, *w);
             selected
                 .entry(k.clone())
                 .or_default()
@@ -1093,29 +1085,25 @@ impl AurStore {
                     bytes: 0,
                 })
                 .collect();
+            // The walk stops before `index_limit`, the end of the index
+            // log at submission. Unselected windows report no dead
+            // prefix and are dropped by the visitor.
+            let slot_of = |key: &[u8], window: WindowId| {
+                selected.get(key).and_then(|ws| ws.get(&window)).copied()
+            };
             let mut wanted: Vec<(u64, u64, usize)> = Vec::new();
-            // Live-or-dead entries of each selected window seen so far.
-            let mut seen = vec![0u64; out.len()];
-            let mut reader = LogReader::open_scan_in(vfs, &index_path, scan_start)?;
-            // Stop *before* crossing the snapshot boundary: bytes past
-            // `index_limit` may belong to a flush the foreground is
-            // writing concurrently, and reading into a half-written
-            // record would fail the whole batch as a torn file.
-            while reader.offset() < index_limit {
-                let Some((_, payload)) = reader.next_record()? else {
-                    break;
-                };
-                let entry = IndexEntryRef::decode(&payload)?;
-                let Some(&(idx, dead_prefix)) =
-                    selected.get(entry.key).and_then(|ws| ws.get(&entry.window))
-                else {
-                    continue;
-                };
-                seen[idx] += 1;
-                if seen[idx] > dead_prefix {
-                    wanted.push((entry.offset, entry.len, idx));
-                }
-            }
+            walk_index(
+                vfs,
+                &index_path,
+                scan_start,
+                Some(index_limit),
+                |key, window| slot_of(key, window).map_or(0, |(_, dead_prefix)| dead_prefix),
+                |entry| {
+                    if let Some((idx, _)) = slot_of(entry.key, entry.window) {
+                        wanted.push((entry.offset, entry.len, idx));
+                    }
+                },
+            )?;
             if !wanted.is_empty() {
                 let mut data = RandomAccessLog::open_in(vfs, &data_path)?;
                 load_values(&mut data, wanted, |idx, values, disk_len| {
@@ -1181,11 +1169,7 @@ impl AurStore {
             // Collect live entries in append order, skipping each state
             // key's dead prefix of consumed records (everything before
             // `index_scan_start` is known dead).
-            let mut live: Vec<IndexEntry> = self
-                .scan_live_index_routed("aur compact scan", &old_index)?
-                .into_iter()
-                .filter(|e| self.stat.get(&e.key, e.window).is_some())
-                .collect();
+            let mut live = self.scan_live_index("aur compact scan", &old_index)?;
             // Relocate the live records of the data log: raw bytes out
             // of the extent reads (checksum-verified, never decoded),
             // dead records in between fetched only where skipping them
@@ -1232,7 +1216,7 @@ impl AurStore {
         self.data_total = moved;
         self.data_dead = 0;
         // The rewrite dropped every dead record.
-        self.consumed_records.clear();
+        Arc::make_mut(&mut self.consumed_records).clear();
         self.index_scan_start = 0;
         self.data_reader = None;
         Ok(())
@@ -1285,7 +1269,7 @@ impl AurStore {
         self.stat.clear();
         self.prefetch.clear();
         self.next_prefetch_scan = None;
-        self.consumed_records.clear();
+        Arc::make_mut(&mut self.consumed_records).clear();
         self.index_scan_start = 0;
         self.data_reader = None;
         self.data_total = 0;
@@ -1700,12 +1684,220 @@ mod tests {
         // default 500 ms horizon of stream time 50: one submission
         // covers both windows.
         s.advance_prefetch(50).unwrap();
-        assert!(!s.lane.as_ref().unwrap().is_idle());
+        assert!(!s.lane.is_idle());
         ring.wait_idle();
         s.advance_prefetch(50).unwrap();
         assert_eq!(s.prefetched_windows(), 2);
         assert_eq!(s.take(b"a", w(0, 100)).unwrap(), vec![b"v1".to_vec()]);
         assert_eq!(s.take(b"b", w(0, 100)).unwrap(), vec![b"v2".to_vec()]);
+    }
+
+    /// One index-log shape every scan must read the same way.
+    struct WalkCase {
+        name: &'static str,
+        /// Lays the shape down on a fresh store; every window is `W`.
+        build: fn(&mut AurStore),
+        /// What every read path must serve, per key in key order.
+        live: &'static [(&'static [u8], &'static [&'static [u8]])],
+        /// Entries the walker reports dead ahead of the first live one.
+        dead_run: usize,
+        /// Whether garbage sits past the index writer's offset, where
+        /// only a walk bounded by that offset may go.
+        torn_tail: bool,
+    }
+
+    const W: WindowId = WindowId { start: 0, end: 100 };
+
+    fn append_flushed(s: &mut AurStore, rows: &[(&[u8], &[u8], Timestamp)]) {
+        for &(key, value, ts) in rows {
+            s.append(key, W, value, ts).unwrap();
+        }
+        s.flush().unwrap();
+    }
+
+    const WALK_CASES: &[WalkCase] = &[
+        WalkCase {
+            name: "fresh log",
+            build: |s| append_flushed(s, &[(b"a", b"a1", 10), (b"b", b"b1", 20)]),
+            live: &[(b"a", &[b"a1"]), (b"b", &[b"b1"])],
+            dead_run: 0,
+            torn_tail: false,
+        },
+        WalkCase {
+            // Log: b, a (consumed), a again — the dead entry sits behind
+            // a live one, so the scan start cannot move past it.
+            name: "consumed window re-appended",
+            build: |s| {
+                append_flushed(s, &[(b"b", b"b1", 10), (b"a", b"a1", 20)]);
+                assert_eq!(s.take(b"a", W).unwrap(), vec![b"a1".to_vec()]);
+                append_flushed(s, &[(b"a", b"a2", 30)]);
+            },
+            live: &[(b"a", &[b"a2"]), (b"b", &[b"b1"])],
+            dead_run: 0,
+            torn_tail: false,
+        },
+        WalkCase {
+            // Log: a (consumed), b (consumed), c, b again.
+            name: "dead run at the head",
+            build: |s| {
+                append_flushed(
+                    s,
+                    &[(b"a", b"a1", 10), (b"b", b"b1", 20), (b"c", b"c1", 30)],
+                );
+                assert_eq!(s.take(b"a", W).unwrap(), vec![b"a1".to_vec()]);
+                assert_eq!(s.take(b"b", W).unwrap(), vec![b"b1".to_vec()]);
+                append_flushed(s, &[(b"b", b"b2", 40)]);
+            },
+            live: &[(b"b", &[b"b2"]), (b"c", &[b"c1"])],
+            dead_run: 2,
+            torn_tail: false,
+        },
+        WalkCase {
+            name: "byte limit before a torn tail",
+            build: |s| {
+                append_flushed(s, &[(b"a", b"a1", 10), (b"b", b"b1", 20)]);
+                // Half a record header past the writer's offset: what a
+                // scan racing a foreground flush could see.
+                use std::io::Write as _;
+                let index = s.dir.join(index_file_name(s.generation));
+                let mut file = std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(index)
+                    .unwrap();
+                file.write_all(&[0xAB; 5]).unwrap();
+            },
+            live: &[(b"a", &[b"a1"]), (b"b", &[b"b1"])],
+            dead_run: 0,
+            torn_tail: true,
+        },
+    ];
+
+    /// A store holding `case`'s log shape, on a lane of `width` threads.
+    fn walk_case_store(
+        case: &WalkCase,
+        width: usize,
+    ) -> (ScratchDir, AurStore, Option<Arc<IoRing>>) {
+        let dir = ScratchDir::new("aur-walk").unwrap();
+        let mut s = session_store(dir.path(), cfg_small());
+        (case.build)(&mut s);
+        let ring = (width > 0).then(|| Arc::new(IoRing::new(s.vfs.clone(), width)));
+        if let Some(ring) = &ring {
+            s = s.with_ring(Arc::clone(ring), 7);
+        }
+        (dir, s, ring)
+    }
+
+    fn owned(live: &[(&[u8], &[&[u8]])]) -> Vec<(Vec<u8>, Vec<Vec<u8>>)> {
+        live.iter()
+            .map(|(k, vs)| (k.to_vec(), vs.iter().map(|v| v.to_vec()).collect()))
+            .collect()
+    }
+
+    fn take_all(s: &mut AurStore, case: &WalkCase) -> Vec<(Vec<u8>, Vec<Vec<u8>>)> {
+        case.live
+            .iter()
+            .map(|(k, _)| (k.to_vec(), s.take(k, W).unwrap()))
+            .collect()
+    }
+
+    /// The four scans — synchronous batch read, ring job, serving view,
+    /// compaction — are calls of one walker, so each index-log shape is
+    /// checked once against the walker itself and once through every
+    /// scan, at lane width 0 and 2.
+    #[test]
+    fn every_scan_reads_each_index_shape_through_the_one_walker() {
+        for case in WALK_CASES {
+            let name = case.name;
+            let expected = owned(case.live);
+
+            // The walker itself.
+            let (_dir, s, _) = walk_case_store(case, 0);
+            let index = s.dir.join(index_file_name(s.generation));
+            let limit = s.index_writer.as_ref().map(|w| w.offset());
+            let walk = |limit: Option<u64>| {
+                let mut visited: Vec<Vec<u8>> = Vec::new();
+                walk_index(
+                    &s.vfs,
+                    &index,
+                    s.index_scan_start,
+                    limit,
+                    |key, window| dead_prefix_of(&s.consumed_records, key, window),
+                    |entry| visited.push(entry.key.to_vec()),
+                )
+                .map(|walk| (walk, visited))
+            };
+            let (bounded, mut visited) = walk(limit).unwrap();
+            visited.sort();
+            let keys: Vec<Vec<u8>> = expected.iter().map(|(k, _)| k.clone()).collect();
+            assert_eq!(visited, keys, "{name}: live entries");
+            assert_eq!(bounded.dead_run.len(), case.dead_run, "{name}: dead run");
+            assert_eq!(
+                bounded.live_start > s.index_scan_start,
+                case.dead_run > 0,
+                "{name}: the scan start moves exactly past a leading dead run"
+            );
+            assert!(bounded.scanned_bytes > 0 && bounded.scanned_bytes <= limit.unwrap());
+            match walk(None) {
+                Err(e) => assert!(case.torn_tail && e.is_corruption(), "{name}: {e}"),
+                Ok((unbounded, _)) => {
+                    assert!(!case.torn_tail, "{name}: walked into the torn tail");
+                    assert_eq!(unbounded.live_start, bounded.live_start, "{name}");
+                }
+            }
+
+            // The ring job stops at the index writer's offset, torn tail
+            // or not, and installs exactly the live windows.
+            let (_dir, mut s, ring) = walk_case_store(case, 2);
+            s.advance_prefetch(50).unwrap();
+            ring.unwrap().wait_idle();
+            s.advance_prefetch(50).unwrap();
+            assert_eq!(s.prefetched_windows(), expected.len(), "{name}: job");
+            let misses = s.metrics.snapshot().prefetch_misses;
+            assert_eq!(take_all(&mut s, case), expected, "{name}: job");
+            assert_eq!(s.metrics.snapshot().prefetch_misses, misses, "{name}: job");
+            if case.torn_tail {
+                continue;
+            }
+
+            for width in [0, 2] {
+                // The synchronous batch read, which alone commits the
+                // advanced scan start.
+                let (_dir, mut s, _ring) = walk_case_store(case, width);
+                assert_eq!(take_all(&mut s, case), expected, "{name}: sync/{width}");
+                assert_eq!(
+                    s.index_scan_start > 0,
+                    case.dead_run > 0,
+                    "{name}: sync/{width}"
+                );
+
+                // The serving view, which commits nothing.
+                let (_dir, mut s, _ring) = walk_case_store(case, width);
+                let consumed_before = Arc::clone(&s.consumed_records);
+                let mut view = BTreeMap::new();
+                s.collect_view(&mut view).unwrap();
+                let view: Vec<_> = view
+                    .into_iter()
+                    .map(|((key, _), value)| match value {
+                        ViewValue::Values(values) => (key, values),
+                        other => panic!("{name}: unexpected view value {other:?}"),
+                    })
+                    .collect();
+                assert_eq!(view, expected, "{name}: view/{width}");
+                assert_eq!(s.index_scan_start, 0, "{name}: view/{width}");
+                assert!(
+                    Arc::ptr_eq(&consumed_before, &s.consumed_records),
+                    "{name}: view/{width} copied the dead-prefix counters"
+                );
+
+                // Compaction, after which every survivor is still served.
+                let (_dir, mut s, _ring) = walk_case_store(case, width);
+                let generation = s.generation();
+                s.compact().unwrap();
+                assert_eq!(s.generation(), generation + 1, "{name}: compact/{width}");
+                assert_eq!(s.dead_bytes(), 0, "{name}: compact/{width}");
+                assert_eq!(take_all(&mut s, case), expected, "{name}: compact/{width}");
+            }
+        }
     }
 
     #[test]
@@ -1818,7 +2010,7 @@ mod tests {
         .unwrap();
         let ring = Arc::new(IoRing::new(s.vfs.clone(), 1));
         let mut s = s.with_ring(ring.clone(), 7);
-        let in_flight = |s: &AurStore| !s.lane.as_ref().unwrap().is_idle();
+        let in_flight = |s: &AurStore| !s.lane.is_idle();
 
         // ETT 10_010 lies beyond the 500 ms horizon of stream time 50:
         // nothing to read ahead, and nothing new until the due bound
@@ -1855,7 +2047,7 @@ mod tests {
         s.advance_prefetch(50).unwrap();
         s.close().unwrap();
         assert_eq!(ring.pending(), 0);
-        assert!(s.lane.as_ref().unwrap().is_idle());
+        assert!(s.lane.is_idle());
         // A fresh write cycle works against the bumped epoch.
         s.append(b"a", w(200, 300), b"v2", 210).unwrap();
         s.flush().unwrap();

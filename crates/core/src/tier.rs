@@ -130,6 +130,21 @@ struct BlockRef {
 /// blocks it had at submission.
 type PrefetchedBlocks = (WindowId, Vec<Vec<u8>>);
 
+/// The one cold-block reader: the payloads of `refs` from the cold log
+/// at `path`, in order. Every cold read is this function run as a lane
+/// job — blocking ([`TieredStore::read_blocks`]) or ahead of the
+/// trigger (`advance_prefetch`).
+fn read_blocks_in(vfs: &Arc<dyn Vfs>, path: &Path, refs: &[BlockRef]) -> Result<Vec<Vec<u8>>> {
+    let file = vfs.open_read(path)?;
+    let mut out = Vec::with_capacity(refs.len());
+    for r in refs {
+        let mut buf = vec![0u8; r.len as usize];
+        file.read_exact_at(&mut buf, r.offset)?;
+        out.push(buf);
+    }
+    Ok(out)
+}
+
 /// Per-key hot-tier bookkeeping.
 #[derive(Default)]
 struct KeyTrack {
@@ -217,9 +232,10 @@ pub struct TieredStore {
     dead_bytes: u64,
     hot: BTreeMap<WindowId, HotWindow>,
     hot_bytes: usize,
-    /// Read-ahead lane on the tier's own I/O ring, keyed by window;
-    /// `None` keeps cold reads synchronous.
-    lane: Option<Lane<WindowId, PrefetchedBlocks>>,
+    /// The lane every cold read runs on, keyed by window: over the
+    /// tier's own I/O ring when [`OperatorContext::io`] asks for
+    /// threads, without threads (cold reads synchronous) otherwise.
+    lane: Lane<WindowId, PrefetchedBlocks>,
     /// Completed prefetches awaiting promotion: raw block payloads.
     prefetched: HashMap<WindowId, Vec<Vec<u8>>>,
     prefetched_bytes: u64,
@@ -246,15 +262,18 @@ impl TieredStore {
         vfs.create_dir_all(&cold_dir)
             .map_err(|e| StoreError::io_at("tier dir", &cold_dir, e))?;
         let cold_path = cold_dir.join(COLD_LOG);
-        let lane = ctx.io.as_ref().filter(|p| p.threads > 0).map(|p| {
-            let ring = IoRing::with_telemetry(
-                Arc::clone(&vfs),
-                p.threads,
-                p.shuffle_seed,
-                ctx.telemetry.clone(),
-            );
-            Lane::new(Arc::new(ring), TIER_RING_TAG)
-        });
+        let lane = match ctx.io.as_ref().filter(|p| p.threads > 0) {
+            Some(p) => {
+                let ring = IoRing::with_telemetry(
+                    Arc::clone(&vfs),
+                    p.threads,
+                    p.shuffle_seed,
+                    ctx.telemetry.clone(),
+                );
+                Lane::new(Arc::new(ring), TIER_RING_TAG)
+            }
+            None => Lane::inline(Arc::clone(&vfs)),
+        };
         let store_metrics = inner.metrics();
         Ok(TieredStore {
             inner,
@@ -387,41 +406,22 @@ impl TieredStore {
         Ok(())
     }
 
-    fn read_blocks_sync(&self, refs: &[BlockRef]) -> Result<Vec<Vec<u8>>> {
-        let file = self
-            .vfs
-            .open_read(&self.cold_path)
-            .map_err(|e| self.io_err("tier cold log read", e))?;
-        let mut out = Vec::with_capacity(refs.len());
-        for r in refs {
-            let mut buf = vec![0u8; r.len as usize];
-            file.read_exact_at(&mut buf, r.offset)
-                .map_err(|e| self.io_err("tier cold block read", e))?;
-            out.push(buf);
-        }
-        Ok(out)
-    }
-
-    /// Ring job reading the given block payloads from the cold log.
-    fn block_read_job(
-        path: PathBuf,
-        refs: Vec<BlockRef>,
-    ) -> impl FnOnce(&Arc<dyn Vfs>) -> Result<Vec<Vec<u8>>> + Send {
-        move |vfs| {
-            let file = vfs.open_read(&path)?;
-            let mut out: Vec<Vec<u8>> = Vec::with_capacity(refs.len());
-            for r in &refs {
-                let mut buf = vec![0u8; r.len as usize];
-                file.read_exact_at(&mut buf, r.offset)?;
-                out.push(buf);
-            }
-            Ok(out)
-        }
+    /// Reads the payloads of `refs` on the lane and blocks for them:
+    /// promotion misses, the tail a prefetch did not cover, compaction
+    /// and non-consuming scans all read cold blocks here.
+    fn read_blocks(&self, context: &'static str, refs: &[BlockRef]) -> Result<Vec<Vec<u8>>> {
+        let (path, refs) = (self.cold_path.clone(), refs.to_vec());
+        let blobs = self
+            .lane
+            .read_through(move |vfs| read_blocks_in(vfs, &path, &refs))
+            .map_err(|e| self.io_err(context, e))?;
+        self.store_metrics
+            .add_bytes_read(blobs.iter().map(|b| b.len() as u64).sum());
+        Ok(blobs)
     }
 
     /// Fetches a cold window's block payloads: from the prefetch buffer,
-    /// a pending submission, or (on a miss) a fresh read routed through
-    /// the ring when one is configured.
+    /// a pending submission, or (on a miss) a fresh read.
     fn fetch_window_blobs(&mut self, window: WindowId, refs: &[BlockRef]) -> Result<Vec<Vec<u8>>> {
         if let Some(mut blobs) = self.prefetched.remove(&window) {
             let bytes: u64 = blobs.iter().map(|b| b.len() as u64).sum();
@@ -433,15 +433,11 @@ impl TieredStore {
             // need a read (block order per window never changes, so the
             // prefetched blobs are exactly refs[..blobs.len()]).
             if blobs.len() < refs.len() {
-                let tail = self.read_blocks_sync(&refs[blobs.len()..])?;
-                self.store_metrics
-                    .add_bytes_read(tail.iter().map(|b| b.len() as u64).sum());
-                blobs.extend(tail);
+                blobs.extend(self.read_blocks("tier promote read", &refs[blobs.len()..])?);
             }
             return Ok(blobs);
         }
-        let pending = self.lane.as_mut().and_then(|l| l.wait_for(&window));
-        if let Some(read) = pending {
+        if let Some(read) = self.lane.wait_for(&window) {
             match read {
                 Ok((_, mut blobs)) => {
                     self.counters.prefetch_hits.inc();
@@ -450,10 +446,7 @@ impl TieredStore {
                     self.store_metrics.add_bytes_read(bytes);
                     // Same prefix rule as the prefetch-buffer hit above.
                     if blobs.len() < refs.len() {
-                        let tail = self.read_blocks_sync(&refs[blobs.len()..])?;
-                        self.store_metrics
-                            .add_bytes_read(tail.iter().map(|b| b.len() as u64).sum());
-                        blobs.extend(tail);
+                        blobs.extend(self.read_blocks("tier promote read", &refs[blobs.len()..])?);
                     }
                     return Ok(blobs);
                 }
@@ -464,23 +457,13 @@ impl TieredStore {
         } else {
             self.store_metrics.add_prefetch_miss();
         }
-        let blobs = if let Some(lane) = &self.lane {
-            // Route even miss reads through the ring so cold I/O shares
-            // the fault surface and telemetry of background reads.
-            lane.read_through(Self::block_read_job(self.cold_path.clone(), refs.to_vec()))
-                .map_err(|e| self.io_err("tier promote read", e))?
-        } else {
-            self.read_blocks_sync(refs)?
-        };
-        let bytes: u64 = blobs.iter().map(|b| b.len() as u64).sum();
-        self.store_metrics.add_bytes_read(bytes);
-        Ok(blobs)
+        self.read_blocks("tier promote read", refs)
     }
 
     /// Resolves every in-flight prefetch (before compaction moves the
     /// offsets they were submitted against).
     fn settle_inflight(&mut self) {
-        let landed = self.lane.as_mut().map(|l| l.wait_all()).unwrap_or_default();
+        let landed = self.lane.wait_all();
         self.install_prefetches(landed);
     }
 
@@ -504,6 +487,31 @@ impl TieredStore {
         }
         self.prefetched_bytes += blobs.iter().map(|b| b.len() as u64).sum::<u64>();
         self.prefetched.insert(window, blobs);
+    }
+
+    /// Submits reads for cold windows about to trigger, soonest start
+    /// first, within the lane's byte budget.
+    fn submit_prefetch(&mut self, stream_time: Timestamp) {
+        let lane = &mut self.lane;
+        // Nothing to plan for a lane that admits no read at all.
+        if !lane.admits(0, 0) {
+            return;
+        }
+        let due = lane.due(stream_time);
+        for (window, refs) in &self.index {
+            if window.end > due || self.prefetched.contains_key(window) || lane.covers(window) {
+                continue;
+            }
+            let bytes = refs.iter().map(|r| u64::from(r.len)).sum();
+            if !lane.admits(self.prefetched_bytes, bytes) {
+                break;
+            }
+            let (window, path, refs) = (*window, self.cold_path.clone(), refs.clone());
+            lane.submit(vec![window], bytes, move |vfs| {
+                Ok((window, read_blocks_in(vfs, &path, &refs)?))
+            });
+            self.counters.prefetch_submitted.inc();
+        }
     }
 
     // ---- demotion -------------------------------------------------------
@@ -754,23 +762,12 @@ impl TieredStore {
             .vfs
             .create(&tmp)
             .map_err(|e| StoreError::io_at("tier compact create", &tmp, e))?;
-        let src = if self.index.is_empty() {
-            None
-        } else {
-            Some(
-                self.vfs
-                    .open_read(&self.cold_path)
-                    .map_err(|e| self.io_err("tier compact read", e))?,
-            )
-        };
         let mut new_index: BTreeMap<WindowId, Vec<BlockRef>> = BTreeMap::new();
         let mut new_len = 0u64;
+        // One window's blocks in memory at a time, as in a promotion.
         for (window, refs) in &self.index {
-            for r in refs {
-                let src = src.as_ref().expect("index implies source");
-                let mut blob = vec![0u8; r.len as usize];
-                src.read_exact_at(&mut blob, r.offset)
-                    .map_err(|e| self.io_err("tier compact read", e))?;
+            let blobs = self.read_blocks("tier compact read", refs)?;
+            for (r, blob) in refs.iter().zip(blobs) {
                 let mut framed = Vec::with_capacity(blob.len() + 4);
                 codec::put_u32(&mut framed, blob.len() as u32);
                 framed.extend_from_slice(&blob);
@@ -782,7 +779,6 @@ impl TieredStore {
                     rows: r.rows,
                 });
                 new_len += framed.len() as u64;
-                self.store_metrics.add_bytes_read(blob.len() as u64);
                 self.store_metrics.add_bytes_written(framed.len() as u64);
             }
         }
@@ -790,7 +786,6 @@ impl TieredStore {
         out.sync_data()
             .map_err(|e| StoreError::io_at("tier compact sync", &tmp, e))?;
         drop(out);
-        drop(src);
         self.cold_file = None;
         self.vfs
             .rename(&tmp, &self.cold_path)
@@ -814,16 +809,9 @@ impl TieredStore {
             return Ok(Vec::new());
         }
         let mut out = Vec::with_capacity(self.index.len());
-        let file = self
-            .vfs
-            .open_read(&self.cold_path)
-            .map_err(|e| self.io_err("tier cold scan", e))?;
         for (window, refs) in &self.index {
             let mut rows = Vec::new();
-            for r in refs {
-                let mut blob = vec![0u8; r.len as usize];
-                file.read_exact_at(&mut blob, r.offset)
-                    .map_err(|e| self.io_err("tier cold scan", e))?;
+            for blob in self.read_blocks("tier cold scan", refs)? {
                 rows.extend(columnar::decode_block(&blob)?.rows);
             }
             out.push((*window, rows));
@@ -1105,25 +1093,9 @@ impl StateBackend for TieredStore {
 
     fn advance_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
         // Install whatever finished since the last boundary.
-        let landed = self.lane.as_mut().map(|l| l.drain()).unwrap_or_default();
+        let landed = self.lane.drain();
         self.install_prefetches(landed);
-        if let Some(lane) = self.lane.as_mut() {
-            // Submit reads for cold windows about to trigger.
-            let due = lane.due(stream_time);
-            for (window, refs) in &self.index {
-                if window.end > due || self.prefetched.contains_key(window) || lane.covers(window) {
-                    continue;
-                }
-                let bytes = refs.iter().map(|r| u64::from(r.len)).sum();
-                if !lane.admits(self.prefetched_bytes, bytes) {
-                    break;
-                }
-                let window = *window;
-                let read = Self::block_read_job(self.cold_path.clone(), refs.clone());
-                lane.submit(vec![window], bytes, move |vfs| Ok((window, read(vfs)?)));
-                self.counters.prefetch_submitted.inc();
-            }
-        }
+        self.submit_prefetch(stream_time);
         self.inner.advance_prefetch(stream_time)
     }
 
@@ -1217,8 +1189,8 @@ impl StateBackend for TieredStore {
 
     fn close(&mut self) -> Result<()> {
         self.settle_inflight();
-        // Dropping the lane drops the tier's ring, joining its threads.
-        self.lane = None;
+        // Replacing the lane drops the tier's ring, joining its threads.
+        self.lane = Lane::inline(Arc::clone(&self.vfs));
         self.inner.close()?;
         let _ = self.vfs.remove_file(&self.cold_path);
         let _ = self.vfs.remove_file(&self.cold_dir.join("cold.log.tmp"));

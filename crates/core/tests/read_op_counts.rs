@@ -4,7 +4,14 @@
 //! read over records that sit together must pay per *extent*, and a point
 //! read whose length the index holds must pay once. These bounds fail if
 //! the two-reads-per-record shape ever returns.
+//!
+//! The same counter shows that `io_threads = 0` is not a second code
+//! path: a lane of width zero runs the very job bodies a ring runs, so a
+//! serving-view read and a compaction issue the same faultable-op
+//! sequence — and fail the same way at each op of it — at width 0 and 2.
 
+use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::Arc;
 
 use flowkv::aur::{AurConfig, AurStore};
@@ -14,7 +21,7 @@ use flowkv_common::ioring::IoRing;
 use flowkv_common::metrics::StoreMetrics;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::types::WindowId;
-use flowkv_common::vfs::{FaultVfs, StdVfs};
+use flowkv_common::vfs::{FaultKind, FaultPlan, FaultVfs, StdVfs};
 
 /// Windows flushed side by side before each read.
 const WINDOWS: u64 = 64;
@@ -31,7 +38,11 @@ fn window() -> WindowId {
 /// An AUR store over a counting filesystem holding `WINDOWS` flushed
 /// session windows, every one selected by a batch read (ratio 1).
 fn flushed_aur_store(dir: &ScratchDir) -> (AurStore, Arc<FaultVfs>) {
-    let counting = FaultVfs::counting(StdVfs::shared());
+    flushed_aur_store_on(dir, FaultVfs::counting(StdVfs::shared()))
+}
+
+/// [`flushed_aur_store`] over a filesystem that may have a fault planted.
+fn flushed_aur_store_on(dir: &ScratchDir, counting: Arc<FaultVfs>) -> (AurStore, Arc<FaultVfs>) {
     let cfg = AurConfig {
         read_batch_ratio: 1.0,
         ..AurConfig::default()
@@ -104,4 +115,76 @@ fn rmw_point_read_is_one_device_read() {
         Some(b"aggregate".to_vec())
     );
     assert_eq!(counting.ops() - before, 1);
+}
+
+/// A store operation that reads through the lane, its result as text.
+type LaneOp = fn(&mut AurStore, &Path) -> flowkv_common::error::Result<String>;
+
+fn view_op(store: &mut AurStore, _scratch: &Path) -> flowkv_common::error::Result<String> {
+    let mut view = BTreeMap::new();
+    store.collect_view(&mut view)?;
+    let first = view
+        .keys()
+        .next()
+        .map(|(key, _)| String::from_utf8_lossy(key));
+    Ok(format!("{} entries from {first:?}", view.len()))
+}
+
+/// A checkpoint of a store with dead bytes compacts it first.
+fn compact_op(store: &mut AurStore, scratch: &Path) -> flowkv_common::error::Result<String> {
+    store.checkpoint(&scratch.join("ckpt"))?;
+    Ok(format!(
+        "generation {}, {} bytes, {} dead",
+        store.generation(),
+        store.data_log_bytes(),
+        store.dead_bytes()
+    ))
+}
+
+/// Runs `op` at lane width `io_threads` on a store whose first
+/// `WINDOWS / 2` windows are consumed — so scans meet dead prefixes and
+/// compaction has work — with an `ENOSPC` planted at faultable op
+/// `fault_at`. Returns the op count before `op`, the ops `op` issued and
+/// its outcome as text.
+fn observe(io_threads: usize, fault_at: Option<u64>, op: LaneOp) -> (u64, u64, String) {
+    let dir = ScratchDir::new("opcount-aur-width").unwrap();
+    let plan = fault_at.map_or_else(FaultPlan::new, |at| {
+        FaultPlan::new().with_fault(at, FaultKind::Enospc)
+    });
+    let (mut store, vfs) = flushed_aur_store_on(&dir, FaultVfs::new(StdVfs::shared(), plan));
+    for i in 0..WINDOWS / 2 {
+        let key = format!("key-{i:03}");
+        assert_eq!(store.take(key.as_bytes(), window()).unwrap().len(), 1);
+    }
+    if io_threads > 0 {
+        store = store.with_ring(Arc::new(IoRing::new(vfs.clone(), io_threads)), 1);
+    }
+    let before = vfs.ops();
+    let outcome = op(&mut store, dir.path()).unwrap_or_else(|e| e.to_string());
+    let outcome = outcome.replace(&dir.path().display().to_string(), "<dir>");
+    (before, vfs.ops() - before, outcome)
+}
+
+#[test]
+fn view_and_compaction_issue_the_same_ops_at_lane_width_0_and_2() {
+    for op in [view_op as LaneOp, compact_op] {
+        let clean = observe(0, None, op);
+        assert_eq!(observe(2, None, op), clean);
+        let (setup_ops, ops, _) = clean;
+        assert!(ops >= 4, "the operation read through the lane: {ops} ops");
+        // The sequences agree op by op: a fault at any index ends the
+        // operation after the same number of ops, with the same text (or
+        // is swallowed by both — removing a retired file may fail).
+        let mut surfaced = 0;
+        for k in 1..=ops {
+            let inline = observe(0, Some(setup_ops + k), op);
+            assert_eq!(
+                observe(2, Some(setup_ops + k), op),
+                inline,
+                "fault at op {k}"
+            );
+            surfaced += u64::from(inline.2.contains("injected fault"));
+        }
+        assert!(surfaced >= ops / 2, "{surfaced} of {ops} faults surfaced");
+    }
 }

@@ -108,9 +108,9 @@ pub struct Db {
     /// Round-robin pointers choosing the next file to push down per level.
     compaction_cursor: Vec<usize>,
     /// Read-ahead lane for block warm-ups, keyed by `(file_no, offset)`
-    /// and yielding that key with the block's bytes; `None` without a
-    /// background ring.
-    warm: Option<Lane<(u64, u64), WarmBlock>>,
+    /// and yielding that key with the block's bytes; without threads
+    /// (no warm-ups) until [`Db::set_ring`] attaches a background ring.
+    warm: Lane<(u64, u64), WarmBlock>,
 }
 
 /// A warmed block: `(file_no, offset, raw bytes)`.
@@ -146,6 +146,7 @@ impl Db {
         let mut db = Db {
             dir,
             cfg,
+            warm: Lane::inline(Arc::clone(&vfs)),
             vfs,
             mem: MemTable::new(),
             version,
@@ -153,7 +154,6 @@ impl Db {
             cache,
             metrics,
             compaction_cursor: vec![0; MAX_LEVELS],
-            warm: None,
         };
         for meta in db
             .version
@@ -350,12 +350,13 @@ impl Db {
     /// Attaches a background I/O ring; subsequent [`Db::warm_batch`]
     /// calls schedule block reads on it under `tag`.
     pub fn set_ring(&mut self, ring: Arc<IoRing>, tag: u64) {
-        self.warm = Some(Lane::new(ring, tag));
+        self.warm = Lane::new(ring, tag);
     }
 
-    /// Whether a background ring is attached.
+    /// Whether a background ring is attached: the warm lane admits
+    /// reads at all.
     pub fn has_ring(&self) -> bool {
-        self.warm.is_some()
+        self.warm.admits(0, 0)
     }
 
     /// Schedules background reads of the uncached blocks a `get` of each
@@ -364,7 +365,7 @@ impl Db {
     /// compaction is discarded and the foreground read proceeds as if it
     /// never happened. No-op without a ring.
     pub fn warm_batch(&mut self, keys: &[Vec<u8>]) -> Result<()> {
-        if self.warm.is_none() {
+        if !self.has_ring() {
             return Ok(());
         }
         self.drain_warm()?;
@@ -389,13 +390,12 @@ impl Db {
                 let Some((off, len)) = self.ensure_reader(&meta)?.warm_plan(key) else {
                     continue;
                 };
-                let lane = self.warm.as_mut().expect("checked above");
                 let file_no = meta.file_no;
-                if lane.covers(&(file_no, off)) {
+                if self.warm.covers(&(file_no, off)) {
                     continue;
                 }
                 let path = self.dir.join(SstMeta::file_name(file_no));
-                lane.submit(vec![(file_no, off)], len, move |vfs| {
+                self.warm.submit(vec![(file_no, off)], len, move |vfs| {
                     Ok((file_no, off, read_region_in(vfs, &path, off, len)?))
                 });
             }
@@ -407,10 +407,7 @@ impl Db {
     /// panic captured by a background job (an injected crash fault) on
     /// the calling thread.
     pub fn drain_warm(&mut self) -> Result<()> {
-        let Some(lane) = self.warm.as_mut() else {
-            return Ok(());
-        };
-        let done = lane.drain();
+        let done = self.warm.drain();
         if done.is_empty() {
             return Ok(());
         }
@@ -432,8 +429,8 @@ impl Db {
                 wasted += raw.len() as u64;
             }
         }
-        lane.installed(installed);
-        lane.waste(wasted);
+        self.warm.installed(installed);
+        self.warm.waste(wasted);
         Ok(())
     }
 
@@ -441,9 +438,7 @@ impl Db {
     /// re-raising captured crash-fault panics. Called before operations
     /// that invalidate the file set the reads were planned against.
     fn abandon_warm(&mut self) {
-        if let Some(lane) = self.warm.as_mut() {
-            lane.abandon(|_| 0);
-        }
+        self.warm.abandon(|_| 0);
     }
 
     /// Copies a consistent snapshot of the database into `dst`.
