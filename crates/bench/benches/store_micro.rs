@@ -206,5 +206,62 @@ fn bench_rmw(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_aar, bench_aur, bench_aur_cold, bench_rmw);
+/// RMW through the two-tier wrapper with a hot budget nothing exceeds:
+/// the same 64 k take/put cycles over a window of 1 k and of 16 k keys
+/// (teardown, which does grow with the keys, is left out of the timing).
+/// The tier's per-key bookkeeping runs on every cycle, so the time must
+/// not grow with the key count beyond what a larger hash map costs — it
+/// grew 35x while dropping a key scanned the window's key list.
+fn bench_tier_rmw(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tier_rmw_cycle");
+    group.measurement_time(Duration::from_secs(5));
+    group.sample_size(10);
+    let semantics = OperatorSemantics::new(
+        AggregateKind::Incremental,
+        WindowKind::Fixed { size: 1_000 },
+    );
+    let w = WindowId::new(0, 1_000);
+    let cycles = 64_000u64;
+    let choice = BackendChoice::FlowKv(flowkv_bench::flowkv_cfg());
+    for keys in [1_000u64, 16_000] {
+        group.bench_function(BenchmarkId::from_parameter(format!("{keys}_keys")), |b| {
+            let mut cycled = Vec::new();
+            b.iter_batched(
+                || {
+                    let tier = flowkv::tier::TierConfig::default();
+                    let (mut store, dir) =
+                        make(&choice, semantics, FactoryOptions::new().tiered(tier));
+                    for k in 0..keys {
+                        store
+                            .put_aggregate(&k.to_le_bytes(), w, &0u64.to_le_bytes())
+                            .unwrap();
+                    }
+                    (store, dir)
+                },
+                |(mut store, dir)| {
+                    for cycle in 0..cycles {
+                        let key = (cycle % keys).to_le_bytes();
+                        let acc = store.take_aggregate(&key, w).unwrap().expect("populated");
+                        store.put_aggregate(&key, w, &acc).unwrap();
+                    }
+                    cycled.push((store, dir));
+                },
+                criterion::BatchSize::PerIteration,
+            );
+            for (mut store, _dir) in cycled {
+                store.close().unwrap();
+            }
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_aar,
+    bench_aur,
+    bench_aur_cold,
+    bench_rmw,
+    bench_tier_rmw
+);
 criterion_main!(benches);

@@ -77,10 +77,6 @@ pub struct TierConfig {
     /// Dictionary-encode the value column of cold blocks (keys and
     /// timestamps are always dictionary/delta-encoded).
     pub compress: bool,
-    /// Cold-log compaction trigger: dead bytes must reach this floor...
-    pub compact_min_dead_bytes: u64,
-    /// ...and this fraction of the log before a rewrite runs.
-    pub compact_min_dead_ratio: f64,
 }
 
 impl Default for TierConfig {
@@ -88,8 +84,6 @@ impl Default for TierConfig {
         TierConfig {
             hot_bytes: 32 << 20,
             compress: true,
-            compact_min_dead_bytes: 64 << 10,
-            compact_min_dead_ratio: 0.5,
         }
     }
 }
@@ -101,17 +95,6 @@ impl TierConfig {
             hot_bytes,
             ..TierConfig::default()
         }
-    }
-
-    /// Checks every knob is inside its legal range.
-    pub fn validate(&self) -> Result<()> {
-        if !(0.0..=1.0).contains(&self.compact_min_dead_ratio) {
-            return Err(StoreError::InvalidConfig {
-                param: "compact_min_dead_ratio",
-                detail: format!("must be within [0, 1], got {}", self.compact_min_dead_ratio),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -146,8 +129,9 @@ fn read_blocks_in(vfs: &Arc<dyn Vfs>, path: &Path, refs: &[BlockRef]) -> Result<
 }
 
 /// Per-key hot-tier bookkeeping.
-#[derive(Default)]
 struct KeyTrack {
+    /// The key's place in [`HotWindow::order`].
+    seq: u64,
     /// Append timestamp per resident row (one entry for aggregates).
     ts: Vec<Timestamp>,
     /// Bytes this key's rows charge against the hot budget.
@@ -159,8 +143,33 @@ struct KeyTrack {
 #[derive(Default)]
 struct HotWindow {
     keys: HashMap<Vec<u8>, KeyTrack>,
-    order: Vec<Vec<u8>>,
+    /// Live keys by the sequence number of their first append. A
+    /// consuming read drops its key in O(log n) — RMW takes and re-puts
+    /// a key per tuple, so a scan of the window's keys there would make
+    /// the tier quadratic — and a key appended again afterwards joins at
+    /// the back.
+    order: BTreeMap<u64, Vec<u8>>,
+    next_seq: u64,
     bytes: usize,
+}
+
+impl HotWindow {
+    /// The tracker of `key`, joining the back of the order when new.
+    fn track(&mut self, key: &[u8]) -> &mut KeyTrack {
+        if !self.keys.contains_key(key) {
+            self.order.insert(self.next_seq, key.to_vec());
+            self.keys.insert(
+                key.to_vec(),
+                KeyTrack {
+                    seq: self.next_seq,
+                    ts: Vec::new(),
+                    bytes: 0,
+                },
+            );
+            self.next_seq += 1;
+        }
+        self.keys.get_mut(key).expect("inserted above")
+    }
 }
 
 /// `tier_*` telemetry family (registered on the job hub when present).
@@ -253,7 +262,6 @@ impl TieredStore {
         cfg: TierConfig,
         vfs: Arc<dyn Vfs>,
     ) -> Result<Self> {
-        cfg.validate()?;
         let cold_dir = ctx
             .data_dir
             .join("tier")
@@ -306,11 +314,8 @@ impl TieredStore {
 
     fn track_append(&mut self, key: &[u8], window: WindowId, value_len: usize, ts: Timestamp) {
         let hw = self.hot.entry(window).or_default();
-        if !hw.keys.contains_key(key) {
-            hw.order.push(key.to_vec());
-        }
-        let kt = hw.keys.entry(key.to_vec()).or_default();
         let cost = key.len() + value_len + 8;
+        let kt = hw.track(key);
         kt.ts.push(ts);
         kt.bytes += cost;
         hw.bytes += cost;
@@ -320,24 +325,13 @@ impl TieredStore {
     fn track_put(&mut self, key: &[u8], window: WindowId, value_len: usize, ts: Timestamp) {
         let hw = self.hot.entry(window).or_default();
         let cost = key.len() + value_len + 8;
-        if let Some(kt) = hw.keys.get_mut(key) {
-            hw.bytes = hw.bytes - kt.bytes + cost;
-            self.hot_bytes = self.hot_bytes - kt.bytes + cost;
-            kt.bytes = cost;
-            kt.ts.clear();
-            kt.ts.push(ts);
-        } else {
-            hw.order.push(key.to_vec());
-            hw.keys.insert(
-                key.to_vec(),
-                KeyTrack {
-                    ts: vec![ts],
-                    bytes: cost,
-                },
-            );
-            hw.bytes += cost;
-            self.hot_bytes += cost;
-        }
+        // A put replaces whatever the key held.
+        let kt = hw.track(key);
+        let replaced = std::mem::replace(&mut kt.bytes, cost);
+        kt.ts.clear();
+        kt.ts.push(ts);
+        hw.bytes = hw.bytes - replaced + cost;
+        self.hot_bytes = self.hot_bytes - replaced + cost;
     }
 
     fn untrack_key(&mut self, key: &[u8], window: WindowId) {
@@ -345,7 +339,7 @@ impl TieredStore {
             if let Some(kt) = hw.keys.remove(key) {
                 hw.bytes -= kt.bytes;
                 self.hot_bytes -= kt.bytes;
-                hw.order.retain(|k| k != key);
+                hw.order.remove(&kt.seq);
             }
             if hw.keys.is_empty() {
                 self.hot.remove(&window);
@@ -522,7 +516,7 @@ impl TieredStore {
         let mut rows = Vec::new();
         match self.aggregate {
             AggregateKind::Incremental => {
-                for key in &track.order {
+                for key in track.order.values() {
                     if let Some(value) = self.inner.take_aggregate(key, window)? {
                         let ts = track
                             .keys
@@ -545,7 +539,7 @@ impl TieredStore {
                         per_key.entry(key).or_default().extend(values);
                     }
                 }
-                for key in &track.order {
+                for key in track.order.values() {
                     let values = per_key.remove(key).unwrap_or_default();
                     let kt = track.keys.get(key);
                     for (i, value) in values.into_iter().enumerate() {
@@ -574,7 +568,7 @@ impl TieredStore {
                 }
             }
             AggregateKind::FullList => {
-                for key in &track.order {
+                for key in track.order.values() {
                     let values = self.inner.take_values(key, window)?;
                     let kt = track.keys.get(key);
                     for (i, value) in values.into_iter().enumerate() {
@@ -740,10 +734,15 @@ impl TieredStore {
 
     // ---- compaction -----------------------------------------------------
 
+    /// Rewrites the cold log once dead bytes reach both floors: below
+    /// the first a rewrite is pointless, and past it the rewrite waits
+    /// until it reclaims at least as much as it copies.
     fn maybe_compact(&mut self) -> Result<()> {
+        const COMPACT_MIN_DEAD_BYTES: u64 = 64 << 10;
+        const COMPACT_MIN_DEAD_RATIO: f64 = 0.5;
         let total = self.live_bytes + self.dead_bytes;
-        if self.dead_bytes < self.cfg.compact_min_dead_bytes
-            || (self.dead_bytes as f64) < self.cfg.compact_min_dead_ratio * total as f64
+        if self.dead_bytes < COMPACT_MIN_DEAD_BYTES
+            || (self.dead_bytes as f64) < COMPACT_MIN_DEAD_RATIO * total as f64
         {
             return Ok(());
         }
@@ -1451,30 +1450,30 @@ mod tests {
     #[test]
     fn compaction_reclaims_promoted_blocks() {
         let dir = ScratchDir::new("tier-compact").unwrap();
-        let factory = TieredFactory::new(
-            Arc::new(FlowKvFactory::new(FlowKvConfig::small_for_tests())),
-            TierConfig {
-                hot_bytes: 0,
-                compress: true,
-                compact_min_dead_bytes: 1,
-                compact_min_dead_ratio: 0.1,
-            },
+        let mut s = tiered(
+            dir.path(),
+            AggregateKind::FullList,
+            WindowKind::Session { gap: 50 },
+            0,
         );
-        let mut s = factory
-            .create(&ctx(
-                dir.path(),
-                AggregateKind::FullList,
-                WindowKind::Session { gap: 50 },
-            ))
-            .unwrap();
         let win = w(0, 100);
-        for i in 0..8 {
-            s.append(b"k", win, format!("v{i}").as_bytes(), i).unwrap();
+        // Eight sealed blocks of 16 KiB: once promoted they are 128 KiB
+        // of dead bytes, the whole log — past both compaction floors.
+        for i in 0..8u8 {
+            s.append(b"k", win, &[i; 16 << 10], i64::from(i)).unwrap();
         }
+        let cold_log = dir.path().join("tier/tier-test/p0").join(COLD_LOG);
+        let sealed = std::fs::metadata(&cold_log).unwrap().len();
+        assert!(sealed >= 128 << 10, "cold log holds {sealed} bytes");
         // Promote (take) then write more: the wave after the next append
         // sees dead blocks above both thresholds and compacts.
         let _ = s.take_values(b"k", win).unwrap();
         s.append(b"k2", w(100, 200), b"x", 101).unwrap();
+        let rewritten = std::fs::metadata(&cold_log).unwrap().len();
+        assert!(
+            rewritten < 1 << 10,
+            "cold log still holds {rewritten} bytes"
+        );
         // The store still answers correctly after the rewrite.
         assert_eq!(
             s.take_values(b"k2", w(100, 200)).unwrap(),
@@ -1483,12 +1482,66 @@ mod tests {
         s.close().unwrap();
     }
 
+    /// The keys of `window`'s cold blocks, in block and row order.
+    fn cold_keys(s: &TieredStore, window: WindowId) -> Vec<Vec<u8>> {
+        let blobs = s.read_blocks("test", &s.index[&window]).unwrap();
+        blobs
+            .iter()
+            .flat_map(|blob| columnar::decode_block(blob).unwrap().rows)
+            .map(|row| row.key)
+            .collect()
+    }
+
+    fn tiered_store(dir: &Path, aggregate: AggregateKind, window: WindowKind) -> TieredStore {
+        let ctx = ctx(dir, aggregate, window);
+        let inner = FlowKvFactory::new(FlowKvConfig::small_for_tests())
+            .create(&ctx)
+            .unwrap();
+        TieredStore::new(inner, &ctx, TierConfig::default(), StdVfs::shared()).unwrap()
+    }
+
     #[test]
-    fn invalid_config_rejected() {
-        let cfg = TierConfig {
-            compact_min_dead_ratio: 1.5,
-            ..TierConfig::default()
-        };
-        assert!(cfg.validate().is_err());
+    fn demotion_keeps_first_append_order_of_the_live_keys() {
+        let win = w(0, 100);
+        let keys = |ks: &[&[u8]]| ks.iter().map(|k| k.to_vec()).collect::<Vec<_>>();
+
+        // RMW: a taken key leaves the order; put again, it joins the back.
+        let dir = ScratchDir::new("tier-order-rmw").unwrap();
+        let mut s = tiered_store(
+            dir.path(),
+            AggregateKind::Incremental,
+            WindowKind::Fixed { size: 100 },
+        );
+        for key in [b"a", b"b", b"c", b"d"] {
+            s.put_aggregate(key, win, b"1").unwrap();
+        }
+        assert_eq!(s.take_aggregate(b"b", win).unwrap(), Some(b"1".to_vec()));
+        s.put_aggregate(b"b", win, b"2").unwrap();
+        assert_eq!(s.take_aggregate(b"a", win).unwrap(), Some(b"1".to_vec()));
+        s.put_aggregate(b"e", win, b"1").unwrap();
+        s.put_aggregate(b"c", win, b"2").unwrap(); // still live: keeps its place
+        assert_eq!(s.take_aggregate(b"d", win).unwrap(), Some(b"1".to_vec()));
+        s.put_aggregate(b"d", win, b"2").unwrap();
+        s.demote_to_budget(0).unwrap();
+        assert_eq!(cold_keys(&s, win), keys(&[b"c", b"b", b"e", b"d"]));
+        assert!(s.hot.is_empty() && s.hot_bytes == 0);
+        s.close().unwrap();
+
+        // AUR: the same rule, a row per append.
+        let dir = ScratchDir::new("tier-order-aur").unwrap();
+        let mut s = tiered_store(
+            dir.path(),
+            AggregateKind::FullList,
+            WindowKind::Session { gap: 50 },
+        );
+        for (i, key) in [b"a", b"b", b"c"].into_iter().enumerate() {
+            s.append(key, win, b"v", i as i64).unwrap();
+        }
+        assert_eq!(s.take_values(b"a", win).unwrap().len(), 1);
+        s.append(b"a", win, b"v", 3).unwrap();
+        s.append(b"b", win, b"v", 4).unwrap();
+        s.demote_to_budget(0).unwrap();
+        assert_eq!(cold_keys(&s, win), keys(&[b"b", b"b", b"c", b"a"]));
+        s.close().unwrap();
     }
 }
