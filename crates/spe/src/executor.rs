@@ -172,8 +172,10 @@ pub struct RunOptions {
     /// to this many tuples in one channel operation, amortizing per-tuple
     /// synchronization. Batches are force-flushed before every watermark,
     /// barrier, and end-of-stream marker, so event-time semantics and
-    /// checkpoint alignment are identical at every batch size. `1` (the
-    /// default) reproduces the classic tuple-at-a-time exchange.
+    /// checkpoint alignment are identical at every batch size. The
+    /// default is `256`; `1` reproduces the classic tuple-at-a-time
+    /// exchange and is the reference the batching differential suite
+    /// compares against.
     pub batch_size: usize,
     /// Shared telemetry hub. When set, every worker records per-operator
     /// busy/idle time, queue depth, backpressure-stall time, batch fill,
@@ -255,7 +257,7 @@ impl RunOptions {
             restore_from: None,
             collect_late: false,
             registry: None,
-            batch_size: 1,
+            batch_size: 256,
             telemetry: None,
             telemetry_out: None,
             telemetry_interval: Duration::from_millis(250),
