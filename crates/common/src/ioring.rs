@@ -517,6 +517,14 @@ fn unerase<R: 'static>(completion: Completion) -> io::Result<R> {
     })
 }
 
+/// Where a lane's jobs run.
+enum Pool {
+    /// On the threads of a (possibly shared) ring, against its VFS.
+    Ring(Arc<IoRing>),
+    /// On the calling thread, against this VFS: the lane of width zero.
+    Inline(Arc<dyn Vfs>),
+}
+
 /// One store's read-ahead lane on a (possibly shared) [`IoRing`].
 ///
 /// The lane owns everything about a background read that is not the
@@ -539,10 +547,7 @@ fn unerase<R: 'static>(completion: Completion) -> io::Result<R> {
 /// re-raises on the calling thread from whichever method consumes that
 /// completion, after the lane's own bookkeeping is unwound.
 pub struct Lane<K, T> {
-    /// The pool jobs run on; `None` is the lane of width zero.
-    ring: Option<Arc<IoRing>>,
-    /// What jobs read through: the ring's VFS when there is a ring.
-    vfs: Arc<dyn Vfs>,
+    pool: Pool,
     tag: u64,
     /// Submission id → (keys the read covers, estimated bytes).
     inflight: HashMap<u64, (Vec<K>, u64)>,
@@ -556,19 +561,19 @@ pub struct Lane<K, T> {
 impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
     /// A lane submitting to `ring` under routing tag `tag`.
     pub fn new(ring: Arc<IoRing>, tag: u64) -> Self {
-        let mut lane = Self::inline(Arc::clone(ring.vfs()));
-        lane.ring = Some(ring);
-        lane.tag = tag;
-        lane
+        Self::on(Pool::Ring(ring), tag)
     }
 
     /// A lane without threads over `vfs`: no read-ahead, and every
     /// read-through job runs on the caller's thread.
     pub fn inline(vfs: Arc<dyn Vfs>) -> Self {
+        Self::on(Pool::Inline(vfs), 0)
+    }
+
+    fn on(pool: Pool, tag: u64) -> Self {
         Lane {
-            ring: None,
-            vfs,
-            tag: 0,
+            pool,
+            tag,
             inflight: HashMap::new(),
             by_key: HashMap::new(),
             inflight_bytes: 0,
@@ -592,7 +597,8 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
     /// lane without threads admits nothing, not even `admits(0, 0)` —
     /// which is how a store asks whether read-ahead is worth planning.
     pub fn admits(&self, resident: u64, est_bytes: u64) -> bool {
-        self.ring.is_some() && resident + self.inflight_bytes + est_bytes <= PREFETCH_BUDGET_BYTES
+        matches!(self.pool, Pool::Ring(_))
+            && resident + self.inflight_bytes + est_bytes <= PREFETCH_BUDGET_BYTES
     }
 
     /// True when no submission is outstanding.
@@ -616,7 +622,7 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
         est_bytes: u64,
         job: impl FnOnce(&Arc<dyn Vfs>) -> crate::error::Result<T> + Send + 'static,
     ) {
-        let Some(ring) = &self.ring else {
+        let Pool::Ring(ring) = &self.pool else {
             return;
         };
         let id = ring.submit(self.tag, erase(job));
@@ -632,10 +638,11 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
 
     /// The ring behind a read in flight: only a lane with one admits a
     /// submission.
-    fn pool(&self) -> &IoRing {
-        self.ring
-            .as_deref()
-            .expect("a read in flight implies a ring")
+    fn ring(&self) -> &IoRing {
+        match &self.pool {
+            Pool::Ring(ring) => ring,
+            Pool::Inline(_) => unreachable!("a read in flight implies a ring"),
+        }
     }
 
     /// Drops the bookkeeping of submission `id`; false when the lane
@@ -658,7 +665,7 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
         if self.is_idle() {
             return Vec::new();
         }
-        let mut done = self.pool().drain_tag(self.tag);
+        let mut done = self.ring().drain_tag(self.tag);
         done.retain(|c| self.forget(c.id));
         done.into_iter().map(unerase).collect()
     }
@@ -667,7 +674,7 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
     /// `None` when no outstanding submission covers `key`.
     pub fn wait_for(&mut self, key: &K) -> Option<io::Result<T>> {
         let id = *self.by_key.get(key)?;
-        let completion = self.pool().wait(id);
+        let completion = self.ring().wait(id);
         self.forget(id);
         Some(unerase(completion))
     }
@@ -676,7 +683,7 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
     /// all — for callers about to move the bytes those reads target.
     pub fn wait_all(&mut self) -> Vec<io::Result<T>> {
         let ids: Vec<u64> = self.inflight.keys().copied().collect();
-        let done: Vec<Completion> = ids.into_iter().map(|id| self.pool().wait(id)).collect();
+        let done: Vec<Completion> = ids.into_iter().map(|id| self.ring().wait(id)).collect();
         self.inflight.clear();
         self.by_key.clear();
         self.inflight_bytes = 0;
@@ -733,17 +740,19 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
     where
         J: FnOnce(&Arc<dyn Vfs>) -> crate::error::Result<R> + Send + 'static,
     {
-        let Some(ring) = &self.ring else {
-            return jobs
+        match &self.pool {
+            Pool::Inline(vfs) => jobs
                 .into_iter()
-                .map(|job| job(&self.vfs).map_err(as_io_error))
-                .collect();
-        };
-        let ids: Vec<u64> = jobs
-            .into_iter()
-            .map(|job| ring.submit(self.tag, erase(job)))
-            .collect();
-        ids.into_iter().map(|id| unerase(ring.wait(id))).collect()
+                .map(|job| job(vfs).map_err(as_io_error))
+                .collect(),
+            Pool::Ring(ring) => {
+                let ids: Vec<u64> = jobs
+                    .into_iter()
+                    .map(|job| ring.submit(self.tag, erase(job)))
+                    .collect();
+                ids.into_iter().map(|id| unerase(ring.wait(id))).collect()
+            }
+        }
     }
 }
 
@@ -944,7 +953,7 @@ mod tests {
         let mut l = lane(1);
         l.submit(vec![1], 100, |_vfs| panic!("flowkv-fault: injected crash"));
         l.submit(vec![2], 50, |_vfs| Ok(2));
-        l.pool().wait_idle();
+        l.ring().wait_idle();
         assert!(l.covers(&1) && l.covers(&2));
         assert_eq!(l.inflight_bytes, 150);
         l
@@ -980,7 +989,7 @@ mod tests {
         assert_eq!(msg, "flowkv-fault: injected crash");
         assert!(l.is_idle());
         assert_eq!(l.inflight_bytes, 0);
-        assert_eq!(l.pool().pending(), 0);
+        assert_eq!(l.ring().pending(), 0);
     }
 
     #[test]
@@ -1013,7 +1022,7 @@ mod tests {
         l.submit(vec![2], half, |_vfs| Ok(2));
         assert!(!l.admits(0, 1));
         // Finished reads leave the in-flight total once drained.
-        l.pool().wait_idle();
+        l.ring().wait_idle();
         let mut got: Vec<u64> = l.drain().into_iter().map(Result::unwrap).collect();
         got.sort_unstable();
         assert_eq!(got, vec![1, 2]);
@@ -1120,7 +1129,7 @@ mod tests {
         let through = l.read_through_each((0..3u8).map(|i| move |_vfs: &Arc<dyn Vfs>| Ok(i)));
         let through: Vec<u8> = through.into_iter().map(Result::unwrap).collect();
         assert_eq!(through, vec![0, 1, 2]);
-        l.pool().wait_idle();
+        l.ring().wait_idle();
         let got: Vec<(u64, Vec<u8>)> = l.drain().into_iter().map(Result::unwrap).collect();
         // One pool thread finishes in submission order, so any other
         // order is the seeded shuffle.

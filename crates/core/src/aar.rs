@@ -370,7 +370,6 @@ impl AarStore {
     /// exactly as anticipated: same epoch, still on disk, not mid-drain,
     /// not already prefetched.
     fn install(&mut self, read: AarAsyncRead) {
-        let lane = &self.lane;
         if read.epoch == self.epoch
             && self.on_disk.contains(&read.window)
             && !self.drains.contains_key(&read.window)
@@ -386,9 +385,9 @@ impl AarStore {
                     bytes: read.bytes,
                 },
             );
-            lane.installed(1);
+            self.lane.installed(1);
         } else {
-            lane.waste(read.bytes);
+            self.lane.waste(read.bytes);
         }
     }
 

@@ -950,12 +950,11 @@ impl AurStore {
     /// compaction or restore (generation/epoch), a consume (Stat entry
     /// gone), or a flush adding records (disk_records advanced).
     fn install(&mut self, batch: AsyncBatch) {
-        let lane = &self.lane;
         let stale = batch.generation != self.generation || batch.epoch != self.epoch;
         let mut installed = 0i64;
         for w in batch.windows {
             if stale {
-                lane.waste(w.bytes);
+                self.lane.waste(w.bytes);
                 continue;
             }
             match self.stat.get(&w.key, w.window) {
@@ -972,10 +971,10 @@ impl AurStore {
                 // A consumed window is not counted late here: if its
                 // trigger beat this read, `take` counted it then; if a
                 // synchronous batch served it as a hit, nothing was late.
-                _ => lane.waste(w.bytes),
+                _ => self.lane.waste(w.bytes),
             }
         }
-        lane.installed(installed);
+        self.lane.installed(installed);
     }
 
     /// Submits one background read covering every window due within the
