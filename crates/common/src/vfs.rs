@@ -542,7 +542,13 @@ impl FaultVfs {
     /// Handles a fault on a metadata-level (non-file-handle) operation.
     /// Crash faults panic; everything else surfaces as an I/O error.
     fn meta_op(&self) -> io::Result<()> {
-        match arm(&self.state) {
+        Self::settle(arm(&self.state))
+    }
+
+    /// What an armed fault does to an operation that has no partial
+    /// effect to leave behind.
+    fn settle(fault: Option<FaultKind>) -> io::Result<()> {
+        match fault {
             None | Some(FaultKind::SyncDrop) => Ok(()),
             Some(FaultKind::Crash) => panic!("flowkv-fault: injected crash"),
             Some(kind) => Err(injected(kind)),
@@ -606,8 +612,18 @@ impl Vfs for FaultVfs {
     }
 
     fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        self.meta_op()?;
-        self.inner.write(path, data)
+        match arm(&self.state) {
+            // A torn whole-file write leaves the prefix on disk, like a
+            // torn write through a file handle.
+            Some(FaultKind::TornWrite { keep }) => {
+                let _ = self.inner.write(path, &data[..keep.min(data.len())]);
+                Err(injected(FaultKind::TornWrite { keep }))
+            }
+            other => {
+                Self::settle(other)?;
+                self.inner.write(path, data)
+            }
+        }
     }
 
     fn exists(&self, path: &Path) -> bool {
@@ -810,6 +826,15 @@ mod tests {
         drop(f);
         assert_eq!(std::fs::read(&path).unwrap(), b"0123");
         assert_eq!(fv.fired().len(), 1);
+
+        // The whole-file write tears the same way.
+        let fv = FaultVfs::new(
+            StdVfs::shared(),
+            FaultPlan::new().with_fault(1, FaultKind::TornWrite { keep: 4 }),
+        );
+        let err = fv.write(&path, b"abcdefghij").unwrap_err();
+        assert!(err.to_string().contains("torn-write"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), b"abcd");
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!    protocol v2 adds per-frame request ids so clients can pipeline
 //!    many requests per connection.
 //! 3. [`StateClient`](client::StateClient) is the matching blocking
-//!    client with a pipelined batch façade; the `serve_bench` binary is
-//!    a multi-threaded load generator reporting lookup throughput and
-//!    latency percentiles.
+//!    client with a pipelined batch façade; the `perf` benchmark's
+//!    `q12-rmw-serve` workload drives it against a live job and reports
+//!    lookup throughput and latency percentiles.
 //!
 //! Because snapshots are immutable and reads never touch worker-owned
 //! stores, serving is invisible to the job: outputs are byte-identical

@@ -124,12 +124,7 @@ pub fn run_cluster(
     if matches!(job.stages[split], Stage::IntervalJoin(_)) {
         return Err(invalid("interval joins are not shardable"));
     }
-    if job.stages[..split]
-        .iter()
-        .any(|s| !matches!(s, Stage::Stateless { .. }))
-    {
-        return Err(invalid("only stateless stages may precede the window"));
-    }
+    // Everything ahead of the one stateful stage is stateless.
     let prefix = &job.stages[..split];
     let worker_job = Job {
         name: job.name.clone(),

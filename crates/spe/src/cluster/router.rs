@@ -20,7 +20,7 @@ use flowkv::KeyRangePartitioner;
 use flowkv_common::types::Tuple;
 
 use crate::executor::{Schedule, SourceItem};
-use crate::job::Stage;
+use crate::job::{Chain, Stage};
 
 /// The routed item streams for one cluster run.
 pub(crate) struct RoutePlan {
@@ -53,8 +53,8 @@ pub(crate) fn route(
         rescale.map(|(p, _)| vec![Vec::new(); p.shards()]);
     let mut barrier_taken = false;
     let mut count: u64 = 0;
+    let mut chain = Chain::leading(prefix);
     let mut derived: Vec<Tuple> = Vec::new();
-    let mut next: Vec<Tuple> = Vec::new();
     for item in Schedule::new(source, wm_interval, slack, rescale.map(|(_, b)| b)) {
         // Everything the schedule emits after the barrier — the
         // watermark sharing its offset included — belongs to phase 2:
@@ -68,18 +68,7 @@ pub(crate) fn route(
         match item {
             SourceItem::Tuple(tuple) => {
                 count += 1;
-                derived.clear();
-                derived.push(tuple);
-                for stage in prefix {
-                    let Stage::Stateless { f, .. } = stage else {
-                        unreachable!("router prefix is stateless by construction");
-                    };
-                    next.clear();
-                    for t in &derived {
-                        f(t, &mut next);
-                    }
-                    std::mem::swap(&mut derived, &mut next);
-                }
+                chain.apply(tuple, &mut derived);
                 for t in derived.drain(..) {
                     shards[part.shard_of(&t.key)].push(SourceItem::Tuple(t));
                 }

@@ -1,10 +1,14 @@
 //! The threaded job executor: key-partitioned workers, watermark
 //! propagation, and end-to-end measurement.
 //!
-//! Execution mirrors Figure 1(b) of the paper: every stage runs as
-//! `parallelism` single-threaded workers over disjoint key partitions,
-//! connected by bounded channels. Watermarks flow with the data; a
-//! worker's event time is the minimum across its inputs. A final
+//! Execution mirrors Figure 1(b) of the paper: every keyed stage
+//! (window, interval join) runs as `parallelism` single-threaded workers
+//! over disjoint key partitions, connected by bounded channels. Stateless
+//! stages own no thread: each runs inside whoever produces its input —
+//! the source or the keyed worker upstream — before that sender
+//! partitions by key (Flink's operator chaining), so a job is
+//! `2 + keyed stages × parallelism` threads. Watermarks flow with the
+//! data; a worker's event time is the minimum across its inputs. A final
 //! `MAX_TIMESTAMP` watermark closes every window when a bounded source
 //! ends.
 //!
@@ -17,12 +21,14 @@
 //! independent of the batch size — see DESIGN.md § Exchange layer.
 //!
 //! Latency accounting: each tuple and watermark carries the wall-clock
-//! nanosecond at which it left the source (one stamp per tuple, even
-//! inside a batch); window outputs inherit the origin of the watermark
-//! that triggered them, so the sink observes true end-to-end latency
-//! including every store interaction (the paper's Kafka-based
-//! methodology, §6.2).
+//! nanosecond at which it left the source — or, under a rate limit, at
+//! which it was *due* to leave, so a source held back by backpressure
+//! does not hide the delay (one stamp per tuple, even inside a batch);
+//! window outputs inherit the origin of the watermark that triggered
+//! them, so the sink observes true end-to-end latency including every
+//! store interaction (the paper's Kafka-based methodology, §6.2).
 
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -30,7 +36,9 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 
-use flowkv_common::backend::{OperatorContext, StateBackendFactory};
+use flowkv_common::backend::{
+    OperatorContext, OperatorSemantics, StateBackend, StateBackendFactory,
+};
 use flowkv_common::error::StoreError;
 use flowkv_common::hash::partition_of;
 use flowkv_common::ioring::IoPolicy;
@@ -40,12 +48,45 @@ use flowkv_common::telemetry::{self, Counter, Gauge, Histogram, HistogramSnapsho
 use flowkv_common::trace::{self as ftrace, SpanRecorder, TraceCtx, TraceHandle, Tracer};
 use flowkv_common::types::{Timestamp, Tuple, MAX_TIMESTAMP, MIN_TIMESTAMP};
 
-use crate::job::{Job, Stage};
+use crate::job::{Chain, Job, Stage};
 use crate::join::IntervalJoinOperator;
 use crate::latency::{LatencySummary, Stamped};
 use crate::operator::WindowOperator;
 
-/// The stateful operator running inside a worker, if any.
+/// A stage that owns worker threads — a keyed one — as its workers
+/// need it.
+struct KeyedStage<'a> {
+    name: &'a str,
+    semantics: OperatorSemantics,
+    /// Builds the stage's operator over one partition's store.
+    operator: Box<dyn Fn(Box<dyn StateBackend>) -> WorkerOp + Sync + 'a>,
+}
+
+impl<'a> KeyedStage<'a> {
+    /// `None` for a stateless stage, which runs inside its sender.
+    fn of(stage: &'a Stage) -> Option<Self> {
+        let (semantics, operator): (_, Box<dyn Fn(_) -> _ + Sync>) = match stage {
+            Stage::Stateless { .. } => return None,
+            Stage::Window(spec) => (
+                spec.semantics(),
+                Box::new(|backend| WorkerOp::Window(WindowOperator::new(spec.clone(), backend))),
+            ),
+            Stage::IntervalJoin(spec) => (
+                spec.semantics(),
+                Box::new(|backend| {
+                    WorkerOp::Join(IntervalJoinOperator::new(spec.clone(), backend))
+                }),
+            ),
+        };
+        Some(KeyedStage {
+            name: stage.name(),
+            semantics,
+            operator,
+        })
+    }
+}
+
+/// The stateful operator running inside a worker.
 enum WorkerOp {
     Window(WindowOperator),
     Join(IntervalJoinOperator),
@@ -104,7 +145,7 @@ impl WorkerOp {
         }
     }
 
-    fn backend_mut(&mut self) -> &mut dyn flowkv_common::backend::StateBackend {
+    fn backend_mut(&mut self) -> &mut dyn StateBackend {
         match self {
             WorkerOp::Window(op) => op.backend_mut(),
             WorkerOp::Join(op) => op.backend_mut(),
@@ -536,12 +577,17 @@ impl ExchangeProbe {
 
 /// A batching sender over one channel boundary.
 ///
-/// Tuples accumulate into per-destination micro-batches sealed at
-/// `batch_size`; control messages go through [`Exchange::broadcast`],
+/// Each tuple first runs through the stateless stages between this
+/// sender and the next keyed stage (or the sink); what they emit
+/// accumulates into per-destination micro-batches sealed at
+/// `batch_size`. Control messages go through [`Exchange::broadcast`],
 /// which force-flushes every pending batch first so the [`Msg`] ordering
 /// invariant holds at any batch size.
 struct Exchange {
     txs: Vec<Sender<Envelope>>,
+    chain: Chain,
+    /// What `chain` made of the tuple being sent (reused allocation).
+    derived: Vec<Tuple>,
     pending: Vec<Vec<Stamped>>,
     batch_size: usize,
     sender: usize,
@@ -552,6 +598,7 @@ struct Exchange {
 impl Exchange {
     fn new(
         txs: Vec<Sender<Envelope>>,
+        chain: Chain,
         batch_size: usize,
         sender: usize,
         probe: Option<ExchangeProbe>,
@@ -561,6 +608,8 @@ impl Exchange {
         let pending = txs.iter().map(|_| Vec::with_capacity(batch_size)).collect();
         Exchange {
             txs,
+            chain,
+            derived: Vec::new(),
             pending,
             batch_size,
             sender,
@@ -601,19 +650,27 @@ impl Exchange {
         }
     }
 
-    /// Queues one tuple for its key's partition, sending the batch once
-    /// full. Returns `false` when the receiver hung up.
+    /// Runs one tuple through the stateless chain and queues every tuple
+    /// it becomes — each carrying the input's `origin` — for its key's
+    /// partition, sending a batch once full. Returns `false` when the
+    /// receiver hung up.
     fn send(&mut self, tuple: Tuple, origin: u64) -> bool {
-        let dest = if self.txs.len() == 1 {
-            0
-        } else {
-            partition_of(&tuple.key, self.txs.len())
-        };
-        self.pending[dest].push(Stamped { tuple, origin });
-        if self.pending[dest].len() >= self.batch_size {
-            return self.flush_dest(dest);
+        let mut derived = std::mem::take(&mut self.derived);
+        self.chain.apply(tuple, &mut derived);
+        let mut ok = true;
+        for tuple in derived.drain(..) {
+            let dest = if self.txs.len() == 1 {
+                0
+            } else {
+                partition_of(&tuple.key, self.txs.len())
+            };
+            self.pending[dest].push(Stamped { tuple, origin });
+            if self.pending[dest].len() >= self.batch_size {
+                ok &= self.flush_dest(dest);
+            }
         }
-        true
+        self.derived = derived;
+        ok
     }
 
     fn flush_dest(&mut self, dest: usize) -> bool {
@@ -696,7 +753,6 @@ impl Exchange {
 }
 
 /// What each worker reports on exit.
-#[derive(Default)]
 struct WorkerReport {
     dropped_late: u64,
     metrics: MetricsSnapshot,
@@ -864,8 +920,16 @@ pub(crate) fn run_job_inner(
         epoch: started,
     };
 
-    // Channels: stage boundaries plus the sink boundary.
-    let num_boundaries = job.stages.len() + 1;
+    // Only keyed stages own threads and channels; the stateless stages
+    // in between run inside the exchange of whoever feeds them.
+    let keyed: Vec<(usize, KeyedStage<'_>)> = job
+        .stages
+        .iter()
+        .enumerate()
+        .filter_map(|(idx, stage)| Some((idx, KeyedStage::of(stage)?)))
+        .collect();
+    // Channels: one boundary into each keyed stage plus the sink boundary.
+    let num_boundaries = keyed.len() + 1;
     let mut senders: Vec<Vec<Sender<Envelope>>> = Vec::with_capacity(num_boundaries);
     let mut receivers: Vec<Vec<Receiver<Envelope>>> = Vec::with_capacity(num_boundaries);
     for boundary in 0..num_boundaries {
@@ -885,21 +949,28 @@ pub(crate) fn run_job_inner(
             .spawn_scoped(s, move || run_source(run, source, source_tx))
             .expect("spawn source");
         let mut handles = Vec::new();
-        for (stage_idx, stage) in job.stages.iter().enumerate() {
-            for (worker, rx) in receivers[stage_idx].iter().enumerate() {
+        for (boundary, (stage_idx, stage)) in keyed.iter().enumerate() {
+            // Fed by the source alone, or by every worker of the keyed
+            // stage before it.
+            let upstreams = if boundary == 0 { 1 } else { n };
+            for (worker, rx) in receivers[boundary].iter().enumerate() {
                 let rx = rx.clone();
-                let next = senders[stage_idx + 1].clone();
+                let next = senders[boundary + 1].clone();
+                let chain = Chain::leading(&job.stages[stage_idx + 1..]);
                 let handle = spawn()
-                    .name(format!("spe-{}-{}", stage.name(), worker))
-                    .spawn_scoped(s, move || run_worker(run, stage_idx, worker, rx, next))
+                    .name(format!("spe-{}-{}", stage.name, worker))
+                    .spawn_scoped(s, move || {
+                        run_worker(run, stage, worker, upstreams, rx, next, chain)
+                    })
                     .expect("spawn worker");
                 handles.push(handle);
             }
         }
         let sink_rx = receivers[num_boundaries - 1][0].clone();
+        let sink_upstreams = if keyed.is_empty() { 1 } else { n };
         let sink_handle = spawn()
             .name("spe-sink".into())
-            .spawn_scoped(s, move || run_sink(run, sink_rx))
+            .spawn_scoped(s, move || run_sink(run, sink_upstreams, sink_rx))
             .expect("spawn sink");
 
         // The threads hold their own clones; drop the runner's copies
@@ -1058,6 +1129,7 @@ fn run_source(
         .map(|tracer| tracer.thread(ctx.trace_pid, "source"));
     let mut exchange = Exchange::new(
         txs,
+        Chain::leading(&run.job.stages),
         options.batch_size,
         0,
         ctx.telemetry
@@ -1074,7 +1146,18 @@ fn run_source(
             }),
     );
     let now = || run.epoch.elapsed().as_nanos() as u64;
-    let pace_start = Instant::now();
+    // Under a rate limit the item after `count` tuples is due
+    // `count / rate` seconds after pacing started, and is stamped with
+    // that instant once the source runs behind it: latency is measured
+    // from when a tuple should have left, so the time a backpressured
+    // source spends blocked counts (no coordinated omission).
+    let pace_start = now();
+    let due = |count: u64| {
+        options
+            .rate_limit
+            .map(|rate| pace_start + (count as f64 / rate as f64 * 1e9) as u64)
+    };
+    let stamp = |count: u64, departure: u64| due(count).map_or(departure, |d| d.min(departure));
     let mut count: u64 = 0;
     let mut barrier_seq: u64 = 0;
     let mut last_flush: u64 = 0;
@@ -1085,22 +1168,16 @@ fn run_source(
         }
         match item {
             SourceItem::Tuple(tuple) => {
-                if let Some(rate) = options.rate_limit {
-                    // Token pacing: stay at or below `rate` tuples/sec.
-                    // The clock is only consulted at burst boundaries
-                    // (every 16 tuples); per-tuple clock reads would
-                    // reintroduce the per-element overhead batching
-                    // removes.
-                    if count.is_multiple_of(16) {
-                        let expected = Duration::from_secs_f64(count as f64 / rate as f64);
-                        let elapsed = pace_start.elapsed();
-                        if expected > elapsed {
-                            std::thread::sleep(expected - elapsed);
-                        }
+                // Token pacing: stay at or below the rate by sleeping
+                // only at burst boundaries (every 16 tuples).
+                if count.is_multiple_of(16) {
+                    let ahead = due(count).map_or(0, |due| due.saturating_sub(now()));
+                    if ahead > 0 {
+                        std::thread::sleep(Duration::from_nanos(ahead));
                     }
                 }
-                let origin = now();
-                if !exchange.send(tuple, origin) {
+                let departure = now();
+                if !exchange.send(tuple, stamp(count, departure)) {
                     break;
                 }
                 count += 1;
@@ -1108,20 +1185,21 @@ fn run_source(
                     tuples.inc();
                 }
                 if !exchange.has_pending() {
-                    last_flush = origin;
-                } else if origin.saturating_sub(last_flush) >= BATCH_LINGER_NANOS {
+                    last_flush = departure;
+                } else if departure.saturating_sub(last_flush) >= BATCH_LINGER_NANOS {
                     // Slow stream: don't sit on a partial batch forever.
                     exchange.flush();
-                    last_flush = origin;
+                    last_flush = departure;
                 }
             }
             SourceItem::Watermark(ts) => {
-                let origin = now();
+                let departure = now();
+                let origin = stamp(count, departure);
                 if let Some((_, watermark)) = &counters {
                     watermark.set(ts);
                 }
                 exchange.broadcast(|| Msg::Watermark { ts, origin });
-                last_flush = origin;
+                last_flush = departure;
             }
             SourceItem::Barrier => {
                 if let Some(rec) = &recorder {
@@ -1142,7 +1220,7 @@ fn run_source(
         }
     }
     if !halted {
-        let origin = now();
+        let origin = stamp(count, now());
         exchange.broadcast(|| Msg::Watermark {
             ts: MAX_TIMESTAMP,
             origin,
@@ -1154,10 +1232,9 @@ fn run_source(
 
 /// The body of the `spe-sink` thread: counts (and optionally collects)
 /// outputs, splits them at the checkpoint barrier, and samples
-/// end-to-end latency until every last-stage worker has ended.
-fn run_sink(run: RunShared<'_>, rx: Receiver<Envelope>) -> SinkReport {
+/// end-to-end latency until each of its `n` senders has ended.
+fn run_sink(run: RunShared<'_>, n: usize, rx: Receiver<Envelope>) -> SinkReport {
     let RunShared { options, ctx, .. } = run;
-    let n = run.job.parallelism;
     let collect = options.collect_outputs;
     // The latency histogram lives in the registry when telemetry is on
     // (so snapshots and Prometheus scrapes see it live), standalone
@@ -1372,13 +1449,71 @@ impl WorkerProbe {
     }
 }
 
-/// The body of one stage worker.
+/// Aligned-barrier bookkeeping of one worker: once a sender's barrier
+/// has arrived, that sender's later messages are held until every
+/// sender's barrier has arrived, so the snapshot taken at alignment
+/// holds exactly the pre-barrier input of every upstream.
+struct BarrierAlign {
+    /// Senders whose barrier of the in-flight alignment has arrived.
+    arrived: Vec<bool>,
+    /// Post-barrier messages, in arrival order.
+    held: Vec<Envelope>,
+    /// Messages a completed alignment let go, not yet handled.
+    released: VecDeque<Envelope>,
+}
+
+impl BarrierAlign {
+    fn new(upstreams: usize) -> Self {
+        BarrierAlign {
+            arrived: vec![false; upstreams],
+            held: Vec::new(),
+            released: VecDeque::new(),
+        }
+    }
+
+    /// The next released message; the worker takes these ahead of its
+    /// channel and offers them to [`admit`](Self::admit) like any other
+    /// (a released barrier opens the next alignment).
+    fn next_released(&mut self) -> Option<Envelope> {
+        self.released.pop_front()
+    }
+
+    /// Returns `env` when the worker should handle it now, or holds it
+    /// behind its sender's barrier. `End` is never held: a sender that
+    /// ended has nothing left to keep out of the snapshot.
+    fn admit(&mut self, env: Envelope) -> Option<Envelope> {
+        if self.arrived[env.sender] && !matches!(env.msg, Msg::End) {
+            self.held.push(env);
+            return None;
+        }
+        Some(env)
+    }
+
+    /// Records `sender`'s barrier. `true` once every sender's has
+    /// arrived: the worker snapshots and forwards the barrier, and what
+    /// was held comes back through [`next_released`](Self::next_released).
+    fn on_barrier(&mut self, sender: usize) -> bool {
+        self.arrived[sender] = true;
+        if !self.arrived.iter().all(|&b| b) {
+            return false;
+        }
+        self.arrived.fill(false);
+        self.released.extend(self.held.drain(..));
+        true
+    }
+}
+
+/// The body of one keyed-stage worker: `worker` of `stage`, fed by
+/// `upstreams` senders, sending through `chain` (the stateless stages
+/// that follow `stage`) to `next`.
 fn run_worker(
     run: RunShared<'_>,
-    stage_idx: usize,
+    stage: &KeyedStage<'_>,
     worker: usize,
+    upstreams: usize,
     rx: Receiver<Envelope>,
     next: Vec<Sender<Envelope>>,
+    chain: Chain,
 ) -> Result<WorkerReport, StoreError> {
     let RunShared {
         job,
@@ -1387,10 +1522,8 @@ fn run_worker(
         ..
     } = run;
     let telemetry = run.ctx.telemetry.as_ref();
-    let stage = &job.stages[stage_idx];
-    let upstreams = if stage_idx == 0 { 1 } else { job.parallelism };
     let io = options.io_policy();
-    let mut operator: Option<WorkerOp> = None;
+    let io_on = io.is_some();
     // Span recorder for this worker thread, registered when the run's
     // telemetry hub carries a tracer. Store calls record through the
     // thread-local context (see `TracedBackend`), so the backend wrap
@@ -1398,43 +1531,31 @@ fn run_worker(
     let trace_handle = telemetry.and_then(|t| t.trace());
     let trace_rec = trace_handle
         .as_ref()
-        .map(|h| h.thread(&format!("{}/p{}", stage.name(), worker)));
-    let stateful = match stage {
-        Stage::Window(spec) => Some((spec.name.clone(), spec.semantics())),
-        Stage::IntervalJoin(spec) => Some((spec.name.clone(), spec.semantics())),
-        Stage::Stateless { .. } => None,
-    };
-    if let Some((name, semantics)) = stateful {
-        let ctx = OperatorContext {
-            operator: name,
-            partition: worker,
-            semantics,
-            data_dir: options.data_dir.join(&job.name),
-            telemetry: telemetry.cloned(),
-            io: io.clone(),
-        };
-        let mut backend = run.factory.create(&ctx)?;
-        if trace_rec.is_some() {
-            backend = ftrace::TracedBackend::wrap(backend);
-        }
-        let mut op = match stage {
-            Stage::Window(spec) => WorkerOp::Window(WindowOperator::new(spec.clone(), backend)),
-            Stage::IntervalJoin(spec) => {
-                WorkerOp::Join(IntervalJoinOperator::new(spec.clone(), backend))
-            }
-            Stage::Stateless { .. } => unreachable!("stateful checked above"),
-        };
-        if let Some(src) = &options.restore_from {
-            op.restore(&worker_ckpt_dir(src, stage.name(), worker))?;
-        }
-        op.set_collect_late(options.collect_late);
-        operator = Some(op);
+        .map(|h| h.thread(&format!("{}/p{}", stage.name, worker)));
+    // Advisory per-entry TTL published with every snapshot, derived
+    // from the stage's window semantics (the serving layer surfaces it
+    // on v2 state listings).
+    let publish_ttl = stage.semantics.window.retention_hint_ms();
+    let mut backend = run.factory.create(&OperatorContext {
+        operator: stage.name.to_string(),
+        partition: worker,
+        semantics: stage.semantics,
+        data_dir: options.data_dir.join(&job.name),
+        telemetry: telemetry.cloned(),
+        io,
+    })?;
+    if trace_rec.is_some() {
+        backend = ftrace::TracedBackend::wrap(backend);
     }
+    let mut operator = (stage.operator)(backend);
+    if let Some(src) = &options.restore_from {
+        operator.restore(&worker_ckpt_dir(src, stage.name, worker))?;
+    }
+    operator.set_collect_late(options.collect_late);
 
-    let probe = telemetry.map(|t| WorkerProbe::new(t, stage.name(), worker));
-    let exchange_probe = telemetry.map(|t| ExchangeProbe::new(t, stage.name(), worker));
+    let probe = telemetry.map(|t| WorkerProbe::new(t, stage.name, worker));
+    let exchange_probe = telemetry.map(|t| ExchangeProbe::new(t, stage.name, worker));
 
-    let io_on = io.is_some() && operator.is_some();
     let mut wms = vec![MIN_TIMESTAMP; upstreams];
     let mut origins = vec![0u64; upstreams];
     let mut current_wm = MIN_TIMESTAMP;
@@ -1454,6 +1575,7 @@ fn run_worker(
     let mut stamped_out: Vec<Stamped> = Vec::new();
     let mut exchange = Exchange::new(
         next,
+        chain,
         options.batch_size,
         worker,
         exchange_probe,
@@ -1466,31 +1588,19 @@ fn run_worker(
     let state_key = options
         .registry
         .as_ref()
-        .map(|_| StateKey::new(job.name.clone(), stage.name(), worker));
-    // Advisory per-entry TTL published with every snapshot, derived
-    // from the stage's window semantics (the serving layer surfaces it
-    // on v2 state listings).
-    let publish_ttl = match stage {
-        Stage::Window(spec) => spec.semantics().window.retention_hint_ms(),
-        Stage::IntervalJoin(spec) => spec.semantics().window.retention_hint_ms(),
-        Stage::Stateless { .. } => None,
-    };
+        .map(|_| StateKey::new(job.name.clone(), stage.name, worker));
 
     // Publishes an immutable snapshot of this worker's state. The worker
     // is the sole writer of its store, so the snapshot is built between
     // tuples and can never observe a half-applied update.
-    let publish_view = |operator: &mut Option<WorkerOp>,
+    let publish_view = |operator: &mut WorkerOp,
                         epoch: &mut u64,
                         watermark: Timestamp|
      -> Result<(), StoreError> {
-        let (Some(registry), Some(key), Some(op)) = (
-            options.registry.as_ref(),
-            state_key.as_ref(),
-            operator.as_mut(),
-        ) else {
+        let (Some(registry), Some(key)) = (options.registry.as_ref(), state_key.as_ref()) else {
             return Ok(());
         };
-        if let Some(mut view) = op.backend_mut().read_view()? {
+        if let Some(mut view) = operator.backend_mut().read_view()? {
             *epoch += 1;
             view.epoch = *epoch;
             view.watermark = watermark;
@@ -1500,12 +1610,7 @@ fn run_worker(
         Ok(())
     };
 
-    // Aligned-barrier bookkeeping: once a sender's barrier arrives, its
-    // later messages are held until every sender's barrier has arrived.
-    let mut barrier_from = vec![false; upstreams];
-    let mut aligning = false;
-    let mut held: Vec<Envelope> = Vec::new();
-    let mut pending: std::collections::VecDeque<Envelope> = std::collections::VecDeque::new();
+    let mut align = BarrierAlign::new(upstreams);
 
     // Busy/idle accounting runs on a single chained clock: each phase
     // boundary takes ONE `Instant::now()` that ends the previous span
@@ -1516,7 +1621,7 @@ fn run_worker(
     let mut recv_count = 0u32;
     let result = (|| -> Result<(), StoreError> {
         'recv: loop {
-            let env = if let Some(env) = pending.pop_front() {
+            let env = if let Some(env) = align.next_released() {
                 // Held messages replay inside the busy span of the
                 // barrier that released them; no idle boundary here.
                 env
@@ -1549,10 +1654,9 @@ fn run_worker(
             if abort.load(Ordering::Relaxed) {
                 break;
             }
-            if aligning && barrier_from[env.sender] && !matches!(env.msg, Msg::End) {
-                held.push(env);
+            let Some(env) = align.admit(env) else {
                 continue;
-            }
+            };
             // Busy time covers operator work plus downstream sends; the
             // labeled block lets the watermark fast-path skip out without
             // bypassing the accounting below it.
@@ -1592,39 +1696,16 @@ fn run_worker(
                             }
                             _ => None,
                         };
-                        let batch_span = if trace_scope.is_some() {
-                            ftrace::begin_here("on_batch", "compute")
-                        } else {
-                            None
-                        };
+                        let batch_span = ftrace::begin_here("on_batch", "compute");
                         stamped_out.clear();
-                        match stage {
-                            Stage::Stateless { f, .. } => {
-                                for stamped in &batch {
-                                    outputs.clear();
-                                    f(&stamped.tuple, &mut outputs);
-                                    let origin = stamped.origin;
-                                    stamped_out.extend(
-                                        outputs.drain(..).map(|tuple| Stamped { tuple, origin }),
-                                    );
-                                }
-                            }
-                            Stage::Window(_) | Stage::IntervalJoin(_) => {
-                                operator
-                                    .as_mut()
-                                    .expect("stateful stage has operator")
-                                    .on_batch(&mut batch, &mut stamped_out)?;
-                            }
-                        }
+                        operator.on_batch(&mut batch, &mut stamped_out)?;
                         // Batch boundary: drain finished background reads
                         // and schedule the next horizon of prefetches.
                         // Runs inside the compute span so the nested
                         // store/prefetch subtraction in the attribution
                         // sees every child it subtracts.
                         if io_on {
-                            if let Some(op) = operator.as_mut() {
-                                op.backend_mut().advance_prefetch(max_event_ts)?;
-                            }
+                            operator.backend_mut().advance_prefetch(max_event_ts)?;
                         }
                         ftrace::end_here(batch_span, &[("out", stamped_out.len() as i64)]);
                         for stamped in stamped_out.drain(..) {
@@ -1636,9 +1717,9 @@ fn run_worker(
                         // the outputs surface later, on a watermark fire
                         // — so the ingest trace completes here rather
                         // than at the sink. A later sink-side
-                        // `batch_done` (pass-through stages) simply
-                        // extends the same trace; attribution takes the
-                        // latest completion.
+                        // `batch_done` (per-tuple outputs, e.g. a join)
+                        // simply extends the same trace; attribution
+                        // takes the latest completion.
                         if let (Some(rec), Some(ctx)) = (&trace_rec, ftrace::current()) {
                             rec.instant(
                                 "batch_done",
@@ -1672,17 +1753,15 @@ fn run_worker(
                             }
                         }
                         let origin = origins[min_idx];
-                        // A stateful fire originates its own trace:
-                        // window outputs inherit the watermark's origin
-                        // for latency accounting, so the trace is born
-                        // at the watermark's source departure (the run
+                        // A fire originates its own trace: window
+                        // outputs inherit the watermark's origin for
+                        // latency accounting, so the trace is born at
+                        // the watermark's source departure (the run
                         // stamp converted onto the tracer clock) — the
                         // sink's `batch_done` total then measures the
                         // same interval the `LatencySummary` samples.
-                        // Stateless hops never originate here: their
-                        // batches already carry the ingest trace.
                         let fire_scope = match (&trace_rec, &trace_handle) {
-                            (Some(rec), Some(h)) if operator.is_some() => {
+                            (Some(rec), Some(h)) => {
                                 let run_now = run.epoch.elapsed().as_nanos() as u64;
                                 let born = rec
                                     .now_nanos()
@@ -1698,30 +1777,13 @@ fn run_worker(
                             }
                             _ => None,
                         };
-                        let wm_span = if fire_scope.is_some() {
-                            ftrace::begin_here("on_watermark", "compute")
-                        } else {
-                            None
-                        };
-                        // Stateless hops still get a lifecycle span
-                        // (trace 0) so Perfetto shows the forwarding
-                        // work even though no trace is originated.
-                        let wm_plain = if fire_scope.is_none() {
-                            trace_rec
-                                .as_ref()
-                                .map(|rec| rec.begin("on_watermark", "compute", None))
-                        } else {
-                            None
-                        };
-                        let mut fired = 0usize;
-                        if let Some(op) = operator.as_mut() {
-                            outputs.clear();
-                            op.on_watermark(min_wm, &mut outputs)?;
-                            fired = outputs.len();
-                            for out in outputs.drain(..) {
-                                if !exchange.send(out, origin) {
-                                    return Ok(());
-                                }
+                        let wm_span = ftrace::begin_here("on_watermark", "compute");
+                        outputs.clear();
+                        operator.on_watermark(min_wm, &mut outputs)?;
+                        let fired = outputs.len();
+                        for out in outputs.drain(..) {
+                            if !exchange.send(out, origin) {
+                                return Ok(());
                             }
                         }
                         // Forwarding the watermark flushes every pending
@@ -1732,14 +1794,9 @@ fn run_worker(
                         // Watermark boundary: window fires just consumed
                         // prefetched state — top the buffers back up.
                         if io_on {
-                            if let Some(op) = operator.as_mut() {
-                                op.backend_mut().advance_prefetch(max_event_ts)?;
-                            }
+                            operator.backend_mut().advance_prefetch(max_event_ts)?;
                         }
                         ftrace::end_here(wm_span, &[("fired", fired as i64)]);
-                        if let (Some(rec), Some(span)) = (&trace_rec, wm_plain) {
-                            rec.end(span, "on_watermark", "compute");
-                        }
                         drop(fire_scope);
                     }
                     Msg::Barrier => {
@@ -1757,9 +1814,7 @@ fn run_worker(
                                 ));
                             }
                         }
-                        barrier_from[env.sender] = true;
-                        aligning = true;
-                        if barrier_from.iter().all(|&b| b) {
+                        if align.on_barrier(env.sender) {
                             if let (Some(p), Some(t0)) = (&probe, barrier_started.take()) {
                                 p.barrier_align.record(t0.elapsed().as_nanos() as u64);
                             }
@@ -1769,13 +1824,11 @@ fn run_worker(
                             if let (Some(rec), Some(span)) = (&trace_rec, barrier_span.take()) {
                                 rec.end(span, "barrier_align", "barrier");
                             }
-                            // Barrier aligned: snapshot, forward, release.
-                            // The broadcast flushes pending batches before
+                            // Barrier aligned: snapshot, then forward. The
+                            // broadcast flushes pending batches before
                             // the barrier, keeping the pre/post-snapshot
                             // split exact downstream.
-                            if let (Some(dir), Some(op)) =
-                                (&options.checkpoint_dir, operator.as_mut())
-                            {
+                            if let Some(dir) = &options.checkpoint_dir {
                                 let ckpt_span = trace_rec.as_ref().map(|rec| {
                                     rec.begin_with(
                                         "store_snapshot",
@@ -1784,15 +1837,12 @@ fn run_worker(
                                         vec![("barrier", worker_barrier_seq as i64)],
                                     )
                                 });
-                                op.checkpoint(&worker_ckpt_dir(dir, stage.name(), worker))?;
+                                operator.checkpoint(&worker_ckpt_dir(dir, stage.name, worker))?;
                                 if let (Some(rec), Some(span)) = (&trace_rec, ckpt_span) {
                                     rec.end(span, "store_snapshot", "barrier");
                                 }
                             }
                             exchange.broadcast(|| Msg::Barrier);
-                            aligning = false;
-                            barrier_from.iter_mut().for_each(|b| *b = false);
-                            pending.extend(held.drain(..));
                         }
                     }
                     Msg::End => {
@@ -1818,13 +1868,12 @@ fn run_worker(
 
     // Collect the operator's accounting and release its store even on the
     // error path.
-    let mut report = WorkerReport::default();
-    if let Some(mut op) = operator {
-        report.dropped_late = op.dropped_late();
-        report.late = op.take_late();
-        report.metrics = op.backend_mut().metrics().snapshot();
-        let _ = op.backend_mut().close();
-    }
+    let report = WorkerReport {
+        dropped_late: operator.dropped_late(),
+        late: operator.take_late(),
+        metrics: operator.backend_mut().metrics().snapshot(),
+    };
+    let _ = operator.backend_mut().close();
     result.map(|()| report)
 }
 
@@ -2131,6 +2180,152 @@ mod tests {
                 Some(want) => assert_eq!(&got, want, "batch_size {batch_size} diverged"),
             }
         }
+    }
+
+    fn env(sender: usize, msg: Msg) -> Envelope {
+        Envelope { sender, msg }
+    }
+
+    fn wm(sender: usize, ts: Timestamp) -> Envelope {
+        env(sender, Msg::Watermark { ts, origin: 0 })
+    }
+
+    /// `(sender, watermark ts)` of a message the aligner let through.
+    fn passed(env: Option<Envelope>) -> Option<(usize, Timestamp)> {
+        env.map(|e| match e.msg {
+            Msg::Watermark { ts, .. } => (e.sender, ts),
+            _ => panic!("not a watermark"),
+        })
+    }
+
+    #[test]
+    fn barrier_align_holds_a_senders_post_barrier_messages_until_all_arrived() {
+        let mut align = BarrierAlign::new(3);
+        assert_eq!(passed(align.admit(wm(0, 1))), Some((0, 1)));
+        assert!(!align.on_barrier(0));
+        // Sender 0 is past its barrier: held. Senders 1 and 2 are not.
+        assert!(align.admit(wm(0, 2)).is_none());
+        assert_eq!(passed(align.admit(wm(1, 3))), Some((1, 3)));
+        assert!(!align.on_barrier(1));
+        assert!(align.admit(wm(1, 4)).is_none());
+        assert!(align.admit(env(0, Msg::Batch(Vec::new(), None))).is_none());
+        assert!(align.next_released().is_none());
+        assert!(align.on_barrier(2));
+        // Released in arrival order, across senders.
+        assert_eq!(passed(align.next_released()), Some((0, 2)));
+        assert_eq!(passed(align.next_released()), Some((1, 4)));
+        assert!(matches!(
+            align.next_released(),
+            Some(Envelope {
+                sender: 0,
+                msg: Msg::Batch(..)
+            })
+        ));
+        assert!(align.next_released().is_none());
+        // Aligned: nobody is held any more.
+        assert_eq!(passed(align.admit(wm(0, 5))), Some((0, 5)));
+    }
+
+    #[test]
+    fn barrier_align_lets_end_pass_while_aligning() {
+        let mut align = BarrierAlign::new(2);
+        assert!(!align.on_barrier(0));
+        assert!(matches!(
+            align.admit(env(0, Msg::End)),
+            Some(Envelope {
+                sender: 0,
+                msg: Msg::End
+            })
+        ));
+        assert!(align.on_barrier(1));
+        assert!(align.next_released().is_none());
+    }
+
+    #[test]
+    fn barrier_align_second_barrier_starts_a_fresh_alignment() {
+        let mut align = BarrierAlign::new(2);
+        assert!(!align.on_barrier(0));
+        // Sender 0 races ahead: its second barrier and what follows are
+        // held behind the first alignment.
+        assert!(align.admit(env(0, Msg::Barrier)).is_none());
+        assert!(align.admit(wm(0, 7)).is_none());
+        assert!(align.on_barrier(1));
+        // The released barrier goes through the worker like a received
+        // one and re-opens alignment: sender 0's tail is held again.
+        let released = align.next_released().and_then(|e| align.admit(e));
+        assert!(matches!(
+            released,
+            Some(Envelope {
+                sender: 0,
+                msg: Msg::Barrier
+            })
+        ));
+        assert!(!align.on_barrier(0));
+        let tail = align.next_released().expect("watermark 7 was released");
+        assert!(align.admit(tail).is_none());
+        assert_eq!(passed(align.admit(wm(1, 8))), Some((1, 8)));
+        assert!(align.on_barrier(1));
+        assert_eq!(passed(align.next_released()), Some((0, 7)));
+    }
+
+    #[test]
+    fn paced_latency_counts_the_time_a_stalled_consumer_held_the_source_back() {
+        // Every tuple is due within the first `NOMINAL` of the run, and
+        // the consumer stalls for `STALL` right at the start: with
+        // one-slot channels the source blocks behind it, so every window
+        // that fires afterwards left at least `STALL - NOMINAL` later
+        // than it was due. Stamping actual departure instead hides the
+        // stall entirely (latencies of a few milliseconds).
+        const STALL: Duration = Duration::from_millis(300);
+        const NOMINAL: Duration = Duration::from_millis(20);
+        struct StallOnce(AtomicBool);
+        impl crate::functions::AggregateFunction for StallOnce {
+            fn create(&self) -> Vec<u8> {
+                CountAggregate.create()
+            }
+            fn add(&self, acc: &[u8], value: &[u8]) -> Vec<u8> {
+                if !self.0.swap(true, Ordering::Relaxed) {
+                    std::thread::sleep(STALL);
+                }
+                CountAggregate.add(acc, value)
+            }
+            fn merge(&self, a: &[u8], b: &[u8]) -> Vec<u8> {
+                CountAggregate.merge(a, b)
+            }
+            fn result(&self, acc: &[u8]) -> Vec<u8> {
+                CountAggregate.result(acc)
+            }
+        }
+        let job = JobBuilder::new("stalled")
+            .parallelism(1)
+            .window(
+                "counts",
+                WindowAssigner::Fixed { size: 10 },
+                AggregateSpec::Incremental(StdArc::new(StallOnce(AtomicBool::new(false)))),
+            )
+            .build();
+        let dir = ScratchDir::new("exec-omission").unwrap();
+        let mut opts = RunOptions::new(dir.path());
+        opts.record_latency = true;
+        opts.watermark_interval = 20;
+        opts.batch_size = 1;
+        opts.channel_capacity = 1;
+        let n = 2_000u64;
+        opts.rate_limit = Some(n * 1_000 / NOMINAL.as_millis() as u64);
+        let result = run_job(
+            &job,
+            tuples(n, 5).into_iter(),
+            BackendChoice::all_small_for_tests()[1].build(FactoryOptions::new()),
+            &opts,
+        )
+        .unwrap();
+        assert!(result.latency.count > 0);
+        let floor = (STALL - NOMINAL).as_nanos() as u64;
+        assert!(
+            result.latency.p99 >= floor,
+            "p99 {} ns hides a {STALL:?} stall",
+            result.latency.p99
+        );
     }
 
     #[test]

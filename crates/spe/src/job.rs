@@ -84,6 +84,48 @@ impl Stage {
     }
 }
 
+/// A run of stateless stages applied as one function: the tuples one
+/// input becomes after every stage of the run, in order.
+///
+/// Stateless stages own no thread; whoever produces their input (the
+/// source, a keyed worker, the cluster router) applies the run before
+/// it partitions by key.
+pub(crate) struct Chain {
+    fns: Vec<StatelessFn>,
+    scratch: Vec<Tuple>,
+}
+
+impl Chain {
+    /// The stateless stages `stages` starts with, up to its first keyed
+    /// stage.
+    pub(crate) fn leading(stages: &[Stage]) -> Chain {
+        let fns = stages
+            .iter()
+            .map_while(|stage| match stage {
+                Stage::Stateless { f, .. } => Some(Arc::clone(f)),
+                Stage::Window(_) | Stage::IntervalJoin(_) => None,
+            })
+            .collect();
+        Chain {
+            fns,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Replaces the contents of `out` with what `tuple` becomes.
+    pub(crate) fn apply(&mut self, tuple: Tuple, out: &mut Vec<Tuple>) {
+        out.clear();
+        out.push(tuple);
+        for f in &self.fns {
+            self.scratch.clear();
+            for t in out.iter() {
+                f(t, &mut self.scratch);
+            }
+            std::mem::swap(out, &mut self.scratch);
+        }
+    }
+}
+
 /// A runnable dataflow job.
 #[derive(Clone)]
 pub struct Job {
@@ -234,6 +276,39 @@ mod tests {
         assert_eq!(job.stages[0].name(), "a");
         assert_eq!(job.stages[1].name(), "w");
         assert_eq!(job.window_stage_count(), 1);
+    }
+
+    #[test]
+    fn chain_applies_the_leading_stateless_run_in_order() {
+        let job = JobBuilder::new("j")
+            .stateless("drop-odd", |t, out| {
+                if t.timestamp % 2 == 0 {
+                    out.push(t.clone());
+                }
+            })
+            .stateless("twice", |t, out| {
+                out.push(t.clone());
+                out.push(Tuple::new(b"copy".to_vec(), t.value.clone(), t.timestamp));
+            })
+            .window(
+                "w",
+                WindowAssigner::Fixed { size: 10 },
+                AggregateSpec::Incremental(Arc::new(CountAggregate)),
+            )
+            .stateless("after", |_, _| panic!("past the keyed stage"))
+            .build();
+        let mut chain = Chain::leading(&job.stages);
+        let mut out = vec![Tuple::new(b"stale".to_vec(), vec![], 0)];
+        chain.apply(Tuple::new(b"k".to_vec(), vec![7], 4), &mut out);
+        let keys: Vec<&[u8]> = out.iter().map(|t| &t.key[..]).collect();
+        assert_eq!(keys, [&b"k"[..], b"copy"]);
+        chain.apply(Tuple::new(b"k".to_vec(), vec![7], 5), &mut out);
+        assert!(out.is_empty());
+
+        // No stateless stage in front: the tuple passes through.
+        let mut empty = Chain::leading(&job.stages[2..]);
+        empty.apply(Tuple::new(b"k".to_vec(), vec![7], 5), &mut out);
+        assert_eq!(out.len(), 1);
     }
 
     #[test]

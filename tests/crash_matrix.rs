@@ -23,7 +23,7 @@ use flowkv_common::telemetry::{SampleValue, Telemetry};
 use flowkv_common::vfs::{FaultKind, FaultPlan, FaultVfs, StdVfs};
 use flowkv_nexmark::{QueryId, QueryParams};
 use flowkv_spe::source::{LogSource, TupleLog};
-use flowkv_spe::{run_job, run_supervised, BackendChoice, FactoryOptions, RunOptions};
+use flowkv_spe::{run_job, run_supervised, BackendChoice, FactoryOptions, JobError, RunOptions};
 
 const NUM_EVENTS: u64 = 8_000;
 const DEFAULT_SEED: u64 = 0xF10C;
@@ -305,5 +305,98 @@ fn short_read_inside_an_extent_recovers() {
         sorted_triples(&sup.all_outputs()),
         sorted_triples(&reference.outputs),
         "recovered output diverged (short read at op {extent_op})"
+    );
+}
+
+/// A torn write of the tier's `TIERMETA` checkpoint sidecar: the attempt
+/// fails with a structured I/O error and leaves a truncated sidecar
+/// behind, supervision restarts once and the output is byte-identical
+/// to an undisturbed run; restoring from the torn checkpoint directly is
+/// a structural error, never a panic or a silently empty cold tier.
+///
+/// The op is found as in [`short_read_inside_an_extent_recovers`]: one
+/// worker, the fault planted at successive ops of plain runs until one
+/// dies writing the sidecar. The stream is short because the sidecar is
+/// written mid-run, so the probe walks half the run's ops.
+#[test]
+fn torn_tier_meta_sidecar_recovers() {
+    const EVENTS: u64 = 1_000;
+    let seed = fault_seed(DEFAULT_SEED);
+    let backend = &BackendChoice::all_small_for_tests()[1];
+    let dir = ScratchDir::new("crash-matrix-torn-tiermeta").unwrap();
+    let log = dir.path().join("events.log");
+    TupleLog::record(&log, nexmark_generator(EVENTS, 7).tuples()).unwrap();
+    let job = QueryId::Q11Median.build(QueryParams::new(1_000).with_parallelism(1));
+    let options = |name: &str| {
+        let mut opts = RunOptions::new(dir.path().join(name));
+        opts.collect_outputs = true;
+        opts.watermark_interval = 100;
+        opts.checkpoint_after_tuples = Some(EVENTS / 2);
+        opts.checkpoint_dir = Some(dir.path().join(format!("{name}-ckpt")));
+        opts
+    };
+    // Forced demotion: every checkpoint has cold blocks to index.
+    let factory = |vfs: Arc<FaultVfs>| {
+        let tier = flowkv::tier::TierConfig::new(0);
+        backend.build(FactoryOptions::new().tiered(tier).vfs(vfs))
+    };
+    let run = |name: &str, vfs: Arc<FaultVfs>| {
+        run_job(
+            &job,
+            LogSource::open(&log).unwrap(),
+            factory(vfs),
+            &options(name),
+        )
+    };
+
+    let counter = FaultVfs::counting(StdVfs::shared());
+    let reference = run("ref", counter.clone()).expect("undisturbed run");
+    assert!(!reference.outputs.is_empty());
+    let total_ops = counter.ops();
+
+    // The tear keeps enough of the sidecar to pass its length check, so
+    // a restore has to catch it by checksum.
+    let torn_at = |op| FaultPlan::new().with_fault(op, FaultKind::TornWrite { keep: 16 });
+    let meta_op = (1..=total_ops)
+        .find(|&op| {
+            let vfs = FaultVfs::new(StdVfs::shared(), torn_at(op));
+            run(&format!("probe-{op}"), vfs)
+                .is_err_and(|e| e.to_string().contains("tier checkpoint meta"))
+        })
+        .unwrap_or_else(|| panic!("no op writes the TIERMETA sidecar (seed {seed})"));
+
+    let mut resume = options("resume");
+    resume.restore_from = Some(dir.path().join(format!("probe-{meta_op}-ckpt")));
+    resume.checkpoint_after_tuples = None;
+    let err = run_job(
+        &job,
+        LogSource::open_at(&log, EVENTS / 2).unwrap(),
+        factory(FaultVfs::counting(StdVfs::shared())),
+        &resume,
+    )
+    .expect_err("restored from a torn TIERMETA");
+    assert!(
+        matches!(&err, JobError::Store(e) if e.is_corruption()),
+        "torn sidecar at op {meta_op} (seed {seed}): {err}"
+    );
+
+    let faulty = FaultVfs::new(StdVfs::shared(), torn_at(meta_op));
+    let mut opts = options("data");
+    opts.max_restarts = 2;
+    opts.restart_backoff = std::time::Duration::from_millis(1);
+    let sup = run_supervised(&job, &log, factory(faulty.clone()), &opts)
+        .unwrap_or_else(|e| panic!("supervised run failed (seed {seed}, op {meta_op}): {e}"));
+    assert_eq!(
+        faulty.fired(),
+        vec![(meta_op, FaultKind::TornWrite { keep: 16 })]
+    );
+    assert_eq!(
+        sup.restarts, 1,
+        "one torn sidecar must cost one restart (seed {seed}, op {meta_op})"
+    );
+    assert_eq!(
+        sorted_triples(&sup.all_outputs()),
+        sorted_triples(&reference.outputs),
+        "recovered output diverged (seed {seed}, torn TIERMETA at op {meta_op})"
     );
 }
