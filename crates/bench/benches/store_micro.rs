@@ -13,6 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flowkv_common::backend::{
     AggregateKind, OperatorContext, OperatorSemantics, StateBackend, WindowKind,
 };
+use flowkv_common::registry::ViewCapture;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::types::WindowId;
 use flowkv_common::vfs::{SlowVfs, StdVfs};
@@ -256,12 +257,85 @@ fn bench_tier_rmw(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a served RMW worker pays per watermark beyond its store calls:
+/// 1 000 rounds of 100 take/put cycles on 100 distinct keys over 1 k,
+/// 10 k and 100 k live keys, once on the bare store and once `served` —
+/// the calls recorded by the capture adaptor and a view published after
+/// every round. Populating the store and reading the first base are
+/// left out of the timing; every delta merge and base fold the 100 k
+/// changes cause is in it. Publishing follows what changed, so `served`
+/// minus `bare` must stay flat in the live-key count, up to the deeper
+/// delta chain and colder cache of a larger base (the bare store's own
+/// time does grow: 100 k keys outgrow its write buffer) — a rebuild per
+/// publish grew 100x from the first cell to the last.
+fn bench_view_publish(c: &mut Criterion) {
+    let mut group = c.benchmark_group("view_publish_cycle");
+    group.measurement_time(Duration::from_secs(5));
+    group.sample_size(5);
+    let semantics = OperatorSemantics::new(AggregateKind::Incremental, WindowKind::Global);
+    let w = WindowId::global();
+    let choice = BackendChoice::FlowKv(flowkv_bench::flowkv_cfg());
+    for keys in [1_000u64, 10_000, 100_000] {
+        for served in [false, true] {
+            let label = if served { "served" } else { "bare" };
+            group.bench_function(BenchmarkId::new(&format!("{keys}_keys"), label), |b| {
+                let mut finished = Vec::new();
+                b.iter_batched(
+                    || {
+                        let (store, dir) = make(&choice, semantics, FactoryOptions::new());
+                        let (mut store, mut capture) = ViewCapture::wrap(store);
+                        for k in 0..keys {
+                            store
+                                .put_aggregate(&k.to_le_bytes(), w, &0u64.to_le_bytes())
+                                .unwrap();
+                        }
+                        // Bare: the capture never leaves its initial
+                        // state, in which the adaptor records nothing.
+                        if served {
+                            capture.advance(store.as_mut()).unwrap();
+                        }
+                        (store, capture, dir)
+                    },
+                    |(mut store, mut capture, dir)| {
+                        let mut cycle = 0u64;
+                        for _ in 0..1_000 {
+                            for _ in 0..100 {
+                                // A stride coprime to every key count:
+                                // 100 distinct keys per round.
+                                cycle += 7_919;
+                                let key = (cycle % keys).to_le_bytes();
+                                let acc =
+                                    store.take_aggregate(&key, w).unwrap().expect("populated");
+                                store.put_aggregate(&key, w, &acc).unwrap();
+                            }
+                            if served {
+                                capture.advance(store.as_mut()).unwrap();
+                                std::hint::black_box(capture.view().clone());
+                            }
+                        }
+                        if served {
+                            assert_eq!(capture.view().len() as u64, keys);
+                        }
+                        finished.push((store, dir));
+                    },
+                    criterion::BatchSize::PerIteration,
+                );
+                for (mut store, _dir) in finished {
+                    store.close().unwrap();
+                }
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_aar,
     bench_aur,
     bench_aur_cold,
     bench_rmw,
-    bench_tier_rmw
+    bench_tier_rmw,
+    bench_view_publish
 );
 criterion_main!(benches);

@@ -9,7 +9,7 @@
 //! [`StoreError::InvalidState`] — the engine selects the right calls from
 //! the same classification.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -195,6 +195,26 @@ impl FlowKvStore {
         }
     }
 
+    /// Every live `(key, window)` entry, copied out without consuming
+    /// anything: the scan behind `read_view` and `extract_range`.
+    fn collect_entries(&mut self) -> Result<BTreeMap<(Vec<u8>, WindowId), ViewValue>> {
+        let mut entries = BTreeMap::new();
+        // Key-hash routing makes instance key spaces disjoint, so merging
+        // the per-instance maps never collides.
+        match &mut self.inner {
+            Inner::Aar(p) => p
+                .iter_mut()
+                .try_for_each(|s| s.collect_view(&mut entries))?,
+            Inner::Aur(p) => p
+                .iter_mut()
+                .try_for_each(|s| s.collect_view(&mut entries))?,
+            Inner::Rmw(p) => p
+                .iter_mut()
+                .try_for_each(|s| s.collect_view(&mut entries))?,
+        }
+        Ok(entries)
+    }
+
     fn wrong_pattern(&self, method: &str) -> StoreError {
         StoreError::invalid_state(format!(
             "{method} is not part of the {} store API",
@@ -286,24 +306,12 @@ impl StateBackend for FlowKvStore {
     }
 
     fn read_view(&mut self) -> Result<Option<StateView>> {
-        let mut view = StateView::empty(match self.pattern {
+        let pattern = match self.pattern {
             AccessPattern::Aar => StatePattern::Aar,
             AccessPattern::Aur => StatePattern::Aur,
             AccessPattern::Rmw => StatePattern::Rmw,
-        });
-        // Key-hash routing makes instance key spaces disjoint, so merging
-        // the per-instance maps never collides.
-        match &mut self.inner {
-            Inner::Aar(p) => p
-                .iter_mut()
-                .try_for_each(|s| s.collect_view(&mut view.entries))?,
-            Inner::Aur(p) => p
-                .iter_mut()
-                .try_for_each(|s| s.collect_view(&mut view.entries))?,
-            Inner::Rmw(p) => p
-                .iter_mut()
-                .try_for_each(|s| s.collect_view(&mut view.entries))?,
-        }
+        };
+        let mut view = StateView::from_entries(pattern, self.collect_entries()?);
         view.metrics = self.metrics.snapshot();
         Ok(Some(view))
     }
@@ -313,11 +321,10 @@ impl StateBackend for FlowKvStore {
         in_range: KeyFilter<'_>,
         _kind: AggregateKind,
     ) -> Result<Vec<StateEntry>> {
-        // The queryable-state snapshot is exact and non-consuming by
-        // contract, which is precisely what migration needs; reuse it.
-        let view = self.read_view()?.expect("flowkv always supports read_view");
+        // The scan behind the queryable-state snapshot is exact and
+        // non-consuming, which is precisely what migration needs.
         let mut entries = Vec::new();
-        for ((key, window), value) in view.entries {
+        for ((key, window), value) in self.collect_entries()? {
             if !in_range(&key) {
                 continue;
             }
@@ -613,7 +620,7 @@ mod tests {
         for i in 0..20u32 {
             assert_eq!(
                 view.get(format!("key-{i}").as_bytes(), win),
-                Some(&ViewValue::Values(vec![i.to_le_bytes().to_vec()]))
+                Some(ViewValue::Values(vec![i.to_le_bytes().to_vec()]))
             );
         }
         // The snapshot consumed nothing: every key is still takeable.

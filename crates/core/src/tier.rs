@@ -951,9 +951,13 @@ impl StateBackend for TieredStore {
     }
 
     fn read_view(&mut self) -> Result<Option<StateView>> {
-        let Some(mut view) = self.inner.read_view()? else {
+        let Some(hot) = self.inner.read_view()? else {
             return Ok(None);
         };
+        if self.index.is_empty() {
+            return Ok(Some(hot));
+        }
+        let mut entries = hot.to_entries();
         // Merge cold rows in, older-first, without consuming anything.
         for (window, rows) in self.scan_cold_rows()? {
             match self.aggregate {
@@ -966,7 +970,7 @@ impl StateBackend for TieredStore {
                         last.insert(row.key, row.value);
                     }
                     for (key, value) in last {
-                        view.entries
+                        entries
                             .entry((key, window))
                             .or_insert(ViewValue::Aggregate(value));
                     }
@@ -977,7 +981,7 @@ impl StateBackend for TieredStore {
                         per_key.entry(row.key).or_default().push(row.value);
                     }
                     for (key, cold_values) in per_key {
-                        match view.entries.entry((key, window)) {
+                        match entries.entry((key, window)) {
                             std::collections::btree_map::Entry::Occupied(mut e) => {
                                 if let ViewValue::Values(hot_values) = e.get_mut() {
                                     let mut merged = cold_values;
@@ -993,6 +997,8 @@ impl StateBackend for TieredStore {
                 }
             }
         }
+        let mut view = StateView::from_entries(hot.pattern, entries);
+        view.metrics = hot.metrics;
         Ok(Some(view))
     }
 

@@ -402,8 +402,8 @@ pub(crate) fn answer(
                 return unknown_state(&job, &operator);
             };
             let found = match window {
-                Some(w) => view.get(&key, w).map(|v| (w, v.clone())),
-                None => view.get_latest(&key).map(|(w, v)| (w, v.clone())),
+                Some(w) => view.get(&key, w).map(|v| (w, v)),
+                None => view.get_latest(&key),
             };
             Response::Value {
                 epoch: view.epoch,
@@ -434,8 +434,8 @@ pub(crate) fn answer(
                         let target = partition_of(key, n);
                         views.iter().find(|(p, _)| *p == target).and_then(
                             |(_, view)| match window {
-                                Some(w) => view.get(key, w).map(|v| (w, v.clone())),
-                                None => view.get_latest(key).map(|(w, v)| (w, v.clone())),
+                                Some(w) => view.get(key, w).map(|v| (w, v)),
+                                None => view.get_latest(key),
                             },
                         )
                     })
@@ -472,7 +472,7 @@ pub(crate) fn answer(
                     entries.push(ScanEntry {
                         key: key.to_vec(),
                         window,
-                        value: value.clone(),
+                        value,
                     });
                 }
             }
@@ -511,7 +511,7 @@ pub(crate) fn answer(
                     entries.push(ScanEntry {
                         key: key.to_vec(),
                         window,
-                        value: value.clone(),
+                        value,
                     });
                 }
             }
@@ -631,12 +631,15 @@ mod tests {
     use flowkv_common::types::WindowId;
 
     fn view_with(entries: &[(&[u8], WindowId, ViewValue)], epoch: u64) -> StateView {
-        let mut v = StateView::empty(StatePattern::Rmw);
+        let mut v = StateView::from_entries(
+            StatePattern::Rmw,
+            entries
+                .iter()
+                .map(|(k, w, val)| ((k.to_vec(), *w), val.clone()))
+                .collect(),
+        );
         v.epoch = epoch;
         v.watermark = 1_000;
-        for (k, w, val) in entries {
-            v.entries.insert((k.to_vec(), *w), val.clone());
-        }
         v
     }
 
@@ -656,12 +659,11 @@ mod tests {
         let key = b"user-17".to_vec();
         let w = WindowId::global();
         for p in 0..n {
-            let mut view = view_with(&[], 3);
+            let mut held: Vec<(&[u8], WindowId, ViewValue)> = Vec::new();
             if p == partition_of(&key, n) {
-                view.entries
-                    .insert((key.clone(), w), ViewValue::Aggregate(vec![9, 9]));
+                held.push((&key, w, ViewValue::Aggregate(vec![9, 9])));
             }
-            registry.publish(StateKey::new("j", "op", p), view);
+            registry.publish(StateKey::new("j", "op", p), view_with(&held, 3));
         }
         let resp = answer(
             &registry,
@@ -696,14 +698,12 @@ mod tests {
             .map(|i| format!("user-{i}").into_bytes())
             .collect();
         for p in 0..n {
-            let mut view = view_with(&[], 2);
-            for key in &keys {
-                if partition_of(key, n) == p {
-                    view.entries
-                        .insert((key.clone(), w), ViewValue::Aggregate(key.clone()));
-                }
-            }
-            registry.publish(StateKey::new("j", "op", p), view);
+            let held: Vec<(&[u8], WindowId, ViewValue)> = keys
+                .iter()
+                .filter(|key| partition_of(key, n) == p)
+                .map(|key| (key.as_slice(), w, ViewValue::Aggregate(key.clone())))
+                .collect();
+            registry.publish(StateKey::new("j", "op", p), view_with(&held, 2));
         }
         let mut queried = keys.clone();
         queried.push(b"missing".to_vec());

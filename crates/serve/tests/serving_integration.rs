@@ -9,15 +9,22 @@
 //! server, that pipelined v2 batches correlate by request id, and that
 //! `spawn()` fails rather than serving without its readiness poller.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use flowkv::{FlowKvConfig, FlowKvFactory};
+use flowkv_common::backend::{
+    AggregateKind, KeyFilter, OperatorContext, StateBackend, StateBackendFactory, StateEntry,
+    WindowChunk,
+};
+use flowkv_common::error::Result;
+use flowkv_common::metrics::StoreMetrics;
 use flowkv_common::registry::{StateKey, StatePattern, StateRegistry, StateView, ViewValue};
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::telemetry::{validate_prometheus, Telemetry};
-use flowkv_common::types::{Tuple, WindowId, MAX_TIMESTAMP, MIN_TIMESTAMP};
+use flowkv_common::types::{Timestamp, Tuple, WindowId, MAX_TIMESTAMP, MIN_TIMESTAMP};
 use flowkv_nexmark::{EventGenerator, GeneratorConfig, QueryId, QueryParams};
 use flowkv_serve::{
     route_key, Request, Response, ScanFilter, ServerBuilder, StateClient, PROTOCOL_V1, PROTOCOL_V2,
@@ -69,26 +76,22 @@ fn run_q12(
 /// the partition [`route_key`] routes it to, so server-side lookups
 /// resolve. Returns the keys published.
 fn publish_fixture(registry: &StateRegistry, partitions: usize) -> Vec<Vec<u8>> {
-    let mut views: Vec<StateView> = (0..partitions)
-        .map(|_| {
-            let mut v = StateView::empty(StatePattern::Rmw);
-            v.epoch = 3;
-            v.watermark = 5_000;
-            v.ttl_ms = Some(1_000);
-            v
-        })
-        .collect();
     let keys: Vec<Vec<u8>> = (0..16u8)
         .map(|i| format!("user:{i:02}").into_bytes())
         .collect();
+    let mut held = vec![BTreeMap::new(); partitions];
     for (i, key) in keys.iter().enumerate() {
         let p = route_key(JOB, OPERATOR, key, partitions).partition;
-        views[p].entries.insert(
+        held[p].insert(
             (key.clone(), WindowId::new(0, 1_000)),
             ViewValue::Aggregate(vec![i as u8; 4]),
         );
     }
-    for (p, view) in views.into_iter().enumerate() {
+    for (p, entries) in held.into_iter().enumerate() {
+        let mut view = StateView::from_entries(StatePattern::Rmw, entries);
+        view.epoch = 3;
+        view.watermark = 5_000;
+        view.ttl_ms = Some(1_000);
         registry.publish(StateKey::new(JOB, OPERATOR, p), view);
     }
     keys
@@ -263,6 +266,169 @@ fn terminal_snapshot_reflects_the_drained_store() {
         "merged metrics should reflect the job's writes"
     );
     server.shutdown();
+}
+
+/// A backend that holds every view its worker publishes against its
+/// own store's `read_view()`.
+///
+/// With an I/O ring configured the worker calls `advance_prefetch`
+/// right after it publishes at a watermark, before any further store
+/// call — so the first `advance_prefetch` that sees a new epoch in the
+/// registry sees the store exactly as that epoch captured it. The
+/// terminal publish is followed by `close`, which checks it the same
+/// way.
+struct CheckedBackend {
+    inner: Box<dyn StateBackend>,
+    registry: Arc<StateRegistry>,
+    key: StateKey,
+    checked_epoch: u64,
+    checks: Arc<AtomicU64>,
+}
+
+impl CheckedBackend {
+    fn check_published(&mut self) {
+        let Some(view) = self.registry.get(&self.key) else {
+            return;
+        };
+        if view.epoch == self.checked_epoch {
+            return;
+        }
+        self.checked_epoch = view.epoch;
+        let rebuilt = self
+            .inner
+            .read_view()
+            .unwrap()
+            .expect("flowkv stores are queryable");
+        let ctx = format!("{} epoch {}", self.key, view.epoch);
+        assert_eq!(view.to_entries(), rebuilt.to_entries(), "{ctx}: entries");
+        assert_eq!(view.len(), rebuilt.len(), "{ctx}: len");
+        assert_eq!(view.memory_bytes(), rebuilt.memory_bytes(), "{ctx}: bytes");
+        assert_eq!(view.pattern, rebuilt.pattern, "{ctx}: pattern");
+        self.checks.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl StateBackend for CheckedBackend {
+    fn append(&mut self, key: &[u8], window: WindowId, value: &[u8], ts: Timestamp) -> Result<()> {
+        self.inner.append(key, window, value, ts)
+    }
+    fn get_window_chunk(&mut self, window: WindowId) -> Result<Option<WindowChunk>> {
+        self.inner.get_window_chunk(window)
+    }
+    fn take_values(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {
+        self.inner.take_values(key, window)
+    }
+    fn peek_values(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {
+        self.inner.peek_values(key, window)
+    }
+    fn take_aggregate(&mut self, key: &[u8], window: WindowId) -> Result<Option<Vec<u8>>> {
+        self.inner.take_aggregate(key, window)
+    }
+    fn put_aggregate(&mut self, key: &[u8], window: WindowId, aggregate: &[u8]) -> Result<()> {
+        self.inner.put_aggregate(key, window, aggregate)
+    }
+    fn flush(&mut self) -> Result<()> {
+        self.inner.flush()
+    }
+    fn read_view(&mut self) -> Result<Option<StateView>> {
+        self.inner.read_view()
+    }
+    fn extract_range(
+        &mut self,
+        in_range: KeyFilter<'_>,
+        kind: AggregateKind,
+    ) -> Result<Vec<StateEntry>> {
+        self.inner.extract_range(in_range, kind)
+    }
+    fn advance_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
+        self.check_published();
+        self.inner.advance_prefetch(stream_time)
+    }
+    fn metrics(&self) -> Arc<StoreMetrics> {
+        self.inner.metrics()
+    }
+    fn memory_bytes(&self) -> usize {
+        self.inner.memory_bytes()
+    }
+    fn checkpoint(&mut self, dir: &std::path::Path) -> Result<()> {
+        self.inner.checkpoint(dir)
+    }
+    fn restore(&mut self, dir: &std::path::Path) -> Result<()> {
+        self.inner.restore(dir)
+    }
+    fn close(&mut self) -> Result<()> {
+        self.check_published();
+        self.inner.close()
+    }
+}
+
+struct CheckedFactory {
+    inner: FlowKvFactory,
+    registry: Arc<StateRegistry>,
+    job: String,
+    checks: Arc<AtomicU64>,
+}
+
+impl StateBackendFactory for CheckedFactory {
+    fn create(&self, ctx: &OperatorContext) -> Result<Box<dyn StateBackend>> {
+        Ok(Box::new(CheckedBackend {
+            inner: self.inner.create(ctx)?,
+            registry: Arc::clone(&self.registry),
+            key: StateKey::new(self.job.clone(), ctx.operator.clone(), ctx.partition),
+            checked_epoch: 0,
+            checks: Arc::clone(&self.checks),
+        }))
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+#[test]
+fn published_views_match_read_view_through_whole_jobs() {
+    // One query per access pattern. Every epoch each worker publishes —
+    // built from captured store calls — must hold what its store's own
+    // rebuild holds at that moment, down to the terminal view of the
+    // drained store.
+    for (query, pattern) in [
+        (QueryId::Q7, StatePattern::Aar),
+        (QueryId::Q11Median, StatePattern::Aur),
+        (QueryId::Q12, StatePattern::Rmw),
+    ] {
+        let registry = StateRegistry::new_shared();
+        let checks = Arc::new(AtomicU64::new(0));
+        let dir = ScratchDir::new(&format!("serve-int-layered-{}", query.name())).unwrap();
+        let job = query.build(QueryParams::new(1_000).with_parallelism(2));
+        let factory = Arc::new(CheckedFactory {
+            inner: FlowKvFactory::new(FlowKvConfig::small_for_tests()),
+            registry: Arc::clone(&registry),
+            job: job.name.clone(),
+            checks: Arc::clone(&checks),
+        });
+        let mut opts = RunOptions::new(dir.path());
+        opts.watermark_interval = 100;
+        opts.io_threads = 2;
+        opts.registry = Some(Arc::clone(&registry));
+        let tuples = EventGenerator::new(GeneratorConfig {
+            num_events: 20_000,
+            ..generator()
+        })
+        .tuples();
+        run_job(&job, tuples, factory, &opts).expect("job run failed");
+
+        let states = registry.list();
+        assert_eq!(states.len(), 2, "{}: one view per partition", query.name());
+        for state in &states {
+            assert_eq!(state.pattern, pattern, "{}", state.key);
+            assert_eq!(state.watermark, MAX_TIMESTAMP, "{}", state.key);
+            assert_eq!(state.entries, 0, "{}: terminal view not drained", state.key);
+        }
+        let epochs: u64 = states.iter().map(|s| s.epoch).sum();
+        let checked = checks.load(Ordering::Relaxed);
+        assert!(epochs > 40, "{}: only {epochs} epochs", query.name());
+        assert_eq!(checked, epochs, "{}: epochs left unchecked", query.name());
+    }
 }
 
 #[test]

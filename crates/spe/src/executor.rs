@@ -43,7 +43,7 @@ use flowkv_common::error::StoreError;
 use flowkv_common::hash::partition_of;
 use flowkv_common::ioring::IoPolicy;
 use flowkv_common::metrics::MetricsSnapshot;
-use flowkv_common::registry::{StateKey, StateRegistry};
+use flowkv_common::registry::{StateKey, StateRegistry, ViewCapture};
 use flowkv_common::telemetry::{self, Counter, Gauge, Histogram, HistogramSnapshot, Telemetry};
 use flowkv_common::trace::{self as ftrace, SpanRecorder, TraceCtx, TraceHandle, Tracer};
 use flowkv_common::types::{Timestamp, Tuple, MAX_TIMESTAMP, MIN_TIMESTAMP};
@@ -1449,6 +1449,70 @@ impl WorkerProbe {
     }
 }
 
+/// What publishing costs one worker, labelled like [`WorkerProbe`].
+struct PublishProbe {
+    /// Entries materialised for publication: each epoch's changed
+    /// pairs, plus whatever a delta merge, a fold or a base rebuild
+    /// rewrote.
+    entries: Arc<Counter>,
+    /// Nanoseconds spent building and publishing views (merges and
+    /// folds included; recording the changes, which happens inside the
+    /// store calls, is not).
+    nanos: Arc<Counter>,
+}
+
+impl PublishProbe {
+    fn new(telemetry: &Telemetry, operator: &str, worker: usize) -> Self {
+        let labels = format!("{{operator={operator},partition={worker}}}");
+        let registry = telemetry.registry();
+        PublishProbe {
+            entries: registry.counter(&format!("view_publish_entries_total{labels}")),
+            nanos: registry.counter(&format!("view_publish_nanos{labels}")),
+        }
+    }
+}
+
+/// Publishes one worker's state into the queryable-state registry. The
+/// worker is the sole writer of its store and publishes between tuples,
+/// so a view never shows a half-applied update.
+struct ViewPublisher {
+    registry: Arc<StateRegistry>,
+    key: StateKey,
+    capture: ViewCapture,
+    /// Monotone snapshot counter.
+    epoch: u64,
+    ttl_ms: Option<u64>,
+    probe: Option<PublishProbe>,
+}
+
+impl ViewPublisher {
+    /// Publishes the store's state as of now, aligned to `watermark`:
+    /// the previous view plus what the capture adaptor saw change since
+    /// (a store that is not queryable publishes nothing).
+    fn publish(
+        &mut self,
+        backend: &mut dyn StateBackend,
+        watermark: Timestamp,
+    ) -> Result<(), StoreError> {
+        let started = self.probe.as_ref().map(|_| Instant::now());
+        let Some(entries) = self.capture.advance(backend)? else {
+            return Ok(());
+        };
+        self.epoch += 1;
+        let mut view = self.capture.view().clone();
+        view.epoch = self.epoch;
+        view.watermark = watermark;
+        view.ttl_ms = self.ttl_ms;
+        view.metrics = backend.metrics().snapshot();
+        self.registry.publish(self.key.clone(), view);
+        if let (Some(probe), Some(started)) = (&self.probe, started) {
+            probe.entries.add(entries as u64);
+            probe.nanos.add(started.elapsed().as_nanos() as u64);
+        }
+        Ok(())
+    }
+}
+
 /// Aligned-barrier bookkeeping of one worker: once a sender's barrier
 /// has arrived, that sender's later messages are held until every
 /// sender's barrier has arrived, so the snapshot taken at alignment
@@ -1532,10 +1596,6 @@ fn run_worker(
     let trace_rec = trace_handle
         .as_ref()
         .map(|h| h.thread(&format!("{}/p{}", stage.name, worker)));
-    // Advisory per-entry TTL published with every snapshot, derived
-    // from the stage's window semantics (the serving layer surfaces it
-    // on v2 state listings).
-    let publish_ttl = stage.semantics.window.retention_hint_ms();
     let mut backend = run.factory.create(&OperatorContext {
         operator: stage.name.to_string(),
         partition: worker,
@@ -1546,6 +1606,25 @@ fn run_worker(
     })?;
     if trace_rec.is_some() {
         backend = ftrace::TracedBackend::wrap(backend);
+    }
+    // Queryable state: the capture adaptor goes outermost, so store
+    // spans stay the store's own time, and only when a registry is
+    // attached — an unserved job runs the bare backend.
+    let mut publisher = None;
+    if let Some(registry) = &options.registry {
+        let (captured, capture) = ViewCapture::wrap(backend);
+        backend = captured;
+        publisher = Some(ViewPublisher {
+            registry: Arc::clone(registry),
+            key: StateKey::new(job.name.clone(), stage.name, worker),
+            capture,
+            epoch: 0,
+            // Advisory per-entry TTL published with every snapshot,
+            // derived from the stage's window semantics (the serving
+            // layer surfaces it on v2 state listings).
+            ttl_ms: stage.semantics.window.retention_hint_ms(),
+            probe: telemetry.map(|t| PublishProbe::new(t, stage.name, worker)),
+        });
     }
     let mut operator = (stage.operator)(backend);
     if let Some(src) = &options.restore_from {
@@ -1583,33 +1662,6 @@ fn run_worker(
             tracer: Arc::clone(&h.tracer),
         }),
     );
-    // Monotone snapshot counter for the queryable-state registry.
-    let mut publish_epoch = 0u64;
-    let state_key = options
-        .registry
-        .as_ref()
-        .map(|_| StateKey::new(job.name.clone(), stage.name, worker));
-
-    // Publishes an immutable snapshot of this worker's state. The worker
-    // is the sole writer of its store, so the snapshot is built between
-    // tuples and can never observe a half-applied update.
-    let publish_view = |operator: &mut WorkerOp,
-                        epoch: &mut u64,
-                        watermark: Timestamp|
-     -> Result<(), StoreError> {
-        let (Some(registry), Some(key)) = (options.registry.as_ref(), state_key.as_ref()) else {
-            return Ok(());
-        };
-        if let Some(mut view) = operator.backend_mut().read_view()? {
-            *epoch += 1;
-            view.epoch = *epoch;
-            view.watermark = watermark;
-            view.ttl_ms = publish_ttl;
-            registry.publish(key.clone(), view);
-        }
-        Ok(())
-    };
-
     let mut align = BarrierAlign::new(upstreams);
 
     // Busy/idle accounting runs on a single chained clock: each phase
@@ -1790,7 +1842,9 @@ fn run_worker(
                         // batch first, preserving tuple-before-watermark
                         // order downstream.
                         exchange.broadcast(|| Msg::Watermark { ts: min_wm, origin });
-                        publish_view(&mut operator, &mut publish_epoch, min_wm)?;
+                        if let Some(p) = publisher.as_mut() {
+                            p.publish(operator.backend_mut(), min_wm)?;
+                        }
                         // Watermark boundary: window fires just consumed
                         // prefetched state — top the buffers back up.
                         if io_on {
@@ -1850,7 +1904,9 @@ fn run_worker(
                         if ends == upstreams {
                             // Leave a final snapshot behind so clients can
                             // still query the job's terminal state.
-                            publish_view(&mut operator, &mut publish_epoch, current_wm)?;
+                            if let Some(p) = publisher.as_mut() {
+                                p.publish(operator.backend_mut(), current_wm)?;
+                            }
                             exchange.broadcast(|| Msg::End);
                             break 'recv;
                         }

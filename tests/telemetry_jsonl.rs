@@ -11,6 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use flowkv::{FlowKvConfig, FlowKvFactory};
+use flowkv_common::registry::StateRegistry;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::telemetry::{parse_json, validate_jsonl_line, Json};
 use flowkv_nexmark::{EventGenerator, GeneratorConfig, QueryId, QueryParams};
@@ -31,8 +32,15 @@ fn generator(events: u64) -> GeneratorConfig {
 
 /// Runs `query` with the JSONL writer attached and returns the parsed,
 /// schema-validated lines. `io_threads > 0` turns on the background I/O
-/// ring (asynchronous prefetch).
-fn run_with_jsonl(query: QueryId, events: u64, scratch: &str, io_threads: usize) -> Vec<Json> {
+/// ring (asynchronous prefetch); a `registry` makes the workers publish
+/// queryable-state views into it.
+fn run_with_jsonl(
+    query: QueryId,
+    events: u64,
+    scratch: &str,
+    io_threads: usize,
+    registry: Option<Arc<StateRegistry>>,
+) -> Vec<Json> {
     let dir = ScratchDir::new(scratch).unwrap();
     let out_path = dir.path().join("telemetry.jsonl");
     let job = query.build(QueryParams::new(1_000).with_parallelism(2));
@@ -42,6 +50,7 @@ fn run_with_jsonl(query: QueryId, events: u64, scratch: &str, io_threads: usize)
     opts.telemetry_out = Some(out_path.clone());
     opts.telemetry_interval = Duration::from_millis(25);
     opts.io_threads = io_threads;
+    opts.registry = registry;
     let factory = Arc::new(FlowKvFactory::new(FlowKvConfig::small_for_tests()));
     run_job(
         &job,
@@ -84,7 +93,7 @@ fn metric_values<'a>(snapshot: &'a Json, prefix: &str, kind: &str) -> Vec<(&'a s
 
 #[test]
 fn q7_jsonl_stream_is_well_formed_and_monotone() {
-    let lines = run_with_jsonl(QueryId::Q7, 60_000, "telemetry-q7", 0);
+    let lines = run_with_jsonl(QueryId::Q7, 60_000, "telemetry-q7", 0, None);
     let snapshots: Vec<&Json> = lines
         .iter()
         .filter(|l| l.get("type").and_then(Json::as_str) == Some("snapshot"))
@@ -164,11 +173,57 @@ fn q7_jsonl_stream_is_well_formed_and_monotone() {
             "terminal snapshot missing {prefix}"
         );
     }
+    // Nothing was published, so nothing reports a cost of publishing.
+    assert!(metric_values(terminal, "view_publish_", "counter").is_empty());
+}
+
+#[test]
+fn publication_cost_is_reported_per_partition() {
+    let registry = StateRegistry::new_shared();
+    let lines = run_with_jsonl(
+        QueryId::Q12,
+        60_000,
+        "telemetry-publish",
+        0,
+        Some(Arc::clone(&registry)),
+    );
+    let terminal = lines
+        .iter()
+        .rfind(|l| l.get("type").and_then(Json::as_str) == Some("snapshot"))
+        .expect("run produced no snapshots");
+    // Entries materialised and time spent, for each of the stage's two
+    // partitions: what publishing costs is readable from the file alone.
+    for prefix in ["view_publish_entries_total", "view_publish_nanos"] {
+        let values = metric_values(terminal, prefix, "counter");
+        for partition in 0..2 {
+            let name = format!("{prefix}{{operator=count-global,partition={partition}}}");
+            let value = values.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
+            assert!(
+                value.is_some_and(|v| v > 0),
+                "terminal snapshot: {name} = {value:?}"
+            );
+        }
+    }
+    // Publishing follows what changed: a watermark every 100 tuples
+    // over two partitions changes at most 50 pairs per epoch, and the
+    // merges and folds on top stay within a small multiple of that —
+    // a rebuild per epoch would materialise every live bidder (a few
+    // hundred per partition) 1200 times.
+    let epochs: u64 = registry.list().iter().map(|s| s.epoch).sum();
+    let entries: i64 = metric_values(terminal, "view_publish_entries_total", "counter")
+        .iter()
+        .map(|(_, v)| *v)
+        .sum();
+    assert!(epochs > 500, "only {epochs} epochs published");
+    assert!(
+        entries < 2 * 60_000,
+        "{entries} entries materialised to publish {epochs} epochs of a 60k-tuple run"
+    );
 }
 
 #[test]
 fn prefetch_families_report_ring_accuracy() {
-    let lines = run_with_jsonl(QueryId::Q11Median, 60_000, "telemetry-prefetch", 2);
+    let lines = run_with_jsonl(QueryId::Q11Median, 60_000, "telemetry-prefetch", 2, None);
     let terminal = lines
         .iter()
         .rfind(|l| l.get("type").and_then(Json::as_str) == Some("snapshot"))
@@ -228,7 +283,7 @@ fn prefetch_families_report_ring_accuracy() {
 
 #[test]
 fn q11_median_flight_record_yields_ett_error() {
-    let lines = run_with_jsonl(QueryId::Q11Median, 60_000, "telemetry-q11m", 0);
+    let lines = run_with_jsonl(QueryId::Q11Median, 60_000, "telemetry-q11m", 0, None);
     let mut observations = 0u64;
     let mut abs_error_sum = 0i64;
     for line in &lines {
