@@ -257,6 +257,50 @@ fn bench_tier_rmw(c: &mut Criterion) {
     group.finish();
 }
 
+/// AAR appends through the two-tier wrapper with a hot budget nothing
+/// exceeds, beside the same appends on the bare store: 64 k tuples over
+/// 1 k keys into one window (teardown left out of the timing). `tiered`
+/// minus `bare` is what the tier's per-append bookkeeping costs; for an
+/// aligned full-list operator that is bytes per window — no key copy,
+/// no per-row entry — so the two must stay close.
+fn bench_tier_aar_append(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tier_aar_append");
+    group.measurement_time(Duration::from_secs(5));
+    group.sample_size(10);
+    let semantics =
+        OperatorSemantics::new(AggregateKind::FullList, WindowKind::Fixed { size: 1_000 });
+    let w = WindowId::new(0, 1_000);
+    let (tuples, keys) = (64_000u64, 1_000u64);
+    let choice = BackendChoice::FlowKv(flowkv_bench::flowkv_cfg());
+    for tiered in [false, true] {
+        let label = if tiered { "tiered" } else { "bare" };
+        group.bench_function(BenchmarkId::from_parameter(label), |b| {
+            let mut appended = Vec::new();
+            b.iter_batched(
+                || {
+                    let mut options = FactoryOptions::new();
+                    if tiered {
+                        options = options.tiered(flowkv::tier::TierConfig::default());
+                    }
+                    make(&choice, semantics, options)
+                },
+                |(mut store, dir)| {
+                    for i in 0..tuples {
+                        let key = (i % keys).to_le_bytes();
+                        store.append(&key, w, &[7u8; 64], i as i64).unwrap();
+                    }
+                    appended.push((store, dir));
+                },
+                criterion::BatchSize::PerIteration,
+            );
+            for (mut store, _dir) in appended {
+                store.close().unwrap();
+            }
+        });
+    }
+    group.finish();
+}
+
 /// What a served RMW worker pays per watermark beyond its store calls:
 /// 1 000 rounds of 100 take/put cycles on 100 distinct keys over 1 k,
 /// 10 k and 100 k live keys, once on the bare store and once `served` —
@@ -336,6 +380,7 @@ criterion_group!(
     bench_aur_cold,
     bench_rmw,
     bench_tier_rmw,
+    bench_tier_aar_append,
     bench_view_publish
 );
 criterion_main!(benches);

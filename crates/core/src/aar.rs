@@ -713,7 +713,7 @@ pub(crate) fn push_view_value(
 }
 
 /// Groups a chunk's pairs by key, preserving first-seen key order.
-fn group_by_key(pairs: Vec<Pair>) -> WindowChunk {
+pub(crate) fn group_by_key(pairs: impl IntoIterator<Item = Pair>) -> WindowChunk {
     let mut order: HashMap<Vec<u8>, usize> = HashMap::new();
     let mut chunk: WindowChunk = Vec::new();
     for (k, v) in pairs {

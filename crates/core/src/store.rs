@@ -32,6 +32,19 @@ use crate::partition::Partitioned;
 use crate::pattern::{classify, AccessPattern};
 use crate::rmw::{RmwConfig, RmwStore};
 
+/// The migratable form of one view entry (`extract_range` answers in
+/// these; this store and the tier both scan state as view entries).
+pub(crate) fn state_entry(key: Vec<u8>, window: WindowId, value: ViewValue) -> StateEntry {
+    match value {
+        ViewValue::Values(values) => StateEntry::Values {
+            key,
+            window,
+            values,
+        },
+        ViewValue::Aggregate(value) => StateEntry::Aggregate { key, window, value },
+    }
+}
+
 /// The pattern-specific store instances behind one [`FlowKvStore`].
 enum Inner {
     Aar(Partitioned<AarStore>),
@@ -328,14 +341,7 @@ impl StateBackend for FlowKvStore {
             if !in_range(&key) {
                 continue;
             }
-            entries.push(match value {
-                ViewValue::Values(values) => StateEntry::Values {
-                    key,
-                    window,
-                    values,
-                },
-                ViewValue::Aggregate(value) => StateEntry::Aggregate { key, window, value },
-            });
+            entries.push(state_entry(key, window, value));
         }
         Ok(entries)
     }

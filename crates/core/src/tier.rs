@@ -5,36 +5,48 @@
 //! while sealed cold windows are demoted into compressed columnar blocks
 //! ([`flowkv_common::columnar`]) appended to a single cold log on the
 //! [`Vfs`] seam. The store already knows the schema — pattern, window,
-//! key — so demotion consumes the hot tier with the same pattern-legal
-//! calls the engine would issue (AAR window drains, AUR per-key takes,
-//! RMW aggregate takes), and promotion replays cold rows *ahead of* any
-//! hotter rows appended since, preserving per-key append order exactly.
+//! key — so the tier keeps no second index beside it: demotion consumes
+//! the hot tier with the same pattern-legal calls the engine would issue
+//! (AAR window drains, AUR per-key takes, RMW aggregate takes), and a
+//! read serves a window's cold rows *ahead of* any hotter rows appended
+//! since, preserving per-key append order exactly.
 //!
 //! Key mechanics:
 //!
-//! - **Demotion** triggers on write paths whenever the wrapper-tracked
-//!   hot footprint exceeds [`TierConfig::hot_bytes`] and always demotes
-//!   the coldest (earliest-ending) windows first. `hot_bytes = 0` is the
-//!   pathological forced-demotion cell of the differential tier harness:
-//!   every write immediately seals to a cold block.
-//! - **Promotion** happens lazily on the first access that touches a
-//!   window with cold blocks. Block reads route through the background
-//!   I/O ring when one is configured ([`OperatorContext::io`]), and
-//!   [`TieredStore::advance_prefetch`] pre-submits reads for cold
-//!   windows whose end falls within the prefetch horizon so the read
-//!   overlaps compute.
-//! - **Compaction** rewrites the cold log sequentially once promoted
-//!   (dead) blocks dominate, exactly like the MSA scan it mirrors:
-//!   surviving blocks are copied in window order to a fresh log which
-//!   atomically replaces the old one.
+//! - **Bookkeeping** holds each fact once. An aligned full-list (AAR)
+//!   window is charged *bytes only*: the wrapped store's window drain
+//!   returns every key, so the tier copies none. An AUR/RMW window keeps
+//!   one `key → {bytes, max_ts}` map: the keys to take at demotion (in
+//!   sorted order, so a block's layout is deterministic) and the one
+//!   timestamp the AUR store's trigger-time estimate reads of them.
+//! - **Demotion** triggers on write paths whenever the tracked hot
+//!   footprint exceeds [`TierConfig::hot_bytes`] and seals the
+//!   earliest-ending windows first, one block per window: rows sorted
+//!   by key, each key's in append order. `hot_bytes = 0` is the
+//!   differential tier harness's pathological cell: every write seals.
+//! - **Cold reads** happen on the first access to a window with cold
+//!   blocks and retire them to dead bytes. A triggered AAR window
+//!   *drains* from them: `get_window_chunk` hands out one block per
+//!   chunk, oldest first, then the wrapped store's chunks — the operator
+//!   concatenates per-key lists in chunk order, so nothing is written
+//!   back. AUR/RMW point reads *promote*: the cold rows are replayed
+//!   into the wrapped store under the hotter rows of their keys. How
+//!   cold and hot state combine is written once ([`merge_cold`]), for
+//!   promotion, `read_view` and `extract_range`. Block reads ride the
+//!   tier's I/O ring when [`OperatorContext::io`] configures one, and
+//!   [`TieredStore::advance_prefetch`] submits them ahead of a trigger.
+//! - **Compaction** rewrites the cold log sequentially once dead blocks
+//!   dominate, exactly like the MSA scan it mirrors: surviving blocks
+//!   are copied in window order to a fresh log which atomically
+//!   replaces the old one.
 //! - **Checkpoints** seal every hot window into the cold tier first, so
 //!   a snapshot is the inner store's (empty) checkpoint plus the cold
 //!   log and a CRC-guarded `TIERMETA` index — and restore is the exact
-//!   reverse. [`StateBackend::extract_range`] / `inject_entries` merge
-//!   both tiers (cold rows first), so rescaling migrates cold state
-//!   losslessly.
+//!   reverse. `extract_range` merges both tiers and `inject_entries`
+//!   replays through the tier's own write path, so rescaling migrates
+//!   cold state losslessly.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -51,6 +63,9 @@ use flowkv_common::registry::{StateView, ViewValue};
 use flowkv_common::telemetry::{Counter, Gauge, MetricRegistry, Telemetry};
 use flowkv_common::types::{Timestamp, WindowId};
 use flowkv_common::vfs::{StdVfs, Vfs, VfsFile};
+
+use crate::aar::group_by_key;
+use crate::store::state_entry;
 
 /// Magic prefix of the `TIERMETA` checkpoint sidecar.
 const META_MAGIC: [u8; 4] = *b"FKTM";
@@ -128,47 +143,65 @@ fn read_blocks_in(vfs: &Arc<dyn Vfs>, path: &Path, refs: &[BlockRef]) -> Result<
     Ok(out)
 }
 
-/// Per-key hot-tier bookkeeping.
+/// What the tier remembers of one AUR/RMW key with live hot rows.
 struct KeyTrack {
-    /// The key's place in [`HotWindow::order`].
-    seq: u64,
-    /// Append timestamp per resident row (one entry for aggregates).
-    ts: Vec<Timestamp>,
     /// Bytes this key's rows charge against the hot budget.
     bytes: usize,
+    /// Largest append timestamp among them (the window start for an
+    /// aggregate). Every row of the key demotes and replays under it:
+    /// the maximum is all the AUR store's trigger-time estimate reads.
+    max_ts: Timestamp,
 }
 
-/// Hot-tier bookkeeping of one window: which keys hold live rows in the
-/// wrapped store, in first-append order (the demotion scan order).
+/// Hot-tier bookkeeping of one window.
 #[derive(Default)]
 struct HotWindow {
-    keys: HashMap<Vec<u8>, KeyTrack>,
-    /// Live keys by the sequence number of their first append. A
-    /// consuming read drops its key in O(log n) — RMW takes and re-puts
-    /// a key per tuple, so a scan of the window's keys there would make
-    /// the tier quadratic — and a key appended again afterwards joins at
-    /// the back.
-    order: BTreeMap<u64, Vec<u8>>,
-    next_seq: u64,
+    /// Bytes the window's resident rows charge against the hot budget.
     bytes: usize,
+    /// The keys holding those rows; demotion takes them in sorted order.
+    /// Empty for an aligned full-list operator (see `tracks_keys`).
+    keys: HashMap<Vec<u8>, KeyTrack>,
 }
 
-impl HotWindow {
-    /// The tracker of `key`, joining the back of the order when new.
-    fn track(&mut self, key: &[u8]) -> &mut KeyTrack {
-        if !self.keys.contains_key(key) {
-            self.order.insert(self.next_seq, key.to_vec());
-            self.keys.insert(
-                key.to_vec(),
-                KeyTrack {
-                    seq: self.next_seq,
-                    ts: Vec::new(),
-                    bytes: 0,
-                },
-            );
-            self.next_seq += 1;
+/// State entries by `(key, window)`: the form both tiers merge in.
+type Entries = BTreeMap<(Vec<u8>, WindowId), ViewValue>;
+
+/// The one cold⊕hot merge rule: folds `rows` — the cold rows of
+/// `window`, oldest block first, those whose key `keep` accepts — under
+/// the hotter state in `hot`. Cold is older than hot, so a key's cold
+/// values go ahead of its hot ones, a cold aggregate only fills a key
+/// `hot` lacks, and among the cold aggregates of one key the last wins.
+fn merge_cold(
+    hot: &mut Entries,
+    window: WindowId,
+    kind: AggregateKind,
+    rows: Vec<ColdRow>,
+    keep: KeyFilter<'_>,
+) {
+    let rows = rows.into_iter().filter(|row| keep(&row.key));
+    match kind {
+        AggregateKind::Incremental => {
+            // Newest first, so the first row to claim a key is the last.
+            for row in rows.rev() {
+                hot.entry((row.key, window))
+                    .or_insert(ViewValue::Aggregate(row.value));
+            }
         }
-        self.keys.get_mut(key).expect("inserted above")
+        AggregateKind::FullList => {
+            let mut lists: BTreeMap<Vec<u8>, Vec<Vec<u8>>> = BTreeMap::new();
+            for row in rows {
+                lists.entry(row.key).or_default().push(row.value);
+            }
+            for (key, mut values) in lists {
+                let newer = hot
+                    .entry((key, window))
+                    .or_insert(ViewValue::Values(Vec::new()));
+                if let ViewValue::Values(newer) = newer {
+                    values.append(newer);
+                    *newer = values;
+                }
+            }
+        }
     }
 }
 
@@ -195,14 +228,8 @@ impl TierCounters {
     fn new(telemetry: Option<&Arc<Telemetry>>) -> Self {
         // Without a hub the counters still exist (cheap atomics) so the
         // store logic never branches on instrumentation.
-        let local;
-        let reg = match telemetry {
-            Some(t) => t.registry(),
-            None => {
-                local = MetricRegistry::new();
-                &local
-            }
-        };
+        let local = MetricRegistry::new();
+        let reg = telemetry.map_or(&local, |t| t.registry());
         TierCounters {
             demotions: reg.counter("tier_demotions_total"),
             demoted_rows: reg.counter("tier_demoted_rows_total"),
@@ -248,6 +275,10 @@ pub struct TieredStore {
     /// Completed prefetches awaiting promotion: raw block payloads.
     prefetched: HashMap<WindowId, Vec<Vec<u8>>>,
     prefetched_bytes: u64,
+    /// Windows mid-drain: the retired blocks not handed out yet, oldest
+    /// first. A drain ends inside the trigger that began it, so (as with
+    /// the AAR store's own drain state) no checkpoint or view sees one.
+    draining: HashMap<WindowId, VecDeque<Vec<u8>>>,
     counters: TierCounters,
     store_metrics: Arc<StoreMetrics>,
 }
@@ -300,57 +331,69 @@ impl TieredStore {
             lane,
             prefetched: HashMap::new(),
             prefetched_bytes: 0,
+            draining: HashMap::new(),
             counters: TierCounters::new(ctx.telemetry.as_ref()),
             store_metrics,
             cfg,
         })
     }
 
-    fn io_err(&self, context: &'static str, e: std::io::Error) -> StoreError {
-        StoreError::io_at(context, &self.cold_path, e)
-    }
-
     // ---- hot-tier bookkeeping -------------------------------------------
 
-    fn track_append(&mut self, key: &[u8], window: WindowId, value_len: usize, ts: Timestamp) {
-        let hw = self.hot.entry(window).or_default();
-        let cost = key.len() + value_len + 8;
-        let kt = hw.track(key);
-        kt.ts.push(ts);
-        kt.bytes += cost;
-        hw.bytes += cost;
-        self.hot_bytes += cost;
+    /// False for an aligned full-list operator: its window drain returns
+    /// every key, so the tier need not remember which a window holds.
+    fn tracks_keys(&self) -> bool {
+        !(self.aligned && self.aggregate == AggregateKind::FullList)
     }
 
-    fn track_put(&mut self, key: &[u8], window: WindowId, value_len: usize, ts: Timestamp) {
-        let hw = self.hot.entry(window).or_default();
+    /// Charges one row written to the wrapped store to the hot budget:
+    /// an aggregate replaces what its key held, a value adds to it.
+    fn track(&mut self, key: &[u8], window: WindowId, value_len: usize, ts: Timestamp) {
         let cost = key.len() + value_len + 8;
-        // A put replaces whatever the key held.
-        let kt = hw.track(key);
-        let replaced = std::mem::replace(&mut kt.bytes, cost);
-        kt.ts.clear();
-        kt.ts.push(ts);
-        hw.bytes = hw.bytes - replaced + cost;
-        self.hot_bytes = self.hot_bytes - replaced + cost;
-    }
-
-    fn untrack_key(&mut self, key: &[u8], window: WindowId) {
-        if let Some(hw) = self.hot.get_mut(&window) {
-            if let Some(kt) = hw.keys.remove(key) {
-                hw.bytes -= kt.bytes;
-                self.hot_bytes -= kt.bytes;
-                hw.order.remove(&kt.seq);
+        let by_key = self.tracks_keys();
+        let hw = self.hot.entry(window).or_default();
+        let mut replaced = 0;
+        if by_key {
+            match hw.keys.get_mut(key) {
+                Some(kt) => {
+                    if self.aggregate == AggregateKind::Incremental {
+                        replaced = std::mem::take(&mut kt.bytes);
+                    }
+                    kt.bytes += cost;
+                    kt.max_ts = kt.max_ts.max(ts);
+                }
+                None => {
+                    let kt = KeyTrack {
+                        bytes: cost,
+                        max_ts: ts,
+                    };
+                    hw.keys.insert(key.to_vec(), kt);
+                }
             }
+        }
+        hw.bytes = hw.bytes + cost - replaced;
+        self.hot_bytes = self.hot_bytes + cost - replaced;
+    }
+
+    /// Forgets `key`'s hot rows: a consuming read is about to take them.
+    fn untrack_key(&mut self, key: &[u8], window: WindowId) {
+        let Some(hw) = self.hot.get_mut(&window) else {
+            return;
+        };
+        if let Some(kt) = hw.keys.remove(key) {
+            hw.bytes -= kt.bytes;
+            self.hot_bytes -= kt.bytes;
             if hw.keys.is_empty() {
                 self.hot.remove(&window);
             }
         }
     }
 
-    fn untrack_window(&mut self, window: WindowId) {
-        if let Some(hw) = self.hot.remove(&window) {
-            self.hot_bytes -= hw.bytes;
-        }
+    /// Forgets `window`'s hot rows, returning what was tracked of them.
+    fn untrack_window(&mut self, window: WindowId) -> Option<HotWindow> {
+        let hw = self.hot.remove(&window)?;
+        self.hot_bytes -= hw.bytes;
+        Some(hw)
     }
 
     fn update_gauges(&self) {
@@ -400,6 +443,25 @@ impl TieredStore {
         Ok(())
     }
 
+    fn sync_cold_log(&mut self) -> Result<()> {
+        if let Some(file) = self.cold_file.as_mut() {
+            file.sync_data()
+                .map_err(|e| StoreError::io_at("tier cold log sync", &self.cold_path, e))?;
+        }
+        Ok(())
+    }
+
+    /// Copies the cold log at `src` to `dst` (a checkpoint, or back from
+    /// one); where there is none, `dst` becomes an empty log.
+    fn copy_cold_log(&self, src: &Path, dst: &Path) -> Result<()> {
+        let copied = if self.vfs.exists(src) {
+            self.vfs.copy(src, dst).map(drop)
+        } else {
+            self.vfs.write(dst, &[])
+        };
+        copied.map_err(|e| StoreError::io_at("tier cold log copy", dst, e))
+    }
+
     /// Reads the payloads of `refs` on the lane and blocks for them:
     /// promotion misses, the tail a prefetch did not cover, compaction
     /// and non-consuming scans all read cold blocks here.
@@ -408,79 +470,62 @@ impl TieredStore {
         let blobs = self
             .lane
             .read_through(move |vfs| read_blocks_in(vfs, &path, &refs))
-            .map_err(|e| self.io_err(context, e))?;
+            .map_err(|e| StoreError::io_at(context, &self.cold_path, e))?;
         self.store_metrics
             .add_bytes_read(blobs.iter().map(|b| b.len() as u64).sum());
         Ok(blobs)
     }
 
-    /// Fetches a cold window's block payloads: from the prefetch buffer,
-    /// a pending submission, or (on a miss) a fresh read.
+    /// Fetches the payloads of `refs`, the blocks `window` has in the
+    /// index: from a prefetch (waiting out one still in flight) as far as
+    /// that covers them, the rest — on a miss, all — from a fresh read.
     fn fetch_window_blobs(&mut self, window: WindowId, refs: &[BlockRef]) -> Result<Vec<Vec<u8>>> {
-        if let Some(mut blobs) = self.prefetched.remove(&window) {
-            let bytes: u64 = blobs.iter().map(|b| b.len() as u64).sum();
+        if let Some(read) = self.lane.wait_for(&window) {
+            self.install_prefetches(vec![read]);
+        }
+        let mut blobs = self.prefetched.remove(&window).unwrap_or_default();
+        if blobs.is_empty() {
+            self.store_metrics.add_prefetch_miss();
+        } else {
+            let bytes = blobs.iter().map(|b| b.len() as u64).sum();
             self.prefetched_bytes = self.prefetched_bytes.saturating_sub(bytes);
             self.counters.prefetch_hits.inc();
             self.store_metrics.add_prefetch_hit();
-            // A prefetch covers the window's blocks *as of submission*;
-            // blocks demoted since then sit past that prefix and still
-            // need a read (block order per window never changes, so the
-            // prefetched blobs are exactly refs[..blobs.len()]).
-            if blobs.len() < refs.len() {
-                blobs.extend(self.read_blocks("tier promote read", &refs[blobs.len()..])?);
-            }
-            return Ok(blobs);
         }
-        if let Some(read) = self.lane.wait_for(&window) {
-            match read {
-                Ok((_, mut blobs)) => {
-                    self.counters.prefetch_hits.inc();
-                    self.store_metrics.add_prefetch_hit();
-                    let bytes: u64 = blobs.iter().map(|b| b.len() as u64).sum();
-                    self.store_metrics.add_bytes_read(bytes);
-                    // Same prefix rule as the prefetch-buffer hit above.
-                    if blobs.len() < refs.len() {
-                        blobs.extend(self.read_blocks("tier promote read", &refs[blobs.len()..])?);
-                    }
-                    return Ok(blobs);
-                }
-                // A failed background read just means the window promotes
-                // from a fresh read below.
-                Err(_) => self.counters.prefetch_wasted.inc(),
-            }
-        } else {
-            self.store_metrics.add_prefetch_miss();
+        // A prefetch covers the window's blocks *as of submission*;
+        // blocks demoted since sit past that prefix and still need a
+        // read (block order per window never changes, so the prefetched
+        // blobs are exactly refs[..blobs.len()]).
+        if blobs.len() < refs.len() {
+            blobs.extend(self.read_blocks("tier promote read", &refs[blobs.len()..])?);
         }
-        self.read_blocks("tier promote read", refs)
+        Ok(blobs)
     }
 
-    /// Resolves every in-flight prefetch (before compaction moves the
-    /// offsets they were submitted against).
+    /// Resolves every in-flight prefetch (compaction moves their offsets).
     fn settle_inflight(&mut self) {
         let landed = self.lane.wait_all();
         self.install_prefetches(landed);
     }
 
-    /// Installs finished prefetch reads; a failed one just means the
-    /// window promotes from a fresh read.
+    /// Installs finished prefetch reads. One that failed, or whose window
+    /// was read meanwhile, is waste: a fresh read serves the window.
     fn install_prefetches(&mut self, landed: Vec<std::io::Result<PrefetchedBlocks>>) {
         for read in landed {
             match read {
-                Ok((window, blobs)) => self.install_prefetch(window, blobs),
+                Ok((window, blobs)) if self.index.contains_key(&window) => {
+                    let bytes = blobs.iter().map(|b| b.len() as u64).sum();
+                    self.store_metrics.add_bytes_read(bytes);
+                    self.prefetched_bytes += bytes;
+                    self.prefetched.insert(window, blobs);
+                }
+                Ok(_) => {
+                    self.counters.prefetch_wasted.inc();
+                    self.store_metrics.add_prefetch_eviction();
+                }
                 Err(_) => self.counters.prefetch_wasted.inc(),
             }
         }
-    }
-
-    fn install_prefetch(&mut self, window: WindowId, blobs: Vec<Vec<u8>>) {
-        if !self.index.contains_key(&window) {
-            // Promoted (or compacted away) while the read was in flight.
-            self.counters.prefetch_wasted.inc();
-            self.store_metrics.add_prefetch_eviction();
-            return;
-        }
-        self.prefetched_bytes += blobs.iter().map(|b| b.len() as u64).sum::<u64>();
-        self.prefetched.insert(window, blobs);
     }
 
     /// Submits reads for cold windows about to trigger, soonest start
@@ -510,102 +555,67 @@ impl TieredStore {
 
     // ---- demotion -------------------------------------------------------
 
-    /// Consumes every live hot row of `window` from the inner store, in
-    /// the pattern-legal way, returning rows in per-key append order.
+    /// Consumes the hot rows of `window` from the inner store, in the
+    /// pattern-legal way: rows sorted by key, each key's in append order.
     fn drain_hot_rows(&mut self, window: WindowId, track: &HotWindow) -> Result<Vec<ColdRow>> {
         let mut rows = Vec::new();
-        match self.aggregate {
-            AggregateKind::Incremental => {
-                for key in track.order.values() {
-                    if let Some(value) = self.inner.take_aggregate(key, window)? {
-                        let ts = track
-                            .keys
-                            .get(key)
-                            .and_then(|kt| kt.ts.last().copied())
-                            .unwrap_or(window.start);
-                        rows.push(ColdRow {
-                            key: key.clone(),
-                            ts,
-                            value,
-                        });
+        let mut push = |key: &[u8], ts: Timestamp, values: Vec<Vec<u8>>| {
+            rows.extend(values.into_iter().map(|value| ColdRow {
+                key: key.to_vec(),
+                ts,
+                value,
+            }))
+        };
+        if self.tracks_keys() {
+            let mut keys: Vec<_> = track.keys.iter().collect();
+            keys.sort_unstable_by_key(|(key, _)| *key);
+            for (key, kt) in keys {
+                let values = match self.aggregate {
+                    AggregateKind::FullList => self.inner.take_values(key, window)?,
+                    AggregateKind::Incremental => {
+                        Vec::from_iter(self.inner.take_aggregate(key, window)?)
                     }
+                };
+                push(key, kt.max_ts, values);
+            }
+        } else {
+            // AAR stores only expose the whole-window drain, which
+            // yields every key; the pattern ignores timestamps.
+            let mut per_key: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
+            while let Some(chunk) = self.inner.get_window_chunk(window)? {
+                for (key, values) in chunk {
+                    per_key.entry(key).or_default().extend(values);
                 }
             }
-            AggregateKind::FullList if self.aligned => {
-                // AAR stores only expose the whole-window drain.
-                let mut per_key: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
-                while let Some(chunk) = self.inner.get_window_chunk(window)? {
-                    for (key, values) in chunk {
-                        per_key.entry(key).or_default().extend(values);
-                    }
-                }
-                for key in track.order.values() {
-                    let values = per_key.remove(key).unwrap_or_default();
-                    let kt = track.keys.get(key);
-                    for (i, value) in values.into_iter().enumerate() {
-                        let ts = kt
-                            .and_then(|kt| kt.ts.get(i).copied())
-                            .unwrap_or(window.start);
-                        rows.push(ColdRow {
-                            key: key.clone(),
-                            ts,
-                            value,
-                        });
-                    }
-                }
-                // Rows the tracker missed (none in a healthy run) still
-                // demote, deterministically ordered.
-                let mut rest: Vec<_> = per_key.into_iter().collect();
-                rest.sort();
-                for (key, values) in rest {
-                    for value in values {
-                        rows.push(ColdRow {
-                            key: key.clone(),
-                            ts: window.start,
-                            value,
-                        });
-                    }
-                }
-            }
-            AggregateKind::FullList => {
-                for key in track.order.values() {
-                    let values = self.inner.take_values(key, window)?;
-                    let kt = track.keys.get(key);
-                    for (i, value) in values.into_iter().enumerate() {
-                        let ts = kt
-                            .and_then(|kt| kt.ts.get(i).copied())
-                            .unwrap_or(window.start);
-                        rows.push(ColdRow {
-                            key: key.clone(),
-                            ts,
-                            value,
-                        });
-                    }
-                }
+            let mut per_key: Vec<_> = per_key.into_iter().collect();
+            per_key.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+            for (key, values) in per_key {
+                push(&key, window.start, values);
             }
         }
         Ok(rows)
     }
 
-    fn block_kind(&self) -> BlockKind {
-        match self.aggregate {
-            AggregateKind::Incremental => BlockKind::Aggregates,
-            AggregateKind::FullList => BlockKind::Values,
-        }
-    }
-
     /// Seals one window out of the hot tier into a cold block.
     fn demote_window(&mut self, window: WindowId) -> Result<()> {
-        let Some(track) = self.hot.remove(&window) else {
+        let Some(track) = self.untrack_window(window) else {
             return Ok(());
         };
-        self.hot_bytes -= track.bytes;
         let rows = self.drain_hot_rows(window, &track)?;
         if rows.is_empty() {
             return Ok(());
         }
-        let blob = columnar::encode_block(window, self.block_kind(), &rows, self.cfg.compress);
-        self.append_block(window, &blob, rows.len())?;
+        {
+            // The drain above and the hint below time themselves, on
+            // the same metrics block: no tier timer may span them.
+            let _t = self.store_metrics.timer(OpCategory::Compaction);
+            let kind = match self.aggregate {
+                AggregateKind::Incremental => BlockKind::Aggregates,
+                AggregateKind::FullList => BlockKind::Values,
+            };
+            let blob = columnar::encode_block(window, kind, &rows, self.cfg.compress);
+            self.append_block(window, &blob, rows.len())?;
+        }
         self.counters.demotions.inc();
         self.counters.demoted_rows.add(rows.len() as u64);
         self.counters
@@ -613,16 +623,15 @@ impl TieredStore {
             .add(columnar::uncompressed_size(&rows) as u64);
         // The hot store just tombstoned this whole range; let it compact
         // while the blocks are warm.
-        self.inner.demoted_hint(window)?;
-        Ok(())
+        self.inner.demoted_hint(window)
     }
 
-    /// Demotes coldest-first until the hot tier fits `budget`.
+    /// Demotes earliest-ending windows first until the hot tier fits
+    /// `budget`.
     fn demote_to_budget(&mut self, budget: usize) -> Result<()> {
         if self.hot_bytes <= budget {
             return Ok(());
         }
-        let _t = self.store_metrics.timer(OpCategory::Compaction);
         let mut windows: Vec<WindowId> = self.hot.keys().copied().collect();
         windows.sort_by_key(|w| (w.end, w.start));
         for window in windows {
@@ -636,99 +645,119 @@ impl TieredStore {
         Ok(())
     }
 
-    fn maybe_demote(&mut self) -> Result<()> {
-        if self.hot_bytes > self.cfg.hot_bytes {
-            self.demote_to_budget(self.cfg.hot_bytes)?;
-        }
-        Ok(())
-    }
+    // ---- reading cold windows -------------------------------------------
 
-    // ---- promotion ------------------------------------------------------
-
-    /// Decodes `window`'s cold blocks and replays them into the inner
-    /// store *ahead of* any hotter rows appended since demotion, so
-    /// per-key append order is exactly what a hot-only run would hold.
-    fn promote_window(&mut self, window: WindowId) -> Result<()> {
-        let Some(refs) = self.index.remove(&window) else {
-            return Ok(());
+    /// Takes `window`'s blocks out of the cold tier: their payloads,
+    /// oldest first, now dead bytes in the log. Empty if it has none.
+    fn take_cold_blocks(&mut self, window: WindowId) -> Result<Vec<Vec<u8>>> {
+        let Some(refs) = self.index.get(&window).cloned() else {
+            return Ok(Vec::new());
         };
-        let blobs = match self.fetch_window_blobs(window, &refs) {
-            Ok(blobs) => blobs,
-            Err(e) => {
-                // The window's blocks are still on disk; put the refs
-                // back so a recovery retry can promote again.
-                self.index.insert(window, refs);
-                return Err(e);
-            }
-        };
+        // A failed read leaves the index as it was, for a retry.
+        let blobs = self.fetch_window_blobs(window, &refs)?;
+        self.index.remove(&window);
         let freed: u64 = refs.iter().map(|r| u64::from(r.len)).sum();
         self.live_bytes = self.live_bytes.saturating_sub(freed);
         self.dead_bytes += freed;
-        let mut cold_rows: Vec<ColdRow> = Vec::new();
-        for blob in &blobs {
-            let block = columnar::decode_block(blob)?;
-            if block.window != window {
-                return Err(StoreError::corruption(
-                    &self.cold_path,
-                    0,
-                    format!(
-                        "cold block window {:?} indexed under {:?}",
-                        block.window, window
-                    ),
-                ));
-            }
-            cold_rows.extend(block.rows);
-        }
-        let promoted = cold_rows.len();
-        match self.aggregate {
-            AggregateKind::Incremental => {
-                // Within cold blocks a later row supersedes an earlier
-                // one; a live hot aggregate supersedes them all.
-                let mut order: Vec<Vec<u8>> = Vec::new();
-                let mut last: HashMap<Vec<u8>, ColdRow> = HashMap::new();
-                for row in cold_rows {
-                    if !last.contains_key(&row.key) {
-                        order.push(row.key.clone());
-                    }
-                    last.insert(row.key.clone(), row);
-                }
-                for key in order {
-                    let row = last.remove(&key).expect("inserted above");
-                    let hot_newer = self
-                        .hot
-                        .get(&window)
-                        .is_some_and(|hw| hw.keys.contains_key(&key));
-                    if !hot_newer {
-                        self.inner.put_aggregate(&key, window, &row.value)?;
-                        self.track_put(&key, window, row.value.len(), row.ts);
-                    }
-                }
-            }
-            AggregateKind::FullList => {
-                // Drain the hotter rows out, then replay cold-first.
-                let mut hot_rows = Vec::new();
-                if let Some(track) = self.hot.remove(&window) {
-                    self.hot_bytes -= track.bytes;
-                    hot_rows = self.drain_hot_rows(window, &track)?;
-                }
-                for row in cold_rows.into_iter().chain(hot_rows) {
-                    self.inner.append(&row.key, window, &row.value, row.ts)?;
-                    self.track_append(&row.key, window, row.value.len(), row.ts);
-                }
-            }
-        }
         self.counters.promotions.inc();
-        self.counters.promoted_rows.add(promoted as u64);
-        self.maybe_compact()?;
-        self.update_gauges();
-        Ok(())
+        self.counters
+            .promoted_rows
+            .add(refs.iter().map(|r| u64::from(r.rows)).sum());
+        Ok(blobs)
     }
 
-    /// Promotes `window` if it has cold blocks; cheap no-op otherwise.
-    fn ensure_hot(&mut self, window: WindowId) -> Result<()> {
-        if self.index.contains_key(&window) {
-            self.promote_window(window)?;
+    /// The rows of `blobs`, cold blocks of `window`, in block order.
+    fn decode_rows(&self, window: WindowId, blobs: &[Vec<u8>]) -> Result<Vec<ColdRow>> {
+        let mut rows = Vec::new();
+        for blob in blobs {
+            let block = columnar::decode_block(blob)?;
+            if block.window != window {
+                let detail = format!("block of {:?} indexed under {window:?}", block.window);
+                return Err(StoreError::corruption(&self.cold_path, 0, detail));
+            }
+            rows.extend(block.rows);
         }
+        Ok(rows)
+    }
+
+    /// The next chunk of a window drain that comes from the cold tier:
+    /// one retired block per call, oldest first. Cold rows are older
+    /// than the wrapped store's and the operator concatenates per-key
+    /// lists in chunk order, so serving the blocks ahead of the store's
+    /// chunks yields the order a replay into the store would — unreplayed.
+    fn next_cold_chunk(&mut self, window: WindowId) -> Result<Option<WindowChunk>> {
+        if self.index.contains_key(&window) {
+            // Also mid-drain, when a demotion sealed more of the window
+            // since the last chunk: newer rows, so they queue behind.
+            let blobs = self.take_cold_blocks(window)?;
+            self.draining.entry(window).or_default().extend(blobs);
+            self.maybe_compact()?;
+            self.update_gauges();
+        }
+        let Some(queue) = self.draining.get_mut(&window) else {
+            return Ok(None);
+        };
+        let blob = queue.pop_front();
+        if queue.is_empty() {
+            self.draining.remove(&window);
+        }
+        let Some(blob) = blob else {
+            return Ok(None);
+        };
+        let rows = self.decode_rows(window, &[blob])?;
+        Ok(Some(group_by_key(
+            rows.into_iter().map(|r| (r.key, r.value)),
+        )))
+    }
+
+    /// Replays `window`'s cold rows (if any) into the inner store *under*
+    /// the hotter rows written since demotion, so a point read finds
+    /// per-key append order exactly as a hot-only run would hold it.
+    fn promote_window(&mut self, window: WindowId) -> Result<()> {
+        if !self.index.contains_key(&window) {
+            return Ok(());
+        }
+        let blobs = self.take_cold_blocks(window)?;
+        let cold = self.decode_rows(window, &blobs)?;
+        // Hot value lists come out to be replayed behind the cold rows;
+        // a live aggregate stays put and hides its key's cold rows.
+        let mut hot = Vec::new();
+        if self.aggregate == AggregateKind::FullList {
+            if let Some(track) = self.untrack_window(window) {
+                hot = self.drain_hot_rows(window, &track)?;
+            }
+        }
+        // Every replayed row of a key carries the largest timestamp the
+        // key was ever appended under, cold and hot rows alike.
+        let mut max_ts: HashMap<Vec<u8>, Timestamp> = HashMap::new();
+        for row in cold.iter().chain(&hot) {
+            match max_ts.get_mut(&row.key) {
+                Some(max) => *max = row.ts.max(*max),
+                None => drop(max_ts.insert(row.key.clone(), row.ts)),
+            }
+        }
+        let live = self.hot.get(&window);
+        let keep = |key: &[u8]| !live.is_some_and(|hw| hw.keys.contains_key(key));
+        let mut entries = Entries::new();
+        merge_cold(&mut entries, window, self.aggregate, hot, &|_| true);
+        merge_cold(&mut entries, window, self.aggregate, cold, &keep);
+        for ((key, _), value) in entries {
+            let ts = max_ts[&key];
+            match value {
+                ViewValue::Aggregate(aggregate) => {
+                    self.inner.put_aggregate(&key, window, &aggregate)?;
+                    self.track(&key, window, aggregate.len(), ts);
+                }
+                ViewValue::Values(values) => {
+                    for value in values {
+                        self.inner.append(&key, window, &value, ts)?;
+                        self.track(&key, window, value.len(), ts);
+                    }
+                }
+            }
+        }
+        self.maybe_compact()?;
+        self.update_gauges();
         Ok(())
     }
 
@@ -774,8 +803,7 @@ impl TieredStore {
                     .map_err(|e| StoreError::io_at("tier compact write", &tmp, e))?;
                 new_index.entry(*window).or_default().push(BlockRef {
                     offset: new_len + 4,
-                    len: r.len,
-                    rows: r.rows,
+                    ..*r
                 });
                 new_len += framed.len() as u64;
                 self.store_metrics.add_bytes_written(framed.len() as u64);
@@ -788,7 +816,7 @@ impl TieredStore {
         self.cold_file = None;
         self.vfs
             .rename(&tmp, &self.cold_path)
-            .map_err(|e| self.io_err("tier compact rename", e))?;
+            .map_err(|e| StoreError::io_at("tier compact rename", &self.cold_path, e))?;
         self.index = new_index;
         self.cold_len = new_len;
         let reclaimed = self.dead_bytes;
@@ -799,23 +827,16 @@ impl TieredStore {
         Ok(())
     }
 
-    // ---- cold-state reads (non-consuming) -------------------------------
-
-    /// Decodes every cold row of every window, without consuming any
-    /// state — the scan `extract_range` and `read_view` merge from.
-    fn scan_cold_rows(&self) -> Result<Vec<(WindowId, Vec<ColdRow>)>> {
-        if self.index.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut out = Vec::with_capacity(self.index.len());
+    /// Merges every cold row whose key `keep` accepts under `hot`, one
+    /// window in memory at a time and without consuming any state: what
+    /// `extract_range` and `read_view` add to the wrapped store's answer.
+    fn merge_all_cold(&self, hot: &mut Entries, keep: KeyFilter<'_>) -> Result<()> {
         for (window, refs) in &self.index {
-            let mut rows = Vec::new();
-            for blob in self.read_blocks("tier cold scan", refs)? {
-                rows.extend(columnar::decode_block(&blob)?.rows);
-            }
-            out.push((*window, rows));
+            let blobs = self.read_blocks("tier cold scan", refs)?;
+            let rows = self.decode_rows(*window, &blobs)?;
+            merge_cold(hot, *window, self.aggregate, rows, keep);
         }
-        Ok(out)
+        Ok(())
     }
 
     // ---- checkpoint metadata --------------------------------------------
@@ -904,31 +925,32 @@ impl StateBackend for TieredStore {
         // No promotion needed: cold rows are strictly older, and the
         // merge happens on the read side.
         self.inner.append(key, window, value, ts)?;
-        self.track_append(key, window, value.len(), ts);
-        self.maybe_demote()
+        self.track(key, window, value.len(), ts);
+        self.demote_to_budget(self.cfg.hot_bytes)
     }
 
     fn get_window_chunk(&mut self, window: WindowId) -> Result<Option<WindowChunk>> {
-        self.ensure_hot(window)?;
-        // The engine is consuming this window now; whatever it drains is
-        // gone from the hot tier.
+        // Whatever the engine drains now is gone from the hot tier.
         self.untrack_window(window);
-        self.inner.get_window_chunk(window)
+        match self.next_cold_chunk(window)? {
+            Some(chunk) => Ok(Some(chunk)),
+            None => self.inner.get_window_chunk(window),
+        }
     }
 
     fn take_values(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {
-        self.ensure_hot(window)?;
+        self.promote_window(window)?;
         self.untrack_key(key, window);
         self.inner.take_values(key, window)
     }
 
     fn peek_values(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {
-        self.ensure_hot(window)?;
+        self.promote_window(window)?;
         self.inner.peek_values(key, window)
     }
 
     fn take_aggregate(&mut self, key: &[u8], window: WindowId) -> Result<Option<Vec<u8>>> {
-        self.ensure_hot(window)?;
+        self.promote_window(window)?;
         self.untrack_key(key, window);
         self.inner.take_aggregate(key, window)
     }
@@ -937,17 +959,13 @@ impl StateBackend for TieredStore {
         // A put supersedes any cold version of this key; promotion skips
         // cold aggregates whose key is live in the hot tier.
         self.inner.put_aggregate(key, window, aggregate)?;
-        self.track_put(key, window, aggregate.len(), window.start);
-        self.maybe_demote()
+        self.track(key, window, aggregate.len(), window.start);
+        self.demote_to_budget(self.cfg.hot_bytes)
     }
 
     fn flush(&mut self) -> Result<()> {
         self.inner.flush()?;
-        if let Some(file) = self.cold_file.as_mut() {
-            file.sync_data()
-                .map_err(|e| StoreError::io_at("tier cold log sync", &self.cold_path, e))?;
-        }
-        Ok(())
+        self.sync_cold_log()
     }
 
     fn read_view(&mut self) -> Result<Option<StateView>> {
@@ -958,45 +976,7 @@ impl StateBackend for TieredStore {
             return Ok(Some(hot));
         }
         let mut entries = hot.to_entries();
-        // Merge cold rows in, older-first, without consuming anything.
-        for (window, rows) in self.scan_cold_rows()? {
-            match self.aggregate {
-                AggregateKind::Incremental => {
-                    // Within cold rows the last write per key wins; a
-                    // hot aggregate (already in the view) is newer
-                    // still, so cold only fills absent keys.
-                    let mut last: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
-                    for row in rows {
-                        last.insert(row.key, row.value);
-                    }
-                    for (key, value) in last {
-                        entries
-                            .entry((key, window))
-                            .or_insert(ViewValue::Aggregate(value));
-                    }
-                }
-                AggregateKind::FullList => {
-                    let mut per_key: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
-                    for row in rows {
-                        per_key.entry(row.key).or_default().push(row.value);
-                    }
-                    for (key, cold_values) in per_key {
-                        match entries.entry((key, window)) {
-                            std::collections::btree_map::Entry::Occupied(mut e) => {
-                                if let ViewValue::Values(hot_values) = e.get_mut() {
-                                    let mut merged = cold_values;
-                                    merged.append(hot_values);
-                                    *hot_values = merged;
-                                }
-                            }
-                            std::collections::btree_map::Entry::Vacant(e) => {
-                                e.insert(ViewValue::Values(cold_values));
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        self.merge_all_cold(&mut entries, &|_| true)?;
         let mut view = StateView::from_entries(hot.pattern, entries);
         view.metrics = hot.metrics;
         Ok(Some(view))
@@ -1007,93 +987,28 @@ impl StateBackend for TieredStore {
         in_range: KeyFilter<'_>,
         kind: AggregateKind,
     ) -> Result<Vec<StateEntry>> {
-        let inner_entries = self.inner.extract_range(in_range, kind)?;
+        let hot = self.inner.extract_range(in_range, kind)?;
         if self.index.is_empty() {
-            return Ok(inner_entries);
+            return Ok(hot);
         }
-        // Index the hot extract so cold rows can be merged ahead of it.
-        let mut hot_values: HashMap<(Vec<u8>, WindowId), Vec<Vec<u8>>> = HashMap::new();
-        let mut hot_aggs: HashMap<(Vec<u8>, WindowId), Vec<u8>> = HashMap::new();
-        for entry in inner_entries {
-            match entry {
+        let mut entries: Entries = hot
+            .into_iter()
+            .map(|entry| match entry {
                 StateEntry::Values {
                     key,
                     window,
                     values,
-                } => {
-                    hot_values.insert((key, window), values);
-                }
+                } => ((key, window), ViewValue::Values(values)),
                 StateEntry::Aggregate { key, window, value } => {
-                    hot_aggs.insert((key, window), value);
+                    ((key, window), ViewValue::Aggregate(value))
                 }
-            }
-        }
-        let mut out: Vec<StateEntry> = Vec::new();
-        for (window, rows) in self.scan_cold_rows()? {
-            match self.aggregate {
-                AggregateKind::Incremental => {
-                    let mut last: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
-                    for row in rows {
-                        if in_range(&row.key) {
-                            last.insert(row.key, row.value);
-                        }
-                    }
-                    for (key, value) in last {
-                        // The hot tier's copy (if any) is newer.
-                        if !hot_aggs.contains_key(&(key.clone(), window)) {
-                            hot_aggs.insert((key, window), value);
-                        }
-                    }
-                }
-                AggregateKind::FullList => {
-                    let mut per_key: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
-                    for row in rows {
-                        if in_range(&row.key) {
-                            per_key.entry(row.key).or_default().push(row.value);
-                        }
-                    }
-                    for (key, mut values) in per_key {
-                        if let Some(hot) = hot_values.remove(&(key.clone(), window)) {
-                            values.extend(hot);
-                        }
-                        hot_values.insert((key, window), values);
-                    }
-                }
-            }
-        }
-        for ((key, window), values) in hot_values {
-            out.push(StateEntry::Values {
-                key,
-                window,
-                values,
-            });
-        }
-        for ((key, window), value) in hot_aggs {
-            out.push(StateEntry::Aggregate { key, window, value });
-        }
-        Ok(out)
-    }
-
-    fn inject_entries(&mut self, entries: Vec<StateEntry>) -> Result<()> {
-        for entry in entries {
-            match entry {
-                StateEntry::Values {
-                    key,
-                    window,
-                    values,
-                } => {
-                    for value in values {
-                        self.inner.append(&key, window, &value, window.start)?;
-                        self.track_append(&key, window, value.len(), window.start);
-                    }
-                }
-                StateEntry::Aggregate { key, window, value } => {
-                    self.inner.put_aggregate(&key, window, &value)?;
-                    self.track_put(&key, window, value.len(), window.start);
-                }
-            }
-        }
-        self.maybe_demote()
+            })
+            .collect();
+        self.merge_all_cold(&mut entries, in_range)?;
+        Ok(entries
+            .into_iter()
+            .map(|((key, window), value)| state_entry(key, window, value))
+            .collect())
     }
 
     fn advance_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
@@ -1117,9 +1032,13 @@ impl StateBackend for TieredStore {
     }
 
     fn memory_bytes(&self) -> usize {
+        let tracked_keys = self.hot.values().flat_map(|hw| hw.keys.keys());
+        let held_blocks = self.draining.values().flatten();
         self.inner.memory_bytes()
             + self.prefetched_bytes as usize
             + self.index.len() * std::mem::size_of::<(WindowId, Vec<BlockRef>)>()
+            + tracked_keys.map(Vec::len).sum::<usize>()
+            + held_blocks.map(Vec::len).sum::<usize>()
     }
 
     fn checkpoint(&mut self, dir: &Path) -> Result<()> {
@@ -1132,24 +1051,11 @@ impl StateBackend for TieredStore {
             .create_dir_all(&hot_dir)
             .map_err(|e| StoreError::io_at("tier checkpoint dir", &hot_dir, e))?;
         self.inner.checkpoint(&hot_dir)?;
-        if let Some(file) = self.cold_file.as_mut() {
-            file.sync_data()
-                .map_err(|e| StoreError::io_at("tier cold log sync", &self.cold_path, e))?;
-        }
-        let cold_dst = dir.join(CKPT_COLD);
-        if self.vfs.exists(&self.cold_path) {
-            self.vfs
-                .copy(&self.cold_path, &cold_dst)
-                .map_err(|e| StoreError::io_at("tier checkpoint cold copy", &cold_dst, e))?;
-        } else {
-            self.vfs
-                .write(&cold_dst, &[])
-                .map_err(|e| StoreError::io_at("tier checkpoint cold copy", &cold_dst, e))?;
-        }
-        let meta = self.encode_meta();
+        self.sync_cold_log()?;
+        self.copy_cold_log(&self.cold_path, &dir.join(CKPT_COLD))?;
         let meta_dst = dir.join(CKPT_META);
         self.vfs
-            .write(&meta_dst, &meta)
+            .write(&meta_dst, &self.encode_meta())
             .map_err(|e| StoreError::io_at("tier checkpoint meta", &meta_dst, e))?;
         Ok(())
     }
@@ -1158,9 +1064,11 @@ impl StateBackend for TieredStore {
         self.settle_inflight();
         self.prefetched.clear();
         self.prefetched_bytes = 0;
+        self.draining.clear();
         self.hot.clear();
         self.hot_bytes = 0;
         self.cold_file = None;
+        self.cold_len = 0;
         self.index.clear();
         self.live_bytes = 0;
         self.dead_bytes = 0;
@@ -1168,16 +1076,7 @@ impl StateBackend for TieredStore {
         self.vfs
             .create_dir_all(&self.cold_dir)
             .map_err(|e| StoreError::io_at("tier dir", &self.cold_dir, e))?;
-        let cold_src = dir.join(CKPT_COLD);
-        if self.vfs.exists(&cold_src) {
-            self.vfs
-                .copy(&cold_src, &self.cold_path)
-                .map_err(|e| self.io_err("tier restore cold copy", e))?;
-        } else {
-            self.vfs
-                .write(&self.cold_path, &[])
-                .map_err(|e| self.io_err("tier restore cold copy", e))?;
-        }
+        self.copy_cold_log(&dir.join(CKPT_COLD), &self.cold_path)?;
         let meta_src = dir.join(CKPT_META);
         if self.vfs.exists(&meta_src) {
             let bytes = self
@@ -1185,8 +1084,6 @@ impl StateBackend for TieredStore {
                 .read(&meta_src)
                 .map_err(|e| StoreError::io_at("tier restore meta", &meta_src, e))?;
             self.decode_meta(&bytes, &meta_src)?;
-        } else {
-            self.cold_len = 0;
         }
         self.update_gauges();
         Ok(())
@@ -1254,6 +1151,8 @@ mod tests {
     use crate::store::FlowKvFactory;
     use flowkv_common::backend::{OperatorSemantics, WindowKind};
     use flowkv_common::scratch::ScratchDir;
+    use std::sync::Mutex;
+    use std::time::{Duration, Instant};
 
     fn ctx(dir: &Path, aggregate: AggregateKind, window: WindowKind) -> OperatorContext {
         OperatorContext {
@@ -1488,66 +1387,344 @@ mod tests {
         s.close().unwrap();
     }
 
-    /// The keys of `window`'s cold blocks, in block and row order.
-    fn cold_keys(s: &TieredStore, window: WindowId) -> Vec<Vec<u8>> {
+    /// The rows of `window`'s cold blocks as `(key, value, ts)`, in block
+    /// and row order.
+    fn cold_rows(s: &TieredStore, window: WindowId) -> Vec<(Vec<u8>, Vec<u8>, Timestamp)> {
         let blobs = s.read_blocks("test", &s.index[&window]).unwrap();
-        blobs
-            .iter()
-            .flat_map(|blob| columnar::decode_block(blob).unwrap().rows)
-            .map(|row| row.key)
-            .collect()
+        let rows = s.decode_rows(window, &blobs).unwrap();
+        rows.into_iter().map(|r| (r.key, r.value, r.ts)).collect()
+    }
+
+    /// The `(key, ts)` of every append a [`Recording`] store has seen.
+    type Appends = Arc<Mutex<Vec<(Vec<u8>, Timestamp)>>>;
+
+    /// A wrapped store that records the appends the tier makes of it and
+    /// can charge a sleep to every consuming read, as a slow device would.
+    struct Recording {
+        inner: Box<dyn StateBackend>,
+        appends: Appends,
+        read_sleep: Duration,
+    }
+
+    impl Recording {
+        fn slow_read(&self) {
+            if !self.read_sleep.is_zero() {
+                let _t = self.inner.metrics().timer(OpCategory::Read);
+                std::thread::sleep(self.read_sleep);
+            }
+        }
+    }
+
+    impl StateBackend for Recording {
+        fn append(&mut self, key: &[u8], w: WindowId, value: &[u8], ts: Timestamp) -> Result<()> {
+            self.appends.lock().unwrap().push((key.to_vec(), ts));
+            self.inner.append(key, w, value, ts)
+        }
+        fn get_window_chunk(&mut self, window: WindowId) -> Result<Option<WindowChunk>> {
+            self.slow_read();
+            self.inner.get_window_chunk(window)
+        }
+        fn take_values(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {
+            self.slow_read();
+            self.inner.take_values(key, window)
+        }
+        fn peek_values(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {
+            self.inner.peek_values(key, window)
+        }
+        fn take_aggregate(&mut self, key: &[u8], window: WindowId) -> Result<Option<Vec<u8>>> {
+            self.slow_read();
+            self.inner.take_aggregate(key, window)
+        }
+        fn put_aggregate(&mut self, key: &[u8], window: WindowId, agg: &[u8]) -> Result<()> {
+            self.inner.put_aggregate(key, window, agg)
+        }
+        fn flush(&mut self) -> Result<()> {
+            self.inner.flush()
+        }
+        fn extract_range(&mut self, f: KeyFilter<'_>, k: AggregateKind) -> Result<Vec<StateEntry>> {
+            self.inner.extract_range(f, k)
+        }
+        fn metrics(&self) -> Arc<StoreMetrics> {
+            self.inner.metrics()
+        }
+        fn memory_bytes(&self) -> usize {
+            self.inner.memory_bytes()
+        }
+        fn checkpoint(&mut self, dir: &Path) -> Result<()> {
+            self.inner.checkpoint(dir)
+        }
+        fn restore(&mut self, dir: &Path) -> Result<()> {
+            self.inner.restore(dir)
+        }
+        fn close(&mut self) -> Result<()> {
+            self.inner.close()
+        }
+    }
+
+    /// A tier of `hot_bytes` over a [`Recording`] FlowKV store of `cfg`,
+    /// plus the appends that store sees.
+    fn recorded(
+        dir: &Path,
+        aggregate: AggregateKind,
+        window: WindowKind,
+        hot_bytes: usize,
+        (cfg, read_sleep): (FlowKvConfig, Duration),
+    ) -> (TieredStore, Appends) {
+        let ctx = ctx(dir, aggregate, window);
+        let appends = Appends::default();
+        let inner = Recording {
+            inner: FlowKvFactory::new(cfg).create(&ctx).unwrap(),
+            appends: Arc::clone(&appends),
+            read_sleep,
+        };
+        let cfg = TierConfig::new(hot_bytes);
+        let tier = TieredStore::new(Box::new(inner), &ctx, cfg, StdVfs::shared()).unwrap();
+        (tier, appends)
+    }
+
+    /// The small test store, reads at full speed.
+    fn plain() -> (FlowKvConfig, Duration) {
+        (FlowKvConfig::small_for_tests(), Duration::ZERO)
     }
 
     fn tiered_store(dir: &Path, aggregate: AggregateKind, window: WindowKind) -> TieredStore {
-        let ctx = ctx(dir, aggregate, window);
-        let inner = FlowKvFactory::new(FlowKvConfig::small_for_tests())
-            .create(&ctx)
-            .unwrap();
-        TieredStore::new(inner, &ctx, TierConfig::default(), StdVfs::shared()).unwrap()
+        recorded(dir, aggregate, window, 32 << 20, plain()).0
     }
 
     #[test]
-    fn demotion_keeps_first_append_order_of_the_live_keys() {
+    fn demoted_block_is_sorted_by_key_and_keeps_each_keys_append_order() {
         let win = w(0, 100);
-        let keys = |ks: &[&[u8]]| ks.iter().map(|k| k.to_vec()).collect::<Vec<_>>();
+        let row = |k: &[u8], v: &[u8], ts| (k.to_vec(), v.to_vec(), ts);
 
-        // RMW: a taken key leaves the order; put again, it joins the back.
+        // RMW: whatever order keys were taken and put back in, the block
+        // lists the live ones sorted, each with its latest aggregate.
         let dir = ScratchDir::new("tier-order-rmw").unwrap();
         let mut s = tiered_store(
             dir.path(),
             AggregateKind::Incremental,
             WindowKind::Fixed { size: 100 },
         );
-        for key in [b"a", b"b", b"c", b"d"] {
+        for key in [b"d", b"b", b"c", b"a"] {
             s.put_aggregate(key, win, b"1").unwrap();
         }
         assert_eq!(s.take_aggregate(b"b", win).unwrap(), Some(b"1".to_vec()));
         s.put_aggregate(b"b", win, b"2").unwrap();
         assert_eq!(s.take_aggregate(b"a", win).unwrap(), Some(b"1".to_vec()));
         s.put_aggregate(b"e", win, b"1").unwrap();
-        s.put_aggregate(b"c", win, b"2").unwrap(); // still live: keeps its place
+        s.put_aggregate(b"c", win, b"2").unwrap(); // over a live key
         assert_eq!(s.take_aggregate(b"d", win).unwrap(), Some(b"1".to_vec()));
         s.put_aggregate(b"d", win, b"2").unwrap();
         s.demote_to_budget(0).unwrap();
-        assert_eq!(cold_keys(&s, win), keys(&[b"c", b"b", b"e", b"d"]));
+        let expect = vec![
+            row(b"b", b"2", 0),
+            row(b"c", b"2", 0),
+            row(b"d", b"2", 0),
+            row(b"e", b"1", 0),
+        ];
+        assert_eq!(cold_rows(&s, win), expect);
         assert!(s.hot.is_empty() && s.hot_bytes == 0);
         s.close().unwrap();
 
-        // AUR: the same rule, a row per append.
+        // AUR: a row per append, under the key's largest timestamp.
         let dir = ScratchDir::new("tier-order-aur").unwrap();
         let mut s = tiered_store(
             dir.path(),
             AggregateKind::FullList,
             WindowKind::Session { gap: 50 },
         );
-        for (i, key) in [b"a", b"b", b"c"].into_iter().enumerate() {
-            s.append(key, win, b"v", i as i64).unwrap();
+        for (i, key) in [b"c", b"b", b"a"].into_iter().enumerate() {
+            s.append(key, win, format!("v{i}").as_bytes(), i as i64)
+                .unwrap();
         }
-        assert_eq!(s.take_values(b"a", win).unwrap().len(), 1);
-        s.append(b"a", win, b"v", 3).unwrap();
-        s.append(b"b", win, b"v", 4).unwrap();
+        assert_eq!(s.take_values(b"a", win).unwrap(), vec![b"v2".to_vec()]);
+        s.append(b"a", win, b"v3", 3).unwrap();
+        s.append(b"b", win, b"v4", 9).unwrap();
+        s.append(b"b", win, b"v5", 4).unwrap();
         s.demote_to_budget(0).unwrap();
-        assert_eq!(cold_keys(&s, win), keys(&[b"b", b"b", b"c", b"a"]));
+        let expect = vec![
+            row(b"a", b"v3", 3),
+            row(b"b", b"v1", 9),
+            row(b"b", b"v4", 9),
+            row(b"b", b"v5", 9),
+            row(b"c", b"v0", 0),
+        ];
+        assert_eq!(cold_rows(&s, win), expect);
+        s.close().unwrap();
+    }
+
+    /// Drains `window` to its end, returning each key's values in the
+    /// order the chunks delivered them. `between` runs after every chunk.
+    fn drain(
+        s: &mut TieredStore,
+        window: WindowId,
+        mut between: impl FnMut(&mut TieredStore, usize),
+    ) -> BTreeMap<Vec<u8>, Vec<Vec<u8>>> {
+        let mut per_key: BTreeMap<Vec<u8>, Vec<Vec<u8>>> = BTreeMap::new();
+        let mut chunks = 0;
+        while let Some(chunk) = s.get_window_chunk(window).unwrap() {
+            for (key, values) in chunk {
+                per_key.entry(key).or_default().extend(values);
+            }
+            chunks += 1;
+            between(s, chunks);
+        }
+        per_key
+    }
+
+    #[test]
+    fn cold_aar_trigger_drains_its_blocks_without_replaying_them() {
+        let dir = ScratchDir::new("tier-aar-drain").unwrap();
+        let window = WindowKind::Fixed { size: 100 };
+        let (mut s, appends) = recorded(
+            dir.path(),
+            AggregateKind::FullList,
+            window,
+            32 << 20,
+            plain(),
+        );
+        let (win, other) = (w(0, 100), w(100, 200));
+        let mut expect: BTreeMap<Vec<u8>, Vec<Vec<u8>>> = BTreeMap::new();
+        let mut n = 0;
+        let mut append = |s: &mut TieredStore, rows: usize| {
+            for _ in 0..rows {
+                let (key, value) = (format!("k{}", n % 5).into_bytes(), format!("v{n}"));
+                s.append(&key, win, value.as_bytes(), n).unwrap();
+                expect.entry(key).or_default().push(value.into_bytes());
+                n += 1;
+            }
+        };
+        // Three cold blocks, then hot rows spanning several chunks.
+        for _ in 0..3 {
+            append(&mut s, 20);
+            s.demote_to_budget(0).unwrap();
+        }
+        append(&mut s, 40);
+        // The AAR hot entry is bytes alone: the tier copied no key.
+        assert!(s.hot[&win].keys.is_empty() && s.hot[&win].bytes > 0);
+        assert_eq!(s.index[&win].len(), 3);
+        // A prefetch that landed when the window had one block: the
+        // drain must read the other two behind it.
+        let first = s.read_blocks("test", &s.index[&win][..1]).unwrap();
+        s.install_prefetches(vec![Ok((win, first))]);
+
+        let seen = appends.lock().unwrap().len();
+        let drained = drain(&mut s, win, |s, chunks| match chunks {
+            // After the first cold chunk: demotions elsewhere, retired
+            // again at once — enough dead bytes to rewrite the cold log
+            // under the two blocks still queued.
+            1 => {
+                assert_eq!(s.draining[&win].len(), 2);
+                for i in 0..8u8 {
+                    s.append(b"x", other, &[i; 16 << 10], 150).unwrap();
+                    s.demote_to_budget(0).unwrap();
+                }
+                drop(drain(s, other, |_, _| ()));
+                assert_eq!(s.store_metrics.snapshot().compactions, 1);
+            }
+            // Mid-way through the wrapped store's own chunks: the rest
+            // of the window is sealed under the drain and queues behind.
+            5 => {
+                assert!(!s.draining.contains_key(&win));
+                s.demote_to_budget(0).unwrap();
+            }
+            _ => {}
+        });
+        assert_eq!(
+            drained, expect,
+            "each key: cold values, then hot, in append order"
+        );
+        let replayed: Vec<_> = appends.lock().unwrap()[seen..]
+            .iter()
+            .filter(|(key, _)| key.starts_with(b"k"))
+            .cloned()
+            .collect();
+        assert_eq!(replayed, vec![], "the drain wrote rows back into the store");
+        assert_eq!(s.store_metrics.snapshot().prefetch_hits, 1);
+        assert_eq!(s.get_window_chunk(win).unwrap(), None);
+        s.close().unwrap();
+    }
+
+    #[test]
+    fn promotion_replays_an_aur_key_under_its_largest_timestamp() {
+        let dir = ScratchDir::new("tier-aur-ts").unwrap();
+        let window = WindowKind::Session { gap: 50 };
+        let (mut s, appends) = recorded(
+            dir.path(),
+            AggregateKind::FullList,
+            window,
+            32 << 20,
+            plain(),
+        );
+        let win = w(0, 100);
+        // `a` peaks while cold, `b` while hot.
+        for (key, ts) in [(b"a", 10), (b"a", 40), (b"b", 7), (b"a", 20)] {
+            s.append(key, win, b"v", ts).unwrap();
+        }
+        s.demote_to_budget(0).unwrap();
+        for (key, ts) in [(b"a", 15), (b"b", 90), (b"b", 30)] {
+            s.append(key, win, b"v", ts).unwrap();
+        }
+        let seen = appends.lock().unwrap().len();
+        assert_eq!(s.take_values(b"a", win).unwrap().len(), 4);
+        let replayed = appends.lock().unwrap()[seen..].to_vec();
+        let of = |key: &[u8], ts, n| vec![(key.to_vec(), ts); n];
+        assert_eq!(replayed, [of(b"a", 40, 4), of(b"b", 90, 3)].concat());
+        assert_eq!(s.hot[&win].keys[b"b".as_slice()].max_ts, 90);
+        s.close().unwrap();
+    }
+
+    #[test]
+    fn memory_bytes_counts_the_tracked_keys_until_they_are_consumed() {
+        let dir = ScratchDir::new("tier-mem").unwrap();
+        let mut s = tiered_store(
+            dir.path(),
+            AggregateKind::Incremental,
+            WindowKind::Fixed { size: 100 },
+        );
+        let win = w(0, 100);
+        for key in [b"key-1", b"key-2", b"key-3"] {
+            s.put_aggregate(key, win, b"1").unwrap();
+        }
+        assert_eq!(s.memory_bytes(), s.inner.memory_bytes() + 15);
+        for key in [b"key-1", b"key-2", b"key-3"] {
+            s.take_aggregate(key, win).unwrap();
+        }
+        assert_eq!(s.memory_bytes(), s.inner.memory_bytes());
+        s.close().unwrap();
+    }
+
+    #[test]
+    fn no_tier_timer_spans_a_call_into_the_wrapped_store() {
+        // Every consuming read of the wrapped store sleeps 2 ms under its
+        // own Read timer on the metrics block the tier shares. A tier
+        // timer held across such a call (or across another timed tier
+        // function) would count that time twice.
+        let dir = ScratchDir::new("tier-timers").unwrap();
+        let window = WindowKind::Fixed { size: 100 };
+        // A write buffer nothing here fills: the wrapped store's append
+        // timer spans its own flush, which is not the tier's to fix.
+        let mut cfg = FlowKvConfig::small_for_tests();
+        cfg.write_buffer_bytes = 1 << 20;
+        let slow = (cfg, Duration::from_millis(2));
+        let (mut s, _) = recorded(dir.path(), AggregateKind::FullList, window, 0, slow);
+        let (win, next) = (w(0, 100), w(100, 200));
+        let start = Instant::now();
+        // Forced demotion: each append drains the window back out.
+        for i in 0..8u8 {
+            s.append(b"k", win, &[i; 16 << 10], i64::from(i)).unwrap();
+        }
+        drop(drain(&mut s, win, |_, _| ()));
+        // 128 KiB of dead blocks: this wave also rewrites the cold log.
+        s.append(b"k", next, b"v", 101).unwrap();
+        let wall = start.elapsed().as_nanos() as u64;
+        let m = s.store_metrics.snapshot();
+        assert_eq!((m.compactions, m.flushes), (1, 0));
+        assert!(m.read_nanos >= 16 * 2_000_000, "reads slept {m:?}");
+        assert!(
+            m.total_store_nanos() <= wall,
+            "write + read + compaction = {} ns of {wall} ns wall: {m:?}",
+            m.total_store_nanos()
+        );
         s.close().unwrap();
     }
 }
