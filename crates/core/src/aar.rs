@@ -182,13 +182,16 @@ impl AarStore {
     /// Appends `(key, value)` to `window`'s bucket (paper Listing 1,
     /// `Append(K, V, W)`).
     pub fn append(&mut self, key: &[u8], window: WindowId, value: &[u8]) -> Result<()> {
-        let _t = self.metrics.timer(OpCategory::Write);
-        self.buffer_bytes += key.len() + value.len() + 48;
-        self.buffer
-            .entry(window)
-            .or_default()
-            .push((key.to_vec(), value.to_vec()));
-        self.metrics.add_records_written(1);
+        {
+            let _t = self.metrics.timer(OpCategory::Write);
+            self.buffer_bytes += key.len() + value.len() + 48;
+            self.buffer
+                .entry(window)
+                .or_default()
+                .push((key.to_vec(), value.to_vec()));
+            self.metrics.add_records_written(1);
+        }
+        // The flush times itself: no timer of this call may span it.
         if self.buffer_bytes >= self.write_buffer_bytes {
             self.flush()?;
         }
@@ -320,7 +323,11 @@ impl AarStore {
             return Ok(());
         }
         let _t = self.metrics.timer(OpCategory::Write);
-        let buckets = std::mem::take(&mut self.buffer);
+        // Window order: which file is written when — a run's device-op
+        // sequence, and any fault planted in it — is a function of the
+        // input, not of `HashMap` iteration order.
+        let mut buckets: Vec<(WindowId, Vec<Pair>)> = self.buffer.drain().collect();
+        buckets.sort_unstable_by_key(|&(window, _)| window);
         self.buffer_bytes = 0;
         for (window, pairs) in buckets {
             let writer = match self.writers.entry(window) {
@@ -1023,5 +1030,70 @@ mod tests {
         drain_all(&mut s, w(0, 100));
         assert_eq!(s.metrics.snapshot().compactions, 0);
         assert_eq!(s.metrics.snapshot().compaction_nanos, 0);
+    }
+
+    #[test]
+    fn no_timer_spans_a_call_into_another_timed_function() {
+        // Every write through a file handle sleeps 1 ms. An `append`
+        // that fills the buffer triggers the flush under the flush's own
+        // timer: one held across it would count that millisecond twice.
+        use crate::genlog::tests::{assert_no_time_counted_twice, SlowWrites};
+        use std::time::{Duration, Instant};
+        let dir = ScratchDir::new("aar-timers").unwrap();
+        let vfs = SlowWrites::shared(Duration::from_millis(1));
+        let mut s =
+            AarStore::open_with_vfs(dir.path(), 1024, 4, StoreMetrics::new_shared(), vfs).unwrap();
+        let win = w(0, 100);
+        let start = Instant::now();
+        for i in 0..200u32 {
+            s.append(format!("key-{}", i % 40).as_bytes(), win, &[7u8; 32])
+                .unwrap();
+        }
+        assert_eq!(drain_all(&mut s, win).len(), 200);
+        let wall = start.elapsed().as_nanos() as u64;
+        let m = s.metrics.snapshot();
+        assert_no_time_counted_twice(&m, wall);
+    }
+
+    #[test]
+    fn a_flush_writes_its_windows_in_window_order() {
+        // One file per window, so what `HashMap` order would scramble is
+        // not the bytes but which file an op lands on. Plant the same
+        // fault in the same multi-window flush of two stores: both must
+        // fail on the same file, and leave the same files behind.
+        use flowkv_common::vfs::{FaultKind, FaultPlan, FaultVfs};
+        let run = |name: &str, fault_at: u64| {
+            let dir = ScratchDir::new(name).unwrap();
+            let plan = FaultPlan::new().with_fault(fault_at, FaultKind::Enospc);
+            let vfs = FaultVfs::new(StdVfs::shared(), plan);
+            let metrics = StoreMetrics::new_shared();
+            let mut s = AarStore::open_with_vfs(dir.path(), 1 << 20, 4, metrics, vfs).unwrap();
+            for i in 0..64i64 {
+                s.append(b"k", w(i % 16 * 100, i % 16 * 100 + 100), &[i as u8; 16])
+                    .unwrap();
+            }
+            let err = s.flush().unwrap_err().to_string();
+            let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir.path())
+                .unwrap()
+                .map(|e| e.unwrap())
+                .map(|e| {
+                    let name = e.file_name().to_string_lossy().into_owned();
+                    (name, std::fs::read(e.path()).unwrap())
+                })
+                .collect();
+            files.sort();
+            (
+                err.replace(&dir.path().display().to_string(), "<dir>"),
+                files,
+            )
+        };
+        // Op 1 creates the store's directory; a window costs a create
+        // and a write.
+        for fault_at in [4, 9, 16, 23] {
+            let (first, second) = (run("aar-order-a", fault_at), run("aar-order-b", fault_at));
+            assert!(first.0.contains("injected fault"), "{}", first.0);
+            assert_eq!(second.0, first.0, "fault at op {fault_at}");
+            assert!(second.1 == first.1, "fault at op {fault_at}: files differ");
+        }
     }
 }

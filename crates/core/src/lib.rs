@@ -54,6 +54,7 @@ pub mod aar;
 pub mod aur;
 pub mod config;
 pub mod ett;
+mod genlog;
 pub mod partition;
 pub mod partitioner;
 pub mod pattern;

@@ -436,7 +436,9 @@ impl FlowKvFactory {
 impl StateBackendFactory for FlowKvFactory {
     fn create(&self, ctx: &OperatorContext) -> Result<Box<dyn StateBackend>> {
         let dir = ctx.partition_dir();
-        std::fs::create_dir_all(&dir).map_err(|e| StoreError::io_at("backend dir", &dir, e))?;
+        self.vfs
+            .create_dir_all(&dir)
+            .map_err(|e| StoreError::io_at("backend dir", &dir, e))?;
         Ok(Box::new(FlowKvStore::open_with_vfs(
             &dir,
             ctx.semantics,
@@ -651,5 +653,37 @@ mod tests {
         s.flush().unwrap();
         s.close().unwrap();
         assert!(!store_dir.exists());
+    }
+
+    #[test]
+    fn factory_creates_the_partition_directory_through_its_vfs() {
+        use flowkv_common::vfs::{FaultKind, FaultPlan, FaultVfs};
+        let dir = ScratchDir::new("fkv-factory-vfs").unwrap();
+        let plan = FaultPlan::new().with_fault(1, FaultKind::Enospc);
+        let vfs = FaultVfs::new(StdVfs::shared(), plan);
+        let factory = FlowKvFactory::new(FlowKvConfig::small_for_tests()).with_vfs(vfs.clone());
+        let ctx = OperatorContext {
+            operator: "op".into(),
+            partition: 1,
+            semantics: OperatorSemantics::new(AggregateKind::Incremental, WindowKind::Global),
+            data_dir: dir.path().to_path_buf(),
+            telemetry: None,
+            io: None,
+        };
+        // The first thing a factory does is make its directory: a full
+        // disk says so there, not at some later, unrelated call.
+        let err = factory.create(&ctx).err().expect("ENOSPC at op 1");
+        assert!(
+            matches!(
+                &err,
+                StoreError::Io {
+                    context: "backend dir",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(vfs.fired(), vec![(1, FaultKind::Enospc)]);
+        assert!(!ctx.partition_dir().exists());
     }
 }

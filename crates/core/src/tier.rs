@@ -3,8 +3,9 @@
 //! [`TieredStore`] wraps *any* state backend: the wrapped store is the
 //! pinned hot tier holding the windows most likely to trigger next,
 //! while sealed cold windows are demoted into compressed columnar blocks
-//! ([`flowkv_common::columnar`]) appended to a single cold log on the
-//! [`Vfs`] seam. The store already knows the schema — pattern, window,
+//! ([`flowkv_common::columnar`]) appended, one record per block, to a
+//! single cold log ([`GenLog`]) on the [`Vfs`] seam. The store already
+//! knows the schema — pattern, window,
 //! key — so the tier keeps no second index beside it: demotion consumes
 //! the hot tier with the same pattern-legal calls the engine would issue
 //! (AAR window drains, AUR per-key takes, RMW aggregate takes), and a
@@ -35,10 +36,9 @@
 //!   promotion, `read_view` and `extract_range`. Block reads ride the
 //!   tier's I/O ring when [`OperatorContext::io`] configures one, and
 //!   [`TieredStore::advance_prefetch`] submits them ahead of a trigger.
-//! - **Compaction** rewrites the cold log sequentially once dead blocks
-//!   dominate, exactly like the MSA scan it mirrors: surviving blocks
-//!   are copied in window order to a fresh log which atomically
-//!   replaces the old one.
+//! - **Compaction** is the cold [`GenLog`]'s: once dead blocks dominate
+//!   (the stores' MSA rule, with the tier's own factor and floor) the
+//!   surviving blocks are relocated into the next generation.
 //! - **Checkpoints** seal every hot window into the cold tier first, so
 //!   a snapshot is the inner store's (empty) checkpoint plus the cold
 //!   log and a CRC-guarded `TIERMETA` index — and restore is the exact
@@ -58,23 +58,28 @@ use flowkv_common::codec::{self, Decoder};
 use flowkv_common::columnar::{self, BlockKind, ColdRow};
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::{IoRing, Lane};
+use flowkv_common::logfile::RECORD_HEADER_LEN;
 use flowkv_common::metrics::{OpCategory, StoreMetrics};
 use flowkv_common::registry::{StateView, ViewValue};
 use flowkv_common::telemetry::{Counter, Gauge, MetricRegistry, Telemetry};
 use flowkv_common::types::{Timestamp, WindowId};
-use flowkv_common::vfs::{StdVfs, Vfs, VfsFile};
+use flowkv_common::vfs::{StdVfs, Vfs};
 
 use crate::aar::group_by_key;
+use crate::genlog::GenLog;
 use crate::store::state_entry;
 
 /// Magic prefix of the `TIERMETA` checkpoint sidecar.
 const META_MAGIC: [u8; 4] = *b"FKTM";
-/// Current `TIERMETA` format version.
-const META_VERSION: u8 = 1;
+/// Current `TIERMETA` format version. Version 1 indexed a cold log of
+/// length-framed blocks, which this code cannot read.
+const META_VERSION: u8 = 2;
 /// Ring routing tag for tier block reads.
 const TIER_RING_TAG: u64 = 0xC0_1D;
-/// Name of the cold log inside the tier's partition directory.
-const COLD_LOG: &str = "cold.log";
+/// The cold log rewrites once dead blocks are over half of it — the
+/// rewrite then reclaims more than it copies — and it holds this much.
+const COLD_MSA: f64 = 2.0;
+const COLD_COMPACT_FLOOR: u64 = 128 << 10;
 /// Checkpoint file names.
 const CKPT_COLD: &str = "COLDLOG";
 const CKPT_META: &str = "TIERMETA";
@@ -116,12 +121,20 @@ impl TierConfig {
 /// Location of one cold block inside the cold log.
 #[derive(Clone, Copy, Debug)]
 struct BlockRef {
-    /// Offset of the block payload (past the 4-byte length frame).
+    /// Offset of the block: the payload of a log record, past its header.
     offset: u64,
     /// Payload length in bytes.
     len: u32,
     /// Rows inside, for accounting.
     rows: u32,
+}
+
+impl BlockRef {
+    /// `(offset, on-disk length)` of the log record holding the block.
+    fn record(&self) -> (u64, u64) {
+        let len = u64::from(self.len) + RECORD_HEADER_LEN;
+        (self.offset - RECORD_HEADER_LEN, len)
+    }
 }
 
 /// What a prefetch read yields: the window and the payloads of the
@@ -259,13 +272,11 @@ pub struct TieredStore {
     aligned: bool,
     vfs: Arc<dyn Vfs>,
     cold_dir: PathBuf,
-    cold_path: PathBuf,
-    cold_file: Option<Box<dyn VfsFile>>,
-    cold_len: u64,
+    /// The cold log, `cold_<generation>.log`; retired blocks are its
+    /// dead bytes.
+    log: GenLog,
     /// Cold blocks per window, in demotion (append) order.
     index: BTreeMap<WindowId, Vec<BlockRef>>,
-    live_bytes: u64,
-    dead_bytes: u64,
     hot: BTreeMap<WindowId, HotWindow>,
     hot_bytes: usize,
     /// The lane every cold read runs on, keyed by window: over the
@@ -300,7 +311,10 @@ impl TieredStore {
             .join(format!("p{}", ctx.partition));
         vfs.create_dir_all(&cold_dir)
             .map_err(|e| StoreError::io_at("tier dir", &cold_dir, e))?;
-        let cold_path = cold_dir.join(COLD_LOG);
+        // No index outlives the process except inside a checkpoint:
+        // whatever a previous incarnation left in the log is dead.
+        let mut log = GenLog::open(Arc::clone(&vfs), &cold_dir, "cold", "log", None)?;
+        log.retire(log.total());
         let lane = match ctx.io.as_ref().filter(|p| p.threads > 0) {
             Some(p) => {
                 let ring = IoRing::with_telemetry(
@@ -320,12 +334,8 @@ impl TieredStore {
             aligned: ctx.semantics.window.is_aligned(),
             vfs,
             cold_dir,
-            cold_path,
-            cold_file: None,
-            cold_len: 0,
+            log,
             index: BTreeMap::new(),
-            live_bytes: 0,
-            dead_bytes: 0,
             hot: BTreeMap::new(),
             hot_bytes: 0,
             lane,
@@ -398,79 +408,37 @@ impl TieredStore {
 
     fn update_gauges(&self) {
         self.counters.hot_resident.set(self.hot_bytes as i64);
-        self.counters.cold_live.set(self.live_bytes as i64);
-        self.counters.cold_dead.set(self.dead_bytes as i64);
+        let (total, dead) = (self.log.total(), self.log.dead());
+        self.counters.cold_live.set((total - dead) as i64);
+        self.counters.cold_dead.set(dead as i64);
     }
 
     // ---- cold log I/O ---------------------------------------------------
 
-    fn open_cold_for_append(&mut self) -> Result<()> {
-        if self.cold_file.is_some() {
-            return Ok(());
-        }
-        let file = if self.vfs.exists(&self.cold_path) {
-            self.vfs.open_rw(&self.cold_path)
-        } else {
-            self.vfs.create(&self.cold_path)
-        }
-        .map_err(|e| StoreError::io_at("tier cold log open", &self.cold_path, e))?;
-        self.cold_len = file
-            .len()
-            .map_err(|e| StoreError::io_at("tier cold log len", &self.cold_path, e))?;
-        self.cold_file = Some(file);
-        Ok(())
-    }
-
     fn append_block(&mut self, window: WindowId, blob: &[u8], rows: usize) -> Result<()> {
-        self.open_cold_for_append()?;
-        let mut framed = Vec::with_capacity(blob.len() + 4);
-        codec::put_u32(&mut framed, blob.len() as u32);
-        framed.extend_from_slice(blob);
-        let file = self.cold_file.as_mut().expect("opened above");
-        file.write_all_at(&framed, self.cold_len)
-            .map_err(|e| StoreError::io_at("tier cold log append", &self.cold_path, e))?;
-        let offset = self.cold_len + 4;
-        self.cold_len += framed.len() as u64;
+        let loc = self.log.append(blob)?;
         self.index.entry(window).or_default().push(BlockRef {
-            offset,
-            len: blob.len() as u32,
+            offset: loc.offset + RECORD_HEADER_LEN,
+            len: loc.len,
             rows: rows as u32,
         });
-        self.live_bytes += blob.len() as u64;
         self.counters.cold_blocks.inc();
         self.counters.cold_bytes_written.add(blob.len() as u64);
-        self.store_metrics.add_bytes_written(framed.len() as u64);
+        self.store_metrics.add_bytes_written(loc.disk_len());
         Ok(())
-    }
-
-    fn sync_cold_log(&mut self) -> Result<()> {
-        if let Some(file) = self.cold_file.as_mut() {
-            file.sync_data()
-                .map_err(|e| StoreError::io_at("tier cold log sync", &self.cold_path, e))?;
-        }
-        Ok(())
-    }
-
-    /// Copies the cold log at `src` to `dst` (a checkpoint, or back from
-    /// one); where there is none, `dst` becomes an empty log.
-    fn copy_cold_log(&self, src: &Path, dst: &Path) -> Result<()> {
-        let copied = if self.vfs.exists(src) {
-            self.vfs.copy(src, dst).map(drop)
-        } else {
-            self.vfs.write(dst, &[])
-        };
-        copied.map_err(|e| StoreError::io_at("tier cold log copy", dst, e))
     }
 
     /// Reads the payloads of `refs` on the lane and blocks for them:
-    /// promotion misses, the tail a prefetch did not cover, compaction
-    /// and non-consuming scans all read cold blocks here.
-    fn read_blocks(&self, context: &'static str, refs: &[BlockRef]) -> Result<Vec<Vec<u8>>> {
-        let (path, refs) = (self.cold_path.clone(), refs.to_vec());
+    /// promotion misses, the tail a prefetch did not cover and
+    /// non-consuming scans all read cold blocks here.
+    fn read_blocks(&mut self, context: &'static str, refs: &[BlockRef]) -> Result<Vec<Vec<u8>>> {
+        self.log.flush()?;
+        let (path, refs) = (self.log.path(), refs.to_vec());
+        let job_path = path.clone();
         let blobs = self
             .lane
-            .read_through(move |vfs| read_blocks_in(vfs, &path, &refs))
-            .map_err(|e| StoreError::io_at(context, &self.cold_path, e))?;
+            .read_through(move |vfs| read_blocks_in(vfs, &job_path, &refs))
+            .map_err(|e| StoreError::io_at(context, path, e))?;
         self.store_metrics
             .add_bytes_read(blobs.iter().map(|b| b.len() as u64).sum());
         Ok(blobs)
@@ -530,12 +498,13 @@ impl TieredStore {
 
     /// Submits reads for cold windows about to trigger, soonest start
     /// first, within the lane's byte budget.
-    fn submit_prefetch(&mut self, stream_time: Timestamp) {
+    fn submit_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
         let lane = &mut self.lane;
         // Nothing to plan for a lane that admits no read at all.
         if !lane.admits(0, 0) {
-            return;
+            return Ok(());
         }
+        self.log.flush()?;
         let due = lane.due(stream_time);
         for (window, refs) in &self.index {
             if window.end > due || self.prefetched.contains_key(window) || lane.covers(window) {
@@ -545,12 +514,13 @@ impl TieredStore {
             if !lane.admits(self.prefetched_bytes, bytes) {
                 break;
             }
-            let (window, path, refs) = (*window, self.cold_path.clone(), refs.clone());
+            let (window, path, refs) = (*window, self.log.path(), refs.clone());
             lane.submit(vec![window], bytes, move |vfs| {
                 Ok((window, read_blocks_in(vfs, &path, &refs)?))
             });
             self.counters.prefetch_submitted.inc();
         }
+        Ok(())
     }
 
     // ---- demotion -------------------------------------------------------
@@ -656,9 +626,7 @@ impl TieredStore {
         // A failed read leaves the index as it was, for a retry.
         let blobs = self.fetch_window_blobs(window, &refs)?;
         self.index.remove(&window);
-        let freed: u64 = refs.iter().map(|r| u64::from(r.len)).sum();
-        self.live_bytes = self.live_bytes.saturating_sub(freed);
-        self.dead_bytes += freed;
+        self.log.retire(refs.iter().map(|r| r.record().1).sum());
         self.counters.promotions.inc();
         self.counters
             .promoted_rows
@@ -673,7 +641,7 @@ impl TieredStore {
             let block = columnar::decode_block(blob)?;
             if block.window != window {
                 let detail = format!("block of {:?} indexed under {window:?}", block.window);
-                return Err(StoreError::corruption(&self.cold_path, 0, detail));
+                return Err(StoreError::corruption(self.log.path(), 0, detail));
             }
             rows.extend(block.rows);
         }
@@ -763,64 +731,45 @@ impl TieredStore {
 
     // ---- compaction -----------------------------------------------------
 
-    /// Rewrites the cold log once dead bytes reach both floors: below
-    /// the first a rewrite is pointless, and past it the rewrite waits
-    /// until it reclaims at least as much as it copies.
+    /// Rewrites the cold log when the shared rule says so.
     fn maybe_compact(&mut self) -> Result<()> {
-        const COMPACT_MIN_DEAD_BYTES: u64 = 64 << 10;
-        const COMPACT_MIN_DEAD_RATIO: f64 = 0.5;
-        let total = self.live_bytes + self.dead_bytes;
-        if self.dead_bytes < COMPACT_MIN_DEAD_BYTES
-            || (self.dead_bytes as f64) < COMPACT_MIN_DEAD_RATIO * total as f64
-        {
-            return Ok(());
+        if self.log.amplified(COLD_MSA, COLD_COMPACT_FLOOR) {
+            self.compact()?;
         }
-        self.compact()
+        Ok(())
     }
 
-    /// Rewrites the cold log keeping only live blocks, in one sequential
-    /// window-ordered scan (the MSA idiom: reorganize while streaming).
+    /// Rewrites the cold log keeping only live blocks, in log order.
     fn compact(&mut self) -> Result<()> {
         let _t = self.store_metrics.timer(OpCategory::Compaction);
         // In-flight prefetch reads target the old offsets; settle them
         // first (their payloads stay valid — content does not move).
         self.settle_inflight();
-        let tmp = self.cold_dir.join("cold.log.tmp");
-        let out = self
-            .vfs
-            .create(&tmp)
-            .map_err(|e| StoreError::io_at("tier compact create", &tmp, e))?;
-        let mut new_index: BTreeMap<WindowId, Vec<BlockRef>> = BTreeMap::new();
-        let mut new_len = 0u64;
-        // One window's blocks in memory at a time, as in a promotion.
+        // Every live block's record, with its window and its position
+        // among that window's blocks.
+        let mut live: Vec<((u64, u64), WindowId, usize)> = Vec::new();
         for (window, refs) in &self.index {
-            let blobs = self.read_blocks("tier compact read", refs)?;
-            for (r, blob) in refs.iter().zip(blobs) {
-                let mut framed = Vec::with_capacity(blob.len() + 4);
-                codec::put_u32(&mut framed, blob.len() as u32);
-                framed.extend_from_slice(&blob);
-                out.write_all_at(&framed, new_len)
-                    .map_err(|e| StoreError::io_at("tier compact write", &tmp, e))?;
-                new_index.entry(*window).or_default().push(BlockRef {
-                    offset: new_len + 4,
-                    ..*r
-                });
-                new_len += framed.len() as u64;
-                self.store_metrics.add_bytes_written(framed.len() as u64);
-            }
+            live.extend(
+                refs.iter()
+                    .enumerate()
+                    .map(|(i, r)| (r.record(), *window, i)),
+            );
         }
-        let mut out = out;
-        out.sync_data()
-            .map_err(|e| StoreError::io_at("tier compact sync", &tmp, e))?;
-        drop(out);
-        self.cold_file = None;
-        self.vfs
-            .rename(&tmp, &self.cold_path)
-            .map_err(|e| StoreError::io_at("tier compact rename", &self.cold_path, e))?;
-        self.index = new_index;
-        self.cold_len = new_len;
-        let reclaimed = self.dead_bytes;
-        self.dead_bytes = 0;
+        live.sort_unstable_by_key(|&((offset, _), ..)| offset);
+        let locations: Vec<(u64, u64)> = live.iter().map(|&(record, ..)| record).collect();
+        let mut offsets = vec![0u64; live.len()];
+        let staged = self.log.relocate(&locations, |i, offset| {
+            offsets[i] = offset;
+            Ok(())
+        })?;
+        let reclaimed = self.log.dead();
+        GenLog::commit([(&mut self.log, staged)])?;
+        for ((_, window, at), offset) in live.into_iter().zip(offsets) {
+            let block = &mut self.index.get_mut(&window).expect("indexed above")[at];
+            block.offset = offset + RECORD_HEADER_LEN;
+        }
+        self.store_metrics.add_bytes_read(self.log.total());
+        self.store_metrics.add_bytes_written(self.log.total());
         self.counters.compactions.inc();
         self.counters.compaction_reclaimed.add(reclaimed);
         self.store_metrics.add_compaction();
@@ -830,11 +779,11 @@ impl TieredStore {
     /// Merges every cold row whose key `keep` accepts under `hot`, one
     /// window in memory at a time and without consuming any state: what
     /// `extract_range` and `read_view` add to the wrapped store's answer.
-    fn merge_all_cold(&self, hot: &mut Entries, keep: KeyFilter<'_>) -> Result<()> {
-        for (window, refs) in &self.index {
-            let blobs = self.read_blocks("tier cold scan", refs)?;
-            let rows = self.decode_rows(*window, &blobs)?;
-            merge_cold(hot, *window, self.aggregate, rows, keep);
+    fn merge_all_cold(&mut self, hot: &mut Entries, keep: KeyFilter<'_>) -> Result<()> {
+        for (window, refs) in self.index.clone() {
+            let blobs = self.read_blocks("tier cold scan", &refs)?;
+            let rows = self.decode_rows(window, &blobs)?;
+            merge_cold(hot, window, self.aggregate, rows, keep);
         }
         Ok(())
     }
@@ -845,9 +794,7 @@ impl TieredStore {
         let mut buf = Vec::new();
         buf.extend_from_slice(&META_MAGIC);
         buf.push(META_VERSION);
-        codec::put_varint_u64(&mut buf, self.cold_len);
-        codec::put_varint_u64(&mut buf, self.live_bytes);
-        codec::put_varint_u64(&mut buf, self.dead_bytes);
+        codec::put_varint_u64(&mut buf, self.log.total());
         codec::put_varint_u64(&mut buf, self.index.len() as u64);
         for (window, refs) in &self.index {
             codec::put_varint_i64(&mut buf, window.start);
@@ -890,9 +837,14 @@ impl TieredStore {
                 format!("unsupported TIERMETA version {version}"),
             ));
         }
-        self.cold_len = dec.get_varint_u64()?;
-        self.live_bytes = dec.get_varint_u64()?;
-        self.dead_bytes = dec.get_varint_u64()?;
+        // The index must describe the log restored beside it: every
+        // block a whole record inside it, the rest of it dead.
+        let total = dec.get_varint_u64()?;
+        if total != self.log.total() {
+            let detail = format!("TIERMETA indexes {total} B of {} B", self.log.total());
+            return Err(corrupt(dec.position(), detail));
+        }
+        let mut live = 0u64;
         let windows = dec.get_varint_u64()? as usize;
         let mut index = BTreeMap::new();
         for _ in 0..windows {
@@ -907,14 +859,24 @@ impl TieredStore {
             let n = dec.get_varint_u64()? as usize;
             let mut refs = Vec::with_capacity(n.min(body.len()));
             for _ in 0..n {
-                refs.push(BlockRef {
+                let block = BlockRef {
                     offset: dec.get_varint_u64()?,
                     len: dec.get_varint_u64()? as u32,
                     rows: dec.get_varint_u64()? as u32,
-                });
+                };
+                let end = block.offset.saturating_add(u64::from(block.len));
+                live = live.saturating_add(RECORD_HEADER_LEN + u64::from(block.len));
+                if block.offset < RECORD_HEADER_LEN || end > total || live > total {
+                    return Err(corrupt(
+                        dec.position(),
+                        "TIERMETA block outside the log".into(),
+                    ));
+                }
+                refs.push(block);
             }
             index.insert(WindowId::new(start, end), refs);
         }
+        self.log.retire(total - live);
         self.index = index;
         Ok(())
     }
@@ -965,7 +927,7 @@ impl StateBackend for TieredStore {
 
     fn flush(&mut self) -> Result<()> {
         self.inner.flush()?;
-        self.sync_cold_log()
+        self.log.sync()
     }
 
     fn read_view(&mut self) -> Result<Option<StateView>> {
@@ -1015,7 +977,7 @@ impl StateBackend for TieredStore {
         // Install whatever finished since the last boundary.
         let landed = self.lane.drain();
         self.install_prefetches(landed);
-        self.submit_prefetch(stream_time);
+        self.submit_prefetch(stream_time)?;
         self.inner.advance_prefetch(stream_time)
     }
 
@@ -1051,8 +1013,7 @@ impl StateBackend for TieredStore {
             .create_dir_all(&hot_dir)
             .map_err(|e| StoreError::io_at("tier checkpoint dir", &hot_dir, e))?;
         self.inner.checkpoint(&hot_dir)?;
-        self.sync_cold_log()?;
-        self.copy_cold_log(&self.cold_path, &dir.join(CKPT_COLD))?;
+        self.log.checkpoint_to(dir, CKPT_COLD)?;
         let meta_dst = dir.join(CKPT_META);
         self.vfs
             .write(&meta_dst, &self.encode_meta())
@@ -1067,16 +1028,9 @@ impl StateBackend for TieredStore {
         self.draining.clear();
         self.hot.clear();
         self.hot_bytes = 0;
-        self.cold_file = None;
-        self.cold_len = 0;
         self.index.clear();
-        self.live_bytes = 0;
-        self.dead_bytes = 0;
         self.inner.restore(&dir.join(CKPT_HOT))?;
-        self.vfs
-            .create_dir_all(&self.cold_dir)
-            .map_err(|e| StoreError::io_at("tier dir", &self.cold_dir, e))?;
-        self.copy_cold_log(&dir.join(CKPT_COLD), &self.cold_path)?;
+        self.log.restore_from(dir, CKPT_COLD)?;
         let meta_src = dir.join(CKPT_META);
         if self.vfs.exists(&meta_src) {
             let bytes = self
@@ -1094,8 +1048,7 @@ impl StateBackend for TieredStore {
         // Replacing the lane drops the tier's ring, joining its threads.
         self.lane = Lane::inline(Arc::clone(&self.vfs));
         self.inner.close()?;
-        let _ = self.vfs.remove_file(&self.cold_path);
-        let _ = self.vfs.remove_file(&self.cold_dir.join("cold.log.tmp"));
+        self.log.destroy();
         let _ = std::fs::remove_dir_all(&self.cold_dir);
         Ok(())
     }
@@ -1355,26 +1308,21 @@ mod tests {
     #[test]
     fn compaction_reclaims_promoted_blocks() {
         let dir = ScratchDir::new("tier-compact").unwrap();
-        let mut s = tiered(
-            dir.path(),
-            AggregateKind::FullList,
-            WindowKind::Session { gap: 50 },
-            0,
-        );
+        let window = WindowKind::Session { gap: 50 };
+        let (mut s, _) = recorded(dir.path(), AggregateKind::FullList, window, 0, plain());
         let win = w(0, 100);
         // Eight sealed blocks of 16 KiB: once promoted they are 128 KiB
         // of dead bytes, the whole log — past both compaction floors.
         for i in 0..8u8 {
             s.append(b"k", win, &[i; 16 << 10], i64::from(i)).unwrap();
         }
-        let cold_log = dir.path().join("tier/tier-test/p0").join(COLD_LOG);
-        let sealed = std::fs::metadata(&cold_log).unwrap().len();
+        let sealed = std::fs::metadata(s.log.path()).unwrap().len();
         assert!(sealed >= 128 << 10, "cold log holds {sealed} bytes");
         // Promote (take) then write more: the wave after the next append
         // sees dead blocks above both thresholds and compacts.
         let _ = s.take_values(b"k", win).unwrap();
         s.append(b"k2", w(100, 200), b"x", 101).unwrap();
-        let rewritten = std::fs::metadata(&cold_log).unwrap().len();
+        let rewritten = std::fs::metadata(s.log.path()).unwrap().len();
         assert!(
             rewritten < 1 << 10,
             "cold log still holds {rewritten} bytes"
@@ -1389,8 +1337,9 @@ mod tests {
 
     /// The rows of `window`'s cold blocks as `(key, value, ts)`, in block
     /// and row order.
-    fn cold_rows(s: &TieredStore, window: WindowId) -> Vec<(Vec<u8>, Vec<u8>, Timestamp)> {
-        let blobs = s.read_blocks("test", &s.index[&window]).unwrap();
+    fn cold_rows(s: &mut TieredStore, window: WindowId) -> Vec<(Vec<u8>, Vec<u8>, Timestamp)> {
+        let refs = s.index[&window].clone();
+        let blobs = s.read_blocks("test", &refs).unwrap();
         let rows = s.decode_rows(window, &blobs).unwrap();
         rows.into_iter().map(|r| (r.key, r.value, r.ts)).collect()
     }
@@ -1521,7 +1470,7 @@ mod tests {
             row(b"d", b"2", 0),
             row(b"e", b"1", 0),
         ];
-        assert_eq!(cold_rows(&s, win), expect);
+        assert_eq!(cold_rows(&mut s, win), expect);
         assert!(s.hot.is_empty() && s.hot_bytes == 0);
         s.close().unwrap();
 
@@ -1548,7 +1497,7 @@ mod tests {
             row(b"b", b"v5", 9),
             row(b"c", b"v0", 0),
         ];
-        assert_eq!(cold_rows(&s, win), expect);
+        assert_eq!(cold_rows(&mut s, win), expect);
         s.close().unwrap();
     }
 
@@ -1604,7 +1553,8 @@ mod tests {
         assert_eq!(s.index[&win].len(), 3);
         // A prefetch that landed when the window had one block: the
         // drain must read the other two behind it.
-        let first = s.read_blocks("test", &s.index[&win][..1]).unwrap();
+        let first_ref = s.index[&win][..1].to_vec();
+        let first = s.read_blocks("test", &first_ref).unwrap();
         s.install_prefetches(vec![Ok((win, first))]);
 
         let seen = appends.lock().unwrap().len();
@@ -1701,11 +1651,7 @@ mod tests {
         // function) would count that time twice.
         let dir = ScratchDir::new("tier-timers").unwrap();
         let window = WindowKind::Fixed { size: 100 };
-        // A write buffer nothing here fills: the wrapped store's append
-        // timer spans its own flush, which is not the tier's to fix.
-        let mut cfg = FlowKvConfig::small_for_tests();
-        cfg.write_buffer_bytes = 1 << 20;
-        let slow = (cfg, Duration::from_millis(2));
+        let slow = (FlowKvConfig::small_for_tests(), Duration::from_millis(2));
         let (mut s, _) = recorded(dir.path(), AggregateKind::FullList, window, 0, slow);
         let (win, next) = (w(0, 100), w(100, 200));
         let start = Instant::now();
@@ -1718,13 +1664,52 @@ mod tests {
         s.append(b"k", next, b"v", 101).unwrap();
         let wall = start.elapsed().as_nanos() as u64;
         let m = s.store_metrics.snapshot();
-        assert_eq!((m.compactions, m.flushes), (1, 0));
+        // Every 16 KiB append also overflows the wrapped store's write
+        // buffer: eight flushes inside the appends that triggered them.
+        assert_eq!((m.compactions, m.flushes), (1, 8));
         assert!(m.read_nanos >= 16 * 2_000_000, "reads slept {m:?}");
         assert!(
             m.total_store_nanos() <= wall,
             "write + read + compaction = {} ns of {wall} ns wall: {m:?}",
             m.total_store_nanos()
         );
+        s.close().unwrap();
+    }
+
+    #[test]
+    fn tiermeta_of_another_version_or_another_log_is_corruption() {
+        let dir = ScratchDir::new("tier-meta").unwrap();
+        let window = WindowKind::Session { gap: 50 };
+        let (mut s, _) = recorded(dir.path(), AggregateKind::FullList, window, 0, plain());
+        s.append(b"k", w(0, 100), b"v", 1).unwrap();
+        let path = dir.path().join("TIERMETA");
+        let sealed = |body: &[u8]| {
+            let mut bytes = META_MAGIC.to_vec();
+            bytes.extend_from_slice(body);
+            codec::put_u32(&mut bytes, codec::crc32(body));
+            bytes
+        };
+        // What this store writes restores into it.
+        let own = s.encode_meta();
+        s.decode_meta(&own, &path).unwrap();
+        // Version 1 — `cold_len, live, dead, windows…` over a log of
+        // length-framed blocks — is rejected by its version byte, with
+        // its checksum intact.
+        let v1 = sealed(&[1, 40, 36, 0, 1, 0, 100, 1, 4, 36, 1]);
+        let err = s.decode_meta(&v1, &path).unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        assert!(err.to_string().contains("version 1"), "{err}");
+        // A sidecar of this version that describes some other log: the
+        // wrong length, or a block that is not inside it.
+        let total = s.log.total() as u8;
+        for body in [
+            vec![META_VERSION, total + 1, 0],
+            vec![META_VERSION, total, 1, 0, 100, 1, 4, total, 1],
+            vec![META_VERSION, total, 1, 0, 100, 1, 8, total, 1],
+        ] {
+            let err = s.decode_meta(&sealed(&body), &path).unwrap_err();
+            assert!(err.is_corruption(), "{body:?}: {err}");
+        }
         s.close().unwrap();
     }
 }

@@ -5,16 +5,33 @@
 //! and serve the longest intact prefix — never fail to open, never
 //! serve corrupt data. (Lost suffixes are re-supplied by source replay,
 //! the engine-level recovery contract of paper §8.)
+//!
+//! A fault mid-compaction falls under the same contract: whichever op of
+//! the rewrite it lands on, the store reopens and every entry that was
+//! live, unconsumed and flushed before the fault reads back exactly.
+
+mod common;
 
 use std::fs::OpenOptions;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::Arc;
 
 use flowkv::aur::{AurConfig, AurStore};
 use flowkv::ett::EttPredictor;
 use flowkv::rmw::{RmwConfig, RmwStore};
+use flowkv::tier::{TierConfig, TieredFactory};
+use flowkv::{FlowKvConfig, FlowKvFactory};
+use flowkv_common::backend::{
+    AggregateKind, OperatorContext, OperatorSemantics, StateBackend, StateBackendFactory,
+    WindowKind,
+};
+use flowkv_common::error::Result;
 use flowkv_common::metrics::StoreMetrics;
 use flowkv_common::scratch::ScratchDir;
+use flowkv_common::telemetry::{SampleValue, Telemetry};
 use flowkv_common::types::WindowId;
+use flowkv_common::vfs::{splitmix64, FaultKind, FaultPlan, FaultVfs, StdVfs, Vfs};
 use flowkv_hashkv::{HashDb, HashDbConfig};
 
 /// Chops `bytes` off the end of the largest file matching `suffix`.
@@ -180,4 +197,265 @@ fn aar_survives_torn_window_file_tail() {
         }
     }
     assert!(keys.len() >= 50, "intact prefix lost: {} keys", keys.len());
+}
+
+// ---------------------------------------------------------------------------
+// Faults inside a compaction
+// ---------------------------------------------------------------------------
+
+/// Default `FLOWKV_FAULT_SEED` of the sweep's crash half.
+const SWEEP_SEED: u64 = 0xC0A7;
+/// Crash points drawn per store, on top of an `ENOSPC` at every op.
+const CRASHES_PER_STORE: u64 = 6;
+
+/// One store's side of the compaction-fault sweep.
+struct Sweep<S> {
+    name: &'static str,
+    /// Opens the store in a directory, all its I/O on the filesystem.
+    open: fn(&Path, Arc<dyn Vfs>) -> S,
+    /// Brings a fresh store to the brink of a compaction.
+    prepare: fn(&mut S, &Path),
+    /// The one call that compacts.
+    trigger: fn(&mut S) -> Result<()>,
+    /// Compactions the store has run.
+    compactions: fn(&S) -> u64,
+    /// Reopens the directory on a healthy filesystem and checks every
+    /// entry that was live before `trigger`; `after` names the fault.
+    verify: fn(&Path, &str),
+}
+
+impl<S> Sweep<S> {
+    /// Runs prepare + trigger in a fresh directory on `vfs`, drops the
+    /// store — by unwinding, if the filesystem "crashes" — and verifies
+    /// what a reopen finds. Returns the ops before and after `trigger`
+    /// when it returned at all.
+    fn run(&self, vfs: Arc<FaultVfs>, after: &str) -> Option<(u64, u64)> {
+        let dir = ScratchDir::new(&format!("crash-compact-{}", self.name)).unwrap();
+        let span = catch_unwind(AssertUnwindSafe(|| {
+            let mut store = (self.open)(dir.path(), vfs.clone());
+            (self.prepare)(&mut store, dir.path());
+            assert_eq!((self.compactions)(&store), 0, "{after}: compacted early");
+            let before = vfs.ops();
+            let outcome = (self.trigger)(&mut store);
+            if vfs.fired().is_empty() {
+                outcome.unwrap_or_else(|e| panic!("{}, {after}: {e}", self.name));
+                assert_eq!((self.compactions)(&store), 1, "{after}: no compaction");
+            }
+            (before, vfs.ops())
+        }));
+        (self.verify)(dir.path(), after);
+        span.ok()
+    }
+
+    /// Counts the ops the compacting call spans, then plants `ENOSPC` at
+    /// every one of them and a crash at a seeded few.
+    fn sweep(&self) {
+        let seed = common::fault_seed(SWEEP_SEED);
+        let counting = FaultVfs::counting(StdVfs::shared());
+        let (before, end) = self.run(counting, "no fault").expect("undisturbed run");
+        println!(
+            "compaction fault sweep {}: ops {before}..{end}, FLOWKV_FAULT_SEED={seed} \
+             (set the env var to replay)",
+            self.name
+        );
+        // At the least: create, read, write, sync, rename.
+        assert!(
+            end - before >= 5,
+            "{}: compaction spans {before}..{end}",
+            self.name
+        );
+        for op in before + 1..=end {
+            let plan = FaultPlan::new().with_fault(op, FaultKind::Enospc);
+            let after = format!("ENOSPC at op {op} of {before}..{end}");
+            self.run(FaultVfs::new(StdVfs::shared(), plan), &after);
+        }
+        let mut rng = seed ^ self.name.bytes().fold(0, |h, b| h * 31 + u64::from(b));
+        for _ in 0..CRASHES_PER_STORE {
+            let op = before + 1 + splitmix64(&mut rng) % (end - before);
+            let after = format!("crash at op {op} of {before}..{end} (seed {seed})");
+            self.run(
+                FaultVfs::new(StdVfs::shared(), FaultPlan::crash_at(op)),
+                &after,
+            );
+        }
+    }
+}
+
+/// Entries per side: `KEYS` stay live, `KEYS` are consumed one by one
+/// until the log is amplified past the MSA. Same-length keys and values
+/// make every record the same size, so with an MSA of 1.5 the
+/// `COMPACTS_AT`-th consumed record (the first past a third of the log)
+/// is the one whose take compacts.
+const KEYS: u32 = 20;
+const COMPACTS_AT: u32 = 14;
+
+fn live_key(i: u32) -> Vec<u8> {
+    format!("live-{i:02}").into_bytes()
+}
+
+fn doomed_key(i: u32) -> Vec<u8> {
+    format!("doom-{i:02}").into_bytes()
+}
+
+fn value_of(i: u32) -> Vec<u8> {
+    vec![i as u8; 64]
+}
+
+fn aur_cfg() -> AurConfig {
+    AurConfig {
+        write_buffer_bytes: 1 << 10,
+        read_batch_ratio: 0.1,
+        max_space_amplification: 1.5,
+    }
+}
+
+fn open_aur(dir: &Path, vfs: Arc<dyn Vfs>) -> AurStore {
+    let predictor = EttPredictor::SessionGap { gap: 100 };
+    AurStore::open_with_vfs(dir, aur_cfg(), predictor, StoreMetrics::new_shared(), vfs).unwrap()
+}
+
+#[test]
+fn aur_survives_a_fault_at_every_op_of_a_compaction() {
+    Sweep {
+        name: "aur",
+        open: open_aur,
+        prepare: |s, _| {
+            for i in 0..KEYS {
+                s.append(&live_key(i), w(0, 100), &value_of(i), 1).unwrap();
+                s.append(&doomed_key(i), w(0, 100), &value_of(i), 1)
+                    .unwrap();
+            }
+            s.flush().unwrap();
+            for i in 0..COMPACTS_AT - 1 {
+                assert_eq!(s.take(&doomed_key(i), w(0, 100)).unwrap().len(), 1);
+            }
+        },
+        trigger: |s| s.take(&doomed_key(COMPACTS_AT - 1), w(0, 100)).map(drop),
+        compactions: |s| s.generation(),
+        verify: |dir, after| {
+            let mut s = open_aur(dir, StdVfs::shared());
+            for i in 0..KEYS {
+                let got = s.take(&live_key(i), w(0, 100)).unwrap();
+                assert_eq!(got, vec![value_of(i)], "aur, {after}: live key {i}");
+            }
+        },
+    }
+    .sweep();
+}
+
+fn open_rmw(dir: &Path, vfs: Arc<dyn Vfs>) -> (RmwStore, Arc<StoreMetrics>) {
+    let cfg = RmwConfig {
+        write_buffer_bytes: 1 << 10,
+        max_space_amplification: 1.5,
+    };
+    let metrics = StoreMetrics::new_shared();
+    let store = RmwStore::open_with_vfs(dir, cfg, Arc::clone(&metrics), vfs).unwrap();
+    (store, metrics)
+}
+
+#[test]
+fn rmw_survives_a_fault_at_every_op_of_a_compaction() {
+    Sweep {
+        name: "rmw",
+        open: open_rmw,
+        prepare: |(s, _), _| {
+            for i in 0..KEYS {
+                s.put(&live_key(i), w(0, 100), &value_of(i)).unwrap();
+                s.put(&doomed_key(i), w(0, 100), &value_of(i)).unwrap();
+            }
+            s.flush().unwrap();
+            for i in 0..COMPACTS_AT - 1 {
+                assert!(s.take(&doomed_key(i), w(0, 100)).unwrap().is_some());
+            }
+        },
+        trigger: |(s, _)| s.take(&doomed_key(COMPACTS_AT - 1), w(0, 100)).map(drop),
+        compactions: |(_, metrics)| metrics.snapshot().compactions,
+        verify: |dir, after| {
+            let (mut s, _) = open_rmw(dir, StdVfs::shared());
+            for i in 0..KEYS {
+                let got = s.take(&live_key(i), w(0, 100)).unwrap();
+                assert_eq!(got, Some(value_of(i)), "rmw, {after}: live key {i}");
+            }
+        },
+    }
+    .sweep();
+}
+
+/// Blocks of the tier's big window: each append of a `BIG`-byte value
+/// seals one under forced demotion, together past the cold log's
+/// compaction floor.
+const BLOCKS: u32 = 8;
+const BIG: usize = 16 << 10;
+
+/// A forced-demotion tier over FlowKV, with the hub its `tier_*`
+/// counters register on.
+type Tiered = (Box<dyn StateBackend>, Arc<Telemetry>);
+
+fn open_tiered(dir: &Path, vfs: Arc<dyn Vfs>) -> Tiered {
+    let telemetry = Telemetry::new_shared();
+    let ctx = OperatorContext {
+        operator: "op".to_string(),
+        partition: 0,
+        semantics: OperatorSemantics::new(AggregateKind::FullList, WindowKind::Session { gap: 50 }),
+        data_dir: dir.join("data"),
+        telemetry: Some(Arc::clone(&telemetry)),
+        io: None,
+    };
+    let inner = FlowKvFactory::new(FlowKvConfig::small_for_tests()).with_vfs(Arc::clone(&vfs));
+    let store = TieredFactory::new(Arc::new(inner), TierConfig::new(0))
+        .with_vfs(vfs)
+        .create(&ctx)
+        .unwrap();
+    (store, telemetry)
+}
+
+/// The tier keeps its cold index in memory and in checkpoints only, so
+/// its reopen is the engine's: a fresh store over whatever the fault
+/// left in the directory, restored from the last checkpoint — here one
+/// taken just before the compacting call.
+#[test]
+fn tiered_store_survives_a_fault_at_every_op_of_a_cold_log_compaction() {
+    Sweep {
+        name: "tiered",
+        open: open_tiered,
+        prepare: |(s, _), dir| {
+            for i in 0..KEYS {
+                s.append(&live_key(i), w(100, 200), &value_of(i), 101)
+                    .unwrap();
+            }
+            for i in 0..BLOCKS {
+                s.append(b"big", w(0, 100), &vec![i as u8; BIG], i64::from(i))
+                    .unwrap();
+            }
+            s.checkpoint(&dir.join("ckpt")).unwrap();
+        },
+        // Promoting the big window retires its blocks: nearly the whole
+        // cold log is dead, and the same call rewrites it.
+        trigger: |(s, _)| s.take_values(b"big", w(0, 100)).map(drop),
+        // The wrapped store compacts too, on the metrics block the tier
+        // shares; the hub's counter is the cold log's alone.
+        compactions: |(_, telemetry)| {
+            let samples = telemetry.registry().snapshot();
+            let sample = samples.iter().find(|s| s.name == "tier_compactions_total");
+            match sample.map(|s| &s.value) {
+                Some(SampleValue::Counter(n)) => *n,
+                other => panic!("tier_compactions_total is {other:?}"),
+            }
+        },
+        verify: |dir, after| {
+            let (mut s, _) = open_tiered(dir, StdVfs::shared());
+            s.restore(&dir.join("ckpt")).unwrap();
+            let big: Vec<Vec<u8>> = (0..BLOCKS).map(|i| vec![i as u8; BIG]).collect();
+            assert_eq!(
+                s.take_values(b"big", w(0, 100)).unwrap(),
+                big,
+                "tiered, {after}"
+            );
+            for i in 0..KEYS {
+                let got = s.take_values(&live_key(i), w(100, 200)).unwrap();
+                assert_eq!(got, vec![value_of(i)], "tiered, {after}: live key {i}");
+            }
+        },
+    }
+    .sweep();
 }
