@@ -168,6 +168,139 @@ fn bench_aur_cold(c: &mut Criterion) {
     group.finish();
 }
 
+/// AUR on hot state, single-threaded: the store-side shape of the
+/// benchmark's `q11m-aur-max` on one store instance with `flowkv_cfg()`'s
+/// per-instance buffer. 500 keys hold long-lived sessions; an epoch
+/// appends ten values to every active key and flushes (one index entry
+/// per window and epoch, so a window holds at least seven flushed
+/// records when it fires); then the ten keys (2 %) that sat the epoch
+/// out fire and start over. A sentinel window that never fires heads
+/// every flush, so each batch read scans the whole index log and the
+/// bench can count the scanned entries itself. Besides the run's total
+/// it prints, per run: the append phase (appends and flushes), the
+/// misses (batch reads that did not end in a compaction), and the miss
+/// time per scanned index entry.
+fn bench_aur_hot_session(c: &mut Criterion) {
+    use flowkv::aur::{AurConfig, AurStore};
+    use flowkv_common::metrics::StoreMetrics;
+    use std::time::Instant;
+
+    const KEYS: u64 = 500;
+    const PER_EPOCH: u64 = 10;
+    const FIRING: u64 = 10;
+    const WARM_EPOCHS: u64 = 8;
+    const EPOCHS: u64 = 58;
+    /// Tuple timestamps advance by one per append; a key that sits an
+    /// epoch out is a session gap behind.
+    const GAP: i64 = (KEYS * PER_EPOCH) as i64;
+
+    #[derive(Default)]
+    struct Phases {
+        runs: u32,
+        append: Duration,
+        miss: Duration,
+        scanned_entries: u64,
+    }
+
+    fn run(store: &mut AurStore, metrics: &StoreMetrics, phases: &mut Phases) {
+        let session = |start: i64| WindowId::new(start, start + GAP);
+        let sentinel = session(0);
+        let mut windows: Vec<WindowId> = vec![session(0); KEYS as usize];
+        let mut flushed_records = vec![0u64; KEYS as usize];
+        let mut index_entries = 0u64;
+        let mut ts = 0i64;
+        for epoch in 0..EPOCHS {
+            // The keys firing at the end of this epoch have gone quiet.
+            let quiet = match epoch.checked_sub(WARM_EPOCHS) {
+                Some(e) => (e * FIRING) % KEYS..(e * FIRING) % KEYS + FIRING,
+                None => 0..0,
+            };
+            let t0 = Instant::now();
+            store
+                .append(b"\0sentinel", sentinel, &[0u8; 64], ts)
+                .unwrap();
+            for _ in 0..PER_EPOCH {
+                for k in (0..KEYS).filter(|k| !quiet.contains(k)) {
+                    ts += 1;
+                    store
+                        .append(&k.to_le_bytes(), windows[k as usize], &[5u8; 64], ts)
+                        .unwrap();
+                }
+            }
+            store.flush().unwrap();
+            phases.append += t0.elapsed();
+            for k in (0..KEYS).filter(|k| !quiet.contains(k)) {
+                flushed_records[k as usize] += 1;
+            }
+            index_entries += 1 + KEYS - quiet.clone().count() as u64;
+            for k in quiet {
+                let before = metrics.snapshot();
+                let t0 = Instant::now();
+                let values = store.take(&k.to_le_bytes(), windows[k as usize]).unwrap();
+                let took = t0.elapsed();
+                let after = metrics.snapshot();
+                assert_eq!(values.len() as u64, flushed_records[k as usize] * PER_EPOCH);
+                flushed_records[k as usize] = 0;
+                windows[k as usize] = session(ts);
+                if after.compactions > before.compactions {
+                    // The rewrite kept the live windows' entries only.
+                    index_entries = 1 + epoch + flushed_records.iter().sum::<u64>();
+                } else if after.prefetch_misses > before.prefetch_misses {
+                    phases.miss += took;
+                    phases.scanned_entries += index_entries;
+                }
+            }
+        }
+        assert_eq!(metrics.snapshot().flushes, EPOCHS, "an append flushed");
+        phases.runs += 1;
+    }
+
+    let mut group = c.benchmark_group("aur_hot_session");
+    group.measurement_time(Duration::from_secs(5));
+    group.sample_size(5);
+    let per_instance = flowkv_bench::flowkv_cfg();
+    let cfg = AurConfig {
+        write_buffer_bytes: per_instance.write_buffer_bytes / per_instance.store_instances,
+        read_batch_ratio: per_instance.read_batch_ratio,
+        max_space_amplification: per_instance.max_space_amplification,
+    };
+    let mut phases = Phases::default();
+    group.bench_function(BenchmarkId::from_parameter("run"), |b| {
+        b.iter_batched(
+            || {
+                let dir = ScratchDir::new("micro-aur-hot").unwrap();
+                let metrics = StoreMetrics::new_shared();
+                let predictor = flowkv::ett::EttPredictor::SessionGap { gap: GAP };
+                let store =
+                    AurStore::open(dir.path(), cfg.clone(), predictor, metrics.clone()).unwrap();
+                (store, metrics, dir)
+            },
+            |(mut store, metrics, _dir)| {
+                run(&mut store, &metrics, &mut phases);
+                store.close().unwrap();
+            },
+            criterion::BatchSize::PerIteration,
+        );
+    });
+    group.finish();
+    if phases.runs > 0 {
+        let runs = phases.runs;
+        println!(
+            "aur_hot_session/append_phase: {:>12.3?} per run ({runs} runs)",
+            phases.append / runs
+        );
+        println!(
+            "aur_hot_session/miss: {:>12.3?} per run, {} index entries scanned per run",
+            phases.miss / runs,
+            phases.scanned_entries / u64::from(runs)
+        );
+        println!(
+            "aur_hot_session/miss_ns_per_index_entry: {:.1}",
+            phases.miss.as_nanos() as f64 / phases.scanned_entries as f64
+        );
+    }
+}
+
 /// RMW: take/put aggregate cycles over a working set of keys.
 fn bench_rmw(c: &mut Criterion) {
     let mut group = c.benchmark_group("rmw_cycle");
@@ -378,6 +511,7 @@ criterion_group!(
     bench_aar,
     bench_aur,
     bench_aur_cold,
+    bench_aur_hot_session,
     bench_rmw,
     bench_tier_rmw,
     bench_tier_aar_append,

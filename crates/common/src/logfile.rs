@@ -208,9 +208,10 @@ fn split_header(header: &[u8; 8]) -> (u32, u32) {
 fn recover_valid_length_in(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<u64> {
     let mut reader = LogReader::open_in(vfs, path)?;
     let mut valid = 0u64;
+    let mut payload = Vec::new();
     loop {
-        match reader.next_record() {
-            Ok(Some((loc, _))) => valid = loc.end_offset(),
+        match reader.next_record_into(&mut payload) {
+            Ok(Some(loc)) => valid = loc.end_offset(),
             Ok(None) => return Ok(valid),
             // A torn tail is expected after a crash; everything before it
             // is intact.
@@ -295,6 +296,15 @@ impl LogReader {
     /// record's offset; callers recovering a log treat a corruption at the
     /// tail as the recovery point.
     pub fn next_record(&mut self) -> Result<Option<(RecordLocation, Vec<u8>)>> {
+        let mut payload = Vec::new();
+        let loc = self.next_record_into(&mut payload)?;
+        Ok(loc.map(|loc| (loc, payload)))
+    }
+
+    /// [`LogReader::next_record`] into a caller-owned buffer: `payload`
+    /// is overwritten with the record's payload, so a scan that reuses
+    /// one buffer allocates nothing per record.
+    pub fn next_record_into(&mut self, payload: &mut Vec<u8>) -> Result<Option<RecordLocation>> {
         if self.offset == self.file_len {
             return Ok(None);
         }
@@ -310,11 +320,17 @@ impl LogReader {
         if body_end > self.file_len {
             return Err(self.corruption("torn record body"));
         }
-        let mut payload = vec![0u8; len as usize];
+        // A buffer that must grow is replaced, not extended: a fresh
+        // zeroed allocation costs less than copying and filling one.
+        if payload.capacity() < len as usize {
+            *payload = vec![0u8; len as usize];
+        } else {
+            payload.resize(len as usize, 0);
+        }
         self.file
-            .read_exact(&mut payload)
+            .read_exact(payload)
             .map_err(|e| StoreError::io_at("log read body", &self.path, e))?;
-        if crc32(&payload) != crc {
+        if crc32(payload) != crc {
             return Err(self.corruption("checksum mismatch"));
         }
         let loc = RecordLocation {
@@ -322,7 +338,7 @@ impl LogReader {
             len,
         };
         self.offset = body_end;
-        Ok(Some((loc, payload)))
+        Ok(Some(loc))
     }
 
     /// Offset of the next record to be read.

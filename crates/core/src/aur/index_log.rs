@@ -11,11 +11,12 @@ use flowkv_common::codec::{put_len_prefixed, put_u64, put_varint_i64, put_varint
 use flowkv_common::error::Result;
 use flowkv_common::types::{Timestamp, WindowId};
 
-/// One entry of the on-disk index log.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct IndexEntry {
+/// One entry of the on-disk index log, its key borrowed from the record
+/// payload (or from the flushing window), so scans copy nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct IndexEntry<'a> {
     /// The tuple key.
-    pub key: Vec<u8>,
+    pub key: &'a [u8],
     /// The initial window boundary (fixed at window creation, §4.2).
     pub window: WindowId,
     /// Largest tuple timestamp in the flushed group.
@@ -28,19 +29,10 @@ pub struct IndexEntry {
     pub count: u64,
 }
 
-impl IndexEntry {
-    /// Serializes the entry into a log-record payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.encode_into(&mut buf);
-        buf
-    }
-
-    /// Encodes the entry into `buf` (cleared first), letting hot write
-    /// paths reuse one allocation across entries.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.clear();
-        put_len_prefixed(buf, &self.key);
+impl<'a> IndexEntry<'a> {
+    /// Appends the entry's log-record payload to `buf`.
+    pub fn encode_to(&self, buf: &mut Vec<u8>) {
+        put_len_prefixed(buf, self.key);
         self.window.encode_to(buf);
         put_varint_i64(buf, self.max_ts);
         put_u64(buf, self.offset);
@@ -49,10 +41,14 @@ impl IndexEntry {
     }
 
     /// Parses an entry from a log-record payload.
-    pub fn decode(payload: &[u8]) -> Result<Self> {
-        let mut dec = Decoder::new(payload);
-        let key = dec.get_len_prefixed()?.to_vec();
-        let window = WindowId::decode_from(&mut dec)?;
+    pub fn decode(payload: &'a [u8]) -> Result<Self> {
+        Self::decode_from(&mut Decoder::new(payload))
+    }
+
+    /// Parses the next of several entries encoded back to back.
+    pub fn decode_from(dec: &mut Decoder<'a>) -> Result<Self> {
+        let key = dec.get_len_prefixed()?;
+        let window = WindowId::decode_from(dec)?;
         let max_ts = dec.get_varint_i64()?;
         let offset = dec.get_u64()?;
         let len = dec.get_u64()?;
@@ -68,81 +64,69 @@ impl IndexEntry {
     }
 }
 
-/// A borrowed view of an index entry, for allocation-free scans.
-#[derive(Clone, Copy, Debug)]
-pub struct IndexEntryRef<'a> {
-    /// The tuple key (borrowed from the record payload).
-    pub key: &'a [u8],
-    /// The initial window boundary.
-    pub window: WindowId,
-    /// Largest tuple timestamp in the flushed group.
-    pub max_ts: Timestamp,
-    /// Offset of the data record in the data log.
-    pub offset: u64,
-    /// On-disk length of the data record, header included.
-    pub len: u64,
-    /// Number of values inside the data record.
-    pub count: u64,
+/// The values a window has buffered since its last flush, kept in
+/// data-record form — each value length-prefixed, back to back — so an
+/// append copies the value into one growing allocation and a flush
+/// writes the run as it stands.
+#[derive(Debug, Default)]
+pub struct ValueRun {
+    count: u64,
+    bytes: Vec<u8>,
+    /// Bytes held at the last flush: what the next fill allocates up front.
+    flushed_len: usize,
 }
 
-impl<'a> IndexEntryRef<'a> {
-    /// Parses an entry without copying the key.
-    pub fn decode(payload: &'a [u8]) -> Result<Self> {
-        let mut dec = Decoder::new(payload);
-        let key = dec.get_len_prefixed()?;
-        let window = WindowId::decode_from(&mut dec)?;
-        let max_ts = dec.get_varint_i64()?;
-        let offset = dec.get_u64()?;
-        let len = dec.get_u64()?;
-        let count = dec.get_varint_u64()?;
-        Ok(IndexEntryRef {
-            key,
-            window,
-            max_ts,
-            offset,
-            len,
-            count,
-        })
-    }
-
-    /// Converts into an owned [`IndexEntry`].
-    pub fn to_owned(&self) -> IndexEntry {
-        IndexEntry {
-            key: self.key.to_vec(),
-            window: self.window,
-            max_ts: self.max_ts,
-            offset: self.offset,
-            len: self.len,
-            count: self.count,
+impl ValueRun {
+    /// Appends one value.
+    pub fn push(&mut self, value: &[u8]) {
+        if self.bytes.capacity() == 0 {
+            self.bytes.reserve(self.flushed_len);
         }
+        self.count += 1;
+        put_len_prefixed(&mut self.bytes, value);
+    }
+
+    /// Empties the run after a flush, freeing its allocation.
+    pub fn flushed(&mut self) {
+        *self = ValueRun {
+            flushed_len: self.bytes.len(),
+            ..ValueRun::default()
+        };
+    }
+
+    /// Number of values in the run.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Encodes the run as a data-log record payload into `buf`, cleared
+    /// first (the flush path reuses one buffer across groups).
+    pub fn encode_record_into(&self, buf: &mut Vec<u8>) {
+        buf.clear();
+        put_varint_u64(buf, self.count);
+        buf.extend_from_slice(&self.bytes);
+    }
+
+    /// Appends the run's values to `out`, in push order.
+    pub fn decode_into(&self, out: &mut Vec<Vec<u8>>) -> Result<()> {
+        decode_run(&mut Decoder::new(&self.bytes), self.count, out)
     }
 }
 
-/// Encodes a flushed value group into a data-log record payload.
-pub fn encode_values(values: &[Vec<u8>]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_values_into(&mut buf, values);
-    buf
-}
-
-/// Encodes a data-log record into `buf` (cleared first); the flush path
-/// reuses one buffer across groups instead of allocating per record.
-pub fn encode_values_into(buf: &mut Vec<u8>, values: &[Vec<u8>]) {
-    buf.clear();
-    put_varint_u64(buf, values.len() as u64);
-    for v in values {
-        put_len_prefixed(buf, v);
+fn decode_run(dec: &mut Decoder<'_>, count: u64, out: &mut Vec<Vec<u8>>) -> Result<()> {
+    out.reserve((count as usize).min(4096));
+    for _ in 0..count {
+        out.push(dec.get_len_prefixed()?.to_vec());
     }
+    Ok(())
 }
 
 /// Decodes a data-log record payload back into its values.
 pub fn decode_values(payload: &[u8]) -> Result<Vec<Vec<u8>>> {
     let mut dec = Decoder::new(payload);
-    let n = dec.get_varint_u64()? as usize;
-    let mut out = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        out.push(dec.get_len_prefixed()?.to_vec());
-    }
+    let count = dec.get_varint_u64()?;
+    let mut out = Vec::new();
+    decode_run(&mut dec, count, &mut out)?;
     Ok(out)
 }
 
@@ -150,52 +134,61 @@ pub fn decode_values(payload: &[u8]) -> Result<Vec<Vec<u8>>> {
 mod tests {
     use super::*;
 
+    fn encoded(entry: &IndexEntry<'_>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        entry.encode_to(&mut buf);
+        buf
+    }
+
     #[test]
     fn entry_roundtrip() {
         let e = IndexEntry {
-            key: b"user-42".to_vec(),
+            key: b"user-42",
             window: WindowId::new(-10, 500),
             max_ts: 499,
             offset: 12345,
             len: 678,
             count: 9,
         };
-        assert_eq!(IndexEntry::decode(&e.encode()).unwrap(), e);
-    }
-
-    #[test]
-    fn borrowed_decode_matches_owned() {
-        let e = IndexEntry {
-            key: b"user".to_vec(),
-            window: WindowId::new(3, 9),
-            max_ts: 8,
-            offset: 100,
-            len: 20,
-            count: 2,
-        };
-        let buf = e.encode();
-        let r = IndexEntryRef::decode(&buf).unwrap();
-        assert_eq!(r.to_owned(), e);
-        assert_eq!(r.key, b"user");
+        let buf = encoded(&e);
+        let decoded = IndexEntry::decode(&buf).unwrap();
+        assert_eq!(decoded, e);
+        // The key is a view into the payload, not a copy.
+        assert!(buf.as_ptr_range().contains(&decoded.key.as_ptr()));
     }
 
     #[test]
     fn values_roundtrip() {
         let values = vec![b"a".to_vec(), Vec::new(), vec![7u8; 300]];
-        assert_eq!(decode_values(&encode_values(&values)).unwrap(), values);
+        let mut run = ValueRun::default();
+        for v in &values {
+            run.push(v);
+        }
+        assert_eq!(run.count(), 3);
+        let mut record = vec![0xff; 4];
+        run.encode_record_into(&mut record);
+        assert_eq!(decode_values(&record).unwrap(), values);
+        let mut out = vec![b"before".to_vec()];
+        run.decode_into(&mut out).unwrap();
+        assert_eq!(out[0], b"before");
+        assert_eq!(&out[1..], &values[..]);
+        run.flushed();
+        assert_eq!(run.count(), 0);
+        run.encode_record_into(&mut record);
+        assert!(decode_values(&record).unwrap().is_empty());
     }
 
     #[test]
     fn truncated_entry_is_error() {
         let e = IndexEntry {
-            key: b"k".to_vec(),
+            key: b"k",
             window: WindowId::new(0, 1),
             max_ts: 0,
             offset: 0,
             len: 0,
             count: 0,
         };
-        let buf = e.encode();
+        let buf = encoded(&e);
         assert!(IndexEntry::decode(&buf[..buf.len() - 1]).is_err());
     }
 }

@@ -6,14 +6,18 @@
 //!
 //! - appends flushed value groups to a single **global data log** and
 //!   their locations to an append-only **index log** ([`index_log`]);
-//! - keeps a small in-memory **Stat table** of estimated trigger times
-//!   ([`stat`]), updated on every append via the [`EttPredictor`];
+//! - keeps one in-memory **table of live windows** ([`table`]) whose
+//!   entries hold Figure 7's three memory structures: the **Stat table**
+//!   is `ett`/`max_ts`/`disk_bytes`/`disk_records` (updated on every
+//!   append via the [`EttPredictor`]), the **write buffer** `buffered`,
+//!   the **prefetch buffer** `prefetched` — so an append, a trigger and
+//!   each entry of an index scan probe once;
 //! - on a read miss, performs a **predictive batch read**: one sequential
 //!   scan of the index log collects the locations of the requested window
 //!   *and* of the `N = ratio × live-windows` windows closest to
 //!   triggering, loads them in offset order — one device read per run
 //!   of neighbouring records, not one per record — and parks them in
-//!   the **prefetch buffer** ([`prefetch`]);
+//!   the windows' `prefetched` slots;
 //! - writes each flush in **predicted-trigger order**, so the windows a
 //!   batch read wants together sit together in the data log;
 //! - **integrates compaction** with that machinery: dead bytes are
@@ -22,15 +26,20 @@
 //!   of the data log into a new generation — raw record bytes out of
 //!   the same extent reads, never decoded (paper §5). Both logs are
 //!   [`GenLog`](crate::genlog)s, which own the files' whole life.
+//!
+//! A consumed window's records stay in the logs until compaction, and
+//! re-appending to the same `(key, window)` must not resurrect them: a
+//! window's live records are exactly those at or past the data-log offset
+//! of its first flush, `first_offset` ([`LiveTable::classify`]).
 
 pub mod index_log;
-pub mod prefetch;
-pub mod stat;
+mod table;
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
+use flowkv_common::codec::Decoder;
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::{IoRing, Lane, PrefetchProbe};
 use flowkv_common::logfile::{record_payload, LogReader, RandomAccessLog};
@@ -43,9 +52,11 @@ use flowkv_common::vfs::{StdVfs, Vfs};
 use crate::aar::push_view_value;
 use crate::ett::{EttObservation, EttPredictor};
 use crate::genlog::GenLog;
-use index_log::{decode_values, encode_values_into, IndexEntry, IndexEntryRef};
-use prefetch::PrefetchBuffer;
-use stat::{StatTable, StateKey};
+use index_log::{decode_values, IndexEntry};
+use table::{EntryState, LiveTable, Pick, WindowMap};
+
+/// Identifies one window of one key.
+type StateKey = (Vec<u8>, WindowId);
 
 /// Tuning knobs of one AUR store instance.
 #[derive(Clone, Debug)]
@@ -68,81 +79,46 @@ impl Default for AurConfig {
     }
 }
 
-/// Dead leading index entries per state key, nested by key so scans can
-/// probe with borrowed slices.
-type ConsumedRecords = HashMap<Vec<u8>, HashMap<WindowId, u64>>;
-
-/// How many of `(key, window)`'s leading index entries are dead.
-fn dead_prefix_of(consumed: &ConsumedRecords, key: &[u8], window: WindowId) -> u64 {
-    consumed
-        .get(key)
-        .and_then(|ws| ws.get(&window))
-        .copied()
-        .unwrap_or(0)
-}
-
-/// What a walk of the index log saw besides the live entries it visited.
+/// What a walk of the index log saw besides the entries it visited.
 struct IndexWalk {
-    /// Offset of the first live entry, or of the walk's end when every
-    /// entry was dead: nothing before it needs scanning again.
+    /// Offset of the first entry `visit` found live, or of the walk's
+    /// end when it found none: nothing before it needs scanning again.
     live_start: u64,
-    /// State key of each entry in the dead run ahead of `live_start`.
-    dead_run: Vec<StateKey>,
     /// On-disk bytes of the entries walked.
     scanned_bytes: u64,
 }
 
 /// The one index-log scan (paper §4.2): walks `path` from `start`, up to
-/// but never across `limit`, and hands `visit` every entry that is not
-/// in its state key's dead prefix — the first `dead_prefix(key, window)`
-/// entries of a key, counted from `start`, belong to an already-consumed
-/// incarnation of the window. The synchronous batch read, the ring job,
+/// but never across `limit`, decodes each entry in place — one payload
+/// buffer serves the whole walk — and hands it to `visit`, which answers
+/// whether the entry is live. The synchronous batch read, the ring job,
 /// the view scan and the compaction scan differ only in what `visit`
-/// selects and in what they commit from the result.
+/// probes and keeps, and in what they commit from the result.
 fn walk_index(
     vfs: &Arc<dyn Vfs>,
     path: &Path,
     start: u64,
     limit: Option<u64>,
-    dead_prefix: impl Fn(&[u8], WindowId) -> u64,
-    mut visit: impl FnMut(IndexEntryRef<'_>),
+    mut visit: impl FnMut(IndexEntry<'_>) -> bool,
 ) -> Result<IndexWalk> {
-    let mut seen: HashMap<StateKey, u64> = HashMap::new();
     let mut live_start: Option<u64> = None;
-    let mut dead_run: Vec<StateKey> = Vec::new();
     let mut scanned_bytes = 0u64;
+    let mut payload = Vec::new();
     let mut reader = LogReader::open_scan_in(vfs, path, start)?;
     // Stop *before* crossing the limit: bytes past it may belong to a
     // flush the foreground is writing concurrently, and reading into a
     // half-written record would fail the whole walk as a torn file.
     while limit.is_none_or(|limit| reader.offset() < limit) {
-        let Some((loc, payload)) = reader.next_record()? else {
+        let Some(loc) = reader.next_record_into(&mut payload)? else {
             break;
         };
         scanned_bytes += loc.disk_len();
-        let entry = IndexEntryRef::decode(&payload)?;
-        // Position counting only matters for keys with consumed records;
-        // the common case skips the per-entry bookkeeping.
-        let dead_prefix = dead_prefix(entry.key, entry.window);
-        let is_dead = dead_prefix > 0 && {
-            let position = seen.entry((entry.key.to_vec(), entry.window)).or_insert(0);
-            *position += 1;
-            *position <= dead_prefix
-        };
-        if live_start.is_none() {
-            if is_dead {
-                dead_run.push((entry.key.to_vec(), entry.window));
-            } else {
-                live_start = Some(loc.offset);
-            }
-        }
-        if !is_dead {
-            visit(entry);
+        if visit(IndexEntry::decode(&payload)?) && live_start.is_none() {
+            live_start = Some(loc.offset);
         }
     }
     Ok(IndexWalk {
         live_start: live_start.unwrap_or(reader.offset()),
-        dead_run,
         scanned_bytes,
     })
 }
@@ -152,18 +128,16 @@ fn walk_index(
 /// on-disk length)`. Records are fetched in offset order, neighbours
 /// sharing one device read; a window's records stay in append order
 /// because offsets grow with appends.
-fn load_values<S>(
+fn load_values(
     data: &mut RandomAccessLog,
-    mut wanted: Vec<(u64, u64, S)>,
-    mut each: impl FnMut(S, Vec<Vec<u8>>, u64),
+    mut wanted: Vec<(u64, u64, usize)>,
+    mut each: impl FnMut(usize, Vec<Vec<u8>>, u64),
 ) -> Result<()> {
-    wanted.sort_by_key(|&(offset, ..)| offset);
+    wanted.sort_unstable_by_key(|&(offset, ..)| offset);
     let locations: Vec<(u64, u64)> = wanted.iter().map(|&(o, len, _)| (o, len)).collect();
-    let mut slots = wanted.into_iter().map(|(.., slot)| slot);
-    data.read_records(&locations, |_, record| {
-        let slot = slots.next().expect("one slot per location, in order");
+    data.read_records(&locations, |i, record| {
         each(
-            slot,
+            wanted[i].2,
             decode_values(record_payload(record))?,
             record.len() as u64,
         );
@@ -175,10 +149,8 @@ fn load_values<S>(
 pub struct AurStore {
     cfg: AurConfig,
     predictor: EttPredictor,
-    buffer: HashMap<StateKey, Vec<Vec<u8>>>,
-    buffer_bytes: usize,
-    stat: StatTable,
-    prefetch: PrefetchBuffer,
+    /// The live windows: Stat table, write buffer and prefetch buffer.
+    table: LiveTable,
     /// The data log, `data_<generation>.aurd`: flushed value groups. Its
     /// dead bytes are those of consumed windows.
     data: GenLog,
@@ -186,13 +158,6 @@ pub struct AurStore {
     /// record. The two are rewritten together, data committed first, and
     /// on reopen the index's generation decides the pair's.
     index: GenLog,
-    /// Number of *dead* leading index-log entries per state key: a
-    /// consumed window's records stay in the logs until compaction, and
-    /// re-appending to the same `(key, window)` must not resurrect them.
-    /// Shared so a view or compaction scan running on the lane reads the
-    /// counters in place; that scan is over before the next update, so
-    /// `Arc::make_mut` never copies.
-    consumed_records: Arc<ConsumedRecords>,
     /// Offset of the first possibly-live index-log entry: windows are
     /// mostly consumed in append order, so the dead prefix of the index
     /// log grows monotonically and scans can skip it permanently.
@@ -223,7 +188,7 @@ pub struct AurStore {
     /// reaches `t`. A window becomes a candidate only when a flush puts it
     /// on disk, when a background read lands (its windows may have been
     /// rejected), or when stream time reaches its ETT; every other tick
-    /// would walk the whole Stat table to submit nothing.
+    /// would walk the whole table to submit nothing.
     next_prefetch_scan: Option<Timestamp>,
 }
 
@@ -231,7 +196,8 @@ pub struct AurStore {
 ///
 /// Everything needed to decide at drain time whether the read is still
 /// valid travels with the data: the generation and epoch it was read
-/// from, and per window the number of index entries it covered.
+/// from, and per window the incarnation and the number of index entries
+/// it covered.
 struct AsyncBatch {
     generation: u64,
     epoch: u64,
@@ -239,12 +205,11 @@ struct AsyncBatch {
 }
 
 struct AsyncWindow {
-    key: Vec<u8>,
-    window: WindowId,
-    /// Index entries the window had when the read was submitted.
-    disk_records: u64,
+    /// The window and its `first_offset` / `disk_records` / `disk_bytes`
+    /// when the read was submitted.
+    pick: Pick,
     /// Index entries the background scan actually found; must equal
-    /// `disk_records` for the payload to be a complete snapshot.
+    /// `pick.disk_records` for the payload to be a complete snapshot.
     found_records: u64,
     values: Vec<Vec<u8>>,
     bytes: u64,
@@ -332,13 +297,9 @@ impl AurStore {
         let mut store = AurStore {
             cfg,
             predictor,
-            buffer: HashMap::new(),
-            buffer_bytes: 0,
-            stat: StatTable::new(),
-            prefetch: PrefetchBuffer::new(),
+            table: LiveTable::default(),
             data,
             index,
-            consumed_records: Arc::default(),
             index_scan_start: 0,
             latest_ts: Timestamp::MIN,
             encode_buf: Vec::new(),
@@ -388,23 +349,18 @@ impl AurStore {
     ) -> Result<()> {
         {
             let _t = self.metrics.timer(OpCategory::Write);
+            self.latest_ts = self.latest_ts.max(ts);
             // A new tuple for a prefetched window means its trigger-time
-            // estimate was wrong (e.g. a session extended): evict the
-            // stale copy so the eventual read fetches authoritative state.
-            if self.prefetch.evict(key, window) {
+            // estimate was wrong (e.g. a session extended): the table
+            // evicts the stale copy so the eventual read fetches
+            // authoritative state.
+            if self.table.append(key, window, value, ts, &self.predictor) {
                 self.metrics.add_prefetch_eviction();
             }
-            self.latest_ts = self.latest_ts.max(ts);
-            self.stat.observe_append(key, window, ts, &self.predictor);
-            self.buffer_bytes += key.len() + value.len() + 56;
-            self.buffer
-                .entry((key.to_vec(), window))
-                .or_default()
-                .push(value.to_vec());
             self.metrics.add_records_written(1);
         }
         // The flush times itself: no timer of this call may span it.
-        if self.buffer_bytes >= self.cfg.write_buffer_bytes {
+        if self.table.buffer_bytes() >= self.cfg.write_buffer_bytes {
             self.flush()?;
         }
         Ok(())
@@ -417,51 +373,12 @@ impl AurStore {
         // in the ring's done queue since the last tick can serve this
         // very trigger.
         self.drain_lane();
-        let mut disk_values = Vec::new();
-        let mut from_prefetch = false;
+        let mut out = Vec::new();
         {
             let _t = self.metrics.timer(OpCategory::Read);
-            let has_disk = self
-                .stat
-                .get(key, window)
-                .is_some_and(|s| s.disk_records > 0);
-            if has_disk {
-                if let Some(values) = self.prefetch.take(key, window) {
-                    self.metrics.add_prefetch_hit();
-                    if let Some(p) = &self.prefetch_probe {
-                        p.hits.inc();
-                    }
-                    from_prefetch = true;
-                    disk_values = values;
-                } else {
-                    // The window fired while its background read was
-                    // still in flight: the synchronous path wins the
-                    // race, and the completion is discarded at the next
-                    // drain (its disk_records check fails or the window
-                    // is gone from the Stat table).
-                    let late = !self.lane.is_idle() && self.lane.covers(&(key.to_vec(), window));
-                    if late {
-                        if let Some(p) = &self.prefetch_probe {
-                            p.late.inc();
-                        }
-                    }
-                    // When a sampled batch is active, the synchronous
-                    // read a timely prefetch would have hidden is the
-                    // batch's prefetch-stall share.
-                    let stall_t0 = (late && flowkv_common::trace::current().is_some())
-                        .then(std::time::Instant::now);
-                    disk_values = self.predictive_batch_read(key, window)?;
-                    if let Some(t0) = stall_t0 {
-                        flowkv_common::trace::instant_here(
-                            "prefetch_stall",
-                            "prefetch",
-                            &[("stall", t0.elapsed().as_nanos() as i64)],
-                        );
-                    }
-                }
-            }
-            if let Some(stat) = self.stat.consume(key, window) {
-                if let (Some(probe), Some(predicted)) = (&self.ett_probe, stat.ett) {
+            let from_prefetch = self.load_disk_state(key, window, true)?;
+            if let Some(lw) = self.table.consume(key, window) {
+                if let (Some(probe), Some(predicted)) = (&self.ett_probe, lw.ett) {
                     let obs = EttObservation {
                         predicted,
                         actual: self.latest_ts,
@@ -473,19 +390,11 @@ impl AurStore {
                     }
                     probe.observe(window, obs, from_prefetch);
                 }
-                self.data.retire(stat.disk_bytes);
-                if stat.disk_records > 0 {
-                    *Arc::make_mut(&mut self.consumed_records)
-                        .entry(key.to_vec())
-                        .or_default()
-                        .entry(window)
-                        .or_insert(0) += stat.disk_records;
-                }
+                self.data.retire(lw.disk_bytes);
+                out = lw.prefetched.unwrap_or_default();
+                lw.buffered.decode_into(&mut out)?;
             }
         }
-        let mem_values = self.take_buffered(key, window);
-        let mut out = disk_values;
-        out.extend(mem_values);
         self.metrics.add_records_read(out.len() as u64);
         // Compaction (paper §4.2, "Integrated Compaction") doubles as the
         // index-log trimmer: batch reads scan the live region of the
@@ -503,95 +412,89 @@ impl AurStore {
     ///
     /// Disk state is loaded through the same predictive-batch-read
     /// machinery as [`AurStore::take`], but the window stays live: its
-    /// Stat entry, disk records, and buffered values all remain, and the
-    /// prefetched copy stays in the buffer for the eventual `take`.
+    /// table entry, disk records, and buffered values all remain, and
+    /// the prefetched copy stays in place for the eventual `take`.
     pub fn peek(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {
         let mut out = Vec::new();
         {
             let _t = self.metrics.timer(OpCategory::Read);
-            let has_disk = self
-                .stat
-                .get(key, window)
-                .is_some_and(|s| s.disk_records > 0);
-            if has_disk {
-                if let Some(values) = self.prefetch.peek(key, window) {
-                    self.metrics.add_prefetch_hit();
-                    if let Some(p) = &self.prefetch_probe {
-                        p.hits.inc();
-                    }
-                    out = values;
-                } else {
-                    let values = self.predictive_batch_read(key, window)?;
-                    // Leave the copy in the buffer for the eventual take.
-                    self.prefetch.extend((key.to_vec(), window), values.clone());
-                    out = values;
-                }
-            }
+            self.load_disk_state(key, window, false)?;
         }
-        if let Some(buffered) = self.buffer.get(&(key.to_vec(), window)) {
-            out.extend(buffered.iter().cloned());
+        if let Some(lw) = self.table.get(key, window) {
+            out = lw.prefetched.clone().unwrap_or_default();
+            lw.buffered.decode_into(&mut out)?;
         }
         self.metrics.add_records_read(out.len() as u64);
         Ok(out)
     }
 
+    /// Makes the disk values of `(key, window)`, if it has any, resident
+    /// in its `prefetched` slot: a hit (`true`) or a predictive batch read.
+    fn load_disk_state(&mut self, key: &[u8], window: WindowId, consuming: bool) -> Result<bool> {
+        let target_ett = match self.table.get(key, window) {
+            Some(lw) if lw.disk_records > 0 && lw.prefetched.is_none() => lw.ett,
+            Some(lw) if lw.disk_records > 0 => {
+                self.metrics.add_prefetch_hit();
+                if let Some(p) = &self.prefetch_probe {
+                    p.hits.inc();
+                }
+                return Ok(true);
+            }
+            _ => return Ok(false),
+        };
+        // The window fired while its background read was still in
+        // flight: the synchronous path wins the race, and the completion
+        // is discarded at the next drain (its incarnation check fails or
+        // the window is gone from the table).
+        let late = consuming && !self.lane.is_idle() && self.lane.covers(&(key.to_vec(), window));
+        if late {
+            if let Some(p) = &self.prefetch_probe {
+                p.late.inc();
+            }
+        }
+        // When a sampled batch is active, the synchronous read a timely
+        // prefetch would have hidden is the batch's prefetch-stall share.
+        let stall_t0 =
+            (late && flowkv_common::trace::current().is_some()).then(std::time::Instant::now);
+        self.predictive_batch_read(key, window, target_ett)?;
+        if let Some(t0) = stall_t0 {
+            flowkv_common::trace::instant_here(
+                "prefetch_stall",
+                "prefetch",
+                &[("stall", t0.elapsed().as_nanos() as i64)],
+            );
+        }
+        Ok(false)
+    }
+
     /// Flushes the write buffer to the data and index logs.
     pub fn flush(&mut self) -> Result<()> {
-        if self.buffer.is_empty() {
+        if self.table.buffer_bytes() == 0 {
             return Ok(());
         }
         let _t = self.metrics.timer(OpCategory::Write);
         self.next_prefetch_scan = None;
         // Predicted-trigger order: windows that fire together are read
-        // together, so they are written side by side — and the layout is
-        // a function of the input, not of `HashMap` iteration order, so
-        // a run's device-op sequence (and any fault planted in it)
-        // replays.
-        struct Group {
-            ett: Option<Timestamp>,
-            max_ts: Timestamp,
-            state_key: StateKey,
-            values: Vec<Vec<u8>>,
-        }
-        let mut groups: Vec<Group> = self
-            .buffer
-            .drain()
-            .map(|(state_key, values)| {
-                let stat = self.stat.get(&state_key.0, state_key.1);
-                Group {
-                    ett: stat.and_then(|s| s.ett),
-                    max_ts: stat.map_or(Timestamp::MIN, |s| s.max_ts),
-                    state_key,
-                    values,
-                }
-            })
-            .collect();
-        groups.sort_unstable_by(|a, b| (a.ett, &a.state_key).cmp(&(b.ett, &b.state_key)));
-        self.buffer_bytes = 0;
-        for group in groups {
-            let (max_ts, (key, window), values) = (group.max_ts, group.state_key, group.values);
-            encode_values_into(&mut self.encode_buf, &values);
+        // together, so they are written side by side — and a run's
+        // device-op sequence (and any fault planted in it) replays.
+        self.table.flush_each(|key, window, lw| {
+            lw.buffered.encode_record_into(&mut self.encode_buf);
             let loc = self.data.append(&self.encode_buf)?;
             let entry = IndexEntry {
-                key: key.clone(),
+                key,
                 window,
-                max_ts,
+                max_ts: lw.max_ts,
                 offset: loc.offset,
                 len: loc.disk_len(),
-                count: values.len() as u64,
+                count: lw.buffered.count(),
             };
-            entry.encode_into(&mut self.encode_buf);
+            self.encode_buf.clear();
+            entry.encode_to(&mut self.encode_buf);
             let index_loc = self.index.append(&self.encode_buf)?;
             self.metrics
                 .add_bytes_written(loc.disk_len() + index_loc.disk_len());
-            self.stat.add_disk(&key, window, loc.disk_len());
-            // Keep prefetched copies complete: if this window already sits
-            // in the prefetch buffer, the newly flushed values must follow
-            // its older disk values.
-            if self.prefetch.contains(&key, window) {
-                self.prefetch.extend((key, window), values);
-            }
-        }
+            Ok(loc)
+        })?;
         self.data.flush()?;
         self.index.flush()?;
         self.metrics.add_flush();
@@ -603,35 +506,38 @@ impl AurStore {
     ///
     /// Works like a read-only replica of the predictive batch read's
     /// index scan: it walks the index log from the committed scan start,
-    /// skips each state key's dead prefix of consumed records using a
-    /// *local* counter map (never touching `consumed_records` or
-    /// `index_scan_start`), loads the live locations in offset order, and
-    /// finally appends buffered values after disk values — the same
-    /// old-then-new order a `take` serves. The prefetch buffer is a pure
-    /// cache of disk state and needs no special handling.
+    /// keeps the entries the liveness rule passes (never touching the
+    /// table or `index_scan_start`), loads their records in offset
+    /// order, and finally appends buffered values after disk values —
+    /// the same old-then-new order a `take` serves. Prefetched copies
+    /// are a pure cache of disk state and need no special handling.
     pub fn collect_view(
         &mut self,
         out: &mut BTreeMap<(Vec<u8>, WindowId), ViewValue>,
     ) -> Result<()> {
-        if !self.stat.is_empty() {
+        if self.table.len() > 0 {
             if let Some(index_path) = self.index.flushed_path()? {
-                let wanted: Vec<(u64, u64, StateKey)> = self
-                    .scan_live_index("aur view scan", &index_path)?
-                    .into_iter()
-                    .map(|e| (e.offset, e.len, (e.key, e.window)))
-                    .collect();
-                if !wanted.is_empty() {
-                    for ((key, window), values) in self.read_records("aur view read", wanted)? {
+                let scanned = self.scan_index("aur view scan", &index_path)?;
+                let live = self.live_entries(&scanned)?;
+                if !live.is_empty() {
+                    let wanted = live
+                        .iter()
+                        .enumerate()
+                        .map(|(i, e)| (e.offset, e.len, i))
+                        .collect();
+                    for (i, values) in self.read_records("aur view read", wanted)? {
                         for value in values {
-                            push_view_value(out, key.clone(), window, value)?;
+                            push_view_value(out, live[i].key.to_vec(), live[i].window, value)?;
                         }
                     }
                 }
             }
         }
-        for ((key, window), values) in &self.buffer {
-            for value in values {
-                push_view_value(out, key.clone(), *window, value.clone())?;
+        let mut values = Vec::new();
+        for (key, window, lw) in self.table.iter() {
+            lw.buffered.decode_into(&mut values)?;
+            for value in values.drain(..) {
+                push_view_value(out, key.to_vec(), window, value)?;
             }
         }
         Ok(())
@@ -639,7 +545,7 @@ impl AurStore {
 
     /// Approximate bytes of state held in memory.
     pub fn memory_bytes(&self) -> usize {
-        self.buffer_bytes + self.prefetch.memory_bytes() + self.stat.memory_bytes()
+        self.table.memory_bytes()
     }
 
     /// Total bytes in the data log (live + dead), for tests and benches.
@@ -652,9 +558,9 @@ impl AurStore {
         self.data.dead()
     }
 
-    /// Number of windows currently held in the prefetch buffer.
+    /// Number of windows currently holding a prefetched copy.
     pub fn prefetched_windows(&self) -> usize {
-        self.prefetch.len()
+        self.table.prefetched_windows()
     }
 
     /// The current log generation (bumped by each compaction).
@@ -665,11 +571,12 @@ impl AurStore {
     /// Writes a self-contained snapshot into `dst`.
     pub fn checkpoint(&mut self, dst: &Path) -> Result<()> {
         self.flush()?;
-        // Not the MSA's call: consumed-record counts live in memory only
-        // and a restore rebuilds liveness from the index log alone, so a
-        // copy holding dead records would resurrect them. A checkpoint
-        // that is a manifest over the live files (ROADMAP item 6) has to
-        // persist those counts before this rewrite can go.
+        // Not the MSA's call: each window's `first_offset` lives in
+        // memory only and a restore rebuilds liveness from the index log
+        // alone, so a copy holding dead records would resurrect them. A
+        // checkpoint that is a manifest over the live files (ROADMAP
+        // item 6) has to persist those offsets before this rewrite can
+        // go.
         if self.data.dead() > 0 {
             self.compact()?;
         }
@@ -693,54 +600,35 @@ impl AurStore {
             .abandon(|batch| batch.windows.iter().map(|w| w.bytes).sum());
         self.epoch += 1;
         self.next_prefetch_scan = None;
-        self.buffer.clear();
-        self.buffer_bytes = 0;
-        self.stat.clear();
-        self.prefetch.clear();
-        Arc::make_mut(&mut self.consumed_records).clear();
+        self.table = LiveTable::default();
         self.index_scan_start = 0;
         self.data.destroy();
         self.index.destroy();
         Ok(())
     }
 
-    /// Removes and returns the buffered (unflushed) values of a window.
-    fn take_buffered(&mut self, key: &[u8], window: WindowId) -> Vec<Vec<u8>> {
-        match self.buffer.remove(&(key.to_vec(), window)) {
-            Some(values) => {
-                self.buffer_bytes = self.buffer_bytes.saturating_sub(
-                    values
-                        .iter()
-                        .map(|v| key.len() + v.len() + 56)
-                        .sum::<usize>(),
-                );
-                values
-            }
-            None => Vec::new(),
-        }
-    }
-
     /// The predictive batch read (paper §4.2): one index-log scan loads
-    /// the target window plus the `N` windows closest to triggering.
-    fn predictive_batch_read(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {
+    /// the target window plus the `N` windows closest to triggering into
+    /// their `prefetched` slots.
+    fn predictive_batch_read(
+        &mut self,
+        key: &[u8],
+        window: WindowId,
+        target_ett: Option<Timestamp>,
+    ) -> Result<()> {
         self.metrics.add_prefetch_miss();
         let Some(index_path) = self.index.flushed_path()? else {
-            return Ok(Vec::new());
+            return Ok(());
         };
 
         // Select the N soonest-triggering windows beyond the target,
         // plus every window already due at the target's trigger time.
-        let n = (self.cfg.read_batch_ratio * self.stat.len() as f64).ceil() as usize;
+        let n = (self.cfg.read_batch_ratio * self.table.len() as f64).ceil() as usize;
         // Everything due by the store's view of stream time will be read
         // imminently; load it in this same sequential scan. A read batch
         // ratio of zero disables prefetching entirely (paper §6.4).
-        let due_ett = if self.cfg.read_batch_ratio > 0.0 {
-            let target_ett = self.stat.get(key, window).and_then(|s| s.ett);
-            Some(target_ett.unwrap_or(Timestamp::MIN).max(self.latest_ts))
-        } else {
-            None
-        };
-        // Nested selection set so the scan can probe with borrowed keys.
+        let due_ett = (self.cfg.read_batch_ratio > 0.0)
+            .then(|| target_ett.unwrap_or(Timestamp::MIN).max(self.latest_ts));
         // Windows already prefetched are skipped — their data is
         // resident. Windows with an in-flight background read are NOT
         // skipped: this scan is already paying the sequential pass, and
@@ -748,101 +636,84 @@ impl AurStore {
         // be invalidated by a flush or compaction) trades a certain hit
         // for a maybe — the slower completion is simply discarded as
         // wasted at drain time.
-        let mut selected: HashMap<Vec<u8>, HashSet<WindowId>> = HashMap::new();
-        for (k, w) in self.stat.select_soonest(n, due_ett, |k, w| {
-            self.prefetch.contains(k, w) || (k == key && w == window)
-        }) {
-            selected.entry(k).or_default().insert(w);
+        let (mut picks, _) = self.table.select_soonest(n, due_ett, |k, w, lw| {
+            lw.prefetched.is_some() || (k == key && w == window)
+        });
+        if let Some(target) = self.table.get(key, window) {
+            picks.push(Pick::of(key, window, target));
         }
-        selected.entry(key.to_vec()).or_default().insert(window);
+        self.table.mark(&picks);
 
         // One sequential scan of the index log collects the locations of
-        // every selected window's live records.
-        let mut wanted: Vec<(u64, u64, StateKey)> = Vec::new();
+        // every selected window's live records — one table probe per
+        // entry answers dead, live or selected — and commits the scan
+        // start: future scans skip the dead run at the head for good.
+        let mut wanted: Vec<(u64, u64, usize)> = Vec::new();
+        let table = &self.table;
         let walk = walk_index(
             &self.vfs,
             &index_path,
             self.index_scan_start,
             None,
-            |key, window| dead_prefix_of(&self.consumed_records, key, window),
-            |entry| {
-                let is_selected = selected
-                    .get(entry.key)
-                    .is_some_and(|ws| ws.contains(&entry.window));
-                if is_selected && self.stat.get(entry.key, entry.window).is_some() {
-                    wanted.push((entry.offset, entry.len, (entry.key.to_vec(), entry.window)));
+            |entry| match table.classify(entry.key, entry.window, entry.offset) {
+                EntryState::Dead => false,
+                EntryState::Live => true,
+                EntryState::Picked(slot) => {
+                    wanted.push((entry.offset, entry.len, slot));
+                    true
                 }
             },
         )?;
         self.metrics.add_bytes_read(walk.scanned_bytes);
-        // Commit the advanced scan start: future scans skip the dead run
-        // at the head for good, and its entries leave the per-key
-        // dead-prefix accounting.
         self.index_scan_start = walk.live_start;
-        if !walk.dead_run.is_empty() {
-            let consumed = Arc::make_mut(&mut self.consumed_records);
-            for (key, window) in walk.dead_run {
-                if let Some(ws) = consumed.get_mut(&key) {
-                    if let Some(count) = ws.get_mut(&window) {
-                        *count -= 1;
-                        if *count == 0 {
-                            ws.remove(&window);
-                        }
-                    }
-                    if ws.is_empty() {
-                        consumed.remove(&key);
-                    }
-                }
-            }
-        }
 
-        load_values(
-            self.data.reader()?,
-            wanted,
-            |state_key, values, disk_len| {
-                self.metrics.add_bytes_read(disk_len);
-                self.prefetch.extend(state_key, values);
-            },
-        )?;
-        Ok(self.prefetch.take(key, window).unwrap_or_default())
+        load_values(self.data.reader()?, wanted, |slot, values, disk_len| {
+            self.metrics.add_bytes_read(disk_len);
+            self.table
+                .install(&picks[slot].key, picks[slot].window, values);
+        })
     }
 
-    /// The entries of a generation's index log that belong to live
-    /// windows, in log order — the scan of `collect_view` and `compact`,
-    /// run on the lane. The walk skips dead prefixes; Stat liveness is
-    /// applied here because a lane job can't touch the store's `Stat`.
-    /// Commits nothing: `consumed_records` and `index_scan_start` stay
-    /// as they are.
-    fn scan_live_index(&self, context: &'static str, path: &Path) -> Result<Vec<IndexEntry>> {
+    /// Every entry of a generation's index log from the committed scan
+    /// start on, in log order, re-encoded back to back in one allocation
+    /// — the scan of `collect_view` and `compact`, run on the lane. A job
+    /// can't touch the store's table, so the worker applies liveness
+    /// ([`AurStore::live_entries`]). Commits nothing.
+    fn scan_index(&self, context: &'static str, path: &Path) -> Result<Vec<u8>> {
         let scan_start = self.index_scan_start;
-        let consumed = Arc::clone(&self.consumed_records);
         let job_path = path.to_path_buf();
-        let mut live = self
-            .lane
+        self.lane
             .read_through(move |vfs| {
-                let mut live: Vec<IndexEntry> = Vec::new();
-                walk_index(
-                    vfs,
-                    &job_path,
-                    scan_start,
-                    None,
-                    |key, window| dead_prefix_of(&consumed, key, window),
-                    |entry| live.push(entry.to_owned()),
-                )?;
-                Ok(live)
+                let mut scanned = Vec::new();
+                walk_index(vfs, &job_path, scan_start, None, |entry| {
+                    entry.encode_to(&mut scanned);
+                    true
+                })?;
+                Ok(scanned)
             })
-            .map_err(|e| StoreError::io_at(context, path, e))?;
-        live.retain(|e| self.stat.get(&e.key, e.window).is_some());
+            .map_err(|e| StoreError::io_at(context, path, e))
+    }
+
+    /// The entries of `scanned` the liveness rule passes.
+    fn live_entries<'a>(&self, scanned: &'a [u8]) -> Result<Vec<IndexEntry<'a>>> {
+        let mut live = Vec::new();
+        let mut dec = Decoder::new(scanned);
+        while !dec.is_empty() {
+            let entry = IndexEntry::decode_from(&mut dec)?;
+            if self.table.classify(entry.key, entry.window, entry.offset) != EntryState::Dead {
+                live.push(entry);
+            }
+        }
         Ok(live)
     }
 
     /// Reads the data-log records at `wanted` (`(offset, on-disk length,
-    /// state key)`) on the lane.
+    /// slot)`) on the lane.
     fn read_records(
         &mut self,
         context: &'static str,
-        wanted: Vec<(u64, u64, StateKey)>,
-    ) -> Result<Vec<(StateKey, Vec<Vec<u8>>)>> {
+        wanted: Vec<(u64, u64, usize)>,
+    ) -> Result<Vec<(usize, Vec<Vec<u8>>)>> {
         self.data.flush()?;
         let data_path = self.data.path();
         let job_path = data_path.clone();
@@ -850,7 +721,9 @@ impl AurStore {
             .read_through(move |vfs| {
                 let mut loaded = Vec::with_capacity(wanted.len());
                 let mut data = RandomAccessLog::open_in(vfs, &job_path)?;
-                load_values(&mut data, wanted, |sk, values, _| loaded.push((sk, values)))?;
+                load_values(&mut data, wanted, |slot, values, _| {
+                    loaded.push((slot, values))
+                })?;
                 Ok(loaded)
             })
             .map_err(|e| StoreError::io_at(context, &data_path, e))
@@ -858,8 +731,9 @@ impl AurStore {
 
     /// Drives the background prefetcher (called by the engine at batch
     /// and watermark boundaries): drains finished ring reads into the
-    /// prefetch buffer, then schedules reads for every window whose
-    /// ETT-predicted trigger falls within the horizon of `stream_time`.
+    /// windows' `prefetched` slots, then schedules reads for every
+    /// window whose ETT-predicted trigger falls within the horizon of
+    /// `stream_time`.
     pub fn advance_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
         self.drain_lane();
         self.submit_prefetch(stream_time)
@@ -879,27 +753,29 @@ impl AurStore {
         }
     }
 
-    /// Installs a background read's windows into the prefetch buffer,
+    /// Installs a background read's windows as prefetched copies,
     /// discarding any whose state moved underneath the read. The checks
     /// mirror exactly what can change between submit and drain: a
-    /// compaction or restore (generation/epoch), a consume (Stat entry
-    /// gone), or a flush adding records (disk_records advanced).
+    /// compaction or restore (generation/epoch), a consume (table entry
+    /// gone, or a later incarnation with another `first_offset` in its
+    /// place), or a flush adding records (disk_records advanced).
     fn install(&mut self, batch: AsyncBatch) {
         let stale = batch.generation != self.index.generation() || batch.epoch != self.epoch;
         let mut installed = 0i64;
         for w in batch.windows {
-            if stale {
-                self.lane.waste(w.bytes);
-                continue;
-            }
-            match self.stat.get(&w.key, w.window) {
-                Some(s)
-                    if s.disk_records == w.disk_records
-                        && w.found_records == w.disk_records
-                        && !self.prefetch.contains(&w.key, w.window) =>
+            let current = self
+                .table
+                .get(&w.pick.key, w.pick.window)
+                .filter(|_| !stale);
+            match current {
+                Some(lw)
+                    if lw.first_offset == w.pick.first_offset
+                        && lw.disk_records == w.pick.disk_records
+                        && w.found_records == w.pick.disk_records
+                        && lw.prefetched.is_none() =>
                 {
                     self.metrics.add_bytes_read(w.bytes);
-                    self.prefetch.extend((w.key, w.window), w.values);
+                    self.table.install(&w.pick.key, w.pick.window, w.values);
                     installed += 1;
                 }
                 // Grown, already resident, or consumed under the read.
@@ -915,13 +791,13 @@ impl AurStore {
     /// Submits one background read covering every window due within the
     /// prefetch horizon, bounded by the byte budget. The job replays the
     /// synchronous predictive batch read's index scan against a
-    /// consistent snapshot (scan start, dead-prefix counters, index
-    /// length) and never mutates store state — all bookkeeping commits
-    /// happen at drain time on the worker thread.
+    /// consistent snapshot (scan start, each selected window's
+    /// `first_offset`, index length) and never mutates store state — all
+    /// bookkeeping commits happen at drain time on the worker thread.
     fn submit_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
         let lane = &mut self.lane;
         // Nothing to plan for a lane that admits no read at all.
-        if self.cfg.read_batch_ratio <= 0.0 || self.stat.is_empty() || !lane.admits(0, 0) {
+        if self.cfg.read_batch_ratio <= 0.0 || self.table.len() == 0 || !lane.admits(0, 0) {
             return Ok(());
         }
         // One scan in flight per store: each job replays the index scan,
@@ -935,39 +811,28 @@ impl AurStore {
         if self.next_prefetch_scan.is_some_and(|at| due < at) {
             return Ok(());
         }
-        let candidates = self
-            .stat
-            .select_soonest(0, Some(due), |k, w| self.prefetch.contains(k, w));
-        self.next_prefetch_scan = Some(self.stat.next_due_after(due));
-        if candidates.is_empty() {
-            return Ok(());
-        }
-        let resident = self.prefetch.memory_bytes() as u64;
+        // A window with unflushed buffered values is a guaranteed waste:
+        // the flush that carries them advances disk_records, failing the
+        // install check. Prefetch it once it is fully on disk.
+        let (mut picks, next_due) = self.table.select_soonest(0, Some(due), |_, _, lw| {
+            lw.prefetched.is_some() || lw.buffered.count() > 0
+        });
+        self.next_prefetch_scan = Some(next_due);
+        let resident = self.table.prefetch_bytes() as u64;
         let mut est_bytes = 0u64;
-        let mut cands: Vec<(Vec<u8>, WindowId, u64)> = Vec::new();
-        for (k, w) in candidates {
-            // A window with unflushed buffered values is a guaranteed
-            // waste: the flush that carries them advances disk_records,
-            // failing the install check. Prefetch it once it is fully
-            // on disk.
-            let sk = (k, w);
-            if self.buffer.contains_key(&sk) {
-                continue;
-            }
-            let (k, w) = sk;
-            let Some(s) = self.stat.get(&k, w) else {
-                continue;
-            };
-            if !lane.admits(resident + est_bytes, s.disk_bytes) {
+        let mut admitted = 0;
+        for pick in &picks {
+            if !lane.admits(resident + est_bytes, pick.disk_bytes) {
                 // The rest become admissible as triggers drain the
-                // prefetch buffer, which no event announces.
+                // prefetched copies, which no event announces.
                 self.next_prefetch_scan = None;
                 break;
             }
-            est_bytes += s.disk_bytes;
-            cands.push((k, w, s.disk_records));
+            est_bytes += pick.disk_bytes;
+            admitted += 1;
         }
-        if cands.is_empty() {
+        picks.truncate(admitted);
+        if picks.is_empty() {
             return Ok(());
         }
         // Push buffered log bytes to the files and bound the scan at the
@@ -982,54 +847,45 @@ impl AurStore {
         let scan_start = self.index_scan_start;
         let generation = self.index.generation();
         let epoch = self.epoch;
-        // Per selected window: its slot in the batch and how many of its
-        // leading index entries are dead. The job consults the
-        // dead-prefix counters of selected windows only, so only those
-        // travel with it.
-        let mut selected: HashMap<Vec<u8>, HashMap<WindowId, (usize, u64)>> = HashMap::new();
-        for (i, (k, w, _)) in cands.iter().enumerate() {
-            let dead_prefix = dead_prefix_of(&self.consumed_records, k, *w);
-            selected
-                .entry(k.clone())
-                .or_default()
-                .insert(*w, (i, dead_prefix));
+        // The job decides liveness of selected windows only: their slot
+        // in the batch and their `first_offset` travel with it.
+        let mut selected: WindowMap<(usize, u64)> = WindowMap::default();
+        for (slot, pick) in picks.iter().enumerate() {
+            let at = (slot, pick.first_offset);
+            selected.upsert(&pick.key, pick.window, || at, |_| ());
         }
-        let keys: Vec<StateKey> = cands.iter().map(|(k, w, _)| (k.clone(), *w)).collect();
+        let keys: Vec<StateKey> = picks.iter().map(|p| (p.key.clone(), p.window)).collect();
         lane.submit(keys, est_bytes, move |vfs| {
-            let mut out: Vec<AsyncWindow> = cands
+            let mut out: Vec<AsyncWindow> = picks
                 .into_iter()
-                .map(|(key, window, disk_records)| AsyncWindow {
-                    key,
-                    window,
-                    disk_records,
+                .map(|pick| AsyncWindow {
+                    pick,
                     found_records: 0,
                     values: Vec::new(),
                     bytes: 0,
                 })
                 .collect();
             // The walk stops before `index_limit`, the end of the index
-            // log at submission. Unselected windows report no dead
-            // prefix and are dropped by the visitor.
-            let slot_of = |key: &[u8], window: WindowId| {
-                selected.get(key).and_then(|ws| ws.get(&window)).copied()
-            };
+            // log at submission, and keeps the live entries of selected
+            // windows: one probe per entry.
             let mut wanted: Vec<(u64, u64, usize)> = Vec::new();
             walk_index(
                 vfs,
                 &index_path,
                 scan_start,
                 Some(index_limit),
-                |key, window| slot_of(key, window).map_or(0, |(_, dead_prefix)| dead_prefix),
-                |entry| {
-                    if let Some((idx, _)) = slot_of(entry.key, entry.window) {
-                        wanted.push((entry.offset, entry.len, idx));
+                |entry| match selected.get(entry.key, entry.window) {
+                    Some(&(slot, first_offset)) if entry.offset >= first_offset => {
+                        wanted.push((entry.offset, entry.len, slot));
+                        true
                     }
+                    _ => false,
                 },
             )?;
             if !wanted.is_empty() {
                 let mut data = RandomAccessLog::open_in(vfs, &data_path)?;
-                load_values(&mut data, wanted, |idx, values, disk_len| {
-                    let slot = &mut out[idx];
+                load_values(&mut data, wanted, |slot, values, disk_len| {
+                    let slot = &mut out[slot];
                     slot.bytes += disk_len;
                     slot.found_records += 1;
                     slot.values.extend(values);
@@ -1049,20 +905,23 @@ impl AurStore {
     /// match.
     fn compact(&mut self) -> Result<()> {
         let _t = self.metrics.timer(OpCategory::Compaction);
-        // Live entries in append order, each state key's dead prefix of
-        // consumed records skipped (everything before `index_scan_start`
-        // is known dead).
-        let mut live = match self.index.flushed_path()? {
-            Some(path) => self.scan_live_index("aur compact scan", &path)?,
+        // Live entries in append order (everything before
+        // `index_scan_start` is known dead).
+        let scanned = match self.index.flushed_path()? {
+            Some(path) => self.scan_index("aur compact scan", &path)?,
             None => Vec::new(),
         };
+        let mut live = self.live_entries(&scanned)?;
         let locations: Vec<(u64, u64)> = live.iter().map(|e| (e.offset, e.len)).collect();
         let data = self.data.relocate(&locations, |i, offset| {
             live[i].offset = offset;
             Ok(())
         })?;
-        let entries: Vec<Vec<u8>> = live.iter().map(IndexEntry::encode).collect();
-        let index = self.index.replace(&entries)?;
+        let index = self.index.replace(live.iter().map(|entry| {
+            let mut payload = Vec::new();
+            entry.encode_to(&mut payload);
+            payload
+        }))?;
         // Data before index: reopening takes the index's generation for
         // both, so a fault between the two renames finds the old pair.
         GenLog::commit([(&mut self.data, data), (&mut self.index, index)])?;
@@ -1071,28 +930,26 @@ impl AurStore {
         self.metrics.add_bytes_written(moved);
         self.metrics.add_compaction();
         // The rewrite dropped every dead record.
-        Arc::make_mut(&mut self.consumed_records).clear();
+        self.table.compacted();
         self.index_scan_start = 0;
         Ok(())
     }
 
-    /// Rebuilds the Stat table and byte accounting from the index log.
+    /// Rebuilds the table and byte accounting from the index log.
     ///
     /// A crash mid-flush may leave data records the index never came to
     /// list (its torn tail is truncated at open): dead weight for the
     /// next compaction.
     fn rebuild_from_index(&mut self) -> Result<()> {
-        self.stat.clear();
-        self.prefetch.clear();
+        self.table = LiveTable::default();
         self.next_prefetch_scan = None;
-        Arc::make_mut(&mut self.consumed_records).clear();
         self.index_scan_start = 0;
         let mut indexed = 0u64;
         self.index.scan(|_, payload| {
             let entry = IndexEntry::decode(payload)?;
             self.latest_ts = self.latest_ts.max(entry.max_ts);
-            self.stat.rebuild_entry(
-                &entry.key,
+            self.table.rebuild_entry(
+                entry.key,
                 entry.window,
                 entry.max_ts,
                 entry.len,
@@ -1131,6 +988,13 @@ mod tests {
 
     fn w(start: i64, end: i64) -> WindowId {
         WindowId::new(start, end)
+    }
+
+    /// Whether the window holds a prefetched copy of its disk values.
+    fn prefetched(s: &AurStore, key: &[u8], window: WindowId) -> bool {
+        s.table
+            .get(key, window)
+            .is_some_and(|lw| lw.prefetched.is_some())
     }
 
     #[test]
@@ -1219,10 +1083,10 @@ mod tests {
         s.flush().unwrap();
         // Prefetch both windows by reading `a`.
         s.take(b"a", w(0, 1000)).unwrap();
-        assert!(s.prefetch.contains(b"b", w(0, 1000)));
+        assert!(prefetched(&s, b"b", w(0, 1000)));
         // A late tuple for `b` invalidates its estimate.
         s.append(b"b", w(0, 1000), b"v2", 50).unwrap();
-        assert!(!s.prefetch.contains(b"b", w(0, 1000)));
+        assert!(!prefetched(&s, b"b", w(0, 1000)));
         assert_eq!(s.metrics.snapshot().prefetch_evictions, 1);
         // The read still returns complete, ordered state.
         assert_eq!(
@@ -1239,7 +1103,7 @@ mod tests {
         s.append(b"b", w(0, 1000), b"b1", 10).unwrap();
         s.flush().unwrap();
         s.take(b"a", w(0, 1000)).unwrap();
-        assert!(s.prefetch.contains(b"b", w(0, 1000)));
+        assert!(prefetched(&s, b"b", w(0, 1000)));
         // Appending to `b` evicts; re-buffer and flush while NOT
         // prefetched, then reread: order must be b1, b2.
         s.append(b"b", w(0, 1000), b"b2", 20).unwrap();
@@ -1467,7 +1331,7 @@ mod tests {
         }
         let mut s = session_store(dir.path(), cfg_small());
         // ETT rebuilt from the persisted max_ts: 42 + gap 100.
-        assert_eq!(s.stat.get(b"k", w(0, 100)).unwrap().ett, Some(142));
+        assert_eq!(s.table.get(b"k", w(0, 100)).unwrap().ett, Some(142));
         assert_eq!(s.take(b"k", w(0, 100)).unwrap(), vec![b"v".to_vec()]);
     }
 
@@ -1621,21 +1485,24 @@ mod tests {
             let limit = s.index.total();
             let walk = |limit: Option<u64>| {
                 let mut visited: Vec<Vec<u8>> = Vec::new();
-                walk_index(
-                    &s.vfs,
-                    &index,
-                    s.index_scan_start,
-                    limit,
-                    |key, window| dead_prefix_of(&s.consumed_records, key, window),
-                    |entry| visited.push(entry.key.to_vec()),
-                )
-                .map(|walk| (walk, visited))
+                let mut dead_run = 0;
+                let visit = |entry: IndexEntry<'_>| {
+                    let state = s.table.classify(entry.key, entry.window, entry.offset);
+                    if state == EntryState::Dead {
+                        dead_run += usize::from(visited.is_empty());
+                        return false;
+                    }
+                    visited.push(entry.key.to_vec());
+                    true
+                };
+                walk_index(&s.vfs, &index, s.index_scan_start, limit, visit)
+                    .map(|walk| (walk, visited, dead_run))
             };
-            let (bounded, mut visited) = walk(Some(limit)).unwrap();
+            let (bounded, mut visited, dead_run) = walk(Some(limit)).unwrap();
             visited.sort();
             let keys: Vec<Vec<u8>> = expected.iter().map(|(k, _)| k.clone()).collect();
             assert_eq!(visited, keys, "{name}: live entries");
-            assert_eq!(bounded.dead_run.len(), case.dead_run, "{name}: dead run");
+            assert_eq!(dead_run, case.dead_run, "{name}: dead run");
             assert_eq!(
                 bounded.live_start > s.index_scan_start,
                 case.dead_run > 0,
@@ -1644,7 +1511,7 @@ mod tests {
             assert!(bounded.scanned_bytes > 0 && bounded.scanned_bytes <= limit);
             match walk(None) {
                 Err(e) => assert!(case.torn_tail && e.is_corruption(), "{name}: {e}"),
-                Ok((unbounded, _)) => {
+                Ok((unbounded, ..)) => {
                     assert!(!case.torn_tail, "{name}: walked into the torn tail");
                     assert_eq!(unbounded.live_start, bounded.live_start, "{name}");
                 }
@@ -1677,7 +1544,16 @@ mod tests {
 
                 // The serving view, which commits nothing.
                 let (_dir, mut s, _ring) = walk_case_store(case, width);
-                let consumed_before = Arc::clone(&s.consumed_records);
+                let first_offsets = |s: &AurStore| -> Vec<(Vec<u8>, u64)> {
+                    let offsets = s
+                        .table
+                        .iter()
+                        .map(|(k, _, lw)| (k.to_vec(), lw.first_offset));
+                    let mut offsets: Vec<_> = offsets.collect();
+                    offsets.sort();
+                    offsets
+                };
+                let offsets_before = first_offsets(&s);
                 let mut view = BTreeMap::new();
                 s.collect_view(&mut view).unwrap();
                 let view: Vec<_> = view
@@ -1689,9 +1565,10 @@ mod tests {
                     .collect();
                 assert_eq!(view, expected, "{name}: view/{width}");
                 assert_eq!(s.index_scan_start, 0, "{name}: view/{width}");
-                assert!(
-                    Arc::ptr_eq(&consumed_before, &s.consumed_records),
-                    "{name}: view/{width} copied the dead-prefix counters"
+                assert_eq!(
+                    first_offsets(&s),
+                    offsets_before,
+                    "{name}: view/{width} moved a window's first live offset"
                 );
 
                 // Compaction, after which every survivor is still served.
@@ -1703,6 +1580,173 @@ mod tests {
                 assert_eq!(take_all(&mut s, case), expected, "{name}: compact/{width}");
             }
         }
+    }
+
+    /// Offsets of the index log's entries, in log order.
+    fn index_entry_offsets(s: &mut AurStore) -> Vec<u64> {
+        let mut offsets = Vec::new();
+        let each = |loc: flowkv_common::logfile::RecordLocation, _: &[u8]| {
+            offsets.push(loc.offset);
+            Ok(())
+        };
+        s.index.scan(each).unwrap();
+        offsets
+    }
+
+    #[test]
+    fn a_reappended_window_serves_only_its_new_incarnation() {
+        // A compaction resets every `first_offset`; wherever one falls
+        // between the consume, the re-append and the read, the consumed
+        // incarnation's records must stay dead.
+        for compact_after in [None, Some("consume"), Some("re-append")] {
+            let dir = ScratchDir::new("aur-reappend").unwrap();
+            let mut cfg = cfg_small();
+            cfg.read_batch_ratio = 0.0;
+            let mut s = session_store(dir.path(), cfg);
+            // `b` stays live ahead of `a` in the index log, so the scan
+            // start cannot move past `a`'s dead entries.
+            append_flushed(&mut s, &[(b"b", b"b1", 10), (b"a", b"a1", 20)]);
+            append_flushed(&mut s, &[(b"a", b"a2", 30)]);
+            assert_eq!(s.take(b"a", W).unwrap(), [b"a1", b"a2"]);
+            if compact_after == Some("consume") {
+                s.compact().unwrap();
+            }
+            // The new incarnation gets as many records as the old one.
+            append_flushed(&mut s, &[(b"a", b"a3", 40)]);
+            append_flushed(&mut s, &[(b"a", b"a4", 50)]);
+            if compact_after == Some("re-append") {
+                s.compact().unwrap();
+            }
+            let mut view = BTreeMap::new();
+            s.collect_view(&mut view).unwrap();
+            assert_eq!(
+                view.get(&(b"a".to_vec(), W)),
+                Some(&ViewValue::Values(vec![b"a3".to_vec(), b"a4".to_vec()])),
+                "compaction after {compact_after:?}"
+            );
+            assert_eq!(s.peek(b"a", W).unwrap(), [b"a3", b"a4"]);
+            assert_eq!(s.take(b"a", W).unwrap(), [b"a3", b"a4"]);
+            assert_eq!(s.take(b"b", W).unwrap(), [b"b1"]);
+            assert!(s.take(b"a", W).unwrap().is_empty());
+        }
+    }
+
+    #[test]
+    fn a_ring_read_submitted_before_the_consume_is_wasted_not_installed() {
+        let dir = ScratchDir::new("aur-ring-reincarnated").unwrap();
+        let (mut s, ring, telemetry, release) = gated_ring_store(dir.path());
+        append_flushed(&mut s, &[(b"a", b"a1", 10)]);
+        s.advance_prefetch(50).unwrap();
+        assert!(!s.lane.is_idle());
+        // The trigger beats the parked read, and the window comes back
+        // with the record count the read was submitted against.
+        assert_eq!(s.take(b"a", W).unwrap(), [b"a1"]);
+        append_flushed(&mut s, &[(b"a", b"a2", 20)]);
+        release.send(()).unwrap();
+        ring.wait_idle();
+        s.drain_lane();
+        assert_eq!(
+            s.prefetched_windows(),
+            0,
+            "installed a consumed incarnation"
+        );
+        assert!(counter(&telemetry, "prefetch_wasted_bytes") > 0);
+        assert_eq!(s.take(b"a", W).unwrap(), [b"a2"]);
+    }
+
+    #[test]
+    fn the_scan_start_passes_a_leading_dead_run_and_no_live_entry() {
+        let dir = ScratchDir::new("aur-scan-start").unwrap();
+        let mut cfg = cfg_small();
+        cfg.read_batch_ratio = 0.0;
+        cfg.max_space_amplification = 100.0;
+        let mut s = session_store(dir.path(), cfg);
+        append_flushed(
+            &mut s,
+            &[(b"a", b"a1", 10), (b"b", b"b1", 20), (b"c", b"c1", 30)],
+        );
+        let entries = index_entry_offsets(&mut s);
+        // Each read commits the first entry that was live when it
+        // scanned — the read's own window included.
+        assert_eq!(s.take(b"a", W).unwrap(), [b"a1"]);
+        assert_eq!(s.index_scan_start, entries[0]);
+        assert_eq!(s.take(b"c", W).unwrap(), [b"c1"]);
+        assert_eq!(s.index_scan_start, entries[1], "passed live `b`");
+        // `a` returns behind the dead run; `b` still holds the start.
+        append_flushed(&mut s, &[(b"a", b"a2", 40)]);
+        let entries = index_entry_offsets(&mut s);
+        assert_eq!(s.take(b"b", W).unwrap(), [b"b1"]);
+        assert_eq!(s.index_scan_start, entries[1]);
+        // Now the head is dead up to `a`'s second incarnation: the old
+        // `a1` entry ahead of it stayed dead throughout.
+        assert_eq!(s.take(b"a", W).unwrap(), [b"a2"]);
+        assert_eq!(s.index_scan_start, entries[3]);
+        assert_eq!(s.metrics.snapshot().compactions, 0);
+    }
+
+    /// Device work of a scripted run — appends filling four flushes, 20
+    /// batch-read misses, a compaction, a drain — counted at the `Vfs`.
+    /// `crash_matrix`'s forward probes rely on a store-call sequence
+    /// mapping to one device-op sequence, so the count is pinned (it is
+    /// what the store issued before its memory side became one table).
+    #[test]
+    fn a_scripted_run_issues_a_pinned_number_of_device_ops() {
+        use flowkv_common::vfs::FaultVfs;
+        let dir = ScratchDir::new("aur-opcount").unwrap();
+        let counting = FaultVfs::counting(StdVfs::shared());
+        let cfg = AurConfig {
+            write_buffer_bytes: 9_500,
+            read_batch_ratio: 0.02,
+            max_space_amplification: 3.0,
+        };
+        let mut s = AurStore::open_with_vfs(
+            dir.path(),
+            cfg,
+            EttPredictor::SessionGap { gap: 100 },
+            StoreMetrics::new_shared(),
+            counting.clone(),
+        )
+        .unwrap();
+        let key = |i: i64| format!("key-{i:03}");
+        for i in 0..400i64 {
+            s.append(key(i % 100).as_bytes(), W, &[i as u8; 32], i)
+                .unwrap();
+        }
+        assert_eq!(s.metrics.snapshot().flushes, 4);
+        let mut taken = 0;
+        while s.metrics.snapshot().prefetch_misses < 20 {
+            assert_eq!(s.take(key(taken).as_bytes(), W).unwrap().len(), 4);
+            taken += 1;
+        }
+        assert_eq!(s.metrics.snapshot().compactions, 0);
+        for i in taken..100 {
+            assert_eq!(s.take(key(i).as_bytes(), W).unwrap().len(), 4);
+        }
+        let m = s.metrics.snapshot();
+        assert_eq!((m.flushes, m.compactions), (4, 1), "{m:?}");
+        assert_eq!(counting.ops(), 176);
+    }
+
+    #[test]
+    fn memory_bytes_counts_buffered_prefetched_and_table_bytes() {
+        let dir = ScratchDir::new("aur-memory").unwrap();
+        let mut s = session_store(dir.path(), cfg_small());
+        let empty = s.memory_bytes();
+        s.append(b"a", W, &[1u8; 100], 10).unwrap();
+        let table_only = s.memory_bytes() - 100;
+        assert!(table_only > empty, "the entry itself is counted");
+        s.append(b"b", W, &[2u8; 100], 20).unwrap();
+        let buffered = s.memory_bytes();
+        assert!(buffered >= empty + 200);
+        s.flush().unwrap();
+        let flushed = s.memory_bytes();
+        assert!(flushed < buffered - 200 && flushed > empty);
+        // Reading `a` prefetches `b`: its disk values are resident.
+        assert_eq!(s.take(b"a", W).unwrap().len(), 1);
+        assert!(prefetched(&s, b"b", W));
+        assert!(s.memory_bytes() >= empty + 100);
+        assert_eq!(s.take(b"b", W).unwrap().len(), 1);
+        assert_eq!(s.memory_bytes(), empty);
     }
 
     #[test]

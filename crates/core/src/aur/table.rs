@@ -1,0 +1,696 @@
+//! The table of live windows: the memory side of the AUR store (paper
+//! §4.2, Figure 7).
+//!
+//! One entry per live `(key, window)` pair holds the window's
+//! **Stat-table** row, its share of the **write buffer** and its share of
+//! the **prefetch buffer**, so an append, a trigger and every entry of an
+//! index-log scan cost one probe. Data *locations* stay on disk in the
+//! index log — an entry is what must fit in memory even when windows
+//! number in the millions.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher, RandomState};
+
+use flowkv_common::error::Result;
+use flowkv_common::logfile::RecordLocation;
+use flowkv_common::types::{Timestamp, WindowId};
+
+use super::index_log::ValueRun;
+use crate::ett::EttPredictor;
+
+/// Hash state of the table's key maps: a multiply-fold over eight-byte
+/// words, a fraction of SipHash's cost on short keys. Keys are stream
+/// data, so every map draws its seed from the process's `RandomState`.
+#[derive(Clone)]
+struct KeyHash(u64);
+
+impl Default for KeyHash {
+    fn default() -> Self {
+        KeyHash(RandomState::new().hash_one(0u8))
+    }
+}
+
+impl BuildHasher for KeyHash {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher(self.0)
+    }
+}
+
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    /// Folds the halves of a 128-bit product into the state per word, so
+    /// every input bit reaches the low bits (the bucket) and the high ones
+    /// (the tag). A slice hashes its length first: padding is unambiguous.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let product = u128::from(self.0 ^ u64::from_le_bytes(word)) * 0x9e37_79b9_7f4a_7c15;
+            self.0 = (product as u64) ^ ((product >> 64) as u64);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `key → its windows → T`, probed with a borrowed key: one hash per
+/// lookup. A key holds one or two live session windows, so the inner
+/// level is a short list, not a second hash map.
+#[derive(Default)]
+pub struct WindowMap<T> {
+    map: HashMap<Vec<u8>, Vec<(WindowId, T)>, KeyHash>,
+    len: usize,
+    key_bytes: usize,
+}
+
+impl<T> WindowMap<T> {
+    /// Looks up a window's entry without allocating.
+    pub fn get(&self, key: &[u8], window: WindowId) -> Option<&T> {
+        let mut slots = self.map.get(key)?.iter();
+        slots.find(|(w, _)| *w == window).map(|(_, t)| t)
+    }
+
+    fn get_mut(&mut self, key: &[u8], window: WindowId) -> Option<&mut T> {
+        let mut slots = self.map.get_mut(key)?.iter_mut();
+        slots.find(|(w, _)| *w == window).map(|(_, t)| t)
+    }
+
+    /// Runs `update` on the entry of `(key, window)`, created by `new`
+    /// when absent. The key is copied only when it has no window yet.
+    pub fn upsert<R>(
+        &mut self,
+        key: &[u8],
+        window: WindowId,
+        new: impl FnOnce() -> T,
+        update: impl FnOnce(&mut T) -> R,
+    ) -> R {
+        let slots = match self.map.get_mut(key) {
+            Some(slots) => slots,
+            None => {
+                self.key_bytes += key.len();
+                self.map.entry(key.to_vec()).or_default()
+            }
+        };
+        let at = slots.iter().position(|(w, _)| *w == window);
+        let at = at.unwrap_or_else(|| {
+            self.len += 1;
+            slots.push((window, new()));
+            slots.len() - 1
+        });
+        update(&mut slots[at].1)
+    }
+
+    /// Removes a window's entry in one probe; a key with more is put back.
+    pub fn remove(&mut self, key: &[u8], window: WindowId) -> Option<T> {
+        let (key, mut slots) = self.map.remove_entry(key)?;
+        let at = slots.iter().position(|(w, _)| *w == window);
+        let removed = at.map(|at| slots.swap_remove(at).1);
+        self.len -= usize::from(removed.is_some());
+        match slots.is_empty() {
+            true => self.key_bytes -= key.len(),
+            false => drop(self.map.insert(key, slots)),
+        }
+        removed
+    }
+
+    /// Number of windows over all keys.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Iterates `(key, window, entry)` triples.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], WindowId, &T)> {
+        self.map
+            .iter()
+            .flat_map(|(k, slots)| slots.iter().map(move |(w, t)| (k.as_slice(), *w, t)))
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (&[u8], WindowId, &mut T)> {
+        self.map.iter_mut().flat_map(|(k, slots)| {
+            slots
+                .iter_mut()
+                .map(move |(w, t)| (k.as_slice(), *w, &mut *t))
+        })
+    }
+
+    /// Approximate memory footprint of keys and entries in bytes.
+    fn memory_bytes(&self) -> usize {
+        self.key_bytes + self.map.len() * 48 + self.len * 64
+    }
+}
+
+/// Everything the store holds in memory about one live window.
+#[derive(Debug, Default)]
+pub struct LiveWindow {
+    /// Stat table: estimated trigger time, `None` when unpredictable.
+    pub ett: Option<Timestamp>,
+    /// Stat table: largest tuple timestamp observed in the window.
+    pub max_ts: Timestamp,
+    /// Stat table: bytes of this window's state in the data log (record
+    /// framing included).
+    pub disk_bytes: u64,
+    /// Stat table: number of data-log records holding this window's state.
+    pub disk_records: u64,
+    /// Data-log offset of the window's first live record; records of the
+    /// same `(key, window)` below it belong to a consumed incarnation.
+    /// Set by the first flush after the window is created, 0 in a
+    /// generation a compaction or a reopen made (all its records live).
+    pub first_offset: u64,
+    /// Write buffer: values appended since the last flush.
+    pub buffered: ValueRun,
+    /// What `buffered` counts toward the flush threshold.
+    buffered_charge: usize,
+    /// Prefetch buffer: the window's disk values, when a batch read
+    /// loaded them.
+    pub prefetched: Option<Vec<Vec<u8>>>,
+    /// The batch read that selected this window last, and its slot in
+    /// that read's selection.
+    picked: Option<(u64, usize)>,
+}
+
+impl LiveWindow {
+    fn new() -> Self {
+        LiveWindow {
+            max_ts: Timestamp::MIN,
+            ..LiveWindow::default()
+        }
+    }
+
+    fn add_disk(&mut self, offset: u64, bytes: u64) {
+        if self.disk_records == 0 {
+            self.first_offset = offset;
+        }
+        self.disk_bytes += bytes;
+        self.disk_records += 1;
+    }
+}
+
+/// What one probe says about an index entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EntryState {
+    /// Its window was consumed, or it belongs to an earlier incarnation.
+    Dead,
+    /// It locates a record of a live window.
+    Live,
+    /// Live, and the running batch read selected its window as this slot.
+    Picked(usize),
+}
+
+/// A window chosen by [`LiveTable::select_soonest`], as it then was.
+pub struct Pick {
+    pub key: Vec<u8>,
+    pub window: WindowId,
+    pub disk_bytes: u64,
+    pub disk_records: u64,
+    pub first_offset: u64,
+}
+
+impl Pick {
+    /// The selection record of `(key, window)`, whose entry is `lw`.
+    pub fn of(key: &[u8], window: WindowId, lw: &LiveWindow) -> Self {
+        Pick {
+            key: key.to_vec(),
+            window,
+            disk_bytes: lw.disk_bytes,
+            disk_records: lw.disk_records,
+            first_offset: lw.first_offset,
+        }
+    }
+}
+
+fn prefetch_bytes_of(values: &[Vec<u8>]) -> usize {
+    values.iter().map(|v| v.len() + 24).sum()
+}
+
+/// The live windows of one store instance, with the byte accounting of
+/// the write and prefetch buffers spread over them.
+#[derive(Default)]
+pub struct LiveTable {
+    windows: WindowMap<LiveWindow>,
+    buffer_bytes: usize,
+    prefetched: usize,
+    prefetch_bytes: usize,
+    /// Sequence number of the last batch-read selection.
+    scan: u64,
+}
+
+impl LiveTable {
+    /// Buffers `value` for `(key, window)` and updates the window's ETT
+    /// (paper: "ETTs are maintained as an in-memory hash table, updated
+    /// upon every tuple arrival"). A prefetched copy is stale from here
+    /// on and dropped; returns `true` when there was one.
+    pub fn append(
+        &mut self,
+        key: &[u8],
+        window: WindowId,
+        value: &[u8],
+        ts: Timestamp,
+        predictor: &EttPredictor,
+    ) -> bool {
+        let charge = key.len() + value.len() + 56;
+        self.buffer_bytes += charge;
+        let evicted = self.windows.upsert(key, window, LiveWindow::new, |lw| {
+            lw.max_ts = lw.max_ts.max(ts);
+            lw.ett = predictor.predict(key, window, lw.max_ts);
+            lw.buffered.push(value);
+            lw.buffered_charge += charge;
+            lw.prefetched.take()
+        });
+        self.forget_prefetched(evicted.as_deref())
+    }
+
+    /// Takes a dropped prefetched copy out of the accounting.
+    fn forget_prefetched(&mut self, values: Option<&[Vec<u8>]>) -> bool {
+        if let Some(values) = values {
+            self.prefetched -= 1;
+            self.prefetch_bytes -= prefetch_bytes_of(values);
+        }
+        values.is_some()
+    }
+
+    /// Rebuilds one window's bookkeeping from a recovered index entry:
+    /// the persisted `max_ts` re-derives the trigger-time estimate and
+    /// `len` restores the disk footprint.
+    pub fn rebuild_entry(
+        &mut self,
+        key: &[u8],
+        window: WindowId,
+        max_ts: Timestamp,
+        len: u64,
+        predictor: &EttPredictor,
+    ) {
+        self.windows.upsert(key, window, LiveWindow::new, |lw| {
+            lw.max_ts = lw.max_ts.max(max_ts);
+            lw.ett = predictor.predict(key, window, lw.max_ts);
+            lw.add_disk(0, len);
+        });
+    }
+
+    /// Looks up a live window.
+    pub fn get(&self, key: &[u8], window: WindowId) -> Option<&LiveWindow> {
+        self.windows.get(key, window)
+    }
+
+    /// Removes and returns a window when it is consumed.
+    pub fn consume(&mut self, key: &[u8], window: WindowId) -> Option<LiveWindow> {
+        let lw = self.windows.remove(key, window)?;
+        self.buffer_bytes -= lw.buffered_charge;
+        self.forget_prefetched(lw.prefetched.as_deref());
+        Some(lw)
+    }
+
+    /// Adds loaded disk values to a window's prefetched copy, one call
+    /// per data-log record.
+    pub fn install(&mut self, key: &[u8], window: WindowId, values: Vec<Vec<u8>>) {
+        let Some(lw) = self.windows.get_mut(key, window) else {
+            return;
+        };
+        self.prefetch_bytes += prefetch_bytes_of(&values);
+        match &mut lw.prefetched {
+            Some(resident) => resident.extend(values),
+            None => {
+                self.prefetched += 1;
+                lw.prefetched = Some(values);
+            }
+        }
+    }
+
+    /// Hands every window with buffered values to `write` in
+    /// predicted-trigger order — `(ETT, key, window)`, a function of the
+    /// input and not of map iteration order — and moves what `write`
+    /// put on disk from the window's buffer to its disk footprint and,
+    /// to keep it complete, to the end of a prefetched copy.
+    pub fn flush_each(
+        &mut self,
+        mut write: impl FnMut(&[u8], WindowId, &LiveWindow) -> Result<RecordLocation>,
+    ) -> Result<()> {
+        let mut groups: Vec<(&[u8], WindowId, &mut LiveWindow)> = self
+            .windows
+            .iter_mut()
+            .filter(|(.., lw)| lw.buffered.count() > 0)
+            .collect();
+        groups.sort_unstable_by(|a, b| (a.2.ett, a.0, a.1).cmp(&(b.2.ett, b.0, b.1)));
+        for (key, window, lw) in groups {
+            let loc = write(key, window, lw)?;
+            lw.add_disk(loc.offset, loc.disk_len());
+            if let Some(resident) = &mut lw.prefetched {
+                let held = resident.len();
+                lw.buffered.decode_into(resident)?;
+                self.prefetch_bytes += prefetch_bytes_of(&resident[held..]);
+            }
+            self.buffer_bytes -= lw.buffered_charge;
+            lw.buffered_charge = 0;
+            lw.buffered.flushed();
+        }
+        Ok(())
+    }
+
+    /// Returns the live windows with on-disk state whose ETTs are the
+    /// soonest, in `(ETT, key, window)` order, skipping unpredictable
+    /// windows and any for which `skip` returns `true` (paper §4.2,
+    /// "Selecting Windows To Be Read"): the `n` soonest, and beyond `n`
+    /// *every* window already due — ETT at or before `due_ett` — because
+    /// it will be read no later than the window that triggered this
+    /// batch, so loading it in the same sequential scan is strictly
+    /// cheaper than scanning again (DESIGN.md §5). With them, the
+    /// earliest ETT later than `due_ett` among all windows with on-disk
+    /// state: the bound stream time must reach before another window
+    /// becomes due, `Timestamp::MAX` when there is none.
+    pub fn select_soonest(
+        &self,
+        n: usize,
+        due_ett: Option<Timestamp>,
+        mut skip: impl FnMut(&[u8], WindowId, &LiveWindow) -> bool,
+    ) -> (Vec<Pick>, Timestamp) {
+        let mut next_due = Timestamp::MAX;
+        let mut due = 0;
+        let mut candidates: Vec<(Timestamp, &[u8], WindowId, &LiveWindow)> = Vec::new();
+        for (key, window, lw) in self.windows.iter() {
+            let (true, Some(ett)) = (lw.disk_records > 0, lw.ett) else {
+                continue;
+            };
+            let is_due = due_ett.is_some_and(|due| ett <= due);
+            if !is_due {
+                next_due = next_due.min(ett);
+            }
+            if (is_due || n > 0) && !skip(key, window, lw) {
+                due += usize::from(is_due);
+                candidates.push((ett, key, window, lw));
+            }
+        }
+        // Due windows have the smallest ETTs, so the selection is the
+        // first `max(n, due)` candidates in order: cut, then sort those.
+        let cut = n.max(due);
+        if (1..candidates.len()).contains(&cut) {
+            candidates.select_nth_unstable_by_key(cut - 1, |&(ett, k, w, _)| (ett, k, w));
+        }
+        candidates.truncate(cut);
+        candidates.sort_unstable_by_key(|&(ett, k, w, _)| (ett, k, w));
+        let picks = candidates
+            .into_iter()
+            .map(|(_, key, window, lw)| Pick::of(key, window, lw))
+            .collect();
+        (picks, next_due)
+    }
+
+    /// Marks `picks` as the selection of a new batch read: until the next
+    /// call, `classify` answers `Picked(i)` for live entries of `picks[i]`.
+    pub fn mark(&mut self, picks: &[Pick]) {
+        self.scan += 1;
+        for (slot, pick) in picks.iter().enumerate() {
+            if let Some(lw) = self.windows.get_mut(&pick.key, pick.window) {
+                lw.picked = Some((self.scan, slot));
+            }
+        }
+    }
+
+    /// The liveness rule, in one probe: an index entry is live iff its
+    /// window is in the table with disk records and the entry's data
+    /// record sits at or past the window's `first_offset`.
+    pub fn classify(&self, key: &[u8], window: WindowId, offset: u64) -> EntryState {
+        match self.windows.get(key, window) {
+            Some(lw) if lw.disk_records > 0 && offset >= lw.first_offset => match lw.picked {
+                Some((scan, slot)) if scan == self.scan => EntryState::Picked(slot),
+                _ => EntryState::Live,
+            },
+            _ => EntryState::Dead,
+        }
+    }
+
+    /// A compaction rewrote the logs with live records only: every
+    /// record of every window is live in the new generation.
+    pub fn compacted(&mut self) {
+        for (.., lw) in self.windows.iter_mut() {
+            lw.first_offset = 0;
+        }
+    }
+
+    /// Iterates `(key, window, entry)` triples.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], WindowId, &LiveWindow)> {
+        self.windows.iter()
+    }
+
+    /// Number of live windows.
+    pub fn len(&self) -> usize {
+        self.windows.len()
+    }
+
+    /// Bytes buffered for the next flush, as the flush threshold counts.
+    pub fn buffer_bytes(&self) -> usize {
+        self.buffer_bytes
+    }
+
+    /// Number of windows holding a prefetched copy.
+    pub fn prefetched_windows(&self) -> usize {
+        self.prefetched
+    }
+
+    /// Approximate bytes of prefetched values.
+    pub fn prefetch_bytes(&self) -> usize {
+        self.prefetch_bytes
+    }
+
+    /// Approximate bytes of state held in memory: buffered values,
+    /// prefetched values, and the table itself.
+    pub fn memory_bytes(&self) -> usize {
+        self.buffer_bytes + self.prefetch_bytes + self.windows.memory_bytes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const GAP: EttPredictor = EttPredictor::SessionGap { gap: 10 };
+
+    fn w(start: i64, end: i64) -> WindowId {
+        WindowId::new(start, end)
+    }
+
+    /// A table holding `rows` as windows `[0, 200)` with one 10-byte
+    /// disk record each.
+    fn on_disk(rows: &[(&[u8], Timestamp)]) -> LiveTable {
+        let mut t = LiveTable::default();
+        for &(key, ts) in rows {
+            t.rebuild_entry(key, w(0, 200), ts, 10, &GAP);
+        }
+        t
+    }
+
+    fn keys(picks: &[Pick]) -> Vec<&[u8]> {
+        picks.iter().map(|p| p.key.as_slice()).collect()
+    }
+
+    #[test]
+    fn append_tracks_max_ts_and_ett() {
+        let mut t = LiveTable::default();
+        t.append(b"k", w(0, 50), b"v", 5, &GAP);
+        assert_eq!(t.get(b"k", w(0, 50)).unwrap().ett, Some(15));
+        t.append(b"k", w(0, 50), b"v", 30, &GAP);
+        assert_eq!(t.get(b"k", w(0, 50)).unwrap().ett, Some(40));
+        // Out-of-order timestamps do not shrink the estimate.
+        t.append(b"k", w(0, 50), b"v", 10, &GAP);
+        assert_eq!(t.get(b"k", w(0, 50)).unwrap().ett, Some(40));
+        assert_eq!(t.get(b"k", w(0, 50)).unwrap().max_ts, 30);
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn flushes_accumulate_disk_footprint_from_the_first_offset() {
+        let mut t = LiveTable::default();
+        let mut offset = 700;
+        let mut flush = |t: &mut LiveTable| {
+            t.flush_each(|_, _, lw| {
+                offset += 100;
+                Ok(RecordLocation {
+                    offset,
+                    len: 42 + lw.buffered.count() as u32,
+                })
+            })
+            .unwrap();
+        };
+        t.append(b"k", w(0, 50), b"v", 5, &GAP);
+        flush(&mut t);
+        t.append(b"k", w(0, 50), b"v", 6, &GAP);
+        t.append(b"k", w(0, 50), b"v", 7, &GAP);
+        flush(&mut t);
+        let lw = t.get(b"k", w(0, 50)).unwrap();
+        assert_eq!(lw.disk_bytes, (8 + 43) + (8 + 44));
+        assert_eq!(lw.disk_records, 2);
+        assert_eq!(lw.first_offset, 800);
+        assert_eq!(lw.buffered.count(), 0);
+        assert_eq!(t.buffer_bytes(), 0);
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn flush_order_is_ett_then_key_then_window() {
+        let mut t = LiveTable::default();
+        for (key, window, ts) in [
+            (b"b", w(0, 50), 30i64),
+            (b"a", w(50, 90), 30),
+            (b"a", w(0, 50), 30),
+            (b"c", w(0, 50), 5),
+        ] {
+            t.append(key, window, b"v", ts, &GAP);
+        }
+        let mut order = Vec::new();
+        t.flush_each(|key, window, _| {
+            order.push((key.to_vec(), window));
+            Ok(RecordLocation { offset: 0, len: 1 })
+        })
+        .unwrap();
+        let expected = [
+            (b"c", w(0, 50)),
+            (b"a", w(0, 50)),
+            (b"a", w(50, 90)),
+            (b"b", w(0, 50)),
+        ];
+        assert_eq!(order, expected.map(|(k, w)| (k.to_vec(), w)));
+    }
+
+    #[test]
+    fn consume_removes() {
+        let mut t = LiveTable::default();
+        t.rebuild_entry(b"k", w(0, 50), 1, 100, &GAP);
+        t.rebuild_entry(b"k", w(50, 90), 1, 10, &GAP);
+        assert!(t.consume(b"k", w(0, 50)).is_some());
+        assert!(t.consume(b"k", w(0, 50)).is_none());
+        assert_eq!(t.len(), 1);
+        // The sibling window under the same key survives.
+        assert_eq!(t.get(b"k", w(50, 90)).unwrap().disk_bytes, 10);
+        assert!(t.consume(b"k", w(50, 90)).is_some());
+        assert_eq!(t.len(), 0);
+        assert_eq!(t.memory_bytes(), 0);
+    }
+
+    #[test]
+    fn selection_orders_by_ett_and_requires_disk() {
+        let mut t = on_disk(&[(b"a", 30), (b"b", 10), (b"c", 20), (b"d", 5)]);
+        // No disk data for `e`: never selected.
+        t.append(b"e", w(0, 200), b"v", 1, &GAP);
+        let (selected, _) = t.select_soonest(2, None, |_, _, _| false);
+        assert_eq!(keys(&selected), vec![b"d" as &[u8], b"b"]);
+        // Skip filter removes candidates.
+        let (selected, _) = t.select_soonest(2, None, |k, _, _| k == b"d");
+        assert_eq!(keys(&selected), vec![b"b" as &[u8], b"c"]);
+        // More asked for than there is: everything, in order.
+        let (selected, _) = t.select_soonest(9, None, |_, _, _| false);
+        assert_eq!(keys(&selected), vec![b"d" as &[u8], b"b", b"c", b"a"]);
+    }
+
+    #[test]
+    fn due_windows_extend_selection_beyond_n() {
+        let t = on_disk(&[(b"a", 5), (b"b", 6), (b"c", 7), (b"d", 100)]);
+        // n = 1, but everything due at ETT 17 (= 7 + gap) comes along.
+        let (selected, _) = t.select_soonest(1, Some(17), |_, _, _| false);
+        assert_eq!(keys(&selected), vec![b"a" as &[u8], b"b", b"c"]);
+        // Without a due bound, only the n soonest are taken.
+        let (selected, _) = t.select_soonest(1, None, |_, _, _| false);
+        assert_eq!(selected.len(), 1);
+    }
+
+    #[test]
+    fn next_due_is_the_earliest_ett_past_the_bound() {
+        let mut t = on_disk(&[(b"a", 5), (b"b", 30), (b"c", 50)]);
+        // Still in the write buffer only: a flush, not time, makes it a
+        // candidate.
+        t.append(b"d", w(0, 200), b"v", 20, &GAP);
+        // Skipped windows still bound the next scan.
+        let next_due = |due| t.select_soonest(0, Some(due), |_, _, _| true).1;
+        assert_eq!(next_due(15), 40);
+        assert_eq!(next_due(40), 60);
+        assert_eq!(next_due(60), Timestamp::MAX);
+    }
+
+    #[test]
+    fn unpredictable_windows_are_never_selected() {
+        let mut t = LiveTable::default();
+        t.rebuild_entry(b"k", w(0, 100), 5, 10, &EttPredictor::Unpredictable);
+        assert!(t.select_soonest(10, None, |_, _, _| false).0.is_empty());
+    }
+
+    #[test]
+    fn classify_applies_the_offset_rule_and_the_marks_of_the_last_selection() {
+        let mut t = LiveTable::default();
+        t.append(b"k", w(0, 50), b"v", 5, &GAP);
+        // Buffered only: entries of an earlier incarnation are dead.
+        assert_eq!(t.classify(b"k", w(0, 50), 0), EntryState::Dead);
+        t.flush_each(|_, _, _| Ok(RecordLocation { offset: 64, len: 1 }))
+            .unwrap();
+        assert_eq!(t.classify(b"k", w(0, 50), 63), EntryState::Dead);
+        assert_eq!(t.classify(b"k", w(0, 50), 64), EntryState::Live);
+        assert_eq!(t.classify(b"k", w(50, 90), 64), EntryState::Dead);
+        assert_eq!(t.classify(b"other", w(0, 50), 64), EntryState::Dead);
+        let (picks, _) = t.select_soonest(1, None, |_, _, _| false);
+        t.mark(&picks);
+        assert_eq!(t.classify(b"k", w(0, 50), 99), EntryState::Picked(0));
+        // The next selection forgets this one's marks.
+        t.mark(&[]);
+        assert_eq!(t.classify(b"k", w(0, 50), 99), EntryState::Live);
+        // A compaction leaves live records only.
+        t.compacted();
+        assert_eq!(t.classify(b"k", w(0, 50), 0), EntryState::Live);
+    }
+
+    #[test]
+    fn install_consume_roundtrip() {
+        let mut t = on_disk(&[(b"k", 1)]);
+        let empty = t.memory_bytes();
+        t.install(b"k", w(0, 200), vec![b"a".to_vec()]);
+        t.install(b"k", w(0, 200), vec![b"b".to_vec()]);
+        assert_eq!(t.prefetched_windows(), 1);
+        assert!(t.memory_bytes() > empty);
+        // A consumed or unknown window takes nothing in.
+        t.install(b"gone", w(0, 200), vec![b"x".to_vec()]);
+        assert_eq!(t.prefetched_windows(), 1);
+        let lw = t.consume(b"k", w(0, 200)).unwrap();
+        assert_eq!(lw.prefetched, Some(vec![b"a".to_vec(), b"b".to_vec()]));
+        assert_eq!((t.prefetched_windows(), t.prefetch_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn an_append_evicts_the_prefetched_copy_once() {
+        let mut t = on_disk(&[(b"k", 1)]);
+        t.install(b"k", w(0, 200), vec![vec![0u8; 100]]);
+        assert!(t.prefetch_bytes() >= 100);
+        assert!(t.append(b"k", w(0, 200), b"v", 2, &GAP));
+        assert!(!t.append(b"k", w(0, 200), b"v", 3, &GAP));
+        assert_eq!((t.prefetched_windows(), t.prefetch_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn a_flush_extends_the_prefetched_copy() {
+        let mut t = on_disk(&[(b"k", 1)]);
+        t.append(b"k", w(0, 200), b"new", 2, &GAP);
+        t.install(b"k", w(0, 200), vec![b"old".to_vec()]);
+        t.flush_each(|_, _, _| Ok(RecordLocation { offset: 64, len: 1 }))
+            .unwrap();
+        assert_eq!(t.prefetch_bytes(), 2 * (3 + 24));
+        let lw = t.consume(b"k", w(0, 200)).unwrap();
+        assert_eq!(lw.prefetched, Some(vec![b"old".to_vec(), b"new".to_vec()]));
+        assert_eq!(t.memory_bytes(), 0);
+    }
+
+    #[test]
+    fn prefetched_windows_count_across_keys() {
+        let mut t = LiveTable::default();
+        for (key, window) in [(b"a", w(0, 10)), (b"a", w(10, 20)), (b"b", w(0, 10))] {
+            t.rebuild_entry(key, window, 1, 10, &GAP);
+            t.install(key, window, vec![b"x".to_vec()]);
+        }
+        assert_eq!(t.prefetched_windows(), 3);
+        assert!(t.consume(b"a", w(0, 10)).is_some());
+        assert_eq!(t.prefetched_windows(), 2);
+        // Sibling window under the same key survives its neighbour's take.
+        assert!(t.get(b"a", w(10, 20)).unwrap().prefetched.is_some());
+        assert!(t.consume(b"b", w(0, 10)).is_some());
+        assert!(t.consume(b"a", w(10, 20)).is_some());
+        assert_eq!(t.prefetched_windows(), 0);
+    }
+}

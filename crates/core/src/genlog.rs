@@ -164,7 +164,8 @@ impl GenLog {
     ) -> Result<()> {
         if let Some(path) = self.flushed_path()? {
             let mut reader = LogReader::open_scan_in(&self.vfs, path, 0)?;
-            while let Some((loc, payload)) = reader.next_record()? {
+            let mut payload = Vec::new();
+            while let Some(loc) = reader.next_record_into(&mut payload)? {
                 each(loc, &payload)?;
             }
         }
@@ -213,8 +214,12 @@ impl GenLog {
     }
 
     /// Stages a rewrite holding exactly `payloads`, one record each.
-    pub(crate) fn replace(&mut self, payloads: &[Vec<u8>]) -> Result<Staged> {
-        self.stage(|_, writer| payloads.iter().try_for_each(|p| writer.append(p).map(drop)))
+    pub(crate) fn replace<P: AsRef<[u8]>>(
+        &mut self,
+        payloads: impl IntoIterator<Item = P>,
+    ) -> Result<Staged> {
+        let mut payloads = payloads.into_iter();
+        self.stage(|_, writer| payloads.try_for_each(|p| writer.append(p.as_ref()).map(drop)))
     }
 
     /// Makes each rewrite its log's current generation, in the order

@@ -5,7 +5,10 @@
 //! `measurement_time` / `sample_size`, `bench_function` with
 //! `BenchmarkId`, and `Bencher::{iter, iter_batched}`. Each benchmark
 //! runs `sample_size` samples and prints mean wall time per sample; no
-//! statistics, plots, or outlier analysis.
+//! statistics, plots, or outlier analysis. Of upstream's command line it
+//! honours `--test` (run every benchmark once, to check that it runs)
+//! and a positional filter (run the benchmarks whose `group/id` contains
+//! it); other flags, such as the `--bench` cargo passes, are ignored.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -82,7 +85,7 @@ impl Bencher {
 pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
-    _parent: &'a mut Criterion,
+    parent: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -103,14 +106,23 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher),
     {
+        let full_id = format!("{}/{}", self.name, id);
+        if !self.parent.selects(&full_id) {
+            return self;
+        }
+        let samples = if self.parent.test_mode {
+            1
+        } else {
+            self.sample_size
+        };
         let mut b = Bencher {
-            samples: self.sample_size,
+            samples,
             elapsed: Duration::ZERO,
         };
         f(&mut b);
         println!(
-            "{}/{}: {:>12.3?} per sample ({} samples)",
-            self.name, id, b.elapsed, self.sample_size
+            "{full_id}: {:>12.3?} per sample ({samples} samples)",
+            b.elapsed
         );
         self
     }
@@ -120,16 +132,36 @@ impl BenchmarkGroup<'_> {
 }
 
 /// Benchmark driver.
-#[derive(Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    /// `--test`: one sample per benchmark.
+    test_mode: bool,
+    /// Positional argument: only benchmarks whose id contains it run.
+    filter: Option<String>,
+}
+
+impl Default for Criterion {
+    /// Configured from the process's command line.
+    fn default() -> Self {
+        let mut args = std::env::args().skip(1);
+        Criterion {
+            test_mode: std::env::args().any(|a| a == "--test"),
+            filter: args.find(|a| !a.starts_with("--")),
+        }
+    }
+}
 
 impl Criterion {
+    /// Whether the command line selects the benchmark `full_id`.
+    fn selects(&self, full_id: &str) -> bool {
+        self.filter.as_ref().is_none_or(|f| full_id.contains(f))
+    }
+
     /// Starts a named group.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
             name: name.to_string(),
             sample_size: 10,
-            _parent: self,
+            parent: self,
         }
     }
 }

@@ -481,6 +481,53 @@ impl WindowOperator {
 
     fn on_session_element(&mut self, tuple: &Tuple, gap: i64) -> Result<()> {
         let proto = WindowId::new(tuple.timestamp, tuple.timestamp.saturating_add(gap));
+        let extended = self.sessions.get_mut(&tuple.key).and_then(|sessions| {
+            let mut merging =
+                (0..sessions.len()).filter(|&i| merges_with(&sessions[i].cover, &proto));
+            match (merging.next(), merging.next()) {
+                (Some(at), None) => Some((sessions, at)),
+                _ => None,
+            }
+        });
+        let Some((sessions, at)) = extended else {
+            return self.merge_sessions(tuple, proto);
+        };
+        // The tuple extends exactly one open session of its key — nearly
+        // every tuple of a long session: the session grows in place and
+        // moves to the back of the key's list, where `merge_sessions`
+        // would leave it, with the same store calls and nothing
+        // allocated. Its initials and store window do not change.
+        sessions[at..].rotate_left(1);
+        let session = sessions.last_mut().expect("rotated to the back");
+        let store_window = session.initials[0];
+        match &self.spec.aggregate {
+            AggregateSpec::FullList(_) => {
+                self.backend
+                    .append(&tuple.key, store_window, &tuple.value, tuple.timestamp)?;
+            }
+            AggregateSpec::Incremental(agg) => {
+                let acc = self
+                    .backend
+                    .take_aggregate(&tuple.key, store_window)?
+                    .unwrap_or_else(|| agg.create());
+                let acc = agg.add(&acc, &tuple.value);
+                self.backend.put_aggregate(&tuple.key, store_window, &acc)?;
+            }
+        }
+        let armed = session.cover.end;
+        session.cover = proto.cover(&session.cover);
+        // A timer for an end that did not move is still armed: had it
+        // been popped, the session would have fired.
+        if session.cover.end != armed {
+            self.session_timers
+                .insert((session.cover.end, tuple.key.clone()));
+        }
+        Ok(())
+    }
+
+    /// The general session step: the tuple opens a session, or bridges
+    /// the sessions its proto window touches into one.
+    fn merge_sessions(&mut self, tuple: &Tuple, proto: WindowId) -> Result<()> {
         let sessions = self.sessions.entry(tuple.key.clone()).or_default();
         // Split off the sessions the new tuple bridges. Touching windows
         // merge too (two events exactly `gap` apart share a session, as
@@ -629,13 +676,14 @@ impl WindowOperator {
     /// Fires sessions whose gap the watermark passed.
     fn fire_sessions(&mut self, watermark: Timestamp, out: &mut Vec<Tuple>) -> Result<()> {
         loop {
-            let Some((end, key)) = self.session_timers.iter().next().cloned() else {
-                return Ok(());
-            };
-            if end > watermark {
+            if self
+                .session_timers
+                .first()
+                .is_none_or(|(end, _)| *end > watermark)
+            {
                 return Ok(());
             }
-            self.session_timers.remove(&(end, key.clone()));
+            let (_, key) = self.session_timers.pop_first().expect("checked above");
             let Some(sessions) = self.sessions.get_mut(&key) else {
                 continue;
             };
@@ -850,6 +898,168 @@ mod tests {
         o.on_watermark(MAX_TIMESTAMP, &mut out).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(u64_of(&out[0].value), 60);
+    }
+
+    /// A backend that logs every call the session paths make, so two
+    /// operators can be compared call for call.
+    struct Recording {
+        inner: InMemoryBackend,
+        calls: Arc<std::sync::Mutex<Vec<String>>>,
+    }
+
+    impl Recording {
+        fn log(&self, call: String) {
+            self.calls.lock().unwrap().push(call);
+        }
+    }
+
+    impl StateBackend for Recording {
+        fn append(&mut self, k: &[u8], w: WindowId, v: &[u8], ts: Timestamp) -> Result<()> {
+            self.log(format!("append {k:?} {w:?} {v:?} {ts}"));
+            self.inner.append(k, w, v, ts)
+        }
+        fn get_window_chunk(
+            &mut self,
+            w: WindowId,
+        ) -> Result<Option<flowkv_common::backend::WindowChunk>> {
+            self.inner.get_window_chunk(w)
+        }
+        fn take_values(&mut self, k: &[u8], w: WindowId) -> Result<Vec<Vec<u8>>> {
+            self.log(format!("take_values {k:?} {w:?}"));
+            self.inner.take_values(k, w)
+        }
+        fn peek_values(&mut self, k: &[u8], w: WindowId) -> Result<Vec<Vec<u8>>> {
+            self.inner.peek_values(k, w)
+        }
+        fn take_aggregate(&mut self, k: &[u8], w: WindowId) -> Result<Option<Vec<u8>>> {
+            self.log(format!("take_aggregate {k:?} {w:?}"));
+            self.inner.take_aggregate(k, w)
+        }
+        fn put_aggregate(&mut self, k: &[u8], w: WindowId, a: &[u8]) -> Result<()> {
+            self.log(format!("put_aggregate {k:?} {w:?} {a:?}"));
+            self.inner.put_aggregate(k, w, a)
+        }
+        fn flush(&mut self) -> Result<()> {
+            self.inner.flush()
+        }
+        fn extract_range(
+            &mut self,
+            in_range: flowkv_common::backend::KeyFilter<'_>,
+            kind: flowkv_common::backend::AggregateKind,
+        ) -> Result<Vec<flowkv_common::backend::StateEntry>> {
+            self.inner.extract_range(in_range, kind)
+        }
+        fn metrics(&self) -> Arc<flowkv_common::metrics::StoreMetrics> {
+            self.inner.metrics()
+        }
+        fn memory_bytes(&self) -> usize {
+            self.inner.memory_bytes()
+        }
+        fn checkpoint(&mut self, dir: &std::path::Path) -> Result<()> {
+            self.inner.checkpoint(dir)
+        }
+        fn restore(&mut self, dir: &std::path::Path) -> Result<()> {
+            self.inner.restore(dir)
+        }
+        fn close(&mut self) -> Result<()> {
+            self.inner.close()
+        }
+    }
+
+    impl WindowOperator {
+        /// [`WindowOperator::on_element`] for a session operator with
+        /// every tuple sent through the general step: the reference the
+        /// in-place extend is checked against.
+        fn on_session_element_reference(&mut self, tuple: &Tuple, gap: i64) {
+            if tuple.timestamp < self.watermark {
+                self.dropped_late += 1;
+                return;
+            }
+            let proto = WindowId::new(tuple.timestamp, tuple.timestamp.saturating_add(gap));
+            self.merge_sessions(tuple, proto).unwrap();
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum SessionOp {
+        Element { key: u8, value: u8, ts: i64 },
+        Watermark(i64),
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// In-order, out-of-order, bridging and late tuples interleaved
+        /// with watermarks: the in-place extend and the general step
+        /// fire byte-identical outputs, issue the identical store-call
+        /// sequence, and leave the same sessions and timers behind.
+        #[test]
+        fn extending_a_session_in_place_matches_the_general_step(
+            ops in prop::collection::vec(
+                prop_oneof![
+                    8 => (0u8..3, any::<u8>(), 0i64..400).prop_map(
+                        |(key, value, ts)| SessionOp::Element { key, value, ts }),
+                    1 => (0i64..400).prop_map(SessionOp::Watermark),
+                ],
+                1..120,
+            ),
+            incremental in any::<bool>(),
+        ) {
+            const GAP: i64 = 20;
+            let make = || {
+                let calls = Arc::new(std::sync::Mutex::new(Vec::new()));
+                let aggregate = if incremental {
+                    AggregateSpec::Incremental(Arc::new(SumAggregate))
+                } else {
+                    AggregateSpec::FullList(Arc::new(MedianProcess))
+                };
+                let spec = WindowSpec {
+                    name: "test".into(),
+                    assigner: WindowAssigner::Session { gap: GAP },
+                    aggregate,
+                };
+                let backend = Recording {
+                    inner: InMemoryBackend::new(1 << 20, 8),
+                    calls: Arc::clone(&calls),
+                };
+                (WindowOperator::new(spec, Box::new(backend)), calls)
+            };
+            let (mut fast, fast_calls) = make();
+            let (mut reference, reference_calls) = make();
+            let (mut fast_out, mut reference_out) = (Vec::new(), Vec::new());
+            let mut watermark = i64::MIN;
+            let finish = SessionOp::Watermark(MAX_TIMESTAMP);
+            for op in ops.iter().chain([&finish]) {
+                match *op {
+                    SessionOp::Element { key, value, ts } => {
+                        let tuple = t(&format!("k{key}"), u64::from(value), ts);
+                        fast.on_element(&tuple, &mut fast_out).unwrap();
+                        reference.on_session_element_reference(&tuple, GAP);
+                    }
+                    SessionOp::Watermark(ts) => {
+                        watermark = watermark.max(ts);
+                        fast.on_watermark(watermark, &mut fast_out).unwrap();
+                        reference.on_watermark(watermark, &mut reference_out).unwrap();
+                    }
+                }
+                assert_eq!(*fast_calls.lock().unwrap(), *reference_calls.lock().unwrap());
+                assert_eq!(fast_out, reference_out);
+                assert_eq!(fast.dropped_late(), reference.dropped_late());
+                let sessions = |o: &WindowOperator| {
+                    let mut rows: Vec<_> = o
+                        .sessions
+                        .iter()
+                        .map(|(k, ss)| (k.clone(), format!("{ss:?}")))
+                        .collect();
+                    rows.sort();
+                    rows
+                };
+                assert_eq!(sessions(&fast), sessions(&reference));
+                assert_eq!(fast.session_timers, reference.session_timers);
+            }
+        }
     }
 
     #[test]
