@@ -592,7 +592,9 @@ impl Telemetry {
 // JSONL exposition
 // ---------------------------------------------------------------------------
 
-fn json_escape(out: &mut String, s: &str) {
+/// `s` with JSON string escapes applied.
+pub(crate) fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -604,6 +606,7 @@ fn json_escape(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
+    out
 }
 
 /// Renders one `{"type":"snapshot",...}` JSONL line (no trailing newline).
@@ -621,7 +624,7 @@ pub fn snapshot_json(seq: u64, uptime_ms: u64, samples: &[MetricSample]) -> Stri
             out.push(',');
         }
         out.push('"');
-        json_escape(&mut out, &sample.name);
+        out.push_str(&json_escape(&sample.name));
         out.push_str("\":");
         match &sample.value {
             SampleValue::Counter(v) => {
@@ -656,7 +659,7 @@ pub fn event_json(event: &TraceEvent) -> String {
         "{{\"type\":\"event\",\"kind\":\"{}\",\"tag\":\"",
         event.kind
     ));
-    json_escape(&mut out, &event.tag);
+    out.push_str(&json_escape(&event.tag));
     out.push_str(&format!("\",\"nanos\":{},\"fields\":{{", event.nanos));
     for (i, (name, value)) in event.fields.iter().enumerate() {
         if i > 0 {

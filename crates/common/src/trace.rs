@@ -38,7 +38,7 @@ use std::time::Instant;
 
 use crate::backend::{AggregateKind, KeyFilter, StateBackend, WindowChunk};
 use crate::error::Result;
-use crate::telemetry::{parse_json, Json, Telemetry};
+use crate::telemetry::{json_escape, parse_json, Json, Telemetry};
 use crate::types::{Timestamp, WindowId};
 
 /// Default per-thread span ring capacity (events, not spans; a span is
@@ -698,22 +698,6 @@ impl StateBackend for TracedBackend {
 // ---------------------------------------------------------------------
 // Chrome trace-event export
 // ---------------------------------------------------------------------
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn write_args(out: &mut String, ev: &SpanEvent, parent: u64) {
     out.push_str(&format!(

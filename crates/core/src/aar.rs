@@ -4,7 +4,7 @@
 //! functions, so per-key access is never needed. The AAR store therefore
 //! organizes data coarsely by window boundary:
 //!
-//! - in memory, the write buffer hashes on `(start, end)` — tuples of
+//! - in memory, the write buffer is split on `(start, end)` — tuples of
 //!   different keys land in the same bucket;
 //! - on disk, every window boundary owns its own log file, appended to at
 //!   each flush;
@@ -12,9 +12,55 @@
 //!   file (*gradual state loading*: each call returns one bounded chunk);
 //! - once drained, the file is deleted — no compaction ever runs, the
 //!   headline CPU saving of this store over an LSM baseline.
+//!
+//! # One table of windows
+//!
+//! The on-disk layout — one file per boundary — is the only structure:
+//! the store keeps one table ordered by window, and an entry
+//! ([`AarWindow`]) is everything known about one boundary: the buffered
+//! [`Run`], the open [`LogWriter`] if the window holds one, whether its
+//! file exists (a field, never a question put to the filesystem), the
+//! file [`Prefix`] the ring loaded ahead of the trigger, and the
+//! [`Drain`] in flight. An entry exists exactly while the window holds
+//! state. Window order is the order a flush writes files in, read-ahead
+//! candidates claim the byte budget in (soonest trigger first), and the
+//! view and a checkpoint copy in: which file an op lands on is a
+//! function of the input.
+//!
+//! # One record path
+//!
+//! A pair has one encoding from `append` on: two length-prefixed fields,
+//! written straight into the window's run. A flush writes each
+//! `chunk_entries`-pair slice of the run as one log record as it stands —
+//! a record is "pairs to the end of its payload" — and keeps the run's
+//! allocation. Nothing is re-encoded on the way back either: the memory
+//! remainder of a drain is the run itself, served as the last payload.
+//! [`decode_pairs`] is the one decode, for file records, the run, and the
+//! view's memory pass. [`next_record`] is the one step that reads a
+//! window file and the one statement of the rule that a torn record ends
+//! it: a drain takes a step per payload it needs, [`read_prefix`] loops
+//! it over a file for the serving view and for the ring job. The ring job
+//! returns *decoded* pairs — taking the decode off the worker thread is
+//! the point of reading ahead.
+//!
+//! Two behaviours differ from the six-map store this replaced. A chunk
+//! never exceeds `chunk_entries` pairs (a drain used to top a chunk up
+//! with whole records, up to `2 × chunk_entries − 1`). And a flush skips
+//! a window that is mid-drain, whose drain serves the run after the file
+//! (the flush used to append behind the drain's reader, which never saw
+//! the record, and the drain deleted it with the file; the engine never
+//! appends to a draining window).
+//!
+//! # Open writers
+//!
+//! At most [`MAX_OPEN_WRITERS`] windows keep their writer between
+//! flushes: a writer opened beyond the cap is closed again once its
+//! flush is written. Every flush walks the live windows in the same
+//! order, so evicting the least recently flushed writer instead would
+//! close each writer just before its next use as soon as more than the
+//! cap were live — recency bought bookkeeping and no reuse.
 
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -34,53 +80,108 @@ fn window_file_name(window: WindowId) -> String {
     format!("w_{}_{}.aar", window.start, window.end)
 }
 
+fn window_path(dir: &Path, window: WindowId) -> PathBuf {
+    dir.join(window_file_name(window))
+}
+
 /// Name of the checkpoint manifest listing on-disk windows.
 const MANIFEST_NAME: &str = "AAR_WINDOWS";
 
-/// Maximum per-window log writers held open at once.
-///
-/// Long sliding windows can keep thousands of window boundaries live;
-/// holding a file descriptor per boundary would exhaust the process
-/// limit, so the least-recently-flushed writer is closed (its file is
-/// reopened in append mode on the next flush).
+/// Maximum per-window log writers held open between flushes: thousands of
+/// sliding-window boundaries can be live, too many for a descriptor each.
 const MAX_OPEN_WRITERS: usize = 64;
 
-/// A buffered `(key, value)` pair.
+/// Write-buffer charge of a buffered pair beyond its key and value bytes.
+const PAIR_OVERHEAD: usize = 48;
+
+/// A decoded `(key, value)` pair.
 type Pair = (Vec<u8>, Vec<u8>);
 
-/// In-flight drain of one triggered window.
-struct Drain {
-    /// Pairs prefetched from the file's snapshot prefix, served first
-    /// (they are the oldest data, exactly what a fresh reader would
-    /// yield before `reader`'s continuation offset).
-    pre: std::vec::IntoIter<Pair>,
-    reader: Option<LogReader>,
-    /// Buffered pairs that never reached disk, served after the file.
-    mem: std::vec::IntoIter<Pair>,
+/// A window's buffered pairs, in the form its file holds them.
+#[derive(Default)]
+struct Run {
+    /// The pairs back to back, each two length-prefixed fields.
+    bytes: Vec<u8>,
+    /// Offset in `bytes` after every `chunk_entries`-th pair: where a
+    /// flush cuts the run into records.
+    cuts: Vec<usize>,
+    pairs: usize,
+    /// What the pairs were charged against the write buffer.
+    charge: usize,
 }
 
-/// A window's file prefix loaded by the background ring, awaiting its
-/// aligned trigger.
-struct PrefetchedWindow {
+impl Run {
+    /// Appends one pair and returns what it is charged.
+    fn push(&mut self, key: &[u8], value: &[u8], chunk_entries: usize) -> usize {
+        put_len_prefixed(&mut self.bytes, key);
+        put_len_prefixed(&mut self.bytes, value);
+        self.pairs += 1;
+        if self.pairs.is_multiple_of(chunk_entries) {
+            self.cuts.push(self.bytes.len());
+        }
+        let charge = key.len() + value.len() + PAIR_OVERHEAD;
+        self.charge += charge;
+        charge
+    }
+
+    /// The run as record payloads of at most `chunk_entries` pairs each,
+    /// so gradual loading later reads bounded records.
+    fn records(&self) -> impl Iterator<Item = &[u8]> {
+        let mut start = 0;
+        let ends = self.cuts.iter().copied().chain([self.bytes.len()]);
+        ends.map(move |end| &self.bytes[std::mem::replace(&mut start, end)..end])
+            .filter(|record| !record.is_empty())
+    }
+
+    /// Empties the run, keeping its allocations for the next fill.
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.cuts.clear();
+        self.pairs = 0;
+        self.charge = 0;
+    }
+}
+
+/// The decoded start of a window file, up to a snapshot boundary.
+struct Prefix {
     pairs: Vec<Pair>,
-    /// File offset the background scan stopped at; the drain's
-    /// continuation reader starts here to pick up post-snapshot flushes.
-    end_offset: u64,
-    /// True when the scan ended at a torn record before `end_offset`: the
-    /// synchronous path would stop serving the file there too, so the
-    /// drain must not open a continuation reader.
-    terminal: bool,
+    /// The boundary, where a drain's continuation reader picks up later
+    /// flushes — or `None` when the scan met a torn record below it: a
+    /// drain stops serving the file there, so it opens no reader.
+    resume: Option<u64>,
+    /// Disk bytes of the records read.
     bytes: u64,
 }
 
-/// Payload a background window read returns through the ring.
+/// What a background window read returns through the ring.
 struct AarAsyncRead {
     window: WindowId,
     epoch: u64,
-    end_offset: u64,
-    terminal: bool,
-    pairs: Vec<Pair>,
-    bytes: u64,
+    prefix: Prefix,
+}
+
+/// In-flight drain of one triggered window: the prefetched file prefix,
+/// then the rest of the file, then the window's run — oldest data first.
+struct Drain {
+    pre: std::vec::IntoIter<Pair>,
+    reader: Option<LogReader>,
+    /// The payload being served — a file record, at last the run — and
+    /// how far into it earlier chunks got.
+    payload: Vec<u8>,
+    pos: usize,
+}
+
+/// Everything the store holds of one window.
+#[derive(Default)]
+struct AarWindow {
+    run: Run,
+    /// The file's writer, while it is among the `MAX_OPEN_WRITERS` open.
+    writer: Option<LogWriter>,
+    /// Whether the window's file exists.
+    on_disk: bool,
+    /// The file prefix loaded by the ring, awaiting the aligned trigger.
+    prefetched: Option<Prefix>,
+    drain: Option<Drain>,
 }
 
 /// The append-and-aligned-read store for one partition.
@@ -88,17 +189,11 @@ pub struct AarStore {
     dir: PathBuf,
     write_buffer_bytes: usize,
     chunk_entries: usize,
-    buffer: HashMap<WindowId, Vec<Pair>>,
+    windows: BTreeMap<WindowId, AarWindow>,
+    /// Charge of every run in the table.
     buffer_bytes: usize,
-    writers: HashMap<WindowId, LogWriter>,
-    /// Flush recency per open writer (monotone counter), for LRU closing.
-    writer_recency: HashMap<WindowId, u64>,
-    flush_clock: u64,
-    on_disk: HashSet<WindowId>,
-    drains: HashMap<WindowId, Drain>,
-    /// Reusable scratch for encoding flush chunks, so steady-state
-    /// flushing allocates no per-record `Vec<u8>`s.
-    encode_buf: Vec<u8>,
+    /// Entries of the table holding a writer.
+    open_writers: usize,
     metrics: Arc<StoreMetrics>,
     vfs: Arc<dyn Vfs>,
     /// Read-ahead lane keyed by window: without threads (every read
@@ -107,7 +202,6 @@ pub struct AarStore {
     lane: Lane<WindowId, AarAsyncRead>,
     /// Bumped by close/restore so stale completions can't install.
     epoch: u64,
-    prefetched: HashMap<WindowId, PrefetchedWindow>,
     prefetch_probe: Option<PrefetchProbe>,
 }
 
@@ -138,27 +232,27 @@ impl AarStore {
     ) -> Result<Self> {
         vfs.create_dir_all(dir)
             .map_err(|e| StoreError::io_at("aar dir", dir, e))?;
-        let mut store = AarStore {
+        // Per-window files left by a previous run are live windows.
+        let names = vfs
+            .read_dir_names(dir)
+            .map_err(|e| StoreError::io_at("aar scan", dir, e))?;
+        let mut windows: BTreeMap<WindowId, AarWindow> = BTreeMap::new();
+        for window in names.iter().filter_map(|name| parse_window_file_name(name)) {
+            windows.entry(window).or_default().on_disk = true;
+        }
+        Ok(AarStore {
             dir: dir.to_path_buf(),
             write_buffer_bytes: write_buffer_bytes.max(1024),
             chunk_entries: chunk_entries.max(1),
-            buffer: HashMap::new(),
+            windows,
             buffer_bytes: 0,
-            writers: HashMap::new(),
-            writer_recency: HashMap::new(),
-            flush_clock: 0,
-            on_disk: HashSet::new(),
-            drains: HashMap::new(),
-            encode_buf: Vec::new(),
+            open_writers: 0,
             metrics,
             lane: Lane::inline(Arc::clone(&vfs)),
             vfs,
             epoch: 0,
-            prefetched: HashMap::new(),
             prefetch_probe: None,
-        };
-        store.scan_existing_files()?;
-        Ok(store)
+        })
     }
 
     /// Attaches the worker's background I/O ring; `tag` routes this
@@ -184,11 +278,8 @@ impl AarStore {
     pub fn append(&mut self, key: &[u8], window: WindowId, value: &[u8]) -> Result<()> {
         {
             let _t = self.metrics.timer(OpCategory::Write);
-            self.buffer_bytes += key.len() + value.len() + 48;
-            self.buffer
-                .entry(window)
-                .or_default()
-                .push((key.to_vec(), value.to_vec()));
+            let run = &mut self.windows.entry(window).or_default().run;
+            self.buffer_bytes += run.push(key, value, self.chunk_entries);
             self.metrics.add_records_written(1);
         }
         // The flush times itself: no timer of this call may span it.
@@ -202,51 +293,39 @@ impl AarStore {
     /// `GetWindow(W)`), deleting the window once fully drained.
     pub fn get_window_chunk(&mut self, window: WindowId) -> Result<Option<WindowChunk>> {
         let _t = self.metrics.timer(OpCategory::Read);
-        if !self.drains.contains_key(&window) {
-            let mem = self.buffer.remove(&window).unwrap_or_default();
-            // Unflushed buffered bytes of this window leave the buffer.
-            self.buffer_bytes = self
-                .buffer_bytes
-                .saturating_sub(mem.iter().map(|(k, v)| k.len() + v.len() + 48).sum());
-            let mut pre: Vec<Pair> = Vec::new();
-            let reader = if self.on_disk.contains(&window) {
+        let Some(entry) = self.windows.get_mut(&window) else {
+            return Ok(None);
+        };
+        if entry.drain.is_none() {
+            let mut pre = Vec::new();
+            let mut reader = None;
+            if entry.on_disk {
                 // Make sure buffered flushes for this window are visible.
-                if let Some(w) = self.writers.get_mut(&window) {
+                if let Some(w) = &mut entry.writer {
                     w.flush()?;
                 }
-                match self.prefetched.remove(&window) {
-                    Some(pw) => {
-                        // The snapshot prefix was loaded in the background;
-                        // a continuation reader covers post-snapshot
-                        // flushes (unless the prefix ended at a torn
-                        // record, where the sync path would stop too).
+                let path = window_path(&self.dir, window);
+                reader = match entry.prefetched.take() {
+                    // The snapshot prefix was loaded in the background; a
+                    // continuation reader covers post-snapshot flushes.
+                    Some(prefix) => {
                         if let Some(p) = &self.prefetch_probe {
                             p.hits.inc();
                         }
-                        pre = pw.pairs;
-                        if pw.terminal {
-                            None
-                        } else {
-                            Some(LogReader::open_at_in(
-                                &self.vfs,
-                                self.dir.join(window_file_name(window)),
-                                pw.end_offset,
-                            )?)
-                        }
+                        pre = prefix.pairs;
+                        let resume = |at| LogReader::open_at_in(&self.vfs, path, at);
+                        prefix.resume.map(resume).transpose()?
                     }
                     None => {
+                        // The window fired before its background read
+                        // landed: fall back to a synchronous read.
                         let late = self.lane.covers(&window);
-                        if late {
-                            // The window fired before its background read
-                            // landed; fall back to a synchronous read.
-                            if let Some(p) = &self.prefetch_probe {
-                                p.late.inc();
-                            }
+                        if let (true, Some(p)) = (late, &self.prefetch_probe) {
+                            p.late.inc();
                         }
                         let stall_t0 = (late && flowkv_common::trace::current().is_some())
                             .then(std::time::Instant::now);
-                        let reader =
-                            LogReader::open_in(&self.vfs, self.dir.join(window_file_name(window)))?;
+                        let reader = LogReader::open_in(&self.vfs, path)?;
                         if let Some(t0) = stall_t0 {
                             flowkv_common::trace::instant_here(
                                 "prefetch_stall",
@@ -256,104 +335,95 @@ impl AarStore {
                         }
                         Some(reader)
                     }
-                }
-            } else {
-                None
-            };
-            if mem.is_empty() && reader.is_none() && pre.is_empty() {
-                return Ok(None);
+                };
             }
-            self.drains.insert(
-                window,
-                Drain {
-                    pre: pre.into_iter(),
-                    reader,
-                    mem: mem.into_iter(),
-                },
-            );
+            entry.drain = Some(Drain {
+                pre: pre.into_iter(),
+                reader,
+                payload: Vec::new(),
+                pos: 0,
+            });
         }
-        let drain = self.drains.get_mut(&window).expect("inserted above");
-        let mut pairs: Vec<Pair> = Vec::new();
-        // Serve the prefetched file prefix, then the file (older data
-        // first), then the memory remainder.
+        let drain = entry.drain.as_mut().expect("begun above");
+        let mut pairs: Vec<Pair> = drain.pre.by_ref().take(self.chunk_entries).collect();
         while pairs.len() < self.chunk_entries {
-            if let Some(pair) = drain.pre.next() {
-                pairs.push(pair);
+            if drain.pos < drain.payload.len() {
+                let room = self.chunk_entries - pairs.len();
+                decode_pairs(&drain.payload, &mut drain.pos, room, &mut pairs)?;
                 continue;
             }
-            if let Some(reader) = drain.reader.as_mut() {
-                match reader.next_record() {
-                    Ok(Some((loc, payload))) => {
-                        self.metrics.add_bytes_read(loc.disk_len());
-                        decode_batch(&payload, &mut pairs)?;
-                        continue;
-                    }
-                    Ok(None) => drain.reader = None,
-                    // A torn record (crash mid-flush) ends the file: the
-                    // intact prefix is served, the tail is unrecoverable
-                    // framing either way.
-                    Err(e) if e.is_corruption() => drain.reader = None,
-                    Err(e) => return Err(e),
+            drain.pos = 0;
+            if let Some(reader) = &mut drain.reader {
+                if let Some(bytes) = next_record(reader, u64::MAX, &mut drain.payload)? {
+                    self.metrics.add_bytes_read(bytes);
+                    continue;
                 }
+                drain.reader = None;
             }
-            match drain.mem.next() {
-                Some(pair) => pairs.push(pair),
-                None => break,
+            // Past the file: the pairs that never reached it leave the
+            // buffer, the run itself being the last payload served.
+            let run = std::mem::take(&mut entry.run);
+            self.buffer_bytes -= run.charge;
+            drain.payload = run.bytes;
+            if drain.payload.is_empty() {
+                break;
             }
         }
-        if pairs.is_empty() {
-            // Fully drained: clean up the window's file and bookkeeping.
-            self.drains.remove(&window);
-            self.writers.remove(&window);
-            self.writer_recency.remove(&window);
-            if self.on_disk.remove(&window) {
-                let _ = self
-                    .vfs
-                    .remove_file(&self.dir.join(window_file_name(window)));
-            }
-            return Ok(None);
+        if !pairs.is_empty() {
+            self.metrics.add_records_read(pairs.len() as u64);
+            return Ok(Some(group_by_key(pairs)));
         }
-        self.metrics.add_records_read(pairs.len() as u64);
-        Ok(Some(group_by_key(pairs)))
+        // Fully drained: forget the window and delete its file. A read
+        // submitted before the drain is waited out, not left to install
+        // into the window's next life.
+        let done = self.windows.remove(&window).expect("drained above");
+        if let Some(Ok(read)) = self.lane.wait_for(&window) {
+            self.lane.waste(read.prefix.bytes);
+        }
+        self.open_writers -= usize::from(done.writer.is_some());
+        if done.on_disk {
+            let _ = self.vfs.remove_file(&window_path(&self.dir, window));
+        }
+        Ok(None)
     }
 
     /// Flushes every buffered bucket to its per-window log file.
     pub fn flush(&mut self) -> Result<()> {
-        if self.buffer.is_empty() {
+        if self.buffer_bytes == 0 {
             return Ok(());
         }
         let _t = self.metrics.timer(OpCategory::Write);
-        // Window order: which file is written when — a run's device-op
-        // sequence, and any fault planted in it — is a function of the
-        // input, not of `HashMap` iteration order.
-        let mut buckets: Vec<(WindowId, Vec<Pair>)> = self.buffer.drain().collect();
-        buckets.sort_unstable_by_key(|&(window, _)| window);
-        self.buffer_bytes = 0;
-        for (window, pairs) in buckets {
-            let writer = match self.writers.entry(window) {
-                Entry::Occupied(w) => w.into_mut(),
-                Entry::Vacant(slot) => {
-                    let path = self.dir.join(window_file_name(window));
-                    let writer = if self.vfs.exists(&path) {
+        for (&window, entry) in &mut self.windows {
+            // A window mid-drain keeps its run: the drain's reader would
+            // not see a record written behind it.
+            if entry.run.pairs == 0 || entry.drain.is_some() {
+                continue;
+            }
+            let writer = match &mut entry.writer {
+                Some(writer) => writer,
+                closed => {
+                    let path = window_path(&self.dir, window);
+                    let writer = if entry.on_disk {
                         LogWriter::open_append_in(&self.vfs, &path)?
                     } else {
                         LogWriter::create_in(&self.vfs, &path)?
                     };
-                    slot.insert(writer)
+                    self.open_writers += 1;
+                    closed.insert(writer)
                 }
             };
-            // Records are capped at `chunk_entries` pairs so gradual
-            // loading later reads bounded chunks.
-            for batch in pairs.chunks(self.chunk_entries) {
-                encode_batch_into(&mut self.encode_buf, batch);
-                let loc = writer.append(&self.encode_buf)?;
+            for record in entry.run.records() {
+                let loc = writer.append(record)?;
                 self.metrics.add_bytes_written(loc.disk_len());
             }
             writer.flush()?;
-            self.on_disk.insert(window);
-            self.flush_clock += 1;
-            self.writer_recency.insert(window, self.flush_clock);
-            self.enforce_writer_cap();
+            entry.on_disk = true;
+            self.buffer_bytes -= entry.run.charge;
+            entry.run.clear();
+            if self.open_writers > MAX_OPEN_WRITERS {
+                entry.writer = None;
+                self.open_writers -= 1;
+            }
         }
         self.metrics.add_flush();
         Ok(())
@@ -364,9 +434,7 @@ impl AarStore {
     /// trigger (its end boundary) falls within the horizon of
     /// `stream_time`.
     pub fn advance_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
-        // A failed background read just means the window drains
-        // synchronously; reads racing a drain's file deletion lose
-        // their file mid-scan routinely.
+        // A failed background read: the window drains synchronously.
         for read in self.lane.drain().into_iter().flatten() {
             self.install(read);
         }
@@ -374,27 +442,18 @@ impl AarStore {
     }
 
     /// Installs one finished read's file prefix if the window is still
-    /// exactly as anticipated: same epoch, still on disk, not mid-drain,
-    /// not already prefetched.
+    /// exactly as anticipated: same epoch, still on disk (the file the
+    /// read saw: a drain that ends waits out the read covering its
+    /// window), not mid-drain, not already prefetched.
     fn install(&mut self, read: AarAsyncRead) {
-        if read.epoch == self.epoch
-            && self.on_disk.contains(&read.window)
-            && !self.drains.contains_key(&read.window)
-            && !self.prefetched.contains_key(&read.window)
-        {
-            self.metrics.add_bytes_read(read.bytes);
-            self.prefetched.insert(
-                read.window,
-                PrefetchedWindow {
-                    pairs: read.pairs,
-                    end_offset: read.end_offset,
-                    terminal: read.terminal,
-                    bytes: read.bytes,
-                },
-            );
-            self.lane.installed(1);
-        } else {
-            self.lane.waste(read.bytes);
+        let current = read.epoch == self.epoch;
+        match self.windows.get_mut(&read.window) {
+            Some(e) if current && e.on_disk && e.drain.is_none() && e.prefetched.is_none() => {
+                self.metrics.add_bytes_read(read.prefix.bytes);
+                e.prefetched = Some(read.prefix);
+                self.lane.installed(1);
+            }
+            _ => self.lane.waste(read.prefix.bytes),
         }
     }
 
@@ -402,81 +461,39 @@ impl AarStore {
     /// byte budget. Each job scans a consistent snapshot — the file up
     /// to its length at submission — and never touches store state.
     fn submit_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
-        let lane = &mut self.lane;
         // Nothing to plan for a lane that admits no read at all.
-        if !lane.admits(0, 0) {
+        if !self.lane.admits(0, 0) {
             return Ok(());
         }
-        let due = lane.due(stream_time);
-        let mut candidates: Vec<WindowId> = self
-            .on_disk
-            .iter()
-            .copied()
-            .filter(|w| {
-                w.end <= due
-                    && !self.prefetched.contains_key(w)
-                    && !lane.covers(w)
-                    && !self.drains.contains_key(w)
-            })
-            .collect();
-        // Soonest-triggering windows claim the budget first.
-        candidates.sort();
-        let resident = self.prefetched.values().map(|p| p.bytes).sum::<u64>();
-        for window in candidates {
+        let horizon = self.lane.due(stream_time);
+        let installed = self.windows.values().filter_map(|e| e.prefetched.as_ref());
+        let resident: u64 = installed.map(|prefix| prefix.bytes).sum();
+        // In window order: the soonest trigger claims the budget first.
+        for (&window, entry) in &mut self.windows {
+            let due = entry.on_disk && window.end <= horizon;
+            let idle = entry.prefetched.is_none() && entry.drain.is_none();
+            if !due || !idle || self.lane.covers(&window) {
+                continue;
+            }
             // Push buffered log bytes out so the snapshot is complete,
             // and bound the scan at the current end of the file.
-            if let Some(w) = self.writers.get_mut(&window) {
+            if let Some(w) = &mut entry.writer {
                 w.flush()?;
             }
-            let path = self.dir.join(window_file_name(window));
-            let Ok(end_offset) = self.vfs.file_len(&path) else {
-                continue;
+            let path = window_path(&self.dir, window);
+            let end_offset = match self.vfs.file_len(&path) {
+                Ok(len) if len > 0 => len,
+                _ => continue,
             };
-            if end_offset == 0 {
-                continue;
-            }
-            if !lane.admits(resident, end_offset) {
+            if !self.lane.admits(resident, end_offset) {
                 break;
             }
             let epoch = self.epoch;
-            lane.submit(vec![window], end_offset, move |vfs| {
-                let mut pairs: Vec<Pair> = Vec::new();
-                let mut bytes = 0u64;
-                let mut terminal = false;
-                let mut reader = LogReader::open_in(vfs, &path)?;
-                loop {
-                    // Stop *before* crossing the snapshot boundary: bytes
-                    // past `end_offset` may belong to a flush the
-                    // foreground is writing concurrently, and reading
-                    // into a half-written record would look like a torn
-                    // file and wrongly mark the prefix terminal.
-                    if reader.offset() >= end_offset {
-                        break;
-                    }
-                    match reader.next_record() {
-                        Ok(Some((loc, payload))) => {
-                            bytes += loc.disk_len();
-                            decode_batch(&payload, &mut pairs)?;
-                        }
-                        Ok(None) => break,
-                        // A torn record below the snapshot boundary ends
-                        // the file for the sync path too; mark the prefix
-                        // terminal so the drain does not serve anything
-                        // past it.
-                        Err(e) if e.is_corruption() => {
-                            terminal = true;
-                            break;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
+            self.lane.submit(vec![window], end_offset, move |vfs| {
                 Ok(AarAsyncRead {
                     window,
                     epoch,
-                    end_offset,
-                    terminal,
-                    pairs,
-                    bytes,
+                    prefix: read_prefix(vfs, &path, end_offset)?,
                 })
             });
         }
@@ -496,38 +513,36 @@ impl AarStore {
         &mut self,
         out: &mut BTreeMap<(Vec<u8>, WindowId), ViewValue>,
     ) -> Result<()> {
-        let mut windows: Vec<WindowId> = self
-            .on_disk
-            .iter()
-            .copied()
-            .filter(|w| !self.drains.contains_key(w))
-            .collect();
-        windows.sort();
-        for &window in &windows {
-            if let Some(w) = self.writers.get_mut(&window) {
-                w.flush()?;
+        let mut on_disk: Vec<WindowId> = Vec::new();
+        for (&window, entry) in &mut self.windows {
+            if entry.on_disk && entry.drain.is_none() {
+                if let Some(w) = &mut entry.writer {
+                    w.flush()?;
+                }
+                on_disk.push(window);
             }
         }
         // One job per window file, submitted together so a pool overlaps
         // them, then collected in window order.
-        let reads = self.lane.read_through_each(windows.iter().map(|&window| {
-            let path = self.dir.join(window_file_name(window));
-            move |vfs: &Arc<dyn Vfs>| read_window_file(vfs, &path)
+        let reads = self.lane.read_through_each(on_disk.iter().map(|&window| {
+            let path = window_path(&self.dir, window);
+            move |vfs: &Arc<dyn Vfs>| read_prefix(vfs, &path, u64::MAX)
         }));
-        for (&window, pairs) in windows.iter().zip(reads) {
-            let pairs = pairs.map_err(|e| {
-                StoreError::io_at("aar view read", self.dir.join(window_file_name(window)), e)
-            })?;
-            for (key, value) in pairs {
+        for (window, read) in on_disk.into_iter().zip(reads) {
+            let at = |e| StoreError::io_at("aar view read", window_path(&self.dir, window), e);
+            let prefix = read.map_err(at)?;
+            for (key, value) in prefix.pairs {
                 push_view_value(out, key, window, value)?;
             }
         }
-        for (&window, pairs) in &self.buffer {
-            if self.drains.contains_key(&window) {
+        let mut pairs: Vec<Pair> = Vec::new();
+        for (&window, entry) in &self.windows {
+            if entry.drain.is_some() {
                 continue;
             }
-            for (key, value) in pairs {
-                push_view_value(out, key.clone(), window, value.clone())?;
+            decode_pairs(&entry.run.bytes, &mut 0, usize::MAX, &mut pairs)?;
+            for (key, value) in pairs.drain(..) {
+                push_view_value(out, key, window, value)?;
             }
         }
         Ok(())
@@ -541,24 +556,7 @@ impl AarStore {
     /// Number of per-window log writers currently open (bounded by an
     /// internal cap of 64 to avoid file-descriptor exhaustion).
     pub fn open_writers(&self) -> usize {
-        self.writers.len()
-    }
-
-    /// Closes least-recently-flushed writers beyond the cap; their files
-    /// reopen in append mode at the next flush touching them.
-    fn enforce_writer_cap(&mut self) {
-        while self.writers.len() > MAX_OPEN_WRITERS {
-            let Some((&victim, _)) = self
-                .writer_recency
-                .iter()
-                .filter(|(w, _)| self.writers.contains_key(w))
-                .min_by_key(|(_, clock)| **clock)
-            else {
-                return;
-            };
-            self.writers.remove(&victim);
-            self.writer_recency.remove(&victim);
-        }
+        self.open_writers
     }
 
     /// Writes a self-contained snapshot into `dst`.
@@ -567,21 +565,21 @@ impl AarStore {
         self.vfs
             .create_dir_all(dst)
             .map_err(|e| StoreError::io_at("aar checkpoint dir", dst, e))?;
+        let on_disk = self.windows.iter().filter(|(_, entry)| entry.on_disk);
+        let windows: Vec<WindowId> = on_disk.map(|(&window, _)| window).collect();
         let mut manifest = Vec::new();
-        put_varint_u64(&mut manifest, self.on_disk.len() as u64);
-        for window in &self.on_disk {
+        put_varint_u64(&mut manifest, windows.len() as u64);
+        for window in windows {
             window.encode_to(&mut manifest);
-            let name = window_file_name(*window);
+            let name = window_file_name(window);
             self.vfs
                 .copy(&self.dir.join(&name), &dst.join(&name))
                 .map_err(|e| StoreError::io_at("aar checkpoint copy", dst.join(&name), e))?;
         }
+        let path = dst.join(MANIFEST_NAME);
         self.vfs
-            .write(&dst.join(MANIFEST_NAME), &manifest)
-            .map_err(|e| {
-                StoreError::io_at("aar checkpoint manifest", dst.join(MANIFEST_NAME), e)
-            })?;
-        Ok(())
+            .write(&path, &manifest)
+            .map_err(|e| StoreError::io_at("aar checkpoint manifest", &path, e))
     }
 
     /// Replaces the store contents with the snapshot in `src`.
@@ -602,7 +600,7 @@ impl AarStore {
             self.vfs
                 .copy(&src.join(&name), &self.dir.join(&name))
                 .map_err(|e| StoreError::io_at("aar restore copy", src.join(&name), e))?;
-            self.on_disk.insert(window);
+            self.windows.entry(window).or_default().on_disk = true;
         }
         Ok(())
     }
@@ -611,35 +609,18 @@ impl AarStore {
     pub fn close(&mut self) -> Result<()> {
         // Wait out background reads before deleting the files from under
         // them, and invalidate any completion drained later.
-        self.lane.abandon(|read| read.bytes);
-        self.lane
-            .waste(self.prefetched.values().map(|p| p.bytes).sum());
+        self.lane.abandon(|read| read.prefix.bytes);
         self.epoch += 1;
-        self.prefetched.clear();
-        self.buffer.clear();
-        self.buffer_bytes = 0;
-        self.writers.clear();
-        self.writer_recency.clear();
-        self.drains.clear();
-        for window in std::mem::take(&mut self.on_disk) {
-            let _ = self
-                .vfs
-                .remove_file(&self.dir.join(window_file_name(window)));
-        }
-        Ok(())
-    }
-
-    /// Rediscovers per-window files after a restart.
-    fn scan_existing_files(&mut self) -> Result<()> {
-        let names = self
-            .vfs
-            .read_dir_names(&self.dir)
-            .map_err(|e| StoreError::io_at("aar scan", &self.dir, e))?;
-        for name in names {
-            if let Some(window) = parse_window_file_name(&name) {
-                self.on_disk.insert(window);
+        let mut wasted = 0;
+        for (window, entry) in std::mem::take(&mut self.windows) {
+            wasted += entry.prefetched.map_or(0, |prefix| prefix.bytes);
+            if entry.on_disk {
+                let _ = self.vfs.remove_file(&window_path(&self.dir, window));
             }
         }
+        self.lane.waste(wasted);
+        self.buffer_bytes = 0;
+        self.open_writers = 0;
         Ok(())
     }
 }
@@ -654,45 +635,61 @@ fn parse_window_file_name(name: &str) -> Option<WindowId> {
     (start <= end).then(|| WindowId::new(start, end))
 }
 
-/// Encodes a flush batch into `buf` (cleared first): count then
-/// length-prefixed `(key, value)` pairs. Taking the buffer from the
-/// caller lets `flush` reuse one allocation across chunks and flushes.
-fn encode_batch_into(buf: &mut Vec<u8>, pairs: &[Pair]) {
-    buf.clear();
-    put_varint_u64(buf, pairs.len() as u64);
-    for (k, v) in pairs {
-        put_len_prefixed(buf, k);
-        put_len_prefixed(buf, v);
+/// The one step of a window-file scan: reads the next record into
+/// `payload` and returns its bytes on disk, or `None` where the file ends
+/// for this scan — at its end; *before* crossing the snapshot boundary
+/// `limit` (bytes past it may be a flush the foreground is still writing,
+/// which would look torn); or at a torn record (crash mid-flush): the
+/// intact prefix is served, the tail is unrecoverable framing either way.
+fn next_record(reader: &mut LogReader, limit: u64, payload: &mut Vec<u8>) -> Result<Option<u64>> {
+    if reader.offset() >= limit {
+        return Ok(None);
+    }
+    match reader.next_record_into(payload) {
+        Ok(loc) => Ok(loc.map(|loc| loc.disk_len())),
+        Err(e) if e.is_corruption() => Ok(None),
+        Err(e) => Err(e),
     }
 }
 
-/// Reads a whole per-window log file into pairs, a torn tail ending the
-/// file as in `get_window_chunk`. Shared by the synchronous and
-/// ring-offloaded snapshot paths.
-fn read_window_file(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Vec<Pair>> {
+/// Reads and decodes a window file from its start up to `end_offset`
+/// (`u64::MAX`: all of it). Runs as a lane job: the ring's snapshot read
+/// ahead of a trigger, and the serving view's read of a whole file.
+fn read_prefix(vfs: &Arc<dyn Vfs>, path: &Path, end_offset: u64) -> Result<Prefix> {
     let mut reader = LogReader::open_in(vfs, path)?;
-    let mut pairs: Vec<Pair> = Vec::new();
-    loop {
-        match reader.next_record() {
-            Ok(Some((_, payload))) => decode_batch(&payload, &mut pairs)?,
-            Ok(None) => break,
-            Err(e) if e.is_corruption() => break,
-            Err(e) => return Err(e),
-        }
+    let (mut pairs, mut bytes, mut payload) = (Vec::new(), 0, Vec::new());
+    while let Some(record) = next_record(&mut reader, end_offset, &mut payload)? {
+        bytes += record;
+        decode_pairs(&payload, &mut 0, usize::MAX, &mut pairs)?;
     }
-    Ok(pairs)
+    // A scan that stopped short of the boundary stopped at a tear.
+    let resume = (reader.offset() >= end_offset).then_some(end_offset);
+    Ok(Prefix {
+        pairs,
+        resume,
+        bytes,
+    })
 }
 
-/// Decodes a flush batch, appending its pairs to `out`.
-fn decode_batch(payload: &[u8], out: &mut Vec<Pair>) -> Result<()> {
-    let mut dec = Decoder::new(payload);
-    let n = dec.get_varint_u64()? as usize;
-    out.reserve(n);
-    for _ in 0..n {
-        let k = dec.get_len_prefixed()?.to_vec();
-        let v = dec.get_len_prefixed()?.to_vec();
-        out.push((k, v));
+/// Decodes up to `limit` pairs of a record payload — a file record or a
+/// buffered [`Run`], the same bytes — from `*pos` on, appending them to
+/// `out` and advancing `*pos` past them.
+fn decode_pairs(payload: &[u8], pos: &mut usize, limit: usize, out: &mut Vec<Pair>) -> Result<()> {
+    let mut dec = Decoder::new(&payload[*pos..]);
+    for n in 0..limit {
+        if dec.is_empty() {
+            break;
+        }
+        let key = dec.get_len_prefixed()?.to_vec();
+        let value = dec.get_len_prefixed()?.to_vec();
+        if n == 0 {
+            // A window's pairs are much of a size, so the first tells how
+            // many the payload holds: room for them in one allocation.
+            out.reserve((dec.remaining() / dec.position() + 1).min(limit));
+        }
+        out.push((key, value));
     }
+    *pos += dec.position();
     Ok(())
 }
 
@@ -948,7 +945,7 @@ mod tests {
         assert!(!s.lane.is_idle());
         ring.wait_idle();
         s.advance_prefetch(0).unwrap();
-        assert!(s.prefetched.contains_key(&win));
+        assert!(s.windows[&win].prefetched.is_some());
         // Post-snapshot flushes and unflushed buffered pairs must still
         // serve after the prefetched prefix, in arrival order.
         s.append(b"a", win, b"3").unwrap();
@@ -958,7 +955,7 @@ mod tests {
         let map: HashMap<Vec<u8>, Vec<Vec<u8>>> = state.into_iter().collect();
         assert_eq!(map[&b"a".to_vec()], vec![b"1".to_vec(), b"3".to_vec()]);
         assert_eq!(map[&b"b".to_vec()], vec![b"2".to_vec(), b"4".to_vec()]);
-        assert!(s.prefetched.is_empty());
+        assert!(s.windows.values().all(|e| e.prefetched.is_none()));
         assert!(!dir.path().join(window_file_name(win)).exists());
     }
 
@@ -980,8 +977,95 @@ mod tests {
         // never re-served.
         ring.wait_idle();
         s.advance_prefetch(0).unwrap();
-        assert!(s.prefetched.is_empty());
+        assert!(s.windows.values().all(|e| e.prefetched.is_none()));
         assert!(s.get_window_chunk(win).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_read_in_flight_across_a_drain_never_installs_into_the_windows_next_life() {
+        let dir = ScratchDir::new("aar-ring-next-life").unwrap();
+        let (mut s, ring) = ring_store(dir.path());
+        let win = w(0, 100);
+        s.append(b"k", win, b"first life").unwrap();
+        s.flush().unwrap();
+        // The read is submitted, and stays uncollected across the drain.
+        s.advance_prefetch(0).unwrap();
+        ring.wait_idle();
+        assert_eq!(
+            drain_all(&mut s, win),
+            vec![(b"k".to_vec(), vec![b"first life".to_vec()])]
+        );
+        assert!(s.lane.is_idle());
+        // The window fills again and looks just like the one the read was
+        // planned for: on disk, not draining, nothing installed.
+        s.append(b"k", win, b"second life").unwrap();
+        s.flush().unwrap();
+        s.advance_prefetch(0).unwrap();
+        ring.wait_idle();
+        s.advance_prefetch(0).unwrap();
+        assert_eq!(
+            drain_all(&mut s, win),
+            vec![(b"k".to_vec(), vec![b"second life".to_vec()])]
+        );
+    }
+
+    #[test]
+    fn a_drain_from_a_prefix_that_met_a_tear_serves_nothing_past_it() {
+        // Two flushed records, the second torn. A synchronous drain ends
+        // the file at the tear, so a flush landing behind it is out of
+        // reach; a drain begun from a prefix the ring read up to that
+        // tear must serve exactly the same.
+        let serve = |prefetch: bool| {
+            let dir = ScratchDir::new("aar-ring-tear").unwrap();
+            let (mut s, ring) = ring_store(dir.path());
+            let win = w(0, 100);
+            s.append(b"a", win, b"1").unwrap();
+            s.flush().unwrap();
+            s.append(b"a", win, b"torn").unwrap();
+            s.flush().unwrap();
+            let file = dir.path().join(window_file_name(win));
+            let len = std::fs::metadata(&file).unwrap().len();
+            let tear = std::fs::OpenOptions::new().write(true).open(&file).unwrap();
+            tear.set_len(len - 2).unwrap();
+            if prefetch {
+                s.advance_prefetch(0).unwrap();
+                ring.wait_idle();
+                s.advance_prefetch(0).unwrap();
+                let prefix = s.windows[&win].prefetched.as_ref().expect("installed");
+                assert_eq!(prefix.resume, None);
+                assert_eq!(prefix.pairs, vec![(b"a".to_vec(), b"1".to_vec())]);
+            }
+            s.append(b"a", win, b"behind the tear").unwrap();
+            s.flush().unwrap();
+            s.append(b"a", win, b"in memory").unwrap();
+            drain_all(&mut s, win)
+        };
+        let expect = vec![(b"a".to_vec(), vec![b"1".to_vec(), b"in memory".to_vec()])];
+        assert_eq!(serve(false), expect);
+        assert_eq!(serve(true), expect);
+    }
+
+    #[test]
+    fn a_flush_leaves_a_window_mid_drain_to_its_drain() {
+        let dir = ScratchDir::new("aar-flush-mid-drain").unwrap();
+        let mut s = store(dir.path());
+        let win = w(0, 100);
+        for i in 0..6u8 {
+            s.append(b"k", win, &[i]).unwrap();
+        }
+        s.flush().unwrap();
+        s.append(b"k", win, &[6]).unwrap();
+        // One chunk in, a pair arrives and a flush runs: the pair is not
+        // written behind the drain's reader, it is served after the file.
+        assert_eq!(s.get_window_chunk(win).unwrap().unwrap()[0].1.len(), 4);
+        s.append(b"k", win, &[7]).unwrap();
+        s.flush().unwrap();
+        let rest: Vec<Vec<u8>> = drain_all(&mut s, win)
+            .into_iter()
+            .flat_map(|(_, values)| values)
+            .collect();
+        assert_eq!(rest, vec![vec![4], vec![5], vec![6], vec![7]]);
+        assert_eq!(s.memory_bytes(), 0);
     }
 
     #[test]

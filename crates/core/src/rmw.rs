@@ -19,7 +19,7 @@ use flowkv_common::error::{Result, StoreError};
 use flowkv_common::logfile::record_payload;
 use flowkv_common::metrics::{OpCategory, StoreMetrics};
 use flowkv_common::registry::ViewValue;
-use flowkv_common::types::WindowId;
+use flowkv_common::types::{Timestamp, WindowId};
 use flowkv_common::vfs::{StdVfs, Vfs};
 
 use crate::genlog::GenLog;
@@ -156,6 +156,12 @@ impl RmwStore {
         if self.buffer_bytes >= self.cfg.write_buffer_bytes {
             self.flush()?;
         }
+        Ok(())
+    }
+
+    /// RMW state is written, not anticipatably read: there is nothing to
+    /// read ahead (its LSM sibling handles warming instead).
+    pub(crate) fn advance_prefetch(&mut self, _stream_time: Timestamp) -> Result<()> {
         Ok(())
     }
 

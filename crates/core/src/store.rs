@@ -52,6 +52,36 @@ enum Inner {
     Rmw(Partitioned<RmwStore>),
 }
 
+/// Evaluates `$body` with `$p` bound to the [`Partitioned`] instances of
+/// whichever store `$inner` holds. The three stores share their lifecycle
+/// methods by name and signature, so the front states each lifecycle
+/// operation once and dispatches only the pattern operations of Listing 1
+/// by pattern.
+macro_rules! each_store {
+    ($inner:expr, $p:ident => $body:expr) => {
+        match $inner {
+            Inner::Aar($p) => $body,
+            Inner::Aur($p) => $body,
+            Inner::Rmw($p) => $body,
+        }
+    };
+}
+
+/// Where instance `j` lives under a store (or checkpoint) directory.
+fn instance_dir(dir: &Path, j: usize) -> PathBuf {
+    dir.join(format!("inst{j}"))
+}
+
+/// Opens the `m` instances of one store.
+fn open_instances<S>(
+    dir: &Path,
+    m: usize,
+    open: impl Fn(&Path, usize) -> Result<S>,
+) -> Result<Partitioned<S>> {
+    let instances: Result<Vec<S>> = (0..m).map(|j| open(&instance_dir(dir, j), j)).collect();
+    instances.map(Partitioned::new)
+}
+
 /// The semantic-aware composite store for one operator partition.
 pub struct FlowKvStore {
     dir: PathBuf,
@@ -66,35 +96,17 @@ pub struct FlowKvStore {
 impl FlowKvStore {
     /// Opens a store in `dir` for an operator with the given semantics.
     pub fn open(dir: &Path, semantics: OperatorSemantics, config: FlowKvConfig) -> Result<Self> {
-        FlowKvStore::open_with_telemetry(dir, semantics, config, None, "")
+        Self::open_with_vfs(dir, semantics, config, None, "", StdVfs::shared(), None)
     }
 
     /// Like [`FlowKvStore::open`], additionally wiring a job-wide
-    /// telemetry handle into the AUR instances so predicted-vs-actual
-    /// trigger-time events flow into the flight recorder. `tag` labels
-    /// the emitting partition (`operator/p<N>`).
-    pub fn open_with_telemetry(
-        dir: &Path,
-        semantics: OperatorSemantics,
-        config: FlowKvConfig,
-        telemetry: Option<Arc<flowkv_common::telemetry::Telemetry>>,
-        tag: &str,
-    ) -> Result<Self> {
-        Self::open_with_vfs(
-            dir,
-            semantics,
-            config,
-            telemetry,
-            tag,
-            StdVfs::shared(),
-            None,
-        )
-    }
-
-    /// Like [`FlowKvStore::open_with_telemetry`], additionally routing
-    /// every file operation of every inner store instance through `vfs`,
-    /// and — when `io` is set — building one background [`IoRing`] over
-    /// that VFS, shared by every instance (each under its own tag).
+    /// telemetry handle into the AAR and AUR instances (so prefetch
+    /// accuracy and predicted-vs-actual trigger times flow into the
+    /// flight recorder; `tag` labels the emitting partition,
+    /// `operator/p<N>`), routing every file operation of every inner
+    /// store instance through `vfs`, and — when `io` is set — building
+    /// one background [`IoRing`] over that VFS, shared by every instance
+    /// (each under its own tag).
     pub fn open_with_vfs(
         dir: &Path,
         semantics: OperatorSemantics,
@@ -119,27 +131,33 @@ impl FlowKvStore {
         // Each instance gets an even share of the write buffer, matching
         // the paper's per-operator budget split across `m` instances.
         let per_instance_buffer = (config.write_buffer_bytes / m).max(1024);
+        // A store that reads ahead joins the ring under its instance
+        // number and reports to the hub under its own label.
+        macro_rules! wired {
+            ($store:expr, $j:ident) => {{
+                let mut store = $store;
+                if let Some(r) = &ring {
+                    store = store.with_ring(Arc::clone(r), $j as u64);
+                }
+                if let Some(t) = &telemetry {
+                    store = store.with_telemetry(Arc::clone(t), &format!("{tag}/inst{}", $j));
+                }
+                Ok(store)
+            }};
+        }
         let inner = match pattern {
-            AccessPattern::Aar => {
-                let mut instances = Vec::with_capacity(m);
-                for j in 0..m {
-                    let mut store = AarStore::open_with_vfs(
-                        &dir.join(format!("inst{j}")),
+            AccessPattern::Aar => Inner::Aar(open_instances(dir, m, |dir, j| {
+                wired!(
+                    AarStore::open_with_vfs(
+                        dir,
                         per_instance_buffer,
                         config.chunk_entries,
                         Arc::clone(&metrics),
                         Arc::clone(&vfs),
-                    )?;
-                    if let Some(r) = &ring {
-                        store = store.with_ring(Arc::clone(r), j as u64);
-                    }
-                    if let Some(t) = &telemetry {
-                        store = store.with_telemetry(Arc::clone(t), &format!("{tag}/inst{j}"));
-                    }
-                    instances.push(store);
-                }
-                Inner::Aar(Partitioned::new(instances))
-            }
+                    )?,
+                    j
+                )
+            })?),
             AccessPattern::Aur => {
                 let predictor =
                     EttPredictor::for_window_kind(semantics.window, config.custom_ett.clone());
@@ -148,40 +166,32 @@ impl FlowKvStore {
                     read_batch_ratio: config.read_batch_ratio,
                     max_space_amplification: config.max_space_amplification,
                 };
-                let mut instances = Vec::with_capacity(m);
-                for j in 0..m {
-                    let mut store = AurStore::open_with_vfs(
-                        &dir.join(format!("inst{j}")),
-                        aur_cfg.clone(),
-                        predictor.clone(),
-                        Arc::clone(&metrics),
-                        Arc::clone(&vfs),
-                    )?;
-                    if let Some(r) = &ring {
-                        store = store.with_ring(Arc::clone(r), j as u64);
-                    }
-                    if let Some(t) = &telemetry {
-                        store = store.with_telemetry(Arc::clone(t), &format!("{tag}/inst{j}"));
-                    }
-                    instances.push(store);
-                }
-                Inner::Aur(Partitioned::new(instances))
+                Inner::Aur(open_instances(dir, m, |dir, j| {
+                    wired!(
+                        AurStore::open_with_vfs(
+                            dir,
+                            aur_cfg.clone(),
+                            predictor.clone(),
+                            Arc::clone(&metrics),
+                            Arc::clone(&vfs),
+                        )?,
+                        j
+                    )
+                })?)
             }
             AccessPattern::Rmw => {
                 let rmw_cfg = RmwConfig {
                     write_buffer_bytes: per_instance_buffer,
                     max_space_amplification: config.max_space_amplification,
                 };
-                let mut instances = Vec::with_capacity(m);
-                for j in 0..m {
-                    instances.push(RmwStore::open_with_vfs(
-                        &dir.join(format!("inst{j}")),
+                Inner::Rmw(open_instances(dir, m, |dir, _| {
+                    RmwStore::open_with_vfs(
+                        dir,
                         rmw_cfg.clone(),
                         Arc::clone(&metrics),
                         Arc::clone(&vfs),
-                    )?);
-                }
-                Inner::Rmw(Partitioned::new(instances))
+                    )
+                })?)
             }
         };
         Ok(FlowKvStore {
@@ -201,11 +211,7 @@ impl FlowKvStore {
 
     /// Number of store instances (`m`).
     pub fn instances(&self) -> usize {
-        match &self.inner {
-            Inner::Aar(p) => p.len(),
-            Inner::Aur(p) => p.len(),
-            Inner::Rmw(p) => p.len(),
-        }
+        each_store!(&self.inner, p => p.len())
     }
 
     /// Every live `(key, window)` entry, copied out without consuming
@@ -214,17 +220,9 @@ impl FlowKvStore {
         let mut entries = BTreeMap::new();
         // Key-hash routing makes instance key spaces disjoint, so merging
         // the per-instance maps never collides.
-        match &mut self.inner {
-            Inner::Aar(p) => p
-                .iter_mut()
-                .try_for_each(|s| s.collect_view(&mut entries))?,
-            Inner::Aur(p) => p
-                .iter_mut()
-                .try_for_each(|s| s.collect_view(&mut entries))?,
-            Inner::Rmw(p) => p
-                .iter_mut()
-                .try_for_each(|s| s.collect_view(&mut entries))?,
-        }
+        each_store!(&mut self.inner, p => {
+            p.iter_mut().try_for_each(|s| s.collect_view(&mut entries))?
+        });
         Ok(entries)
     }
 
@@ -297,25 +295,13 @@ impl StateBackend for FlowKvStore {
     }
 
     fn flush(&mut self) -> Result<()> {
-        match &mut self.inner {
-            Inner::Aar(p) => p.iter_mut().try_for_each(AarStore::flush),
-            Inner::Aur(p) => p.iter_mut().try_for_each(AurStore::flush),
-            Inner::Rmw(p) => p.iter_mut().try_for_each(RmwStore::flush),
-        }
+        each_store!(&mut self.inner, p => p.iter_mut().try_for_each(|s| s.flush()))
     }
 
     fn advance_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
-        match &mut self.inner {
-            Inner::Aar(p) => p
-                .iter_mut()
-                .try_for_each(|s| s.advance_prefetch(stream_time)),
-            Inner::Aur(p) => p
-                .iter_mut()
-                .try_for_each(|s| s.advance_prefetch(stream_time)),
-            // RMW state is written, not anticipatably read; its LSM
-            // sibling handles warming instead.
-            Inner::Rmw(_) => Ok(()),
-        }
+        each_store!(&mut self.inner, p => {
+            p.iter_mut().try_for_each(|s| s.advance_prefetch(stream_time))
+        })
     }
 
     fn read_view(&mut self) -> Result<Option<StateView>> {
@@ -351,60 +337,28 @@ impl StateBackend for FlowKvStore {
     }
 
     fn memory_bytes(&self) -> usize {
-        match &self.inner {
-            Inner::Aar(p) => p.iter().map(AarStore::memory_bytes).sum(),
-            Inner::Aur(p) => p.iter().map(AurStore::memory_bytes).sum(),
-            Inner::Rmw(p) => p.iter().map(RmwStore::memory_bytes).sum(),
-        }
+        each_store!(&self.inner, p => p.iter().map(|s| s.memory_bytes()).sum())
     }
 
     fn checkpoint(&mut self, dir: &Path) -> Result<()> {
         self.vfs
             .create_dir_all(dir)
             .map_err(|e| StoreError::io_at("flowkv checkpoint dir", dir, e))?;
-        let run = |j: usize| dir.join(format!("inst{j}"));
-        match &mut self.inner {
-            Inner::Aar(p) => p
-                .iter_mut()
-                .enumerate()
-                .try_for_each(|(j, s)| s.checkpoint(&run(j))),
-            Inner::Aur(p) => p
-                .iter_mut()
-                .enumerate()
-                .try_for_each(|(j, s)| s.checkpoint(&run(j))),
-            Inner::Rmw(p) => p
-                .iter_mut()
-                .enumerate()
-                .try_for_each(|(j, s)| s.checkpoint(&run(j))),
-        }
+        each_store!(&mut self.inner, p => {
+            p.iter_mut().enumerate().try_for_each(|(j, s)| s.checkpoint(&instance_dir(dir, j)))
+        })
     }
 
     fn restore(&mut self, dir: &Path) -> Result<()> {
         self.window_cursors.clear();
-        let run = |j: usize| dir.join(format!("inst{j}"));
-        match &mut self.inner {
-            Inner::Aar(p) => p
-                .iter_mut()
-                .enumerate()
-                .try_for_each(|(j, s)| s.restore(&run(j))),
-            Inner::Aur(p) => p
-                .iter_mut()
-                .enumerate()
-                .try_for_each(|(j, s)| s.restore(&run(j))),
-            Inner::Rmw(p) => p
-                .iter_mut()
-                .enumerate()
-                .try_for_each(|(j, s)| s.restore(&run(j))),
-        }
+        each_store!(&mut self.inner, p => {
+            p.iter_mut().enumerate().try_for_each(|(j, s)| s.restore(&instance_dir(dir, j)))
+        })
     }
 
     fn close(&mut self) -> Result<()> {
         self.window_cursors.clear();
-        match &mut self.inner {
-            Inner::Aar(p) => p.iter_mut().try_for_each(AarStore::close)?,
-            Inner::Aur(p) => p.iter_mut().try_for_each(AurStore::close)?,
-            Inner::Rmw(p) => p.iter_mut().try_for_each(RmwStore::close)?,
-        }
+        each_store!(&mut self.inner, p => p.iter_mut().try_for_each(|s| s.close()))?;
         let _ = std::fs::remove_dir_all(&self.dir);
         Ok(())
     }

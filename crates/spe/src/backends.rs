@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use flowkv::{FlowKvConfig, FlowKvFactory};
 use flowkv_common::backend::StateBackendFactory;
-use flowkv_common::vfs::Vfs;
+use flowkv_common::vfs::{StdVfs, Vfs};
 use flowkv_hashkv::backend::HashBackendFactory;
 use flowkv_hashkv::HashDbConfig;
 use flowkv_lsm::backend::LsmBackendFactory;
@@ -86,44 +86,27 @@ impl BackendChoice {
 
     /// Builds the factory the executor hands to window operators,
     /// applying every option in `opts`: the inner store is constructed
-    /// first (with the VFS threaded through, when given), then wrapped
+    /// first (over the given VFS, or the real filesystem), then wrapped
     /// in the two-tier layout (whose cold log shares the same VFS).
     pub fn build(&self, opts: FactoryOptions) -> Arc<dyn StateBackendFactory> {
-        let inner: Arc<dyn StateBackendFactory> = match (self, &opts.vfs) {
-            (
-                BackendChoice::InMemory {
-                    budget_per_partition,
-                },
-                None,
-            ) => Arc::new(InMemoryFactory::new(*budget_per_partition)),
-            (
-                BackendChoice::InMemory {
-                    budget_per_partition,
-                },
-                Some(vfs),
-            ) => Arc::new(InMemoryFactory::new(*budget_per_partition).with_vfs(Arc::clone(vfs))),
-            (BackendChoice::FlowKv(cfg), None) => Arc::new(FlowKvFactory::new(cfg.clone())),
-            (BackendChoice::FlowKv(cfg), Some(vfs)) => {
-                Arc::new(FlowKvFactory::new(cfg.clone()).with_vfs(Arc::clone(vfs)))
+        let vfs = opts.vfs.unwrap_or_else(StdVfs::shared);
+        let inner: Arc<dyn StateBackendFactory> = match self {
+            BackendChoice::InMemory {
+                budget_per_partition,
+            } => Arc::new(InMemoryFactory::new(*budget_per_partition).with_vfs(Arc::clone(&vfs))),
+            BackendChoice::FlowKv(cfg) => {
+                Arc::new(FlowKvFactory::new(cfg.clone()).with_vfs(Arc::clone(&vfs)))
             }
-            (BackendChoice::Lsm(cfg), None) => Arc::new(LsmBackendFactory::new(cfg.clone())),
-            (BackendChoice::Lsm(cfg), Some(vfs)) => {
-                Arc::new(LsmBackendFactory::new(cfg.clone()).with_vfs(Arc::clone(vfs)))
+            BackendChoice::Lsm(cfg) => {
+                Arc::new(LsmBackendFactory::new(cfg.clone()).with_vfs(Arc::clone(&vfs)))
             }
-            (BackendChoice::HashKv(cfg), None) => Arc::new(HashBackendFactory::new(cfg.clone())),
-            (BackendChoice::HashKv(cfg), Some(vfs)) => {
-                Arc::new(HashBackendFactory::new(cfg.clone()).with_vfs(Arc::clone(vfs)))
+            BackendChoice::HashKv(cfg) => {
+                Arc::new(HashBackendFactory::new(cfg.clone()).with_vfs(Arc::clone(&vfs)))
             }
         };
         match opts.tier {
             None => inner,
-            Some(cfg) => {
-                let tiered = flowkv::tier::TieredFactory::new(inner, cfg);
-                match opts.vfs {
-                    None => Arc::new(tiered),
-                    Some(vfs) => Arc::new(tiered.with_vfs(vfs)),
-                }
-            }
+            Some(cfg) => Arc::new(flowkv::tier::TieredFactory::new(inner, cfg).with_vfs(vfs)),
         }
     }
 

@@ -16,7 +16,7 @@
 //! [`RunOptions::batch_size`] (one channel operation per batch instead
 //! of per tuple). Batches are force-flushed before every watermark,
 //! barrier, and end marker, and additionally once a partial batch has
-//! lingered 5 ms on a slow stream, so event-time
+//! lingered 5 ms on a rate-limited stream, so event-time
 //! semantics, checkpoint alignment, and the sink's accounting are
 //! independent of the batch size — see DESIGN.md § Exchange layer.
 //!
@@ -1105,7 +1105,11 @@ pub(crate) fn run_job_inner(
 
 /// Longest a partially filled source batch may linger before being
 /// flushed anyway (checked as the next tuple arrives), bounding the
-/// extra latency batching can add to slow, rate-limited streams.
+/// extra latency batching can add to slow, rate-limited streams. An
+/// unpaced source never lingers: it fills its batches as fast as the
+/// consumer takes them, and a timer there would only make the batch
+/// boundaries, and the store-call order behind them, depend on wall
+/// time.
 const BATCH_LINGER_NANOS: u64 = 5_000_000;
 
 /// The body of the `spe-source` thread: paces the item stream, stamps
@@ -1186,7 +1190,9 @@ fn run_source(
                 }
                 if !exchange.has_pending() {
                     last_flush = departure;
-                } else if departure.saturating_sub(last_flush) >= BATCH_LINGER_NANOS {
+                } else if options.rate_limit.is_some()
+                    && departure.saturating_sub(last_flush) >= BATCH_LINGER_NANOS
+                {
                     // Slow stream: don't sit on a partial batch forever.
                     exchange.flush();
                     last_flush = departure;
@@ -2322,6 +2328,62 @@ mod tests {
         assert_eq!(passed(align.admit(wm(1, 8))), Some((1, 8)));
         assert!(align.on_barrier(1));
         assert_eq!(passed(align.next_released()), Some((0, 7)));
+    }
+
+    #[test]
+    fn an_unpaced_source_seals_only_full_batches_between_control_messages() {
+        // The consumer stalls 20 ms before each of its first receives on
+        // a one-slot channel, so the source sits blocked for four times
+        // the linger. Where its batches end must still be a function of
+        // the input alone: every batch is full unless a watermark, the
+        // barrier or the end of the stream forced it out.
+        const BATCH: usize = 8;
+        let dir = ScratchDir::new("exec-linger").unwrap();
+        let job = count_job(1);
+        let mut opts = RunOptions::new(dir.path());
+        opts.batch_size = BATCH;
+        opts.watermark_interval = 100;
+        opts.checkpoint_after_tuples = Some(150);
+        let ctx = RunCtx::resolve(&opts);
+        let factory = BackendChoice::all_small_for_tests()[0].build(FactoryOptions::new());
+        let abort = AtomicBool::new(false);
+        let run = RunShared {
+            job: &job,
+            options: &opts,
+            ctx: &ctx,
+            factory: &*factory,
+            abort: &abort,
+            epoch: Instant::now(),
+        };
+        let items = Schedule::for_run(tuples(330, 5).into_iter(), &opts);
+        let (tx, rx) = bounded::<Envelope>(1);
+        // `Some(len)` for a batch, `None` for a control message.
+        let seen: Vec<Option<usize>> = std::thread::scope(|scope| {
+            let consumer = scope.spawn(move || {
+                let mut seen = Vec::new();
+                while let Ok(env) = rx.recv() {
+                    if seen.len() < 6 {
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                    seen.push(match env.msg {
+                        Msg::Batch(batch, _) => Some(batch.len()),
+                        _ => None,
+                    });
+                }
+                seen
+            });
+            assert_eq!(run_source(run, items, vec![tx]), 330);
+            consumer.join().expect("consumer thread")
+        });
+        assert_eq!(seen.iter().flatten().sum::<usize>(), 330);
+        for pair in seen.windows(2) {
+            if let [Some(len), Some(_)] = pair {
+                assert_eq!(*len, BATCH, "a partial batch ahead of another: {seen:?}");
+            }
+        }
+        // 100 tuples between watermarks leave a forced partial batch, so
+        // batches that are never partial would not pass unnoticed.
+        assert!(seen.contains(&Some(100 % BATCH)));
     }
 
     #[test]

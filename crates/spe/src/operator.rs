@@ -31,6 +31,30 @@ fn merges_with(a: &WindowId, b: &WindowId) -> bool {
     a.start <= b.end && b.start <= a.end
 }
 
+/// Writes one tuple to the store under `window`: appended to the window's
+/// full list, or folded into its aggregate. A free function over the two
+/// fields it needs, so a caller may hold its session or count state
+/// across it.
+fn store_tuple(
+    aggregate: &AggregateSpec,
+    backend: &mut dyn StateBackend,
+    tuple: &Tuple,
+    window: WindowId,
+) -> Result<()> {
+    match aggregate {
+        AggregateSpec::FullList(_) => {
+            backend.append(&tuple.key, window, &tuple.value, tuple.timestamp)
+        }
+        AggregateSpec::Incremental(agg) => {
+            let acc = backend
+                .take_aggregate(&tuple.key, window)?
+                .unwrap_or_else(|| agg.create());
+            let acc = agg.add(&acc, &tuple.value);
+            backend.put_aggregate(&tuple.key, window, &acc)
+        }
+    }
+}
+
 /// An open session of one key.
 #[derive(Clone, Debug)]
 struct Session {
@@ -133,10 +157,10 @@ impl WindowOperator {
         match self.spec.assigner {
             WindowAssigner::Fixed { .. }
             | WindowAssigner::Sliding { .. }
-            | WindowAssigner::Global => self.on_aligned_element(tuple),
+            | WindowAssigner::Global
+            | WindowAssigner::Custom { .. } => self.on_aligned_element(tuple),
             WindowAssigner::Session { gap } => self.on_session_element(tuple, gap),
             WindowAssigner::Count { size } => self.on_count_element(tuple, size, out),
-            WindowAssigner::Custom { .. } => self.on_custom_element(tuple),
         }
     }
 
@@ -424,56 +448,22 @@ impl WindowOperator {
         }
     }
 
+    /// Windows with deterministic boundaries: fixed, sliding, global, and
+    /// custom ones from the user function. Aggregates fire key by key, so
+    /// their windows track the keys to trigger; so do the full lists of
+    /// custom windows, whose state lives per key in the store (classified
+    /// unaligned, paper §8). An aligned full list is drained whole.
     fn on_aligned_element(&mut self, tuple: &Tuple) -> Result<()> {
-        let windows = self.spec.assigner.assign(tuple.timestamp);
-        for window in windows {
-            match &self.spec.aggregate {
-                AggregateSpec::FullList(_) => {
-                    self.backend
-                        .append(&tuple.key, window, &tuple.value, tuple.timestamp)?;
-                }
-                AggregateSpec::Incremental(agg) => {
-                    let acc = self
-                        .backend
-                        .take_aggregate(&tuple.key, window)?
-                        .unwrap_or_else(|| agg.create());
-                    let acc = agg.add(&acc, &tuple.value);
-                    self.backend.put_aggregate(&tuple.key, window, &acc)?;
-                    self.trigger_keys
-                        .entry(window)
-                        .or_default()
-                        .insert(tuple.key.clone());
-                }
+        let per_key = matches!(self.spec.assigner, WindowAssigner::Custom { .. })
+            || matches!(self.spec.aggregate, AggregateSpec::Incremental(_));
+        for window in self.spec.assigner.assign(tuple.timestamp) {
+            store_tuple(&self.spec.aggregate, self.backend.as_mut(), tuple, window)?;
+            if per_key {
+                self.trigger_keys
+                    .entry(window)
+                    .or_default()
+                    .insert(tuple.key.clone());
             }
-            self.aligned_timers.insert((window.end, window));
-        }
-        Ok(())
-    }
-
-    /// Custom windows: deterministic boundaries from the user function,
-    /// but per-key state in the store (classified unaligned, paper §8),
-    /// so triggering tracks keys per window and fires them individually.
-    fn on_custom_element(&mut self, tuple: &Tuple) -> Result<()> {
-        let windows = self.spec.assigner.assign(tuple.timestamp);
-        for window in windows {
-            match &self.spec.aggregate {
-                AggregateSpec::FullList(_) => {
-                    self.backend
-                        .append(&tuple.key, window, &tuple.value, tuple.timestamp)?;
-                }
-                AggregateSpec::Incremental(agg) => {
-                    let acc = self
-                        .backend
-                        .take_aggregate(&tuple.key, window)?
-                        .unwrap_or_else(|| agg.create());
-                    let acc = agg.add(&acc, &tuple.value);
-                    self.backend.put_aggregate(&tuple.key, window, &acc)?;
-                }
-            }
-            self.trigger_keys
-                .entry(window)
-                .or_default()
-                .insert(tuple.key.clone());
             self.aligned_timers.insert((window.end, window));
         }
         Ok(())
@@ -500,20 +490,12 @@ impl WindowOperator {
         sessions[at..].rotate_left(1);
         let session = sessions.last_mut().expect("rotated to the back");
         let store_window = session.initials[0];
-        match &self.spec.aggregate {
-            AggregateSpec::FullList(_) => {
-                self.backend
-                    .append(&tuple.key, store_window, &tuple.value, tuple.timestamp)?;
-            }
-            AggregateSpec::Incremental(agg) => {
-                let acc = self
-                    .backend
-                    .take_aggregate(&tuple.key, store_window)?
-                    .unwrap_or_else(|| agg.create());
-                let acc = agg.add(&acc, &tuple.value);
-                self.backend.put_aggregate(&tuple.key, store_window, &acc)?;
-            }
-        }
+        store_tuple(
+            &self.spec.aggregate,
+            self.backend.as_mut(),
+            tuple,
+            store_window,
+        )?;
         let armed = session.cover.end;
         session.cover = proto.cover(&session.cover);
         // A timer for an end that did not move is still armed: had it
@@ -589,20 +571,7 @@ impl WindowOperator {
     fn on_count_element(&mut self, tuple: &Tuple, size: u64, out: &mut Vec<Tuple>) -> Result<()> {
         let state = self.counts.entry(tuple.key.clone()).or_default();
         let window = WindowId::new((state.seq * size) as i64, ((state.seq + 1) * size) as i64);
-        match &self.spec.aggregate {
-            AggregateSpec::FullList(_) => {
-                self.backend
-                    .append(&tuple.key, window, &tuple.value, tuple.timestamp)?;
-            }
-            AggregateSpec::Incremental(agg) => {
-                let acc = self
-                    .backend
-                    .take_aggregate(&tuple.key, window)?
-                    .unwrap_or_else(|| agg.create());
-                let acc = agg.add(&acc, &tuple.value);
-                self.backend.put_aggregate(&tuple.key, window, &acc)?;
-            }
-        }
+        store_tuple(&self.spec.aggregate, self.backend.as_mut(), tuple, window)?;
         state.in_window += 1;
         if state.in_window >= size {
             state.seq += 1;
