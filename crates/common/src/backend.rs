@@ -110,7 +110,8 @@ impl OperatorSemantics {
 }
 
 /// One gradual chunk of a triggered window's state: keys paired with
-/// their appended values.
+/// appended values. An entry need not be all a key holds — see
+/// [`StateBackend::get_window_chunk`].
 pub type WindowChunk = Vec<(Vec<u8>, Vec<Vec<u8>>)>;
 
 /// One migratable unit of store state, produced by
@@ -189,6 +190,12 @@ pub trait StateBackend: Send {
     /// The chunked contract is the paper's *gradual state loading*
     /// (§4.1): the engine aggregates chunk by chunk so only one
     /// non-aggregated chunk is in memory at a time.
+    ///
+    /// A key may repeat, within a chunk and across chunks: its values
+    /// are the concatenation of its entries' values in the order the
+    /// drain served them, which is the order they were appended in. A
+    /// store hands out what it holds as it holds it; a consumer that
+    /// needs a key's whole list groups, once.
     fn get_window_chunk(&mut self, window: WindowId) -> Result<Option<WindowChunk>>;
 
     /// Fetches and removes the appended values of `(key, window)`.

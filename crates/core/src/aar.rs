@@ -60,7 +60,7 @@
 //! close each writer just before its next use as soon as more than the
 //! cap were live — recency bought bookkeeping and no reuse.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -371,7 +371,7 @@ impl AarStore {
         }
         if !pairs.is_empty() {
             self.metrics.add_records_read(pairs.len() as u64);
-            return Ok(Some(group_by_key(pairs)));
+            return Ok(Some(key_runs(pairs)));
         }
         // Fully drained: forget the window and delete its file. A read
         // submitted before the drain is waited out, not left to install
@@ -716,17 +716,15 @@ pub(crate) fn push_view_value(
     }
 }
 
-/// Groups a chunk's pairs by key, preserving first-seen key order.
-pub(crate) fn group_by_key(pairs: impl IntoIterator<Item = Pair>) -> WindowChunk {
-    let mut order: HashMap<Vec<u8>, usize> = HashMap::new();
+/// A chunk of `pairs` in their order: each run of adjacent pairs of one
+/// key is one entry. A key whose pairs are apart repeats — the chunk
+/// contract lets it, and whoever needs whole lists groups once.
+pub(crate) fn key_runs(pairs: impl IntoIterator<Item = Pair>) -> WindowChunk {
     let mut chunk: WindowChunk = Vec::new();
-    for (k, v) in pairs {
-        match order.get(&k) {
-            Some(&idx) => chunk[idx].1.push(v),
-            None => {
-                order.insert(k.clone(), chunk.len());
-                chunk.push((k, vec![v]));
-            }
+    for (key, value) in pairs {
+        match chunk.last_mut() {
+            Some((last, values)) if *last == key => values.push(value),
+            _ => chunk.push((key, vec![value])),
         }
     }
     chunk
@@ -735,6 +733,7 @@ pub(crate) fn group_by_key(pairs: impl IntoIterator<Item = Pair>) -> WindowChunk
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_common::merge_chunks;
     use flowkv_common::scratch::ScratchDir;
 
     fn store(dir: &Path) -> AarStore {
@@ -762,7 +761,7 @@ mod tests {
         s.append(b"b", win, b"2").unwrap();
         s.append(b"a", win, b"3").unwrap();
         let state = drain_all(&mut s, win);
-        let map: HashMap<Vec<u8>, Vec<Vec<u8>>> = state.into_iter().collect();
+        let map = merge_chunks([state]);
         assert_eq!(map[&b"a".to_vec()], vec![b"1".to_vec(), b"3".to_vec()]);
         assert_eq!(map[&b"b".to_vec()], vec![b"2".to_vec()]);
         // Fully drained: next read is None immediately.
@@ -911,7 +910,7 @@ mod tests {
 
         // A drain after the view sees exactly the same state.
         let state = drain_all(&mut s, win);
-        let map: HashMap<Vec<u8>, Vec<Vec<u8>>> = state.into_iter().collect();
+        let map = merge_chunks([state]);
         assert_eq!(map[&b"a".to_vec()], vec![b"1".to_vec(), b"3".to_vec()]);
         assert_eq!(map[&b"b".to_vec()], vec![b"2".to_vec()]);
 
@@ -952,7 +951,7 @@ mod tests {
         s.flush().unwrap();
         s.append(b"b", win, b"4").unwrap();
         let state = drain_all(&mut s, win);
-        let map: HashMap<Vec<u8>, Vec<Vec<u8>>> = state.into_iter().collect();
+        let map = merge_chunks([state]);
         assert_eq!(map[&b"a".to_vec()], vec![b"1".to_vec(), b"3".to_vec()]);
         assert_eq!(map[&b"b".to_vec()], vec![b"2".to_vec(), b"4".to_vec()]);
         assert!(s.windows.values().all(|e| e.prefetched.is_none()));
@@ -1141,7 +1140,7 @@ mod tests {
 
     #[test]
     fn a_flush_writes_its_windows_in_window_order() {
-        // One file per window, so what `HashMap` order would scramble is
+        // One file per window, so what hash-map order would scramble is
         // not the bytes but which file an op lands on. Plant the same
         // fault in the same multi-window flush of two stores: both must
         // fail on the same file, and leave the same files behind.

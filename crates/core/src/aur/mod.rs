@@ -52,8 +52,9 @@ use flowkv_common::vfs::{StdVfs, Vfs};
 use crate::aar::push_view_value;
 use crate::ett::{EttObservation, EttPredictor};
 use crate::genlog::GenLog;
+use crate::table::WindowMap;
 use index_log::{decode_values, IndexEntry};
-use table::{EntryState, LiveTable, Pick, WindowMap};
+use table::{EntryState, LiveTable, Pick};
 
 /// Identifies one window of one key.
 type StateKey = (Vec<u8>, WindowId);
@@ -851,8 +852,7 @@ impl AurStore {
         // in the batch and their `first_offset` travel with it.
         let mut selected: WindowMap<(usize, u64)> = WindowMap::default();
         for (slot, pick) in picks.iter().enumerate() {
-            let at = (slot, pick.first_offset);
-            selected.upsert(&pick.key, pick.window, || at, |_| ());
+            selected.insert(&pick.key, pick.window, (slot, pick.first_offset));
         }
         let keys: Vec<StateKey> = picks.iter().map(|p| (p.key.clone(), p.window)).collect();
         lane.submit(keys, est_bytes, move |vfs| {

@@ -8,141 +8,13 @@
 //! index log — an entry is what must fit in memory even when windows
 //! number in the millions.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher, RandomState};
-
 use flowkv_common::error::Result;
 use flowkv_common::logfile::RecordLocation;
 use flowkv_common::types::{Timestamp, WindowId};
 
 use super::index_log::ValueRun;
 use crate::ett::EttPredictor;
-
-/// Hash state of the table's key maps: a multiply-fold over eight-byte
-/// words, a fraction of SipHash's cost on short keys. Keys are stream
-/// data, so every map draws its seed from the process's `RandomState`.
-#[derive(Clone)]
-struct KeyHash(u64);
-
-impl Default for KeyHash {
-    fn default() -> Self {
-        KeyHash(RandomState::new().hash_one(0u8))
-    }
-}
-
-impl BuildHasher for KeyHash {
-    type Hasher = FoldHasher;
-
-    fn build_hasher(&self) -> FoldHasher {
-        FoldHasher(self.0)
-    }
-}
-
-struct FoldHasher(u64);
-
-impl Hasher for FoldHasher {
-    /// Folds the halves of a 128-bit product into the state per word, so
-    /// every input bit reaches the low bits (the bucket) and the high ones
-    /// (the tag). A slice hashes its length first: padding is unambiguous.
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            let product = u128::from(self.0 ^ u64::from_le_bytes(word)) * 0x9e37_79b9_7f4a_7c15;
-            self.0 = (product as u64) ^ ((product >> 64) as u64);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// `key → its windows → T`, probed with a borrowed key: one hash per
-/// lookup. A key holds one or two live session windows, so the inner
-/// level is a short list, not a second hash map.
-#[derive(Default)]
-pub struct WindowMap<T> {
-    map: HashMap<Vec<u8>, Vec<(WindowId, T)>, KeyHash>,
-    len: usize,
-    key_bytes: usize,
-}
-
-impl<T> WindowMap<T> {
-    /// Looks up a window's entry without allocating.
-    pub fn get(&self, key: &[u8], window: WindowId) -> Option<&T> {
-        let mut slots = self.map.get(key)?.iter();
-        slots.find(|(w, _)| *w == window).map(|(_, t)| t)
-    }
-
-    fn get_mut(&mut self, key: &[u8], window: WindowId) -> Option<&mut T> {
-        let mut slots = self.map.get_mut(key)?.iter_mut();
-        slots.find(|(w, _)| *w == window).map(|(_, t)| t)
-    }
-
-    /// Runs `update` on the entry of `(key, window)`, created by `new`
-    /// when absent. The key is copied only when it has no window yet.
-    pub fn upsert<R>(
-        &mut self,
-        key: &[u8],
-        window: WindowId,
-        new: impl FnOnce() -> T,
-        update: impl FnOnce(&mut T) -> R,
-    ) -> R {
-        let slots = match self.map.get_mut(key) {
-            Some(slots) => slots,
-            None => {
-                self.key_bytes += key.len();
-                self.map.entry(key.to_vec()).or_default()
-            }
-        };
-        let at = slots.iter().position(|(w, _)| *w == window);
-        let at = at.unwrap_or_else(|| {
-            self.len += 1;
-            slots.push((window, new()));
-            slots.len() - 1
-        });
-        update(&mut slots[at].1)
-    }
-
-    /// Removes a window's entry in one probe; a key with more is put back.
-    pub fn remove(&mut self, key: &[u8], window: WindowId) -> Option<T> {
-        let (key, mut slots) = self.map.remove_entry(key)?;
-        let at = slots.iter().position(|(w, _)| *w == window);
-        let removed = at.map(|at| slots.swap_remove(at).1);
-        self.len -= usize::from(removed.is_some());
-        match slots.is_empty() {
-            true => self.key_bytes -= key.len(),
-            false => drop(self.map.insert(key, slots)),
-        }
-        removed
-    }
-
-    /// Number of windows over all keys.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Iterates `(key, window, entry)` triples.
-    pub fn iter(&self) -> impl Iterator<Item = (&[u8], WindowId, &T)> {
-        self.map
-            .iter()
-            .flat_map(|(k, slots)| slots.iter().map(move |(w, t)| (k.as_slice(), *w, t)))
-    }
-
-    fn iter_mut(&mut self) -> impl Iterator<Item = (&[u8], WindowId, &mut T)> {
-        self.map.iter_mut().flat_map(|(k, slots)| {
-            slots
-                .iter_mut()
-                .map(move |(w, t)| (k.as_slice(), *w, &mut *t))
-        })
-    }
-
-    /// Approximate memory footprint of keys and entries in bytes.
-    fn memory_bytes(&self) -> usize {
-        self.key_bytes + self.map.len() * 48 + self.len * 64
-    }
-}
+use crate::table::WindowMap;
 
 /// Everything the store holds in memory about one live window.
 #[derive(Debug, Default)]

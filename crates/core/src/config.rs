@@ -30,8 +30,8 @@ pub struct FlowKvConfig {
     pub max_space_amplification: f64,
     /// Number of independent store instances per physical operator (`m`).
     pub store_instances: usize,
-    /// Keys returned per [`get_window_chunk`] call (gradual state
-    /// loading, paper §4.1).
+    /// `(key, value)` pairs returned per [`get_window_chunk`] call at
+    /// most (gradual state loading, paper §4.1).
     ///
     /// [`get_window_chunk`]: flowkv_common::backend::StateBackend::get_window_chunk
     pub chunk_entries: usize,

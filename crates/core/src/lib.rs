@@ -60,6 +60,10 @@ pub mod partitioner;
 pub mod pattern;
 pub mod rmw;
 pub mod store;
+pub(crate) mod table;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+pub(crate) mod test_common;
 pub mod tier;
 
 pub use config::FlowKvConfig;

@@ -7,7 +7,13 @@
 //! which keeps individual compactions short and bounds latency spikes —
 //! evaluated in the paper's tail-latency experiments (§6.2).
 
-use flowkv_common::hash::partition_of;
+use flowkv_common::hash::hash64_seeded;
+
+/// Seed of the instance hash ("FKVINST1"). The keys a store sees were
+/// placed on its shard by the `RANGE_SEED` hash and on its worker by
+/// `partition_of` (`0x5157`): under either seed, worker `p` of `m` would
+/// feed instance `p` alone (DESIGN.md §5, "Three placement levels").
+const INSTANCE_SEED: u64 = 0x464b_5649_4e53_5431;
 
 /// A fixed set of store instances addressed by key hash.
 pub struct Partitioned<S> {
@@ -37,18 +43,13 @@ impl<S> Partitioned<S> {
 
     /// Index of the instance responsible for `key`.
     pub fn index_of(&self, key: &[u8]) -> usize {
-        partition_of(key, self.instances.len())
+        (hash64_seeded(key, INSTANCE_SEED) % self.instances.len() as u64) as usize
     }
 
     /// The instance responsible for `key`.
     pub fn for_key(&mut self, key: &[u8]) -> &mut S {
         let idx = self.index_of(key);
         &mut self.instances[idx]
-    }
-
-    /// The instance at `idx`.
-    pub fn get_mut(&mut self, idx: usize) -> Option<&mut S> {
-        self.instances.get_mut(idx)
     }
 
     /// Iterates all instances.
@@ -95,6 +96,31 @@ mod tests {
             seen.iter().all(|&s| s),
             "some instance never used: {seen:?}"
         );
+    }
+
+    #[test]
+    fn every_instance_is_live_on_every_worker() {
+        // What the executor hands worker `p` of `P` is the keys with
+        // `partition_of(key, P) == p`: among those, each of the `m`
+        // instances must still get at least half its fair share.
+        use flowkv_common::hash::partition_of;
+        for workers in [2usize, 3, 4, 8] {
+            for m in [2usize, 4] {
+                let p = Partitioned::new(vec![(); m]);
+                for worker in 0..workers {
+                    let mut counts = vec![0usize; m];
+                    let keys = (0u32..).map(u32::to_le_bytes);
+                    let mine = keys.filter(|key| partition_of(key, workers) == worker);
+                    for key in mine.take(4000) {
+                        counts[p.index_of(&key)] += 1;
+                    }
+                    assert!(
+                        counts.iter().all(|&c| c >= 4000 / m / 2),
+                        "worker {worker} of {workers}, m = {m}: {counts:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,17 +18,18 @@
 //! one thread, so its logs can be scanned without coordination), split
 //! and merge reduce to sequential scans filtered by hash range.
 //!
-//! The hash is seeded differently from the intra-worker
-//! [`flowkv_common::hash::partition_of`] placement so the two levels of
-//! partitioning (worker shard, then store instance within the worker)
-//! stay decorrelated.
+//! The hash is seeded differently from the worker placement
+//! ([`flowkv_common::hash::partition_of`]) and from the store-instance
+//! placement ([`crate::partition::Partitioned`]) so the three levels of
+//! partitioning (shard, worker within the shard, store instance within
+//! the worker) stay decorrelated.
 
 use std::ops::RangeInclusive;
 
 use flowkv_common::hash::hash64_seeded;
 
-/// Seed decorrelating the shard hash from the store-instance hash
-/// (`partition_of` uses `0x5157`).
+/// Seed decorrelating the shard hash from the worker hash
+/// (`partition_of` uses `0x5157`) and the store-instance hash.
 pub const RANGE_SEED: u64 = 0x4b52_414e_4745_5331;
 
 /// Divides the 64-bit key-hash space into `n` contiguous ranges.
@@ -171,11 +172,12 @@ mod tests {
         // Keys in one worker shard must still spread over store
         // instances; a correlated hash would map a shard to one instance.
         let p = KeyRangePartitioner::new(2);
+        let instances = crate::partition::Partitioned::new(vec![(); 2]);
         let mut insts = [0usize; 2];
         for i in 0..2000u32 {
             let key = i.to_le_bytes();
             if p.shard_of(&key) == 0 {
-                insts[flowkv_common::hash::partition_of(&key, 2)] += 1;
+                insts[instances.index_of(&key)] += 1;
             }
         }
         assert!(insts[0] > 100 && insts[1] > 100, "correlated: {insts:?}");

@@ -9,7 +9,7 @@
 //! [`StoreError::InvalidState`] — the engine selects the right calls from
 //! the same classification.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -87,8 +87,6 @@ pub struct FlowKvStore {
     dir: PathBuf,
     pattern: AccessPattern,
     inner: Inner,
-    /// Drain cursors for AAR windows spanning several instances.
-    window_cursors: HashMap<WindowId, usize>,
     metrics: Arc<StoreMetrics>,
     vfs: Arc<dyn Vfs>,
 }
@@ -198,7 +196,6 @@ impl FlowKvStore {
             dir: dir.to_path_buf(),
             pattern,
             inner,
-            window_cursors: HashMap::new(),
             metrics,
             vfs,
         })
@@ -247,22 +244,14 @@ impl StateBackend for FlowKvStore {
         let Inner::Aar(p) = &mut self.inner else {
             return Err(self.wrong_pattern("GetWindow"));
         };
-        // Drain instance by instance so only one chunk is in flight.
-        let mut idx = *self.window_cursors.entry(window).or_insert(0);
-        while idx < p.len() {
-            let instance = p.get_mut(idx).expect("index bounded by len");
-            match instance.get_window_chunk(window)? {
-                Some(chunk) => {
-                    self.window_cursors.insert(window, idx);
-                    return Ok(Some(chunk));
-                }
-                None => {
-                    idx += 1;
-                    self.window_cursors.insert(window, idx);
-                }
+        // Instance by instance, so only one chunk is in flight: an
+        // instance that holds nothing of the window (any more) says so
+        // from one lookup in its window table.
+        for instance in p.iter_mut() {
+            if let Some(chunk) = instance.get_window_chunk(window)? {
+                return Ok(Some(chunk));
             }
         }
-        self.window_cursors.remove(&window);
         Ok(None)
     }
 
@@ -350,14 +339,12 @@ impl StateBackend for FlowKvStore {
     }
 
     fn restore(&mut self, dir: &Path) -> Result<()> {
-        self.window_cursors.clear();
         each_store!(&mut self.inner, p => {
             p.iter_mut().enumerate().try_for_each(|(j, s)| s.restore(&instance_dir(dir, j)))
         })
     }
 
     fn close(&mut self) -> Result<()> {
-        self.window_cursors.clear();
         each_store!(&mut self.inner, p => p.iter_mut().try_for_each(|s| s.close()))?;
         let _ = std::fs::remove_dir_all(&self.dir);
         Ok(())
@@ -592,6 +579,45 @@ mod tests {
                 vec![i.to_le_bytes().to_vec()]
             );
         }
+    }
+
+    #[test]
+    fn one_workers_keys_drain_view_and_checkpoint_through_both_instances() {
+        // The engine feeds a store only the keys of its worker.
+        use flowkv_common::hash::partition_of;
+        let dir = ScratchDir::new("fkv-worker-keys").unwrap();
+        let ckpt = ScratchDir::new("fkv-worker-keys-ckpt").unwrap();
+        let mut s = open(
+            dir.path(),
+            AggregateKind::FullList,
+            WindowKind::Fixed { size: 100 },
+        );
+        let win = w(0, 100);
+        let keys = (0u32..).map(|i| format!("key-{i}").into_bytes());
+        let keys: Vec<Vec<u8>> = keys.filter(|k| partition_of(k, 2) == 0).take(40).collect();
+        for key in &keys {
+            s.append(key, win, b"v", 0).unwrap();
+        }
+        let Inner::Aar(p) = &s.inner else {
+            panic!("fixed windows of full lists are AAR");
+        };
+        let held: Vec<usize> = p.iter().map(|inst| inst.memory_bytes()).collect();
+        assert!(held.iter().all(|&bytes| bytes > 0), "{held:?}");
+        assert_eq!(s.read_view().unwrap().unwrap().len(), 40);
+        s.checkpoint(ckpt.path()).unwrap();
+        for j in 0..2 {
+            let file = instance_dir(ckpt.path(), j).join("w_0_100.aar");
+            assert!(file.exists(), "{}", file.display());
+        }
+        s.restore(ckpt.path()).unwrap();
+        let mut drained = Vec::new();
+        while let Some(chunk) = s.get_window_chunk(win).unwrap() {
+            drained.extend(chunk.into_iter().map(|(key, _)| key));
+        }
+        drained.sort();
+        let mut keys = keys;
+        keys.sort();
+        assert_eq!(drained, keys);
     }
 
     #[test]

@@ -65,7 +65,7 @@ use flowkv_common::telemetry::{Counter, Gauge, MetricRegistry, Telemetry};
 use flowkv_common::types::{Timestamp, WindowId};
 use flowkv_common::vfs::{StdVfs, Vfs};
 
-use crate::aar::group_by_key;
+use crate::aar::key_runs;
 use crate::genlog::GenLog;
 use crate::store::state_entry;
 
@@ -550,18 +550,15 @@ impl TieredStore {
             }
         } else {
             // AAR stores only expose the whole-window drain, which
-            // yields every key; the pattern ignores timestamps.
-            let mut per_key: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
+            // yields every key; the pattern ignores timestamps. A key's
+            // values arrive in append order, wherever in the drain: the
+            // stable sort keeps them so.
             while let Some(chunk) = self.inner.get_window_chunk(window)? {
                 for (key, values) in chunk {
-                    per_key.entry(key).or_default().extend(values);
+                    push(&key, window.start, values);
                 }
             }
-            let mut per_key: Vec<_> = per_key.into_iter().collect();
-            per_key.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-            for (key, values) in per_key {
-                push(&key, window.start, values);
-            }
+            rows.sort_by(|a, b| a.key.cmp(&b.key));
         }
         Ok(rows)
     }
@@ -673,9 +670,8 @@ impl TieredStore {
             return Ok(None);
         };
         let rows = self.decode_rows(window, &[blob])?;
-        Ok(Some(group_by_key(
-            rows.into_iter().map(|r| (r.key, r.value)),
-        )))
+        // A block's rows are sorted by key: its runs are whole lists.
+        Ok(Some(key_runs(rows.into_iter().map(|r| (r.key, r.value)))))
     }
 
     /// Replays `window`'s cold rows (if any) into the inner store *under*
@@ -1508,16 +1504,12 @@ mod tests {
         window: WindowId,
         mut between: impl FnMut(&mut TieredStore, usize),
     ) -> BTreeMap<Vec<u8>, Vec<Vec<u8>>> {
-        let mut per_key: BTreeMap<Vec<u8>, Vec<Vec<u8>>> = BTreeMap::new();
-        let mut chunks = 0;
+        let mut chunks = Vec::new();
         while let Some(chunk) = s.get_window_chunk(window).unwrap() {
-            for (key, values) in chunk {
-                per_key.entry(key).or_default().extend(values);
-            }
-            chunks += 1;
-            between(s, chunks);
+            chunks.push(chunk);
+            between(s, chunks.len());
         }
-        per_key
+        crate::test_common::merge_chunks(chunks)
     }
 
     #[test]

@@ -15,11 +15,15 @@
 //! Tier-1 runs 32 cases per configuration; `PROPTEST_CASES` deepens the
 //! search (CI's crash-matrix job runs 256).
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use common::merge_chunks;
 use flowkv::aar::AarStore;
+use flowkv_common::backend::WindowChunk;
 use flowkv_common::ioring::IoRing;
 use flowkv_common::metrics::StoreMetrics;
 use flowkv_common::registry::ViewValue;
@@ -97,11 +101,10 @@ type Pair = (Vec<u8>, Vec<u8>);
 
 /// Each key's values in the order `pairs` lists them.
 fn per_key(pairs: &[Pair]) -> BTreeMap<Vec<u8>, Vec<Vec<u8>>> {
-    let mut lists: BTreeMap<Vec<u8>, Vec<Vec<u8>>> = BTreeMap::new();
-    for (key, value) in pairs {
-        lists.entry(key.clone()).or_default().push(value.clone());
-    }
-    lists
+    let singly = pairs
+        .iter()
+        .map(|(key, value)| (key.clone(), vec![value.clone()]));
+    merge_chunks([singly.collect()])
 }
 
 /// The store under test beside its model.
@@ -115,8 +118,8 @@ struct Harness {
     /// Every pair appended to a window and not yet drained to the end,
     /// in arrival order.
     model: BTreeMap<WindowId, Vec<Pair>>,
-    /// What the chunks of each mid-drain window have served so far.
-    served: BTreeMap<WindowId, Vec<Pair>>,
+    /// The chunks each mid-drain window has served so far.
+    served: BTreeMap<WindowId, Vec<WindowChunk>>,
     /// Appends so far. It leads every value, so values are unique and an
     /// exact match with the model also means nothing was served twice.
     seq: u32,
@@ -154,7 +157,12 @@ impl Harness {
         let Some(chunk) = self.store.get_window_chunk(window).unwrap() else {
             let served = self.served.remove(&window).unwrap_or_default();
             let expect = self.model.remove(&window).unwrap_or_default();
-            prop_assert_eq!(per_key(&served), per_key(&expect), "drain of {:?}", window);
+            prop_assert_eq!(
+                merge_chunks(served),
+                per_key(&expect),
+                "drain of {:?}",
+                window
+            );
             prop_assert!(
                 !self.window_file(window).exists(),
                 "{:?} left its file behind",
@@ -170,10 +178,7 @@ impl Harness {
             pairs,
             self.chunk_entries
         );
-        let served = self.served.entry(window).or_default();
-        for (key, values) in chunk {
-            served.extend(values.into_iter().map(|value| (key.clone(), value)));
-        }
+        self.served.entry(window).or_default().push(chunk);
         Ok(true)
     }
 

@@ -458,13 +458,26 @@ impl WindowOperator {
             || matches!(self.spec.aggregate, AggregateSpec::Incremental(_));
         for window in self.spec.assigner.assign(tuple.timestamp) {
             store_tuple(&self.spec.aggregate, self.backend.as_mut(), tuple, window)?;
-            if per_key {
-                self.trigger_keys
-                    .entry(window)
-                    .or_default()
-                    .insert(tuple.key.clone());
+            // A window with tracked keys has its timer armed (the two
+            // are set and fired together), and most tuples find their
+            // key tracked: only a new window or key is written down.
+            let armed = per_key
+                && match self.trigger_keys.get_mut(&window) {
+                    Some(keys) => {
+                        if !keys.contains(&tuple.key) {
+                            keys.insert(tuple.key.clone());
+                        }
+                        true
+                    }
+                    None => {
+                        let keys = HashSet::from([tuple.key.clone()]);
+                        self.trigger_keys.insert(window, keys);
+                        false
+                    }
+                };
+            if !armed {
+                self.aligned_timers.insert((window.end, window));
             }
-            self.aligned_timers.insert((window.end, window));
         }
         Ok(())
     }
@@ -787,6 +800,88 @@ mod tests {
         out.clear();
         o.on_watermark(200, &mut out).unwrap();
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_tracked_keys_next_tuple_writes_nothing_down_and_the_window_fires_once() {
+        let mut o = op(
+            WindowAssigner::Fixed { size: 100 },
+            AggregateSpec::Incremental(Arc::new(CountAggregate)),
+        );
+        let mut out = Vec::new();
+        o.on_element(&t("a", 1, 10), &mut out).unwrap();
+        let tracked = (o.trigger_keys.clone(), o.aligned_timers.clone());
+        assert_eq!((tracked.0.len(), tracked.1.len()), (1, 1));
+        o.on_element(&t("a", 2, 20), &mut out).unwrap();
+        assert_eq!((o.trigger_keys.clone(), o.aligned_timers.clone()), tracked);
+        // A new key joins the window's set under the timer already armed.
+        o.on_element(&t("b", 3, 30), &mut out).unwrap();
+        assert_eq!(o.trigger_keys[&WindowId::new(0, 100)].len(), 2);
+        assert_eq!(o.aligned_timers, tracked.1);
+        o.on_watermark(100, &mut out).unwrap();
+        let mut results: Vec<(Vec<u8>, u64)> = out
+            .iter()
+            .map(|t| (t.key.clone(), u64_of(&t.value)))
+            .collect();
+        results.sort();
+        assert_eq!(results, vec![(b"a".to_vec(), 2), (b"b".to_vec(), 1)]);
+        assert!(o.trigger_keys.is_empty() && o.aligned_timers.is_empty());
+    }
+
+    #[test]
+    fn a_key_repeating_within_and_across_chunks_yields_one_result() {
+        // One store instance, so the AAR drain serves pairs in arrival
+        // order: with keys alternating, no two pairs of a key are
+        // adjacent and every chunk entry is a run of one.
+        use flowkv::{FlowKvConfig, FlowKvStore};
+        use flowkv_common::backend::{AggregateKind, OperatorSemantics, WindowKind};
+        use flowkv_common::scratch::ScratchDir;
+        let dir = ScratchDir::new("op-chunk-runs").unwrap();
+        let open = |name: &str| {
+            let semantics =
+                OperatorSemantics::new(AggregateKind::FullList, WindowKind::Fixed { size: 100 });
+            let cfg = FlowKvConfig {
+                store_instances: 1,
+                chunk_entries: 4,
+                ..FlowKvConfig::small_for_tests()
+            };
+            FlowKvStore::open(&dir.path().join(name), semantics, cfg).unwrap()
+        };
+        let tuples: Vec<Tuple> = (0..12u64)
+            .map(|i| t(["a", "b", "c"][i as usize % 3], i, i as i64))
+            .collect();
+        let mut bare = open("bare");
+        for tuple in &tuples {
+            bare.append(&tuple.key, WindowId::new(0, 100), &tuple.value, 0)
+                .unwrap();
+        }
+        let first = bare.get_window_chunk(WindowId::new(0, 100)).unwrap();
+        let keys: Vec<Vec<u8>> = first.unwrap().into_iter().map(|(key, _)| key).collect();
+        assert_eq!(keys, [b"a", b"b", b"c", b"a"].map(|k| k.to_vec()));
+
+        let spec = WindowSpec {
+            name: "test".into(),
+            assigner: WindowAssigner::Fixed { size: 100 },
+            // A key's result: the first byte of each of its values.
+            aggregate: AggregateSpec::FullList(Arc::new(FnProcess::new(|_, _, values| {
+                vec![values.iter().map(|v| v[0]).collect()]
+            }))),
+        };
+        let mut o = WindowOperator::new(spec, Box::new(open("operator")));
+        let mut out = Vec::new();
+        for tuple in &tuples {
+            o.on_element(tuple, &mut out).unwrap();
+        }
+        o.on_watermark(100, &mut out).unwrap();
+        let mut results: Vec<(Vec<u8>, Vec<u8>)> =
+            out.into_iter().map(|t| (t.key, t.value)).collect();
+        results.sort();
+        let expect = [
+            (b"a", [0, 3, 6, 9]),
+            (b"b", [1, 4, 7, 10]),
+            (b"c", [2, 5, 8, 11]),
+        ];
+        assert_eq!(results, expect.map(|(k, v)| (k.to_vec(), v.to_vec())));
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use std::collections::BTreeMap;
+
 use flowkv::config::FlowKvConfig;
 use flowkv::store::FlowKvStore;
 use flowkv_common::backend::{AggregateKind, OperatorSemantics, StateBackend, WindowKind};
@@ -32,18 +34,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         store.append(user.as_bytes(), minute, page.as_bytes(), ts)?;
     }
     // When the window triggers, drain it gradually: every chunk holds a
-    // bounded batch of keys (gradual state loading, paper §4.1).
+    // bounded batch of pairs (gradual state loading, paper §4.1). A key
+    // may come back in a later entry; its values concatenate in order.
+    let mut visits: BTreeMap<Vec<u8>, Vec<String>> = BTreeMap::new();
     while let Some(chunk) = store.get_window_chunk(minute)? {
         for (key, values) in chunk {
-            let pages: Vec<String> = values
+            let pages = values
                 .iter()
-                .map(|v| String::from_utf8_lossy(v).into_owned())
-                .collect();
-            println!(
-                "  window {minute}: {} visited {pages:?}",
-                String::from_utf8_lossy(&key)
-            );
+                .map(|v| String::from_utf8_lossy(v).into_owned());
+            visits.entry(key).or_default().extend(pages);
         }
+    }
+    for (key, pages) in visits {
+        println!(
+            "  window {minute}: {} visited {pages:?}",
+            String::from_utf8_lossy(&key)
+        );
     }
     store.close()?;
 

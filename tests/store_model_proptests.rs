@@ -168,8 +168,15 @@ fn check_agg_model(choice: &BackendChoice, ops: &[AggOp]) -> Result<(), TestCase
     Ok(())
 }
 
+/// Cases per backend and pattern: 24 unless `PROPTEST_CASES` says
+/// otherwise (CI's crash-matrix job runs 256).
+fn cases() -> u32 {
+    let cases = std::env::var("PROPTEST_CASES").ok();
+    cases.and_then(|n| n.parse().ok()).unwrap_or(24)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn flowkv_append_matches_model(ops in append_ops()) {
