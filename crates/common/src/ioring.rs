@@ -601,6 +601,12 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
             && resident + self.inflight_bytes + est_bytes <= PREFETCH_BUDGET_BYTES
     }
 
+    /// The byte budget itself: what a store without a ring, whose reads
+    /// never pass [`Lane::admits`], bounds its read-ahead state by.
+    pub fn budget(&self) -> u64 {
+        PREFETCH_BUDGET_BYTES
+    }
+
     /// True when no submission is outstanding.
     pub fn is_idle(&self) -> bool {
         self.inflight.is_empty()

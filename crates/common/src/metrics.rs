@@ -91,8 +91,10 @@ impl StoreMetrics {
         self.prefetch_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records an eviction of prefetched state whose trigger-time estimate
-    /// turned out wrong.
+    /// Records one prefetched copy dropped before a read used it: by the
+    /// AUR store to hold its prefetch buffer to the byte budget (latest
+    /// trigger-time estimate first), by the tier when a read lands for a
+    /// window that is gone. An append evicts nothing (DESIGN.md §5).
     pub fn add_prefetch_eviction(&self) {
         self.prefetch_evictions.fetch_add(1, Ordering::Relaxed);
     }
@@ -169,7 +171,9 @@ pub struct MetricsSnapshot {
     pub prefetch_hits: u64,
     /// Prefetch-buffer misses.
     pub prefetch_misses: u64,
-    /// Prefetched windows evicted after a wrong trigger-time estimate.
+    /// Prefetched copies dropped unused: displaced by the byte budget
+    /// (AUR) or landed for a window already gone (tier). Not the paper's
+    /// evict-on-arrival count, which this store has no equivalent of.
     pub prefetch_evictions: u64,
     /// Write-buffer flushes.
     pub flushes: u64,

@@ -64,10 +64,10 @@ impl<'a> IndexEntry<'a> {
     }
 }
 
-/// The values a window has buffered since its last flush, kept in
-/// data-record form — each value length-prefixed, back to back — so an
-/// append copies the value into one growing allocation and a flush
-/// writes the run as it stands.
+/// Values of one window — buffered since its last flush, or prefetched
+/// from its disk records — in data-record form: each length-prefixed,
+/// back to back, so an append copies into one growing allocation and a
+/// flush writes the run (and extends a prefetched one) as it stands.
 #[derive(Debug, Default)]
 pub struct ValueRun {
     count: u64,
@@ -97,6 +97,25 @@ impl ValueRun {
     /// Number of values in the run.
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// Bytes the run holds.
+    pub fn bytes_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Appends the values of a data-log record payload, undecoded.
+    pub fn push_record(&mut self, payload: &[u8]) -> Result<()> {
+        let mut dec = Decoder::new(payload);
+        self.count += dec.get_varint_u64()?;
+        self.bytes.extend_from_slice(&payload[dec.position()..]);
+        Ok(())
+    }
+
+    /// Appends `other`'s values.
+    pub fn extend(&mut self, other: &ValueRun) {
+        self.count += other.count;
+        self.bytes.extend_from_slice(&other.bytes);
     }
 
     /// Encodes the run as a data-log record payload into `buf`, cleared

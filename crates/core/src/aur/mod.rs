@@ -53,7 +53,7 @@ use crate::aar::push_view_value;
 use crate::ett::{EttObservation, EttPredictor};
 use crate::genlog::GenLog;
 use crate::table::WindowMap;
-use index_log::{decode_values, IndexEntry};
+use index_log::{decode_values, IndexEntry, ValueRun};
 use table::{EntryState, LiveTable, Pick};
 
 /// Identifies one window of one key.
@@ -125,24 +125,19 @@ fn walk_index(
 }
 
 /// Loads the data-log records at `wanted` — `(offset, on-disk length,
-/// slot)` — and hands each record's values to `each(slot, values,
+/// slot)` — and hands each record's payload to `each(slot, payload,
 /// on-disk length)`. Records are fetched in offset order, neighbours
 /// sharing one device read; a window's records stay in append order
 /// because offsets grow with appends.
 fn load_values(
     data: &mut RandomAccessLog,
     mut wanted: Vec<(u64, u64, usize)>,
-    mut each: impl FnMut(usize, Vec<Vec<u8>>, u64),
+    mut each: impl FnMut(usize, &[u8], u64) -> Result<()>,
 ) -> Result<()> {
     wanted.sort_unstable_by_key(|&(offset, ..)| offset);
     let locations: Vec<(u64, u64)> = wanted.iter().map(|&(o, len, _)| (o, len)).collect();
     data.read_records(&locations, |i, record| {
-        each(
-            wanted[i].2,
-            decode_values(record_payload(record))?,
-            record.len() as u64,
-        );
-        Ok(())
+        each(wanted[i].2, record_payload(record), record.len() as u64)
     })
 }
 
@@ -212,7 +207,7 @@ struct AsyncWindow {
     /// Index entries the background scan actually found; must equal
     /// `pick.disk_records` for the payload to be a complete snapshot.
     found_records: u64,
-    values: Vec<Vec<u8>>,
+    values: ValueRun,
     bytes: u64,
 }
 
@@ -351,13 +346,7 @@ impl AurStore {
         {
             let _t = self.metrics.timer(OpCategory::Write);
             self.latest_ts = self.latest_ts.max(ts);
-            // A new tuple for a prefetched window means its trigger-time
-            // estimate was wrong (e.g. a session extended): the table
-            // evicts the stale copy so the eventual read fetches
-            // authoritative state.
-            if self.table.append(key, window, value, ts, &self.predictor) {
-                self.metrics.add_prefetch_eviction();
-            }
+            self.table.append(key, window, value, ts, &self.predictor);
             self.metrics.add_records_written(1);
         }
         // The flush times itself: no timer of this call may span it.
@@ -392,8 +381,7 @@ impl AurStore {
                     probe.observe(window, obs, from_prefetch);
                 }
                 self.data.retire(lw.disk_bytes);
-                out = lw.prefetched.unwrap_or_default();
-                lw.buffered.decode_into(&mut out)?;
+                out = lw.values()?;
             }
         }
         self.metrics.add_records_read(out.len() as u64);
@@ -422,50 +410,59 @@ impl AurStore {
             self.load_disk_state(key, window, false)?;
         }
         if let Some(lw) = self.table.get(key, window) {
-            out = lw.prefetched.clone().unwrap_or_default();
-            lw.buffered.decode_into(&mut out)?;
+            out = lw.values()?;
         }
         self.metrics.add_records_read(out.len() as u64);
         Ok(out)
     }
 
     /// Makes the disk values of `(key, window)`, if it has any, resident
-    /// in its `prefetched` slot: a hit (`true`) or a predictive batch read.
+    /// in its `prefetched` slot: a hit (`true`), waiting out a background
+    /// read in flight for the window, or a predictive batch read.
     fn load_disk_state(&mut self, key: &[u8], window: WindowId, consuming: bool) -> Result<bool> {
-        let target_ett = match self.table.get(key, window) {
-            Some(lw) if lw.disk_records > 0 && lw.prefetched.is_none() => lw.ett,
-            Some(lw) if lw.disk_records > 0 => {
-                self.metrics.add_prefetch_hit();
-                if let Some(p) = &self.prefetch_probe {
-                    p.hits.inc();
-                }
-                return Ok(true);
-            }
-            _ => return Ok(false),
+        let on_disk = |s: &Self| {
+            let lw = s.table.get(key, window).filter(|lw| lw.disk_records > 0);
+            lw.map(|lw| (lw.prefetched.is_some(), lw.ett))
         };
-        // The window fired while its background read was still in
-        // flight: the synchronous path wins the race, and the completion
-        // is discarded at the next drain (its incarnation check fails or
-        // the window is gone from the table).
-        let late = consuming && !self.lane.is_idle() && self.lane.covers(&(key.to_vec(), window));
-        if late {
-            if let Some(p) = &self.prefetch_probe {
+        let Some((mut hit, target_ett)) = on_disk(self) else {
+            return Ok(false);
+        };
+        let inflight = (!hit && !self.lane.is_idle()).then(|| (key.to_vec(), window));
+        if let Some(inflight) = inflight.filter(|k| self.lane.covers(k)) {
+            // The window fired while its background read was in flight.
+            // The pool is already paying for that index walk and extent
+            // read: wait for it, as the AAR store and the tier do. The
+            // wait is the prefetch-stall share of a sampled batch.
+            if let (true, Some(p)) = (consuming, &self.prefetch_probe) {
                 p.late.inc();
             }
+            let t0 = std::time::Instant::now();
+            let read = self.lane.wait_for(&inflight);
+            self.land(read, Some((key, window)));
+            let stall = t0.elapsed().as_nanos() as i64;
+            flowkv_common::trace::instant_here("prefetch_stall", "prefetch", &[("stall", stall)]);
+            // A flush that landed under the read fails its install.
+            hit = on_disk(self).is_some_and(|(hit, _)| hit);
         }
-        // When a sampled batch is active, the synchronous read a timely
-        // prefetch would have hidden is the batch's prefetch-stall share.
-        let stall_t0 =
-            (late && flowkv_common::trace::current().is_some()).then(std::time::Instant::now);
-        self.predictive_batch_read(key, window, target_ett)?;
-        if let Some(t0) = stall_t0 {
-            flowkv_common::trace::instant_here(
-                "prefetch_stall",
-                "prefetch",
-                &[("stall", t0.elapsed().as_nanos() as i64)],
-            );
+        if hit {
+            self.metrics.add_prefetch_hit();
+            if let Some(p) = &self.prefetch_probe {
+                p.hits.inc();
+            }
+        } else {
+            self.predictive_batch_read(key, window, target_ett)?;
         }
-        Ok(false)
+        Ok(hit)
+    }
+
+    /// Holds the prefetch buffer to the lane's byte budget, which both
+    /// read paths share: copies with the latest ETT go first, `keep`'s —
+    /// the window a read is for — never.
+    fn trim_prefetched(&mut self, keep: Option<(&[u8], WindowId)>) {
+        let bound = self.lane.budget() as usize;
+        for _ in 0..self.table.displace_latest(bound, keep) {
+            self.metrics.add_prefetch_eviction();
+        }
     }
 
     /// Flushes the write buffer to the data and index logs.
@@ -499,6 +496,8 @@ impl AurStore {
         self.data.flush()?;
         self.index.flush()?;
         self.metrics.add_flush();
+        // The flush extended every resident copy it wrote under.
+        self.trim_prefetched(None);
         Ok(())
     }
 
@@ -576,7 +575,7 @@ impl AurStore {
         // memory only and a restore rebuilds liveness from the index log
         // alone, so a copy holding dead records would resurrect them. A
         // checkpoint that is a manifest over the live files (ROADMAP
-        // item 6) has to persist those offsets before this rewrite can
+        // item 2) has to persist those offsets before this rewrite can
         // go.
         if self.data.dead() > 0 {
             self.compact()?;
@@ -668,11 +667,16 @@ impl AurStore {
         self.metrics.add_bytes_read(walk.scanned_bytes);
         self.index_scan_start = walk.live_start;
 
-        load_values(self.data.reader()?, wanted, |slot, values, disk_len| {
+        load_values(self.data.reader()?, wanted, |slot, payload, disk_len| {
             self.metrics.add_bytes_read(disk_len);
+            let mut values = ValueRun::default();
+            values.push_record(payload)?;
             self.table
-                .install(&picks[slot].key, picks[slot].window, values);
-        })
+                .install(&picks[slot].key, picks[slot].window, &values);
+            Ok(())
+        })?;
+        self.trim_prefetched(Some((key, window)));
+        Ok(())
     }
 
     /// Every entry of a generation's index log from the committed scan
@@ -722,8 +726,9 @@ impl AurStore {
             .read_through(move |vfs| {
                 let mut loaded = Vec::with_capacity(wanted.len());
                 let mut data = RandomAccessLog::open_in(vfs, &job_path)?;
-                load_values(&mut data, wanted, |slot, values, _| {
-                    loaded.push((slot, values))
+                load_values(&mut data, wanted, |slot, payload, _| {
+                    loaded.push((slot, decode_values(payload)?));
+                    Ok(())
                 })?;
                 Ok(loaded)
             })
@@ -746,12 +751,23 @@ impl AurStore {
     /// routinely lose their files mid-scan.
     fn drain_lane(&mut self) {
         let done = self.lane.drain();
-        if !done.is_empty() {
+        self.land(done, None);
+    }
+
+    /// Installs finished background reads, `keep` being the window the
+    /// caller is about to serve.
+    fn land(
+        &mut self,
+        done: impl IntoIterator<Item = std::io::Result<AsyncBatch>>,
+        keep: Option<(&[u8], WindowId)>,
+    ) {
+        for read in done {
             self.next_prefetch_scan = None;
+            if let Ok(batch) = read {
+                self.install(batch);
+            }
         }
-        for batch in done.into_iter().flatten() {
-            self.install(batch);
-        }
+        self.trim_prefetched(keep);
     }
 
     /// Installs a background read's windows as prefetched copies,
@@ -776,13 +792,12 @@ impl AurStore {
                         && lw.prefetched.is_none() =>
                 {
                     self.metrics.add_bytes_read(w.bytes);
-                    self.table.install(&w.pick.key, w.pick.window, w.values);
+                    self.table.install(&w.pick.key, w.pick.window, &w.values);
                     installed += 1;
                 }
-                // Grown, already resident, or consumed under the read.
-                // A consumed window is not counted late here: if its
-                // trigger beat this read, `take` counted it then; if a
-                // synchronous batch served it as a hit, nothing was late.
+                // Grown, already resident, or consumed under the read —
+                // as a hit a synchronous batch made, so nothing was late:
+                // a trigger that beats its read waits for it.
                 _ => self.lane.waste(w.bytes),
             }
         }
@@ -812,12 +827,12 @@ impl AurStore {
         if self.next_prefetch_scan.is_some_and(|at| due < at) {
             return Ok(());
         }
-        // A window with unflushed buffered values is a guaranteed waste:
-        // the flush that carries them advances disk_records, failing the
-        // install check. Prefetch it once it is fully on disk.
-        let (mut picks, next_due) = self.table.select_soonest(0, Some(due), |_, _, lw| {
-            lw.prefetched.is_some() || lw.buffered.count() > 0
-        });
+        // Buffered values do not disqualify a window: the read covers its
+        // disk records, and a flush landing under it fails the install
+        // check and is counted as waste.
+        let (mut picks, next_due) = self
+            .table
+            .select_soonest(0, Some(due), |_, _, lw| lw.prefetched.is_some());
         self.next_prefetch_scan = Some(next_due);
         let resident = self.table.prefetch_bytes() as u64;
         let mut est_bytes = 0u64;
@@ -861,7 +876,7 @@ impl AurStore {
                 .map(|pick| AsyncWindow {
                     pick,
                     found_records: 0,
-                    values: Vec::new(),
+                    values: ValueRun::default(),
                     bytes: 0,
                 })
                 .collect();
@@ -884,11 +899,11 @@ impl AurStore {
             )?;
             if !wanted.is_empty() {
                 let mut data = RandomAccessLog::open_in(vfs, &data_path)?;
-                load_values(&mut data, wanted, |slot, values, disk_len| {
+                load_values(&mut data, wanted, |slot, payload, disk_len| {
                     let slot = &mut out[slot];
                     slot.bytes += disk_len;
                     slot.found_records += 1;
-                    slot.values.extend(values);
+                    slot.values.push_record(payload)
                 })?;
             }
             Ok(AsyncBatch {
@@ -937,16 +952,25 @@ impl AurStore {
 
     /// Rebuilds the table and byte accounting from the index log.
     ///
-    /// A crash mid-flush may leave data records the index never came to
-    /// list (its torn tail is truncated at open): dead weight for the
-    /// next compaction.
+    /// The two logs spill their buffers independently, so a crash
+    /// mid-flush may leave data records the index never came to list
+    /// (its torn tail is truncated at open) — dead weight for the next
+    /// compaction — or index entries whose data records never reached
+    /// the file: the index ends at the first of those, before new
+    /// appends put other records where they point.
     fn rebuild_from_index(&mut self) -> Result<()> {
         self.table = LiveTable::default();
         self.next_prefetch_scan = None;
         self.index_scan_start = 0;
         let mut indexed = 0u64;
-        self.index.scan(|_, payload| {
+        let data_len = self.data.total();
+        let mut dangling = None;
+        self.index.scan(|loc, payload| {
             let entry = IndexEntry::decode(payload)?;
+            if dangling.is_some() || entry.offset.saturating_add(entry.len) > data_len {
+                dangling.get_or_insert(loc.offset);
+                return Ok(());
+            }
             self.latest_ts = self.latest_ts.max(entry.max_ts);
             self.table.rebuild_entry(
                 entry.key,
@@ -958,7 +982,10 @@ impl AurStore {
             indexed += entry.len;
             Ok(())
         })?;
-        self.data.retire(self.data.total().saturating_sub(indexed));
+        if let Some(at) = dangling {
+            self.index.truncate(at)?;
+        }
+        self.data.retire(data_len.saturating_sub(indexed));
         Ok(())
     }
 }
@@ -1074,7 +1101,7 @@ mod tests {
     }
 
     #[test]
-    fn wrong_ett_evicts_prefetched_state() {
+    fn a_wrong_ett_keeps_the_prefetched_copy() {
         let dir = ScratchDir::new("aur-evict").unwrap();
         let mut s = session_store(dir.path(), cfg_small());
         for key in [b"a" as &[u8], b"b"] {
@@ -1084,34 +1111,53 @@ mod tests {
         // Prefetch both windows by reading `a`.
         s.take(b"a", w(0, 1000)).unwrap();
         assert!(prefetched(&s, b"b", w(0, 1000)));
-        // A late tuple for `b` invalidates its estimate.
+        // A late tuple for `b` moves its estimate, not its disk records:
+        // the copy of those stays.
         s.append(b"b", w(0, 1000), b"v2", 50).unwrap();
-        assert!(!prefetched(&s, b"b", w(0, 1000)));
-        assert_eq!(s.metrics.snapshot().prefetch_evictions, 1);
-        // The read still returns complete, ordered state.
+        assert!(prefetched(&s, b"b", w(0, 1000)));
+        assert_eq!(s.table.get(b"b", w(0, 1000)).unwrap().ett, Some(150));
+        // The read serves the copy, then the buffer, without a second miss.
         assert_eq!(
             s.take(b"b", w(0, 1000)).unwrap(),
             vec![b"v1".to_vec(), b"v2".to_vec()]
+        );
+        let m = s.metrics.snapshot();
+        assert_eq!(
+            (m.prefetch_misses, m.prefetch_hits, m.prefetch_evictions),
+            (1, 1, 0)
         );
     }
 
     #[test]
     fn flush_into_prefetched_window_stays_complete() {
         let dir = ScratchDir::new("aur-flushpref").unwrap();
-        let mut s = session_store(dir.path(), cfg_small());
+        let mut cfg = cfg_small();
+        cfg.read_batch_ratio = 0.1;
+        let mut s = session_store(dir.path(), cfg);
         s.append(b"a", w(0, 1000), b"v", 10).unwrap();
         s.append(b"b", w(0, 1000), b"b1", 10).unwrap();
+        s.append(b"c", w(0, 1000), b"c1", 500).unwrap();
         s.flush().unwrap();
+        // Reading `a` brings the due `b` along and leaves `c`, due later.
         s.take(b"a", w(0, 1000)).unwrap();
         assert!(prefetched(&s, b"b", w(0, 1000)));
-        // Appending to `b` evicts; re-buffer and flush while NOT
-        // prefetched, then reread: order must be b1, b2.
+        assert!(!prefetched(&s, b"c", w(0, 1000)));
+        // A flush under `b`'s resident copy extends it; under `c`, which
+        // has none, it only adds a disk record. Either way the read
+        // serves first flush, then second.
         s.append(b"b", w(0, 1000), b"b2", 20).unwrap();
+        s.append(b"c", w(0, 1000), b"c2", 510).unwrap();
         s.flush().unwrap();
         assert_eq!(
             s.take(b"b", w(0, 1000)).unwrap(),
             vec![b"b1".to_vec(), b"b2".to_vec()]
         );
+        assert_eq!(s.metrics.snapshot().prefetch_misses, 1, "`b` was a hit");
+        assert_eq!(
+            s.take(b"c", w(0, 1000)).unwrap(),
+            vec![b"c1".to_vec(), b"c2".to_vec()]
+        );
+        assert_eq!(s.metrics.snapshot().prefetch_misses, 2);
     }
 
     #[test]
@@ -1194,25 +1240,26 @@ mod tests {
         assert_eq!(m.prefetch_misses, 5);
     }
 
-    /// Validates the paper's Equation 1: with hit ratio `r`, each tuple
-    /// is read `1/r` times on average.
+    /// The paper's Equation 1: with hit ratio `r`, each tuple is read
+    /// `1/r` times on average — the price of evicting a prefetched copy
+    /// when a tuple arrives for its window, which this store does not pay.
     #[test]
     fn read_amplification_follows_equation_one() {
-        // (a) Mechanism: an evicted prefetch forces exactly one re-read.
+        // (a) Mechanism: an append leaves the copy, so nothing is re-read.
         let dir = ScratchDir::new("aur-eq1").unwrap();
         let mut s = session_store(dir.path(), cfg_small());
         for key in [b"a" as &[u8], b"b"] {
             s.append(key, w(0, 1000), b"v1", 10).unwrap();
         }
         s.flush().unwrap();
-        // Reading `a` prefetches `b`; appending to `b` evicts it; the
-        // later read of `b` must go back to disk (a second miss).
+        // Reading `a` prefetches `b`; appending to `b` changes no disk
+        // record; the later read of `b` is a hit (r = 1: read once).
         s.take(b"a", w(0, 1000)).unwrap();
         s.append(b"b", w(0, 1000), b"v2", 50).unwrap();
-        s.take(b"b", w(0, 1000)).unwrap();
+        assert_eq!(s.take(b"b", w(0, 1000)).unwrap().len(), 2);
         let m = s.metrics.snapshot();
-        assert_eq!(m.prefetch_evictions, 1);
-        assert_eq!(m.prefetch_misses, 2, "eviction must force a re-read");
+        assert_eq!(m.prefetch_evictions, 0);
+        assert_eq!(m.prefetch_misses, 1, "an append must not force a re-read");
 
         // (b) The formula itself: mean retries of a geometric process
         // with success probability r is 1/r (sum n·r(1−r)^(n−1) = 1/r).
@@ -1638,10 +1685,15 @@ mod tests {
         append_flushed(&mut s, &[(b"a", b"a1", 10)]);
         s.advance_prefetch(50).unwrap();
         assert!(!s.lane.is_idle());
-        // The trigger beats the parked read, and the window comes back
-        // with the record count the read was submitted against.
+        // `c` reaches the disk after the submission, so its trigger has
+        // no read to wait for: its synchronous batch read loads `a` too,
+        // under the parked read. `a` is then consumed as a hit and comes
+        // back with the record count the read was submitted against.
+        append_flushed(&mut s, &[(b"c", b"c1", 20)]);
+        assert_eq!(s.take(b"c", W).unwrap(), [b"c1"]);
         assert_eq!(s.take(b"a", W).unwrap(), [b"a1"]);
-        append_flushed(&mut s, &[(b"a", b"a2", 20)]);
+        assert_eq!(counter(&telemetry, "prefetch_hits_total"), 1);
+        append_flushed(&mut s, &[(b"a", b"a2", 30)]);
         release.send(()).unwrap();
         ring.wait_idle();
         s.drain_lane();
@@ -1650,6 +1702,7 @@ mod tests {
             0,
             "installed a consumed incarnation"
         );
+        assert_eq!(counter(&telemetry, "prefetch_late_total"), 0);
         assert!(counter(&telemetry, "prefetch_wasted_bytes") > 0);
         assert_eq!(s.take(b"a", W).unwrap(), [b"a2"]);
     }
@@ -1750,6 +1803,38 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_read_past_the_budget_keeps_the_soonest_windows() {
+        let dir = ScratchDir::new("aur-budget").unwrap();
+        let cfg = AurConfig {
+            write_buffer_bytes: 1 << 20,
+            read_batch_ratio: 1.0,
+            max_space_amplification: 100.0,
+        };
+        let mut s = session_store(dir.path(), cfg);
+        let key = |i: i64| format!("key-{i:02}");
+        let value = vec![7u8; 128 << 10];
+        for i in 0..80 {
+            s.append(key(i).as_bytes(), W, &value, i).unwrap();
+        }
+        s.flush().unwrap();
+        // One batch read selects all 80 windows, 10 MiB against 8: the
+        // latest ETTs give way, the target is served.
+        assert_eq!(s.take(key(0).as_bytes(), W).unwrap(), [&value[..]]);
+        let budget = s.lane.budget() as usize;
+        assert!(s.table.prefetch_bytes() <= budget);
+        let displaced = s.metrics.snapshot().prefetch_evictions;
+        assert!(displaced >= 16, "{displaced} displaced");
+        assert!(prefetched(&s, key(1).as_bytes(), W));
+        assert!(!prefetched(&s, key(79).as_bytes(), W));
+        // A displaced window is whole on disk: every one reads back.
+        for i in 1..80 {
+            assert_eq!(s.take(key(i).as_bytes(), W).unwrap(), [&value[..]]);
+            assert!(s.table.prefetch_bytes() <= budget);
+        }
+        assert_eq!(s.memory_bytes(), 0);
+    }
+
+    #[test]
     fn async_prefetch_rejects_stale_reads() {
         let dir = ScratchDir::new("aur-ring-stale").unwrap();
         let (mut s, ring) = ring_store(dir.path());
@@ -1804,6 +1889,31 @@ mod tests {
         }
     }
 
+    /// `take`s while the ring's one thread is still parked: a helper
+    /// opens the gate once the store has counted the trigger late, which
+    /// it does on its way into the wait for the parked read.
+    fn take_late(
+        s: &mut AurStore,
+        telemetry: &Telemetry,
+        release: &std::sync::mpsc::Sender<()>,
+        key: &[u8],
+    ) -> Vec<Vec<u8>> {
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // Past the deadline the assertions fail instead of the
+                // test hanging.
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+                while counter(telemetry, "prefetch_late_total") == 0
+                    && std::time::Instant::now() < deadline
+                {
+                    std::thread::yield_now();
+                }
+                release.send(()).unwrap();
+            });
+            s.take(key, w(0, 100)).unwrap()
+        })
+    }
+
     #[test]
     fn a_trigger_that_beats_its_read_is_late_once() {
         let dir = ScratchDir::new("aur-ring-late").unwrap();
@@ -1811,40 +1921,48 @@ mod tests {
         s.append(b"a", w(0, 100), b"v1", 10).unwrap();
         s.flush().unwrap();
         s.advance_prefetch(50).unwrap();
-        // The trigger beats the parked read: counted late here, served
-        // synchronously.
-        assert_eq!(s.take(b"a", w(0, 100)).unwrap(), vec![b"v1".to_vec()]);
+        // The trigger beats the parked read: counted late here, and
+        // served by that read once it lands — not by a second one.
+        assert_eq!(
+            take_late(&mut s, &telemetry, &release, b"a"),
+            vec![b"v1".to_vec()]
+        );
         assert_eq!(counter(&telemetry, "prefetch_late_total"), 1);
-        // The completion then finds the window consumed: waste, and not
-        // a second late.
-        release.send(()).unwrap();
+        let m = s.metrics.snapshot();
+        assert_eq!((m.prefetch_hits, m.prefetch_misses), (1, 0));
+        // Nothing is left to land, and nothing was read in vain.
         ring.wait_idle();
         s.advance_prefetch(50).unwrap();
         assert_eq!(counter(&telemetry, "prefetch_late_total"), 1);
-        assert!(counter(&telemetry, "prefetch_wasted_bytes") > 0);
+        assert_eq!(counter(&telemetry, "prefetch_wasted_bytes"), 0);
     }
 
     #[test]
-    fn a_window_served_as_a_hit_under_an_inflight_read_is_waste_not_late() {
+    fn a_late_trigger_for_an_extended_window_is_served_by_its_inflight_read() {
         let dir = ScratchDir::new("aur-ring-hit-waste").unwrap();
         let (mut s, ring, telemetry, release) = gated_ring_store(dir.path());
         for (key, ts) in [(b"a", 10), (b"b", 20), (b"c", 30)] {
             s.append(key, w(0, 100), b"v", ts).unwrap();
         }
         s.flush().unwrap();
-        // `c` has unflushed values, so the submission covers `a` and `b`
-        // only; its own trigger then runs a synchronous batch read that
-        // loads `a` and `b` while the ring read for them is still parked.
+        // `c` extends after its flush. The submission covers it all the
+        // same — the read is of its disk record — so its trigger waits
+        // for the parked read and serves disk, then buffer.
         s.append(b"c", w(0, 100), b"v2", 40).unwrap();
         s.advance_prefetch(50).unwrap();
-        assert_eq!(s.take(b"c", w(0, 100)).unwrap().len(), 2);
+        assert_eq!(
+            take_late(&mut s, &telemetry, &release, b"c"),
+            vec![b"v".to_vec(), b"v2".to_vec()]
+        );
+        // The same read brought `a` and `b`.
+        assert_eq!(s.prefetched_windows(), 2);
         assert_eq!(s.take(b"a", w(0, 100)).unwrap(), vec![b"v".to_vec()]);
-        assert_eq!(counter(&telemetry, "prefetch_hits_total"), 1);
-        release.send(()).unwrap();
+        assert_eq!(counter(&telemetry, "prefetch_hits_total"), 2);
+        assert_eq!(s.metrics.snapshot().prefetch_misses, 0);
         ring.wait_idle();
         s.advance_prefetch(50).unwrap();
-        assert_eq!(counter(&telemetry, "prefetch_late_total"), 0);
-        assert!(counter(&telemetry, "prefetch_wasted_bytes") > 0);
+        assert_eq!(counter(&telemetry, "prefetch_late_total"), 1);
+        assert_eq!(counter(&telemetry, "prefetch_wasted_bytes"), 0);
     }
 
     #[test]

@@ -38,8 +38,9 @@ pub struct LiveWindow {
     /// What `buffered` counts toward the flush threshold.
     buffered_charge: usize,
     /// Prefetch buffer: the window's disk values, when a batch read
-    /// loaded them.
-    pub prefetched: Option<Vec<Vec<u8>>>,
+    /// loaded them — kept as the record bytes they came in, so a flush
+    /// extends the copy by the run it wrote and only a read decodes.
+    pub prefetched: Option<ValueRun>,
     /// The batch read that selected this window last, and its slot in
     /// that read's selection.
     picked: Option<(u64, usize)>,
@@ -51,6 +52,16 @@ impl LiveWindow {
             max_ts: Timestamp::MIN,
             ..LiveWindow::default()
         }
+    }
+
+    /// The values a read serves: the disk copy, then the buffer.
+    pub fn values(&self) -> Result<Vec<Vec<u8>>> {
+        let mut out = Vec::new();
+        if let Some(copy) = &self.prefetched {
+            copy.decode_into(&mut out)?;
+        }
+        self.buffered.decode_into(&mut out)?;
+        Ok(out)
     }
 
     fn add_disk(&mut self, offset: u64, bytes: u64) {
@@ -95,10 +106,6 @@ impl Pick {
     }
 }
 
-fn prefetch_bytes_of(values: &[Vec<u8>]) -> usize {
-    values.iter().map(|v| v.len() + 24).sum()
-}
-
 /// The live windows of one store instance, with the byte accounting of
 /// the write and prefetch buffers spread over them.
 #[derive(Default)]
@@ -114,8 +121,8 @@ pub struct LiveTable {
 impl LiveTable {
     /// Buffers `value` for `(key, window)` and updates the window's ETT
     /// (paper: "ETTs are maintained as an in-memory hash table, updated
-    /// upon every tuple arrival"). A prefetched copy is stale from here
-    /// on and dropped; returns `true` when there was one.
+    /// upon every tuple arrival"). A prefetched copy caches the window's
+    /// *disk* records, which an append does not change: it stays.
     pub fn append(
         &mut self,
         key: &[u8],
@@ -123,26 +130,15 @@ impl LiveTable {
         value: &[u8],
         ts: Timestamp,
         predictor: &EttPredictor,
-    ) -> bool {
+    ) {
         let charge = key.len() + value.len() + 56;
         self.buffer_bytes += charge;
-        let evicted = self.windows.upsert(key, window, LiveWindow::new, |lw| {
+        self.windows.upsert(key, window, LiveWindow::new, |lw| {
             lw.max_ts = lw.max_ts.max(ts);
             lw.ett = predictor.predict(key, window, lw.max_ts);
             lw.buffered.push(value);
             lw.buffered_charge += charge;
-            lw.prefetched.take()
         });
-        self.forget_prefetched(evicted.as_deref())
-    }
-
-    /// Takes a dropped prefetched copy out of the accounting.
-    fn forget_prefetched(&mut self, values: Option<&[Vec<u8>]>) -> bool {
-        if let Some(values) = values {
-            self.prefetched -= 1;
-            self.prefetch_bytes -= prefetch_bytes_of(values);
-        }
-        values.is_some()
     }
 
     /// Rebuilds one window's bookkeeping from a recovered index entry:
@@ -172,24 +168,52 @@ impl LiveTable {
     pub fn consume(&mut self, key: &[u8], window: WindowId) -> Option<LiveWindow> {
         let lw = self.windows.remove(key, window)?;
         self.buffer_bytes -= lw.buffered_charge;
-        self.forget_prefetched(lw.prefetched.as_deref());
+        if let Some(copy) = &lw.prefetched {
+            self.prefetched -= 1;
+            self.prefetch_bytes -= copy.bytes_len();
+        }
         Some(lw)
     }
 
-    /// Adds loaded disk values to a window's prefetched copy, one call
-    /// per data-log record.
-    pub fn install(&mut self, key: &[u8], window: WindowId, values: Vec<Vec<u8>>) {
+    /// Drops prefetched copies, latest ETT first — the windows furthest
+    /// from triggering, a session that keeps extending among them — and
+    /// never `keep`'s, until at most `bound` bytes stay resident. Returns
+    /// how many it displaced. The order is `(ETT, key, window)` reversed:
+    /// a function of the input, like the flush order.
+    pub fn displace_latest(&mut self, bound: usize, keep: Option<(&[u8], WindowId)>) -> u64 {
+        if self.prefetch_bytes <= bound {
+            return 0;
+        }
+        let mut resident: Vec<(&[u8], WindowId, &mut LiveWindow)> = self
+            .windows
+            .iter_mut()
+            .filter(|&(k, w, ref lw)| lw.prefetched.is_some() && Some((k, w)) != keep)
+            .collect();
+        // An unpredictable window is never due: it goes first.
+        let ett = |lw: &LiveWindow| lw.ett.unwrap_or(Timestamp::MAX);
+        resident.sort_unstable_by(|a, b| (ett(b.2), b.0, b.1).cmp(&(ett(a.2), a.0, a.1)));
+        let mut displaced = 0;
+        for (.., lw) in resident {
+            if self.prefetch_bytes <= bound {
+                break;
+            }
+            let copy = lw.prefetched.take().expect("filtered on it");
+            self.prefetched -= 1;
+            self.prefetch_bytes -= copy.bytes_len();
+            displaced += 1;
+        }
+        displaced
+    }
+
+    /// Adds loaded disk values to a window's prefetched copy: a record's
+    /// worth per call, or a background read's whole run.
+    pub fn install(&mut self, key: &[u8], window: WindowId, values: &ValueRun) {
         let Some(lw) = self.windows.get_mut(key, window) else {
             return;
         };
-        self.prefetch_bytes += prefetch_bytes_of(&values);
-        match &mut lw.prefetched {
-            Some(resident) => resident.extend(values),
-            None => {
-                self.prefetched += 1;
-                lw.prefetched = Some(values);
-            }
-        }
+        self.prefetch_bytes += values.bytes_len();
+        self.prefetched += usize::from(lw.prefetched.is_none());
+        lw.prefetched.get_or_insert_default().extend(values);
     }
 
     /// Hands every window with buffered values to `write` in
@@ -211,9 +235,8 @@ impl LiveTable {
             let loc = write(key, window, lw)?;
             lw.add_disk(loc.offset, loc.disk_len());
             if let Some(resident) = &mut lw.prefetched {
-                let held = resident.len();
-                lw.buffered.decode_into(resident)?;
-                self.prefetch_bytes += prefetch_bytes_of(&resident[held..]);
+                resident.extend(&lw.buffered);
+                self.prefetch_bytes += lw.buffered.bytes_len();
             }
             self.buffer_bytes -= lw.buffered_charge;
             lw.buffered_charge = 0;
@@ -322,7 +345,7 @@ impl LiveTable {
         self.prefetched
     }
 
-    /// Approximate bytes of prefetched values.
+    /// Bytes of prefetched values, as held: length-prefixed, back to back.
     pub fn prefetch_bytes(&self) -> usize {
         self.prefetch_bytes
     }
@@ -352,6 +375,13 @@ mod tests {
             t.rebuild_entry(key, w(0, 200), ts, 10, &GAP);
         }
         t
+    }
+
+    /// `values` as a batch read hands them over.
+    fn run(values: &[&[u8]]) -> ValueRun {
+        let mut run = ValueRun::default();
+        values.iter().for_each(|v| run.push(v));
+        run
     }
 
     fn keys(picks: &[Pick]) -> Vec<&[u8]> {
@@ -514,25 +544,73 @@ mod tests {
     fn install_consume_roundtrip() {
         let mut t = on_disk(&[(b"k", 1)]);
         let empty = t.memory_bytes();
-        t.install(b"k", w(0, 200), vec![b"a".to_vec()]);
-        t.install(b"k", w(0, 200), vec![b"b".to_vec()]);
+        t.install(b"k", w(0, 200), &run(&[b"a"]));
+        t.install(b"k", w(0, 200), &run(&[b"b"]));
         assert_eq!(t.prefetched_windows(), 1);
         assert!(t.memory_bytes() > empty);
         // A consumed or unknown window takes nothing in.
-        t.install(b"gone", w(0, 200), vec![b"x".to_vec()]);
+        t.install(b"gone", w(0, 200), &run(&[b"x"]));
         assert_eq!(t.prefetched_windows(), 1);
         let lw = t.consume(b"k", w(0, 200)).unwrap();
-        assert_eq!(lw.prefetched, Some(vec![b"a".to_vec(), b"b".to_vec()]));
+        assert_eq!(lw.values().unwrap(), [b"a", b"b"]);
         assert_eq!((t.prefetched_windows(), t.prefetch_bytes()), (0, 0));
     }
 
     #[test]
-    fn an_append_evicts_the_prefetched_copy_once() {
+    fn an_append_keeps_the_prefetched_copy() {
         let mut t = on_disk(&[(b"k", 1)]);
-        t.install(b"k", w(0, 200), vec![vec![0u8; 100]]);
-        assert!(t.prefetch_bytes() >= 100);
-        assert!(t.append(b"k", w(0, 200), b"v", 2, &GAP));
-        assert!(!t.append(b"k", w(0, 200), b"v", 3, &GAP));
+        t.install(b"k", w(0, 200), &run(&[b"old"]));
+        let resident = t.prefetch_bytes();
+        t.append(b"k", w(0, 200), b"v", 2, &GAP);
+        t.append(b"k", w(0, 200), b"v", 3, &GAP);
+        assert_eq!((t.prefetched_windows(), t.prefetch_bytes()), (1, resident));
+        // Consuming hands back the disk copy and the buffer beside it,
+        // served in that order.
+        let lw = t.consume(b"k", w(0, 200)).unwrap();
+        assert_eq!(lw.prefetched.as_ref().map(ValueRun::count), Some(1));
+        assert_eq!(lw.buffered.count(), 2);
+        assert_eq!(lw.values().unwrap(), [&b"old"[..], b"v", b"v"]);
+        assert_eq!(t.memory_bytes(), 0);
+    }
+
+    #[test]
+    fn the_budget_displaces_the_latest_ett_first_and_never_the_target() {
+        const COPY: usize = 100 + 1;
+        let bound = 3 * COPY;
+        let mut t = on_disk(&[(b"a", 10), (b"b", 20), (b"c", 30), (b"d", 40), (b"e", 50)]);
+        let resident = |t: &LiveTable| -> Vec<Vec<u8>> {
+            let held = t.iter().filter(|(.., lw)| lw.prefetched.is_some());
+            let mut keys: Vec<Vec<u8>> = held.map(|(k, ..)| k.to_vec()).collect();
+            keys.sort();
+            keys
+        };
+        // Installs up to the bound displace nothing.
+        for key in [b"b", b"c", b"d"] {
+            t.install(key, w(0, 200), &run(&[&[0u8; 100]]));
+            assert_eq!(t.displace_latest(bound, Some((key, w(0, 200)))), 0);
+        }
+        // Past it, the latest ETT goes — here `d` — not the sooner ones.
+        t.install(b"a", w(0, 200), &run(&[&[0u8; 100]]));
+        assert_eq!(t.displace_latest(bound, Some((b"a", w(0, 200)))), 1);
+        assert_eq!(resident(&t), [b"a", b"b", b"c"]);
+        // The target stays even when its own ETT is the latest.
+        t.install(b"e", w(0, 200), &run(&[&[0u8; 100]]));
+        assert_eq!(t.displace_latest(bound, Some((b"e", w(0, 200)))), 1);
+        assert_eq!(resident(&t), [b"a", b"b", b"e"]);
+        assert_eq!((t.prefetched_windows(), t.prefetch_bytes()), (3, bound));
+        // `a` keeps extending: each tuple moves its ETT out and each
+        // flush grows its copy. It cannot hold the buffer against `c`,
+        // which is due sooner — `a` is now the latest, and goes.
+        t.append(b"a", w(0, 200), &[0u8; 100], 60, &GAP);
+        t.flush_each(|_, _, _| Ok(RecordLocation { offset: 64, len: 1 }))
+            .unwrap();
+        assert_eq!(t.prefetch_bytes(), bound + COPY);
+        t.install(b"c", w(0, 200), &run(&[&[0u8; 100]]));
+        assert_eq!(t.displace_latest(bound, None), 1);
+        assert_eq!(resident(&t), [b"b", b"c", b"e"]);
+        assert!(t.prefetch_bytes() <= bound);
+        // Without a target everything can go.
+        assert_eq!(t.displace_latest(0, None), 3);
         assert_eq!((t.prefetched_windows(), t.prefetch_bytes()), (0, 0));
     }
 
@@ -540,12 +618,12 @@ mod tests {
     fn a_flush_extends_the_prefetched_copy() {
         let mut t = on_disk(&[(b"k", 1)]);
         t.append(b"k", w(0, 200), b"new", 2, &GAP);
-        t.install(b"k", w(0, 200), vec![b"old".to_vec()]);
+        t.install(b"k", w(0, 200), &run(&[b"old"]));
         t.flush_each(|_, _, _| Ok(RecordLocation { offset: 64, len: 1 }))
             .unwrap();
-        assert_eq!(t.prefetch_bytes(), 2 * (3 + 24));
+        assert_eq!(t.prefetch_bytes(), 2 * (3 + 1));
         let lw = t.consume(b"k", w(0, 200)).unwrap();
-        assert_eq!(lw.prefetched, Some(vec![b"old".to_vec(), b"new".to_vec()]));
+        assert_eq!(lw.values().unwrap(), [b"old", b"new"]);
         assert_eq!(t.memory_bytes(), 0);
     }
 
@@ -554,7 +632,7 @@ mod tests {
         let mut t = LiveTable::default();
         for (key, window) in [(b"a", w(0, 10)), (b"a", w(10, 20)), (b"b", w(0, 10))] {
             t.rebuild_entry(key, window, 1, 10, &GAP);
-            t.install(key, window, vec![b"x".to_vec()]);
+            t.install(key, window, &run(&[b"x"]));
         }
         assert_eq!(t.prefetched_windows(), 3);
         assert!(t.consume(b"a", w(0, 10)).is_some());

@@ -172,6 +172,15 @@ impl GenLog {
         Ok(())
     }
 
+    /// Cuts the log back to its first `len` bytes, a record boundary.
+    pub(crate) fn truncate(&mut self, len: u64) -> Result<()> {
+        (self.writer, self.reader) = (None, None);
+        let path = self.path();
+        let cut = self.vfs.open_rw(&path).and_then(|file| file.set_len(len));
+        cut.map_err(|e| StoreError::io_at("log truncate", path, e))?;
+        self.adopt()
+    }
+
     /// Marks `bytes` of the log dead: the store no longer refers to them.
     pub(crate) fn retire(&mut self, bytes: u64) {
         self.dead += bytes;

@@ -2,10 +2,11 @@
 //! randomized configurations.
 //!
 //! The AUR store's correctness-critical machinery — write-buffer spills,
-//! predictive batch reads (synchronous and over an I/O ring), prefetch
-//! evictions, the offset rule that keeps a consumed incarnation's
-//! records dead, and MSA-triggered compaction — must never change the
-//! fetch-and-remove semantics. The model is a plain map of value lists.
+//! predictive batch reads (synchronous and over an I/O ring), prefetched
+//! copies that outlive appends and grow with flushes, the offset rule
+//! that keeps a consumed incarnation's records dead, and MSA-triggered
+//! compaction — must never change the fetch-and-remove semantics. The
+//! model is a plain map of value lists.
 //!
 //! Tier-1 runs 32 cases per configuration; `PROPTEST_CASES` deepens the
 //! search (CI's crash-matrix job runs 256).
@@ -55,23 +56,51 @@ enum Op {
     },
 }
 
-fn ops() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        prop_oneof![
-            6 => (0u8..5, 0u8..4, any::<u8>(), 0i64..500)
-                .prop_map(|(k, w, len, ts)| Op::Append { k, w, len, ts }),
-            3 => (0u8..5, 0u8..4).prop_map(|(k, w)| Op::Take { k, w }),
-            1 => Just(Op::Flush),
-            1 => (0u8..5, 0u8..4).prop_map(|(k, w)| Op::Peek { k, w }),
-            1 => prop_oneof![
-                4 => Just(Op::CollectView),
-                1 => Just(Op::CheckpointRestore),
-            ],
-            1 => (0i64..500, any::<bool>())
-                .prop_map(|(t, land)| Op::AdvancePrefetch { t, land }),
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        6 => (0u8..5, 0u8..4, any::<u8>(), 0i64..500)
+            .prop_map(|(k, w, len, ts)| Op::Append { k, w, len, ts }),
+        3 => (0u8..5, 0u8..4).prop_map(|(k, w)| Op::Take { k, w }),
+        1 => Just(Op::Flush),
+        1 => (0u8..5, 0u8..4).prop_map(|(k, w)| Op::Peek { k, w }),
+        1 => prop_oneof![
+            4 => Just(Op::CollectView),
+            1 => Just(Op::CheckpointRestore),
         ],
-        1..150,
-    )
+        1 => (0i64..500, any::<bool>())
+            .prop_map(|(t, land)| Op::AdvancePrefetch { t, land }),
+    ]
+}
+
+/// A window is put on disk and read ahead, then extends: an `Append`
+/// meets a prefetched copy (a landed ring read, or the `Peek`'s batch
+/// read without a ring), a `Peek` serves copy and buffer together, and
+/// a `Flush` runs under the copy — or, with `land` false, under a ring
+/// read that may still be in flight.
+fn extend_after_prefetch() -> impl Strategy<Value = Vec<Op>> {
+    (0u8..5, 0u8..4, any::<u8>(), 0i64..500, any::<bool>()).prop_map(|(k, w, len, ts, land)| {
+        let append = Op::Append { k, w, len, ts };
+        let peek = Op::Peek { k, w };
+        let tick = Op::AdvancePrefetch { t: ts, land };
+        vec![
+            append.clone(),
+            Op::Flush,
+            tick,
+            append.clone(),
+            peek.clone(),
+            Op::Flush,
+            append,
+            peek,
+        ]
+    })
+}
+
+fn ops() -> impl Strategy<Value = Vec<Op>> {
+    let step = prop_oneof![
+        13 => op().prop_map(|op| vec![op]),
+        1 => extend_after_prefetch(),
+    ];
+    prop::collection::vec(step, 1..150).prop_map(|steps| steps.concat())
 }
 
 /// Cases per configuration: 32 unless `PROPTEST_CASES` says otherwise.
@@ -117,6 +146,7 @@ fn check_on(ops: &[Op], cfg: AurConfig, ring: Option<Arc<IoRing>>) -> Result<(),
     }
     let key = |k: u8| format!("key{k}").into_bytes();
     let mut model: HashMap<(u8, u8), Vec<Vec<u8>>> = HashMap::new();
+    let empty = store.memory_bytes();
     for op in ops {
         match *op {
             Op::Append { k, w, len, ts } => {
@@ -159,6 +189,13 @@ fn check_on(ops: &[Op], cfg: AurConfig, ring: Option<Arc<IoRing>>) -> Result<(),
                 }
             }
         }
+        // Prefetched copies are counted: each holds a value of at least
+        // `value`'s ten bytes behind its length byte.
+        let copies = store.prefetched_windows();
+        prop_assert!(
+            store.memory_bytes() >= empty + 11 * copies,
+            "{copies} copies"
+        );
     }
     // Drain whatever the model still holds.
     let mut remaining: Remaining = model.into_iter().collect();
@@ -167,6 +204,11 @@ fn check_on(ops: &[Op], cfg: AurConfig, ring: Option<Arc<IoRing>>) -> Result<(),
         let got = store.take(&key(k), window(w)).unwrap();
         prop_assert_eq!(got, expect, "final take({}, {})", k, w);
     }
+    // Every copy left the accounting with its window.
+    prop_assert_eq!(
+        (store.prefetched_windows(), store.memory_bytes()),
+        (0, empty)
+    );
     store.close().unwrap();
     Ok(())
 }

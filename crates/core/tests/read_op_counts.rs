@@ -5,6 +5,11 @@
 //! read whose length the index holds must pay once. These bounds fail if
 //! the two-reads-per-record shape ever returns.
 //!
+//! A read-ahead is paid for once: an append to a prefetched window
+//! changes no disk record, so its trigger must not go back to the device,
+//! and a trigger that beats its background read waits for that read
+//! instead of repeating it.
+//!
 //! The same counter shows that `io_threads = 0` is not a second code
 //! path: a lane of width zero runs the very job bodies a ring runs, so a
 //! serving-view read and a compaction issue the same faultable-op
@@ -13,6 +18,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use flowkv::aur::{AurConfig, AurStore};
 use flowkv::ett::EttPredictor;
@@ -20,6 +26,7 @@ use flowkv::rmw::{RmwConfig, RmwStore};
 use flowkv_common::ioring::IoRing;
 use flowkv_common::metrics::StoreMetrics;
 use flowkv_common::scratch::ScratchDir;
+use flowkv_common::telemetry::{SampleValue, Telemetry};
 use flowkv_common::types::WindowId;
 use flowkv_common::vfs::{FaultKind, FaultPlan, FaultVfs, StdVfs};
 
@@ -90,6 +97,112 @@ fn ring_batch_read_pays_per_extent() {
     assert!(ops <= BATCH_READ_OPS, "ring batch read cost {ops} ops");
     store.advance_prefetch(0).unwrap();
     assert_eq!(store.prefetched_windows() as u64, WINDOWS);
+}
+
+/// Appends to a window whose disk record is prefetched, then triggers
+/// it: the copy outlives the appends, so the `take` costs no device op
+/// and serves the disk value, then the buffered ones, in append order.
+fn assert_a_take_after_appends_is_free(store: &mut AurStore, counting: &FaultVfs) {
+    assert_eq!(store.prefetched_windows() as u64, WINDOWS - 1);
+    for value in [b"second", b"third!"] {
+        store.append(b"key-001", window(), value, 70).unwrap();
+    }
+    let before = counting.ops();
+    assert_eq!(
+        store.take(b"key-001", window()).unwrap(),
+        [&[1u8; 48][..], b"second", b"third!"]
+    );
+    assert_eq!(
+        counting.ops() - before,
+        0,
+        "the take went back to the device"
+    );
+}
+
+#[test]
+fn an_append_after_a_synchronous_batch_read_pays_no_device_op() {
+    let dir = ScratchDir::new("opcount-aur-sync-append").unwrap();
+    let (mut store, counting) = flushed_aur_store(&dir);
+    assert_eq!(store.take(b"key-000", window()).unwrap().len(), 1);
+    assert_a_take_after_appends_is_free(&mut store, &counting);
+}
+
+#[test]
+fn an_append_after_a_landed_ring_read_pays_no_device_op() {
+    let dir = ScratchDir::new("opcount-aur-ring-append").unwrap();
+    let (store, counting) = flushed_aur_store(&dir);
+    let ring = Arc::new(IoRing::new(counting.clone(), 1));
+    let mut store = store.with_ring(ring.clone(), 1);
+    store.advance_prefetch(0).unwrap();
+    ring.wait_idle();
+    store.advance_prefetch(0).unwrap();
+    assert_eq!(store.take(b"key-000", window()).unwrap().len(), 1);
+    assert_a_take_after_appends_is_free(&mut store, &counting);
+}
+
+fn counter(telemetry: &Telemetry, name: &str) -> u64 {
+    let name = format!("{name}{{store=t/p0}}");
+    let samples = telemetry.registry().snapshot();
+    match samples.iter().find(|s| s.name == name).map(|s| &s.value) {
+        Some(SampleValue::Counter(v)) => *v,
+        other => panic!("{name} is {other:?}"),
+    }
+}
+
+#[test]
+fn a_trigger_that_beats_its_ring_read_waits_for_it_and_reads_nothing_itself() {
+    // What the ring read alone costs, on a twin store.
+    let dir = ScratchDir::new("opcount-aur-late-twin").unwrap();
+    let (store, counting) = flushed_aur_store(&dir);
+    let ring = Arc::new(IoRing::new(counting.clone(), 1));
+    let mut store = store.with_ring(ring.clone(), 1);
+    let before = counting.ops();
+    store.advance_prefetch(0).unwrap();
+    ring.wait_idle();
+    let ring_read_ops = counting.ops() - before;
+
+    // The same read parked behind a gate on the ring's one thread.
+    let dir = ScratchDir::new("opcount-aur-late").unwrap();
+    let (store, counting) = flushed_aur_store(&dir);
+    let telemetry = Telemetry::new_shared();
+    let ring = Arc::new(IoRing::new(counting.clone(), 1));
+    let (release, gate) = std::sync::mpsc::channel::<()>();
+    ring.submit(
+        u64::MAX,
+        Box::new(move |_| {
+            let _ = gate.recv();
+            Ok(Box::new(()) as _)
+        }),
+    );
+    let mut store = store
+        .with_telemetry(telemetry.clone(), "t/p0")
+        .with_ring(ring.clone(), 1);
+    let before = counting.ops();
+    store.advance_prefetch(0).unwrap();
+    // The gate opens once the store has counted the trigger late, which
+    // it does on its way into the wait (or at a deadline, so that a store
+    // which never does fails below instead of hanging).
+    let values = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while counter(&telemetry, "prefetch_late_total") == 0 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            release.send(()).unwrap();
+        });
+        store.take(b"key-000", window()).unwrap()
+    });
+    assert_eq!(values, [[0u8; 48]]);
+    ring.wait_idle();
+    assert_eq!(
+        counting.ops() - before,
+        ring_read_ops,
+        "the late take read beside the ring"
+    );
+    assert_eq!(store.prefetched_windows() as u64, WINDOWS - 1);
+    store.advance_prefetch(0).unwrap();
+    assert_eq!(counter(&telemetry, "prefetch_late_total"), 1);
+    assert_eq!(counter(&telemetry, "prefetch_wasted_bytes"), 0);
 }
 
 #[test]

@@ -8,7 +8,10 @@
 //!
 //! A fault mid-compaction falls under the same contract: whichever op of
 //! the rewrite it lands on, the store reopens and every entry that was
-//! live, unconsumed and flushed before the fault reads back exactly.
+//! live, unconsumed and flushed before the fault reads back exactly. So
+//! does a fault inside an AUR flush, whose two logs spill their buffers
+//! independently: whichever got further, what earlier flushes wrote reads
+//! back and what the torn one wrote is served whole or not at all.
 
 mod common;
 
@@ -200,7 +203,7 @@ fn aar_survives_torn_window_file_tail() {
 }
 
 // ---------------------------------------------------------------------------
-// Faults inside a compaction
+// Faults inside a flush or a compaction
 // ---------------------------------------------------------------------------
 
 /// Default `FLOWKV_FAULT_SEED` of the sweep's crash half.
@@ -208,17 +211,21 @@ const SWEEP_SEED: u64 = 0xC0A7;
 /// Crash points drawn per store, on top of an `ENOSPC` at every op.
 const CRASHES_PER_STORE: u64 = 6;
 
-/// One store's side of the compaction-fault sweep.
+/// One store's side of the fault sweep over one of its calls: the one
+/// that compacts, or a flush.
 struct Sweep<S> {
     name: &'static str,
     /// Opens the store in a directory, all its I/O on the filesystem.
     open: fn(&Path, Arc<dyn Vfs>) -> S,
-    /// Brings a fresh store to the brink of a compaction.
+    /// Brings a fresh store to the brink of the swept call.
     prepare: fn(&mut S, &Path),
-    /// The one call that compacts.
+    /// The one call that compacts (or flushes).
     trigger: fn(&mut S) -> Result<()>,
-    /// Compactions the store has run.
+    /// Compactions (flushes since `prepare`) the store has run.
     compactions: fn(&S) -> u64,
+    /// Crashes at every op of the call, not at a seeded few: for a call
+    /// short enough, and whose crash states differ op by op.
+    crash_at_every_op: bool,
     /// Reopens the directory on a healthy filesystem and checks every
     /// entry that was live before `trigger`; `after` names the fault.
     verify: fn(&Path, &str),
@@ -254,14 +261,15 @@ impl<S> Sweep<S> {
         let counting = FaultVfs::counting(StdVfs::shared());
         let (before, end) = self.run(counting, "no fault").expect("undisturbed run");
         println!(
-            "compaction fault sweep {}: ops {before}..{end}, FLOWKV_FAULT_SEED={seed} \
+            "fault sweep {}: ops {before}..{end}, FLOWKV_FAULT_SEED={seed} \
              (set the env var to replay)",
             self.name
         );
-        // At the least: create, read, write, sync, rename.
+        // A compaction is at the least create, read, write, sync, rename;
+        // the swept flush, as many buffer spills.
         assert!(
             end - before >= 5,
-            "{}: compaction spans {before}..{end}",
+            "{}: the swept call spans {before}..{end}",
             self.name
         );
         for op in before + 1..=end {
@@ -270,8 +278,13 @@ impl<S> Sweep<S> {
             self.run(FaultVfs::new(StdVfs::shared(), plan), &after);
         }
         let mut rng = seed ^ self.name.bytes().fold(0, |h, b| h * 31 + u64::from(b));
-        for _ in 0..CRASHES_PER_STORE {
-            let op = before + 1 + splitmix64(&mut rng) % (end - before);
+        let crash_ops: Vec<u64> = match self.crash_at_every_op {
+            true => (before + 1..=end).collect(),
+            false => (0..CRASHES_PER_STORE)
+                .map(|_| before + 1 + splitmix64(&mut rng) % (end - before))
+                .collect(),
+        };
+        for op in crash_ops {
             let after = format!("crash at op {op} of {before}..{end} (seed {seed})");
             self.run(
                 FaultVfs::new(StdVfs::shared(), FaultPlan::crash_at(op)),
@@ -339,6 +352,78 @@ fn aur_survives_a_fault_at_every_op_of_a_compaction() {
                 assert_eq!(got, vec![value_of(i)], "aur, {after}: live key {i}");
             }
         },
+        crash_at_every_op: false,
+    }
+    .sweep();
+}
+
+/// Windows the swept flush writes; with `FLUSH_VALUE`-byte values its
+/// data records fill the log writer's buffer several times over while
+/// its index entries fit in theirs, so the two logs reach the file at
+/// different ops.
+const FLUSH_WINDOWS: u32 = 48;
+const FLUSH_VALUE: usize = 600;
+
+fn open_aur_unspilled(dir: &Path, vfs: Arc<dyn Vfs>) -> (AurStore, Arc<StoreMetrics>) {
+    let cfg = AurConfig {
+        write_buffer_bytes: 1 << 20,
+        ..aur_cfg()
+    };
+    let predictor = EttPredictor::SessionGap { gap: 100 };
+    let metrics = StoreMetrics::new_shared();
+    let store = AurStore::open_with_vfs(dir, cfg, predictor, Arc::clone(&metrics), vfs).unwrap();
+    (store, metrics)
+}
+
+/// The second value of `live-i` and the one value of `doom-i`.
+fn flushed_second(i: u32) -> Vec<u8> {
+    vec![i as u8; FLUSH_VALUE]
+}
+
+#[test]
+fn aur_survives_a_fault_at_every_op_of_a_flush() {
+    Sweep {
+        name: "aur-flush",
+        open: open_aur_unspilled,
+        // One flush puts the first value of every `live` window on disk;
+        // the swept one extends them and adds the `doom` windows.
+        prepare: |(s, _), _| {
+            for i in 0..FLUSH_WINDOWS {
+                s.append(&live_key(i), w(0, 100), &value_of(i), 1).unwrap();
+            }
+            s.flush().unwrap();
+            for i in 0..FLUSH_WINDOWS {
+                s.append(&live_key(i), w(0, 100), &flushed_second(i), 2)
+                    .unwrap();
+                s.append(&doomed_key(i), w(0, 100), &flushed_second(i), 2)
+                    .unwrap();
+            }
+        },
+        trigger: |(s, _)| s.flush(),
+        compactions: |(_, metrics)| metrics.snapshot().flushes - 1,
+        verify: |dir, after| {
+            let (mut s, _) = open_aur_unspilled(dir, StdVfs::shared());
+            // A record of the torn flush either made it or did not.
+            for i in 0..FLUSH_WINDOWS {
+                let got = s.take(&live_key(i), w(0, 100)).unwrap();
+                let whole = [value_of(i), flushed_second(i)];
+                assert!(
+                    got == whole || got == whole[..1],
+                    "aur-flush, {after}: live key {i} reads {} values",
+                    got.len()
+                );
+                let got = s.take(&doomed_key(i), w(0, 100)).unwrap();
+                assert!(
+                    got.is_empty() || got == whole[1..],
+                    "aur-flush, {after}: doomed key {i}"
+                );
+            }
+            // The logs take appends where the torn flush left them.
+            s.append(b"after", w(0, 100), b"reopen", 3).unwrap();
+            s.flush().unwrap();
+            assert_eq!(s.take(b"after", w(0, 100)).unwrap(), [b"reopen"]);
+        },
+        crash_at_every_op: true,
     }
     .sweep();
 }
@@ -377,6 +462,7 @@ fn rmw_survives_a_fault_at_every_op_of_a_compaction() {
                 assert_eq!(got, Some(value_of(i)), "rmw, {after}: live key {i}");
             }
         },
+        crash_at_every_op: false,
     }
     .sweep();
 }
@@ -456,6 +542,7 @@ fn tiered_store_survives_a_fault_at_every_op_of_a_cold_log_compaction() {
                 assert_eq!(got, vec![value_of(i)], "tiered, {after}: live key {i}");
             }
         },
+        crash_at_every_op: false,
     }
     .sweep();
 }
