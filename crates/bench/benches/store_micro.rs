@@ -46,7 +46,8 @@ fn make(
 }
 
 /// AAR: append a window's worth of tuples across many keys, then drain
-/// the window with chunked reads.
+/// the window step by step through the borrowed drain (the baselines
+/// answer it out of their owned chunks).
 fn bench_aar(c: &mut Criterion) {
     let mut group = c.benchmark_group("aar_append_drain");
     group.measurement_time(Duration::from_secs(5));
@@ -65,11 +66,9 @@ fn bench_aar(c: &mut Criterion) {
                         let key = (i % keys).to_le_bytes();
                         store.append(&key, w, &[7u8; 64], i as i64).unwrap();
                     }
-                    let mut total = 0usize;
-                    while let Some(chunk) = store.get_window_chunk(w).unwrap() {
-                        total += chunk.len();
-                    }
-                    assert!(total >= keys as usize);
+                    let mut total = 0u64;
+                    while store.drain_window_chunk(w, &mut |_, _| total += 1).unwrap() {}
+                    assert_eq!(total, keys * per_key);
                     store.close().unwrap();
                 },
                 criterion::BatchSize::PerIteration,
@@ -434,6 +433,63 @@ fn bench_tier_aar_append(c: &mut Criterion) {
     group.finish();
 }
 
+/// One AAR window's whole life — 64 k tuples over 1 k keys appended, then
+/// the trigger's drain — on the bare store and behind a 1 MiB hot tier
+/// (`tier_aar_append`'s default budget never demotes: here most of the
+/// window goes out through the columnar cold log and comes back from it),
+/// consumed as owned chunks and through the borrowed step. `tiered`
+/// minus `bare` is what tiering costs a window; `owned` minus `borrowed`
+/// is the copy per pair the borrowed drain spares its consumer.
+fn bench_tier_aar_cycle(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tier_aar_cycle");
+    group.measurement_time(Duration::from_secs(5));
+    group.sample_size(10);
+    let semantics =
+        OperatorSemantics::new(AggregateKind::FullList, WindowKind::Fixed { size: 1_000 });
+    let w = WindowId::new(0, 1_000);
+    let (tuples, keys) = (64_000u64, 1_000u64);
+    let choice = BackendChoice::FlowKv(flowkv_bench::flowkv_cfg());
+    for (tiered, borrowed) in [(false, false), (false, true), (true, false), (true, true)] {
+        let layout = if tiered { "tiered" } else { "bare" };
+        let consumer = if borrowed { "borrowed" } else { "owned" };
+        group.bench_function(BenchmarkId::new(layout, consumer), |b| {
+            b.iter_batched(
+                || {
+                    let mut options = FactoryOptions::new();
+                    if tiered {
+                        options = options.tiered(flowkv::tier::TierConfig::new(1 << 20));
+                    }
+                    make(&choice, semantics, options)
+                },
+                |(mut store, _dir)| {
+                    // Distinct values, as bids are: the block's value
+                    // dictionary gets an entry per row.
+                    let mut value = [7u8; 64];
+                    for i in 0..tuples {
+                        let key = (i % keys).to_le_bytes();
+                        value[..8].copy_from_slice(&i.to_le_bytes());
+                        store.append(&key, w, &value, i as i64).unwrap();
+                    }
+                    let mut bytes = 0usize;
+                    if borrowed {
+                        let mut sum = |_: &[u8], value: &[u8]| bytes += value.len();
+                        while store.drain_window_chunk(w, &mut sum).unwrap() {}
+                    } else {
+                        while let Some(chunk) = store.get_window_chunk(w).unwrap() {
+                            let values = chunk.iter().flat_map(|(_, values)| values);
+                            bytes += values.map(Vec::len).sum::<usize>();
+                        }
+                    }
+                    assert_eq!(bytes as u64, tuples * 64);
+                    store.close().unwrap();
+                },
+                criterion::BatchSize::PerIteration,
+            );
+        });
+    }
+    group.finish();
+}
+
 /// What a served RMW worker pays per watermark beyond its store calls:
 /// 1 000 rounds of 100 take/put cycles on 100 distinct keys over 1 k,
 /// 10 k and 100 k live keys, once on the bare store and once `served` —
@@ -515,6 +571,7 @@ criterion_group!(
     bench_rmw,
     bench_tier_rmw,
     bench_tier_aar_append,
+    bench_tier_aar_cycle,
     bench_view_publish
 );
 criterion_main!(benches);

@@ -114,6 +114,25 @@ impl OperatorSemantics {
 /// [`StateBackend::get_window_chunk`].
 pub type WindowChunk = Vec<(Vec<u8>, Vec<Vec<u8>>)>;
 
+/// Where a drain step puts the `(key, value)` pairs it lends — see
+/// [`StateBackend::drain_window_chunk`].
+pub type PairSink<'a> = &'a mut dyn FnMut(&[u8], &[u8]);
+
+/// The owned form of one drain step: runs `step` and copies the pairs it
+/// lends into a [`WindowChunk`], adjacent pairs of one key into one
+/// entry. How a store whose drain is borrowed answers
+/// [`StateBackend::get_window_chunk`].
+pub fn collect_chunk(
+    step: impl FnOnce(PairSink<'_>) -> Result<bool>,
+) -> Result<Option<WindowChunk>> {
+    let mut chunk: WindowChunk = Vec::new();
+    let more = step(&mut |key, value| match chunk.last_mut() {
+        Some((last, values)) if last == key => values.push(value.to_vec()),
+        _ => chunk.push((key.to_vec(), vec![value.to_vec()])),
+    })?;
+    Ok(more.then_some(chunk))
+}
+
 /// One migratable unit of store state, produced by
 /// [`StateBackend::extract_range`] and consumed by
 /// [`StateBackend::inject_entries`].
@@ -170,7 +189,7 @@ pub type KeyFilter<'a> = &'a dyn Fn(&[u8]) -> bool;
 ///
 /// | Paper | Trait method |
 /// |---|---|
-/// | AAR `GetWindow(W)` | [`StateBackend::get_window_chunk`] |
+/// | AAR `GetWindow(W)` | [`StateBackend::drain_window_chunk`] (borrowed), [`StateBackend::get_window_chunk`] (owned) |
 /// | AAR `Append(K, V, W)` | [`StateBackend::append`] (timestamp ignored) |
 /// | AUR `Get(K, W)` | [`StateBackend::take_values`] |
 /// | AUR `Append(K, V, W, T)` | [`StateBackend::append`] |
@@ -197,6 +216,33 @@ pub trait StateBackend: Send {
     /// store hands out what it holds as it holds it; a consumer that
     /// needs a key's whole list groups, once.
     fn get_window_chunk(&mut self, window: WindowId) -> Result<Option<WindowChunk>>;
+
+    /// [`StateBackend::get_window_chunk`] without the copy — the paper's
+    /// `GetWindow(W)` hands the engine an *iterator*. One call is one
+    /// gradual-loading step: the store lends the step's `(key, value)`
+    /// pairs to `sink` out of its own buffer and returns whether the
+    /// window may hold more; `Ok(false)` lends nothing and means the
+    /// window is drained and gone, as `Ok(None)` does there.
+    ///
+    /// A pair is valid only inside the call of `sink` that receives it:
+    /// a consumer copies what it keeps. Pairs come in append order, so a
+    /// key may repeat, within a step and across steps, exactly as in the
+    /// owned form; steps of both forms may alternate within one drain.
+    ///
+    /// The default lends the pairs of an owned chunk, for stores that
+    /// build one anyway; a store whose state is contiguous bytes
+    /// implements this method and answers the owned one through
+    /// [`collect_chunk`]. An adaptor around another backend forwards it,
+    /// or the store behind it falls back to the copy.
+    fn drain_window_chunk(&mut self, window: WindowId, sink: PairSink<'_>) -> Result<bool> {
+        let Some(chunk) = self.get_window_chunk(window)? else {
+            return Ok(false);
+        };
+        for (key, values) in &chunk {
+            values.iter().for_each(|value| sink(key, value));
+        }
+        Ok(true)
+    }
 
     /// Fetches and removes the appended values of `(key, window)`.
     fn take_values(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>>;

@@ -5,6 +5,12 @@
 //! finalizer to break up the weak avalanche of plain FNV. It is seedable
 //! so different structures (e.g. a hash index vs. the partitioner) can
 //! decorrelate their bucket choices.
+//!
+//! [`KeyHash`] is the other hash: the in-memory tables probed once per
+//! tuple (the stores' per-key tables, the byte dictionaries of
+//! [`crate::dict`]) hash under it, seeded per table.
+
+use std::hash::{BuildHasher, Hasher, RandomState};
 
 /// 64-bit hash of `data` with the default seed.
 pub fn hash64(data: &[u8]) -> u64 {
@@ -39,6 +45,51 @@ pub fn splitmix64(mut z: u64) -> u64 {
 pub fn partition_of(key: &[u8], n: usize) -> usize {
     assert!(n > 0, "partition count must be positive");
     (hash64_seeded(key, 0x5157) % n as u64) as usize
+}
+
+/// Hash state of the in-memory key tables: a multiply-fold over
+/// eight-byte words, a fraction of SipHash's cost on short keys. Keys are
+/// stream data, so every table draws its seed from the process's
+/// `RandomState`.
+pub struct KeyHash(u64);
+
+impl Default for KeyHash {
+    fn default() -> Self {
+        KeyHash(RandomState::new().hash_one(0u8))
+    }
+}
+
+impl BuildHasher for KeyHash {
+    type Hasher = FoldHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher(self.0)
+    }
+}
+
+/// The hasher of [`KeyHash`].
+pub struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    /// Folds the halves of a 128-bit product into the state per word, so
+    /// every input bit reaches the low bits (the bucket) and the high ones
+    /// (the tag). A slice hashes its length first: padding is unambiguous.
+    /// `#[inline]`: the tables that hash under it live in other crates.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let product = u128::from(self.0 ^ u64::from_le_bytes(word)) * 0x9e37_79b9_7f4a_7c15;
+            self.0 = (product as u64) ^ ((product >> 64) as u64);
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,10 @@
 //! - [`metrics`] — per-category time/byte accounting used to regenerate
 //!   the paper's breakdown figures (Figures 4 and 10).
 //! - [`hash`] — the 64-bit key hash shared by hash indexes and
-//!   partitioning.
+//!   partitioning, and the fold hasher of the in-memory key tables.
+//! - [`dict`] — byte strings interned in one allocation and rows grouped
+//!   by number: how the cold-block writer and the window operator hold
+//!   borrowed pairs without a `Vec` per pair.
 //! - [`registry`] — the queryable-state registry: immutable snapshot
 //!   views of live operator state that workers publish at watermark
 //!   boundaries and the serving layer reads concurrently.
@@ -39,6 +42,7 @@
 pub mod backend;
 pub mod codec;
 pub mod columnar;
+pub mod dict;
 pub mod error;
 pub mod hash;
 pub mod ioring;

@@ -5,7 +5,7 @@ use std::collections::HashSet;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::backend::{AggregateKind, KeyFilter, StateBackend, StateEntry, WindowChunk};
+use crate::backend::{AggregateKind, KeyFilter, PairSink, StateBackend, StateEntry, WindowChunk};
 use crate::error::Result;
 use crate::metrics::StoreMetrics;
 use crate::types::{Timestamp, WindowId};
@@ -56,6 +56,21 @@ impl CaptureBackend {
         }
     }
 
+    /// One step of `window`'s drain, owned or borrowed: the first drops
+    /// the window from the view, the one that finds it drained ends it.
+    fn record_drain_step(&self, window: WindowId, more: bool) {
+        self.record(|r| match more {
+            true => {
+                if r.draining.insert(window) {
+                    r.delta.drop_window(window);
+                }
+            }
+            false => {
+                r.draining.remove(&window);
+            }
+        });
+    }
+
     fn mark_stale(&self) {
         let mut recorded = lock(&self.recorded);
         if recorded.phase == Phase::Recording {
@@ -73,17 +88,14 @@ impl StateBackend for CaptureBackend {
 
     fn get_window_chunk(&mut self, window: WindowId) -> Result<Option<WindowChunk>> {
         let chunk = self.inner.get_window_chunk(window)?;
-        self.record(|r| match chunk {
-            Some(_) => {
-                if r.draining.insert(window) {
-                    r.delta.drop_window(window);
-                }
-            }
-            None => {
-                r.draining.remove(&window);
-            }
-        });
+        self.record_drain_step(window, chunk.is_some());
         Ok(chunk)
+    }
+
+    fn drain_window_chunk(&mut self, window: WindowId, sink: PairSink<'_>) -> Result<bool> {
+        let more = self.inner.drain_window_chunk(window, sink)?;
+        self.record_drain_step(window, more);
+        Ok(more)
     }
 
     fn take_values(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {

@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::backend::{AggregateKind, KeyFilter, StateBackend, WindowChunk};
+use crate::backend::{AggregateKind, KeyFilter, PairSink, StateBackend, WindowChunk};
 use crate::error::Result;
 use crate::telemetry::{json_escape, parse_json, Json, Telemetry};
 use crate::types::{Timestamp, WindowId};
@@ -613,6 +613,15 @@ impl StateBackend for TracedBackend {
             "store_get_window",
             "store",
             self.inner.get_window_chunk(window)
+        )
+    }
+
+    fn drain_window_chunk(&mut self, window: WindowId, sink: PairSink<'_>) -> Result<bool> {
+        traced_op!(
+            self,
+            "store_get_window",
+            "store",
+            self.inner.drain_window_chunk(window, sink)
         )
     }
 

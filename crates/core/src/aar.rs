@@ -36,12 +36,17 @@
 //! allocation. Nothing is re-encoded on the way back either: the memory
 //! remainder of a drain is the run itself, served as the last payload.
 //! [`decode_pairs`] is the one decode, for file records, the run, and the
-//! view's memory pass. [`next_record`] is the one step that reads a
-//! window file and the one statement of the rule that a torn record ends
-//! it: a drain takes a step per payload it needs, [`read_prefix`] loops
-//! it over a file for the serving view and for the ring job. The ring job
-//! returns *decoded* pairs — taking the decode off the worker thread is
-//! the point of reading ahead.
+//! view's two passes, and it *lends*: a pair is two slices of the payload
+//! in hand, given to the caller's sink. The drain is borrowed all the way
+//! ([`AarStore::drain_window_chunk`]); the owned chunk is that step
+//! collected. [`next_record`] is the one step that reads a window file
+//! and the one statement of the rule that a torn record ends it: a drain
+//! takes a step per payload it needs, [`read_prefix`] loops it over a
+//! file for the serving view and for the ring job. A [`Prefix`] holds the
+//! record payloads as read, back to back — a record is "pairs to the end
+//! of its payload", so they are one payload, the first a drain serves:
+//! the ring takes the device read and the CRC off the worker thread, and
+//! no pair is built anywhere.
 //!
 //! Two behaviours differ from the six-map store this replaced. A chunk
 //! never exceeds `chunk_entries` pairs (a drain used to top a chunk up
@@ -64,7 +69,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use flowkv_common::backend::WindowChunk;
+use flowkv_common::backend::{collect_chunk, PairSink, WindowChunk};
 use flowkv_common::codec::{put_len_prefixed, put_varint_u64, Decoder};
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::{IoRing, Lane, PrefetchProbe};
@@ -93,9 +98,6 @@ const MAX_OPEN_WRITERS: usize = 64;
 
 /// Write-buffer charge of a buffered pair beyond its key and value bytes.
 const PAIR_OVERHEAD: usize = 48;
-
-/// A decoded `(key, value)` pair.
-type Pair = (Vec<u8>, Vec<u8>);
 
 /// A window's buffered pairs, in the form its file holds them.
 #[derive(Default)]
@@ -142,9 +144,10 @@ impl Run {
     }
 }
 
-/// The decoded start of a window file, up to a snapshot boundary.
+/// The start of a window file, up to a snapshot boundary.
 struct Prefix {
-    pairs: Vec<Pair>,
+    /// The payloads of the records read, back to back: one payload.
+    payload: Vec<u8>,
     /// The boundary, where a drain's continuation reader picks up later
     /// flushes — or `None` when the scan met a torn record below it: a
     /// drain stops serving the file there, so it opens no reader.
@@ -163,10 +166,9 @@ struct AarAsyncRead {
 /// In-flight drain of one triggered window: the prefetched file prefix,
 /// then the rest of the file, then the window's run — oldest data first.
 struct Drain {
-    pre: std::vec::IntoIter<Pair>,
     reader: Option<LogReader>,
-    /// The payload being served — a file record, at last the run — and
-    /// how far into it earlier chunks got.
+    /// The payload being served — the prefix, a file record, at last the
+    /// run — and how far into it earlier steps got.
     payload: Vec<u8>,
     pos: usize,
 }
@@ -290,14 +292,23 @@ impl AarStore {
     }
 
     /// Reads the next chunk of `window`'s state (paper Listing 1,
-    /// `GetWindow(W)`), deleting the window once fully drained.
+    /// `GetWindow(W)`), deleting the window once fully drained: one
+    /// [`AarStore::drain_window_chunk`] step, copied out.
     pub fn get_window_chunk(&mut self, window: WindowId) -> Result<Option<WindowChunk>> {
+        collect_chunk(|sink| self.drain_window_chunk(window, sink))
+    }
+
+    /// One step of gradual state loading: lends up to `chunk_entries` of
+    /// `window`'s pairs to `sink`, out of the payload in hand, and says
+    /// whether the window may hold more. The step that finds nothing
+    /// left forgets the window and deletes its file.
+    pub fn drain_window_chunk(&mut self, window: WindowId, sink: PairSink<'_>) -> Result<bool> {
         let _t = self.metrics.timer(OpCategory::Read);
         let Some(entry) = self.windows.get_mut(&window) else {
-            return Ok(None);
+            return Ok(false);
         };
         if entry.drain.is_none() {
-            let mut pre = Vec::new();
+            let mut payload = Vec::new();
             let mut reader = None;
             if entry.on_disk {
                 // Make sure buffered flushes for this window are visible.
@@ -312,7 +323,7 @@ impl AarStore {
                         if let Some(p) = &self.prefetch_probe {
                             p.hits.inc();
                         }
-                        pre = prefix.pairs;
+                        payload = prefix.payload;
                         let resume = |at| LogReader::open_at_in(&self.vfs, path, at);
                         prefix.resume.map(resume).transpose()?
                     }
@@ -338,18 +349,17 @@ impl AarStore {
                 };
             }
             entry.drain = Some(Drain {
-                pre: pre.into_iter(),
                 reader,
-                payload: Vec::new(),
+                payload,
                 pos: 0,
             });
         }
         let drain = entry.drain.as_mut().expect("begun above");
-        let mut pairs: Vec<Pair> = drain.pre.by_ref().take(self.chunk_entries).collect();
-        while pairs.len() < self.chunk_entries {
+        let mut lent = 0;
+        while lent < self.chunk_entries {
             if drain.pos < drain.payload.len() {
-                let room = self.chunk_entries - pairs.len();
-                decode_pairs(&drain.payload, &mut drain.pos, room, &mut pairs)?;
+                let room = self.chunk_entries - lent;
+                lent += decode_pairs(&drain.payload, &mut drain.pos, room, sink)?;
                 continue;
             }
             drain.pos = 0;
@@ -369,9 +379,9 @@ impl AarStore {
                 break;
             }
         }
-        if !pairs.is_empty() {
-            self.metrics.add_records_read(pairs.len() as u64);
-            return Ok(Some(key_runs(pairs)));
+        if lent > 0 {
+            self.metrics.add_records_read(lent as u64);
+            return Ok(true);
         }
         // Fully drained: forget the window and delete its file. A read
         // submitted before the drain is waited out, not left to install
@@ -384,7 +394,7 @@ impl AarStore {
         if done.on_disk {
             let _ = self.vfs.remove_file(&window_path(&self.dir, window));
         }
-        Ok(None)
+        Ok(false)
     }
 
     /// Flushes every buffered bucket to its per-window log file.
@@ -528,24 +538,25 @@ impl AarStore {
             let path = window_path(&self.dir, window);
             move |vfs: &Arc<dyn Vfs>| read_prefix(vfs, &path, u64::MAX)
         }));
+        // A view is owned: this is where the lent pairs are copied.
+        let mut collided = Ok(());
+        let mut copy = |window: WindowId, payload: &[u8]| {
+            decode_pairs(payload, &mut 0, usize::MAX, &mut |key, value| {
+                if collided.is_ok() {
+                    collided = push_view_value(out, key.to_vec(), window, value.to_vec());
+                }
+            })
+        };
         for (window, read) in on_disk.into_iter().zip(reads) {
             let at = |e| StoreError::io_at("aar view read", window_path(&self.dir, window), e);
-            let prefix = read.map_err(at)?;
-            for (key, value) in prefix.pairs {
-                push_view_value(out, key, window, value)?;
-            }
+            copy(window, &read.map_err(at)?.payload)?;
         }
-        let mut pairs: Vec<Pair> = Vec::new();
         for (&window, entry) in &self.windows {
-            if entry.drain.is_some() {
-                continue;
-            }
-            decode_pairs(&entry.run.bytes, &mut 0, usize::MAX, &mut pairs)?;
-            for (key, value) in pairs.drain(..) {
-                push_view_value(out, key, window, value)?;
+            if entry.drain.is_none() {
+                copy(window, &entry.run.bytes)?;
             }
         }
-        Ok(())
+        collided
     }
 
     /// Approximate bytes of state held in memory.
@@ -652,45 +663,43 @@ fn next_record(reader: &mut LogReader, limit: u64, payload: &mut Vec<u8>) -> Res
     }
 }
 
-/// Reads and decodes a window file from its start up to `end_offset`
-/// (`u64::MAX`: all of it). Runs as a lane job: the ring's snapshot read
-/// ahead of a trigger, and the serving view's read of a whole file.
+/// Reads a window file from its start up to `end_offset` (`u64::MAX`:
+/// all of it). Runs as a lane job: the ring's snapshot read ahead of a
+/// trigger, and the serving view's read of a whole file.
 fn read_prefix(vfs: &Arc<dyn Vfs>, path: &Path, end_offset: u64) -> Result<Prefix> {
     let mut reader = LogReader::open_in(vfs, path)?;
-    let (mut pairs, mut bytes, mut payload) = (Vec::new(), 0, Vec::new());
-    while let Some(record) = next_record(&mut reader, end_offset, &mut payload)? {
-        bytes += record;
-        decode_pairs(&payload, &mut 0, usize::MAX, &mut pairs)?;
+    let (mut payload, mut bytes, mut record) = (Vec::new(), 0, Vec::new());
+    while let Some(on_disk) = next_record(&mut reader, end_offset, &mut record)? {
+        bytes += on_disk;
+        payload.extend_from_slice(&record);
     }
     // A scan that stopped short of the boundary stopped at a tear.
     let resume = (reader.offset() >= end_offset).then_some(end_offset);
     Ok(Prefix {
-        pairs,
+        payload,
         resume,
         bytes,
     })
 }
 
-/// Decodes up to `limit` pairs of a record payload — a file record or a
-/// buffered [`Run`], the same bytes — from `*pos` on, appending them to
-/// `out` and advancing `*pos` past them.
-fn decode_pairs(payload: &[u8], pos: &mut usize, limit: usize, out: &mut Vec<Pair>) -> Result<()> {
+/// Lends up to `limit` pairs of a record payload — a file record, a
+/// [`Prefix`] or a buffered [`Run`], the same bytes — from `*pos` on to
+/// `sink`, advancing `*pos` past them; returns how many.
+fn decode_pairs(
+    payload: &[u8],
+    pos: &mut usize,
+    limit: usize,
+    sink: PairSink<'_>,
+) -> Result<usize> {
     let mut dec = Decoder::new(&payload[*pos..]);
-    for n in 0..limit {
-        if dec.is_empty() {
-            break;
-        }
-        let key = dec.get_len_prefixed()?.to_vec();
-        let value = dec.get_len_prefixed()?.to_vec();
-        if n == 0 {
-            // A window's pairs are much of a size, so the first tells how
-            // many the payload holds: room for them in one allocation.
-            out.reserve((dec.remaining() / dec.position() + 1).min(limit));
-        }
-        out.push((key, value));
+    let mut lent = 0;
+    while lent < limit && !dec.is_empty() {
+        let key = dec.get_len_prefixed()?;
+        sink(key, dec.get_len_prefixed()?);
+        lent += 1;
     }
     *pos += dec.position();
-    Ok(())
+    Ok(lent)
 }
 
 /// Appends one value to the `(key, window)` list of a snapshot view.
@@ -714,20 +723,6 @@ pub(crate) fn push_view_value(
             "view value list collided with an aggregate",
         )),
     }
-}
-
-/// A chunk of `pairs` in their order: each run of adjacent pairs of one
-/// key is one entry. A key whose pairs are apart repeats — the chunk
-/// contract lets it, and whoever needs whole lists groups once.
-pub(crate) fn key_runs(pairs: impl IntoIterator<Item = Pair>) -> WindowChunk {
-    let mut chunk: WindowChunk = Vec::new();
-    for (key, value) in pairs {
-        match chunk.last_mut() {
-            Some((last, values)) if *last == key => values.push(value),
-            _ => chunk.push((key, vec![value])),
-        }
-    }
-    chunk
 }
 
 #[cfg(test)]
@@ -1032,7 +1027,7 @@ mod tests {
                 s.advance_prefetch(0).unwrap();
                 let prefix = s.windows[&win].prefetched.as_ref().expect("installed");
                 assert_eq!(prefix.resume, None);
-                assert_eq!(prefix.pairs, vec![(b"a".to_vec(), b"1".to_vec())]);
+                assert_eq!(prefix.payload, [1, b'a', 1, b'1']);
             }
             s.append(b"a", win, b"behind the tear").unwrap();
             s.flush().unwrap();

@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use flowkv_common::backend::{
-    AggregateKind, KeyFilter, OperatorContext, OperatorSemantics, StateBackend,
-    StateBackendFactory, StateEntry, WindowChunk,
+    collect_chunk, AggregateKind, KeyFilter, OperatorContext, OperatorSemantics, PairSink,
+    StateBackend, StateBackendFactory, StateEntry, WindowChunk,
 };
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::{IoPolicy, IoRing};
@@ -241,6 +241,10 @@ impl StateBackend for FlowKvStore {
     }
 
     fn get_window_chunk(&mut self, window: WindowId) -> Result<Option<WindowChunk>> {
+        collect_chunk(|sink| self.drain_window_chunk(window, sink))
+    }
+
+    fn drain_window_chunk(&mut self, window: WindowId, sink: PairSink<'_>) -> Result<bool> {
         let Inner::Aar(p) = &mut self.inner else {
             return Err(self.wrong_pattern("GetWindow"));
         };
@@ -248,11 +252,11 @@ impl StateBackend for FlowKvStore {
         // instance that holds nothing of the window (any more) says so
         // from one lookup in its window table.
         for instance in p.iter_mut() {
-            if let Some(chunk) = instance.get_window_chunk(window)? {
-                return Ok(Some(chunk));
+            if instance.drain_window_chunk(window, sink)? {
+                return Ok(true);
             }
         }
-        Ok(None)
+        Ok(false)
     }
 
     fn take_values(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {

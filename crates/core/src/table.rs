@@ -4,48 +4,9 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher, RandomState};
 
+use flowkv_common::hash::KeyHash;
 use flowkv_common::types::WindowId;
-
-/// Hash state of the table's key maps: a multiply-fold over eight-byte
-/// words, a fraction of SipHash's cost on short keys. Keys are stream
-/// data, so every map draws its seed from the process's `RandomState`.
-struct KeyHash(u64);
-
-impl Default for KeyHash {
-    fn default() -> Self {
-        KeyHash(RandomState::new().hash_one(0u8))
-    }
-}
-
-impl BuildHasher for KeyHash {
-    type Hasher = FoldHasher;
-
-    fn build_hasher(&self) -> FoldHasher {
-        FoldHasher(self.0)
-    }
-}
-
-struct FoldHasher(u64);
-
-impl Hasher for FoldHasher {
-    /// Folds the halves of a 128-bit product into the state per word, so
-    /// every input bit reaches the low bits (the bucket) and the high ones
-    /// (the tag). A slice hashes its length first: padding is unambiguous.
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            let product = u128::from(self.0 ^ u64::from_le_bytes(word)) * 0x9e37_79b9_7f4a_7c15;
-            self.0 = (product as u64) ^ ((product >> 64) as u64);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// `key → its windows → T`, probed with a borrowed key: one hash per
 /// lookup. A key holds one or two live windows, so the inner level is a

@@ -21,20 +21,20 @@
 //!   sorted order, so a block's layout is deterministic) and the one
 //!   timestamp the AUR store's trigger-time estimate reads of them.
 //! - **Demotion** triggers on write paths whenever the tracked hot
-//!   footprint exceeds [`TierConfig::hot_bytes`] and seals the
-//!   earliest-ending windows first, one block per window: rows sorted
-//!   by key, each key's in append order. `hot_bytes = 0` is the
-//!   differential tier harness's pathological cell: every write seals.
+//!   footprint exceeds [`TierConfig::hot_bytes`] (`0`, the differential
+//!   harness's pathological cell: at every write) and seals the
+//!   earliest-ending windows first, one block per window, rows sorted by
+//!   key and each key's in append order; an AAR window's pairs go from
+//!   the wrapped store's buffer straight into the block writer.
 //! - **Cold reads** happen on the first access to a window with cold
 //!   blocks and retire them to dead bytes. A triggered AAR window
-//!   *drains* from them: `get_window_chunk` hands out one block per
-//!   chunk, oldest first, then the wrapped store's chunks — the operator
-//!   concatenates per-key lists in chunk order, so nothing is written
-//!   back. AUR/RMW point reads *promote*: the cold rows are replayed
-//!   into the wrapped store under the hotter rows of their keys. How
-//!   cold and hot state combine is written once ([`merge_cold`]), for
-//!   promotion, `read_view` and `extract_range`. Block reads ride the
-//!   tier's I/O ring when [`OperatorContext::io`] configures one, and
+//!   *drains* from them: a step lends one block's rows, oldest block
+//!   first, then come the wrapped store's steps — the operator joins
+//!   per-key lists in that order, so nothing is written back. AUR/RMW
+//!   point reads *promote*: the cold rows are replayed into the wrapped
+//!   store under the hotter rows of their keys ([`merge_cold`], also
+//!   the rule of `read_view` and `extract_range`). Block reads ride the
+//!   tier's I/O ring when [`OperatorContext::io`] configures one;
 //!   [`TieredStore::advance_prefetch`] submits them ahead of a trigger.
 //! - **Compaction** is the cold [`GenLog`]'s: once dead blocks dominate
 //!   (the stores' MSA rule, with the tier's own factor and floor) the
@@ -51,11 +51,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use flowkv_common::backend::{
-    AggregateKind, KeyFilter, OperatorContext, StateBackend, StateBackendFactory, StateEntry,
-    WindowChunk,
+    collect_chunk, AggregateKind, KeyFilter, OperatorContext, PairSink, StateBackend,
+    StateBackendFactory, StateEntry, WindowChunk,
 };
 use flowkv_common::codec::{self, Decoder};
-use flowkv_common::columnar::{self, BlockKind, ColdRow};
+use flowkv_common::columnar::{BlockKind, BlockReader, BlockWriter, ColdRow};
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::{IoRing, Lane};
 use flowkv_common::logfile::RECORD_HEADER_LEN;
@@ -65,7 +65,6 @@ use flowkv_common::telemetry::{Counter, Gauge, MetricRegistry, Telemetry};
 use flowkv_common::types::{Timestamp, WindowId};
 use flowkv_common::vfs::{StdVfs, Vfs};
 
-use crate::aar::key_runs;
 use crate::genlog::GenLog;
 use crate::store::state_entry;
 
@@ -172,9 +171,12 @@ struct HotWindow {
     /// Bytes the window's resident rows charge against the hot budget.
     bytes: usize,
     /// The keys holding those rows; demotion takes them in sorted order.
-    /// Empty for an aligned full-list operator (see `tracks_keys`).
+    /// Empty for an aligned full-list operator (see `track`).
     keys: HashMap<Vec<u8>, KeyTrack>,
 }
+
+/// Where cold rows are lent: `(key, append timestamp, value)`.
+type RowSink<'a> = &'a mut dyn FnMut(&[u8], Timestamp, &[u8]);
 
 /// State entries by `(key, window)`: the form both tiers merge in.
 type Entries = BTreeMap<(Vec<u8>, WindowId), ViewValue>;
@@ -290,6 +292,8 @@ pub struct TieredStore {
     /// first. A drain ends inside the trigger that began it, so (as with
     /// the AAR store's own drain state) no checkpoint or view sees one.
     draining: HashMap<WindowId, VecDeque<Vec<u8>>>,
+    /// The one block encoder; a demotion reuses the last one's allocations.
+    writer: BlockWriter,
     counters: TierCounters,
     store_metrics: Arc<StoreMetrics>,
 }
@@ -342,6 +346,7 @@ impl TieredStore {
             prefetched: HashMap::new(),
             prefetched_bytes: 0,
             draining: HashMap::new(),
+            writer: BlockWriter::new(cfg.compress),
             counters: TierCounters::new(ctx.telemetry.as_ref()),
             store_metrics,
             cfg,
@@ -350,17 +355,13 @@ impl TieredStore {
 
     // ---- hot-tier bookkeeping -------------------------------------------
 
-    /// False for an aligned full-list operator: its window drain returns
-    /// every key, so the tier need not remember which a window holds.
-    fn tracks_keys(&self) -> bool {
-        !(self.aligned && self.aggregate == AggregateKind::FullList)
-    }
-
     /// Charges one row written to the wrapped store to the hot budget:
     /// an aggregate replaces what its key held, a value adds to it.
     fn track(&mut self, key: &[u8], window: WindowId, value_len: usize, ts: Timestamp) {
         let cost = key.len() + value_len + 8;
-        let by_key = self.tracks_keys();
+        // An aligned full-list window is tracked as bytes alone: its
+        // drain returns every key, so the tier remembers none.
+        let by_key = !(self.aligned && self.aggregate == AggregateKind::FullList);
         let hw = self.hot.entry(window).or_default();
         let mut replaced = 0;
         if by_key {
@@ -415,13 +416,25 @@ impl TieredStore {
 
     // ---- cold log I/O ---------------------------------------------------
 
-    fn append_block(&mut self, window: WindowId, blob: &[u8], rows: usize) -> Result<()> {
+    /// Lays the writer's rows out as `window`'s next cold block, sorted
+    /// by key and each key's in append order, at the end of the log.
+    fn append_block(&mut self, window: WindowId) -> Result<()> {
+        // The drain that filled the writer timed itself, on the same
+        // metrics block: this timer spans tier work alone.
+        let _t = self.store_metrics.timer(OpCategory::Compaction);
+        let kind = match self.aggregate {
+            AggregateKind::Incremental => BlockKind::Aggregates,
+            AggregateKind::FullList => BlockKind::Values,
+        };
+        let (rows, plain_bytes) = (self.writer.rows() as u32, self.writer.plain_bytes());
+        let blob = self.writer.finish_by_key(window, kind);
         let loc = self.log.append(blob)?;
-        self.index.entry(window).or_default().push(BlockRef {
-            offset: loc.offset + RECORD_HEADER_LEN,
-            len: loc.len,
-            rows: rows as u32,
-        });
+        let (offset, len) = (loc.offset + RECORD_HEADER_LEN, loc.len);
+        let block = BlockRef { offset, len, rows };
+        self.index.entry(window).or_default().push(block);
+        self.counters.demotions.inc();
+        self.counters.demoted_rows.add(u64::from(rows));
+        self.counters.uncompressed_bytes.add(plain_bytes as u64);
         self.counters.cold_blocks.inc();
         self.counters.cold_bytes_written.add(blob.len() as u64);
         self.store_metrics.add_bytes_written(loc.disk_len());
@@ -525,40 +538,22 @@ impl TieredStore {
 
     // ---- demotion -------------------------------------------------------
 
-    /// Consumes the hot rows of `window` from the inner store, in the
-    /// pattern-legal way: rows sorted by key, each key's in append order.
-    fn drain_hot_rows(&mut self, window: WindowId, track: &HotWindow) -> Result<Vec<ColdRow>> {
+    /// Takes the hot rows of `window`'s tracked keys out of the inner
+    /// store, in the pattern-legal way: keys in sorted order, each key's
+    /// rows in append order under the key's largest timestamp.
+    fn take_hot_rows(&mut self, window: WindowId, track: &HotWindow) -> Result<Vec<ColdRow>> {
         let mut rows = Vec::new();
-        let mut push = |key: &[u8], ts: Timestamp, values: Vec<Vec<u8>>| {
-            rows.extend(values.into_iter().map(|value| ColdRow {
-                key: key.to_vec(),
-                ts,
-                value,
-            }))
-        };
-        if self.tracks_keys() {
-            let mut keys: Vec<_> = track.keys.iter().collect();
-            keys.sort_unstable_by_key(|(key, _)| *key);
-            for (key, kt) in keys {
-                let values = match self.aggregate {
-                    AggregateKind::FullList => self.inner.take_values(key, window)?,
-                    AggregateKind::Incremental => {
-                        Vec::from_iter(self.inner.take_aggregate(key, window)?)
-                    }
-                };
-                push(key, kt.max_ts, values);
-            }
-        } else {
-            // AAR stores only expose the whole-window drain, which
-            // yields every key; the pattern ignores timestamps. A key's
-            // values arrive in append order, wherever in the drain: the
-            // stable sort keeps them so.
-            while let Some(chunk) = self.inner.get_window_chunk(window)? {
-                for (key, values) in chunk {
-                    push(&key, window.start, values);
+        let mut keys: Vec<_> = track.keys.iter().collect();
+        keys.sort_unstable_by_key(|(key, _)| *key);
+        for (key, kt) in keys {
+            let values = match self.aggregate {
+                AggregateKind::FullList => self.inner.take_values(key, window)?,
+                AggregateKind::Incremental => {
+                    Vec::from_iter(self.inner.take_aggregate(key, window)?)
                 }
-            }
-            rows.sort_by(|a, b| a.key.cmp(&b.key));
+            };
+            let row = |value| ColdRow::new(key.as_slice(), kt.max_ts, value);
+            rows.extend(values.into_iter().map(row));
         }
         Ok(rows)
     }
@@ -568,26 +563,24 @@ impl TieredStore {
         let Some(track) = self.untrack_window(window) else {
             return Ok(());
         };
-        let rows = self.drain_hot_rows(window, &track)?;
-        if rows.is_empty() {
+        // A drain that failed half-way left its rows in the writer.
+        self.writer.clear();
+        if track.keys.is_empty() {
+            // Tracked as bytes alone: AAR stores only expose the
+            // whole-window drain, which yields every key (the pattern
+            // ignores timestamps), straight into the writer.
+            let (inner, writer) = (self.inner.as_mut(), &mut self.writer);
+            let mut push = |key: &[u8], value: &[u8]| writer.push(key, window.start, value);
+            while inner.drain_window_chunk(window, &mut push)? {}
+        } else {
+            for row in self.take_hot_rows(window, &track)? {
+                self.writer.push(&row.key, row.ts, &row.value);
+            }
+        }
+        if self.writer.rows() == 0 {
             return Ok(());
         }
-        {
-            // The drain above and the hint below time themselves, on
-            // the same metrics block: no tier timer may span them.
-            let _t = self.store_metrics.timer(OpCategory::Compaction);
-            let kind = match self.aggregate {
-                AggregateKind::Incremental => BlockKind::Aggregates,
-                AggregateKind::FullList => BlockKind::Values,
-            };
-            let blob = columnar::encode_block(window, kind, &rows, self.cfg.compress);
-            self.append_block(window, &blob, rows.len())?;
-        }
-        self.counters.demotions.inc();
-        self.counters.demoted_rows.add(rows.len() as u64);
-        self.counters
-            .uncompressed_bytes
-            .add(columnar::uncompressed_size(&rows) as u64);
+        self.append_block(window)?;
         // The hot store just tombstoned this whole range; let it compact
         // while the blocks are warm.
         self.inner.demoted_hint(window)
@@ -631,29 +624,35 @@ impl TieredStore {
         Ok(blobs)
     }
 
+    /// Lends the rows of `blob`, a cold block of `window`, in block order.
+    fn lend_rows(&self, window: WindowId, blob: &[u8], sink: RowSink<'_>) -> Result<()> {
+        let block = BlockReader::open(blob)?;
+        if block.window() != window {
+            let detail = format!("block of {:?} indexed under {window:?}", block.window());
+            return Err(StoreError::corruption(self.log.path(), 0, detail));
+        }
+        block.for_each_row(sink)
+    }
+
     /// The rows of `blobs`, cold blocks of `window`, in block order.
     fn decode_rows(&self, window: WindowId, blobs: &[Vec<u8>]) -> Result<Vec<ColdRow>> {
         let mut rows = Vec::new();
-        for blob in blobs {
-            let block = columnar::decode_block(blob)?;
-            if block.window != window {
-                let detail = format!("block of {:?} indexed under {window:?}", block.window);
-                return Err(StoreError::corruption(self.log.path(), 0, detail));
-            }
-            rows.extend(block.rows);
-        }
+        let mut own = |key: &[u8], ts, value: &[u8]| rows.push(ColdRow::new(key, ts, value));
+        let mut blobs = blobs.iter();
+        blobs.try_for_each(|blob| self.lend_rows(window, blob, &mut own))?;
         Ok(rows)
     }
 
-    /// The next chunk of a window drain that comes from the cold tier:
-    /// one retired block per call, oldest first. Cold rows are older
-    /// than the wrapped store's and the operator concatenates per-key
-    /// lists in chunk order, so serving the blocks ahead of the store's
-    /// chunks yields the order a replay into the store would — unreplayed.
-    fn next_cold_chunk(&mut self, window: WindowId) -> Result<Option<WindowChunk>> {
+    /// The block the next step of `window`'s drain lends, while the cold
+    /// tier has one: its retired blocks, oldest first, one per step.
+    /// Cold rows are older than the wrapped store's and the operator
+    /// concatenates per-key lists in the order they are lent, so serving
+    /// the blocks ahead of the store's steps yields the order a replay
+    /// into the store would — unreplayed.
+    fn next_cold_block(&mut self, window: WindowId) -> Result<Option<Vec<u8>>> {
         if self.index.contains_key(&window) {
             // Also mid-drain, when a demotion sealed more of the window
-            // since the last chunk: newer rows, so they queue behind.
+            // since the last step: newer rows, so they queue behind.
             let blobs = self.take_cold_blocks(window)?;
             self.draining.entry(window).or_default().extend(blobs);
             self.maybe_compact()?;
@@ -666,12 +665,7 @@ impl TieredStore {
         if queue.is_empty() {
             self.draining.remove(&window);
         }
-        let Some(blob) = blob else {
-            return Ok(None);
-        };
-        let rows = self.decode_rows(window, &[blob])?;
-        // A block's rows are sorted by key: its runs are whole lists.
-        Ok(Some(key_runs(rows.into_iter().map(|r| (r.key, r.value)))))
+        Ok(blob)
     }
 
     /// Replays `window`'s cold rows (if any) into the inner store *under*
@@ -688,7 +682,7 @@ impl TieredStore {
         let mut hot = Vec::new();
         if self.aggregate == AggregateKind::FullList {
             if let Some(track) = self.untrack_window(window) {
-                hot = self.drain_hot_rows(window, &track)?;
+                hot = self.take_hot_rows(window, &track)?;
             }
         }
         // Every replayed row of a key carries the largest timestamp the
@@ -888,12 +882,18 @@ impl StateBackend for TieredStore {
     }
 
     fn get_window_chunk(&mut self, window: WindowId) -> Result<Option<WindowChunk>> {
+        collect_chunk(|sink| self.drain_window_chunk(window, sink))
+    }
+
+    fn drain_window_chunk(&mut self, window: WindowId, sink: PairSink<'_>) -> Result<bool> {
         // Whatever the engine drains now is gone from the hot tier.
         self.untrack_window(window);
-        match self.next_cold_chunk(window)? {
-            Some(chunk) => Ok(Some(chunk)),
-            None => self.inner.get_window_chunk(window),
-        }
+        let Some(blob) = self.next_cold_block(window)? else {
+            return self.inner.drain_window_chunk(window, sink);
+        };
+        // A block's rows are sorted by key: collected, its runs are whole lists.
+        self.lend_rows(window, &blob, &mut |key, _, value| sink(key, value))?;
+        Ok(true)
     }
 
     fn take_values(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {

@@ -1,0 +1,169 @@
+//! Allocation counts of the borrowed AAR drain, counted rather than
+//! timed: the same key set with four times the pairs per key must not
+//! allocate anywhere near four times as often — the drain and the tier's
+//! demotion allocate per file, per block and per doubling of a buffer,
+//! never per pair.
+//!
+//! The counter is per thread (the stores under test run no thread of
+//! their own), so the tests of this binary do not see each other.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use flowkv::tier::TierConfig;
+use flowkv::{FlowKvConfig, FlowKvFactory, TieredFactory};
+use flowkv_common::backend::{
+    AggregateKind, OperatorContext, OperatorSemantics, StateBackend, StateBackendFactory,
+    WindowKind,
+};
+use flowkv_common::scratch::ScratchDir;
+use flowkv_common::types::WindowId;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a `const`-initialised thread-local
+// `Cell` without a destructor, so touching it allocates nothing and cannot
+// re-enter the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (and reallocations) this thread makes inside `work`.
+fn allocations_of<T>(work: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = work();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+const KEYS: u32 = 256;
+const WINDOW: WindowId = WindowId {
+    start: 0,
+    end: 1_000,
+};
+
+fn open(dir: &ScratchDir, name: &str, hot_bytes: Option<usize>) -> Box<dyn StateBackend> {
+    let cfg = FlowKvConfig {
+        write_buffer_bytes: 1 << 20,
+        chunk_entries: 64,
+        ..FlowKvConfig::small_for_tests()
+    };
+    let ctx = OperatorContext {
+        operator: name.to_string(),
+        partition: 0,
+        semantics: OperatorSemantics::new(
+            AggregateKind::FullList,
+            WindowKind::Fixed { size: 1_000 },
+        ),
+        data_dir: dir.path().to_path_buf(),
+        telemetry: None,
+        io: None,
+    };
+    let store = FlowKvFactory::new(cfg);
+    match hot_bytes {
+        None => store.create(&ctx),
+        Some(hot_bytes) => {
+            TieredFactory::new(std::sync::Arc::new(store), TierConfig::new(hot_bytes)).create(&ctx)
+        }
+    }
+    .unwrap()
+}
+
+/// Appends `per_key` pairs to each of [`KEYS`] keys, round robin, so no
+/// two pairs of a key are adjacent.
+fn fill(store: &mut dyn StateBackend, per_key: u32) {
+    let mut key = *b"key-0000";
+    for i in 0..KEYS * per_key {
+        key[4..].copy_from_slice(&(i % KEYS).to_be_bytes());
+        store
+            .append(&key, WINDOW, &u64::from(i).to_le_bytes(), 0)
+            .unwrap();
+    }
+}
+
+/// Drains [`WINDOW`] through the borrowed step, returning the pairs and
+/// bytes it was lent.
+fn drain(store: &mut dyn StateBackend) -> (u64, usize) {
+    let (mut pairs, mut bytes) = (0, 0);
+    let mut sink = |key: &[u8], value: &[u8]| {
+        pairs += 1;
+        bytes += key.len() + value.len();
+    };
+    while store.drain_window_chunk(WINDOW, &mut sink).unwrap() {}
+    (pairs, bytes)
+}
+
+fn assert_not_per_pair(what: &str, few: (u64, u32), many: (u64, u32)) {
+    let ((few, few_pairs), (many, many_pairs)) = (few, many);
+    assert!(
+        many * 2 < few * 3,
+        "{what}: {few} allocations for {few_pairs} pairs, {many} for {many_pairs}"
+    );
+    assert!(
+        many < u64::from(many_pairs) / 8,
+        "{what}: {many} allocations for {many_pairs} pairs"
+    );
+}
+
+#[test]
+fn draining_a_flushed_window_through_the_borrowed_step_allocates_per_file_not_per_pair() {
+    let dir = ScratchDir::new("alloc-aar-drain").unwrap();
+    let counted = |per_key: u32| {
+        // `FlowKvStore` behind the trait: a front that fell back to the
+        // default step would copy every pair.
+        let mut store = open(&dir, &format!("drain-{per_key}"), None);
+        fill(store.as_mut(), per_key);
+        store.flush().unwrap();
+        let (allocations, (pairs, bytes)) = allocations_of(|| drain(store.as_mut()));
+        assert_eq!(pairs, u64::from(KEYS * per_key));
+        assert_eq!(bytes, (KEYS * per_key) as usize * 16);
+        store.close().unwrap();
+        (allocations, KEYS * per_key)
+    };
+    assert_not_per_pair("flushed drain", counted(8), counted(32));
+}
+
+#[test]
+fn a_tier_demote_then_drain_cycle_allocates_per_block_not_per_pair() {
+    let dir = ScratchDir::new("alloc-tier-cycle").unwrap();
+    let counted = |per_key: u32| {
+        // A pair charges 24 bytes to the hot tier: whatever the size,
+        // the budget is passed three times on the way and what is left
+        // drains out of the wrapped store behind the cold blocks.
+        let hot_bytes = (KEYS * per_key) as usize * 24 * 3 / 10;
+        let mut store = open(&dir, &format!("cycle-{per_key}"), Some(hot_bytes));
+        let (allocations, (pairs, bytes)) = allocations_of(|| {
+            fill(store.as_mut(), per_key);
+            drain(store.as_mut())
+        });
+        assert_eq!(pairs, u64::from(KEYS * per_key));
+        assert_eq!(bytes, (KEYS * per_key) as usize * 16);
+        let demoted = store.metrics().snapshot().bytes_written;
+        assert!(demoted > 0, "nothing was demoted");
+        store.close().unwrap();
+        (allocations, KEYS * per_key)
+    };
+    assert_not_per_pair("tier cycle", counted(8), counted(32));
+}

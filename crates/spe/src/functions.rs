@@ -33,8 +33,10 @@ pub trait AggregateFunction: Send + Sync {
 /// A full-list window function: sees every tuple of the window at once.
 pub trait ProcessWindowFunction: Send + Sync {
     /// Produces output values for one key's window from its full list of
-    /// values.
-    fn process(&self, key: &[u8], window: WindowId, values: &[Vec<u8>]) -> Vec<Vec<u8>>;
+    /// values, in append order. The values are borrowed — from the
+    /// operator's trigger arena or from a store's owned list — so a
+    /// function that folds them copies nothing.
+    fn process(&self, key: &[u8], window: WindowId, values: &[&[u8]]) -> Vec<Vec<u8>>;
 }
 
 /// Counts values; the accumulator is a little-endian `u64`.
@@ -108,7 +110,7 @@ pub type CombineFn = Arc<dyn Fn(&[u8], &[u8]) -> Vec<u8> + Send + Sync>;
 /// A closure finishing an accumulator into a result value.
 pub type FinishFn = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
 /// A closure producing window outputs from a key's full value list.
-pub type ProcessFn = Arc<dyn Fn(&[u8], WindowId, &[Vec<u8>]) -> Vec<Vec<u8>> + Send + Sync>;
+pub type ProcessFn = Arc<dyn Fn(&[u8], WindowId, &[&[u8]]) -> Vec<Vec<u8>> + Send + Sync>;
 
 /// Adapts three closures into an [`AggregateFunction`].
 pub struct FnAggregate {
@@ -169,14 +171,14 @@ pub struct FnProcess {
 impl FnProcess {
     /// Wraps `f`.
     pub fn new(
-        f: impl Fn(&[u8], WindowId, &[Vec<u8>]) -> Vec<Vec<u8>> + Send + Sync + 'static,
+        f: impl Fn(&[u8], WindowId, &[&[u8]]) -> Vec<Vec<u8>> + Send + Sync + 'static,
     ) -> Self {
         FnProcess { f: Arc::new(f) }
     }
 }
 
 impl ProcessWindowFunction for FnProcess {
-    fn process(&self, key: &[u8], window: WindowId, values: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    fn process(&self, key: &[u8], window: WindowId, values: &[&[u8]]) -> Vec<Vec<u8>> {
         (self.f)(key, window, values)
     }
 }
@@ -186,7 +188,7 @@ impl ProcessWindowFunction for FnProcess {
 pub struct MedianProcess;
 
 impl ProcessWindowFunction for MedianProcess {
-    fn process(&self, _key: &[u8], _window: WindowId, values: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    fn process(&self, _key: &[u8], _window: WindowId, values: &[&[u8]]) -> Vec<Vec<u8>> {
         if values.is_empty() {
             return Vec::new();
         }
@@ -250,10 +252,16 @@ mod tests {
     fn median_odd_and_even() {
         let m = MedianProcess;
         let w = WindowId::new(0, 10);
-        let vals: Vec<Vec<u8>> = [5u64, 1, 9].iter().map(|&n| le(n)).collect();
-        assert_eq!(m.process(b"k", w, &vals), vec![le(5)]);
-        let vals: Vec<Vec<u8>> = [4u64, 8, 2, 10].iter().map(|&n| le(n)).collect();
-        assert_eq!(m.process(b"k", w, &vals), vec![le(6)]);
+        let vals = [5u64, 1, 9].map(le);
+        assert_eq!(
+            m.process(b"k", w, &vals.each_ref().map(Vec::as_slice)),
+            vec![le(5)]
+        );
+        let vals = [4u64, 8, 2, 10].map(le);
+        assert_eq!(
+            m.process(b"k", w, &vals.each_ref().map(Vec::as_slice)),
+            vec![le(6)]
+        );
         assert!(m.process(b"k", w, &[]).is_empty());
     }
 
@@ -270,7 +278,7 @@ mod tests {
 
         let p = FnProcess::new(|_k, _w, vals| vec![le(vals.len() as u64)]);
         assert_eq!(
-            p.process(b"k", WindowId::new(0, 1), &[le(1), le(2)]),
+            p.process(b"k", WindowId::new(0, 1), &[&le(1), &le(2)]),
             vec![le(2)]
         );
     }

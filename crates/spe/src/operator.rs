@@ -7,7 +7,7 @@
 //!
 //! | pattern | on element | on trigger |
 //! |---|---|---|
-//! | append + aligned | `append` | drain `get_window_chunk` |
+//! | append + aligned | `append` | drain `drain_window_chunk` into the trigger arena |
 //! | append + unaligned | `append` | `take_values` per session initial |
 //! | read-modify-write | `take_aggregate` + `put_aggregate` | `take_aggregate` |
 //!
@@ -19,6 +19,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use flowkv_common::backend::StateBackend;
+use flowkv_common::dict::{group_stable, ByteDict};
 use flowkv_common::error::Result;
 use flowkv_common::types::{Timestamp, Tuple, WindowId, MAX_TIMESTAMP};
 
@@ -52,6 +53,63 @@ fn store_tuple(
             let acc = agg.add(&acc, &tuple.value);
             backend.put_aggregate(&tuple.key, window, &acc)
         }
+    }
+}
+
+/// The value list a store returned, as the slices a window function
+/// takes.
+fn as_slices(values: &[Vec<u8>]) -> Vec<&[u8]> {
+    values.iter().map(Vec::as_slice).collect()
+}
+
+/// The pairs of one triggered aligned window, as the store lent them:
+/// every value's bytes back to back, every distinct key once, a key
+/// number per value (so a window's values stay under 4 GiB). Grouping is
+/// a counting pass over those numbers — no `Vec` per pair or per key —
+/// and keys fire in the order the drain first showed them, a function of
+/// the input.
+#[derive(Default)]
+struct TriggerArena {
+    keys: ByteDict,
+    values: ByteDict,
+    /// The key number of each value.
+    key_of: Vec<u32>,
+    starts: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl TriggerArena {
+    fn push(&mut self, key: &[u8], value: &[u8]) {
+        self.key_of.push(self.keys.intern(key));
+        self.values.push(value);
+    }
+
+    /// Hands `fire` each key with its values in the order they were
+    /// pushed, and empties the arena, keeping its allocations.
+    fn fire_each_key(&mut self, mut fire: impl FnMut(&[u8], &[&[u8]])) {
+        let TriggerArena {
+            keys,
+            values,
+            key_of,
+            starts,
+            order,
+        } = self;
+        group_stable(key_of.len(), keys.len(), |at| key_of[at], starts, order);
+        let mut list: Vec<&[u8]> = Vec::new();
+        for key in 0..keys.len() {
+            let of_key = &order[starts[key] as usize..starts[key + 1] as usize];
+            list.clear();
+            list.extend(of_key.iter().map(|&at| values.get(at)));
+            fire(keys.get(key as u32), &list);
+        }
+        drop(list);
+        self.clear();
+    }
+
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.values.clear();
+        self.key_of.clear();
     }
 }
 
@@ -113,6 +171,9 @@ pub struct WindowOperator {
     late: Vec<Tuple>,
     /// Reused per-element output buffer for [`WindowOperator::on_batch`].
     batch_scratch: Vec<Tuple>,
+    /// Reused by every aligned full-list trigger (boxed: only those
+    /// operators ever fill it).
+    arena: Box<TriggerArena>,
 }
 
 impl WindowOperator {
@@ -131,6 +192,7 @@ impl WindowOperator {
             collect_late: false,
             late: Vec::new(),
             batch_scratch: Vec::new(),
+            arena: Box::default(),
         }
     }
 
@@ -623,25 +685,25 @@ impl WindowOperator {
                         if values.is_empty() {
                             continue;
                         }
-                        for output in f.process(&key, window, &values) {
+                        for output in f.process(&key, window, &as_slices(&values)) {
                             out.push(Tuple::new(key.clone(), output, out_ts));
                         }
                     }
                 }
                 AggregateSpec::FullList(f) => {
-                    // Gradual loading: accumulate per-key lists chunk by
-                    // chunk, then process each complete key.
-                    let mut per_key: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
-                    while let Some(chunk) = self.backend.get_window_chunk(window)? {
-                        for (key, values) in chunk {
-                            per_key.entry(key).or_default().extend(values);
+                    // Gradual loading: the store lends the window step by
+                    // step, the arena keeps the bytes, then each complete
+                    // key is processed over slices of it.
+                    let arena = &mut self.arena;
+                    // A drain that failed half-way left its pairs behind.
+                    arena.clear();
+                    let mut keep = |key: &[u8], value: &[u8]| arena.push(key, value);
+                    while self.backend.drain_window_chunk(window, &mut keep)? {}
+                    arena.fire_each_key(|key, values| {
+                        for output in f.process(key, window, values) {
+                            out.push(Tuple::new(key.to_vec(), output, out_ts));
                         }
-                    }
-                    for (key, values) in per_key {
-                        for output in f.process(&key, window, &values) {
-                            out.push(Tuple::new(key.clone(), output, out_ts));
-                        }
-                    }
+                    });
                 }
                 AggregateSpec::Incremental(agg) => {
                     let keys = self.trigger_keys.remove(&window).unwrap_or_default();
@@ -714,7 +776,7 @@ impl WindowOperator {
                 if values.is_empty() {
                     return Ok(());
                 }
-                for output in f.process(key, logical, &values) {
+                for output in f.process(key, logical, &as_slices(&values)) {
                     out.push(Tuple::new(key.to_vec(), output, out_ts));
                 }
             }
@@ -882,6 +944,53 @@ mod tests {
             (b"c", [2, 5, 8, 11]),
         ];
         assert_eq!(results, expect.map(|(k, v)| (k.to_vec(), v.to_vec())));
+    }
+
+    #[test]
+    fn an_aligned_full_list_window_fires_the_same_output_in_the_same_order_every_run() {
+        use flowkv::{FlowKvConfig, FlowKvStore};
+        use flowkv_common::backend::{AggregateKind, OperatorSemantics, WindowKind};
+        use flowkv_common::scratch::ScratchDir;
+        let dir = ScratchDir::new("op-fire-order").unwrap();
+        let run = |name: &str, store_instances: usize| {
+            let semantics =
+                OperatorSemantics::new(AggregateKind::FullList, WindowKind::Fixed { size: 100 });
+            let cfg = FlowKvConfig {
+                store_instances,
+                ..FlowKvConfig::small_for_tests()
+            };
+            let store = FlowKvStore::open(&dir.path().join(name), semantics, cfg).unwrap();
+            let spec = WindowSpec {
+                name: "test".into(),
+                assigner: WindowAssigner::Fixed { size: 100 },
+                aggregate: AggregateSpec::FullList(Arc::new(FnProcess::new(|_, _, values| {
+                    vec![(values.len() as u64).to_le_bytes().to_vec()]
+                }))),
+            };
+            let mut o = WindowOperator::new(spec, Box::new(store));
+            let mut out = Vec::new();
+            // Spills to the window file several times on the way.
+            for i in 0..400u64 {
+                let key = format!("key-{}", i * 7 % 41);
+                o.on_element(&t(&key, i, (i % 100) as i64), &mut out)
+                    .unwrap();
+            }
+            o.on_watermark(100, &mut out).unwrap();
+            out
+        };
+        // One store instance drains in arrival order: keys fire in the
+        // order they first arrived.
+        let first = run("one-a", 1);
+        let arrival: Vec<Vec<u8>> = (0..41u64)
+            .map(|i| format!("key-{}", i * 7 % 41).into_bytes())
+            .collect();
+        let fired: Vec<Vec<u8>> = first.iter().map(|t| t.key.clone()).collect();
+        assert_eq!(fired, arrival);
+        assert_eq!(run("one-b", 1), first);
+        // Two instances drain one after the other: still one order.
+        let both = run("two-a", 2);
+        assert_eq!(both.len(), 41);
+        assert_eq!(run("two-b", 2), both);
     }
 
     #[test]

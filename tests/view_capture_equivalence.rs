@@ -58,6 +58,7 @@ struct Rig {
     backend: Box<dyn StateBackend>,
     capture: ViewCapture,
     draining: HashSet<WindowId>,
+    drain_steps: usize,
     /// Views taken at earlier watermarks with what they read then.
     pinned: Vec<(StateView, Entries)>,
     watermarks: usize,
@@ -105,17 +106,27 @@ impl Rig {
             backend,
             capture,
             draining: HashSet::new(),
+            drain_steps: 0,
             pinned: Vec::new(),
             watermarks: 0,
             longest_chain: 0,
         }
     }
 
-    /// One `get_window_chunk`: begins, continues or ends a drain.
+    /// One step of a drain — an owned chunk and a borrowed step by
+    /// turns: begins, continues or ends it.
     fn drain_chunk(&mut self, window: WindowId) {
-        match self.backend.get_window_chunk(window).unwrap() {
-            Some(_) => self.draining.insert(window),
-            None => self.draining.remove(&window),
+        self.drain_steps += 1;
+        let more = match self.drain_steps % 2 {
+            0 => self.backend.get_window_chunk(window).unwrap().is_some(),
+            _ => self
+                .backend
+                .drain_window_chunk(window, &mut |_, _| ())
+                .unwrap(),
+        };
+        match more {
+            true => self.draining.insert(window),
+            false => self.draining.remove(&window),
         };
     }
 
