@@ -300,7 +300,10 @@ fn bench_aur_hot_session(c: &mut Criterion) {
     }
 }
 
-/// RMW: take/put aggregate cycles over a working set of keys.
+/// RMW: read-modify-write cycles over a working set of keys, each
+/// backend twice — `take_put`, the two calls of the paper's Listing 1,
+/// and `update`, the one call that folds in place (which the LSM answers
+/// with the trait's default: its two cells time the same work).
 fn bench_rmw(c: &mut Criterion) {
     let mut group = c.benchmark_group("rmw_cycle");
     group.measurement_time(Duration::from_secs(5));
@@ -311,30 +314,40 @@ fn bench_rmw(c: &mut Criterion) {
     );
     let keys = 500u64;
     let rounds = 20u64;
+    let fold = |acc: &mut Vec<u8>, round: u64| {
+        acc.resize(8, 0);
+        let sum = u64::from_le_bytes(acc[..].try_into().unwrap()) + round;
+        acc.copy_from_slice(&sum.to_le_bytes());
+    };
     for choice in backends() {
-        group.bench_function(BenchmarkId::from_parameter(choice.name()), |b| {
-            b.iter_batched(
-                || make(&choice, semantics, FactoryOptions::new()),
-                |(mut store, _dir)| {
-                    let w = WindowId::new(0, 1_000);
-                    for round in 0..rounds {
-                        for k in 0..keys {
-                            let key = k.to_le_bytes();
-                            let acc = store
-                                .take_aggregate(&key, w)
-                                .unwrap()
-                                .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-                                .unwrap_or(0);
-                            store
-                                .put_aggregate(&key, w, &(acc + round).to_le_bytes())
-                                .unwrap();
+        for in_place in [false, true] {
+            let form = if in_place { "update" } else { "take_put" };
+            group.bench_function(BenchmarkId::new(choice.name(), form), |b| {
+                b.iter_batched(
+                    || make(&choice, semantics, FactoryOptions::new()),
+                    |(mut store, _dir)| {
+                        let w = WindowId::new(0, 1_000);
+                        for round in 0..rounds {
+                            for k in 0..keys {
+                                let key = k.to_le_bytes();
+                                if in_place {
+                                    store
+                                        .update_aggregate(&key, w, &mut |acc, _| fold(acc, round))
+                                        .unwrap();
+                                } else {
+                                    let mut acc =
+                                        store.take_aggregate(&key, w).unwrap().unwrap_or_default();
+                                    fold(&mut acc, round);
+                                    store.put_aggregate(&key, w, &acc).unwrap();
+                                }
+                            }
                         }
-                    }
-                    store.close().unwrap();
-                },
-                criterion::BatchSize::PerIteration,
-            );
-        });
+                        store.close().unwrap();
+                    },
+                    criterion::BatchSize::PerIteration,
+                );
+            });
+        }
     }
     group.finish();
 }

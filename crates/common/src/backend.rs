@@ -118,6 +118,11 @@ pub type WindowChunk = Vec<(Vec<u8>, Vec<Vec<u8>>)>;
 /// [`StateBackend::drain_window_chunk`].
 pub type PairSink<'a> = &'a mut dyn FnMut(&[u8], &[u8]);
 
+/// What a read-modify-write does to the aggregate it is lent — see
+/// [`StateBackend::update_aggregate`]. The flag says whether the pair
+/// held an aggregate; when it did not, the buffer arrives empty.
+pub type AggregateUpdate<'a> = &'a mut dyn FnMut(&mut Vec<u8>, bool);
+
 /// The owned form of one drain step: runs `step` and copies the pairs it
 /// lends into a [`WindowChunk`], adjacent pairs of one key into one
 /// entry. How a store whose drain is borrowed answers
@@ -195,6 +200,13 @@ pub type KeyFilter<'a> = &'a dyn Fn(&[u8]) -> bool;
 /// | AUR `Append(K, V, W, T)` | [`StateBackend::append`] |
 /// | RMW `Get(K, W)` | [`StateBackend::take_aggregate`] |
 /// | RMW `Put(K, W, A)` | [`StateBackend::put_aggregate`] |
+/// | RMW `Update(K, W, f)` | [`StateBackend::update_aggregate`] |
+///
+/// `Update` is not in the paper: its Listing 1 spells a read-modify-write
+/// as `Get` then `Put`, two calls per tuple. Here the per-tuple fold is
+/// one call that edits the aggregate where the store keeps it; `Get` and
+/// `Put` remain for what is not a fold of one pair — a trigger, a session
+/// merge, a migration.
 ///
 /// Stores are single-writer: each instance is owned by exactly one worker
 /// thread (paper §2.1), so the trait takes `&mut self` and implementations
@@ -260,6 +272,33 @@ pub trait StateBackend: Send {
 
     /// Stores the updated aggregate for `(key, window)`.
     fn put_aggregate(&mut self, key: &[u8], window: WindowId, aggregate: &[u8]) -> Result<()>;
+
+    /// Read-modify-write of `(key, window)` in one call: the store lends
+    /// `update` the buffer that *is* the pair's aggregate — empty, with
+    /// the flag `false`, when the pair holds none — and whatever `update`
+    /// leaves in it is the pair's aggregate from then on.
+    ///
+    /// `update` runs exactly once in a call that returns `Ok` and at most
+    /// once in one that fails; the buffer is valid only inside it. The
+    /// call is observably [`StateBackend::take_aggregate`], `update`,
+    /// [`StateBackend::put_aggregate`] — the same state, the same
+    /// [`StoreMetrics`] record counts, the same device operations in the
+    /// same order — which is what the default does; a store that keeps
+    /// aggregates in memory implements it as an edit in place. An adaptor
+    /// around another backend forwards it, or the store behind it falls
+    /// back to the two calls.
+    fn update_aggregate(
+        &mut self,
+        key: &[u8],
+        window: WindowId,
+        update: AggregateUpdate<'_>,
+    ) -> Result<()> {
+        let taken = self.take_aggregate(key, window)?;
+        let held = taken.is_some();
+        let mut aggregate = taken.unwrap_or_default();
+        update(&mut aggregate, held);
+        self.put_aggregate(key, window, &aggregate)
+    }
 
     /// Forces buffered state to storage.
     fn flush(&mut self) -> Result<()>;

@@ -5,7 +5,9 @@ use std::collections::HashSet;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::backend::{AggregateKind, KeyFilter, PairSink, StateBackend, StateEntry, WindowChunk};
+use crate::backend::{
+    AggregateKind, AggregateUpdate, KeyFilter, PairSink, StateBackend, StateEntry, WindowChunk,
+};
 use crate::error::Result;
 use crate::metrics::StoreMetrics;
 use crate::types::{Timestamp, WindowId};
@@ -48,12 +50,17 @@ struct CaptureBackend {
     recorded: Arc<Mutex<Recorded>>,
 }
 
+/// Applies `change` if the view is being recorded.
+fn record(recorded: &Mutex<Recorded>, change: impl FnOnce(&mut Recorded)) {
+    let mut recorded = lock(recorded);
+    if recorded.phase == Phase::Recording {
+        change(&mut recorded);
+    }
+}
+
 impl CaptureBackend {
     fn record(&self, change: impl FnOnce(&mut Recorded)) {
-        let mut recorded = lock(&self.recorded);
-        if recorded.phase == Phase::Recording {
-            change(&mut recorded);
-        }
+        record(&self.recorded, change);
     }
 
     /// One step of `window`'s drain, owned or borrowed: the first drops
@@ -122,6 +129,25 @@ impl StateBackend for CaptureBackend {
         self.inner.put_aggregate(key, window, aggregate)?;
         self.record(|r| r.delta.put_aggregate(key, window, aggregate));
         Ok(())
+    }
+
+    fn update_aggregate(
+        &mut self,
+        key: &[u8],
+        window: WindowId,
+        update: AggregateUpdate<'_>,
+    ) -> Result<()> {
+        let recorded = &self.recorded;
+        // One change per call: the size the store lent, the bytes the
+        // update left.
+        self.inner
+            .update_aggregate(key, window, &mut |aggregate, held| {
+                let prior = held.then_some(aggregate.len());
+                update(aggregate, held);
+                record(recorded, |r| {
+                    r.delta.update_aggregate(key, window, prior, aggregate)
+                });
+            })
     }
 
     fn flush(&mut self) -> Result<()> {

@@ -334,7 +334,41 @@ impl ViewDelta {
 
     /// `put_aggregate`: the pair now holds exactly `aggregate`.
     pub fn put_aggregate(&mut self, key: &[u8], window: WindowId, aggregate: &[u8]) {
-        self.change(key, window, None, |_| {
+        self.set_aggregate(key, window, None, aggregate);
+    }
+
+    /// `update_aggregate`: the pair held `prior` bytes of aggregate
+    /// (`None`: nothing) and now holds exactly `aggregate`. The store
+    /// lent the old value to the update, so the view need not look its
+    /// size up — what [`remove`](Self::remove) then
+    /// [`put_aggregate`](Self::put_aggregate) record, as one change.
+    pub fn update_aggregate(
+        &mut self,
+        key: &[u8],
+        window: WindowId,
+        prior: Option<usize>,
+        aggregate: &[u8],
+    ) {
+        self.set_aggregate(key, window, Some(prior), aggregate);
+    }
+
+    fn set_aggregate(
+        &mut self,
+        key: &[u8],
+        window: WindowId,
+        held: Option<Option<usize>>,
+        aggregate: &[u8],
+    ) {
+        self.change(key, window, held, |old| {
+            // An aggregate the epoch already wrote is overwritten where
+            // it is (nothing shares a recording delta's values).
+            if let Some(Change::Replace(mut value)) = old {
+                if let ViewValue::Aggregate(bytes) = Arc::make_mut(&mut value) {
+                    bytes.clear();
+                    bytes.extend_from_slice(aggregate);
+                    return Change::Replace(value);
+                }
+            }
             Change::Replace(Arc::new(ViewValue::Aggregate(aggregate.to_vec())))
         });
     }

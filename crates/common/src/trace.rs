@@ -36,7 +36,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::backend::{AggregateKind, KeyFilter, PairSink, StateBackend, WindowChunk};
+use crate::backend::{
+    AggregateKind, AggregateUpdate, KeyFilter, PairSink, StateBackend, WindowChunk,
+};
 use crate::error::Result;
 use crate::telemetry::{json_escape, parse_json, Json, Telemetry};
 use crate::types::{Timestamp, WindowId};
@@ -427,12 +429,13 @@ impl TraceHandle {
 /// `store`-category instant each when the scope ends, carrying
 /// `("nanos", total)` and `("count", n)` — the attribution pass charges
 /// the aggregate exactly as it would the individual spans.
-const COALESCED_OPS: [&str; 5] = [
+const COALESCED_OPS: [&str; 6] = [
     "store_append",
     "store_take_values",
     "store_peek_values",
     "store_take_agg",
     "store_put_agg",
+    "store_update_agg",
 ];
 
 struct Active {
@@ -639,6 +642,15 @@ impl StateBackend for TracedBackend {
 
     fn put_aggregate(&mut self, key: &[u8], window: WindowId, aggregate: &[u8]) -> Result<()> {
         coalesced_op!(4, self.inner.put_aggregate(key, window, aggregate))
+    }
+
+    fn update_aggregate(
+        &mut self,
+        key: &[u8],
+        window: WindowId,
+        update: AggregateUpdate<'_>,
+    ) -> Result<()> {
+        coalesced_op!(5, self.inner.update_aggregate(key, window, update))
     }
 
     fn flush(&mut self) -> Result<()> {

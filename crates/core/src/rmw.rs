@@ -11,11 +11,23 @@
 //! exists only inside a log record. The value log is a
 //! [`GenLog`](crate::genlog): rewritten when space amplification exceeds
 //! the MSA, like the AUR store's.
+//!
+//! A tuple costs one probe of the write buffer: [`RmwStore::update`]
+//! edits the aggregate where the buffer holds it. A pair that lives only
+//! in the log is read and retired as a take would and starts the buffer
+//! slot; the compaction and flush checks then run in the order a take
+//! and a put run them, so the log receives the same bytes through the
+//! same device operations. The call is charged to the write timer, the
+//! one read of a flushed pair included; `records_read` and
+//! `records_written` both count it, as the two calls would, so the
+//! paper's Fig 10 read/write split keeps its meaning in records.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
+use flowkv_common::backend::AggregateUpdate;
 use flowkv_common::codec::{put_len_prefixed, put_varint_u64, Decoder};
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::logfile::record_payload;
@@ -60,9 +72,10 @@ fn split_composite(composite: &[u8]) -> Result<(&[u8], WindowId)> {
     Ok((&composite[WindowId::ENCODED_LEN..], window))
 }
 
-/// What a dirty aggregate counts toward the flush threshold.
-fn dirty_charge(key: &[u8], aggregate: &[u8]) -> usize {
-    WindowId::ENCODED_LEN + key.len() + aggregate.len() + 48
+/// What a dirty aggregate of `aggregate_len` bytes counts toward the
+/// flush threshold.
+fn dirty_charge(key: &[u8], aggregate_len: usize) -> usize {
+    WindowId::ENCODED_LEN + key.len() + aggregate_len + 48
 }
 
 /// The read-modify-write store for one partition.
@@ -113,16 +126,13 @@ impl RmwStore {
     /// Listing 1, `Get(K, W)`).
     pub fn take(&mut self, key: &[u8], window: WindowId) -> Result<Option<Vec<u8>>> {
         let _t = self.metrics.timer(OpCategory::Read);
+        let flushed = self.retire_flushed(key, window);
         let mut result = self.buffer.remove(key, window);
-        if let Some(v) = &result {
-            self.buffer_bytes -= dirty_charge(key, v);
-        }
-        if let Some((offset, len)) = self.index.remove(key, window) {
-            self.log.retire(len);
-            // A buffered value is newer: the disk copy is just garbage.
-            if result.is_none() {
-                result = Some(self.read_at(offset, len)?);
-            }
+        match (&result, flushed) {
+            // A buffered value is newer: the disk copy was just garbage.
+            (Some(v), _) => self.buffer_bytes -= dirty_charge(key, v.len()),
+            (None, Some((offset, len))) => result = Some(self.read_at(offset, len)?),
+            (None, None) => {}
         }
         if result.is_some() {
             self.metrics.add_records_read(1);
@@ -136,19 +146,47 @@ impl RmwStore {
     pub fn put(&mut self, key: &[u8], window: WindowId, aggregate: &[u8]) -> Result<()> {
         {
             let _t = self.metrics.timer(OpCategory::Write);
-            self.buffer_bytes += dirty_charge(key, aggregate);
+            self.buffer_bytes += dirty_charge(key, aggregate.len());
             if let Some(old) = self.buffer.insert(key, window, aggregate.to_vec()) {
-                self.buffer_bytes -= dirty_charge(key, &old);
+                self.buffer_bytes -= dirty_charge(key, old.len());
             }
             // A flushed copy, if any, is superseded the moment the dirty
             // value exists; it dies at the next flush or take.
             self.metrics.add_records_written(1);
         }
-        // The flush times itself: no timer of this call may span it.
-        if self.buffer_bytes >= self.cfg.write_buffer_bytes {
-            self.flush()?;
+        self.flush_if_full()
+    }
+
+    /// [`take`](Self::take), `f`, [`put`](Self::put) as one call (see
+    /// the module documentation and `StateBackend::update_aggregate`).
+    pub fn update(&mut self, key: &[u8], window: WindowId, f: AggregateUpdate<'_>) -> Result<()> {
+        {
+            let _t = self.metrics.timer(OpCategory::Write);
+            let flushed = match self.retire_flushed(key, window) {
+                Some((offset, len)) if self.buffer.get(key, window).is_none() => {
+                    Some(self.read_at(offset, len)?)
+                }
+                _ => None,
+            };
+            // A new slot starts from the flushed aggregate, charged in
+            // full; only then may the pair have held nothing.
+            let (held, bytes) = (Cell::new(true), &mut self.buffer_bytes);
+            let start = || {
+                held.set(flushed.is_some());
+                *bytes += dirty_charge(key, flushed.as_ref().map_or(0, Vec::len));
+                flushed.unwrap_or_default()
+            };
+            let (before, after) = self.buffer.upsert(key, window, start, |aggregate| {
+                let before = aggregate.len();
+                f(aggregate, held.get());
+                (before, aggregate.len())
+            });
+            self.buffer_bytes = self.buffer_bytes + after - before;
+            self.metrics.add_records_read(u64::from(held.get()));
+            self.metrics.add_records_written(1);
         }
-        Ok(())
+        self.maybe_compact()?;
+        self.flush_if_full()
     }
 
     /// RMW state is written, not anticipatably read: there is nothing to
@@ -251,6 +289,23 @@ impl RmwStore {
         self.buffer_bytes = 0;
         self.index.clear();
         self.log.destroy();
+        Ok(())
+    }
+
+    /// Forgets the flushed copy of `(key, window)` — a take supersedes
+    /// it, with or without a buffered value on top — and says where it
+    /// was.
+    fn retire_flushed(&mut self, key: &[u8], window: WindowId) -> Option<(u64, u64)> {
+        let at = self.index.remove(key, window)?;
+        self.log.retire(at.1);
+        Some(at)
+    }
+
+    /// The flush times itself: no timer of the caller may span it.
+    fn flush_if_full(&mut self) -> Result<()> {
+        if self.buffer_bytes >= self.cfg.write_buffer_bytes {
+            self.flush()?;
+        }
         Ok(())
     }
 
@@ -364,6 +419,49 @@ mod tests {
             Some(10u64.to_le_bytes().to_vec())
         );
         assert_eq!(s.take(b"k", win).unwrap(), None);
+    }
+
+    #[test]
+    fn update_edits_a_buffered_aggregate_and_starts_from_a_flushed_one() {
+        let dir = ScratchDir::new("rmw-update").unwrap();
+        let mut s = store(dir.path());
+        let win = w(0, 100);
+        let mut seen = Vec::new();
+        let mut bump = |s: &mut RmwStore, grow: usize| {
+            s.update(b"k", win, &mut |agg, held| {
+                seen.push((held, agg.clone()));
+                agg.resize(agg.len() + grow, 7);
+                agg[0] += 1;
+            })
+            .unwrap();
+        };
+        // Nothing held: an empty buffer, and what the update leaves is
+        // the aggregate.
+        bump(&mut s, 4);
+        let empty = s.memory_bytes();
+        bump(&mut s, 0);
+        assert_eq!(s.memory_bytes(), empty);
+        bump(&mut s, 2);
+        assert_eq!(s.memory_bytes(), empty + 2);
+        // Only in the log: read back, retired there, dirty again here.
+        s.flush().unwrap();
+        assert_eq!((s.buffer.len(), s.log.dead()), (0, 0));
+        bump(&mut s, 0);
+        assert_eq!((s.buffer.len(), s.index.len()), (1, 0));
+        assert!(s.log.dead() > 0);
+        assert_eq!(
+            seen,
+            [
+                (false, vec![]),
+                (true, vec![8, 7, 7, 7]),
+                (true, vec![9, 7, 7, 7]),
+                (true, vec![10, 7, 7, 7, 7, 7]),
+            ]
+        );
+        assert_eq!(s.take(b"k", win).unwrap(), Some(vec![11, 7, 7, 7, 7, 7]));
+        let m = s.metrics.snapshot();
+        assert_eq!((m.records_read, m.records_written), (3 + 1, 4));
+        assert_eq!(s.memory_bytes(), 0);
     }
 
     #[test]

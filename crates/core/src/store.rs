@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use flowkv_common::backend::{
-    collect_chunk, AggregateKind, KeyFilter, OperatorContext, OperatorSemantics, PairSink,
-    StateBackend, StateBackendFactory, StateEntry, WindowChunk,
+    collect_chunk, AggregateKind, AggregateUpdate, KeyFilter, OperatorContext, OperatorSemantics,
+    PairSink, StateBackend, StateBackendFactory, StateEntry, WindowChunk,
 };
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::{IoPolicy, IoRing};
@@ -284,6 +284,18 @@ impl StateBackend for FlowKvStore {
         match &mut self.inner {
             Inner::Rmw(p) => p.for_key(key).put(key, window, aggregate),
             _ => Err(self.wrong_pattern("Put(K, W, A)")),
+        }
+    }
+
+    fn update_aggregate(
+        &mut self,
+        key: &[u8],
+        window: WindowId,
+        update: AggregateUpdate<'_>,
+    ) -> Result<()> {
+        match &mut self.inner {
+            Inner::Rmw(p) => p.for_key(key).update(key, window, update),
+            _ => Err(self.wrong_pattern("Update(K, W, f)")),
         }
     }
 

@@ -2,7 +2,8 @@
 //! timed: the same key set with four times the pairs per key must not
 //! allocate anywhere near four times as often — the drain and the tier's
 //! demotion allocate per file, per block and per doubling of a buffer,
-//! never per pair.
+//! never per pair. And of the in-place RMW update: a fold into a
+//! buffered aggregate allocates nothing, captured for serving or not.
 //!
 //! The counter is per thread (the stores under test run no thread of
 //! their own), so the tests of this binary do not see each other.
@@ -16,6 +17,7 @@ use flowkv_common::backend::{
     AggregateKind, OperatorContext, OperatorSemantics, StateBackend, StateBackendFactory,
     WindowKind,
 };
+use flowkv_common::registry::ViewCapture;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::types::WindowId;
 
@@ -65,6 +67,15 @@ const WINDOW: WindowId = WindowId {
 };
 
 fn open(dir: &ScratchDir, name: &str, hot_bytes: Option<usize>) -> Box<dyn StateBackend> {
+    open_for(dir, name, AggregateKind::FullList, hot_bytes)
+}
+
+fn open_for(
+    dir: &ScratchDir,
+    name: &str,
+    aggregate: AggregateKind,
+    hot_bytes: Option<usize>,
+) -> Box<dyn StateBackend> {
     let cfg = FlowKvConfig {
         write_buffer_bytes: 1 << 20,
         chunk_entries: 64,
@@ -73,10 +84,7 @@ fn open(dir: &ScratchDir, name: &str, hot_bytes: Option<usize>) -> Box<dyn State
     let ctx = OperatorContext {
         operator: name.to_string(),
         partition: 0,
-        semantics: OperatorSemantics::new(
-            AggregateKind::FullList,
-            WindowKind::Fixed { size: 1_000 },
-        ),
+        semantics: OperatorSemantics::new(aggregate, WindowKind::Fixed { size: 1_000 }),
         data_dir: dir.path().to_path_buf(),
         telemetry: None,
         io: None,
@@ -166,4 +174,64 @@ fn a_tier_demote_then_drain_cycle_allocates_per_block_not_per_pair() {
         (allocations, KEYS * per_key)
     };
     assert_not_per_pair("tier cycle", counted(8), counted(32));
+}
+
+/// `calls` read-modify-writes of a little-endian counter, round robin
+/// over [`KEYS`] keys: one `update_aggregate` each, or the take and the
+/// put it replaces.
+fn count_up(store: &mut dyn StateBackend, calls: u32, in_place: bool) {
+    let mut key = *b"key-0000";
+    let bump = |count: &mut Vec<u8>| {
+        count.resize(8, 0);
+        let n = u64::from_le_bytes(count[..].try_into().unwrap()) + 1;
+        count.copy_from_slice(&n.to_le_bytes());
+    };
+    for i in 0..calls {
+        key[4..].copy_from_slice(&(i % KEYS).to_be_bytes());
+        if in_place {
+            store
+                .update_aggregate(&key, WINDOW, &mut |count, _| bump(count))
+                .unwrap();
+        } else {
+            let mut count = store.take_aggregate(&key, WINDOW).unwrap().unwrap();
+            bump(&mut count);
+            store.put_aggregate(&key, WINDOW, &count).unwrap();
+        }
+    }
+}
+
+#[test]
+fn an_update_of_a_buffered_aggregate_allocates_nothing_where_take_and_put_allocate_per_call() {
+    let dir = ScratchDir::new("alloc-rmw-update").unwrap();
+    // `FlowKvStore` behind the trait: a front that fell back to the
+    // default would take and put.
+    let mut store = open_for(&dir, "update", AggregateKind::Incremental, None);
+    count_up(store.as_mut(), KEYS, true);
+    let (in_place, ()) = allocations_of(|| count_up(store.as_mut(), 10_000, true));
+    assert_eq!(in_place, 0);
+    // The key, its slot list and the aggregate, freed and made again.
+    let (two_calls, ()) = allocations_of(|| count_up(store.as_mut(), 10_000, false));
+    assert!(two_calls >= 3 * 10_000, "{two_calls}");
+    assert_eq!(store.metrics().snapshot().flushes, 0);
+    store.close().unwrap();
+}
+
+#[test]
+fn a_captured_update_allocates_for_a_pairs_first_change_of_an_epoch_only() {
+    let dir = ScratchDir::new("alloc-rmw-capture").unwrap();
+    let store = open_for(&dir, "capture", AggregateKind::Incremental, None);
+    let (mut store, mut capture) = ViewCapture::wrap(store);
+    count_up(store.as_mut(), KEYS, true);
+    for _epoch in 0..3 {
+        capture.advance(store.as_mut()).unwrap().unwrap();
+        // Recording a pair's first change of the epoch makes its entry:
+        // the key, its window list, the value and its bytes, a map node
+        // now and then.
+        let (first, ()) = allocations_of(|| count_up(store.as_mut(), KEYS, true));
+        assert!(first <= 6 * u64::from(KEYS), "{first}");
+        let (rest, ()) = allocations_of(|| count_up(store.as_mut(), 10_000, true));
+        assert_eq!(rest, 0);
+    }
+    assert_eq!(capture.view().len(), KEYS as usize);
+    store.close().unwrap();
 }

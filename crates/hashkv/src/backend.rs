@@ -16,8 +16,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 use flowkv_common::backend::{
-    AggregateKind, KeyFilter, OperatorContext, StateBackend, StateBackendFactory, StateEntry,
-    WindowChunk,
+    AggregateKind, AggregateUpdate, KeyFilter, OperatorContext, StateBackend, StateBackendFactory,
+    StateEntry, WindowChunk,
 };
 use flowkv_common::codec::{put_len_prefixed, Decoder};
 use flowkv_common::error::{Result, StoreError};
@@ -215,6 +215,23 @@ impl StateBackend for HashBackend {
     fn put_aggregate(&mut self, key: &[u8], window: WindowId, aggregate: &[u8]) -> Result<()> {
         let _t = self.db.metrics().timer(OpCategory::Write);
         self.db.upsert(&composite_key(key, window), aggregate)
+    }
+
+    /// The one thing the paper credits Faster with: a read-modify-write
+    /// that rewrites a record of unchanged size where it lies in the
+    /// mutable region, with no tombstone and no new record.
+    fn update_aggregate(
+        &mut self,
+        key: &[u8],
+        window: WindowId,
+        update: AggregateUpdate<'_>,
+    ) -> Result<()> {
+        let _t = self.db.metrics().timer(OpCategory::Write);
+        self.db.rmw(&composite_key(key, window), |current| {
+            let mut aggregate = current.map(<[u8]>::to_vec).unwrap_or_default();
+            update(&mut aggregate, current.is_some());
+            aggregate
+        })
     }
 
     fn flush(&mut self) -> Result<()> {

@@ -2401,11 +2401,11 @@ mod tests {
             fn create(&self) -> Vec<u8> {
                 CountAggregate.create()
             }
-            fn add(&self, acc: &[u8], value: &[u8]) -> Vec<u8> {
+            fn add(&self, acc: &mut Vec<u8>, value: &[u8]) {
                 if !self.0.swap(true, Ordering::Relaxed) {
                     std::thread::sleep(STALL);
                 }
-                CountAggregate.add(acc, value)
+                CountAggregate.add(acc, value);
             }
             fn merge(&self, a: &[u8], b: &[u8]) -> Vec<u8> {
                 CountAggregate.merge(a, b)

@@ -22,8 +22,11 @@ use flowkv_common::types::WindowId;
 pub trait AggregateFunction: Send + Sync {
     /// A fresh accumulator.
     fn create(&self) -> Vec<u8>;
-    /// Folds one value into the accumulator.
-    fn add(&self, acc: &[u8], value: &[u8]) -> Vec<u8>;
+    /// Folds one value into the accumulator, in place: `acc` is the
+    /// buffer the store keeps the aggregate in (lent through
+    /// `StateBackend::update_aggregate`), so an aggregate of fixed width
+    /// overwrites its bytes and allocates nothing per tuple.
+    fn add(&self, acc: &mut Vec<u8>, value: &[u8]);
     /// Merges two accumulators (required for merging session windows).
     fn merge(&self, a: &[u8], b: &[u8]) -> Vec<u8>;
     /// Extracts the final result from the accumulator.
@@ -47,8 +50,8 @@ impl AggregateFunction for CountAggregate {
         0u64.to_le_bytes().to_vec()
     }
 
-    fn add(&self, acc: &[u8], _value: &[u8]) -> Vec<u8> {
-        (decode_u64(acc) + 1).to_le_bytes().to_vec()
+    fn add(&self, acc: &mut Vec<u8>, _value: &[u8]) {
+        set_u64(acc, decode_u64(acc) + 1);
     }
 
     fn merge(&self, a: &[u8], b: &[u8]) -> Vec<u8> {
@@ -68,8 +71,8 @@ impl AggregateFunction for SumAggregate {
         0u64.to_le_bytes().to_vec()
     }
 
-    fn add(&self, acc: &[u8], value: &[u8]) -> Vec<u8> {
-        (decode_u64(acc) + decode_u64(value)).to_le_bytes().to_vec()
+    fn add(&self, acc: &mut Vec<u8>, value: &[u8]) {
+        set_u64(acc, decode_u64(acc) + decode_u64(value));
     }
 
     fn merge(&self, a: &[u8], b: &[u8]) -> Vec<u8> {
@@ -89,11 +92,8 @@ impl AggregateFunction for MaxAggregate {
         0u64.to_le_bytes().to_vec()
     }
 
-    fn add(&self, acc: &[u8], value: &[u8]) -> Vec<u8> {
-        decode_u64(acc)
-            .max(decode_u64(value))
-            .to_le_bytes()
-            .to_vec()
+    fn add(&self, acc: &mut Vec<u8>, value: &[u8]) {
+        set_u64(acc, decode_u64(acc).max(decode_u64(value)));
     }
 
     fn merge(&self, a: &[u8], b: &[u8]) -> Vec<u8> {
@@ -150,8 +150,8 @@ impl AggregateFunction for FnAggregate {
         (self.create)()
     }
 
-    fn add(&self, acc: &[u8], value: &[u8]) -> Vec<u8> {
-        (self.add)(acc, value)
+    fn add(&self, acc: &mut Vec<u8>, value: &[u8]) {
+        *acc = (self.add)(acc, value);
     }
 
     fn merge(&self, a: &[u8], b: &[u8]) -> Vec<u8> {
@@ -205,6 +205,12 @@ impl ProcessWindowFunction for MedianProcess {
     }
 }
 
+/// Overwrites `acc` with `n` as a little-endian `u64`.
+fn set_u64(acc: &mut Vec<u8>, n: u64) {
+    acc.clear();
+    acc.extend_from_slice(&n.to_le_bytes());
+}
+
 /// Decodes a little-endian `u64`, tolerating short buffers.
 pub fn decode_u64(bytes: &[u8]) -> u64 {
     let mut arr = [0u8; 8];
@@ -226,7 +232,7 @@ mod tests {
         let agg = CountAggregate;
         let mut acc = agg.create();
         for _ in 0..5 {
-            acc = agg.add(&acc, b"x");
+            agg.add(&mut acc, b"x");
         }
         assert_eq!(agg.result(&acc), le(5));
         assert_eq!(agg.merge(&le(3), &le(4)), le(7));
@@ -236,14 +242,14 @@ mod tests {
     fn sum_and_max_aggregates() {
         let sum = SumAggregate;
         let mut acc = sum.create();
-        acc = sum.add(&acc, &le(10));
-        acc = sum.add(&acc, &le(32));
+        sum.add(&mut acc, &le(10));
+        sum.add(&mut acc, &le(32));
         assert_eq!(sum.result(&acc), le(42));
 
         let max = MaxAggregate;
         let mut acc = max.create();
-        acc = max.add(&acc, &le(10));
-        acc = max.add(&acc, &le(7));
+        max.add(&mut acc, &le(10));
+        max.add(&mut acc, &le(7));
         assert_eq!(max.result(&acc), le(10));
         assert_eq!(max.merge(&le(3), &le(9)), le(9));
     }
@@ -273,7 +279,8 @@ mod tests {
             |a, b| le(decode_u64(a) + decode_u64(b)),
         )
         .with_result(|acc| le(decode_u64(acc) + 1));
-        let acc = agg.add(&agg.create(), &le(5));
+        let mut acc = agg.create();
+        agg.add(&mut acc, &le(5));
         assert_eq!(agg.result(&acc), le(11));
 
         let p = FnProcess::new(|_k, _w, vals| vec![le(vals.len() as u64)]);

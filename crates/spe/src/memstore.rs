@@ -12,8 +12,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 use flowkv_common::backend::{
-    AggregateKind, KeyFilter, OperatorContext, StateBackend, StateBackendFactory, StateEntry,
-    WindowChunk,
+    AggregateKind, AggregateUpdate, KeyFilter, OperatorContext, StateBackend, StateBackendFactory,
+    StateEntry, WindowChunk,
 };
 use flowkv_common::codec::{put_len_prefixed, put_varint_u64, Decoder};
 use flowkv_common::error::{Result, StoreError};
@@ -179,6 +179,34 @@ impl StateBackend for InMemoryBackend {
         if let Some(old) = self.aggregates.insert(state_key, aggregate.to_vec()) {
             self.release(key.len() + old.len() + 64);
         }
+        self.metrics.add_records_written(1);
+        Ok(())
+    }
+
+    fn update_aggregate(
+        &mut self,
+        key: &[u8],
+        window: WindowId,
+        update: AggregateUpdate<'_>,
+    ) -> Result<()> {
+        let _t = self.metrics.timer(OpCategory::Write);
+        let mut held = true;
+        let aggregate = self
+            .aggregates
+            .entry((key.to_vec(), window))
+            .or_insert_with(|| {
+                held = false;
+                Vec::new()
+            });
+        let before = aggregate.len();
+        update(aggregate, held);
+        let after = aggregate.len();
+        // Charged as the take and the put it stands for.
+        if held {
+            self.release(key.len() + before + 64);
+            self.metrics.add_records_read(1);
+        }
+        self.charge(key.len() + after + 64)?;
         self.metrics.add_records_written(1);
         Ok(())
     }

@@ -9,14 +9,14 @@
 //! |---|---|---|
 //! | append + aligned | `append` | drain `drain_window_chunk` into the trigger arena |
 //! | append + unaligned | `append` | `take_values` per session initial |
-//! | read-modify-write | `take_aggregate` + `put_aggregate` | `take_aggregate` |
+//! | read-modify-write | `update_aggregate` | `take_aggregate` |
 //!
 //! Session windows merge engine-side: the operator tracks each key's open
 //! sessions and the *initial window boundaries* under which their tuples
 //! were stored — FlowKV's AUR store keys state by those initial
 //! boundaries because session extents move (paper §4.2).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 use flowkv_common::backend::StateBackend;
 use flowkv_common::dict::{group_stable, ByteDict};
@@ -33,7 +33,9 @@ fn merges_with(a: &WindowId, b: &WindowId) -> bool {
 }
 
 /// Writes one tuple to the store under `window`: appended to the window's
-/// full list, or folded into its aggregate. A free function over the two
+/// full list, or folded into its aggregate where the store holds it.
+/// Returns whether the store said the pair already held an aggregate
+/// (an append does not ask: `false`). A free function over the two
 /// fields it needs, so a caller may hold its session or count state
 /// across it.
 fn store_tuple(
@@ -41,17 +43,22 @@ fn store_tuple(
     backend: &mut dyn StateBackend,
     tuple: &Tuple,
     window: WindowId,
-) -> Result<()> {
+) -> Result<bool> {
     match aggregate {
         AggregateSpec::FullList(_) => {
-            backend.append(&tuple.key, window, &tuple.value, tuple.timestamp)
+            backend.append(&tuple.key, window, &tuple.value, tuple.timestamp)?;
+            Ok(false)
         }
         AggregateSpec::Incremental(agg) => {
-            let acc = backend
-                .take_aggregate(&tuple.key, window)?
-                .unwrap_or_else(|| agg.create());
-            let acc = agg.add(&acc, &tuple.value);
-            backend.put_aggregate(&tuple.key, window, &acc)
+            let mut existed = false;
+            backend.update_aggregate(&tuple.key, window, &mut |acc, held| {
+                existed = held;
+                if !held {
+                    *acc = agg.create();
+                }
+                agg.add(acc, &tuple.value);
+            })?;
+            Ok(existed)
         }
     }
 }
@@ -142,7 +149,7 @@ pub(crate) struct EngineShard {
     pub(crate) watermark: Timestamp,
     pub(crate) dropped_late: u64,
     pub(crate) aligned_timers: BTreeSet<(Timestamp, WindowId)>,
-    pub(crate) trigger_keys: HashMap<WindowId, HashSet<Vec<u8>>>,
+    pub(crate) trigger_keys: HashMap<WindowId, BTreeSet<Vec<u8>>>,
     pub(crate) sessions: Vec<(Vec<u8>, SessionRows)>,
     pub(crate) session_timers: BTreeSet<(Timestamp, Vec<u8>)>,
     pub(crate) counts: Vec<(Vec<u8>, u64, u64)>,
@@ -156,8 +163,9 @@ pub struct WindowOperator {
     aligned_timers: BTreeSet<(Timestamp, WindowId)>,
     /// Keys needing per-key firing per window: the RMW trigger set for
     /// aligned windows, and every pattern's trigger set for custom
-    /// windows (whose store is per-key unaligned).
-    trigger_keys: HashMap<WindowId, HashSet<Vec<u8>>>,
+    /// windows (whose store is per-key unaligned). Ordered sets: a window
+    /// fires key by key in key order, a function of the input.
+    trigger_keys: HashMap<WindowId, BTreeSet<Vec<u8>>>,
     /// Open sessions per key.
     sessions: HashMap<Vec<u8>, Vec<Session>>,
     /// Candidate session trigger times (stale entries are no-ops).
@@ -230,16 +238,16 @@ impl WindowOperator {
     /// results (count windows) into `out` with each input's own origin
     /// stamp.
     ///
-    /// The batch is first stably sorted by key so same-key store
-    /// operations run back to back (one bucket / hash-slot touch per key
-    /// group instead of one per tuple), and one output buffer is reused
-    /// across the whole batch instead of reallocating per element.
-    /// Stability keeps per-key arrival order, and the watermark cannot
-    /// move inside a batch (batches flush before watermarks), so the
-    /// reordering is invisible to window assignment, session merging,
-    /// late-drops, and per-key value order.
+    /// Elements run in arrival order, the order a batch size of one runs
+    /// them in: batching changes no store call. Only a backend that
+    /// wants the [`warm_hint`](Self::warm_hint) (the LSM) gets the batch
+    /// stably sorted by key first, for the hint's dedupe of adjacent
+    /// pairs; per-key arrival order survives and the watermark cannot
+    /// move inside a batch (batches flush before watermarks), so no
+    /// window assignment, session merge, late-drop or per-key value
+    /// order changes.
     pub fn on_batch(&mut self, batch: &mut [Stamped], out: &mut Vec<Stamped>) -> Result<()> {
-        if batch.len() > 1 {
+        if batch.len() > 1 && self.backend.wants_warm() {
             batch.sort_by(|a, b| a.tuple.key.cmp(&b.tuple.key));
         }
         self.warm_hint(batch)?;
@@ -388,7 +396,7 @@ impl WindowOperator {
         for _ in 0..dec.get_varint_u64()? {
             let w = WindowId::decode_from(&mut dec)?;
             let n = dec.get_varint_u64()? as usize;
-            let mut keys = HashSet::with_capacity(n);
+            let mut keys = BTreeSet::new();
             for _ in 0..n {
                 keys.insert(dec.get_len_prefixed()?.to_vec());
             }
@@ -519,24 +527,27 @@ impl WindowOperator {
         let per_key = matches!(self.spec.assigner, WindowAssigner::Custom { .. })
             || matches!(self.spec.aggregate, AggregateSpec::Incremental(_));
         for window in self.spec.assigner.assign(tuple.timestamp) {
-            store_tuple(&self.spec.aggregate, self.backend.as_mut(), tuple, window)?;
+            if store_tuple(&self.spec.aggregate, self.backend.as_mut(), tuple, window)? {
+                // A held aggregate has its key tracked and its timer
+                // armed: the three are set, fired, checkpointed and
+                // migrated together. Nearly every RMW tuple ends here.
+                debug_assert!(
+                    self.aligned_timers.contains(&(window.end, window))
+                        && self.trigger_keys[&window].contains(&tuple.key)
+                );
+                continue;
+            }
             // A window with tracked keys has its timer armed (the two
-            // are set and fired together), and most tuples find their
-            // key tracked: only a new window or key is written down.
-            let armed = per_key
-                && match self.trigger_keys.get_mut(&window) {
-                    Some(keys) => {
-                        if !keys.contains(&tuple.key) {
-                            keys.insert(tuple.key.clone());
-                        }
-                        true
-                    }
-                    None => {
-                        let keys = HashSet::from([tuple.key.clone()]);
-                        self.trigger_keys.insert(window, keys);
-                        false
-                    }
-                };
+            // are set and fired together): only a new window or key is
+            // written down.
+            let armed = per_key && {
+                let keys = self.trigger_keys.entry(window).or_default();
+                let armed = !keys.is_empty();
+                if !keys.contains(&tuple.key) {
+                    keys.insert(tuple.key.clone());
+                }
+                armed
+            };
             if !armed {
                 self.aligned_timers.insert((window.end, window));
             }
@@ -624,8 +635,8 @@ impl WindowOperator {
                         });
                     }
                 }
-                let acc = acc.unwrap_or_else(|| agg.create());
-                let acc = agg.add(&acc, &tuple.value);
+                let mut acc = acc.unwrap_or_else(|| agg.create());
+                agg.add(&mut acc, &tuple.value);
                 let store_window = initials.first().copied().unwrap_or(proto);
                 self.backend.put_aggregate(&tuple.key, store_window, &acc)?;
                 Session {
@@ -673,14 +684,7 @@ impl WindowOperator {
                 AggregateSpec::FullList(f) if custom => {
                     // Custom windows live in a per-key (unaligned) store:
                     // fire each tracked key individually.
-                    let mut keys: Vec<Vec<u8>> = self
-                        .trigger_keys
-                        .remove(&window)
-                        .unwrap_or_default()
-                        .into_iter()
-                        .collect();
-                    keys.sort();
-                    for key in keys {
+                    for key in self.trigger_keys.remove(&window).unwrap_or_default() {
                         let values = self.backend.take_values(&key, window)?;
                         if values.is_empty() {
                             continue;
@@ -706,8 +710,7 @@ impl WindowOperator {
                     });
                 }
                 AggregateSpec::Incremental(agg) => {
-                    let keys = self.trigger_keys.remove(&window).unwrap_or_default();
-                    for key in keys {
+                    for key in self.trigger_keys.remove(&window).unwrap_or_default() {
                         if let Some(acc) = self.backend.take_aggregate(&key, window)? {
                             out.push(Tuple::new(key, agg.result(&acc), out_ts));
                         }
@@ -991,6 +994,49 @@ mod tests {
         let both = run("two-a", 2);
         assert_eq!(both.len(), 41);
         assert_eq!(run("two-b", 2), both);
+    }
+
+    #[test]
+    fn an_aligned_rmw_window_fires_the_same_output_in_the_same_order_every_run() {
+        use flowkv::{FlowKvConfig, FlowKvStore};
+        use flowkv_common::backend::{AggregateKind, OperatorSemantics, WindowKind};
+        use flowkv_common::scratch::ScratchDir;
+        let dir = ScratchDir::new("op-rmw-fire-order").unwrap();
+        let run = |name: &str, store_instances: usize| {
+            let semantics =
+                OperatorSemantics::new(AggregateKind::Incremental, WindowKind::Fixed { size: 100 });
+            let cfg = FlowKvConfig {
+                store_instances,
+                ..FlowKvConfig::small_for_tests()
+            };
+            let store = FlowKvStore::open(&dir.path().join(name), semantics, cfg).unwrap();
+            let spec = WindowSpec {
+                name: "test".into(),
+                assigner: WindowAssigner::Fixed { size: 100 },
+                aggregate: AggregateSpec::Incremental(Arc::new(SumAggregate)),
+            };
+            let mut o = WindowOperator::new(spec, Box::new(store));
+            let mut out = Vec::new();
+            for i in 0..400u64 {
+                let key = format!("key-{:02}", i * 7 % 41);
+                o.on_element(&t(&key, i, (i % 200) as i64), &mut out)
+                    .unwrap();
+            }
+            o.on_watermark(200, &mut out).unwrap();
+            out
+        };
+        // Window by window, and within a window key by key.
+        let first = run("one-a", 1);
+        let fired: Vec<(i64, Vec<u8>)> =
+            first.iter().map(|t| (t.timestamp, t.key.clone())).collect();
+        let mut sorted = fired.clone();
+        sorted.sort();
+        assert_eq!((fired.len(), &fired), (82, &sorted));
+        assert_eq!(run("one-b", 1), first);
+        // The trigger set is the operator's: the store's instances do
+        // not show in the order.
+        assert_eq!(run("two-a", 2), first);
+        assert_eq!(run("two-b", 2), first);
     }
 
     #[test]

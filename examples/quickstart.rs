@@ -76,12 +76,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut store = FlowKvStore::open(&dir.path().join("rmw"), rmw, FlowKvConfig::default())?;
     println!("fixed-window + incremental -> pattern {}", store.pattern());
+    // One call per tuple: the store lends the closure the buffer that
+    // *is* the aggregate (empty, `held == false`, the first time) and
+    // keeps whatever the closure leaves in it. The paper's two-call
+    // form, `take_aggregate` then `put_aggregate`, means the same.
     for _ in 0..10 {
-        let count = store
-            .take_aggregate(b"alice", minute)?
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-            .unwrap_or(0);
-        store.put_aggregate(b"alice", minute, &(count + 1).to_le_bytes())?;
+        store.update_aggregate(b"alice", minute, &mut |count, held| {
+            let n = if held {
+                u64::from_le_bytes(count[..].try_into().unwrap())
+            } else {
+                0
+            };
+            count.clear();
+            count.extend_from_slice(&(n + 1).to_le_bytes());
+        })?;
     }
     let final_count = store.take_aggregate(b"alice", minute)?.unwrap();
     println!(

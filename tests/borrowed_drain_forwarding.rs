@@ -1,21 +1,28 @@
-//! Every adaptor around a state backend hands the borrowed drain step on
-//! to the backend it wraps. One that forgot would still pass every
-//! differential suite — the trait's default answers the step out of an
-//! owned chunk — and quietly bring the copy per pair back.
+//! Every adaptor around a state backend hands the trait's two fast
+//! paths — the borrowed drain step and the in-place `update_aggregate` —
+//! on to the backend it wraps. One that forgot would still pass every
+//! differential suite — the trait's defaults answer the step out of an
+//! owned chunk and the update out of a take and a put — and quietly
+//! bring the copy per pair, or the two calls per tuple, back.
 //!
-//! The wrapped backend here answers the borrowed step itself and refuses
-//! the owned chunk. (`FlowKvStore` wraps no backend; that its front
-//! forwards the step to its AAR instances is counted in allocations by
-//! `crates/core/tests/alloc_counts.rs`.)
+//! The wrapped backend here answers the fast paths itself and refuses
+//! the calls their defaults fall back to. (`FlowKvStore` wraps no
+//! backend; that its front forwards the step to its AAR instances is
+//! counted in allocations by `crates/core/tests/alloc_counts.rs`, and
+//! that it forwards the update to its RMW instances shows here in which
+//! timer the call is charged to.) The tier is the one adaptor that takes
+//! the update's default on purpose: its take and its put maintain the
+//! tier's own key table.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use flowkv::tier::{TierConfig, TieredStore};
+use flowkv::{FlowKvConfig, FlowKvStore};
 use flowkv_common::backend::{
-    AggregateKind, KeyFilter, OperatorContext, OperatorSemantics, PairSink, StateBackend,
-    StateEntry, WindowChunk, WindowKind,
+    AggregateKind, AggregateUpdate, KeyFilter, OperatorContext, OperatorSemantics, PairSink,
+    StateBackend, StateEntry, WindowChunk, WindowKind,
 };
 use flowkv_common::error::Result;
 use flowkv_common::metrics::StoreMetrics;
@@ -27,10 +34,14 @@ use flowkv_common::vfs::StdVfs;
 use flowkv_spe::memstore::InMemoryBackend;
 
 /// An in-memory store whose window drain exists in the borrowed form
-/// only, counting the steps it serves.
+/// only and whose aggregates (unless `two_calls` allows the take and the
+/// put) in the one-call form only, counting the steps and updates it
+/// serves.
 struct BorrowedOnly {
     inner: InMemoryBackend,
     steps: Arc<AtomicUsize>,
+    updates: Arc<AtomicUsize>,
+    two_calls: bool,
 }
 
 impl StateBackend for BorrowedOnly {
@@ -57,10 +68,16 @@ impl StateBackend for BorrowedOnly {
         self.inner.peek_values(k, w)
     }
     fn take_aggregate(&mut self, k: &[u8], w: WindowId) -> Result<Option<Vec<u8>>> {
+        assert!(self.two_calls, "an adaptor fell back to a take of {w:?}");
         self.inner.take_aggregate(k, w)
     }
     fn put_aggregate(&mut self, k: &[u8], w: WindowId, a: &[u8]) -> Result<()> {
+        assert!(self.two_calls, "an adaptor fell back to a put of {w:?}");
         self.inner.put_aggregate(k, w, a)
+    }
+    fn update_aggregate(&mut self, k: &[u8], w: WindowId, f: AggregateUpdate<'_>) -> Result<()> {
+        self.updates.fetch_add(1, Ordering::Relaxed);
+        self.inner.update_aggregate(k, w, f)
     }
     fn flush(&mut self) -> Result<()> {
         self.inner.flush()
@@ -94,6 +111,8 @@ fn steps_through(wrap: impl FnOnce(Box<dyn StateBackend>) -> Box<dyn StateBacken
     let mut backend = wrap(Box::new(BorrowedOnly {
         inner: InMemoryBackend::new(1 << 20, 4),
         steps: Arc::clone(&steps),
+        updates: Arc::default(),
+        two_calls: false,
     }));
     for i in 0..40u8 {
         backend.append(&[b'k', i % 10], WINDOW, &[i], 0).unwrap();
@@ -106,6 +125,47 @@ fn steps_through(wrap: impl FnOnce(Box<dyn StateBackend>) -> Box<dyn StateBacken
     expect.sort();
     assert_eq!(lent, expect);
     steps.load(Ordering::Relaxed)
+}
+
+/// Counts forty tuples into ten keys through `backend`, one
+/// `update_aggregate` each, then reads every count back through ten
+/// more that change nothing.
+fn count_forty_tuples(backend: &mut dyn StateBackend) {
+    for i in 0..40u8 {
+        let mut count = |count: &mut Vec<u8>, held: bool| {
+            assert_eq!(held, i >= 10, "tuple {i}");
+            count.resize(1, 0);
+            count[0] += 1;
+        };
+        backend
+            .update_aggregate(&[b'k', i % 10], WINDOW, &mut count)
+            .unwrap();
+    }
+    for k in 0..10u8 {
+        let mut read =
+            |count: &mut Vec<u8>, held: bool| assert_eq!((held, &count[..]), (true, &[4][..]));
+        backend
+            .update_aggregate(&[b'k', k], WINDOW, &mut read)
+            .unwrap();
+    }
+}
+
+/// Runs [`count_forty_tuples`] through `wrap`'s adaptor and returns how
+/// many updates reached the wrapped store — which refuses the take and
+/// the put unless `two_calls`.
+fn updates_through(
+    two_calls: bool,
+    wrap: impl FnOnce(Box<dyn StateBackend>) -> Box<dyn StateBackend>,
+) -> usize {
+    let updates = Arc::new(AtomicUsize::new(0));
+    let mut backend = wrap(Box::new(BorrowedOnly {
+        inner: InMemoryBackend::new(1 << 20, 4),
+        steps: Arc::default(),
+        updates: Arc::clone(&updates),
+        two_calls,
+    }));
+    count_forty_tuples(backend.as_mut());
+    updates.load(Ordering::Relaxed)
 }
 
 #[test]
@@ -142,4 +202,51 @@ fn the_tier_demotes_and_drains_through_the_borrowed_step() {
     // ends the demotion's drain — and the trigger then finds the wrapped
     // store empty behind forty cold blocks.
     assert_eq!(tiered(0), 40 * 2 + 1);
+}
+
+#[test]
+fn the_trace_and_capture_adaptors_forward_the_update() {
+    assert_eq!(updates_through(false, TracedBackend::wrap), 50);
+    assert_eq!(
+        updates_through(false, |inner| ViewCapture::wrap(inner).0),
+        50
+    );
+}
+
+fn rmw_ctx(dir: &ScratchDir) -> OperatorContext {
+    OperatorContext {
+        operator: "forward".to_string(),
+        partition: 0,
+        semantics: OperatorSemantics::new(
+            AggregateKind::Incremental,
+            WindowKind::Fixed { size: 100 },
+        ),
+        data_dir: dir.path().to_path_buf(),
+        telemetry: None,
+        io: None,
+    }
+}
+
+#[test]
+fn the_tier_answers_the_update_with_its_own_take_and_put() {
+    let dir = ScratchDir::new("forward-tier-update").unwrap();
+    let through_the_tier = |inner| {
+        let cfg = TierConfig::new(usize::MAX);
+        let tier = TieredStore::new(inner, &rmw_ctx(&dir), cfg, StdVfs::shared());
+        Box::new(tier.unwrap()) as Box<dyn StateBackend>
+    };
+    assert_eq!(updates_through(true, through_the_tier), 0);
+}
+
+#[test]
+fn the_flowkv_front_forwards_the_update_to_its_rmw_instances() {
+    let dir = ScratchDir::new("forward-front-update").unwrap();
+    let semantics = rmw_ctx(&dir).semantics;
+    let mut store = FlowKvStore::open(dir.path(), semantics, FlowKvConfig::small_for_tests());
+    let store = store.as_mut().unwrap();
+    count_forty_tuples(store);
+    // The front's default would have taken, under the read timer.
+    let m = store.metrics().snapshot();
+    assert_eq!((m.records_read, m.records_written), (40, 50));
+    assert!(m.write_nanos > 0 && m.read_nanos == 0, "{m:?}");
 }

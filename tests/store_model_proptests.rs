@@ -6,14 +6,23 @@
 //! pattern and a `HashMap<(key, window), value>` for aggregates. Ops are
 //! generated with small key/window alphabets so collisions, overwrites,
 //! re-reads of consumed state, and buffer spills all occur.
+//!
+//! `update_aggregate` is held to its contract twice: against the model
+//! on every backend, and — for the stores that implement it rather than
+//! inherit the default — against a twin store fed the two calls it
+//! stands for.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
+use flowkv::rmw::{RmwConfig, RmwStore};
 use flowkv_common::backend::{
-    AggregateKind, OperatorContext, OperatorSemantics, StateBackend, WindowKind,
+    AggregateKind, AggregateUpdate, OperatorContext, OperatorSemantics, StateBackend, WindowKind,
 };
+use flowkv_common::metrics::StoreMetrics;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::types::WindowId;
+use flowkv_common::vfs::{FaultVfs, StdVfs};
 use flowkv_spe::{BackendChoice, FactoryOptions};
 use proptest::prelude::*;
 
@@ -35,8 +44,20 @@ enum AppendOp {
 #[derive(Clone, Debug)]
 enum AggOp {
     Put { k: u8, w: u8, value: Vec<u8> },
+    // Read-modify-write through `fold`.
+    Update { k: u8, w: u8, value: Vec<u8> },
     Take { k: u8, w: u8 },
     Flush,
+}
+
+/// The update every `AggOp::Update` applies: an even first byte appends
+/// `value` to the aggregate, an odd one replaces the aggregate with it —
+/// so aggregates grow, shrink and keep their length.
+fn fold(aggregate: &mut Vec<u8>, value: &[u8]) {
+    if value[0] % 2 == 1 {
+        aggregate.clear();
+    }
+    aggregate.extend_from_slice(value);
 }
 
 fn window(w: u8) -> WindowId {
@@ -63,8 +84,10 @@ fn append_ops() -> impl Strategy<Value = Vec<AppendOp>> {
 fn agg_ops() -> impl Strategy<Value = Vec<AggOp>> {
     prop::collection::vec(
         prop_oneof![
-            6 => (0u8..6, 0u8..4, prop::collection::vec(any::<u8>(), 1..24))
+            3 => (0u8..6, 0u8..4, prop::collection::vec(any::<u8>(), 1..24))
                 .prop_map(|(k, w, value)| AggOp::Put { k, w, value }),
+            6 => (0u8..6, 0u8..4, prop::collection::vec(any::<u8>(), 1..24))
+                .prop_map(|(k, w, value)| AggOp::Update { k, w, value }),
             2 => (0u8..6, 0u8..4).prop_map(|(k, w)| AggOp::Take { k, w }),
             1 => Just(AggOp::Flush),
         ],
@@ -138,6 +161,32 @@ fn check_agg_model(choice: &BackendChoice, ops: &[AggOp]) -> Result<(), TestCase
                 store.put_aggregate(&key(*k), window(*w), value).unwrap();
                 model.insert((*k, *w), value.clone());
             }
+            AggOp::Update { k, w, value } => {
+                let expect = model.get(&(*k, *w)).cloned();
+                let mut lent = Vec::new();
+                let mut update = |aggregate: &mut Vec<u8>, held: bool| {
+                    lent.push(held.then(|| aggregate.clone()));
+                    if !held {
+                        assert!(
+                            aggregate.is_empty(),
+                            "a pair that holds nothing lends bytes"
+                        );
+                    }
+                    fold(aggregate, value);
+                };
+                store
+                    .update_aggregate(&key(*k), window(*w), &mut update)
+                    .unwrap();
+                prop_assert_eq!(
+                    &lent,
+                    &vec![expect],
+                    "backend {} lent the wrong aggregate to update({},{})",
+                    choice.name(),
+                    k,
+                    w
+                );
+                fold(model.entry((*k, *w)).or_default(), value);
+            }
             AggOp::Take { k, w } => {
                 let got = store.take_aggregate(&key(*k), window(*w)).unwrap();
                 let expect = model.remove(&(*k, *w));
@@ -168,6 +217,195 @@ fn check_agg_model(choice: &BackendChoice, ops: &[AggOp]) -> Result<(), TestCase
     Ok(())
 }
 
+/// The aggregate calls as a bare `RmwStore` and a boxed backend both
+/// spell them, so one driver runs twins of either.
+trait AggStore {
+    fn take(&mut self, key: &[u8], window: WindowId) -> Option<Vec<u8>>;
+    fn put(&mut self, key: &[u8], window: WindowId, aggregate: &[u8]);
+    fn update(&mut self, key: &[u8], window: WindowId, f: AggregateUpdate<'_>);
+    fn flush_buffers(&mut self);
+}
+
+impl AggStore for Box<dyn StateBackend> {
+    fn take(&mut self, key: &[u8], window: WindowId) -> Option<Vec<u8>> {
+        self.take_aggregate(key, window).unwrap()
+    }
+    fn put(&mut self, key: &[u8], window: WindowId, aggregate: &[u8]) {
+        self.put_aggregate(key, window, aggregate).unwrap()
+    }
+    fn update(&mut self, key: &[u8], window: WindowId, f: AggregateUpdate<'_>) {
+        self.update_aggregate(key, window, f).unwrap()
+    }
+    fn flush_buffers(&mut self) {
+        self.flush().unwrap()
+    }
+}
+
+/// Runs `ops` on twin stores — `one` through its one-call update, `two`
+/// through take → [`fold`] → put — checking that the update is lent
+/// what the take returns and that takes agree, and calling `compare`
+/// on the two after every step.
+fn drive_twins<S: AggStore>(
+    ops: &[AggOp],
+    one: &mut S,
+    two: &mut S,
+    mut compare: impl FnMut(&S, &S, String) -> Result<(), TestCaseError>,
+) -> Result<(), TestCaseError> {
+    for (step, op) in ops.iter().enumerate() {
+        match op {
+            AggOp::Update { k, w, value } => {
+                let (key, window) = (key(*k), window(*w));
+                let mut lent = None;
+                let mut update = |aggregate: &mut Vec<u8>, held: bool| {
+                    lent = Some(held.then(|| aggregate.clone()));
+                    fold(aggregate, value);
+                };
+                one.update(&key, window, &mut update);
+                let taken = two.take(&key, window);
+                prop_assert_eq!(lent, Some(taken.clone()), "step {}: {:?}", step, op);
+                let mut aggregate = taken.unwrap_or_default();
+                fold(&mut aggregate, value);
+                two.put(&key, window, &aggregate);
+            }
+            AggOp::Put { k, w, value } => {
+                one.put(&key(*k), window(*w), value);
+                two.put(&key(*k), window(*w), value);
+            }
+            AggOp::Take { k, w } => {
+                let got = one.take(&key(*k), window(*w));
+                prop_assert_eq!(got, two.take(&key(*k), window(*w)), "step {}", step);
+            }
+            AggOp::Flush => {
+                one.flush_buffers();
+                two.flush_buffers();
+            }
+        }
+        compare(one, two, format!("after step {step}: {op:?}"))?;
+    }
+    Ok(())
+}
+
+/// What an RMW store shows from outside besides its answers.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    memory_bytes: usize,
+    records: (u64, u64),
+    device: (u64, u64, u64, u64),
+    vfs_ops: u64,
+    log_files: Vec<(String, Vec<u8>)>,
+}
+
+/// An RMW store over a counting filesystem, with what [`Observed`] reads.
+struct WatchedRmw {
+    store: RmwStore,
+    dir: ScratchDir,
+    vfs: Arc<FaultVfs>,
+    metrics: Arc<StoreMetrics>,
+}
+
+impl WatchedRmw {
+    fn open(name: &str, write_buffer_bytes: usize) -> Self {
+        let dir = ScratchDir::new(name).unwrap();
+        let vfs = FaultVfs::counting(StdVfs::shared());
+        let cfg = RmwConfig {
+            write_buffer_bytes,
+            max_space_amplification: 1.5,
+        };
+        let metrics = StoreMetrics::new_shared();
+        let store = RmwStore::open_with_vfs(dir.path(), cfg, metrics.clone(), vfs.clone());
+        WatchedRmw {
+            store: store.unwrap(),
+            dir,
+            vfs,
+            metrics,
+        }
+    }
+
+    fn observe(&self) -> Observed {
+        let mut log_files: Vec<(String, Vec<u8>)> = std::fs::read_dir(self.dir.path())
+            .unwrap()
+            .map(|entry| entry.unwrap())
+            .map(|e| {
+                (
+                    e.file_name().into_string().unwrap(),
+                    std::fs::read(e.path()).unwrap(),
+                )
+            })
+            .collect();
+        log_files.sort();
+        let m = self.metrics.snapshot();
+        Observed {
+            memory_bytes: self.store.memory_bytes(),
+            records: (m.records_read, m.records_written),
+            device: (m.bytes_read, m.bytes_written, m.flushes, m.compactions),
+            vfs_ops: self.vfs.ops(),
+            log_files,
+        }
+    }
+}
+
+impl AggStore for WatchedRmw {
+    fn take(&mut self, key: &[u8], window: WindowId) -> Option<Vec<u8>> {
+        self.store.take(key, window).unwrap()
+    }
+    fn put(&mut self, key: &[u8], window: WindowId, aggregate: &[u8]) {
+        self.store.put(key, window, aggregate).unwrap()
+    }
+    fn update(&mut self, key: &[u8], window: WindowId, f: AggregateUpdate<'_>) {
+        self.store.update(key, window, f).unwrap()
+    }
+    fn flush_buffers(&mut self) {
+        self.store.flush().unwrap()
+    }
+}
+
+/// One RMW store driven by `update`, its twin by take → [`fold`] → put,
+/// behind write buffers of 1 KiB and less (the floor below which the log
+/// never compacts is one write buffer): after every step the two hold
+/// the same memory, counted the same records, issued the same number of
+/// device operations and left byte-identical files.
+fn check_rmw_update_twin(ops: &[AggOp], write_buffer_bytes: usize) -> Result<(), TestCaseError> {
+    let mut one = WatchedRmw::open("model-rmw-update", write_buffer_bytes);
+    let mut two = WatchedRmw::open("model-rmw-take-put", write_buffer_bytes);
+    drive_twins(ops, &mut one, &mut two, |one, two, at| {
+        prop_assert_eq!(one.observe(), two.observe(), "{}", at);
+        Ok(())
+    })
+}
+
+/// A baseline that implements `update_aggregate` against a twin of
+/// itself driven by the trait's default, take → [`fold`] → put: the same
+/// answers throughout and, where `same_memory` says the two paths hold
+/// the same bytes, the same `memory_bytes()` after every step. (The hash
+/// store's figure is its log's mutable region, which the two calls grow
+/// by a tombstone and a record where the update rewrites in place: the
+/// update may hold less, never more.)
+fn check_update_against_default(
+    choice: &BackendChoice,
+    ops: &[AggOp],
+    same_memory: bool,
+) -> Result<(), TestCaseError> {
+    let semantics =
+        OperatorSemantics::new(AggregateKind::Incremental, WindowKind::Fixed { size: 100 });
+    let mut one = make_store(choice, semantics);
+    let mut two = make_store(choice, semantics);
+    drive_twins(ops, &mut one, &mut two, |one, two, at| {
+        let (one, two) = (one.memory_bytes(), two.memory_bytes());
+        prop_assert!(
+            if same_memory { one == two } else { one <= two },
+            "backend {} holds {} bytes, its twin {}, {}",
+            choice.name(),
+            one,
+            two,
+            at
+        );
+        Ok(())
+    })?;
+    one.close().unwrap();
+    two.close().unwrap();
+    Ok(())
+}
+
 /// Cases per backend and pattern: 24 unless `PROPTEST_CASES` says
 /// otherwise (CI's crash-matrix job runs 256).
 fn cases() -> u32 {
@@ -194,6 +432,11 @@ proptest! {
     }
 
     #[test]
+    fn inmemory_aggregates_match_model(ops in agg_ops()) {
+        check_agg_model(&BackendChoice::all_small_for_tests()[0], &ops)?;
+    }
+
+    #[test]
     fn flowkv_aggregates_match_model(ops in agg_ops()) {
         check_agg_model(&BackendChoice::all_small_for_tests()[1], &ops)?;
     }
@@ -206,5 +449,23 @@ proptest! {
     #[test]
     fn hashkv_aggregates_match_model(ops in agg_ops()) {
         check_agg_model(&BackendChoice::all_small_for_tests()[3], &ops)?;
+    }
+
+    #[test]
+    fn rmw_update_is_take_then_put_down_to_the_log_bytes(
+        ops in agg_ops(),
+        write_buffer_bytes in prop_oneof![Just(160usize), Just(400), Just(1024)],
+    ) {
+        check_rmw_update_twin(&ops, write_buffer_bytes)?;
+    }
+
+    #[test]
+    fn inmemory_update_is_its_own_take_then_put(ops in agg_ops()) {
+        check_update_against_default(&BackendChoice::all_small_for_tests()[0], &ops, true)?;
+    }
+
+    #[test]
+    fn hashkv_update_is_its_own_take_then_put(ops in agg_ops()) {
+        check_update_against_default(&BackendChoice::all_small_for_tests()[3], &ops, false)?;
     }
 }

@@ -10,6 +10,11 @@
 //! simulated watermark the captured view is compared with a fresh
 //! `read_view`, and views pinned along the way must still read what
 //! they read when they were taken. Every assertion names its seed.
+//!
+//! An RMW script runs twice, its read-modify-writes as one
+//! `update_aggregate` each and as the take and the put that stands for:
+//! the two publish the same number of entries and the same `len` and
+//! `memory_bytes` at every watermark.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -55,6 +60,8 @@ impl Pattern {
 struct Rig {
     ctx: String,
     pattern: Pattern,
+    /// Whether a read-modify-write is one `update_aggregate`.
+    fused: bool,
     backend: Box<dyn StateBackend>,
     capture: ViewCapture,
     draining: HashSet<WindowId>,
@@ -64,6 +71,9 @@ struct Rig {
     watermarks: usize,
     /// Longest delta chain any watermark left behind.
     longest_chain: usize,
+    /// Per watermark: entries the advance materialised, then the view's
+    /// `len` and `memory_bytes`.
+    published: Vec<(usize, usize, usize)>,
 }
 
 fn key(rng: &mut StdRng) -> Vec<u8> {
@@ -82,7 +92,7 @@ fn bytes(rng: &mut StdRng) -> Vec<u8> {
 }
 
 impl Rig {
-    fn new(pattern: Pattern, tiered: bool, seed: u64, dir: &ScratchDir) -> Self {
+    fn new(pattern: Pattern, tiered: bool, fused: bool, seed: u64, dir: &ScratchDir) -> Self {
         let mut options = FactoryOptions::new();
         if tiered {
             // A zero-byte hot tier: every write is demoted at once.
@@ -91,7 +101,7 @@ impl Rig {
         let backend = BackendChoice::FlowKv(FlowKvConfig::small_for_tests())
             .build(options)
             .create(&OperatorContext {
-                operator: format!("capture-{pattern:?}-{tiered}-{seed}"),
+                operator: format!("capture-{pattern:?}-{tiered}-{fused}-{seed}"),
                 partition: 0,
                 semantics: pattern.semantics(),
                 data_dir: dir.path().to_path_buf(),
@@ -101,8 +111,9 @@ impl Rig {
             .unwrap();
         let (backend, capture) = ViewCapture::wrap(backend);
         Rig {
-            ctx: format!("{pattern:?} tiered={tiered} seed={seed}"),
+            ctx: format!("{pattern:?} tiered={tiered} fused={fused} seed={seed}"),
             pattern,
+            fused,
             backend,
             capture,
             draining: HashSet::new(),
@@ -110,6 +121,7 @@ impl Rig {
             pinned: Vec::new(),
             watermarks: 0,
             longest_chain: 0,
+            published: Vec::new(),
         }
     }
 
@@ -187,14 +199,19 @@ impl Rig {
             (Pattern::Rmw, 21..=35) => drop(self.backend.take_aggregate(&k, w).unwrap()),
             (Pattern::Rmw, 36..=45) => self.backend.put_aggregate(&k, w, &bytes(rng)).unwrap(),
             (Pattern::Rmw, _) => {
-                let mut acc = self
-                    .backend
-                    .take_aggregate(&k, w)
-                    .unwrap()
-                    .unwrap_or_default();
-                acc.truncate(12);
-                acc.extend(bytes(rng));
-                self.backend.put_aggregate(&k, w, &acc).unwrap();
+                let tail = bytes(rng);
+                let mut fold = |acc: &mut Vec<u8>, _held: bool| {
+                    acc.truncate(12);
+                    acc.extend_from_slice(&tail);
+                };
+                if self.fused {
+                    self.backend.update_aggregate(&k, w, &mut fold).unwrap();
+                } else {
+                    let taken = self.backend.take_aggregate(&k, w).unwrap();
+                    let mut acc = taken.unwrap_or_default();
+                    fold(&mut acc, true);
+                    self.backend.put_aggregate(&k, w, &acc).unwrap();
+                }
             }
         }
     }
@@ -204,11 +221,14 @@ impl Rig {
     fn watermark(&mut self) {
         self.watermarks += 1;
         let ctx = format!("{} watermark {}", self.ctx, self.watermarks);
-        self.capture
+        let materialised = self
+            .capture
             .advance(self.backend.as_mut())
             .unwrap()
             .expect("flowkv stores are queryable");
         let view = self.capture.view();
+        self.published
+            .push((materialised, view.len(), view.memory_bytes()));
         self.longest_chain = self.longest_chain.max(view.chain_len());
         let mut rebuilt = self
             .backend
@@ -233,7 +253,8 @@ impl Rig {
         }
     }
 
-    fn finish(mut self) {
+    /// Ends the script; returns what each watermark published.
+    fn finish(mut self) -> Vec<(usize, usize, usize)> {
         self.finish_drains();
         self.watermark();
         for (i, (held, then)) in self.pinned.iter().enumerate() {
@@ -241,26 +262,45 @@ impl Rig {
             assert_eq!(held.len(), then.len(), "{}: pinned view {i} len", self.ctx);
         }
         self.backend.close().unwrap();
+        self.published
     }
+}
+
+/// One seed's script, its read-modify-writes `fused` into one call or
+/// not; returns what each watermark published.
+fn run_script(
+    pattern: Pattern,
+    tiered: bool,
+    fused: bool,
+    seed: u64,
+) -> Vec<(usize, usize, usize)> {
+    let dir = ScratchDir::new(&format!("capture-eq-{pattern:?}-{tiered}-{fused}-{seed}")).unwrap();
+    let checkpoint =
+        ScratchDir::new(&format!("capture-ck-{pattern:?}-{tiered}-{fused}-{seed}")).unwrap();
+    let mut checkpointed = false;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rig = Rig::new(pattern, tiered, fused, seed, &dir);
+    // The first view is read from the store; like the two below it
+    // is taken between drains.
+    rig.watermark();
+    for _ in 0..800 {
+        rig.step(&mut rng, &checkpoint, &mut checkpointed);
+    }
+    assert!(rig.watermarks > 40, "{}: too few watermarks", rig.ctx);
+    assert!(rig.longest_chain >= 3, "{}: deltas never stacked", rig.ctx);
+    rig.finish()
 }
 
 fn run(pattern: Pattern, tiered: bool) {
     for seed in 0..10u64 {
-        let dir = ScratchDir::new(&format!("capture-eq-{pattern:?}-{tiered}-{seed}")).unwrap();
-        let checkpoint =
-            ScratchDir::new(&format!("capture-ck-{pattern:?}-{tiered}-{seed}")).unwrap();
-        let mut checkpointed = false;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut rig = Rig::new(pattern, tiered, seed, &dir);
-        // The first view is read from the store; like the two below it
-        // is taken between drains.
-        rig.watermark();
-        for _ in 0..800 {
-            rig.step(&mut rng, &checkpoint, &mut checkpointed);
+        let published = run_script(pattern, tiered, true, seed);
+        if matches!(pattern, Pattern::Rmw) {
+            assert_eq!(
+                published,
+                run_script(pattern, tiered, false, seed),
+                "{pattern:?} tiered={tiered} seed={seed}: one call against two"
+            );
         }
-        assert!(rig.watermarks > 40, "{}: too few watermarks", rig.ctx);
-        assert!(rig.longest_chain >= 3, "{}: deltas never stacked", rig.ctx);
-        rig.finish();
     }
 }
 
