@@ -300,6 +300,118 @@ fn bench_aur_hot_session(c: &mut Criterion) {
     }
 }
 
+/// AUR takes at the trigger, owned (`take_values`, a `Vec` per value)
+/// and borrowed (`take_values_with`, slices of the bytes the store
+/// holds): 200 sessions of 100 eight-byte values, `buffered` (never
+/// flushed) or `prefetched` (flushed, then loaded by a peek, so the take
+/// reads the resident copy and no file). Filling the store is left out
+/// of the timing.
+fn bench_aur_take(c: &mut Criterion) {
+    let mut group = c.benchmark_group("aur_take");
+    group.measurement_time(Duration::from_secs(5));
+    group.sample_size(10);
+    let semantics =
+        OperatorSemantics::new(AggregateKind::FullList, WindowKind::Session { gap: 1_000 });
+    let w = WindowId::new(0, 1_000);
+    let (keys, per_key) = (200u64, 100u64);
+    let choice = BackendChoice::FlowKv(flowkv_bench::flowkv_cfg());
+    for (borrowed, prefetched) in [(false, false), (true, false), (false, true), (true, true)] {
+        let form = if borrowed { "borrowed" } else { "owned" };
+        let held = if prefetched { "prefetched" } else { "buffered" };
+        group.bench_function(BenchmarkId::new(form, held), |b| {
+            b.iter_batched(
+                || {
+                    let (mut store, dir) = make(&choice, semantics, FactoryOptions::new());
+                    for i in 0..keys * per_key {
+                        let key = (i % keys).to_le_bytes();
+                        store.append(&key, w, &i.to_le_bytes(), i as i64).unwrap();
+                    }
+                    if prefetched {
+                        store.flush().unwrap();
+                        for k in 0..keys {
+                            let values = store.peek_values(&k.to_le_bytes(), w).unwrap();
+                            assert_eq!(values.len() as u64, per_key);
+                        }
+                    }
+                    (store, dir)
+                },
+                |(mut store, _dir)| {
+                    let mut bytes = 0usize;
+                    for k in 0..keys {
+                        let key = k.to_le_bytes();
+                        if borrowed {
+                            let mut sum = |value: &[u8]| bytes += value.len();
+                            store.take_values_with(&key, w, &mut sum).unwrap();
+                        } else {
+                            let values = store.take_values(&key, w).unwrap();
+                            bytes += values.iter().map(Vec::len).sum::<usize>();
+                        }
+                    }
+                    assert_eq!(bytes as u64, keys * per_key * 8);
+                    store.close().unwrap();
+                },
+                criterion::BatchSize::PerIteration,
+            );
+        });
+    }
+    group.finish();
+}
+
+/// What the window operator itself spends on a session tuple, over the
+/// in-memory store so that no store work hides it: 2 000 keys extend
+/// one session each, 100 000 tuples in timestamp order with a watermark
+/// every 256 that trails a session gap behind (it pops due timers and
+/// expires nothing), then the last watermark fires every session into
+/// the median.
+fn bench_session_extend(c: &mut Criterion) {
+    use flowkv_common::types::{Tuple, MAX_TIMESTAMP};
+    use flowkv_spe::functions::MedianProcess;
+    use flowkv_spe::job::WindowSpec;
+    use flowkv_spe::memstore::InMemoryBackend;
+    use flowkv_spe::operator::WindowOperator;
+    use flowkv_spe::{AggregateSpec, WindowAssigner};
+
+    let mut group = c.benchmark_group("session_extend");
+    group.measurement_time(Duration::from_secs(5));
+    group.sample_size(10);
+    let (keys, per_key) = (2_000u64, 50u64);
+    // A key's tuples are `keys` ms apart: well inside the gap.
+    let gap = 4 * keys as i64;
+    let tuples: Vec<Tuple> = (0..keys * per_key)
+        .map(|i| {
+            let key = format!("bidder-{:06}", i % keys).into_bytes();
+            Tuple::new(key, i.to_le_bytes().to_vec(), i as i64)
+        })
+        .collect();
+    group.bench_function(BenchmarkId::from_parameter("in_memory"), |b| {
+        b.iter_batched(
+            || {
+                let spec = WindowSpec {
+                    name: "sessions".into(),
+                    assigner: WindowAssigner::Session { gap },
+                    aggregate: AggregateSpec::FullList(std::sync::Arc::new(MedianProcess)),
+                };
+                WindowOperator::new(spec, Box::new(InMemoryBackend::new(usize::MAX, 1_024)))
+            },
+            |mut operator| {
+                let mut out = Vec::new();
+                for (i, tuple) in tuples.iter().enumerate() {
+                    operator.on_element(tuple, &mut out).unwrap();
+                    if i % 256 == 255 {
+                        let watermark = tuple.timestamp - gap;
+                        operator.on_watermark(watermark, &mut out).unwrap();
+                    }
+                }
+                assert!(out.is_empty());
+                operator.on_watermark(MAX_TIMESTAMP, &mut out).unwrap();
+                assert_eq!(out.len() as u64, keys);
+            },
+            criterion::BatchSize::PerIteration,
+        );
+    });
+    group.finish();
+}
+
 /// RMW: read-modify-write cycles over a working set of keys, each
 /// backend twice — `take_put`, the two calls of the paper's Listing 1,
 /// and `update`, the one call that folds in place (which the LSM answers
@@ -581,6 +693,8 @@ criterion_group!(
     bench_aur,
     bench_aur_cold,
     bench_aur_hot_session,
+    bench_aur_take,
+    bench_session_extend,
     bench_rmw,
     bench_tier_rmw,
     bench_tier_aar_append,

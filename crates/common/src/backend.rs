@@ -118,6 +118,10 @@ pub type WindowChunk = Vec<(Vec<u8>, Vec<Vec<u8>>)>;
 /// [`StateBackend::drain_window_chunk`].
 pub type PairSink<'a> = &'a mut dyn FnMut(&[u8], &[u8]);
 
+/// Where a borrowed take puts the values it lends — see
+/// [`StateBackend::take_values_with`].
+pub type ValueSink<'a> = &'a mut dyn FnMut(&[u8]);
+
 /// What a read-modify-write does to the aggregate it is lent — see
 /// [`StateBackend::update_aggregate`]. The flag says whether the pair
 /// held an aggregate; when it did not, the buffer arrives empty.
@@ -196,7 +200,7 @@ pub type KeyFilter<'a> = &'a dyn Fn(&[u8]) -> bool;
 /// |---|---|
 /// | AAR `GetWindow(W)` | [`StateBackend::drain_window_chunk`] (borrowed), [`StateBackend::get_window_chunk`] (owned) |
 /// | AAR `Append(K, V, W)` | [`StateBackend::append`] (timestamp ignored) |
-/// | AUR `Get(K, W)` | [`StateBackend::take_values`] |
+/// | AUR `Get(K, W)` | [`StateBackend::take_values_with`] (borrowed), [`StateBackend::take_values`] (owned) |
 /// | AUR `Append(K, V, W, T)` | [`StateBackend::append`] |
 /// | RMW `Get(K, W)` | [`StateBackend::take_aggregate`] |
 /// | RMW `Put(K, W, A)` | [`StateBackend::put_aggregate`] |
@@ -258,6 +262,31 @@ pub trait StateBackend: Send {
 
     /// Fetches and removes the appended values of `(key, window)`.
     fn take_values(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>>;
+
+    /// [`StateBackend::take_values`] without the copy: the store lends
+    /// `sink` each value of `(key, window)` out of its own buffer, in
+    /// append order, and returns how many it lent.
+    ///
+    /// A value is valid only inside the call of `sink` that receives it:
+    /// a consumer copies what it keeps. The call is observably
+    /// [`StateBackend::take_values`] — the same state afterwards, the
+    /// same [`StoreMetrics`] record counts, the same device operations in
+    /// the same order — and a call that fails may have lent some values
+    /// first. The default lends the values of an owned take, for stores
+    /// that build one anyway; a store whose lists are contiguous bytes
+    /// implements this method and answers the owned one by collecting
+    /// over it. An adaptor around another backend forwards it, or the
+    /// store behind it falls back to the `Vec` per value.
+    fn take_values_with(
+        &mut self,
+        key: &[u8],
+        window: WindowId,
+        sink: ValueSink<'_>,
+    ) -> Result<usize> {
+        let values = self.take_values(key, window)?;
+        values.iter().for_each(|value| sink(value));
+        Ok(values.len())
+    }
 
     /// Reads the appended values of `(key, window)` *without* removing
     /// them.

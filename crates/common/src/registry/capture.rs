@@ -6,13 +6,14 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::backend::{
-    AggregateKind, AggregateUpdate, KeyFilter, PairSink, StateBackend, StateEntry, WindowChunk,
+    AggregateKind, AggregateUpdate, KeyFilter, PairSink, StateBackend, StateEntry, ValueSink,
+    WindowChunk,
 };
 use crate::error::Result;
 use crate::metrics::StoreMetrics;
 use crate::types::{Timestamp, WindowId};
 
-use super::view::{list_size, StateView, ViewDelta};
+use super::view::{list_size, value_size, StateView, ViewDelta};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -110,6 +111,21 @@ impl StateBackend for CaptureBackend {
         let taken = (!values.is_empty()).then(|| list_size(&values));
         self.record(|r| r.delta.remove(key, window, taken));
         Ok(values)
+    }
+
+    fn take_values_with(
+        &mut self,
+        key: &[u8],
+        window: WindowId,
+        sink: ValueSink<'_>,
+    ) -> Result<usize> {
+        let mut size = 0;
+        let lent = self.inner.take_values_with(key, window, &mut |value| {
+            size += value_size(value);
+            sink(value);
+        })?;
+        self.record(|r| r.delta.remove(key, window, (lent > 0).then_some(size)));
+        Ok(lent)
     }
 
     fn peek_values(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {

@@ -44,9 +44,14 @@ impl ViewValue {
     }
 }
 
+/// What one value of a list adds to [`ViewValue::memory_size`].
+pub(super) fn value_size(value: &[u8]) -> usize {
+    value.len() + 24
+}
+
 /// [`ViewValue::memory_size`] of a value list.
 pub(super) fn list_size(values: &[Vec<u8>]) -> usize {
-    values.iter().map(|v| v.len() + 24).sum()
+    values.iter().map(|v| value_size(v)).sum()
 }
 
 /// What one layer says about one `(key, window)` pair.

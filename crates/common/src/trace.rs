@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::backend::{
-    AggregateKind, AggregateUpdate, KeyFilter, PairSink, StateBackend, WindowChunk,
+    AggregateKind, AggregateUpdate, KeyFilter, PairSink, StateBackend, ValueSink, WindowChunk,
 };
 use crate::error::Result;
 use crate::telemetry::{json_escape, parse_json, Json, Telemetry};
@@ -632,6 +632,15 @@ impl StateBackend for TracedBackend {
         coalesced_op!(1, self.inner.take_values(key, window))
     }
 
+    fn take_values_with(
+        &mut self,
+        key: &[u8],
+        window: WindowId,
+        sink: ValueSink<'_>,
+    ) -> Result<usize> {
+        coalesced_op!(1, self.inner.take_values_with(key, window, sink))
+    }
+
     fn peek_values(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {
         coalesced_op!(2, self.inner.peek_values(key, window))
     }
@@ -1221,14 +1230,25 @@ pub fn attribution(events: &[ChromeEvent]) -> Attribution {
         }
         let total = acc.done - acc.born;
         let nested_dur = *nested.get(id).unwrap_or(&0);
-        let queue = acc.stage[0];
-        let exchange = acc.stage[1];
-        let compute = acc.stage[2].saturating_sub(nested_dur);
-        let stall = acc.stage[4];
-        let store = acc.stage[3].saturating_sub(stall);
-        let barrier = acc.stage[5];
-        let claimed = queue + exchange + compute + store + stall + barrier;
-        let other = total.saturating_sub(claimed);
+        // A stage claims no more of the trace's lifetime than is left of
+        // it, so the rows decompose the total whatever the spans say: a
+        // fire's `on_watermark` span encloses its sends and ends after
+        // the sink has completed the trace, and when an idle worker
+        // picks the watermark up at once nothing else is there to absorb
+        // the overrun. The enclosing compute span claims last.
+        let mut left = total;
+        let mut claim = |nanos: u64| {
+            let claimed = nanos.min(left);
+            left -= claimed;
+            claimed
+        };
+        let queue = claim(acc.stage[0]);
+        let exchange = claim(acc.stage[1]);
+        let stall = claim(acc.stage[4]);
+        let store = claim(acc.stage[3].saturating_sub(acc.stage[4]));
+        let barrier = claim(acc.stage[5]);
+        let compute = claim(acc.stage[2].saturating_sub(nested_dur));
+        let other = left;
         for (slot, value) in per_stage
             .iter_mut()
             .zip([queue, exchange, compute, store, stall, barrier, other])
@@ -1498,6 +1518,27 @@ mod tests {
         let table = render_attribution(&a);
         assert!(table.contains("prefetch_stall"));
         assert!(table.contains("total"));
+    }
+
+    #[test]
+    fn attribution_rows_sum_to_the_total_when_a_span_outlives_its_trace() {
+        // A fire picked up the instant its watermark left the source:
+        // the span holds the send inside it and ends 300 ns after the
+        // sink completed the trace, 600 ns after it was born.
+        let json = r#"{"traceEvents":[
+            {"ph":"B","name":"on_watermark","cat":"compute","pid":0,"tid":1,"ts":1.0,"args":{"span":10,"trace":7}},
+            {"ph":"B","name":"exchange_send","cat":"exchange","pid":0,"tid":1,"ts":1.4,"args":{"span":11,"parent":10,"trace":7}},
+            {"ph":"i","s":"t","name":"queue_wait","cat":"queue","pid":0,"tid":2,"ts":1.5,"args":{"trace":7,"wait":50}},
+            {"ph":"i","s":"t","name":"batch_done","cat":"sink","pid":0,"tid":2,"ts":1.6,"args":{"trace":7,"total":600}},
+            {"ph":"E","name":"exchange_send","cat":"exchange","pid":0,"tid":1,"ts":1.8,"args":{"span":11,"trace":7}},
+            {"ph":"E","name":"on_watermark","cat":"compute","pid":0,"tid":1,"ts":1.9,"args":{"span":10,"trace":7}}
+        ]}"#;
+        let a = attribution(&parse_chrome_trace(json).unwrap());
+        assert_eq!((a.traces, a.total.total_nanos), (1, 600));
+        let rows: Vec<u64> = a.rows.iter().map(|r| r.total_nanos).collect();
+        // Queue 50 and exchange 400 claim first; compute, the enclosing
+        // span, gets what is left of the 600.
+        assert_eq!(rows, [50, 400, 150, 0, 0, 0, 0]);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! key, window metadata, the maximum tuple timestamp (for rebuilding
 //! trigger-time estimates after recovery), and the data record's location.
 
+use flowkv_common::backend::ValueSink;
 use flowkv_common::codec::{put_len_prefixed, put_u64, put_varint_i64, put_varint_u64, Decoder};
 use flowkv_common::error::Result;
 use flowkv_common::types::{Timestamp, WindowId};
@@ -126,16 +127,22 @@ impl ValueRun {
         buf.extend_from_slice(&self.bytes);
     }
 
+    /// Lends `sink` the run's values, in push order.
+    pub fn lend(&self, sink: ValueSink<'_>) -> Result<()> {
+        lend_run(&mut Decoder::new(&self.bytes), self.count, sink)
+    }
+
     /// Appends the run's values to `out`, in push order.
     pub fn decode_into(&self, out: &mut Vec<Vec<u8>>) -> Result<()> {
-        decode_run(&mut Decoder::new(&self.bytes), self.count, out)
+        out.reserve((self.count as usize).min(4096));
+        self.lend(&mut |value| out.push(value.to_vec()))
     }
 }
 
-fn decode_run(dec: &mut Decoder<'_>, count: u64, out: &mut Vec<Vec<u8>>) -> Result<()> {
-    out.reserve((count as usize).min(4096));
+/// The one decode loop of a run of length-prefixed values.
+fn lend_run(dec: &mut Decoder<'_>, count: u64, sink: ValueSink<'_>) -> Result<()> {
     for _ in 0..count {
-        out.push(dec.get_len_prefixed()?.to_vec());
+        sink(dec.get_len_prefixed()?);
     }
     Ok(())
 }
@@ -144,8 +151,8 @@ fn decode_run(dec: &mut Decoder<'_>, count: u64, out: &mut Vec<Vec<u8>>) -> Resu
 pub fn decode_values(payload: &[u8]) -> Result<Vec<Vec<u8>>> {
     let mut dec = Decoder::new(payload);
     let count = dec.get_varint_u64()?;
-    let mut out = Vec::new();
-    decode_run(&mut dec, count, &mut out)?;
+    let mut out = Vec::with_capacity((count as usize).min(4096));
+    lend_run(&mut dec, count, &mut |value| out.push(value.to_vec()))?;
     Ok(out)
 }
 

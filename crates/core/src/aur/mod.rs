@@ -39,6 +39,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
+use flowkv_common::backend::ValueSink;
 use flowkv_common::codec::Decoder;
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::{IoRing, Lane, PrefetchProbe};
@@ -357,13 +358,28 @@ impl AurStore {
     }
 
     /// Fetches and removes the values of `(key, window)` (paper Listing 1,
-    /// `Get(K, W)`).
+    /// `Get(K, W)`): [`AurStore::take_with`], collected.
     pub fn take(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {
+        let mut out = Vec::new();
+        self.take_with(key, window, &mut |value| out.push(value.to_vec()))?;
+        Ok(out)
+    }
+
+    /// The store's one take: removes `(key, window)` and lends `sink` its
+    /// values — the prefetched copy's disk records, then the buffered
+    /// run — out of the bytes they are held in, which are freed on
+    /// return. Returns how many it lent.
+    pub fn take_with(
+        &mut self,
+        key: &[u8],
+        window: WindowId,
+        sink: ValueSink<'_>,
+    ) -> Result<usize> {
         // Land any finished background reads first: a completion parked
         // in the ring's done queue since the last tick can serve this
         // very trigger.
         self.drain_lane();
-        let mut out = Vec::new();
+        let mut lent = 0;
         {
             let _t = self.metrics.timer(OpCategory::Read);
             let from_prefetch = self.load_disk_state(key, window, true)?;
@@ -381,10 +397,13 @@ impl AurStore {
                     probe.observe(window, obs, from_prefetch);
                 }
                 self.data.retire(lw.disk_bytes);
-                out = lw.values()?;
+                lw.lend(&mut |value| {
+                    lent += 1;
+                    sink(value);
+                })?;
             }
         }
-        self.metrics.add_records_read(out.len() as u64);
+        self.metrics.add_records_read(lent as u64);
         // Compaction (paper §4.2, "Integrated Compaction") doubles as the
         // index-log trimmer: batch reads scan the live region of the
         // index log, so reclaiming dead entries promptly keeps those
@@ -394,7 +413,7 @@ impl AurStore {
         if self.data.amplified(self.cfg.max_space_amplification, floor) {
             self.compact()?;
         }
-        Ok(out)
+        Ok(lent)
     }
 
     /// Reads the values of `(key, window)` without consuming them.

@@ -8,6 +8,7 @@
 //! index log — an entry is what must fit in memory even when windows
 //! number in the millions.
 
+use flowkv_common::backend::ValueSink;
 use flowkv_common::error::Result;
 use flowkv_common::logfile::RecordLocation;
 use flowkv_common::types::{Timestamp, WindowId};
@@ -54,13 +55,19 @@ impl LiveWindow {
         }
     }
 
-    /// The values a read serves: the disk copy, then the buffer.
+    /// Lends `sink` the values a read serves: the disk copy's records,
+    /// then the buffer's.
+    pub fn lend(&self, sink: ValueSink<'_>) -> Result<()> {
+        if let Some(copy) = &self.prefetched {
+            copy.lend(sink)?;
+        }
+        self.buffered.lend(sink)
+    }
+
+    /// [`LiveWindow::lend`], collected.
     pub fn values(&self) -> Result<Vec<Vec<u8>>> {
         let mut out = Vec::new();
-        if let Some(copy) = &self.prefetched {
-            copy.decode_into(&mut out)?;
-        }
-        self.buffered.decode_into(&mut out)?;
+        self.lend(&mut |value| out.push(value.to_vec()))?;
         Ok(out)
     }
 

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use flowkv_common::backend::{
     collect_chunk, AggregateKind, AggregateUpdate, KeyFilter, OperatorContext, OperatorSemantics,
-    PairSink, StateBackend, StateBackendFactory, StateEntry, WindowChunk,
+    PairSink, StateBackend, StateBackendFactory, StateEntry, ValueSink, WindowChunk,
 };
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::{IoPolicy, IoRing};
@@ -262,6 +262,18 @@ impl StateBackend for FlowKvStore {
     fn take_values(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {
         match &mut self.inner {
             Inner::Aur(p) => p.for_key(key).take(key, window),
+            _ => Err(self.wrong_pattern("Get(K, W) → List<V>")),
+        }
+    }
+
+    fn take_values_with(
+        &mut self,
+        key: &[u8],
+        window: WindowId,
+        sink: ValueSink<'_>,
+    ) -> Result<usize> {
+        match &mut self.inner {
+            Inner::Aur(p) => p.for_key(key).take_with(key, window, sink),
             _ => Err(self.wrong_pattern("Get(K, W) → List<V>")),
         }
     }

@@ -896,6 +896,8 @@ impl StateBackend for TieredStore {
         Ok(true)
     }
 
+    // `take_values_with` keeps the trait's default, which lends the list
+    // this take returns: promoting and untracking happen here, once.
     fn take_values(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {
         self.promote_window(window)?;
         self.untrack_key(key, window);

@@ -2,8 +2,11 @@
 //! timed: the same key set with four times the pairs per key must not
 //! allocate anywhere near four times as often — the drain and the tier's
 //! demotion allocate per file, per block and per doubling of a buffer,
-//! never per pair. And of the in-place RMW update: a fold into a
-//! buffered aggregate allocates nothing, captured for serving or not.
+//! never per pair. Of the in-place RMW update: a fold into a buffered
+//! aggregate allocates nothing, captured for serving or not. And of the
+//! borrowed AUR take: the store lends a list of any length without
+//! allocating and the operator's session trigger allocates per fire,
+//! where the owned take allocates per value.
 //!
 //! The counter is per thread (the stores under test run no thread of
 //! their own), so the tests of this binary do not see each other.
@@ -76,6 +79,21 @@ fn open_for(
     aggregate: AggregateKind,
     hot_bytes: Option<usize>,
 ) -> Box<dyn StateBackend> {
+    let window = WindowKind::Fixed { size: 1_000 };
+    open_with(
+        dir,
+        name,
+        OperatorSemantics::new(aggregate, window),
+        hot_bytes,
+    )
+}
+
+fn open_with(
+    dir: &ScratchDir,
+    name: &str,
+    semantics: OperatorSemantics,
+    hot_bytes: Option<usize>,
+) -> Box<dyn StateBackend> {
     let cfg = FlowKvConfig {
         write_buffer_bytes: 1 << 20,
         chunk_entries: 64,
@@ -84,7 +102,7 @@ fn open_for(
     let ctx = OperatorContext {
         operator: name.to_string(),
         partition: 0,
-        semantics: OperatorSemantics::new(aggregate, WindowKind::Fixed { size: 1_000 }),
+        semantics,
         data_dir: dir.path().to_path_buf(),
         telemetry: None,
         io: None,
@@ -234,4 +252,127 @@ fn a_captured_update_allocates_for_a_pairs_first_change_of_an_epoch_only() {
     }
     assert_eq!(capture.view().len(), KEYS as usize);
     store.close().unwrap();
+}
+
+const SESSION_GAP: i64 = 1_000;
+
+/// An AUR store: full lists under session windows.
+fn open_aur(dir: &ScratchDir, name: &str) -> Box<dyn StateBackend> {
+    let semantics = OperatorSemantics::new(
+        AggregateKind::FullList,
+        WindowKind::Session { gap: SESSION_GAP },
+    );
+    open_with(dir, name, semantics, None)
+}
+
+/// Where the values of a window about to be taken sit.
+#[derive(Clone, Copy, Debug)]
+enum Held {
+    /// In the write buffer.
+    Buffered,
+    /// On disk, with a prefetched copy resident.
+    Prefetched,
+    /// Half in the copy, half appended after it.
+    Both,
+}
+
+/// Gives `key` `values` eight-byte values in [`WINDOW`], held as `held`.
+fn hold(store: &mut dyn StateBackend, key: &[u8], values: u64, held: Held) {
+    let append = |store: &mut dyn StateBackend, range: std::ops::Range<u64>| {
+        for i in range {
+            store.append(key, WINDOW, &i.to_le_bytes(), 0).unwrap();
+        }
+    };
+    let on_disk = match held {
+        Held::Buffered => 0,
+        Held::Prefetched => values,
+        Held::Both => values / 2,
+    };
+    if on_disk > 0 {
+        append(store, 0..on_disk);
+        store.flush().unwrap();
+        // A read that consumes nothing leaves the copy it loaded.
+        assert_eq!(
+            store.peek_values(key, WINDOW).unwrap().len() as u64,
+            on_disk
+        );
+    }
+    append(store, on_disk..values);
+}
+
+#[test]
+fn a_borrowed_aur_take_allocates_nothing_where_the_owned_take_allocates_per_value() {
+    let dir = ScratchDir::new("alloc-aur-take").unwrap();
+    // `FlowKvStore` behind the trait: a front that fell back to the
+    // default would take the owned list.
+    let mut store = open_aur(&dir, "take");
+    for held in [Held::Buffered, Held::Prefetched, Held::Both] {
+        let mut borrowed = |key: &[u8], values: u64| {
+            hold(store.as_mut(), key, values, held);
+            let mut sum = 0;
+            let mut add = |value: &[u8]| sum += u64::from_le_bytes(value.try_into().unwrap());
+            let (allocations, lent) =
+                allocations_of(|| store.take_values_with(key, WINDOW, &mut add).unwrap());
+            assert_eq!((lent as u64, sum), (values, values * (values - 1) / 2));
+            allocations
+        };
+        let (few, many) = (borrowed(b"few", 16), borrowed(b"many", 1_024));
+        assert_eq!(
+            (few, many),
+            (0, 0),
+            "{held:?}: allocations for 16 and for 1 024"
+        );
+        hold(store.as_mut(), b"owned", 1_024, held);
+        let (owned, values) = allocations_of(|| store.take_values(b"owned", WINDOW).unwrap());
+        assert!(values.len() == 1_024 && owned >= 1_024, "{held:?}: {owned}");
+    }
+    assert_eq!(store.metrics().snapshot().compactions, 0);
+    store.close().unwrap();
+}
+
+#[test]
+fn a_session_trigger_allocates_per_fire_not_per_value() {
+    use flowkv_common::types::Tuple;
+    use flowkv_spe::functions::MedianProcess;
+    use flowkv_spe::job::WindowSpec;
+    use flowkv_spe::operator::WindowOperator;
+    use flowkv_spe::{AggregateSpec, WindowAssigner};
+
+    // Few enough that 1 024 values each stay in the 1 MiB write buffer.
+    const SESSIONS: u64 = 8;
+    let dir = ScratchDir::new("alloc-session-fire").unwrap();
+    let counted = |per_session: u64| {
+        let spec = WindowSpec {
+            name: "sessions".into(),
+            assigner: WindowAssigner::Session { gap: SESSION_GAP },
+            aggregate: AggregateSpec::FullList(std::sync::Arc::new(MedianProcess)),
+        };
+        let store = open_aur(&dir, &format!("fire-{per_session}"));
+        let mut operator = WindowOperator::new(spec, store);
+        let mut out = Vec::new();
+        for i in 0..per_session {
+            for k in 0..SESSIONS {
+                let key = format!("key-{k:02}").into_bytes();
+                let tuple = Tuple::new(key, i.to_le_bytes().to_vec(), i as i64);
+                operator.on_element(&tuple, &mut out).unwrap();
+            }
+        }
+        let end = per_session as i64 - 1 + SESSION_GAP;
+        operator.on_watermark(end - 1, &mut out).unwrap();
+        assert!(out.is_empty());
+        let (allocations, ()) = allocations_of(|| operator.on_watermark(end, &mut out).unwrap());
+        assert_eq!(out.len() as u64, SESSIONS);
+        assert_eq!(operator.backend_mut().metrics().snapshot().flushes, 0);
+        operator.backend_mut().close().unwrap();
+        allocations
+    };
+    let (few, many) = (counted(16), counted(1_024));
+    // Per fire: the key, the slice list, the decoded numbers, the result
+    // and its tuple; per watermark, the expired list, the output and the
+    // doublings of the arena the first fire fills.
+    assert!(few <= 12 * SESSIONS, "{few}");
+    assert!(
+        many <= few + 32,
+        "{few} for 16 values a session, {many} for 1 024"
+    );
 }

@@ -147,6 +147,18 @@ fn check_on(ops: &[Op], cfg: AurConfig, ring: Option<Arc<IoRing>>) -> Result<(),
     let key = |k: u8| format!("key{k}").into_bytes();
     let mut model: HashMap<(u8, u8), Vec<Vec<u8>>> = HashMap::new();
     let empty = store.memory_bytes();
+    // Takes alternate between the owned form and the borrowed one.
+    let mut borrowed = false;
+    let mut take = |store: &mut AurStore, k: u8, w: u8| {
+        borrowed = !borrowed;
+        if !borrowed {
+            return store.take(&key(k), window(w)).unwrap();
+        }
+        let mut got = Vec::new();
+        let lent = store.take_with(&key(k), window(w), &mut |v| got.push(v.to_vec()));
+        assert_eq!(lent.unwrap(), got.len());
+        got
+    };
     for op in ops {
         match *op {
             Op::Append { k, w, len, ts } => {
@@ -155,7 +167,7 @@ fn check_on(ops: &[Op], cfg: AurConfig, ring: Option<Arc<IoRing>>) -> Result<(),
                 model.entry((k, w)).or_default().push(v);
             }
             Op::Take { k, w } => {
-                let got = store.take(&key(k), window(w)).unwrap();
+                let got = take(&mut store, k, w);
                 let expect = model.remove(&(k, w)).unwrap_or_default();
                 prop_assert_eq!(got, expect, "take({}, {})", k, w);
             }
@@ -201,7 +213,7 @@ fn check_on(ops: &[Op], cfg: AurConfig, ring: Option<Arc<IoRing>>) -> Result<(),
     let mut remaining: Remaining = model.into_iter().collect();
     remaining.sort_by_key(|(kw, _)| *kw);
     for ((k, w), expect) in remaining {
-        let got = store.take(&key(k), window(w)).unwrap();
+        let got = take(&mut store, k, w);
         prop_assert_eq!(got, expect, "final take({}, {})", k, w);
     }
     // Every copy left the accounting with its window.

@@ -193,13 +193,17 @@ impl ProcessWindowFunction for MedianProcess {
             return Vec::new();
         }
         let mut nums: Vec<u64> = values.iter().map(|v| decode_u64(v)).collect();
-        nums.sort_unstable();
+        // A selection, not a sort: the upper central value lands at
+        // `mid` with nothing larger before it.
         let mid = nums.len() / 2;
-        let median = if nums.len() % 2 == 1 {
-            nums[mid]
+        let (below, &mut upper, _) = nums.select_nth_unstable(mid);
+        let median = if values.len() % 2 == 1 {
+            upper
         } else {
-            // Midpoint of the two central values, as in NEXMark's median.
-            nums[mid - 1].midpoint(nums[mid])
+            // Midpoint of the two central values, as in NEXMark's median:
+            // the lower one is the largest of the half below.
+            let lower = *below.iter().max().expect("an even count is at least two");
+            lower.midpoint(upper)
         };
         vec![median.to_le_bytes().to_vec()]
     }
@@ -269,6 +273,30 @@ mod tests {
             vec![le(6)]
         );
         assert!(m.process(b"k", w, &[]).is_empty());
+    }
+
+    proptest::proptest! {
+        /// The selection against the sort it replaced: runs of equal
+        /// values, the extremes, one value and two.
+        #[test]
+        fn the_median_by_selection_is_the_median_by_sorting(
+            values in proptest::collection::vec(
+                proptest::prop_oneof![0u64..4, proptest::prelude::any::<u64>()],
+                1..200,
+            ),
+        ) {
+            let encoded: Vec<Vec<u8>> = values.iter().copied().map(le).collect();
+            let slices: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
+            let mut sorted = values.clone();
+            sorted.sort_unstable();
+            let mid = sorted.len() / 2;
+            let expect = match sorted.len() % 2 {
+                1 => sorted[mid],
+                _ => sorted[mid - 1].midpoint(sorted[mid]),
+            };
+            let got = MedianProcess.process(b"k", WindowId::new(0, 10), &slices);
+            proptest::prop_assert_eq!(got, vec![le(expect)]);
+        }
     }
 
     #[test]

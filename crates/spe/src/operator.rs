@@ -8,19 +8,32 @@
 //! | pattern | on element | on trigger |
 //! |---|---|---|
 //! | append + aligned | `append` | drain `drain_window_chunk` into the trigger arena |
-//! | append + unaligned | `append` | `take_values` per session initial |
+//! | append + unaligned | `append` | `take_values_with` per session initial, into the trigger arena |
 //! | read-modify-write | `update_aggregate` | `take_aggregate` |
 //!
 //! Session windows merge engine-side: the operator tracks each key's open
 //! sessions and the *initial window boundaries* under which their tuples
 //! were stored — FlowKV's AUR store keys state by those initial
 //! boundaries because session extents move (paper §4.2).
+//!
+//! A session is one per-key window whose boundary moves, so it needs one
+//! trigger, not one per boundary it ever had. The timer invariant: every
+//! open session of key `K` has at least one `(t, K)` in `session_timers`
+//! with `t ≤ cover.end`. Opening or bridging a session arms one timer at
+//! its end; extending it arms nothing (`cover.end` only grows); a pop of
+//! `(t, K)` that leaves `K` with open sessions re-arms `K` once, at the
+//! earliest of their ends. A watermark therefore pops the key of every
+//! session it expires, and fires what it expired key by key, a key's
+//! sessions by their end — a function of the sessions, not of which
+//! timers exist, and the order every other per-key trigger of this
+//! operator fires in.
 
 use std::collections::{BTreeSet, HashMap};
 
 use flowkv_common::backend::StateBackend;
 use flowkv_common::dict::{group_stable, ByteDict};
 use flowkv_common::error::Result;
+use flowkv_common::hash::KeyHash;
 use flowkv_common::types::{Timestamp, Tuple, WindowId, MAX_TIMESTAMP};
 
 use crate::job::{AggregateSpec, WindowSpec};
@@ -63,18 +76,13 @@ fn store_tuple(
     }
 }
 
-/// The value list a store returned, as the slices a window function
-/// takes.
-fn as_slices(values: &[Vec<u8>]) -> Vec<&[u8]> {
-    values.iter().map(Vec::as_slice).collect()
-}
-
-/// The pairs of one triggered aligned window, as the store lent them:
-/// every value's bytes back to back, every distinct key once, a key
-/// number per value (so a window's values stay under 4 GiB). Grouping is
-/// a counting pass over those numbers — no `Vec` per pair or per key —
-/// and keys fire in the order the drain first showed them, a function of
-/// the input.
+/// What a trigger's store reads lent, copied once: every value's bytes
+/// back to back and, for the pairs of an aligned window, every distinct
+/// key once with a key number per value (so a window's values stay under
+/// 4 GiB). Grouping is a counting pass over those numbers — no `Vec` per
+/// pair or per key — and keys fire in the order the drain first showed
+/// them, a function of the input. A per-key trigger (session, count,
+/// custom window) fills `values` alone.
 #[derive(Default)]
 struct TriggerArena {
     keys: ByteDict,
@@ -109,6 +117,16 @@ impl TriggerArena {
             list.extend(of_key.iter().map(|&at| values.get(at)));
             fire(keys.get(key as u32), &list);
         }
+        drop(list);
+        self.clear();
+    }
+
+    /// Hands `fire` every value in push order as one list — what the
+    /// takes of one key's trigger lent — and empties the arena.
+    fn fire_all(&mut self, fire: impl FnOnce(&[&[u8]])) {
+        let values = &self.values;
+        let list: Vec<&[u8]> = (0..values.len() as u32).map(|at| values.get(at)).collect();
+        fire(&list);
         drop(list);
         self.clear();
     }
@@ -167,11 +185,16 @@ pub struct WindowOperator {
     /// fires key by key in key order, a function of the input.
     trigger_keys: HashMap<WindowId, BTreeSet<Vec<u8>>>,
     /// Open sessions per key.
-    sessions: HashMap<Vec<u8>, Vec<Session>>,
-    /// Candidate session trigger times (stale entries are no-ops).
+    sessions: HashMap<Vec<u8>, Vec<Session>, KeyHash>,
+    /// Session trigger times: at least one at or before the end of every
+    /// open session of the key (the module docs' timer invariant). One
+    /// that finds nothing expired re-arms its key or lapses.
     session_timers: BTreeSet<(Timestamp, Vec<u8>)>,
+    /// Timers inserted into `session_timers` by this operator.
+    #[cfg(test)]
+    timers_armed: u64,
     /// Count-window progress per key.
-    counts: HashMap<Vec<u8>, CountState>,
+    counts: HashMap<Vec<u8>, CountState, KeyHash>,
     watermark: Timestamp,
     dropped_late: u64,
     /// When set, dropped late tuples are retained for the side output.
@@ -179,8 +202,8 @@ pub struct WindowOperator {
     late: Vec<Tuple>,
     /// Reused per-element output buffer for [`WindowOperator::on_batch`].
     batch_scratch: Vec<Tuple>,
-    /// Reused by every aligned full-list trigger (boxed: only those
-    /// operators ever fill it).
+    /// Reused by every full-list trigger (boxed: only those operators
+    /// ever fill it).
     arena: Box<TriggerArena>,
 }
 
@@ -192,9 +215,11 @@ impl WindowOperator {
             backend,
             aligned_timers: BTreeSet::new(),
             trigger_keys: HashMap::new(),
-            sessions: HashMap::new(),
+            sessions: HashMap::default(),
             session_timers: BTreeSet::new(),
-            counts: HashMap::new(),
+            #[cfg(test)]
+            timers_armed: 0,
+            counts: HashMap::default(),
             watermark: Timestamp::MIN,
             dropped_late: 0,
             collect_late: false,
@@ -557,14 +582,17 @@ impl WindowOperator {
 
     fn on_session_element(&mut self, tuple: &Tuple, gap: i64) -> Result<()> {
         let proto = WindowId::new(tuple.timestamp, tuple.timestamp.saturating_add(gap));
-        let extended = self.sessions.get_mut(&tuple.key).and_then(|sessions| {
-            let mut merging =
-                (0..sessions.len()).filter(|&i| merges_with(&sessions[i].cover, &proto));
-            match (merging.next(), merging.next()) {
-                (Some(at), None) => Some((sessions, at)),
-                _ => None,
-            }
-        });
+        let extended = self
+            .sessions
+            .get_mut(tuple.key.as_slice())
+            .and_then(|sessions| {
+                let mut merging =
+                    (0..sessions.len()).filter(|&i| merges_with(&sessions[i].cover, &proto));
+                match (merging.next(), merging.next()) {
+                    (Some(at), None) => Some((sessions, at)),
+                    _ => None,
+                }
+            });
         let Some((sessions, at)) = extended else {
             return self.merge_sessions(tuple, proto);
         };
@@ -572,7 +600,9 @@ impl WindowOperator {
         // every tuple of a long session: the session grows in place and
         // moves to the back of the key's list, where `merge_sessions`
         // would leave it, with the same store calls and nothing
-        // allocated. Its initials and store window do not change.
+        // allocated. Its initials and store window do not change, and no
+        // timer is armed: the one that covers the session sits at or
+        // before the end it had, and the end only grows.
         sessions[at..].rotate_left(1);
         let session = sessions.last_mut().expect("rotated to the back");
         let store_window = session.initials[0];
@@ -582,14 +612,7 @@ impl WindowOperator {
             tuple,
             store_window,
         )?;
-        let armed = session.cover.end;
         session.cover = proto.cover(&session.cover);
-        // A timer for an end that did not move is still armed: had it
-        // been popped, the session would have fired.
-        if session.cover.end != armed {
-            self.session_timers
-                .insert((session.cover.end, tuple.key.clone()));
-        }
         Ok(())
     }
 
@@ -650,20 +673,31 @@ impl WindowOperator {
         let mut rebuilt = kept;
         rebuilt.push(session);
         *sessions = rebuilt;
-        self.session_timers.insert((trigger_at, tuple.key.clone()));
+        self.arm_session(trigger_at, tuple.key.clone());
         Ok(())
     }
 
+    fn arm_session(&mut self, at: Timestamp, key: Vec<u8>) {
+        self.session_timers.insert((at, key));
+        #[cfg(test)]
+        {
+            self.timers_armed += 1;
+        }
+    }
+
     fn on_count_element(&mut self, tuple: &Tuple, size: u64, out: &mut Vec<Tuple>) -> Result<()> {
-        let state = self.counts.entry(tuple.key.clone()).or_default();
+        if !self.counts.contains_key(tuple.key.as_slice()) {
+            self.counts.insert(tuple.key.clone(), CountState::default());
+        }
+        let state = self.counts.get_mut(tuple.key.as_slice());
+        let state = state.expect("present or just inserted");
         let window = WindowId::new((state.seq * size) as i64, ((state.seq + 1) * size) as i64);
         store_tuple(&self.spec.aggregate, self.backend.as_mut(), tuple, window)?;
         state.in_window += 1;
         if state.in_window >= size {
             state.seq += 1;
             state.in_window = 0;
-            let key = tuple.key.clone();
-            self.fire_key_window(&key, &[window], tuple.timestamp, out)?;
+            self.fire_key_window(&tuple.key, &[window], tuple.timestamp, out)?;
         }
         Ok(())
     }
@@ -681,17 +715,11 @@ impl WindowOperator {
             let out_ts = window.end.saturating_sub(1);
             let custom = matches!(self.spec.assigner, WindowAssigner::Custom { .. });
             match self.spec.aggregate.clone() {
-                AggregateSpec::FullList(f) if custom => {
+                AggregateSpec::FullList(_) if custom => {
                     // Custom windows live in a per-key (unaligned) store:
                     // fire each tracked key individually.
                     for key in self.trigger_keys.remove(&window).unwrap_or_default() {
-                        let values = self.backend.take_values(&key, window)?;
-                        if values.is_empty() {
-                            continue;
-                        }
-                        for output in f.process(&key, window, &as_slices(&values)) {
-                            out.push(Tuple::new(key.clone(), output, out_ts));
-                        }
+                        self.fire_key_window_at(&key, &[window], window, out_ts, out)?;
                     }
                 }
                 AggregateSpec::FullList(f) => {
@@ -720,33 +748,52 @@ impl WindowOperator {
         }
     }
 
-    /// Fires sessions whose gap the watermark passed.
+    /// Fires sessions whose gap the watermark passed: every due timer is
+    /// popped, its key's sessions split in place into the expired and the
+    /// open, and what expired fires in `(key, cover.end)` order.
+    ///
+    /// Not in order of their ends: the AUR store reads a missed window
+    /// together with every window due no later than it, so a drain that
+    /// asks for the earliest end first — the end-of-stream watermark
+    /// expires every open session at once — pays an index walk for every
+    /// few windows, where key order, unrelated to the ends, halves what
+    /// is left with each walk (EXPERIMENTS.md, "Session path").
     fn fire_sessions(&mut self, watermark: Timestamp, out: &mut Vec<Tuple>) -> Result<()> {
-        loop {
-            if self
-                .session_timers
-                .first()
-                .is_none_or(|(end, _)| *end > watermark)
-            {
-                return Ok(());
-            }
+        // `(key, cover, initials)` per expired session. Two sessions of a
+        // key never share an end (they would have merged).
+        let mut expired: Vec<(Vec<u8>, WindowId, Vec<WindowId>)> = Vec::new();
+        while self
+            .session_timers
+            .first()
+            .is_some_and(|(at, _)| *at <= watermark)
+        {
             let (_, key) = self.session_timers.pop_first().expect("checked above");
-            let Some(sessions) = self.sessions.get_mut(&key) else {
+            let Some(sessions) = self.sessions.get_mut(key.as_slice()) else {
                 continue;
             };
-            let (expired, open): (Vec<Session>, Vec<Session>) = std::mem::take(sessions)
-                .into_iter()
-                .partition(|s| s.cover.end <= watermark);
-            if open.is_empty() {
-                self.sessions.remove(&key);
-            } else {
-                *sessions = open;
-            }
-            for session in expired {
-                let out_ts = session.cover.end.saturating_sub(1);
-                self.fire_key_window_at(&key, &session.initials, session.cover, out_ts, out)?;
+            sessions.retain_mut(|s| {
+                let open = s.cover.end > watermark;
+                if !open {
+                    expired.push((key.clone(), s.cover, std::mem::take(&mut s.initials)));
+                }
+                open
+            });
+            // One timer at the earliest open end is at or before every
+            // open end of the key; it lies past the watermark, so this
+            // loop does not pop it.
+            match sessions.iter().map(|s| s.cover.end).min() {
+                Some(at) => self.arm_session(at, key),
+                None => {
+                    self.sessions.remove(key.as_slice());
+                }
             }
         }
+        expired.sort_unstable_by(|a, b| (&a.0, a.1.end).cmp(&(&b.0, b.1.end)));
+        for (key, cover, initials) in expired {
+            let out_ts = cover.end.saturating_sub(1);
+            self.fire_key_window_at(&key, &initials, cover, out_ts, out)?;
+        }
+        Ok(())
     }
 
     /// Fires one key's window over the given store windows (count path).
@@ -772,16 +819,25 @@ impl WindowOperator {
     ) -> Result<()> {
         match self.spec.aggregate.clone() {
             AggregateSpec::FullList(f) => {
-                let mut values = Vec::new();
+                // The store lends each value once, the arena keeps the
+                // bytes, the window function reads slices of it.
+                let arena = &mut self.arena;
+                // A take that failed half-way left its values behind.
+                arena.clear();
+                let mut keep = |value: &[u8]| {
+                    arena.values.push(value);
+                };
                 for w in store_windows {
-                    values.extend(self.backend.take_values(key, *w)?);
+                    self.backend.take_values_with(key, *w, &mut keep)?;
                 }
-                if values.is_empty() {
+                if arena.values.is_empty() {
                     return Ok(());
                 }
-                for output in f.process(key, logical, &as_slices(&values)) {
-                    out.push(Tuple::new(key.to_vec(), output, out_ts));
-                }
+                arena.fire_all(|values| {
+                    for output in f.process(key, logical, values) {
+                        out.push(Tuple::new(key.to_vec(), output, out_ts));
+                    }
+                });
             }
             AggregateSpec::Incremental(agg) => {
                 let mut acc: Option<Vec<u8>> = None;
@@ -1199,6 +1255,173 @@ mod tests {
         }
     }
 
+    /// The timer invariant: every open session of a key has a timer of
+    /// that key at or before its end.
+    fn assert_timer_invariant(o: &WindowOperator) {
+        for (key, sessions) in &o.sessions {
+            for s in sessions {
+                let covered = |(at, k): &(Timestamp, Vec<u8>)| k == key && *at <= s.cover.end;
+                assert!(
+                    o.session_timers.iter().any(covered),
+                    "no timer covers {s:?} of {key:?} in {:?}",
+                    o.session_timers
+                );
+            }
+        }
+    }
+
+    fn session_median_op(gap: i64) -> WindowOperator {
+        op(
+            WindowAssigner::Session { gap },
+            AggregateSpec::FullList(Arc::new(MedianProcess)),
+        )
+    }
+
+    #[test]
+    fn a_watermark_fires_its_expired_sessions_in_key_then_end_order_every_run() {
+        let run = || {
+            let mut o = session_median_op(10);
+            let mut out = Vec::new();
+            // `a` holds two sessions with one of `b` ending between them,
+            // `c` one that in-place extensions moved past both of `d`'s
+            // (its only timer sits at its first end, 13, and pops before
+            // either of `d`'s), `e` one the watermark leaves open.
+            let tuples = [
+                ("a", 0),
+                ("a", 50),
+                ("b", 20),
+                ("c", 3),
+                ("c", 9),
+                ("c", 15),
+                ("c", 21),
+                ("d", 5),
+                ("d", 18),
+                ("e", 95),
+            ];
+            for (i, (key, ts)) in tuples.into_iter().enumerate() {
+                o.on_element(&t(key, i as u64, ts), &mut out).unwrap();
+            }
+            o.on_watermark(100, &mut out).unwrap();
+            assert_timer_invariant(&o);
+            assert_eq!(o.sessions.len(), 1);
+            out
+        };
+        let out = run();
+        let fired: Vec<(i64, &[u8])> = out.iter().map(|t| (t.timestamp + 1, &t.key[..])).collect();
+        let expect: [(i64, &[u8]); 6] = [
+            (10, b"a"),
+            (60, b"a"),
+            (30, b"b"),
+            (31, b"c"),
+            (15, b"d"),
+            (28, b"d"),
+        ];
+        assert_eq!(fired, expect);
+        // The session maps hash under a fresh seed per operator.
+        for _ in 0..4 {
+            assert_eq!(run(), out);
+        }
+    }
+
+    #[test]
+    fn extending_sessions_arms_no_timer_and_a_pop_re_arms_its_key_once() {
+        const KEYS: u64 = 50;
+        const GAP: i64 = 100;
+        let mut o = session_median_op(GAP);
+        let mut out = Vec::new();
+        let key = |k: u64| format!("key-{k:02}");
+        // Five keys open two sessions each and a late tuple bridges them.
+        let mut merges = 0;
+        for k in 0..5 {
+            for ts in [0, 2 * GAP, GAP] {
+                o.on_element(&t(&key(k), 0, ts), &mut out).unwrap();
+                merges += 1;
+            }
+        }
+        // Every key then extends its one session, a tuple every 50 ms
+        // against a gap of 100, with a watermark every 400 tuples that
+        // pops every key's timer and expires nothing.
+        let (mut tuples, mut pops, mut watermarks) = (merges, 0, 0);
+        for i in 0..KEYS * 80 {
+            let ts = 5 * GAP / 2 + i as i64;
+            let k = i % KEYS;
+            merges += u64::from(k >= 5 && i < KEYS);
+            o.on_element(&t(&key(k), i, ts), &mut out).unwrap();
+            tuples += 1;
+            if i % 400 == 399 {
+                let due = |(at, _): &&(Timestamp, Vec<u8>)| *at <= ts;
+                pops += o.session_timers.iter().filter(due).count() as u64;
+                o.on_watermark(ts, &mut out).unwrap();
+                watermarks += 1;
+                assert!(out.is_empty(), "a session expired early");
+            }
+            assert!(o.session_timers.len() as u64 <= merges);
+            assert_timer_invariant(&o);
+        }
+        assert_eq!((tuples, merges, watermarks), (4_015, 60, 10));
+        assert!(pops >= KEYS * watermarks);
+        assert!(o.timers_armed <= merges + pops, "{}", o.timers_armed);
+        // One timer per tuple would be eight times that.
+        assert!(o.timers_armed < tuples / 4, "{}", o.timers_armed);
+        o.on_watermark(MAX_TIMESTAMP, &mut out).unwrap();
+        assert_eq!(out.len() as u64, KEYS);
+        assert!(o.sessions.is_empty() && o.session_timers.is_empty());
+    }
+
+    #[test]
+    fn a_snapshot_holding_one_timer_per_tuple_restores_and_fires_like_a_fresh_run() {
+        use flowkv_common::scratch::ScratchDir;
+        const GAP: i64 = 30;
+        let key = |i: u64| format!("key-{}", i * 7 % 5);
+        let prefix: Vec<Tuple> = (0..60u64).map(|i| t(&key(i), i, i as i64 * 4)).collect();
+        let suffix: Vec<Tuple> = (60..140u64)
+            .map(|i| t(&key(i), i, i as i64 * 4 + (i % 3) as i64 * 40))
+            .collect();
+        let fed = |tuples: &[Tuple]| {
+            let mut o = session_median_op(GAP);
+            for tuple in tuples {
+                o.on_element(tuple, &mut Vec::new()).unwrap();
+            }
+            o
+        };
+        // What this operator holds at the cut, and what its parent held:
+        // a timer for every end a session ever had.
+        let native = ScratchDir::new("op-timers-native").unwrap();
+        fed(&prefix).checkpoint(native.path()).unwrap();
+        let mut parent = fed(&prefix);
+        for tuple in &prefix {
+            parent
+                .session_timers
+                .insert((tuple.timestamp + GAP, tuple.key.clone()));
+        }
+        assert_eq!(parent.session_timers.len(), prefix.len());
+        let old = ScratchDir::new("op-timers-parent").unwrap();
+        parent.checkpoint(old.path()).unwrap();
+        let size = |dir: &ScratchDir| std::fs::metadata(dir.path().join("OPSTATE")).unwrap().len();
+        assert!(size(&native) < size(&old));
+
+        let finish = |mut o: WindowOperator| {
+            let mut out = Vec::new();
+            for (i, tuple) in suffix.iter().enumerate() {
+                o.on_element(tuple, &mut out).unwrap();
+                if i % 16 == 15 {
+                    o.on_watermark(tuple.timestamp - 60, &mut out).unwrap();
+                    assert_timer_invariant(&o);
+                }
+            }
+            o.on_watermark(MAX_TIMESTAMP, &mut out).unwrap();
+            assert!(o.sessions.is_empty() && o.session_timers.is_empty());
+            (out, o.dropped_late())
+        };
+        let fresh = finish(fed(&prefix));
+        assert!(fresh.0.len() > 10);
+        for snapshot in [&native, &old] {
+            let mut restored = session_median_op(GAP);
+            restored.restore(snapshot.path()).unwrap();
+            assert_eq!(finish(restored), fresh);
+        }
+    }
+
     #[derive(Clone, Debug)]
     enum SessionOp {
         Element { key: u8, value: u8, ts: i64 },
@@ -1207,13 +1430,22 @@ mod tests {
 
     use proptest::prelude::*;
 
+    /// 64 cases unless `PROPTEST_CASES` says otherwise (CI's crash-matrix
+    /// job runs 256).
+    fn cases() -> u32 {
+        let cases = std::env::var("PROPTEST_CASES").ok();
+        cases.and_then(|n| n.parse().ok()).unwrap_or(64)
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
 
         /// In-order, out-of-order, bridging and late tuples interleaved
         /// with watermarks: the in-place extend and the general step
         /// fire byte-identical outputs, issue the identical store-call
-        /// sequence, and leave the same sessions and timers behind.
+        /// sequence, and leave the same sessions behind — under different
+        /// timer sets (the general step arms one per tuple), each of
+        /// which keeps the timer invariant.
         #[test]
         fn extending_a_session_in_place_matches_the_general_step(
             ops in prop::collection::vec(
@@ -1276,7 +1508,8 @@ mod tests {
                     rows
                 };
                 assert_eq!(sessions(&fast), sessions(&reference));
-                assert_eq!(fast.session_timers, reference.session_timers);
+                assert_timer_invariant(&fast);
+                assert_timer_invariant(&reference);
             }
         }
     }

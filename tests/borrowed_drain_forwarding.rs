@@ -1,18 +1,20 @@
-//! Every adaptor around a state backend hands the trait's two fast
-//! paths — the borrowed drain step and the in-place `update_aggregate` —
-//! on to the backend it wraps. One that forgot would still pass every
-//! differential suite — the trait's defaults answer the step out of an
-//! owned chunk and the update out of a take and a put — and quietly
-//! bring the copy per pair, or the two calls per tuple, back.
+//! Every adaptor around a state backend hands the trait's three fast
+//! paths — the borrowed drain step, the borrowed take and the in-place
+//! `update_aggregate` — on to the backend it wraps. One that forgot
+//! would still pass every differential suite — the trait's defaults
+//! answer the step out of an owned chunk, the take out of an owned list
+//! and the update out of a take and a put — and quietly bring the copy
+//! per pair or per value, or the two calls per tuple, back.
 //!
 //! The wrapped backend here answers the fast paths itself and refuses
-//! the calls their defaults fall back to. (`FlowKvStore` wraps no
+//! the calls their defaults fall back to (the owned take unless
+//! `owned_take` allows it). (`FlowKvStore` wraps no
 //! backend; that its front forwards the step to its AAR instances is
 //! counted in allocations by `crates/core/tests/alloc_counts.rs`, and
 //! that it forwards the update to its RMW instances shows here in which
 //! timer the call is charged to.) The tier is the one adaptor that takes
-//! the update's default on purpose: its take and its put maintain the
-//! tier's own key table.
+//! the defaults of the update and of the borrowed take on purpose: its
+//! take and its put maintain the tier's own key table.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -22,7 +24,7 @@ use flowkv::tier::{TierConfig, TieredStore};
 use flowkv::{FlowKvConfig, FlowKvStore};
 use flowkv_common::backend::{
     AggregateKind, AggregateUpdate, KeyFilter, OperatorContext, OperatorSemantics, PairSink,
-    StateBackend, StateEntry, WindowChunk, WindowKind,
+    StateBackend, StateEntry, ValueSink, WindowChunk, WindowKind,
 };
 use flowkv_common::error::Result;
 use flowkv_common::metrics::StoreMetrics;
@@ -36,12 +38,27 @@ use flowkv_spe::memstore::InMemoryBackend;
 /// An in-memory store whose window drain exists in the borrowed form
 /// only and whose aggregates (unless `two_calls` allows the take and the
 /// put) in the one-call form only, counting the steps and updates it
-/// serves.
+/// serves. Its lists it lends, and hands out owned only if `owned_take`.
 struct BorrowedOnly {
     inner: InMemoryBackend,
     steps: Arc<AtomicUsize>,
     updates: Arc<AtomicUsize>,
+    takes: Arc<AtomicUsize>,
     two_calls: bool,
+    owned_take: bool,
+}
+
+impl BorrowedOnly {
+    fn new() -> Self {
+        BorrowedOnly {
+            inner: InMemoryBackend::new(1 << 20, 4),
+            steps: Arc::default(),
+            updates: Arc::default(),
+            takes: Arc::default(),
+            two_calls: false,
+            owned_take: false,
+        }
+    }
 }
 
 impl StateBackend for BorrowedOnly {
@@ -62,7 +79,14 @@ impl StateBackend for BorrowedOnly {
         Ok(true)
     }
     fn take_values(&mut self, k: &[u8], w: WindowId) -> Result<Vec<Vec<u8>>> {
+        assert!(self.owned_take, "an adaptor fell back to the owned take");
         self.inner.take_values(k, w)
+    }
+    fn take_values_with(&mut self, k: &[u8], w: WindowId, sink: ValueSink<'_>) -> Result<usize> {
+        self.takes.fetch_add(1, Ordering::Relaxed);
+        let values = self.inner.take_values(k, w)?;
+        values.iter().for_each(|value| sink(value));
+        Ok(values.len())
     }
     fn peek_values(&mut self, k: &[u8], w: WindowId) -> Result<Vec<Vec<u8>>> {
         self.inner.peek_values(k, w)
@@ -109,10 +133,8 @@ const WINDOW: WindowId = WindowId { start: 0, end: 100 };
 fn steps_through(wrap: impl FnOnce(Box<dyn StateBackend>) -> Box<dyn StateBackend>) -> usize {
     let steps = Arc::new(AtomicUsize::new(0));
     let mut backend = wrap(Box::new(BorrowedOnly {
-        inner: InMemoryBackend::new(1 << 20, 4),
         steps: Arc::clone(&steps),
-        updates: Arc::default(),
-        two_calls: false,
+        ..BorrowedOnly::new()
     }));
     for i in 0..40u8 {
         backend.append(&[b'k', i % 10], WINDOW, &[i], 0).unwrap();
@@ -159,13 +181,61 @@ fn updates_through(
 ) -> usize {
     let updates = Arc::new(AtomicUsize::new(0));
     let mut backend = wrap(Box::new(BorrowedOnly {
-        inner: InMemoryBackend::new(1 << 20, 4),
-        steps: Arc::default(),
         updates: Arc::clone(&updates),
         two_calls,
+        ..BorrowedOnly::new()
     }));
     count_forty_tuples(backend.as_mut());
     updates.load(Ordering::Relaxed)
+}
+
+/// Appends forty values to ten keys through `wrap`'s adaptor, takes each
+/// key's list through the borrowed take (a key that holds nothing too),
+/// and returns how many borrowed takes reached the wrapped store — which
+/// refuses the owned one unless `owned_take`.
+fn takes_through(
+    owned_take: bool,
+    wrap: impl FnOnce(Box<dyn StateBackend>) -> Box<dyn StateBackend>,
+) -> usize {
+    let takes = Arc::new(AtomicUsize::new(0));
+    let mut backend = wrap(Box::new(BorrowedOnly {
+        takes: Arc::clone(&takes),
+        owned_take,
+        ..BorrowedOnly::new()
+    }));
+    for i in 0..40u8 {
+        backend.append(&[b'k', i % 10], WINDOW, &[i], 0).unwrap();
+    }
+    for k in 0..11u8 {
+        let mut lent = Vec::new();
+        let count = backend.take_values_with(&[b'k', k], WINDOW, &mut |value| lent.push(value[0]));
+        let expect: Vec<u8> = (0..40).filter(|i| i % 10 == k && k < 10).collect();
+        assert_eq!((count.unwrap(), lent), (expect.len(), expect), "key {k}");
+    }
+    takes.load(Ordering::Relaxed)
+}
+
+#[test]
+fn the_trace_and_capture_adaptors_forward_the_borrowed_take() {
+    assert_eq!(takes_through(false, TracedBackend::wrap), 11);
+    assert_eq!(takes_through(false, |inner| ViewCapture::wrap(inner).0), 11);
+}
+
+#[test]
+fn the_tier_answers_the_borrowed_take_with_its_own_take() {
+    let dir = ScratchDir::new("forward-tier-take").unwrap();
+    let ctx = OperatorContext {
+        semantics: OperatorSemantics::new(
+            AggregateKind::FullList,
+            WindowKind::Session { gap: 100 },
+        ),
+        ..rmw_ctx(&dir)
+    };
+    let through_the_tier = |inner| {
+        let tier = TieredStore::new(inner, &ctx, TierConfig::new(usize::MAX), StdVfs::shared());
+        Box::new(tier.unwrap()) as Box<dyn StateBackend>
+    };
+    assert_eq!(takes_through(true, through_the_tier), 0);
 }
 
 #[test]

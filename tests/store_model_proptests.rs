@@ -10,11 +10,14 @@
 //! `update_aggregate` is held to its contract twice: against the model
 //! on every backend, and — for the stores that implement it rather than
 //! inherit the default — against a twin store fed the two calls it
-//! stands for.
+//! stands for. `take_values_with` likewise: the AUR store that lends its
+//! lists against a twin whose lists are taken owned.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use flowkv::aur::{AurConfig, AurStore};
+use flowkv::ett::EttPredictor;
 use flowkv::rmw::{RmwConfig, RmwStore};
 use flowkv_common::backend::{
     AggregateKind, AggregateUpdate, OperatorContext, OperatorSemantics, StateBackend, WindowKind,
@@ -285,7 +288,7 @@ fn drive_twins<S: AggStore>(
     Ok(())
 }
 
-/// What an RMW store shows from outside besides its answers.
+/// What a store shows from outside besides its answers.
 #[derive(Debug, PartialEq)]
 struct Observed {
     memory_bytes: usize,
@@ -295,13 +298,17 @@ struct Observed {
     log_files: Vec<(String, Vec<u8>)>,
 }
 
-/// An RMW store over a counting filesystem, with what [`Observed`] reads.
-struct WatchedRmw {
-    store: RmwStore,
+/// A store of the core crate over a counting filesystem, with what
+/// [`Observed`] reads.
+struct Watched<S> {
+    store: S,
+    memory_bytes: fn(&S) -> usize,
     dir: ScratchDir,
     vfs: Arc<FaultVfs>,
     metrics: Arc<StoreMetrics>,
 }
+
+type WatchedRmw = Watched<RmwStore>;
 
 impl WatchedRmw {
     fn open(name: &str, write_buffer_bytes: usize) -> Self {
@@ -313,14 +320,35 @@ impl WatchedRmw {
         };
         let metrics = StoreMetrics::new_shared();
         let store = RmwStore::open_with_vfs(dir.path(), cfg, metrics.clone(), vfs.clone());
-        WatchedRmw {
+        Watched {
             store: store.unwrap(),
+            memory_bytes: RmwStore::memory_bytes,
             dir,
             vfs,
             metrics,
         }
     }
+}
 
+impl Watched<AurStore> {
+    fn open(name: &str, cfg: AurConfig) -> Self {
+        let dir = ScratchDir::new(name).unwrap();
+        let vfs = FaultVfs::counting(StdVfs::shared());
+        let metrics = StoreMetrics::new_shared();
+        let predictor = EttPredictor::SessionGap { gap: 50 };
+        let store =
+            AurStore::open_with_vfs(dir.path(), cfg, predictor, metrics.clone(), vfs.clone());
+        Watched {
+            store: store.unwrap(),
+            memory_bytes: AurStore::memory_bytes,
+            dir,
+            vfs,
+            metrics,
+        }
+    }
+}
+
+impl<S> Watched<S> {
     fn observe(&self) -> Observed {
         let mut log_files: Vec<(String, Vec<u8>)> = std::fs::read_dir(self.dir.path())
             .unwrap()
@@ -335,7 +363,7 @@ impl WatchedRmw {
         log_files.sort();
         let m = self.metrics.snapshot();
         Observed {
-            memory_bytes: self.store.memory_bytes(),
+            memory_bytes: (self.memory_bytes)(&self.store),
             records: (m.records_read, m.records_written),
             device: (m.bytes_read, m.bytes_written, m.flushes, m.compactions),
             vfs_ops: self.vfs.ops(),
@@ -371,6 +399,49 @@ fn check_rmw_update_twin(ops: &[AggOp], write_buffer_bytes: usize) -> Result<(),
         prop_assert_eq!(one.observe(), two.observe(), "{}", at);
         Ok(())
     })
+}
+
+/// One AUR store whose lists are taken owned, its twin's lent — behind
+/// write buffers small enough that flushes, batch reads and compactions
+/// all happen, with a peek now and then to leave a prefetched copy for a
+/// take to find: the same values throughout and, after every step, the
+/// same memory, record counts, device operations and files.
+fn check_aur_take_twin(ops: &[AppendOp], cfg: AurConfig) -> Result<(), TestCaseError> {
+    let mut owned = Watched::<AurStore>::open("model-aur-owned", cfg.clone());
+    let mut lent = Watched::<AurStore>::open("model-aur-lent", cfg);
+    for (step, op) in ops.iter().enumerate() {
+        match op {
+            AppendOp::Append { k, w, value, ts } => {
+                for twin in [&mut owned, &mut lent] {
+                    twin.store.append(&key(*k), window(*w), value, *ts).unwrap();
+                }
+                if value.first().is_some_and(|b| b % 4 == 0) {
+                    let peeked = owned.store.peek(&key(*k), window(*w)).unwrap();
+                    prop_assert_eq!(peeked, lent.store.peek(&key(*k), window(*w)).unwrap());
+                }
+            }
+            AppendOp::Take { k, w } => {
+                let expect = owned.store.take(&key(*k), window(*w)).unwrap();
+                let mut got = Vec::new();
+                let mut keep = |value: &[u8]| got.push(value.to_vec());
+                let count = lent.store.take_with(&key(*k), window(*w), &mut keep);
+                prop_assert_eq!(count.unwrap(), expect.len(), "step {}", step);
+                prop_assert_eq!(got, expect, "step {}: {:?}", step, op);
+            }
+            AppendOp::Flush => {
+                owned.store.flush().unwrap();
+                lent.store.flush().unwrap();
+            }
+        }
+        prop_assert_eq!(
+            owned.observe(),
+            lent.observe(),
+            "after step {}: {:?}",
+            step,
+            op
+        );
+    }
+    Ok(())
 }
 
 /// A baseline that implements `update_aggregate` against a twin of
@@ -457,6 +528,19 @@ proptest! {
         write_buffer_bytes in prop_oneof![Just(160usize), Just(400), Just(1024)],
     ) {
         check_rmw_update_twin(&ops, write_buffer_bytes)?;
+    }
+
+    #[test]
+    fn aur_borrowed_take_is_the_owned_take_down_to_the_log_bytes(
+        ops in append_ops(),
+        write_buffer_bytes in prop_oneof![Just(128usize), Just(512), Just(4096)],
+        read_batch_ratio in prop_oneof![Just(0.0), Just(0.2), Just(1.0)],
+    ) {
+        check_aur_take_twin(&ops, AurConfig {
+            write_buffer_bytes,
+            read_batch_ratio,
+            max_space_amplification: 1.2,
+        })?;
     }
 
     #[test]

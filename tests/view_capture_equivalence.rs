@@ -60,7 +60,8 @@ impl Pattern {
 struct Rig {
     ctx: String,
     pattern: Pattern,
-    /// Whether a read-modify-write is one `update_aggregate`.
+    /// Whether a read-modify-write is one `update_aggregate` and a take
+    /// of a list the borrowed `take_values_with`.
     fused: bool,
     backend: Box<dyn StateBackend>,
     capture: ViewCapture,
@@ -193,6 +194,9 @@ impl Rig {
             // one it *has* drained, a late tuple may.
             (Pattern::Aar, _) if self.draining.contains(&w) => {}
             (Pattern::Aar, _) => self.backend.append(&k, w, &bytes(rng), w.start).unwrap(),
+            (Pattern::Aur, 21..=35) if self.fused => {
+                self.backend.take_values_with(&k, w, &mut |_| {}).unwrap();
+            }
             (Pattern::Aur, 21..=35) => drop(self.backend.take_values(&k, w).unwrap()),
             (Pattern::Aur, 36..=42) => drop(self.backend.peek_values(&k, w).unwrap()),
             (Pattern::Aur, _) => self.backend.append(&k, w, &bytes(rng), w.start).unwrap(),
@@ -266,8 +270,9 @@ impl Rig {
     }
 }
 
-/// One seed's script, its read-modify-writes `fused` into one call or
-/// not; returns what each watermark published.
+/// One seed's script, its read-modify-writes `fused` into one call (and
+/// its list takes borrowed) or not; returns what each watermark
+/// published.
 fn run_script(
     pattern: Pattern,
     tiered: bool,
@@ -294,7 +299,7 @@ fn run_script(
 fn run(pattern: Pattern, tiered: bool) {
     for seed in 0..10u64 {
         let published = run_script(pattern, tiered, true, seed);
-        if matches!(pattern, Pattern::Rmw) {
+        if matches!(pattern, Pattern::Rmw | Pattern::Aur) {
             assert_eq!(
                 published,
                 run_script(pattern, tiered, false, seed),
