@@ -396,7 +396,7 @@ fn bench_session_extend(c: &mut Criterion) {
             |mut operator| {
                 let mut out = Vec::new();
                 for (i, tuple) in tuples.iter().enumerate() {
-                    operator.on_element(tuple, &mut out).unwrap();
+                    operator.on_element(tuple.borrowed(), &mut out).unwrap();
                     if i % 256 == 255 {
                         let watermark = tuple.timestamp - gap;
                         operator.on_watermark(watermark, &mut out).unwrap();

@@ -186,6 +186,15 @@ impl Tuple {
         }
     }
 
+    /// The tuple lent as slices of its own buffers.
+    pub fn borrowed(&self) -> TupleRef<'_> {
+        TupleRef {
+            key: &self.key,
+            value: &self.value,
+            timestamp: self.timestamp,
+        }
+    }
+
     /// Approximate in-memory footprint of the tuple in bytes.
     pub fn memory_size(&self) -> usize {
         self.key.len() + self.value.len() + std::mem::size_of::<Timestamp>()
@@ -208,6 +217,37 @@ impl Tuple {
             value,
             timestamp,
         })
+    }
+}
+
+/// A tuple whose key and value are lent, not owned: what the engine
+/// passes from a stateless stage or an exchange batch to the store,
+/// which copies the bytes it keeps.
+///
+/// # Examples
+///
+/// ```
+/// use flowkv_common::types::Tuple;
+///
+/// let t = Tuple::new(b"user-7".to_vec(), b"bid:42".to_vec(), 1_000);
+/// let lent = t.borrowed();
+/// assert_eq!(lent.key, b"user-7");
+/// assert_eq!(lent.to_tuple(), t);
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct TupleRef<'a> {
+    /// Partitioning key of the tuple.
+    pub key: &'a [u8],
+    /// Opaque serialized value.
+    pub value: &'a [u8],
+    /// Event-time timestamp.
+    pub timestamp: Timestamp,
+}
+
+impl TupleRef<'_> {
+    /// Copies the lent bytes into an owned [`Tuple`].
+    pub fn to_tuple(&self) -> Tuple {
+        Tuple::new(self.key.to_vec(), self.value.to_vec(), self.timestamp)
     }
 }
 

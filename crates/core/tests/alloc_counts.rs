@@ -6,13 +6,17 @@
 //! aggregate allocates nothing, captured for serving or not. And of the
 //! borrowed AUR take: the store lends a list of any length without
 //! allocating and the operator's session trigger allocates per fire,
-//! where the owned take allocates per value.
+//! where the owned take allocates per value. And of a whole job: a
+//! micro-batch crosses the exchange as one arena, so the threads between
+//! the source and the store allocate per batch, not per tuple.
 //!
 //! The counter is per thread (the stores under test run no thread of
-//! their own), so the tests of this binary do not see each other.
+//! their own), so the tests of this binary do not see each other; the
+//! one job test counts the threads it enrolls into a counter of its own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use flowkv::tier::TierConfig;
 use flowkv::{FlowKvConfig, FlowKvFactory, TieredFactory};
@@ -26,6 +30,19 @@ use flowkv_common::types::WindowId;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Whether this thread's allocations also count into
+    /// [`JOB_ALLOCATIONS`].
+    static ENROLLED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Allocations of every enrolled thread: those of the one job under test.
+static JOB_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    if ENROLLED.with(Cell::get) {
+        JOB_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 struct Counting;
@@ -33,10 +50,10 @@ struct Counting;
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the counter is a `const`-initialised thread-local
 // `Cell` without a destructor, so touching it allocates nothing and cannot
-// re-enter the allocator.
+// re-enter the allocator; so is the flag, and the job counter is an atomic.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count_one();
         // SAFETY: the caller's obligations are `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -47,7 +64,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count_one();
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -354,7 +371,7 @@ fn a_session_trigger_allocates_per_fire_not_per_value() {
             for k in 0..SESSIONS {
                 let key = format!("key-{k:02}").into_bytes();
                 let tuple = Tuple::new(key, i.to_le_bytes().to_vec(), i as i64);
-                operator.on_element(&tuple, &mut out).unwrap();
+                operator.on_element(tuple.borrowed(), &mut out).unwrap();
             }
         }
         let end = per_session as i64 - 1 + SESSION_GAP;
@@ -374,5 +391,92 @@ fn a_session_trigger_allocates_per_fire_not_per_value() {
     assert!(
         many <= few + 32,
         "{few} for 16 values a session, {many} for 1 024"
+    );
+}
+
+/// Builds each store on the worker thread that will own it, and enrolls
+/// that thread.
+struct Enrolling(FlowKvFactory);
+
+impl StateBackendFactory for Enrolling {
+    fn create(&self, ctx: &OperatorContext) -> flowkv_common::error::Result<Box<dyn StateBackend>> {
+        ENROLLED.with(|e| e.set(true));
+        self.0.create(ctx)
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+}
+
+#[test]
+fn a_q7_shaped_job_allocates_per_batch_not_per_tuple_between_source_and_store() {
+    use flowkv_common::types::Tuple;
+    use flowkv_spe::functions::{decode_u64, FnProcess};
+    use flowkv_spe::{run_job, AggregateSpec, JobBuilder, RunOptions, WindowAssigner};
+
+    const BID: u8 = 2;
+    // Q7's shape: a stateless stage that keeps the bids of an event
+    // stream and re-keys them by bidder, then the highest price per
+    // bidder over a fixed window kept as a full list (AAR). One window
+    // holds the whole stream, so the trigger's work does not grow with it.
+    let job = JobBuilder::new("q7-shaped")
+        .parallelism(2)
+        .stateless("bids-by-bidder", |t, out| {
+            if t.value[0] == BID {
+                out(&t.value[1..9], &t.value[9..], t.timestamp);
+            }
+        })
+        .window(
+            "highest-bid",
+            WindowAssigner::Fixed { size: 1 << 30 },
+            AggregateSpec::FullList(std::sync::Arc::new(FnProcess::new(|_, _, prices| {
+                let max = prices.iter().map(|p| decode_u64(p)).max().unwrap_or(0);
+                vec![max.to_le_bytes().to_vec()]
+            }))),
+        )
+        .build();
+    let dir = ScratchDir::new("alloc-q7-job").unwrap();
+    let counted = |tuples: u64| {
+        // Made here, on an unenrolled thread: the harness owns the input,
+        // and the source frees it.
+        let input: Vec<Tuple> = (0..tuples)
+            .map(|i| {
+                let mut event = vec![if i % 5 == 0 { 1 } else { BID }];
+                event.extend_from_slice(&(i % 64).to_le_bytes());
+                event.extend_from_slice(&(i * 7 % 1_000).to_le_bytes());
+                Tuple::new(i.to_le_bytes().to_vec(), event, i as i64)
+            })
+            .collect();
+        let mut opts = RunOptions::new(dir.path().join(format!("run-{tuples}")));
+        opts.watermark_interval = 500;
+        let cfg = FlowKvConfig {
+            write_buffer_bytes: 1 << 20,
+            ..FlowKvConfig::small_for_tests()
+        };
+        let before = JOB_ALLOCATIONS.load(Ordering::Relaxed);
+        let result = run_job(
+            &job,
+            input
+                .into_iter()
+                .inspect(|_| ENROLLED.with(|e| e.set(true))),
+            std::sync::Arc::new(Enrolling(FlowKvFactory::new(cfg))),
+            &opts,
+        )
+        .unwrap();
+        assert_eq!((result.input_count, result.output_count), (tuples, 64));
+        JOB_ALLOCATIONS.load(Ordering::Relaxed) - before
+    };
+    const N: u64 = 20_000;
+    let (once, twice) = (counted(N), counted(2 * N));
+    let per_added_tuple = twice.saturating_sub(once) as f64 / N as f64;
+    eprintln!("{once} allocations for {N} tuples, {twice} for {}", 2 * N);
+    // A tuple at a time this is at least two: the stateless stage's
+    // re-keyed key and value, freed by the worker after the store copied
+    // them.
+    assert!(
+        per_added_tuple < 0.05,
+        "{once} allocations for {N} tuples, {twice} for {}: {per_added_tuple:.3} per added tuple",
+        2 * N
     );
 }

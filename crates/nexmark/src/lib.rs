@@ -22,5 +22,5 @@ pub mod model;
 pub mod queries;
 
 pub use generator::{EventGenerator, GeneratorConfig};
-pub use model::{Auction, Bid, Event, Person};
+pub use model::{Auction, Bid, BidRef, Event, Person};
 pub use queries::{QueryId, QueryParams};

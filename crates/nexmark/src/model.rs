@@ -54,6 +54,59 @@ pub struct Bid {
     pub date_time: Timestamp,
 }
 
+/// A bid read in place: [`Bid`] with its channel lent from the record
+/// instead of copied into a `String`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BidRef<'a> {
+    /// The auction being bid on.
+    pub auction: u64,
+    /// The bidding person's id.
+    pub bidder: u64,
+    /// Bid price in cents.
+    pub price: u64,
+    /// Marketing channel (checked to be UTF-8, as [`Bid::channel`]).
+    pub channel: &'a str,
+    /// Event time of the bid.
+    pub date_time: Timestamp,
+}
+
+/// Tag byte of a bid record.
+const BID_TAG: u8 = 2;
+
+impl<'a> BidRef<'a> {
+    /// Decodes `data` when it is a bid record, skipping others cheaply.
+    /// The one bid decoder: [`Event::decode`] and [`Event::decode_bid`]
+    /// own what it lends.
+    pub fn decode(data: &'a [u8]) -> Result<Option<BidRef<'a>>> {
+        if data.first() != Some(&BID_TAG) {
+            return Ok(None);
+        }
+        BidRef::decode_body(&mut Decoder::new(&data[1..])).map(Some)
+    }
+
+    /// The fields after the tag.
+    fn decode_body(dec: &mut Decoder<'a>) -> Result<BidRef<'a>> {
+        Ok(BidRef {
+            auction: dec.get_varint_u64()?,
+            bidder: dec.get_varint_u64()?,
+            price: dec.get_varint_u64()?,
+            channel: utf8(dec.get_len_prefixed()?)?,
+            date_time: dec.get_varint_i64()?,
+        })
+    }
+
+    /// Copies the bid into its owned form.
+    pub fn to_bid(&self) -> Bid {
+        Bid {
+            auction: self.auction,
+            bidder: self.bidder,
+            price: self.price,
+            channel: self.channel.to_string(),
+            date_time: self.date_time,
+        }
+    }
+}
+
 /// One event of the auction stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Event {
@@ -96,7 +149,7 @@ impl Event {
                 put_varint_i64(&mut buf, a.expires);
             }
             Event::Bid(b) => {
-                buf.push(2);
+                buf.push(BID_TAG);
                 put_varint_u64(&mut buf, b.auction);
                 put_varint_u64(&mut buf, b.bidder);
                 put_varint_u64(&mut buf, b.price);
@@ -114,8 +167,8 @@ impl Event {
         Ok(match tag {
             0 => Event::Person(Person {
                 id: dec.get_varint_u64()?,
-                name: utf8(dec.get_len_prefixed()?)?,
-                state: utf8(dec.get_len_prefixed()?)?,
+                name: utf8(dec.get_len_prefixed()?)?.to_string(),
+                state: utf8(dec.get_len_prefixed()?)?.to_string(),
                 date_time: dec.get_varint_i64()?,
             }),
             1 => Event::Auction(Auction {
@@ -126,13 +179,7 @@ impl Event {
                 date_time: dec.get_varint_i64()?,
                 expires: dec.get_varint_i64()?,
             }),
-            2 => Event::Bid(Bid {
-                auction: dec.get_varint_u64()?,
-                bidder: dec.get_varint_u64()?,
-                price: dec.get_varint_u64()?,
-                channel: utf8(dec.get_len_prefixed()?)?,
-                date_time: dec.get_varint_i64()?,
-            }),
+            BID_TAG => Event::Bid(BidRef::decode_body(&mut dec)?.to_bid()),
             other => {
                 return Err(StoreError::invalid_state(format!(
                     "unknown event tag {other}"
@@ -141,20 +188,15 @@ impl Event {
         })
     }
 
-    /// Decodes only when the event is a bid, skipping others cheaply.
+    /// Decodes only when the event is a bid, skipping others cheaply:
+    /// the owned form of [`BidRef::decode`].
     pub fn decode_bid(data: &[u8]) -> Result<Option<Bid>> {
-        if data.first() != Some(&2) {
-            return Ok(None);
-        }
-        match Event::decode(data)? {
-            Event::Bid(b) => Ok(Some(b)),
-            _ => unreachable!("tag checked"),
-        }
+        Ok(BidRef::decode(data)?.map(|bid| bid.to_bid()))
     }
 }
 
-fn utf8(bytes: &[u8]) -> Result<String> {
-    String::from_utf8(bytes.to_vec())
+fn utf8(bytes: &[u8]) -> Result<&str> {
+    std::str::from_utf8(bytes)
         .map_err(|_| StoreError::invalid_state("invalid UTF-8 in event".to_string()))
 }
 
@@ -217,5 +259,54 @@ mod tests {
     #[test]
     fn unknown_tag_is_error() {
         assert!(Event::decode(&[9]).is_err());
+    }
+
+    #[test]
+    fn a_lent_bid_is_the_owned_bid() {
+        let bytes = Event::Bid(sample_bid()).encode();
+        let lent = BidRef::decode(&bytes).unwrap().unwrap();
+        assert_eq!(lent.channel, "channel-apps-like-Gmail");
+        assert_eq!(lent.to_bid(), sample_bid());
+    }
+
+    proptest::proptest! {
+        /// Every prefix of a bid record, and the record with bytes of its
+        /// channel overwritten by non-ASCII ones (mostly invalid UTF-8):
+        /// the lent and the owned decoder accept and reject the same
+        /// inputs, agree on what they accept, and agree with
+        /// [`Event::decode`].
+        #[test]
+        fn lent_and_owned_bid_decoders_reject_the_same_inputs(
+            auction in proptest::prelude::any::<u64>(),
+            price in proptest::prelude::any::<u64>(),
+            channel in proptest::collection::vec(b'a'..=b'z', 0..24),
+            cut in proptest::prelude::any::<usize>(),
+            garbage in proptest::collection::vec(0x80u8..=0xff, 1..4),
+            at in proptest::prelude::any::<usize>(),
+        ) {
+            let channel = String::from_utf8(channel).unwrap();
+            let bid = Bid { auction, bidder: 42, price, channel, date_time: -7 };
+            let whole = Event::Bid(bid.clone()).encode();
+            let truncated = whole[..cut % (whole.len() + 1)].to_vec();
+            // The channel's bytes end just before the one-byte timestamp.
+            let channel_end = whole.len() - 1;
+            let channel_start = channel_end - bid.channel.len();
+            let mut invalid = whole.clone();
+            let at = channel_start + at % (bid.channel.len() + 1);
+            for (slot, byte) in invalid[at..channel_end].iter_mut().zip(garbage) {
+                *slot = byte;
+            }
+            for data in [whole, truncated, invalid] {
+                let lent = BidRef::decode(&data);
+                let owned = Event::decode_bid(&data);
+                proptest::prop_assert_eq!(lent.is_err(), owned.is_err());
+                let (lent, owned) = (lent.ok().flatten(), owned.ok().flatten());
+                proptest::prop_assert_eq!(lent.map(|b| b.to_bid()), owned.clone());
+                if data.first() == Some(&BID_TAG) {
+                    let event = Event::decode(&data).ok();
+                    proptest::prop_assert_eq!(event, owned.map(Event::Bid));
+                }
+            }
+        }
     }
 }

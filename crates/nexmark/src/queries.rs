@@ -7,12 +7,12 @@
 
 use std::sync::Arc;
 
-use flowkv_common::types::Tuple;
+use flowkv_common::types::TupleRef;
 use flowkv_spe::functions::{CountAggregate, FnProcess, MaxAggregate, MedianProcess};
-use flowkv_spe::job::{AggregateSpec, Job, JobBuilder};
+use flowkv_spe::job::{AggregateSpec, Emit, Job, JobBuilder};
 use flowkv_spe::window::WindowAssigner;
 
-use crate::model::Event;
+use crate::model::{BidRef, Event};
 
 /// Value tags for Q8's merged person/auction stream.
 const TAG_PERSON: u8 = 0;
@@ -148,26 +148,22 @@ impl QueryId {
     }
 }
 
-/// Stage 1 of the bid queries: decode, keep bids, key by bidder, value =
-/// little-endian price.
-fn bids_by_bidder(t: &Tuple, out: &mut Vec<Tuple>) {
-    if let Ok(Some(bid)) = Event::decode_bid(&t.value) {
-        out.push(Tuple::new(
-            bid.bidder.to_le_bytes().to_vec(),
-            bid.price.to_le_bytes().to_vec(),
+/// Stage 1 of the bid queries: decode in place, keep bids, key by
+/// bidder, value = little-endian price.
+fn bids_by_bidder(t: TupleRef<'_>, out: &mut Emit<'_>) {
+    if let Ok(Some(bid)) = BidRef::decode(t.value) {
+        out(
+            &bid.bidder.to_le_bytes(),
+            &bid.price.to_le_bytes(),
             t.timestamp,
-        ));
+        );
     }
 }
 
-/// Stage 1 of Q5: decode, keep bids, key by auction, value = 1.
-fn bids_by_auction(t: &Tuple, out: &mut Vec<Tuple>) {
-    if let Ok(Some(bid)) = Event::decode_bid(&t.value) {
-        out.push(Tuple::new(
-            bid.auction.to_le_bytes().to_vec(),
-            1u64.to_le_bytes().to_vec(),
-            t.timestamp,
-        ));
+/// Stage 1 of Q5: decode in place, keep bids, key by auction, value = 1.
+fn bids_by_auction(t: TupleRef<'_>, out: &mut Emit<'_>) {
+    if let Ok(Some(bid)) = BidRef::decode(t.value) {
+        out(&bid.auction.to_le_bytes(), &1u64.to_le_bytes(), t.timestamp);
     }
 }
 
@@ -208,7 +204,7 @@ fn q5(params: QueryParams, incremental_second: bool) -> Job {
         .stateless("counts-to-hot-key", |t, out| {
             // The second window maximizes across all auctions, so counts
             // collapse onto one key.
-            out.push(Tuple::new(b"all".to_vec(), t.value.clone(), t.timestamp));
+            out(b"all", t.value, t.timestamp);
         })
         .window("max-bids", sliding, second)
         .build()
@@ -240,22 +236,12 @@ fn q8(params: QueryParams) -> Job {
     JobBuilder::new("q8")
         .parallelism(params.parallelism)
         .stateless("tag-persons-and-auctions", |t, out| {
-            match Event::decode(&t.value) {
-                Ok(Event::Person(p)) => {
-                    out.push(Tuple::new(
-                        p.id.to_le_bytes().to_vec(),
-                        vec![TAG_PERSON],
-                        t.timestamp,
-                    ));
-                }
+            match Event::decode(t.value) {
+                Ok(Event::Person(p)) => out(&p.id.to_le_bytes(), &[TAG_PERSON], t.timestamp),
                 Ok(Event::Auction(a)) => {
-                    let mut value = vec![TAG_AUCTION];
-                    value.extend_from_slice(&a.id.to_le_bytes());
-                    out.push(Tuple::new(
-                        a.seller.to_le_bytes().to_vec(),
-                        value,
-                        t.timestamp,
-                    ));
+                    let mut value = [TAG_AUCTION; 9];
+                    value[1..].copy_from_slice(&a.id.to_le_bytes());
+                    out(&a.seller.to_le_bytes(), &value, t.timestamp);
                 }
                 _ => {}
             }

@@ -400,7 +400,7 @@ mod tests {
     fn count_job() -> Job {
         JobBuilder::new("cluster-counts")
             .parallelism(2)
-            .stateless("pass", |t, out| out.push(t.clone()))
+            .stateless("pass", |t, out| out(t.key, t.value, t.timestamp))
             .window(
                 "counts",
                 WindowAssigner::Fixed { size: 500 },

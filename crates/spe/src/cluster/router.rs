@@ -53,8 +53,7 @@ pub(crate) fn route(
         rescale.map(|(p, _)| vec![Vec::new(); p.shards()]);
     let mut barrier_taken = false;
     let mut count: u64 = 0;
-    let mut chain = Chain::leading(prefix);
-    let mut derived: Vec<Tuple> = Vec::new();
+    let chain = Chain::leading(prefix);
     for item in Schedule::new(source, wm_interval, slack, rescale.map(|(_, b)| b)) {
         // Everything the schedule emits after the barrier — the
         // watermark sharing its offset included — belongs to phase 2:
@@ -68,10 +67,10 @@ pub(crate) fn route(
         match item {
             SourceItem::Tuple(tuple) => {
                 count += 1;
-                chain.apply(tuple, &mut derived);
-                for t in derived.drain(..) {
-                    shards[part.shard_of(&t.key)].push(SourceItem::Tuple(t));
-                }
+                chain.run(tuple.borrowed(), &mut |key, value, timestamp| {
+                    let derived = Tuple::new(key.to_vec(), value.to_vec(), timestamp);
+                    shards[part.shard_of(key)].push(SourceItem::Tuple(derived));
+                });
             }
             SourceItem::Barrier => {
                 for shard in &mut phase1 {
@@ -102,6 +101,7 @@ pub(crate) fn route(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowkv_common::types::TupleRef;
 
     fn t(key: &str, ts: i64) -> Tuple {
         Tuple::new(key.into(), vec![1], ts)
@@ -257,8 +257,8 @@ mod tests {
         let part = KeyRangePartitioner::new(4);
         let prefix = vec![Stage::Stateless {
             name: "rekey".into(),
-            f: std::sync::Arc::new(|t: &Tuple, out: &mut Vec<Tuple>| {
-                out.push(Tuple::new(b"fixed".to_vec(), t.value.clone(), t.timestamp));
+            f: std::sync::Arc::new(|t: TupleRef<'_>, out: &mut crate::job::Emit<'_>| {
+                out(b"fixed", t.value, t.timestamp);
             }),
         }];
         let source = (0..20i64).map(|i| t(&format!("k{i}"), i));

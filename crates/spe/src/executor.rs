@@ -14,11 +14,14 @@
 //!
 //! Tuples move between stages in micro-batches of up to
 //! [`RunOptions::batch_size`] (one channel operation per batch instead
-//! of per tuple). Batches are force-flushed before every watermark,
-//! barrier, and end marker, and additionally once a partial batch has
-//! lingered 5 ms on a rate-limited stream, so event-time
-//! semantics, checkpoint alignment, and the sink's accounting are
-//! independent of the batch size — see DESIGN.md § Exchange layer.
+//! of per tuple), each a [`TupleBatch`]: one byte arena the sender's
+//! stateless stages emit into and the receiver reads rows of in place,
+//! so no tuple is allocated between the source and the store. Batches
+//! are force-flushed before every watermark, barrier, and end marker,
+//! and additionally once a partial batch has lingered 5 ms on a
+//! rate-limited stream, so event-time semantics, checkpoint alignment,
+//! and the sink's accounting are independent of the batch size — see
+//! DESIGN.md § Exchange and batching.
 //!
 //! Latency accounting: each tuple and watermark carries the wall-clock
 //! nanosecond at which it left the source — or, under a rate limit, at
@@ -46,8 +49,9 @@ use flowkv_common::metrics::MetricsSnapshot;
 use flowkv_common::registry::{StateKey, StateRegistry, ViewCapture};
 use flowkv_common::telemetry::{self, Counter, Gauge, Histogram, HistogramSnapshot, Telemetry};
 use flowkv_common::trace::{self as ftrace, SpanRecorder, TraceCtx, TraceHandle, Tracer};
-use flowkv_common::types::{Timestamp, Tuple, MAX_TIMESTAMP, MIN_TIMESTAMP};
+use flowkv_common::types::{Timestamp, Tuple, TupleRef, MAX_TIMESTAMP, MIN_TIMESTAMP};
 
+use crate::batch::TupleBatch;
 use crate::job::{Chain, Job, Stage};
 use crate::join::IntervalJoinOperator;
 use crate::latency::{LatencySummary, Stamped};
@@ -95,7 +99,7 @@ enum WorkerOp {
 impl WorkerOp {
     fn on_batch(
         &mut self,
-        batch: &mut [Stamped],
+        batch: &mut TupleBatch,
         out: &mut Vec<Stamped>,
     ) -> Result<(), StoreError> {
         match self {
@@ -502,7 +506,7 @@ impl<I: Iterator<Item = Tuple>> Iterator for Schedule<I> {
 enum Msg {
     /// A micro-batch of tuples, each carrying its own origin stamp and,
     /// when the batch was sampled for tracing, its causal context.
-    Batch(Vec<Stamped>, Option<BatchTrace>),
+    Batch(TupleBatch, Option<BatchTrace>),
     Watermark {
         ts: Timestamp,
         origin: u64,
@@ -575,41 +579,56 @@ impl ExchangeProbe {
     }
 }
 
-/// A batching sender over one channel boundary.
-///
-/// Each tuple first runs through the stateless stages between this
-/// sender and the next keyed stage (or the sink); what they emit
-/// accumulates into per-destination micro-batches sealed at
-/// `batch_size`. Control messages go through [`Exchange::broadcast`],
-/// which force-flushes every pending batch first so the [`Msg`] ordering
-/// invariant holds at any batch size.
+/// A batching sender over one channel boundary: the stateless stages
+/// between this sender and the next keyed stage (or the sink), and the
+/// outbox their outputs land in.
 struct Exchange {
-    txs: Vec<Sender<Envelope>>,
     chain: Chain,
-    /// What `chain` made of the tuple being sent (reused allocation).
-    derived: Vec<Tuple>,
-    pending: Vec<Vec<Stamped>>,
+    outbox: Outbox,
+}
+
+impl Exchange {
+    /// Runs one lent tuple through the stateless chain and queues every
+    /// tuple it becomes — each carrying the input's `origin` — for its
+    /// key's partition. Returns `false` when the receiver hung up.
+    fn send(&mut self, tuple: TupleRef<'_>, origin: u64) -> bool {
+        let outbox = &mut self.outbox;
+        let mut ok = true;
+        self.chain.run(tuple, &mut |key, value, timestamp| {
+            ok &= outbox.push(key, value, timestamp, origin);
+        });
+        ok
+    }
+}
+
+/// Per-destination micro-batches, sealed at `batch_size` tuples. Control
+/// messages go through [`Outbox::broadcast`], which force-flushes every
+/// pending batch first so the [`Msg`] ordering invariant holds at any
+/// batch size.
+struct Outbox {
+    txs: Vec<Sender<Envelope>>,
+    pending: Vec<TupleBatch>,
     batch_size: usize,
     sender: usize,
     probe: Option<ExchangeProbe>,
     trace: Option<ExchangeTrace>,
 }
 
-impl Exchange {
+impl Outbox {
     fn new(
         txs: Vec<Sender<Envelope>>,
-        chain: Chain,
         batch_size: usize,
         sender: usize,
         probe: Option<ExchangeProbe>,
         trace: Option<ExchangeTrace>,
     ) -> Self {
         let batch_size = batch_size.max(1);
-        let pending = txs.iter().map(|_| Vec::with_capacity(batch_size)).collect();
-        Exchange {
+        let pending = txs
+            .iter()
+            .map(|_| TupleBatch::with_capacity(batch_size, 0))
+            .collect();
+        Outbox {
             txs,
-            chain,
-            derived: Vec::new(),
             pending,
             batch_size,
             sender,
@@ -650,34 +669,26 @@ impl Exchange {
         }
     }
 
-    /// Runs one tuple through the stateless chain and queues every tuple
-    /// it becomes — each carrying the input's `origin` — for its key's
-    /// partition, sending a batch once full. Returns `false` when the
-    /// receiver hung up.
-    fn send(&mut self, tuple: Tuple, origin: u64) -> bool {
-        let mut derived = std::mem::take(&mut self.derived);
-        self.chain.apply(tuple, &mut derived);
-        let mut ok = true;
-        for tuple in derived.drain(..) {
-            let dest = if self.txs.len() == 1 {
-                0
-            } else {
-                partition_of(&tuple.key, self.txs.len())
-            };
-            self.pending[dest].push(Stamped { tuple, origin });
-            if self.pending[dest].len() >= self.batch_size {
-                ok &= self.flush_dest(dest);
-            }
-        }
-        self.derived = derived;
-        ok
+    /// Copies one tuple into its key's pending batch, sending the batch
+    /// once full. Returns `false` when the receiver hung up.
+    fn push(&mut self, key: &[u8], value: &[u8], timestamp: Timestamp, origin: u64) -> bool {
+        let dest = if self.txs.len() == 1 {
+            0
+        } else {
+            partition_of(key, self.txs.len())
+        };
+        self.pending[dest].push(key, value, timestamp, origin);
+        self.pending[dest].len() < self.batch_size || self.flush_dest(dest)
     }
 
     fn flush_dest(&mut self, dest: usize) -> bool {
         if self.pending[dest].is_empty() {
             return true;
         }
-        let batch = std::mem::replace(&mut self.pending[dest], Vec::with_capacity(self.batch_size));
+        // The next batch starts with the room this one grew to: a run of
+        // like-sized tuples fills it without reallocating.
+        let next = TupleBatch::with_capacity(self.batch_size, self.pending[dest].byte_capacity());
+        let batch = std::mem::replace(&mut self.pending[dest], next);
         let bt = self.seal_trace();
         // An `exchange_send` span brackets the channel operation for
         // sampled batches; its duration is the send-side backpressure
@@ -1131,24 +1142,26 @@ fn run_source(
         .tracer
         .as_ref()
         .map(|tracer| tracer.thread(ctx.trace_pid, "source"));
-    let mut exchange = Exchange::new(
-        txs,
-        Chain::leading(&run.job.stages),
-        options.batch_size,
-        0,
-        ctx.telemetry
-            .as_deref()
-            .map(|t| ExchangeProbe::new(t, "source", 0)),
-        ctx.tracer
-            .as_ref()
-            .zip(recorder.clone())
-            .map(|(tracer, recorder)| ExchangeTrace::Source {
-                tracer: Arc::clone(tracer),
-                recorder,
-                sample: ctx.trace_sample,
-                sealed: 0,
-            }),
-    );
+    let mut exchange = Exchange {
+        chain: Chain::leading(&run.job.stages),
+        outbox: Outbox::new(
+            txs,
+            options.batch_size,
+            0,
+            ctx.telemetry
+                .as_deref()
+                .map(|t| ExchangeProbe::new(t, "source", 0)),
+            ctx.tracer
+                .as_ref()
+                .zip(recorder.clone())
+                .map(|(tracer, recorder)| ExchangeTrace::Source {
+                    tracer: Arc::clone(tracer),
+                    recorder,
+                    sample: ctx.trace_sample,
+                    sealed: 0,
+                }),
+        ),
+    };
     let now = || run.epoch.elapsed().as_nanos() as u64;
     // Under a rate limit the item after `count` tuples is due
     // `count / rate` seconds after pacing started, and is stamped with
@@ -1181,20 +1194,22 @@ fn run_source(
                     }
                 }
                 let departure = now();
-                if !exchange.send(tuple, stamp(count, departure)) {
+                // The stateless prefix reads the input in place; the
+                // input is freed here, on the thread that received it.
+                if !exchange.send(tuple.borrowed(), stamp(count, departure)) {
                     break;
                 }
                 count += 1;
                 if let Some((tuples, _)) = &counters {
                     tuples.inc();
                 }
-                if !exchange.has_pending() {
+                if !exchange.outbox.has_pending() {
                     last_flush = departure;
                 } else if options.rate_limit.is_some()
                     && departure.saturating_sub(last_flush) >= BATCH_LINGER_NANOS
                 {
                     // Slow stream: don't sit on a partial batch forever.
-                    exchange.flush();
+                    exchange.outbox.flush();
                     last_flush = departure;
                 }
             }
@@ -1204,7 +1219,7 @@ fn run_source(
                 if let Some((_, watermark)) = &counters {
                     watermark.set(ts);
                 }
-                exchange.broadcast(|| Msg::Watermark { ts, origin });
+                exchange.outbox.broadcast(|| Msg::Watermark { ts, origin });
                 last_flush = departure;
             }
             SourceItem::Barrier => {
@@ -1217,7 +1232,7 @@ fn run_source(
                         vec![("barrier", barrier_seq as i64)],
                     );
                 }
-                exchange.broadcast(|| Msg::Barrier);
+                exchange.outbox.broadcast(|| Msg::Barrier);
             }
             SourceItem::Halt => {
                 halted = true;
@@ -1227,12 +1242,12 @@ fn run_source(
     }
     if !halted {
         let origin = stamp(count, now());
-        exchange.broadcast(|| Msg::Watermark {
+        exchange.outbox.broadcast(|| Msg::Watermark {
             ts: MAX_TIMESTAMP,
             origin,
         });
     }
-    exchange.broadcast(|| Msg::End);
+    exchange.outbox.broadcast(|| Msg::End);
     count
 }
 
@@ -1298,7 +1313,7 @@ fn run_sink(run: RunShared<'_>, n: usize, rx: Receiver<Envelope>) -> SinkReport 
                     let arrive = now();
                     let e2e_max = batch
                         .iter()
-                        .map(|s| arrive.saturating_sub(s.origin))
+                        .map(|(_, origin)| arrive.saturating_sub(origin))
                         .max()
                         .unwrap_or(0);
                     rec.instant(
@@ -1315,7 +1330,7 @@ fn run_sink(run: RunShared<'_>, n: usize, rx: Receiver<Envelope>) -> SinkReport 
                 if let Some(tuples) = &sink_tuples {
                     tuples.add(batch.len() as u64);
                 }
-                for stamped in batch {
+                for (tuple, origin) in batch.iter() {
                     report.output_count += 1;
                     // Batches flush before barriers, so "arrived before
                     // that sender's barrier" stays an exact pre/post
@@ -1323,14 +1338,14 @@ fn run_sink(run: RunShared<'_>, n: usize, rx: Receiver<Envelope>) -> SinkReport 
                     if !barrier_from[env.sender] {
                         report.pre_count += 1;
                         if collect {
-                            report.outputs_pre.push(stamped.tuple.clone());
+                            report.outputs_pre.push(tuple.to_tuple());
                         }
                     }
                     if let Some(hist) = &hist {
-                        hist.record(arrived.saturating_sub(stamped.origin));
+                        hist.record(arrived.saturating_sub(origin));
                     }
                     if collect {
-                        report.outputs.push(stamped.tuple);
+                        report.outputs.push(tuple.to_tuple());
                     }
                 }
             }
@@ -1658,16 +1673,18 @@ fn run_worker(
     let mut ends = 0;
     let mut outputs: Vec<Tuple> = Vec::new();
     let mut stamped_out: Vec<Stamped> = Vec::new();
-    let mut exchange = Exchange::new(
-        next,
+    let mut exchange = Exchange {
         chain,
-        options.batch_size,
-        worker,
-        exchange_probe,
-        trace_handle.as_ref().map(|h| ExchangeTrace::Inherit {
-            tracer: Arc::clone(&h.tracer),
-        }),
-    );
+        outbox: Outbox::new(
+            next,
+            options.batch_size,
+            worker,
+            exchange_probe,
+            trace_handle.as_ref().map(|h| ExchangeTrace::Inherit {
+                tracer: Arc::clone(&h.tracer),
+            }),
+        ),
+    };
     let mut align = BarrierAlign::new(upstreams);
 
     // Busy/idle accounting runs on a single chained clock: each phase
@@ -1727,8 +1744,8 @@ fn run_worker(
                         // Stream time feeds both the watermark-lag probe
                         // and the prefetch horizon.
                         if probe.is_some() || io_on {
-                            for stamped in &batch {
-                                max_event_ts = max_event_ts.max(stamped.tuple.timestamp);
+                            for (tuple, _) in batch.iter() {
+                                max_event_ts = max_event_ts.max(tuple.timestamp);
                             }
                         }
                         // Sampled batch: record the channel residency,
@@ -1767,7 +1784,7 @@ fn run_worker(
                         }
                         ftrace::end_here(batch_span, &[("out", stamped_out.len() as i64)]);
                         for stamped in stamped_out.drain(..) {
-                            if !exchange.send(stamped.tuple, stamped.origin) {
+                            if !exchange.send(stamped.tuple.borrowed(), stamped.origin) {
                                 return Ok(());
                             }
                         }
@@ -1840,14 +1857,16 @@ fn run_worker(
                         operator.on_watermark(min_wm, &mut outputs)?;
                         let fired = outputs.len();
                         for out in outputs.drain(..) {
-                            if !exchange.send(out, origin) {
+                            if !exchange.send(out.borrowed(), origin) {
                                 return Ok(());
                             }
                         }
                         // Forwarding the watermark flushes every pending
                         // batch first, preserving tuple-before-watermark
                         // order downstream.
-                        exchange.broadcast(|| Msg::Watermark { ts: min_wm, origin });
+                        exchange
+                            .outbox
+                            .broadcast(|| Msg::Watermark { ts: min_wm, origin });
                         if let Some(p) = publisher.as_mut() {
                             p.publish(operator.backend_mut(), min_wm)?;
                         }
@@ -1902,7 +1921,7 @@ fn run_worker(
                                     rec.end(span, "store_snapshot", "barrier");
                                 }
                             }
-                            exchange.broadcast(|| Msg::Barrier);
+                            exchange.outbox.broadcast(|| Msg::Barrier);
                         }
                     }
                     Msg::End => {
@@ -1913,7 +1932,7 @@ fn run_worker(
                             if let Some(p) = publisher.as_mut() {
                                 p.publish(operator.backend_mut(), current_wm)?;
                             }
-                            exchange.broadcast(|| Msg::End);
+                            exchange.outbox.broadcast(|| Msg::End);
                             break 'recv;
                         }
                     }
@@ -2012,7 +2031,7 @@ mod tests {
             .parallelism(2)
             .stateless("keep-even-keys", |t, out| {
                 if t.key.ends_with(b"0") || t.key.ends_with(b"2") {
-                    out.push(t.clone());
+                    out(t.key, t.value, t.timestamp);
                 }
             })
             .window(
@@ -2197,7 +2216,7 @@ mod tests {
         // sample per output tuple.
         let job = JobBuilder::new("batched")
             .parallelism(3)
-            .stateless("pass", |t, out| out.push(t.clone()))
+            .stateless("pass", |t, out| out(t.key, t.value, t.timestamp))
             .window(
                 "counts",
                 WindowAssigner::Fixed { size: 1000 },
@@ -2270,7 +2289,9 @@ mod tests {
         assert_eq!(passed(align.admit(wm(1, 3))), Some((1, 3)));
         assert!(!align.on_barrier(1));
         assert!(align.admit(wm(1, 4)).is_none());
-        assert!(align.admit(env(0, Msg::Batch(Vec::new(), None))).is_none());
+        assert!(align
+            .admit(env(0, Msg::Batch(TupleBatch::default(), None)))
+            .is_none());
         assert!(align.next_released().is_none());
         assert!(align.on_barrier(2));
         // Released in arrival order, across senders.

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use flowkv_common::backend::{AggregateKind, OperatorSemantics};
-use flowkv_common::types::Tuple;
+use flowkv_common::types::{Timestamp, TupleRef};
 
 use crate::functions::{AggregateFunction, ProcessWindowFunction};
 use crate::join::{IntervalJoinSpec, JoinFn};
@@ -36,8 +36,14 @@ impl AggregateSpec {
     }
 }
 
-/// A stateless flat-map: reads one tuple, emits zero or more.
-pub type StatelessFn = Arc<dyn Fn(&Tuple, &mut Vec<Tuple>) + Send + Sync>;
+/// Where a stateless stage sends what it makes of a tuple: one call per
+/// output, `(key, value, timestamp)`. The slices need only outlive the
+/// call — the receiver copies what it keeps — so a stage may emit bytes
+/// of its input or of its own stack.
+pub type Emit<'a> = dyn FnMut(&[u8], &[u8], Timestamp) + 'a;
+
+/// A stateless flat-map: reads one lent tuple, emits zero or more.
+pub type StatelessFn = Arc<dyn Fn(TupleRef<'_>, &mut Emit<'_>) + Send + Sync>;
 
 /// Configuration of one window stage.
 #[derive(Clone)]
@@ -89,10 +95,10 @@ impl Stage {
 ///
 /// Stateless stages own no thread; whoever produces their input (the
 /// source, a keyed worker, the cluster router) applies the run before
-/// it partitions by key.
+/// it partitions by key. Stages compose by nesting their emit calls, so
+/// nothing between the input and the last stage's output is buffered.
 pub(crate) struct Chain {
     fns: Vec<StatelessFn>,
-    scratch: Vec<Tuple>,
 }
 
 impl Chain {
@@ -106,23 +112,30 @@ impl Chain {
                 Stage::Window(_) | Stage::IntervalJoin(_) => None,
             })
             .collect();
-        Chain {
-            fns,
-            scratch: Vec::new(),
-        }
+        Chain { fns }
     }
 
-    /// Replaces the contents of `out` with what `tuple` becomes.
-    pub(crate) fn apply(&mut self, tuple: Tuple, out: &mut Vec<Tuple>) {
-        out.clear();
-        out.push(tuple);
-        for f in &self.fns {
-            self.scratch.clear();
-            for t in out.iter() {
-                f(t, &mut self.scratch);
-            }
-            std::mem::swap(out, &mut self.scratch);
-        }
+    /// Hands `emit` every tuple `tuple` becomes, in order.
+    pub(crate) fn run(&self, tuple: TupleRef<'_>, emit: &mut Emit<'_>) {
+        run_stages(&self.fns, tuple, emit);
+    }
+}
+
+/// `fns[0]`, each of whose outputs runs through the rest of `fns`.
+fn run_stages(fns: &[StatelessFn], tuple: TupleRef<'_>, emit: &mut Emit<'_>) {
+    match fns.split_first() {
+        None => emit(tuple.key, tuple.value, tuple.timestamp),
+        Some((f, rest)) => f(tuple, &mut |key, value, timestamp| {
+            run_stages(
+                rest,
+                TupleRef {
+                    key,
+                    value,
+                    timestamp,
+                },
+                emit,
+            )
+        }),
     }
 }
 
@@ -159,7 +172,7 @@ impl Job {
 ///
 /// let job = JobBuilder::new("counts")
 ///     .parallelism(2)
-///     .stateless("pass", |t, out| out.push(t.clone()))
+///     .stateless("pass", |t, out| out(t.key, t.value, t.timestamp))
 ///     .window(
 ///         "count-per-key",
 ///         WindowAssigner::Fixed { size: 1_000 },
@@ -199,7 +212,7 @@ impl JobBuilder {
     pub fn stateless(
         mut self,
         name: impl Into<String>,
-        f: impl Fn(&Tuple, &mut Vec<Tuple>) + Send + Sync + 'static,
+        f: impl Fn(TupleRef<'_>, &mut Emit<'_>) + Send + Sync + 'static,
     ) -> Self {
         self.stages.push(Stage::Stateless {
             name: name.into(),
@@ -259,12 +272,13 @@ mod tests {
     use super::*;
     use crate::functions::{CountAggregate, MedianProcess};
     use flowkv_common::backend::WindowKind;
+    use flowkv_common::types::Tuple;
 
     #[test]
     fn builder_assembles_stages() {
         let job = JobBuilder::new("j")
             .parallelism(3)
-            .stateless("a", |t, out| out.push(t.clone()))
+            .stateless("a", |t, out| out(t.key, t.value, t.timestamp))
             .window(
                 "w",
                 WindowAssigner::Session { gap: 10 },
@@ -283,12 +297,12 @@ mod tests {
         let job = JobBuilder::new("j")
             .stateless("drop-odd", |t, out| {
                 if t.timestamp % 2 == 0 {
-                    out.push(t.clone());
+                    out(t.key, t.value, t.timestamp);
                 }
             })
             .stateless("twice", |t, out| {
-                out.push(t.clone());
-                out.push(Tuple::new(b"copy".to_vec(), t.value.clone(), t.timestamp));
+                out(t.key, t.value, t.timestamp);
+                out(b"copy", t.value, t.timestamp);
             })
             .window(
                 "w",
@@ -297,18 +311,23 @@ mod tests {
             )
             .stateless("after", |_, _| panic!("past the keyed stage"))
             .build();
-        let mut chain = Chain::leading(&job.stages);
-        let mut out = vec![Tuple::new(b"stale".to_vec(), vec![], 0)];
-        chain.apply(Tuple::new(b"k".to_vec(), vec![7], 4), &mut out);
+        let run = |chain: &Chain, tuple: &Tuple| {
+            let mut out = Vec::new();
+            chain.run(tuple.borrowed(), &mut |key, value, timestamp| {
+                out.push(Tuple::new(key.to_vec(), value.to_vec(), timestamp))
+            });
+            out
+        };
+        let chain = Chain::leading(&job.stages);
+        let out = run(&chain, &Tuple::new(b"k".to_vec(), vec![7], 4));
         let keys: Vec<&[u8]> = out.iter().map(|t| &t.key[..]).collect();
         assert_eq!(keys, [&b"k"[..], b"copy"]);
-        chain.apply(Tuple::new(b"k".to_vec(), vec![7], 5), &mut out);
-        assert!(out.is_empty());
+        assert!(run(&chain, &Tuple::new(b"k".to_vec(), vec![7], 5)).is_empty());
 
         // No stateless stage in front: the tuple passes through.
-        let mut empty = Chain::leading(&job.stages[2..]);
-        empty.apply(Tuple::new(b"k".to_vec(), vec![7], 5), &mut out);
-        assert_eq!(out.len(), 1);
+        let empty = Chain::leading(&job.stages[2..]);
+        let tuple = Tuple::new(b"k".to_vec(), vec![7], 5);
+        assert_eq!(run(&empty, &tuple), [tuple]);
     }
 
     #[test]

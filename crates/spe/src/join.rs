@@ -21,8 +21,9 @@ use std::sync::Arc;
 use flowkv_common::backend::{AggregateKind, OperatorSemantics, StateBackend, WindowKind};
 use flowkv_common::codec::{put_varint_i64, Decoder};
 use flowkv_common::error::Result;
-use flowkv_common::types::{Timestamp, Tuple, WindowId};
+use flowkv_common::types::{Timestamp, Tuple, TupleRef, WindowId};
 
+use crate::batch::TupleBatch;
 use crate::latency::Stamped;
 
 /// Tag prefix marking a tuple of the left stream.
@@ -136,7 +137,7 @@ impl IntervalJoinOperator {
     ///
     /// The tuple's value must start with [`LEFT`] or [`RIGHT`] (see
     /// [`tag_left`] / [`tag_right`]).
-    pub fn on_element(&mut self, tuple: &Tuple, out: &mut Vec<Tuple>) -> Result<()> {
+    pub fn on_element(&mut self, tuple: TupleRef<'_>, out: &mut Vec<Tuple>) -> Result<()> {
         if tuple.timestamp < self.watermark {
             self.dropped_late += 1;
             return Ok(());
@@ -165,7 +166,7 @@ impl IntervalJoinOperator {
             let mut bucket_start = lo.div_euclid(g) * g;
             while bucket_start <= hi {
                 let bucket = WindowId::new(bucket_start, bucket_start + g);
-                for row in self.backend.peek_values(&tuple.key, bucket)? {
+                for row in self.backend.peek_values(tuple.key, bucket)? {
                     let (other_side, other_ts, other_payload) = decode_row(&row)?;
                     if other_side == side || other_ts < lo || other_ts > hi {
                         continue;
@@ -175,8 +176,8 @@ impl IntervalJoinOperator {
                     } else {
                         (other_payload, payload)
                     };
-                    if let Some(joined) = (self.spec.join)(&tuple.key, l, r) {
-                        out.push(Tuple::new(tuple.key.clone(), joined, ts.max(other_ts)));
+                    if let Some(joined) = (self.spec.join)(tuple.key, l, r) {
+                        out.push(Tuple::new(tuple.key.to_vec(), joined, ts.max(other_ts)));
                     }
                 }
                 bucket_start += g;
@@ -186,11 +187,11 @@ impl IntervalJoinOperator {
         // Buffer this row for future probes from the other side.
         let bucket = self.bucket_of(ts);
         self.backend
-            .append(&tuple.key, bucket, &encode_row(side, ts, payload), ts)?;
-        if self.live_buckets.insert((tuple.key.clone(), bucket)) {
+            .append(tuple.key, bucket, &encode_row(side, ts, payload), ts)?;
+        if self.live_buckets.insert((tuple.key.to_vec(), bucket)) {
             let purge_at = bucket.end.saturating_add(self.spec.horizon());
             self.purge_timers
-                .insert((purge_at, tuple.key.clone(), bucket));
+                .insert((purge_at, tuple.key.to_vec(), bucket));
         }
         Ok(())
     }
@@ -198,19 +199,18 @@ impl IntervalJoinOperator {
     /// Processes one exchange micro-batch, emitting joined rows into
     /// `out` with each input's own origin stamp.
     ///
-    /// The batch is stably sorted by key so same-key probes and appends
+    /// The rows are stably sorted by key so same-key probes and appends
     /// touch the store back to back; stability preserves per-key arrival
     /// order, and tuples of different keys never join, so outputs match
     /// element-at-a-time processing (up to cross-key emission order).
-    pub fn on_batch(&mut self, batch: &mut [Stamped], out: &mut Vec<Stamped>) -> Result<()> {
+    pub fn on_batch(&mut self, batch: &mut TupleBatch, out: &mut Vec<Stamped>) -> Result<()> {
         if batch.len() > 1 {
-            batch.sort_by(|a, b| a.tuple.key.cmp(&b.tuple.key));
+            batch.sort_by_key_stable();
         }
         let mut scratch = std::mem::take(&mut self.batch_scratch);
-        for stamped in batch.iter() {
+        for (tuple, origin) in batch.iter() {
             scratch.clear();
-            self.on_element(&stamped.tuple, &mut scratch)?;
-            let origin = stamped.origin;
+            self.on_element(tuple, &mut scratch)?;
             out.extend(scratch.drain(..).map(|tuple| Stamped { tuple, origin }));
         }
         self.batch_scratch = scratch;
@@ -323,13 +323,17 @@ mod tests {
     fn joins_within_interval_only() {
         let mut o = op(-10, 10, 16);
         let mut out = Vec::new();
-        o.on_element(&left("k", "l1", 100), &mut out).unwrap();
+        o.on_element(left("k", "l1", 100).borrowed(), &mut out)
+            .unwrap();
         // In range (|Δ| ≤ 10).
-        o.on_element(&right("k", "r1", 105), &mut out).unwrap();
+        o.on_element(right("k", "r1", 105).borrowed(), &mut out)
+            .unwrap();
         // Out of range.
-        o.on_element(&right("k", "r2", 150), &mut out).unwrap();
+        o.on_element(right("k", "r2", 150).borrowed(), &mut out)
+            .unwrap();
         // In range, arriving before its left partner.
-        o.on_element(&right("k", "r3", 92), &mut out).unwrap();
+        o.on_element(right("k", "r3", 92).borrowed(), &mut out)
+            .unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].value, b"l1|r1".to_vec());
         assert_eq!(out[1].value, b"l1|r3".to_vec());
@@ -342,8 +346,10 @@ mod tests {
     fn keys_do_not_join_across() {
         let mut o = op(-10, 10, 16);
         let mut out = Vec::new();
-        o.on_element(&left("a", "l", 100), &mut out).unwrap();
-        o.on_element(&right("b", "r", 100), &mut out).unwrap();
+        o.on_element(left("a", "l", 100).borrowed(), &mut out)
+            .unwrap();
+        o.on_element(right("b", "r", 100).borrowed(), &mut out)
+            .unwrap();
         assert!(out.is_empty());
     }
 
@@ -352,10 +358,11 @@ mod tests {
         let mut o = op(0, 100, 32);
         let mut out = Vec::new();
         for i in 0..5 {
-            o.on_element(&left("k", &format!("l{i}"), i * 10), &mut out)
+            o.on_element(left("k", &format!("l{i}"), i * 10).borrowed(), &mut out)
                 .unwrap();
         }
-        o.on_element(&right("k", "r", 60), &mut out).unwrap();
+        o.on_element(right("k", "r", 60).borrowed(), &mut out)
+            .unwrap();
         // Every left with ts ∈ [r.ts−100, r.ts] = all five.
         assert_eq!(out.len(), 5);
         let mut seen: Vec<Vec<u8>> = out.iter().map(|t| t.value.clone()).collect();
@@ -368,14 +375,16 @@ mod tests {
     fn purge_stops_future_joins_and_bounds_state() {
         let mut o = op(-10, 10, 16);
         let mut out = Vec::new();
-        o.on_element(&left("k", "old", 100), &mut out).unwrap();
+        o.on_element(left("k", "old", 100).borrowed(), &mut out)
+            .unwrap();
         // Watermark far past the purge horizon of bucket(100).
         o.on_watermark(1_000, &mut out).unwrap();
         assert!(o.live_buckets.is_empty());
         assert!(o.purge_timers.is_empty());
         // A (non-late) right at 1005 would have joined old only if old
         // were still buffered and in range — it is neither.
-        o.on_element(&right("k", "new", 1_005), &mut out).unwrap();
+        o.on_element(right("k", "new", 1_005).borrowed(), &mut out)
+            .unwrap();
         assert!(out.is_empty());
     }
 
@@ -384,10 +393,14 @@ mod tests {
         // Right must be 0..=50 ms *after* left.
         let mut o = op(0, 50, 64);
         let mut out = Vec::new();
-        o.on_element(&left("k", "l", 100), &mut out).unwrap();
-        o.on_element(&right("k", "early", 95), &mut out).unwrap();
-        o.on_element(&right("k", "ok", 140), &mut out).unwrap();
-        o.on_element(&right("k", "late", 151), &mut out).unwrap();
+        o.on_element(left("k", "l", 100).borrowed(), &mut out)
+            .unwrap();
+        o.on_element(right("k", "early", 95).borrowed(), &mut out)
+            .unwrap();
+        o.on_element(right("k", "ok", 140).borrowed(), &mut out)
+            .unwrap();
+        o.on_element(right("k", "late", 151).borrowed(), &mut out)
+            .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].value, b"l|ok".to_vec());
     }
@@ -398,13 +411,15 @@ mod tests {
         let ckpt = ScratchDir::new("join-ckpt").unwrap();
         let mut a = op(-10, 10, 16);
         let mut out = Vec::new();
-        a.on_element(&left("k", "l", 100), &mut out).unwrap();
+        a.on_element(left("k", "l", 100).borrowed(), &mut out)
+            .unwrap();
         a.checkpoint(ckpt.path()).unwrap();
 
         let mut b = op(-10, 10, 16);
         b.restore(ckpt.path()).unwrap();
         let mut out = Vec::new();
-        b.on_element(&right("k", "r", 105), &mut out).unwrap();
+        b.on_element(right("k", "r", 105).borrowed(), &mut out)
+            .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].value, b"l|r".to_vec());
     }

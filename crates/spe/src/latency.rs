@@ -1,6 +1,6 @@
 //! Latency aggregation for the tail-latency experiments (paper §6.2),
-//! and the [`Stamped`] tuple carrying its per-tuple origin timestamp
-//! through the micro-batched exchange.
+//! and the [`Stamped`] tuple: an owned operator output carrying the
+//! origin timestamp of the input that produced it.
 //!
 //! The sink records every end-to-end sample into a streaming
 //! [`Histogram`](flowkv_common::telemetry::Histogram) and summarizes the
@@ -13,12 +13,13 @@ use flowkv_common::telemetry::HistogramSnapshot;
 use flowkv_common::types::Tuple;
 
 /// A tuple stamped with the wall-clock nanosecond at which it left the
-/// source.
+/// source: what an operator's `on_batch` emits per element (count
+/// windows, joins), each output with its input's stamp.
 ///
-/// The stamp travels *per tuple*, never per batch: micro-batching the
-/// exchange amortizes channel synchronization, but each tuple keeps its
-/// own departure time so the sink's [`LatencySummary`] samples true
-/// end-to-end latency regardless of how tuples were grouped in flight.
+/// The stamp travels *per tuple*, never per batch — in the exchange it
+/// is a field of every [`TupleBatch`](crate::TupleBatch) row — so the
+/// sink's [`LatencySummary`] samples true end-to-end latency regardless
+/// of how tuples were grouped in flight.
 #[derive(Clone, Debug)]
 pub struct Stamped {
     /// The data tuple.

@@ -24,6 +24,7 @@
 
 pub mod backends;
 pub mod backoff;
+mod batch;
 pub mod cluster;
 pub mod executor;
 pub mod functions;
@@ -37,6 +38,7 @@ pub mod supervisor;
 pub mod window;
 
 pub use backends::{BackendChoice, FactoryOptions};
+pub use batch::TupleBatch;
 pub use cluster::{run_cluster, ClusterResult};
 pub use executor::{run_job, JobError, JobResult, RunOptions};
 pub use job::{AggregateSpec, Job, JobBuilder, Stage};

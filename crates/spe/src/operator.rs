@@ -34,8 +34,9 @@ use flowkv_common::backend::StateBackend;
 use flowkv_common::dict::{group_stable, ByteDict};
 use flowkv_common::error::Result;
 use flowkv_common::hash::KeyHash;
-use flowkv_common::types::{Timestamp, Tuple, WindowId, MAX_TIMESTAMP};
+use flowkv_common::types::{Timestamp, Tuple, TupleRef, WindowId, MAX_TIMESTAMP};
 
+use crate::batch::TupleBatch;
 use crate::job::{AggregateSpec, WindowSpec};
 use crate::latency::Stamped;
 use crate::window::WindowAssigner;
@@ -54,22 +55,22 @@ fn merges_with(a: &WindowId, b: &WindowId) -> bool {
 fn store_tuple(
     aggregate: &AggregateSpec,
     backend: &mut dyn StateBackend,
-    tuple: &Tuple,
+    tuple: TupleRef<'_>,
     window: WindowId,
 ) -> Result<bool> {
     match aggregate {
         AggregateSpec::FullList(_) => {
-            backend.append(&tuple.key, window, &tuple.value, tuple.timestamp)?;
+            backend.append(tuple.key, window, tuple.value, tuple.timestamp)?;
             Ok(false)
         }
         AggregateSpec::Incremental(agg) => {
             let mut existed = false;
-            backend.update_aggregate(&tuple.key, window, &mut |acc, held| {
+            backend.update_aggregate(tuple.key, window, &mut |acc, held| {
                 existed = held;
                 if !held {
                     *acc = agg.create();
                 }
-                agg.add(acc, &tuple.value);
+                agg.add(acc, tuple.value);
             })?;
             Ok(existed)
         }
@@ -202,6 +203,8 @@ pub struct WindowOperator {
     late: Vec<Tuple>,
     /// Reused per-element output buffer for [`WindowOperator::on_batch`].
     batch_scratch: Vec<Tuple>,
+    /// Reused by every aligned assignment.
+    assigned: Vec<WindowId>,
     /// Reused by every full-list trigger (boxed: only those operators
     /// ever fill it).
     arena: Box<TriggerArena>,
@@ -225,6 +228,7 @@ impl WindowOperator {
             collect_late: false,
             late: Vec::new(),
             batch_scratch: Vec::new(),
+            assigned: Vec::new(),
             arena: Box::default(),
         }
     }
@@ -241,11 +245,12 @@ impl WindowOperator {
     }
 
     /// Processes one tuple, emitting any count-window results into `out`.
-    pub fn on_element(&mut self, tuple: &Tuple, out: &mut Vec<Tuple>) -> Result<()> {
+    /// The store copies what it keeps of the lent bytes.
+    pub fn on_element(&mut self, tuple: TupleRef<'_>, out: &mut Vec<Tuple>) -> Result<()> {
         if tuple.timestamp < self.watermark {
             self.dropped_late += 1;
             if self.collect_late {
-                self.late.push(tuple.clone());
+                self.late.push(tuple.to_tuple());
             }
             return Ok(());
         }
@@ -259,28 +264,27 @@ impl WindowOperator {
         }
     }
 
-    /// Processes one exchange micro-batch, emitting any per-element
-    /// results (count windows) into `out` with each input's own origin
-    /// stamp.
+    /// Processes one exchange micro-batch, reading each row in place and
+    /// emitting any per-element results (count windows) into `out` with
+    /// each input's own origin stamp.
     ///
     /// Elements run in arrival order, the order a batch size of one runs
     /// them in: batching changes no store call. Only a backend that
-    /// wants the [`warm_hint`](Self::warm_hint) (the LSM) gets the batch
+    /// wants the [`warm_hint`](Self::warm_hint) (the LSM) gets the rows
     /// stably sorted by key first, for the hint's dedupe of adjacent
     /// pairs; per-key arrival order survives and the watermark cannot
     /// move inside a batch (batches flush before watermarks), so no
     /// window assignment, session merge, late-drop or per-key value
     /// order changes.
-    pub fn on_batch(&mut self, batch: &mut [Stamped], out: &mut Vec<Stamped>) -> Result<()> {
+    pub fn on_batch(&mut self, batch: &mut TupleBatch, out: &mut Vec<Stamped>) -> Result<()> {
         if batch.len() > 1 && self.backend.wants_warm() {
-            batch.sort_by(|a, b| a.tuple.key.cmp(&b.tuple.key));
+            batch.sort_by_key_stable();
         }
         self.warm_hint(batch)?;
         let mut scratch = std::mem::take(&mut self.batch_scratch);
-        for stamped in batch.iter() {
+        for (tuple, origin) in batch.iter() {
             scratch.clear();
-            self.on_element(&stamped.tuple, &mut scratch)?;
-            let origin = stamped.origin;
+            self.on_element(tuple, &mut scratch)?;
             out.extend(scratch.drain(..).map(|tuple| Stamped { tuple, origin }));
         }
         self.batch_scratch = scratch;
@@ -292,7 +296,7 @@ impl WindowOperator {
     /// their caches while the batch's earlier elements are processed.
     /// Only aligned assigners have a pure assignment the hint can
     /// anticipate; the hint is advisory and never changes results.
-    fn warm_hint(&mut self, batch: &[Stamped]) -> Result<()> {
+    fn warm_hint(&mut self, batch: &TupleBatch) -> Result<()> {
         if !self.backend.wants_warm()
             || !matches!(self.spec.aggregate, AggregateSpec::Incremental(_))
             || !matches!(
@@ -303,13 +307,15 @@ impl WindowOperator {
             return Ok(());
         }
         let mut pairs: Vec<(&[u8], WindowId)> = Vec::new();
-        for stamped in batch {
-            let tuple = &stamped.tuple;
+        for (tuple, _) in batch.iter() {
             if tuple.timestamp < self.watermark {
                 continue; // Dropped as late; never read.
             }
-            for window in self.spec.assigner.assign(tuple.timestamp) {
-                let pair = (tuple.key.as_slice(), window);
+            self.spec
+                .assigner
+                .assign_into(tuple.timestamp, &mut self.assigned);
+            for &window in &self.assigned {
+                let pair = (tuple.key, window);
                 // The batch is key-sorted, so duplicates are adjacent.
                 if pairs.last() != Some(&pair) {
                     pairs.push(pair);
@@ -548,17 +554,21 @@ impl WindowOperator {
     /// their windows track the keys to trigger; so do the full lists of
     /// custom windows, whose state lives per key in the store (classified
     /// unaligned, paper §8). An aligned full list is drained whole.
-    fn on_aligned_element(&mut self, tuple: &Tuple) -> Result<()> {
+    fn on_aligned_element(&mut self, tuple: TupleRef<'_>) -> Result<()> {
         let per_key = matches!(self.spec.assigner, WindowAssigner::Custom { .. })
             || matches!(self.spec.aggregate, AggregateSpec::Incremental(_));
-        for window in self.spec.assigner.assign(tuple.timestamp) {
+        self.spec
+            .assigner
+            .assign_into(tuple.timestamp, &mut self.assigned);
+        for at in 0..self.assigned.len() {
+            let window = self.assigned[at];
             if store_tuple(&self.spec.aggregate, self.backend.as_mut(), tuple, window)? {
                 // A held aggregate has its key tracked and its timer
                 // armed: the three are set, fired, checkpointed and
                 // migrated together. Nearly every RMW tuple ends here.
                 debug_assert!(
                     self.aligned_timers.contains(&(window.end, window))
-                        && self.trigger_keys[&window].contains(&tuple.key)
+                        && self.trigger_keys[&window].contains(tuple.key)
                 );
                 continue;
             }
@@ -568,8 +578,8 @@ impl WindowOperator {
             let armed = per_key && {
                 let keys = self.trigger_keys.entry(window).or_default();
                 let armed = !keys.is_empty();
-                if !keys.contains(&tuple.key) {
-                    keys.insert(tuple.key.clone());
+                if !keys.contains(tuple.key) {
+                    keys.insert(tuple.key.to_vec());
                 }
                 armed
             };
@@ -580,19 +590,16 @@ impl WindowOperator {
         Ok(())
     }
 
-    fn on_session_element(&mut self, tuple: &Tuple, gap: i64) -> Result<()> {
+    fn on_session_element(&mut self, tuple: TupleRef<'_>, gap: i64) -> Result<()> {
         let proto = WindowId::new(tuple.timestamp, tuple.timestamp.saturating_add(gap));
-        let extended = self
-            .sessions
-            .get_mut(tuple.key.as_slice())
-            .and_then(|sessions| {
-                let mut merging =
-                    (0..sessions.len()).filter(|&i| merges_with(&sessions[i].cover, &proto));
-                match (merging.next(), merging.next()) {
-                    (Some(at), None) => Some((sessions, at)),
-                    _ => None,
-                }
-            });
+        let extended = self.sessions.get_mut(tuple.key).and_then(|sessions| {
+            let mut merging =
+                (0..sessions.len()).filter(|&i| merges_with(&sessions[i].cover, &proto));
+            match (merging.next(), merging.next()) {
+                (Some(at), None) => Some((sessions, at)),
+                _ => None,
+            }
+        });
         let Some((sessions, at)) = extended else {
             return self.merge_sessions(tuple, proto);
         };
@@ -618,8 +625,8 @@ impl WindowOperator {
 
     /// The general session step: the tuple opens a session, or bridges
     /// the sessions its proto window touches into one.
-    fn merge_sessions(&mut self, tuple: &Tuple, proto: WindowId) -> Result<()> {
-        let sessions = self.sessions.entry(tuple.key.clone()).or_default();
+    fn merge_sessions(&mut self, tuple: TupleRef<'_>, proto: WindowId) -> Result<()> {
+        let sessions = self.sessions.entry(tuple.key.to_vec()).or_default();
         // Split off the sessions the new tuple bridges. Touching windows
         // merge too (two events exactly `gap` apart share a session, as
         // in Flink's session merging).
@@ -642,7 +649,7 @@ impl WindowOperator {
                     initials.push(proto);
                 }
                 self.backend
-                    .append(&tuple.key, store_window, &tuple.value, tuple.timestamp)?;
+                    .append(tuple.key, store_window, tuple.value, tuple.timestamp)?;
                 Session { cover, initials }
             }
             AggregateSpec::Incremental(agg) => {
@@ -651,7 +658,7 @@ impl WindowOperator {
                 let mut acc: Option<Vec<u8>> = None;
                 for s in &merged {
                     let initial = s.initials[0];
-                    if let Some(prev) = self.backend.take_aggregate(&tuple.key, initial)? {
+                    if let Some(prev) = self.backend.take_aggregate(tuple.key, initial)? {
                         acc = Some(match acc {
                             None => prev,
                             Some(a) => agg.merge(&a, &prev),
@@ -659,9 +666,9 @@ impl WindowOperator {
                     }
                 }
                 let mut acc = acc.unwrap_or_else(|| agg.create());
-                agg.add(&mut acc, &tuple.value);
+                agg.add(&mut acc, tuple.value);
                 let store_window = initials.first().copied().unwrap_or(proto);
-                self.backend.put_aggregate(&tuple.key, store_window, &acc)?;
+                self.backend.put_aggregate(tuple.key, store_window, &acc)?;
                 Session {
                     cover,
                     initials: vec![store_window],
@@ -673,7 +680,7 @@ impl WindowOperator {
         let mut rebuilt = kept;
         rebuilt.push(session);
         *sessions = rebuilt;
-        self.arm_session(trigger_at, tuple.key.clone());
+        self.arm_session(trigger_at, tuple.key.to_vec());
         Ok(())
     }
 
@@ -685,11 +692,17 @@ impl WindowOperator {
         }
     }
 
-    fn on_count_element(&mut self, tuple: &Tuple, size: u64, out: &mut Vec<Tuple>) -> Result<()> {
-        if !self.counts.contains_key(tuple.key.as_slice()) {
-            self.counts.insert(tuple.key.clone(), CountState::default());
+    fn on_count_element(
+        &mut self,
+        tuple: TupleRef<'_>,
+        size: u64,
+        out: &mut Vec<Tuple>,
+    ) -> Result<()> {
+        if !self.counts.contains_key(tuple.key) {
+            self.counts
+                .insert(tuple.key.to_vec(), CountState::default());
         }
-        let state = self.counts.get_mut(tuple.key.as_slice());
+        let state = self.counts.get_mut(tuple.key);
         let state = state.expect("present or just inserted");
         let window = WindowId::new((state.seq * size) as i64, ((state.seq + 1) * size) as i64);
         store_tuple(&self.spec.aggregate, self.backend.as_mut(), tuple, window)?;
@@ -697,7 +710,7 @@ impl WindowOperator {
         if state.in_window >= size {
             state.seq += 1;
             state.in_window = 0;
-            self.fire_key_window(&tuple.key, &[window], tuple.timestamp, out)?;
+            self.fire_key_window(tuple.key, &[window], tuple.timestamp, out)?;
         }
         Ok(())
     }
@@ -904,9 +917,10 @@ mod tests {
         );
         let mut out = Vec::new();
         for i in 0..10 {
-            o.on_element(&t("a", i, 10 + i as i64), &mut out).unwrap();
+            o.on_element(t("a", i, 10 + i as i64).borrowed(), &mut out)
+                .unwrap();
         }
-        o.on_element(&t("b", 1, 50), &mut out).unwrap();
+        o.on_element(t("b", 1, 50).borrowed(), &mut out).unwrap();
         // Nothing fires before the watermark passes the window end.
         o.on_watermark(99, &mut out).unwrap();
         assert!(out.is_empty());
@@ -930,13 +944,13 @@ mod tests {
             AggregateSpec::Incremental(Arc::new(CountAggregate)),
         );
         let mut out = Vec::new();
-        o.on_element(&t("a", 1, 10), &mut out).unwrap();
+        o.on_element(t("a", 1, 10).borrowed(), &mut out).unwrap();
         let tracked = (o.trigger_keys.clone(), o.aligned_timers.clone());
         assert_eq!((tracked.0.len(), tracked.1.len()), (1, 1));
-        o.on_element(&t("a", 2, 20), &mut out).unwrap();
+        o.on_element(t("a", 2, 20).borrowed(), &mut out).unwrap();
         assert_eq!((o.trigger_keys.clone(), o.aligned_timers.clone()), tracked);
         // A new key joins the window's set under the timer already armed.
-        o.on_element(&t("b", 3, 30), &mut out).unwrap();
+        o.on_element(t("b", 3, 30).borrowed(), &mut out).unwrap();
         assert_eq!(o.trigger_keys[&WindowId::new(0, 100)].len(), 2);
         assert_eq!(o.aligned_timers, tracked.1);
         o.on_watermark(100, &mut out).unwrap();
@@ -991,7 +1005,7 @@ mod tests {
         let mut o = WindowOperator::new(spec, Box::new(open("operator")));
         let mut out = Vec::new();
         for tuple in &tuples {
-            o.on_element(tuple, &mut out).unwrap();
+            o.on_element(tuple.borrowed(), &mut out).unwrap();
         }
         o.on_watermark(100, &mut out).unwrap();
         let mut results: Vec<(Vec<u8>, Vec<u8>)> =
@@ -1031,7 +1045,7 @@ mod tests {
             // Spills to the window file several times on the way.
             for i in 0..400u64 {
                 let key = format!("key-{}", i * 7 % 41);
-                o.on_element(&t(&key, i, (i % 100) as i64), &mut out)
+                o.on_element(t(&key, i, (i % 100) as i64).borrowed(), &mut out)
                     .unwrap();
             }
             o.on_watermark(100, &mut out).unwrap();
@@ -1075,7 +1089,7 @@ mod tests {
             let mut out = Vec::new();
             for i in 0..400u64 {
                 let key = format!("key-{:02}", i * 7 % 41);
-                o.on_element(&t(&key, i, (i % 200) as i64), &mut out)
+                o.on_element(t(&key, i, (i % 200) as i64).borrowed(), &mut out)
                     .unwrap();
             }
             o.on_watermark(200, &mut out).unwrap();
@@ -1107,7 +1121,7 @@ mod tests {
             }))),
         );
         let mut out = Vec::new();
-        o.on_element(&t("k", 1, 75), &mut out).unwrap();
+        o.on_element(t("k", 1, 75).borrowed(), &mut out).unwrap();
         o.on_watermark(MAX_TIMESTAMP, &mut out).unwrap();
         // The tuple lives in [0,100) and [50,150): two firings of count 1.
         assert_eq!(out.len(), 2);
@@ -1122,11 +1136,11 @@ mod tests {
         );
         let mut out = Vec::new();
         // Key `a`: two bursts separated by more than the gap.
-        o.on_element(&t("a", 10, 0), &mut out).unwrap();
-        o.on_element(&t("a", 20, 30), &mut out).unwrap();
-        o.on_element(&t("a", 90, 200), &mut out).unwrap();
+        o.on_element(t("a", 10, 0).borrowed(), &mut out).unwrap();
+        o.on_element(t("a", 20, 30).borrowed(), &mut out).unwrap();
+        o.on_element(t("a", 90, 200).borrowed(), &mut out).unwrap();
         // Key `b`: one burst.
-        o.on_element(&t("b", 5, 40), &mut out).unwrap();
+        o.on_element(t("b", 5, 40).borrowed(), &mut out).unwrap();
         o.on_watermark(150, &mut out).unwrap();
         // Session a[0,80) (median 15) and b[40,90) (median 5) fired.
         let mut fired: Vec<(Vec<u8>, u64)> = out
@@ -1152,9 +1166,9 @@ mod tests {
         let mut out = Vec::new();
         // Two sessions [0,20) and [40,60), bridged by ts=20 whose proto
         // [20,40) touches both.
-        o.on_element(&t("k", 1, 0), &mut out).unwrap();
-        o.on_element(&t("k", 2, 40), &mut out).unwrap();
-        o.on_element(&t("k", 3, 20), &mut out).unwrap();
+        o.on_element(t("k", 1, 0).borrowed(), &mut out).unwrap();
+        o.on_element(t("k", 2, 40).borrowed(), &mut out).unwrap();
+        o.on_element(t("k", 3, 20).borrowed(), &mut out).unwrap();
         o.on_watermark(MAX_TIMESTAMP, &mut out).unwrap();
         assert_eq!(out.len(), 1, "bridged sessions must fire once: {out:?}");
         assert_eq!(u64_of(&out[0].value), 3);
@@ -1167,9 +1181,9 @@ mod tests {
             AggregateSpec::Incremental(Arc::new(SumAggregate)),
         );
         let mut out = Vec::new();
-        o.on_element(&t("k", 10, 0), &mut out).unwrap();
-        o.on_element(&t("k", 20, 40), &mut out).unwrap();
-        o.on_element(&t("k", 30, 20), &mut out).unwrap();
+        o.on_element(t("k", 10, 0).borrowed(), &mut out).unwrap();
+        o.on_element(t("k", 20, 40).borrowed(), &mut out).unwrap();
+        o.on_element(t("k", 30, 20).borrowed(), &mut out).unwrap();
         o.on_watermark(MAX_TIMESTAMP, &mut out).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(u64_of(&out[0].value), 60);
@@ -1251,7 +1265,7 @@ mod tests {
                 return;
             }
             let proto = WindowId::new(tuple.timestamp, tuple.timestamp.saturating_add(gap));
-            self.merge_sessions(tuple, proto).unwrap();
+            self.merge_sessions(tuple.borrowed(), proto).unwrap();
         }
     }
 
@@ -1299,7 +1313,8 @@ mod tests {
                 ("e", 95),
             ];
             for (i, (key, ts)) in tuples.into_iter().enumerate() {
-                o.on_element(&t(key, i as u64, ts), &mut out).unwrap();
+                o.on_element(t(key, i as u64, ts).borrowed(), &mut out)
+                    .unwrap();
             }
             o.on_watermark(100, &mut out).unwrap();
             assert_timer_invariant(&o);
@@ -1334,7 +1349,8 @@ mod tests {
         let mut merges = 0;
         for k in 0..5 {
             for ts in [0, 2 * GAP, GAP] {
-                o.on_element(&t(&key(k), 0, ts), &mut out).unwrap();
+                o.on_element(t(&key(k), 0, ts).borrowed(), &mut out)
+                    .unwrap();
                 merges += 1;
             }
         }
@@ -1346,7 +1362,8 @@ mod tests {
             let ts = 5 * GAP / 2 + i as i64;
             let k = i % KEYS;
             merges += u64::from(k >= 5 && i < KEYS);
-            o.on_element(&t(&key(k), i, ts), &mut out).unwrap();
+            o.on_element(t(&key(k), i, ts).borrowed(), &mut out)
+                .unwrap();
             tuples += 1;
             if i % 400 == 399 {
                 let due = |(at, _): &&(Timestamp, Vec<u8>)| *at <= ts;
@@ -1380,7 +1397,7 @@ mod tests {
         let fed = |tuples: &[Tuple]| {
             let mut o = session_median_op(GAP);
             for tuple in tuples {
-                o.on_element(tuple, &mut Vec::new()).unwrap();
+                o.on_element(tuple.borrowed(), &mut Vec::new()).unwrap();
             }
             o
         };
@@ -1403,7 +1420,7 @@ mod tests {
         let finish = |mut o: WindowOperator| {
             let mut out = Vec::new();
             for (i, tuple) in suffix.iter().enumerate() {
-                o.on_element(tuple, &mut out).unwrap();
+                o.on_element(tuple.borrowed(), &mut out).unwrap();
                 if i % 16 == 15 {
                     o.on_watermark(tuple.timestamp - 60, &mut out).unwrap();
                     assert_timer_invariant(&o);
@@ -1486,7 +1503,7 @@ mod tests {
                 match *op {
                     SessionOp::Element { key, value, ts } => {
                         let tuple = t(&format!("k{key}"), u64::from(value), ts);
-                        fast.on_element(&tuple, &mut fast_out).unwrap();
+                        fast.on_element(tuple.borrowed(), &mut fast_out).unwrap();
                         reference.on_session_element_reference(&tuple, GAP);
                     }
                     SessionOp::Watermark(ts) => {
@@ -1522,7 +1539,8 @@ mod tests {
         );
         let mut out = Vec::new();
         for i in 1..=7u64 {
-            o.on_element(&t("k", i, i as i64), &mut out).unwrap();
+            o.on_element(t("k", i, i as i64).borrowed(), &mut out)
+                .unwrap();
         }
         // Two full windows fired: 1+2+3 and 4+5+6.
         assert_eq!(out.len(), 2);
@@ -1539,7 +1557,7 @@ mod tests {
         o.set_collect_late(true);
         let mut out = Vec::new();
         o.on_watermark(100, &mut out).unwrap();
-        o.on_element(&t("k", 7, 50), &mut out).unwrap();
+        o.on_element(t("k", 7, 50).borrowed(), &mut out).unwrap();
         let late = o.take_late();
         assert_eq!(late.len(), 1);
         assert_eq!(late[0].timestamp, 50);
@@ -1553,10 +1571,10 @@ mod tests {
             AggregateSpec::Incremental(Arc::new(CountAggregate)),
         );
         let mut out = Vec::new();
-        o.on_element(&t("k", 1, 10), &mut out).unwrap();
+        o.on_element(t("k", 1, 10).borrowed(), &mut out).unwrap();
         o.on_watermark(100, &mut out).unwrap();
         out.clear();
-        o.on_element(&t("k", 1, 50), &mut out).unwrap();
+        o.on_element(t("k", 1, 50).borrowed(), &mut out).unwrap();
         assert_eq!(o.dropped_late(), 1);
         o.on_watermark(MAX_TIMESTAMP, &mut out).unwrap();
         assert!(out.is_empty());
@@ -1576,20 +1594,22 @@ mod tests {
         let mut out = Vec::new();
         // First half of the stream: open sessions for three keys.
         for (key, v, ts) in [("a", 10, 0), ("a", 20, 30), ("b", 5, 40), ("c", 7, 45)] {
-            a.on_element(&t(key, v, ts), &mut out).unwrap();
+            a.on_element(t(key, v, ts).borrowed(), &mut out).unwrap();
         }
         a.checkpoint(ckpt.path()).unwrap();
 
         // Continue on the original operator for reference outputs.
         let mut ref_out = Vec::new();
-        a.on_element(&t("a", 30, 60), &mut ref_out).unwrap();
+        a.on_element(t("a", 30, 60).borrowed(), &mut ref_out)
+            .unwrap();
         a.on_watermark(MAX_TIMESTAMP, &mut ref_out).unwrap();
 
         // Restore into a fresh operator and replay the same remainder.
         let mut b = make();
         b.restore(ckpt.path()).unwrap();
         let mut res_out = Vec::new();
-        b.on_element(&t("a", 30, 60), &mut res_out).unwrap();
+        b.on_element(t("a", 30, 60).borrowed(), &mut res_out)
+            .unwrap();
         b.on_watermark(MAX_TIMESTAMP, &mut res_out).unwrap();
 
         let sorted = |mut v: Vec<Tuple>| {
@@ -1611,15 +1631,15 @@ mod tests {
         };
         let mut a = make();
         let mut out = Vec::new();
-        a.on_element(&t("k", 1, 1), &mut out).unwrap();
-        a.on_element(&t("k", 2, 2), &mut out).unwrap();
+        a.on_element(t("k", 1, 1).borrowed(), &mut out).unwrap();
+        a.on_element(t("k", 2, 2).borrowed(), &mut out).unwrap();
         a.checkpoint(ckpt.path()).unwrap();
 
         let mut b = make();
         b.restore(ckpt.path()).unwrap();
         let mut out = Vec::new();
         // The third element completes the restored window: 1 + 2 + 3.
-        b.on_element(&t("k", 3, 3), &mut out).unwrap();
+        b.on_element(t("k", 3, 3).borrowed(), &mut out).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(u64_of(&out[0].value), 6);
     }
@@ -1632,7 +1652,8 @@ mod tests {
         );
         let mut out = Vec::new();
         for i in 0..5 {
-            o.on_element(&t("k", i, i as i64), &mut out).unwrap();
+            o.on_element(t("k", i, i as i64).borrowed(), &mut out)
+                .unwrap();
         }
         o.on_watermark(1_000_000, &mut out).unwrap();
         assert!(out.is_empty(), "global window fired early");

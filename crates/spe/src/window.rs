@@ -87,17 +87,25 @@ impl WindowAssigner {
     /// windows return nothing here because assignment depends on per-key
     /// arrival counts.
     pub fn assign(&self, ts: Timestamp) -> Vec<WindowId> {
+        let mut windows = Vec::new();
+        self.assign_into(ts, &mut windows);
+        windows
+    }
+
+    /// [`assign`](Self::assign) into a reused list: replaces the contents
+    /// of `windows`, allocating nothing once it has room (a custom
+    /// function still returns its own list).
+    pub(crate) fn assign_into(&self, ts: Timestamp, windows: &mut Vec<WindowId>) {
+        windows.clear();
         match *self {
-            WindowAssigner::Custom { ref assign } => assign(ts),
+            WindowAssigner::Custom { ref assign } => windows.extend(assign(ts)),
             WindowAssigner::Fixed { size } => {
                 let start = floor_to(ts, size);
-                vec![WindowId::new(start, start + size)]
+                windows.push(WindowId::new(start, start + size));
             }
             WindowAssigner::Sliding { size, slide } => {
                 // The last window starting at or before ts.
-                let last_start = floor_to(ts, slide);
-                let mut windows = Vec::new();
-                let mut start = last_start;
+                let mut start = floor_to(ts, slide);
                 while start + size > ts {
                     windows.push(WindowId::new(start, start + size));
                     match start.checked_sub(slide) {
@@ -106,11 +114,12 @@ impl WindowAssigner {
                     }
                 }
                 windows.reverse();
-                windows
             }
-            WindowAssigner::Session { gap } => vec![WindowId::new(ts, ts.saturating_add(gap))],
-            WindowAssigner::Global => vec![WindowId::global()],
-            WindowAssigner::Count { .. } => Vec::new(),
+            WindowAssigner::Session { gap } => {
+                windows.push(WindowId::new(ts, ts.saturating_add(gap)));
+            }
+            WindowAssigner::Global => windows.push(WindowId::global()),
+            WindowAssigner::Count { .. } => {}
         }
     }
 }

@@ -71,12 +71,12 @@ fn stateless_only_pipeline_passes_everything() {
     let job = JobBuilder::new("stateless")
         .parallelism(2)
         .stateless("double", |t, out| {
-            out.push(t.clone());
-            out.push(t.clone());
+            out(t.key, t.value, t.timestamp);
+            out(t.key, t.value, t.timestamp);
         })
         .stateless("drop-odd-values", |t, out| {
-            if decode_u64(&t.value).is_multiple_of(2) {
-                out.push(t.clone());
+            if decode_u64(t.value).is_multiple_of(2) {
+                out(t.key, t.value, t.timestamp);
             }
         })
         .build();
@@ -103,7 +103,9 @@ fn deep_pipeline_propagates_watermarks() {
     let dir = ScratchDir::new("edge-deep").unwrap();
     let mut builder = JobBuilder::new("deep").parallelism(2);
     for i in 0..3 {
-        builder = builder.stateless(format!("pass{i}"), |t, out| out.push(t.clone()));
+        builder = builder.stateless(format!("pass{i}"), |t, out| {
+            out(t.key, t.value, t.timestamp)
+        });
     }
     let job = builder
         .window(
@@ -140,7 +142,7 @@ fn tiny_channels_still_complete() {
         .parallelism(2)
         .stateless("fanout", |t, out| {
             for _ in 0..4 {
-                out.push(t.clone());
+                out(t.key, t.value, t.timestamp);
             }
         })
         .window(

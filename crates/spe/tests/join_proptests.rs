@@ -86,7 +86,7 @@ fn run_operator(
     let mut op = IntervalJoinOperator::new(spec, Box::new(InMemoryBackend::new(1 << 20, 8)));
     let mut out = Vec::new();
     for (i, t) in tuples.iter().enumerate() {
-        op.on_element(t, &mut out).unwrap();
+        op.on_element(t.borrowed(), &mut out).unwrap();
         if (i + 1) % watermark_every.max(1) == 0 {
             // In-order stream: the watermark equals the last timestamp,
             // which never makes future tuples late but does purge.
