@@ -542,20 +542,9 @@ impl StateView {
         }
     }
 
-    /// Returns up to `limit` entries whose window overlaps
-    /// `[range_start, range_end]` (event-time milliseconds), in key
-    /// order.
-    pub fn scan_windows(
-        &self,
-        range_start: Timestamp,
-        range_end: Timestamp,
-        limit: usize,
-    ) -> Vec<(&[u8], WindowId, ViewValue)> {
-        self.scan_filtered(&[], range_start, range_end, limit)
-    }
-
     /// Returns up to `limit` entries whose key starts with `prefix` and
-    /// whose window overlaps `[range_start, range_end]`, in key order.
+    /// whose window overlaps `[range_start, range_end]` (event-time
+    /// milliseconds), in key order. An empty `prefix` scans every key.
     ///
     /// Keys sort lexicographically, so all keys sharing `prefix` form
     /// one contiguous run in every layer: the scan seeks each layer to
@@ -801,11 +790,11 @@ mod tests {
             (b"b", w(5, 15), ViewValue::Values(vec![vec![2]])),
             (b"c", w(20, 30), ViewValue::Values(vec![vec![3]])),
         ]);
-        let hits = view.scan_windows(0, 12, 100);
+        let hits = view.scan_filtered(&[], 0, 12, 100);
         assert_eq!(hits.len(), 2);
-        let hits = view.scan_windows(0, 100, 2);
+        let hits = view.scan_filtered(&[], 0, 100, 2);
         assert_eq!(hits.len(), 2);
-        let hits = view.scan_windows(31, 40, 100);
+        let hits = view.scan_filtered(&[], 31, 40, 100);
         assert!(hits.is_empty());
     }
 
@@ -899,9 +888,9 @@ mod tests {
         let (lo, hi) = (rng.gen_range(0..40i64), rng.gen_range(0..50i64));
         let limit = rng.gen_range(0..40usize);
         assert_eq!(
-            view.scan_windows(lo, hi, limit),
-            rebuilt.scan_windows(lo, hi, limit),
-            "{ctx}: scan_windows"
+            view.scan_filtered(&[], lo, hi, limit),
+            rebuilt.scan_filtered(&[], lo, hi, limit),
+            "{ctx}: unfiltered scan"
         );
         let mut prefix = key(rng.gen_range(0..keys));
         prefix.pop();

@@ -74,11 +74,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Raises the gauge to `v` if `v` is larger.
-    pub fn set_max(&self, v: i64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)

@@ -305,10 +305,12 @@ impl StateBackend for HashBackend {
     }
 }
 
+/// Keys per window chunk of every backend a factory creates.
+const CHUNK_ENTRIES: usize = 1024;
+
 /// Factory producing [`HashBackend`] instances for operator partitions.
 pub struct HashBackendFactory {
     cfg: HashDbConfig,
-    chunk_entries: usize,
     vfs: Arc<dyn Vfs>,
 }
 
@@ -317,15 +319,8 @@ impl HashBackendFactory {
     pub fn new(cfg: HashDbConfig) -> Self {
         HashBackendFactory {
             cfg,
-            chunk_entries: 1024,
             vfs: StdVfs::shared(),
         }
-    }
-
-    /// Overrides the number of keys per window chunk.
-    pub fn with_chunk_entries(mut self, n: usize) -> Self {
-        self.chunk_entries = n.max(1);
-        self
     }
 
     /// Routes the file IO of every store this factory creates through
@@ -345,7 +340,7 @@ impl StateBackendFactory for HashBackendFactory {
         Ok(Box::new(HashBackend::open_with_vfs(
             &dir,
             self.cfg.clone(),
-            self.chunk_entries,
+            CHUNK_ENTRIES,
             Arc::clone(&self.vfs),
         )?))
     }

@@ -285,10 +285,12 @@ impl StateBackend for LsmBackend {
     }
 }
 
+/// Entries per window chunk of every backend a factory creates.
+const CHUNK_ENTRIES: usize = 1024;
+
 /// Factory producing [`LsmBackend`] instances for operator partitions.
 pub struct LsmBackendFactory {
     cfg: DbConfig,
-    chunk_entries: usize,
     vfs: Arc<dyn Vfs>,
 }
 
@@ -297,15 +299,8 @@ impl LsmBackendFactory {
     pub fn new(cfg: DbConfig) -> Self {
         LsmBackendFactory {
             cfg,
-            chunk_entries: 1024,
             vfs: StdVfs::shared(),
         }
-    }
-
-    /// Overrides the number of entries per window chunk.
-    pub fn with_chunk_entries(mut self, n: usize) -> Self {
-        self.chunk_entries = n.max(1);
-        self
     }
 
     /// Routes every file operation of produced backends through `vfs`.
@@ -324,7 +319,7 @@ impl StateBackendFactory for LsmBackendFactory {
         let mut backend = LsmBackend::open_with_vfs(
             &dir,
             self.cfg.clone(),
-            self.chunk_entries,
+            CHUNK_ENTRIES,
             Arc::clone(&self.vfs),
         )?;
         if let Some(policy) = ctx.io.as_ref().filter(|p| p.threads > 0) {

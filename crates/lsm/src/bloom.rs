@@ -53,11 +53,6 @@ impl BloomFilter {
         true
     }
 
-    /// Serialized size of the filter in bytes (approximate).
-    pub fn byte_size(&self) -> usize {
-        self.bits.len() + 16
-    }
-
     /// Appends the binary encoding of the filter to `buf`.
     pub fn encode_to(&self, buf: &mut Vec<u8>) {
         put_varint_u64(buf, self.num_bits);

@@ -1,14 +1,14 @@
 //! Blocking client for the FlowKV state server.
 //!
-//! One [`StateClient`] wraps one TCP connection. [`StateClient::connect`]
-//! negotiates protocol v2 when the server speaks it (and transparently
-//! stays on v1 against an old server); [`StateClient::connect_v1`] pins
-//! the legacy protocol, byte-for-byte identical to pre-v2 builds.
+//! One [`StateClient`] wraps one TCP connection, which speaks the one
+//! id-carrying framing of [`protocol`](crate::protocol) from its first
+//! frame.
 //!
 //! The client is a **pipelined façade**: [`StateClient::call_batch`]
-//! writes a whole batch of requests before reading any response, so the
-//! server can answer all of them in one wake-up instead of paying a
-//! round trip each. The batched query surface — [`lookup_many`]
+//! writes a whole batch of requests, each under its own request id,
+//! before reading any response, so the server can answer all of them in
+//! one wake-up instead of paying a round trip each. The batched query
+//! surface — [`lookup_many`]
 //! ([`StateClient::lookup_many`]) and [`scan_filtered`]
 //! ([`StateClient::scan_filtered`]) — rides on it, and every blocking
 //! single-shot method is just a batch of one. The client is deliberately
@@ -28,8 +28,7 @@ use flowkv_common::trace::AttributionRow;
 use flowkv_common::types::{Timestamp, WindowId};
 
 use crate::protocol::{
-    read_frame, split_request_id, write_frame, write_frame_v2, Request, Response, ScanEntry,
-    ScanFilter, StateInfo, MAX_PROTOCOL, PROTOCOL_V1,
+    read_frame, split_request_id, write_frame, Request, Response, ScanEntry, ScanFilter, StateInfo,
 };
 
 /// A point-lookup answer: the snapshot coordinates plus the value, if
@@ -55,7 +54,7 @@ pub struct LookupBatchResult {
     pub found: Vec<Option<(WindowId, ViewValue)>>,
 }
 
-/// A range-scan answer.
+/// A filtered-scan answer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScanResult {
     /// Minimum epoch across the answering partitions.
@@ -96,43 +95,12 @@ pub struct TraceSummary {
 pub struct StateClient {
     reader: TcpStream,
     writer: BufWriter<TcpStream>,
-    version: u8,
     next_id: u64,
 }
 
 impl StateClient {
-    /// Connects to a state server and negotiates the highest protocol
-    /// version both sides speak. Against a pre-v2 server the handshake
-    /// is rejected as an unknown request and the connection simply
-    /// stays on v1.
+    /// Connects to a state server.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
-        let mut client = Self::connect_v1(addr)?;
-        use std::io::Write as _;
-        write_frame(
-            &mut client.writer,
-            &Request::Hello {
-                max_version: MAX_PROTOCOL,
-            }
-            .encode(),
-        )?;
-        client
-            .writer
-            .flush()
-            .map_err(|e| StoreError::io("state client flush", e))?;
-        let payload = read_frame(&mut client.reader)?
-            .ok_or_else(|| StoreError::invalid_state("server closed during handshake"))?;
-        match Response::decode(&payload)? {
-            Response::HelloAck { version } => client.version = version.max(PROTOCOL_V1),
-            // An old server rejects the unknown opcode; stay on v1.
-            Response::Error { .. } => {}
-            other => return Err(unexpected(&other)),
-        }
-        Ok(client)
-    }
-
-    /// Connects speaking protocol v1 only, with no handshake frame —
-    /// exactly what a pre-v2 client build does.
-    pub fn connect_v1(addr: impl ToSocketAddrs) -> Result<Self> {
         let stream =
             TcpStream::connect(addr).map_err(|e| StoreError::io("state client connect", e))?;
         stream
@@ -144,14 +112,8 @@ impl StateClient {
         Ok(StateClient {
             reader,
             writer: BufWriter::new(stream),
-            version: PROTOCOL_V1,
             next_id: 1,
         })
-    }
-
-    /// The protocol version this connection negotiated.
-    pub fn version(&self) -> u8 {
-        self.version
     }
 
     /// Caps how long a single response read may block.
@@ -163,61 +125,41 @@ impl StateClient {
 
     /// Issues `requests` as one pipelined batch: every frame is written
     /// before any response is read, so the whole batch costs one round
-    /// trip. Responses come back in request order; a per-request server
-    /// error is returned in its slot as [`Response::Error`] rather than
-    /// failing the batch.
-    ///
-    /// On v2 connections responses are correlated by request id; on v1
-    /// the server's strict in-order answering provides the pairing, so
-    /// pipelining works against old servers too.
+    /// trip. Responses are correlated by request id and returned in
+    /// request order; a per-request server error is returned in its slot
+    /// as [`Response::Error`] rather than failing the batch.
     pub fn call_batch(&mut self, requests: &[Request]) -> Result<Vec<Response>> {
         use std::io::Write as _;
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        if self.version >= crate::protocol::PROTOCOL_V2 {
-            let first_id = self.next_id;
-            for (i, request) in requests.iter().enumerate() {
-                write_frame_v2(&mut self.writer, first_id + i as u64, &request.encode())?;
-            }
-            self.next_id = first_id + requests.len() as u64;
-            self.writer
-                .flush()
-                .map_err(|e| StoreError::io("state client flush", e))?;
-            let mut slots: Vec<Option<Response>> = vec![None; requests.len()];
-            let mut expected: HashMap<u64, usize> = (0..requests.len())
-                .map(|i| (first_id + i as u64, i))
-                .collect();
-            while !expected.is_empty() {
-                let payload = read_frame(&mut self.reader)?
-                    .ok_or_else(|| StoreError::invalid_state("server closed mid-batch"))?;
-                let (id, body) = split_request_id(&payload)?;
-                let Some(slot) = expected.remove(&id) else {
-                    return Err(StoreError::invalid_state(format!(
-                        "response carries unknown request id {id}"
-                    )));
-                };
-                slots[slot] = Some(Response::decode(body)?);
-            }
-            Ok(slots
-                .into_iter()
-                .map(|s| s.expect("all ids seen"))
-                .collect())
-        } else {
-            for request in requests {
-                write_frame(&mut self.writer, &request.encode())?;
-            }
-            self.writer
-                .flush()
-                .map_err(|e| StoreError::io("state client flush", e))?;
-            let mut responses = Vec::with_capacity(requests.len());
-            for _ in requests {
-                let payload = read_frame(&mut self.reader)?
-                    .ok_or_else(|| StoreError::invalid_state("server closed mid-batch"))?;
-                responses.push(Response::decode(&payload)?);
-            }
-            Ok(responses)
+        let first_id = self.next_id;
+        for (i, request) in requests.iter().enumerate() {
+            write_frame(&mut self.writer, first_id + i as u64, &request.encode())?;
         }
+        self.next_id = first_id + requests.len() as u64;
+        self.writer
+            .flush()
+            .map_err(|e| StoreError::io("state client flush", e))?;
+        let mut slots: Vec<Option<Response>> = vec![None; requests.len()];
+        let mut expected: HashMap<u64, usize> = (0..requests.len())
+            .map(|i| (first_id + i as u64, i))
+            .collect();
+        while !expected.is_empty() {
+            let payload = read_frame(&mut self.reader)?
+                .ok_or_else(|| StoreError::invalid_state("server closed mid-batch"))?;
+            let (id, body) = split_request_id(&payload)?;
+            let Some(slot) = expected.remove(&id) else {
+                return Err(StoreError::invalid_state(format!(
+                    "response carries unknown request id {id}"
+                )));
+            };
+            slots[slot] = Some(Response::decode(body)?);
+        }
+        Ok(slots
+            .into_iter()
+            .map(|s| s.expect("all ids seen"))
+            .collect())
     }
 
     /// One request, one response: a batch of one, with server errors
@@ -243,19 +185,10 @@ impl StateClient {
         }
     }
 
-    /// Enumerates every published state.
+    /// Enumerates every published state, with each state's TTL.
     pub fn list_states(&mut self) -> Result<Vec<StateInfo>> {
         match self.call(&Request::ListStates)? {
             Response::States(states) => Ok(states),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Enumerates every published state with v2 metadata (per-state
-    /// TTL). Requires a v2-capable server.
-    pub fn list_states_v2(&mut self) -> Result<Vec<StateInfo>> {
-        match self.call(&Request::ListStatesV2)? {
-            Response::StatesV2(states) => Ok(states),
             other => Err(unexpected(&other)),
         }
     }
@@ -305,7 +238,7 @@ impl StateClient {
 
     /// Looks up many keys of one operator in a single round trip,
     /// answered positionally. With `window` unset each key answers from
-    /// its latest live window. Requires a v2-capable server.
+    /// its latest live window.
     pub fn lookup_many(
         &mut self,
         job: &str,
@@ -333,39 +266,9 @@ impl StateClient {
         }
     }
 
-    /// Scans every entry whose window overlaps `[range_start, range_end]`.
-    pub fn scan(
-        &mut self,
-        job: &str,
-        operator: &str,
-        range_start: Timestamp,
-        range_end: Timestamp,
-        limit: u64,
-    ) -> Result<ScanResult> {
-        let request = Request::Scan {
-            job: job.into(),
-            operator: operator.into(),
-            range_start,
-            range_end,
-            limit,
-        };
-        match self.call(&request)? {
-            Response::ScanResult {
-                epoch,
-                watermark,
-                entries,
-            } => Ok(ScanResult {
-                epoch,
-                watermark,
-                entries,
-            }),
-            other => Err(unexpected(&other)),
-        }
-    }
-
     /// Scans with server-side filters — key prefix, window-overlap
-    /// bounds, limit — applied before anything crosses the wire.
-    /// Requires a v2-capable server.
+    /// bounds, limit — applied before anything crosses the wire. A plain
+    /// range scan is [`ScanFilter::range`].
     pub fn scan_filtered(
         &mut self,
         job: &str,

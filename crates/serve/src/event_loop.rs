@@ -9,8 +9,8 @@
 //! the socket accepts bytes. No thread is ever parked on a single
 //! connection, so thousands of idle clients cost one sleeping thread.
 //!
-//! Protocol versions, the v2 handshake, and request-id correlation are
-//! all inside [`Session`].
+//! What a frame means is not this module's business: each complete
+//! frame goes to [`handle_frame`], which appends its answer.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use crate::poll::{PollEvent, Poller};
 use crate::protocol::peek_frame;
-use crate::server::{ServeShared, Session};
+use crate::server::{handle_frame, ServeShared};
 
 /// Poll tick: how often the loop re-checks the shutdown flag and idle
 /// deadlines even when no socket is ready.
@@ -45,7 +45,6 @@ pub(crate) struct EventLoopConfig {
 
 struct Conn {
     stream: TcpStream,
-    session: Session,
     read_buf: Vec<u8>,
     write_buf: Vec<u8>,
     write_pos: usize,
@@ -169,7 +168,6 @@ fn accept_ready(
                     token,
                     Conn {
                         stream,
-                        session: Session::new(),
                         read_buf: Vec::new(),
                         write_buf: Vec::new(),
                         write_pos: 0,
@@ -215,17 +213,8 @@ fn on_readable(conn: &mut Conn, shared: &ServeShared) -> bool {
     loop {
         match peek_frame(&conn.read_buf[consumed..]) {
             Ok(Some((used, range))) => {
-                let (payload_start, payload_end) = (consumed + range.start, consumed + range.end);
-                let session = &mut conn.session;
-                let write_buf = &mut conn.write_buf;
-                if session
-                    .handle(
-                        shared,
-                        &conn.read_buf[payload_start..payload_end],
-                        write_buf,
-                    )
-                    .is_err()
-                {
+                let payload = consumed + range.start..consumed + range.end;
+                if handle_frame(shared, &conn.read_buf[payload], &mut conn.write_buf).is_err() {
                     return true;
                 }
                 consumed += used;

@@ -14,10 +14,10 @@
 //!    [`ServerBuilder`] — answers point lookups, batched multi-key
 //!    lookups, filtered range scans, and metrics queries over those
 //!    snapshots via a length-prefixed binary TCP protocol
-//!    ([`protocol`]). The default core is a non-blocking **event loop**
+//!    ([`protocol`]). The core is a non-blocking **event loop**
 //!    multiplexing every connection onto one readiness-polled thread;
-//!    protocol v2 adds per-frame request ids so clients can pipeline
-//!    many requests per connection.
+//!    every frame carries a request id, so clients can pipeline many
+//!    requests per connection.
 //! 3. [`StateClient`](client::StateClient) is the matching blocking
 //!    client with a pipelined batch façade; the `perf` benchmark's
 //!    `q12-rmw-serve` workload drives it against a live job and reports
@@ -40,8 +40,5 @@ pub mod server;
 pub use client::{
     LookupBatchResult, LookupResult, MetricsResult, ScanResult, StateClient, TraceSummary,
 };
-pub use protocol::{
-    ErrorCode, Request, Response, ScanEntry, ScanFilter, StateInfo, MAX_FRAME, MAX_PROTOCOL,
-    PROTOCOL_V1, PROTOCOL_V2,
-};
+pub use protocol::{ErrorCode, Request, Response, ScanEntry, ScanFilter, StateInfo, MAX_FRAME};
 pub use server::{route_key, ServerBuilder, StateServer};

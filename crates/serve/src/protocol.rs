@@ -1,52 +1,34 @@
 //! The length-prefixed binary wire protocol of the state server.
 //!
-//! Every message travels as one **frame**:
+//! Every message, in either direction, travels as one **frame**:
 //!
 //! ```text
-//! +----------------+---------+-----------------------+
-//! | len: u32 (LE)  | opcode  | body (len - 1 bytes)  |
-//! +----------------+---------+-----------------------+
+//! +---------------+----------------------+--------+----------------------+
+//! | len: u32 (LE) | request id: u64 (LE) | opcode | body (len - 9 bytes) |
+//! +---------------+----------------------+--------+----------------------+
 //! ```
 //!
-//! `len` counts the opcode byte plus the body and is bounded by
-//! [`MAX_FRAME`]; a peer announcing a larger frame is rejected before any
-//! body byte is read, so a malicious or corrupt length cannot force an
-//! allocation. Bodies are built from the same varint / fixed-width
-//! primitives as every on-disk structure
-//! ([`flowkv_common::codec`]), so request and response encodings are
-//! deterministic and self-delimiting.
+//! `len` counts the request id, the opcode byte and the body, and is
+//! bounded by [`MAX_FRAME`]; a peer announcing a larger frame is
+//! rejected before any body byte is read, so a malicious or corrupt
+//! length cannot force an allocation. The client chooses the request id
+//! and the server echoes it on the answer, so a client can keep many
+//! frames in flight on one connection (pipelining) and correlate answers
+//! without trusting arrival order. A connection speaks this framing from
+//! its first byte: there is no handshake and no version negotiation.
+//!
+//! Bodies are built from the same varint / fixed-width primitives as
+//! every on-disk structure ([`flowkv_common::codec`]). Every body has a
+//! fixed shape — each field is always written and required on decode —
+//! so encodings are deterministic and self-delimiting: no strict prefix
+//! of an encoding decodes, and no trailing byte is accepted.
 //!
 //! Requests and responses are separate opcode spaces (`0x0_` vs `0x8_`).
 //! Every request yields exactly one response on the same connection.
-//!
-//! # Protocol versions
-//!
-//! Two framings share this module:
-//!
-//! * **v1** (the original): `len` is followed directly by the payload.
-//!   Requests are answered strictly in order, one round trip each.
-//! * **v2** (negotiated): the payload is prefixed by a `u64` **request
-//!   id** chosen by the client; the response frame echoes it. Ids let a
-//!   client keep many frames in flight on one connection (pipelining)
-//!   and correlate answers without trusting arrival order.
-//!
-//! Every connection starts in v1. A client that wants v2 sends a
-//! [`Request::Hello`] as its first frame; the server answers
-//! [`Response::HelloAck`] with the highest version both sides speak
-//! (both frames travel in v1 framing), and *subsequent* frames use the
-//! negotiated framing. A v1 client never sends `Hello`, so its
-//! connection never switches — every pre-v2 frame is handled byte-for-
-//! byte as before. A v2 client talking to an old server receives an
-//! `Error { BadRequest }` for the unknown opcode and simply stays on v1.
-//!
-//! The request/response *body* encoding is identical in both versions:
-//! v2 only wraps it with the id. New v2-era opcodes (batched lookups,
-//! filtered scans, TTL-carrying listings) are ordinary opcodes — old
-//! servers reject them as unknown, old clients never send them.
 
 use std::io::{Read, Write};
 
-use flowkv_common::codec::{put_len_prefixed, put_u32, Decoder};
+use flowkv_common::codec::{put_len_prefixed, put_u32, put_varint_u64, Decoder};
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::metrics::MetricsSnapshot;
 use flowkv_common::registry::{StateDescriptor, StateKey, StatePattern, ViewValue};
@@ -54,7 +36,8 @@ use flowkv_common::telemetry::{HistogramSnapshot, MetricSample, SampleValue};
 use flowkv_common::trace::AttributionRow;
 use flowkv_common::types::{Timestamp, WindowId};
 
-/// Upper bound on one frame's payload (opcode + body), in bytes.
+/// Upper bound on one frame's payload (request id + opcode + body), in
+/// bytes.
 ///
 /// Large enough for a generous scan result, small enough that a bogus
 /// length header cannot balloon memory.
@@ -63,40 +46,32 @@ pub const MAX_FRAME: usize = 16 << 20;
 /// Byte length of the frame header (the `u32` length prefix).
 pub const FRAME_HEADER: usize = 4;
 
-/// The original, id-less framing.
-pub const PROTOCOL_V1: u8 = 1;
-
-/// The pipelined framing with per-frame request ids.
-pub const PROTOCOL_V2: u8 = 2;
-
-/// Highest protocol version this build speaks.
-pub const MAX_PROTOCOL: u8 = PROTOCOL_V2;
-
-/// Magic bytes opening a [`Request::Hello`] body, so a handshake frame
-/// can never be confused with a corrupt legacy request.
-pub const HELLO_MAGIC: [u8; 4] = *b"FKWP";
+/// Byte length of the request id opening every frame payload.
+const REQUEST_ID: usize = 8;
 
 fn proto_err(detail: impl Into<String>) -> StoreError {
     StoreError::invalid_state(detail.into())
 }
 
-/// Writes one frame (length prefix + payload) to `w`.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
-    if payload.is_empty() || payload.len() > MAX_FRAME {
+/// Writes one frame: length prefix, request id, payload (opcode + body).
+pub fn write_frame(w: &mut impl Write, request_id: u64, payload: &[u8]) -> Result<()> {
+    if payload.is_empty() || payload.len() + REQUEST_ID > MAX_FRAME {
         return Err(proto_err(format!(
-            "outgoing frame of {} bytes outside 1..={MAX_FRAME}",
-            payload.len()
+            "outgoing frame of {} bytes outside 1..={}",
+            payload.len(),
+            MAX_FRAME - REQUEST_ID
         )));
     }
-    let mut header = Vec::with_capacity(FRAME_HEADER);
-    put_u32(&mut header, payload.len() as u32);
-    w.write_all(&header)
-        .and_then(|()| w.write_all(payload))
+    let mut framed = Vec::with_capacity(FRAME_HEADER + REQUEST_ID + payload.len());
+    put_u32(&mut framed, (payload.len() + REQUEST_ID) as u32);
+    framed.extend_from_slice(&request_id.to_le_bytes());
+    framed.extend_from_slice(payload);
+    w.write_all(&framed)
         .map_err(|e| StoreError::io("frame write", e))?;
     Ok(())
 }
 
-/// Reads one frame's payload from `r`.
+/// Reads one frame's payload (request id + opcode + body) from `r`.
 ///
 /// Returns `Ok(None)` on a clean EOF before any header byte (the peer
 /// closed between requests); a length outside `1..=MAX_FRAME` or a
@@ -125,35 +100,17 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
-/// Writes one v2 frame: length prefix, request id, payload.
-pub fn write_frame_v2(w: &mut impl Write, request_id: u64, payload: &[u8]) -> Result<()> {
-    if payload.is_empty() || payload.len() + 8 > MAX_FRAME {
-        return Err(proto_err(format!(
-            "outgoing v2 frame of {} bytes outside 1..={}",
-            payload.len(),
-            MAX_FRAME - 8
-        )));
-    }
-    let mut framed = Vec::with_capacity(FRAME_HEADER + 8 + payload.len());
-    put_u32(&mut framed, (payload.len() + 8) as u32);
-    framed.extend_from_slice(&request_id.to_le_bytes());
-    framed.extend_from_slice(payload);
-    w.write_all(&framed)
-        .map_err(|e| StoreError::io("frame write", e))?;
-    Ok(())
-}
-
-/// Splits the request id off a v2 frame payload, returning the id and
-/// the request/response body.
+/// Splits the request id off a frame payload, returning the id and the
+/// request/response body.
 pub fn split_request_id(payload: &[u8]) -> Result<(u64, &[u8])> {
-    if payload.len() < 9 {
+    if payload.len() <= REQUEST_ID {
         return Err(proto_err(format!(
-            "v2 frame of {} bytes too short for a request id and opcode",
+            "frame of {} bytes too short for a request id and opcode",
             payload.len()
         )));
     }
-    let id = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-    Ok((id, &payload[8..]))
+    let (id, body) = payload.split_at(REQUEST_ID);
+    Ok((u64::from_le_bytes(id.try_into().expect("8 bytes")), body))
 }
 
 /// Tries to split one complete frame off the front of an in-memory
@@ -188,7 +145,67 @@ fn get_str(dec: &mut Decoder<'_>) -> Result<String> {
     String::from_utf8(bytes.to_vec()).map_err(|_| proto_err("string field is not UTF-8"))
 }
 
-fn put_window(buf: &mut Vec<u8>, w: WindowId) {
+fn get_bytes(dec: &mut Decoder<'_>) -> Result<Vec<u8>> {
+    Ok(dec.get_len_prefixed()?.to_vec())
+}
+
+fn get_flag(dec: &mut Decoder<'_>, what: &'static str) -> Result<bool> {
+    match dec.take(1, what)?[0] {
+        0 => Ok(false),
+        1 => Ok(true),
+        flag => Err(proto_err(format!("bad {what} {flag}"))),
+    }
+}
+
+/// Writes a varint count, then each item.
+fn put_list<T>(buf: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    put_varint_u64(buf, items.len() as u64);
+    for item in items {
+        put(buf, item);
+    }
+}
+
+/// Reads a varint count, bounded by the frame size, then that many items.
+fn get_list<'a, T>(
+    dec: &mut Decoder<'a>,
+    what: &str,
+    mut get: impl FnMut(&mut Decoder<'a>) -> Result<T>,
+) -> Result<Vec<T>> {
+    let n = dec.get_varint_u64()? as usize;
+    if n > MAX_FRAME {
+        return Err(proto_err(format!("{what} count exceeds frame bound")));
+    }
+    let mut items = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        items.push(get(dec)?);
+    }
+    Ok(items)
+}
+
+/// Writes a presence flag, then the value if present.
+fn put_opt<T>(buf: &mut Vec<u8>, v: &Option<T>, put: impl FnOnce(&mut Vec<u8>, &T)) {
+    match v {
+        Some(v) => {
+            buf.push(1);
+            put(buf, v);
+        }
+        None => buf.push(0),
+    }
+}
+
+fn get_opt<'a, T>(
+    dec: &mut Decoder<'a>,
+    what: &'static str,
+    get: impl FnOnce(&mut Decoder<'a>) -> Result<T>,
+) -> Result<Option<T>> {
+    Ok(if get_flag(dec, what)? {
+        Some(get(dec)?)
+    } else {
+        None
+    })
+}
+
+fn put_window(buf: &mut Vec<u8>, w: &WindowId) {
     buf.extend_from_slice(&w.start.to_le_bytes());
     buf.extend_from_slice(&w.end.to_le_bytes());
 }
@@ -207,30 +224,34 @@ fn put_view_value(buf: &mut Vec<u8>, v: &ViewValue) {
         }
         ViewValue::Values(vs) => {
             buf.push(1);
-            flowkv_common::codec::put_varint_u64(buf, vs.len() as u64);
-            for v in vs {
-                put_len_prefixed(buf, v);
-            }
+            put_list(buf, vs, |buf, v| put_len_prefixed(buf, v));
         }
     }
 }
 
 fn get_view_value(dec: &mut Decoder<'_>) -> Result<ViewValue> {
     match dec.take(1, "view-value tag")?[0] {
-        0 => Ok(ViewValue::Aggregate(dec.get_len_prefixed()?.to_vec())),
-        1 => {
-            let n = dec.get_varint_u64()? as usize;
-            if n > MAX_FRAME {
-                return Err(proto_err("view-value list count exceeds frame bound"));
-            }
-            let mut vs = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                vs.push(dec.get_len_prefixed()?.to_vec());
-            }
-            Ok(ViewValue::Values(vs))
-        }
+        0 => Ok(ViewValue::Aggregate(get_bytes(dec)?)),
+        1 => Ok(ViewValue::Values(get_list(dec, "view-value", get_bytes)?)),
         tag => Err(proto_err(format!("unknown view-value tag {tag}"))),
     }
+}
+
+/// A lookup answer's slot: the window the key was found in, with its
+/// value.
+type Found = Option<(WindowId, ViewValue)>;
+
+fn put_found(buf: &mut Vec<u8>, found: &Found) {
+    put_opt(buf, found, |buf, (window, value)| {
+        put_window(buf, window);
+        put_view_value(buf, value);
+    });
+}
+
+fn get_found(dec: &mut Decoder<'_>) -> Result<Found> {
+    get_opt(dec, "found flag", |dec| {
+        Ok((get_window(dec)?, get_view_value(dec)?))
+    })
 }
 
 fn put_metrics(buf: &mut Vec<u8>, m: &MetricsSnapshot) {
@@ -278,78 +299,56 @@ const SAMPLE_COUNTER: u8 = 0;
 const SAMPLE_GAUGE: u8 = 1;
 const SAMPLE_HISTOGRAM: u8 = 2;
 
-fn put_samples(buf: &mut Vec<u8>, samples: &[MetricSample]) {
-    flowkv_common::codec::put_varint_u64(buf, samples.len() as u64);
-    for s in samples {
-        put_str(buf, &s.name);
-        match &s.value {
-            SampleValue::Counter(v) => {
-                buf.push(SAMPLE_COUNTER);
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-            SampleValue::Gauge(v) => {
-                buf.push(SAMPLE_GAUGE);
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-            SampleValue::Histogram(h) => {
-                buf.push(SAMPLE_HISTOGRAM);
-                buf.extend_from_slice(&h.count.to_le_bytes());
-                buf.extend_from_slice(&h.sum.to_le_bytes());
-                buf.extend_from_slice(&h.min.to_le_bytes());
-                buf.extend_from_slice(&h.max.to_le_bytes());
-                flowkv_common::codec::put_varint_u64(buf, h.counts.len() as u64);
-                for &c in &h.counts {
-                    flowkv_common::codec::put_varint_u64(buf, c);
-                }
-            }
+fn put_sample(buf: &mut Vec<u8>, s: &MetricSample) {
+    put_str(buf, &s.name);
+    match &s.value {
+        SampleValue::Counter(v) => {
+            buf.push(SAMPLE_COUNTER);
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        SampleValue::Gauge(v) => {
+            buf.push(SAMPLE_GAUGE);
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        SampleValue::Histogram(h) => {
+            buf.push(SAMPLE_HISTOGRAM);
+            buf.extend_from_slice(&h.count.to_le_bytes());
+            buf.extend_from_slice(&h.sum.to_le_bytes());
+            buf.extend_from_slice(&h.min.to_le_bytes());
+            buf.extend_from_slice(&h.max.to_le_bytes());
+            put_list(buf, &h.counts, |buf, &c| put_varint_u64(buf, c));
         }
     }
 }
 
-fn get_samples(dec: &mut Decoder<'_>) -> Result<Vec<MetricSample>> {
-    let n = dec.get_varint_u64()? as usize;
-    if n > MAX_FRAME {
-        return Err(proto_err("sample count exceeds frame bound"));
-    }
-    let mut samples = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let name = get_str(dec)?;
-        let value = match dec.take(1, "sample kind")?[0] {
-            SAMPLE_COUNTER => SampleValue::Counter(dec.get_u64()?),
-            SAMPLE_GAUGE => SampleValue::Gauge(dec.get_i64()?),
-            SAMPLE_HISTOGRAM => {
-                let count = dec.get_u64()?;
-                let sum = dec.get_u64()?;
-                let min = dec.get_u64()?;
-                let max = dec.get_u64()?;
-                let buckets = dec.get_varint_u64()? as usize;
-                if buckets > MAX_FRAME {
-                    return Err(proto_err("bucket count exceeds frame bound"));
-                }
-                let mut counts = Vec::with_capacity(buckets.min(4096));
-                for _ in 0..buckets {
-                    counts.push(dec.get_varint_u64()?);
-                }
-                SampleValue::Histogram(HistogramSnapshot {
-                    counts,
-                    count,
-                    sum,
-                    min,
-                    max,
-                })
-            }
-            tag => return Err(proto_err(format!("unknown sample kind {tag}"))),
-        };
-        samples.push(MetricSample { name, value });
-    }
-    Ok(samples)
+fn get_sample(dec: &mut Decoder<'_>) -> Result<MetricSample> {
+    let name = get_str(dec)?;
+    let value = match dec.take(1, "sample kind")?[0] {
+        SAMPLE_COUNTER => SampleValue::Counter(dec.get_u64()?),
+        SAMPLE_GAUGE => SampleValue::Gauge(dec.get_i64()?),
+        SAMPLE_HISTOGRAM => {
+            let count = dec.get_u64()?;
+            let sum = dec.get_u64()?;
+            let min = dec.get_u64()?;
+            let max = dec.get_u64()?;
+            SampleValue::Histogram(HistogramSnapshot {
+                counts: get_list(dec, "bucket", Decoder::get_varint_u64)?,
+                count,
+                sum,
+                min,
+                max,
+            })
+        }
+        tag => return Err(proto_err(format!("unknown sample kind {tag}"))),
+    };
+    Ok(MetricSample { name, value })
 }
 
 /// Server-side filters applied to a [`Request::ScanFiltered`].
 ///
 /// All conditions are conjunctive. An empty `key_prefix` matches every
 /// key; the timestamp bounds select entries whose window overlaps
-/// `[range_start, range_end]`, exactly as the v1 scan does.
+/// `[range_start, range_end]`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ScanFilter {
     /// Keep only entries whose key starts with these bytes.
@@ -363,8 +362,8 @@ pub struct ScanFilter {
 }
 
 impl ScanFilter {
-    /// A filter selecting everything in `[range_start, range_end]`, up
-    /// to `limit` entries — the v1 scan's semantics.
+    /// A filter selecting every key's entries in `[range_start,
+    /// range_end]`, up to `limit` entries: a plain range scan.
     pub fn range(range_start: Timestamp, range_end: Timestamp, limit: u64) -> Self {
         ScanFilter {
             key_prefix: Vec::new(),
@@ -384,20 +383,10 @@ impl ScanFilter {
 /// A query sent by a client.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
-    /// Version negotiation: the first frame a v2-capable client sends.
-    /// Carries the highest protocol version the client speaks; the
-    /// server answers [`Response::HelloAck`] with the agreed version,
-    /// and both sides switch framing *after* that exchange.
-    Hello {
-        /// Highest protocol version the client supports.
-        max_version: u8,
-    },
     /// Liveness probe.
     Ping,
     /// Enumerate every published state.
     ListStates,
-    /// Enumerate every published state with v2 metadata (per-state TTL).
-    ListStatesV2,
     /// Point lookup of `key` in one operator's state. With `window`
     /// unset, the key's latest live window answers (the natural query
     /// for RMW aggregates).
@@ -425,9 +414,9 @@ pub enum Request {
         /// Exact window for every key, or `None` for each key's latest.
         window: Option<WindowId>,
     },
-    /// Scan with server-side filters: key prefix, window-overlap
-    /// timestamp bounds, and a limit, applied before anything is
-    /// serialized.
+    /// Scan across all partitions of the operator with server-side
+    /// filters — key prefix, window-overlap timestamp bounds, and a
+    /// limit — applied before anything is serialized.
     ScanFiltered {
         /// Job name.
         job: String,
@@ -436,20 +425,6 @@ pub enum Request {
         /// The conjunctive filter set.
         filter: ScanFilter,
     },
-    /// Range scan over every entry whose window overlaps
-    /// `[range_start, range_end]`, across all partitions of the operator.
-    Scan {
-        /// Job name.
-        job: String,
-        /// Operator name.
-        operator: String,
-        /// Inclusive event-time range start.
-        range_start: Timestamp,
-        /// Inclusive event-time range end.
-        range_end: Timestamp,
-        /// Maximum entries returned.
-        limit: u64,
-    },
     /// Merged store metrics of one operator.
     Metrics {
         /// Job name.
@@ -457,10 +432,7 @@ pub enum Request {
         /// Operator name.
         operator: String,
         /// Also return the server's telemetry registry (counters,
-        /// gauges, histograms). Encoded as an *optional trailing flag
-        /// byte*: `false` produces the exact pre-telemetry frame, so old
-        /// servers still answer new clients and old clients' frames still
-        /// decode here.
+        /// gauges, histograms).
         include_registry: bool,
     },
     /// The server's full telemetry registry rendered as Prometheus text
@@ -470,10 +442,7 @@ pub enum Request {
     /// ([`flowkv_common::trace`]).
     TraceSummary {
         /// Also drain the tracer's span rings, so the next summary
-        /// covers only batches traced after this one. Encoded as an
-        /// *optional trailing flag byte* (the `Metrics` pattern):
-        /// `false` is a bare opcode frame, so future fields stay
-        /// backward compatible.
+        /// covers only batches traced after this one.
         drain: bool,
     },
 }
@@ -481,28 +450,31 @@ pub enum Request {
 const OP_PING: u8 = 0x01;
 const OP_LIST: u8 = 0x02;
 const OP_LOOKUP: u8 = 0x03;
-const OP_SCAN: u8 = 0x04;
 const OP_METRICS: u8 = 0x05;
 const OP_PROMETHEUS: u8 = 0x06;
 const OP_TRACE_SUMMARY: u8 = 0x07;
 const OP_LOOKUP_MANY: u8 = 0x08;
 const OP_SCAN_FILTERED: u8 = 0x09;
-const OP_LIST_V2: u8 = 0x0a;
-const OP_HELLO: u8 = 0x70;
 
 impl Request {
-    /// Encodes this request as one frame payload (opcode + body).
+    /// Encodes this request as one frame body (opcode + fields).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         match self {
-            Request::Hello { max_version } => {
-                buf.push(OP_HELLO);
-                buf.extend_from_slice(&HELLO_MAGIC);
-                buf.push(*max_version);
-            }
             Request::Ping => buf.push(OP_PING),
             Request::ListStates => buf.push(OP_LIST),
-            Request::ListStatesV2 => buf.push(OP_LIST_V2),
+            Request::Lookup {
+                job,
+                operator,
+                key,
+                window,
+            } => {
+                buf.push(OP_LOOKUP);
+                put_str(&mut buf, job);
+                put_str(&mut buf, operator);
+                put_len_prefixed(&mut buf, key);
+                put_opt(&mut buf, window, put_window);
+            }
             Request::LookupMany {
                 job,
                 operator,
@@ -512,17 +484,8 @@ impl Request {
                 buf.push(OP_LOOKUP_MANY);
                 put_str(&mut buf, job);
                 put_str(&mut buf, operator);
-                flowkv_common::codec::put_varint_u64(&mut buf, keys.len() as u64);
-                for key in keys {
-                    put_len_prefixed(&mut buf, key);
-                }
-                match window {
-                    Some(w) => {
-                        buf.push(1);
-                        put_window(&mut buf, *w);
-                    }
-                    None => buf.push(0),
-                }
+                put_list(&mut buf, keys, |buf, key| put_len_prefixed(buf, key));
+                put_opt(&mut buf, window, put_window);
             }
             Request::ScanFiltered {
                 job,
@@ -537,38 +500,6 @@ impl Request {
                 buf.extend_from_slice(&filter.range_end.to_le_bytes());
                 buf.extend_from_slice(&filter.limit.to_le_bytes());
             }
-            Request::Lookup {
-                job,
-                operator,
-                key,
-                window,
-            } => {
-                buf.push(OP_LOOKUP);
-                put_str(&mut buf, job);
-                put_str(&mut buf, operator);
-                put_len_prefixed(&mut buf, key);
-                match window {
-                    Some(w) => {
-                        buf.push(1);
-                        put_window(&mut buf, *w);
-                    }
-                    None => buf.push(0),
-                }
-            }
-            Request::Scan {
-                job,
-                operator,
-                range_start,
-                range_end,
-                limit,
-            } => {
-                buf.push(OP_SCAN);
-                put_str(&mut buf, job);
-                put_str(&mut buf, operator);
-                buf.extend_from_slice(&range_start.to_le_bytes());
-                buf.extend_from_slice(&range_end.to_le_bytes());
-                buf.extend_from_slice(&limit.to_le_bytes());
-            }
             Request::Metrics {
                 job,
                 operator,
@@ -577,130 +508,54 @@ impl Request {
                 buf.push(OP_METRICS);
                 put_str(&mut buf, job);
                 put_str(&mut buf, operator);
-                // Only emitted when set: the `false` encoding is
-                // byte-identical to the pre-telemetry protocol.
-                if *include_registry {
-                    buf.push(1);
-                }
+                buf.push(u8::from(*include_registry));
             }
             Request::Prometheus => buf.push(OP_PROMETHEUS),
             Request::TraceSummary { drain } => {
                 buf.push(OP_TRACE_SUMMARY);
-                // Only emitted when set, mirroring `Metrics`.
-                if *drain {
-                    buf.push(1);
-                }
+                buf.push(u8::from(*drain));
             }
         }
         buf
     }
 
-    /// Decodes a frame payload into a request.
-    pub fn decode(payload: &[u8]) -> Result<Self> {
-        let mut dec = Decoder::new(payload);
-        let opcode = dec.take(1, "request opcode")?[0];
-        let req = match opcode {
-            OP_HELLO => {
-                let magic = dec.take(4, "hello magic")?;
-                if magic != HELLO_MAGIC {
-                    return Err(proto_err("bad hello magic"));
-                }
-                Request::Hello {
-                    max_version: dec.take(1, "hello max version")?[0],
-                }
-            }
+    /// Decodes a frame body into a request.
+    pub fn decode(body: &[u8]) -> Result<Self> {
+        let mut dec = Decoder::new(body);
+        let req = match dec.take(1, "request opcode")?[0] {
             OP_PING => Request::Ping,
             OP_LIST => Request::ListStates,
-            OP_LIST_V2 => Request::ListStatesV2,
-            OP_LOOKUP_MANY => {
-                let job = get_str(&mut dec)?;
-                let operator = get_str(&mut dec)?;
-                let n = dec.get_varint_u64()? as usize;
-                if n > MAX_FRAME {
-                    return Err(proto_err("lookup key count exceeds frame bound"));
-                }
-                let mut keys = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    keys.push(dec.get_len_prefixed()?.to_vec());
-                }
-                let window = match dec.take(1, "window flag")?[0] {
-                    0 => None,
-                    1 => Some(get_window(&mut dec)?),
-                    flag => return Err(proto_err(format!("bad window flag {flag}"))),
-                };
-                Request::LookupMany {
-                    job,
-                    operator,
-                    keys,
-                    window,
-                }
-            }
+            OP_LOOKUP => Request::Lookup {
+                job: get_str(&mut dec)?,
+                operator: get_str(&mut dec)?,
+                key: get_bytes(&mut dec)?,
+                window: get_opt(&mut dec, "window flag", get_window)?,
+            },
+            OP_LOOKUP_MANY => Request::LookupMany {
+                job: get_str(&mut dec)?,
+                operator: get_str(&mut dec)?,
+                keys: get_list(&mut dec, "lookup key", get_bytes)?,
+                window: get_opt(&mut dec, "window flag", get_window)?,
+            },
             OP_SCAN_FILTERED => Request::ScanFiltered {
                 job: get_str(&mut dec)?,
                 operator: get_str(&mut dec)?,
                 filter: ScanFilter {
-                    key_prefix: dec.get_len_prefixed()?.to_vec(),
+                    key_prefix: get_bytes(&mut dec)?,
                     range_start: dec.get_i64()?,
                     range_end: dec.get_i64()?,
                     limit: dec.get_u64()?,
                 },
             },
-            OP_LOOKUP => {
-                let job = get_str(&mut dec)?;
-                let operator = get_str(&mut dec)?;
-                let key = dec.get_len_prefixed()?.to_vec();
-                let window = match dec.take(1, "window flag")?[0] {
-                    0 => None,
-                    1 => Some(get_window(&mut dec)?),
-                    flag => return Err(proto_err(format!("bad window flag {flag}"))),
-                };
-                Request::Lookup {
-                    job,
-                    operator,
-                    key,
-                    window,
-                }
-            }
-            OP_SCAN => Request::Scan {
+            OP_METRICS => Request::Metrics {
                 job: get_str(&mut dec)?,
                 operator: get_str(&mut dec)?,
-                range_start: dec.get_i64()?,
-                range_end: dec.get_i64()?,
-                limit: dec.get_u64()?,
+                include_registry: get_flag(&mut dec, "registry flag")?,
             },
-            OP_METRICS => {
-                let job = get_str(&mut dec)?;
-                let operator = get_str(&mut dec)?;
-                // Absent flag byte = legacy frame = store counters only.
-                let include_registry = if dec.is_empty() {
-                    false
-                } else {
-                    match dec.take(1, "registry flag")?[0] {
-                        0 => false,
-                        1 => true,
-                        flag => return Err(proto_err(format!("bad registry flag {flag}"))),
-                    }
-                };
-                Request::Metrics {
-                    job,
-                    operator,
-                    include_registry,
-                }
-            }
             OP_PROMETHEUS => Request::Prometheus,
-            OP_TRACE_SUMMARY => {
-                // Absent flag byte = legacy frame = keep the rings.
-                let drain = if dec.is_empty() {
-                    false
-                } else {
-                    match dec.take(1, "drain flag")?[0] {
-                        0 => false,
-                        1 => true,
-                        flag => return Err(proto_err(format!("bad drain flag {flag}"))),
-                    }
-                };
-                Request::TraceSummary { drain }
-            }
+            OP_TRACE_SUMMARY => Request::TraceSummary {
+                drain: get_flag(&mut dec, "drain flag")?,
+            },
             other => return Err(proto_err(format!("unknown request opcode {other:#x}"))),
         };
         if !dec.is_empty() {
@@ -727,10 +582,7 @@ pub struct StateInfo {
     /// Advisory retention of an entry, in event-time milliseconds,
     /// derived from the operator's window semantics (window size for
     /// fixed/sliding windows, gap for sessions). `None` when state never
-    /// expires (global windows) or the publisher predates TTL metadata.
-    ///
-    /// Carried only by the v2 listing ([`Request::ListStatesV2`]); the
-    /// v1 frame encodes rows without it and decodes it as `None`.
+    /// expires (global windows).
     pub ttl_ms: Option<u64>,
 }
 
@@ -791,20 +643,10 @@ impl ErrorCode {
 /// The server's answer to one [`Request`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Response {
-    /// Answer to [`Request::Hello`]: the protocol version both sides
-    /// will speak from the next frame on.
-    HelloAck {
-        /// The negotiated protocol version.
-        version: u8,
-    },
     /// Answer to [`Request::Ping`].
     Pong,
-    /// Answer to [`Request::ListStates`]. Rows are encoded without
-    /// their TTL metadata, byte-identical to the pre-v2 frame.
+    /// Answer to [`Request::ListStates`].
     States(Vec<StateInfo>),
-    /// Answer to [`Request::ListStatesV2`]: the same rows with TTL
-    /// metadata.
-    StatesV2(Vec<StateInfo>),
     /// Answer to [`Request::LookupMany`]: one slot per requested key, in
     /// request order.
     ValueBatch {
@@ -825,11 +667,11 @@ pub enum Response {
         /// The window the value was found in, with its value.
         found: Option<(WindowId, ViewValue)>,
     },
-    /// Answer to [`Request::Scan`].
+    /// Answer to [`Request::ScanFiltered`].
     ScanResult {
-        /// Minimum epoch across the partitions answering the scan.
+        /// Minimum epoch across every partition of the operator.
         epoch: u64,
-        /// Minimum watermark across the answering partitions.
+        /// Minimum watermark across every partition of the operator.
         watermark: Timestamp,
         /// Matching entries, in partition-then-key order.
         entries: Vec<ScanEntry>,
@@ -847,10 +689,8 @@ pub enum Response {
         watermark: Timestamp,
         /// Element-wise summed store counters.
         metrics: MetricsSnapshot,
-        /// Telemetry registry samples; populated only when the request
-        /// set `include_registry`, and appended to the frame only when
-        /// non-empty so legacy decoders (which reject trailing bytes)
-        /// keep working.
+        /// Telemetry registry samples: empty unless the request set
+        /// `include_registry` and the server has telemetry.
         registry: Vec<MetricSample>,
     },
     /// Answer to [`Request::Prometheus`]: the registry in Prometheus
@@ -883,11 +723,9 @@ const OP_METRICS_REPORT: u8 = 0x85;
 const OP_PROM_TEXT: u8 = 0x86;
 const OP_TRACE_SUMMARY_REPORT: u8 = 0x87;
 const OP_VALUE_BATCH: u8 = 0x88;
-const OP_STATES_V2: u8 = 0x8a;
-const OP_HELLO_ACK: u8 = 0xf0;
 const OP_ERROR: u8 = 0xee;
 
-fn put_state_info(buf: &mut Vec<u8>, s: &StateInfo, with_ttl: bool) {
+fn put_state_info(buf: &mut Vec<u8>, s: &StateInfo) {
     put_str(buf, &s.key.job);
     put_str(buf, &s.key.operator);
     buf.extend_from_slice(&(s.key.partition as u64).to_le_bytes());
@@ -895,41 +733,22 @@ fn put_state_info(buf: &mut Vec<u8>, s: &StateInfo, with_ttl: bool) {
     buf.extend_from_slice(&s.epoch.to_le_bytes());
     buf.extend_from_slice(&s.watermark.to_le_bytes());
     buf.extend_from_slice(&s.entries.to_le_bytes());
-    if with_ttl {
-        match s.ttl_ms {
-            Some(ttl) => {
-                buf.push(1);
-                buf.extend_from_slice(&ttl.to_le_bytes());
-            }
-            None => buf.push(0),
-        }
-    }
+    put_opt(buf, &s.ttl_ms, |buf, ttl| {
+        buf.extend_from_slice(&ttl.to_le_bytes())
+    });
 }
 
-fn get_state_info(dec: &mut Decoder<'_>, with_ttl: bool) -> Result<StateInfo> {
+fn get_state_info(dec: &mut Decoder<'_>) -> Result<StateInfo> {
     let job = get_str(dec)?;
     let operator = get_str(dec)?;
     let partition = dec.get_u64()? as usize;
-    let pattern = StatePattern::from_u8(dec.take(1, "pattern")?[0]);
-    let epoch = dec.get_u64()?;
-    let watermark = dec.get_i64()?;
-    let entries = dec.get_u64()?;
-    let ttl_ms = if with_ttl {
-        match dec.take(1, "ttl flag")?[0] {
-            0 => None,
-            1 => Some(dec.get_u64()?),
-            flag => return Err(proto_err(format!("bad ttl flag {flag}"))),
-        }
-    } else {
-        None
-    };
     Ok(StateInfo {
         key: StateKey::new(job, operator, partition),
-        pattern,
-        epoch,
-        watermark,
-        entries,
-        ttl_ms,
+        pattern: StatePattern::from_u8(dec.take(1, "pattern")?[0]),
+        epoch: dec.get_u64()?,
+        watermark: dec.get_i64()?,
+        entries: dec.get_u64()?,
+        ttl_ms: get_opt(dec, "ttl flag", Decoder::get_u64)?,
     })
 }
 
@@ -959,29 +778,14 @@ fn get_attr_row(dec: &mut Decoder<'_>) -> Result<AttributionRow> {
 }
 
 impl Response {
-    /// Encodes this response as one frame payload (opcode + body).
+    /// Encodes this response as one frame body (opcode + fields).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         match self {
-            Response::HelloAck { version } => {
-                buf.push(OP_HELLO_ACK);
-                buf.extend_from_slice(&HELLO_MAGIC);
-                buf.push(*version);
-            }
             Response::Pong => buf.push(OP_PONG),
             Response::States(states) => {
                 buf.push(OP_STATES);
-                flowkv_common::codec::put_varint_u64(&mut buf, states.len() as u64);
-                for s in states {
-                    put_state_info(&mut buf, s, false);
-                }
-            }
-            Response::StatesV2(states) => {
-                buf.push(OP_STATES_V2);
-                flowkv_common::codec::put_varint_u64(&mut buf, states.len() as u64);
-                for s in states {
-                    put_state_info(&mut buf, s, true);
-                }
+                put_list(&mut buf, states, put_state_info);
             }
             Response::ValueBatch {
                 epoch,
@@ -991,17 +795,7 @@ impl Response {
                 buf.push(OP_VALUE_BATCH);
                 buf.extend_from_slice(&epoch.to_le_bytes());
                 buf.extend_from_slice(&watermark.to_le_bytes());
-                flowkv_common::codec::put_varint_u64(&mut buf, found.len() as u64);
-                for slot in found {
-                    match slot {
-                        Some((window, value)) => {
-                            buf.push(1);
-                            put_window(&mut buf, *window);
-                            put_view_value(&mut buf, value);
-                        }
-                        None => buf.push(0),
-                    }
-                }
+                put_list(&mut buf, found, put_found);
             }
             Response::Value {
                 epoch,
@@ -1011,14 +805,7 @@ impl Response {
                 buf.push(OP_VALUE);
                 buf.extend_from_slice(&epoch.to_le_bytes());
                 buf.extend_from_slice(&watermark.to_le_bytes());
-                match found {
-                    Some((window, value)) => {
-                        buf.push(1);
-                        put_window(&mut buf, *window);
-                        put_view_value(&mut buf, value);
-                    }
-                    None => buf.push(0),
-                }
+                put_found(&mut buf, found);
             }
             Response::ScanResult {
                 epoch,
@@ -1028,12 +815,11 @@ impl Response {
                 buf.push(OP_SCAN_RESULT);
                 buf.extend_from_slice(&epoch.to_le_bytes());
                 buf.extend_from_slice(&watermark.to_le_bytes());
-                flowkv_common::codec::put_varint_u64(&mut buf, entries.len() as u64);
-                for e in entries {
-                    put_len_prefixed(&mut buf, &e.key);
-                    put_window(&mut buf, e.window);
-                    put_view_value(&mut buf, &e.value);
-                }
+                put_list(&mut buf, entries, |buf, e| {
+                    put_len_prefixed(buf, &e.key);
+                    put_window(buf, &e.window);
+                    put_view_value(buf, &e.value);
+                });
             }
             Response::MetricsReport {
                 pattern,
@@ -1049,11 +835,7 @@ impl Response {
                 buf.extend_from_slice(&entries.to_le_bytes());
                 buf.extend_from_slice(&watermark.to_le_bytes());
                 put_metrics(&mut buf, metrics);
-                // Appended only when present: the empty encoding is the
-                // pre-telemetry frame, which old clients still decode.
-                if !registry.is_empty() {
-                    put_samples(&mut buf, registry);
-                }
+                put_list(&mut buf, registry, put_sample);
             }
             Response::PrometheusText(text) => {
                 buf.push(OP_PROM_TEXT);
@@ -1066,10 +848,7 @@ impl Response {
             } => {
                 buf.push(OP_TRACE_SUMMARY_REPORT);
                 buf.extend_from_slice(&traces.to_le_bytes());
-                flowkv_common::codec::put_varint_u64(&mut buf, rows.len() as u64);
-                for row in rows {
-                    put_attr_row(&mut buf, row);
-                }
+                put_list(&mut buf, rows, put_attr_row);
                 put_attr_row(&mut buf, total);
             }
             Response::Error { code, message } => {
@@ -1081,137 +860,47 @@ impl Response {
         buf
     }
 
-    /// Decodes a frame payload into a response.
-    pub fn decode(payload: &[u8]) -> Result<Self> {
-        let mut dec = Decoder::new(payload);
-        let opcode = dec.take(1, "response opcode")?[0];
-        let resp = match opcode {
-            OP_HELLO_ACK => {
-                let magic = dec.take(4, "hello-ack magic")?;
-                if magic != HELLO_MAGIC {
-                    return Err(proto_err("bad hello-ack magic"));
-                }
-                Response::HelloAck {
-                    version: dec.take(1, "hello-ack version")?[0],
-                }
-            }
+    /// Decodes a frame body into a response.
+    pub fn decode(body: &[u8]) -> Result<Self> {
+        let mut dec = Decoder::new(body);
+        let resp = match dec.take(1, "response opcode")?[0] {
             OP_PONG => Response::Pong,
-            OP_STATES | OP_STATES_V2 => {
-                let with_ttl = opcode == OP_STATES_V2;
-                let n = dec.get_varint_u64()? as usize;
-                if n > MAX_FRAME {
-                    return Err(proto_err("state count exceeds frame bound"));
-                }
-                let mut states = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    states.push(get_state_info(&mut dec, with_ttl)?);
-                }
-                if with_ttl {
-                    Response::StatesV2(states)
-                } else {
-                    Response::States(states)
-                }
-            }
-            OP_VALUE_BATCH => {
-                let epoch = dec.get_u64()?;
-                let watermark = dec.get_i64()?;
-                let n = dec.get_varint_u64()? as usize;
-                if n > MAX_FRAME {
-                    return Err(proto_err("value-batch count exceeds frame bound"));
-                }
-                let mut found = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    found.push(match dec.take(1, "found flag")?[0] {
-                        0 => None,
-                        1 => {
-                            let window = get_window(&mut dec)?;
-                            Some((window, get_view_value(&mut dec)?))
-                        }
-                        flag => return Err(proto_err(format!("bad found flag {flag}"))),
-                    });
-                }
-                Response::ValueBatch {
-                    epoch,
-                    watermark,
-                    found,
-                }
-            }
-            OP_VALUE => {
-                let epoch = dec.get_u64()?;
-                let watermark = dec.get_i64()?;
-                let found = match dec.take(1, "found flag")?[0] {
-                    0 => None,
-                    1 => {
-                        let window = get_window(&mut dec)?;
-                        Some((window, get_view_value(&mut dec)?))
-                    }
-                    flag => return Err(proto_err(format!("bad found flag {flag}"))),
-                };
-                Response::Value {
-                    epoch,
-                    watermark,
-                    found,
-                }
-            }
-            OP_SCAN_RESULT => {
-                let epoch = dec.get_u64()?;
-                let watermark = dec.get_i64()?;
-                let n = dec.get_varint_u64()? as usize;
-                if n > MAX_FRAME {
-                    return Err(proto_err("scan count exceeds frame bound"));
-                }
-                let mut entries = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    entries.push(ScanEntry {
-                        key: dec.get_len_prefixed()?.to_vec(),
-                        window: get_window(&mut dec)?,
-                        value: get_view_value(&mut dec)?,
-                    });
-                }
-                Response::ScanResult {
-                    epoch,
-                    watermark,
-                    entries,
-                }
-            }
-            OP_METRICS_REPORT => {
-                let pattern = StatePattern::from_u8(dec.take(1, "pattern")?[0]);
-                let partitions = dec.get_u64()?;
-                let entries = dec.get_u64()?;
-                let watermark = dec.get_i64()?;
-                let metrics = get_metrics(&mut dec)?;
-                // Absent suffix = legacy frame = no registry samples.
-                let registry = if dec.is_empty() {
-                    Vec::new()
-                } else {
-                    get_samples(&mut dec)?
-                };
-                Response::MetricsReport {
-                    pattern,
-                    partitions,
-                    entries,
-                    watermark,
-                    metrics,
-                    registry,
-                }
-            }
+            OP_STATES => Response::States(get_list(&mut dec, "state", get_state_info)?),
+            OP_VALUE_BATCH => Response::ValueBatch {
+                epoch: dec.get_u64()?,
+                watermark: dec.get_i64()?,
+                found: get_list(&mut dec, "value-batch", get_found)?,
+            },
+            OP_VALUE => Response::Value {
+                epoch: dec.get_u64()?,
+                watermark: dec.get_i64()?,
+                found: get_found(&mut dec)?,
+            },
+            OP_SCAN_RESULT => Response::ScanResult {
+                epoch: dec.get_u64()?,
+                watermark: dec.get_i64()?,
+                entries: get_list(&mut dec, "scan", |dec| {
+                    Ok(ScanEntry {
+                        key: get_bytes(dec)?,
+                        window: get_window(dec)?,
+                        value: get_view_value(dec)?,
+                    })
+                })?,
+            },
+            OP_METRICS_REPORT => Response::MetricsReport {
+                pattern: StatePattern::from_u8(dec.take(1, "pattern")?[0]),
+                partitions: dec.get_u64()?,
+                entries: dec.get_u64()?,
+                watermark: dec.get_i64()?,
+                metrics: get_metrics(&mut dec)?,
+                registry: get_list(&mut dec, "sample", get_sample)?,
+            },
             OP_PROM_TEXT => Response::PrometheusText(get_str(&mut dec)?),
-            OP_TRACE_SUMMARY_REPORT => {
-                let traces = dec.get_u64()?;
-                let n = dec.get_varint_u64()? as usize;
-                if n > MAX_FRAME {
-                    return Err(proto_err("trace row count exceeds frame bound"));
-                }
-                let mut rows = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    rows.push(get_attr_row(&mut dec)?);
-                }
-                Response::TraceSummaryReport {
-                    traces,
-                    rows,
-                    total: get_attr_row(&mut dec)?,
-                }
-            }
+            OP_TRACE_SUMMARY_REPORT => Response::TraceSummaryReport {
+                traces: dec.get_u64()?,
+                rows: get_list(&mut dec, "trace row", get_attr_row)?,
+                total: get_attr_row(&mut dec)?,
+            },
             OP_ERROR => Response::Error {
                 code: ErrorCode::from_u8(dec.take(1, "error code")?[0])?,
                 message: get_str(&mut dec)?,
@@ -1232,13 +921,15 @@ mod tests {
     #[test]
     fn frame_roundtrip_over_a_buffer() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, &Request::Ping.encode()).unwrap();
-        write_frame(&mut wire, &Request::ListStates.encode()).unwrap();
+        write_frame(&mut wire, 1, &Request::Ping.encode()).unwrap();
+        write_frame(&mut wire, 2, &Request::ListStates.encode()).unwrap();
         let mut cursor = std::io::Cursor::new(wire);
-        let p1 = read_frame(&mut cursor).unwrap().unwrap();
-        assert_eq!(Request::decode(&p1).unwrap(), Request::Ping);
-        let p2 = read_frame(&mut cursor).unwrap().unwrap();
-        assert_eq!(Request::decode(&p2).unwrap(), Request::ListStates);
+        for (id, req) in [(1, Request::Ping), (2, Request::ListStates)] {
+            let payload = read_frame(&mut cursor).unwrap().unwrap();
+            let (got, body) = split_request_id(&payload).unwrap();
+            assert_eq!(got, id);
+            assert_eq!(Request::decode(body).unwrap(), req);
+        }
         assert!(read_frame(&mut cursor).unwrap().is_none());
     }
 
@@ -1282,45 +973,34 @@ mod tests {
     }
 
     #[test]
-    fn hello_handshake_roundtrips() {
-        let hello = Request::Hello {
-            max_version: MAX_PROTOCOL,
-        };
-        assert_eq!(Request::decode(&hello.encode()).unwrap(), hello);
-        let ack = Response::HelloAck {
-            version: PROTOCOL_V2,
-        };
-        assert_eq!(Response::decode(&ack.encode()).unwrap(), ack);
-        // Corrupt magic is rejected, not misparsed.
-        let mut bad = hello.encode();
-        bad[1] ^= 0xff;
-        assert!(Request::decode(&bad).is_err());
-    }
-
-    #[test]
     fn v2_frames_carry_and_return_the_request_id() {
         let mut wire = Vec::new();
-        write_frame_v2(&mut wire, 42, &Request::Ping.encode()).unwrap();
+        write_frame(&mut wire, 42, &Request::Ping.encode()).unwrap();
         let (consumed, range) = peek_frame(&wire).unwrap().unwrap();
         assert_eq!(consumed, wire.len());
         let (id, body) = split_request_id(&wire[range]).unwrap();
         assert_eq!(id, 42);
         assert_eq!(Request::decode(body).unwrap(), Request::Ping);
+        // A payload with no room for an opcode after the id is no frame.
+        assert!(split_request_id(&[0u8; REQUEST_ID]).is_err());
     }
 
     #[test]
     fn peek_frame_matches_read_frame_semantics() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, &Request::Ping.encode()).unwrap();
+        write_frame(&mut wire, 7, &Request::Ping.encode()).unwrap();
         // Every strict prefix is incomplete, the full buffer parses.
         for cut in 0..wire.len() {
             assert!(peek_frame(&wire[..cut]).unwrap().is_none(), "cut {cut}");
         }
         let (consumed, range) = peek_frame(&wire).unwrap().unwrap();
         assert_eq!(consumed, wire.len());
+        let read = read_frame(&mut std::io::Cursor::new(&wire))
+            .unwrap()
+            .unwrap();
         assert_eq!(
-            Request::decode(&wire[range]).unwrap(),
-            Request::Ping,
+            &wire[range],
+            &read[..],
             "peek_frame payload differs from read_frame's"
         );
         // Oversized and zero lengths error exactly like read_frame.

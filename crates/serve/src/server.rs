@@ -10,8 +10,8 @@
 //! ([`event_loop`](crate::event_loop)): every connection is multiplexed
 //! onto one readiness-polled thread with per-connection read/write
 //! buffers, and pipelined clients get every buffered frame answered per
-//! wake-up. The wire protocol lives in one per-connection state machine
-//! ([`Session`]). [`ServerBuilder`] is the one construction path.
+//! wake-up; each frame is answered by one stateless function
+//! ([`handle_frame`]). [`ServerBuilder`] is the one construction path.
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,8 +30,7 @@ use flowkv_common::trace::{self, TraceHandle};
 use flowkv_common::types::{Timestamp, MAX_TIMESTAMP};
 
 use crate::protocol::{
-    split_request_id, write_frame, write_frame_v2, ErrorCode, Request, Response, ScanEntry,
-    StateInfo, MAX_PROTOCOL, PROTOCOL_V1, PROTOCOL_V2,
+    split_request_id, write_frame, ErrorCode, Request, Response, ScanEntry, StateInfo,
 };
 
 /// Default cap on concurrently open client connections.
@@ -47,8 +46,6 @@ pub(crate) struct ServeProbes {
     pub connections_total: Arc<Counter>,
     /// Currently open connections (`serve_connections_open`).
     pub connections_open: Arc<Gauge>,
-    /// Completed v2 handshakes (`serve_handshakes_total`).
-    pub handshakes: Arc<Counter>,
     /// Frames answered per read wake-up (`serve_pipeline_depth`): depth
     /// 1 is a strict request/response client, higher means pipelining
     /// is paying off.
@@ -67,7 +64,6 @@ impl ServeProbes {
             errors: r.counter("serve_errors_total"),
             connections_total: r.counter("serve_connections_total"),
             connections_open: r.gauge("serve_connections_open"),
-            handshakes: r.counter("serve_handshakes_total"),
             pipeline_depth: r.histogram("serve_pipeline_depth"),
             bytes_read: r.counter("serve_bytes_read_total"),
             bytes_written: r.counter("serve_bytes_written_total"),
@@ -84,86 +80,31 @@ pub(crate) struct ServeShared {
     pub probes: Option<ServeProbes>,
 }
 
-/// Per-connection wire-protocol state machine.
+/// Answers one frame payload, appending the complete response frame —
+/// length prefix and the request's id included — to `out`.
 ///
-/// A session starts in protocol v1. A [`Request::Hello`] switches it to
-/// the negotiated version; from then on every frame carries (and every
-/// response echoes) a request id.
-pub(crate) struct Session {
-    version: u8,
-}
-
-impl Session {
-    pub fn new() -> Self {
-        Session {
-            version: PROTOCOL_V1,
-        }
+/// An `Err` is fatal to the connection: a payload too short for a
+/// request id and an opcode means the peer broke framing, and there is
+/// no id to address an answer to.
+pub(crate) fn handle_frame(shared: &ServeShared, payload: &[u8], out: &mut Vec<u8>) -> Result<()> {
+    shared.served.fetch_add(1, Ordering::Relaxed);
+    if let Some(p) = &shared.probes {
+        p.requests.inc();
     }
-
-    /// Answers one frame payload, appending the complete response frame
-    /// (length prefix included) to `out`.
-    ///
-    /// An `Err` is fatal to the connection: it means the peer broke
-    /// framing (e.g. a v2 frame too short for its request id), after
-    /// which no resynchronisation is possible.
-    pub fn handle(
-        &mut self,
-        shared: &ServeShared,
-        payload: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        shared.served.fetch_add(1, Ordering::Relaxed);
+    let (request_id, body) = split_request_id(payload)?;
+    let response = match Request::decode(body) {
+        Ok(request) => answer(&shared.registry, shared.telemetry.as_deref(), request),
+        Err(e) => Response::Error {
+            code: ErrorCode::BadRequest,
+            message: e.to_string(),
+        },
+    };
+    if matches!(response, Response::Error { .. }) {
         if let Some(p) = &shared.probes {
-            p.requests.inc();
-        }
-        let (request_id, response) = if self.version >= PROTOCOL_V2 {
-            let (id, body) = split_request_id(payload)?;
-            let response = match Request::decode(body) {
-                // Renegotiating mid-stream is not a thing: ids would be
-                // ambiguous across the switch.
-                Ok(Request::Hello { .. }) => Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: "handshake already completed".into(),
-                },
-                Ok(request) => answer(&shared.registry, shared.telemetry.as_deref(), request),
-                Err(e) => Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: e.to_string(),
-                },
-            };
-            (Some(id), response)
-        } else {
-            let response = match Request::decode(payload) {
-                Ok(Request::Hello { max_version }) => {
-                    let version = max_version.clamp(PROTOCOL_V1, MAX_PROTOCOL);
-                    // The ack still travels in v1 framing; the switch
-                    // applies from the next frame.
-                    self.version = version;
-                    if version >= PROTOCOL_V2 {
-                        if let Some(p) = &shared.probes {
-                            p.handshakes.inc();
-                        }
-                    }
-                    Response::HelloAck { version }
-                }
-                Ok(request) => answer(&shared.registry, shared.telemetry.as_deref(), request),
-                Err(e) => Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: e.to_string(),
-                },
-            };
-            (None, response)
-        };
-        if matches!(response, Response::Error { .. }) {
-            if let Some(p) = &shared.probes {
-                p.errors.inc();
-            }
-        }
-        match request_id {
-            Some(id) => write_frame_v2(out, id, &response.encode()),
-            None => write_frame(out, &response.encode()),
+            p.errors.inc();
         }
     }
+    write_frame(out, request_id, &response.encode())
 }
 
 /// Configures and spawns a [`StateServer`].
@@ -357,26 +298,17 @@ fn unknown_state(job: &str, operator: &str) -> Response {
 
 /// Computes the response for one decoded request.
 ///
-/// Exposed to the crate so the integration tests can exercise query
-/// semantics without a socket. [`Request::Hello`] never reaches this
-/// function on a live connection ([`Session`] intercepts it); a stray
-/// one is answered with `BadRequest`.
+/// Exposed to the crate so the unit tests can exercise query semantics
+/// without a socket.
 pub(crate) fn answer(
     registry: &StateRegistry,
     telemetry: Option<&Telemetry>,
     request: Request,
 ) -> Response {
     match request {
-        Request::Hello { .. } => Response::Error {
-            code: ErrorCode::BadRequest,
-            message: "unexpected handshake frame".into(),
-        },
         Request::Ping => Response::Pong,
         Request::ListStates => {
             Response::States(registry.list().into_iter().map(StateInfo::from).collect())
-        }
-        Request::ListStatesV2 => {
-            Response::StatesV2(registry.list().into_iter().map(StateInfo::from).collect())
         }
         Request::Lookup {
             job,
@@ -446,42 +378,6 @@ pub(crate) fn answer(
                 found,
             }
         }
-        Request::Scan {
-            job,
-            operator,
-            range_start,
-            range_end,
-            limit,
-        } => {
-            let views = registry.operator_views(&job, &operator);
-            if views.is_empty() {
-                return unknown_state(&job, &operator);
-            }
-            let limit = usize::try_from(limit).unwrap_or(usize::MAX);
-            let mut entries = Vec::new();
-            let mut epoch = u64::MAX;
-            let mut watermark = MAX_TIMESTAMP;
-            for (_, view) in &views {
-                epoch = epoch.min(view.epoch);
-                watermark = watermark.min(view.watermark);
-                let remaining = limit.saturating_sub(entries.len());
-                if remaining == 0 {
-                    break;
-                }
-                for (key, window, value) in view.scan_windows(range_start, range_end, remaining) {
-                    entries.push(ScanEntry {
-                        key: key.to_vec(),
-                        window,
-                        value,
-                    });
-                }
-            }
-            Response::ScanResult {
-                epoch,
-                watermark,
-                entries,
-            }
-        }
         Request::ScanFiltered {
             job,
             operator,
@@ -496,6 +392,9 @@ pub(crate) fn answer(
             let mut epoch = u64::MAX;
             let mut watermark = MAX_TIMESTAMP;
             for (_, view) in &views {
+                // Every partition counts toward the coordinates, even
+                // once the limit is reached: a truncated answer reports
+                // the same epoch and watermark as a full one.
                 epoch = epoch.min(view.epoch);
                 watermark = watermark.min(view.watermark);
                 let remaining = limit.saturating_sub(entries.len());
@@ -786,73 +685,35 @@ mod tests {
     }
 
     #[test]
-    fn list_states_v2_carries_ttl() {
+    fn list_states_carries_ttl() {
         let registry = StateRegistry::new_shared();
         let mut view = view_with(&[], 1);
         view.ttl_ms = Some(60_000);
         registry.publish(StateKey::new("j", "op", 0), view);
-        match answer(&registry, None, Request::ListStatesV2) {
-            Response::StatesV2(states) => {
+        match answer(&registry, None, Request::ListStates) {
+            Response::States(states) => {
                 assert_eq!(states.len(), 1);
                 assert_eq!(states[0].ttl_ms, Some(60_000));
             }
             other => panic!("unexpected response {other:?}"),
         }
-        // The v1 listing still answers (encoding drops the ttl).
-        assert!(matches!(
-            answer(&registry, None, Request::ListStates),
-            Response::States(_)
-        ));
     }
 
     #[test]
-    fn session_switches_framing_after_hello() {
-        let registry = StateRegistry::new_shared();
-        let shared = shared(registry);
-        let mut session = Session::new();
+    fn handle_frame_echoes_the_request_id_and_rejects_an_id_less_frame() {
+        let shared = shared(StateRegistry::new_shared());
         let mut out = Vec::new();
-
-        // Frame 1: hello in v1 framing, answered in v1 framing.
-        session
-            .handle(
-                &shared,
-                &Request::Hello { max_version: 7 }.encode(),
-                &mut out,
-            )
-            .unwrap();
-        let mut cursor = std::io::Cursor::new(std::mem::take(&mut out));
-        let ack = read_frame(&mut cursor).unwrap().unwrap();
-        assert_eq!(
-            Response::decode(&ack).unwrap(),
-            Response::HelloAck {
-                version: PROTOCOL_V2
-            }
-        );
-
-        // Frame 2: v2 framing with a request id, echoed back.
-        let mut framed = Vec::new();
-        write_frame_v2(&mut framed, 99, &Request::Ping.encode()).unwrap();
-        session
-            .handle(&shared, &framed[crate::protocol::FRAME_HEADER..], &mut out)
-            .unwrap();
+        for (id, request) in [(99, Request::Ping.encode()), (100, vec![0x7f])] {
+            let mut framed = Vec::new();
+            write_frame(&mut framed, id, &request).unwrap();
+            handle_frame(&shared, &framed[crate::protocol::FRAME_HEADER..], &mut out).unwrap();
+        }
         let mut cursor = std::io::Cursor::new(std::mem::take(&mut out));
         let payload = read_frame(&mut cursor).unwrap().unwrap();
         let (id, body) = split_request_id(&payload).unwrap();
-        assert_eq!(id, 99);
-        assert_eq!(Response::decode(body).unwrap(), Response::Pong);
-
-        // A second hello is rejected but the connection stays usable.
-        let mut framed = Vec::new();
-        write_frame_v2(
-            &mut framed,
-            100,
-            &Request::Hello { max_version: 2 }.encode(),
-        )
-        .unwrap();
-        session
-            .handle(&shared, &framed[crate::protocol::FRAME_HEADER..], &mut out)
-            .unwrap();
-        let mut cursor = std::io::Cursor::new(std::mem::take(&mut out));
+        assert_eq!((id, Response::decode(body).unwrap()), (99, Response::Pong));
+        // An unknown opcode is answered under its id; the connection
+        // stays usable.
         let payload = read_frame(&mut cursor).unwrap().unwrap();
         let (id, body) = split_request_id(&payload).unwrap();
         assert_eq!(id, 100);
@@ -863,25 +724,30 @@ mod tests {
                 ..
             }
         ));
+        // A one-byte payload has no id to answer under: the frame is
+        // fatal and nothing is written.
+        assert!(handle_frame(&shared, &Request::Ping.encode(), &mut out).is_err());
+        assert!(out.is_empty());
     }
 
-    #[test]
-    fn v1_session_never_switches_without_hello() {
-        let registry = StateRegistry::new_shared();
-        let shared = shared(registry);
-        let mut session = Session::new();
-        let mut out = Vec::new();
-        for _ in 0..3 {
-            session
-                .handle(&shared, &Request::Ping.encode(), &mut out)
-                .unwrap();
+    fn scan(registry: &StateRegistry, filter: ScanFilter) -> (u64, Timestamp, Vec<Vec<u8>>) {
+        let request = Request::ScanFiltered {
+            job: "j".into(),
+            operator: "op".into(),
+            filter,
+        };
+        match answer(registry, None, request) {
+            Response::ScanResult {
+                epoch,
+                watermark,
+                entries,
+            } => (
+                epoch,
+                watermark,
+                entries.into_iter().map(|e| e.key).collect(),
+            ),
+            other => panic!("unexpected response {other:?}"),
         }
-        let mut cursor = std::io::Cursor::new(out);
-        for _ in 0..3 {
-            let payload = read_frame(&mut cursor).unwrap().unwrap();
-            assert_eq!(Response::decode(&payload).unwrap(), Response::Pong);
-        }
-        assert!(read_frame(&mut cursor).unwrap().is_none());
     }
 
     #[test]
@@ -902,26 +768,42 @@ mod tests {
                 7,
             ),
         );
-        let resp = answer(
-            &registry,
-            None,
-            Request::Scan {
-                job: "j".into(),
-                operator: "op".into(),
-                range_start: 0,
-                range_end: 50,
-                limit: 2,
-            },
+        let (epoch, _, keys) = scan(&registry, ScanFilter::range(0, 50, 2));
+        assert_eq!(epoch, 5);
+        assert_eq!(keys, vec![b"a".to_vec(), b"b".to_vec()]);
+    }
+
+    #[test]
+    fn a_truncated_scan_reports_the_minimum_over_every_partition() {
+        // The limit is met inside partition 0. Partition 2, two past
+        // it, holds the oldest snapshot and still sets the answer's
+        // coordinates.
+        let registry = StateRegistry::new_shared();
+        let w = WindowId::new(0, 100);
+        registry.publish(
+            StateKey::new("j", "op", 0),
+            view_with(
+                &[
+                    (b"a", w, ViewValue::Aggregate(vec![1])),
+                    (b"b", w, ViewValue::Aggregate(vec![2])),
+                ],
+                9,
+            ),
         );
-        match resp {
-            Response::ScanResult { epoch, entries, .. } => {
-                assert_eq!(epoch, 5);
-                assert_eq!(entries.len(), 2);
-                assert_eq!(entries[0].key, b"a");
-                assert_eq!(entries[1].key, b"b");
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
+        registry.publish(
+            StateKey::new("j", "op", 1),
+            view_with(&[(b"c", w, ViewValue::Aggregate(vec![3]))], 8),
+        );
+        let mut oldest = view_with(&[(b"d", w, ViewValue::Aggregate(vec![4]))], 4);
+        oldest.watermark = 400;
+        registry.publish(StateKey::new("j", "op", 2), oldest);
+        let (epoch, watermark, keys) = scan(&registry, ScanFilter::range(0, 50, 2));
+        assert_eq!(keys, vec![b"a".to_vec(), b"b".to_vec()]);
+        assert_eq!((epoch, watermark), (4, 400));
+        // The untruncated scan reports the same coordinates.
+        let (epoch, watermark, keys) = scan(&registry, ScanFilter::range(0, 50, 10));
+        assert_eq!(keys.len(), 4);
+        assert_eq!((epoch, watermark), (4, 400));
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Property tests of the wire protocol: every request and response frame
-//! round-trips byte-exactly, malformed frames (truncation, oversized
-//! or zero lengths, trailing garbage) are rejected rather than
-//! misparsed, and the v2 framing provably wraps byte-identical v1
-//! bodies — the compatibility contract behind the version handshake.
+//! round-trips byte-exactly under its request id, and malformed frames
+//! and bodies (truncation, strict prefixes, oversized or zero lengths,
+//! trailing garbage) are rejected rather than misparsed.
 
 use flowkv_common::codec::put_u32;
 use flowkv_common::registry::{StateKey, StatePattern, ViewValue};
 use flowkv_common::telemetry::{HistogramSnapshot, MetricSample, SampleValue};
 use flowkv_common::types::WindowId;
 use flowkv_serve::protocol::{
-    peek_frame, read_frame, split_request_id, write_frame, write_frame_v2, Request, Response,
-    ScanEntry, ScanFilter, StateInfo, MAX_FRAME, MAX_PROTOCOL, PROTOCOL_V2,
+    peek_frame, read_frame, split_request_id, write_frame, Request, Response, ScanEntry,
+    ScanFilter, StateInfo, MAX_FRAME,
 };
 use proptest::prelude::*;
 use proptest::strategy::Union;
@@ -46,8 +45,6 @@ fn request_strategy() -> Union<Request> {
     prop_oneof![
         Just(Request::Ping),
         Just(Request::ListStates),
-        Just(Request::ListStatesV2),
-        any::<u8>().prop_map(|max_version| Request::Hello { max_version }),
         (
             name_strategy(),
             name_strategy(),
@@ -92,22 +89,6 @@ fn request_strategy() -> Union<Request> {
                 key,
                 window,
             }),
-        (
-            name_strategy(),
-            name_strategy(),
-            any::<i64>(),
-            any::<i64>(),
-            any::<u64>(),
-        )
-            .prop_map(
-                |(job, operator, range_start, range_end, limit)| Request::Scan {
-                    job,
-                    operator,
-                    range_start,
-                    range_end,
-                    limit,
-                }
-            ),
         (name_strategy(), name_strategy(), any::<bool>()).prop_map(
             |(job, operator, include_registry)| Request::Metrics {
                 job,
@@ -207,16 +188,7 @@ fn metrics_strategy() -> impl Strategy<Value = flowkv_common::metrics::MetricsSn
 fn response_strategy() -> Union<Response> {
     prop_oneof![
         Just(Response::Pong),
-        any::<u8>().prop_map(|version| Response::HelloAck { version }),
-        // The v1 listing never carries TTLs: the frame has no slot for
-        // them, so a faithful roundtrip needs them cleared.
-        prop::collection::vec(state_info_strategy(), 0..8).prop_map(|mut states| {
-            for s in &mut states {
-                s.ttl_ms = None;
-            }
-            Response::States(states)
-        }),
-        prop::collection::vec(state_info_strategy(), 0..8).prop_map(Response::StatesV2),
+        prop::collection::vec(state_info_strategy(), 0..8).prop_map(Response::States),
         (
             any::<u64>(),
             any::<i64>(),
@@ -318,13 +290,15 @@ proptest! {
         reqs in prop::collection::vec(request_strategy(), 1..10),
     ) {
         let mut wire = Vec::new();
-        for r in &reqs {
-            write_frame(&mut wire, &r.encode()).unwrap();
+        for (id, r) in reqs.iter().enumerate() {
+            write_frame(&mut wire, id as u64, &r.encode()).unwrap();
         }
         let mut cursor = std::io::Cursor::new(wire);
-        for r in &reqs {
+        for (id, r) in reqs.iter().enumerate() {
             let payload = read_frame(&mut cursor).unwrap().expect("frame present");
-            prop_assert_eq!(&Request::decode(&payload).unwrap(), r);
+            let (got_id, body) = split_request_id(&payload).unwrap();
+            prop_assert_eq!(got_id, id as u64);
+            prop_assert_eq!(&Request::decode(body).unwrap(), r);
         }
         prop_assert!(read_frame(&mut cursor).unwrap().is_none());
     }
@@ -332,10 +306,11 @@ proptest! {
     #[test]
     fn truncated_frames_never_parse(
         req in request_strategy(),
+        id in any::<u64>(),
         cut_sel in any::<prop::sample::Index>(),
     ) {
         let mut wire = Vec::new();
-        write_frame(&mut wire, &req.encode()).unwrap();
+        write_frame(&mut wire, id, &req.encode()).unwrap();
         // Cut strictly inside the frame: decoding must error, not hang or
         // return a bogus frame.
         let cut = 1 + cut_sel.index(wire.len() - 1);
@@ -344,121 +319,27 @@ proptest! {
     }
 
     #[test]
-    fn trailing_garbage_is_rejected(req in request_strategy(), junk in 1u8..=255) {
+    fn trailing_garbage_is_rejected(req in request_strategy(), junk in any::<u8>()) {
         let mut payload = req.encode();
         payload.push(junk);
-        match (&req, junk) {
-            // The one deliberate exception: a flag-less Metrics frame
-            // followed by the single byte `1` IS the extended frame that
-            // requests registry samples.
-            (
-                Request::Metrics {
-                    job,
-                    operator,
-                    include_registry: false,
-                },
-                1,
-            ) => {
-                let decoded = Request::decode(&payload).unwrap();
-                prop_assert_eq!(
-                    decoded,
-                    Request::Metrics {
-                        job: job.clone(),
-                        operator: operator.clone(),
-                        include_registry: true,
-                    }
-                );
-            }
-            // Same pattern for TraceSummary: a flag-less frame plus the
-            // byte `1` is the drain request.
-            (Request::TraceSummary { drain: false }, 1) => {
-                prop_assert_eq!(
-                    Request::decode(&payload).unwrap(),
-                    Request::TraceSummary { drain: true }
-                );
-            }
-            _ => prop_assert!(Request::decode(&payload).is_err()),
-        }
+        prop_assert!(Request::decode(&payload).is_err());
     }
 
-    /// A bare TraceSummary opcode (what a minimal client sends) decodes
-    /// as `drain: false`, the new encoder emits exactly that one-byte
-    /// frame when the flag is off, and the drain frame is the same frame
-    /// plus a single `1` byte.
+    /// Every field of every body is required: no strict prefix of an
+    /// encoded request or response decodes — not even one that stops
+    /// just before a trailing flag or an empty list.
     #[test]
-    fn legacy_trace_summary_frames_interoperate(_seed in any::<u8>()) {
-        let legacy = vec![0x07u8];
-        let off = Request::TraceSummary { drain: false };
-        prop_assert_eq!(&off.encode(), &legacy);
-        prop_assert_eq!(Request::decode(&legacy).unwrap(), off);
-        let on = Request::TraceSummary { drain: true };
-        let mut extended = legacy;
-        extended.push(1);
-        prop_assert_eq!(&on.encode(), &extended);
-        prop_assert_eq!(Request::decode(&extended).unwrap(), on);
-    }
-
-    /// A pre-telemetry client's Metrics frame (opcode + the two names,
-    /// no flag byte) still decodes, as `include_registry: false` — and
-    /// the new encoder emits exactly that legacy frame when the flag is
-    /// off, so old servers keep answering new clients.
-    #[test]
-    fn legacy_metrics_request_frames_interoperate(
-        job in name_strategy(),
-        operator in name_strategy(),
+    fn strict_prefixes_of_every_body_fail_to_decode(
+        req in request_strategy(),
+        resp in response_strategy(),
     ) {
-        let mut legacy = vec![0x05u8];
-        flowkv_common::codec::put_len_prefixed(&mut legacy, job.as_bytes());
-        flowkv_common::codec::put_len_prefixed(&mut legacy, operator.as_bytes());
-        let off = Request::Metrics {
-            job: job.clone(),
-            operator: operator.clone(),
-            include_registry: false,
-        };
-        prop_assert_eq!(&off.encode(), &legacy);
-        prop_assert_eq!(Request::decode(&legacy).unwrap(), off);
-        let on = Request::Metrics {
-            job,
-            operator,
-            include_registry: true,
-        };
-        let mut extended = legacy;
-        extended.push(1);
-        prop_assert_eq!(&on.encode(), &extended);
-        prop_assert_eq!(Request::decode(&extended).unwrap(), on);
-    }
-
-    /// The registry samples ride as a pure suffix on the MetricsReport
-    /// frame: the extended frame starts with the byte-identical legacy
-    /// frame, and that legacy prefix alone still decodes (what an old
-    /// client effectively sees when the registry is empty).
-    #[test]
-    fn metrics_report_registry_suffix_is_optional(
-        partitions in any::<u64>(),
-        entries in any::<u64>(),
-        watermark in any::<i64>(),
-        metrics in metrics_strategy(),
-        registry in prop::collection::vec(sample_strategy(), 1..6),
-    ) {
-        let make = |registry: Vec<MetricSample>| Response::MetricsReport {
-            pattern: StatePattern::from_u8(1),
-            partitions,
-            entries,
-            watermark,
-            metrics,
-            registry,
-        };
-        let legacy = make(Vec::new()).encode();
-        let full = make(registry.clone()).encode();
-        prop_assert!(full.len() > legacy.len());
-        prop_assert_eq!(&full[..legacy.len()], &legacy[..]);
-        match Response::decode(&legacy).unwrap() {
-            Response::MetricsReport { registry, .. } => prop_assert!(registry.is_empty()),
-            other => prop_assert!(false, "unexpected: {:?}", other),
+        let body = req.encode();
+        for cut in 0..body.len() {
+            prop_assert!(Request::decode(&body[..cut]).is_err(), "{:?} cut at {}", req, cut);
         }
-        match Response::decode(&full).unwrap() {
-            Response::MetricsReport { registry: got, .. } => prop_assert_eq!(got, registry),
-            other => prop_assert!(false, "unexpected: {:?}", other),
+        let body = resp.encode();
+        for cut in 0..body.len() {
+            prop_assert!(Response::decode(&body[..cut]).is_err(), "{:?} cut at {}", resp, cut);
         }
     }
 
@@ -484,45 +365,7 @@ proptest! {
         prop_assert!(read_frame(&mut std::io::Cursor::new(wire)).is_err());
     }
 
-    /// The v2 handshake changes framing, never bodies: any v1 request
-    /// wrapped in a v2 frame carries the byte-identical v1 payload after
-    /// the request id, and decodes to the same value. This is the
-    /// compatibility contract that lets one `Session` serve both
-    /// versions from the same decoder.
-    #[test]
-    fn v1_request_bodies_decode_identically_after_handshake(
-        req in request_strategy(),
-        id in any::<u64>(),
-    ) {
-        let v1_payload = req.encode();
-        let mut wire = Vec::new();
-        write_frame_v2(&mut wire, id, &v1_payload).unwrap();
-        let (consumed, range) = peek_frame(&wire).unwrap().expect("complete frame");
-        prop_assert_eq!(consumed, wire.len());
-        let (got_id, body) = split_request_id(&wire[range]).unwrap();
-        prop_assert_eq!(got_id, id);
-        prop_assert_eq!(body, &v1_payload[..]);
-        prop_assert_eq!(&Request::decode(body).unwrap(), &req);
-    }
-
-    /// Same contract on the response path: the id-prefixed v2 frame
-    /// wraps the byte-identical v1 response payload.
-    #[test]
-    fn v1_response_bodies_decode_identically_after_handshake(
-        resp in response_strategy(),
-        id in any::<u64>(),
-    ) {
-        let v1_payload = resp.encode();
-        let mut wire = Vec::new();
-        write_frame_v2(&mut wire, id, &v1_payload).unwrap();
-        let (_, range) = peek_frame(&wire).unwrap().expect("complete frame");
-        let (got_id, body) = split_request_id(&wire[range]).unwrap();
-        prop_assert_eq!(got_id, id);
-        prop_assert_eq!(body, &v1_payload[..]);
-        prop_assert_eq!(&Response::decode(body).unwrap(), &resp);
-    }
-
-    /// A pipelined burst of v2 frames splits back into the same
+    /// A pipelined burst of frames splits back into the same
     /// (id, request) sequence, in order — what the event loop's
     /// buffer-draining loop relies on.
     #[test]
@@ -531,7 +374,7 @@ proptest! {
     ) {
         let mut wire = Vec::new();
         for (id, req) in &batch {
-            write_frame_v2(&mut wire, *id, &req.encode()).unwrap();
+            write_frame(&mut wire, *id, &req.encode()).unwrap();
         }
         let mut offset = 0usize;
         for (id, req) in &batch {
@@ -543,50 +386,5 @@ proptest! {
         }
         prop_assert_eq!(offset, wire.len());
         prop_assert!(peek_frame(&wire[offset..]).unwrap().is_none());
-    }
-
-    /// Handshake frames always travel in v1 framing (they are what
-    /// *establishes* v2), so they must roundtrip through the v1
-    /// stream reader like any legacy frame.
-    #[test]
-    fn handshake_frames_travel_in_v1_framing(version in any::<u8>()) {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &Request::Hello { max_version: MAX_PROTOCOL }.encode()).unwrap();
-        write_frame(&mut wire, &Response::HelloAck { version }.encode()).unwrap();
-        let mut cursor = std::io::Cursor::new(wire);
-        let hello = read_frame(&mut cursor).unwrap().expect("hello frame");
-        prop_assert_eq!(
-            Request::decode(&hello).unwrap(),
-            Request::Hello { max_version: MAX_PROTOCOL }
-        );
-        let ack = read_frame(&mut cursor).unwrap().expect("ack frame");
-        prop_assert_eq!(Response::decode(&ack).unwrap(), Response::HelloAck { version });
-        let _ = PROTOCOL_V2;
-    }
-
-    /// The v1 listing silently drops TTL metadata: rows with TTLs encode
-    /// byte-identically to rows without, and decode with `ttl_ms: None` —
-    /// while the v2 listing roundtrips them faithfully. An old client
-    /// asking `ListStates` therefore sees exactly the pre-TTL frame.
-    #[test]
-    fn v1_listing_drops_ttl_v2_listing_keeps_it(
-        states in prop::collection::vec(state_info_strategy(), 0..8),
-    ) {
-        let mut cleared = states.clone();
-        for s in &mut cleared {
-            s.ttl_ms = None;
-        }
-        let with_ttl = Response::States(states.clone()).encode();
-        let without = Response::States(cleared.clone()).encode();
-        prop_assert_eq!(&with_ttl, &without);
-        match Response::decode(&with_ttl).unwrap() {
-            Response::States(got) => prop_assert_eq!(got, cleared),
-            other => prop_assert!(false, "unexpected: {:?}", other),
-        }
-        let v2 = Response::StatesV2(states.clone()).encode();
-        match Response::decode(&v2).unwrap() {
-            Response::StatesV2(got) => prop_assert_eq!(got, states),
-            other => prop_assert!(false, "unexpected: {:?}", other),
-        }
     }
 }

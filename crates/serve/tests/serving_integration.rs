@@ -4,21 +4,24 @@
 //! inputs — once unobserved, once with snapshot publication, a TCP
 //! server, and client threads querying throughout the run (point
 //! lookups, pipelined batches, filtered scans) — and asserts the
-//! outputs are byte-identical. Around it: protocol-compatibility tests
-//! proving a v1 client round-trips unchanged against the v2 event-loop
-//! server, that pipelined v2 batches correlate by request id, and that
-//! `spawn()` fails rather than serving without its readiness poller.
+//! outputs are byte-identical. Around it: pipelined batches correlate by
+//! request id, peers that break the framing are cut off without
+//! disturbing a well-behaved client on the same server, and `spawn()`
+//! fails rather than serving without its readiness poller.
 
 use std::collections::BTreeMap;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use flowkv::{FlowKvConfig, FlowKvFactory};
 use flowkv_common::backend::{
     AggregateKind, KeyFilter, OperatorContext, StateBackend, StateBackendFactory, StateEntry,
     WindowChunk,
 };
+use flowkv_common::codec::put_u32;
 use flowkv_common::error::Result;
 use flowkv_common::metrics::StoreMetrics;
 use flowkv_common::registry::{StateKey, StatePattern, StateRegistry, StateView, ViewValue};
@@ -26,8 +29,9 @@ use flowkv_common::scratch::ScratchDir;
 use flowkv_common::telemetry::{validate_prometheus, Telemetry};
 use flowkv_common::types::{Timestamp, Tuple, WindowId, MAX_TIMESTAMP, MIN_TIMESTAMP};
 use flowkv_nexmark::{EventGenerator, GeneratorConfig, QueryId, QueryParams};
+use flowkv_serve::protocol::{read_frame, split_request_id};
 use flowkv_serve::{
-    route_key, Request, Response, ScanFilter, ServerBuilder, StateClient, PROTOCOL_V1, PROTOCOL_V2,
+    route_key, ErrorCode, Request, Response, ScanFilter, ServerBuilder, StateClient, MAX_FRAME,
 };
 use flowkv_spe::{run_job, RunOptions};
 
@@ -125,7 +129,6 @@ fn concurrent_queries_never_change_job_output() {
         clients.push(std::thread::spawn(move || {
             let mut client = StateClient::connect(addr).expect("connect");
             client.ping().expect("ping");
-            assert_eq!(client.version(), PROTOCOL_V2);
             let mut sampled: Vec<Vec<u8>> = Vec::new();
             let mut i = 0usize;
             while !stop.load(Ordering::Relaxed) {
@@ -133,8 +136,11 @@ fn concurrent_queries_never_change_job_output() {
                 // before any snapshot exists these return UnknownState,
                 // which is fine — keep polling.
                 if sampled.is_empty() || i.is_multiple_of(64) {
-                    if let Ok(scan) = client.scan(JOB, OPERATOR, MIN_TIMESTAMP, MAX_TIMESTAMP, 512)
-                    {
+                    if let Ok(scan) = client.scan_filtered(
+                        JOB,
+                        OPERATOR,
+                        ScanFilter::range(MIN_TIMESTAMP, MAX_TIMESTAMP, 512),
+                    ) {
                         scanned.fetch_add(scan.entries.len() as u64, Ordering::Relaxed);
                         sampled = scan.entries.into_iter().map(|e| e.key).collect();
                     }
@@ -146,7 +152,7 @@ fn concurrent_queries_never_change_job_output() {
                         }
                     }
                 }
-                // Exercise the batched v2 surface against the live job:
+                // Exercise the batched surface against the live job:
                 // a multi-key lookup over the sample, and a filtered
                 // scan restricted to one sampled key's prefix.
                 if i.is_multiple_of(32) && !sampled.is_empty() {
@@ -168,7 +174,6 @@ fn concurrent_queries_never_change_job_output() {
                 if i % 128 == t as usize {
                     let _ = client.metrics(JOB, OPERATOR);
                     let _ = client.list_states();
-                    let _ = client.list_states_v2();
                 }
                 i += 1;
             }
@@ -236,12 +241,8 @@ fn terminal_snapshot_reflects_the_drained_store() {
         states.iter().all(|s| s.entries == 0),
         "terminal snapshot still holds entries the window drain consumed"
     );
-    // The v1 listing never carries TTLs; Q12's global window never
-    // expires, so the v2 listing reports none either.
+    // Q12's global window never expires, so no state reports a TTL.
     assert!(states.iter().all(|s| s.ttl_ms.is_none()));
-    let states_v2 = client.list_states_v2().unwrap();
-    assert_eq!(states_v2.len(), 2);
-    assert!(states_v2.iter().all(|s| s.ttl_ms.is_none()));
 
     // Emitted keys are gone from queryable state, but the answer still
     // carries the snapshot's coordinates.
@@ -479,8 +480,7 @@ fn telemetry_server_exposes_prometheus_and_registry_samples() {
     );
     assert!(text.contains("# TYPE"), "missing TYPE comments");
 
-    // The extended metrics opcode carries the registry samples; the
-    // legacy form stays sample-free.
+    // The metrics opcode carries the registry samples when asked to.
     let (report, samples) = client.metrics_with_registry(JOB, OPERATOR).unwrap();
     assert_eq!(report.partitions, 2);
     assert!(
@@ -493,57 +493,9 @@ fn telemetry_server_exposes_prometheus_and_registry_samples() {
     server.shutdown();
 }
 
-/// A pre-v2 client build — no handshake, v1 framing only — round-trips
-/// unchanged against the v2 event-loop server: every legacy operation
-/// answers exactly as before, including naive pipelining (write N
-/// frames, read N in-order responses), which the strict in-order v1
-/// path guarantees.
-#[test]
-fn v1_client_round_trips_unchanged_against_the_v2_server() {
-    let registry = StateRegistry::new_shared();
-    let keys = publish_fixture(&registry, 2);
-    let mut server = ServerBuilder::new("127.0.0.1:0", Arc::clone(&registry))
-        .spawn()
-        .unwrap();
-
-    let mut client = StateClient::connect_v1(server.local_addr()).unwrap();
-    assert_eq!(client.version(), PROTOCOL_V1);
-    client.ping().unwrap();
-
-    let states = client.list_states().unwrap();
-    assert_eq!(states.len(), 2);
-    assert!(
-        states.iter().all(|s| s.ttl_ms.is_none()),
-        "a v1 listing must not carry TTL metadata"
-    );
-
-    for key in &keys {
-        let got = client.lookup_latest(JOB, OPERATOR, key).unwrap();
-        assert!(got.found.is_some(), "key {key:?} missing over v1");
-        assert_eq!(got.epoch, 3);
-        assert_eq!(got.watermark, 5_000);
-    }
-    let scan = client
-        .scan(JOB, OPERATOR, MIN_TIMESTAMP, MAX_TIMESTAMP, 1_024)
-        .unwrap();
-    assert_eq!(scan.entries.len(), keys.len());
-
-    // v1 pipelining: the batch façade falls back to in-order pairing.
-    let batch = client
-        .call_batch(&[Request::Ping, Request::ListStates, Request::Ping])
-        .unwrap();
-    assert_eq!(batch.len(), 3);
-    assert_eq!(batch[0], Response::Pong);
-    assert!(matches!(batch[1], Response::States(_)));
-    assert_eq!(batch[2], Response::Pong);
-
-    server.shutdown();
-}
-
-/// The v2 path: the handshake upgrades the connection, pipelined
-/// batches correlate answers by request id, per-request errors stay in
-/// their slot, and the batched query surface (multi-key lookups,
-/// filtered scans, TTL-carrying listings) answers correctly.
+/// Pipelined batches correlate answers by request id, per-request
+/// errors stay in their slot, and the batched query surface (multi-key
+/// lookups, filtered scans, TTL-carrying listings) answers correctly.
 #[test]
 fn pipelined_v2_batches_correlate_by_request_id() {
     let registry = StateRegistry::new_shared();
@@ -553,7 +505,6 @@ fn pipelined_v2_batches_correlate_by_request_id() {
         .unwrap();
 
     let mut client = StateClient::connect(server.local_addr()).unwrap();
-    assert_eq!(client.version(), PROTOCOL_V2);
 
     // One pipelined batch mixing every shape, including a request that
     // fails (unknown operator): the error must land in its own slot,
@@ -573,7 +524,7 @@ fn pipelined_v2_batches_correlate_by_request_id() {
                 key: keys[0].clone(),
                 window: None,
             },
-            Request::ListStatesV2,
+            Request::ListStates,
             Request::ScanFiltered {
                 job: JOB.into(),
                 operator: OPERATOR.into(),
@@ -596,7 +547,7 @@ fn pipelined_v2_batches_correlate_by_request_id() {
         batch[2]
     );
     match &batch[3] {
-        Response::StatesV2(states) => {
+        Response::States(states) => {
             assert_eq!(states.len(), 2);
             assert!(states.iter().all(|s| s.ttl_ms == Some(1_000)));
         }
@@ -673,18 +624,142 @@ fn spawn_surfaces_poller_failure_instead_of_falling_back() {
         Ok(_) => panic!("spawn served without a poller"),
     }
 
-    // With descriptors back, the same configuration serves both
-    // protocol versions.
+    // With descriptors back, the same configuration serves.
     let mut server = ServerBuilder::new("127.0.0.1:0", Arc::clone(&registry))
         .max_connections(8)
         .read_timeout(Duration::from_secs(30))
         .spawn()
         .unwrap();
-    let mut v1 = StateClient::connect_v1(server.local_addr()).unwrap();
-    v1.ping().unwrap();
-    let mut v2 = StateClient::connect(server.local_addr()).unwrap();
-    assert_eq!(v2.version(), PROTOCOL_V2);
-    let batch = v2.lookup_many(JOB, OPERATOR, &keys, None).unwrap();
+    let mut client = StateClient::connect(server.local_addr()).unwrap();
+    let batch = client.lookup_many(JOB, OPERATOR, &keys, None).unwrap();
     assert!(batch.found.iter().all(|f| f.is_some()));
+    server.shutdown();
+}
+
+/// Reads everything the server sends a peer that broke the framing
+/// until it closes the connection, and returns the answers it sent.
+fn read_until_cut_off(mut stream: TcpStream) -> Vec<Response> {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut got = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => got.extend_from_slice(&buf[..n]),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted
+                ) =>
+            {
+                break
+            }
+            Err(e) => panic!("the server neither answered nor closed: {e}"),
+        }
+    }
+    let mut cursor = std::io::Cursor::new(got);
+    let mut answers = Vec::new();
+    while let Some(payload) = read_frame(&mut cursor).unwrap() {
+        let (_, body) = split_request_id(&payload).unwrap();
+        answers.push(Response::decode(body).unwrap());
+    }
+    answers
+}
+
+/// Socket-level robustness on one live server: peers that break the
+/// framing — an id-less frame, a length over `MAX_FRAME`, a half-close
+/// inside a frame body — are answered `BadRequest` or disconnected, and
+/// a pipelined client beside them gets every answer under its own
+/// request ids before, between and after them. Every connection closed,
+/// the open-connection gauge is back at its baseline.
+#[test]
+fn malformed_peers_are_cut_off_while_a_pipelined_client_is_served() {
+    let registry = StateRegistry::new_shared();
+    let keys = publish_fixture(&registry, 2);
+    let telemetry = Telemetry::new_shared();
+    let open = telemetry.registry().gauge("serve_connections_open");
+    let baseline = open.get();
+    let mut server = ServerBuilder::new("127.0.0.1:0", Arc::clone(&registry))
+        .telemetry(Arc::clone(&telemetry))
+        .spawn()
+        .unwrap();
+    let addr = server.local_addr();
+
+    // Each key's fixture value is its index, repeated: an answer landing
+    // in the wrong slot reads another key's value.
+    let lookups: Vec<Request> = keys
+        .iter()
+        .map(|key| Request::Lookup {
+            job: JOB.into(),
+            operator: OPERATOR.into(),
+            key: key.clone(),
+            window: None,
+        })
+        .collect();
+    let mut pipelined = StateClient::connect(addr).unwrap();
+    let check = |client: &mut StateClient| {
+        let answers = client.call_batch(&lookups).unwrap();
+        assert_eq!(answers.len(), keys.len());
+        for (i, answer) in answers.iter().enumerate() {
+            match answer {
+                Response::Value {
+                    found: Some((_, ViewValue::Aggregate(v))),
+                    ..
+                } => assert_eq!(v, &vec![i as u8; 4], "slot {i}"),
+                other => panic!("slot {i}: unexpected {other:?}"),
+            }
+        }
+    };
+    check(&mut pipelined);
+    assert!(open.get() > baseline);
+
+    // A: a one-byte frame with no request id (what a removed id-less
+    // `Ping` looked like).
+    let mut id_less = TcpStream::connect(addr).unwrap();
+    id_less.write_all(&[1, 0, 0, 0, 0x01]).unwrap();
+    // B: a length prefix over the frame bound.
+    let mut oversized = TcpStream::connect(addr).unwrap();
+    let mut header = Vec::new();
+    put_u32(&mut header, (MAX_FRAME + 1) as u32);
+    oversized.write_all(&header).unwrap();
+    oversized.write_all(&[0u8; 32]).unwrap();
+    // C: a frame announcing 64 bytes, half-closed after 11 of them.
+    let mut half_closed = TcpStream::connect(addr).unwrap();
+    let mut partial = Vec::new();
+    put_u32(&mut partial, 64);
+    partial.extend_from_slice(&7u64.to_le_bytes());
+    partial.extend_from_slice(&[0x01, 0x02, 0x03]);
+    half_closed.write_all(&partial).unwrap();
+    half_closed.shutdown(Shutdown::Write).unwrap();
+
+    check(&mut pipelined);
+    for (peer, stream) in [("A", id_less), ("B", oversized), ("C", half_closed)] {
+        for answer in read_until_cut_off(stream) {
+            assert!(
+                matches!(
+                    answer,
+                    Response::Error {
+                        code: ErrorCode::BadRequest,
+                        ..
+                    }
+                ),
+                "peer {peer}: unexpected {answer:?}"
+            );
+        }
+    }
+    check(&mut pipelined);
+
+    drop(pipelined);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while open.get() != baseline {
+        assert!(
+            Instant::now() < deadline,
+            "serve_connections_open stuck at {} (baseline {baseline})",
+            open.get()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
     server.shutdown();
 }

@@ -31,6 +31,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use flowkv_common::backend::StateBackend;
+use flowkv_common::codec::{put_len_prefixed, put_varint_i64, put_varint_u64, Decoder};
 use flowkv_common::dict::{group_stable, ByteDict};
 use flowkv_common::error::Result;
 use flowkv_common::hash::KeyHash;
@@ -163,7 +164,8 @@ pub(crate) type SessionRows = Vec<(WindowId, Vec<WindowId>)>;
 /// produced by [`WindowOperator::export_engine_shards`] and folded back
 /// in by [`WindowOperator::absorb_engine_shard`]. Sessions and counts
 /// travel as raw tuples (`(cover, initials)` / `(key, seq, in_window)`)
-/// so the private engine structs stay private.
+/// so the private engine structs stay private. A checkpoint stores the
+/// operator's single shard in the codec below.
 pub(crate) struct EngineShard {
     pub(crate) watermark: Timestamp,
     pub(crate) dropped_late: u64,
@@ -172,6 +174,103 @@ pub(crate) struct EngineShard {
     pub(crate) sessions: Vec<(Vec<u8>, SessionRows)>,
     pub(crate) session_timers: BTreeSet<(Timestamp, Vec<u8>)>,
     pub(crate) counts: Vec<(Vec<u8>, u64, u64)>,
+}
+
+impl EngineShard {
+    /// Appends the shard's checkpoint encoding to `buf`.
+    fn encode_to(&self, buf: &mut Vec<u8>) {
+        put_varint_i64(buf, self.watermark);
+        put_varint_u64(buf, self.dropped_late);
+        put_varint_u64(buf, self.aligned_timers.len() as u64);
+        for (ts, w) in &self.aligned_timers {
+            put_varint_i64(buf, *ts);
+            w.encode_to(buf);
+        }
+        put_varint_u64(buf, self.trigger_keys.len() as u64);
+        for (w, keys) in &self.trigger_keys {
+            w.encode_to(buf);
+            put_varint_u64(buf, keys.len() as u64);
+            for k in keys {
+                put_len_prefixed(buf, k);
+            }
+        }
+        put_varint_u64(buf, self.sessions.len() as u64);
+        for (key, sessions) in &self.sessions {
+            put_len_prefixed(buf, key);
+            put_varint_u64(buf, sessions.len() as u64);
+            for (cover, initials) in sessions {
+                cover.encode_to(buf);
+                put_varint_u64(buf, initials.len() as u64);
+                for w in initials {
+                    w.encode_to(buf);
+                }
+            }
+        }
+        put_varint_u64(buf, self.session_timers.len() as u64);
+        for (ts, key) in &self.session_timers {
+            put_varint_i64(buf, *ts);
+            put_len_prefixed(buf, key);
+        }
+        put_varint_u64(buf, self.counts.len() as u64);
+        for (key, seq, in_window) in &self.counts {
+            put_len_prefixed(buf, key);
+            put_varint_u64(buf, *seq);
+            put_varint_u64(buf, *in_window);
+        }
+    }
+
+    /// Inverse of [`EngineShard::encode_to`].
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self> {
+        let watermark = dec.get_varint_i64()?;
+        let dropped_late = dec.get_varint_u64()?;
+        let mut aligned_timers = BTreeSet::new();
+        for _ in 0..dec.get_varint_u64()? {
+            let ts = dec.get_varint_i64()?;
+            aligned_timers.insert((ts, WindowId::decode_from(dec)?));
+        }
+        let mut trigger_keys = HashMap::new();
+        for _ in 0..dec.get_varint_u64()? {
+            let w = WindowId::decode_from(dec)?;
+            let mut keys = BTreeSet::new();
+            for _ in 0..dec.get_varint_u64()? {
+                keys.insert(dec.get_len_prefixed()?.to_vec());
+            }
+            trigger_keys.insert(w, keys);
+        }
+        let mut sessions = Vec::new();
+        for _ in 0..dec.get_varint_u64()? {
+            let key = dec.get_len_prefixed()?.to_vec();
+            let mut rows = SessionRows::new();
+            for _ in 0..dec.get_varint_u64()? {
+                let cover = WindowId::decode_from(dec)?;
+                let mut initials = Vec::new();
+                for _ in 0..dec.get_varint_u64()? {
+                    initials.push(WindowId::decode_from(dec)?);
+                }
+                rows.push((cover, initials));
+            }
+            sessions.push((key, rows));
+        }
+        let mut session_timers = BTreeSet::new();
+        for _ in 0..dec.get_varint_u64()? {
+            let ts = dec.get_varint_i64()?;
+            session_timers.insert((ts, dec.get_len_prefixed()?.to_vec()));
+        }
+        let mut counts = Vec::new();
+        for _ in 0..dec.get_varint_u64()? {
+            let key = dec.get_len_prefixed()?.to_vec();
+            counts.push((key, dec.get_varint_u64()?, dec.get_varint_u64()?));
+        }
+        Ok(EngineShard {
+            watermark,
+            dropped_late,
+            aligned_timers,
+            trigger_keys,
+            sessions,
+            session_timers,
+            counts,
+        })
+    }
 }
 
 /// A window operator bound to one state-backend partition.
@@ -349,119 +448,34 @@ impl WindowOperator {
         std::fs::create_dir_all(dir)
             .map_err(|e| flowkv_common::StoreError::io("operator checkpoint dir", e))?;
         self.backend.checkpoint(dir)?;
-        self.save_engine_state(dir)
-    }
-
-    /// Restores the operator from a checkpoint written by
-    /// [`WindowOperator::checkpoint`].
-    pub fn restore(&mut self, dir: &std::path::Path) -> Result<()> {
-        self.backend.restore(dir)?;
-        self.load_engine_state(dir)
-    }
-
-    /// Serializes timers, sessions, count progress, and the RMW trigger
-    /// sets — everything the engine holds outside the store.
-    fn save_engine_state(&self, dir: &std::path::Path) -> Result<()> {
-        use flowkv_common::codec::{put_len_prefixed, put_varint_i64, put_varint_u64};
         let mut buf = Vec::new();
-        put_varint_i64(&mut buf, self.watermark);
-        put_varint_u64(&mut buf, self.dropped_late);
-        put_varint_u64(&mut buf, self.aligned_timers.len() as u64);
-        for (ts, w) in &self.aligned_timers {
-            put_varint_i64(&mut buf, *ts);
-            w.encode_to(&mut buf);
-        }
-        put_varint_u64(&mut buf, self.trigger_keys.len() as u64);
-        for (w, keys) in &self.trigger_keys {
-            w.encode_to(&mut buf);
-            put_varint_u64(&mut buf, keys.len() as u64);
-            for k in keys {
-                put_len_prefixed(&mut buf, k);
-            }
-        }
-        put_varint_u64(&mut buf, self.sessions.len() as u64);
-        for (key, sessions) in &self.sessions {
-            put_len_prefixed(&mut buf, key);
-            put_varint_u64(&mut buf, sessions.len() as u64);
-            for s in sessions {
-                s.cover.encode_to(&mut buf);
-                put_varint_u64(&mut buf, s.initials.len() as u64);
-                for w in &s.initials {
-                    w.encode_to(&mut buf);
-                }
-            }
-        }
-        put_varint_u64(&mut buf, self.session_timers.len() as u64);
-        for (ts, key) in &self.session_timers {
-            put_varint_i64(&mut buf, *ts);
-            put_len_prefixed(&mut buf, key);
-        }
-        put_varint_u64(&mut buf, self.counts.len() as u64);
-        for (key, c) in &self.counts {
-            put_len_prefixed(&mut buf, key);
-            put_varint_u64(&mut buf, c.seq);
-            put_varint_u64(&mut buf, c.in_window);
-        }
+        self.export_engine_shards(1, &|_| 0)
+            .pop()
+            .expect("one shard")
+            .encode_to(&mut buf);
         let mut writer = flowkv_common::logfile::LogWriter::create(dir.join("OPSTATE"))?;
         writer.append(&buf)?;
         writer.sync()
     }
 
-    /// Inverse of [`WindowOperator::save_engine_state`].
-    fn load_engine_state(&mut self, dir: &std::path::Path) -> Result<()> {
-        use flowkv_common::codec::Decoder;
+    /// Restores the operator from a checkpoint written by
+    /// [`WindowOperator::checkpoint`]: the engine state is the one shard
+    /// the checkpoint holds, absorbed into an empty engine.
+    pub fn restore(&mut self, dir: &std::path::Path) -> Result<()> {
+        self.backend.restore(dir)?;
         let mut reader = flowkv_common::logfile::LogReader::open(dir.join("OPSTATE"))?;
         let (_, payload) = reader.next_record()?.ok_or_else(|| {
             flowkv_common::StoreError::invalid_state("empty operator checkpoint".to_string())
         })?;
-        let mut dec = Decoder::new(&payload);
-        self.watermark = dec.get_varint_i64()?;
-        self.dropped_late = dec.get_varint_u64()?;
+        let shard = EngineShard::decode_from(&mut Decoder::new(&payload))?;
+        self.watermark = Timestamp::MIN;
+        self.dropped_late = 0;
         self.aligned_timers.clear();
-        for _ in 0..dec.get_varint_u64()? {
-            let ts = dec.get_varint_i64()?;
-            let w = WindowId::decode_from(&mut dec)?;
-            self.aligned_timers.insert((ts, w));
-        }
         self.trigger_keys.clear();
-        for _ in 0..dec.get_varint_u64()? {
-            let w = WindowId::decode_from(&mut dec)?;
-            let n = dec.get_varint_u64()? as usize;
-            let mut keys = BTreeSet::new();
-            for _ in 0..n {
-                keys.insert(dec.get_len_prefixed()?.to_vec());
-            }
-            self.trigger_keys.insert(w, keys);
-        }
         self.sessions.clear();
-        for _ in 0..dec.get_varint_u64()? {
-            let key = dec.get_len_prefixed()?.to_vec();
-            let n = dec.get_varint_u64()? as usize;
-            let mut sessions = Vec::with_capacity(n);
-            for _ in 0..n {
-                let cover = WindowId::decode_from(&mut dec)?;
-                let m = dec.get_varint_u64()? as usize;
-                let mut initials = Vec::with_capacity(m);
-                for _ in 0..m {
-                    initials.push(WindowId::decode_from(&mut dec)?);
-                }
-                sessions.push(Session { cover, initials });
-            }
-            self.sessions.insert(key, sessions);
-        }
         self.session_timers.clear();
-        for _ in 0..dec.get_varint_u64()? {
-            let ts = dec.get_varint_i64()?;
-            let key = dec.get_len_prefixed()?.to_vec();
-            self.session_timers.insert((ts, key));
-        }
         self.counts.clear();
-        for _ in 0..dec.get_varint_u64()? {
-            let key = dec.get_len_prefixed()?.to_vec();
-            let seq = dec.get_varint_u64()?;
-            let in_window = dec.get_varint_u64()?;
-            self.counts.insert(key, CountState { seq, in_window });
-        }
+        self.absorb_engine_shard(shard);
         Ok(())
     }
 
