@@ -368,7 +368,7 @@ fn bench_session_extend(c: &mut Criterion) {
     use flowkv_spe::functions::MedianProcess;
     use flowkv_spe::job::WindowSpec;
     use flowkv_spe::memstore::InMemoryBackend;
-    use flowkv_spe::operator::WindowOperator;
+    use flowkv_spe::operator::{KeyedOperator, WindowOperator};
     use flowkv_spe::{AggregateSpec, WindowAssigner};
 
     let mut group = c.benchmark_group("session_extend");

@@ -352,7 +352,7 @@ fn a_session_trigger_allocates_per_fire_not_per_value() {
     use flowkv_common::types::Tuple;
     use flowkv_spe::functions::MedianProcess;
     use flowkv_spe::job::WindowSpec;
-    use flowkv_spe::operator::WindowOperator;
+    use flowkv_spe::operator::{KeyedOperator, WindowOperator};
     use flowkv_spe::{AggregateSpec, WindowAssigner};
 
     // Few enough that 1 024 values each stay in the 1 MiB write buffer.

@@ -26,7 +26,7 @@ use flowkv_common::trace::SpanRecorder;
 
 use crate::executor::worker_ckpt_dir;
 use crate::job::{Job, Stage, WindowSpec};
-use crate::operator::WindowOperator;
+use crate::operator::{KeyedOperator, WindowOperator};
 
 /// Per-worker checkpoint root inside a cluster checkpoint directory.
 pub(crate) fn cluster_ckpt_dir(root: &Path, worker: usize) -> std::path::PathBuf {

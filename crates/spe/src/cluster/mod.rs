@@ -322,9 +322,9 @@ fn run_phase(
                     // half-written files never leak into the retry.
                     wopts.data_dir = data_dir.join(format!("a{attempt}"));
                     let items = items.iter().cloned();
-                    match run_job_inner(&job, items, Arc::clone(&factory), &wopts, &shard_ctx).0 {
+                    match run_job_inner(&job, items, Arc::clone(&factory), &wopts, &shard_ctx) {
                         Ok(r) => return Ok(r),
-                        Err(e) => {
+                        Err((e, _)) => {
                             if attempt >= wopts.max_restarts {
                                 return Err(e);
                             }

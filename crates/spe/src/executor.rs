@@ -32,6 +32,7 @@
 //! store interaction (the paper's Kafka-based methodology, §6.2).
 
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -39,9 +40,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 
-use flowkv_common::backend::{
-    OperatorContext, OperatorSemantics, StateBackend, StateBackendFactory,
-};
+use flowkv_common::backend::{OperatorContext, StateBackend, StateBackendFactory};
 use flowkv_common::error::StoreError;
 use flowkv_common::hash::partition_of;
 use flowkv_common::ioring::IoPolicy;
@@ -52,110 +51,9 @@ use flowkv_common::trace::{self as ftrace, SpanRecorder, TraceCtx, TraceHandle, 
 use flowkv_common::types::{Timestamp, Tuple, TupleRef, MAX_TIMESTAMP, MIN_TIMESTAMP};
 
 use crate::batch::TupleBatch;
-use crate::job::{Chain, Job, Stage};
-use crate::join::IntervalJoinOperator;
+use crate::job::{Chain, Job};
 use crate::latency::{LatencySummary, Stamped};
-use crate::operator::WindowOperator;
-
-/// A stage that owns worker threads — a keyed one — as its workers
-/// need it.
-struct KeyedStage<'a> {
-    name: &'a str,
-    semantics: OperatorSemantics,
-    /// Builds the stage's operator over one partition's store.
-    operator: Box<dyn Fn(Box<dyn StateBackend>) -> WorkerOp + Sync + 'a>,
-}
-
-impl<'a> KeyedStage<'a> {
-    /// `None` for a stateless stage, which runs inside its sender.
-    fn of(stage: &'a Stage) -> Option<Self> {
-        let (semantics, operator): (_, Box<dyn Fn(_) -> _ + Sync>) = match stage {
-            Stage::Stateless { .. } => return None,
-            Stage::Window(spec) => (
-                spec.semantics(),
-                Box::new(|backend| WorkerOp::Window(WindowOperator::new(spec.clone(), backend))),
-            ),
-            Stage::IntervalJoin(spec) => (
-                spec.semantics(),
-                Box::new(|backend| {
-                    WorkerOp::Join(IntervalJoinOperator::new(spec.clone(), backend))
-                }),
-            ),
-        };
-        Some(KeyedStage {
-            name: stage.name(),
-            semantics,
-            operator,
-        })
-    }
-}
-
-/// The stateful operator running inside a worker.
-enum WorkerOp {
-    Window(WindowOperator),
-    Join(IntervalJoinOperator),
-}
-
-impl WorkerOp {
-    fn on_batch(
-        &mut self,
-        batch: &mut TupleBatch,
-        out: &mut Vec<Stamped>,
-    ) -> Result<(), StoreError> {
-        match self {
-            WorkerOp::Window(op) => op.on_batch(batch, out),
-            WorkerOp::Join(op) => op.on_batch(batch, out),
-        }
-    }
-
-    fn on_watermark(&mut self, wm: Timestamp, out: &mut Vec<Tuple>) -> Result<(), StoreError> {
-        match self {
-            WorkerOp::Window(op) => op.on_watermark(wm, out),
-            WorkerOp::Join(op) => op.on_watermark(wm, out),
-        }
-    }
-
-    fn checkpoint(&mut self, dir: &std::path::Path) -> Result<(), StoreError> {
-        match self {
-            WorkerOp::Window(op) => op.checkpoint(dir),
-            WorkerOp::Join(op) => op.checkpoint(dir),
-        }
-    }
-
-    fn restore(&mut self, dir: &std::path::Path) -> Result<(), StoreError> {
-        match self {
-            WorkerOp::Window(op) => op.restore(dir),
-            WorkerOp::Join(op) => op.restore(dir),
-        }
-    }
-
-    fn set_collect_late(&mut self, collect: bool) {
-        if let WorkerOp::Window(op) = self {
-            op.set_collect_late(collect);
-        }
-    }
-
-    fn dropped_late(&self) -> u64 {
-        match self {
-            WorkerOp::Window(op) => op.dropped_late(),
-            WorkerOp::Join(op) => op.dropped_late(),
-        }
-    }
-
-    fn take_late(&mut self) -> Vec<Tuple> {
-        match self {
-            WorkerOp::Window(op) => op.take_late(),
-            WorkerOp::Join(_) => Vec::new(),
-        }
-    }
-
-    fn backend_mut(&mut self) -> &mut dyn StateBackend {
-        match self {
-            WorkerOp::Window(op) => op.backend_mut(),
-            WorkerOp::Join(op) => op.backend_mut(),
-        }
-    }
-}
+use crate::operator::KeyedOperator;
 
 /// Options controlling one job run.
 ///
@@ -532,6 +430,18 @@ struct BatchTrace {
     sent_nanos: u64,
 }
 
+impl BatchTrace {
+    /// Records the batch's `queue_wait` on the receiving thread's `rec`;
+    /// returns the tracer instant it was received at.
+    fn queue_wait(self, rec: &SpanRecorder, tuples: usize) -> u64 {
+        let now = rec.now_nanos();
+        let wait = now.saturating_sub(self.sent_nanos) as i64;
+        let args = vec![("wait", wait), ("tuples", tuples as i64)];
+        rec.instant("queue_wait", "queue", Some(self.ctx), args);
+        now
+    }
+}
+
 /// How an [`Exchange`] participates in tracing.
 enum ExchangeTrace {
     /// The source exchange *originates* traces: every `sample`-th sealed
@@ -546,13 +456,6 @@ enum ExchangeTrace {
     /// while the worker processes a sampled batch) onto the batches they
     /// seal, stamping a fresh `sent_nanos`.
     Inherit { tracer: Arc<Tracer> },
-}
-
-/// An in-flight `exchange_send` span: source threads record on their
-/// own recorder; worker threads go through the active-context helpers.
-enum SendSpan {
-    Direct(Arc<SpanRecorder>, ftrace::OpenSpan),
-    Here(Option<ftrace::HereSpan>),
 }
 
 /// Registry handles for one exchange's backpressure accounting.
@@ -588,6 +491,43 @@ struct Exchange {
 }
 
 impl Exchange {
+    /// The exchange of stage `name`'s sender `sender` into `txs`, batching
+    /// at the run's batch size and probed when the run has telemetry. In
+    /// a traced run, the source's exchange originates traces on its
+    /// recorder `origin`; a worker's (`None`) inherits them.
+    fn new(
+        run: RunShared<'_>,
+        chain: Chain,
+        txs: Vec<Sender<Envelope>>,
+        name: &str,
+        sender: usize,
+        origin: Option<Arc<SpanRecorder>>,
+    ) -> Self {
+        let ctx = run.ctx;
+        let batch_size = run.options.batch_size.max(1);
+        let pending = (txs.iter())
+            .map(|_| TupleBatch::with_capacity(batch_size, 0))
+            .collect();
+        let trace = ctx.tracer.clone().map(|tracer| match origin {
+            Some(recorder) => ExchangeTrace::Source {
+                tracer,
+                recorder,
+                sample: ctx.trace_sample,
+                sealed: 0,
+            },
+            None => ExchangeTrace::Inherit { tracer },
+        });
+        let outbox = Outbox {
+            txs,
+            pending,
+            batch_size,
+            sender,
+            probe: (ctx.telemetry.as_deref()).map(|t| ExchangeProbe::new(t, name, sender)),
+            trace,
+        };
+        Exchange { chain, outbox }
+    }
+
     /// Runs one lent tuple through the stateless chain and queues every
     /// tuple it becomes — each carrying the input's `origin` — for its
     /// key's partition. Returns `false` when the receiver hung up.
@@ -615,40 +555,22 @@ struct Outbox {
 }
 
 impl Outbox {
-    fn new(
-        txs: Vec<Sender<Envelope>>,
-        batch_size: usize,
-        sender: usize,
-        probe: Option<ExchangeProbe>,
-        trace: Option<ExchangeTrace>,
-    ) -> Self {
-        let batch_size = batch_size.max(1);
-        let pending = txs
-            .iter()
-            .map(|_| TupleBatch::with_capacity(batch_size, 0))
-            .collect();
-        Outbox {
-            txs,
-            pending,
-            batch_size,
-            sender,
-            probe,
-            trace,
-        }
-    }
-
-    /// Decides the trace context for a batch being sealed now.
-    fn seal_trace(&mut self) -> Option<BatchTrace> {
-        match self.trace.as_mut()? {
-            ExchangeTrace::Source {
+    /// Decides the trace context for a batch being sealed now. A source
+    /// batch it samples is entered until the returned scope drops, the
+    /// way a worker enters the batch it handles, so the batch's send
+    /// records through the active context on either thread.
+    fn seal_trace(&mut self) -> (Option<BatchTrace>, Option<ftrace::ActiveScope>) {
+        match &mut self.trace {
+            None => (None, None),
+            Some(ExchangeTrace::Source {
                 tracer,
                 recorder,
                 sample,
                 sealed,
-            } => {
+            }) => {
                 *sealed += 1;
                 if *sample == 0 || !(*sealed).is_multiple_of(*sample) {
-                    return None;
+                    return (None, None);
                 }
                 let born = tracer.now_nanos();
                 let ctx = TraceCtx {
@@ -657,15 +579,19 @@ impl Outbox {
                     born,
                 };
                 recorder.instant("source_batch", "source", Some(ctx), Vec::new());
-                Some(BatchTrace {
+                let bt = BatchTrace {
                     ctx,
                     sent_nanos: born,
-                })
+                };
+                (Some(bt), Some(ftrace::enter(recorder, ctx)))
             }
-            ExchangeTrace::Inherit { tracer } => ftrace::current().map(|ctx| BatchTrace {
-                ctx,
-                sent_nanos: tracer.now_nanos(),
-            }),
+            Some(ExchangeTrace::Inherit { tracer }) => {
+                let bt = ftrace::current().map(|ctx| BatchTrace {
+                    ctx,
+                    sent_nanos: tracer.now_nanos(),
+                });
+                (bt, None)
+            }
         }
     }
 
@@ -689,19 +615,12 @@ impl Outbox {
         // like-sized tuples fills it without reallocating.
         let next = TupleBatch::with_capacity(self.batch_size, self.pending[dest].byte_capacity());
         let batch = std::mem::replace(&mut self.pending[dest], next);
-        let bt = self.seal_trace();
+        let (bt, _scope) = self.seal_trace();
         // An `exchange_send` span brackets the channel operation for
         // sampled batches; its duration is the send-side backpressure
         // share of the batch's latency.
-        let send_span = bt.map(|bt| match self.trace.as_ref().expect("traced seal") {
-            ExchangeTrace::Source { recorder, .. } => SendSpan::Direct(
-                Arc::clone(recorder),
-                recorder.begin("exchange_send", "exchange", Some(bt.ctx)),
-            ),
-            ExchangeTrace::Inherit { .. } => {
-                SendSpan::Here(ftrace::begin_here("exchange_send", "exchange"))
-            }
-        });
+        let send_span = ftrace::begin_here("exchange_send", "exchange");
+        let rows = batch.len() as u64;
         let env = Envelope {
             sender: self.sender,
             msg: Msg::Batch(batch, bt),
@@ -709,9 +628,7 @@ impl Outbox {
         let ok = match &self.probe {
             None => self.txs[dest].send(env).is_ok(),
             Some(probe) => {
-                if let Msg::Batch(batch, _) = &env.msg {
-                    probe.batch_fill.record(batch.len() as u64);
-                }
+                probe.batch_fill.record(rows);
                 // Clock the send only when the channel is actually full:
                 // the uncontended path stays timer-free, and the stall
                 // counter measures pure backpressure wait.
@@ -727,11 +644,7 @@ impl Outbox {
                 }
             }
         };
-        match send_span {
-            None => {}
-            Some(SendSpan::Direct(rec, open)) => rec.end(open, "exchange_send", "exchange"),
-            Some(SendSpan::Here(span)) => ftrace::end_here(span, &[]),
-        }
+        ftrace::end_here(send_span, &[]);
         ok
     }
 
@@ -773,12 +686,11 @@ struct WorkerReport {
 #[derive(Default)]
 struct SinkReport {
     outputs: Vec<Tuple>,
-    outputs_pre: Vec<Tuple>,
     output_count: u64,
-    pre_count: u64,
     /// End-to-end latency distribution (empty unless `record_latency`).
     latency: HistogramSnapshot,
-    checkpoint_complete: bool,
+    /// The checkpoint split, which outlives a failed run.
+    salvage: AttemptSalvage,
 }
 
 /// A run's observability context: the telemetry hub and span tracer its
@@ -848,6 +760,15 @@ impl RunCtx {
         self
     }
 
+    /// Registers the calling thread's span recorder under `name`: how the
+    /// source, every worker and the sink get theirs. `None` when the run
+    /// is untraced.
+    fn recorder(&self, name: &str) -> Option<Arc<SpanRecorder>> {
+        self.tracer
+            .as_ref()
+            .map(|tracer| tracer.thread(self.trace_pid, name))
+    }
+
     /// Drains the tracer into `path` as Chrome trace-event JSON.
     /// Best-effort, like the telemetry writer.
     pub(crate) fn export_trace(&self, path: Option<&PathBuf>) {
@@ -873,7 +794,7 @@ pub fn run_job(
     options: &RunOptions,
 ) -> Result<JobResult, JobError> {
     let items = Schedule::for_run(source, options);
-    run_job_inner(job, items, factory, options, &RunCtx::resolve(options)).0
+    run_job_inner(job, items, factory, options, &RunCtx::resolve(options)).map_err(|(e, _)| e)
 }
 
 /// What the supervisor can salvage from a failed attempt: whether the
@@ -906,17 +827,17 @@ struct RunShared<'a> {
     epoch: Instant,
 }
 
-/// The one runner: executes `job` over a scheduled item stream,
-/// additionally returning the sink-side salvage the supervisor needs
-/// even when the run fails. [`run_job`], every supervised attempt, and
-/// every cluster shard are calls of this function.
+/// The one runner: executes `job` over a scheduled item stream. A
+/// failed run also returns the sink-side salvage the supervisor needs.
+/// [`run_job`], every supervised attempt, and every cluster shard are
+/// calls of this function.
 pub(crate) fn run_job_inner(
     job: &Job,
     source: impl Iterator<Item = SourceItem> + Send,
     factory: Arc<dyn StateBackendFactory>,
     options: &RunOptions,
     ctx: &RunCtx,
-) -> (Result<JobResult, JobError>, AttemptSalvage) {
+) -> Result<JobResult, (JobError, AttemptSalvage)> {
     let n = job.parallelism;
     let started = Instant::now();
     let abort = AtomicBool::new(false);
@@ -933,11 +854,8 @@ pub(crate) fn run_job_inner(
 
     // Only keyed stages own threads and channels; the stateless stages
     // in between run inside the exchange of whoever feeds them.
-    let keyed: Vec<(usize, KeyedStage<'_>)> = job
-        .stages
-        .iter()
-        .enumerate()
-        .filter_map(|(idx, stage)| Some((idx, KeyedStage::of(stage)?)))
+    let keyed: Vec<usize> = (0..job.stages.len())
+        .filter(|&idx| job.stages[idx].semantics().is_some())
         .collect();
     // Channels: one boundary into each keyed stage plus the sink boundary.
     let num_boundaries = keyed.len() + 1;
@@ -960,18 +878,17 @@ pub(crate) fn run_job_inner(
             .spawn_scoped(s, move || run_source(run, source, source_tx))
             .expect("spawn source");
         let mut handles = Vec::new();
-        for (boundary, (stage_idx, stage)) in keyed.iter().enumerate() {
+        for (boundary, &stage_idx) in keyed.iter().enumerate() {
             // Fed by the source alone, or by every worker of the keyed
             // stage before it.
             let upstreams = if boundary == 0 { 1 } else { n };
             for (worker, rx) in receivers[boundary].iter().enumerate() {
                 let rx = rx.clone();
                 let next = senders[boundary + 1].clone();
-                let chain = Chain::leading(&job.stages[stage_idx + 1..]);
                 let handle = spawn()
-                    .name(format!("spe-{}-{}", stage.name, worker))
+                    .name(format!("spe-{}-{}", job.stages[stage_idx].name(), worker))
                     .spawn_scoped(s, move || {
-                        run_worker(run, stage, worker, upstreams, rx, next, chain)
+                        run_worker(run, stage_idx, worker, upstreams, rx, next)
                     })
                     .expect("spawn worker");
                 handles.push(handle);
@@ -1062,17 +979,17 @@ pub(crate) fn run_job_inner(
         // is the one you want most.
         ctx.export_trace(options.trace_out.as_ref());
         let Ok(sink) = sink else {
-            return (
-                Err(JobError::Panic("sink panicked".into())),
+            return Err((
+                JobError::Panic("sink panicked".into()),
                 AttemptSalvage::default(),
-            );
+            ));
         };
 
         // Persist the barrier's source offset next to the snapshot so the
         // supervisor can rewind the log source on recovery. Written via
         // temporary file + rename, like the stores' own manifests, so a
         // crash mid-write leaves no half-formed offset.
-        if sink.checkpoint_complete {
+        if sink.salvage.checkpoint_complete {
             if let (Some(dir), Some(offset)) =
                 (&options.checkpoint_dir, options.checkpoint_after_tuples)
             {
@@ -1086,18 +1003,14 @@ pub(crate) fn run_job_inner(
             }
         }
 
-        let salvage = AttemptSalvage {
-            checkpoint_complete: sink.checkpoint_complete,
-            outputs_pre: sink.outputs_pre,
-            pre_count: sink.pre_count,
-        };
-        if timed_out.load(Ordering::Relaxed) {
-            return (Err(JobError::Timeout), salvage);
+        let error = timed_out
+            .load(Ordering::Relaxed)
+            .then_some(JobError::Timeout)
+            .or(first_error);
+        if let Some(e) = error {
+            return Err((e, sink.salvage));
         }
-        if let Some(e) = first_error {
-            return (Err(e), salvage);
-        }
-        let result = JobResult {
+        Ok(JobResult {
             outputs: sink.outputs,
             output_count: sink.output_count,
             input_count,
@@ -1106,11 +1019,10 @@ pub(crate) fn run_job_inner(
             latency: LatencySummary::from_histogram(&sink.latency),
             latency_histogram: sink.latency,
             dropped_late,
-            checkpoint_taken: salvage.checkpoint_complete,
+            checkpoint_taken: sink.salvage.checkpoint_complete,
             late_tuples,
-            outputs_pre_checkpoint: salvage.outputs_pre.clone(),
-        };
-        (Ok(result), salvage)
+            outputs_pre_checkpoint: sink.salvage.outputs_pre,
+        })
     })
 }
 
@@ -1138,30 +1050,9 @@ fn run_source(
             t.registry().gauge("source_watermark"),
         )
     });
-    let recorder = ctx
-        .tracer
-        .as_ref()
-        .map(|tracer| tracer.thread(ctx.trace_pid, "source"));
-    let mut exchange = Exchange {
-        chain: Chain::leading(&run.job.stages),
-        outbox: Outbox::new(
-            txs,
-            options.batch_size,
-            0,
-            ctx.telemetry
-                .as_deref()
-                .map(|t| ExchangeProbe::new(t, "source", 0)),
-            ctx.tracer
-                .as_ref()
-                .zip(recorder.clone())
-                .map(|(tracer, recorder)| ExchangeTrace::Source {
-                    tracer: Arc::clone(tracer),
-                    recorder,
-                    sample: ctx.trace_sample,
-                    sealed: 0,
-                }),
-        ),
-    };
+    let recorder = ctx.recorder("source");
+    let chain = Chain::leading(&run.job.stages);
+    let mut exchange = Exchange::new(run, chain, txs, "source", 0, recorder.clone());
     let now = || run.epoch.elapsed().as_nanos() as u64;
     // Under a rate limit the item after `count` tuples is due
     // `count / rate` seconds after pacing started, and is stamped with
@@ -1224,13 +1115,7 @@ fn run_source(
             }
             SourceItem::Barrier => {
                 if let Some(rec) = &recorder {
-                    barrier_seq += 1;
-                    rec.instant(
-                        "barrier_inject",
-                        "barrier",
-                        None,
-                        vec![("barrier", barrier_seq as i64)],
-                    );
+                    barrier_instant(rec, "barrier_inject", &mut barrier_seq);
                 }
                 exchange.outbox.broadcast(|| Msg::Barrier);
             }
@@ -1251,6 +1136,14 @@ fn run_source(
     count
 }
 
+/// Records barrier instant `name` under this thread's next barrier
+/// number: barriers are totally ordered per run, so the numbers of every
+/// thread agree on which checkpoint an instant belongs to.
+fn barrier_instant(rec: &SpanRecorder, name: &'static str, seq: &mut u64) {
+    *seq += 1;
+    rec.instant(name, "barrier", None, vec![("barrier", *seq as i64)]);
+}
+
 /// The body of the `spe-sink` thread: counts (and optionally collects)
 /// outputs, splits them at the checkpoint barrier, and samples
 /// end-to-end latency until each of its `n` senders has ended.
@@ -1268,11 +1161,7 @@ fn run_sink(run: RunShared<'_>, n: usize, rx: Receiver<Envelope>) -> SinkReport 
         .telemetry
         .as_ref()
         .map(|t| t.registry().counter("sink_tuples_total"));
-    let rec = ctx
-        .telemetry
-        .as_ref()
-        .and_then(|t| t.trace())
-        .map(|h| h.thread("sink"));
+    let rec = ctx.recorder("sink");
     let now = || run.epoch.elapsed().as_nanos() as u64;
     let mut barrier_seq: u64 = 0;
     let mut report = SinkReport::default();
@@ -1300,16 +1189,7 @@ fn run_sink(run: RunShared<'_>, n: usize, rx: Receiver<Envelope>) -> SinkReport 
                     // end-to-end total (tracer clock) and the worst
                     // per-tuple latency (run clock) so the analyzer can
                     // reconcile against the sink's LatencySummary.
-                    let tnow = rec.now_nanos();
-                    rec.instant(
-                        "queue_wait",
-                        "queue",
-                        Some(bt.ctx),
-                        vec![
-                            ("wait", tnow.saturating_sub(bt.sent_nanos) as i64),
-                            ("tuples", batch.len() as i64),
-                        ],
-                    );
+                    let tnow = bt.queue_wait(rec, batch.len());
                     let arrive = now();
                     let e2e_max = batch
                         .iter()
@@ -1336,9 +1216,9 @@ fn run_sink(run: RunShared<'_>, n: usize, rx: Receiver<Envelope>) -> SinkReport 
                     // that sender's barrier" stays an exact pre/post
                     // checkpoint split under batching.
                     if !barrier_from[env.sender] {
-                        report.pre_count += 1;
+                        report.salvage.pre_count += 1;
                         if collect {
-                            report.outputs_pre.push(tuple.to_tuple());
+                            report.salvage.outputs_pre.push(tuple.to_tuple());
                         }
                     }
                     if let Some(hist) = &hist {
@@ -1361,15 +1241,9 @@ fn run_sink(run: RunShared<'_>, n: usize, rx: Receiver<Envelope>) -> SinkReport 
             Msg::Barrier => {
                 barrier_from[env.sender] = true;
                 if barrier_from.iter().all(|&b| b) {
-                    report.checkpoint_complete = true;
+                    report.salvage.checkpoint_complete = true;
                     if let Some(rec) = &rec {
-                        barrier_seq += 1;
-                        rec.instant(
-                            "barrier_commit",
-                            "barrier",
-                            None,
-                            vec![("barrier", barrier_seq as i64)],
-                        );
+                        barrier_instant(rec, "barrier_commit", &mut barrier_seq);
                     }
                 }
             }
@@ -1588,128 +1462,359 @@ impl BarrierAlign {
     }
 }
 
-/// The body of one keyed-stage worker: `worker` of `stage`, fed by
-/// `upstreams` senders, sending through `chain` (the stateless stages
-/// that follow `stage`) to `next`.
+/// One keyed-stage worker between messages: its operator over its
+/// partition's store, the exchange to the next keyed stage (or the sink),
+/// and the event-time and barrier bookkeeping of its upstreams. Each
+/// message kind is one step; [`run_worker`] is the loop that feeds them.
+struct Worker<'a> {
+    run: RunShared<'a>,
+    /// Where an aligned barrier's snapshot goes, when the run checkpoints.
+    snapshot_dir: Option<PathBuf>,
+    operator: Box<dyn KeyedOperator>,
+    exchange: Exchange,
+    align: BarrierAlign,
+    probe: Option<WorkerProbe>,
+    /// This thread's span recorder, when the run is traced.
+    rec: Option<Arc<SpanRecorder>>,
+    publisher: Option<ViewPublisher>,
+    io_on: bool,
+    /// Each upstream's last watermark and that watermark's origin.
+    wms: Vec<(Timestamp, u64)>,
+    current_wm: Timestamp,
+    /// Largest tuple timestamp seen (tracked when either the telemetry
+    /// probe or the prefetcher needs stream time).
+    max_event_ts: Timestamp,
+    /// First-barrier arrival instant of the in-flight alignment.
+    barrier_started: Option<Instant>,
+    /// Open `barrier_align` span of the in-flight alignment, plus this
+    /// worker's barrier sequence number — barriers are totally ordered
+    /// per run, so the sequence stitches one checkpoint's spans together
+    /// across workers (and shards) without a protocol change.
+    barrier_span: Option<ftrace::OpenSpan>,
+    barrier_seq: u64,
+    ends: usize,
+    outputs: Vec<Tuple>,
+    stamped: Vec<Stamped>,
+}
+
+impl<'a> Worker<'a> {
+    /// Worker `worker` of keyed stage `stage_idx`, fed by `upstreams`
+    /// senders and sending to `next`: its store created (and restored,
+    /// when the run resumes from a checkpoint) and wrapped for tracing
+    /// and serving as the run asks.
+    fn new(
+        run: RunShared<'a>,
+        stage_idx: usize,
+        worker: usize,
+        upstreams: usize,
+        next: Vec<Sender<Envelope>>,
+    ) -> Result<Self, StoreError> {
+        let (job, options, ctx) = (run.job, run.options, run.ctx);
+        let stage = &job.stages[stage_idx];
+        let name = stage.name();
+        let semantics = stage.semantics().expect("a keyed stage");
+        let telemetry = ctx.telemetry.as_ref();
+        let io = options.io_policy();
+        let io_on = io.is_some();
+        let rec = ctx.recorder(&format!("{name}/p{worker}"));
+        let mut backend = run.factory.create(&OperatorContext {
+            operator: name.to_string(),
+            partition: worker,
+            semantics,
+            data_dir: options.data_dir.join(&job.name),
+            telemetry: telemetry.cloned(),
+            io,
+        })?;
+        // Store calls record through the thread-local context (see
+        // `TracedBackend`), so this wrap is the only store-side hookup.
+        if rec.is_some() {
+            backend = ftrace::TracedBackend::wrap(backend);
+        }
+        // Queryable state: the capture adaptor goes outermost, so store
+        // spans stay the store's own time, and only when a registry is
+        // attached — an unserved job runs the bare backend.
+        let mut publisher = None;
+        if let Some(registry) = &options.registry {
+            let (captured, capture) = ViewCapture::wrap(backend);
+            backend = captured;
+            publisher = Some(ViewPublisher {
+                registry: Arc::clone(registry),
+                key: StateKey::new(job.name.clone(), name, worker),
+                capture,
+                epoch: 0,
+                // Advisory per-entry TTL published with every snapshot,
+                // derived from the stage's window semantics (the serving
+                // layer surfaces it on state listings).
+                ttl_ms: semantics.window.retention_hint_ms(),
+                probe: telemetry.map(|t| PublishProbe::new(t, name, worker)),
+            });
+        }
+        let mut operator = stage.operator(backend).expect("a keyed stage");
+        if let Some(src) = &options.restore_from {
+            operator.restore(&worker_ckpt_dir(src, name, worker))?;
+        }
+        operator.set_collect_late(options.collect_late);
+        let chain = Chain::leading(&job.stages[stage_idx + 1..]);
+        Ok(Worker {
+            run,
+            snapshot_dir: (options.checkpoint_dir.as_ref())
+                .map(|d| worker_ckpt_dir(d, name, worker)),
+            operator,
+            exchange: Exchange::new(run, chain, next, name, worker, None),
+            align: BarrierAlign::new(upstreams),
+            probe: telemetry.map(|t| WorkerProbe::new(t, name, worker)),
+            rec,
+            publisher,
+            io_on,
+            wms: vec![(MIN_TIMESTAMP, 0); upstreams],
+            current_wm: MIN_TIMESTAMP,
+            max_event_ts: MIN_TIMESTAMP,
+            barrier_started: None,
+            barrier_span: None,
+            barrier_seq: 0,
+            ends: 0,
+            outputs: Vec::new(),
+            stamped: Vec::new(),
+        })
+    }
+
+    /// Hands one admitted message to its step. `Break` when the worker is
+    /// done: its last upstream ended, or its downstream hung up.
+    fn handle(&mut self, env: Envelope) -> Result<ControlFlow<()>, StoreError> {
+        match env.msg {
+            Msg::Batch(batch, bt) => self.on_batch(batch, bt),
+            Msg::Watermark { ts, origin } => self.on_watermark(env.sender, ts, origin),
+            Msg::Barrier => self.on_barrier(env.sender),
+            Msg::End => self.on_end(),
+        }
+    }
+
+    /// Runs one micro-batch through the operator and sends what it
+    /// emits, each output with the origin of the input that made it.
+    fn on_batch(
+        &mut self,
+        mut batch: TupleBatch,
+        bt: Option<BatchTrace>,
+    ) -> Result<ControlFlow<()>, StoreError> {
+        if let Some(p) = &self.probe {
+            p.tuples.add(batch.len() as u64);
+        }
+        // Stream time feeds both the watermark-lag probe and the
+        // prefetch horizon.
+        if self.probe.is_some() || self.io_on {
+            for (tuple, _) in batch.iter() {
+                self.max_event_ts = self.max_event_ts.max(tuple.timestamp);
+            }
+        }
+        // Sampled batch: record the channel residency, then make its
+        // context active for the duration of the batch — store calls,
+        // prefetch advances, ring submissions, and downstream sends all
+        // attach to it through the thread-local.
+        let trace_scope = self.rec.as_ref().zip(bt).map(|(rec, bt)| {
+            bt.queue_wait(rec, batch.len());
+            ftrace::enter(rec, bt.ctx)
+        });
+        let batch_span = ftrace::begin_here("on_batch", "compute");
+        self.stamped.clear();
+        self.operator.on_batch(&mut batch, &mut self.stamped)?;
+        // Batch boundary: drain finished background reads and schedule
+        // the next horizon of prefetches. Runs inside the compute span so
+        // the nested store/prefetch subtraction in the attribution sees
+        // every child it subtracts.
+        if self.io_on {
+            self.operator
+                .backend_mut()
+                .advance_prefetch(self.max_event_ts)?;
+        }
+        ftrace::end_here(batch_span, &[("out", self.stamped.len() as i64)]);
+        for stamped in self.stamped.drain(..) {
+            if !self.exchange.send(stamped.tuple.borrowed(), stamped.origin) {
+                return Ok(ControlFlow::Break(()));
+            }
+        }
+        // Windowed stages often emit nothing per batch — the outputs
+        // surface later, on a watermark fire — so the ingest trace
+        // completes here rather than at the sink. A later sink-side
+        // `batch_done` (per-tuple outputs, e.g. a join) simply extends the
+        // same trace; attribution takes the latest completion.
+        if let (Some(rec), Some(ctx)) = (&self.rec, ftrace::current()) {
+            let total = vec![("total", rec.now_nanos().saturating_sub(ctx.born) as i64)];
+            rec.instant("batch_done", "compute", Some(ctx), total);
+        }
+        drop(trace_scope);
+        Ok(ControlFlow::Continue(()))
+    }
+
+    /// Records `sender`'s watermark. When the minimum across upstreams
+    /// rises, fires the operator at it and forwards it; the outputs and
+    /// the watermark carry the origin of the upstream holding the minimum.
+    fn on_watermark(
+        &mut self,
+        sender: usize,
+        ts: Timestamp,
+        origin: u64,
+    ) -> Result<ControlFlow<()>, StoreError> {
+        self.wms[sender] = (ts, origin);
+        let (min_wm, origin) = *self
+            .wms
+            .iter()
+            .min_by_key(|(ts, _)| *ts)
+            .expect("at least one upstream");
+        if min_wm <= self.current_wm {
+            return Ok(ControlFlow::Continue(()));
+        }
+        self.current_wm = min_wm;
+        // The MAX_TIMESTAMP end-of-stream sentinel would wreck the gauge
+        // (and the lag), so it never lands in the registry.
+        if let (Some(p), true) = (&self.probe, min_wm != MAX_TIMESTAMP) {
+            p.watermark.set(min_wm);
+            let lag = self.max_event_ts.saturating_sub(min_wm).max(0);
+            p.watermark_lag.set(lag);
+        }
+        // A fire originates its own trace: window outputs inherit the
+        // watermark's origin for latency accounting, so the trace is born
+        // at the watermark's source departure (the run stamp converted
+        // onto the tracer clock) — the sink's `batch_done` total then
+        // measures the same interval the `LatencySummary` samples.
+        let fire_scope = self.rec.as_ref().map(|rec| {
+            let run_now = self.run.epoch.elapsed().as_nanos() as u64;
+            let born = rec
+                .now_nanos()
+                .saturating_sub(run_now.saturating_sub(origin));
+            let tracer = self.run.ctx.tracer.as_ref().expect("a traced run");
+            let ctx = TraceCtx {
+                trace: tracer.next_trace_id(),
+                span: 0,
+                born,
+            };
+            ftrace::enter(rec, ctx)
+        });
+        let wm_span = ftrace::begin_here("on_watermark", "compute");
+        self.outputs.clear();
+        self.operator.on_watermark(min_wm, &mut self.outputs)?;
+        let fired = self.outputs.len();
+        for out in self.outputs.drain(..) {
+            if !self.exchange.send(out.borrowed(), origin) {
+                return Ok(ControlFlow::Break(()));
+            }
+        }
+        // Forwarding the watermark flushes every pending batch first,
+        // preserving tuple-before-watermark order downstream.
+        self.exchange
+            .outbox
+            .broadcast(|| Msg::Watermark { ts: min_wm, origin });
+        if let Some(p) = self.publisher.as_mut() {
+            p.publish(self.operator.backend_mut(), min_wm)?;
+        }
+        // Watermark boundary: window fires just consumed prefetched
+        // state — top the buffers back up.
+        if self.io_on {
+            self.operator
+                .backend_mut()
+                .advance_prefetch(self.max_event_ts)?;
+        }
+        ftrace::end_here(wm_span, &[("fired", fired as i64)]);
+        drop(fire_scope);
+        Ok(ControlFlow::Continue(()))
+    }
+
+    /// Records `sender`'s barrier. Once every upstream's has arrived,
+    /// snapshots the operator (when the run checkpoints) and forwards the
+    /// barrier behind every pending batch, keeping the pre/post-snapshot
+    /// split exact downstream.
+    fn on_barrier(&mut self, sender: usize) -> Result<ControlFlow<()>, StoreError> {
+        if self.probe.is_some() && self.barrier_started.is_none() {
+            self.barrier_started = Some(Instant::now());
+        }
+        if let (Some(rec), None) = (&self.rec, &self.barrier_span) {
+            self.barrier_seq += 1;
+            let seq = ("barrier", self.barrier_seq as i64);
+            self.barrier_span = Some(rec.begin_with("barrier_align", "barrier", None, vec![seq]));
+        }
+        if !self.align.on_barrier(sender) {
+            return Ok(ControlFlow::Continue(()));
+        }
+        if let (Some(p), Some(t0)) = (&self.probe, self.barrier_started.take()) {
+            p.barrier_align.record(t0.elapsed().as_nanos() as u64);
+        }
+        // Alignment done; the snapshot gets its own span so align wait
+        // and store snapshot time stay separable in the export.
+        if let (Some(rec), Some(span)) = (&self.rec, self.barrier_span.take()) {
+            rec.end(span, "barrier_align", "barrier");
+        }
+        if let Some(dir) = &self.snapshot_dir {
+            let seq = ("barrier", self.barrier_seq as i64);
+            let span = (self.rec.as_ref())
+                .map(|rec| rec.begin_with("store_snapshot", "barrier", None, vec![seq]));
+            self.operator.checkpoint(dir)?;
+            if let (Some(rec), Some(span)) = (&self.rec, span) {
+                rec.end(span, "store_snapshot", "barrier");
+            }
+        }
+        self.exchange.outbox.broadcast(|| Msg::Barrier);
+        Ok(ControlFlow::Continue(()))
+    }
+
+    /// Counts an upstream's end. The last one publishes the terminal
+    /// view, so clients can still query the job's final state, and
+    /// forwards `End` once.
+    fn on_end(&mut self) -> Result<ControlFlow<()>, StoreError> {
+        self.ends += 1;
+        if self.ends < self.wms.len() {
+            return Ok(ControlFlow::Continue(()));
+        }
+        if let Some(p) = self.publisher.as_mut() {
+            p.publish(self.operator.backend_mut(), self.current_wm)?;
+        }
+        self.exchange.outbox.broadcast(|| Msg::End);
+        Ok(ControlFlow::Break(()))
+    }
+
+    /// The operator's accounting, then its store closed — on the error
+    /// path too.
+    fn close(mut self) -> WorkerReport {
+        let report = WorkerReport {
+            dropped_late: self.operator.dropped_late(),
+            late: self.operator.take_late(),
+            metrics: self.operator.backend_mut().metrics().snapshot(),
+        };
+        let _ = self.operator.backend_mut().close();
+        report
+    }
+}
+
+/// The body of one keyed-stage worker thread: receives, holds what
+/// barrier alignment holds, and hands every other message to its
+/// [`Worker`] step until one says stop.
+///
+/// Busy/idle accounting runs on a single chained clock: each phase
+/// boundary takes ONE `Instant::now()` that ends the previous span and
+/// starts the next. Queue depth is sampled every 16th receive — it is a
+/// distribution sample anyway, and `rx.len()` takes the channel lock.
 fn run_worker(
     run: RunShared<'_>,
-    stage: &KeyedStage<'_>,
+    stage_idx: usize,
     worker: usize,
     upstreams: usize,
     rx: Receiver<Envelope>,
     next: Vec<Sender<Envelope>>,
-    chain: Chain,
 ) -> Result<WorkerReport, StoreError> {
-    let RunShared {
-        job,
-        options,
-        abort,
-        ..
-    } = run;
-    let telemetry = run.ctx.telemetry.as_ref();
-    let io = options.io_policy();
-    let io_on = io.is_some();
-    // Span recorder for this worker thread, registered when the run's
-    // telemetry hub carries a tracer. Store calls record through the
-    // thread-local context (see `TracedBackend`), so the backend wrap
-    // below is the only store-side hookup needed.
-    let trace_handle = telemetry.and_then(|t| t.trace());
-    let trace_rec = trace_handle
-        .as_ref()
-        .map(|h| h.thread(&format!("{}/p{}", stage.name, worker)));
-    let mut backend = run.factory.create(&OperatorContext {
-        operator: stage.name.to_string(),
-        partition: worker,
-        semantics: stage.semantics,
-        data_dir: options.data_dir.join(&job.name),
-        telemetry: telemetry.cloned(),
-        io,
-    })?;
-    if trace_rec.is_some() {
-        backend = ftrace::TracedBackend::wrap(backend);
-    }
-    // Queryable state: the capture adaptor goes outermost, so store
-    // spans stay the store's own time, and only when a registry is
-    // attached — an unserved job runs the bare backend.
-    let mut publisher = None;
-    if let Some(registry) = &options.registry {
-        let (captured, capture) = ViewCapture::wrap(backend);
-        backend = captured;
-        publisher = Some(ViewPublisher {
-            registry: Arc::clone(registry),
-            key: StateKey::new(job.name.clone(), stage.name, worker),
-            capture,
-            epoch: 0,
-            // Advisory per-entry TTL published with every snapshot,
-            // derived from the stage's window semantics (the serving
-            // layer surfaces it on v2 state listings).
-            ttl_ms: stage.semantics.window.retention_hint_ms(),
-            probe: telemetry.map(|t| PublishProbe::new(t, stage.name, worker)),
-        });
-    }
-    let mut operator = (stage.operator)(backend);
-    if let Some(src) = &options.restore_from {
-        operator.restore(&worker_ckpt_dir(src, stage.name, worker))?;
-    }
-    operator.set_collect_late(options.collect_late);
-
-    let probe = telemetry.map(|t| WorkerProbe::new(t, stage.name, worker));
-    let exchange_probe = telemetry.map(|t| ExchangeProbe::new(t, stage.name, worker));
-
-    let mut wms = vec![MIN_TIMESTAMP; upstreams];
-    let mut origins = vec![0u64; upstreams];
-    let mut current_wm = MIN_TIMESTAMP;
-    // Largest tuple timestamp this worker has seen (tracked when either
-    // the telemetry probe or the prefetcher needs stream time).
-    let mut max_event_ts = MIN_TIMESTAMP;
-    // First-barrier arrival instant of the in-flight alignment.
-    let mut barrier_started: Option<Instant> = None;
-    // Open `barrier_align` span of the in-flight alignment, plus this
-    // worker's barrier sequence number — barriers are totally ordered
-    // per run, so the sequence stitches one checkpoint's spans together
-    // across workers (and shards) without a protocol change.
-    let mut barrier_span: Option<ftrace::OpenSpan> = None;
-    let mut worker_barrier_seq: u64 = 0;
-    let mut ends = 0;
-    let mut outputs: Vec<Tuple> = Vec::new();
-    let mut stamped_out: Vec<Stamped> = Vec::new();
-    let mut exchange = Exchange {
-        chain,
-        outbox: Outbox::new(
-            next,
-            options.batch_size,
-            worker,
-            exchange_probe,
-            trace_handle.as_ref().map(|h| ExchangeTrace::Inherit {
-                tracer: Arc::clone(&h.tracer),
-            }),
-        ),
-    };
-    let mut align = BarrierAlign::new(upstreams);
-
-    // Busy/idle accounting runs on a single chained clock: each phase
-    // boundary takes ONE `Instant::now()` that ends the previous span
-    // and starts the next, halving the per-message timer cost. Queue
-    // depth is sampled every 16th receive — it is a distribution sample
-    // anyway, and `rx.len()` takes the channel lock.
-    let mut clock = probe.as_ref().map(|_| Instant::now());
+    let mut w = Worker::new(run, stage_idx, worker, upstreams, next)?;
+    let mut clock = w.probe.as_ref().map(|_| Instant::now());
     let mut recv_count = 0u32;
-    let result = (|| -> Result<(), StoreError> {
-        'recv: loop {
-            let env = if let Some(env) = align.next_released() {
-                // Held messages replay inside the busy span of the
-                // barrier that released them; no idle boundary here.
-                env
-            } else {
+    let result = loop {
+        // Held messages replay inside the busy span of the barrier that
+        // released them; no idle boundary before them.
+        let env = match w.align.next_released() {
+            Some(env) => env,
+            None => {
                 let received = rx.recv_timeout(Duration::from_millis(100));
-                if let (Some(p), Some(last)) = (&probe, clock.as_mut()) {
-                    let now = Instant::now();
-                    p.idle_nanos.add((now - *last).as_nanos() as u64);
-                    *last = now;
+                if let (Some(p), Some(last)) = (&w.probe, clock.as_mut()) {
+                    lap(last, &p.idle_nanos);
                 }
                 match received {
                     Ok(env) => {
-                        if let Some(p) = &probe {
+                        if let Some(p) = &w.probe {
                             recv_count = recv_count.wrapping_add(1);
                             if recv_count & 0xf == 0 {
                                 p.queue_depth.record(rx.len() as u64);
@@ -1717,245 +1822,38 @@ fn run_worker(
                         }
                         env
                     }
-                    Err(RecvTimeoutError::Timeout) => {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        continue;
+                    Err(RecvTimeoutError::Timeout) if !run.abort.load(Ordering::Relaxed) => {
+                        continue
                     }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            };
-            if abort.load(Ordering::Relaxed) {
-                break;
-            }
-            let Some(env) = align.admit(env) else {
-                continue;
-            };
-            // Busy time covers operator work plus downstream sends; the
-            // labeled block lets the watermark fast-path skip out without
-            // bypassing the accounting below it.
-            'handle: {
-                match env.msg {
-                    Msg::Batch(mut batch, bt) => {
-                        if let Some(p) = &probe {
-                            p.tuples.add(batch.len() as u64);
-                        }
-                        // Stream time feeds both the watermark-lag probe
-                        // and the prefetch horizon.
-                        if probe.is_some() || io_on {
-                            for (tuple, _) in batch.iter() {
-                                max_event_ts = max_event_ts.max(tuple.timestamp);
-                            }
-                        }
-                        // Sampled batch: record the channel residency,
-                        // then make its context active for the duration
-                        // of the batch — store calls, prefetch advances,
-                        // ring submissions, and downstream sends all
-                        // attach to it through the thread-local.
-                        let trace_scope = match (&trace_rec, bt) {
-                            (Some(rec), Some(bt)) => {
-                                rec.instant(
-                                    "queue_wait",
-                                    "queue",
-                                    Some(bt.ctx),
-                                    vec![
-                                        (
-                                            "wait",
-                                            rec.now_nanos().saturating_sub(bt.sent_nanos) as i64,
-                                        ),
-                                        ("tuples", batch.len() as i64),
-                                    ],
-                                );
-                                Some(ftrace::enter(rec, bt.ctx))
-                            }
-                            _ => None,
-                        };
-                        let batch_span = ftrace::begin_here("on_batch", "compute");
-                        stamped_out.clear();
-                        operator.on_batch(&mut batch, &mut stamped_out)?;
-                        // Batch boundary: drain finished background reads
-                        // and schedule the next horizon of prefetches.
-                        // Runs inside the compute span so the nested
-                        // store/prefetch subtraction in the attribution
-                        // sees every child it subtracts.
-                        if io_on {
-                            operator.backend_mut().advance_prefetch(max_event_ts)?;
-                        }
-                        ftrace::end_here(batch_span, &[("out", stamped_out.len() as i64)]);
-                        for stamped in stamped_out.drain(..) {
-                            if !exchange.send(stamped.tuple.borrowed(), stamped.origin) {
-                                return Ok(());
-                            }
-                        }
-                        // Windowed stages often emit nothing per batch —
-                        // the outputs surface later, on a watermark fire
-                        // — so the ingest trace completes here rather
-                        // than at the sink. A later sink-side
-                        // `batch_done` (per-tuple outputs, e.g. a join)
-                        // simply extends the same trace; attribution
-                        // takes the latest completion.
-                        if let (Some(rec), Some(ctx)) = (&trace_rec, ftrace::current()) {
-                            rec.instant(
-                                "batch_done",
-                                "compute",
-                                Some(ctx),
-                                vec![("total", rec.now_nanos().saturating_sub(ctx.born) as i64)],
-                            );
-                        }
-                        drop(trace_scope);
-                    }
-                    Msg::Watermark { ts, origin } => {
-                        wms[env.sender] = ts;
-                        origins[env.sender] = origin;
-                        let (min_idx, &min_wm) = wms
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, ts)| **ts)
-                            .expect("at least one upstream");
-                        if min_wm <= current_wm {
-                            break 'handle;
-                        }
-                        current_wm = min_wm;
-                        if let Some(p) = &probe {
-                            // The MAX_TIMESTAMP end-of-stream sentinel would
-                            // wreck the gauge (and the lag), so it never
-                            // lands in the registry.
-                            if min_wm != MAX_TIMESTAMP {
-                                p.watermark.set(min_wm);
-                                p.watermark_lag
-                                    .set(max_event_ts.saturating_sub(min_wm).max(0));
-                            }
-                        }
-                        let origin = origins[min_idx];
-                        // A fire originates its own trace: window
-                        // outputs inherit the watermark's origin for
-                        // latency accounting, so the trace is born at
-                        // the watermark's source departure (the run
-                        // stamp converted onto the tracer clock) — the
-                        // sink's `batch_done` total then measures the
-                        // same interval the `LatencySummary` samples.
-                        let fire_scope = match (&trace_rec, &trace_handle) {
-                            (Some(rec), Some(h)) => {
-                                let run_now = run.epoch.elapsed().as_nanos() as u64;
-                                let born = rec
-                                    .now_nanos()
-                                    .saturating_sub(run_now.saturating_sub(origin));
-                                Some(ftrace::enter(
-                                    rec,
-                                    TraceCtx {
-                                        trace: h.tracer.next_trace_id(),
-                                        span: 0,
-                                        born,
-                                    },
-                                ))
-                            }
-                            _ => None,
-                        };
-                        let wm_span = ftrace::begin_here("on_watermark", "compute");
-                        outputs.clear();
-                        operator.on_watermark(min_wm, &mut outputs)?;
-                        let fired = outputs.len();
-                        for out in outputs.drain(..) {
-                            if !exchange.send(out.borrowed(), origin) {
-                                return Ok(());
-                            }
-                        }
-                        // Forwarding the watermark flushes every pending
-                        // batch first, preserving tuple-before-watermark
-                        // order downstream.
-                        exchange
-                            .outbox
-                            .broadcast(|| Msg::Watermark { ts: min_wm, origin });
-                        if let Some(p) = publisher.as_mut() {
-                            p.publish(operator.backend_mut(), min_wm)?;
-                        }
-                        // Watermark boundary: window fires just consumed
-                        // prefetched state — top the buffers back up.
-                        if io_on {
-                            operator.backend_mut().advance_prefetch(max_event_ts)?;
-                        }
-                        ftrace::end_here(wm_span, &[("fired", fired as i64)]);
-                        drop(fire_scope);
-                    }
-                    Msg::Barrier => {
-                        if probe.is_some() && barrier_started.is_none() {
-                            barrier_started = Some(Instant::now());
-                        }
-                        if barrier_span.is_none() {
-                            if let Some(rec) = &trace_rec {
-                                worker_barrier_seq += 1;
-                                barrier_span = Some(rec.begin_with(
-                                    "barrier_align",
-                                    "barrier",
-                                    None,
-                                    vec![("barrier", worker_barrier_seq as i64)],
-                                ));
-                            }
-                        }
-                        if align.on_barrier(env.sender) {
-                            if let (Some(p), Some(t0)) = (&probe, barrier_started.take()) {
-                                p.barrier_align.record(t0.elapsed().as_nanos() as u64);
-                            }
-                            // Alignment done; the snapshot gets its own
-                            // span so align wait and store snapshot time
-                            // stay separable in the export.
-                            if let (Some(rec), Some(span)) = (&trace_rec, barrier_span.take()) {
-                                rec.end(span, "barrier_align", "barrier");
-                            }
-                            // Barrier aligned: snapshot, then forward. The
-                            // broadcast flushes pending batches before
-                            // the barrier, keeping the pre/post-snapshot
-                            // split exact downstream.
-                            if let Some(dir) = &options.checkpoint_dir {
-                                let ckpt_span = trace_rec.as_ref().map(|rec| {
-                                    rec.begin_with(
-                                        "store_snapshot",
-                                        "barrier",
-                                        None,
-                                        vec![("barrier", worker_barrier_seq as i64)],
-                                    )
-                                });
-                                operator.checkpoint(&worker_ckpt_dir(dir, stage.name, worker))?;
-                                if let (Some(rec), Some(span)) = (&trace_rec, ckpt_span) {
-                                    rec.end(span, "store_snapshot", "barrier");
-                                }
-                            }
-                            exchange.outbox.broadcast(|| Msg::Barrier);
-                        }
-                    }
-                    Msg::End => {
-                        ends += 1;
-                        if ends == upstreams {
-                            // Leave a final snapshot behind so clients can
-                            // still query the job's terminal state.
-                            if let Some(p) = publisher.as_mut() {
-                                p.publish(operator.backend_mut(), current_wm)?;
-                            }
-                            exchange.outbox.broadcast(|| Msg::End);
-                            break 'recv;
-                        }
-                    }
+                    Err(_) => break Ok(()),
                 }
             }
-            if let (Some(p), Some(last)) = (&probe, clock.as_mut()) {
-                let now = Instant::now();
-                p.busy_nanos.add((now - *last).as_nanos() as u64);
-                *last = now;
-            }
+        };
+        if run.abort.load(Ordering::Relaxed) {
+            break Ok(());
         }
-        Ok(())
-    })();
-
-    // Collect the operator's accounting and release its store even on the
-    // error path.
-    let report = WorkerReport {
-        dropped_late: operator.dropped_late(),
-        late: operator.take_late(),
-        metrics: operator.backend_mut().metrics().snapshot(),
+        let Some(env) = w.align.admit(env) else {
+            continue;
+        };
+        // Busy time covers operator work plus downstream sends.
+        match w.handle(env) {
+            Ok(ControlFlow::Continue(())) => {}
+            done => break done.map(drop),
+        }
+        if let (Some(p), Some(last)) = (&w.probe, clock.as_mut()) {
+            lap(last, &p.busy_nanos);
+        }
     };
-    let _ = operator.backend_mut().close();
+    let report = w.close();
     result.map(|()| report)
+}
+
+/// Adds the time since `last` to `counter` and restarts `last` from now:
+/// one clock reading ends a phase and starts the next.
+fn lap(last: &mut Instant, counter: &Counter) {
+    let now = Instant::now();
+    counter.add((now - *last).as_nanos() as u64);
+    *last = now;
 }
 
 #[cfg(test)]
@@ -2349,6 +2247,160 @@ mod tests {
         assert_eq!(passed(align.admit(wm(1, 8))), Some((1, 8)));
         assert!(align.on_barrier(1));
         assert_eq!(passed(align.next_released()), Some((0, 7)));
+    }
+
+    /// Runs `body` over worker 0 of `job`'s first keyed stage, fed by
+    /// `upstreams` senders and sending into the receiver it is handed —
+    /// steps called directly, no thread involved.
+    fn with_worker(
+        job: &Job,
+        opts: &RunOptions,
+        choice: BackendChoice,
+        upstreams: usize,
+        body: impl FnOnce(&mut Worker<'_>, &Receiver<Envelope>),
+    ) {
+        let ctx = RunCtx::resolve(opts);
+        let factory = choice.build(FactoryOptions::new());
+        let abort = AtomicBool::new(false);
+        let run = RunShared {
+            job,
+            options: opts,
+            ctx: &ctx,
+            factory: &*factory,
+            abort: &abort,
+            epoch: Instant::now(),
+        };
+        let (tx, rx) = bounded(64);
+        let mut worker = Worker::new(run, 0, 0, upstreams, vec![tx]).unwrap();
+        body(&mut worker, &rx);
+        worker.close();
+    }
+
+    fn in_memory() -> BackendChoice {
+        BackendChoice::all_small_for_tests().remove(0)
+    }
+
+    /// A batch of `(key, timestamp, origin)` rows, each value a count of 1.
+    fn batch(rows: &[(&str, Timestamp, u64)]) -> Msg {
+        let mut batch = TupleBatch::with_capacity(rows.len(), 0);
+        for &(key, ts, origin) in rows {
+            batch.push(key.as_bytes(), &1u64.to_le_bytes(), ts, origin);
+        }
+        Msg::Batch(batch, None)
+    }
+
+    /// What a worker has sent so far, one line per message: a batch's
+    /// rows as `key@origin`, a watermark as `ts@origin`.
+    fn sent(rx: &Receiver<Envelope>) -> Vec<String> {
+        std::iter::from_fn(|| rx.try_recv().ok())
+            .map(|env| match env.msg {
+                Msg::Batch(batch, _) => batch
+                    .iter()
+                    .map(|(t, origin)| format!(" {}@{origin}", String::from_utf8_lossy(t.key)))
+                    .fold("batch".to_string(), |line, row| line + &row),
+                Msg::Watermark { ts, origin } => format!("wm {ts}@{origin}"),
+                Msg::Barrier => "barrier".to_string(),
+                Msg::End => "end".to_string(),
+            })
+            .collect()
+    }
+
+    /// Every tuple completes its own count window, so every input row
+    /// yields one output row.
+    fn per_element_job() -> Job {
+        JobBuilder::new("per-element")
+            .window(
+                "counts",
+                WindowAssigner::Count { size: 1 },
+                AggregateSpec::Incremental(StdArc::new(CountAggregate)),
+            )
+            .build()
+    }
+
+    #[test]
+    fn a_worker_forwards_a_watermark_only_when_the_minimum_rises_with_that_upstreams_origin() {
+        let dir = ScratchDir::new("worker-wm").unwrap();
+        let opts = RunOptions::new(dir.path());
+        with_worker(&count_job(1), &opts, in_memory(), 2, |w, rx| {
+            let mut step = |sender, ts, origin| {
+                let flow = w.handle(env(sender, Msg::Watermark { ts, origin }));
+                assert!(flow.unwrap().is_continue());
+                sent(rx)
+            };
+            // Upstream 1 has not spoken: the minimum is still unset.
+            assert!(step(0, 10, 100).is_empty());
+            assert_eq!(step(1, 5, 200), ["wm 5@200"]);
+            // Upstream 1 moves past upstream 0, whose watermark and
+            // origin become the minimum.
+            assert_eq!(step(1, 20, 300), ["wm 10@100"]);
+            assert_eq!(step(0, 15, 400), ["wm 15@400"]);
+            assert!(step(0, 15, 500).is_empty());
+        });
+    }
+
+    #[test]
+    fn a_worker_sends_a_batchs_outputs_with_each_inputs_own_origin() {
+        let dir = ScratchDir::new("worker-batch").unwrap();
+        let opts = RunOptions::new(dir.path());
+        with_worker(&per_element_job(), &opts, in_memory(), 1, |w, rx| {
+            let rows = [("a", 1, 7), ("b", 2, 8), ("a", 3, 9)];
+            assert!(w.handle(env(0, batch(&rows))).unwrap().is_continue());
+            // Outputs wait in the outbox until a control message flushes
+            // them; the only upstream's end is one.
+            assert!(sent(rx).is_empty());
+            assert!(w.handle(env(0, Msg::End)).unwrap().is_break());
+            assert_eq!(sent(rx), ["batch a@7 b@8 a@9", "end"]);
+        });
+    }
+
+    #[test]
+    fn an_aligned_barrier_snapshots_once_then_forwards_behind_the_pending_batches() {
+        let dir = ScratchDir::new("worker-barrier").unwrap();
+        let ckpt = ScratchDir::new("worker-barrier-ckpt").unwrap();
+        let mut opts = RunOptions::new(dir.path());
+        opts.checkpoint_dir = Some(ckpt.path().to_path_buf());
+        let snapshot = worker_ckpt_dir(ckpt.path(), "counts", 0);
+        with_worker(&per_element_job(), &opts, in_memory(), 2, |w, rx| {
+            assert!(w
+                .handle(env(0, batch(&[("a", 1, 7)])))
+                .unwrap()
+                .is_continue());
+            assert!(w.handle(env(0, Msg::Barrier)).unwrap().is_continue());
+            assert!(sent(rx).is_empty());
+            assert!(!snapshot.exists(), "snapshot before alignment");
+            assert!(w.handle(env(1, Msg::Barrier)).unwrap().is_continue());
+            assert!(snapshot.join("OPSTATE").exists());
+            assert_eq!(sent(rx), ["batch a@7", "barrier"]);
+            // The alignment is spent: the next barrier opens a new one.
+            std::fs::remove_dir_all(&snapshot).unwrap();
+            assert!(w.handle(env(0, Msg::Barrier)).unwrap().is_continue());
+            assert!(!snapshot.exists());
+            assert!(sent(rx).is_empty());
+        });
+    }
+
+    #[test]
+    fn the_last_upstreams_end_publishes_the_terminal_view_and_forwards_end_once() {
+        let dir = ScratchDir::new("worker-end").unwrap();
+        let registry = StateRegistry::new_shared();
+        let mut opts = RunOptions::new(dir.path());
+        opts.registry = Some(Arc::clone(&registry));
+        // The in-memory store is not queryable; FlowKV is.
+        let flowkv = BackendChoice::all_small_for_tests().remove(1);
+        with_worker(&count_job(1), &opts, flowkv, 2, |w, rx| {
+            assert!(w
+                .handle(env(0, batch(&[("a", 1, 7)])))
+                .unwrap()
+                .is_continue());
+            assert!(w.handle(env(0, Msg::End)).unwrap().is_continue());
+            assert!(registry.list().is_empty());
+            assert!(sent(rx).is_empty());
+            assert!(w.handle(env(1, Msg::End)).unwrap().is_break());
+            let states = registry.list();
+            assert_eq!(states.len(), 1);
+            assert_eq!((states[0].epoch, states[0].watermark), (1, MIN_TIMESTAMP));
+            assert_eq!(sent(rx), ["end"]);
+        });
     }
 
     #[test]

@@ -10,11 +10,12 @@
 
 use std::sync::Arc;
 
-use flowkv_common::backend::{AggregateKind, OperatorSemantics};
+use flowkv_common::backend::{AggregateKind, OperatorSemantics, StateBackend};
 use flowkv_common::types::{Timestamp, TupleRef};
 
 use crate::functions::{AggregateFunction, ProcessWindowFunction};
-use crate::join::{IntervalJoinSpec, JoinFn};
+use crate::join::{IntervalJoinOperator, IntervalJoinSpec, JoinFn};
+use crate::operator::{KeyedOperator, WindowOperator};
 use crate::window::WindowAssigner;
 
 /// How a window stage aggregates (determines the store pattern).
@@ -86,6 +87,31 @@ impl Stage {
             Stage::Stateless { name, .. } => name,
             Stage::Window(spec) => &spec.name,
             Stage::IntervalJoin(spec) => &spec.name,
+        }
+    }
+
+    /// The semantics a keyed stage's stores are created under; `None` for
+    /// a stateless stage, which owns no store and runs inside its sender.
+    pub(crate) fn semantics(&self) -> Option<OperatorSemantics> {
+        match self {
+            Stage::Stateless { .. } => None,
+            Stage::Window(spec) => Some(spec.semantics()),
+            Stage::IntervalJoin(spec) => Some(spec.semantics()),
+        }
+    }
+
+    /// A keyed stage's operator over one partition's store; `None` for a
+    /// stateless stage.
+    pub(crate) fn operator(
+        &self,
+        backend: Box<dyn StateBackend>,
+    ) -> Option<Box<dyn KeyedOperator>> {
+        match self {
+            Stage::Stateless { .. } => None,
+            Stage::Window(spec) => Some(Box::new(WindowOperator::new(spec.clone(), backend))),
+            Stage::IntervalJoin(spec) => {
+                Some(Box::new(IntervalJoinOperator::new(spec.clone(), backend)))
+            }
         }
     }
 }

@@ -19,12 +19,12 @@ use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 use flowkv_common::backend::{AggregateKind, OperatorSemantics, StateBackend, WindowKind};
-use flowkv_common::codec::{put_varint_i64, Decoder};
-use flowkv_common::error::Result;
+use flowkv_common::codec::{put_len_prefixed, put_varint_i64, put_varint_u64, Decoder};
+use flowkv_common::error::{Result, StoreError};
 use flowkv_common::types::{Timestamp, Tuple, TupleRef, WindowId};
 
 use crate::batch::TupleBatch;
-use crate::latency::Stamped;
+use crate::operator::{KeyedOperator, LateDrops};
 
 /// Tag prefix marking a tuple of the left stream.
 pub const LEFT: u8 = 0;
@@ -37,18 +37,12 @@ pub type JoinFn = Arc<dyn Fn(&[u8], &[u8], &[u8]) -> Option<Vec<u8>> + Send + Sy
 
 /// Tags `payload` as a left-stream row for an interval-join stage.
 pub fn tag_left(payload: &[u8]) -> Vec<u8> {
-    let mut v = Vec::with_capacity(payload.len() + 1);
-    v.push(LEFT);
-    v.extend_from_slice(payload);
-    v
+    [&[LEFT], payload].concat()
 }
 
 /// Tags `payload` as a right-stream row for an interval-join stage.
 pub fn tag_right(payload: &[u8]) -> Vec<u8> {
-    let mut v = Vec::with_capacity(payload.len() + 1);
-    v.push(RIGHT);
-    v.extend_from_slice(payload);
-    v
+    [&[RIGHT], payload].concat()
 }
 
 /// Configuration of one interval-join stage.
@@ -106,10 +100,7 @@ pub struct IntervalJoinOperator {
     /// Purge schedule: `(purge_at, key, bucket)`.
     purge_timers: BTreeSet<(Timestamp, Vec<u8>, WindowId)>,
     watermark: Timestamp,
-    dropped_late: u64,
-    /// Reused per-element output buffer for
-    /// [`IntervalJoinOperator::on_batch`].
-    batch_scratch: Vec<Tuple>,
+    late: LateDrops,
 }
 
 impl IntervalJoinOperator {
@@ -121,8 +112,7 @@ impl IntervalJoinOperator {
             live_buckets: HashSet::new(),
             purge_timers: BTreeSet::new(),
             watermark: Timestamp::MIN,
-            dropped_late: 0,
-            batch_scratch: Vec::new(),
+            late: LateDrops::default(),
         }
     }
 
@@ -132,21 +122,21 @@ impl IntervalJoinOperator {
         let start = ts.div_euclid(g) * g;
         WindowId::new(start, start + g)
     }
+}
 
-    /// Processes one tagged tuple, emitting joined rows into `out`.
-    ///
-    /// The tuple's value must start with [`LEFT`] or [`RIGHT`] (see
-    /// [`tag_left`] / [`tag_right`]).
-    pub fn on_element(&mut self, tuple: TupleRef<'_>, out: &mut Vec<Tuple>) -> Result<()> {
-        if tuple.timestamp < self.watermark {
-            self.dropped_late += 1;
+impl KeyedOperator for IntervalJoinOperator {
+    /// Emits the tuple joined with every buffered match, then buffers it.
+    /// Its value must start with [`LEFT`] or [`RIGHT`] (see [`tag_left`]
+    /// / [`tag_right`]).
+    fn on_element(&mut self, tuple: TupleRef<'_>, out: &mut Vec<Tuple>) -> Result<()> {
+        if self.late.drops(tuple, self.watermark) {
             return Ok(());
         }
         let (side, payload) = match tuple.value.split_first() {
             Some((&side, rest)) if side == LEFT || side == RIGHT => (side, rest),
             _ => {
-                return Err(flowkv_common::StoreError::invalid_state(
-                    "interval-join input lacks a side tag".to_string(),
+                return Err(StoreError::invalid_state(
+                    "interval-join input lacks a side tag",
                 ))
             }
         };
@@ -196,93 +186,69 @@ impl IntervalJoinOperator {
         Ok(())
     }
 
-    /// Processes one exchange micro-batch, emitting joined rows into
-    /// `out` with each input's own origin stamp.
-    ///
-    /// The rows are stably sorted by key so same-key probes and appends
-    /// touch the store back to back; stability preserves per-key arrival
-    /// order, and tuples of different keys never join, so outputs match
-    /// element-at-a-time processing (up to cross-key emission order).
-    pub fn on_batch(&mut self, batch: &mut TupleBatch, out: &mut Vec<Stamped>) -> Result<()> {
-        if batch.len() > 1 {
-            batch.sort_by_key_stable();
-        }
-        let mut scratch = std::mem::take(&mut self.batch_scratch);
-        for (tuple, origin) in batch.iter() {
-            scratch.clear();
-            self.on_element(tuple, &mut scratch)?;
-            out.extend(scratch.drain(..).map(|tuple| Stamped { tuple, origin }));
-        }
-        self.batch_scratch = scratch;
-        Ok(())
-    }
-
     /// Advances event time, purging buckets no future tuple can probe.
-    pub fn on_watermark(&mut self, watermark: Timestamp, _out: &mut Vec<Tuple>) -> Result<()> {
+    fn on_watermark(&mut self, watermark: Timestamp, _out: &mut Vec<Tuple>) -> Result<()> {
         self.watermark = watermark;
-        loop {
-            let Some((purge_at, key, bucket)) = self.purge_timers.iter().next().cloned() else {
-                return Ok(());
-            };
-            if purge_at > watermark {
-                return Ok(());
-            }
-            self.purge_timers.remove(&(purge_at, key.clone(), bucket));
+        while (self.purge_timers.first()).is_some_and(|(at, ..)| *at <= watermark) {
+            let (_, key, bucket) = self.purge_timers.pop_first().expect("checked above");
             self.live_buckets.remove(&(key.clone(), bucket));
             // Fetch-and-remove, discarding: the bucket is expired.
             self.backend.take_values(&key, bucket)?;
         }
+        Ok(())
     }
 
-    /// Tuples dropped for arriving behind the watermark.
-    pub fn dropped_late(&self) -> u64 {
-        self.dropped_late
-    }
-
-    /// The operator's state backend (for flushing and metrics).
-    pub fn backend_mut(&mut self) -> &mut dyn StateBackend {
+    fn backend_mut(&mut self) -> &mut dyn StateBackend {
         self.backend.as_mut()
     }
 
-    /// Checkpoints the backend and the engine-side bucket registry.
-    pub fn checkpoint(&mut self, dir: &std::path::Path) -> Result<()> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| flowkv_common::StoreError::io("join checkpoint dir", e))?;
-        self.backend.checkpoint(dir)?;
-        use flowkv_common::codec::{put_len_prefixed, put_varint_u64};
-        let mut buf = Vec::new();
-        put_varint_i64(&mut buf, self.watermark);
-        put_varint_u64(&mut buf, self.dropped_late);
-        put_varint_u64(&mut buf, self.purge_timers.len() as u64);
-        for (purge_at, key, bucket) in &self.purge_timers {
-            put_varint_i64(&mut buf, *purge_at);
-            put_len_prefixed(&mut buf, key);
-            bucket.encode_to(&mut buf);
-        }
-        let mut writer = flowkv_common::logfile::LogWriter::create(dir.join("JOINSTATE"))?;
-        writer.append(&buf)?;
-        writer.sync()
+    fn dropped_late(&self) -> u64 {
+        self.late.count
     }
 
-    /// Restores from a checkpoint written by
-    /// [`IntervalJoinOperator::checkpoint`].
-    pub fn restore(&mut self, dir: &std::path::Path) -> Result<()> {
-        self.backend.restore(dir)?;
-        let mut reader = flowkv_common::logfile::LogReader::open(dir.join("JOINSTATE"))?;
-        let (_, payload) = reader.next_record()?.ok_or_else(|| {
-            flowkv_common::StoreError::invalid_state("empty join checkpoint".to_string())
-        })?;
-        let mut dec = Decoder::new(&payload);
+    fn set_collect_late(&mut self, collect: bool) {
+        self.late.collect = collect;
+    }
+
+    fn take_late(&mut self) -> Vec<Tuple> {
+        std::mem::take(&mut self.late.kept)
+    }
+
+    /// The watermark, the late count and the purge schedule; the live
+    /// buckets are the schedule's.
+    fn encode_engine_state(&self, buf: &mut Vec<u8>) {
+        put_varint_i64(buf, self.watermark);
+        put_varint_u64(buf, self.late.count);
+        put_varint_u64(buf, self.purge_timers.len() as u64);
+        for (purge_at, key, bucket) in &self.purge_timers {
+            put_varint_i64(buf, *purge_at);
+            put_len_prefixed(buf, key);
+            bucket.encode_to(buf);
+        }
+    }
+
+    fn decode_engine_state(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
         self.watermark = dec.get_varint_i64()?;
-        self.dropped_late = dec.get_varint_u64()?;
+        self.late.count = dec.get_varint_u64()?;
         self.purge_timers.clear();
         self.live_buckets.clear();
         for _ in 0..dec.get_varint_u64()? {
             let purge_at = dec.get_varint_i64()?;
             let key = dec.get_len_prefixed()?.to_vec();
-            let bucket = WindowId::decode_from(&mut dec)?;
+            let bucket = WindowId::decode_from(dec)?;
             self.live_buckets.insert((key.clone(), bucket));
             self.purge_timers.insert((purge_at, key, bucket));
+        }
+        Ok(())
+    }
+
+    /// The rows are stably sorted by key so same-key probes and appends
+    /// touch the store back to back; stability preserves per-key arrival
+    /// order, and tuples of different keys never join, so outputs match
+    /// element-at-a-time processing (up to cross-key emission order).
+    fn prepare_batch(&mut self, batch: &mut TupleBatch) -> Result<()> {
+        if batch.len() > 1 {
+            batch.sort_by_key_stable();
         }
         Ok(())
     }

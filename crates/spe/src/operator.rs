@@ -27,20 +27,130 @@
 //! sessions by their end — a function of the sessions, not of which
 //! timers exist, and the order every other per-key trigger of this
 //! operator fires in.
+//!
+//! [`KeyedOperator`] is the contract every keyed stage's operator — this
+//! one and the interval join — offers the worker that feeds it.
 
 use std::collections::{BTreeSet, HashMap};
+use std::path::Path;
 
 use flowkv_common::backend::StateBackend;
 use flowkv_common::codec::{put_len_prefixed, put_varint_i64, put_varint_u64, Decoder};
 use flowkv_common::dict::{group_stable, ByteDict};
-use flowkv_common::error::Result;
+use flowkv_common::error::{Result, StoreError};
 use flowkv_common::hash::KeyHash;
-use flowkv_common::types::{Timestamp, Tuple, TupleRef, WindowId, MAX_TIMESTAMP};
+use flowkv_common::logfile::{LogReader, LogWriter};
+use flowkv_common::types::{Timestamp, Tuple, TupleRef, WindowId};
 
 use crate::batch::TupleBatch;
 use crate::job::{AggregateSpec, WindowSpec};
 use crate::latency::Stamped;
 use crate::window::WindowAssigner;
+
+/// The file of an operator checkpoint holding its engine-state record.
+const OPSTATE: &str = "OPSTATE";
+
+/// One keyed operator over one partition's store, fed micro-batches and
+/// watermarks by a single worker thread (paper §2.1, Figure 1(b)).
+///
+/// Implementors supply the per-element and per-watermark steps, their
+/// engine state's encoding and a batch-preparation hook; the batch loop
+/// and the checkpoint frame are written once, as provided methods.
+pub trait KeyedOperator {
+    /// Processes one tuple, emitting any per-element results into `out`.
+    /// A tuple behind the watermark is dropped as late instead.
+    fn on_element(&mut self, tuple: TupleRef<'_>, out: &mut Vec<Tuple>) -> Result<()>;
+
+    /// Advances event time, emitting what it fires into `out`.
+    fn on_watermark(&mut self, watermark: Timestamp, out: &mut Vec<Tuple>) -> Result<()>;
+
+    /// The operator's state backend.
+    fn backend_mut(&mut self) -> &mut dyn StateBackend;
+
+    /// Tuples dropped for arriving behind the watermark.
+    fn dropped_late(&self) -> u64;
+
+    /// Keeps every tuple dropped as late from now on, for
+    /// [`take_late`](Self::take_late) (Flink's late-data side output).
+    fn set_collect_late(&mut self, collect: bool);
+
+    /// Drains the tuples kept as late since the last call.
+    fn take_late(&mut self) -> Vec<Tuple>;
+
+    /// Appends the engine-side state a checkpoint keeps beside the
+    /// store's snapshot.
+    fn encode_engine_state(&self, buf: &mut Vec<u8>);
+
+    /// Replaces the engine-side state with what
+    /// [`encode_engine_state`](Self::encode_engine_state) wrote.
+    fn decode_engine_state(&mut self, dec: &mut Decoder<'_>) -> Result<()>;
+
+    /// Readies a batch before its rows run: a reordering the operator's
+    /// semantics allow, and any hint the store wants about what is coming.
+    fn prepare_batch(&mut self, batch: &mut TupleBatch) -> Result<()>;
+
+    /// Processes one exchange micro-batch, reading each row in place and
+    /// emitting any per-element results (count windows, joins) into `out`
+    /// with each input's own origin stamp.
+    fn on_batch(&mut self, batch: &mut TupleBatch, out: &mut Vec<Stamped>) -> Result<()> {
+        self.prepare_batch(batch)?;
+        // Reused across the batch's rows; allocated by the first output.
+        let mut scratch = Vec::new();
+        for (tuple, origin) in batch.iter() {
+            self.on_element(tuple, &mut scratch)?;
+            out.extend(scratch.drain(..).map(|tuple| Stamped { tuple, origin }));
+        }
+        Ok(())
+    }
+
+    /// Checkpoints the store and the engine state into `dir`.
+    ///
+    /// Called when an aligned checkpoint barrier has arrived on every
+    /// input (paper §8: engine-coordinated snapshots, not store WALs).
+    fn checkpoint(&mut self, dir: &Path) -> Result<()> {
+        std::fs::create_dir_all(dir).map_err(|e| StoreError::io("operator checkpoint dir", e))?;
+        self.backend_mut().checkpoint(dir)?;
+        let mut buf = Vec::new();
+        self.encode_engine_state(&mut buf);
+        let mut writer = LogWriter::create(dir.join(OPSTATE))?;
+        writer.append(&buf)?;
+        writer.sync()
+    }
+
+    /// Restores the operator from a checkpoint written by
+    /// [`checkpoint`](Self::checkpoint).
+    fn restore(&mut self, dir: &Path) -> Result<()> {
+        self.backend_mut().restore(dir)?;
+        let mut reader = LogReader::open(dir.join(OPSTATE))?;
+        let (_, payload) = reader
+            .next_record()?
+            .ok_or_else(|| StoreError::invalid_state("empty operator checkpoint"))?;
+        self.decode_engine_state(&mut Decoder::new(&payload))
+    }
+}
+
+/// The late-drop rule both keyed operators hold: a tuple behind the
+/// watermark is counted and, when the run collects them, kept.
+#[derive(Default)]
+pub(crate) struct LateDrops {
+    pub(crate) count: u64,
+    pub(crate) collect: bool,
+    pub(crate) kept: Vec<Tuple>,
+}
+
+impl LateDrops {
+    /// `true` when `tuple` is behind `watermark` and so dropped.
+    pub(crate) fn drops(&mut self, tuple: TupleRef<'_>, watermark: Timestamp) -> bool {
+        if tuple.timestamp >= watermark {
+            return false;
+        }
+        self.count += 1;
+        if self.collect {
+            self.kept.push(tuple.to_tuple());
+        }
+        true
+    }
+}
 
 /// Returns `true` when two session extents overlap or touch.
 fn merges_with(a: &WindowId, b: &WindowId) -> bool {
@@ -296,12 +406,7 @@ pub struct WindowOperator {
     /// Count-window progress per key.
     counts: HashMap<Vec<u8>, CountState, KeyHash>,
     watermark: Timestamp,
-    dropped_late: u64,
-    /// When set, dropped late tuples are retained for the side output.
-    collect_late: bool,
-    late: Vec<Tuple>,
-    /// Reused per-element output buffer for [`WindowOperator::on_batch`].
-    batch_scratch: Vec<Tuple>,
+    late: LateDrops,
     /// Reused by every aligned assignment.
     assigned: Vec<WindowId>,
     /// Reused by every full-list trigger (boxed: only those operators
@@ -323,71 +428,10 @@ impl WindowOperator {
             timers_armed: 0,
             counts: HashMap::default(),
             watermark: Timestamp::MIN,
-            dropped_late: 0,
-            collect_late: false,
-            late: Vec::new(),
-            batch_scratch: Vec::new(),
+            late: LateDrops::default(),
             assigned: Vec::new(),
             arena: Box::default(),
         }
-    }
-
-    /// Retains dropped late tuples for [`WindowOperator::take_late`]
-    /// (Flink's late-data side output).
-    pub fn set_collect_late(&mut self, collect: bool) {
-        self.collect_late = collect;
-    }
-
-    /// Drains the tuples dropped as late since the last call.
-    pub fn take_late(&mut self) -> Vec<Tuple> {
-        std::mem::take(&mut self.late)
-    }
-
-    /// Processes one tuple, emitting any count-window results into `out`.
-    /// The store copies what it keeps of the lent bytes.
-    pub fn on_element(&mut self, tuple: TupleRef<'_>, out: &mut Vec<Tuple>) -> Result<()> {
-        if tuple.timestamp < self.watermark {
-            self.dropped_late += 1;
-            if self.collect_late {
-                self.late.push(tuple.to_tuple());
-            }
-            return Ok(());
-        }
-        match self.spec.assigner {
-            WindowAssigner::Fixed { .. }
-            | WindowAssigner::Sliding { .. }
-            | WindowAssigner::Global
-            | WindowAssigner::Custom { .. } => self.on_aligned_element(tuple),
-            WindowAssigner::Session { gap } => self.on_session_element(tuple, gap),
-            WindowAssigner::Count { size } => self.on_count_element(tuple, size, out),
-        }
-    }
-
-    /// Processes one exchange micro-batch, reading each row in place and
-    /// emitting any per-element results (count windows) into `out` with
-    /// each input's own origin stamp.
-    ///
-    /// Elements run in arrival order, the order a batch size of one runs
-    /// them in: batching changes no store call. Only a backend that
-    /// wants the [`warm_hint`](Self::warm_hint) (the LSM) gets the rows
-    /// stably sorted by key first, for the hint's dedupe of adjacent
-    /// pairs; per-key arrival order survives and the watermark cannot
-    /// move inside a batch (batches flush before watermarks), so no
-    /// window assignment, session merge, late-drop or per-key value
-    /// order changes.
-    pub fn on_batch(&mut self, batch: &mut TupleBatch, out: &mut Vec<Stamped>) -> Result<()> {
-        if batch.len() > 1 && self.backend.wants_warm() {
-            batch.sort_by_key_stable();
-        }
-        self.warm_hint(batch)?;
-        let mut scratch = std::mem::take(&mut self.batch_scratch);
-        for (tuple, origin) in batch.iter() {
-            scratch.clear();
-            self.on_element(tuple, &mut scratch)?;
-            out.extend(scratch.drain(..).map(|tuple| Stamped { tuple, origin }));
-        }
-        self.batch_scratch = scratch;
-        Ok(())
     }
 
     /// Tells the backend which `(key, window)` aggregates this batch is
@@ -396,8 +440,7 @@ impl WindowOperator {
     /// Only aligned assigners have a pure assignment the hint can
     /// anticipate; the hint is advisory and never changes results.
     fn warm_hint(&mut self, batch: &TupleBatch) -> Result<()> {
-        if !self.backend.wants_warm()
-            || !matches!(self.spec.aggregate, AggregateSpec::Incremental(_))
+        if !matches!(self.spec.aggregate, AggregateSpec::Incremental(_))
             || !matches!(
                 self.spec.assigner,
                 WindowAssigner::Fixed { .. } | WindowAssigner::Sliding { .. }
@@ -427,63 +470,6 @@ impl WindowOperator {
         self.backend.warm(&pairs)
     }
 
-    /// Advances event time, firing every eligible window into `out`.
-    pub fn on_watermark(&mut self, watermark: Timestamp, out: &mut Vec<Tuple>) -> Result<()> {
-        self.watermark = watermark;
-        self.fire_aligned(watermark, out)?;
-        self.fire_sessions(watermark, out)
-    }
-
-    /// Tuples dropped for arriving behind the watermark.
-    pub fn dropped_late(&self) -> u64 {
-        self.dropped_late
-    }
-
-    /// Checkpoints the operator — engine-side timer/session state *and*
-    /// the state backend — into `dir`.
-    ///
-    /// Called when an aligned checkpoint barrier has arrived on every
-    /// input (paper §8: engine-coordinated snapshots, not store WALs).
-    pub fn checkpoint(&mut self, dir: &std::path::Path) -> Result<()> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| flowkv_common::StoreError::io("operator checkpoint dir", e))?;
-        self.backend.checkpoint(dir)?;
-        let mut buf = Vec::new();
-        self.export_engine_shards(1, &|_| 0)
-            .pop()
-            .expect("one shard")
-            .encode_to(&mut buf);
-        let mut writer = flowkv_common::logfile::LogWriter::create(dir.join("OPSTATE"))?;
-        writer.append(&buf)?;
-        writer.sync()
-    }
-
-    /// Restores the operator from a checkpoint written by
-    /// [`WindowOperator::checkpoint`]: the engine state is the one shard
-    /// the checkpoint holds, absorbed into an empty engine.
-    pub fn restore(&mut self, dir: &std::path::Path) -> Result<()> {
-        self.backend.restore(dir)?;
-        let mut reader = flowkv_common::logfile::LogReader::open(dir.join("OPSTATE"))?;
-        let (_, payload) = reader.next_record()?.ok_or_else(|| {
-            flowkv_common::StoreError::invalid_state("empty operator checkpoint".to_string())
-        })?;
-        let shard = EngineShard::decode_from(&mut Decoder::new(&payload))?;
-        self.watermark = Timestamp::MIN;
-        self.dropped_late = 0;
-        self.aligned_timers.clear();
-        self.trigger_keys.clear();
-        self.sessions.clear();
-        self.session_timers.clear();
-        self.counts.clear();
-        self.absorb_engine_shard(shard);
-        Ok(())
-    }
-
-    /// The operator's state backend (for flushing and metrics).
-    pub fn backend_mut(&mut self) -> &mut dyn StateBackend {
-        self.backend.as_mut()
-    }
-
     /// Splits the engine-side state (timers, sessions, count progress,
     /// trigger sets) into `n` migration shards, routing every per-key
     /// structure through `route`.
@@ -501,7 +487,7 @@ impl WindowOperator {
         let mut shards: Vec<EngineShard> = (0..n)
             .map(|i| EngineShard {
                 watermark: self.watermark,
-                dropped_late: if i == 0 { self.dropped_late } else { 0 },
+                dropped_late: if i == 0 { self.late.count } else { 0 },
                 aligned_timers: self.aligned_timers.clone(),
                 trigger_keys: HashMap::new(),
                 sessions: Vec::new(),
@@ -545,7 +531,7 @@ impl WindowOperator {
     /// worker), so absorption is a plain union.
     pub(crate) fn absorb_engine_shard(&mut self, shard: EngineShard) {
         self.watermark = self.watermark.max(shard.watermark);
-        self.dropped_late += shard.dropped_late;
+        self.late.count += shard.dropped_late;
         self.aligned_timers.extend(shard.aligned_timers);
         for (window, keys) in shard.trigger_keys {
             self.trigger_keys.entry(window).or_default().extend(keys);
@@ -724,7 +710,7 @@ impl WindowOperator {
         if state.in_window >= size {
             state.seq += 1;
             state.in_window = 0;
-            self.fire_key_window(tuple.key, &[window], tuple.timestamp, out)?;
+            self.fire_key_window(tuple.key, &[window], window, tuple.timestamp, out)?;
         }
         Ok(())
     }
@@ -746,7 +732,7 @@ impl WindowOperator {
                     // Custom windows live in a per-key (unaligned) store:
                     // fire each tracked key individually.
                     for key in self.trigger_keys.remove(&window).unwrap_or_default() {
-                        self.fire_key_window_at(&key, &[window], window, out_ts, out)?;
+                        self.fire_key_window(&key, &[window], window, out_ts, out)?;
                     }
                 }
                 AggregateSpec::FullList(f) => {
@@ -818,25 +804,13 @@ impl WindowOperator {
         expired.sort_unstable_by(|a, b| (&a.0, a.1.end).cmp(&(&b.0, b.1.end)));
         for (key, cover, initials) in expired {
             let out_ts = cover.end.saturating_sub(1);
-            self.fire_key_window_at(&key, &initials, cover, out_ts, out)?;
+            self.fire_key_window(&key, &initials, cover, out_ts, out)?;
         }
         Ok(())
     }
 
-    /// Fires one key's window over the given store windows (count path).
-    fn fire_key_window(
-        &mut self,
-        key: &[u8],
-        store_windows: &[WindowId],
-        out_ts: Timestamp,
-        out: &mut Vec<Tuple>,
-    ) -> Result<()> {
-        let logical = store_windows[0];
-        self.fire_key_window_at(key, store_windows, logical, out_ts, out)
-    }
-
     /// Reads, aggregates, and emits one key's window state.
-    fn fire_key_window_at(
+    fn fire_key_window(
         &mut self,
         key: &[u8],
         store_windows: &[WindowId],
@@ -883,17 +857,82 @@ impl WindowOperator {
         }
         Ok(())
     }
+}
 
-    /// Flushes pending count windows at end of stream.
-    ///
-    /// Count windows fire on arrivals, so a bounded stream may end with
-    /// partially filled windows; Flink discards those, and so do we —
-    /// this hook only exists for the final [`MAX_TIMESTAMP`] watermark to
-    /// fire aligned and session windows, which [`Self::on_watermark`]
-    /// already handles.
-    pub fn finish(&mut self, out: &mut Vec<Tuple>) -> Result<()> {
-        self.on_watermark(MAX_TIMESTAMP, out)?;
-        self.backend.flush()
+impl KeyedOperator for WindowOperator {
+    /// The store copies what it keeps of the lent bytes.
+    fn on_element(&mut self, tuple: TupleRef<'_>, out: &mut Vec<Tuple>) -> Result<()> {
+        if self.late.drops(tuple, self.watermark) {
+            return Ok(());
+        }
+        match self.spec.assigner {
+            WindowAssigner::Fixed { .. }
+            | WindowAssigner::Sliding { .. }
+            | WindowAssigner::Global
+            | WindowAssigner::Custom { .. } => self.on_aligned_element(tuple),
+            WindowAssigner::Session { gap } => self.on_session_element(tuple, gap),
+            WindowAssigner::Count { size } => self.on_count_element(tuple, size, out),
+        }
+    }
+
+    fn on_watermark(&mut self, watermark: Timestamp, out: &mut Vec<Tuple>) -> Result<()> {
+        self.watermark = watermark;
+        self.fire_aligned(watermark, out)?;
+        self.fire_sessions(watermark, out)
+    }
+
+    fn backend_mut(&mut self) -> &mut dyn StateBackend {
+        self.backend.as_mut()
+    }
+
+    fn dropped_late(&self) -> u64 {
+        self.late.count
+    }
+
+    fn set_collect_late(&mut self, collect: bool) {
+        self.late.collect = collect;
+    }
+
+    fn take_late(&mut self) -> Vec<Tuple> {
+        std::mem::take(&mut self.late.kept)
+    }
+
+    /// The one shard of [`export_engine_shards`](Self::export_engine_shards).
+    fn encode_engine_state(&self, buf: &mut Vec<u8>) {
+        let mut shards = self.export_engine_shards(1, &|_| 0);
+        shards.pop().expect("one shard").encode_to(buf);
+    }
+
+    /// The shard absorbed into an emptied engine.
+    fn decode_engine_state(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
+        let shard = EngineShard::decode_from(dec)?;
+        self.watermark = Timestamp::MIN;
+        self.late.count = 0;
+        self.aligned_timers.clear();
+        self.trigger_keys.clear();
+        self.sessions.clear();
+        self.session_timers.clear();
+        self.counts.clear();
+        self.absorb_engine_shard(shard);
+        Ok(())
+    }
+
+    /// Elements run in arrival order, the order a batch size of one runs
+    /// them in: batching changes no store call. Only a backend that
+    /// wants the [`warm_hint`](Self::warm_hint) (the LSM) gets the rows
+    /// stably sorted by key first, for the hint's dedupe of adjacent
+    /// pairs; per-key arrival order survives and the watermark cannot
+    /// move inside a batch (batches flush before watermarks), so no
+    /// window assignment, session merge, late-drop or per-key value
+    /// order changes.
+    fn prepare_batch(&mut self, batch: &mut TupleBatch) -> Result<()> {
+        if !self.backend.wants_warm() {
+            return Ok(());
+        }
+        if batch.len() > 1 {
+            batch.sort_by_key_stable();
+        }
+        self.warm_hint(batch)
     }
 }
 
@@ -902,6 +941,7 @@ mod tests {
     use super::*;
     use crate::functions::{CountAggregate, FnProcess, MedianProcess, SumAggregate};
     use crate::memstore::InMemoryBackend;
+    use flowkv_common::types::MAX_TIMESTAMP;
     use std::sync::Arc;
 
     fn op(assigner: WindowAssigner, aggregate: AggregateSpec) -> WindowOperator {
@@ -1274,8 +1314,7 @@ mod tests {
         /// every tuple sent through the general step: the reference the
         /// in-place extend is checked against.
         fn on_session_element_reference(&mut self, tuple: &Tuple, gap: i64) {
-            if tuple.timestamp < self.watermark {
-                self.dropped_late += 1;
+            if self.late.drops(tuple.borrowed(), self.watermark) {
                 return;
             }
             let proto = WindowId::new(tuple.timestamp, tuple.timestamp.saturating_add(gap));
@@ -1671,7 +1710,7 @@ mod tests {
         }
         o.on_watermark(1_000_000, &mut out).unwrap();
         assert!(out.is_empty(), "global window fired early");
-        o.finish(&mut out).unwrap();
+        o.on_watermark(MAX_TIMESTAMP, &mut out).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(u64_of(&out[0].value), 5);
     }

@@ -150,10 +150,7 @@ pub fn run_supervised(
         }
         let source = LogSource::open_at(source_path, resume_offset).map_err(JobError::Store)?;
         let items = Schedule::for_run(source, &attempt_opts);
-        let (result, salvage) =
-            run_job_inner(job, items, Arc::clone(&factory), &attempt_opts, &ctx);
-
-        match result {
+        match run_job_inner(job, items, Arc::clone(&factory), &attempt_opts, &ctx) {
             Ok(mut result) => {
                 if restarts > 0 {
                     replayed_tuples += result.input_count;
@@ -169,7 +166,7 @@ pub fn run_supervised(
                     replayed_tuples,
                 });
             }
-            Err(err) => {
+            Err((err, salvage)) => {
                 // Post-mortem before anything is torn down: the flight
                 // recorder's last events and every span still open at
                 // the moment of death go to stderr as JSONL.

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use flowkv_common::types::{Tuple, MAX_TIMESTAMP};
 use flowkv_spe::join::{tag_left, tag_right, IntervalJoinOperator, IntervalJoinSpec};
 use flowkv_spe::memstore::InMemoryBackend;
+use flowkv_spe::operator::KeyedOperator;
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]

@@ -7,10 +7,13 @@
 //! with `watermark_slack = 50`: every query must produce exactly the
 //! multiset of results of the untouched stream, on every backend.
 
+use std::sync::Arc;
+
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::types::Tuple;
 use flowkv_nexmark::{EventGenerator, GeneratorConfig, QueryId, QueryParams};
-use flowkv_spe::{run_job, BackendChoice, FactoryOptions, RunOptions};
+use flowkv_spe::join::{tag_left, tag_right};
+use flowkv_spe::{run_job, BackendChoice, FactoryOptions, JobBuilder, RunOptions};
 
 fn gen_cfg(out_of_order_ms: i64) -> GeneratorConfig {
     GeneratorConfig {
@@ -92,21 +95,41 @@ fn insufficient_slack_drops_late_tuples() {
 #[test]
 fn late_tuples_reach_the_side_output() {
     // Flink-style late-data side output: the same run with
-    // `collect_late` hands the dropped tuples back for reprocessing.
+    // `collect_late` hands the dropped tuples back for reprocessing —
+    // from a window stage and from an interval join alike.
     let backend = &BackendChoice::all_small_for_tests()[1];
-    let dir = ScratchDir::new("ooo-side").unwrap();
     let params = QueryParams::new(1_000).with_parallelism(2);
-    let mut opts = RunOptions::new(dir.path());
-    opts.watermark_interval = 100;
-    opts.watermark_slack = 0;
-    opts.collect_late = true;
-    let result = run_job(
-        &QueryId::Q11.build(params),
-        EventGenerator::new(gen_cfg(50)).tuples(),
-        backend.build(FactoryOptions::new()),
-        &opts,
-    )
-    .unwrap();
-    assert!(result.dropped_late > 0);
-    assert_eq!(result.late_tuples.len() as u64, result.dropped_late);
+    let join = JobBuilder::new("late-join")
+        .parallelism(2)
+        .stateless("tag-by-parity", |t, out| {
+            let tagged = match t.timestamp % 2 {
+                0 => tag_left(t.value),
+                _ => tag_right(t.value),
+            };
+            out(t.key, &tagged, t.timestamp)
+        })
+        .interval_join(
+            "join",
+            -20,
+            20,
+            64,
+            Arc::new(|_k, _l: &[u8], _r: &[u8]| None),
+        )
+        .build();
+    for job in [QueryId::Q11.build(params), join] {
+        let dir = ScratchDir::new("ooo-side").unwrap();
+        let mut opts = RunOptions::new(dir.path());
+        opts.watermark_interval = 100;
+        opts.watermark_slack = 0;
+        opts.collect_late = true;
+        let result = run_job(
+            &job,
+            EventGenerator::new(gen_cfg(50)).tuples(),
+            backend.build(FactoryOptions::new()),
+            &opts,
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", job.name));
+        assert!(result.dropped_late > 0);
+        assert_eq!(result.late_tuples.len() as u64, result.dropped_late);
+    }
 }
