@@ -466,10 +466,12 @@ pub struct OperatorContext {
     pub data_dir: PathBuf,
     /// Job-wide telemetry handle; `None` disables store instrumentation.
     pub telemetry: Option<Arc<crate::telemetry::Telemetry>>,
-    /// Background I/O policy; `None` (or `threads == 0`) keeps every
-    /// store read synchronous. Factories that support the ring build one
-    /// over their own VFS so fault injection covers background I/O.
-    pub io: Option<crate::ioring::IoPolicy>,
+    /// The worker's background I/O pool, built once by the executor and
+    /// shared by every store of the partition; `None` keeps every store
+    /// read synchronous. Stores hand it to their read-ahead lanes, whose
+    /// jobs still run against the store's own VFS, so fault injection
+    /// covers background I/O.
+    pub io: Option<Arc<crate::ioring::IoRing>>,
 }
 
 impl OperatorContext {

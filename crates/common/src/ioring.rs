@@ -1,328 +1,169 @@
-//! Background I/O ring: a completion-queue-style submission API backed by
-//! a small thread pool over the [`Vfs`](crate::vfs::Vfs) seam.
+//! Background I/O: a worker's thread pool and the read-ahead lanes that
+//! run store reads on it.
 //!
-//! The ring exists so stores can move *anticipatable* reads — predictive
+//! The pool exists so stores can move *anticipatable* reads — predictive
 //! batch reads ahead of an ETT-predicted trigger, per-window AAR log
 //! scans, LSM block warm-ups, serving snapshots — off the worker's hot
-//! path. The shape deliberately mirrors io_uring: callers `submit` jobs
-//! tagged with an opaque `tag`, the pool executes them against the ring's
-//! shared `Arc<dyn Vfs>`, and callers later `drain_tag` finished
-//! completions (non-blocking) or `wait` on a specific submission.
+//! path. [`IoRing`] is only threads: it runs the jobs it is handed, in
+//! submission order, and knows no files, no tags and no results. The
+//! executor builds one per keyed worker and every store of that worker
+//! shares it.
 //!
-//! Two properties make the ring safe to thread through a deterministic,
-//! fault-injected system:
+//! Everything else belongs to a store's [`Lane`]: which keys have a read
+//! in flight, the byte budget, the job's `Vfs`, and the typed queue its
+//! finished reads land in. Two properties make that safe to thread
+//! through a deterministic, fault-injected system:
 //!
-//! 1. **Faults still fire.** Jobs receive the ring's VFS handle — the
-//!    *same* `FaultVfs` the rest of the worker uses — so the global fault
-//!    op counter covers background I/O too. A `FaultKind::Crash` that
-//!    fires on a pool thread panics there; the ring catches the unwind,
-//!    parks the payload in the completion, and re-raises it verbatim on
-//!    the worker thread when the completion is consumed
-//!    ([`Completion::into_result`]). The supervisor sees an ordinary
-//!    worker panic and recovery proceeds as if the read had been
-//!    synchronous.
-//! 2. **Order never matters.** Completions are a bag, not a queue:
-//!    consumers must validate results against current store state before
-//!    installing them. [`IoRing::with_shuffle_seed`] builds a ring that
-//!    inserts completions at seeded pseudo-random positions so tests can
-//!    prove output equivalence under adversarial completion orderings.
+//! 1. **Faults still fire.** A lane's jobs run against the store's own
+//!    `Vfs` — the *same* `FaultVfs` the rest of the worker uses — so the
+//!    global fault op counter covers background I/O too. A
+//!    `FaultKind::Crash` that fires on a pool thread panics there; the
+//!    lane captures the unwind into its queue and re-raises it verbatim
+//!    on the worker thread when that read is collected. The supervisor
+//!    sees an ordinary worker panic and recovery proceeds as if the read
+//!    had been synchronous.
+//! 2. **Order never matters.** A lane's finished reads are a bag, not a
+//!    queue: consumers validate each against current store state before
+//!    installing it. A ring built with a shuffle seed makes every lane on
+//!    it deliver at seeded pseudo-random positions, so tests can prove
+//!    output equivalence under adversarial completion orderings.
 //!
-//! Stores do not drive the ring directly. Every read-ahead user — AAR
-//! window files, AUR predictive batches, the cold tier's blocks, the
-//! LSM's block warm-ups — goes through one [`Lane`], which owns the
-//! submission lifecycle (in-flight table, byte budget, drain, wait,
-//! abandon, panic re-raise, accounting); a store supplies only its
-//! candidates, the job body and the validate-then-install check. The
-//! lane is also the only code that knows whether a ring exists: a store
-//! without one holds a lane of width zero, which runs the same job
-//! bodies on the worker thread.
+//! A store supplies only its candidates, the job body and the
+//! validate-then-install check. The lane is also the only code that
+//! knows whether a pool exists: a store without one holds a lane of
+//! width zero, which runs the same job bodies on the worker thread.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::io;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use crate::telemetry::{Counter, Histogram, Telemetry};
 use crate::types::Timestamp;
 use crate::vfs::Vfs;
 
-/// A background job: runs on a pool thread against the ring's VFS and
-/// returns an arbitrary payload for the submitter to downcast.
-pub type IoJob = Box<dyn FnOnce(&Arc<dyn Vfs>) -> io::Result<Box<dyn Any + Send>> + Send>;
-
-/// How a background job ended.
-pub enum IoOutcome {
-    /// The job returned a payload.
-    Ok(Box<dyn Any + Send>),
-    /// The job returned an I/O error (e.g. an injected fault).
-    Err(io::Error),
-    /// The job panicked; the unwind payload is carried so the consumer
-    /// can re-raise it on its own thread.
-    Panicked(Box<dyn Any + Send>),
-}
-
-impl std::fmt::Debug for IoOutcome {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IoOutcome::Ok(_) => f.write_str("IoOutcome::Ok(..)"),
-            IoOutcome::Err(e) => write!(f, "IoOutcome::Err({e})"),
-            IoOutcome::Panicked(_) => f.write_str("IoOutcome::Panicked(..)"),
-        }
-    }
-}
-
-/// A finished submission.
-///
-/// The three timestamps (nanoseconds from the ring's creation) record
-/// the job's full lifecycle — `submit` when it was queued, `start`
-/// when a pool thread picked it up, `done` when it finished — so
-/// consumers can distinguish queueing delay from execution time. The
-/// `start − submit` gap also feeds the `prefetch_queue_delay_nanos`
-/// histogram when the ring carries a telemetry handle.
-#[derive(Debug)]
-pub struct Completion {
-    /// The id `submit` returned for this job.
-    pub id: u64,
-    /// The caller-chosen routing tag the job was submitted under.
-    pub tag: u64,
-    /// The job's result.
-    pub outcome: IoOutcome,
-    /// Nanoseconds (ring epoch) when the job was submitted.
-    pub submit_nanos: u64,
-    /// Nanoseconds (ring epoch) when a pool thread started the job.
-    pub start_nanos: u64,
-    /// Nanoseconds (ring epoch) when the job finished.
-    pub done_nanos: u64,
-}
-
-impl Completion {
-    /// Time the job sat queued before a pool thread picked it up.
-    pub fn queue_delay_nanos(&self) -> u64 {
-        self.start_nanos.saturating_sub(self.submit_nanos)
-    }
-}
-
-impl Completion {
-    /// Unwraps the payload, re-raising a captured panic on the calling
-    /// thread — this is what keeps injected crash faults deterministic:
-    /// the original panic payload surfaces on the worker exactly where
-    /// the completion is consumed.
-    pub fn into_result(self) -> io::Result<Box<dyn Any + Send>> {
-        match self.outcome {
-            IoOutcome::Ok(payload) => Ok(payload),
-            IoOutcome::Err(e) => Err(e),
-            IoOutcome::Panicked(payload) => resume_unwind(payload),
-        }
-    }
-}
-
-/// Per-worker I/O policy: how many ring threads each backend runs.
-/// Carried on [`OperatorContext`](crate::backend::OperatorContext) so each
-/// backend factory can build a ring over its own VFS.
-#[derive(Clone, Debug)]
-pub struct IoPolicy {
-    /// Pool threads per backend ring. `0` builds no ring: the stores
-    /// keep their [`Lane::inline`] lane and every read runs on the
-    /// worker thread.
-    pub threads: usize,
-    /// Test knob: when set, completions are inserted at seeded
-    /// pseudo-random queue positions to exercise reordering.
-    pub shuffle_seed: Option<u64>,
-}
-
-impl IoPolicy {
-    /// A policy with `threads` ring threads and in-order completions.
-    pub fn with_threads(threads: usize) -> Self {
-        IoPolicy {
-            threads,
-            shuffle_seed: None,
-        }
-    }
-}
-
-struct QueuedJob {
-    id: u64,
-    tag: u64,
-    job: IoJob,
-    submit_nanos: u64,
+struct Queued {
+    /// The job owns its result: it delivers it wherever its submitter
+    /// waits.
+    job: Box<dyn FnOnce() + Send>,
+    submitted: Instant,
     /// Trace context captured from the submitting thread, so the pool
     /// thread's span parents to the exact store call that issued the
     /// read ([`crate::trace`]).
     ctx: Option<crate::trace::TraceCtx>,
 }
 
-struct RingState {
-    queue: VecDeque<QueuedJob>,
-    completions: Vec<Completion>,
-    in_flight: usize,
-    next_id: u64,
+struct PoolState {
+    queue: VecDeque<Queued>,
+    running: usize,
     shutdown: bool,
-    shuffle: Option<u64>,
 }
 
 struct Shared {
-    state: Mutex<RingState>,
+    state: Mutex<PoolState>,
     /// Signalled when work arrives or shutdown is requested.
     work: Condvar,
-    /// Signalled when a completion lands.
-    done: Condvar,
-    /// Clock origin for the completion timestamps.
-    epoch: std::time::Instant,
-    /// When present: queue-delay histogram plus span recording for
+    /// Signalled when a job finishes.
+    finished: Condvar,
+    /// When present: the queue-delay histogram, plus span recording for
     /// traced jobs.
-    telemetry: Option<Arc<crate::telemetry::Telemetry>>,
+    telemetry: Option<Arc<Telemetry>>,
 }
 
-/// The ring itself. Clone the `Arc<IoRing>` freely; submissions from any
-/// thread are fair-queued to the pool.
+/// A worker's background I/O pool: `flowkv-ioring-<n>` threads that run
+/// lane jobs in submission order. Share the `Arc<IoRing>` freely.
 pub struct IoRing {
     shared: Arc<Shared>,
-    vfs: Arc<dyn Vfs>,
+    shuffle_seed: Option<u64>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl IoRing {
-    /// Builds a ring with `threads` pool threads (min 1) over `vfs`.
-    pub fn new(vfs: Arc<dyn Vfs>, threads: usize) -> Self {
-        Self::build(vfs, threads, None, None)
-    }
-
-    /// Like [`IoRing::new`] but completions are inserted at seeded
-    /// pseudo-random positions among the already-pending completions, so
-    /// drain order is adversarial yet reproducible.
-    pub fn with_shuffle_seed(vfs: Arc<dyn Vfs>, threads: usize, seed: u64) -> Self {
-        Self::build(vfs, threads, Some(seed), None)
-    }
-
-    /// The constructor backend factories use: optional seeded shuffle
-    /// plus a telemetry handle. With telemetry the ring records the
-    /// `prefetch_queue_delay_nanos` histogram on every completion and,
-    /// when a tracer is installed, an `io`-category span for every job
+    /// Builds a pool of `threads` threads (min 1). With `shuffle_seed`,
+    /// every lane on the pool delivers its finished reads at seeded
+    /// pseudo-random positions — a test knob proving that order never
+    /// matters. With `telemetry`, the pool records the
+    /// `prefetch_queue_delay_nanos` histogram for every job and, once a
+    /// tracer is installed, an `io`-category span for every job
     /// submitted under an active trace context.
-    pub fn with_telemetry(
-        vfs: Arc<dyn Vfs>,
+    pub fn new(
         threads: usize,
-        shuffle: Option<u64>,
-        telemetry: Option<Arc<crate::telemetry::Telemetry>>,
-    ) -> Self {
-        Self::build(vfs, threads, shuffle, telemetry)
-    }
-
-    fn build(
-        vfs: Arc<dyn Vfs>,
-        threads: usize,
-        shuffle: Option<u64>,
-        telemetry: Option<Arc<crate::telemetry::Telemetry>>,
+        shuffle_seed: Option<u64>,
+        telemetry: Option<Arc<Telemetry>>,
     ) -> Self {
         let shared = Arc::new(Shared {
-            state: Mutex::new(RingState {
+            state: Mutex::new(PoolState {
                 queue: VecDeque::new(),
-                completions: Vec::new(),
-                in_flight: 0,
-                next_id: 0,
+                running: 0,
                 shutdown: false,
-                shuffle,
             }),
             work: Condvar::new(),
-            done: Condvar::new(),
-            epoch: std::time::Instant::now(),
+            finished: Condvar::new(),
             telemetry,
         });
         let workers = (0..threads.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let vfs = Arc::clone(&vfs);
                 std::thread::Builder::new()
                     .name(format!("flowkv-ioring-{i}"))
-                    .spawn(move || worker_loop(shared, vfs))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn ioring worker")
             })
             .collect();
         IoRing {
             shared,
-            vfs,
+            shuffle_seed,
             workers,
         }
     }
 
-    /// The VFS the ring's jobs run against.
-    pub fn vfs(&self) -> &Arc<dyn Vfs> {
-        &self.vfs
-    }
-
-    /// Queues `job` under `tag` and returns its submission id. The
-    /// submitting thread's active trace context (if any) rides along so
-    /// the job's span links back to the store call that issued it.
-    pub fn submit(&self, tag: u64, job: IoJob) -> u64 {
-        let submit_nanos = self.shared.epoch.elapsed().as_nanos() as u64;
-        let ctx = crate::trace::current();
+    /// Queues `job`. The submitting thread's active trace context (if
+    /// any) rides along so the job's span links back to the store call
+    /// that issued it. `job` must not unwind — a lane's jobs capture
+    /// their own panics — or it takes its pool thread down with it.
+    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
+        let queued = Queued {
+            job: Box::new(job),
+            submitted: Instant::now(),
+            ctx: crate::trace::current(),
+        };
         let mut st = self.shared.state.lock().expect("ioring lock");
-        let id = st.next_id;
-        st.next_id += 1;
-        st.queue.push_back(QueuedJob {
-            id,
-            tag,
-            job,
-            submit_nanos,
-            ctx,
-        });
+        st.queue.push_back(queued);
         drop(st);
         self.shared.work.notify_one();
-        id
     }
 
-    /// Removes and returns every finished completion for `tag` without
-    /// blocking. Jobs still queued or running are left alone.
-    pub fn drain_tag(&self, tag: u64) -> Vec<Completion> {
-        let mut st = self.shared.state.lock().expect("ioring lock");
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < st.completions.len() {
-            if st.completions[i].tag == tag {
-                out.push(st.completions.remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        out
-    }
-
-    /// Blocks until submission `id` completes and returns it.
-    pub fn wait(&self, id: u64) -> Completion {
-        let mut st = self.shared.state.lock().expect("ioring lock");
-        loop {
-            if let Some(pos) = st.completions.iter().position(|c| c.id == id) {
-                return st.completions.remove(pos);
-            }
-            st = self.shared.done.wait(st).expect("ioring wait");
-        }
-    }
-
-    /// Blocks until nothing is queued or running. Finished completions
-    /// are left in place for `drain_tag`/`wait`.
+    /// Blocks until nothing is queued or running.
     pub fn wait_idle(&self) {
         let mut st = self.shared.state.lock().expect("ioring lock");
-        while !st.queue.is_empty() || st.in_flight > 0 {
-            st = self.shared.done.wait(st).expect("ioring idle");
+        while !st.queue.is_empty() || st.running > 0 {
+            st = self.shared.finished.wait(st).expect("ioring idle");
         }
     }
 
-    /// Submissions queued or running (completions not yet drained do not
-    /// count).
+    /// Jobs queued or running.
     pub fn pending(&self) -> usize {
         let st = self.shared.state.lock().expect("ioring lock");
-        st.queue.len() + st.in_flight
+        st.queue.len() + st.running
+    }
+}
+
+impl std::fmt::Debug for IoRing {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IoRing")
+            .field("threads", &self.workers.len())
+            .field("shuffle_seed", &self.shuffle_seed)
+            .finish()
     }
 }
 
 impl Drop for IoRing {
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().expect("ioring lock");
+        if let Ok(mut st) = self.shared.state.lock() {
             st.shutdown = true;
         }
         self.shared.work.notify_all();
@@ -332,36 +173,40 @@ impl Drop for IoRing {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, vfs: Arc<dyn Vfs>) {
-    // Resolved lazily because the tracer is typically installed on the
-    // telemetry handle after the backend (and its ring) was built.
-    let mut recorder: Option<Arc<crate::trace::SpanRecorder>> = None;
-    let queue_delay = shared
-        .telemetry
-        .as_ref()
-        .map(|t| t.registry().histogram("prefetch_queue_delay_nanos"));
+/// The next queued job, or `None` once the pool shuts down with nothing
+/// left to run.
+fn next_job(shared: &Shared) -> Option<Queued> {
+    let mut st = shared.state.lock().expect("ioring lock");
     loop {
-        let queued = {
-            let mut st = shared.state.lock().expect("ioring lock");
-            loop {
-                if let Some(job) = st.queue.pop_front() {
-                    st.in_flight += 1;
-                    break job;
-                }
-                if st.shutdown {
-                    return;
-                }
-                st = shared.work.wait(st).expect("ioring worker wait");
-            }
-        };
-        let QueuedJob {
-            id,
-            tag,
-            job,
-            submit_nanos,
-            ctx,
-        } = queued;
-        let start_nanos = shared.epoch.elapsed().as_nanos() as u64;
+        if let Some(queued) = st.queue.pop_front() {
+            st.running += 1;
+            return Some(queued);
+        }
+        if st.shutdown {
+            return None;
+        }
+        st = shared.work.wait(st).expect("ioring worker wait");
+    }
+}
+
+fn worker_loop(shared: &Shared) {
+    // Resolved lazily because the tracer is typically installed on the
+    // telemetry handle after the pool was built.
+    let mut recorder: Option<Arc<crate::trace::SpanRecorder>> = None;
+    let queue_delay =
+        (shared.telemetry.as_ref()).map(|t| t.registry().histogram("prefetch_queue_delay_nanos"));
+    while let Some(Queued {
+        job,
+        submitted,
+        ctx,
+    }) = next_job(shared)
+    {
+        let delay = submitted.elapsed().as_nanos() as u64;
+        // Recorded before the job runs: the job's own delivery is what
+        // wakes its waiter.
+        if let Some(h) = &queue_delay {
+            h.record(delay);
+        }
         let span = ctx.and_then(|ctx| {
             if recorder.is_none() {
                 recorder = shared.telemetry.as_ref().and_then(|t| t.trace()).map(|h| {
@@ -372,65 +217,17 @@ fn worker_loop(shared: Arc<Shared>, vfs: Arc<dyn Vfs>) {
                     h.thread(&name)
                 });
             }
-            recorder.as_ref().map(|rec| {
-                rec.begin_with(
-                    "io_job",
-                    "io",
-                    Some(ctx),
-                    vec![
-                        ("job", id as i64),
-                        ("tag", tag as i64),
-                        (
-                            "queue_delay",
-                            start_nanos.saturating_sub(submit_nanos) as i64,
-                        ),
-                    ],
-                )
-            })
+            let args = vec![("queue_delay", delay as i64)];
+            (recorder.as_ref()).map(|rec| rec.begin_with("io_job", "io", Some(ctx), args))
         });
-        let outcome = match catch_unwind(AssertUnwindSafe(|| job(&vfs))) {
-            Ok(Ok(payload)) => IoOutcome::Ok(payload),
-            Ok(Err(e)) => IoOutcome::Err(e),
-            Err(payload) => IoOutcome::Panicked(payload),
-        };
-        let done_nanos = shared.epoch.elapsed().as_nanos() as u64;
+        job();
         if let (Some(span), Some(rec)) = (span, recorder.as_ref()) {
-            rec.end_with(
-                span,
-                "io_job",
-                "io",
-                vec![("ok", matches!(outcome, IoOutcome::Ok(_)) as i64)],
-            );
-        }
-        if let Some(h) = &queue_delay {
-            h.record(start_nanos.saturating_sub(submit_nanos));
+            rec.end(span, "io_job", "io");
         }
         let mut st = shared.state.lock().expect("ioring lock");
-        st.in_flight -= 1;
-        let completion = Completion {
-            id,
-            tag,
-            outcome,
-            submit_nanos,
-            start_nanos,
-            done_nanos,
-        };
-        match st.shuffle {
-            Some(ref mut seed) => {
-                // SplitMix64 step, mirroring vfs::FaultPlan's generator, so
-                // reorder tests are reproducible from a single seed.
-                *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = *seed;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^= z >> 31;
-                let pos = (z as usize) % (st.completions.len() + 1);
-                st.completions.insert(pos, completion);
-            }
-            None => st.completions.push(completion),
-        }
+        st.running -= 1;
         drop(st);
-        shared.done.notify_all();
+        shared.finished.notify_all();
     }
 }
 
@@ -497,46 +294,103 @@ fn as_io_error(e: crate::error::StoreError) -> io::Error {
     io::Error::other(e.to_string())
 }
 
-/// Wraps a typed lane job as a ring job.
-fn erase<R: Send + 'static>(
+/// What a job on the pool left: its result, or the panic it unwound with.
+type Outcome<T> = Result<io::Result<T>, Box<dyn Any + Send>>;
+
+/// The result of `outcome`, re-raising a captured panic on the calling
+/// thread — which is what keeps injected crash faults deterministic.
+fn settle<T>(outcome: Outcome<T>) -> io::Result<T> {
+    outcome.unwrap_or_else(|payload| resume_unwind(payload))
+}
+
+/// Finished jobs by submission id, in delivery order, and the condvar
+/// their waiters block on.
+struct Completions<T> {
+    landed: Mutex<Landed<T>>,
+    arrived: Condvar,
+}
+
+struct Landed<T> {
+    done: Vec<(u64, Outcome<T>)>,
+    /// SplitMix64 state when delivery is at seeded positions.
+    shuffle: Option<u64>,
+}
+
+impl<T> Completions<T> {
+    fn new(shuffle: Option<u64>) -> Arc<Self> {
+        Arc::new(Completions {
+            landed: Mutex::new(Landed {
+                done: Vec::new(),
+                shuffle,
+            }),
+            arrived: Condvar::new(),
+        })
+    }
+
+    /// Files job `id`'s outcome: last, or at a seeded position among
+    /// those already waiting.
+    fn deliver(&self, id: u64, outcome: Outcome<T>) {
+        let mut guard = self.landed.lock().expect("lane completions lock");
+        let landed = &mut *guard;
+        let pos = match &mut landed.shuffle {
+            Some(seed) => {
+                // SplitMix64 step, mirroring vfs::FaultPlan's generator, so
+                // reorder tests are reproducible from a single seed.
+                *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = *seed;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^= z >> 31;
+                (z as usize) % (landed.done.len() + 1)
+            }
+            None => landed.done.len(),
+        };
+        landed.done.insert(pos, (id, outcome));
+        drop(guard);
+        self.arrived.notify_all();
+    }
+
+    /// Blocks until `pick` takes something from the landed outcomes.
+    fn take<R>(&self, mut pick: impl FnMut(&mut Vec<(u64, Outcome<T>)>) -> Option<R>) -> R {
+        let mut landed = self.landed.lock().expect("lane completions lock");
+        loop {
+            if let Some(taken) = pick(&mut landed.done) {
+                return taken;
+            }
+            landed = self.arrived.wait(landed).expect("lane completions wait");
+        }
+    }
+}
+
+/// Queues `job` on `ring` against `vfs`. Its outcome — result or panic,
+/// captured once — lands in `done` under `id`.
+fn enqueue<R: Send + 'static>(
+    ring: &IoRing,
+    vfs: &Arc<dyn Vfs>,
+    done: &Arc<Completions<R>>,
+    id: u64,
     job: impl FnOnce(&Arc<dyn Vfs>) -> crate::error::Result<R> + Send + 'static,
-) -> IoJob {
-    Box::new(move |vfs| match job(vfs) {
-        Ok(payload) => Ok(Box::new(payload) as Box<dyn Any + Send>),
-        Err(e) => Err(as_io_error(e)),
-    })
+) {
+    let (vfs, done) = (Arc::clone(vfs), Arc::clone(done));
+    ring.submit(move || {
+        let outcome = catch_unwind(AssertUnwindSafe(|| job(&vfs).map_err(as_io_error)));
+        done.deliver(id, outcome);
+    });
 }
 
-/// Unwraps a completion of an [`erase`]d job, re-raising a captured
-/// panic on the calling thread.
-fn unerase<R: 'static>(completion: Completion) -> io::Result<R> {
-    completion.into_result().map(|payload| {
-        *payload
-            .downcast::<R>()
-            .expect("lane completion carries the payload type its job returned")
-    })
-}
-
-/// Where a lane's jobs run.
-enum Pool {
-    /// On the threads of a (possibly shared) ring, against its VFS.
-    Ring(Arc<IoRing>),
-    /// On the calling thread, against this VFS: the lane of width zero.
-    Inline(Arc<dyn Vfs>),
-}
-
-/// One store's read-ahead lane on a (possibly shared) [`IoRing`].
+/// One store's read-ahead lane, on the threads of its worker's
+/// [`IoRing`] when it has one.
 ///
 /// The lane owns everything about a background read that is not the
-/// store's own business: the ring handle and routing tag, which keys
+/// store's own business: the `Vfs` its jobs read through, which keys
 /// (`K`: a window, a `(key, window)` pair, a block) have a read in
 /// flight and how many bytes those reads are expected to bring, the
-/// horizon and byte budget that bound read-ahead, collecting finished
-/// reads, and the `prefetch_*` accounting. Payloads (`T`) are a bag:
-/// they arrive in any order and the store must validate each against
-/// its current state before installing it.
+/// horizon and byte budget that bound read-ahead, the queue its finished
+/// reads land in, and the `prefetch_*` accounting. Payloads (`T`) are a
+/// bag: they arrive in any order and the store must validate each
+/// against its current state before installing it.
 ///
-/// The lane is also the one place that knows whether a ring exists. A
+/// The lane is also the one place that knows whether a pool exists. A
 /// lane [without threads](Lane::inline) has width zero: it admits no
 /// read-ahead, so nothing is ever in flight, and a read-through job
 /// runs on the calling thread — the same closure against the same
@@ -544,42 +398,44 @@ enum Pool {
 /// hold a plain `Lane` and never ask which kind they have.
 ///
 /// A panic captured on a pool thread (an injected crash fault)
-/// re-raises on the calling thread from whichever method consumes that
-/// completion, after the lane's own bookkeeping is unwound.
+/// re-raises on the calling thread from whichever method collects that
+/// read, after the lane's own bookkeeping is unwound.
 pub struct Lane<K, T> {
-    pool: Pool,
-    tag: u64,
+    vfs: Arc<dyn Vfs>,
+    ring: Option<Arc<IoRing>>,
+    done: Arc<Completions<T>>,
+    next_id: u64,
     /// Submission id → (keys the read covers, estimated bytes).
     inflight: HashMap<u64, (Vec<K>, u64)>,
     /// Key → the submission covering it.
     by_key: HashMap<K, u64>,
     inflight_bytes: u64,
     probe: Option<PrefetchProbe>,
-    _payload: PhantomData<fn() -> T>,
 }
 
 impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
-    /// A lane submitting to `ring` under routing tag `tag`.
-    pub fn new(ring: Arc<IoRing>, tag: u64) -> Self {
-        Self::on(Pool::Ring(ring), tag)
-    }
-
     /// A lane without threads over `vfs`: no read-ahead, and every
     /// read-through job runs on the caller's thread.
     pub fn inline(vfs: Arc<dyn Vfs>) -> Self {
-        Self::on(Pool::Inline(vfs), 0)
-    }
-
-    fn on(pool: Pool, tag: u64) -> Self {
         Lane {
-            pool,
-            tag,
+            vfs,
+            ring: None,
+            done: Completions::new(None),
+            next_id: 0,
             inflight: HashMap::new(),
             by_key: HashMap::new(),
             inflight_bytes: 0,
             probe: None,
-            _payload: PhantomData,
         }
+    }
+
+    /// Gives the lane the threads of `ring`: from now on it reads ahead,
+    /// and read-through jobs run on the pool, still against the lane's
+    /// own `Vfs`.
+    pub fn attach(&mut self, ring: Arc<IoRing>) {
+        assert!(self.is_idle(), "a lane changes pools only when idle");
+        self.done = Completions::new(ring.shuffle_seed);
+        self.ring = Some(ring);
     }
 
     /// Counts this lane's submissions and waste on `probe`.
@@ -597,8 +453,7 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
     /// lane without threads admits nothing, not even `admits(0, 0)` —
     /// which is how a store asks whether read-ahead is worth planning.
     pub fn admits(&self, resident: u64, est_bytes: u64) -> bool {
-        matches!(self.pool, Pool::Ring(_))
-            && resident + self.inflight_bytes + est_bytes <= PREFETCH_BUDGET_BYTES
+        self.ring.is_some() && resident + self.inflight_bytes + est_bytes <= PREFETCH_BUDGET_BYTES
     }
 
     /// The byte budget itself: what a store without a ring, whose reads
@@ -619,7 +474,7 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
 
     /// Submits one background read covering `keys`, expected to bring
     /// about `est_bytes`. The job runs on a pool thread against the
-    /// ring's VFS and must not touch store state. Read-ahead is
+    /// lane's VFS and must not touch store state. Read-ahead is
     /// advisory, so a lane without threads refuses: the job is dropped
     /// unrun and nothing is ever in flight.
     pub fn submit(
@@ -628,10 +483,12 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
         est_bytes: u64,
         job: impl FnOnce(&Arc<dyn Vfs>) -> crate::error::Result<T> + Send + 'static,
     ) {
-        let Pool::Ring(ring) = &self.pool else {
+        let Some(ring) = &self.ring else {
             return;
         };
-        let id = ring.submit(self.tag, erase(job));
+        let id = self.next_id;
+        self.next_id += 1;
+        enqueue(ring, &self.vfs, &self.done, id, job);
         if let Some(p) = &self.probe {
             p.issued.add(keys.len() as u64);
         }
@@ -642,26 +499,19 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
         self.inflight_bytes += est_bytes;
     }
 
-    /// The ring behind a read in flight: only a lane with one admits a
-    /// submission.
-    fn ring(&self) -> &IoRing {
-        match &self.pool {
-            Pool::Ring(ring) => ring,
-            Pool::Inline(_) => unreachable!("a read in flight implies a ring"),
+    /// Drops the bookkeeping of the submissions `done` finishes, then
+    /// settles them in order.
+    fn settle_all(&mut self, done: Vec<(u64, Outcome<T>)>) -> Vec<io::Result<T>> {
+        for (id, _) in &done {
+            let (keys, est_bytes) = self.inflight.remove(id).expect("a lane read in flight");
+            for key in &keys {
+                self.by_key.remove(key);
+            }
+            self.inflight_bytes -= est_bytes;
         }
-    }
-
-    /// Drops the bookkeeping of submission `id`; false when the lane
-    /// never tracked it.
-    fn forget(&mut self, id: u64) -> bool {
-        let Some((keys, est_bytes)) = self.inflight.remove(&id) else {
-            return false;
-        };
-        for key in &keys {
-            self.by_key.remove(key);
-        }
-        self.inflight_bytes -= est_bytes;
-        true
+        done.into_iter()
+            .map(|(_, outcome)| settle(outcome))
+            .collect()
     }
 
     /// Collects every finished read without blocking. An `Err` is a
@@ -671,29 +521,29 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
         if self.is_idle() {
             return Vec::new();
         }
-        let mut done = self.ring().drain_tag(self.tag);
-        done.retain(|c| self.forget(c.id));
-        done.into_iter().map(unerase).collect()
+        let done = self.done.take(|done| Some(std::mem::take(done)));
+        self.settle_all(done)
     }
 
     /// Blocks until the read covering `key` finishes and returns it, or
     /// `None` when no outstanding submission covers `key`.
     pub fn wait_for(&mut self, key: &K) -> Option<io::Result<T>> {
         let id = *self.by_key.get(key)?;
-        let completion = self.ring().wait(id);
-        self.forget(id);
-        Some(unerase(completion))
+        let landed = self.done.take(|done| {
+            let pos = done.iter().position(|(landed, _)| *landed == id)?;
+            Some(done.remove(pos))
+        });
+        self.settle_all(vec![landed]).pop()
     }
 
     /// Blocks until every outstanding read finishes and returns them
     /// all — for callers about to move the bytes those reads target.
     pub fn wait_all(&mut self) -> Vec<io::Result<T>> {
-        let ids: Vec<u64> = self.inflight.keys().copied().collect();
-        let done: Vec<Completion> = ids.into_iter().map(|id| self.ring().wait(id)).collect();
-        self.inflight.clear();
-        self.by_key.clear();
-        self.inflight_bytes = 0;
-        done.into_iter().map(unerase).collect()
+        let outstanding = self.inflight.len();
+        let done = self
+            .done
+            .take(|done| (done.len() == outstanding).then(|| std::mem::take(done)));
+        self.settle_all(done)
     }
 
     /// Waits out every outstanding read and discards the payloads as
@@ -746,19 +596,24 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
     where
         J: FnOnce(&Arc<dyn Vfs>) -> crate::error::Result<R> + Send + 'static,
     {
-        match &self.pool {
-            Pool::Inline(vfs) => jobs
-                .into_iter()
-                .map(|job| job(vfs).map_err(as_io_error))
-                .collect(),
-            Pool::Ring(ring) => {
-                let ids: Vec<u64> = jobs
-                    .into_iter()
-                    .map(|job| ring.submit(self.tag, erase(job)))
-                    .collect();
-                ids.into_iter().map(|id| unerase(ring.wait(id))).collect()
-            }
+        let Some(ring) = &self.ring else {
+            let run = |job: J| job(&self.vfs).map_err(as_io_error);
+            return jobs.into_iter().map(run).collect();
+        };
+        // These reads are waited for here, so they land in a queue of
+        // their own, never among the lane's read-ahead.
+        let done = Completions::new(None);
+        let mut submitted = 0;
+        for (i, job) in jobs.into_iter().enumerate() {
+            enqueue(ring, &self.vfs, &done, i as u64, job);
+            submitted += 1;
         }
+        let mut landed = done.take(|d| (d.len() == submitted).then(|| std::mem::take(d)));
+        landed.sort_unstable_by_key(|(i, _)| *i);
+        landed
+            .into_iter()
+            .map(|(_, outcome)| settle(outcome))
+            .collect()
     }
 }
 
@@ -766,93 +621,118 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
 mod tests {
     use super::*;
     use crate::vfs::StdVfs;
+    use std::sync::mpsc;
+
+    impl<K, T> Lane<K, T> {
+        /// The pool a test lane runs on.
+        fn ring(&self) -> &IoRing {
+            self.ring.as_deref().expect("a lane with threads")
+        }
+    }
 
     fn ring(threads: usize) -> IoRing {
-        IoRing::new(StdVfs::shared(), threads)
+        IoRing::new(threads, None, None)
+    }
+
+    /// A lane over `vfs` on the threads of `ring`.
+    fn lane_on<K: Hash + Eq + Clone, T: Send + 'static>(
+        vfs: Arc<dyn Vfs>,
+        ring: IoRing,
+    ) -> Lane<K, T> {
+        let mut lane = Lane::inline(vfs);
+        lane.attach(Arc::new(ring));
+        lane
+    }
+
+    fn lane(threads: usize) -> Lane<u32, u64> {
+        lane_on(StdVfs::shared(), ring(threads))
+    }
+
+    /// A job that blocks its pool thread until the returned sender fires.
+    fn gated(
+        payload: u64,
+    ) -> (
+        mpsc::Sender<()>,
+        impl FnOnce(&Arc<dyn Vfs>) -> crate::error::Result<u64>,
+    ) {
+        let (open, gate) = mpsc::channel::<()>();
+        (open, move |_vfs: &Arc<dyn Vfs>| {
+            gate.recv().expect("the test opens the gate");
+            Ok(payload)
+        })
     }
 
     #[test]
-    fn submit_and_drain_by_tag() {
-        let r = ring(2);
-        for i in 0..4u64 {
-            r.submit(i % 2, Box::new(move |_vfs| Ok(Box::new(i) as _)));
-        }
-        let mut even: Vec<u64> = Vec::new();
-        while even.len() < 2 {
-            for c in r.drain_tag(0) {
-                even.push(*c.into_result().unwrap().downcast::<u64>().unwrap());
-            }
-        }
-        even.sort_unstable();
-        assert_eq!(even, vec![0, 2]);
-        r.wait_idle();
-        assert!(r.drain_tag(0).is_empty());
-        assert_eq!(r.drain_tag(1).len(), 2);
+    fn lane_drain_takes_only_finished_reads() {
+        let mut l = lane(2);
+        let (open, slow) = gated(1);
+        l.submit(vec![1], 10, slow);
+        l.submit(vec![2], 10, |_vfs| Ok(2));
+        assert_eq!(l.wait_for(&2).unwrap().unwrap(), 2);
+        // The gated read is still running: drain leaves it in flight.
+        assert!(l.drain().is_empty());
+        assert!(l.covers(&1) && !l.is_idle());
+        open.send(()).unwrap();
+        l.ring().wait_idle();
+        let got: Vec<u64> = l.drain().into_iter().map(Result::unwrap).collect();
+        assert_eq!(got, vec![1]);
+        assert!(l.is_idle() && l.drain().is_empty());
     }
 
     #[test]
-    fn wait_blocks_for_specific_id() {
-        let r = ring(1);
-        let slow = r.submit(
-            7,
-            Box::new(|_vfs| {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                Ok(Box::new("slow".to_string()) as _)
-            }),
-        );
-        let fast = r.submit(7, Box::new(|_vfs| Ok(Box::new("fast".to_string()) as _)));
-        let c = r.wait(fast);
-        assert_eq!(
-            *c.into_result().unwrap().downcast::<String>().unwrap(),
-            "fast"
-        );
-        let c = r.wait(slow);
-        assert_eq!(
-            *c.into_result().unwrap().downcast::<String>().unwrap(),
-            "slow"
-        );
+    fn lane_wait_for_blocks_until_its_read_lands() {
+        let mut l = lane(1);
+        let (open, slow) = gated(1);
+        l.submit(vec![1], 10, slow);
+        l.submit(vec![2], 10, |_vfs| Ok(2));
+        std::thread::scope(|s| {
+            s.spawn(move || open.send(()).unwrap());
+            // One pool thread runs reads in order: key 2 lands only after
+            // the gated read on key 1, which the wait must step over.
+            assert_eq!(l.wait_for(&2).unwrap().unwrap(), 2);
+        });
+        assert!(l.covers(&1) && !l.covers(&2));
+        assert_eq!(l.wait_for(&1).unwrap().unwrap(), 1);
+        assert!(l.is_idle());
     }
 
     #[test]
     fn panics_are_captured_and_re_raised() {
-        let r = ring(1);
-        let id = r.submit(0, Box::new(|_vfs| panic!("flowkv-fault: injected crash")));
-        let c = r.wait(id);
-        assert!(matches!(c.outcome, IoOutcome::Panicked(_)));
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let _ = c.into_result();
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+        let l = lane(1);
+        let msg = panic_message(|| {
+            let _ = l.read_through(|_vfs| -> crate::error::Result<u64> {
+                panic!("flowkv-fault: injected crash")
+            });
+        });
         assert_eq!(msg, "flowkv-fault: injected crash");
+        // The panic unwound the job, not its pool thread.
+        assert_eq!(l.read_through(|_vfs| Ok(5)).unwrap(), 5);
     }
 
     #[test]
     fn io_errors_surface_as_err() {
-        let r = ring(1);
-        let id = r.submit(
-            0,
-            Box::new(|vfs| {
-                vfs.read(std::path::Path::new("/definitely/not/here.aurd"))?;
-                Ok(Box::new(()) as _)
-            }),
-        );
-        let c = r.wait(id);
-        assert!(c.into_result().is_err());
+        let mut l = lane(1);
+        l.submit(vec![1], 10, |vfs| {
+            let path = std::path::Path::new("/definitely/not/here.aurd");
+            vfs.read(path)
+                .map_err(|e| crate::error::StoreError::io_at("lane test read", path, e))?;
+            Ok(0)
+        });
+        l.ring().wait_idle();
+        let err = l.drain().pop().unwrap().unwrap_err();
+        assert!(err.to_string().contains("lane test read"), "{err}");
+        assert!(l.is_idle());
     }
 
     #[test]
     fn shuffled_completion_order_is_deterministic() {
         let order = |seed: u64| -> Vec<u64> {
-            let r = IoRing::with_shuffle_seed(StdVfs::shared(), 1, seed);
+            let mut l: Lane<u64, u64> = lane_on(StdVfs::shared(), IoRing::new(1, Some(seed), None));
             for i in 0..8u64 {
-                r.submit(0, Box::new(move |_vfs| Ok(Box::new(i) as _)));
+                l.submit(vec![i], 1, move |_vfs| Ok(i));
             }
-            r.wait_idle();
-            r.drain_tag(0)
-                .into_iter()
-                .map(|c| *c.into_result().unwrap().downcast::<u64>().unwrap())
-                .collect()
+            l.ring().wait_idle();
+            l.drain().into_iter().map(Result::unwrap).collect()
         };
         // One pool thread finishes jobs in submission order, so any
         // deviation below comes from the seeded insert position.
@@ -861,41 +741,44 @@ mod tests {
     }
 
     #[test]
-    fn completions_carry_lifecycle_timestamps() {
-        let telemetry = crate::telemetry::Telemetry::new_shared();
-        let r = IoRing::with_telemetry(StdVfs::shared(), 1, None, Some(Arc::clone(&telemetry)));
-        // One slow job holds the single pool thread so the second job
-        // accrues measurable queue delay.
-        r.submit(
-            0,
-            Box::new(|_vfs| {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                Ok(Box::new(()) as _)
-            }),
+    fn queue_delay_is_recorded_per_job() {
+        let telemetry = Telemetry::new_shared();
+        let mut l: Lane<u32, u64> = lane_on(
+            StdVfs::shared(),
+            IoRing::new(1, None, Some(Arc::clone(&telemetry))),
         );
-        let id = r.submit(0, Box::new(|_vfs| Ok(Box::new(()) as _)));
-        let c = r.wait(id);
-        assert!(c.submit_nanos <= c.start_nanos);
-        assert!(c.start_nanos <= c.done_nanos);
-        assert!(c.queue_delay_nanos() >= 5_000_000, "second job waited");
+        // The gated read holds the single pool thread, so the second
+        // read queues behind it for at least the time the gate stays shut.
+        let (open, slow) = gated(1);
+        l.submit(vec![1], 10, slow);
+        let queued = Instant::now();
+        l.submit(vec![2], 10, |_vfs| Ok(2));
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        open.send(()).unwrap();
+        l.ring().wait_idle();
         let snap = telemetry
             .registry()
             .histogram("prefetch_queue_delay_nanos")
             .snapshot();
-        assert!(snap.count >= 2);
+        assert_eq!(snap.count, 2);
+        assert!(snap.max >= 5_000_000, "the second read waited");
+        assert!(snap.max <= queued.elapsed().as_nanos() as u64);
     }
 
     #[test]
     fn traced_submission_records_io_span() {
-        let telemetry = crate::telemetry::Telemetry::new_shared();
+        let telemetry = Telemetry::new_shared();
         let tracer = crate::trace::Tracer::new();
         telemetry.set_trace(crate::trace::TraceHandle {
             tracer: Arc::clone(&tracer),
             pid: 0,
         });
-        let r = IoRing::with_telemetry(StdVfs::shared(), 1, None, Some(Arc::clone(&telemetry)));
+        let mut l: Lane<u32, u64> = lane_on(
+            StdVfs::shared(),
+            IoRing::new(1, None, Some(Arc::clone(&telemetry))),
+        );
         let rec = tracer.thread(0, "submitter");
-        let id = {
+        {
             let _scope = crate::trace::enter(
                 &rec,
                 crate::trace::TraceCtx {
@@ -904,9 +787,9 @@ mod tests {
                     born: 0,
                 },
             );
-            r.submit(1, Box::new(|_vfs| Ok(Box::new(()) as _)))
-        };
-        let _ = r.wait(id);
+            l.submit(vec![1], 10, |_vfs| Ok(1));
+        }
+        l.ring().wait_idle();
         let threads = tracer.snapshot();
         let io = threads
             .iter()
@@ -917,31 +800,24 @@ mod tests {
         assert_eq!(io.parent, 4);
         // Untraced submissions stay silent.
         let before: usize = tracer.snapshot().iter().map(|t| t.events.len()).sum();
-        let id = r.submit(1, Box::new(|_vfs| Ok(Box::new(()) as _)));
-        let _ = r.wait(id);
+        l.read_through(|_vfs| Ok(())).unwrap();
+        l.ring().wait_idle();
         let after: usize = tracer.snapshot().iter().map(|t| t.events.len()).sum();
         assert_eq!(before, after);
     }
 
     #[test]
     fn wait_idle_waits_for_running_jobs() {
-        let r = ring(2);
-        for _ in 0..6 {
-            r.submit(
-                3,
-                Box::new(|_vfs| {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                    Ok(Box::new(()) as _)
-                }),
-            );
+        let mut l = lane(2);
+        for i in 0..6 {
+            l.submit(vec![i], 1, |_vfs| {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                Ok(0)
+            });
         }
-        r.wait_idle();
-        assert_eq!(r.pending(), 0);
-        assert_eq!(r.drain_tag(3).len(), 6);
-    }
-
-    fn lane(threads: usize) -> Lane<u32, u64> {
-        Lane::new(Arc::new(ring(threads)), 9)
+        l.ring().wait_idle();
+        assert_eq!(l.ring().pending(), 0);
+        assert_eq!(l.drain().len(), 6);
     }
 
     /// The panic message `f` unwinds with.
@@ -1044,7 +920,7 @@ mod tests {
         job: impl Fn(&Arc<dyn Vfs>) -> crate::error::Result<R> + Clone + Send + 'static,
     ) -> [io::Result<R>; 2] {
         let inline: Lane<u32, u64> = Lane::inline(vfs());
-        let pooled: Lane<u32, u64> = Lane::new(Arc::new(IoRing::new(vfs(), 1)), 9);
+        let pooled: Lane<u32, u64> = lane_on(vfs(), ring(1));
         [inline.read_through(job.clone()), pooled.read_through(job)]
     }
 
@@ -1090,7 +966,7 @@ mod tests {
         let crashing =
             || -> Arc<dyn Vfs> { FaultVfs::new(StdVfs::shared(), FaultPlan::crash_at(1)) };
         let inline: Lane<u32, u64> = Lane::inline(crashing());
-        let pooled: Lane<u32, u64> = Lane::new(Arc::new(IoRing::new(crashing(), 1)), 9);
+        let pooled: Lane<u32, u64> = lane_on(crashing(), ring(1));
         for lane in [inline, pooled] {
             let msg = panic_message(|| {
                 let _ = lane.read_through(|vfs| Ok(vfs.read(std::path::Path::new("/x")).is_ok()));
@@ -1125,13 +1001,13 @@ mod tests {
 
     #[test]
     fn lane_payloads_arrive_intact_under_shuffled_completions() {
-        let shuffled = IoRing::with_shuffle_seed(StdVfs::shared(), 1, 42);
-        let mut l: Lane<u64, (u64, Vec<u8>)> = Lane::new(Arc::new(shuffled), 0);
+        let shuffled = IoRing::new(1, Some(42), None);
+        let mut l: Lane<u64, (u64, Vec<u8>)> = lane_on(StdVfs::shared(), shuffled);
         for i in 0..8u64 {
             l.submit(vec![i], 1, move |_vfs| Ok((i, vec![i as u8; 4])));
         }
-        // A read-through sharing the lane's tag is never mistaken for
-        // one of its background reads.
+        // A read-through on the same lane is never mistaken for one of
+        // its background reads.
         let through = l.read_through_each((0..3u8).map(|i| move |_vfs: &Arc<dyn Vfs>| Ok(i)));
         let through: Vec<u8> = through.into_iter().map(Result::unwrap).collect();
         assert_eq!(through, vec![0, 1, 2]);

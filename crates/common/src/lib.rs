@@ -26,10 +26,10 @@
 //! - [`telemetry`] — the pipeline-wide metric registry (counters, gauges,
 //!   log-linear histograms), bounded-ring flight recorder, and the JSONL
 //!   and Prometheus exposition formats.
-//! - [`ioring`] — the per-worker background I/O ring: a completion-queue
-//!   submission API over a small thread pool bound to the [`vfs`] seam,
-//!   used to move predictable reads (prefetch, warm-up, snapshots) off
-//!   the hot path without changing observable semantics.
+//! - [`ioring`] — the per-worker background I/O pool and the read-ahead
+//!   lanes that run store reads on it through the [`vfs`] seam, used to
+//!   move predictable reads (prefetch, warm-up, snapshots) off the hot
+//!   path without changing observable semantics.
 //! - [`trace`] — causal span tracing: per-thread bounded span rings, a
 //!   sampled per-batch trace context that propagates through stores and
 //!   the I/O ring, Chrome trace-event export (Perfetto-loadable), and
@@ -57,7 +57,7 @@ pub mod vfs;
 
 pub use backend::StateBackend;
 pub use error::{Result, StoreError};
-pub use ioring::{Completion, IoJob, IoOutcome, IoPolicy, IoRing};
+pub use ioring::IoRing;
 pub use registry::{StateKey, StatePattern, StateRegistry, StateView, ViewValue};
 pub use telemetry::{
     Counter, FlightRecorder, Gauge, Histogram, HistogramSnapshot, MetricRegistry, MetricSample,

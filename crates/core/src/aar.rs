@@ -257,13 +257,9 @@ impl AarStore {
         })
     }
 
-    /// Attaches the worker's background I/O ring; `tag` routes this
-    /// instance's completions.
-    pub fn with_ring(mut self, ring: Arc<IoRing>, tag: u64) -> Self {
-        self.lane = Lane::new(ring, tag);
-        if let Some(p) = &self.prefetch_probe {
-            self.lane.set_probe(p.clone());
-        }
+    /// Attaches the worker's background I/O ring.
+    pub fn with_ring(mut self, ring: Arc<IoRing>) -> Self {
+        self.lane.attach(ring);
         self
     }
 
@@ -921,8 +917,8 @@ mod tests {
 
     fn ring_store(dir: &Path) -> (AarStore, Arc<IoRing>) {
         let s = store(dir);
-        let ring = Arc::new(IoRing::new(s.vfs.clone(), 2));
-        let s = s.with_ring(ring.clone(), 3);
+        let ring = Arc::new(IoRing::new(2, None, None));
+        let s = s.with_ring(ring.clone());
         (s, ring)
     }
 

@@ -171,7 +171,7 @@ pub struct AurStore {
     ett_probe: Option<EttProbe>,
     vfs: Arc<dyn Vfs>,
     /// Read-ahead lane keyed by `(key, window)`: without threads until
-    /// [`AurStore::with_ring`] attaches the owning backend's I/O ring
+    /// [`AurStore::with_ring`] attaches the worker's I/O ring
     /// (every read synchronous — the default, and the reference
     /// semantics).
     lane: Lane<StateKey, AsyncBatch>,
@@ -322,16 +322,12 @@ impl AurStore {
         self
     }
 
-    /// Attaches the owning backend's background I/O ring: predictive
+    /// Attaches the worker's background I/O ring: predictive
     /// batch reads become asynchronous submissions driven by
     /// [`AurStore::advance_prefetch`], and snapshot/compaction index
-    /// scans run on the ring's pool. `tag` routes this instance's
-    /// completions on the shared ring.
-    pub fn with_ring(mut self, ring: Arc<IoRing>, tag: u64) -> Self {
-        self.lane = Lane::new(ring, tag);
-        if let Some(p) = &self.prefetch_probe {
-            self.lane.set_probe(p.clone());
-        }
+    /// scans run on the ring's pool.
+    pub fn with_ring(mut self, ring: Arc<IoRing>) -> Self {
+        self.lane.attach(ring);
         self
     }
 
@@ -1403,8 +1399,8 @@ mod tests {
 
     fn ring_store(dir: &Path) -> (AurStore, Arc<IoRing>) {
         let s = session_store(dir, cfg_small());
-        let ring = Arc::new(IoRing::new(s.vfs.clone(), 2));
-        let s = s.with_ring(ring.clone(), 7);
+        let ring = Arc::new(IoRing::new(2, None, None));
+        let s = s.with_ring(ring.clone());
         (s, ring)
     }
 
@@ -1515,9 +1511,9 @@ mod tests {
         let dir = ScratchDir::new("aur-walk").unwrap();
         let mut s = session_store(dir.path(), cfg_small());
         (case.build)(&mut s);
-        let ring = (width > 0).then(|| Arc::new(IoRing::new(s.vfs.clone(), width)));
+        let ring = (width > 0).then(|| Arc::new(IoRing::new(width, None, None)));
         if let Some(ring) = &ring {
-            s = s.with_ring(Arc::clone(ring), 7);
+            s = s.with_ring(Arc::clone(ring));
         }
         (dir, s, ring)
     }
@@ -1887,16 +1883,12 @@ mod tests {
     ) {
         let telemetry = Telemetry::new_shared();
         let s = session_store(dir, cfg_small()).with_telemetry(telemetry.clone(), "t/p0");
-        let ring = Arc::new(IoRing::new(s.vfs.clone(), 1));
+        let ring = Arc::new(IoRing::new(1, None, None));
         let (release, gate) = std::sync::mpsc::channel::<()>();
-        ring.submit(
-            u64::MAX,
-            Box::new(move |_| {
-                let _ = gate.recv();
-                Ok(Box::new(()) as _)
-            }),
-        );
-        (s.with_ring(ring.clone(), 7), ring, telemetry, release)
+        ring.submit(move || {
+            let _ = gate.recv();
+        });
+        (s.with_ring(ring.clone()), ring, telemetry, release)
     }
 
     fn counter(telemetry: &Telemetry, name: &str) -> u64 {
@@ -1994,8 +1986,8 @@ mod tests {
             StoreMetrics::new_shared(),
         )
         .unwrap();
-        let ring = Arc::new(IoRing::new(s.vfs.clone(), 1));
-        let mut s = s.with_ring(ring.clone(), 7);
+        let ring = Arc::new(IoRing::new(1, None, None));
+        let mut s = s.with_ring(ring.clone());
         let in_flight = |s: &AurStore| !s.lane.is_idle();
 
         // ETT 10_010 lies beyond the 500 ms horizon of stream time 50:

@@ -18,7 +18,7 @@ use flowkv_common::backend::{
     PairSink, StateBackend, StateBackendFactory, StateEntry, ValueSink, WindowChunk,
 };
 use flowkv_common::error::{Result, StoreError};
-use flowkv_common::ioring::{IoPolicy, IoRing};
+use flowkv_common::ioring::IoRing;
 use flowkv_common::metrics::StoreMetrics;
 use flowkv_common::registry::{StatePattern, StateView, ViewValue};
 use flowkv_common::types::{Timestamp, WindowId};
@@ -102,9 +102,8 @@ impl FlowKvStore {
     /// accuracy and predicted-vs-actual trigger times flow into the
     /// flight recorder; `tag` labels the emitting partition,
     /// `operator/p<N>`), routing every file operation of every inner
-    /// store instance through `vfs`, and — when `io` is set — building
-    /// one background [`IoRing`] over that VFS, shared by every instance
-    /// (each under its own tag).
+    /// store instance through `vfs`, and — when `ring` is set — handing
+    /// the worker's background [`IoRing`] to every instance's lane.
     pub fn open_with_vfs(
         dir: &Path,
         semantics: OperatorSemantics,
@@ -112,30 +111,22 @@ impl FlowKvStore {
         telemetry: Option<Arc<flowkv_common::telemetry::Telemetry>>,
         tag: &str,
         vfs: Arc<dyn Vfs>,
-        io: Option<IoPolicy>,
+        ring: Option<Arc<IoRing>>,
     ) -> Result<Self> {
         config.validate()?;
         let pattern = classify(&semantics);
         let metrics = StoreMetrics::new_shared();
         let m = config.store_instances;
-        let ring = io.as_ref().filter(|p| p.threads > 0).map(|p| {
-            Arc::new(IoRing::with_telemetry(
-                Arc::clone(&vfs),
-                p.threads,
-                p.shuffle_seed,
-                telemetry.clone(),
-            ))
-        });
         // Each instance gets an even share of the write buffer, matching
         // the paper's per-operator budget split across `m` instances.
         let per_instance_buffer = (config.write_buffer_bytes / m).max(1024);
-        // A store that reads ahead joins the ring under its instance
-        // number and reports to the hub under its own label.
+        // A store that reads ahead joins the ring and reports to the hub
+        // under its own label.
         macro_rules! wired {
             ($store:expr, $j:ident) => {{
                 let mut store = $store;
                 if let Some(r) = &ring {
-                    store = store.with_ring(Arc::clone(r), $j as u64);
+                    store = store.with_ring(Arc::clone(r));
                 }
                 if let Some(t) = &telemetry {
                     store = store.with_telemetry(Arc::clone(t), &format!("{tag}/inst{}", $j));

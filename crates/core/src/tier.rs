@@ -34,7 +34,7 @@
 //!   point reads *promote*: the cold rows are replayed into the wrapped
 //!   store under the hotter rows of their keys ([`merge_cold`], also
 //!   the rule of `read_view` and `extract_range`). Block reads ride the
-//!   tier's I/O ring when [`OperatorContext::io`] configures one;
+//!   worker's I/O ring when [`OperatorContext::io`] carries one;
 //!   [`TieredStore::advance_prefetch`] submits them ahead of a trigger.
 //! - **Compaction** is the cold [`GenLog`]'s: once dead blocks dominate
 //!   (the stores' MSA rule, with the tier's own factor and floor) the
@@ -57,7 +57,7 @@ use flowkv_common::backend::{
 use flowkv_common::codec::{self, Decoder};
 use flowkv_common::columnar::{BlockKind, BlockReader, BlockWriter, ColdRow};
 use flowkv_common::error::{Result, StoreError};
-use flowkv_common::ioring::{IoRing, Lane};
+use flowkv_common::ioring::Lane;
 use flowkv_common::logfile::RECORD_HEADER_LEN;
 use flowkv_common::metrics::{OpCategory, StoreMetrics};
 use flowkv_common::registry::{StateView, ViewValue};
@@ -73,8 +73,6 @@ const META_MAGIC: [u8; 4] = *b"FKTM";
 /// Current `TIERMETA` format version. Version 1 indexed a cold log of
 /// length-framed blocks, which this code cannot read.
 const META_VERSION: u8 = 2;
-/// Ring routing tag for tier block reads.
-const TIER_RING_TAG: u64 = 0xC0_1D;
 /// The cold log rewrites once dead blocks are over half of it — the
 /// rewrite then reclaims more than it copies — and it holds this much.
 const COLD_MSA: f64 = 2.0;
@@ -281,9 +279,9 @@ pub struct TieredStore {
     index: BTreeMap<WindowId, Vec<BlockRef>>,
     hot: BTreeMap<WindowId, HotWindow>,
     hot_bytes: usize,
-    /// The lane every cold read runs on, keyed by window: over the
-    /// tier's own I/O ring when [`OperatorContext::io`] asks for
-    /// threads, without threads (cold reads synchronous) otherwise.
+    /// The lane every cold read runs on, keyed by window: on the
+    /// worker's I/O ring when [`OperatorContext::io`] carries one,
+    /// without threads (cold reads synchronous) otherwise.
     lane: Lane<WindowId, PrefetchedBlocks>,
     /// Completed prefetches awaiting promotion: raw block payloads.
     prefetched: HashMap<WindowId, Vec<Vec<u8>>>,
@@ -319,18 +317,10 @@ impl TieredStore {
         // whatever a previous incarnation left in the log is dead.
         let mut log = GenLog::open(Arc::clone(&vfs), &cold_dir, "cold", "log", None)?;
         log.retire(log.total());
-        let lane = match ctx.io.as_ref().filter(|p| p.threads > 0) {
-            Some(p) => {
-                let ring = IoRing::with_telemetry(
-                    Arc::clone(&vfs),
-                    p.threads,
-                    p.shuffle_seed,
-                    ctx.telemetry.clone(),
-                );
-                Lane::new(Arc::new(ring), TIER_RING_TAG)
-            }
-            None => Lane::inline(Arc::clone(&vfs)),
-        };
+        let mut lane = Lane::inline(Arc::clone(&vfs));
+        if let Some(ring) = &ctx.io {
+            lane.attach(Arc::clone(ring));
+        }
         let store_metrics = inner.metrics();
         Ok(TieredStore {
             inner,
@@ -426,7 +416,10 @@ impl TieredStore {
             AggregateKind::Incremental => BlockKind::Aggregates,
             AggregateKind::FullList => BlockKind::Values,
         };
-        let (rows, plain_bytes) = (self.writer.rows() as u32, self.writer.plain_bytes());
+        let rows = u32::try_from(self.writer.rows()).map_err(|_| {
+            StoreError::invalid_state(format!("a cold block of {} rows", self.writer.rows()))
+        })?;
+        let plain_bytes = self.writer.plain_bytes();
         let blob = self.writer.finish_by_key(window, kind);
         let loc = self.log.append(blob)?;
         let (offset, len) = (loc.offset + RECORD_HEADER_LEN, loc.len);
@@ -849,11 +842,18 @@ impl TieredStore {
             let n = dec.get_varint_u64()? as usize;
             let mut refs = Vec::with_capacity(n.min(body.len()));
             for _ in 0..n {
-                let block = BlockRef {
-                    offset: dec.get_varint_u64()?,
-                    len: dec.get_varint_u64()? as u32,
-                    rows: dec.get_varint_u64()? as u32,
+                let offset = dec.get_varint_u64()?;
+                let mut get_u32 = |what: &str| {
+                    let v = dec.get_varint_u64()?;
+                    u32::try_from(v).map_err(|_| {
+                        corrupt(
+                            dec.position(),
+                            format!("TIERMETA block {what} {v} exceeds u32"),
+                        )
+                    })
                 };
+                let (len, rows) = (get_u32("length")?, get_u32("rows")?);
+                let block = BlockRef { offset, len, rows };
                 let end = block.offset.saturating_add(u64::from(block.len));
                 live = live.saturating_add(RECORD_HEADER_LEN + u64::from(block.len));
                 if block.offset < RECORD_HEADER_LEN || end > total || live > total {
@@ -1043,8 +1043,6 @@ impl StateBackend for TieredStore {
 
     fn close(&mut self) -> Result<()> {
         self.settle_inflight();
-        // Replacing the lane drops the tier's ring, joining its threads.
-        self.lane = Lane::inline(Arc::clone(&self.vfs));
         self.inner.close()?;
         self.log.destroy();
         let _ = std::fs::remove_dir_all(&self.cold_dir);
@@ -1670,6 +1668,14 @@ mod tests {
         s.close().unwrap();
     }
 
+    /// A `TIERMETA` sidecar around `body`, with magic and a valid CRC.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut bytes = META_MAGIC.to_vec();
+        bytes.extend_from_slice(body);
+        codec::put_u32(&mut bytes, codec::crc32(body));
+        bytes
+    }
+
     #[test]
     fn tiermeta_of_another_version_or_another_log_is_corruption() {
         let dir = ScratchDir::new("tier-meta").unwrap();
@@ -1677,12 +1683,6 @@ mod tests {
         let (mut s, _) = recorded(dir.path(), AggregateKind::FullList, window, 0, plain());
         s.append(b"k", w(0, 100), b"v", 1).unwrap();
         let path = dir.path().join("TIERMETA");
-        let sealed = |body: &[u8]| {
-            let mut bytes = META_MAGIC.to_vec();
-            bytes.extend_from_slice(body);
-            codec::put_u32(&mut bytes, codec::crc32(body));
-            bytes
-        };
         // What this store writes restores into it.
         let own = s.encode_meta();
         s.decode_meta(&own, &path).unwrap();
@@ -1703,6 +1703,34 @@ mod tests {
         ] {
             let err = s.decode_meta(&sealed(&body), &path).unwrap_err();
             assert!(err.is_corruption(), "{body:?}: {err}");
+        }
+        s.close().unwrap();
+    }
+
+    #[test]
+    fn tiermeta_block_fields_past_u32_are_corruption_not_wrapped() {
+        let dir = ScratchDir::new("tier-meta-wide").unwrap();
+        let window = WindowKind::Session { gap: 50 };
+        let (mut s, _) = recorded(dir.path(), AggregateKind::FullList, window, 0, plain());
+        s.append(b"k", w(0, 100), b"v", 1).unwrap();
+        let path = dir.path().join("TIERMETA");
+        let (&window, refs) = s.index.iter().next().expect("the demoted window");
+        let block = refs[0];
+        let (len, rows) = (u64::from(block.len), u64::from(block.rows));
+        // The store's own block with its length or row count 2^32 larger:
+        // truncated to u32, either would read back as the block itself.
+        for (len, rows) in [(len + (1 << 32), rows), (len, rows + (1 << 32))] {
+            let mut body = vec![META_VERSION];
+            codec::put_varint_u64(&mut body, s.log.total());
+            codec::put_varint_u64(&mut body, 1);
+            codec::put_varint_i64(&mut body, window.start);
+            codec::put_varint_i64(&mut body, window.end);
+            for v in [1, block.offset, len, rows] {
+                codec::put_varint_u64(&mut body, v);
+            }
+            let err = s.decode_meta(&sealed(&body), &path).unwrap_err();
+            assert!(err.is_corruption(), "{err}");
+            assert!(err.to_string().contains("exceeds u32"), "{err}");
         }
         s.close().unwrap();
     }

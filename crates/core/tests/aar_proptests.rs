@@ -132,7 +132,7 @@ impl Harness {
         let mut store =
             AarStore::open(dir.path(), write_buffer_bytes, chunk_entries, metrics).unwrap();
         if let Some(ring) = &ring {
-            store = store.with_ring(Arc::clone(ring), 7);
+            store = store.with_ring(Arc::clone(ring));
         }
         Harness {
             dir,
@@ -293,7 +293,7 @@ proptest! {
     /// arrive shuffled: installs race drains, flushes and restores.
     #[test]
     fn matches_model_over_an_io_ring(ops in ops(), seed in any::<u64>()) {
-        let ring = Arc::new(IoRing::with_shuffle_seed(StdVfs::shared(), 2, seed));
+        let ring = Arc::new(IoRing::new(2, Some(seed), None));
         check(&ops, 1024, 4, Some(ring))?;
     }
 }

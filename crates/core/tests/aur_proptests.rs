@@ -21,7 +21,6 @@ use flowkv_common::metrics::StoreMetrics;
 use flowkv_common::registry::ViewValue;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::types::WindowId;
-use flowkv_common::vfs::StdVfs;
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -142,7 +141,7 @@ fn check_on(ops: &[Op], cfg: AurConfig, ring: Option<Arc<IoRing>>) -> Result<(),
     )
     .unwrap();
     if let Some(ring) = &ring {
-        store = store.with_ring(Arc::clone(ring), 7);
+        store = store.with_ring(Arc::clone(ring));
     }
     let key = |k: u8| format!("key{k}").into_bytes();
     let mut model: HashMap<(u8, u8), Vec<Vec<u8>>> = HashMap::new();
@@ -262,7 +261,7 @@ proptest! {
     /// job's `(slot, first_offset)` liveness and the install checks.
     #[test]
     fn matches_model_over_an_io_ring(ops in ops()) {
-        let ring = Arc::new(IoRing::new(StdVfs::shared(), 2));
+        let ring = Arc::new(IoRing::new(2, None, None));
         check_on(&ops, AurConfig {
             write_buffer_bytes: 256,
             read_batch_ratio: 0.5,

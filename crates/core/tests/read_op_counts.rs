@@ -88,8 +88,8 @@ fn synchronous_batch_read_pays_per_extent() {
 fn ring_batch_read_pays_per_extent() {
     let dir = ScratchDir::new("opcount-aur-ring").unwrap();
     let (store, counting) = flushed_aur_store(&dir);
-    let ring = Arc::new(IoRing::new(counting.clone(), 1));
-    let mut store = store.with_ring(ring.clone(), 1);
+    let ring = Arc::new(IoRing::new(1, None, None));
+    let mut store = store.with_ring(ring.clone());
     let before = counting.ops();
     store.advance_prefetch(0).unwrap();
     ring.wait_idle();
@@ -131,8 +131,8 @@ fn an_append_after_a_synchronous_batch_read_pays_no_device_op() {
 fn an_append_after_a_landed_ring_read_pays_no_device_op() {
     let dir = ScratchDir::new("opcount-aur-ring-append").unwrap();
     let (store, counting) = flushed_aur_store(&dir);
-    let ring = Arc::new(IoRing::new(counting.clone(), 1));
-    let mut store = store.with_ring(ring.clone(), 1);
+    let ring = Arc::new(IoRing::new(1, None, None));
+    let mut store = store.with_ring(ring.clone());
     store.advance_prefetch(0).unwrap();
     ring.wait_idle();
     store.advance_prefetch(0).unwrap();
@@ -154,8 +154,8 @@ fn a_trigger_that_beats_its_ring_read_waits_for_it_and_reads_nothing_itself() {
     // What the ring read alone costs, on a twin store.
     let dir = ScratchDir::new("opcount-aur-late-twin").unwrap();
     let (store, counting) = flushed_aur_store(&dir);
-    let ring = Arc::new(IoRing::new(counting.clone(), 1));
-    let mut store = store.with_ring(ring.clone(), 1);
+    let ring = Arc::new(IoRing::new(1, None, None));
+    let mut store = store.with_ring(ring.clone());
     let before = counting.ops();
     store.advance_prefetch(0).unwrap();
     ring.wait_idle();
@@ -165,18 +165,14 @@ fn a_trigger_that_beats_its_ring_read_waits_for_it_and_reads_nothing_itself() {
     let dir = ScratchDir::new("opcount-aur-late").unwrap();
     let (store, counting) = flushed_aur_store(&dir);
     let telemetry = Telemetry::new_shared();
-    let ring = Arc::new(IoRing::new(counting.clone(), 1));
+    let ring = Arc::new(IoRing::new(1, None, None));
     let (release, gate) = std::sync::mpsc::channel::<()>();
-    ring.submit(
-        u64::MAX,
-        Box::new(move |_| {
-            let _ = gate.recv();
-            Ok(Box::new(()) as _)
-        }),
-    );
+    ring.submit(move || {
+        let _ = gate.recv();
+    });
     let mut store = store
         .with_telemetry(telemetry.clone(), "t/p0")
-        .with_ring(ring.clone(), 1);
+        .with_ring(ring.clone());
     let before = counting.ops();
     store.advance_prefetch(0).unwrap();
     // The gate opens once the store has counted the trigger late, which
@@ -270,7 +266,7 @@ fn observe(io_threads: usize, fault_at: Option<u64>, op: LaneOp) -> (u64, u64, S
         assert_eq!(store.take(key.as_bytes(), window()).unwrap().len(), 1);
     }
     if io_threads > 0 {
-        store = store.with_ring(Arc::new(IoRing::new(vfs.clone(), io_threads)), 1);
+        store = store.with_ring(Arc::new(IoRing::new(io_threads, None, None)));
     }
     let before = vfs.ops();
     let outcome = op(&mut store, dir.path()).unwrap_or_else(|e| e.to_string());

@@ -89,10 +89,9 @@ impl LsmBackend {
         })
     }
 
-    /// Attaches a background I/O ring for block warm-up, routing its
-    /// jobs under `tag`.
-    pub fn set_ring(&mut self, ring: Arc<IoRing>, tag: u64) {
-        self.db.set_ring(ring, tag);
+    /// Attaches the worker's background I/O ring for block warm-up.
+    pub fn set_ring(&mut self, ring: Arc<IoRing>) {
+        self.db.set_ring(ring);
     }
 
     fn resolved_to_list(resolved: Resolved) -> Vec<Vec<u8>> {
@@ -322,14 +321,8 @@ impl StateBackendFactory for LsmBackendFactory {
             CHUNK_ENTRIES,
             Arc::clone(&self.vfs),
         )?;
-        if let Some(policy) = ctx.io.as_ref().filter(|p| p.threads > 0) {
-            let ring = IoRing::with_telemetry(
-                Arc::clone(&self.vfs),
-                policy.threads,
-                policy.shuffle_seed,
-                ctx.telemetry.clone(),
-            );
-            backend.set_ring(Arc::new(ring), 0);
+        if let Some(ring) = &ctx.io {
+            backend.set_ring(Arc::clone(ring));
         }
         Ok(Box::new(backend))
     }
@@ -445,8 +438,8 @@ mod tests {
                 .unwrap();
         }
         b.flush().unwrap();
-        let ring = Arc::new(flowkv_common::ioring::IoRing::new(StdVfs::shared(), 2));
-        b.set_ring(Arc::clone(&ring), 0);
+        let ring = Arc::new(flowkv_common::ioring::IoRing::new(2, None, None));
+        b.set_ring(Arc::clone(&ring));
 
         let before = b.metrics().snapshot().bytes_read;
         b.warm(&[(b"key-050", win), (b"key-150", win)]).unwrap();
@@ -476,7 +469,7 @@ mod tests {
             ),
             data_dir: dir.path().to_path_buf(),
             telemetry: None,
-            io: Some(flowkv_common::ioring::IoPolicy::with_threads(2)),
+            io: Some(Arc::new(IoRing::new(2, None, None))),
         };
         let mut b = factory.create(&ctx).unwrap();
         let win = w(0, 100);

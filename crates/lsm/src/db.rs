@@ -348,9 +348,9 @@ impl Db {
     }
 
     /// Attaches a background I/O ring; subsequent [`Db::warm_batch`]
-    /// calls schedule block reads on it under `tag`.
-    pub fn set_ring(&mut self, ring: Arc<IoRing>, tag: u64) {
-        self.warm = Lane::new(ring, tag);
+    /// calls schedule block reads on it.
+    pub fn set_ring(&mut self, ring: Arc<IoRing>) {
+        self.warm.attach(ring);
     }
 
     /// Whether a background ring is attached: the warm lane admits
@@ -794,8 +794,8 @@ mod tests {
                 .unwrap();
         }
         db.flush().unwrap();
-        let ring = Arc::new(flowkv_common::ioring::IoRing::new(StdVfs::shared(), 2));
-        db.set_ring(Arc::clone(&ring), 0);
+        let ring = Arc::new(flowkv_common::ioring::IoRing::new(2, None, None));
+        db.set_ring(Arc::clone(&ring));
 
         let before = db.metrics().snapshot().bytes_read;
         db.warm_batch(&[b"key-00123".to_vec()]).unwrap();
@@ -818,8 +818,8 @@ mod tests {
         let mut db = open_small(dir.path());
         db.put(b"present", b"v").unwrap();
         db.flush().unwrap();
-        let ring = Arc::new(flowkv_common::ioring::IoRing::new(StdVfs::shared(), 1));
-        db.set_ring(Arc::clone(&ring), 0);
+        let ring = Arc::new(flowkv_common::ioring::IoRing::new(1, None, None));
+        db.set_ring(Arc::clone(&ring));
 
         // A key the bloom filter rejects schedules nothing.
         db.warm_batch(&[b"zz-absent".to_vec()]).unwrap();
@@ -848,8 +848,8 @@ mod tests {
             db.put(format!("k{i:04}").as_bytes(), &[7u8; 64]).unwrap();
         }
         db.flush().unwrap();
-        let ring = Arc::new(flowkv_common::ioring::IoRing::new(StdVfs::shared(), 2));
-        db.set_ring(Arc::clone(&ring), 0);
+        let ring = Arc::new(flowkv_common::ioring::IoRing::new(2, None, None));
+        db.set_ring(Arc::clone(&ring));
         db.warm_batch(&[b"k0100".to_vec()]).unwrap();
         db.restore(ckpt.path()).unwrap();
         assert_eq!(db.get(b"a").unwrap(), Resolved::Value(b"1".to_vec()));

@@ -43,7 +43,7 @@ use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendErr
 use flowkv_common::backend::{OperatorContext, StateBackend, StateBackendFactory};
 use flowkv_common::error::StoreError;
 use flowkv_common::hash::partition_of;
-use flowkv_common::ioring::IoPolicy;
+use flowkv_common::ioring::IoRing;
 use flowkv_common::metrics::MetricsSnapshot;
 use flowkv_common::registry::{StateKey, StateRegistry, ViewCapture};
 use flowkv_common::telemetry::{self, Counter, Gauge, Histogram, HistogramSnapshot, Telemetry};
@@ -154,13 +154,13 @@ pub struct RunOptions {
     /// parallelism, and resumes — live rescaling as recovery at a
     /// different worker count. Plain [`run_job`] ignores this knob.
     pub rescale_to: Option<usize>,
-    /// Background I/O ring threads per state backend. `0` (the default)
-    /// keeps every store read synchronous on the worker thread; any
-    /// positive value lets stores route anticipatable reads (ETT-driven
-    /// prefetch, AAR window scans, LSM block warm-ups, serving snapshots,
-    /// compaction scans) through a per-backend
-    /// [`flowkv_common::ioring::IoRing`]. Outputs are byte-identical
-    /// either way.
+    /// Background I/O threads per keyed worker. `0` (the default) keeps
+    /// every store read synchronous on the worker thread; any positive
+    /// value builds one [`flowkv_common::ioring::IoRing`] of that many
+    /// threads for each keyed worker, which every store of the worker
+    /// shares for anticipatable reads (ETT-driven prefetch, AAR window
+    /// scans, cold-tier blocks, LSM block warm-ups, serving snapshots,
+    /// compaction scans). Outputs are byte-identical either way.
     pub io_threads: usize,
     /// Test-only knob: reorder ring completions pseudo-randomly from this
     /// seed to prove ordering independence. `None` in production.
@@ -214,18 +214,6 @@ impl RunOptions {
             trace_sample: 0,
             trace_out: None,
         }
-    }
-
-    /// The per-backend I/O policy implied by these options, or `None`
-    /// when `io_threads` is zero (fully synchronous I/O).
-    pub fn io_policy(&self) -> Option<IoPolicy> {
-        if self.io_threads == 0 {
-            return None;
-        }
-        Some(IoPolicy {
-            threads: self.io_threads,
-            shuffle_seed: self.io_shuffle_seed,
-        })
     }
 }
 
@@ -1514,7 +1502,11 @@ impl<'a> Worker<'a> {
         let name = stage.name();
         let semantics = stage.semantics().expect("a keyed stage");
         let telemetry = ctx.telemetry.as_ref();
-        let io = options.io_policy();
+        // The worker's one I/O pool, shared by every store it creates.
+        let io = (options.io_threads > 0).then(|| {
+            let (threads, seed) = (options.io_threads, options.io_shuffle_seed);
+            Arc::new(IoRing::new(threads, seed, telemetry.cloned()))
+        });
         let io_on = io.is_some();
         let rec = ctx.recorder(&format!("{name}/p{worker}"));
         let mut backend = run.factory.create(&OperatorContext {
