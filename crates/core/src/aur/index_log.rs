@@ -129,7 +129,11 @@ impl ValueRun {
 
     /// Lends `sink` the run's values, in push order.
     pub fn lend(&self, sink: ValueSink<'_>) -> Result<()> {
-        lend_run(&mut Decoder::new(&self.bytes), self.count, sink)
+        let mut dec = Decoder::new(&self.bytes);
+        for _ in 0..self.count {
+            sink(dec.get_len_prefixed()?);
+        }
+        Ok(())
     }
 
     /// Appends the run's values to `out`, in push order.
@@ -139,26 +143,18 @@ impl ValueRun {
     }
 }
 
-/// The one decode loop of a run of length-prefixed values.
-fn lend_run(dec: &mut Decoder<'_>, count: u64, sink: ValueSink<'_>) -> Result<()> {
-    for _ in 0..count {
-        sink(dec.get_len_prefixed()?);
-    }
-    Ok(())
-}
-
-/// Decodes a data-log record payload back into its values.
-pub fn decode_values(payload: &[u8]) -> Result<Vec<Vec<u8>>> {
-    let mut dec = Decoder::new(payload);
-    let count = dec.get_varint_u64()?;
-    let mut out = Vec::with_capacity((count as usize).min(4096));
-    lend_run(&mut dec, count, &mut |value| out.push(value.to_vec()))?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The values of a data-log record payload, as a batch read loads them.
+    fn decode_values(payload: &[u8]) -> Result<Vec<Vec<u8>>> {
+        let mut run = ValueRun::default();
+        run.push_record(payload)?;
+        let mut out = Vec::new();
+        run.decode_into(&mut out)?;
+        Ok(out)
+    }
 
     fn encoded(entry: &IndexEntry<'_>) -> Vec<u8> {
         let mut buf = Vec::new();

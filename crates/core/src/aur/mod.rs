@@ -11,13 +11,15 @@
 //!   is `ett`/`max_ts`/`disk_bytes`/`disk_records` (updated on every
 //!   append via the [`EttPredictor`]), the **write buffer** `buffered`,
 //!   the **prefetch buffer** `prefetched` — so an append, a trigger and
-//!   each entry of an index scan probe once;
+//!   each entry of a compaction scan probe once;
 //! - on a read miss, performs a **predictive batch read**: one sequential
 //!   scan of the index log collects the locations of the requested window
 //!   *and* of the `N = ratio × live-windows` windows closest to
 //!   triggering, loads them in offset order — one device read per run
 //!   of neighbouring records, not one per record — and parks them in
-//!   the windows' `prefetched` slots;
+//!   the windows' `prefetched` slots. That read is one body,
+//!   [`read_windows`], which a read-ahead runs on the worker's I/O ring
+//!   and the serving view for every window on disk;
 //! - writes each flush in **predicted-trigger order**, so the windows a
 //!   batch read wants together sit together in the data log;
 //! - **integrates compaction** with that machinery: dead bytes are
@@ -30,11 +32,15 @@
 //! A consumed window's records stay in the logs until compaction, and
 //! re-appending to the same `(key, window)` must not resurrect them: a
 //! window's live records are exactly those at or past the data-log offset
-//! of its first flush, `first_offset` ([`LiveTable::classify`]).
+//! of its first flush, `first_offset` ([`LiveTable::classify`]). The
+//! window also keeps the index-log offset of that first live entry, so
+//! every index walk starts at the least of them
+//! ([`LiveTable::scan_start`]): the dead head of the log is never read.
 
 pub mod index_log;
 mod table;
 
+use std::borrow::BorrowMut;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -54,8 +60,8 @@ use crate::aar::push_view_value;
 use crate::ett::{EttObservation, EttPredictor};
 use crate::genlog::GenLog;
 use crate::table::WindowMap;
-use index_log::{decode_values, IndexEntry, ValueRun};
-use table::{EntryState, LiveTable, Pick};
+use index_log::{IndexEntry, ValueRun};
+use table::{LiveTable, Pick};
 
 /// Identifies one window of one key.
 type StateKey = (Vec<u8>, WindowId);
@@ -81,65 +87,94 @@ impl Default for AurConfig {
     }
 }
 
-/// What a walk of the index log saw besides the entries it visited.
-struct IndexWalk {
-    /// Offset of the first entry `visit` found live, or of the walk's
-    /// end when it found none: nothing before it needs scanning again.
-    live_start: u64,
-    /// On-disk bytes of the entries walked.
-    scanned_bytes: u64,
-}
-
 /// The one index-log scan (paper §4.2): walks `path` from `start`, up to
 /// but never across `limit`, decodes each entry in place — one payload
-/// buffer serves the whole walk — and hands it to `visit`, which answers
-/// whether the entry is live. The synchronous batch read, the ring job,
-/// the view scan and the compaction scan differ only in what `visit`
-/// probes and keeps, and in what they commit from the result.
+/// buffer serves the whole walk — and hands it to `visit`. Returns the
+/// on-disk bytes walked. Its callers are the batch read
+/// ([`read_windows`]) and the compaction scan.
 fn walk_index(
     vfs: &Arc<dyn Vfs>,
     path: &Path,
     start: u64,
-    limit: Option<u64>,
-    mut visit: impl FnMut(IndexEntry<'_>) -> bool,
-) -> Result<IndexWalk> {
-    let mut live_start: Option<u64> = None;
+    limit: u64,
+    mut visit: impl FnMut(IndexEntry<'_>),
+) -> Result<u64> {
     let mut scanned_bytes = 0u64;
     let mut payload = Vec::new();
     let mut reader = LogReader::open_scan_in(vfs, path, start)?;
     // Stop *before* crossing the limit: bytes past it may belong to a
     // flush the foreground is writing concurrently, and reading into a
     // half-written record would fail the whole walk as a torn file.
-    while limit.is_none_or(|limit| reader.offset() < limit) {
+    while reader.offset() < limit {
         let Some(loc) = reader.next_record_into(&mut payload)? else {
             break;
         };
         scanned_bytes += loc.disk_len();
-        if visit(IndexEntry::decode(&payload)?) && live_start.is_none() {
-            live_start = Some(loc.offset);
-        }
+        visit(IndexEntry::decode(&payload)?);
     }
-    Ok(IndexWalk {
-        live_start: live_start.unwrap_or(reader.offset()),
-        scanned_bytes,
-    })
+    Ok(scanned_bytes)
 }
 
-/// Loads the data-log records at `wanted` — `(offset, on-disk length,
-/// slot)` — and hands each record's payload to `each(slot, payload,
-/// on-disk length)`. Records are fetched in offset order, neighbours
-/// sharing one device read; a window's records stay in append order
-/// because offsets grow with appends.
-fn load_values(
-    data: &mut RandomAccessLog,
-    mut wanted: Vec<(u64, u64, usize)>,
-    mut each: impl FnMut(usize, &[u8], u64) -> Result<()>,
-) -> Result<()> {
-    wanted.sort_unstable_by_key(|&(offset, ..)| offset);
-    let locations: Vec<(u64, u64)> = wanted.iter().map(|&(o, len, _)| (o, len)).collect();
-    data.read_records(&locations, |i, record| {
-        each(wanted[i].2, record_payload(record), record.len() as u64)
-    })
+/// One window as a batch read found it on disk: the values of the live
+/// records it found, how many there were and their on-disk bytes — a
+/// complete copy only if `found_records` is `pick.disk_records`.
+struct WindowRead {
+    pick: Pick,
+    found_records: u64,
+    values: ValueRun,
+    bytes: u64,
+}
+
+/// The one batch read (paper §4.2): walks the index log at `index` once,
+/// from `start` up to `limit`, keeping the live entries of the `picks` —
+/// one probe of a map of them per entry — then loads those records
+/// through the data-log reader `data` opens, in offset order, neighbours
+/// sharing one device read (a window's records stay in append order
+/// because offsets grow with appends). Returns each pick's read, in pick
+/// order, and the index bytes walked. A miss runs it on the worker
+/// thread over the store's cached reader, a read-ahead on the lane over
+/// a reader of its own, the serving view through `read_through`.
+fn read_windows<D: BorrowMut<RandomAccessLog>>(
+    vfs: &Arc<dyn Vfs>,
+    index: &Path,
+    start: u64,
+    limit: u64,
+    data: impl FnOnce() -> Result<D>,
+    picks: Vec<Pick>,
+) -> Result<(Vec<WindowRead>, u64)> {
+    let mut slots: WindowMap<(usize, u64)> = WindowMap::default();
+    for (slot, pick) in picks.iter().enumerate() {
+        slots.insert(&pick.key, pick.window, (slot, pick.first_offset));
+    }
+    let mut wanted: Vec<(u64, u64, usize)> = Vec::new();
+    let scanned = walk_index(vfs, index, start, limit, |entry| {
+        match slots.get(entry.key, entry.window) {
+            Some(&(slot, first_offset)) if entry.offset >= first_offset => {
+                wanted.push((entry.offset, entry.len, slot));
+            }
+            _ => {}
+        }
+    })?;
+    let mut reads: Vec<WindowRead> = picks
+        .into_iter()
+        .map(|pick| WindowRead {
+            pick,
+            found_records: 0,
+            values: ValueRun::default(),
+            bytes: 0,
+        })
+        .collect();
+    if !wanted.is_empty() {
+        wanted.sort_unstable_by_key(|&(offset, ..)| offset);
+        let locations: Vec<(u64, u64)> = wanted.iter().map(|&(o, len, _)| (o, len)).collect();
+        data()?.borrow_mut().read_records(&locations, |i, record| {
+            let read = &mut reads[wanted[i].2];
+            read.found_records += 1;
+            read.bytes += record.len() as u64;
+            read.values.push_record(record_payload(record))
+        })?;
+    }
+    Ok((reads, scanned))
 }
 
 /// The append-and-unaligned-read store for one partition.
@@ -155,10 +190,6 @@ pub struct AurStore {
     /// record. The two are rewritten together, data committed first, and
     /// on reopen the index's generation decides the pair's.
     index: GenLog,
-    /// Offset of the first possibly-live index-log entry: windows are
-    /// mostly consumed in append order, so the dead prefix of the index
-    /// log grows monotonically and scans can skip it permanently.
-    index_scan_start: u64,
     /// Largest tuple timestamp appended so far — the store's view of
     /// stream time; windows with ETT at or before it are already due.
     latest_ts: Timestamp,
@@ -174,7 +205,7 @@ pub struct AurStore {
     /// [`AurStore::with_ring`] attaches the worker's I/O ring
     /// (every read synchronous — the default, and the reference
     /// semantics).
-    lane: Lane<StateKey, AsyncBatch>,
+    lane: Lane<StateKey, BatchRead>,
     /// Bumped by close/restore so completions submitted against a
     /// previous incarnation of the store are discarded on arrival.
     epoch: u64,
@@ -189,27 +220,12 @@ pub struct AurStore {
     next_prefetch_scan: Option<Timestamp>,
 }
 
-/// Payload of one background predictive-read submission.
-///
-/// Everything needed to decide at drain time whether the read is still
-/// valid travels with the data: the generation and epoch it was read
-/// from, and per window the incarnation and the number of index entries
-/// it covered.
-struct AsyncBatch {
+/// One batch read as [`AurStore::install`] validates it: the generation
+/// and epoch it read, and per window what it was planned against.
+struct BatchRead {
     generation: u64,
     epoch: u64,
-    windows: Vec<AsyncWindow>,
-}
-
-struct AsyncWindow {
-    /// The window and its `first_offset` / `disk_records` / `disk_bytes`
-    /// when the read was submitted.
-    pick: Pick,
-    /// Index entries the background scan actually found; must equal
-    /// `pick.disk_records` for the payload to be a complete snapshot.
-    found_records: u64,
-    values: ValueRun,
-    bytes: u64,
+    windows: Vec<WindowRead>,
 }
 
 /// Telemetry handles for predicted-vs-actual trigger-time accounting,
@@ -297,7 +313,6 @@ impl AurStore {
             table: LiveTable::default(),
             data,
             index,
-            index_scan_start: 0,
             latest_ts: Timestamp::MIN,
             encode_buf: Vec::new(),
             metrics,
@@ -506,7 +521,7 @@ impl AurStore {
             let index_loc = self.index.append(&self.encode_buf)?;
             self.metrics
                 .add_bytes_written(loc.disk_len() + index_loc.disk_len());
-            Ok(loc)
+            Ok((loc, index_loc.offset))
         })?;
         self.data.flush()?;
         self.index.flush()?;
@@ -519,36 +534,35 @@ impl AurStore {
     /// Copies every live `(key, window)` value list into `out` for the
     /// queryable-state registry (`flowkv_common::registry`).
     ///
-    /// Works like a read-only replica of the predictive batch read's
-    /// index scan: it walks the index log from the committed scan start,
-    /// keeps the entries the liveness rule passes (never touching the
-    /// table or `index_scan_start`), loads their records in offset
-    /// order, and finally appends buffered values after disk values —
-    /// the same old-then-new order a `take` serves. Prefetched copies
-    /// are a pure cache of disk state and need no special handling.
+    /// The batch read with every window on disk as a pick, run through
+    /// the lane and installed nowhere: the table is left as it was. Each
+    /// window's disk values come first, then its buffered ones — the
+    /// same old-then-new order a `take` serves. Prefetched copies are a
+    /// pure cache of disk state and need no special handling.
     pub fn collect_view(
         &mut self,
         out: &mut BTreeMap<(Vec<u8>, WindowId), ViewValue>,
     ) -> Result<()> {
-        if self.table.len() > 0 {
-            if let Some(index_path) = self.index.flushed_path()? {
-                let scanned = self.scan_index("aur view scan", &index_path)?;
-                let live = self.live_entries(&scanned)?;
-                if !live.is_empty() {
-                    let wanted = live
-                        .iter()
-                        .enumerate()
-                        .map(|(i, e)| (e.offset, e.len, i))
-                        .collect();
-                    for (i, values) in self.read_records("aur view read", wanted)? {
-                        for value in values {
-                            push_view_value(out, live[i].key.to_vec(), live[i].window, value)?;
-                        }
-                    }
+        let mut values = Vec::new();
+        let picks = self.table.on_disk();
+        let paths = (self.index.flushed_path()?, self.data.flushed_path()?);
+        if let (false, (Some(index_path), Some(data_path))) = (picks.is_empty(), paths) {
+            let limit = self.index.total();
+            let start = self.table.scan_start().unwrap_or(limit);
+            let (reads, _) = self
+                .lane
+                .read_through(move |vfs| {
+                    let data = || RandomAccessLog::open_in(vfs, &data_path);
+                    read_windows(vfs, &index_path, start, limit, data, picks)
+                })
+                .map_err(|e| StoreError::io_at("aur view read", self.index.path(), e))?;
+            for read in reads {
+                read.values.decode_into(&mut values)?;
+                for value in values.drain(..) {
+                    push_view_value(out, read.pick.key.clone(), read.pick.window, value)?;
                 }
             }
         }
-        let mut values = Vec::new();
         for (key, window, lw) in self.table.iter() {
             lw.buffered.decode_into(&mut values)?;
             for value in values.drain(..) {
@@ -616,7 +630,6 @@ impl AurStore {
         self.epoch += 1;
         self.next_prefetch_scan = None;
         self.table = LiveTable::default();
-        self.index_scan_start = 0;
         self.data.destroy();
         self.index.destroy();
         Ok(())
@@ -651,103 +664,43 @@ impl AurStore {
         // be invalidated by a flush or compaction) trades a certain hit
         // for a maybe — the slower completion is simply discarded as
         // wasted at drain time.
-        let (mut picks, _) = self.table.select_soonest(n, due_ett, |k, w, lw| {
+        let (mut picks, _, start) = self.table.select_soonest(n, due_ett, |k, w, lw| {
             lw.prefetched.is_some() || (k == key && w == window)
         });
         if let Some(target) = self.table.get(key, window) {
             picks.push(Pick::of(key, window, target));
         }
-        self.table.mark(&picks);
 
-        // One sequential scan of the index log collects the locations of
-        // every selected window's live records — one table probe per
-        // entry answers dead, live or selected — and commits the scan
-        // start: future scans skip the dead run at the head for good.
-        let mut wanted: Vec<(u64, u64, usize)> = Vec::new();
-        let table = &self.table;
-        let walk = walk_index(
+        // On the worker thread, over the store's cached data-log reader.
+        let limit = self.index.total();
+        let start = start.unwrap_or(limit);
+        let data = &mut self.data;
+        let (windows, scanned) = read_windows(
             &self.vfs,
             &index_path,
-            self.index_scan_start,
-            None,
-            |entry| match table.classify(entry.key, entry.window, entry.offset) {
-                EntryState::Dead => false,
-                EntryState::Live => true,
-                EntryState::Picked(slot) => {
-                    wanted.push((entry.offset, entry.len, slot));
-                    true
-                }
-            },
+            start,
+            limit,
+            || data.reader(),
+            picks,
         )?;
-        self.metrics.add_bytes_read(walk.scanned_bytes);
-        self.index_scan_start = walk.live_start;
-
-        load_values(self.data.reader()?, wanted, |slot, payload, disk_len| {
-            self.metrics.add_bytes_read(disk_len);
-            let mut values = ValueRun::default();
-            values.push_record(payload)?;
-            self.table
-                .install(&picks[slot].key, picks[slot].window, &values);
-            Ok(())
-        })?;
+        self.metrics.add_bytes_read(scanned);
+        if let Some(w) = windows
+            .iter()
+            .find(|w| w.found_records != w.pick.disk_records)
+        {
+            let detail = format!(
+                "{} of {} records indexed",
+                w.found_records, w.pick.disk_records
+            );
+            return Err(StoreError::corruption(index_path, start, detail));
+        }
+        self.install(BatchRead {
+            generation: self.index.generation(),
+            epoch: self.epoch,
+            windows,
+        });
         self.trim_prefetched(Some((key, window)));
         Ok(())
-    }
-
-    /// Every entry of a generation's index log from the committed scan
-    /// start on, in log order, re-encoded back to back in one allocation
-    /// — the scan of `collect_view` and `compact`, run on the lane. A job
-    /// can't touch the store's table, so the worker applies liveness
-    /// ([`AurStore::live_entries`]). Commits nothing.
-    fn scan_index(&self, context: &'static str, path: &Path) -> Result<Vec<u8>> {
-        let scan_start = self.index_scan_start;
-        let job_path = path.to_path_buf();
-        self.lane
-            .read_through(move |vfs| {
-                let mut scanned = Vec::new();
-                walk_index(vfs, &job_path, scan_start, None, |entry| {
-                    entry.encode_to(&mut scanned);
-                    true
-                })?;
-                Ok(scanned)
-            })
-            .map_err(|e| StoreError::io_at(context, path, e))
-    }
-
-    /// The entries of `scanned` the liveness rule passes.
-    fn live_entries<'a>(&self, scanned: &'a [u8]) -> Result<Vec<IndexEntry<'a>>> {
-        let mut live = Vec::new();
-        let mut dec = Decoder::new(scanned);
-        while !dec.is_empty() {
-            let entry = IndexEntry::decode_from(&mut dec)?;
-            if self.table.classify(entry.key, entry.window, entry.offset) != EntryState::Dead {
-                live.push(entry);
-            }
-        }
-        Ok(live)
-    }
-
-    /// Reads the data-log records at `wanted` (`(offset, on-disk length,
-    /// slot)`) on the lane.
-    fn read_records(
-        &mut self,
-        context: &'static str,
-        wanted: Vec<(u64, u64, usize)>,
-    ) -> Result<Vec<(usize, Vec<Vec<u8>>)>> {
-        self.data.flush()?;
-        let data_path = self.data.path();
-        let job_path = data_path.clone();
-        self.lane
-            .read_through(move |vfs| {
-                let mut loaded = Vec::with_capacity(wanted.len());
-                let mut data = RandomAccessLog::open_in(vfs, &job_path)?;
-                load_values(&mut data, wanted, |slot, payload, _| {
-                    loaded.push((slot, decode_values(payload)?));
-                    Ok(())
-                })?;
-                Ok(loaded)
-            })
-            .map_err(|e| StoreError::io_at(context, &data_path, e))
     }
 
     /// Drives the background prefetcher (called by the engine at batch
@@ -773,27 +726,30 @@ impl AurStore {
     /// caller is about to serve.
     fn land(
         &mut self,
-        done: impl IntoIterator<Item = std::io::Result<AsyncBatch>>,
+        done: impl IntoIterator<Item = std::io::Result<BatchRead>>,
         keep: Option<(&[u8], WindowId)>,
     ) {
         for read in done {
             self.next_prefetch_scan = None;
             if let Ok(batch) = read {
-                self.install(batch);
+                let (installed, wasted) = self.install(batch);
+                self.lane.installed(installed);
+                self.lane.waste(wasted);
             }
         }
         self.trim_prefetched(keep);
     }
 
-    /// Installs a background read's windows as prefetched copies,
-    /// discarding any whose state moved underneath the read. The checks
-    /// mirror exactly what can change between submit and drain: a
-    /// compaction or restore (generation/epoch), a consume (table entry
-    /// gone, or a later incarnation with another `first_offset` in its
-    /// place), or a flush adding records (disk_records advanced).
-    fn install(&mut self, batch: AsyncBatch) {
+    /// Installs a batch read's windows as prefetched copies, discarding
+    /// any whose state moved underneath the read; returns how many it
+    /// installed and the bytes it discarded. The checks mirror what can
+    /// change between a ring read's submit and its drain: a compaction
+    /// or restore (generation/epoch), a consume (table entry gone, or a
+    /// later incarnation with another `first_offset`), or a flush adding
+    /// records (disk_records advanced).
+    fn install(&mut self, batch: BatchRead) -> (i64, u64) {
         let stale = batch.generation != self.index.generation() || batch.epoch != self.epoch;
-        let mut installed = 0i64;
+        let (mut installed, mut wasted) = (0i64, 0u64);
         for w in batch.windows {
             let current = self
                 .table
@@ -813,28 +769,28 @@ impl AurStore {
                 // Grown, already resident, or consumed under the read —
                 // as a hit a synchronous batch made, so nothing was late:
                 // a trigger that beats its read waits for it.
-                _ => self.lane.waste(w.bytes),
+                _ => wasted += w.bytes,
             }
         }
-        self.lane.installed(installed);
+        (installed, wasted)
     }
 
     /// Submits one background read covering every window due within the
-    /// prefetch horizon, bounded by the byte budget. The job replays the
-    /// synchronous predictive batch read's index scan against a
-    /// consistent snapshot (scan start, each selected window's
-    /// `first_offset`, index length) and never mutates store state — all
-    /// bookkeeping commits happen at drain time on the worker thread.
+    /// prefetch horizon, bounded by the byte budget: the batch read a
+    /// miss runs, on the lane, against a consistent snapshot (scan start,
+    /// each selected window's `first_offset`, index length). The job
+    /// never mutates store state — all bookkeeping commits at drain time
+    /// on the worker thread.
     fn submit_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
         let lane = &mut self.lane;
         // Nothing to plan for a lane that admits no read at all.
         if self.cfg.read_batch_ratio <= 0.0 || self.table.len() == 0 || !lane.admits(0, 0) {
             return Ok(());
         }
-        // One scan in flight per store: each job replays the index scan,
-        // so stacking a fresh submission on every tick while earlier
-        // ones are still running multiplies that scan instead of
-        // advancing it. The next tick after the drain tops up coverage.
+        // One scan in flight per store: each job walks the index, so
+        // stacking a fresh submission on every tick while earlier ones
+        // are still running multiplies that walk instead of advancing
+        // it. The next tick after the drain tops up coverage.
         if !lane.is_idle() {
             return Ok(());
         }
@@ -845,7 +801,7 @@ impl AurStore {
         // Buffered values do not disqualify a window: the read covers its
         // disk records, and a flush landing under it fails the install
         // check and is counted as waste.
-        let (mut picks, next_due) = self
+        let (mut picks, next_due, start) = self
             .table
             .select_soonest(0, Some(due), |_, _, lw| lw.prefetched.is_some());
         self.next_prefetch_scan = Some(next_due);
@@ -873,58 +829,19 @@ impl AurStore {
             return Ok(());
         };
         self.data.flush()?;
-        let index_limit = self.index.total();
+        let limit = self.index.total();
+        let start = start.unwrap_or(limit);
         let data_path = self.data.path();
-        let scan_start = self.index_scan_start;
         let generation = self.index.generation();
         let epoch = self.epoch;
-        // The job decides liveness of selected windows only: their slot
-        // in the batch and their `first_offset` travel with it.
-        let mut selected: WindowMap<(usize, u64)> = WindowMap::default();
-        for (slot, pick) in picks.iter().enumerate() {
-            selected.insert(&pick.key, pick.window, (slot, pick.first_offset));
-        }
         let keys: Vec<StateKey> = picks.iter().map(|p| (p.key.clone(), p.window)).collect();
         lane.submit(keys, est_bytes, move |vfs| {
-            let mut out: Vec<AsyncWindow> = picks
-                .into_iter()
-                .map(|pick| AsyncWindow {
-                    pick,
-                    found_records: 0,
-                    values: ValueRun::default(),
-                    bytes: 0,
-                })
-                .collect();
-            // The walk stops before `index_limit`, the end of the index
-            // log at submission, and keeps the live entries of selected
-            // windows: one probe per entry.
-            let mut wanted: Vec<(u64, u64, usize)> = Vec::new();
-            walk_index(
-                vfs,
-                &index_path,
-                scan_start,
-                Some(index_limit),
-                |entry| match selected.get(entry.key, entry.window) {
-                    Some(&(slot, first_offset)) if entry.offset >= first_offset => {
-                        wanted.push((entry.offset, entry.len, slot));
-                        true
-                    }
-                    _ => false,
-                },
-            )?;
-            if !wanted.is_empty() {
-                let mut data = RandomAccessLog::open_in(vfs, &data_path)?;
-                load_values(&mut data, wanted, |slot, payload, disk_len| {
-                    let slot = &mut out[slot];
-                    slot.bytes += disk_len;
-                    slot.found_records += 1;
-                    slot.values.push_record(payload)
-                })?;
-            }
-            Ok(AsyncBatch {
+            let data = || RandomAccessLog::open_in(vfs, &data_path);
+            let (windows, _) = read_windows(vfs, &index_path, start, limit, data, picks)?;
+            Ok(BatchRead {
                 generation,
                 epoch,
-                windows: out,
+                windows,
             })
         });
         Ok(())
@@ -935,23 +852,43 @@ impl AurStore {
     /// match.
     fn compact(&mut self) -> Result<()> {
         let _t = self.metrics.timer(OpCategory::Compaction);
-        // Live entries in append order (everything before
-        // `index_scan_start` is known dead).
-        let scanned = match self.index.flushed_path()? {
-            Some(path) => self.scan_index("aur compact scan", &path)?,
-            None => Vec::new(),
-        };
-        let mut live = self.live_entries(&scanned)?;
+        // Every entry from the scan start on, in log order, re-encoded
+        // back to back in one allocation by a job on the lane — which
+        // can't touch the table, so the worker applies liveness.
+        let mut scanned = Vec::new();
+        if let (Some(path), Some(start)) = (self.index.flushed_path()?, self.table.scan_start()) {
+            let (job_path, limit) = (path.clone(), self.index.total());
+            scanned = self
+                .lane
+                .read_through(move |vfs| {
+                    let mut scanned = Vec::new();
+                    walk_index(vfs, &job_path, start, limit, |entry| {
+                        entry.encode_to(&mut scanned)
+                    })?;
+                    Ok(scanned)
+                })
+                .map_err(|e| StoreError::io_at("aur compact scan", &path, e))?;
+        }
+        let mut live = Vec::new();
+        let mut dec = Decoder::new(&scanned);
+        while !dec.is_empty() {
+            let entry = IndexEntry::decode_from(&mut dec)?;
+            if self.table.classify(entry.key, entry.window, entry.offset) {
+                live.push(entry);
+            }
+        }
         let locations: Vec<(u64, u64)> = live.iter().map(|e| (e.offset, e.len)).collect();
         let data = self.data.relocate(&locations, |i, offset| {
             live[i].offset = offset;
             Ok(())
         })?;
-        let index = self.index.replace(live.iter().map(|entry| {
+        let payloads = live.iter().map(|entry| {
             let mut payload = Vec::new();
             entry.encode_to(&mut payload);
             payload
-        }))?;
+        });
+        let mut entry_offsets = Vec::with_capacity(live.len());
+        let index = self.index.replace(payloads, |at| entry_offsets.push(at))?;
         // Data before index: reopening takes the index's generation for
         // both, so a fault between the two renames finds the old pair.
         GenLog::commit([(&mut self.data, data), (&mut self.index, index)])?;
@@ -960,8 +897,9 @@ impl AurStore {
         self.metrics.add_bytes_written(moved);
         self.metrics.add_compaction();
         // The rewrite dropped every dead record.
-        self.table.compacted();
-        self.index_scan_start = 0;
+        let entries = live.iter().zip(entry_offsets);
+        self.table
+            .compacted(entries.map(|(e, at)| (e.key, e.window, at)));
         Ok(())
     }
 
@@ -976,7 +914,6 @@ impl AurStore {
     fn rebuild_from_index(&mut self) -> Result<()> {
         self.table = LiveTable::default();
         self.next_prefetch_scan = None;
-        self.index_scan_start = 0;
         let mut indexed = 0u64;
         let data_len = self.data.total();
         let mut dangling = None;
@@ -992,6 +929,7 @@ impl AurStore {
                 entry.window,
                 entry.max_ts,
                 entry.len,
+                loc.offset,
                 &self.predictor,
             );
             indexed += entry.len;
@@ -1541,42 +1479,38 @@ mod tests {
             let name = case.name;
             let expected = owned(case.live);
 
-            // The walker itself.
+            // The walker itself: from the head of the log it passes the
+            // dead run, from the table's scan start no dead entry comes
+            // before the first live one — the start *is* that entry.
             let (_dir, s, _) = walk_case_store(case, 0);
             let index = s.index.path();
             let limit = s.index.total();
-            let walk = |limit: Option<u64>| {
+            let walk = |start: u64, limit: u64| {
                 let mut visited: Vec<Vec<u8>> = Vec::new();
                 let mut dead_run = 0;
                 let visit = |entry: IndexEntry<'_>| {
-                    let state = s.table.classify(entry.key, entry.window, entry.offset);
-                    if state == EntryState::Dead {
+                    if !s.table.classify(entry.key, entry.window, entry.offset) {
                         dead_run += usize::from(visited.is_empty());
-                        return false;
+                        return;
                     }
                     visited.push(entry.key.to_vec());
-                    true
                 };
-                walk_index(&s.vfs, &index, s.index_scan_start, limit, visit)
-                    .map(|walk| (walk, visited, dead_run))
+                walk_index(&s.vfs, &index, start, limit, visit)
+                    .map(|scanned| (scanned, visited, dead_run))
             };
-            let (bounded, mut visited, dead_run) = walk(Some(limit)).unwrap();
+            let (scanned, mut visited, dead_run) = walk(0, limit).unwrap();
             visited.sort();
             let keys: Vec<Vec<u8>> = expected.iter().map(|(k, _)| k.clone()).collect();
             assert_eq!(visited, keys, "{name}: live entries");
             assert_eq!(dead_run, case.dead_run, "{name}: dead run");
-            assert_eq!(
-                bounded.live_start > s.index_scan_start,
-                case.dead_run > 0,
-                "{name}: the scan start moves exactly past a leading dead run"
-            );
-            assert!(bounded.scanned_bytes > 0 && bounded.scanned_bytes <= limit);
-            match walk(None) {
+            assert_eq!(scanned, limit, "{name}: the walk stops at the limit");
+            let start = s.table.scan_start().unwrap();
+            let (_, mut from_start, dead_run) = walk(start, limit).unwrap();
+            from_start.sort();
+            assert_eq!((dead_run, from_start), (0, keys), "{name}: scan start");
+            match walk(start, u64::MAX) {
                 Err(e) => assert!(case.torn_tail && e.is_corruption(), "{name}: {e}"),
-                Ok((unbounded, ..)) => {
-                    assert!(!case.torn_tail, "{name}: walked into the torn tail");
-                    assert_eq!(unbounded.live_start, bounded.live_start, "{name}");
-                }
+                Ok(_) => assert!(!case.torn_tail, "{name}: walked into the torn tail"),
             }
 
             // The ring job stops at the index writer's offset, torn tail
@@ -1594,15 +1528,10 @@ mod tests {
             }
 
             for width in [0, 2] {
-                // The synchronous batch read, which alone commits the
-                // advanced scan start.
+                // The synchronous batch read.
                 let (_dir, mut s, _ring) = walk_case_store(case, width);
                 assert_eq!(take_all(&mut s, case), expected, "{name}: sync/{width}");
-                assert_eq!(
-                    s.index_scan_start > 0,
-                    case.dead_run > 0,
-                    "{name}: sync/{width}"
-                );
+                assert_eq!(s.table.scan_start(), None, "{name}: sync/{width}");
 
                 // The serving view, which commits nothing.
                 let (_dir, mut s, _ring) = walk_case_store(case, width);
@@ -1615,7 +1544,7 @@ mod tests {
                     offsets.sort();
                     offsets
                 };
-                let offsets_before = first_offsets(&s);
+                let offsets_before = (first_offsets(&s), s.table.scan_start());
                 let mut view = BTreeMap::new();
                 s.collect_view(&mut view).unwrap();
                 let view: Vec<_> = view
@@ -1626,9 +1555,8 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(view, expected, "{name}: view/{width}");
-                assert_eq!(s.index_scan_start, 0, "{name}: view/{width}");
                 assert_eq!(
-                    first_offsets(&s),
+                    (first_offsets(&s), s.table.scan_start()),
                     offsets_before,
                     "{name}: view/{width} moved a window's first live offset"
                 );
@@ -1734,22 +1662,92 @@ mod tests {
             &[(b"a", b"a1", 10), (b"b", b"b1", 20), (b"c", b"c1", 30)],
         );
         let entries = index_entry_offsets(&mut s);
-        // Each read commits the first entry that was live when it
-        // scanned — the read's own window included.
+        assert_eq!(s.table.scan_start(), Some(entries[0]));
+        // Each consume moves the start to the first entry still live,
+        // whatever read ran last.
         assert_eq!(s.take(b"a", W).unwrap(), [b"a1"]);
-        assert_eq!(s.index_scan_start, entries[0]);
+        assert_eq!(s.table.scan_start(), Some(entries[1]));
         assert_eq!(s.take(b"c", W).unwrap(), [b"c1"]);
-        assert_eq!(s.index_scan_start, entries[1], "passed live `b`");
+        assert_eq!(s.table.scan_start(), Some(entries[1]), "live `b` holds it");
         // `a` returns behind the dead run; `b` still holds the start.
         append_flushed(&mut s, &[(b"a", b"a2", 40)]);
         let entries = index_entry_offsets(&mut s);
-        assert_eq!(s.take(b"b", W).unwrap(), [b"b1"]);
-        assert_eq!(s.index_scan_start, entries[1]);
+        assert_eq!(s.table.scan_start(), Some(entries[1]));
         // Now the head is dead up to `a`'s second incarnation: the old
-        // `a1` entry ahead of it stayed dead throughout.
+        // `a1` entry ahead of it stays dead.
+        assert_eq!(s.take(b"b", W).unwrap(), [b"b1"]);
+        assert_eq!(s.table.scan_start(), Some(entries[3]));
         assert_eq!(s.take(b"a", W).unwrap(), [b"a2"]);
-        assert_eq!(s.index_scan_start, entries[3]);
+        assert_eq!(s.table.scan_start(), None);
         assert_eq!(s.metrics.snapshot().compactions, 0);
+    }
+
+    /// Index-log offset of the first entry the liveness rule passes in a
+    /// walk of the whole log, or the log's end when none does.
+    fn first_live_entry(s: &mut AurStore) -> u64 {
+        let mut first = None;
+        let table = &s.table;
+        let each = |loc: flowkv_common::logfile::RecordLocation, payload: &[u8]| {
+            let entry = IndexEntry::decode(payload)?;
+            if first.is_none() && table.classify(entry.key, entry.window, entry.offset) {
+                first = Some(loc.offset);
+            }
+            Ok(())
+        };
+        s.index.scan(each).unwrap();
+        first.unwrap_or(s.index.total())
+    }
+
+    /// The scan start is a fact of the table: after every step of a
+    /// seeded random run — appends, flushes, takes, peeks, compactions,
+    /// checkpoint round trips, read-ahead ticks — on a lane of width 0
+    /// and 2, it is the first entry a full walk finds live.
+    #[test]
+    fn the_scan_start_is_the_first_live_entry_after_every_step() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for width in [0, 2] {
+            for seed in 0..6 {
+                let dir = ScratchDir::new("aur-start-rule").unwrap();
+                let ckpt = ScratchDir::new("aur-start-rule-ckpt").unwrap();
+                let cfg = AurConfig {
+                    write_buffer_bytes: 512,
+                    read_batch_ratio: 0.3,
+                    max_space_amplification: 2.0,
+                };
+                let mut s = session_store(dir.path(), cfg);
+                let ring = (width > 0).then(|| Arc::new(IoRing::new(width, None, None)));
+                if let Some(ring) = &ring {
+                    s = s.with_ring(Arc::clone(ring));
+                }
+                let mut rng = StdRng::seed_from_u64(seed);
+                for step in 0..300 {
+                    let key = [b'a' + rng.gen_range(0..8u8)];
+                    let window = w(0, 100 * rng.gen_range(1..3));
+                    let ts = rng.gen_range(0..400);
+                    match rng.gen_range(0..100) {
+                        0..55 => s.append(&key, window, &[7u8; 24], ts).unwrap(),
+                        55..65 => s.flush().unwrap(),
+                        65..83 => assert!(s.take(&key, window).is_ok()),
+                        83..88 => assert!(s.peek(&key, window).is_ok()),
+                        88..92 => s.compact().unwrap(),
+                        92..95 => {
+                            s.checkpoint(ckpt.path()).unwrap();
+                            s.restore(ckpt.path()).unwrap();
+                        }
+                        _ => {
+                            s.advance_prefetch(ts).unwrap();
+                            if let Some(ring) = &ring {
+                                ring.wait_idle();
+                                s.advance_prefetch(ts).unwrap();
+                            }
+                        }
+                    }
+                    let start = s.table.scan_start().unwrap_or(s.index.total());
+                    let expected = first_live_entry(&mut s);
+                    assert_eq!(start, expected, "width {width}, seed {seed}, step {step}");
+                }
+            }
+        }
     }
 
     /// Device work of a scripted run — appends filling four flushes, 20

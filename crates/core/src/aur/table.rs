@@ -3,8 +3,8 @@
 //!
 //! One entry per live `(key, window)` pair holds the window's
 //! **Stat-table** row, its share of the **write buffer** and its share of
-//! the **prefetch buffer**, so an append, a trigger and every entry of an
-//! index-log scan cost one probe. Data *locations* stay on disk in the
+//! the **prefetch buffer**, so an append, a trigger and every entry of a
+//! compaction scan cost one probe. Data *locations* stay on disk in the
 //! index log — an entry is what must fit in memory even when windows
 //! number in the millions.
 
@@ -34,6 +34,10 @@ pub struct LiveWindow {
     /// Set by the first flush after the window is created, 0 in a
     /// generation a compaction or a reopen made (all its records live).
     pub first_offset: u64,
+    /// Index-log offset of the entry of that record: the window's first
+    /// live entry. Set beside `first_offset`, and by a compaction's
+    /// rewrite to the window's first entry in the new index.
+    first_entry: u64,
     /// Write buffer: values appended since the last flush.
     pub buffered: ValueRun,
     /// What `buffered` counts toward the flush threshold.
@@ -42,9 +46,6 @@ pub struct LiveWindow {
     /// loaded them — kept as the record bytes they came in, so a flush
     /// extends the copy by the run it wrote and only a read decodes.
     pub prefetched: Option<ValueRun>,
-    /// The batch read that selected this window last, and its slot in
-    /// that read's selection.
-    picked: Option<(u64, usize)>,
 }
 
 impl LiveWindow {
@@ -71,24 +72,16 @@ impl LiveWindow {
         Ok(out)
     }
 
-    fn add_disk(&mut self, offset: u64, bytes: u64) {
+    /// Counts a disk record of `bytes` at data-log `offset`, listed by the
+    /// index entry at `entry`.
+    fn add_disk(&mut self, offset: u64, bytes: u64, entry: u64) {
         if self.disk_records == 0 {
             self.first_offset = offset;
+            self.first_entry = entry;
         }
         self.disk_bytes += bytes;
         self.disk_records += 1;
     }
-}
-
-/// What one probe says about an index entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EntryState {
-    /// Its window was consumed, or it belongs to an earlier incarnation.
-    Dead,
-    /// It locates a record of a live window.
-    Live,
-    /// Live, and the running batch read selected its window as this slot.
-    Picked(usize),
 }
 
 /// A window chosen by [`LiveTable::select_soonest`], as it then was.
@@ -121,8 +114,6 @@ pub struct LiveTable {
     buffer_bytes: usize,
     prefetched: usize,
     prefetch_bytes: usize,
-    /// Sequence number of the last batch-read selection.
-    scan: u64,
 }
 
 impl LiveTable {
@@ -148,21 +139,22 @@ impl LiveTable {
         });
     }
 
-    /// Rebuilds one window's bookkeeping from a recovered index entry:
-    /// the persisted `max_ts` re-derives the trigger-time estimate and
-    /// `len` restores the disk footprint.
+    /// Rebuilds one window's bookkeeping from a recovered index entry at
+    /// index-log offset `entry`: the persisted `max_ts` re-derives the
+    /// trigger-time estimate and `len` restores the disk footprint.
     pub fn rebuild_entry(
         &mut self,
         key: &[u8],
         window: WindowId,
         max_ts: Timestamp,
         len: u64,
+        entry: u64,
         predictor: &EttPredictor,
     ) {
         self.windows.upsert(key, window, LiveWindow::new, |lw| {
             lw.max_ts = lw.max_ts.max(max_ts);
             lw.ett = predictor.predict(key, window, lw.max_ts);
-            lw.add_disk(0, len);
+            lw.add_disk(0, len, entry);
         });
     }
 
@@ -226,11 +218,12 @@ impl LiveTable {
     /// Hands every window with buffered values to `write` in
     /// predicted-trigger order — `(ETT, key, window)`, a function of the
     /// input and not of map iteration order — and moves what `write`
-    /// put on disk from the window's buffer to its disk footprint and,
+    /// put on disk (the data record's location and the offset of its
+    /// index entry) from the window's buffer to its disk footprint and,
     /// to keep it complete, to the end of a prefetched copy.
     pub fn flush_each(
         &mut self,
-        mut write: impl FnMut(&[u8], WindowId, &LiveWindow) -> Result<RecordLocation>,
+        mut write: impl FnMut(&[u8], WindowId, &LiveWindow) -> Result<(RecordLocation, u64)>,
     ) -> Result<()> {
         let mut groups: Vec<(&[u8], WindowId, &mut LiveWindow)> = self
             .windows
@@ -239,8 +232,8 @@ impl LiveTable {
             .collect();
         groups.sort_unstable_by(|a, b| (a.2.ett, a.0, a.1).cmp(&(b.2.ett, b.0, b.1)));
         for (key, window, lw) in groups {
-            let loc = write(key, window, lw)?;
-            lw.add_disk(loc.offset, loc.disk_len());
+            let (loc, entry) = write(key, window, lw)?;
+            lw.add_disk(loc.offset, loc.disk_len(), entry);
             if let Some(resident) = &mut lw.prefetched {
                 resident.extend(&lw.buffered);
                 self.prefetch_bytes += lw.buffered.bytes_len();
@@ -262,18 +255,22 @@ impl LiveTable {
     /// cheaper than scanning again (DESIGN.md §5). With them, the
     /// earliest ETT later than `due_ett` among all windows with on-disk
     /// state: the bound stream time must reach before another window
-    /// becomes due, `Timestamp::MAX` when there is none.
+    /// becomes due, `Timestamp::MAX` when there is none. And, from the
+    /// same pass, where the read's index walk starts
+    /// ([`LiveTable::scan_start`]).
     pub fn select_soonest(
         &self,
         n: usize,
         due_ett: Option<Timestamp>,
         mut skip: impl FnMut(&[u8], WindowId, &LiveWindow) -> bool,
-    ) -> (Vec<Pick>, Timestamp) {
+    ) -> (Vec<Pick>, Timestamp, Option<u64>) {
         let mut next_due = Timestamp::MAX;
+        let mut start: Option<u64> = None;
         let mut due = 0;
         let mut candidates: Vec<(Timestamp, &[u8], WindowId, &LiveWindow)> = Vec::new();
-        for (key, window, lw) in self.windows.iter() {
-            let (true, Some(ett)) = (lw.disk_records > 0, lw.ett) else {
+        for (key, window, lw) in self.windows.iter().filter(|(.., lw)| lw.disk_records > 0) {
+            start = Some(start.map_or(lw.first_entry, |s| s.min(lw.first_entry)));
+            let Some(ett) = lw.ett else {
                 continue;
             };
             let is_due = due_ett.is_some_and(|due| ett <= due);
@@ -297,38 +294,44 @@ impl LiveTable {
             .into_iter()
             .map(|(_, key, window, lw)| Pick::of(key, window, lw))
             .collect();
-        (picks, next_due)
+        (picks, next_due, start)
     }
 
-    /// Marks `picks` as the selection of a new batch read: until the next
-    /// call, `classify` answers `Picked(i)` for live entries of `picks[i]`.
-    pub fn mark(&mut self, picks: &[Pick]) {
-        self.scan += 1;
-        for (slot, pick) in picks.iter().enumerate() {
-            if let Some(lw) = self.windows.get_mut(&pick.key, pick.window) {
-                lw.picked = Some((self.scan, slot));
-            }
-        }
+    /// Every window with on-disk state, as a batch read picks it.
+    pub fn on_disk(&self) -> Vec<Pick> {
+        let on_disk = self.windows.iter().filter(|(.., lw)| lw.disk_records > 0);
+        on_disk.map(|(k, w, lw)| Pick::of(k, w, lw)).collect()
+    }
+
+    /// Where every index walk starts: the index-log offset of the first
+    /// live entry, the least `first_entry` of the windows on disk —
+    /// `None` when no window is. Entries before it are dead for good.
+    pub fn scan_start(&self) -> Option<u64> {
+        let on_disk = self.windows.iter().filter(|(.., lw)| lw.disk_records > 0);
+        on_disk.map(|(.., lw)| lw.first_entry).min()
     }
 
     /// The liveness rule, in one probe: an index entry is live iff its
     /// window is in the table with disk records and the entry's data
     /// record sits at or past the window's `first_offset`.
-    pub fn classify(&self, key: &[u8], window: WindowId, offset: u64) -> EntryState {
-        match self.windows.get(key, window) {
-            Some(lw) if lw.disk_records > 0 && offset >= lw.first_offset => match lw.picked {
-                Some((scan, slot)) if scan == self.scan => EntryState::Picked(slot),
-                _ => EntryState::Live,
-            },
-            _ => EntryState::Dead,
-        }
+    pub fn classify(&self, key: &[u8], window: WindowId, offset: u64) -> bool {
+        let lw = self.windows.get(key, window);
+        lw.is_some_and(|lw| lw.disk_records > 0 && offset >= lw.first_offset)
     }
 
-    /// A compaction rewrote the logs with live records only: every
-    /// record of every window is live in the new generation.
-    pub fn compacted(&mut self) {
+    /// A compaction rewrote the logs with live records only, listed by
+    /// `entries` — `(key, window, index-log offset)` in log order: every
+    /// record of every window is live in the new generation, and a
+    /// window's first entry is its first there.
+    pub fn compacted<'a>(&mut self, entries: impl IntoIterator<Item = (&'a [u8], WindowId, u64)>) {
         for (.., lw) in self.windows.iter_mut() {
             lw.first_offset = 0;
+            lw.first_entry = u64::MAX;
+        }
+        for (key, window, entry) in entries {
+            if let Some(lw) = self.windows.get_mut(key, window) {
+                lw.first_entry = lw.first_entry.min(entry);
+            }
         }
     }
 
@@ -378,8 +381,8 @@ mod tests {
     /// disk record each.
     fn on_disk(rows: &[(&[u8], Timestamp)]) -> LiveTable {
         let mut t = LiveTable::default();
-        for &(key, ts) in rows {
-            t.rebuild_entry(key, w(0, 200), ts, 10, &GAP);
+        for (entry, &(key, ts)) in (0..).zip(rows) {
+            t.rebuild_entry(key, w(0, 200), ts, 10, 100 + entry, &GAP);
         }
         t
     }
@@ -416,10 +419,8 @@ mod tests {
         let mut flush = |t: &mut LiveTable| {
             t.flush_each(|_, _, lw| {
                 offset += 100;
-                Ok(RecordLocation {
-                    offset,
-                    len: 42 + lw.buffered.count() as u32,
-                })
+                let len = 42 + lw.buffered.count() as u32;
+                Ok((RecordLocation { offset, len }, offset / 10))
             })
             .unwrap();
         };
@@ -431,7 +432,7 @@ mod tests {
         let lw = t.get(b"k", w(0, 50)).unwrap();
         assert_eq!(lw.disk_bytes, (8 + 43) + (8 + 44));
         assert_eq!(lw.disk_records, 2);
-        assert_eq!(lw.first_offset, 800);
+        assert_eq!((lw.first_offset, lw.first_entry), (800, 80));
         assert_eq!(lw.buffered.count(), 0);
         assert_eq!(t.buffer_bytes(), 0);
         assert_eq!(t.len(), 1);
@@ -451,7 +452,7 @@ mod tests {
         let mut order = Vec::new();
         t.flush_each(|key, window, _| {
             order.push((key.to_vec(), window));
-            Ok(RecordLocation { offset: 0, len: 1 })
+            Ok((RecordLocation { offset: 0, len: 1 }, 0))
         })
         .unwrap();
         let expected = [
@@ -466,8 +467,8 @@ mod tests {
     #[test]
     fn consume_removes() {
         let mut t = LiveTable::default();
-        t.rebuild_entry(b"k", w(0, 50), 1, 100, &GAP);
-        t.rebuild_entry(b"k", w(50, 90), 1, 10, &GAP);
+        t.rebuild_entry(b"k", w(0, 50), 1, 100, 0, &GAP);
+        t.rebuild_entry(b"k", w(50, 90), 1, 10, 20, &GAP);
         assert!(t.consume(b"k", w(0, 50)).is_some());
         assert!(t.consume(b"k", w(0, 50)).is_none());
         assert_eq!(t.len(), 1);
@@ -483,13 +484,13 @@ mod tests {
         let mut t = on_disk(&[(b"a", 30), (b"b", 10), (b"c", 20), (b"d", 5)]);
         // No disk data for `e`: never selected.
         t.append(b"e", w(0, 200), b"v", 1, &GAP);
-        let (selected, _) = t.select_soonest(2, None, |_, _, _| false);
+        let selected = t.select_soonest(2, None, |_, _, _| false).0;
         assert_eq!(keys(&selected), vec![b"d" as &[u8], b"b"]);
         // Skip filter removes candidates.
-        let (selected, _) = t.select_soonest(2, None, |k, _, _| k == b"d");
+        let selected = t.select_soonest(2, None, |k, _, _| k == b"d").0;
         assert_eq!(keys(&selected), vec![b"b" as &[u8], b"c"]);
         // More asked for than there is: everything, in order.
-        let (selected, _) = t.select_soonest(9, None, |_, _, _| false);
+        let selected = t.select_soonest(9, None, |_, _, _| false).0;
         assert_eq!(keys(&selected), vec![b"d" as &[u8], b"b", b"c", b"a"]);
     }
 
@@ -497,10 +498,10 @@ mod tests {
     fn due_windows_extend_selection_beyond_n() {
         let t = on_disk(&[(b"a", 5), (b"b", 6), (b"c", 7), (b"d", 100)]);
         // n = 1, but everything due at ETT 17 (= 7 + gap) comes along.
-        let (selected, _) = t.select_soonest(1, Some(17), |_, _, _| false);
+        let selected = t.select_soonest(1, Some(17), |_, _, _| false).0;
         assert_eq!(keys(&selected), vec![b"a" as &[u8], b"b", b"c"]);
         // Without a due bound, only the n soonest are taken.
-        let (selected, _) = t.select_soonest(1, None, |_, _, _| false);
+        let selected = t.select_soonest(1, None, |_, _, _| false).0;
         assert_eq!(selected.len(), 1);
     }
 
@@ -520,31 +521,52 @@ mod tests {
     #[test]
     fn unpredictable_windows_are_never_selected() {
         let mut t = LiveTable::default();
-        t.rebuild_entry(b"k", w(0, 100), 5, 10, &EttPredictor::Unpredictable);
-        assert!(t.select_soonest(10, None, |_, _, _| false).0.is_empty());
+        t.rebuild_entry(b"k", w(0, 100), 5, 10, 0, &EttPredictor::Unpredictable);
+        let (picks, _, start) = t.select_soonest(10, None, |_, _, _| false);
+        assert!(picks.is_empty());
+        // Its entries are live all the same: the walk starts at them.
+        assert_eq!(start, Some(0));
+        assert_eq!(t.on_disk().len(), 1);
     }
 
     #[test]
-    fn classify_applies_the_offset_rule_and_the_marks_of_the_last_selection() {
+    fn classify_applies_the_offset_rule() {
         let mut t = LiveTable::default();
         t.append(b"k", w(0, 50), b"v", 5, &GAP);
         // Buffered only: entries of an earlier incarnation are dead.
-        assert_eq!(t.classify(b"k", w(0, 50), 0), EntryState::Dead);
-        t.flush_each(|_, _, _| Ok(RecordLocation { offset: 64, len: 1 }))
+        assert!(!t.classify(b"k", w(0, 50), 0));
+        t.flush_each(|_, _, _| Ok((RecordLocation { offset: 64, len: 1 }, 32)))
             .unwrap();
-        assert_eq!(t.classify(b"k", w(0, 50), 63), EntryState::Dead);
-        assert_eq!(t.classify(b"k", w(0, 50), 64), EntryState::Live);
-        assert_eq!(t.classify(b"k", w(50, 90), 64), EntryState::Dead);
-        assert_eq!(t.classify(b"other", w(0, 50), 64), EntryState::Dead);
-        let (picks, _) = t.select_soonest(1, None, |_, _, _| false);
-        t.mark(&picks);
-        assert_eq!(t.classify(b"k", w(0, 50), 99), EntryState::Picked(0));
-        // The next selection forgets this one's marks.
-        t.mark(&[]);
-        assert_eq!(t.classify(b"k", w(0, 50), 99), EntryState::Live);
+        assert!(!t.classify(b"k", w(0, 50), 63));
+        assert!(t.classify(b"k", w(0, 50), 64));
+        assert!(!t.classify(b"k", w(50, 90), 64));
+        assert!(!t.classify(b"other", w(0, 50), 64));
         // A compaction leaves live records only.
-        t.compacted();
-        assert_eq!(t.classify(b"k", w(0, 50), 0), EntryState::Live);
+        t.compacted([]);
+        assert!(t.classify(b"k", w(0, 50), 0));
+    }
+
+    #[test]
+    fn the_scan_start_is_the_first_entry_of_a_window_on_disk() {
+        let mut t = on_disk(&[(b"a", 30), (b"b", 10), (b"c", 20)]);
+        assert_eq!(t.scan_start(), Some(100));
+        t.consume(b"a", w(0, 200));
+        assert_eq!(t.select_soonest(0, None, |_, _, _| false).2, Some(101));
+        // A buffered window has no entry yet; its first flush gives it one.
+        t.append(b"a", w(0, 200), b"v", 40, &GAP);
+        t.consume(b"b", w(0, 200));
+        t.consume(b"c", w(0, 200));
+        assert_eq!(t.scan_start(), None);
+        t.flush_each(|_, _, _| Ok((RecordLocation { offset: 64, len: 1 }, 103)))
+            .unwrap();
+        assert_eq!(t.scan_start(), Some(103));
+        // A compaction names each window's first entry in the new log.
+        t.append(b"d", w(0, 200), b"v", 50, &GAP);
+        let a: &[u8] = b"a";
+        t.compacted([(a, w(0, 200), 0), (a, w(0, 200), 9)]);
+        assert_eq!(t.scan_start(), Some(0));
+        t.consume(b"a", w(0, 200));
+        assert_eq!(t.scan_start(), None);
     }
 
     #[test]
@@ -609,7 +631,7 @@ mod tests {
         // flush grows its copy. It cannot hold the buffer against `c`,
         // which is due sooner — `a` is now the latest, and goes.
         t.append(b"a", w(0, 200), &[0u8; 100], 60, &GAP);
-        t.flush_each(|_, _, _| Ok(RecordLocation { offset: 64, len: 1 }))
+        t.flush_each(|_, _, _| Ok((RecordLocation { offset: 64, len: 1 }, 0)))
             .unwrap();
         assert_eq!(t.prefetch_bytes(), bound + COPY);
         t.install(b"c", w(0, 200), &run(&[&[0u8; 100]]));
@@ -626,7 +648,7 @@ mod tests {
         let mut t = on_disk(&[(b"k", 1)]);
         t.append(b"k", w(0, 200), b"new", 2, &GAP);
         t.install(b"k", w(0, 200), &run(&[b"old"]));
-        t.flush_each(|_, _, _| Ok(RecordLocation { offset: 64, len: 1 }))
+        t.flush_each(|_, _, _| Ok((RecordLocation { offset: 64, len: 1 }, 0)))
             .unwrap();
         assert_eq!(t.prefetch_bytes(), 2 * (3 + 1));
         let lw = t.consume(b"k", w(0, 200)).unwrap();
@@ -638,7 +660,7 @@ mod tests {
     fn prefetched_windows_count_across_keys() {
         let mut t = LiveTable::default();
         for (key, window) in [(b"a", w(0, 10)), (b"a", w(10, 20)), (b"b", w(0, 10))] {
-            t.rebuild_entry(key, window, 1, 10, &GAP);
+            t.rebuild_entry(key, window, 1, 10, 0, &GAP);
             t.install(key, window, &run(&[b"x"]));
         }
         assert_eq!(t.prefetched_windows(), 3);

@@ -140,6 +140,49 @@ fn an_append_after_a_landed_ring_read_pays_no_device_op() {
     assert_a_take_after_appends_is_free(&mut store, &counting);
 }
 
+/// Windows served by read-ahead are dead index entries like any other:
+/// after thousands of ring hits, a miss walks from the first live entry
+/// — here its own, at the end of the log — not from the head of a log
+/// that is dead from end to end.
+#[test]
+fn a_miss_after_ring_served_takes_skips_the_dead_index() {
+    const SERVED: u32 = 4_000;
+    let dir = ScratchDir::new("opcount-aur-ring-then-miss").unwrap();
+    let counting = FaultVfs::counting(StdVfs::shared());
+    let metrics = StoreMetrics::new_shared();
+    let store = AurStore::open_with_vfs(
+        dir.path(),
+        AurConfig::default(),
+        EttPredictor::SessionGap { gap: 100 },
+        metrics.clone(),
+        counting.clone(),
+    )
+    .unwrap();
+    let ring = Arc::new(IoRing::new(2, None, None));
+    let mut store = store.with_ring(ring.clone());
+    let key = |i: u32| format!("key-{i:05}");
+    for i in 0..SERVED {
+        store.append(key(i).as_bytes(), window(), b"v", 0).unwrap();
+    }
+    store.flush().unwrap();
+    store.advance_prefetch(0).unwrap();
+    ring.wait_idle();
+    store.advance_prefetch(0).unwrap();
+    assert_eq!(store.prefetched_windows() as u64, u64::from(SERVED));
+    for i in 0..SERVED {
+        assert_eq!(store.take(key(i).as_bytes(), window()).unwrap(), [b"v"]);
+    }
+    // On disk after the last submission: no read covers it.
+    store.append(b"late", window(), b"late", 0).unwrap();
+    store.flush().unwrap();
+    let before = counting.ops();
+    assert_eq!(store.take(b"late", window()).unwrap(), [b"late"]);
+    let ops = counting.ops() - before;
+    // Index open, one index read, data open, one data read.
+    assert!(ops <= 4, "the miss cost {ops} device ops");
+    assert_eq!(metrics.snapshot().prefetch_misses, 1);
+}
+
 fn counter(telemetry: &Telemetry, name: &str) -> u64 {
     let name = format!("{name}{{store=t/p0}}");
     let samples = telemetry.registry().snapshot();

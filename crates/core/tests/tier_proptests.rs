@@ -1,4 +1,4 @@
-//! Property tests for the tier's AAR path against a bare AAR store.
+//! Property tests for the tier against bare stores, per access pattern.
 //!
 //! A [`TieredStore`](flowkv::TieredStore) over a FlowKV store of aligned
 //! full lists and a bare [`AarStore`] take the same appends. However
@@ -9,6 +9,13 @@
 //! within one drain, across flushes, checkpoint round trips and
 //! demotions that land between two steps. Drained to the end, the tiered
 //! store holds as little memory as it was opened with.
+//!
+//! The AUR (session full lists) and RMW (aggregates) patterns are held
+//! the same way against a bare FlowKV store of the same semantics, at the
+//! same three budgets: every take and peek of the tiered store answers
+//! what the bare one does, however its keys were demoted and promoted in
+//! between — a demotion takes an AUR window key by key through the
+//! store's batch read, a promotion appends it back.
 //!
 //! Tier-1 runs 32 cases per budget; `PROPTEST_CASES` deepens the search
 //! (CI's tiered-matrix job runs 256).
@@ -212,6 +219,164 @@ fn check(ops: &[Op], hot_bytes: usize) -> Result<(), TestCaseError> {
     harness.finish()
 }
 
+/// One call of the AUR or RMW pattern, on key `k`'s window starting at
+/// `w*100`: an `Append` is a put of an aggregate under RMW, and RMW has
+/// no peek.
+#[derive(Clone, Debug)]
+enum KeyedOp {
+    Append { k: u8, w: u8, len: u8 },
+    Take { k: u8, w: u8 },
+    Peek { k: u8, w: u8 },
+    Flush,
+    CheckpointRestore,
+    AdvancePrefetch,
+}
+
+fn keyed_ops() -> impl Strategy<Value = Vec<KeyedOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            10 => (0u8..6, 0u8..4, any::<u8>())
+                .prop_map(|(k, w, len)| KeyedOp::Append { k, w, len }),
+            4 => (0u8..6, 0u8..4).prop_map(|(k, w)| KeyedOp::Take { k, w }),
+            1 => (0u8..6, 0u8..4).prop_map(|(k, w)| KeyedOp::Peek { k, w }),
+            1 => Just(KeyedOp::Flush),
+            1 => Just(KeyedOp::CheckpointRestore),
+            1 => Just(KeyedOp::AdvancePrefetch),
+        ],
+        1..160,
+    )
+}
+
+/// A tiered store and a bare one of the same semantics, side by side.
+struct KeyedHarness {
+    _dir: ScratchDir,
+    tiered: Box<dyn StateBackend>,
+    bare: Box<dyn StateBackend>,
+    aggregate: AggregateKind,
+    empty_memory: usize,
+    seq: u32,
+}
+
+impl KeyedHarness {
+    fn new(semantics: OperatorSemantics, hot_bytes: usize) -> Self {
+        let dir = ScratchDir::new("tier-prop-keyed").unwrap();
+        let ctx = |name: &str| OperatorContext {
+            operator: "tier-prop".to_string(),
+            partition: 0,
+            semantics,
+            data_dir: dir.path().join(name),
+            telemetry: None,
+            io: None,
+        };
+        let inner = Arc::new(FlowKvFactory::new(FlowKvConfig::small_for_tests()));
+        let bare = inner.create(&ctx("bare")).unwrap();
+        let tiered = TieredFactory::new(inner, TierConfig::new(hot_bytes))
+            .create(&ctx("tiered"))
+            .unwrap();
+        KeyedHarness {
+            _dir: dir,
+            empty_memory: tiered.memory_bytes(),
+            tiered,
+            bare,
+            aggregate: semantics.aggregate,
+            seq: 0,
+        }
+    }
+
+    /// Takes `(k, w)` from both stores; they must agree.
+    fn take(&mut self, k: u8, w: u8) -> Result<(), TestCaseError> {
+        let key = format!("key{k}").into_bytes();
+        match self.aggregate {
+            AggregateKind::FullList => prop_assert_eq!(
+                self.tiered.take_values(&key, window(w)).unwrap(),
+                self.bare.take_values(&key, window(w)).unwrap(),
+                "take({}, {})",
+                k,
+                w
+            ),
+            AggregateKind::Incremental => prop_assert_eq!(
+                self.tiered.take_aggregate(&key, window(w)).unwrap(),
+                self.bare.take_aggregate(&key, window(w)).unwrap(),
+                "take({}, {})",
+                k,
+                w
+            ),
+        }
+        Ok(())
+    }
+
+    fn apply(&mut self, op: &KeyedOp) -> Result<(), TestCaseError> {
+        let rmw = self.aggregate == AggregateKind::Incremental;
+        match *op {
+            KeyedOp::Append { k, w, len } => {
+                self.seq += 1;
+                let key = format!("key{k}").into_bytes();
+                let mut value = self.seq.to_le_bytes().to_vec();
+                value.extend(std::iter::repeat_n(k, usize::from(len) % 96));
+                for store in [&mut self.tiered, &mut self.bare] {
+                    if rmw {
+                        store.put_aggregate(&key, window(w), &value).unwrap();
+                    } else {
+                        store
+                            .append(&key, window(w), &value, i64::from(self.seq))
+                            .unwrap();
+                    }
+                }
+            }
+            KeyedOp::Take { k, w } => self.take(k, w)?,
+            KeyedOp::Peek { k, w } if !rmw => {
+                let key = format!("key{k}").into_bytes();
+                prop_assert_eq!(
+                    self.tiered.peek_values(&key, window(w)).unwrap(),
+                    self.bare.peek_values(&key, window(w)).unwrap(),
+                    "peek({}, {})",
+                    k,
+                    w
+                );
+            }
+            KeyedOp::Peek { .. } => {}
+            KeyedOp::Flush => self.tiered.flush().unwrap(),
+            KeyedOp::CheckpointRestore => {
+                let ckpt = ScratchDir::new("tier-prop-keyed-ckpt").unwrap();
+                self.tiered.checkpoint(ckpt.path()).unwrap();
+                self.tiered.restore(ckpt.path()).unwrap();
+            }
+            KeyedOp::AdvancePrefetch => {
+                let now = i64::from(self.seq);
+                self.tiered.advance_prefetch(now).unwrap();
+                self.bare.advance_prefetch(now).unwrap();
+            }
+        }
+        Ok(())
+    }
+
+    /// Takes every pair: the tiered store is then as empty as it was
+    /// opened.
+    fn finish(mut self) -> Result<(), TestCaseError> {
+        for k in 0..6 {
+            (0..4).try_for_each(|w| self.take(k, w))?;
+        }
+        prop_assert_eq!(self.tiered.memory_bytes(), self.empty_memory);
+        self.tiered.close().unwrap();
+        self.bare.close().unwrap();
+        Ok(())
+    }
+}
+
+fn check_keyed(
+    ops: &[KeyedOp],
+    aggregate: AggregateKind,
+    hot_bytes: usize,
+) -> Result<(), TestCaseError> {
+    let window = match aggregate {
+        AggregateKind::FullList => WindowKind::Session { gap: 50 },
+        AggregateKind::Incremental => WindowKind::Fixed { size: 100 },
+    };
+    let mut harness = KeyedHarness::new(OperatorSemantics::new(aggregate, window), hot_bytes);
+    ops.iter().try_for_each(|op| harness.apply(op))?;
+    harness.finish()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
@@ -234,5 +399,37 @@ proptest! {
     #[test]
     fn matches_a_bare_store_when_nothing_demotes(ops in ops()) {
         check(&ops, usize::MAX)?;
+    }
+
+    /// AUR session lists, every append demoted: each take promotes.
+    #[test]
+    fn aur_matches_a_bare_store_when_every_append_demotes(ops in keyed_ops()) {
+        check_keyed(&ops, AggregateKind::FullList, 0)?;
+    }
+
+    #[test]
+    fn aur_matches_a_bare_store_at_a_small_budget(ops in keyed_ops()) {
+        check_keyed(&ops, AggregateKind::FullList, 4 << 10)?;
+    }
+
+    #[test]
+    fn aur_matches_a_bare_store_when_nothing_demotes(ops in keyed_ops()) {
+        check_keyed(&ops, AggregateKind::FullList, usize::MAX)?;
+    }
+
+    /// RMW aggregates: the last put wins whichever tier holds it.
+    #[test]
+    fn rmw_matches_a_bare_store_when_every_put_demotes(ops in keyed_ops()) {
+        check_keyed(&ops, AggregateKind::Incremental, 0)?;
+    }
+
+    #[test]
+    fn rmw_matches_a_bare_store_at_a_small_budget(ops in keyed_ops()) {
+        check_keyed(&ops, AggregateKind::Incremental, 4 << 10)?;
+    }
+
+    #[test]
+    fn rmw_matches_a_bare_store_when_nothing_demotes(ops in keyed_ops()) {
+        check_keyed(&ops, AggregateKind::Incremental, usize::MAX)?;
     }
 }

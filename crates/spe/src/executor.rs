@@ -32,8 +32,9 @@
 //! store interaction (the paper's Kafka-based methodology, §6.2).
 
 use std::collections::VecDeque;
+use std::io::Write as _;
 use std::ops::ControlFlow;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -800,6 +801,16 @@ pub(crate) struct AttemptSalvage {
 /// offset (in tuples) at which the aligned barrier was injected.
 pub(crate) const SOURCE_OFFSET_FILE: &str = "SOURCE_OFFSET";
 
+/// Writes `offset` as the checkpoint in `dir`'s [`SOURCE_OFFSET_FILE`]:
+/// a temporary file, fsynced, then renamed over the final name.
+fn write_source_offset(dir: &Path, offset: u64) -> std::io::Result<()> {
+    let tmp = dir.join(format!("{SOURCE_OFFSET_FILE}.tmp"));
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(offset.to_string().as_bytes())?;
+    file.sync_all()?;
+    std::fs::rename(&tmp, dir.join(SOURCE_OFFSET_FILE))
+}
+
 /// What every thread of one run shares.
 #[derive(Clone, Copy)]
 struct RunShared<'a> {
@@ -966,27 +977,25 @@ pub(crate) fn run_job_inner(
         // Exported before any error return — the trace of a failed run
         // is the one you want most.
         ctx.export_trace(options.trace_out.as_ref());
-        let Ok(sink) = sink else {
+        let Ok(mut sink) = sink else {
             return Err((
                 JobError::Panic("sink panicked".into()),
                 AttemptSalvage::default(),
             ));
         };
 
-        // Persist the barrier's source offset next to the snapshot so the
-        // supervisor can rewind the log source on recovery. Written via
-        // temporary file + rename, like the stores' own manifests, so a
-        // crash mid-write leaves no half-formed offset.
+        // The barrier's source offset is part of the checkpoint: the
+        // supervisor rewinds the log source to it on recovery. Written
+        // to a synced temporary file, then renamed, like the stores' own
+        // logs, so a crash mid-write leaves no half-formed offset — and a
+        // checkpoint whose offset did not land did not complete.
         if sink.salvage.checkpoint_complete {
             if let (Some(dir), Some(offset)) =
                 (&options.checkpoint_dir, options.checkpoint_after_tuples)
             {
-                let tmp = dir.join("SOURCE_OFFSET.tmp");
-                let target = dir.join(SOURCE_OFFSET_FILE);
-                let write = std::fs::write(&tmp, offset.to_string())
-                    .and_then(|_| std::fs::rename(&tmp, &target));
-                if let Err(e) = write {
-                    eprintln!("failed to persist checkpoint source offset: {e}");
+                if let Err(e) = write_source_offset(dir, offset) {
+                    eprintln!("checkpoint incomplete, its source offset failed to persist: {e}");
+                    sink.salvage.checkpoint_complete = false;
                 }
             }
         }

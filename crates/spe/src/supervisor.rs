@@ -36,6 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use flowkv_common::backend::StateBackendFactory;
+use flowkv_common::error::StoreError;
 use flowkv_common::types::Tuple;
 
 use crate::executor::{
@@ -70,10 +71,16 @@ impl SupervisedResult {
     }
 }
 
-/// Reads the source offset recorded beside a completed checkpoint.
-fn read_source_offset(dir: &Path) -> Option<u64> {
-    let text = std::fs::read_to_string(dir.join(SOURCE_OFFSET_FILE)).ok()?;
-    text.trim().parse().ok()
+/// Reads the source offset recorded beside a completed checkpoint. It is
+/// part of the checkpoint: without it, replaying from any offset would
+/// double or drop input on top of the restored state.
+fn read_source_offset(dir: &Path) -> Result<u64, StoreError> {
+    let path = dir.join(SOURCE_OFFSET_FILE);
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| StoreError::io_at("checkpoint source offset", &path, e))?;
+    text.trim()
+        .parse()
+        .map_err(|_| StoreError::corruption(&path, 0, "unparsable source offset"))
 }
 
 /// Runs `job` over the tuple log at `source_path` under supervision:
@@ -122,10 +129,10 @@ pub fn run_supervised(
         } else {
             None
         };
-        let resume_offset = restore_dir
-            .as_deref()
-            .and_then(read_source_offset)
-            .unwrap_or(0);
+        let resume_offset = match restore_dir.as_deref() {
+            Some(dir) => read_source_offset(dir).map_err(JobError::Store)?,
+            None => 0,
+        };
 
         let mut attempt_opts = options.clone();
         if let Some(dir) = restore_dir {
@@ -290,8 +297,18 @@ mod tests {
         assert_eq!(sup.result.output_count, 30);
     }
 
+    /// Once as it runs, and once with the checkpoint's source offset
+    /// unable to land (its temporary file's name taken by a directory):
+    /// that checkpoint never completed, so recovery replays from scratch
+    /// rather than from offset 0 on top of the restored state.
     #[test]
     fn crash_after_checkpoint_recovers_exactly_once() {
+        for offset_blocked in [false, true] {
+            recovers_exactly_once(offset_blocked);
+        }
+    }
+
+    fn recovers_exactly_once(offset_blocked: bool) {
         let dir = ScratchDir::new("sup-crash").unwrap();
         let log = dir.path().join("stream.log");
         TupleLog::record(&log, tuples(3000, 10).into_iter()).unwrap();
@@ -331,6 +348,9 @@ mod tests {
         let telemetry = Telemetry::new_shared();
         let faulty = FaultVfs::new(StdVfs::shared(), FaultPlan::crash_at(total_ops * 9 / 10));
         let ckpt2 = dir.path().join("ckpt2");
+        if offset_blocked {
+            std::fs::create_dir_all(ckpt2.join("SOURCE_OFFSET.tmp")).unwrap();
+        }
         let mut opts = RunOptions::new(dir.path().join("data"));
         opts.collect_outputs = true;
         opts.watermark_interval = 50;
@@ -352,8 +372,10 @@ mod tests {
         assert_eq!(
             sorted_pairs(&sup.all_outputs()),
             sorted_pairs(&reference.outputs),
-            "recovered output diverged from the undisturbed run"
+            "recovered output diverged from the undisturbed run (offset blocked: {offset_blocked})"
         );
+        // A blocked offset leaves no checkpoint: nothing was committed.
+        assert_eq!(sup.committed.is_empty(), offset_blocked);
         let samples = telemetry.registry().snapshot();
         let restarts_metric = samples
             .iter()
@@ -365,6 +387,17 @@ mod tests {
             }
             _ => panic!("recovery_restarts_total is not a counter"),
         }
+    }
+
+    #[test]
+    fn a_missing_or_unparsable_source_offset_is_an_error_not_offset_zero() {
+        let dir = ScratchDir::new("sup-offset").unwrap();
+        assert!(read_source_offset(dir.path()).is_err());
+        let file = dir.path().join(SOURCE_OFFSET_FILE);
+        std::fs::write(&file, "15x0").unwrap();
+        assert!(read_source_offset(dir.path()).unwrap_err().is_corruption());
+        std::fs::write(&file, "1500\n").unwrap();
+        assert_eq!(read_source_offset(dir.path()).unwrap(), 1500);
     }
 
     #[test]
