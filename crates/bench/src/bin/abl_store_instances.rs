@@ -56,13 +56,13 @@ fn main() {
                 opts.record_latency = true;
             },
         );
-        match outcome.result() {
-            Some(r) => row(&[
+        match outcome.result().map(|r| (r, r.latency())) {
+            Some((r, latency)) => row(&[
                 m.to_string(),
                 format!("{:.3}", r.throughput() / 1e6),
-                format!("{:.2}", r.latency.p95 as f64 / 1e6),
-                format!("{:.2}", r.latency.p99 as f64 / 1e6),
-                format!("{:.2}", r.latency.max as f64 / 1e6),
+                format!("{:.2}", latency.p95 as f64 / 1e6),
+                format!("{:.2}", latency.p99 as f64 / 1e6),
+                format!("{:.2}", latency.max as f64 / 1e6),
                 r.store_metrics.compactions.to_string(),
                 "ok".to_string(),
             ]),

@@ -60,14 +60,14 @@ fn main() {
                         opts.watermark_interval = 200;
                     },
                 );
-                match outcome.result() {
-                    Some(r) => row(&[
+                match outcome.result().map(|r| r.latency()) {
+                    Some(latency) => row(&[
                         query.name().to_string(),
                         backend.name().to_string(),
                         rate.to_string(),
-                        format!("{:.2}", r.latency.p50 as f64 / 1e6),
-                        format!("{:.2}", r.latency.p95 as f64 / 1e6),
-                        format!("{:.2}", r.latency.p99 as f64 / 1e6),
+                        format!("{:.2}", latency.p50 as f64 / 1e6),
+                        format!("{:.2}", latency.p95 as f64 / 1e6),
+                        format!("{:.2}", latency.p99 as f64 / 1e6),
                         "ok".to_string(),
                     ]),
                     None => row(&[

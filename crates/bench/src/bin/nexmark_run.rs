@@ -161,11 +161,12 @@ fn main() {
                 );
             }
             if rate > 0 {
+                let latency = r.latency();
                 println!(
                     "latency        p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms",
-                    r.latency.p50 as f64 / 1e6,
-                    r.latency.p95 as f64 / 1e6,
-                    r.latency.p99 as f64 / 1e6
+                    latency.p50 as f64 / 1e6,
+                    latency.p95 as f64 / 1e6,
+                    latency.p99 as f64 / 1e6
                 );
             }
         }

@@ -352,12 +352,12 @@ pub trait StateBackend: Send {
     ///
     /// Per-key value lists preserve append order; cross-key order is
     /// unspecified. Together with [`StateBackend::inject_entries`] this
-    /// is the store half of key-range state migration: the old worker's
-    /// store is scanned once per receiving shard with that shard's hash
-    /// range as the filter, and the pieces are injected into fresh
-    /// stores at the new parallelism. Single-writer ownership (each
-    /// store instance belongs to one worker thread) is what makes the
-    /// scan safe without coordination.
+    /// is the store half of a rescale's state migration: each old
+    /// worker's checkpointed store is extracted whole, every entry is
+    /// routed to its key's new partition, and the pieces are injected
+    /// into fresh stores at the new parallelism. Single-writer ownership
+    /// (each store instance belongs to one worker thread) is what makes
+    /// the scan safe without coordination.
     ///
     /// Like [`StateBackend::read_view`], building the extract may flush
     /// buffered writes but must never lose or reorder state.

@@ -121,7 +121,9 @@ impl LogWriter {
     /// Opens an existing log for appending after the last intact record.
     ///
     /// The file is scanned to find the recovery point; a torn record at
-    /// the tail is truncated away so new appends are contiguous.
+    /// the tail is truncated away so new appends are contiguous. A bad
+    /// record that more bytes follow is [`StoreError::Corruption`], and
+    /// the file is not touched.
     pub fn open_append(path: impl AsRef<Path>) -> Result<Self> {
         Self::open_append_in(&StdVfs::shared(), path)
     }
@@ -205,6 +207,8 @@ fn split_header(header: &[u8; 8]) -> (u32, u32) {
 }
 
 /// Scans `path` and returns the length of its longest intact prefix.
+/// A bad record that reaches the end of the file is a torn tail; a bad
+/// record that more bytes follow is corruption.
 fn recover_valid_length_in(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<u64> {
     let mut reader = LogReader::open_in(vfs, path)?;
     let mut valid = 0u64;
@@ -215,7 +219,7 @@ fn recover_valid_length_in(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<u64> {
             Ok(None) => return Ok(valid),
             // A torn tail is expected after a crash; everything before it
             // is intact.
-            Err(StoreError::Corruption { offset, .. }) if offset >= valid => return Ok(valid),
+            Err(e) if e.is_corruption() && reader.torn_tail => return Ok(valid),
             Err(e) => return Err(e),
         }
     }
@@ -227,6 +231,11 @@ pub struct LogReader {
     path: PathBuf,
     offset: u64,
     file_len: u64,
+    /// Whether the record last read reaches the end of the file: its
+    /// framing runs past EOF, or its body ends exactly there. After a
+    /// failed read this tells what a crash mid-append leaves behind (a
+    /// torn tail) from corruption.
+    torn_tail: bool,
 }
 
 impl LogReader {
@@ -286,6 +295,7 @@ impl LogReader {
             path,
             offset,
             file_len,
+            torn_tail: false,
         })
     }
 
@@ -309,6 +319,7 @@ impl LogReader {
             return Ok(None);
         }
         if self.file_len - self.offset < RECORD_HEADER_LEN {
+            self.torn_tail = true;
             return Err(self.corruption("torn record header"));
         }
         let mut header = [0u8; 8];
@@ -317,6 +328,7 @@ impl LogReader {
             .map_err(|e| StoreError::io_at("log read header", &self.path, e))?;
         let (len, crc) = split_header(&header);
         let body_end = self.offset + RECORD_HEADER_LEN + u64::from(len);
+        self.torn_tail = body_end >= self.file_len;
         if body_end > self.file_len {
             return Err(self.corruption("torn record body"));
         }
@@ -626,6 +638,12 @@ mod tests {
         let mut r = LogReader::open(&path).unwrap();
         let err = r.next_record().unwrap_err();
         assert!(err.is_corruption());
+
+        // An intact record follows the bad one, so this is no torn tail:
+        // reopening for append reports it and cuts nothing away.
+        let err = LogWriter::open_append(&path).err().expect("a corrupt log");
+        assert!(err.is_corruption(), "{err}");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), data.len() as u64);
     }
 
     #[test]

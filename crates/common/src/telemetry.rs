@@ -163,25 +163,6 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Folds a snapshot's buckets into this live histogram (exact, the
-    /// dual of [`HistogramSnapshot::merge`]): bucket counts, count, and
-    /// sum add; min/max widen. This is how a job-level registry absorbs
-    /// per-worker histograms without losing quantile fidelity.
-    pub fn merge_snapshot(&self, snap: &HistogramSnapshot) {
-        if snap.is_empty() {
-            return;
-        }
-        for (idx, &c) in snap.counts.iter().enumerate() {
-            if c > 0 {
-                self.buckets[idx].fetch_add(c, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(snap.count, Ordering::Relaxed);
-        self.sum.fetch_add(snap.sum, Ordering::Relaxed);
-        self.min.fetch_min(snap.min, Ordering::Relaxed);
-        self.max.fetch_max(snap.max, Ordering::Relaxed);
-    }
-
     /// Takes a point-in-time copy of the histogram.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut counts: Vec<u64> = self
@@ -364,27 +345,6 @@ impl MetricRegistry {
         }
     }
 
-    /// Folds `samples` (typically another registry's
-    /// [`MetricRegistry::snapshot`]) into this registry, tagging every
-    /// metric with an extra `label_key=label_value` inline label.
-    ///
-    /// Counters add, gauges adopt the sample's value, histograms merge
-    /// exactly bucket by bucket. The label keeps per-worker series
-    /// distinct, so the merged registry flows through the existing JSONL
-    /// and Prometheus paths unchanged while remaining attributable. Fold
-    /// each worker snapshot exactly once: merging is additive for
-    /// counters and histograms.
-    pub fn merge(&self, samples: &[MetricSample], label_key: &str, label_value: &str) {
-        for sample in samples {
-            let name = add_label(&sample.name, label_key, label_value);
-            match &sample.value {
-                SampleValue::Counter(v) => self.counter(&name).add(*v),
-                SampleValue::Gauge(v) => self.gauge(&name).set(*v),
-                SampleValue::Histogram(h) => self.histogram(&name).merge_snapshot(h),
-            }
-        }
-    }
-
     /// Copies every metric into a name-sorted sample list.
     pub fn snapshot(&self) -> Vec<MetricSample> {
         self.metrics
@@ -400,16 +360,6 @@ impl MetricRegistry {
                 },
             })
             .collect()
-    }
-}
-
-/// Appends `key=value` to a registry name's inline label block,
-/// creating the block when the name has none.
-fn add_label(name: &str, key: &str, value: &str) -> String {
-    match name.strip_suffix('}') {
-        Some(head) if head.ends_with('{') => format!("{head}{key}={value}}}"),
-        Some(head) => format!("{head},{key}={value}}}"),
-        None => format!("{name}{{{key}={value}}}"),
     }
 }
 
@@ -1360,80 +1310,6 @@ mod tests {
         let reg = MetricRegistry::new();
         reg.counter("x");
         reg.gauge("x");
-    }
-
-    #[test]
-    fn histogram_absorbs_snapshot_exactly() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let both = Histogram::new();
-        for i in 0..500u64 {
-            let v = i * 313 + 7;
-            if i % 3 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            both.record(v);
-        }
-        a.merge_snapshot(&b.snapshot());
-        assert_eq!(a.snapshot(), both.snapshot());
-        // Merging an empty snapshot changes nothing (min stays intact).
-        a.merge_snapshot(&Histogram::new().snapshot());
-        assert_eq!(a.snapshot(), both.snapshot());
-    }
-
-    #[test]
-    fn registry_merge_labels_and_folds_workers() {
-        let job = MetricRegistry::new();
-        job.counter("tuples_total").add(5);
-        let workers: Vec<MetricRegistry> = (0..3).map(|_| MetricRegistry::new()).collect();
-        for (i, w) in workers.iter().enumerate() {
-            w.counter("tuples_total{operator=src}")
-                .add(10 * (i as u64 + 1));
-            w.gauge("depth").set(i as i64);
-            w.histogram("busy_nanos").record(100 * (i as u64 + 1));
-        }
-        for (i, w) in workers.iter().enumerate() {
-            job.merge(&w.snapshot(), "worker", &i.to_string());
-        }
-        let samples = job.snapshot();
-        let get = |name: &str| {
-            samples
-                .iter()
-                .find(|s| s.name == name)
-                .unwrap_or_else(|| panic!("missing {name}: {samples:?}"))
-                .value
-                .clone()
-        };
-        // Existing labels keep their block; new labels gain one.
-        assert_eq!(
-            get("tuples_total{operator=src,worker=1}"),
-            SampleValue::Counter(20)
-        );
-        assert_eq!(get("depth{worker=2}"), SampleValue::Gauge(2));
-        match get("busy_nanos{worker=0}") {
-            SampleValue::Histogram(h) => {
-                assert_eq!(h.count, 1);
-                assert_eq!(h.sum, 100);
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
-        // The unlabelled job-level series is untouched.
-        assert_eq!(get("tuples_total"), SampleValue::Counter(5));
-        // Merged output still validates on both exposition paths.
-        validate_jsonl_line(&snapshot_json(0, 1, &samples)).unwrap();
-        validate_prometheus(&render_prometheus(&samples)).unwrap();
-    }
-
-    #[test]
-    fn merge_twice_is_additive_for_counters() {
-        let job = MetricRegistry::new();
-        let w = MetricRegistry::new();
-        w.counter("c").add(3);
-        job.merge(&w.snapshot(), "worker", "0");
-        job.merge(&w.snapshot(), "worker", "0");
-        assert_eq!(job.snapshot()[0].value, SampleValue::Counter(6));
     }
 
     #[test]

@@ -56,7 +56,6 @@ pub mod config;
 pub mod ett;
 mod genlog;
 pub mod partition;
-pub mod partitioner;
 pub mod pattern;
 pub mod rmw;
 pub mod store;
@@ -68,7 +67,6 @@ pub mod tier;
 
 pub use config::FlowKvConfig;
 pub use ett::EttObservation;
-pub use partitioner::KeyRangePartitioner;
 pub use pattern::AccessPattern;
 pub use store::{FlowKvFactory, FlowKvStore};
 pub use tier::{TierConfig, TieredFactory, TieredStore};

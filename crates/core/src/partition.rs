@@ -10,9 +10,9 @@
 use flowkv_common::hash::hash64_seeded;
 
 /// Seed of the instance hash ("FKVINST1"). The keys a store sees were
-/// placed on its shard by the `RANGE_SEED` hash and on its worker by
-/// `partition_of` (`0x5157`): under either seed, worker `p` of `m` would
-/// feed instance `p` alone (DESIGN.md §5, "Three placement levels").
+/// placed on its worker by `partition_of` (`0x5157`): under that seed,
+/// worker `p` of `m` would feed instance `p` alone (DESIGN.md §5, "Two
+/// placement levels").
 const INSTANCE_SEED: u64 = 0x464b_5649_4e53_5431;
 
 /// A fixed set of store instances addressed by key hash.

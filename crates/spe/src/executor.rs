@@ -145,15 +145,13 @@ pub struct RunOptions {
     /// jitter factor derived from `FLOWKV_FAULT_SEED` (see
     /// [`crate::backoff`]).
     pub restart_backoff: Duration,
-    /// Number of key-range shards for [`crate::cluster::run_cluster`].
-    /// Each shard is a full executor instance over a disjoint hash
-    /// range; `1` (the default) is a single-worker cluster. Plain
-    /// [`run_job`] ignores this knob.
-    pub workers: usize,
-    /// When set, [`crate::cluster::run_cluster`] takes a coordinated
-    /// checkpoint mid-stream, repartitions every store's state to this
-    /// parallelism, and resumes — live rescaling as recovery at a
-    /// different worker count. Plain [`run_job`] ignores this knob.
+    /// When set, [`run_job`] checkpoints at the
+    /// `checkpoint_after_tuples` barrier into `checkpoint_dir`,
+    /// repartitions that checkpoint to this many workers, and runs the
+    /// rest of the stream at that parallelism restored from it: live
+    /// rescaling as recovery at another parallelism (see
+    /// [`crate::rescale`]). The job's one keyed stage must be a window.
+    /// [`crate::supervisor::run_supervised`] ignores this knob.
     pub rescale_to: Option<usize>,
     /// Background I/O threads per keyed worker. `0` (the default) keeps
     /// every store read synchronous on the worker thread; any positive
@@ -167,10 +165,9 @@ pub struct RunOptions {
     /// seed to prove ordering independence. `None` in production.
     pub io_shuffle_seed: Option<u64>,
     /// Shared span tracer (see `flowkv_common::trace`). Set by callers
-    /// that want to observe the trace while the job runs (the cluster
-    /// coordinator shares one tracer across shards; the serving layer
-    /// snapshots it live). When unset but `trace_sample` or `trace_out`
-    /// is set, the run creates a private tracer.
+    /// that want to observe the trace while the job runs (the serving
+    /// layer snapshots it live). When unset but `trace_sample` or
+    /// `trace_out` is set, the run creates a private tracer.
     pub trace: Option<Arc<flowkv_common::trace::Tracer>>,
     /// Causal-trace sampling: every `trace_sample`-th sealed source
     /// batch carries a trace context through exchange, operators,
@@ -207,7 +204,6 @@ impl RunOptions {
             telemetry_interval: Duration::from_millis(250),
             max_restarts: 0,
             restart_backoff: Duration::from_millis(50),
-            workers: 1,
             rescale_to: None,
             io_threads: 0,
             io_shuffle_seed: None,
@@ -255,12 +251,10 @@ pub struct JobResult {
     pub elapsed: Duration,
     /// Merged store metrics across all window partitions.
     pub store_metrics: MetricsSnapshot,
-    /// Latency summary (when `record_latency` was set).
-    pub latency: LatencySummary,
-    /// Full end-to-end latency distribution in nanoseconds (when
-    /// `record_latency`). A mergeable log-linear histogram replaces the
-    /// old per-sample vector: the sink's memory stays O(buckets) no
-    /// matter how many tuples flow.
+    /// End-to-end latency distribution in nanoseconds (when
+    /// `record_latency`), summarised by [`JobResult::latency`]. A
+    /// mergeable log-linear histogram: the sink's memory stays
+    /// O(buckets) no matter how many tuples flow.
     pub latency_histogram: HistogramSnapshot,
     /// Tuples dropped for arriving behind the watermark.
     pub dropped_late: u64,
@@ -271,9 +265,18 @@ pub struct JobResult {
     /// Outputs emitted before the checkpoint barrier (only populated
     /// when both `collect_outputs` and a checkpoint were requested).
     pub outputs_pre_checkpoint: Vec<Tuple>,
+    /// How long a rescaled run paused the stream to migrate its state,
+    /// from the old workers' halt to the new workers' start; `None`
+    /// unless [`RunOptions::rescale_to`] was set.
+    pub rescale_pause: Option<Duration>,
 }
 
 impl JobResult {
+    /// Summary of [`JobResult::latency_histogram`].
+    pub fn latency(&self) -> LatencySummary {
+        LatencySummary::from_histogram(&self.latency_histogram)
+    }
+
     /// Source throughput in tuples per second.
     pub fn throughput(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
@@ -287,13 +290,10 @@ impl JobResult {
 
 /// One element of the source stream the runner consumes.
 ///
-/// [`run_job`] derives the stream from its tuple iterator with
-/// [`Schedule`]. A cluster coordinator computes the same schedule once
-/// over the whole stream and hands every key-range shard its slice of
-/// the tuples under the *global* watermarks and barrier (a shard-local
-/// watermark would lag the global one and could flip session-window
-/// merge decisions at the boundary).
-#[derive(Clone, Debug)]
+/// [`run_job`] and every supervised attempt derive the stream from a
+/// tuple iterator with [`Schedule`]; a rescale splits one schedule
+/// between its two phases at the barrier.
+#[derive(Debug)]
 pub(crate) enum SourceItem {
     /// A data tuple.
     Tuple(Tuple),
@@ -303,8 +303,8 @@ pub(crate) enum SourceItem {
     Barrier,
     /// Ends the stream *without* the final `MAX_TIMESTAMP` watermark:
     /// open windows stay open in the operators' checkpointed state
-    /// instead of firing. This is how a rescale pauses a shard — the
-    /// un-fired windows migrate and fire at the new parallelism.
+    /// instead of firing. This is how a rescale ends its first phase —
+    /// the un-fired windows migrate and fire at the new parallelism.
     Halt,
 }
 
@@ -684,19 +684,14 @@ struct SinkReport {
 
 /// A run's observability context: the telemetry hub and span tracer its
 /// threads record into. Resolved from the options once per run and
-/// handed down — to every attempt of a supervised run, and (through
-/// [`RunCtx::shard`]) to every shard of a cluster run.
-#[derive(Clone)]
+/// handed down — to every attempt of a supervised run, and to both
+/// phases of a rescale.
 pub(crate) struct RunCtx {
     pub(crate) telemetry: Option<Arc<Telemetry>>,
     pub(crate) tracer: Option<Arc<Tracer>>,
     /// Every `trace_sample`-th sealed source batch is traced; `0`
     /// exactly when `tracer` is `None`.
     pub(crate) trace_sample: u64,
-    /// Chrome `pid` tagged on this run's threads in trace exports: `0`,
-    /// or the shard's index under [`RunCtx::shard`], so Perfetto shows
-    /// one process lane per worker.
-    pub(crate) trace_pid: u32,
 }
 
 impl RunCtx {
@@ -718,44 +713,24 @@ impl RunCtx {
         let telemetry = options.telemetry.clone().or_else(|| {
             (options.telemetry_out.is_some() || tracer.is_some()).then(Telemetry::new_shared)
         });
+        if let (Some(t), Some(tracer)) = (&telemetry, &tracer) {
+            t.set_trace(TraceHandle {
+                tracer: Arc::clone(tracer),
+                pid: 0,
+            });
+        }
         RunCtx {
             telemetry,
             tracer,
             trace_sample,
-            trace_pid: 0,
         }
-        .installed()
-    }
-
-    /// The context of cluster shard `pid`: the same tracer under the
-    /// shard's own Chrome pid, and a hub of its own, whose registry the
-    /// coordinator folds into the job's under a `worker` label.
-    pub(crate) fn shard(&self, pid: u32) -> Self {
-        RunCtx {
-            telemetry: self.telemetry.as_ref().map(|_| Telemetry::new_shared()),
-            trace_pid: pid,
-            ..self.clone()
-        }
-        .installed()
-    }
-
-    fn installed(self) -> Self {
-        if let (Some(t), Some(tracer)) = (&self.telemetry, &self.tracer) {
-            t.set_trace(TraceHandle {
-                tracer: Arc::clone(tracer),
-                pid: self.trace_pid,
-            });
-        }
-        self
     }
 
     /// Registers the calling thread's span recorder under `name`: how the
-    /// source, every worker and the sink get theirs. `None` when the run
-    /// is untraced.
-    fn recorder(&self, name: &str) -> Option<Arc<SpanRecorder>> {
-        self.tracer
-            .as_ref()
-            .map(|tracer| tracer.thread(self.trace_pid, name))
+    /// source, every worker, the sink and a rescale's migration get
+    /// theirs. `None` when the run is untraced.
+    pub(crate) fn recorder(&self, name: &str) -> Option<Arc<SpanRecorder>> {
+        self.tracer.as_ref().map(|tracer| tracer.thread(0, name))
     }
 
     /// Drains the tracer into `path` as Chrome trace-event JSON.
@@ -776,14 +751,20 @@ impl RunCtx {
 /// The source iterator is consumed on a dedicated thread; tuples must
 /// arrive in roughly ascending timestamp order (bounded by
 /// `watermark_slack`), as a replayable log source would deliver them.
+/// With [`RunOptions::rescale_to`] set, the run changes parallelism at
+/// its checkpoint barrier ([`crate::rescale`]).
 pub fn run_job(
     job: &Job,
     source: impl Iterator<Item = Tuple> + Send + 'static,
     factory: Arc<dyn StateBackendFactory>,
     options: &RunOptions,
 ) -> Result<JobResult, JobError> {
+    let ctx = RunCtx::resolve(options);
     let items = Schedule::for_run(source, options);
-    run_job_inner(job, items, factory, options, &RunCtx::resolve(options)).map_err(|(e, _)| e)
+    match options.rescale_to {
+        Some(to) => crate::rescale::run_rescaled(job, items, factory, options, &ctx, to),
+        None => run_job_inner(job, items, factory, options, &ctx).map_err(|(e, _)| e),
+    }
 }
 
 /// What the supervisor can salvage from a failed attempt: whether the
@@ -828,8 +809,8 @@ struct RunShared<'a> {
 
 /// The one runner: executes `job` over a scheduled item stream. A
 /// failed run also returns the sink-side salvage the supervisor needs.
-/// [`run_job`], every supervised attempt, and every cluster shard are
-/// calls of this function.
+/// [`run_job`], every supervised attempt, and both phases of a rescale
+/// are calls of this function.
 pub(crate) fn run_job_inner(
     job: &Job,
     source: impl Iterator<Item = SourceItem> + Send,
@@ -1013,12 +994,12 @@ pub(crate) fn run_job_inner(
             input_count,
             elapsed: started.elapsed(),
             store_metrics: merged,
-            latency: LatencySummary::from_histogram(&sink.latency),
             latency_histogram: sink.latency,
             dropped_late,
             checkpoint_taken: sink.salvage.checkpoint_complete,
             late_tuples,
             outputs_pre_checkpoint: sink.salvage.outputs_pre,
+            rescale_pause: None,
         })
     })
 }
@@ -1300,7 +1281,7 @@ fn write_telemetry_jsonl(
 }
 
 /// Per-worker directory inside a checkpoint — the one owner of that
-/// layout (the cluster's state migration reads and writes it too).
+/// layout (a rescale's migration reads and writes it too).
 pub(crate) fn worker_ckpt_dir(root: &std::path::Path, stage_name: &str, worker: usize) -> PathBuf {
     root.join(stage_name).join(format!("p{worker}"))
 }
@@ -1486,7 +1467,7 @@ struct Worker<'a> {
     /// Open `barrier_align` span of the in-flight alignment, plus this
     /// worker's barrier sequence number — barriers are totally ordered
     /// per run, so the sequence stitches one checkpoint's spans together
-    /// across workers (and shards) without a protocol change.
+    /// across workers without a protocol change.
     barrier_span: Option<ftrace::OpenSpan>,
     barrier_seq: u64,
     ends: usize,
@@ -2143,7 +2124,8 @@ mod tests {
             .unwrap_or_else(|e| panic!("batch_size {batch_size}: {e}"));
             assert!(result.checkpoint_taken, "batch_size {batch_size}");
             assert_eq!(
-                result.latency.count, result.output_count,
+                result.latency().count,
+                result.output_count,
                 "one latency sample per tuple, not per batch (batch_size {batch_size})"
             );
             let sorted = |v: &[Tuple]| {
@@ -2511,12 +2493,12 @@ mod tests {
             &opts,
         )
         .unwrap();
-        assert!(result.latency.count > 0);
+        assert!(result.latency().count > 0);
         let floor = (STALL - NOMINAL).as_nanos() as u64;
         assert!(
-            result.latency.p99 >= floor,
+            result.latency().p99 >= floor,
             "p99 {} ns hides a {STALL:?} stall",
-            result.latency.p99
+            result.latency().p99
         );
     }
 
@@ -2535,8 +2517,8 @@ mod tests {
             &opts,
         )
         .unwrap();
-        assert!(result.latency.count > 0);
-        assert!(result.latency.p95 > 0);
-        assert!(result.latency.p95 >= result.latency.p50);
+        assert!(result.latency().count > 0);
+        assert!(result.latency().p95 > 0);
+        assert!(result.latency().p95 >= result.latency().p50);
     }
 }

@@ -120,9 +120,9 @@ impl Stage {
 /// input becomes after every stage of the run, in order.
 ///
 /// Stateless stages own no thread; whoever produces their input (the
-/// source, a keyed worker, the cluster router) applies the run before
-/// it partitions by key. Stages compose by nesting their emit calls, so
-/// nothing between the input and the last stage's output is buffered.
+/// source or a keyed worker) applies the run before it partitions by
+/// key. Stages compose by nesting their emit calls, so nothing between
+/// the input and the last stage's output is buffered.
 pub(crate) struct Chain {
     fns: Vec<StatelessFn>,
 }

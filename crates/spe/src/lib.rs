@@ -20,12 +20,14 @@
 //!   tail-latency experiments (§6.2);
 //! - supervised recovery ([`supervisor`]): bounded restart-with-backoff
 //!   that restores operators from the last completed checkpoint and
-//!   rewinds the replayable source to its recorded offset (§8).
+//!   rewinds the replayable source to its recorded offset (§8);
+//! - live rescaling ([`rescale`]): recovery at another parallelism, a
+//!   second phase of the one runner restored from a repartitioned
+//!   checkpoint.
 
 pub mod backends;
 pub mod backoff;
 mod batch;
-pub mod cluster;
 pub mod executor;
 pub mod functions;
 pub mod job;
@@ -33,13 +35,13 @@ pub mod join;
 pub mod latency;
 pub mod memstore;
 pub mod operator;
+pub mod rescale;
 pub mod source;
 pub mod supervisor;
 pub mod window;
 
 pub use backends::{BackendChoice, FactoryOptions};
 pub use batch::TupleBatch;
-pub use cluster::{run_cluster, ClusterResult};
 pub use executor::{run_job, JobError, JobResult, RunOptions};
 pub use job::{AggregateSpec, Job, JobBuilder, Stage};
 pub use latency::Stamped;

@@ -108,10 +108,7 @@ pub fn run_supervised(
         )
     });
     // Recovery lifecycle spans land on a dedicated supervisor lane.
-    let sup_rec = ctx
-        .tracer
-        .as_ref()
-        .map(|t| t.thread(ctx.trace_pid, "supervisor"));
+    let sup_rec = ctx.recorder("supervisor");
 
     let backoff_seed = crate::backoff::fault_seed();
     let mut committed: Vec<Tuple> = Vec::new();

@@ -18,7 +18,7 @@ use flowkv_common::telemetry::{SampleValue, Telemetry};
 use flowkv_common::vfs::{FaultPlan, FaultVfs, StdVfs};
 use flowkv_nexmark::{EventGenerator, QueryId, QueryParams};
 use flowkv_spe::source::{LogSource, TupleLog};
-use flowkv_spe::{run_cluster, run_job, run_supervised, BackendChoice, FactoryOptions, RunOptions};
+use flowkv_spe::{run_job, run_supervised, BackendChoice, FactoryOptions, RunOptions};
 
 const NUM_EVENTS: u64 = 5_000;
 const DEFAULT_SEED: u64 = 0xA5F0;
@@ -232,26 +232,25 @@ fn async_crash_q11_median() {
     crash_row(QueryId::Q11Median);
 }
 
-/// Sharding keeps the ring: an N=2 cluster run with the ring on matches
-/// the N=1 synchronous run, and its shards' stores really submitted
-/// prefetches (the job hub carries them, folded in under `worker`
-/// labels).
+/// Partitioning keeps the ring: a parallelism-4 run with the ring on
+/// matches the parallelism-2 synchronous run, and its workers' stores
+/// really submitted prefetches.
 #[test]
 fn sharded_ring_matches_single_sync_and_prefetches() {
     let dir = ScratchDir::new("async-sharded-ring").unwrap();
-    let job = QueryId::Q11Median.build(QueryParams::new(1_000).with_parallelism(2));
+    let job = |p| QueryId::Q11Median.build(QueryParams::new(1_000).with_parallelism(p));
     let backend = BackendChoice::FlowKv(flowkv::FlowKvConfig::small_for_tests());
 
     let mut ref_opts = RunOptions::new(dir.path().join("ref"));
     ref_opts.collect_outputs = true;
     ref_opts.watermark_interval = 100;
     let reference = run_job(
-        &job,
+        &job(2),
         generator().tuples(),
         backend.build(FactoryOptions::new()),
         &ref_opts,
     )
-    .expect("N=1 sync reference");
+    .expect("parallelism-2 sync reference");
     assert!(
         !reference.outputs.is_empty(),
         "reference produced no output"
@@ -259,21 +258,21 @@ fn sharded_ring_matches_single_sync_and_prefetches() {
 
     let telemetry = Telemetry::new_shared();
     let mut opts = RunOptions::new(dir.path().join("sharded"));
+    opts.collect_outputs = true;
     opts.watermark_interval = 100;
-    opts.workers = 2;
     opts.io_threads = IO_THREADS;
     opts.telemetry = Some(Arc::clone(&telemetry));
-    let sharded = run_cluster(
-        &job,
+    let sharded = run_job(
+        &job(4),
         generator().tuples(),
         backend.build(FactoryOptions::new()),
         &opts,
     )
-    .expect("N=2 ring run");
+    .expect("parallelism-4 ring run");
     assert_eq!(
         sorted_triples(&sharded.outputs),
         sorted_triples(&reference.outputs),
-        "N=2 ring run diverged from the N=1 synchronous run"
+        "parallelism-4 ring run diverged from the parallelism-2 synchronous run"
     );
     let issued: u64 = telemetry
         .registry()
@@ -287,6 +286,6 @@ fn sharded_ring_matches_single_sync_and_prefetches() {
         .sum();
     assert!(
         issued > 0,
-        "no shard submitted a prefetch: the ring was off"
+        "no worker submitted a prefetch: the ring was off"
     );
 }

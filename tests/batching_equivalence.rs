@@ -61,7 +61,7 @@ fn run_batched(
         );
     }
     assert_eq!(
-        result.latency.count,
+        result.latency().count,
         result.output_count,
         "{} batch={batch_size}: latency must be sampled once per tuple, not per batch",
         query.name()

@@ -1,11 +1,13 @@
-//! Property: key-range repartition is lossless and disjoint.
+//! Property: repartitioning is lossless and disjoint.
 //!
 //! For random key/window populations, every backend, and any N→M
-//! rescale, splitting a store's extracted state across N shards and then
-//! re-splitting across M must (a) land every key on exactly one shard at
-//! each step — the shard its key hash's range owns — and (b) leave the
-//! union of the migrated states equal to the original, entry for entry,
-//! with per-key value order intact.
+//! rescale, splitting a store's extracted state across N partitions and
+//! then migrating all N onto M — each entry to partition
+//! `partition_of(key, M)`, the exchange's own hash, so a target merges
+//! pieces of several sources — must (a) land every key on exactly one
+//! partition at each step, and (b) leave the union of the migrated
+//! states equal to the original, entry for entry, with per-key value
+//! order intact.
 //!
 //! The tiered cases run the same property with every store (source and
 //! targets) wrapped in the forced-demotion two-tier layout
@@ -15,10 +17,10 @@
 
 use std::collections::HashMap;
 
-use flowkv::KeyRangePartitioner;
 use flowkv_common::backend::{
     AggregateKind, OperatorContext, OperatorSemantics, StateBackend, StateEntry, WindowKind,
 };
+use flowkv_common::hash::partition_of;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::types::WindowId;
 use flowkv_spe::{BackendChoice, FactoryOptions};
@@ -114,38 +116,46 @@ fn canonical(mut entries: Vec<StateEntry>) -> Vec<StateEntry> {
     entries
 }
 
-/// Splits every entry of `source` across `shards` stores by key range,
-/// checking disjointness along the way.
-fn split(
-    source: &mut dyn StateBackend,
+/// Moves every entry of `sources` onto `parts` fresh stores, each to
+/// partition `partition_of(key, parts)`, checking along the way that no
+/// key lands on two partitions.
+fn repartition(
+    sources: &mut [Box<dyn StateBackend>],
     choice: &BackendChoice,
     kind: AggregateKind,
     tiered: bool,
-    shards: usize,
+    parts: usize,
     tag: &str,
 ) -> Result<Vec<Box<dyn StateBackend>>, TestCaseError> {
-    let part = KeyRangePartitioner::new(shards);
-    let entries = source.extract_range(&|_| true, kind).unwrap();
-    let mut targets: Vec<Box<dyn StateBackend>> = (0..shards)
-        .map(|s| make_store(choice, kind, tiered, &format!("{tag}-s{s}")))
+    let mut targets: Vec<Box<dyn StateBackend>> = (0..parts)
+        .map(|p| make_store(choice, kind, tiered, &format!("{tag}-p{p}")))
         .collect();
     let mut owner: HashMap<Vec<u8>, usize> = HashMap::new();
-    let mut batches: Vec<Vec<StateEntry>> = (0..shards).map(|_| Vec::new()).collect();
-    for entry in entries {
-        let shard = part.shard_of(entry.key());
-        // Disjointness: one shard per key, and it is the shard whose
-        // hash range covers the key.
-        let prev = owner.insert(entry.key().to_vec(), shard);
-        prop_assert!(prev.is_none_or(|p| p == shard), "key split across shards");
-        let (lo, hi) = part.range(shard);
-        let h = KeyRangePartitioner::key_hash(entry.key());
-        prop_assert!((lo..=hi).contains(&h), "key routed outside its range");
-        batches[shard].push(entry);
-    }
-    for (target, batch) in targets.iter_mut().zip(batches) {
-        target.inject_entries(batch).unwrap();
+    for source in sources {
+        let mut batches: Vec<Vec<StateEntry>> = (0..parts).map(|_| Vec::new()).collect();
+        for entry in source.extract_range(&|_| true, kind).unwrap() {
+            let part = partition_of(entry.key(), parts);
+            let prev = owner.insert(entry.key().to_vec(), part);
+            prop_assert!(
+                prev.is_none_or(|p| p == part),
+                "key split across partitions"
+            );
+            batches[part].push(entry);
+        }
+        for (target, batch) in targets.iter_mut().zip(batches) {
+            target.inject_entries(batch).unwrap();
+        }
     }
     Ok(targets)
+}
+
+/// Everything `stores` hold, in canonical order.
+fn union(stores: &mut [Box<dyn StateBackend>], kind: AggregateKind) -> Vec<StateEntry> {
+    let mut all = Vec::new();
+    for store in stores {
+        all.extend(store.extract_range(&|_| true, kind).unwrap());
+    }
+    canonical(all)
 }
 
 fn check_repartition(
@@ -155,26 +165,23 @@ fn check_repartition(
     n: usize,
     m: usize,
 ) -> Result<(), TestCaseError> {
-    let mut source = seed_store(choice, pop, tiered, "src");
-    let original = canonical(source.extract_range(&|_| true, pop.kind).unwrap());
+    let mut source = [seed_store(choice, pop, tiered, "src")];
+    let original = union(&mut source, pop.kind);
 
-    // Split to N shards, then re-split every shard to M — the same two
-    // hops a live rescale takes.
-    let mut level1 = split(&mut *source, choice, pop.kind, tiered, n, "n")?;
-    let mut union1 = Vec::new();
-    for shard in &mut level1 {
-        union1.extend(shard.extract_range(&|_| true, pop.kind).unwrap());
-    }
-    prop_assert_eq!(&canonical(union1), &original, "N-way split lost state");
-
-    let mut union2 = Vec::new();
-    for (i, shard) in level1.iter_mut().enumerate() {
-        let mut level2 = split(&mut **shard, choice, pop.kind, tiered, m, &format!("m{i}"))?;
-        for target in level2.iter_mut() {
-            union2.extend(target.extract_range(&|_| true, pop.kind).unwrap());
-        }
-    }
-    prop_assert_eq!(&canonical(union2), &original, "N→M re-split lost state");
+    // Split to the N old partitions, then migrate all N onto M — the
+    // hop a live rescale takes.
+    let mut old = repartition(&mut source, choice, pop.kind, tiered, n, "n")?;
+    prop_assert_eq!(
+        &union(&mut old, pop.kind),
+        &original,
+        "N-way split lost state"
+    );
+    let mut new = repartition(&mut old, choice, pop.kind, tiered, m, "m")?;
+    prop_assert_eq!(
+        &union(&mut new, pop.kind),
+        &original,
+        "N→M migration lost state"
+    );
     Ok(())
 }
 

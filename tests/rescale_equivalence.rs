@@ -1,106 +1,138 @@
 //! Rescale equivalence matrix: for every backend, Q7 / Q11-Median / Q11
-//! must produce byte-identical committed output at N=1, at N=4, and
-//! across an N=2→4 mid-job rescale — and all three must match the plain
-//! single-process `run_job` result.
-//!
-//! The crash cell additionally injects one random store-operation crash
-//! into a sharded run (drawn from the `FLOWKV_FAULT_SEED` SplitMix64
-//! stream, like `crash_matrix`) and requires the cluster's per-worker
-//! deterministic-backoff retry to recover with identical output. The
-//! seed is printed so any failure replays with
-//! `FLOWKV_FAULT_SEED=<seed> cargo test`.
+//! must produce byte-identical output at parallelism 1 and 4 (N=1≡N=k,
+//! through the exchange) and across a 2→4 and a 4→2 mid-stream rescale —
+//! all against the parallelism-2 run. Two FlowKV-only cells repeat the
+//! 2→4 rescale with every row demoted to the cold tier, and with a
+//! two-thread I/O ring that shuffles its completions.
 
 mod common;
 
-use common::{fault_seed, nexmark_generator, sorted_triples};
+use std::path::Path;
+
+use common::{nexmark_generator, sorted_triples, SortedOutputs};
+use flowkv::TierConfig;
 use flowkv_common::scratch::ScratchDir;
-use flowkv_common::vfs::{FaultPlan, FaultVfs, StdVfs};
 use flowkv_nexmark::{EventGenerator, QueryId, QueryParams};
-use flowkv_spe::{run_cluster, run_job, BackendChoice, FactoryOptions, RunOptions};
+use flowkv_spe::{run_job, BackendChoice, FactoryOptions, JobResult, RunOptions};
 
 const NUM_EVENTS: u64 = 8_000;
-const DEFAULT_SEED: u64 = 0xF10C;
 const WM_INTERVAL: usize = 100;
+const SHUFFLE_SEED: u64 = 0xF10C;
 
 fn generator() -> EventGenerator {
     nexmark_generator(NUM_EVENTS, 7)
 }
 
-fn rescale_cell(query: QueryId, backend: &BackendChoice) {
-    let dir = ScratchDir::new(&format!("rescale-eq-{}-{}", query.name(), backend.name())).unwrap();
-    let job = query.build(QueryParams::new(1_000).with_parallelism(2));
-
-    // Plain single-process reference.
-    let mut ref_opts = RunOptions::new(dir.path().join("ref"));
-    ref_opts.collect_outputs = true;
-    ref_opts.watermark_interval = WM_INTERVAL;
-    let reference = run_job(
-        &job,
-        generator().tuples(),
-        backend.build(FactoryOptions::new()),
-        &ref_opts,
-    )
-    .unwrap_or_else(|e| panic!("{} on {}: reference: {e}", query.name(), backend.name()));
-    let want = sorted_triples(&reference.outputs);
-    assert!(
-        !want.is_empty(),
-        "{} on {}: reference produced no output",
-        query.name(),
-        backend.name()
-    );
-
-    // Sharded at N=1 and N=4.
-    for n in [1usize, 4] {
-        let mut opts = RunOptions::new(dir.path().join(format!("n{n}")));
-        opts.watermark_interval = WM_INTERVAL;
-        opts.workers = n;
-        let result = run_cluster(
-            &job,
-            generator().tuples(),
-            backend.build(FactoryOptions::new()),
-            &opts,
-        )
-        .unwrap_or_else(|e| panic!("{} on {} N={n}: {e}", query.name(), backend.name()));
-        assert_eq!(
-            sorted_triples(&result.outputs),
-            want,
-            "{} on {}: N={n} diverged from the single-process run",
+/// `query` at `parallelism` on `backend` built with `factory`, under the
+/// options `tune` leaves.
+fn run(
+    query: QueryId,
+    parallelism: usize,
+    backend: &BackendChoice,
+    factory: FactoryOptions,
+    dir: &Path,
+    tune: impl FnOnce(&mut RunOptions),
+) -> JobResult {
+    let job = query.build(QueryParams::new(1_000).with_parallelism(parallelism));
+    let mut opts = RunOptions::new(dir.join("run"));
+    opts.collect_outputs = true;
+    opts.watermark_interval = WM_INTERVAL;
+    tune(&mut opts);
+    run_job(&job, generator().tuples(), backend.build(factory), &opts).unwrap_or_else(|e| {
+        panic!(
+            "{} on {} at parallelism {parallelism}: {e}",
             query.name(),
             backend.name()
-        );
-    }
+        )
+    })
+}
 
-    // Live rescale N=2→4 at the stream's midpoint.
-    let mut ropts = RunOptions::new(dir.path().join("rescale"));
-    ropts.watermark_interval = WM_INTERVAL;
-    ropts.workers = 2;
-    ropts.rescale_to = Some(4);
-    ropts.checkpoint_after_tuples = Some(NUM_EVENTS / 2);
-    ropts.checkpoint_dir = Some(dir.path().join("rescale-ckpt"));
-    let rescaled = run_cluster(
-        &job,
-        generator().tuples(),
-        backend.build(FactoryOptions::new()),
-        &ropts,
-    )
-    .unwrap_or_else(|e| panic!("{} on {} rescale: {e}", query.name(), backend.name()));
-    assert_eq!(rescaled.workers, 4);
-    let pause = rescaled
-        .rescale_pause
-        .expect("rescale must report its pause");
-    assert!(pause.as_nanos() > 0);
+/// Rescales to `to` workers at the stream's midpoint, checkpointing
+/// under `dir`.
+fn rescale_to(to: usize, dir: &Path) -> impl FnOnce(&mut RunOptions) + '_ {
+    move |opts| {
+        opts.rescale_to = Some(to);
+        opts.checkpoint_after_tuples = Some(NUM_EVENTS / 2);
+        opts.checkpoint_dir = Some(dir.join("ckpt"));
+    }
+}
+
+/// A rescale's output equals `want`, and it reports a pause.
+fn assert_rescaled(result: &JobResult, want: &SortedOutputs, cell: &str) {
+    let pause = result.rescale_pause.expect("a rescale reports its pause");
+    assert!(!pause.is_zero(), "{cell}: zero pause");
     assert_eq!(
-        sorted_triples(&rescaled.outputs),
+        &sorted_triples(&result.outputs),
         want,
-        "{} on {}: N=2→4 rescale diverged from the single-process run",
-        query.name(),
-        backend.name()
+        "{cell} diverged from the parallelism-2 run"
     );
 }
 
 fn rescale_row(query: QueryId) {
     for backend in &BackendChoice::all_small_for_tests() {
-        rescale_cell(query, backend);
+        let cell = |what: &str| format!("{} on {}: {what}", query.name(), backend.name());
+        let scratch = |what: &str| {
+            ScratchDir::new(&format!(
+                "rescale-{}-{}-{what}",
+                query.name(),
+                backend.name()
+            ))
+            .unwrap()
+        };
+        let dir = scratch("p2");
+        let reference = run(query, 2, backend, FactoryOptions::new(), dir.path(), |_| {});
+        let want = sorted_triples(&reference.outputs);
+        assert!(!want.is_empty(), "{}", cell("no output"));
+
+        for p in [1, 4] {
+            let dir = scratch(&format!("p{p}"));
+            let result = run(query, p, backend, FactoryOptions::new(), dir.path(), |_| {});
+            assert_eq!(result.rescale_pause, None, "{}", cell("plain run paused"));
+            assert_eq!(
+                sorted_triples(&result.outputs),
+                want,
+                "{}",
+                cell(&format!("parallelism {p} diverged from parallelism 2"))
+            );
+        }
+
+        for (from, to) in [(2, 4), (4, 2)] {
+            let dir = scratch(&format!("{from}to{to}"));
+            let tune = rescale_to(to, dir.path());
+            let result = run(
+                query,
+                from,
+                backend,
+                FactoryOptions::new(),
+                dir.path(),
+                tune,
+            );
+            assert_rescaled(&result, &want, &cell(&format!("{from}→{to}")));
+        }
+
+        if !matches!(backend, BackendChoice::FlowKv(_)) {
+            continue;
+        }
+        let dir = scratch("tiered");
+        let demoted = FactoryOptions::new().tiered(TierConfig::new(0));
+        let result = run(
+            query,
+            2,
+            backend,
+            demoted,
+            dir.path(),
+            rescale_to(4, dir.path()),
+        );
+        assert_rescaled(&result, &want, &cell("2→4 under forced demotion"));
+
+        let dir = scratch("ring");
+        let tune = |opts: &mut RunOptions| {
+            rescale_to(4, dir.path())(opts);
+            opts.io_threads = 2;
+            opts.io_shuffle_seed = Some(SHUFFLE_SEED);
+        };
+        let result = run(query, 2, backend, FactoryOptions::new(), dir.path(), tune);
+        assert_rescaled(&result, &want, &cell("2→4 on a shuffled ring"));
     }
 }
 
@@ -117,68 +149,4 @@ fn rescale_equivalence_q11_median() {
 #[test]
 fn rescale_equivalence_q11() {
     rescale_row(QueryId::Q11);
-}
-
-/// The crash cell: one injected store-op crash inside a sharded run;
-/// the failing worker retries (deterministic seed-derived backoff) and
-/// the merged output must still match the undisturbed run.
-#[test]
-fn sharded_crash_recovers_with_identical_output() {
-    let seed = fault_seed(DEFAULT_SEED);
-    println!("rescale matrix crash cell: FLOWKV_FAULT_SEED={seed} (set the env var to replay)");
-    let query = QueryId::Q11;
-    let backend = &BackendChoice::all_small_for_tests()[1];
-    let dir = ScratchDir::new("rescale-crash").unwrap();
-    let job = query.build(QueryParams::new(1_000).with_parallelism(2));
-
-    let opts = |root: &str| {
-        let mut opts = RunOptions::new(dir.path().join(root));
-        opts.watermark_interval = WM_INTERVAL;
-        opts.workers = 4;
-        opts
-    };
-    let clean = run_cluster(
-        &job,
-        generator().tuples(),
-        backend.build(FactoryOptions::new()),
-        &opts("clean"),
-    )
-    .expect("clean sharded run");
-
-    // Count the run's store-op footprint, then crash inside it.
-    let counter = FaultVfs::counting(StdVfs::shared());
-    run_cluster(
-        &job,
-        generator().tuples(),
-        backend.build(FactoryOptions::new().vfs(counter.clone())),
-        &opts("count"),
-    )
-    .expect("counting run");
-    let total_ops = counter.ops();
-    assert!(total_ops > 0, "stores never touched the vfs");
-
-    let plan = FaultPlan::random_crash(seed, total_ops * 9 / 10);
-    let faulty = FaultVfs::new(StdVfs::shared(), plan);
-    let mut copts = opts("crash");
-    copts.max_restarts = 2;
-    copts.restart_backoff = std::time::Duration::from_millis(1);
-    let recovered = run_cluster(
-        &job,
-        generator().tuples(),
-        backend.build(FactoryOptions::new().vfs(faulty.clone())),
-        &copts,
-    )
-    .unwrap_or_else(|e| panic!("sharded run did not recover (seed {seed}): {e}"));
-    let fired = faulty.fired();
-    assert_eq!(
-        fired.len(),
-        1,
-        "expected exactly one injected crash (seed {seed}), fired {fired:?}"
-    );
-    assert_eq!(
-        sorted_triples(&recovered.outputs),
-        sorted_triples(&clean.outputs),
-        "recovered sharded output diverged (seed {seed}, crash at op {})",
-        fired[0].0
-    );
 }

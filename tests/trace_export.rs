@@ -1,7 +1,7 @@
-//! Trace-export validation: the cluster's Chrome trace-event JSON is
-//! schema-valid with one pid per worker, span-ring wraparound preserves
-//! recording order, and the Q11 attribution table reconciles with the
-//! sink's end-to-end `LatencySummary`.
+//! Trace-export validation: a rescaled run's Chrome trace-event JSON is
+//! schema-valid and carries the migration, span-ring wraparound
+//! preserves recording order, and the Q11 attribution table reconciles
+//! with the sink's end-to-end `LatencySummary`.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -9,7 +9,7 @@ use std::sync::Arc;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::trace::{self, SpanPhase, Tracer};
 use flowkv_nexmark::{EventGenerator, GeneratorConfig, QueryId, QueryParams};
-use flowkv_spe::{run_cluster, run_job, BackendChoice, FactoryOptions, RunOptions};
+use flowkv_spe::{run_job, BackendChoice, FactoryOptions, RunOptions};
 use proptest::prelude::*;
 
 const NUM_EVENTS: u64 = 8_000;
@@ -26,40 +26,44 @@ fn generator() -> EventGenerator {
     })
 }
 
-/// A sharded Q7 run at N=2 must export a trace that passes full schema
-/// validation (stack-disciplined begin/end per lane, monotone
-/// timestamps, every parent resolving, no span left open — all checked
-/// by `validate_chrome_trace`) with exactly one Chrome pid per worker.
+/// A Q7 run rescaled 2→4 must export one trace covering both phases and
+/// the migration between them that passes full schema validation
+/// (stack-disciplined begin/end per lane, monotone timestamps, every
+/// parent resolving, no span left open — all checked by
+/// `validate_chrome_trace`), with the migration's extract, inject and
+/// commit spans in it.
 #[test]
-fn q7_cluster_trace_exports_one_pid_per_worker() {
-    let dir = ScratchDir::new("trace-q7-cluster").unwrap();
+fn q7_rescale_trace_is_valid_and_carries_the_migration_spans() {
+    let dir = ScratchDir::new("trace-q7-rescale").unwrap();
     let job = QueryId::Q7.build(QueryParams::new(1_000).with_parallelism(2));
     let backend = &BackendChoice::all_small_for_tests()[0];
     let path = dir.path().join("q7.trace.json");
     let mut opts = RunOptions::new(dir.path().join("run"));
     opts.watermark_interval = WM_INTERVAL;
-    opts.workers = 2;
+    opts.collect_outputs = true;
+    opts.rescale_to = Some(4);
+    opts.checkpoint_after_tuples = Some(NUM_EVENTS / 2);
+    opts.checkpoint_dir = Some(dir.path().join("ckpt"));
     opts.trace_out = Some(path.clone());
-    let result = run_cluster(
+    let result = run_job(
         &job,
         generator().tuples(),
         backend.build(FactoryOptions::new()),
         &opts,
     )
-    .expect("q7 sharded run");
+    .expect("q7 rescaled run");
     assert!(!result.outputs.is_empty(), "q7 produced no output");
 
     let text = std::fs::read_to_string(&path).expect("trace file written");
     let stats = trace::validate_chrome_trace(&text).expect("schema-valid trace");
     assert!(stats.spans > 0, "no spans recorded");
     let events = trace::parse_chrome_trace(&text).unwrap();
-    let pids: BTreeSet<u32> = events.iter().map(|e| e.pid).collect();
-    assert_eq!(
-        pids,
-        BTreeSet::from([0, 1]),
-        "expected exactly the two shard pids (coordinator records no \
-         events without a rescale)"
-    );
+    let names: BTreeSet<&str> = events.iter().map(|e| e.name.as_str()).collect();
+    for span in ["migrate_extract", "migrate_inject", "migrate_commit"] {
+        assert!(names.contains(span), "no {span} span in {names:?}");
+    }
+    // The workers' own spans sit beside the migration's.
+    assert!(names.contains("on_batch"), "no worker spans in {names:?}");
 }
 
 proptest! {
@@ -133,7 +137,7 @@ fn q11_attribution_reconciles_with_latency_summary() {
         &opts,
     )
     .expect("q11 run");
-    assert!(result.latency.count > 0, "no latency samples");
+    assert!(result.latency().count > 0, "no latency samples");
 
     let events = trace::flatten(&tracer.drain());
     let sink_traces: BTreeSet<u64> = events
@@ -167,7 +171,7 @@ fn q11_attribution_reconciles_with_latency_summary() {
         a.traces
     );
     let attr_max = a.total.p999 as f64;
-    let lat_max = result.latency.max as f64;
+    let lat_max = result.latency().max as f64;
     let rel = (attr_max - lat_max).abs() / lat_max.max(1.0);
     assert!(
         rel <= 0.05,
