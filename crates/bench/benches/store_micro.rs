@@ -300,6 +300,89 @@ fn bench_aur_hot_session(c: &mut Criterion) {
     }
 }
 
+/// The AUR index walk, at `q11m-aur-max`'s shape: five flushes of 400
+/// windows with 8-byte keys put an index of 2 000 entries of ~54 B on
+/// disk, five per window as a window gathers before it fires there. Each
+/// timed take misses, so its batch read walks the whole index to load
+/// 20 picks: key 0 fires first in every flush and is never taken, which
+/// keeps the scan start at the first entry, and the takes step 21 keys
+/// on, past each read's picks. Prints the miss time per walked entry.
+fn bench_aur_index_walk(c: &mut Criterion) {
+    use flowkv::aur::{AurConfig, AurStore};
+    use flowkv_common::metrics::StoreMetrics;
+    use std::time::Instant;
+
+    const KEYS: u64 = 400;
+    const FLUSHES: u64 = 5;
+    const ENTRIES: u64 = KEYS * FLUSHES;
+    const PICKS: u64 = 20;
+    const TAKES: u64 = 10;
+    /// Longer than the span of all timestamps, so no window is due by
+    /// the store's stream time and a read loads its picks only.
+    const GAP: i64 = 10_000;
+    /// Timestamps whose zigzag varint takes four bytes, as event times
+    /// in milliseconds since the stream began do.
+    const BASE_TS: i64 = 10_000_000;
+
+    let window = |k: u64| WindowId::new(BASE_TS + k as i64, BASE_TS + k as i64 + GAP);
+    let cfg = AurConfig {
+        write_buffer_bytes: 4 << 20,
+        read_batch_ratio: PICKS as f64 / KEYS as f64,
+        max_space_amplification: 100.0,
+    };
+    let (mut misses, mut miss_time) = (0u64, Duration::ZERO);
+    let mut group = c.benchmark_group("aur_index_walk");
+    group.measurement_time(Duration::from_secs(5));
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::from_parameter("2000_entries"), |b| {
+        b.iter_batched(
+            || {
+                let dir = ScratchDir::new("micro-aur-walk").unwrap();
+                let metrics = StoreMetrics::new_shared();
+                let predictor = flowkv::ett::EttPredictor::SessionGap { gap: GAP };
+                let mut store =
+                    AurStore::open(dir.path(), cfg.clone(), predictor, metrics.clone()).unwrap();
+                for flush in 0..FLUSHES {
+                    for k in 0..KEYS {
+                        let ts = BASE_TS + (flush * KEYS + k) as i64;
+                        store
+                            .append(&k.to_le_bytes(), window(k), &[5u8; 16], ts)
+                            .unwrap();
+                    }
+                    store.flush().unwrap();
+                }
+                (store, metrics, dir)
+            },
+            |(mut store, metrics, _dir)| {
+                for k in (0..TAKES).map(|t| 1 + t * (PICKS + 1)) {
+                    let before = metrics.snapshot().prefetch_misses;
+                    let t0 = Instant::now();
+                    let values = store.take(&k.to_le_bytes(), window(k)).unwrap();
+                    let took = t0.elapsed();
+                    assert_eq!(values.len() as u64, FLUSHES);
+                    if metrics.snapshot().prefetch_misses > before {
+                        misses += 1;
+                        miss_time += took;
+                    }
+                }
+                store.close().unwrap();
+            },
+            criterion::BatchSize::PerIteration,
+        );
+    });
+    group.finish();
+    if misses > 0 {
+        println!(
+            "aur_index_walk/miss: {:>12.3?} per miss ({misses} misses of {ENTRIES} entries)",
+            miss_time / misses as u32
+        );
+        println!(
+            "aur_index_walk/ns_per_entry: {:.1}",
+            miss_time.as_nanos() as f64 / (misses * ENTRIES) as f64
+        );
+    }
+}
+
 /// AUR takes at the trigger, owned (`take_values`, a `Vec` per value)
 /// and borrowed (`take_values_with`, slices of the bytes the store
 /// holds): 200 sessions of 100 eight-byte values, `buffered` (never
@@ -693,6 +776,7 @@ criterion_group!(
     bench_aur,
     bench_aur_cold,
     bench_aur_hot_session,
+    bench_aur_index_walk,
     bench_aur_take,
     bench_session_extend,
     bench_rmw,

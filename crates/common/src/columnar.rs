@@ -386,7 +386,9 @@ impl<'a> BlockReader<'a> {
                 let detail = format!("cold-block {what} count {count} exceeds block size");
                 return Err(corrupt(offset, detail));
             }
-            (0..count).map(|_| dec.get_len_prefixed()).collect()
+            (0..count)
+                .map(|_| dec.get_len_prefixed().map_err(StoreError::from))
+                .collect()
         };
         let keys = dictionary("key", 9)?;
         let values = match compress {

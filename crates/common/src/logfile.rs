@@ -15,6 +15,13 @@
 //! of a crash mid-append — by stopping there; corruption anywhere else is
 //! reported as [`StoreError::Corruption`].
 //!
+//! Three readers share that framing: [`LogReader`] steps through a log
+//! one record at a time into a caller's buffer; [`scan_records_in`] is
+//! the whole-range scan — the AUR index walk and every generation log's
+//! full scan — which frames records inside its 64 KiB read buffer and
+//! lends each verified payload in place; [`RandomAccessLog`] reads
+//! records at known locations, neighbours sharing one device read.
+//!
 //! All file access goes through the [`crate::vfs`] seam: the plain
 //! constructors use the passthrough [`StdVfs`], and the `_in` variants
 //! accept any [`Vfs`] — in particular a fault-injecting
@@ -37,10 +44,10 @@ pub const RECORD_HEADER_LEN: u64 = 8;
 /// chunks that stay cache-resident while records are copied out of them).
 const READ_BYTES: usize = 8 << 10;
 
-/// Bytes a [`LogReader::open_scan_in`] reader fetches per device read. A
-/// read costs a round trip, not a byte count: an index-log scan walks the
-/// live region of the log on every batch read, and at 8 KiB a cold scan
-/// paid eight times the round trips it pays now.
+/// Bytes [`scan_records_in`] fetches per device read. A read costs a
+/// round trip, not a byte count: an index-log scan walks the live region
+/// of the log on every batch read, and at 8 KiB a cold scan paid eight
+/// times the round trips it pays at 64 KiB.
 const SCAN_READ_BYTES: usize = 64 << 10;
 
 /// Largest run of unwanted bytes [`RandomAccessLog::read_records`] fetches
@@ -257,22 +264,7 @@ impl LogReader {
 
     /// [`LogReader::open_at`] through an explicit [`Vfs`].
     pub fn open_at_in(vfs: &Arc<dyn Vfs>, path: impl AsRef<Path>, offset: u64) -> Result<Self> {
-        Self::open_buffered(vfs, path.as_ref(), offset, READ_BYTES)
-    }
-
-    /// [`LogReader::open_at_in`] for scans on a device whose reads are
-    /// expensive per call: fetches 64 KiB per device read.
-    pub fn open_scan_in(vfs: &Arc<dyn Vfs>, path: impl AsRef<Path>, offset: u64) -> Result<Self> {
-        Self::open_buffered(vfs, path.as_ref(), offset, SCAN_READ_BYTES)
-    }
-
-    fn open_buffered(
-        vfs: &Arc<dyn Vfs>,
-        path: &Path,
-        offset: u64,
-        read_bytes: usize,
-    ) -> Result<Self> {
-        let path = path.to_path_buf();
+        let path = path.as_ref().to_path_buf();
         let file = vfs
             .open_read(&path)
             .map_err(|e| StoreError::io_at("log open", &path, e))?;
@@ -286,7 +278,7 @@ impl LogReader {
                 "start offset past end of log",
             ));
         }
-        let mut reader = BufReader::with_capacity(read_bytes, file);
+        let mut reader = BufReader::with_capacity(READ_BYTES, file);
         reader
             .seek(SeekFrom::Start(offset))
             .map_err(|e| StoreError::io_at("log seek", &path, e))?;
@@ -360,6 +352,117 @@ impl LogReader {
 
     fn corruption(&self, detail: &str) -> StoreError {
         StoreError::corruption(&self.path, self.offset, detail)
+    }
+}
+
+/// Hands `each` every record of the log at `path` from `start` — a record
+/// boundary — up to `limit`, in log order: its location and its
+/// CRC-verified payload, a slice of the scan's read buffer.
+///
+/// The scan reads `SCAN_READ_BYTES` per device read (`read_exact_at`),
+/// frames records inside that chunk and carries a record its end splits
+/// to the front of the buffer before the next read, so no record is
+/// copied or zero-filled on its own; a record larger than a chunk is
+/// fetched whole by one read of its rest. Bytes at or past `limit` are
+/// never read: a scan bounded by a writer's offset cannot meet a record
+/// being appended beside it. The bound is clamped to the file's length
+/// at open, so `u64::MAX` scans to the end of the file. A record whose
+/// framing runs past the bound is a torn tail and a record that fails its
+/// checksum is bad: either is [`StoreError::Corruption`] at the record's
+/// offset, as a [`LogReader`] reports it, after `each` has seen every
+/// record before it.
+pub fn scan_records_in(
+    vfs: &Arc<dyn Vfs>,
+    path: &Path,
+    start: u64,
+    limit: u64,
+    mut each: impl FnMut(RecordLocation, &[u8]) -> Result<()>,
+) -> Result<()> {
+    let file = vfs
+        .open_read(path)
+        .map_err(|e| StoreError::io_at("log open", path, e))?;
+    let file_len = file
+        .len()
+        .map_err(|e| StoreError::io_at("log stat", path, e))?;
+    if start > file_len {
+        return Err(StoreError::corruption(
+            path,
+            start,
+            "start offset past end of log",
+        ));
+    }
+    let mut chunk = ScanChunk {
+        file,
+        path,
+        end: limit.min(file_len),
+        buf: Vec::new(),
+        at: 0,
+        filled: 0,
+    };
+    let mut offset = start;
+    while offset < chunk.end {
+        let header = chunk.bytes(offset, RECORD_HEADER_LEN, "torn record header")?;
+        let (len, crc) = split_header(header.try_into().expect("a header long"));
+        let disk_len = RECORD_HEADER_LEN + u64::from(len);
+        let record = chunk.bytes(offset, disk_len, "torn record body")?;
+        let payload = record_payload(record);
+        if crc32(payload) != crc {
+            return Err(StoreError::corruption(path, offset, "checksum mismatch"));
+        }
+        each(RecordLocation { offset, len }, payload)?;
+        chunk.at += record.len();
+        offset += disk_len;
+    }
+    Ok(())
+}
+
+/// The read buffer of [`scan_records_in`]: `buf[at..filled]` holds the
+/// file's bytes from the record being framed on, read but not framed.
+struct ScanChunk<'a> {
+    file: Box<dyn VfsFile>,
+    path: &'a Path,
+    /// Where the scan stops: its limit, clamped to the file's length.
+    end: u64,
+    buf: Vec<u8>,
+    at: usize,
+    filled: usize,
+}
+
+impl ScanChunk<'_> {
+    /// The `need` bytes of the record at `offset` (the file position of
+    /// `buf[at]`), read first if the buffer holds fewer. Bytes past `end`
+    /// are a torn record, reported as `torn`. Inlined into the scan,
+    /// which the caller's crate instantiates: only a read leaves it.
+    #[inline]
+    fn bytes(&mut self, offset: u64, need: u64, torn: &str) -> Result<&[u8]> {
+        if need > self.end - offset {
+            return Err(StoreError::corruption(self.path, offset, torn));
+        }
+        // Fits in memory: the bytes lie inside the file.
+        let need = need as usize;
+        if self.filled - self.at < need {
+            self.refill(offset, need)?;
+        }
+        Ok(&self.buf[self.at..self.at + need])
+    }
+
+    /// Moves the unframed bytes to the front of the buffer, then appends
+    /// one read: a chunk, or the rest of a record larger than one —
+    /// clamped to `end`, which lies at least `need` bytes past `offset`.
+    #[inline(never)]
+    fn refill(&mut self, offset: u64, need: usize) -> Result<()> {
+        let held = self.filled - self.at;
+        self.buf.copy_within(self.at..self.filled, 0);
+        let read_at = offset + held as u64;
+        let n = ((need - held).max(SCAN_READ_BYTES) as u64).min(self.end - read_at) as usize;
+        if self.buf.len() < held + n {
+            self.buf.resize(held + n, 0);
+        }
+        self.file
+            .read_exact_at(&mut self.buf[held..held + n], read_at)
+            .map_err(|e| StoreError::io_at("log scan read", self.path, e))?;
+        (self.at, self.filled) = (0, held + n);
+        Ok(())
     }
 }
 
@@ -537,6 +640,7 @@ impl RandomAccessLog {
 
 /// The payload of a record handed out by
 /// [`RandomAccessLog::read_records`] (everything after the header).
+#[inline]
 pub fn record_payload(record: &[u8]) -> &[u8] {
     &record[RECORD_HEADER_LEN as usize..]
 }
@@ -790,6 +894,157 @@ mod tests {
                 .collect();
             prop_assert_eq!(batched, one_by_one);
         }
+    }
+
+    /// Cases of the scan property: 32 unless `PROPTEST_CASES` says
+    /// otherwise (CI's crash-matrix job runs 256).
+    fn scan_cases() -> u32 {
+        let cases = std::env::var("PROPTEST_CASES").ok();
+        cases.and_then(|n| n.parse().ok()).unwrap_or(32)
+    }
+
+    /// What a scan of a log yields: each record's location and payload,
+    /// then the offset of the corruption that stopped it, if any.
+    type Scanned = (Vec<(RecordLocation, Vec<u8>)>, Option<u64>);
+
+    /// The loop [`scan_records_in`] replaced: a [`LogReader`] fetching a
+    /// scan chunk per device read, stepped while it is short of `limit`.
+    fn scan_by_reader(vfs: &Arc<dyn Vfs>, path: &Path, start: u64, limit: u64) -> Scanned {
+        let mut reader = LogReader::open_at_in(vfs, path, start).unwrap();
+        reader.file = BufReader::with_capacity(SCAN_READ_BYTES, reader.file.into_inner());
+        let mut records = Vec::new();
+        while reader.offset() < limit {
+            match reader.next_record() {
+                Ok(Some(record)) => records.push(record),
+                Ok(None) => break,
+                Err(e) => return (records, Some(corruption_offset(e))),
+            }
+        }
+        (records, None)
+    }
+
+    fn scan_in_place(vfs: &Arc<dyn Vfs>, path: &Path, start: u64, limit: u64) -> Scanned {
+        let mut records = Vec::new();
+        let scanned = scan_records_in(vfs, path, start, limit, |loc, payload| {
+            records.push((loc, payload.to_vec()));
+            Ok(())
+        });
+        (records, scanned.err().map(corruption_offset))
+    }
+
+    /// Both scans of `path` through one counting Vfs: what each yields
+    /// and the device ops each issues.
+    fn scan_both(path: &Path, start: u64, limit: u64) -> ((Scanned, u64), (Scanned, u64)) {
+        let counting = FaultVfs::counting(StdVfs::shared());
+        let vfs: Arc<dyn Vfs> = counting.clone();
+        let counted = |scan: fn(&Arc<dyn Vfs>, &Path, u64, u64) -> Scanned| {
+            let before = counting.ops();
+            let scanned = scan(&vfs, path, start, limit);
+            (scanned, counting.ops() - before)
+        };
+        (counted(scan_by_reader), counted(scan_in_place))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(scan_cases()))]
+        /// Random logs of 0-300 B records around one record larger than a
+        /// scan chunk, scanned from a random record boundary to a record
+        /// boundary, the end of the file or `u64::MAX`, whole, with a torn
+        /// tail, or with one byte flipped: the in-place scan yields what
+        /// the reader loop does and stops at the same corruption — and
+        /// over an intact prefix it issues as many device reads.
+        #[test]
+        fn in_place_scan_is_the_reader_loop(
+            sizes in prop::collection::vec(0usize..300, 200..700),
+            large in (SCAN_READ_BYTES + 1..SCAN_READ_BYTES + 16_000, any::<prop::sample::Index>()),
+            fill in any::<u8>(),
+            start in any::<prop::sample::Index>(),
+            limit in (0u8..3, any::<prop::sample::Index>()),
+            torn in (any::<bool>(), any::<prop::sample::Index>()),
+            flip in (any::<bool>(), any::<prop::sample::Index>()),
+        ) {
+            let dir = scratch("log-scan-prop");
+            let path = dir.path().join("a.log");
+            let mut sizes = sizes;
+            sizes.insert(large.1.index(sizes.len() + 1), large.0);
+            let payloads: Vec<Vec<u8>> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| (0..n).map(|j| fill ^ (i * 31 + j) as u8).collect())
+                .collect();
+            let locations = write_records(&path, &payloads);
+            let boundaries: Vec<u64> = std::iter::once(0)
+                .chain(locations.iter().map(|&(offset, len)| offset + len))
+                .collect();
+            let mut file_len = *boundaries.last().unwrap();
+            if torn.0 {
+                let (last, len) = *locations.last().unwrap();
+                file_len = last + 1 + torn.1.index(len as usize - 1) as u64;
+                OpenOptions::new().write(true).open(&path).unwrap().set_len(file_len).unwrap();
+            }
+            if flip.0 {
+                flip_byte(&path, flip.1.index(file_len as usize) as u64);
+            }
+            let starts: Vec<u64> = boundaries.iter().copied().filter(|&b| b <= file_len).collect();
+            let start = starts[start.index(starts.len())];
+            let limit = match limit.0 {
+                0 => boundaries[limit.1.index(boundaries.len())],
+                1 => file_len,
+                _ => u64::MAX,
+            };
+            let ((by_reader, reader_ops), (in_place, scan_ops)) = scan_both(&path, start, limit);
+            prop_assert_eq!(&in_place, &by_reader);
+            if !flip.0 {
+                prop_assert_eq!(scan_ops, reader_ops);
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_scan_carries_records_across_chunk_edges() {
+        let dir = scratch("log-scan-edges");
+        let path = dir.path().join("a.log");
+        // A record ending one byte short of the first chunk edge (the
+        // next header straddles it), one straddling the second edge
+        // with its body, one larger than a chunk, then small ones.
+        let chunk = SCAN_READ_BYTES;
+        let payloads = vec![
+            vec![1u8; chunk - 2 * RECORD_HEADER_LEN as usize - 1],
+            vec![2u8; 40],
+            vec![3u8; chunk - 40],
+            vec![4u8; 2 * chunk + 5],
+            vec![5u8; 0],
+            vec![6u8; 7],
+        ];
+        let locations = write_records(&path, &payloads);
+        for start in [0, locations[2].0, locations[3].0] {
+            let ((by_reader, reader_ops), (in_place, scan_ops)) = scan_both(&path, start, u64::MAX);
+            assert_eq!(in_place, by_reader, "from {start}");
+            assert_eq!(in_place.1, None);
+            assert_eq!(scan_ops, reader_ops, "from {start}");
+        }
+        let (_, (whole, _)) = scan_both(&path, 0, u64::MAX);
+        let scanned: Vec<Vec<u8>> = whole.0.into_iter().map(|(_, p)| p).collect();
+        assert_eq!(scanned, payloads);
+        // A limit inside the log stops the scan there.
+        let (_, (cut, _)) = scan_both(&path, 0, locations[3].0);
+        assert_eq!(cut.0.len(), 3);
+        assert_eq!(cut.1, None);
+    }
+
+    #[test]
+    fn in_place_scan_stops_at_the_first_bad_record_after_lending_the_rest() {
+        let dir = scratch("log-scan-bad");
+        let path = dir.path().join("a.log");
+        let locations = write_records(&path, &[vec![1u8; 10], vec![2u8; 10], vec![3u8; 10]]);
+        flip_byte(&path, locations[1].0 + RECORD_HEADER_LEN + 3);
+        let vfs = StdVfs::shared();
+        let (records, bad) = scan_in_place(&vfs, &path, 0, u64::MAX);
+        assert_eq!(records.len(), 1);
+        assert_eq!(bad, Some(locations[1].0));
+        // A start past the end is corrupt before any read.
+        let err = scan_records_in(&vfs, &path, 1 << 20, u64::MAX, |_, _| Ok(())).unwrap_err();
+        assert_eq!(corruption_offset(err), 1 << 20);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::codec::{self, Decoder};
+use crate::codec::{self, DecodeError, Decoder};
 use crate::error::Result;
 
 /// Event-time instant in milliseconds since the epoch of the stream.
@@ -101,7 +101,8 @@ impl WindowId {
     }
 
     /// Decodes a window previously written by [`WindowId::encode_to`].
-    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<Self> {
+    #[inline]
+    pub fn decode_from(dec: &mut Decoder<'_>) -> std::result::Result<Self, DecodeError> {
         let start = dec.get_i64()?;
         let end = dec.get_i64()?;
         Ok(WindowId { start, end })

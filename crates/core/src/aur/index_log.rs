@@ -8,7 +8,9 @@
 //! trigger-time estimates after recovery), and the data record's location.
 
 use flowkv_common::backend::ValueSink;
-use flowkv_common::codec::{put_len_prefixed, put_u64, put_varint_i64, put_varint_u64, Decoder};
+use flowkv_common::codec::{
+    put_len_prefixed, put_u64, put_varint_i64, put_varint_u64, DecodeError, Decoder,
+};
 use flowkv_common::error::Result;
 use flowkv_common::types::{Timestamp, WindowId};
 
@@ -42,12 +44,12 @@ impl<'a> IndexEntry<'a> {
     }
 
     /// Parses an entry from a log-record payload.
-    pub fn decode(payload: &'a [u8]) -> Result<Self> {
+    pub fn decode(payload: &'a [u8]) -> std::result::Result<Self, DecodeError> {
         Self::decode_from(&mut Decoder::new(payload))
     }
 
     /// Parses the next of several entries encoded back to back.
-    pub fn decode_from(dec: &mut Decoder<'a>) -> Result<Self> {
+    pub fn decode_from(dec: &mut Decoder<'a>) -> std::result::Result<Self, DecodeError> {
         let key = dec.get_len_prefixed()?;
         let window = WindowId::decode_from(dec)?;
         let max_ts = dec.get_varint_i64()?;

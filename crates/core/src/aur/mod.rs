@@ -49,7 +49,7 @@ use flowkv_common::backend::ValueSink;
 use flowkv_common::codec::Decoder;
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::{IoRing, Lane, PrefetchProbe};
-use flowkv_common::logfile::{record_payload, LogReader, RandomAccessLog};
+use flowkv_common::logfile::{record_payload, scan_records_in, RandomAccessLog};
 use flowkv_common::metrics::{OpCategory, StoreMetrics};
 use flowkv_common::registry::ViewValue;
 use flowkv_common::telemetry::{Counter, Histogram, Telemetry};
@@ -88,10 +88,10 @@ impl Default for AurConfig {
 }
 
 /// The one index-log scan (paper §4.2): walks `path` from `start`, up to
-/// but never across `limit`, decodes each entry in place — one payload
-/// buffer serves the whole walk — and hands it to `visit`. Returns the
-/// on-disk bytes walked. Its callers are the batch read
-/// ([`read_windows`]) and the compaction scan.
+/// but never across `limit`, decodes each entry where the scan's read
+/// buffer holds it and hands it to `visit`. Returns the on-disk bytes
+/// walked. Its callers are the batch read ([`read_windows`]) and the
+/// compaction scan.
 fn walk_index(
     vfs: &Arc<dyn Vfs>,
     path: &Path,
@@ -100,18 +100,14 @@ fn walk_index(
     mut visit: impl FnMut(IndexEntry<'_>),
 ) -> Result<u64> {
     let mut scanned_bytes = 0u64;
-    let mut payload = Vec::new();
-    let mut reader = LogReader::open_scan_in(vfs, path, start)?;
     // Stop *before* crossing the limit: bytes past it may belong to a
     // flush the foreground is writing concurrently, and reading into a
     // half-written record would fail the whole walk as a torn file.
-    while reader.offset() < limit {
-        let Some(loc) = reader.next_record_into(&mut payload)? else {
-            break;
-        };
+    scan_records_in(vfs, path, start, limit, |loc, payload| {
         scanned_bytes += loc.disk_len();
-        visit(IndexEntry::decode(&payload)?);
-    }
+        visit(IndexEntry::decode(payload)?);
+        Ok(())
+    })?;
     Ok(scanned_bytes)
 }
 

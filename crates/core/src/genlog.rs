@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::logfile::{
-    record_payload, LogReader, LogWriter, RandomAccessLog, RecordLocation,
+    record_payload, scan_records_in, LogWriter, RandomAccessLog, RecordLocation,
 };
 use flowkv_common::vfs::Vfs;
 
@@ -160,16 +160,12 @@ impl GenLog {
     /// Hands every record of the log to `each`, in log order.
     pub(crate) fn scan(
         &mut self,
-        mut each: impl FnMut(RecordLocation, &[u8]) -> Result<()>,
+        each: impl FnMut(RecordLocation, &[u8]) -> Result<()>,
     ) -> Result<()> {
-        if let Some(path) = self.flushed_path()? {
-            let mut reader = LogReader::open_scan_in(&self.vfs, path, 0)?;
-            let mut payload = Vec::new();
-            while let Some(loc) = reader.next_record_into(&mut payload)? {
-                each(loc, &payload)?;
-            }
+        match self.flushed_path()? {
+            Some(path) => scan_records_in(&self.vfs, &path, 0, u64::MAX, each),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Cuts the log back to its first `len` bytes, a record boundary.

@@ -332,7 +332,7 @@ fn get_sample(dec: &mut Decoder<'_>) -> Result<MetricSample> {
             let min = dec.get_u64()?;
             let max = dec.get_u64()?;
             SampleValue::Histogram(HistogramSnapshot {
-                counts: get_list(dec, "bucket", Decoder::get_varint_u64)?,
+                counts: get_list(dec, "bucket", |dec| Ok(dec.get_varint_u64()?))?,
                 count,
                 sum,
                 min,
@@ -748,7 +748,7 @@ fn get_state_info(dec: &mut Decoder<'_>) -> Result<StateInfo> {
         epoch: dec.get_u64()?,
         watermark: dec.get_i64()?,
         entries: dec.get_u64()?,
-        ttl_ms: get_opt(dec, "ttl flag", Decoder::get_u64)?,
+        ttl_ms: get_opt(dec, "ttl flag", |dec| Ok(dec.get_u64()?))?,
     })
 }
 
