@@ -770,6 +770,117 @@ fn bench_view_publish(c: &mut Criterion) {
     group.finish();
 }
 
+/// One per-record write, single-threaded, with no flush in the loop:
+/// 64 Ki AUR appends (1 024 sessions × 64 values), AAR appends (1 024
+/// keys × 64 values into one window) and RMW updates (1 024 aggregates ×
+/// 64 rounds), keys interleaved as a stream interleaves them, each into
+/// a fresh store whose write buffer holds them all. Prints ns per call
+/// beside the store's own account of it, `write_nanos` ÷ calls, which
+/// times one call in 64 and charges it 64 times.
+fn bench_record_op(c: &mut Criterion) {
+    use flowkv::aar::AarStore;
+    use flowkv::aur::{AurConfig, AurStore};
+    use flowkv::ett::EttPredictor;
+    use flowkv::rmw::{RmwConfig, RmwStore};
+    use flowkv_common::metrics::StoreMetrics;
+    use std::path::Path;
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    const KEYS: u64 = 1_024;
+    const PER_KEY: u64 = 64;
+    const BUFFER: usize = 256 << 20;
+
+    /// Times `call` over every `(key, round)` of fresh stores that
+    /// `open` makes, then prints the two per-call figures.
+    fn cell<S>(
+        group: &mut criterion::BenchmarkGroup<'_>,
+        name: &str,
+        open: impl Fn(&Path, Arc<StoreMetrics>) -> S,
+        mut call: impl FnMut(&mut S, &[u8], u64),
+    ) {
+        let (mut calls, mut took, mut charged) = (0u64, Duration::ZERO, 0u64);
+        group.bench_function(BenchmarkId::from_parameter(name), |b| {
+            b.iter_batched(
+                || {
+                    let dir = ScratchDir::new("micro-record-op").unwrap();
+                    let metrics = StoreMetrics::new_shared();
+                    (open(dir.path(), Arc::clone(&metrics)), metrics, dir)
+                },
+                |(mut store, metrics, dir)| {
+                    let t0 = Instant::now();
+                    for round in 0..PER_KEY {
+                        for k in 0..KEYS {
+                            call(&mut store, &k.to_le_bytes(), round);
+                        }
+                    }
+                    took += t0.elapsed();
+                    calls += KEYS * PER_KEY;
+                    let m = metrics.snapshot();
+                    assert_eq!((m.records_written, m.flushes), (KEYS * PER_KEY, 0));
+                    charged += m.write_nanos;
+                    (store, dir)
+                },
+                criterion::BatchSize::PerIteration,
+            );
+        });
+        if calls > 0 {
+            println!(
+                "record_op/{name}/ns_per_call: {:.1} (write_nanos per call {:.1})",
+                took.as_nanos() as f64 / calls as f64,
+                charged as f64 / calls as f64
+            );
+        }
+    }
+
+    let mut group = c.benchmark_group("record_op");
+    group.sample_size(10);
+    let w = WindowId::new(0, 1_000_000);
+    cell(
+        &mut group,
+        "aur_append",
+        |dir, metrics| {
+            let cfg = AurConfig {
+                write_buffer_bytes: BUFFER,
+                ..AurConfig::default()
+            };
+            let predictor = EttPredictor::SessionGap { gap: 1_000 };
+            AurStore::open(dir, cfg, predictor, metrics).unwrap()
+        },
+        |store, key, round| {
+            store
+                .append(key, w, &round.to_le_bytes(), round as i64)
+                .unwrap()
+        },
+    );
+    cell(
+        &mut group,
+        "aar_append",
+        |dir, metrics| AarStore::open(dir, BUFFER, 1_024, metrics).unwrap(),
+        |store, key, round| store.append(key, w, &round.to_le_bytes()).unwrap(),
+    );
+    cell(
+        &mut group,
+        "rmw_update",
+        |dir, metrics| {
+            let cfg = RmwConfig {
+                write_buffer_bytes: BUFFER,
+                ..RmwConfig::default()
+            };
+            RmwStore::open(dir, cfg, metrics).unwrap()
+        },
+        |store, key, round| {
+            let mut fold = |acc: &mut Vec<u8>, _: bool| {
+                acc.resize(8, 0);
+                let sum = u64::from_le_bytes(acc[..].try_into().unwrap()) + round;
+                acc.copy_from_slice(&sum.to_le_bytes());
+            };
+            store.update(key, w, &mut fold).unwrap();
+        },
+    );
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_aar,
@@ -783,6 +894,7 @@ criterion_group!(
     bench_tier_rmw,
     bench_tier_aar_append,
     bench_tier_aar_cycle,
-    bench_view_publish
+    bench_view_publish,
+    bench_record_op
 );
 criterion_main!(benches);

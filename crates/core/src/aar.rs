@@ -74,7 +74,7 @@ use flowkv_common::codec::{put_len_prefixed, put_varint_u64, Decoder};
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::{IoRing, Lane, PrefetchProbe};
 use flowkv_common::logfile::{LogReader, LogWriter};
-use flowkv_common::metrics::{OpCategory, StoreMetrics};
+use flowkv_common::metrics::{OpCategory, RecordTimer, StoreMetrics};
 use flowkv_common::registry::ViewValue;
 use flowkv_common::telemetry::Telemetry;
 use flowkv_common::types::{Timestamp, WindowId};
@@ -197,6 +197,8 @@ pub struct AarStore {
     /// Entries of the table holding a writer.
     open_writers: usize,
     metrics: Arc<StoreMetrics>,
+    /// Samples the per-record `append` timer.
+    append_timer: RecordTimer,
     vfs: Arc<dyn Vfs>,
     /// Read-ahead lane keyed by window: without threads (every read
     /// synchronous) until [`AarStore::with_ring`] attaches the worker's
@@ -250,6 +252,7 @@ impl AarStore {
             buffer_bytes: 0,
             open_writers: 0,
             metrics,
+            append_timer: RecordTimer::default(),
             lane: Lane::inline(Arc::clone(&vfs)),
             vfs,
             epoch: 0,
@@ -275,7 +278,7 @@ impl AarStore {
     /// `Append(K, V, W)`).
     pub fn append(&mut self, key: &[u8], window: WindowId, value: &[u8]) -> Result<()> {
         {
-            let _t = self.metrics.timer(OpCategory::Write);
+            let _t = self.append_timer.start(&self.metrics, OpCategory::Write);
             let run = &mut self.windows.entry(window).or_default().run;
             self.buffer_bytes += run.push(key, value, self.chunk_entries);
             self.metrics.add_records_written(1);

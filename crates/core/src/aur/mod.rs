@@ -50,7 +50,7 @@ use flowkv_common::codec::Decoder;
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::{IoRing, Lane, PrefetchProbe};
 use flowkv_common::logfile::{record_payload, scan_records_in, RandomAccessLog};
-use flowkv_common::metrics::{OpCategory, StoreMetrics};
+use flowkv_common::metrics::{OpCategory, RecordTimer, StoreMetrics};
 use flowkv_common::registry::ViewValue;
 use flowkv_common::telemetry::{Counter, Histogram, Telemetry};
 use flowkv_common::types::{Timestamp, WindowId};
@@ -194,6 +194,8 @@ pub struct AurStore {
     /// `Vec<u8>`s.
     encode_buf: Vec<u8>,
     metrics: Arc<StoreMetrics>,
+    /// Samples the per-record `append` timer.
+    append_timer: RecordTimer,
     /// Prefetch-accuracy telemetry; `None` keeps the hot path untouched.
     ett_probe: Option<EttProbe>,
     vfs: Arc<dyn Vfs>,
@@ -312,6 +314,7 @@ impl AurStore {
             latest_ts: Timestamp::MIN,
             encode_buf: Vec::new(),
             metrics,
+            append_timer: RecordTimer::default(),
             ett_probe: None,
             lane: Lane::inline(Arc::clone(&vfs)),
             vfs,
@@ -352,7 +355,7 @@ impl AurStore {
         ts: Timestamp,
     ) -> Result<()> {
         {
-            let _t = self.metrics.timer(OpCategory::Write);
+            let _t = self.append_timer.start(&self.metrics, OpCategory::Write);
             self.latest_ts = self.latest_ts.max(ts);
             self.table.append(key, window, value, ts, &self.predictor);
             self.metrics.add_records_written(1);

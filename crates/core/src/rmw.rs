@@ -31,7 +31,7 @@ use flowkv_common::backend::AggregateUpdate;
 use flowkv_common::codec::{put_len_prefixed, put_varint_u64, Decoder};
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::logfile::record_payload;
-use flowkv_common::metrics::{OpCategory, StoreMetrics};
+use flowkv_common::metrics::{OpCategory, RecordTimer, StoreMetrics};
 use flowkv_common::registry::ViewValue;
 use flowkv_common::types::{Timestamp, WindowId};
 use flowkv_common::vfs::{StdVfs, Vfs};
@@ -92,6 +92,8 @@ pub struct RmwStore {
     /// flushing allocates no per-record `Vec<u8>`s.
     encode_buf: Vec<u8>,
     metrics: Arc<StoreMetrics>,
+    /// Samples the per-record `put` / `update` timer.
+    write_timer: RecordTimer,
 }
 
 impl RmwStore {
@@ -117,6 +119,7 @@ impl RmwStore {
             log: GenLog::open(vfs, dir, "agg", "rmw", None)?,
             encode_buf: Vec::new(),
             metrics,
+            write_timer: RecordTimer::default(),
         };
         store.rebuild_from_log()?;
         Ok(store)
@@ -145,7 +148,7 @@ impl RmwStore {
     /// Stores the updated aggregate (paper Listing 1, `Put(K, W, A)`).
     pub fn put(&mut self, key: &[u8], window: WindowId, aggregate: &[u8]) -> Result<()> {
         {
-            let _t = self.metrics.timer(OpCategory::Write);
+            let _t = self.write_timer.start(&self.metrics, OpCategory::Write);
             self.buffer_bytes += dirty_charge(key, aggregate.len());
             if let Some(old) = self.buffer.insert(key, window, aggregate.to_vec()) {
                 self.buffer_bytes -= dirty_charge(key, old.len());
@@ -161,7 +164,7 @@ impl RmwStore {
     /// the module documentation and `StateBackend::update_aggregate`).
     pub fn update(&mut self, key: &[u8], window: WindowId, f: AggregateUpdate<'_>) -> Result<()> {
         {
-            let _t = self.metrics.timer(OpCategory::Write);
+            let _t = self.write_timer.start(&self.metrics, OpCategory::Write);
             let flushed = match self.retire_flushed(key, window) {
                 Some((offset, len)) if self.buffer.get(key, window).is_none() => {
                     Some(self.read_at(offset, len)?)

@@ -23,7 +23,7 @@ use flowkv_common::backend::{
 };
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::IoRing;
-use flowkv_common::metrics::{OpCategory, StoreMetrics};
+use flowkv_common::metrics::{OpCategory, RecordTimer, StoreMetrics};
 use flowkv_common::types::{Timestamp, WindowId};
 use flowkv_common::vfs::{StdVfs, Vfs};
 
@@ -66,6 +66,11 @@ pub struct LsmBackend {
     /// Reusable scratch for composite keys, so per-tuple operations
     /// allocate no `Vec<u8>` for the 16-byte-prefixed key.
     key_buf: Vec<u8>,
+    /// The database's metrics, held here so a per-record write clones
+    /// no handle.
+    metrics: Arc<StoreMetrics>,
+    /// Samples the per-record `append` / `put_aggregate` timer.
+    write_timer: RecordTimer,
 }
 
 impl LsmBackend {
@@ -81,11 +86,14 @@ impl LsmBackend {
         chunk_entries: usize,
         vfs: Arc<dyn Vfs>,
     ) -> Result<Self> {
+        let metrics = StoreMetrics::new_shared();
         Ok(LsmBackend {
-            db: Db::open_with_vfs(dir, cfg, StoreMetrics::new_shared(), vfs)?,
+            db: Db::open_with_vfs(dir, cfg, Arc::clone(&metrics), vfs)?,
+            metrics,
             chunk_entries: chunk_entries.max(1),
             window_cursors: HashMap::new(),
             key_buf: Vec::new(),
+            write_timer: RecordTimer::default(),
         })
     }
 
@@ -105,7 +113,7 @@ impl LsmBackend {
 
 impl StateBackend for LsmBackend {
     fn append(&mut self, key: &[u8], window: WindowId, value: &[u8], _ts: Timestamp) -> Result<()> {
-        let _t = self.db.metrics().timer(OpCategory::Write);
+        let _t = self.write_timer.start(&self.metrics, OpCategory::Write);
         composite_key_into(&mut self.key_buf, key, window);
         self.db.merge(&self.key_buf, value)
     }
@@ -174,7 +182,7 @@ impl StateBackend for LsmBackend {
     }
 
     fn put_aggregate(&mut self, key: &[u8], window: WindowId, aggregate: &[u8]) -> Result<()> {
-        let _t = self.db.metrics().timer(OpCategory::Write);
+        let _t = self.write_timer.start(&self.metrics, OpCategory::Write);
         composite_key_into(&mut self.key_buf, key, window);
         self.db.put(&self.key_buf, aggregate)
     }

@@ -24,9 +24,11 @@
 //! DESIGN.md § Exchange and batching.
 //!
 //! Latency accounting: each tuple and watermark carries the wall-clock
-//! nanosecond at which it left the source — or, under a rate limit, at
-//! which it was *due* to leave, so a source held back by backpressure
-//! does not hide the delay (one stamp per tuple, even inside a batch);
+//! nanosecond at which it left the source — read once per 16-tuple
+//! burst, as the burst starts, so never after the tuple's real send —
+//! or, under a rate limit, at which it was *due* to leave, so a source
+//! held back by backpressure does not hide the delay (one stamp per
+//! tuple, even inside a batch);
 //! window outputs inherit the origin of the watermark that triggered
 //! them, so the sink observes true end-to-end latency including every
 //! store interaction (the paper's Kafka-based methodology, §6.2).
@@ -269,6 +271,65 @@ pub struct JobResult {
     /// from the old workers' halt to the new workers' start; `None`
     /// unless [`RunOptions::rescale_to`] was set.
     pub rescale_pause: Option<Duration>,
+    /// CPU seconds each thread of the run used.
+    pub thread_cpu: ThreadCpu,
+}
+
+/// CPU seconds the threads of a run used, each read once as its thread
+/// ends (`CLOCK_THREAD_CPUTIME_ID`). Stateless stages run on the thread
+/// that feeds them and count there; a worker's I/O ring threads, the
+/// runner and the telemetry writer are not counted.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ThreadCpu {
+    /// The source thread.
+    pub source_s: f64,
+    /// Each keyed worker, stage by stage, worker by worker (a rescaled
+    /// run lists the first phase's workers, then the second's).
+    pub workers_s: Vec<f64>,
+    /// The sink thread.
+    pub sink_s: f64,
+}
+
+impl ThreadCpu {
+    /// The sum over every counted thread.
+    pub fn total_s(&self) -> f64 {
+        self.source_s + self.workers_s.iter().sum::<f64>() + self.sink_s
+    }
+
+    /// Adds the threads of a later phase of the same run.
+    pub(crate) fn absorb(&mut self, later: ThreadCpu) {
+        self.source_s += later.source_s;
+        self.workers_s.extend(later.workers_s);
+        self.sink_s += later.sink_s;
+    }
+}
+
+/// CPU seconds the calling thread has used so far.
+fn thread_cpu_seconds() -> f64 {
+    cpu_clock_seconds(CLOCK_THREAD_CPUTIME_ID)
+}
+
+const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+
+/// Reads one of Linux's CPU-time clocks, in seconds.
+fn cpu_clock_seconds(clock: i32) -> f64 {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+    }
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a valid, writable `struct timespec` (two 64-bit
+    // fields on 64-bit Linux) and the call writes nothing else.
+    let rc = unsafe { clock_gettime(clock, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime({clock}) failed");
+    ts.tv_sec as f64 + ts.tv_nsec as f64 / 1e9
 }
 
 impl JobResult {
@@ -855,7 +916,10 @@ pub(crate) fn run_job_inner(
         let source_tx = senders[0].clone();
         let source_handle = spawn()
             .name("spe-source".into())
-            .spawn_scoped(s, move || run_source(run, source, source_tx))
+            .spawn_scoped(s, move || {
+                let sent = run_source(run, source, source_tx);
+                (sent, thread_cpu_seconds())
+            })
             .expect("spawn source");
         let mut handles = Vec::new();
         for (boundary, &stage_idx) in keyed.iter().enumerate() {
@@ -868,7 +932,8 @@ pub(crate) fn run_job_inner(
                 let handle = spawn()
                     .name(format!("spe-{}-{}", job.stages[stage_idx].name(), worker))
                     .spawn_scoped(s, move || {
-                        run_worker(run, stage_idx, worker, upstreams, rx, next)
+                        let report = run_worker(run, stage_idx, worker, upstreams, rx, next);
+                        (report, thread_cpu_seconds())
                     })
                     .expect("spawn worker");
                 handles.push(handle);
@@ -878,7 +943,10 @@ pub(crate) fn run_job_inner(
         let sink_upstreams = if keyed.is_empty() { 1 } else { n };
         let sink_handle = spawn()
             .name("spe-sink".into())
-            .spawn_scoped(s, move || run_sink(run, sink_upstreams, sink_rx))
+            .spawn_scoped(s, move || {
+                let report = run_sink(run, sink_upstreams, sink_rx);
+                (report, thread_cpu_seconds())
+            })
             .expect("spawn sink");
 
         // The threads hold their own clones; drop the runner's copies
@@ -922,22 +990,30 @@ pub(crate) fn run_job_inner(
 
         // Join everything, aggregating reports and the first error.
         let mut first_error: Option<JobError> = None;
-        let input_count = source_handle.join().unwrap_or_else(|_| {
-            first_error = Some(JobError::Panic("source panicked".into()));
-            0
-        });
+        let mut thread_cpu = ThreadCpu::default();
+        let input_count = match source_handle.join() {
+            Ok((sent, cpu_s)) => {
+                thread_cpu.source_s = cpu_s;
+                sent
+            }
+            Err(_) => {
+                first_error = Some(JobError::Panic("source panicked".into()));
+                0
+            }
+        };
         let mut merged = MetricsSnapshot::default();
         let mut dropped_late = 0;
         let mut late_tuples = Vec::new();
         for handle in handles {
             let error = match handle.join() {
-                Ok(Ok(report)) => {
+                Ok((Ok(report), cpu_s)) => {
+                    thread_cpu.workers_s.push(cpu_s);
                     merged = merged.merged(&report.metrics);
                     dropped_late += report.dropped_late;
                     late_tuples.extend(report.late);
                     continue;
                 }
-                Ok(Err(e)) => JobError::Store(e),
+                Ok((Err(e), _)) => JobError::Store(e),
                 Err(_) => JobError::Panic("worker panicked".into()),
             };
             abort.store(true, Ordering::Relaxed);
@@ -958,7 +1034,7 @@ pub(crate) fn run_job_inner(
         // Exported before any error return — the trace of a failed run
         // is the one you want most.
         ctx.export_trace(options.trace_out.as_ref());
-        let Ok(mut sink) = sink else {
+        let Ok((mut sink, sink_cpu_s)) = sink else {
             return Err((
                 JobError::Panic("sink panicked".into()),
                 AttemptSalvage::default(),
@@ -1000,6 +1076,10 @@ pub(crate) fn run_job_inner(
             late_tuples,
             outputs_pre_checkpoint: sink.salvage.outputs_pre,
             rescale_pause: None,
+            thread_cpu: ThreadCpu {
+                sink_s: sink_cpu_s,
+                ..thread_cpu
+            },
         })
     })
 }
@@ -1036,14 +1116,20 @@ fn run_source(
     // `count / rate` seconds after pacing started, and is stamped with
     // that instant once the source runs behind it: latency is measured
     // from when a tuple should have left, so the time a backpressured
-    // source spends blocked counts (no coordinated omission).
+    // source spends blocked counts (no coordinated omission). A rate of
+    // 0 is no limit.
+    let rate = options.rate_limit.filter(|&rate| rate > 0);
     let pace_start = now();
     let due = |count: u64| {
-        options
-            .rate_limit
-            .map(|rate| pace_start + (count as f64 / rate as f64 * 1e9) as u64)
+        rate.map(|rate| pace_start.saturating_add((count as f64 / rate as f64 * 1e9) as u64))
     };
     let stamp = |count: u64, departure: u64| due(count).map_or(departure, |d| d.min(departure));
+    // The clock is read once per burst of 16 tuples, as the burst
+    // starts, and every tuple of the burst departs at that reading. A
+    // stamp can only come before the tuple's real send, so it may
+    // overstate a latency (by what the burst takes to send, or a block
+    // inside it, which the rule above wants counted) but never hide one.
+    let mut burst_now = pace_start;
     let mut count: u64 = 0;
     let mut barrier_seq: u64 = 0;
     let mut last_flush: u64 = 0;
@@ -1057,12 +1143,14 @@ fn run_source(
                 // Token pacing: stay at or below the rate by sleeping
                 // only at burst boundaries (every 16 tuples).
                 if count.is_multiple_of(16) {
-                    let ahead = due(count).map_or(0, |due| due.saturating_sub(now()));
+                    burst_now = now();
+                    let ahead = due(count).map_or(0, |due| due.saturating_sub(burst_now));
                     if ahead > 0 {
                         std::thread::sleep(Duration::from_nanos(ahead));
+                        burst_now = now();
                     }
                 }
-                let departure = now();
+                let departure = burst_now;
                 // The stateless prefix reads the input in place; the
                 // input is freed here, on the thread that received it.
                 if !exchange.send(tuple.borrowed(), stamp(count, departure)) {
@@ -1074,7 +1162,7 @@ fn run_source(
                 }
                 if !exchange.outbox.has_pending() {
                     last_flush = departure;
-                } else if options.rate_limit.is_some()
+                } else if rate.is_some()
                     && departure.saturating_sub(last_flush) >= BATCH_LINGER_NANOS
                 {
                     // Slow stream: don't sit on a partial batch forever.
@@ -2444,21 +2532,35 @@ mod tests {
 
     #[test]
     fn paced_latency_counts_the_time_a_stalled_consumer_held_the_source_back() {
-        // Every tuple is due within the first `NOMINAL` of the run, and
-        // the consumer stalls for `STALL` right at the start: with
-        // one-slot channels the source blocks behind it, so every window
-        // that fires afterwards left at least `STALL - NOMINAL` later
-        // than it was due. Stamping actual departure instead hides the
-        // stall entirely (latencies of a few milliseconds).
+        assert_a_stall_counts(0);
+    }
+
+    #[test]
+    fn paced_latency_counts_a_stall_inside_a_source_burst() {
+        // The 25th tuple is the 9th of the second 16-tuple burst: the
+        // source blocks a couple of tuples later, mid-burst, under a
+        // clock it read before the block.
+        assert_a_stall_counts(24);
+    }
+
+    /// Every tuple is due within the first `NOMINAL` of the run, and the
+    /// consumer stalls for `STALL` on the aggregate add of tuple
+    /// `stall_at`: with one-slot channels the source blocks behind it,
+    /// so every window that fires afterwards left at least
+    /// `STALL - NOMINAL` later than it was due. Stamping actual
+    /// departure instead hides the stall entirely (latencies of a few
+    /// milliseconds).
+    fn assert_a_stall_counts(stall_at: u64) {
+        use std::sync::atomic::AtomicU64;
         const STALL: Duration = Duration::from_millis(300);
         const NOMINAL: Duration = Duration::from_millis(20);
-        struct StallOnce(AtomicBool);
+        struct StallOnce(AtomicU64, u64);
         impl crate::functions::AggregateFunction for StallOnce {
             fn create(&self) -> Vec<u8> {
                 CountAggregate.create()
             }
             fn add(&self, acc: &mut Vec<u8>, value: &[u8]) {
-                if !self.0.swap(true, Ordering::Relaxed) {
+                if self.0.fetch_add(1, Ordering::Relaxed) == self.1 {
                     std::thread::sleep(STALL);
                 }
                 CountAggregate.add(acc, value);
@@ -2475,7 +2577,7 @@ mod tests {
             .window(
                 "counts",
                 WindowAssigner::Fixed { size: 10 },
-                AggregateSpec::Incremental(StdArc::new(StallOnce(AtomicBool::new(false)))),
+                AggregateSpec::Incremental(StdArc::new(StallOnce(AtomicU64::new(0), stall_at))),
             )
             .build();
         let dir = ScratchDir::new("exec-omission").unwrap();
@@ -2520,5 +2622,53 @@ mod tests {
         assert!(result.latency().count > 0);
         assert!(result.latency().p95 > 0);
         assert!(result.latency().p95 >= result.latency().p50);
+    }
+
+    #[test]
+    fn a_rate_limit_of_zero_runs_unpaced() {
+        // `count / 0` once saturated the 16th tuple's due time, and
+        // adding it to the pacing start killed the source thread.
+        let dir = ScratchDir::new("exec-rate-zero").unwrap();
+        let job = count_job(1);
+        let mut opts = RunOptions::new(dir.path());
+        opts.rate_limit = Some(0);
+        opts.timeout = Some(Duration::from_secs(60));
+        let result = run_job(
+            &job,
+            tuples(2_000, 5).into_iter(),
+            BackendChoice::all_small_for_tests()[1].build(FactoryOptions::new()),
+            &opts,
+        )
+        .unwrap();
+        assert_eq!(result.input_count, 2_000);
+    }
+
+    #[test]
+    fn every_thread_reports_its_cpu_within_the_process_total() {
+        const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+        let dir = ScratchDir::new("exec-thread-cpu").unwrap();
+        let job = count_job(2);
+        let opts = RunOptions::new(dir.path());
+        let process_before = cpu_clock_seconds(CLOCK_PROCESS_CPUTIME_ID);
+        let result = run_job(
+            &job,
+            tuples(20_000, 5).into_iter(),
+            BackendChoice::all_small_for_tests()[1].build(FactoryOptions::new()),
+            &opts,
+        )
+        .unwrap();
+        let process = cpu_clock_seconds(CLOCK_PROCESS_CPUTIME_ID) - process_before;
+        let cpu = &result.thread_cpu;
+        assert_eq!(cpu.workers_s.len(), 2, "{cpu:?}");
+        let shares = [cpu.source_s, cpu.sink_s]
+            .into_iter()
+            .chain(cpu.workers_s.iter().copied());
+        for share in shares {
+            assert!(share > 0.0, "{cpu:?}");
+        }
+        assert!(
+            cpu.total_s() <= process,
+            "{cpu:?} over {process} s of process CPU"
+        );
     }
 }

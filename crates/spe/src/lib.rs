@@ -42,7 +42,7 @@ pub mod window;
 
 pub use backends::{BackendChoice, FactoryOptions};
 pub use batch::TupleBatch;
-pub use executor::{run_job, JobError, JobResult, RunOptions};
+pub use executor::{run_job, JobError, JobResult, RunOptions, ThreadCpu};
 pub use job::{AggregateSpec, Job, JobBuilder, Stage};
 pub use latency::Stamped;
 pub use supervisor::{run_supervised, SupervisedResult};

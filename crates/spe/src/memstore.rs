@@ -18,7 +18,7 @@ use flowkv_common::backend::{
 use flowkv_common::codec::{put_len_prefixed, put_varint_u64, Decoder};
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::logfile::{LogReader, LogWriter};
-use flowkv_common::metrics::{OpCategory, StoreMetrics};
+use flowkv_common::metrics::{OpCategory, RecordTimer, StoreMetrics};
 use flowkv_common::types::{Timestamp, WindowId};
 use flowkv_common::vfs::{StdVfs, Vfs};
 
@@ -34,6 +34,9 @@ pub struct InMemoryBackend {
     draining: HashMap<WindowId, Vec<Vec<u8>>>,
     chunk_entries: usize,
     metrics: Arc<StoreMetrics>,
+    /// Samples the per-record `append` / `put_aggregate` /
+    /// `update_aggregate` timer.
+    write_timer: RecordTimer,
     vfs: Arc<dyn Vfs>,
 }
 
@@ -54,6 +57,7 @@ impl InMemoryBackend {
             draining: HashMap::new(),
             chunk_entries: chunk_entries.max(1),
             metrics: StoreMetrics::new_shared(),
+            write_timer: RecordTimer::default(),
             vfs,
         }
     }
@@ -80,7 +84,7 @@ impl InMemoryBackend {
 
 impl StateBackend for InMemoryBackend {
     fn append(&mut self, key: &[u8], window: WindowId, value: &[u8], _ts: Timestamp) -> Result<()> {
-        let _t = self.metrics.timer(OpCategory::Write);
+        let _t = self.write_timer.start(&self.metrics, OpCategory::Write);
         let state_key = (key.to_vec(), window);
         if !self.lists.contains_key(&state_key) {
             // First value of the pair: account the key overhead too.
@@ -173,7 +177,7 @@ impl StateBackend for InMemoryBackend {
     }
 
     fn put_aggregate(&mut self, key: &[u8], window: WindowId, aggregate: &[u8]) -> Result<()> {
-        let _t = self.metrics.timer(OpCategory::Write);
+        let _t = self.write_timer.start(&self.metrics, OpCategory::Write);
         let state_key = (key.to_vec(), window);
         self.charge(key.len() + aggregate.len() + 64)?;
         if let Some(old) = self.aggregates.insert(state_key, aggregate.to_vec()) {
@@ -189,7 +193,7 @@ impl StateBackend for InMemoryBackend {
         window: WindowId,
         update: AggregateUpdate<'_>,
     ) -> Result<()> {
-        let _t = self.metrics.timer(OpCategory::Write);
+        let _t = self.write_timer.start(&self.metrics, OpCategory::Write);
         let mut held = true;
         let aggregate = self
             .aggregates

@@ -156,6 +156,7 @@ fn phases(
     result.dropped_late = phase2.dropped_late;
     result.late_tuples.extend(phase2.late_tuples);
     result.rescale_pause = Some(pause);
+    result.thread_cpu.absorb(phase2.thread_cpu);
     Ok(result)
 }
 

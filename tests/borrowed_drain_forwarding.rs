@@ -27,7 +27,7 @@ use flowkv_common::backend::{
     StateBackend, StateEntry, ValueSink, WindowChunk, WindowKind,
 };
 use flowkv_common::error::Result;
-use flowkv_common::metrics::StoreMetrics;
+use flowkv_common::metrics::{StoreMetrics, RECORD_TIMER_STRIDE};
 use flowkv_common::registry::ViewCapture;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::trace::TracedBackend;
@@ -315,8 +315,16 @@ fn the_flowkv_front_forwards_the_update_to_its_rmw_instances() {
     let mut store = FlowKvStore::open(dir.path(), semantics, FlowKvConfig::small_for_tests());
     let store = store.as_mut().unwrap();
     count_forty_tuples(store);
-    // The front's default would have taken, under the read timer.
     let m = store.metrics().snapshot();
     assert_eq!((m.records_read, m.records_written), (40, 50));
+    // An instance times one update in a stride: a stride more on one key
+    // times at least one. The front's default would have taken, under
+    // the read timer, which times every call.
+    for _ in 0..RECORD_TIMER_STRIDE {
+        store
+            .update_aggregate(&[b'k', 0], WINDOW, &mut |count, _| count[0] += 1)
+            .unwrap();
+    }
+    let m = store.metrics().snapshot();
     assert!(m.write_nanos > 0 && m.read_nanos == 0, "{m:?}");
 }
