@@ -174,8 +174,9 @@ fn bench_aur_cold(c: &mut Criterion) {
 /// per window and epoch, so a window holds at least seven flushed
 /// records when it fires); then the ten keys (2 %) that sat the epoch
 /// out fire and start over. A sentinel window that never fires heads
-/// every flush, so each batch read scans the whole index log and the
-/// bench can count the scanned entries itself. Besides the run's total
+/// every flush, so a store that walked the index to miss walked all of
+/// it, and the bench counts those entries itself (a miss now reads the
+/// records its picks' rows list and walks none). Besides the run's total
 /// it prints, per run: the append phase (appends and flushes), the
 /// misses (batch reads that did not end in a compaction), and the miss
 /// time per scanned index entry.
@@ -300,13 +301,14 @@ fn bench_aur_hot_session(c: &mut Criterion) {
     }
 }
 
-/// The AUR index walk, at `q11m-aur-max`'s shape: five flushes of 400
-/// windows with 8-byte keys put an index of 2 000 entries of ~54 B on
-/// disk, five per window as a window gathers before it fires there. Each
-/// timed take misses, so its batch read walks the whole index to load
-/// 20 picks: key 0 fires first in every flush and is never taken, which
-/// keeps the scan start at the first entry, and the takes step 21 keys
-/// on, past each read's picks. Prints the miss time per walked entry.
+/// The AUR miss, at `q11m-aur-max`'s shape: five flushes of 400 windows
+/// with 8-byte keys put an index of 2 000 entries of ~54 B on disk, five
+/// per window as a window gathers before it fires there. Each timed take
+/// misses and loads 20 picks; the takes step 21 keys on, past each
+/// read's picks. A miss once walked the whole index to find the picks'
+/// records and now reads the records their rows list, so `ns_per_entry`
+/// — the miss time over the 2 000 entries such a walk visited — is kept
+/// only to compare with commits that walked.
 fn bench_aur_index_walk(c: &mut Criterion) {
     use flowkv::aur::{AurConfig, AurStore};
     use flowkv_common::metrics::StoreMetrics;

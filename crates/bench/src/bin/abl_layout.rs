@@ -5,7 +5,7 @@
 //! would pick, and (b) the AUR store FlowKV would pick if the window
 //! function were unknown (the custom-window fallback). The AAR layout
 //! reads one per-window file sequentially and deletes it; the AUR layout
-//! must take each key individually through index scans. The gap is the
+//! must take each key individually through batch reads. The gap is the
 //! value of classification, and quantifies the paper's remark that
 //! misclassified custom windows degrade performance (§8).
 //!

@@ -539,18 +539,29 @@ impl<K: Hash + Eq + Clone, T: Send + 'static> Lane<K, T> {
     /// Blocks until every outstanding read finishes and returns them
     /// all — for callers about to move the bytes those reads target.
     pub fn wait_all(&mut self) -> Vec<io::Result<T>> {
-        let outstanding = self.inflight.len();
-        let done = self
-            .done
-            .take(|done| (done.len() == outstanding).then(|| std::mem::take(done)));
+        let done = self.landed_all();
         self.settle_all(done)
+    }
+
+    /// Blocks until every outstanding read has delivered, and takes them.
+    fn landed_all(&self) -> Vec<(u64, Outcome<T>)> {
+        let outstanding = self.inflight.len();
+        self.done
+            .take(|done| (done.len() == outstanding).then(|| std::mem::take(done)))
     }
 
     /// Waits out every outstanding read and discards the payloads as
     /// waste (`bytes_of` each) — for callers invalidating the state the
     /// reads were planned against (close, restore).
     pub fn abandon(&mut self, bytes_of: impl Fn(&T) -> u64) {
-        for payload in self.wait_all().into_iter().flatten() {
+        let done = self.landed_all();
+        // A pool thread delivers a job's outcome before it counts the job
+        // finished: once the last outcome is in, wait for the ring to go
+        // idle, so no job of this lane is still on a pool thread.
+        if let (false, Some(ring)) = (done.is_empty(), &self.ring) {
+            ring.wait_idle();
+        }
+        for payload in self.settle_all(done).into_iter().flatten() {
             self.waste(bytes_of(&payload));
         }
     }

@@ -17,8 +17,8 @@
 //!
 //! Three readers share that framing: [`LogReader`] steps through a log
 //! one record at a time into a caller's buffer; [`scan_records_in`] is
-//! the whole-range scan — the AUR index walk and every generation log's
-//! full scan — which frames records inside its 64 KiB read buffer and
+//! the whole-range scan — every generation log's full scan, the AUR
+//! index log's at reopen among them — which frames records inside its 64 KiB read buffer and
 //! lends each verified payload in place; [`RandomAccessLog`] reads
 //! records at known locations, neighbours sharing one device read.
 //!
@@ -45,9 +45,8 @@ pub const RECORD_HEADER_LEN: u64 = 8;
 const READ_BYTES: usize = 8 << 10;
 
 /// Bytes [`scan_records_in`] fetches per device read. A read costs a
-/// round trip, not a byte count: an index-log scan walks the live region
-/// of the log on every batch read, and at 8 KiB a cold scan paid eight
-/// times the round trips it pays at 64 KiB.
+/// round trip, not a byte count: at 8 KiB a cold whole-log scan paid
+/// eight times the round trips it pays at 64 KiB.
 const SCAN_READ_BYTES: usize = 64 << 10;
 
 /// Largest run of unwanted bytes [`RandomAccessLog::read_records`] fetches

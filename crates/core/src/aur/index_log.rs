@@ -3,9 +3,11 @@
 //!
 //! When the write buffer flushes, each `(key, window)` group becomes one
 //! record in the global data log plus one entry in the append-only index
-//! log. Index entries carry everything predictive batch read needs —
-//! key, window metadata, the maximum tuple timestamp (for rebuilding
-//! trigger-time estimates after recovery), and the data record's location.
+//! log. Index entries carry everything a reopen needs to rebuild the
+//! table of live windows — key, window metadata, the maximum tuple
+//! timestamp (for rebuilding trigger-time estimates), and the data
+//! record's location. While the store runs, reads go by the locations
+//! the table lists and never read the index log.
 
 use flowkv_common::backend::ValueSink;
 use flowkv_common::codec::{

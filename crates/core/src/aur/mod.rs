@@ -8,18 +8,19 @@
 //!   their locations to an append-only **index log** ([`index_log`]);
 //! - keeps one in-memory **table of live windows** ([`table`]) whose
 //!   entries hold Figure 7's three memory structures: the **Stat table**
-//!   is `ett`/`max_ts`/`disk_bytes`/`disk_records` (updated on every
-//!   append via the [`EttPredictor`]), the **write buffer** `buffered`,
-//!   the **prefetch buffer** `prefetched` — so an append, a trigger and
-//!   each entry of a compaction scan probe once;
-//! - on a read miss, performs a **predictive batch read**: one sequential
-//!   scan of the index log collects the locations of the requested window
-//!   *and* of the `N = ratio × live-windows` windows closest to
-//!   triggering, loads them in offset order — one device read per run
-//!   of neighbouring records, not one per record — and parks them in
-//!   the windows' `prefetched` slots. That read is one body,
-//!   [`read_windows`], which a read-ahead runs on the worker's I/O ring
-//!   and the serving view for every window on disk;
+//!   is `ett`/`max_ts`/`disk_bytes` (updated on every append via the
+//!   [`EttPredictor`]), the **write buffer** `buffered`, the **prefetch
+//!   buffer** `prefetched` — so an append, a trigger and a flush probe
+//!   once. Beside them each entry lists its data-log records, 16 B each:
+//!   the paper keeps those locations in the index log only;
+//! - on a read miss, performs a **predictive batch read**: it takes the
+//!   records the table lists for the requested window *and* for the
+//!   `N = ratio × live-windows` windows closest to triggering, loads them
+//!   in offset order — one device read per run of neighbouring records,
+//!   not one per record — and parks them in the windows' `prefetched`
+//!   slots. That read is one body, [`read_windows`], which a read-ahead
+//!   runs on the worker's I/O ring and the serving view for every window
+//!   on disk;
 //! - writes each flush in **predicted-trigger order**, so the windows a
 //!   batch read wants together sit together in the data log;
 //! - **integrates compaction** with that machinery: dead bytes are
@@ -31,25 +32,22 @@
 //!
 //! A consumed window's records stay in the logs until compaction, and
 //! re-appending to the same `(key, window)` must not resurrect them: a
-//! window's live records are exactly those at or past the data-log offset
-//! of its first flush, `first_offset` ([`LiveTable::classify`]). The
-//! window also keeps the index-log offset of that first live entry, so
-//! every index walk starts at the least of them
-//! ([`LiveTable::scan_start`]): the dead head of the log is never read.
+//! window's live records are exactly those its table entry lists, and a
+//! consumed window's entry is gone. The index log is still written at
+//! every flush — it is the durable record of those lists — but only a
+//! reopen or a restore reads it (`rebuild_from_index`).
 
 pub mod index_log;
 mod table;
 
-use std::borrow::BorrowMut;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
 use flowkv_common::backend::ValueSink;
-use flowkv_common::codec::Decoder;
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::{IoRing, Lane, PrefetchProbe};
-use flowkv_common::logfile::{record_payload, scan_records_in, RandomAccessLog};
+use flowkv_common::logfile::{record_payload, RandomAccessLog, RECORD_HEADER_LEN};
 use flowkv_common::metrics::{OpCategory, RecordTimer, StoreMetrics};
 use flowkv_common::registry::ViewValue;
 use flowkv_common::telemetry::{Counter, Histogram, Telemetry};
@@ -59,9 +57,8 @@ use flowkv_common::vfs::{StdVfs, Vfs};
 use crate::aar::push_view_value;
 use crate::ett::{EttObservation, EttPredictor};
 use crate::genlog::GenLog;
-use crate::table::WindowMap;
 use index_log::{IndexEntry, ValueRun};
-use table::{LiveTable, Pick};
+use table::{DiskRecord, LiveTable, Pick};
 
 /// Identifies one window of one key.
 type StateKey = (Vec<u8>, WindowId);
@@ -87,90 +84,43 @@ impl Default for AurConfig {
     }
 }
 
-/// The one index-log scan (paper §4.2): walks `path` from `start`, up to
-/// but never across `limit`, decodes each entry where the scan's read
-/// buffer holds it and hands it to `visit`. Returns the on-disk bytes
-/// walked. Its callers are the batch read ([`read_windows`]) and the
-/// compaction scan.
-fn walk_index(
-    vfs: &Arc<dyn Vfs>,
-    path: &Path,
-    start: u64,
-    limit: u64,
-    mut visit: impl FnMut(IndexEntry<'_>),
-) -> Result<u64> {
-    let mut scanned_bytes = 0u64;
-    // Stop *before* crossing the limit: bytes past it may belong to a
-    // flush the foreground is writing concurrently, and reading into a
-    // half-written record would fail the whole walk as a torn file.
-    scan_records_in(vfs, path, start, limit, |loc, payload| {
-        scanned_bytes += loc.disk_len();
-        visit(IndexEntry::decode(payload)?);
-        Ok(())
-    })?;
-    Ok(scanned_bytes)
-}
-
-/// One window as a batch read found it on disk: the values of the live
-/// records it found, how many there were and their on-disk bytes — a
-/// complete copy only if `found_records` is `pick.disk_records`.
+/// One window as a batch read found it on disk: the values of its
+/// listed records and their on-disk bytes.
 struct WindowRead {
     pick: Pick,
-    found_records: u64,
     values: ValueRun,
     bytes: u64,
 }
 
-/// The one batch read (paper §4.2): walks the index log at `index` once,
-/// from `start` up to `limit`, keeping the live entries of the `picks` —
-/// one probe of a map of them per entry — then loads those records
-/// through the data-log reader `data` opens, in offset order, neighbours
+/// The one batch read (paper §4.2): loads every record the `picks` list
+/// through the data-log reader `data`, in offset order, neighbours
 /// sharing one device read (a window's records stay in append order
 /// because offsets grow with appends). Returns each pick's read, in pick
-/// order, and the index bytes walked. A miss runs it on the worker
-/// thread over the store's cached reader, a read-ahead on the lane over
-/// a reader of its own, the serving view through `read_through`.
-fn read_windows<D: BorrowMut<RandomAccessLog>>(
-    vfs: &Arc<dyn Vfs>,
-    index: &Path,
-    start: u64,
-    limit: u64,
-    data: impl FnOnce() -> Result<D>,
-    picks: Vec<Pick>,
-) -> Result<(Vec<WindowRead>, u64)> {
-    let mut slots: WindowMap<(usize, u64)> = WindowMap::default();
-    for (slot, pick) in picks.iter().enumerate() {
-        slots.insert(&pick.key, pick.window, (slot, pick.first_offset));
-    }
+/// order. A miss runs it on the worker thread over the store's cached
+/// reader, a read-ahead on the lane over a reader of its own, the
+/// serving view through `read_through`.
+fn read_windows(data: &mut RandomAccessLog, picks: Vec<Pick>) -> Result<Vec<WindowRead>> {
     let mut wanted: Vec<(u64, u64, usize)> = Vec::new();
-    let scanned = walk_index(vfs, index, start, limit, |entry| {
-        match slots.get(entry.key, entry.window) {
-            Some(&(slot, first_offset)) if entry.offset >= first_offset => {
-                wanted.push((entry.offset, entry.len, slot));
-            }
-            _ => {}
-        }
-    })?;
+    for (slot, pick) in picks.iter().enumerate() {
+        let records = pick.records.iter();
+        wanted.extend(records.map(|r| (r.offset, r.disk_len(), slot)));
+    }
+    wanted.sort_unstable_by_key(|&(offset, ..)| offset);
     let mut reads: Vec<WindowRead> = picks
         .into_iter()
         .map(|pick| WindowRead {
             pick,
-            found_records: 0,
             values: ValueRun::default(),
             bytes: 0,
         })
         .collect();
-    if !wanted.is_empty() {
-        wanted.sort_unstable_by_key(|&(offset, ..)| offset);
-        let locations: Vec<(u64, u64)> = wanted.iter().map(|&(o, len, _)| (o, len)).collect();
-        data()?.borrow_mut().read_records(&locations, |i, record| {
-            let read = &mut reads[wanted[i].2];
-            read.found_records += 1;
-            read.bytes += record.len() as u64;
-            read.values.push_record(record_payload(record))
-        })?;
-    }
-    Ok((reads, scanned))
+    let locations: Vec<(u64, u64)> = wanted.iter().map(|&(o, len, _)| (o, len)).collect();
+    data.read_records(&locations, |i, record| {
+        let read = &mut reads[wanted[i].2];
+        read.bytes += record.len() as u64;
+        read.values.push_record(record_payload(record))
+    })?;
+    Ok(reads)
 }
 
 /// The append-and-unaligned-read store for one partition.
@@ -198,7 +148,6 @@ pub struct AurStore {
     append_timer: RecordTimer,
     /// Prefetch-accuracy telemetry; `None` keeps the hot path untouched.
     ett_probe: Option<EttProbe>,
-    vfs: Arc<dyn Vfs>,
     /// Read-ahead lane keyed by `(key, window)`: without threads until
     /// [`AurStore::with_ring`] attaches the worker's I/O ring
     /// (every read synchronous — the default, and the reference
@@ -316,8 +265,7 @@ impl AurStore {
             metrics,
             append_timer: RecordTimer::default(),
             ett_probe: None,
-            lane: Lane::inline(Arc::clone(&vfs)),
-            vfs,
+            lane: Lane::inline(vfs),
             epoch: 0,
             prefetch_probe: None,
             next_prefetch_scan: None,
@@ -338,8 +286,8 @@ impl AurStore {
 
     /// Attaches the worker's background I/O ring: predictive
     /// batch reads become asynchronous submissions driven by
-    /// [`AurStore::advance_prefetch`], and snapshot/compaction index
-    /// scans run on the ring's pool.
+    /// [`AurStore::advance_prefetch`], and the serving view's read runs
+    /// on the ring's pool.
     pub fn with_ring(mut self, ring: Arc<IoRing>) -> Self {
         self.lane.attach(ring);
         self
@@ -414,11 +362,8 @@ impl AurStore {
             }
         }
         self.metrics.add_records_read(lent as u64);
-        // Compaction (paper §4.2, "Integrated Compaction") doubles as the
-        // index-log trimmer: batch reads scan the live region of the
-        // index log, so reclaiming dead entries promptly keeps those
-        // scans short. One buffer's worth of data is the floor below
-        // which rewriting is pointless.
+        // Compaction (paper §4.2, "Integrated Compaction"). One buffer's
+        // worth of data is the floor below which rewriting is pointless.
         let floor = self.cfg.write_buffer_bytes as u64;
         if self.data.amplified(self.cfg.max_space_amplification, floor) {
             self.compact()?;
@@ -450,7 +395,7 @@ impl AurStore {
     /// read in flight for the window, or a predictive batch read.
     fn load_disk_state(&mut self, key: &[u8], window: WindowId, consuming: bool) -> Result<bool> {
         let on_disk = |s: &Self| {
-            let lw = s.table.get(key, window).filter(|lw| lw.disk_records > 0);
+            let lw = s.table.get(key, window).filter(|lw| !lw.records.is_empty());
             lw.map(|lw| (lw.prefetched.is_some(), lw.ett))
         };
         let Some((mut hit, target_ett)) = on_disk(self) else {
@@ -459,9 +404,9 @@ impl AurStore {
         let inflight = (!hit && !self.lane.is_idle()).then(|| (key.to_vec(), window));
         if let Some(inflight) = inflight.filter(|k| self.lane.covers(k)) {
             // The window fired while its background read was in flight.
-            // The pool is already paying for that index walk and extent
-            // read: wait for it, as the AAR store and the tier do. The
-            // wait is the prefetch-stall share of a sampled batch.
+            // The pool is already paying for that extent read: wait for
+            // it, as the AAR store and the tier do. The wait is the
+            // prefetch-stall share of a sampled batch.
             if let (true, Some(p)) = (consuming, &self.prefetch_probe) {
                 p.late.inc();
             }
@@ -520,7 +465,7 @@ impl AurStore {
             let index_loc = self.index.append(&self.encode_buf)?;
             self.metrics
                 .add_bytes_written(loc.disk_len() + index_loc.disk_len());
-            Ok((loc, index_loc.offset))
+            Ok(loc)
         })?;
         self.data.flush()?;
         self.index.flush()?;
@@ -543,18 +488,18 @@ impl AurStore {
         out: &mut BTreeMap<(Vec<u8>, WindowId), ViewValue>,
     ) -> Result<()> {
         let mut values = Vec::new();
-        let picks = self.table.on_disk();
-        let paths = (self.index.flushed_path()?, self.data.flushed_path()?);
-        if let (false, (Some(index_path), Some(data_path))) = (picks.is_empty(), paths) {
-            let limit = self.index.total();
-            let start = self.table.scan_start().unwrap_or(limit);
-            let (reads, _) = self
+        let picks: Vec<Pick> = self
+            .table
+            .on_disk()
+            .map(|(k, w, lw)| Pick::of(k, w, lw))
+            .collect();
+        if let (false, Some(data_path)) = (picks.is_empty(), self.data.flushed_path()?) {
+            let reads = self
                 .lane
                 .read_through(move |vfs| {
-                    let data = || RandomAccessLog::open_in(vfs, &data_path);
-                    read_windows(vfs, &index_path, start, limit, data, picks)
+                    read_windows(&mut RandomAccessLog::open_in(vfs, &data_path)?, picks)
                 })
-                .map_err(|e| StoreError::io_at("aur view read", self.index.path(), e))?;
+                .map_err(|e| StoreError::io_at("aur view read", self.data.path(), e))?;
             for read in reads {
                 read.values.decode_into(&mut values)?;
                 for value in values.drain(..) {
@@ -599,12 +544,12 @@ impl AurStore {
     /// Writes a self-contained snapshot into `dst`.
     pub fn checkpoint(&mut self, dst: &Path) -> Result<()> {
         self.flush()?;
-        // Not the MSA's call: each window's `first_offset` lives in
-        // memory only and a restore rebuilds liveness from the index log
-        // alone, so a copy holding dead records would resurrect them. A
-        // checkpoint that is a manifest over the live files (ROADMAP
-        // item 2) has to persist those offsets before this rewrite can
-        // go.
+        // Not the MSA's call: each window's record list lives in memory
+        // only and a restore rebuilds the lists from the index log alone,
+        // so a copy holding dead records would resurrect them. A
+        // checkpoint that is a manifest over the live files (the
+        // ROADMAP's manifest-checkpoint item) has to persist those lists
+        // before this rewrite can go.
         if self.data.dead() > 0 {
             self.compact()?;
         }
@@ -634,9 +579,9 @@ impl AurStore {
         Ok(())
     }
 
-    /// The predictive batch read (paper §4.2): one index-log scan loads
-    /// the target window plus the `N` windows closest to triggering into
-    /// their `prefetched` slots.
+    /// The predictive batch read (paper §4.2): one read of their listed
+    /// records loads the target window plus the `N` windows closest to
+    /// triggering into their `prefetched` slots.
     fn predictive_batch_read(
         &mut self,
         key: &[u8],
@@ -644,26 +589,22 @@ impl AurStore {
         target_ett: Option<Timestamp>,
     ) -> Result<()> {
         self.metrics.add_prefetch_miss();
-        let Some(index_path) = self.index.flushed_path()? else {
-            return Ok(());
-        };
-
         // Select the N soonest-triggering windows beyond the target,
         // plus every window already due at the target's trigger time.
         let n = (self.cfg.read_batch_ratio * self.table.len() as f64).ceil() as usize;
         // Everything due by the store's view of stream time will be read
-        // imminently; load it in this same sequential scan. A read batch
+        // imminently; load it in this same read. A read batch
         // ratio of zero disables prefetching entirely (paper §6.4).
         let due_ett = (self.cfg.read_batch_ratio > 0.0)
             .then(|| target_ett.unwrap_or(Timestamp::MIN).max(self.latest_ts));
         // Windows already prefetched are skipped — their data is
         // resident. Windows with an in-flight background read are NOT
-        // skipped: this scan is already paying the sequential pass, and
+        // skipped: this read is already paying for the target, and
         // deferring to a ring read that may land after the trigger (or
         // be invalidated by a flush or compaction) trades a certain hit
         // for a maybe — the slower completion is simply discarded as
         // wasted at drain time.
-        let (mut picks, _, start) = self.table.select_soonest(n, due_ett, |k, w, lw| {
+        let (mut picks, _) = self.table.select_soonest(n, due_ett, |k, w, lw| {
             lw.prefetched.is_some() || (k == key && w == window)
         });
         if let Some(target) = self.table.get(key, window) {
@@ -671,28 +612,7 @@ impl AurStore {
         }
 
         // On the worker thread, over the store's cached data-log reader.
-        let limit = self.index.total();
-        let start = start.unwrap_or(limit);
-        let data = &mut self.data;
-        let (windows, scanned) = read_windows(
-            &self.vfs,
-            &index_path,
-            start,
-            limit,
-            || data.reader(),
-            picks,
-        )?;
-        self.metrics.add_bytes_read(scanned);
-        if let Some(w) = windows
-            .iter()
-            .find(|w| w.found_records != w.pick.disk_records)
-        {
-            let detail = format!(
-                "{} of {} records indexed",
-                w.found_records, w.pick.disk_records
-            );
-            return Err(StoreError::corruption(index_path, start, detail));
-        }
+        let windows = read_windows(self.data.reader()?, picks)?;
         self.install(BatchRead {
             generation: self.index.generation(),
             epoch: self.epoch,
@@ -744,8 +664,8 @@ impl AurStore {
     /// installed and the bytes it discarded. The checks mirror what can
     /// change between a ring read's submit and its drain: a compaction
     /// or restore (generation/epoch), a consume (table entry gone, or a
-    /// later incarnation with another `first_offset`), or a flush adding
-    /// records (disk_records advanced).
+    /// later incarnation listing other records), or a flush adding
+    /// records (the list grew).
     fn install(&mut self, batch: BatchRead) -> (i64, u64) {
         let stale = batch.generation != self.index.generation() || batch.epoch != self.epoch;
         let (mut installed, mut wasted) = (0i64, 0u64);
@@ -755,12 +675,7 @@ impl AurStore {
                 .get(&w.pick.key, w.pick.window)
                 .filter(|_| !stale);
             match current {
-                Some(lw)
-                    if lw.first_offset == w.pick.first_offset
-                        && lw.disk_records == w.pick.disk_records
-                        && w.found_records == w.pick.disk_records
-                        && lw.prefetched.is_none() =>
-                {
+                Some(lw) if lw.records == w.pick.records && lw.prefetched.is_none() => {
                     self.metrics.add_bytes_read(w.bytes);
                     self.table.install(&w.pick.key, w.pick.window, &w.values);
                     installed += 1;
@@ -776,20 +691,19 @@ impl AurStore {
 
     /// Submits one background read covering every window due within the
     /// prefetch horizon, bounded by the byte budget: the batch read a
-    /// miss runs, on the lane, against a consistent snapshot (scan start,
-    /// each selected window's `first_offset`, index length). The job
-    /// never mutates store state — all bookkeeping commits at drain time
-    /// on the worker thread.
+    /// miss runs, on the lane, against a snapshot of the selected
+    /// windows' record lists. The job never mutates store state — all
+    /// bookkeeping commits at drain time on the worker thread.
     fn submit_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
         let lane = &mut self.lane;
         // Nothing to plan for a lane that admits no read at all.
         if self.cfg.read_batch_ratio <= 0.0 || self.table.len() == 0 || !lane.admits(0, 0) {
             return Ok(());
         }
-        // One scan in flight per store: each job walks the index, so
-        // stacking a fresh submission on every tick while earlier ones
-        // are still running multiplies that walk instead of advancing
-        // it. The next tick after the drain tops up coverage.
+        // One read in flight per store: stacking a fresh submission on
+        // every tick while earlier ones are still running re-reads what
+        // they are loading. The next tick after the drain tops up
+        // coverage.
         if !lane.is_idle() {
             return Ok(());
         }
@@ -800,7 +714,7 @@ impl AurStore {
         // Buffered values do not disqualify a window: the read covers its
         // disk records, and a flush landing under it fails the install
         // check and is counted as waste.
-        let (mut picks, next_due, start) = self
+        let (mut picks, next_due) = self
             .table
             .select_soonest(0, Some(due), |_, _, lw| lw.prefetched.is_some());
         self.next_prefetch_scan = Some(next_due);
@@ -821,22 +735,15 @@ impl AurStore {
         if picks.is_empty() {
             return Ok(());
         }
-        // Push buffered log bytes to the files and bound the scan at the
-        // current end of the index log, so the background read never
-        // races a concurrent foreground flush into a torn tail.
-        let Some(index_path) = self.index.flushed_path()? else {
-            return Ok(());
-        };
+        // Push buffered data-log bytes to the file: the job reads only
+        // the records listed now, all of them behind any later flush.
         self.data.flush()?;
-        let limit = self.index.total();
-        let start = start.unwrap_or(limit);
         let data_path = self.data.path();
         let generation = self.index.generation();
         let epoch = self.epoch;
         let keys: Vec<StateKey> = picks.iter().map(|p| (p.key.clone(), p.window)).collect();
         lane.submit(keys, est_bytes, move |vfs| {
-            let data = || RandomAccessLog::open_in(vfs, &data_path);
-            let (windows, _) = read_windows(vfs, &index_path, start, limit, data, picks)?;
+            let windows = read_windows(&mut RandomAccessLog::open_in(vfs, &data_path)?, picks)?;
             Ok(BatchRead {
                 generation,
                 epoch,
@@ -846,48 +753,46 @@ impl AurStore {
         Ok(())
     }
 
-    /// Rewrites the data log keeping only live records (byte-range
-    /// relocation without decoding, paper §5), and the index log to
-    /// match.
+    /// Rewrites the data log keeping only the records the table lists
+    /// (byte-range relocation without decoding, paper §5), and the index
+    /// log to list them.
     fn compact(&mut self) -> Result<()> {
         let _t = self.metrics.timer(OpCategory::Compaction);
-        // Every entry from the scan start on, in log order, re-encoded
-        // back to back in one allocation by a job on the lane — which
-        // can't touch the table, so the worker applies liveness.
-        let mut scanned = Vec::new();
-        if let (Some(path), Some(start)) = (self.index.flushed_path()?, self.table.scan_start()) {
-            let (job_path, limit) = (path.clone(), self.index.total());
-            scanned = self
-                .lane
-                .read_through(move |vfs| {
-                    let mut scanned = Vec::new();
-                    walk_index(vfs, &job_path, start, limit, |entry| {
-                        entry.encode_to(&mut scanned)
-                    })?;
-                    Ok(scanned)
-                })
-                .map_err(|e| StoreError::io_at("aur compact scan", &path, e))?;
+        // Every listed record, in data-log order, with its window.
+        let mut live: Vec<(&[u8], WindowId, Timestamp, DiskRecord)> = Vec::new();
+        for (key, window, lw) in self.table.on_disk() {
+            live.extend(lw.records.iter().map(|&r| (key, window, lw.max_ts, r)));
         }
-        let mut live = Vec::new();
-        let mut dec = Decoder::new(&scanned);
-        while !dec.is_empty() {
-            let entry = IndexEntry::decode_from(&mut dec)?;
-            if self.table.classify(entry.key, entry.window, entry.offset) {
-                live.push(entry);
-            }
-        }
-        let locations: Vec<(u64, u64)> = live.iter().map(|e| (e.offset, e.len)).collect();
+        live.sort_unstable_by_key(|&(.., r)| r.offset);
+        let locations: Vec<(u64, u64)> = live
+            .iter()
+            .map(|(.., r)| (r.offset, r.disk_len()))
+            .collect();
+        // `(old offset, new offset)`, in old-offset order.
+        let mut placed = Vec::with_capacity(live.len());
         let data = self.data.relocate(&locations, |i, offset| {
-            live[i].offset = offset;
+            placed.push((locations[i].0, offset));
             Ok(())
         })?;
-        let payloads = live.iter().map(|entry| {
-            let mut payload = Vec::new();
-            entry.encode_to(&mut payload);
-            payload
-        });
-        let mut entry_offsets = Vec::with_capacity(live.len());
-        let index = self.index.replace(payloads, |at| entry_offsets.push(at))?;
+        // Each entry carries its window's `max_ts`: a reopen reads that
+        // field only as the window's largest.
+        let payloads = live
+            .iter()
+            .zip(&placed)
+            .map(|(&(key, window, max_ts, r), &(_, offset))| {
+                let mut payload = Vec::new();
+                let entry = IndexEntry {
+                    key,
+                    window,
+                    max_ts,
+                    offset,
+                    len: r.disk_len(),
+                    count: u64::from(r.count),
+                };
+                entry.encode_to(&mut payload);
+                payload
+            });
+        let index = self.index.replace(payloads)?;
         // Data before index: reopening takes the index's generation for
         // both, so a fault between the two renames finds the old pair.
         GenLog::commit([(&mut self.data, data), (&mut self.index, index)])?;
@@ -895,10 +800,7 @@ impl AurStore {
         self.metrics.add_bytes_read(moved);
         self.metrics.add_bytes_written(moved);
         self.metrics.add_compaction();
-        // The rewrite dropped every dead record.
-        let entries = live.iter().zip(entry_offsets);
-        self.table
-            .compacted(entries.map(|(e, at)| (e.key, e.window, at)));
+        self.table.relocated(&placed);
         Ok(())
     }
 
@@ -909,17 +811,34 @@ impl AurStore {
     /// (its torn tail is truncated at open) — dead weight for the next
     /// compaction — or index entries whose data records never reached
     /// the file: the index ends at the first of those, before new
-    /// appends put other records where they point.
+    /// appends put other records where they point. An entry no
+    /// [`DiskRecord`] can hold is corruption.
     fn rebuild_from_index(&mut self) -> Result<()> {
         self.table = LiveTable::default();
         self.next_prefetch_scan = None;
         let mut indexed = 0u64;
         let data_len = self.data.total();
         let mut dangling = None;
+        let index_path = self.index.path();
         self.index.scan(|loc, payload| {
             let entry = IndexEntry::decode(payload)?;
-            if dangling.is_some() || entry.offset.saturating_add(entry.len) > data_len {
-                dangling.get_or_insert(loc.offset);
+            if dangling.is_some() {
+                return Ok(());
+            }
+            let len = entry.len.checked_sub(RECORD_HEADER_LEN);
+            let record = match (len.map(u32::try_from), u32::try_from(entry.count)) {
+                (Some(Ok(len)), Ok(count)) => DiskRecord {
+                    offset: entry.offset,
+                    len,
+                    count,
+                },
+                _ => {
+                    let detail = format!("entry of {} B, {} values", entry.len, entry.count);
+                    return Err(StoreError::corruption(&index_path, loc.offset, detail));
+                }
+            };
+            if entry.offset.saturating_add(entry.len) > data_len {
+                dangling = Some(loc.offset);
                 return Ok(());
             }
             self.latest_ts = self.latest_ts.max(entry.max_ts);
@@ -927,8 +846,7 @@ impl AurStore {
                 entry.key,
                 entry.window,
                 entry.max_ts,
-                entry.len,
-                loc.offset,
+                record,
                 &self.predictor,
             );
             indexed += entry.len;
@@ -1334,6 +1252,47 @@ mod tests {
         assert_eq!(s.take(b"k", w(0, 100)).unwrap(), vec![b"v".to_vec()]);
     }
 
+    #[test]
+    fn reopen_rejects_an_entry_no_listed_record_can_hold() {
+        let over_u32 = u64::from(u32::MAX) + 1;
+        let cases = [
+            ("length below a record header", RECORD_HEADER_LEN - 1, 1),
+            ("length past u32", RECORD_HEADER_LEN + over_u32, 1),
+            ("count past u32", RECORD_HEADER_LEN + 3, over_u32),
+        ];
+        for (name, len, count) in cases {
+            let dir = ScratchDir::new("aur-bad-entry").unwrap();
+            {
+                let mut s = session_store(dir.path(), cfg_small());
+                s.append(b"k", w(0, 100), b"v", 42).unwrap();
+                s.flush().unwrap();
+                let entry = IndexEntry {
+                    key: b"bad",
+                    window: w(0, 100),
+                    max_ts: 42,
+                    offset: 0,
+                    len,
+                    count,
+                };
+                let mut payload = Vec::new();
+                entry.encode_to(&mut payload);
+                s.index.append(&payload).unwrap();
+                s.data.sync().unwrap();
+                s.index.sync().unwrap();
+            }
+            let reopened = AurStore::open(
+                dir.path(),
+                cfg_small(),
+                EttPredictor::SessionGap { gap: 100 },
+                StoreMetrics::new_shared(),
+            );
+            match reopened {
+                Err(e) => assert!(e.is_corruption(), "{name}: {e}"),
+                Ok(_) => panic!("{name}: reopened"),
+            }
+        }
+    }
+
     fn ring_store(dir: &Path) -> (AurStore, Arc<IoRing>) {
         let s = session_store(dir, cfg_small());
         let ring = Arc::new(IoRing::new(2, None, None));
@@ -1360,18 +1319,13 @@ mod tests {
         assert_eq!(s.take(b"b", w(0, 100)).unwrap(), vec![b"v2".to_vec()]);
     }
 
-    /// One index-log shape every scan must read the same way.
+    /// One log shape every read must serve the same way.
     struct WalkCase {
         name: &'static str,
         /// Lays the shape down on a fresh store; every window is `W`.
         build: fn(&mut AurStore),
         /// What every read path must serve, per key in key order.
         live: &'static [(&'static [u8], &'static [&'static [u8]])],
-        /// Entries the walker reports dead ahead of the first live one.
-        dead_run: usize,
-        /// Whether garbage sits past the index writer's offset, where
-        /// only a walk bounded by that offset may go.
-        torn_tail: bool,
     }
 
     const W: WindowId = WindowId { start: 0, end: 100 };
@@ -1388,12 +1342,10 @@ mod tests {
             name: "fresh log",
             build: |s| append_flushed(s, &[(b"a", b"a1", 10), (b"b", b"b1", 20)]),
             live: &[(b"a", &[b"a1"]), (b"b", &[b"b1"])],
-            dead_run: 0,
-            torn_tail: false,
         },
         WalkCase {
-            // Log: b, a (consumed), a again — the dead entry sits behind
-            // a live one, so the scan start cannot move past it.
+            // Log: b, a (consumed), a again — the dead record sits
+            // between two live ones.
             name: "consumed window re-appended",
             build: |s| {
                 append_flushed(s, &[(b"b", b"b1", 10), (b"a", b"a1", 20)]);
@@ -1401,8 +1353,6 @@ mod tests {
                 append_flushed(s, &[(b"a", b"a2", 30)]);
             },
             live: &[(b"a", &[b"a2"]), (b"b", &[b"b1"])],
-            dead_run: 0,
-            torn_tail: false,
         },
         WalkCase {
             // Log: a (consumed), b (consumed), c, b again.
@@ -1417,15 +1367,13 @@ mod tests {
                 append_flushed(s, &[(b"b", b"b2", 40)]);
             },
             live: &[(b"b", &[b"b2"]), (b"c", &[b"c1"])],
-            dead_run: 2,
-            torn_tail: false,
         },
         WalkCase {
             name: "byte limit before a torn tail",
             build: |s| {
                 append_flushed(s, &[(b"a", b"a1", 10), (b"b", b"b1", 20)]);
-                // Half a record header past the writer's offset: what a
-                // scan racing a foreground flush could see.
+                // Half a record header past the index writer's offset:
+                // no read while the store runs may go there.
                 use std::io::Write as _;
                 let index = s.index.path();
                 let mut file = std::fs::OpenOptions::new()
@@ -1435,8 +1383,6 @@ mod tests {
                 file.write_all(&[0xAB; 5]).unwrap();
             },
             live: &[(b"a", &[b"a1"]), (b"b", &[b"b1"])],
-            dead_run: 0,
-            torn_tail: true,
         },
     ];
 
@@ -1468,52 +1414,16 @@ mod tests {
             .collect()
     }
 
-    /// The four scans — synchronous batch read, ring job, serving view,
-    /// compaction — are calls of one walker, so each index-log shape is
-    /// checked once against the walker itself and once through every
-    /// scan, at lane width 0 and 2.
+    /// The four reads — synchronous batch read, ring job, serving view,
+    /// compaction — take the records the table lists, so each log shape
+    /// is checked through every one of them, at lane width 0 and 2.
     #[test]
     fn every_scan_reads_each_index_shape_through_the_one_walker() {
         for case in WALK_CASES {
             let name = case.name;
             let expected = owned(case.live);
 
-            // The walker itself: from the head of the log it passes the
-            // dead run, from the table's scan start no dead entry comes
-            // before the first live one — the start *is* that entry.
-            let (_dir, s, _) = walk_case_store(case, 0);
-            let index = s.index.path();
-            let limit = s.index.total();
-            let walk = |start: u64, limit: u64| {
-                let mut visited: Vec<Vec<u8>> = Vec::new();
-                let mut dead_run = 0;
-                let visit = |entry: IndexEntry<'_>| {
-                    if !s.table.classify(entry.key, entry.window, entry.offset) {
-                        dead_run += usize::from(visited.is_empty());
-                        return;
-                    }
-                    visited.push(entry.key.to_vec());
-                };
-                walk_index(&s.vfs, &index, start, limit, visit)
-                    .map(|scanned| (scanned, visited, dead_run))
-            };
-            let (scanned, mut visited, dead_run) = walk(0, limit).unwrap();
-            visited.sort();
-            let keys: Vec<Vec<u8>> = expected.iter().map(|(k, _)| k.clone()).collect();
-            assert_eq!(visited, keys, "{name}: live entries");
-            assert_eq!(dead_run, case.dead_run, "{name}: dead run");
-            assert_eq!(scanned, limit, "{name}: the walk stops at the limit");
-            let start = s.table.scan_start().unwrap();
-            let (_, mut from_start, dead_run) = walk(start, limit).unwrap();
-            from_start.sort();
-            assert_eq!((dead_run, from_start), (0, keys), "{name}: scan start");
-            match walk(start, u64::MAX) {
-                Err(e) => assert!(case.torn_tail && e.is_corruption(), "{name}: {e}"),
-                Ok(_) => assert!(!case.torn_tail, "{name}: walked into the torn tail"),
-            }
-
-            // The ring job stops at the index writer's offset, torn tail
-            // or not, and installs exactly the live windows.
+            // The ring job installs exactly the live windows.
             let (_dir, mut s, ring) = walk_case_store(case, 2);
             s.advance_prefetch(50).unwrap();
             ring.unwrap().wait_idle();
@@ -1522,28 +1432,25 @@ mod tests {
             let misses = s.metrics.snapshot().prefetch_misses;
             assert_eq!(take_all(&mut s, case), expected, "{name}: job");
             assert_eq!(s.metrics.snapshot().prefetch_misses, misses, "{name}: job");
-            if case.torn_tail {
-                continue;
-            }
 
             for width in [0, 2] {
                 // The synchronous batch read.
                 let (_dir, mut s, _ring) = walk_case_store(case, width);
                 assert_eq!(take_all(&mut s, case), expected, "{name}: sync/{width}");
-                assert_eq!(s.table.scan_start(), None, "{name}: sync/{width}");
+                assert_eq!(s.table.on_disk().count(), 0, "{name}: sync/{width}");
 
                 // The serving view, which commits nothing.
                 let (_dir, mut s, _ring) = walk_case_store(case, width);
-                let first_offsets = |s: &AurStore| -> Vec<(Vec<u8>, u64)> {
-                    let offsets = s
+                let lists = |s: &AurStore| -> Vec<(Vec<u8>, Vec<DiskRecord>)> {
+                    let lists = s
                         .table
                         .iter()
-                        .map(|(k, _, lw)| (k.to_vec(), lw.first_offset));
-                    let mut offsets: Vec<_> = offsets.collect();
-                    offsets.sort();
-                    offsets
+                        .map(|(k, _, lw)| (k.to_vec(), lw.records.clone()));
+                    let mut lists: Vec<_> = lists.collect();
+                    lists.sort_by(|a, b| a.0.cmp(&b.0));
+                    lists
                 };
-                let offsets_before = (first_offsets(&s), s.table.scan_start());
+                let lists_before = lists(&s);
                 let mut view = BTreeMap::new();
                 s.collect_view(&mut view).unwrap();
                 let view: Vec<_> = view
@@ -1555,9 +1462,9 @@ mod tests {
                     .collect();
                 assert_eq!(view, expected, "{name}: view/{width}");
                 assert_eq!(
-                    (first_offsets(&s), s.table.scan_start()),
-                    offsets_before,
-                    "{name}: view/{width} moved a window's first live offset"
+                    lists(&s),
+                    lists_before,
+                    "{name}: view/{width} moved a window's listed records"
                 );
 
                 // Compaction, after which every survivor is still served.
@@ -1571,20 +1478,9 @@ mod tests {
         }
     }
 
-    /// Offsets of the index log's entries, in log order.
-    fn index_entry_offsets(s: &mut AurStore) -> Vec<u64> {
-        let mut offsets = Vec::new();
-        let each = |loc: flowkv_common::logfile::RecordLocation, _: &[u8]| {
-            offsets.push(loc.offset);
-            Ok(())
-        };
-        s.index.scan(each).unwrap();
-        offsets
-    }
-
     #[test]
     fn a_reappended_window_serves_only_its_new_incarnation() {
-        // A compaction resets every `first_offset`; wherever one falls
+        // A compaction moves every listed record; wherever one falls
         // between the consume, the re-append and the read, the consumed
         // incarnation's records must stay dead.
         for compact_after in [None, Some("consume"), Some("re-append")] {
@@ -1592,8 +1488,8 @@ mod tests {
             let mut cfg = cfg_small();
             cfg.read_batch_ratio = 0.0;
             let mut s = session_store(dir.path(), cfg);
-            // `b` stays live ahead of `a` in the index log, so the scan
-            // start cannot move past `a`'s dead entries.
+            // `b` stays live ahead of `a` in the logs, so `a`'s dead
+            // records sit between live ones.
             append_flushed(&mut s, &[(b"b", b"b1", 10), (b"a", b"a1", 20)]);
             append_flushed(&mut s, &[(b"a", b"a2", 30)]);
             assert_eq!(s.take(b"a", W).unwrap(), [b"a1", b"a2"]);
@@ -1649,65 +1545,18 @@ mod tests {
         assert_eq!(s.take(b"a", W).unwrap(), [b"a2"]);
     }
 
-    #[test]
-    fn the_scan_start_passes_a_leading_dead_run_and_no_live_entry() {
-        let dir = ScratchDir::new("aur-scan-start").unwrap();
-        let mut cfg = cfg_small();
-        cfg.read_batch_ratio = 0.0;
-        cfg.max_space_amplification = 100.0;
-        let mut s = session_store(dir.path(), cfg);
-        append_flushed(
-            &mut s,
-            &[(b"a", b"a1", 10), (b"b", b"b1", 20), (b"c", b"c1", 30)],
-        );
-        let entries = index_entry_offsets(&mut s);
-        assert_eq!(s.table.scan_start(), Some(entries[0]));
-        // Each consume moves the start to the first entry still live,
-        // whatever read ran last.
-        assert_eq!(s.take(b"a", W).unwrap(), [b"a1"]);
-        assert_eq!(s.table.scan_start(), Some(entries[1]));
-        assert_eq!(s.take(b"c", W).unwrap(), [b"c1"]);
-        assert_eq!(s.table.scan_start(), Some(entries[1]), "live `b` holds it");
-        // `a` returns behind the dead run; `b` still holds the start.
-        append_flushed(&mut s, &[(b"a", b"a2", 40)]);
-        let entries = index_entry_offsets(&mut s);
-        assert_eq!(s.table.scan_start(), Some(entries[1]));
-        // Now the head is dead up to `a`'s second incarnation: the old
-        // `a1` entry ahead of it stays dead.
-        assert_eq!(s.take(b"b", W).unwrap(), [b"b1"]);
-        assert_eq!(s.table.scan_start(), Some(entries[3]));
-        assert_eq!(s.take(b"a", W).unwrap(), [b"a2"]);
-        assert_eq!(s.table.scan_start(), None);
-        assert_eq!(s.metrics.snapshot().compactions, 0);
-    }
-
-    /// Index-log offset of the first entry the liveness rule passes in a
-    /// walk of the whole log, or the log's end when none does.
-    fn first_live_entry(s: &mut AurStore) -> u64 {
-        let mut first = None;
-        let table = &s.table;
-        let each = |loc: flowkv_common::logfile::RecordLocation, payload: &[u8]| {
-            let entry = IndexEntry::decode(payload)?;
-            if first.is_none() && table.classify(entry.key, entry.window, entry.offset) {
-                first = Some(loc.offset);
-            }
-            Ok(())
-        };
-        s.index.scan(each).unwrap();
-        first.unwrap_or(s.index.total())
-    }
-
-    /// The scan start is a fact of the table: after every step of a
-    /// seeded random run — appends, flushes, takes, peeks, compactions,
+    /// The rows list every live byte: after every step of a seeded
+    /// random run — appends, flushes, takes, peeks, compactions,
     /// checkpoint round trips, read-ahead ticks — on a lane of width 0
-    /// and 2, it is the first entry a full walk finds live.
+    /// and 2, the records the table lists cover exactly the data log's
+    /// bytes that are not dead.
     #[test]
-    fn the_scan_start_is_the_first_live_entry_after_every_step() {
+    fn the_rows_list_every_live_byte_after_every_step() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         for width in [0, 2] {
             for seed in 0..6 {
-                let dir = ScratchDir::new("aur-start-rule").unwrap();
-                let ckpt = ScratchDir::new("aur-start-rule-ckpt").unwrap();
+                let dir = ScratchDir::new("aur-rows-rule").unwrap();
+                let ckpt = ScratchDir::new("aur-rows-rule-ckpt").unwrap();
                 let cfg = AurConfig {
                     write_buffer_bytes: 512,
                     read_batch_ratio: 0.3,
@@ -1741,9 +1590,11 @@ mod tests {
                             }
                         }
                     }
-                    let start = s.table.scan_start().unwrap_or(s.index.total());
-                    let expected = first_live_entry(&mut s);
-                    assert_eq!(start, expected, "width {width}, seed {seed}, step {step}");
+                    let listed: u64 = (s.table.iter())
+                        .flat_map(|(.., lw)| lw.records.iter().map(DiskRecord::disk_len))
+                        .sum();
+                    let live = s.data.total() - s.data.dead();
+                    assert_eq!(listed, live, "width {width}, seed {seed}, step {step}");
                 }
             }
         }
@@ -1752,8 +1603,9 @@ mod tests {
     /// Device work of a scripted run — appends filling four flushes, 20
     /// batch-read misses, a compaction, a drain — counted at the `Vfs`.
     /// `crash_matrix`'s forward probes rely on a store-call sequence
-    /// mapping to one device-op sequence, so the count is pinned (it is
-    /// what the store issued before its memory side became one table).
+    /// mapping to one device-op sequence, so the count is pinned. No read
+    /// touches the index log, so a miss and the compaction issue data-log
+    /// ops only.
     #[test]
     fn a_scripted_run_issues_a_pinned_number_of_device_ops() {
         use flowkv_common::vfs::FaultVfs;
@@ -1789,7 +1641,7 @@ mod tests {
         }
         let m = s.metrics.snapshot();
         assert_eq!((m.flushes, m.compactions), (4, 1), "{m:?}");
-        assert_eq!(counting.ops(), 176);
+        assert_eq!(counting.ops(), 90);
     }
 
     #[test]

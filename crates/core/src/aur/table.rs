@@ -3,19 +3,42 @@
 //!
 //! One entry per live `(key, window)` pair holds the window's
 //! **Stat-table** row, its share of the **write buffer** and its share of
-//! the **prefetch buffer**, so an append, a trigger and every entry of a
-//! compaction scan cost one probe. Data *locations* stay on disk in the
-//! index log — an entry is what must fit in memory even when windows
-//! number in the millions.
+//! the **prefetch buffer**, so an append, a trigger and a flush cost one
+//! probe. Unlike the paper, the row also lists where its data sits: one
+//! [`DiskRecord`] (16 B) per data-log record, so every read goes straight
+//! to them and no running read walks the index log. A window's live
+//! records are exactly those its row lists; a consumed window's are in
+//! no row.
 
 use flowkv_common::backend::ValueSink;
 use flowkv_common::error::Result;
-use flowkv_common::logfile::RecordLocation;
+use flowkv_common::logfile::{RecordLocation, RECORD_HEADER_LEN};
 use flowkv_common::types::{Timestamp, WindowId};
 
 use super::index_log::ValueRun;
 use crate::ett::EttPredictor;
 use crate::table::WindowMap;
+
+/// One data-log record of a live window: what its index entry says of it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DiskRecord {
+    /// Offset of the record in the data log.
+    pub offset: u64,
+    /// Payload length, the record header excluded.
+    pub len: u32,
+    /// Number of values in the record.
+    pub count: u32,
+}
+
+impl DiskRecord {
+    /// Bytes a listed record costs the table.
+    pub const MEMORY_BYTES: usize = std::mem::size_of::<DiskRecord>();
+
+    /// On-disk footprint of the record, header included.
+    pub fn disk_len(&self) -> u64 {
+        RECORD_HEADER_LEN + u64::from(self.len)
+    }
+}
 
 /// Everything the store holds in memory about one live window.
 #[derive(Debug, Default)]
@@ -27,17 +50,9 @@ pub struct LiveWindow {
     /// Stat table: bytes of this window's state in the data log (record
     /// framing included).
     pub disk_bytes: u64,
-    /// Stat table: number of data-log records holding this window's state.
-    pub disk_records: u64,
-    /// Data-log offset of the window's first live record; records of the
-    /// same `(key, window)` below it belong to a consumed incarnation.
-    /// Set by the first flush after the window is created, 0 in a
-    /// generation a compaction or a reopen made (all its records live).
-    pub first_offset: u64,
-    /// Index-log offset of the entry of that record: the window's first
-    /// live entry. Set beside `first_offset`, and by a compaction's
-    /// rewrite to the window's first entry in the new index.
-    first_entry: u64,
+    /// The data-log records holding this window's state, in append order
+    /// (which is offset order within a generation).
+    pub records: Vec<DiskRecord>,
     /// Write buffer: values appended since the last flush.
     pub buffered: ValueRun,
     /// What `buffered` counts toward the flush threshold.
@@ -72,25 +87,19 @@ impl LiveWindow {
         Ok(out)
     }
 
-    /// Counts a disk record of `bytes` at data-log `offset`, listed by the
-    /// index entry at `entry`.
-    fn add_disk(&mut self, offset: u64, bytes: u64, entry: u64) {
-        if self.disk_records == 0 {
-            self.first_offset = offset;
-            self.first_entry = entry;
-        }
-        self.disk_bytes += bytes;
-        self.disk_records += 1;
+    /// Lists `record` as the window's next one on disk.
+    fn add_disk(&mut self, record: DiskRecord) {
+        self.disk_bytes += record.disk_len();
+        self.records.push(record);
     }
 }
 
-/// A window chosen by [`LiveTable::select_soonest`], as it then was.
+/// A window chosen for a batch read, as it then was.
 pub struct Pick {
     pub key: Vec<u8>,
     pub window: WindowId,
     pub disk_bytes: u64,
-    pub disk_records: u64,
-    pub first_offset: u64,
+    pub records: Vec<DiskRecord>,
 }
 
 impl Pick {
@@ -100,20 +109,21 @@ impl Pick {
             key: key.to_vec(),
             window,
             disk_bytes: lw.disk_bytes,
-            disk_records: lw.disk_records,
-            first_offset: lw.first_offset,
+            records: lw.records.clone(),
         }
     }
 }
 
 /// The live windows of one store instance, with the byte accounting of
-/// the write and prefetch buffers spread over them.
+/// the write and prefetch buffers and the listed records spread over
+/// them.
 #[derive(Default)]
 pub struct LiveTable {
     windows: WindowMap<LiveWindow>,
     buffer_bytes: usize,
     prefetched: usize,
     prefetch_bytes: usize,
+    listed: usize,
 }
 
 impl LiveTable {
@@ -139,22 +149,22 @@ impl LiveTable {
         });
     }
 
-    /// Rebuilds one window's bookkeeping from a recovered index entry at
-    /// index-log offset `entry`: the persisted `max_ts` re-derives the
-    /// trigger-time estimate and `len` restores the disk footprint.
+    /// Rebuilds one window's bookkeeping from a recovered index entry:
+    /// the persisted `max_ts` re-derives the trigger-time estimate, and
+    /// the entry's record joins the window's list.
     pub fn rebuild_entry(
         &mut self,
         key: &[u8],
         window: WindowId,
         max_ts: Timestamp,
-        len: u64,
-        entry: u64,
+        record: DiskRecord,
         predictor: &EttPredictor,
     ) {
+        self.listed += 1;
         self.windows.upsert(key, window, LiveWindow::new, |lw| {
             lw.max_ts = lw.max_ts.max(max_ts);
             lw.ett = predictor.predict(key, window, lw.max_ts);
-            lw.add_disk(0, len, entry);
+            lw.add_disk(record);
         });
     }
 
@@ -167,6 +177,7 @@ impl LiveTable {
     pub fn consume(&mut self, key: &[u8], window: WindowId) -> Option<LiveWindow> {
         let lw = self.windows.remove(key, window)?;
         self.buffer_bytes -= lw.buffered_charge;
+        self.listed -= lw.records.len();
         if let Some(copy) = &lw.prefetched {
             self.prefetched -= 1;
             self.prefetch_bytes -= copy.bytes_len();
@@ -218,12 +229,12 @@ impl LiveTable {
     /// Hands every window with buffered values to `write` in
     /// predicted-trigger order — `(ETT, key, window)`, a function of the
     /// input and not of map iteration order — and moves what `write`
-    /// put on disk (the data record's location and the offset of its
-    /// index entry) from the window's buffer to its disk footprint and,
-    /// to keep it complete, to the end of a prefetched copy.
+    /// put on disk (the data record at the location it returns) from the
+    /// window's buffer to its record list and, to keep it complete, to
+    /// the end of a prefetched copy.
     pub fn flush_each(
         &mut self,
-        mut write: impl FnMut(&[u8], WindowId, &LiveWindow) -> Result<(RecordLocation, u64)>,
+        mut write: impl FnMut(&[u8], WindowId, &LiveWindow) -> Result<RecordLocation>,
     ) -> Result<()> {
         let mut groups: Vec<(&[u8], WindowId, &mut LiveWindow)> = self
             .windows
@@ -232,8 +243,15 @@ impl LiveTable {
             .collect();
         groups.sort_unstable_by(|a, b| (a.2.ett, a.0, a.1).cmp(&(b.2.ett, b.0, b.1)));
         for (key, window, lw) in groups {
-            let (loc, entry) = write(key, window, lw)?;
-            lw.add_disk(loc.offset, loc.disk_len(), entry);
+            let loc = write(key, window, lw)?;
+            let count = u32::try_from(lw.buffered.count())
+                .expect("a record holds fewer values than its u32 length has bytes");
+            lw.add_disk(DiskRecord {
+                offset: loc.offset,
+                len: loc.len,
+                count,
+            });
+            self.listed += 1;
             if let Some(resident) = &mut lw.prefetched {
                 resident.extend(&lw.buffered);
                 self.prefetch_bytes += lw.buffered.bytes_len();
@@ -251,25 +269,21 @@ impl LiveTable {
     /// "Selecting Windows To Be Read"): the `n` soonest, and beyond `n`
     /// *every* window already due — ETT at or before `due_ett` — because
     /// it will be read no later than the window that triggered this
-    /// batch, so loading it in the same sequential scan is strictly
-    /// cheaper than scanning again (DESIGN.md §5). With them, the
+    /// batch, so loading it in the same batch read is cheaper than a
+    /// miss of its own (DESIGN.md §5). With them, the
     /// earliest ETT later than `due_ett` among all windows with on-disk
     /// state: the bound stream time must reach before another window
-    /// becomes due, `Timestamp::MAX` when there is none. And, from the
-    /// same pass, where the read's index walk starts
-    /// ([`LiveTable::scan_start`]).
+    /// becomes due, `Timestamp::MAX` when there is none.
     pub fn select_soonest(
         &self,
         n: usize,
         due_ett: Option<Timestamp>,
         mut skip: impl FnMut(&[u8], WindowId, &LiveWindow) -> bool,
-    ) -> (Vec<Pick>, Timestamp, Option<u64>) {
+    ) -> (Vec<Pick>, Timestamp) {
         let mut next_due = Timestamp::MAX;
-        let mut start: Option<u64> = None;
         let mut due = 0;
         let mut candidates: Vec<(Timestamp, &[u8], WindowId, &LiveWindow)> = Vec::new();
-        for (key, window, lw) in self.windows.iter().filter(|(.., lw)| lw.disk_records > 0) {
-            start = Some(start.map_or(lw.first_entry, |s| s.min(lw.first_entry)));
+        for (key, window, lw) in self.on_disk() {
             let Some(ett) = lw.ett else {
                 continue;
             };
@@ -294,43 +308,24 @@ impl LiveTable {
             .into_iter()
             .map(|(_, key, window, lw)| Pick::of(key, window, lw))
             .collect();
-        (picks, next_due, start)
+        (picks, next_due)
     }
 
-    /// Every window with on-disk state, as a batch read picks it.
-    pub fn on_disk(&self) -> Vec<Pick> {
-        let on_disk = self.windows.iter().filter(|(.., lw)| lw.disk_records > 0);
-        on_disk.map(|(k, w, lw)| Pick::of(k, w, lw)).collect()
+    /// Every window with on-disk state.
+    pub fn on_disk(&self) -> impl Iterator<Item = (&[u8], WindowId, &LiveWindow)> {
+        self.windows
+            .iter()
+            .filter(|(.., lw)| !lw.records.is_empty())
     }
 
-    /// Where every index walk starts: the index-log offset of the first
-    /// live entry, the least `first_entry` of the windows on disk —
-    /// `None` when no window is. Entries before it are dead for good.
-    pub fn scan_start(&self) -> Option<u64> {
-        let on_disk = self.windows.iter().filter(|(.., lw)| lw.disk_records > 0);
-        on_disk.map(|(.., lw)| lw.first_entry).min()
-    }
-
-    /// The liveness rule, in one probe: an index entry is live iff its
-    /// window is in the table with disk records and the entry's data
-    /// record sits at or past the window's `first_offset`.
-    pub fn classify(&self, key: &[u8], window: WindowId, offset: u64) -> bool {
-        let lw = self.windows.get(key, window);
-        lw.is_some_and(|lw| lw.disk_records > 0 && offset >= lw.first_offset)
-    }
-
-    /// A compaction rewrote the logs with live records only, listed by
-    /// `entries` — `(key, window, index-log offset)` in log order: every
-    /// record of every window is live in the new generation, and a
-    /// window's first entry is its first there.
-    pub fn compacted<'a>(&mut self, entries: impl IntoIterator<Item = (&'a [u8], WindowId, u64)>) {
+    /// Moves every listed record to where a compaction put it: `moved`
+    /// holds `(old offset, new offset)` of every listed record, sorted by
+    /// old offset.
+    pub fn relocated(&mut self, moved: &[(u64, u64)]) {
         for (.., lw) in self.windows.iter_mut() {
-            lw.first_offset = 0;
-            lw.first_entry = u64::MAX;
-        }
-        for (key, window, entry) in entries {
-            if let Some(lw) = self.windows.get_mut(key, window) {
-                lw.first_entry = lw.first_entry.min(entry);
+            for record in &mut lw.records {
+                let at = moved.binary_search_by_key(&record.offset, |&(old, _)| old);
+                record.offset = moved[at.expect("a compaction moves every listed record")].1;
             }
         }
     }
@@ -361,9 +356,12 @@ impl LiveTable {
     }
 
     /// Approximate bytes of state held in memory: buffered values,
-    /// prefetched values, and the table itself.
+    /// prefetched values, the table itself and the records it lists.
     pub fn memory_bytes(&self) -> usize {
-        self.buffer_bytes + self.prefetch_bytes + self.windows.memory_bytes()
+        self.buffer_bytes
+            + self.prefetch_bytes
+            + self.windows.memory_bytes()
+            + self.listed * DiskRecord::MEMORY_BYTES
     }
 }
 
@@ -377,12 +375,21 @@ mod tests {
         WindowId::new(start, end)
     }
 
+    /// A disk record of `len` payload bytes at data-log `offset`.
+    fn record(offset: u64, len: u32) -> DiskRecord {
+        DiskRecord {
+            offset,
+            len,
+            count: 1,
+        }
+    }
+
     /// A table holding `rows` as windows `[0, 200)` with one 10-byte
     /// disk record each.
     fn on_disk(rows: &[(&[u8], Timestamp)]) -> LiveTable {
         let mut t = LiveTable::default();
-        for (entry, &(key, ts)) in (0..).zip(rows) {
-            t.rebuild_entry(key, w(0, 200), ts, 10, 100 + entry, &GAP);
+        for (at, &(key, ts)) in (0..).zip(rows) {
+            t.rebuild_entry(key, w(0, 200), ts, record(100 * at, 2), &GAP);
         }
         t
     }
@@ -420,7 +427,7 @@ mod tests {
             t.flush_each(|_, _, lw| {
                 offset += 100;
                 let len = 42 + lw.buffered.count() as u32;
-                Ok((RecordLocation { offset, len }, offset / 10))
+                Ok(RecordLocation { offset, len })
             })
             .unwrap();
         };
@@ -431,8 +438,19 @@ mod tests {
         flush(&mut t);
         let lw = t.get(b"k", w(0, 50)).unwrap();
         assert_eq!(lw.disk_bytes, (8 + 43) + (8 + 44));
-        assert_eq!(lw.disk_records, 2);
-        assert_eq!((lw.first_offset, lw.first_entry), (800, 80));
+        let listed = [
+            DiskRecord {
+                offset: 800,
+                len: 43,
+                count: 1,
+            },
+            DiskRecord {
+                offset: 900,
+                len: 44,
+                count: 2,
+            },
+        ];
+        assert_eq!(lw.records, listed);
         assert_eq!(lw.buffered.count(), 0);
         assert_eq!(t.buffer_bytes(), 0);
         assert_eq!(t.len(), 1);
@@ -452,7 +470,7 @@ mod tests {
         let mut order = Vec::new();
         t.flush_each(|key, window, _| {
             order.push((key.to_vec(), window));
-            Ok((RecordLocation { offset: 0, len: 1 }, 0))
+            Ok(RecordLocation { offset: 0, len: 1 })
         })
         .unwrap();
         let expected = [
@@ -467,8 +485,8 @@ mod tests {
     #[test]
     fn consume_removes() {
         let mut t = LiveTable::default();
-        t.rebuild_entry(b"k", w(0, 50), 1, 100, 0, &GAP);
-        t.rebuild_entry(b"k", w(50, 90), 1, 10, 20, &GAP);
+        t.rebuild_entry(b"k", w(0, 50), 1, record(0, 92), &GAP);
+        t.rebuild_entry(b"k", w(50, 90), 1, record(100, 2), &GAP);
         assert!(t.consume(b"k", w(0, 50)).is_some());
         assert!(t.consume(b"k", w(0, 50)).is_none());
         assert_eq!(t.len(), 1);
@@ -521,52 +539,58 @@ mod tests {
     #[test]
     fn unpredictable_windows_are_never_selected() {
         let mut t = LiveTable::default();
-        t.rebuild_entry(b"k", w(0, 100), 5, 10, 0, &EttPredictor::Unpredictable);
-        let (picks, _, start) = t.select_soonest(10, None, |_, _, _| false);
+        t.rebuild_entry(
+            b"k",
+            w(0, 100),
+            5,
+            record(0, 2),
+            &EttPredictor::Unpredictable,
+        );
+        let (picks, _) = t.select_soonest(10, None, |_, _, _| false);
         assert!(picks.is_empty());
-        // Its entries are live all the same: the walk starts at them.
-        assert_eq!(start, Some(0));
-        assert_eq!(t.on_disk().len(), 1);
+        // Its records are live all the same.
+        assert_eq!(t.on_disk().count(), 1);
     }
 
     #[test]
-    fn classify_applies_the_offset_rule() {
-        let mut t = LiveTable::default();
-        t.append(b"k", w(0, 50), b"v", 5, &GAP);
-        // Buffered only: entries of an earlier incarnation are dead.
-        assert!(!t.classify(b"k", w(0, 50), 0));
-        t.flush_each(|_, _, _| Ok((RecordLocation { offset: 64, len: 1 }, 32)))
-            .unwrap();
-        assert!(!t.classify(b"k", w(0, 50), 63));
-        assert!(t.classify(b"k", w(0, 50), 64));
-        assert!(!t.classify(b"k", w(50, 90), 64));
-        assert!(!t.classify(b"other", w(0, 50), 64));
-        // A compaction leaves live records only.
-        t.compacted([]);
-        assert!(t.classify(b"k", w(0, 50), 0));
-    }
-
-    #[test]
-    fn the_scan_start_is_the_first_entry_of_a_window_on_disk() {
-        let mut t = on_disk(&[(b"a", 30), (b"b", 10), (b"c", 20)]);
-        assert_eq!(t.scan_start(), Some(100));
+    fn memory_counts_sixteen_bytes_per_listed_record() {
+        assert_eq!(DiskRecord::MEMORY_BYTES, 16);
+        let mut t = on_disk(&[(b"a", 10), (b"b", 20)]);
+        let two = t.memory_bytes();
+        t.rebuild_entry(b"a", w(0, 200), 10, record(300, 2), &GAP);
+        t.rebuild_entry(b"a", w(0, 200), 10, record(400, 2), &GAP);
+        assert_eq!(
+            t.memory_bytes(),
+            two + 2 * 16,
+            "same rows, two more records"
+        );
+        t.append(b"b", w(0, 200), b"v", 30, &GAP);
+        let buffered = t.memory_bytes();
+        t.flush_each(|_, _, _| {
+            Ok(RecordLocation {
+                offset: 500,
+                len: 2,
+            })
+        })
+        .unwrap();
+        assert_eq!(t.memory_bytes() + (1 + 56 + 1), buffered + 16);
+        // A consumed window's records leave with it.
         t.consume(b"a", w(0, 200));
-        assert_eq!(t.select_soonest(0, None, |_, _, _| false).2, Some(101));
-        // A buffered window has no entry yet; its first flush gives it one.
-        t.append(b"a", w(0, 200), b"v", 40, &GAP);
         t.consume(b"b", w(0, 200));
-        t.consume(b"c", w(0, 200));
-        assert_eq!(t.scan_start(), None);
-        t.flush_each(|_, _, _| Ok((RecordLocation { offset: 64, len: 1 }, 103)))
-            .unwrap();
-        assert_eq!(t.scan_start(), Some(103));
-        // A compaction names each window's first entry in the new log.
-        t.append(b"d", w(0, 200), b"v", 50, &GAP);
-        let a: &[u8] = b"a";
-        t.compacted([(a, w(0, 200), 0), (a, w(0, 200), 9)]);
-        assert_eq!(t.scan_start(), Some(0));
-        t.consume(b"a", w(0, 200));
-        assert_eq!(t.scan_start(), None);
+        assert_eq!(t.memory_bytes(), 0);
+    }
+
+    #[test]
+    fn a_compaction_moves_every_listed_record() {
+        let mut t = on_disk(&[(b"a", 10), (b"b", 20)]);
+        t.rebuild_entry(b"a", w(0, 200), 10, record(300, 2), &GAP);
+        t.relocated(&[(0, 0), (100, 18), (300, 36)]);
+        let offsets = |key: &[u8]| -> Vec<u64> {
+            let lw = t.get(key, w(0, 200)).unwrap();
+            lw.records.iter().map(|r| r.offset).collect()
+        };
+        assert_eq!(offsets(b"a"), [0, 36]);
+        assert_eq!(offsets(b"b"), [18]);
     }
 
     #[test]
@@ -631,7 +655,7 @@ mod tests {
         // flush grows its copy. It cannot hold the buffer against `c`,
         // which is due sooner — `a` is now the latest, and goes.
         t.append(b"a", w(0, 200), &[0u8; 100], 60, &GAP);
-        t.flush_each(|_, _, _| Ok((RecordLocation { offset: 64, len: 1 }, 0)))
+        t.flush_each(|_, _, _| Ok(RecordLocation { offset: 64, len: 1 }))
             .unwrap();
         assert_eq!(t.prefetch_bytes(), bound + COPY);
         t.install(b"c", w(0, 200), &run(&[&[0u8; 100]]));
@@ -648,7 +672,7 @@ mod tests {
         let mut t = on_disk(&[(b"k", 1)]);
         t.append(b"k", w(0, 200), b"new", 2, &GAP);
         t.install(b"k", w(0, 200), &run(&[b"old"]));
-        t.flush_each(|_, _, _| Ok((RecordLocation { offset: 64, len: 1 }, 0)))
+        t.flush_each(|_, _, _| Ok(RecordLocation { offset: 64, len: 1 }))
             .unwrap();
         assert_eq!(t.prefetch_bytes(), 2 * (3 + 1));
         let lw = t.consume(b"k", w(0, 200)).unwrap();
@@ -660,7 +684,7 @@ mod tests {
     fn prefetched_windows_count_across_keys() {
         let mut t = LiveTable::default();
         for (key, window) in [(b"a", w(0, 10)), (b"a", w(10, 20)), (b"b", w(0, 10))] {
-            t.rebuild_entry(key, window, 1, 10, 0, &GAP);
+            t.rebuild_entry(key, window, 1, record(0, 2), &GAP);
             t.install(key, window, &run(&[b"x"]));
         }
         assert_eq!(t.prefetched_windows(), 3);

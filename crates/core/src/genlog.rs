@@ -218,17 +218,13 @@ impl GenLog {
         })
     }
 
-    /// Stages a rewrite holding exactly `payloads`, one record each;
-    /// `placed(o)`: the next of them is at `o`.
+    /// Stages a rewrite holding exactly `payloads`, one record each.
     pub(crate) fn replace<P: AsRef<[u8]>>(
         &mut self,
         payloads: impl IntoIterator<Item = P>,
-        mut placed: impl FnMut(u64),
     ) -> Result<Staged> {
         let mut payloads = payloads.into_iter();
-        self.stage(|_, writer| {
-            payloads.try_for_each(|p| writer.append(p.as_ref()).map(|loc| placed(loc.offset)))
-        })
+        self.stage(|_, writer| payloads.try_for_each(|p| writer.append(p.as_ref()).map(drop)))
     }
 
     /// Makes each rewrite its log's current generation, in the order
@@ -610,8 +606,8 @@ pub(crate) mod tests {
         data.append(b"value").unwrap();
         index.append(b"entry").unwrap();
         let rewrite = |data: &mut GenLog, index: &mut GenLog| {
-            let d = data.replace(&[b"value".to_vec()], |_| ())?;
-            let i = index.replace(&[b"entry".to_vec()], |_| ())?;
+            let d = data.replace(&[b"value".to_vec()])?;
+            let i = index.replace(&[b"entry".to_vec()])?;
             GenLog::commit([(data, d), (index, i)])
         };
         let before = counting.ops();

@@ -257,8 +257,9 @@ proptest! {
         })?;
     }
 
-    /// Every predictive read and scan over a two-thread I/O ring: the
-    /// job's `(slot, first_offset)` liveness and the install checks.
+    /// Every predictive read and view over a two-thread I/O ring: the
+    /// job's snapshot of each window's listed records and the install
+    /// checks.
     #[test]
     fn matches_model_over_an_io_ring(ops in ops()) {
         let ring = Arc::new(IoRing::new(2, None, None));

@@ -33,8 +33,8 @@ use flowkv_common::vfs::{FaultKind, FaultPlan, FaultVfs, StdVfs};
 /// Windows flushed side by side before each read.
 const WINDOWS: u64 = 64;
 
-/// Opens of the index and data logs, one index-scan read, one extent —
-/// with slack for a second extent or scan read, far below `WINDOWS`.
+/// The data log's open and one extent — with slack for more extents, far
+/// below `WINDOWS`.
 const BATCH_READ_OPS: u64 = 8;
 const _: () = assert!(BATCH_READ_OPS < WINDOWS);
 
@@ -140,10 +140,9 @@ fn an_append_after_a_landed_ring_read_pays_no_device_op() {
     assert_a_take_after_appends_is_free(&mut store, &counting);
 }
 
-/// Windows served by read-ahead are dead index entries like any other:
-/// after thousands of ring hits, a miss walks from the first live entry
-/// — here its own, at the end of the log — not from the head of a log
-/// that is dead from end to end.
+/// Windows served by read-ahead leave dead index entries like any other:
+/// after thousands of ring hits, a miss reads its own record — listed in
+/// its window's row — and none of the index, dead from end to end.
 #[test]
 fn a_miss_after_ring_served_takes_skips_the_dead_index() {
     const SERVED: u32 = 4_000;
@@ -178,7 +177,7 @@ fn a_miss_after_ring_served_takes_skips_the_dead_index() {
     let before = counting.ops();
     assert_eq!(store.take(b"late", window()).unwrap(), [b"late"]);
     let ops = counting.ops() - before;
-    // Index open, one index read, data open, one data read.
+    // Data open and one data read at most: a miss reads no index.
     assert!(ops <= 4, "the miss cost {ops} device ops");
     assert_eq!(metrics.snapshot().prefetch_misses, 1);
 }
@@ -269,7 +268,7 @@ fn rmw_point_read_is_one_device_read() {
     assert_eq!(counting.ops() - before, 1);
 }
 
-/// A store operation that reads through the lane, its result as text.
+/// A store operation run at both lane widths, its result as text.
 type LaneOp = fn(&mut AurStore, &Path) -> flowkv_common::error::Result<String>;
 
 fn view_op(store: &mut AurStore, _scratch: &Path) -> flowkv_common::error::Result<String> {
@@ -294,7 +293,7 @@ fn compact_op(store: &mut AurStore, scratch: &Path) -> flowkv_common::error::Res
 }
 
 /// Runs `op` at lane width `io_threads` on a store whose first
-/// `WINDOWS / 2` windows are consumed — so scans meet dead prefixes and
+/// `WINDOWS / 2` windows are consumed — so the logs hold dead records and
 /// compaction has work — with an `ENOSPC` planted at faultable op
 /// `fault_at`. Returns the op count before `op`, the ops `op` issued and
 /// its outcome as text.
@@ -319,11 +318,13 @@ fn observe(io_threads: usize, fault_at: Option<u64>, op: LaneOp) -> (u64, u64, S
 
 #[test]
 fn view_and_compaction_issue_the_same_ops_at_lane_width_0_and_2() {
-    for op in [view_op as LaneOp, compact_op] {
+    // The view opens the data log and reads its live records in one
+    // extent; the compaction's count is the checkpoint's whole rewrite.
+    for (op, pinned) in [(view_op as LaneOp, 2), (compact_op, 17)] {
         let clean = observe(0, None, op);
         assert_eq!(observe(2, None, op), clean);
         let (setup_ops, ops, _) = clean;
-        assert!(ops >= 4, "the operation read through the lane: {ops} ops");
+        assert_eq!(ops, pinned, "the operation's device ops");
         // The sequences agree op by op: a fault at any index ends the
         // operation after the same number of ops, with the same text (or
         // is swallowed by both — removing a retired file may fail).

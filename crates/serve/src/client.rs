@@ -8,9 +8,8 @@
 //! writes a whole batch of requests, each under its own request id,
 //! before reading any response, so the server can answer all of them in
 //! one wake-up instead of paying a round trip each. The batched query
-//! surface — [`lookup_many`]
-//! ([`StateClient::lookup_many`]) and [`scan_filtered`]
-//! ([`StateClient::scan_filtered`]) — rides on it, and every blocking
+//! surface — [`StateClient::lookup_many`] and
+//! [`StateClient::scan_filtered`] — rides on it, and every blocking
 //! single-shot method is just a batch of one. The client is deliberately
 //! not `Sync` — spawn one per querying thread, as the load generator
 //! does.

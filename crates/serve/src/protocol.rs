@@ -402,8 +402,8 @@ pub enum Request {
     },
     /// Batched point lookup: many keys of one operator answered in a
     /// single frame, in key order. Each key routes to its owning
-    /// partition independently, exactly as a sequence of [`Lookup`]s
-    /// would (`Lookup`: [`Request::Lookup`]).
+    /// partition independently, exactly as a sequence of
+    /// [`Lookup`](Request::Lookup)s would.
     LookupMany {
         /// Job name.
         job: String,

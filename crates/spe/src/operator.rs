@@ -768,9 +768,9 @@ impl WindowOperator {
     /// Not in order of their ends: the AUR store reads a missed window
     /// together with every window due no later than it, so a drain that
     /// asks for the earliest end first — the end-of-stream watermark
-    /// expires every open session at once — pays an index walk for every
+    /// expires every open session at once — pays a batch read for every
     /// few windows, where key order, unrelated to the ends, halves what
-    /// is left with each walk (EXPERIMENTS.md, "Session path").
+    /// is left with each read (EXPERIMENTS.md, "Session path").
     fn fire_sessions(&mut self, watermark: Timestamp, out: &mut Vec<Tuple>) -> Result<()> {
         // `(key, cover, initials)` per expired session. Two sessions of a
         // key never share an end (they would have merged).
