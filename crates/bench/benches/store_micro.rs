@@ -170,16 +170,13 @@ fn bench_aur_cold(c: &mut Criterion) {
 /// AUR on hot state, single-threaded: the store-side shape of the
 /// benchmark's `q11m-aur-max` on one store instance with `flowkv_cfg()`'s
 /// per-instance buffer. 500 keys hold long-lived sessions; an epoch
-/// appends ten values to every active key and flushes (one index entry
+/// appends ten values to every active key and flushes (one data record
 /// per window and epoch, so a window holds at least seven flushed
 /// records when it fires); then the ten keys (2 %) that sat the epoch
 /// out fire and start over. A sentinel window that never fires heads
-/// every flush, so a store that walked the index to miss walked all of
-/// it, and the bench counts those entries itself (a miss now reads the
-/// records its picks' rows list and walks none). Besides the run's total
-/// it prints, per run: the append phase (appends and flushes), the
-/// misses (batch reads that did not end in a compaction), and the miss
-/// time per scanned index entry.
+/// every flush. Besides the run's total it prints, per run: the append
+/// phase (appends and flushes) and the misses (batch reads that did not
+/// end in a compaction).
 fn bench_aur_hot_session(c: &mut Criterion) {
     use flowkv::aur::{AurConfig, AurStore};
     use flowkv_common::metrics::StoreMetrics;
@@ -199,7 +196,7 @@ fn bench_aur_hot_session(c: &mut Criterion) {
         runs: u32,
         append: Duration,
         miss: Duration,
-        scanned_entries: u64,
+        misses: u64,
     }
 
     fn run(store: &mut AurStore, metrics: &StoreMetrics, phases: &mut Phases) {
@@ -207,7 +204,6 @@ fn bench_aur_hot_session(c: &mut Criterion) {
         let sentinel = session(0);
         let mut windows: Vec<WindowId> = vec![session(0); KEYS as usize];
         let mut flushed_records = vec![0u64; KEYS as usize];
-        let mut index_entries = 0u64;
         let mut ts = 0i64;
         for epoch in 0..EPOCHS {
             // The keys firing at the end of this epoch have gone quiet.
@@ -232,7 +228,6 @@ fn bench_aur_hot_session(c: &mut Criterion) {
             for k in (0..KEYS).filter(|k| !quiet.contains(k)) {
                 flushed_records[k as usize] += 1;
             }
-            index_entries += 1 + KEYS - quiet.clone().count() as u64;
             for k in quiet {
                 let before = metrics.snapshot();
                 let t0 = Instant::now();
@@ -242,12 +237,11 @@ fn bench_aur_hot_session(c: &mut Criterion) {
                 assert_eq!(values.len() as u64, flushed_records[k as usize] * PER_EPOCH);
                 flushed_records[k as usize] = 0;
                 windows[k as usize] = session(ts);
-                if after.compactions > before.compactions {
-                    // The rewrite kept the live windows' entries only.
-                    index_entries = 1 + epoch + flushed_records.iter().sum::<u64>();
-                } else if after.prefetch_misses > before.prefetch_misses {
+                if after.compactions == before.compactions
+                    && after.prefetch_misses > before.prefetch_misses
+                {
                     phases.miss += took;
-                    phases.scanned_entries += index_entries;
+                    phases.misses += 1;
                 }
             }
         }
@@ -290,48 +284,74 @@ fn bench_aur_hot_session(c: &mut Criterion) {
             phases.append / runs
         );
         println!(
-            "aur_hot_session/miss: {:>12.3?} per run, {} index entries scanned per run",
+            "aur_hot_session/miss: {:>12.3?} per run, {} misses per run",
             phases.miss / runs,
-            phases.scanned_entries / u64::from(runs)
-        );
-        println!(
-            "aur_hot_session/miss_ns_per_index_entry: {:.1}",
-            phases.miss.as_nanos() as f64 / phases.scanned_entries as f64
+            phases.misses / u64::from(runs)
         );
     }
 }
 
-/// The AUR miss, at `q11m-aur-max`'s shape: five flushes of 400 windows
-/// with 8-byte keys put an index of 2 000 entries of ~54 B on disk, five
-/// per window as a window gathers before it fires there. Each timed take
-/// misses and loads 20 picks; the takes step 21 keys on, past each
-/// read's picks. A miss once walked the whole index to find the picks'
-/// records and now reads the records their rows list, so `ns_per_entry`
-/// — the miss time over the 2 000 entries such a walk visited — is kept
-/// only to compare with commits that walked.
-fn bench_aur_index_walk(c: &mut Criterion) {
+/// `aur_index_walk`'s and `aur_reopen`'s store: five flushes of 400
+/// windows with 8-byte keys, 2 000 data records of one 16-byte value
+/// each, five per window as a window gathers before it fires on
+/// `q11m-aur-max`.
+mod walk_shape {
     use flowkv::aur::{AurConfig, AurStore};
-    use flowkv_common::metrics::StoreMetrics;
-    use std::time::Instant;
+    use flowkv_common::types::WindowId;
 
-    const KEYS: u64 = 400;
-    const FLUSHES: u64 = 5;
-    const ENTRIES: u64 = KEYS * FLUSHES;
-    const PICKS: u64 = 20;
-    const TAKES: u64 = 10;
+    pub const KEYS: u64 = 400;
+    pub const FLUSHES: u64 = 5;
+    pub const RECORDS: u64 = KEYS * FLUSHES;
     /// Longer than the span of all timestamps, so no window is due by
     /// the store's stream time and a read loads its picks only.
-    const GAP: i64 = 10_000;
+    pub const GAP: i64 = 10_000;
     /// Timestamps whose zigzag varint takes four bytes, as event times
     /// in milliseconds since the stream began do.
     const BASE_TS: i64 = 10_000_000;
 
-    let window = |k: u64| WindowId::new(BASE_TS + k as i64, BASE_TS + k as i64 + GAP);
-    let cfg = AurConfig {
-        write_buffer_bytes: 4 << 20,
-        read_batch_ratio: PICKS as f64 / KEYS as f64,
-        max_space_amplification: 100.0,
-    };
+    pub fn window(k: u64) -> WindowId {
+        WindowId::new(BASE_TS + k as i64, BASE_TS + k as i64 + GAP)
+    }
+
+    pub fn cfg(read_batch_ratio: f64) -> AurConfig {
+        AurConfig {
+            write_buffer_bytes: 4 << 20,
+            read_batch_ratio,
+            max_space_amplification: 100.0,
+        }
+    }
+
+    pub fn predictor() -> flowkv::ett::EttPredictor {
+        flowkv::ett::EttPredictor::SessionGap { gap: GAP }
+    }
+
+    pub fn fill(store: &mut AurStore) {
+        for flush in 0..FLUSHES {
+            for k in 0..KEYS {
+                let ts = BASE_TS + (flush * KEYS + k) as i64;
+                store
+                    .append(&k.to_le_bytes(), window(k), &[5u8; 16], ts)
+                    .unwrap();
+            }
+            store.flush().unwrap();
+        }
+    }
+}
+
+/// The AUR miss at `q11m-aur-max`'s shape, over [`walk_shape`]'s store.
+/// Each timed take misses and loads 20 picks; the takes step 21 keys on,
+/// past each read's picks. (The group keeps the name it had when a miss
+/// walked an index log to find its picks' records.)
+fn bench_aur_index_walk(c: &mut Criterion) {
+    use flowkv::aur::AurStore;
+    use flowkv_common::metrics::StoreMetrics;
+    use std::time::Instant;
+    use walk_shape::{window, FLUSHES, KEYS};
+
+    const PICKS: u64 = 20;
+    const TAKES: u64 = 10;
+
+    let cfg = walk_shape::cfg(PICKS as f64 / KEYS as f64);
     let (mut misses, mut miss_time) = (0u64, Duration::ZERO);
     let mut group = c.benchmark_group("aur_index_walk");
     group.measurement_time(Duration::from_secs(5));
@@ -341,18 +361,10 @@ fn bench_aur_index_walk(c: &mut Criterion) {
             || {
                 let dir = ScratchDir::new("micro-aur-walk").unwrap();
                 let metrics = StoreMetrics::new_shared();
-                let predictor = flowkv::ett::EttPredictor::SessionGap { gap: GAP };
+                let predictor = walk_shape::predictor();
                 let mut store =
                     AurStore::open(dir.path(), cfg.clone(), predictor, metrics.clone()).unwrap();
-                for flush in 0..FLUSHES {
-                    for k in 0..KEYS {
-                        let ts = BASE_TS + (flush * KEYS + k) as i64;
-                        store
-                            .append(&k.to_le_bytes(), window(k), &[5u8; 16], ts)
-                            .unwrap();
-                    }
-                    store.flush().unwrap();
-                }
+                walk_shape::fill(&mut store);
                 (store, metrics, dir)
             },
             |(mut store, metrics, _dir)| {
@@ -375,14 +387,52 @@ fn bench_aur_index_walk(c: &mut Criterion) {
     group.finish();
     if misses > 0 {
         println!(
-            "aur_index_walk/miss: {:>12.3?} per miss ({misses} misses of {ENTRIES} entries)",
+            "aur_index_walk/miss: {:>12.3?} per miss ({misses} misses)",
             miss_time / misses as u32
         );
-        println!(
-            "aur_index_walk/ns_per_entry: {:.1}",
-            miss_time.as_nanos() as f64 / (misses * ENTRIES) as f64
-        );
     }
+}
+
+/// Reopening an AUR store that holds [`walk_shape`]'s 2 000 flushed
+/// records: what a restart or a restore pays to rebuild the table of
+/// live windows from disk. Prints the device ops of one reopen, counted
+/// by a `FaultVfs`, and the store's log files with their sizes.
+fn bench_aur_reopen(c: &mut Criterion) {
+    use flowkv::aur::AurStore;
+    use flowkv_common::metrics::StoreMetrics;
+    use flowkv_common::vfs::{FaultVfs, Vfs};
+    use std::sync::Arc;
+
+    let dir = ScratchDir::new("micro-aur-reopen").unwrap();
+    let open = |vfs: Arc<dyn Vfs>| {
+        let metrics = StoreMetrics::new_shared();
+        let cfg = walk_shape::cfg(0.02);
+        AurStore::open_with_vfs(dir.path(), cfg, walk_shape::predictor(), metrics, vfs).unwrap()
+    };
+    walk_shape::fill(&mut open(StdVfs::shared()));
+    let counting = FaultVfs::counting(StdVfs::shared());
+    drop(open(counting.clone()));
+    let mut group = c.benchmark_group("aur_reopen");
+    group.measurement_time(Duration::from_secs(5));
+    group.sample_size(20);
+    let id = format!("{}_records", walk_shape::RECORDS);
+    group.bench_function(BenchmarkId::from_parameter(id), |b| {
+        b.iter(|| drop(open(StdVfs::shared())))
+    });
+    group.finish();
+    let mut files: Vec<(String, u64)> = std::fs::read_dir(dir.path())
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let name = entry.file_name().to_string_lossy().into_owned();
+            (name, entry.metadata().unwrap().len())
+        })
+        .collect();
+    files.sort();
+    println!(
+        "aur_reopen/reads: {} device ops per reopen, log files {files:?}",
+        counting.ops()
+    );
 }
 
 /// AUR takes at the trigger, owned (`take_values`, a `Vec` per value)
@@ -890,6 +940,7 @@ criterion_group!(
     bench_aur_cold,
     bench_aur_hot_session,
     bench_aur_index_walk,
+    bench_aur_reopen,
     bench_aur_take,
     bench_session_extend,
     bench_rmw,

@@ -16,7 +16,7 @@ use flowkv_bench::{
 };
 
 /// A sensitivity-analysis configuration: a deliberately small write
-/// buffer keeps the AUR disk machinery (index log, batch reads,
+/// buffer keeps the AUR disk machinery (data log, batch reads,
 /// compaction) fully engaged at harness scale, as the paper's 400 GB
 /// streams do to its 2 GiB buffers.
 fn stressed_cfg() -> FlowKvConfig {

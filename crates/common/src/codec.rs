@@ -5,8 +5,8 @@
 //! primitives, so the encoding is deliberately small and allocation-free
 //! on the read path (the [`Decoder`] borrows its input).
 //!
-//! Decoding sits on the hottest read paths — every index entry an AUR
-//! batch read walks, every serve frame, every checkpoint — so the
+//! Decoding sits on the hottest read paths — every record an AUR batch
+//! read loads, every serve frame, every checkpoint — so the
 //! [`Decoder`]'s methods are `#[inline]` (callers in other crates inline
 //! them without LTO) and fail with a [`DecodeError`]: a two-case `Copy`
 //! enum with no destructor, so a decoded value comes back in registers.

@@ -1,9 +1,9 @@
 //! Checksummed append-only log files.
 //!
 //! Every persistent structure in the workspace — FlowKV's per-window log
-//! files, its global data and index logs, the LSM write-ahead log, and the
-//! hash store's hybrid log — is built on the record format implemented
-//! here:
+//! files, its AUR data log and RMW value log, the LSM write-ahead log,
+//! and the hash store's hybrid log — is built on the record format
+//! implemented here:
 //!
 //! ```text
 //! record := len:u32-le  crc:u32-le  payload:[u8; len]
@@ -17,9 +17,9 @@
 //!
 //! Three readers share that framing: [`LogReader`] steps through a log
 //! one record at a time into a caller's buffer; [`scan_records_in`] is
-//! the whole-range scan — every generation log's full scan, the AUR
-//! index log's at reopen among them — which frames records inside its 64 KiB read buffer and
-//! lends each verified payload in place; [`RandomAccessLog`] reads
+//! the whole-range scan — every generation log's full scan, the AUR and
+//! RMW rebuilds at reopen among them — which frames records inside its
+//! 64 KiB read buffer and lends each verified payload in place; [`RandomAccessLog`] reads
 //! records at known locations, neighbours sharing one device read.
 //!
 //! All file access goes through the [`crate::vfs`] seam: the plain

@@ -4,15 +4,15 @@
 //! moments, so neither per-window files (too many) nor eager merging
 //! (wasted CPU) fit. The AUR store instead:
 //!
-//! - appends flushed value groups to a single **global data log** and
-//!   their locations to an append-only **index log** ([`index_log`]);
+//! - appends flushed value groups to a single **global data log**, each
+//!   record naming its window ([`record`]);
 //! - keeps one in-memory **table of live windows** ([`table`]) whose
 //!   entries hold Figure 7's three memory structures: the **Stat table**
 //!   is `ett`/`max_ts`/`disk_bytes` (updated on every append via the
 //!   [`EttPredictor`]), the **write buffer** `buffered`, the **prefetch
 //!   buffer** `prefetched` — so an append, a trigger and a flush probe
-//!   once. Beside them each entry lists its data-log records, 16 B each:
-//!   the paper keeps those locations in the index log only;
+//!   once. Beside them each entry lists its data-log records, 16 B each,
+//!   where the paper keeps those locations in an on-disk index log;
 //! - on a read miss, performs a **predictive batch read**: it takes the
 //!   records the table lists for the requested window *and* for the
 //!   `N = ratio × live-windows` windows closest to triggering, loads them
@@ -27,17 +27,17 @@
 //!   tracked as windows are consumed, and when space amplification
 //!   exceeds the configured MSA the store relocates the live byte ranges
 //!   of the data log into a new generation — raw record bytes out of
-//!   the same extent reads, never decoded (paper §5). Both logs are
-//!   [`GenLog`](crate::genlog)s, which own the files' whole life.
+//!   the same extent reads, never decoded (paper §5). The log is a
+//!   [`GenLog`](crate::genlog), which owns the file's whole life.
 //!
-//! A consumed window's records stay in the logs until compaction, and
+//! A consumed window's records stay in the log until compaction, and
 //! re-appending to the same `(key, window)` must not resurrect them: a
 //! window's live records are exactly those its table entry lists, and a
-//! consumed window's entry is gone. The index log is still written at
-//! every flush — it is the durable record of those lists — but only a
-//! reopen or a restore reads it (`rebuild_from_index`).
+//! consumed window's entry is gone. Those lists live in memory only; a
+//! reopen or a restore rebuilds them from the records' headers with one
+//! scan of the data log (`rebuild_from_log`).
 
-pub mod index_log;
+pub(crate) mod record;
 mod table;
 
 use std::collections::BTreeMap;
@@ -45,9 +45,10 @@ use std::path::Path;
 use std::sync::Arc;
 
 use flowkv_common::backend::ValueSink;
+use flowkv_common::codec::Decoder;
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::{IoRing, Lane, PrefetchProbe};
-use flowkv_common::logfile::{record_payload, RandomAccessLog, RECORD_HEADER_LEN};
+use flowkv_common::logfile::{record_payload, RandomAccessLog};
 use flowkv_common::metrics::{OpCategory, RecordTimer, StoreMetrics};
 use flowkv_common::registry::ViewValue;
 use flowkv_common::telemetry::{Counter, Histogram, Telemetry};
@@ -57,7 +58,7 @@ use flowkv_common::vfs::{StdVfs, Vfs};
 use crate::aar::push_view_value;
 use crate::ett::{EttObservation, EttPredictor};
 use crate::genlog::GenLog;
-use index_log::{IndexEntry, ValueRun};
+use record::{read_header, ValueRun};
 use table::{DiskRecord, LiveTable, Pick};
 
 /// Identifies one window of one key.
@@ -132,16 +133,11 @@ pub struct AurStore {
     /// The data log, `data_<generation>.aurd`: flushed value groups. Its
     /// dead bytes are those of consumed windows.
     data: GenLog,
-    /// The index log, `index_<generation>.auri`: one entry per data
-    /// record. The two are rewritten together, data committed first, and
-    /// on reopen the index's generation decides the pair's.
-    index: GenLog,
     /// Largest tuple timestamp appended so far — the store's view of
     /// stream time; windows with ETT at or before it are already due.
     latest_ts: Timestamp,
-    /// Reusable scratch for encoding flush records (data payloads and
-    /// index entries), so steady-state flushing allocates no per-record
-    /// `Vec<u8>`s.
+    /// Reusable scratch for encoding flush records, so steady-state
+    /// flushing allocates no per-record `Vec<u8>`s.
     encode_buf: Vec<u8>,
     metrics: Arc<StoreMetrics>,
     /// Samples the per-record `append` timer.
@@ -246,20 +242,11 @@ impl AurStore {
     ) -> Result<Self> {
         vfs.create_dir_all(dir)
             .map_err(|e| StoreError::io_at("aur dir", dir, e))?;
-        let index = GenLog::open(Arc::clone(&vfs), dir, "index", "auri", None)?;
-        let data = GenLog::open(
-            Arc::clone(&vfs),
-            dir,
-            "data",
-            "aurd",
-            Some(index.generation()),
-        )?;
         let mut store = AurStore {
             cfg,
             predictor,
             table: LiveTable::default(),
-            data,
-            index,
+            data: GenLog::open(Arc::clone(&vfs), dir, "data", "aurd")?,
             latest_ts: Timestamp::MIN,
             encode_buf: Vec::new(),
             metrics,
@@ -270,7 +257,7 @@ impl AurStore {
             prefetch_probe: None,
             next_prefetch_scan: None,
         };
-        store.rebuild_from_index()?;
+        store.rebuild_from_log()?;
         Ok(store)
     }
 
@@ -439,7 +426,7 @@ impl AurStore {
         }
     }
 
-    /// Flushes the write buffer to the data and index logs.
+    /// Flushes the write buffer to the data log.
     pub fn flush(&mut self) -> Result<()> {
         if self.table.buffer_bytes() == 0 {
             return Ok(());
@@ -450,25 +437,13 @@ impl AurStore {
         // together, so they are written side by side — and a run's
         // device-op sequence (and any fault planted in it) replays.
         self.table.flush_each(|key, window, lw| {
-            lw.buffered.encode_record_into(&mut self.encode_buf);
-            let loc = self.data.append(&self.encode_buf)?;
-            let entry = IndexEntry {
-                key,
-                window,
-                max_ts: lw.max_ts,
-                offset: loc.offset,
-                len: loc.disk_len(),
-                count: lw.buffered.count(),
-            };
-            self.encode_buf.clear();
-            entry.encode_to(&mut self.encode_buf);
-            let index_loc = self.index.append(&self.encode_buf)?;
-            self.metrics
-                .add_bytes_written(loc.disk_len() + index_loc.disk_len());
+            let buf = &mut self.encode_buf;
+            lw.buffered.encode_record_into(key, window, lw.max_ts, buf);
+            let loc = self.data.append(buf)?;
+            self.metrics.add_bytes_written(loc.disk_len());
             Ok(loc)
         })?;
         self.data.flush()?;
-        self.index.flush()?;
         self.metrics.add_flush();
         // The flush extended every resident copy it wrote under.
         self.trim_prefetched(None);
@@ -538,31 +513,29 @@ impl AurStore {
 
     /// The current log generation (bumped by each compaction).
     pub fn generation(&self) -> u64 {
-        self.index.generation()
+        self.data.generation()
     }
 
     /// Writes a self-contained snapshot into `dst`.
     pub fn checkpoint(&mut self, dst: &Path) -> Result<()> {
         self.flush()?;
         // Not the MSA's call: each window's record list lives in memory
-        // only and a restore rebuilds the lists from the index log alone,
-        // so a copy holding dead records would resurrect them. A
-        // checkpoint that is a manifest over the live files (the
+        // only and a restore rebuilds the lists from every record in the
+        // data log, so a copy holding dead records would resurrect them.
+        // A checkpoint that is a manifest over the live files (the
         // ROADMAP's manifest-checkpoint item) has to persist those lists
         // before this rewrite can go.
         if self.data.dead() > 0 {
             self.compact()?;
         }
-        self.data.checkpoint_to(dst, "data.aurd")?;
-        self.index.checkpoint_to(dst, "index.auri")
+        self.data.checkpoint_to(dst, "data.aurd")
     }
 
     /// Replaces the store contents with the snapshot in `src`.
     pub fn restore(&mut self, src: &Path) -> Result<()> {
         self.close()?;
         self.data.restore_from(src, "data.aurd")?;
-        self.index.restore_from(src, "index.auri")?;
-        self.rebuild_from_index()
+        self.rebuild_from_log()
     }
 
     /// Deletes every file of the store and clears its memory.
@@ -574,8 +547,8 @@ impl AurStore {
         self.epoch += 1;
         self.next_prefetch_scan = None;
         self.table = LiveTable::default();
+        self.latest_ts = Timestamp::MIN;
         self.data.destroy();
-        self.index.destroy();
         Ok(())
     }
 
@@ -614,7 +587,7 @@ impl AurStore {
         // On the worker thread, over the store's cached data-log reader.
         let windows = read_windows(self.data.reader()?, picks)?;
         self.install(BatchRead {
-            generation: self.index.generation(),
+            generation: self.data.generation(),
             epoch: self.epoch,
             windows,
         });
@@ -667,7 +640,7 @@ impl AurStore {
     /// later incarnation listing other records), or a flush adding
     /// records (the list grew).
     fn install(&mut self, batch: BatchRead) -> (i64, u64) {
-        let stale = batch.generation != self.index.generation() || batch.epoch != self.epoch;
+        let stale = batch.generation != self.data.generation() || batch.epoch != self.epoch;
         let (mut installed, mut wasted) = (0i64, 0u64);
         for w in batch.windows {
             let current = self
@@ -739,7 +712,7 @@ impl AurStore {
         // the records listed now, all of them behind any later flush.
         self.data.flush()?;
         let data_path = self.data.path();
-        let generation = self.index.generation();
+        let generation = self.data.generation();
         let epoch = self.epoch;
         let keys: Vec<StateKey> = picks.iter().map(|p| (p.key.clone(), p.window)).collect();
         lane.submit(keys, est_bytes, move |vfs| {
@@ -754,48 +727,21 @@ impl AurStore {
     }
 
     /// Rewrites the data log keeping only the records the table lists
-    /// (byte-range relocation without decoding, paper §5), and the index
-    /// log to list them.
+    /// (byte-range relocation without decoding, paper §5).
     fn compact(&mut self) -> Result<()> {
         let _t = self.metrics.timer(OpCategory::Compaction);
-        // Every listed record, in data-log order, with its window.
-        let mut live: Vec<(&[u8], WindowId, Timestamp, DiskRecord)> = Vec::new();
-        for (key, window, lw) in self.table.on_disk() {
-            live.extend(lw.records.iter().map(|&r| (key, window, lw.max_ts, r)));
-        }
-        live.sort_unstable_by_key(|&(.., r)| r.offset);
-        let locations: Vec<(u64, u64)> = live
-            .iter()
-            .map(|(.., r)| (r.offset, r.disk_len()))
+        // Every listed record's `(offset, on-disk length)`, in log order.
+        let mut live: Vec<(u64, u64)> = (self.table.on_disk())
+            .flat_map(|(.., lw)| lw.records.iter().map(|r| (r.offset, r.disk_len())))
             .collect();
+        live.sort_unstable();
         // `(old offset, new offset)`, in old-offset order.
         let mut placed = Vec::with_capacity(live.len());
-        let data = self.data.relocate(&locations, |i, offset| {
-            placed.push((locations[i].0, offset));
+        let data = self.data.relocate(&live, |i, offset| {
+            placed.push((live[i].0, offset));
             Ok(())
         })?;
-        // Each entry carries its window's `max_ts`: a reopen reads that
-        // field only as the window's largest.
-        let payloads = live
-            .iter()
-            .zip(&placed)
-            .map(|(&(key, window, max_ts, r), &(_, offset))| {
-                let mut payload = Vec::new();
-                let entry = IndexEntry {
-                    key,
-                    window,
-                    max_ts,
-                    offset,
-                    len: r.disk_len(),
-                    count: u64::from(r.count),
-                };
-                entry.encode_to(&mut payload);
-                payload
-            });
-        let index = self.index.replace(payloads)?;
-        // Data before index: reopening takes the index's generation for
-        // both, so a fault between the two renames finds the old pair.
-        GenLog::commit([(&mut self.data, data), (&mut self.index, index)])?;
+        self.data.commit(data)?;
         let moved = self.data.total();
         self.metrics.add_bytes_read(moved);
         self.metrics.add_bytes_written(moved);
@@ -804,59 +750,30 @@ impl AurStore {
         Ok(())
     }
 
-    /// Rebuilds the table and byte accounting from the index log.
-    ///
-    /// The two logs spill their buffers independently, so a crash
-    /// mid-flush may leave data records the index never came to list
-    /// (its torn tail is truncated at open) — dead weight for the next
-    /// compaction — or index entries whose data records never reached
-    /// the file: the index ends at the first of those, before new
-    /// appends put other records where they point. An entry no
-    /// [`DiskRecord`] can hold is corruption.
-    fn rebuild_from_index(&mut self) -> Result<()> {
-        self.table = LiveTable::default();
-        self.next_prefetch_scan = None;
-        let mut indexed = 0u64;
-        let data_len = self.data.total();
-        let mut dangling = None;
-        let index_path = self.index.path();
-        self.index.scan(|loc, payload| {
-            let entry = IndexEntry::decode(payload)?;
-            if dangling.is_some() {
-                return Ok(());
-            }
-            let len = entry.len.checked_sub(RECORD_HEADER_LEN);
-            let record = match (len.map(u32::try_from), u32::try_from(entry.count)) {
-                (Some(Ok(len)), Ok(count)) => DiskRecord {
-                    offset: entry.offset,
-                    len,
-                    count,
-                },
-                _ => {
-                    let detail = format!("entry of {} B, {} values", entry.len, entry.count);
-                    return Err(StoreError::corruption(&index_path, loc.offset, detail));
-                }
+    /// Rebuilds the table and `latest_ts` from the headers of the data
+    /// log's records, every one of them live: a consume leaves no mark on
+    /// disk, which is why a checkpoint compacts first. A torn tail was
+    /// cut at open; a record whose count no [`DiskRecord`] can hold is
+    /// corruption.
+    fn rebuild_from_log(&mut self) -> Result<()> {
+        let path = self.data.path();
+        self.data.scan(|loc, payload| {
+            let mut dec = Decoder::new(payload);
+            let (key, window, max_ts) = read_header(&mut dec)?;
+            let count = dec.get_varint_u64()?;
+            let count = u32::try_from(count).map_err(|_| {
+                StoreError::corruption(&path, loc.offset, format!("record of {count} values"))
+            })?;
+            self.latest_ts = self.latest_ts.max(max_ts);
+            let record = DiskRecord {
+                offset: loc.offset,
+                len: loc.len,
+                count,
             };
-            if entry.offset.saturating_add(entry.len) > data_len {
-                dangling = Some(loc.offset);
-                return Ok(());
-            }
-            self.latest_ts = self.latest_ts.max(entry.max_ts);
-            self.table.rebuild_entry(
-                entry.key,
-                entry.window,
-                entry.max_ts,
-                record,
-                &self.predictor,
-            );
-            indexed += entry.len;
+            self.table
+                .rebuild_entry(key, window, max_ts, record, &self.predictor);
             Ok(())
-        })?;
-        if let Some(at) = dangling {
-            self.index.truncate(at)?;
-        }
-        self.data.retire(data_len.saturating_sub(indexed));
-        Ok(())
+        })
     }
 }
 
@@ -1157,7 +1074,7 @@ mod tests {
         s.append(b"live", w(0, 100), b"d2", 20).unwrap();
         s.flush().unwrap();
         s.append(b"live", w(0, 100), b"mem", 30).unwrap();
-        // Consume one window so its index entries become a dead prefix.
+        // Consume one window so its record is dead in the data log.
         s.take(b"gone", w(0, 100)).unwrap();
 
         let mut view = BTreeMap::new();
@@ -1190,6 +1107,9 @@ mod tests {
         s.flush().unwrap();
         s.take(b"dead", w(0, 100)).unwrap();
         s.checkpoint(ckpt.path()).unwrap();
+        // One log file in the store and one in the checkpoint.
+        assert_eq!(StdVfs.read_dir_names(dir.path()).unwrap(), ["data_1.aurd"]);
+        assert_eq!(StdVfs.read_dir_names(ckpt.path()).unwrap(), ["data.aurd"]);
         s.append(b"k", w(0, 100), b"lost", 20).unwrap();
         s.restore(ckpt.path()).unwrap();
         assert_eq!(s.take(b"k", w(0, 100)).unwrap(), vec![b"v1".to_vec()]);
@@ -1244,41 +1164,38 @@ mod tests {
             s.append(b"k", w(0, 100), b"v", 42).unwrap();
             s.flush().unwrap();
             s.data.sync().unwrap();
-            s.index.sync().unwrap();
         }
         let mut s = session_store(dir.path(), cfg_small());
-        // ETT rebuilt from the persisted max_ts: 42 + gap 100.
+        // ETT rebuilt from the record's max_ts: 42 + gap 100.
         assert_eq!(s.table.get(b"k", w(0, 100)).unwrap().ett, Some(142));
         assert_eq!(s.take(b"k", w(0, 100)).unwrap(), vec![b"v".to_vec()]);
     }
 
     #[test]
     fn reopen_rejects_an_entry_no_listed_record_can_hold() {
-        let over_u32 = u64::from(u32::MAX) + 1;
+        use flowkv_common::codec::{put_len_prefixed, put_varint_i64, put_varint_u64};
+        // Records the log's framing and checksum accept, whose headers
+        // name no window a `DiskRecord` can be listed under.
+        let mut cut_window = Vec::new();
+        put_len_prefixed(&mut cut_window, &w(0, 100).to_ordered_bytes()[..9]);
+        let mut no_max_ts = Vec::new();
+        record::put_composite(&mut no_max_ts, b"bad", w(0, 100));
+        let mut count_past_u32 = no_max_ts.clone();
+        put_varint_i64(&mut count_past_u32, 42);
+        put_varint_u64(&mut count_past_u32, u64::from(u32::MAX) + 1);
         let cases = [
-            ("length below a record header", RECORD_HEADER_LEN - 1, 1),
-            ("length past u32", RECORD_HEADER_LEN + over_u32, 1),
-            ("count past u32", RECORD_HEADER_LEN + 3, over_u32),
+            ("composite cut inside its window", cut_window),
+            ("header cut before max_ts", no_max_ts),
+            ("count past u32", count_past_u32),
         ];
-        for (name, len, count) in cases {
-            let dir = ScratchDir::new("aur-bad-entry").unwrap();
+        for (name, payload) in cases {
+            let dir = ScratchDir::new("aur-bad-record").unwrap();
             {
                 let mut s = session_store(dir.path(), cfg_small());
                 s.append(b"k", w(0, 100), b"v", 42).unwrap();
                 s.flush().unwrap();
-                let entry = IndexEntry {
-                    key: b"bad",
-                    window: w(0, 100),
-                    max_ts: 42,
-                    offset: 0,
-                    len,
-                    count,
-                };
-                let mut payload = Vec::new();
-                entry.encode_to(&mut payload);
-                s.index.append(&payload).unwrap();
+                s.data.append(&payload).unwrap();
                 s.data.sync().unwrap();
-                s.index.sync().unwrap();
             }
             let reopened = AurStore::open(
                 dir.path(),
@@ -1291,6 +1208,37 @@ mod tests {
                 Ok(_) => panic!("{name}: reopened"),
             }
         }
+    }
+
+    #[test]
+    fn a_restore_forgets_the_stream_time_the_store_ran_ahead_to() {
+        // Two stores restored from one checkpoint, one of them after it
+        // ran far past every window's ETT: the first take loads the same
+        // windows in both.
+        let ckpt = ScratchDir::new("aur-restore-ts-ckpt").unwrap();
+        let cfg = AurConfig {
+            read_batch_ratio: 0.1,
+            ..cfg_small()
+        };
+        let dir = ScratchDir::new("aur-restore-ts").unwrap();
+        let mut ahead = session_store(dir.path(), cfg.clone());
+        for i in 0..20 {
+            let key = format!("k{i:02}");
+            ahead.append(key.as_bytes(), W, b"v", 10 * i).unwrap();
+        }
+        ahead.checkpoint(ckpt.path()).unwrap();
+        ahead.append(b"late", W, b"v", 100_000).unwrap();
+        ahead.restore(ckpt.path()).unwrap();
+        let fresh_dir = ScratchDir::new("aur-restore-ts-fresh").unwrap();
+        let mut fresh = session_store(fresh_dir.path(), cfg);
+        fresh.restore(ckpt.path()).unwrap();
+        let first_take = |s: &mut AurStore| {
+            assert_eq!(s.take(b"k00", W).unwrap(), [b"v"]);
+            (s.prefetched_windows(), s.metrics.snapshot().prefetch_misses)
+        };
+        // Due by the checkpoint's stream time (190): ETTs 110 – 190.
+        assert_eq!(first_take(&mut fresh), (9, 1));
+        assert_eq!(first_take(&mut ahead), (9, 1));
     }
 
     fn ring_store(dir: &Path) -> (AurStore, Arc<IoRing>) {
@@ -1372,14 +1320,11 @@ mod tests {
             name: "byte limit before a torn tail",
             build: |s| {
                 append_flushed(s, &[(b"a", b"a1", 10), (b"b", b"b1", 20)]);
-                // Half a record header past the index writer's offset:
+                // Half a record header past the data writer's offset:
                 // no read while the store runs may go there.
                 use std::io::Write as _;
-                let index = s.index.path();
-                let mut file = std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(index)
-                    .unwrap();
+                let data = s.data.path();
+                let mut file = std::fs::OpenOptions::new().append(true).open(data).unwrap();
                 file.write_all(&[0xAB; 5]).unwrap();
             },
             live: &[(b"a", &[b"a1"]), (b"b", &[b"b1"])],
@@ -1603,9 +1548,13 @@ mod tests {
     /// Device work of a scripted run — appends filling four flushes, 20
     /// batch-read misses, a compaction, a drain — counted at the `Vfs`.
     /// `crash_matrix`'s forward probes rely on a store-call sequence
-    /// mapping to one device-op sequence, so the count is pinned. No read
-    /// touches the index log, so a miss and the compaction issue data-log
-    /// ops only.
+    /// mapping to one device-op sequence, so the count is pinned. It was
+    /// 90 beside an index log, whose ops went: its create and four
+    /// writes at the flushes, its rewrite at the compaction (create,
+    /// write, sync, rename, remove). Each data record now names its
+    /// window (~26 B here), which puts the four flushes' runs of a batch
+    /// read's picks more than the 4 KiB extent gap apart, so the reads
+    /// pay 55 more extents: 51 in the misses, 4 in the compaction.
     #[test]
     fn a_scripted_run_issues_a_pinned_number_of_device_ops() {
         use flowkv_common::vfs::FaultVfs;
@@ -1641,7 +1590,10 @@ mod tests {
         }
         let m = s.metrics.snapshot();
         assert_eq!((m.flushes, m.compactions), (4, 1), "{m:?}");
-        assert_eq!(counting.ops(), 90);
+        // The flushes' records and the compaction's copy: 42 680 B with
+        // the index entries beside them.
+        assert_eq!(m.bytes_written, 36_112);
+        assert_eq!(counting.ops(), 135);
     }
 
     #[test]

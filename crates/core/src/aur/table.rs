@@ -6,20 +6,19 @@
 //! the **prefetch buffer**, so an append, a trigger and a flush cost one
 //! probe. Unlike the paper, the row also lists where its data sits: one
 //! [`DiskRecord`] (16 B) per data-log record, so every read goes straight
-//! to them and no running read walks the index log. A window's live
-//! records are exactly those its row lists; a consumed window's are in
-//! no row.
+//! to them and the store keeps no index log. A window's live records are
+//! exactly those its row lists; a consumed window's are in no row.
 
 use flowkv_common::backend::ValueSink;
 use flowkv_common::error::Result;
 use flowkv_common::logfile::{RecordLocation, RECORD_HEADER_LEN};
 use flowkv_common::types::{Timestamp, WindowId};
 
-use super::index_log::ValueRun;
+use super::record::ValueRun;
 use crate::ett::EttPredictor;
 use crate::table::WindowMap;
 
-/// One data-log record of a live window: what its index entry says of it.
+/// One data-log record of a live window: where it sits and what it holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DiskRecord {
     /// Offset of the record in the data log.
@@ -149,9 +148,9 @@ impl LiveTable {
         });
     }
 
-    /// Rebuilds one window's bookkeeping from a recovered index entry:
-    /// the persisted `max_ts` re-derives the trigger-time estimate, and
-    /// the entry's record joins the window's list.
+    /// Rebuilds one window's bookkeeping from a recovered data record:
+    /// the `max_ts` in its header re-derives the trigger-time estimate,
+    /// and the record joins the window's list.
     pub fn rebuild_entry(
         &mut self,
         key: &[u8],

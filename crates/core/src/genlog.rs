@@ -1,7 +1,7 @@
 //! One compactable append-only log, kept as a sequence of *generations*.
 //!
-//! AUR's data and index logs, RMW's value log and the tier's cold log
-//! share one on-disk life (paper §4.2/§4.3, §5, §8): records are appended
+//! AUR's data log, RMW's value log and the tier's cold log share one
+//! on-disk life (paper §4.2/§4.3, §5, §8): records are appended
 //! to `<stem>_<generation>.<ext>` until dead bytes dominate, then the live
 //! ones are rewritten into generation + 1. [`GenLog`] owns all of it but
 //! the record *content*: name, recovery at open, writer and reader,
@@ -45,14 +45,13 @@ pub(crate) struct Staged {
 
 impl GenLog {
     /// Opens the log `<stem>_<N>.<ext>` in the existing `dir` at its
-    /// highest generation — or at `pin`, when another log decides it —
-    /// deleting every other generation and temp, truncating a torn tail.
+    /// highest generation, deleting every other generation and temp,
+    /// truncating a torn tail.
     pub(crate) fn open(
         vfs: Arc<dyn Vfs>,
         dir: &Path,
         stem: &'static str,
         ext: &'static str,
-        pin: Option<u64>,
     ) -> Result<Self> {
         let names = vfs
             .read_dir_names(dir)
@@ -72,7 +71,7 @@ impl GenLog {
             .filter_map(|name| log.parse_name(&name).map(|generation| (name, generation)))
             .collect();
         let highest = own.iter().filter_map(|(_, generation)| *generation).max();
-        log.generation = pin.or(highest).unwrap_or(0);
+        log.generation = highest.unwrap_or(0);
         for (name, generation) in own {
             if generation != Some(log.generation) {
                 let _ = log.vfs.remove_file(&log.dir.join(name));
@@ -157,24 +156,23 @@ impl GenLog {
         Ok(self.reader.as_mut().expect("opened above"))
     }
 
-    /// Hands every record of the log to `each`, in log order.
+    /// Hands every record of the log to `each`, in log order. A payload
+    /// `each` fails to decode is corruption at the record's offset.
     pub(crate) fn scan(
         &mut self,
-        each: impl FnMut(RecordLocation, &[u8]) -> Result<()>,
+        mut each: impl FnMut(RecordLocation, &[u8]) -> Result<()>,
     ) -> Result<()> {
-        match self.flushed_path()? {
-            Some(path) => scan_records_in(&self.vfs, &path, 0, u64::MAX, each),
-            None => Ok(()),
-        }
-    }
-
-    /// Cuts the log back to its first `len` bytes, a record boundary.
-    pub(crate) fn truncate(&mut self, len: u64) -> Result<()> {
-        (self.writer, self.reader) = (None, None);
-        let path = self.path();
-        let cut = self.vfs.open_rw(&path).and_then(|file| file.set_len(len));
-        cut.map_err(|e| StoreError::io_at("log truncate", path, e))?;
-        self.adopt()
+        let Some(path) = self.flushed_path()? else {
+            return Ok(());
+        };
+        scan_records_in(&self.vfs, &path, 0, u64::MAX, |loc, payload| {
+            each(loc, payload).map_err(|e| match e {
+                StoreError::UnexpectedEof { .. } | StoreError::VarintOverflow => {
+                    StoreError::corruption(&path, loc.offset, e.to_string())
+                }
+                e => e,
+            })
+        })
     }
 
     /// Marks `bytes` of the log dead: the store no longer refers to them.
@@ -189,65 +187,39 @@ impl GenLog {
         self.dead > 0 && total >= floor && (live == 0 || total as f64 / live as f64 > msa)
     }
 
-    /// Writes what `fill` appends as the next generation's temp, synced.
-    fn stage(
-        &mut self,
-        fill: impl FnOnce(&mut Self, &mut LogWriter) -> Result<()>,
-    ) -> Result<Staged> {
-        let generation = self.generation + 1;
-        let tmp = self.dir.join(self.file_name(generation) + ".tmp");
-        let mut writer = LogWriter::create_in(&self.vfs, tmp)?;
-        fill(self, &mut writer)?;
-        writer.sync()?;
-        Ok(Staged { generation, writer })
-    }
-
     /// Stages a rewrite of the records at `live` — `(offset, on-disk
     /// length)`, offset-sorted by callers so the copy is one pass — as
-    /// verified raw bytes (paper §5); `moved(i, o)`: `live[i]` is now at `o`.
+    /// verified raw bytes (paper §5) in the next generation's temp,
+    /// synced; `moved(i, o)`: `live[i]` is now at `o`.
     pub(crate) fn relocate(
         &mut self,
         live: &[(u64, u64)],
         mut moved: impl FnMut(usize, u64) -> Result<()>,
     ) -> Result<Staged> {
-        self.stage(|log, writer| match live {
-            [] => Ok(()),
-            _ => log.reader()?.read_records(live, |i, record| {
+        let generation = self.generation + 1;
+        let tmp = self.dir.join(self.file_name(generation) + ".tmp");
+        let mut writer = LogWriter::create_in(&self.vfs, tmp)?;
+        if !live.is_empty() {
+            self.reader()?.read_records(live, |i, record| {
                 moved(i, writer.append(record_payload(record))?.offset)
-            }),
-        })
+            })?;
+        }
+        writer.sync()?;
+        Ok(Staged { generation, writer })
     }
 
-    /// Stages a rewrite holding exactly `payloads`, one record each.
-    pub(crate) fn replace<P: AsRef<[u8]>>(
-        &mut self,
-        payloads: impl IntoIterator<Item = P>,
-    ) -> Result<Staged> {
-        let mut payloads = payloads.into_iter();
-        self.stage(|_, writer| payloads.try_for_each(|p| writer.append(p.as_ref()).map(drop)))
-    }
-
-    /// Makes each rewrite its log's current generation, in the order
-    /// given: one rename per log, no previous file removed before the
-    /// last. A group so committed reopens consistently if the *last*
-    /// log's generation is taken as authoritative.
-    pub(crate) fn commit<'a>(
-        rewrites: impl IntoIterator<Item = (&'a mut GenLog, Staged)>,
-    ) -> Result<()> {
-        let mut previous = Vec::new();
-        for (log, staged) in rewrites {
-            let path = log.dir.join(log.file_name(staged.generation));
-            log.vfs
-                .rename(staged.writer.path(), &path)
-                .map_err(|e| StoreError::io_at("log commit rename", &path, e))?;
-            previous.push((Arc::clone(&log.vfs), log.path()));
-            // The writer's handle follows the file across the rename.
-            (log.generation, log.writer) = (staged.generation, Some(staged.writer));
-            (log.reader, log.dead) = (None, 0);
-        }
-        for (vfs, path) in previous {
-            let _ = vfs.remove_file(&path);
-        }
+    /// Makes a staged rewrite the current generation with one rename,
+    /// then removes the previous file.
+    pub(crate) fn commit(&mut self, staged: Staged) -> Result<()> {
+        let path = self.dir.join(self.file_name(staged.generation));
+        self.vfs
+            .rename(staged.writer.path(), &path)
+            .map_err(|e| StoreError::io_at("log commit rename", &path, e))?;
+        let previous = self.path();
+        // The writer's handle follows the file across the rename.
+        (self.generation, self.writer) = (staged.generation, Some(staged.writer));
+        (self.reader, self.dead) = (None, 0);
+        let _ = self.vfs.remove_file(&previous);
         Ok(())
     }
 
@@ -425,12 +397,12 @@ pub(crate) mod tests {
         );
     }
 
-    fn open_in(vfs: Arc<dyn Vfs>, dir: &Path, pin: Option<u64>) -> GenLog {
-        GenLog::open(vfs, dir, "data", "aurd", pin).unwrap()
+    fn open_in(vfs: Arc<dyn Vfs>, dir: &Path) -> GenLog {
+        GenLog::open(vfs, dir, "data", "aurd").unwrap()
     }
 
-    fn open(dir: &Path, pin: Option<u64>) -> GenLog {
-        open_in(StdVfs::shared(), dir, pin)
+    fn open(dir: &Path) -> GenLog {
+        open_in(StdVfs::shared(), dir)
     }
 
     /// Every payload of the log, in order.
@@ -453,7 +425,7 @@ pub(crate) mod tests {
     #[test]
     fn names_round_trip_and_foreign_names_are_left_alone() {
         let dir = ScratchDir::new("genlog-names").unwrap();
-        let log = open(dir.path(), None);
+        let log = open(dir.path());
         for generation in [0, 7, u64::MAX] {
             let name = log.file_name(generation);
             assert_eq!(log.parse_name(&name), Some(Some(generation)), "{name}");
@@ -461,7 +433,7 @@ pub(crate) mod tests {
         }
         assert_eq!(log.file_name(3), "data_3.aurd");
         for foreign in [
-            "index_3.auri",
+            "agg_3.rmw",
             "data_3.auri",
             "data_x.aurd",
             "data_3.aurd.bak",
@@ -485,27 +457,18 @@ pub(crate) mod tests {
         write("data_3.aurd", b"three");
         write("data_4.aurd.tmp", b"staged, never committed");
         write("data_2.aurd.tmp", b"older temp");
-        write("index_9.auri", b"another log's file");
+        write("agg_9.rmw", b"another log's file");
 
-        let mut log = open(dir.path(), None);
+        let mut log = open(dir.path());
         assert_eq!(log.generation(), 3);
         assert_eq!(payloads(&mut log), vec![b"three".to_vec()]);
-        assert_eq!(names(dir.path()), ["data_3.aurd", "index_9.auri"]);
-        drop(log);
-
-        // A pinned log follows the generation it is told, not the
-        // highest it finds: the other side of a group commit decided.
-        write("data_4.aurd", b"committed ahead of its index");
-        let mut log = open(dir.path(), Some(3));
-        assert_eq!(log.generation(), 3);
-        assert_eq!(payloads(&mut log), vec![b"three".to_vec()]);
-        assert_eq!(names(dir.path()), ["data_3.aurd", "index_9.auri"]);
+        assert_eq!(names(dir.path()), ["agg_9.rmw", "data_3.aurd"]);
     }
 
     #[test]
     fn a_torn_tail_is_truncated_at_open() {
         let dir = ScratchDir::new("genlog-torn").unwrap();
-        let mut log = open(dir.path(), None);
+        let mut log = open(dir.path());
         let intact = log.append(b"intact").unwrap();
         let torn = log.append(b"will be torn").unwrap();
         log.flush().unwrap();
@@ -515,7 +478,7 @@ pub(crate) mod tests {
         file.set_len(torn.offset + torn.disk_len() / 2).unwrap();
         drop(file);
 
-        let mut log = open(dir.path(), None);
+        let mut log = open(dir.path());
         assert_eq!(log.total(), intact.end_offset());
         assert_eq!(std::fs::metadata(&path).unwrap().len(), intact.end_offset());
         assert_eq!(log.append(b"after").unwrap().offset, torn.offset);
@@ -528,7 +491,7 @@ pub(crate) mod tests {
     #[test]
     fn relocate_reports_every_offset_and_moves_the_original_bytes() {
         let dir = ScratchDir::new("genlog-relocate").unwrap();
-        let mut log = open(dir.path(), None);
+        let mut log = open(dir.path());
         let records: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 10 + 50 * i as usize]).collect();
         let locs: Vec<RecordLocation> = records.iter().map(|r| log.append(r).unwrap()).collect();
         log.flush().unwrap();
@@ -555,7 +518,7 @@ pub(crate) mod tests {
         // Staged, not current: the old generation is untouched.
         assert_eq!((log.generation(), log.path()), (0, old_path.clone()));
         assert_eq!(names(dir.path()), ["data_0.aurd", "data_1.aurd.tmp"]);
-        GenLog::commit([(&mut log, staged)]).unwrap();
+        log.commit(staged).unwrap();
         assert_eq!(names(dir.path()), ["data_1.aurd"]);
         assert_eq!((log.generation(), log.dead()), (1, 0));
 
@@ -584,54 +547,44 @@ pub(crate) mod tests {
             .unwrap();
         assert_eq!(read, records[2]);
         drop(log);
-        let mut log = open(dir.path(), None);
+        let mut log = open(dir.path());
         let mut all: Vec<Vec<u8>> = live.iter().map(|&i| records[i].clone()).collect();
         all.push(b"next".to_vec());
         assert_eq!(payloads(&mut log), all);
     }
 
     #[test]
-    fn a_group_commit_cut_short_reopens_the_old_pair() {
-        // Two logs rewritten together, the second's generation
-        // authoritative — AUR's data and index. An `ENOSPC` on the second
-        // rename leaves data at 1 and index at 0 on disk.
-        let dir = ScratchDir::new("genlog-group").unwrap();
-        let pair = |vfs: Arc<dyn Vfs>| {
-            let index = GenLog::open(Arc::clone(&vfs), dir.path(), "index", "auri", None).unwrap();
-            let data = open_in(vfs, dir.path(), Some(index.generation()));
-            (data, index)
+    fn a_commit_cut_short_reopens_the_old_generation() {
+        // An `ENOSPC` at any op of a rewrite leaves the log whole at the
+        // old generation or at the new one.
+        let dir = ScratchDir::new("genlog-commit").unwrap();
+        let rewrite = |log: &mut GenLog| {
+            let staged = log.relocate(&[(0, log.total())], |_, _| Ok(()))?;
+            log.commit(staged)
         };
         let counting = FaultVfs::counting(StdVfs::shared());
-        let (mut data, mut index) = pair(counting.clone());
-        data.append(b"value").unwrap();
-        index.append(b"entry").unwrap();
-        let rewrite = |data: &mut GenLog, index: &mut GenLog| {
-            let d = data.replace(&[b"value".to_vec()])?;
-            let i = index.replace(&[b"entry".to_vec()])?;
-            GenLog::commit([(data, d), (index, i)])
-        };
+        let mut log = open_in(counting.clone(), dir.path());
+        log.append(b"value").unwrap();
         let before = counting.ops();
-        rewrite(&mut data, &mut index).unwrap();
+        rewrite(&mut log).unwrap();
         let ops = counting.ops() - before;
-        assert_eq!((data.generation(), index.generation()), (1, 1));
-        drop((data, index));
+        assert_eq!(log.generation(), 1);
+        drop(log);
 
         let mut cut_short = 0;
         for op in 1..=ops {
             // Opening costs ops too, as many as the files on disk make it.
             let counting = FaultVfs::counting(StdVfs::shared());
-            drop(pair(counting.clone()));
+            drop(open_in(counting.clone(), dir.path()));
             let plan = FaultPlan::new().with_fault(counting.ops() + op, FaultKind::Enospc);
-            let (mut data, mut index) = pair(FaultVfs::new(StdVfs::shared(), plan));
-            let from = index.generation();
-            let failed = rewrite(&mut data, &mut index).is_err();
-            drop((data, index));
-            let (mut data, mut index) = pair(StdVfs::shared());
-            assert_eq!(data.generation(), index.generation(), "fault at op {op}");
+            let mut log = open_in(FaultVfs::new(StdVfs::shared(), plan), dir.path());
+            let from = log.generation();
+            let failed = rewrite(&mut log).is_err();
+            drop(log);
+            let mut log = open(dir.path());
             let expect = if failed { from } else { from + 1 };
-            assert_eq!(index.generation(), expect, "fault at op {op}");
-            assert_eq!(payloads(&mut data), vec![b"value".to_vec()], "op {op}");
-            assert_eq!(payloads(&mut index), vec![b"entry".to_vec()], "op {op}");
+            assert_eq!(log.generation(), expect, "fault at op {op}");
+            assert_eq!(payloads(&mut log), vec![b"value".to_vec()], "op {op}");
             cut_short += u32::from(failed);
         }
         assert!(cut_short >= 4, "{cut_short} of {ops} faults surfaced");
@@ -640,7 +593,7 @@ pub(crate) mod tests {
     #[test]
     fn the_rewrite_rule_is_amplification_past_a_floor() {
         let dir = ScratchDir::new("genlog-rule").unwrap();
-        let mut log = open(dir.path(), None);
+        let mut log = open(dir.path());
         // (total, dead, msa, floor) → rewrite?
         let table = [
             ((0, 0, 1.5, 0), false),       // empty

@@ -14,8 +14,9 @@
 //!   [`rmw::RmwStore`] (read-modify-write).
 //! - Each store deploys data layouts shaped by window boundaries rather
 //!   than by keys alone (*leveraging how*, paper §4): per-window log
-//!   files for AAR, a global data log plus an append-only index log for
-//!   AUR, a hash index for RMW.
+//!   files for AAR, a global data log for AUR (whose records name their
+//!   window, so it needs none of the paper's index log beside it), a
+//!   hash index for RMW.
 //! - The AUR store predicts each window's trigger time from window
 //!   semantics and tuple timestamps ([`ett`]) and prefetches the windows
 //!   about to trigger in one sequential batch (*leveraging when*,

@@ -28,7 +28,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use flowkv_common::backend::AggregateUpdate;
-use flowkv_common::codec::{put_len_prefixed, put_varint_u64, Decoder};
+use flowkv_common::codec::{put_len_prefixed, Decoder};
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::logfile::record_payload;
 use flowkv_common::metrics::{OpCategory, RecordTimer, StoreMetrics};
@@ -36,6 +36,7 @@ use flowkv_common::registry::ViewValue;
 use flowkv_common::types::{Timestamp, WindowId};
 use flowkv_common::vfs::{StdVfs, Vfs};
 
+use crate::aur::record::{put_composite, split_composite};
 use crate::genlog::GenLog;
 use crate::table::WindowMap;
 
@@ -55,21 +56,6 @@ impl Default for RmwConfig {
             max_space_amplification: 1.5,
         }
     }
-}
-
-/// Appends the length-prefixed composite key `window ‖ user-key` a log
-/// record starts with; composites sort as `(window, key)` does.
-fn put_composite(out: &mut Vec<u8>, key: &[u8], window: WindowId) {
-    put_varint_u64(out, (WindowId::ENCODED_LEN + key.len()) as u64);
-    out.extend_from_slice(&window.to_ordered_bytes());
-    out.extend_from_slice(key);
-}
-
-/// Splits a composite key back into `(user-key, window)`.
-fn split_composite(composite: &[u8]) -> Result<(&[u8], WindowId)> {
-    // Decoding the window checks the length.
-    let window = WindowId::from_ordered_bytes(composite)?;
-    Ok((&composite[WindowId::ENCODED_LEN..], window))
 }
 
 /// What a dirty aggregate of `aggregate_len` bytes counts toward the
@@ -116,7 +102,7 @@ impl RmwStore {
             buffer: WindowMap::default(),
             buffer_bytes: 0,
             index: WindowMap::default(),
-            log: GenLog::open(vfs, dir, "agg", "rmw", None)?,
+            log: GenLog::open(vfs, dir, "agg", "rmw")?,
             encode_buf: Vec::new(),
             metrics,
             write_timer: RecordTimer::default(),
@@ -351,7 +337,7 @@ impl RmwStore {
             offsets[i] = offset;
             Ok(())
         })?;
-        GenLog::commit([(&mut self.log, staged)])?;
+        self.log.commit(staged)?;
         for (at, offset) in live.into_iter().zip(offsets) {
             at.0 = offset;
         }

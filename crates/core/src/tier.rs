@@ -315,7 +315,7 @@ impl TieredStore {
             .map_err(|e| StoreError::io_at("tier dir", &cold_dir, e))?;
         // No index outlives the process except inside a checkpoint:
         // whatever a previous incarnation left in the log is dead.
-        let mut log = GenLog::open(Arc::clone(&vfs), &cold_dir, "cold", "log", None)?;
+        let mut log = GenLog::open(Arc::clone(&vfs), &cold_dir, "cold", "log")?;
         log.retire(log.total());
         let mut lane = Lane::inline(Arc::clone(&vfs));
         if let Some(ring) = &ctx.io {
@@ -746,7 +746,7 @@ impl TieredStore {
             Ok(())
         })?;
         let reclaimed = self.log.dead();
-        GenLog::commit([(&mut self.log, staged)])?;
+        self.log.commit(staged)?;
         for ((_, window, at), offset) in live.into_iter().zip(offsets) {
             let block = &mut self.index.get_mut(&window).expect("indexed above")[at];
             block.offset = offset + RECORD_HEADER_LEN;

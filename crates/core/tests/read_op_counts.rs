@@ -140,9 +140,9 @@ fn an_append_after_a_landed_ring_read_pays_no_device_op() {
     assert_a_take_after_appends_is_free(&mut store, &counting);
 }
 
-/// Windows served by read-ahead leave dead index entries like any other:
-/// after thousands of ring hits, a miss reads its own record — listed in
-/// its window's row — and none of the index, dead from end to end.
+/// Windows served by read-ahead leave dead records like any other: after
+/// thousands of ring hits, a miss reads its own record — listed in its
+/// window's row — and none of the dead ones before it.
 #[test]
 fn a_miss_after_ring_served_takes_skips_the_dead_index() {
     const SERVED: u32 = 4_000;
@@ -177,7 +177,7 @@ fn a_miss_after_ring_served_takes_skips_the_dead_index() {
     let before = counting.ops();
     assert_eq!(store.take(b"late", window()).unwrap(), [b"late"]);
     let ops = counting.ops() - before;
-    // Data open and one data read at most: a miss reads no index.
+    // Data open and one data read at most: a miss reads no dead record.
     assert!(ops <= 4, "the miss cost {ops} device ops");
     assert_eq!(metrics.snapshot().prefetch_misses, 1);
 }
@@ -319,8 +319,11 @@ fn observe(io_threads: usize, fault_at: Option<u64>, op: LaneOp) -> (u64, u64, S
 #[test]
 fn view_and_compaction_issue_the_same_ops_at_lane_width_0_and_2() {
     // The view opens the data log and reads its live records in one
-    // extent; the compaction's count is the checkpoint's whole rewrite.
-    for (op, pinned) in [(view_op as LaneOp, 2), (compact_op, 17)] {
+    // extent; the compaction's count is the checkpoint's whole rewrite
+    // of the one log and its copy. 17 while an index log stood beside
+    // it: its rewrite (create, write, sync, rename, remove) and its copy
+    // (sync, directory, copy) are the 8 ops that went.
+    for (op, pinned) in [(view_op as LaneOp, 2), (compact_op, 9)] {
         let clean = observe(0, None, op);
         assert_eq!(observe(2, None, op), clean);
         let (setup_ops, ops, _) = clean;

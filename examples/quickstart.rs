@@ -54,14 +54,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     store.close()?;
 
     // 2. Append + Unaligned Read: session windows per key. FlowKV uses a
-    //    global data log + index log and predicts trigger times.
+    //    global data log, each record naming its window, and predicts
+    //    trigger times.
     let aur = OperatorSemantics::new(AggregateKind::FullList, WindowKind::Session { gap: 5_000 });
     let mut store = FlowKvStore::open(&dir.path().join("aur"), aur, FlowKvConfig::default())?;
     println!("session-window + full-list -> pattern {}", store.pattern());
     let session = WindowId::new(10_000, 15_000);
     store.append(b"alice", session, b"click-1", 10_000)?;
     store.append(b"alice", session, b"click-2", 12_500)?;
-    store.flush()?; // Spill to the data + index logs.
+    store.flush()?; // Spill to the data log.
     let values = store.take_values(b"alice", session)?;
     println!(
         "  session {session}: {} events recovered from disk",

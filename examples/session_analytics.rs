@@ -63,8 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .build();
 
-    // A small write buffer forces the state through FlowKV's data and
-    // index logs, exercising predictive batch read.
+    // A small write buffer forces the state through FlowKV's data log,
+    // exercising predictive batch read.
     let config = FlowKvConfig::default()
         .with_write_buffer_bytes(64 << 10)
         .with_read_batch_ratio(0.02);

@@ -9,9 +9,10 @@
 //! A fault mid-compaction falls under the same contract: whichever op of
 //! the rewrite it lands on, the store reopens and every entry that was
 //! live, unconsumed and flushed before the fault reads back exactly. So
-//! does a fault inside an AUR flush, whose two logs spill their buffers
-//! independently: whichever got further, what earlier flushes wrote reads
-//! back and what the torn one wrote is served whole or not at all.
+//! does a fault inside an AUR flush, whose records reach the data log a
+//! writer buffer at a time: what earlier flushes wrote reads back and
+//! what the torn one wrote is served record by record, whole or not at
+//! all.
 
 mod common;
 
@@ -61,7 +62,7 @@ fn w(start: i64, end: i64) -> WindowId {
 }
 
 #[test]
-fn aur_survives_torn_index_tail() {
+fn aur_survives_torn_data_tail() {
     let dir = ScratchDir::new("crash-aur").unwrap();
     let cfg = AurConfig {
         write_buffer_bytes: 1 << 20,
@@ -86,13 +87,13 @@ fn aur_survives_torn_index_tail() {
             .unwrap();
         }
         s.flush().unwrap();
-        // Another flush whose index record we will tear in half.
+        // Another flush, whose one data record we will tear.
         s.append(b"torn-key", w(0, 100), b"torn-value", 99).unwrap();
         s.flush().unwrap();
         // The store is dropped without sync: simulate the crash by
         // tearing the tail of the durable file directly.
     }
-    tear_tail(dir.path(), ".auri", 5);
+    tear_tail(dir.path(), ".aurd", 5);
 
     let mut s = AurStore::open(
         dir.path(),
@@ -358,9 +359,8 @@ fn aur_survives_a_fault_at_every_op_of_a_compaction() {
 }
 
 /// Windows the swept flush writes; with `FLUSH_VALUE`-byte values its
-/// data records fill the log writer's buffer several times over while
-/// its index entries fit in theirs, so the two logs reach the file at
-/// different ops.
+/// data records fill the log writer's buffer several times over, so the
+/// flush reaches the file over several ops.
 const FLUSH_WINDOWS: u32 = 48;
 const FLUSH_VALUE: usize = 600;
 
@@ -418,7 +418,7 @@ fn aur_survives_a_fault_at_every_op_of_a_flush() {
                     "aur-flush, {after}: doomed key {i}"
                 );
             }
-            // The logs take appends where the torn flush left them.
+            // The log takes appends where the torn flush left them.
             s.append(b"after", w(0, 100), b"reopen", 3).unwrap();
             s.flush().unwrap();
             assert_eq!(s.take(b"after", w(0, 100)).unwrap(), [b"reopen"]);
