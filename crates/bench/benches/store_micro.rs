@@ -751,65 +751,102 @@ fn bench_tier_aar_cycle(c: &mut Criterion) {
 }
 
 /// What a served RMW worker pays per watermark beyond its store calls:
-/// 1 000 rounds of 100 take/put cycles on 100 distinct keys over 1 k,
+/// 1 000 rounds of 100 read-modify-writes on 100 distinct keys over 1 k,
 /// 10 k and 100 k live keys, once on the bare store and once `served` —
 /// the calls recorded by the capture adaptor and a view published after
-/// every round. Populating the store and reading the first base are
-/// left out of the timing; every delta merge and base fold the 100 k
-/// changes cause is in it. Publishing follows what changed, so `served`
-/// minus `bare` must stay flat in the live-key count, up to the deeper
-/// delta chain and colder cache of a larger base (the bare store's own
-/// time does grow: 100 k keys outgrow its write buffer) — a rebuild per
-/// publish grew 100x from the first cell to the last.
+/// every round. A read-modify-write is `take_put` (a take and a put) or
+/// `update` (one `update_aggregate`, the call Q12 makes per tuple).
+/// Populating the stores and reading the first base are left out of the
+/// timing; every delta merge and base fold the 100 k changes cause is in
+/// it. Each sample times a bare and a served run back to back (in turns
+/// which goes first), so a drift of the machine's speed moves both; the
+/// cell prints the median of `served` minus `bare` per changed pair.
+///
+/// That difference is not flat in the live-key count: the size rule
+/// folds the chain into a fresh base about once per base's worth of
+/// changes, so a larger base is rewritten as often per change but costs
+/// more cache misses per entry, and the deltas it carries are walked by
+/// every lookup. It must grow far slower than the live keys do (a
+/// rebuild per publish grew 100x from the first cell to the last).
 fn bench_view_publish(c: &mut Criterion) {
+    use std::time::Instant;
+
+    const ROUNDS: u64 = 1_000;
+    const PAIRS: u64 = 100;
     let mut group = c.benchmark_group("view_publish_cycle");
     group.measurement_time(Duration::from_secs(5));
-    group.sample_size(5);
+    group.sample_size(7);
     let semantics = OperatorSemantics::new(AggregateKind::Incremental, WindowKind::Global);
     let w = WindowId::global();
     let choice = BackendChoice::FlowKv(flowkv_bench::flowkv_cfg());
     for keys in [1_000u64, 10_000, 100_000] {
-        for served in [false, true] {
-            let label = if served { "served" } else { "bare" };
-            group.bench_function(BenchmarkId::new(&format!("{keys}_keys"), label), |b| {
+        for call in ["take_put", "update"] {
+            // Per sample: the bare run's time, then the served run's.
+            let mut samples: Vec<[Duration; 2]> = Vec::new();
+            let id = BenchmarkId::new(&format!("{keys}_keys"), call);
+            group.bench_function(id, |b| {
                 let mut finished = Vec::new();
                 b.iter_batched(
                     || {
-                        let (store, dir) = make(&choice, semantics, FactoryOptions::new());
-                        let (mut store, mut capture) = ViewCapture::wrap(store);
-                        for k in 0..keys {
-                            store
-                                .put_aggregate(&k.to_le_bytes(), w, &0u64.to_le_bytes())
-                                .unwrap();
-                        }
-                        // Bare: the capture never leaves its initial
-                        // state, in which the adaptor records nothing.
-                        if served {
-                            capture.advance(store.as_mut()).unwrap();
-                        }
-                        (store, capture, dir)
-                    },
-                    |(mut store, mut capture, dir)| {
-                        let mut cycle = 0u64;
-                        for _ in 0..1_000 {
-                            for _ in 0..100 {
-                                // A stride coprime to every key count:
-                                // 100 distinct keys per round.
-                                cycle += 7_919;
-                                let key = (cycle % keys).to_le_bytes();
-                                let acc =
-                                    store.take_aggregate(&key, w).unwrap().expect("populated");
-                                store.put_aggregate(&key, w, &acc).unwrap();
+                        [false, true].map(|served| {
+                            let (store, dir) = make(&choice, semantics, FactoryOptions::new());
+                            let (mut store, mut capture) = ViewCapture::wrap(store);
+                            for k in 0..keys {
+                                store
+                                    .put_aggregate(&k.to_le_bytes(), w, &0u64.to_le_bytes())
+                                    .unwrap();
                             }
+                            // Bare: the capture never leaves its initial
+                            // state, in which the adaptor records nothing.
                             if served {
                                 capture.advance(store.as_mut()).unwrap();
-                                std::hint::black_box(capture.view().clone());
                             }
+                            (store, capture, dir)
+                        })
+                    },
+                    |runs| {
+                        let mut took = [Duration::ZERO; 2];
+                        let mut runs = runs.map(Some);
+                        let order = if samples.len().is_multiple_of(2) {
+                            [0, 1]
+                        } else {
+                            [1, 0]
+                        };
+                        for served in order {
+                            let (mut store, mut capture, dir) = runs[served].take().unwrap();
+                            let t0 = Instant::now();
+                            let mut cycle = 0u64;
+                            let mut bump = |acc: &mut Vec<u8>, _: bool| {
+                                let n = u64::from_le_bytes(acc[..].try_into().unwrap());
+                                acc.copy_from_slice(&(n + 1).to_le_bytes());
+                            };
+                            for _ in 0..ROUNDS {
+                                for _ in 0..PAIRS {
+                                    // A stride coprime to every key count:
+                                    // 100 distinct keys per round.
+                                    cycle += 7_919;
+                                    let key = (cycle % keys).to_le_bytes();
+                                    if call == "update" {
+                                        store.update_aggregate(&key, w, &mut bump).unwrap();
+                                    } else {
+                                        let acc = store.take_aggregate(&key, w).unwrap();
+                                        let mut acc = acc.expect("populated");
+                                        bump(&mut acc, true);
+                                        store.put_aggregate(&key, w, &acc).unwrap();
+                                    }
+                                }
+                                if served == 1 {
+                                    capture.advance(store.as_mut()).unwrap();
+                                    std::hint::black_box(capture.view().clone());
+                                }
+                            }
+                            took[served] = t0.elapsed();
+                            if served == 1 {
+                                assert_eq!(capture.view().len() as u64, keys);
+                            }
+                            finished.push((store, dir));
                         }
-                        if served {
-                            assert_eq!(capture.view().len() as u64, keys);
-                        }
-                        finished.push((store, dir));
+                        samples.push(took);
                     },
                     criterion::BatchSize::PerIteration,
                 );
@@ -817,6 +854,27 @@ fn bench_view_publish(c: &mut Criterion) {
                     store.close().unwrap();
                 }
             });
+            if samples.is_empty() {
+                continue;
+            }
+            let per_pair = |took: Duration| took.as_nanos() as f64 / (ROUNDS * PAIRS) as f64;
+            let mut extra: Vec<f64> = samples
+                .iter()
+                .map(|[bare, served]| per_pair(*served) - per_pair(*bare))
+                .collect();
+            extra.sort_by(f64::total_cmp);
+            let mean_ms = |i: usize| {
+                let total: Duration = samples.iter().map(|took| took[i]).sum();
+                total.as_secs_f64() * 1e3 / samples.len() as f64
+            };
+            println!(
+                "view_publish_cycle/{keys}_keys/{call}/served_minus_bare_ns_per_pair: {:.0} \
+                 (median of {} paired samples; bare {:.1} ms, served {:.1} ms per sample)",
+                extra[extra.len() / 2],
+                samples.len(),
+                mean_ms(0),
+                mean_ms(1),
+            );
         }
     }
     group.finish();

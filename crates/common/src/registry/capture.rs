@@ -67,23 +67,13 @@ impl CaptureBackend {
     /// One step of `window`'s drain, owned or borrowed: the first drops
     /// the window from the view, the one that finds it drained ends it.
     fn record_drain_step(&self, window: WindowId, more: bool) {
-        self.record(|r| match more {
-            true => {
-                if r.draining.insert(window) {
-                    r.delta.drop_window(window);
-                }
-            }
-            false => {
+        self.record(|r| {
+            if !more {
                 r.draining.remove(&window);
+            } else if r.draining.insert(window) {
+                r.delta.drop_window(window);
             }
         });
-    }
-
-    fn mark_stale(&self) {
-        let mut recorded = lock(&self.recorded);
-        if recorded.phase == Phase::Recording {
-            recorded.phase = Phase::Stale;
-        }
     }
 }
 
@@ -134,10 +124,8 @@ impl StateBackend for CaptureBackend {
 
     fn take_aggregate(&mut self, key: &[u8], window: WindowId) -> Result<Option<Vec<u8>>> {
         let aggregate = self.inner.take_aggregate(key, window)?;
-        self.record(|r| {
-            r.delta
-                .remove(key, window, aggregate.as_ref().map(Vec::len))
-        });
+        let taken = aggregate.as_ref().map(Vec::len);
+        self.record(|r| r.delta.remove(key, window, taken));
         Ok(aggregate)
     }
 
@@ -154,7 +142,7 @@ impl StateBackend for CaptureBackend {
         update: AggregateUpdate<'_>,
     ) -> Result<()> {
         let recorded = &self.recorded;
-        // One change per call: the size the store lent, the bytes the
+        // One row per call: the size the store lent, the bytes the
         // update left.
         self.inner
             .update_aggregate(key, window, &mut |aggregate, held| {
@@ -183,7 +171,7 @@ impl StateBackend for CaptureBackend {
     }
 
     fn inject_entries(&mut self, entries: Vec<StateEntry>) -> Result<()> {
-        self.mark_stale();
+        self.record(|r| r.phase = Phase::Stale);
         self.inner.inject_entries(entries)
     }
 
@@ -216,7 +204,7 @@ impl StateBackend for CaptureBackend {
     }
 
     fn restore(&mut self, dir: &Path) -> Result<()> {
-        self.mark_stale();
+        self.record(|r| r.phase = Phase::Stale);
         self.inner.restore(dir)
     }
 
@@ -259,16 +247,13 @@ impl ViewCapture {
     /// first advance, and the first after a `restore` or
     /// `inject_entries`).
     pub fn advance(&mut self, backend: &mut dyn StateBackend) -> Result<Option<usize>> {
-        let delta = {
+        {
             let mut recorded = lock(&self.recorded);
             match recorded.phase {
                 Phase::Unqueryable => return Ok(None),
-                Phase::Recording => Some(std::mem::take(&mut recorded.delta)),
-                Phase::Stale => None,
+                Phase::Recording => return Ok(Some(self.view.publish(&mut recorded.delta))),
+                Phase::Stale => {}
             }
-        };
-        if let Some(delta) = delta {
-            return Ok(Some(self.view.apply(delta)));
         }
         let base = backend.read_view()?;
         let mut recorded = lock(&self.recorded);

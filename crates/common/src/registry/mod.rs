@@ -1,58 +1,46 @@
 //! Queryable-state registry: snapshot views of live operator state.
 //!
-//! The paper's stores are single-writer — every [`StateBackend`] method
-//! takes `&mut self` and each store instance is owned by exactly one
-//! worker thread (§2.1) — and that is so the write path never pays for
-//! readers. The serving layer keeps it that way with **epoch-pinned
-//! published views** whose cost per epoch follows what *changed*, not
-//! what the store holds:
+//! The paper's stores are single-writer (§2.1) so that the write path
+//! never pays for readers. The serving layer keeps it that way with
+//! **epoch-pinned published views** whose cost per epoch follows what
+//! *changed*, not what the store holds:
 //!
-//! 1. A [`StateView`] is a structurally shared stack: one immutable
-//!    **base** (every live `(key, window)` entry as of the last fold)
-//!    plus a short chain of per-epoch **deltas** (upserted aggregate,
-//!    appended values, pair tombstone), each layer a sorted array
-//!    behind an `Arc`.
-//! 2. The owning worker records the delta at the store-call boundary:
-//!    [`ViewCapture::wrap`] puts an adaptor around the backend that
-//!    forwards every call and notes what `append` / `put_aggregate` /
-//!    `take_*` / the first `get_window_chunk` of a window did, from the
-//!    key, window and bytes the call already carries. Nothing is
-//!    re-read from the store, and whatever a store does underneath
-//!    (flushes, compaction, a tier's demotions and promotions) never
+//! 1. A [`StateView`] is one immutable **base** (every live
+//!    `(key, window)` entry as of the last fold) plus a short chain of
+//!    per-epoch **deltas**, each layer one byte arena and its sorted
+//!    fixed-size rows behind an `Arc`.
+//! 2. [`ViewCapture::wrap`] puts an adaptor around the worker's backend
+//!    that forwards every call and pushes one row per state change onto
+//!    the epoch's [`ViewDelta`] log, from the key, window and bytes the
+//!    call carries: nothing is re-read from the store, and what a store
+//!    does underneath (flushes, compaction, a tier's demotions) never
 //!    shows.
-//! 3. At a watermark the worker calls [`ViewCapture::advance`], which
-//!    puts the recorded [`ViewDelta`] on top of the previous view
+//! 3. At a watermark [`ViewCapture::advance`] sorts and collapses the
+//!    log into a delta on top of the previous view
 //!    ([`StateView::apply`]) and, by a size rule, now and then **folds**
-//!    the chain into a fresh base. The worker stamps epoch and
-//!    watermark on a clone (a handful of `Arc` clones) and publishes it
-//!    into the process-wide [`StateRegistry`] under its [`StateKey`].
+//!    the chain into a fresh base. The worker stamps a clone (a handful
+//!    of `Arc` clones) and publishes it into the process-wide
+//!    [`StateRegistry`] under its [`StateKey`].
 //! 4. Server threads resolve a `StateKey` to an `Arc<StateView>` and
-//!    answer point lookups and scans by reading through the layers,
-//!    newest first, entirely lock-free after the registry read.
+//!    read through the layers, newest first, lock-free.
 //!
 //! **What a reader pins.** An `Arc<StateView>` holds its base and its
-//! own chain of deltas. Later epochs push new deltas onto *their* chain
-//! and a fold builds a *new* base; neither touches a layer an older
-//! view references, so a reader holding epoch N reads exactly epoch N
-//! however many epochs, merges and folds follow, and the layers it
-//! alone still references are freed when it lets go.
+//! own chain. Later epochs push deltas onto *their* chain and a fold
+//! builds a *new* base, so a reader holding epoch N reads exactly epoch
+//! N, and the layers it alone references are freed when it lets go.
 //!
-//! **When `read_view` still runs.** [`StateBackend::read_view`] — the
-//! store's own full rebuild — builds the first base of a worker, and
-//! the next one after a `restore` or `inject_entries` (state changed by
-//! a path the adaptor does not follow). It is also the reference the
-//! layered view is tested against: after any sequence of calls the two
-//! hold the same entries.
+//! **When `read_view` still runs.** [`StateBackend::read_view`] builds
+//! a worker's first base, and the next after a `restore` or
+//! `inject_entries` (state changed by a path the adaptor does not
+//! follow). It is also the reference the layered view is tested
+//! against.
 //!
-//! Readers therefore always observe a consistent snapshot aligned to a
-//! watermark (never a half-applied update), at the cost of staleness
-//! bounded by the watermark interval. A window the engine is draining
-//! is omitted from the first chunk on, as `read_view` omits it: its
-//! state is already being consumed. This mirrors Flink's queryable
-//! state, which likewise reads a consistent copy rather than the live
-//! RocksDB instance.
+//! Readers observe a consistent snapshot aligned to a watermark, stale
+//! by at most one watermark interval. A window the engine is draining
+//! is omitted from its first chunk on, as `read_view` omits it. This
+//! mirrors Flink's queryable state, which reads a consistent copy
+//! rather than the live RocksDB instance.
 //!
-//! [`StateBackend`]: crate::backend::StateBackend
 //! [`StateBackend::read_view`]: crate::backend::StateBackend::read_view
 
 mod capture;

@@ -9,7 +9,8 @@
 //! and behind a tier that demotes everything it is given. After every
 //! simulated watermark the captured view is compared with a fresh
 //! `read_view`, and views pinned along the way must still read what
-//! they read when they were taken. Every assertion names its seed.
+//! they read when they were taken. Every assertion names its seed;
+//! `PROPTEST_CASES` sets how many seeds each configuration runs.
 //!
 //! An RMW script runs twice, its read-modify-writes as one
 //! `update_aggregate` each and as the take and the put that stands for:
@@ -296,8 +297,15 @@ fn run_script(
     rig.finish()
 }
 
+/// Seeds per configuration: 10 unless `PROPTEST_CASES` says otherwise
+/// (CI's crash-matrix job runs 256).
+fn seeds() -> u64 {
+    let cases = std::env::var("PROPTEST_CASES").ok();
+    cases.and_then(|n| n.parse().ok()).unwrap_or(10)
+}
+
 fn run(pattern: Pattern, tiered: bool) {
-    for seed in 0..10u64 {
+    for seed in 0..seeds() {
         let published = run_script(pattern, tiered, true, seed);
         if matches!(pattern, Pattern::Rmw | Pattern::Aur) {
             assert_eq!(
