@@ -195,8 +195,10 @@ impl StateBackend for CaptureBackend {
         self.inner.metrics()
     }
 
+    /// The wrapped store's bytes and the epoch log's, which this adaptor
+    /// holds beside it.
     fn memory_bytes(&self) -> usize {
-        self.inner.memory_bytes()
+        self.inner.memory_bytes() + lock(&self.recorded).delta.memory_bytes()
     }
 
     fn checkpoint(&mut self, dir: &Path) -> Result<()> {

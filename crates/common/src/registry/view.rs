@@ -458,6 +458,15 @@ impl ViewDelta {
         self.dropped.push((window, self.held.len()));
     }
 
+    /// Heap bytes the log holds, spare capacity included: its buffers
+    /// outlive each publish to serve the next epoch.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.log.bytes.capacity()
+            + self.log.rows.capacity() * std::mem::size_of::<Row>()
+            + self.held.capacity() * std::mem::size_of::<Held>()
+            + self.dropped.capacity() * std::mem::size_of::<(WindowId, usize)>()
+    }
+
     /// Orders the log by pair and collapses each pair's rows into one
     /// change: the last whole value or take wins, the appends after it
     /// concatenate. Returns the level-0 delta and what each of its pairs

@@ -516,19 +516,13 @@ impl AurStore {
         self.data.generation()
     }
 
-    /// Writes a self-contained snapshot into `dst`.
+    /// Writes a self-contained snapshot into `dst`: the data records the
+    /// table lists and no others, so a restore's rebuild from every
+    /// record it scans brings back no consumed window, and the live log
+    /// is left as it is — compacting stays the MSA's call.
     pub fn checkpoint(&mut self, dst: &Path) -> Result<()> {
         self.flush()?;
-        // Not the MSA's call: each window's record list lives in memory
-        // only and a restore rebuilds the lists from every record in the
-        // data log, so a copy holding dead records would resurrect them.
-        // A checkpoint that is a manifest over the live files (the
-        // ROADMAP's manifest-checkpoint item) has to persist those lists
-        // before this rewrite can go.
-        if self.data.dead() > 0 {
-            self.compact()?;
-        }
-        self.data.checkpoint_to(dst, "data.aurd")
+        self.data.checkpoint(&self.live_records(), dst, "data.aurd")
     }
 
     /// Replaces the store contents with the snapshot in `src`.
@@ -730,11 +724,7 @@ impl AurStore {
     /// (byte-range relocation without decoding, paper §5).
     fn compact(&mut self) -> Result<()> {
         let _t = self.metrics.timer(OpCategory::Compaction);
-        // Every listed record's `(offset, on-disk length)`, in log order.
-        let mut live: Vec<(u64, u64)> = (self.table.on_disk())
-            .flat_map(|(.., lw)| lw.records.iter().map(|r| (r.offset, r.disk_len())))
-            .collect();
-        live.sort_unstable();
+        let live = self.live_records();
         // `(old offset, new offset)`, in old-offset order.
         let mut placed = Vec::with_capacity(live.len());
         let data = self.data.relocate(&live, |i, offset| {
@@ -750,11 +740,20 @@ impl AurStore {
         Ok(())
     }
 
+    /// Every listed record's `(offset, on-disk length)`, in log order.
+    fn live_records(&self) -> Vec<(u64, u64)> {
+        let mut live: Vec<(u64, u64)> = (self.table.on_disk())
+            .flat_map(|(.., lw)| lw.records.iter().map(|r| (r.offset, r.disk_len())))
+            .collect();
+        live.sort_unstable();
+        live
+    }
+
     /// Rebuilds the table and `latest_ts` from the headers of the data
     /// log's records, every one of them live: a consume leaves no mark on
-    /// disk, which is why a checkpoint compacts first. A torn tail was
-    /// cut at open; a record whose count no [`DiskRecord`] can hold is
-    /// corruption.
+    /// disk, which is why a checkpoint copies the listed records only. A
+    /// torn tail was cut at open; a record whose count no [`DiskRecord`]
+    /// can hold is corruption.
     fn rebuild_from_log(&mut self) -> Result<()> {
         let path = self.data.path();
         self.data.scan(|loc, payload| {
@@ -1106,10 +1105,18 @@ mod tests {
         s.append(b"dead", w(0, 100), b"x", 10).unwrap();
         s.flush().unwrap();
         s.take(b"dead", w(0, 100)).unwrap();
+        let log = |s: &AurStore| (s.generation(), s.data_log_bytes(), s.dead_bytes());
+        let before = log(&s);
+        assert!(before.2 > 0, "the consumed record is dead: {before:?}");
         s.checkpoint(ckpt.path()).unwrap();
-        // One log file in the store and one in the checkpoint.
-        assert_eq!(StdVfs.read_dir_names(dir.path()).unwrap(), ["data_1.aurd"]);
+        // The live log is left as it was; the checkpoint holds the listed
+        // record alone.
+        assert_eq!(log(&s), before);
+        assert_eq!(StdVfs.read_dir_names(dir.path()).unwrap(), ["data_0.aurd"]);
         assert_eq!(StdVfs.read_dir_names(ckpt.path()).unwrap(), ["data.aurd"]);
+        let listed: u64 = s.live_records().iter().map(|&(_, len)| len).sum();
+        let copied = StdVfs.file_len(&ckpt.path().join("data.aurd")).unwrap();
+        assert_eq!((copied, listed), (before.1 - before.2, before.1 - before.2));
         s.append(b"k", w(0, 100), b"lost", 20).unwrap();
         s.restore(ckpt.path()).unwrap();
         assert_eq!(s.take(b"k", w(0, 100)).unwrap(), vec![b"v1".to_vec()]);

@@ -5,7 +5,8 @@
 //! to `<stem>_<generation>.<ext>` until dead bytes dominate, then the live
 //! ones are rewritten into generation + 1. [`GenLog`] owns all of it but
 //! the record *content*: name, recovery at open, writer and reader,
-//! `total`/`dead` accounting, the amplification rule, rewrite, checkpoint.
+//! `total`/`dead` accounting, the amplification rule, rewrite, and the
+//! checkpoint — a copy of the records the store lists as live.
 //!
 //! **Stage → rename → remove.** A rewrite is synced under `<name>.tmp`;
 //! [`GenLog::commit`] makes it current with one rename, and only then
@@ -194,18 +195,30 @@ impl GenLog {
     pub(crate) fn relocate(
         &mut self,
         live: &[(u64, u64)],
-        mut moved: impl FnMut(usize, u64) -> Result<()>,
+        moved: impl FnMut(usize, u64) -> Result<()>,
     ) -> Result<Staged> {
         let generation = self.generation + 1;
         let tmp = self.dir.join(self.file_name(generation) + ".tmp");
         let mut writer = LogWriter::create_in(&self.vfs, tmp)?;
+        self.copy_records(live, &mut writer, moved)?;
+        Ok(Staged { generation, writer })
+    }
+
+    /// The one copy of [`GenLog::relocate`] and [`GenLog::checkpoint`]:
+    /// the records at `live`, checksum-verified, appended to `writer`,
+    /// which is then synced.
+    fn copy_records(
+        &mut self,
+        live: &[(u64, u64)],
+        writer: &mut LogWriter,
+        mut moved: impl FnMut(usize, u64) -> Result<()>,
+    ) -> Result<()> {
         if !live.is_empty() {
             self.reader()?.read_records(live, |i, record| {
                 moved(i, writer.append(record_payload(record))?.offset)
             })?;
         }
-        writer.sync()?;
-        Ok(Staged { generation, writer })
+        writer.sync()
     }
 
     /// Makes a staged rewrite the current generation with one rename,
@@ -223,33 +236,40 @@ impl GenLog {
         Ok(())
     }
 
-    /// Syncs the log and copies it to `name` in the checkpoint directory
-    /// `dir` (created if missing); a log with no file leaves an empty one.
-    pub(crate) fn checkpoint_to(&mut self, dir: &Path, name: &str) -> Result<()> {
-        self.sync()?;
-        let dst = dir.join(name);
+    /// Writes the records at `live` — every record the store still
+    /// refers to, `(offset, on-disk length)`, offset-sorted — to `name`
+    /// in the checkpoint directory `dir` (created if missing), synced.
+    /// The copy holds live records only, so a restore is one scan; the
+    /// log itself is left as it is.
+    pub(crate) fn checkpoint(&mut self, live: &[(u64, u64)], dir: &Path, name: &str) -> Result<()> {
         self.vfs
             .create_dir_all(dir)
-            .and_then(|()| match &self.writer {
-                Some(_) => self.vfs.copy(&self.path(), &dst).map(drop),
-                None => self.vfs.write(&dst, &[]),
-            })
-            .map_err(|e| StoreError::io_at("log checkpoint copy", dst, e))
+            .map_err(|e| StoreError::io_at("log checkpoint dir", dir, e))?;
+        let mut writer = LogWriter::create_in(&self.vfs, dir.join(name))?;
+        self.copy_records(live, &mut writer, |_, _| Ok(()))
     }
 
     /// Replaces the log with the copy `name` in the checkpoint directory
-    /// `dir` (an empty log when there is none), as generation 0.
+    /// `dir` (an empty log when there is none), as generation 0. A
+    /// checkpoint is synced whole before it counts, so a torn tail in
+    /// one is corruption, not a crash to recover from.
     pub(crate) fn restore_from(&mut self, dir: &Path, name: &str) -> Result<()> {
         self.destroy();
         let src = dir.join(name);
-        self.vfs
+        let copied = self
+            .vfs
             .create_dir_all(&self.dir)
             .and_then(|()| match self.vfs.exists(&src) {
-                true => self.vfs.copy(&src, &self.path()).map(drop),
-                false => Ok(()),
+                true => self.vfs.copy(&src, &self.path()),
+                false => Ok(0),
             })
-            .map_err(|e| StoreError::io_at("log restore copy", src, e))?;
-        self.adopt()
+            .map_err(|e| StoreError::io_at("log restore copy", &src, e))?;
+        self.adopt()?;
+        if self.total() != copied {
+            let detail = format!("a checkpoint log of {copied} B ends in a torn record");
+            return Err(StoreError::corruption(src, self.total(), detail));
+        }
+        Ok(())
     }
 
     /// Deletes the log's file and resets it to an empty generation 0.
@@ -551,6 +571,64 @@ pub(crate) mod tests {
         let mut all: Vec<Vec<u8>> = live.iter().map(|&i| records[i].clone()).collect();
         all.push(b"next".to_vec());
         assert_eq!(payloads(&mut log), all);
+    }
+
+    #[test]
+    fn a_checkpoint_is_the_listed_records_and_leaves_the_log_alone() {
+        let dir = ScratchDir::new("genlog-ckpt").unwrap();
+        let ckpt = ScratchDir::new("genlog-ckpt-dst").unwrap();
+        let mut log = open(dir.path());
+        let records: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 20 + 30 * i as usize]).collect();
+        let locs: Vec<RecordLocation> = records.iter().map(|r| log.append(r).unwrap()).collect();
+        for i in [0, 3] {
+            log.retire(locs[i].disk_len());
+        }
+        let live: Vec<(u64, u64)> = [1, 2, 4]
+            .iter()
+            .map(|&i: &usize| (locs[i].offset, locs[i].disk_len()))
+            .collect();
+        let before = (log.generation(), log.total(), log.dead());
+        log.checkpoint(&live, &ckpt.path().join("nested"), "data.aurd")
+            .unwrap();
+        assert_eq!((log.generation(), log.total(), log.dead()), before);
+        assert_eq!(names(dir.path()), ["data_0.aurd"]);
+        let copy = ckpt.path().join("nested").join("data.aurd");
+        let listed: u64 = live.iter().map(|&(_, len)| len).sum();
+        assert_eq!(std::fs::metadata(&copy).unwrap().len(), listed);
+
+        // A restore is the listed records, and one with none is empty.
+        let restored = ScratchDir::new("genlog-ckpt-restored").unwrap();
+        let mut other = open(restored.path());
+        other
+            .restore_from(&ckpt.path().join("nested"), "data.aurd")
+            .unwrap();
+        let expect: Vec<Vec<u8>> = [1, 2, 4].iter().map(|&i| records[i].clone()).collect();
+        assert_eq!(payloads(&mut other), expect);
+        log.checkpoint(&[], ckpt.path(), "empty").unwrap();
+        other.restore_from(ckpt.path(), "empty").unwrap();
+        assert_eq!((other.total(), payloads(&mut other).len()), (0, 0));
+    }
+
+    #[test]
+    fn a_torn_checkpoint_is_corruption_at_restore() {
+        let dir = ScratchDir::new("genlog-ckpt-torn").unwrap();
+        let mut log = open(dir.path());
+        let first = log.append(b"whole").unwrap();
+        let second = log.append(b"torn at the tail").unwrap();
+        let live = [first, second].map(|loc| (loc.offset, loc.disk_len()));
+        log.checkpoint(&live, dir.path(), "ckpt").unwrap();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.path().join("ckpt"))
+            .unwrap();
+        file.set_len(second.end_offset() - 1).unwrap();
+        drop(file);
+        // An open cuts such a tail; a checkpoint that has one never
+        // completed.
+        let err = log.restore_from(dir.path(), "ckpt").unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        let at = format!("at offset {}: ", first.end_offset());
+        assert!(err.to_string().contains(&at), "{err}");
     }
 
     #[test]

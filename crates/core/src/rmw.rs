@@ -254,15 +254,15 @@ impl RmwStore {
         self.buffer_bytes + self.index.len() * 64
     }
 
-    /// Writes a self-contained snapshot into `dst`.
+    /// Writes a self-contained snapshot into `dst`: the records the index
+    /// points at and no others — a take leaves no tombstone in the log,
+    /// so a replay of dead records would resurrect them. The live log is
+    /// left as it is.
     pub fn checkpoint(&mut self, dst: &Path) -> Result<()> {
         self.flush()?;
-        // A take leaves no tombstone in the log: replaying a log with
-        // dead records would resurrect them, so the copy holds none.
-        if self.log.dead() > 0 {
-            self.compact()?;
-        }
-        self.log.checkpoint_to(dst, "agg.rmw")
+        let mut live: Vec<(u64, u64)> = self.index.iter().map(|(.., &at)| at).collect();
+        live.sort_unstable();
+        self.log.checkpoint(&live, dst, "agg.rmw")
     }
 
     /// Replaces the store contents with the snapshot in `src`.
@@ -524,7 +524,16 @@ mod tests {
         s.put(b"gone", win, b"x").unwrap();
         s.flush().unwrap();
         s.take(b"gone", win).unwrap();
+        let log = |s: &RmwStore| (s.log.generation(), s.log.total(), s.log.dead());
+        let before = log(&s);
+        assert!(before.2 > 0, "the taken aggregate is dead: {before:?}");
         s.checkpoint(ckpt.path()).unwrap();
+        // The live log is left as it was; the checkpoint holds the one
+        // record the index points at.
+        assert_eq!(log(&s), before);
+        let listed: u64 = s.index.iter().map(|(.., &(_, len))| len).sum();
+        let copied = StdVfs.file_len(&ckpt.path().join("agg.rmw")).unwrap();
+        assert_eq!((copied, listed), (before.1 - before.2, before.1 - before.2));
         s.put(b"b", win, b"2").unwrap();
         s.restore(ckpt.path()).unwrap();
         assert_eq!(s.take(b"a", win).unwrap(), Some(b"1".to_vec()));

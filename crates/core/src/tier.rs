@@ -41,8 +41,9 @@
 //!   surviving blocks are relocated into the next generation.
 //! - **Checkpoints** seal every hot window into the cold tier first, so
 //!   a snapshot is the inner store's (empty) checkpoint plus the cold
-//!   log and a CRC-guarded `TIERMETA` index — and restore is the exact
-//!   reverse. `extract_range` merges both tiers and `inject_entries`
+//!   log's live blocks — and restore rebuilds the block index with one
+//!   scan of them, each block's header naming its window and row count.
+//!   `extract_range` merges both tiers and `inject_entries`
 //!   replays through the tier's own write path, so rescaling migrates
 //!   cold state losslessly.
 
@@ -54,7 +55,6 @@ use flowkv_common::backend::{
     collect_chunk, AggregateKind, KeyFilter, OperatorContext, PairSink, StateBackend,
     StateBackendFactory, StateEntry, WindowChunk,
 };
-use flowkv_common::codec::{self, Decoder};
 use flowkv_common::columnar::{BlockKind, BlockReader, BlockWriter, ColdRow};
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::Lane;
@@ -68,18 +68,15 @@ use flowkv_common::vfs::{StdVfs, Vfs};
 use crate::genlog::GenLog;
 use crate::store::state_entry;
 
-/// Magic prefix of the `TIERMETA` checkpoint sidecar.
-const META_MAGIC: [u8; 4] = *b"FKTM";
-/// Current `TIERMETA` format version. Version 1 indexed a cold log of
-/// length-framed blocks, which this code cannot read.
-const META_VERSION: u8 = 2;
 /// The cold log rewrites once dead blocks are over half of it — the
 /// rewrite then reclaims more than it copies — and it holds this much.
 const COLD_MSA: f64 = 2.0;
 const COLD_COMPACT_FLOOR: u64 = 128 << 10;
-/// Checkpoint file names.
+/// Checkpoint file name of the cold log's live blocks.
 const CKPT_COLD: &str = "COLDLOG";
-const CKPT_META: &str = "TIERMETA";
+/// The sidecar that once told a checkpoint's live blocks from its dead
+/// ones; a restore refuses a directory that holds one.
+const RETIRED_META: &str = "TIERMETA";
 /// Subdirectory of a checkpoint holding the inner store's snapshot.
 const CKPT_HOT: &str = "hot";
 
@@ -406,16 +403,21 @@ impl TieredStore {
 
     // ---- cold log I/O ---------------------------------------------------
 
+    /// The shape of this store's cold blocks.
+    fn block_kind(&self) -> BlockKind {
+        match self.aggregate {
+            AggregateKind::Incremental => BlockKind::Aggregates,
+            AggregateKind::FullList => BlockKind::Values,
+        }
+    }
+
     /// Lays the writer's rows out as `window`'s next cold block, sorted
     /// by key and each key's in append order, at the end of the log.
     fn append_block(&mut self, window: WindowId) -> Result<()> {
         // The drain that filled the writer timed itself, on the same
         // metrics block: this timer spans tier work alone.
         let _t = self.store_metrics.timer(OpCategory::Compaction);
-        let kind = match self.aggregate {
-            AggregateKind::Incremental => BlockKind::Aggregates,
-            AggregateKind::FullList => BlockKind::Values,
-        };
+        let kind = self.block_kind();
         let rows = u32::try_from(self.writer.rows()).map_err(|_| {
             StoreError::invalid_state(format!("a cold block of {} rows", self.writer.rows()))
         })?;
@@ -728,18 +730,11 @@ impl TieredStore {
         // In-flight prefetch reads target the old offsets; settle them
         // first (their payloads stay valid — content does not move).
         self.settle_inflight();
-        // Every live block's record, with its window and its position
-        // among that window's blocks.
-        let mut live: Vec<((u64, u64), WindowId, usize)> = Vec::new();
-        for (window, refs) in &self.index {
-            live.extend(
-                refs.iter()
-                    .enumerate()
-                    .map(|(i, r)| (r.record(), *window, i)),
-            );
-        }
-        live.sort_unstable_by_key(|&((offset, _), ..)| offset);
-        let locations: Vec<(u64, u64)> = live.iter().map(|&(record, ..)| record).collect();
+        // The index moves only once the rewrite is committed: a rewrite
+        // that fails leaves it pointing into the log it still describes.
+        let mut live: Vec<&mut BlockRef> = self.index.values_mut().flatten().collect();
+        live.sort_unstable_by_key(|block| block.offset);
+        let locations: Vec<(u64, u64)> = live.iter().map(|block| block.record()).collect();
         let mut offsets = vec![0u64; live.len()];
         let staged = self.log.relocate(&locations, |i, offset| {
             offsets[i] = offset;
@@ -747,8 +742,7 @@ impl TieredStore {
         })?;
         let reclaimed = self.log.dead();
         self.log.commit(staged)?;
-        for ((_, window, at), offset) in live.into_iter().zip(offsets) {
-            let block = &mut self.index.get_mut(&window).expect("indexed above")[at];
+        for (block, offset) in live.into_iter().zip(offsets) {
             block.offset = offset + RECORD_HEADER_LEN;
         }
         self.store_metrics.add_bytes_read(self.log.total());
@@ -771,104 +765,26 @@ impl TieredStore {
         Ok(())
     }
 
-    // ---- checkpoint metadata --------------------------------------------
-
-    fn encode_meta(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&META_MAGIC);
-        buf.push(META_VERSION);
-        codec::put_varint_u64(&mut buf, self.log.total());
-        codec::put_varint_u64(&mut buf, self.index.len() as u64);
-        for (window, refs) in &self.index {
-            codec::put_varint_i64(&mut buf, window.start);
-            codec::put_varint_i64(&mut buf, window.end);
-            codec::put_varint_u64(&mut buf, refs.len() as u64);
-            for r in refs {
-                codec::put_varint_u64(&mut buf, r.offset);
-                codec::put_varint_u64(&mut buf, u64::from(r.len));
-                codec::put_varint_u64(&mut buf, u64::from(r.rows));
+    /// Rebuilds the block index from the cold log, every block of which
+    /// is live (a checkpoint copies no other): each block's header names
+    /// its window and row count. A record that is not a block of this
+    /// store is corruption at its offset.
+    fn rebuild_index(&mut self) -> Result<()> {
+        let (path, kind, index) = (self.log.path(), self.block_kind(), &mut self.index);
+        self.log.scan(|loc, payload| {
+            let corrupt = |detail: String| StoreError::corruption(&path, loc.offset, detail);
+            let block = BlockReader::open(payload).map_err(|e| corrupt(e.to_string()))?;
+            let found = block.kind();
+            if found != kind {
+                return Err(corrupt(format!("a {found:?} block in a {kind:?} store")));
             }
-        }
-        let crc = codec::crc32(&buf[META_MAGIC.len()..]);
-        codec::put_u32(&mut buf, crc);
-        buf
-    }
-
-    fn decode_meta(&mut self, bytes: &[u8], path: &Path) -> Result<()> {
-        let corrupt =
-            |offset: usize, detail: String| StoreError::corruption(path, offset as u64, detail);
-        if bytes.len() < META_MAGIC.len() + 1 + 4 {
-            return Err(StoreError::UnexpectedEof { what: "TIERMETA" });
-        }
-        if bytes[..META_MAGIC.len()] != META_MAGIC {
-            return Err(corrupt(0, "bad TIERMETA magic".to_string()));
-        }
-        let body = &bytes[META_MAGIC.len()..bytes.len() - 4];
-        let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
-        let actual = codec::crc32(body);
-        if stored != actual {
-            return Err(corrupt(
-                bytes.len() - 4,
-                "TIERMETA CRC mismatch".to_string(),
-            ));
-        }
-        let mut dec = Decoder::new(body);
-        let version = dec.take(1, "TIERMETA version")?[0];
-        if version != META_VERSION {
-            return Err(corrupt(
-                4,
-                format!("unsupported TIERMETA version {version}"),
-            ));
-        }
-        // The index must describe the log restored beside it: every
-        // block a whole record inside it, the rest of it dead.
-        let total = dec.get_varint_u64()?;
-        if total != self.log.total() {
-            let detail = format!("TIERMETA indexes {total} B of {} B", self.log.total());
-            return Err(corrupt(dec.position(), detail));
-        }
-        let mut live = 0u64;
-        let windows = dec.get_varint_u64()? as usize;
-        let mut index = BTreeMap::new();
-        for _ in 0..windows {
-            let start = dec.get_varint_i64()?;
-            let end = dec.get_varint_i64()?;
-            if start > end {
-                return Err(corrupt(
-                    dec.position(),
-                    format!("inverted TIERMETA window [{start}, {end})"),
-                ));
-            }
-            let n = dec.get_varint_u64()? as usize;
-            let mut refs = Vec::with_capacity(n.min(body.len()));
-            for _ in 0..n {
-                let offset = dec.get_varint_u64()?;
-                let mut get_u32 = |what: &str| {
-                    let v = dec.get_varint_u64()?;
-                    u32::try_from(v).map_err(|_| {
-                        corrupt(
-                            dec.position(),
-                            format!("TIERMETA block {what} {v} exceeds u32"),
-                        )
-                    })
-                };
-                let (len, rows) = (get_u32("length")?, get_u32("rows")?);
-                let block = BlockRef { offset, len, rows };
-                let end = block.offset.saturating_add(u64::from(block.len));
-                live = live.saturating_add(RECORD_HEADER_LEN + u64::from(block.len));
-                if block.offset < RECORD_HEADER_LEN || end > total || live > total {
-                    return Err(corrupt(
-                        dec.position(),
-                        "TIERMETA block outside the log".into(),
-                    ));
-                }
-                refs.push(block);
-            }
-            index.insert(WindowId::new(start, end), refs);
-        }
-        self.log.retire(total - live);
-        self.index = index;
-        Ok(())
+            let rows = u32::try_from(block.rows())
+                .map_err(|_| corrupt(format!("a block of {} rows", block.rows())))?;
+            let (offset, len) = (loc.offset + RECORD_HEADER_LEN, loc.len);
+            let refs = index.entry(block.window()).or_default();
+            refs.push(BlockRef { offset, len, rows });
+            Ok(())
+        })
     }
 }
 
@@ -1002,8 +918,8 @@ impl StateBackend for TieredStore {
     }
 
     fn checkpoint(&mut self, dir: &Path) -> Result<()> {
-        // Seal the hot tier entirely: the snapshot is then just the cold
-        // log plus its index, and the inner checkpoint is tiny.
+        // Seal the hot tier entirely: the snapshot is then the cold log's
+        // live blocks, and the inner checkpoint is tiny.
         self.demote_to_budget(0)?;
         self.inner.flush()?;
         let hot_dir = dir.join(CKPT_HOT);
@@ -1011,15 +927,21 @@ impl StateBackend for TieredStore {
             .create_dir_all(&hot_dir)
             .map_err(|e| StoreError::io_at("tier checkpoint dir", &hot_dir, e))?;
         self.inner.checkpoint(&hot_dir)?;
-        self.log.checkpoint_to(dir, CKPT_COLD)?;
-        let meta_dst = dir.join(CKPT_META);
-        self.vfs
-            .write(&meta_dst, &self.encode_meta())
-            .map_err(|e| StoreError::io_at("tier checkpoint meta", &meta_dst, e))?;
-        Ok(())
+        let blocks = self.index.values().flatten();
+        let mut live: Vec<_> = blocks.map(BlockRef::record).collect();
+        live.sort_unstable();
+        self.log.checkpoint(&live, dir, CKPT_COLD)
     }
 
     fn restore(&mut self, dir: &Path) -> Result<()> {
+        // Beside the retired sidecar, the cold log may hold dead blocks
+        // only the sidecar excluded: restoring them would bring back rows
+        // that were already consumed.
+        let retired = dir.join(RETIRED_META);
+        if self.vfs.exists(&retired) {
+            let detail = "a tier checkpoint indexed by the retired sidecar";
+            return Err(StoreError::corruption(retired, 0, detail));
+        }
         self.settle_inflight();
         self.prefetched.clear();
         self.prefetched_bytes = 0;
@@ -1029,14 +951,7 @@ impl StateBackend for TieredStore {
         self.index.clear();
         self.inner.restore(&dir.join(CKPT_HOT))?;
         self.log.restore_from(dir, CKPT_COLD)?;
-        let meta_src = dir.join(CKPT_META);
-        if self.vfs.exists(&meta_src) {
-            let bytes = self
-                .vfs
-                .read(&meta_src)
-                .map_err(|e| StoreError::io_at("tier restore meta", &meta_src, e))?;
-            self.decode_meta(&bytes, &meta_src)?;
-        }
+        self.rebuild_index()?;
         self.update_gauges();
         Ok(())
     }
@@ -1668,70 +1583,106 @@ mod tests {
         s.close().unwrap();
     }
 
-    /// A `TIERMETA` sidecar around `body`, with magic and a valid CRC.
-    fn sealed(body: &[u8]) -> Vec<u8> {
-        let mut bytes = META_MAGIC.to_vec();
-        bytes.extend_from_slice(body);
-        codec::put_u32(&mut bytes, codec::crc32(body));
-        bytes
+    /// The cold log's shape: `(generation, total, dead)`.
+    fn cold_log(s: &TieredStore) -> (u64, u64, u64) {
+        (s.log.generation(), s.log.total(), s.log.dead())
+    }
+
+    /// The block index as `(window, rows per block)`.
+    fn block_rows(s: &TieredStore) -> Vec<(WindowId, Vec<u32>)> {
+        let rows = |refs: &Vec<BlockRef>| refs.iter().map(|r| r.rows).collect();
+        s.index.iter().map(|(w, refs)| (*w, rows(refs))).collect()
     }
 
     #[test]
-    fn tiermeta_of_another_version_or_another_log_is_corruption() {
-        let dir = ScratchDir::new("tier-meta").unwrap();
+    fn a_checkpoint_copies_the_live_blocks_and_leaves_the_cold_log_alone() {
+        let dir = ScratchDir::new("tier-ckpt-live").unwrap();
+        let ckpt = ScratchDir::new("tier-ckpt-live-dst").unwrap();
+        let window = WindowKind::Session { gap: 50 };
+        let (mut s, _) = recorded(dir.path(), AggregateKind::FullList, window, 0, plain());
+        // Every append seals a block; the taken window's two go dead.
+        s.append(b"gone", w(0, 100), b"x", 1).unwrap();
+        s.append(b"gone", w(0, 100), b"y", 2).unwrap();
+        for (i, key) in [b"k0", b"k1", b"k0"].into_iter().enumerate() {
+            s.append(key, w(100, 200), format!("v{i}").as_bytes(), 101)
+                .unwrap();
+        }
+        assert_eq!(s.take_values(b"gone", w(0, 100)).unwrap().len(), 2);
+        let before = cold_log(&s);
+        assert!(
+            before.2 > 0,
+            "the taken window's blocks are dead: {before:?}"
+        );
+        s.checkpoint(ckpt.path()).unwrap();
+        assert_eq!(cold_log(&s), before);
+        let listed: u64 = s.index.values().flatten().map(|r| r.record().1).sum();
+        let copied = StdVfs.file_len(&ckpt.path().join(CKPT_COLD)).unwrap();
+        assert_eq!((copied, listed), (before.1 - before.2, before.1 - before.2));
+
+        // One scan of the copy rebuilds the index: each block under its
+        // window, in demotion order, with its row count.
+        let dir2 = ScratchDir::new("tier-ckpt-live-2").unwrap();
+        let (mut restored, _) = recorded(dir2.path(), AggregateKind::FullList, window, 0, plain());
+        restored.restore(ckpt.path()).unwrap();
+        assert_eq!(block_rows(&restored), block_rows(&s));
+        assert_eq!(cold_log(&restored), (0, copied, 0));
+        assert_eq!(
+            restored.take_values(b"k0", w(100, 200)).unwrap(),
+            [b"v0", b"v2"]
+        );
+        assert!(restored.take_values(b"gone", w(0, 100)).unwrap().is_empty());
+        s.close().unwrap();
+        restored.close().unwrap();
+    }
+
+    #[test]
+    fn a_cold_log_record_that_is_no_block_of_the_store_is_corruption_at_its_offset() {
+        let dir = ScratchDir::new("tier-restore-bad").unwrap();
+        let ckpt = ScratchDir::new("tier-restore-bad-dst").unwrap();
         let window = WindowKind::Session { gap: 50 };
         let (mut s, _) = recorded(dir.path(), AggregateKind::FullList, window, 0, plain());
         s.append(b"k", w(0, 100), b"v", 1).unwrap();
-        let path = dir.path().join("TIERMETA");
-        // What this store writes restores into it.
-        let own = s.encode_meta();
-        s.decode_meta(&own, &path).unwrap();
-        // Version 1 — `cold_len, live, dead, windows…` over a log of
-        // length-framed blocks — is rejected by its version byte, with
-        // its checksum intact.
-        let v1 = sealed(&[1, 40, 36, 0, 1, 0, 100, 1, 4, 36, 1]);
-        let err = s.decode_meta(&v1, &path).unwrap_err();
-        assert!(err.is_corruption(), "{err}");
-        assert!(err.to_string().contains("version 1"), "{err}");
-        // A sidecar of this version that describes some other log: the
-        // wrong length, or a block that is not inside it.
-        let total = s.log.total() as u8;
-        for body in [
-            vec![META_VERSION, total + 1, 0],
-            vec![META_VERSION, total, 1, 0, 100, 1, 4, total, 1],
-            vec![META_VERSION, total, 1, 0, 100, 1, 8, total, 1],
+        s.checkpoint(ckpt.path()).unwrap();
+        let path = ckpt.path().join(CKPT_COLD);
+        let block = std::fs::read(&path).unwrap();
+        let mut aggregates = BlockWriter::new(false);
+        aggregates.push(b"k", 1, b"agg");
+        let aggregates = aggregates.finish(w(0, 100), BlockKind::Aggregates).to_vec();
+        for (second, detail) in [
+            (&b"no block"[..], "cold-block"),
+            (&aggregates, "Aggregates"),
         ] {
-            let err = s.decode_meta(&sealed(&body), &path).unwrap_err();
-            assert!(err.is_corruption(), "{body:?}: {err}");
+            // A valid block, then the bad record right behind it.
+            let mut log = flowkv_common::logfile::LogWriter::create(&path).unwrap();
+            log.append(&block[RECORD_HEADER_LEN as usize..]).unwrap();
+            log.append(second).unwrap();
+            log.sync().unwrap();
+            let err = s.restore(ckpt.path()).unwrap_err();
+            let at = format!("at offset {}: ", block.len());
+            assert!(err.is_corruption(), "{err}");
+            assert!(err.to_string().contains(&at), "{err}");
+            assert!(err.to_string().contains(detail), "{err}");
         }
         s.close().unwrap();
     }
 
     #[test]
-    fn tiermeta_block_fields_past_u32_are_corruption_not_wrapped() {
-        let dir = ScratchDir::new("tier-meta-wide").unwrap();
+    fn a_restore_refuses_a_checkpoint_beside_the_retired_tiermeta() {
+        let dir = ScratchDir::new("tier-restore-retired").unwrap();
+        let ckpt = ScratchDir::new("tier-restore-retired-dst").unwrap();
         let window = WindowKind::Session { gap: 50 };
         let (mut s, _) = recorded(dir.path(), AggregateKind::FullList, window, 0, plain());
         s.append(b"k", w(0, 100), b"v", 1).unwrap();
-        let path = dir.path().join("TIERMETA");
-        let (&window, refs) = s.index.iter().next().expect("the demoted window");
-        let block = refs[0];
-        let (len, rows) = (u64::from(block.len), u64::from(block.rows));
-        // The store's own block with its length or row count 2^32 larger:
-        // truncated to u32, either would read back as the block itself.
-        for (len, rows) in [(len + (1 << 32), rows), (len, rows + (1 << 32))] {
-            let mut body = vec![META_VERSION];
-            codec::put_varint_u64(&mut body, s.log.total());
-            codec::put_varint_u64(&mut body, 1);
-            codec::put_varint_i64(&mut body, window.start);
-            codec::put_varint_i64(&mut body, window.end);
-            for v in [1, block.offset, len, rows] {
-                codec::put_varint_u64(&mut body, v);
-            }
-            let err = s.decode_meta(&sealed(&body), &path).unwrap_err();
-            assert!(err.is_corruption(), "{err}");
-            assert!(err.to_string().contains("exceeds u32"), "{err}");
-        }
+        s.checkpoint(ckpt.path()).unwrap();
+        s.restore(ckpt.path()).unwrap();
+        // Whatever the sidecar holds, its presence says the cold log
+        // beside it may carry dead blocks.
+        StdVfs
+            .write(&ckpt.path().join("TIERMETA"), b"FKTM")
+            .unwrap();
+        let err = s.restore(ckpt.path()).unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        assert!(err.to_string().contains("TIERMETA"), "{err}");
         s.close().unwrap();
     }
 }

@@ -12,8 +12,9 @@
 //!
 //! The same counter shows that `io_threads = 0` is not a second code
 //! path: a lane of width zero runs the very job bodies a ring runs, so a
-//! serving-view read and a compaction issue the same faultable-op
-//! sequence — and fail the same way at each op of it — at width 0 and 2.
+//! serving-view read, a checkpoint and a compaction issue the same
+//! faultable-op sequence — and fail the same way at each op of it — at
+//! width 0 and 2.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -45,15 +46,20 @@ fn window() -> WindowId {
 /// An AUR store over a counting filesystem holding `WINDOWS` flushed
 /// session windows, every one selected by a batch read (ratio 1).
 fn flushed_aur_store(dir: &ScratchDir) -> (AurStore, Arc<FaultVfs>) {
-    flushed_aur_store_on(dir, FaultVfs::counting(StdVfs::shared()))
-}
-
-/// [`flushed_aur_store`] over a filesystem that may have a fault planted.
-fn flushed_aur_store_on(dir: &ScratchDir, counting: Arc<FaultVfs>) -> (AurStore, Arc<FaultVfs>) {
     let cfg = AurConfig {
         read_batch_ratio: 1.0,
         ..AurConfig::default()
     };
+    flushed_aur_store_on(dir, FaultVfs::counting(StdVfs::shared()), cfg)
+}
+
+/// [`flushed_aur_store`] of `cfg`, over a filesystem that may have a
+/// fault planted.
+fn flushed_aur_store_on(
+    dir: &ScratchDir,
+    counting: Arc<FaultVfs>,
+    cfg: AurConfig,
+) -> (AurStore, Arc<FaultVfs>) {
     let mut store = AurStore::open_with_vfs(
         dir.path(),
         cfg,
@@ -281,15 +287,26 @@ fn view_op(store: &mut AurStore, _scratch: &Path) -> flowkv_common::error::Resul
     Ok(format!("{} entries from {first:?}", view.len()))
 }
 
-/// A checkpoint of a store with dead bytes compacts it first.
-fn compact_op(store: &mut AurStore, scratch: &Path) -> flowkv_common::error::Result<String> {
+/// A checkpoint of a store with dead bytes: it copies the live records
+/// and leaves the log as it was.
+fn checkpoint_op(store: &mut AurStore, scratch: &Path) -> flowkv_common::error::Result<String> {
     store.checkpoint(&scratch.join("ckpt"))?;
-    Ok(format!(
+    Ok(log_shape(store))
+}
+
+/// The consume that takes the log past its MSA, and so compacts it.
+fn compact_op(store: &mut AurStore, _scratch: &Path) -> flowkv_common::error::Result<String> {
+    let values = store.take(format!("key-{:03}", WINDOWS / 2).as_bytes(), window())?;
+    Ok(format!("{} values, {}", values.len(), log_shape(store)))
+}
+
+fn log_shape(store: &AurStore) -> String {
+    format!(
         "generation {}, {} bytes, {} dead",
         store.generation(),
         store.data_log_bytes(),
         store.dead_bytes()
-    ))
+    )
 }
 
 /// Runs `op` at lane width `io_threads` on a store whose first
@@ -302,11 +319,21 @@ fn observe(io_threads: usize, fault_at: Option<u64>, op: LaneOp) -> (u64, u64, S
     let plan = fault_at.map_or_else(FaultPlan::new, |at| {
         FaultPlan::new().with_fault(at, FaultKind::Enospc)
     });
-    let (mut store, vfs) = flushed_aur_store_on(&dir, FaultVfs::new(StdVfs::shared(), plan));
+    // The records are all one size, so at an MSA of 2 the consumed half
+    // sits exactly at the rule and the next consume crosses it; the floor
+    // (one buffer) is a fraction of the log.
+    let cfg = AurConfig {
+        write_buffer_bytes: 1 << 10,
+        read_batch_ratio: 1.0,
+        max_space_amplification: 2.0,
+    };
+    let vfs = FaultVfs::new(StdVfs::shared(), plan);
+    let (mut store, vfs) = flushed_aur_store_on(&dir, vfs, cfg);
     for i in 0..WINDOWS / 2 {
         let key = format!("key-{i:03}");
         assert_eq!(store.take(key.as_bytes(), window()).unwrap().len(), 1);
     }
+    assert_eq!(store.generation(), 0, "the setup compacted");
     if io_threads > 0 {
         store = store.with_ring(Arc::new(IoRing::new(io_threads, None, None)));
     }
@@ -319,14 +346,22 @@ fn observe(io_threads: usize, fault_at: Option<u64>, op: LaneOp) -> (u64, u64, S
 #[test]
 fn view_and_compaction_issue_the_same_ops_at_lane_width_0_and_2() {
     // The view opens the data log and reads its live records in one
-    // extent; the compaction's count is the checkpoint's whole rewrite
-    // of the one log and its copy. 17 while an index log stood beside
-    // it: its rewrite (create, write, sync, rename, remove) and its copy
-    // (sync, directory, copy) are the 8 ops that went.
-    for (op, pinned) in [(view_op as LaneOp, 2), (compact_op, 9)] {
+    // extent. The checkpoint creates its directory and its file, reads
+    // the live records in one extent through the reader the takes
+    // opened, writes them and syncs: 5. The compaction a consume starts
+    // past the MSA creates the next generation's temp, reads the live
+    // records in one extent, writes, syncs, renames and removes the old
+    // generation: 6 (its take is served by the batch read of the setup).
+    let cells = [
+        (view_op as LaneOp, 2, "32 entries"),
+        (checkpoint_op, 5, "generation 0"),
+        (compact_op, 6, "1 values, generation 1"),
+    ];
+    for (op, pinned, outcome) in cells {
         let clean = observe(0, None, op);
         assert_eq!(observe(2, None, op), clean);
-        let (setup_ops, ops, _) = clean;
+        let (setup_ops, ops, text) = clean;
+        assert!(text.starts_with(outcome), "{text}");
         assert_eq!(ops, pinned, "the operation's device ops");
         // The sequences agree op by op: a fault at any index ends the
         // operation after the same number of ops, with the same text (or

@@ -308,22 +308,22 @@ fn short_read_inside_an_extent_recovers() {
     );
 }
 
-/// A torn write of the tier's `TIERMETA` checkpoint sidecar: the attempt
-/// fails with a structured I/O error and leaves a truncated sidecar
-/// behind, supervision restarts once and the output is byte-identical
-/// to an undisturbed run; restoring from the torn checkpoint directly is
-/// a structural error, never a panic or a silently empty cold tier.
+/// A torn write of the tier's checkpoint cold log: the attempt fails
+/// with a structured I/O error and leaves a torn copy behind,
+/// supervision restarts once and the output is byte-identical to an
+/// undisturbed run; restoring from the torn checkpoint directly is a
+/// structural error, never a panic or a silently shorter cold tier.
 ///
 /// The op is found as in [`short_read_inside_an_extent_recovers`]: one
 /// worker, the fault planted at successive ops of plain runs until one
-/// dies writing the sidecar. The stream is short because the sidecar is
+/// dies writing the copy. The stream is short because the copy is
 /// written mid-run, so the probe walks half the run's ops.
 #[test]
-fn torn_tier_meta_sidecar_recovers() {
+fn torn_tier_checkpoint_log_recovers() {
     const EVENTS: u64 = 1_000;
     let seed = fault_seed(DEFAULT_SEED);
     let backend = &BackendChoice::all_small_for_tests()[1];
-    let dir = ScratchDir::new("crash-matrix-torn-tiermeta").unwrap();
+    let dir = ScratchDir::new("crash-matrix-torn-coldlog").unwrap();
     let log = dir.path().join("events.log");
     TupleLog::record(&log, nexmark_generator(EVENTS, 7).tuples()).unwrap();
     let job = QueryId::Q11Median.build(QueryParams::new(1_000).with_parallelism(1));
@@ -335,7 +335,7 @@ fn torn_tier_meta_sidecar_recovers() {
         opts.checkpoint_dir = Some(dir.path().join(format!("{name}-ckpt")));
         opts
     };
-    // Forced demotion: every checkpoint has cold blocks to index.
+    // Forced demotion: every checkpoint has cold blocks to copy.
     let factory = |vfs: Arc<FaultVfs>| {
         let tier = flowkv::tier::TierConfig::new(0);
         backend.build(FactoryOptions::new().tiered(tier).vfs(vfs))
@@ -354,19 +354,22 @@ fn torn_tier_meta_sidecar_recovers() {
     assert!(!reference.outputs.is_empty());
     let total_ops = counter.ops();
 
-    // The tear keeps enough of the sidecar to pass its length check, so
-    // a restore has to catch it by checksum.
+    // The tear keeps a whole record header, so a restore has to catch
+    // the record it frames. The probe wants a write into the copy, not
+    // the create before it.
     let torn_at = |op| FaultPlan::new().with_fault(op, FaultKind::TornWrite { keep: 16 });
-    let meta_op = (1..=total_ops)
+    let copy_op = (1..=total_ops)
         .find(|&op| {
             let vfs = FaultVfs::new(StdVfs::shared(), torn_at(op));
-            run(&format!("probe-{op}"), vfs)
-                .is_err_and(|e| e.to_string().contains("tier checkpoint meta"))
+            run(&format!("probe-{op}"), vfs).is_err_and(|e| {
+                let e = e.to_string();
+                e.contains("COLDLOG") && !e.contains("log create")
+            })
         })
-        .unwrap_or_else(|| panic!("no op writes the TIERMETA sidecar (seed {seed})"));
+        .unwrap_or_else(|| panic!("no op writes the checkpoint cold log (seed {seed})"));
 
     let mut resume = options("resume");
-    resume.restore_from = Some(dir.path().join(format!("probe-{meta_op}-ckpt")));
+    resume.restore_from = Some(dir.path().join(format!("probe-{copy_op}-ckpt")));
     resume.checkpoint_after_tuples = None;
     let err = run_job(
         &job,
@@ -374,29 +377,29 @@ fn torn_tier_meta_sidecar_recovers() {
         factory(FaultVfs::counting(StdVfs::shared())),
         &resume,
     )
-    .expect_err("restored from a torn TIERMETA");
+    .expect_err("restored from a torn cold log");
     assert!(
         matches!(&err, JobError::Store(e) if e.is_corruption()),
-        "torn sidecar at op {meta_op} (seed {seed}): {err}"
+        "torn cold log at op {copy_op} (seed {seed}): {err}"
     );
 
-    let faulty = FaultVfs::new(StdVfs::shared(), torn_at(meta_op));
+    let faulty = FaultVfs::new(StdVfs::shared(), torn_at(copy_op));
     let mut opts = options("data");
     opts.max_restarts = 2;
     opts.restart_backoff = std::time::Duration::from_millis(1);
     let sup = run_supervised(&job, &log, factory(faulty.clone()), &opts)
-        .unwrap_or_else(|e| panic!("supervised run failed (seed {seed}, op {meta_op}): {e}"));
+        .unwrap_or_else(|e| panic!("supervised run failed (seed {seed}, op {copy_op}): {e}"));
     assert_eq!(
         faulty.fired(),
-        vec![(meta_op, FaultKind::TornWrite { keep: 16 })]
+        vec![(copy_op, FaultKind::TornWrite { keep: 16 })]
     );
     assert_eq!(
         sup.restarts, 1,
-        "one torn sidecar must cost one restart (seed {seed}, op {meta_op})"
+        "one torn cold log must cost one restart (seed {seed}, op {copy_op})"
     );
     assert_eq!(
         sorted_triples(&sup.all_outputs()),
         sorted_triples(&reference.outputs),
-        "recovered output diverged (seed {seed}, torn TIERMETA at op {meta_op})"
+        "recovered output diverged (seed {seed}, torn cold log at op {copy_op})"
     );
 }

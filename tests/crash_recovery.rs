@@ -13,6 +13,11 @@
 //! writer buffer at a time: what earlier flushes wrote reads back and
 //! what the torn one wrote is served record by record, whole or not at
 //! all.
+//!
+//! A fault inside a checkpoint — which copies the records a store lists
+//! as live and leaves its log alone — costs nothing but that checkpoint:
+//! the store answers on as it did, and a retried checkpoint restores to
+//! those answers, with no consumed entry back.
 
 mod common;
 
@@ -495,10 +500,11 @@ fn open_tiered(dir: &Path, vfs: Arc<dyn Vfs>) -> Tiered {
     (store, telemetry)
 }
 
-/// The tier keeps its cold index in memory and in checkpoints only, so
-/// its reopen is the engine's: a fresh store over whatever the fault
-/// left in the directory, restored from the last checkpoint — here one
-/// taken just before the compacting call.
+/// The tier keeps its cold index in memory only — a checkpoint's copy of
+/// the cold log holds the live blocks alone, and a restore rebuilds the
+/// index by scanning it — so its reopen is the engine's: a fresh store
+/// over whatever the fault left in the directory, restored from the last
+/// checkpoint — here one taken just before the compacting call.
 #[test]
 fn tiered_store_survives_a_fault_at_every_op_of_a_cold_log_compaction() {
     Sweep {
@@ -543,6 +549,180 @@ fn tiered_store_survives_a_fault_at_every_op_of_a_cold_log_compaction() {
             }
         },
         crash_at_every_op: false,
+    }
+    .sweep();
+}
+
+// ---------------------------------------------------------------------------
+// Faults inside a checkpoint
+// ---------------------------------------------------------------------------
+
+/// What a store answers for the sweep's keys: each key's values, in key
+/// order, every `doom` key included — a consumed one answers nothing.
+type Answers = Vec<Vec<Vec<u8>>>;
+
+/// One store's side of the checkpoint fault sweep: `ENOSPC` at every op
+/// of a checkpoint of a store that holds dead bytes. Whichever op it
+/// lands on, the store goes on answering as a fault-free run does, and a
+/// retried checkpoint restores to those answers — dead records stay out
+/// of it.
+struct CheckpointSweep<S> {
+    name: &'static str,
+    /// Opens the store in a directory, all its I/O on the filesystem.
+    open: fn(&Path, Arc<dyn Vfs>) -> S,
+    /// Leaves live entries, consumed ones and nothing buffered.
+    prepare: fn(&mut S),
+    checkpoint: fn(&mut S, &Path) -> Result<()>,
+    restore: fn(&mut S, &Path) -> Result<()>,
+    /// Takes every key `prepare` wrote.
+    answers: fn(&mut S) -> Answers,
+}
+
+impl<S> CheckpointSweep<S> {
+    /// Prepares a store on `vfs` and checkpoints it, once more if that
+    /// failed. Returns the ops before and after the first checkpoint,
+    /// whether it failed, what the store then answers and what it
+    /// answers restored from the checkpoint.
+    fn run(&self, vfs: Arc<FaultVfs>, after: &str) -> (u64, u64, bool, Answers, Answers) {
+        let dir = ScratchDir::new(&format!("crash-ckpt-{}", self.name)).unwrap();
+        let ckpt = dir.path().join("ckpt");
+        let mut store = (self.open)(&dir.path().join("store"), vfs.clone());
+        (self.prepare)(&mut store);
+        let before = vfs.ops();
+        let failed = (self.checkpoint)(&mut store, &ckpt).is_err();
+        let end = vfs.ops();
+        if failed {
+            (self.checkpoint)(&mut store, &ckpt)
+                .unwrap_or_else(|e| panic!("{}, {after}: the retry failed: {e}", self.name));
+        }
+        let live = (self.answers)(&mut store);
+        (self.restore)(&mut store, &ckpt)
+            .unwrap_or_else(|e| panic!("{}, {after}: restore: {e}", self.name));
+        let restored = (self.answers)(&mut store);
+        (before, end, failed, live, restored)
+    }
+
+    fn sweep(&self) {
+        let counting = FaultVfs::counting(StdVfs::shared());
+        let (before, end, _, expect, restored) = self.run(counting, "no fault");
+        assert_eq!(restored, expect, "{}: restored without a fault", self.name);
+        assert!(
+            expect.iter().any(Vec::is_empty) && expect.iter().any(|v| !v.is_empty()),
+            "{}: the sweep needs live and consumed keys",
+            self.name
+        );
+        println!("checkpoint sweep {}: ops {before}..{end}", self.name);
+        let mut surfaced = 0;
+        for op in before + 1..=end {
+            let plan = FaultPlan::new().with_fault(op, FaultKind::Enospc);
+            let after = format!("ENOSPC at op {op} of {before}..{end}");
+            let (.., failed, live, restored) =
+                self.run(FaultVfs::new(StdVfs::shared(), plan), &after);
+            assert_eq!(live, expect, "{}, {after}: live takes", self.name);
+            assert_eq!(restored, expect, "{}, {after}: restored", self.name);
+            surfaced += u64::from(failed);
+        }
+        let ops = end - before;
+        assert_eq!(surfaced, ops, "{}: faults that surfaced", self.name);
+    }
+}
+
+/// Every key the checkpoint sweep writes, with its index: each `live`
+/// key beside its `doom` key.
+fn sweep_keys() -> impl Iterator<Item = (Vec<u8>, u32)> {
+    (0..KEYS).flat_map(|i| [(live_key(i), i), (doomed_key(i), i)])
+}
+
+#[test]
+fn aur_checkpoint_survives_a_fault_at_every_op() {
+    CheckpointSweep {
+        name: "aur",
+        open: open_aur,
+        prepare: |s| {
+            for (key, i) in sweep_keys() {
+                s.append(&key, w(0, 100), &value_of(i), 1).unwrap();
+            }
+            s.flush().unwrap();
+            for i in 0..COMPACTS_AT - 1 {
+                assert_eq!(s.take(&doomed_key(i), w(0, 100)).unwrap().len(), 1);
+            }
+            assert!(s.dead_bytes() > 0 && s.generation() == 0);
+        },
+        checkpoint: |s, dir| s.checkpoint(dir),
+        restore: |s, dir| s.restore(dir),
+        answers: |s| {
+            let take = |(key, _): (Vec<u8>, u32)| s.take(&key, w(0, 100)).unwrap();
+            sweep_keys().map(take).collect()
+        },
+    }
+    .sweep();
+}
+
+#[test]
+fn rmw_checkpoint_survives_a_fault_at_every_op() {
+    CheckpointSweep {
+        name: "rmw",
+        open: open_rmw,
+        prepare: |(s, metrics)| {
+            for (key, i) in sweep_keys() {
+                s.put(&key, w(0, 100), &value_of(i)).unwrap();
+            }
+            s.flush().unwrap();
+            for i in 0..COMPACTS_AT - 1 {
+                assert!(s.take(&doomed_key(i), w(0, 100)).unwrap().is_some());
+            }
+            assert_eq!(metrics.snapshot().compactions, 0);
+        },
+        checkpoint: |(s, _), dir| s.checkpoint(dir),
+        restore: |(s, _), dir| s.restore(dir),
+        answers: |(s, _)| {
+            let take = |(key, _): (Vec<u8>, u32)| s.take(&key, w(0, 100)).unwrap();
+            sweep_keys().map(take).map(Vec::from_iter).collect()
+        },
+    }
+    .sweep();
+}
+
+/// The window of the sweep's key `i`: the `live` keys share one, each
+/// `doom` key has its own, so a take of one leaves nothing hot.
+fn tier_window(key: &[u8], i: u32) -> WindowId {
+    match key.starts_with(b"live") {
+        true => w(100, 200),
+        false => w(1_000 * i64::from(i + 1), 1_000 * i64::from(i + 1) + 100),
+    }
+}
+
+#[test]
+fn tiered_checkpoint_survives_a_fault_at_every_op() {
+    CheckpointSweep {
+        name: "tiered",
+        open: open_tiered,
+        // Every append seals a block; the taken `doom` keys' blocks are
+        // dead in the cold log, below its compaction floor.
+        prepare: |(s, telemetry)| {
+            for (key, i) in sweep_keys() {
+                let window = tier_window(&key, i);
+                s.append(&key, window, &value_of(i), window.start + 1)
+                    .unwrap();
+            }
+            for i in 0..COMPACTS_AT - 1 {
+                let key = doomed_key(i);
+                let window = tier_window(&key, i);
+                assert_eq!(s.take_values(&key, window).unwrap().len(), 1);
+            }
+            let samples = telemetry.registry().snapshot();
+            let dead = samples.iter().find(|s| s.name == "tier_cold_dead_bytes");
+            assert!(
+                matches!(dead.map(|s| &s.value), Some(SampleValue::Gauge(n)) if *n > 0),
+                "no dead cold bytes: {dead:?}"
+            );
+        },
+        checkpoint: |(s, _), dir| s.checkpoint(dir),
+        restore: |(s, _), dir| s.restore(dir),
+        answers: |(s, _)| {
+            let take = |(key, i): (Vec<u8>, u32)| s.take_values(&key, tier_window(&key, i));
+            sweep_keys().map(take).map(Result::unwrap).collect()
+        },
     }
     .sweep();
 }

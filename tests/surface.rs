@@ -1,0 +1,135 @@
+//! The surface pin: four counts of the source tree's surface, each
+//! defined beside its pin, that would otherwise only be taken by hand.
+//! A change that moves a count edits the pin and says why.
+
+use std::collections::BTreeMap;
+use std::fs;
+use std::path::{Path, PathBuf};
+
+fn root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Every `.rs` file under `dir`, in path order; build directories
+/// (`target`, and hidden ones such as the benchmark's `.bench_build`)
+/// left out.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    let mut entries: Vec<PathBuf> = fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    entries.sort();
+    for path in entries {
+        let name = path.file_name().unwrap().to_string_lossy();
+        if path.is_dir() && name != "target" && !name.starts_with('.') {
+            files.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            files.push(path);
+        }
+    }
+    files
+}
+
+fn read(path: &Path) -> String {
+    fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The lines of an item's body in `file`: those after the line that is
+/// exactly `head`, up to the first line that is exactly `}`.
+fn body(file: &str, head: &str) -> Vec<String> {
+    let text = read(&root().join(file));
+    assert!(text.lines().any(|line| line == head), "{file}: no `{head}`");
+    let lines = text.lines().skip_while(|line| *line != head).skip(1);
+    lines
+        .take_while(|line| *line != "}")
+        .map(str::to_owned)
+        .collect()
+}
+
+/// `StateBackend` methods: the lines of the trait's body that open with
+/// `    fn ` — every method, required or with a default.
+#[test]
+fn state_backend_methods() {
+    let trait_body = body(
+        "crates/common/src/backend.rs",
+        "pub trait StateBackend: Send {",
+    );
+    let methods = trait_body.iter().filter(|line| line.starts_with("    fn "));
+    assert_eq!(methods.count(), 22);
+}
+
+/// `RunOptions` `pub` fields: the lines of the struct's body that open
+/// with `    pub `.
+#[test]
+fn run_options_pub_fields() {
+    let fields = body("crates/spe/src/executor.rs", "pub struct RunOptions {");
+    let fields = fields.iter().filter(|line| line.starts_with("    pub "));
+    assert_eq!(fields.count(), 25);
+}
+
+/// `StoreMetrics` references outside `metrics.rs`: occurrences of the
+/// whole word in every `.rs` file of the repository — `perf/` included,
+/// build directories not — but `crates/common/src/metrics.rs`, which
+/// defines it, and this file, which names it.
+#[test]
+fn store_metrics_references_outside_metrics_rs() {
+    const WORD: &str = "StoreMetrics";
+    let defining = root().join("crates/common/src/metrics.rs");
+    let this = root().join(file!());
+    let part_of_word = |c: char| c.is_alphanumeric() || c == '_';
+    let mut references = 0;
+    for file in rust_files(&root()) {
+        if file == defining || file == this {
+            continue;
+        }
+        let text = read(&file);
+        references += text
+            .match_indices(WORD)
+            .filter(|&(at, _)| {
+                let before = text[..at].chars().next_back();
+                let after = text[at + WORD.len()..].chars().next();
+                !before.is_some_and(part_of_word) && !after.is_some_and(part_of_word)
+            })
+            .count();
+    }
+    assert_eq!(references, 134);
+}
+
+/// `pub fn` per crate: the lines of each first-party crate's `src/` that
+/// open, past their indentation, with `pub fn ` (`pub(crate)` and
+/// narrower do not count; the vendored shims are not first-party).
+#[test]
+fn pub_fns_per_crate() {
+    let mut counts = BTreeMap::new();
+    for dir in fs::read_dir(root().join("crates")).unwrap() {
+        let dir = dir.unwrap().path();
+        let name = dir.file_name().unwrap().to_string_lossy().into_owned();
+        if name == "shims" {
+            continue;
+        }
+        let lines: usize = rust_files(&dir.join("src"))
+            .iter()
+            .map(|file| {
+                let text = read(file);
+                let pub_fns = text
+                    .lines()
+                    .filter(|l| l.trim_start().starts_with("pub fn "));
+                pub_fns.count()
+            })
+            .sum();
+        counts.insert(name, lines);
+    }
+    let pinned = [
+        ("bench", 16),
+        ("common", 266),
+        ("core", 115),
+        ("hashkv", 54),
+        ("lsm", 92),
+        ("nexmark", 19),
+        ("serve", 44),
+        ("spe", 53),
+    ];
+    let pinned = pinned.map(|(name, n)| (name.to_string(), n));
+    assert_eq!(counts, BTreeMap::from(pinned));
+}

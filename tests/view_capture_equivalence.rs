@@ -16,6 +16,9 @@
 //! `update_aggregate` each and as the take and the put that stands for:
 //! the two publish the same number of entries and the same `len` and
 //! `memory_bytes` at every watermark.
+//!
+//! A captured store's own `memory_bytes` counts the epoch log the
+//! adaptor keeps beside the store.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -345,4 +348,39 @@ fn tiered_aur_layered_view_equals_read_view() {
 #[test]
 fn tiered_rmw_layered_view_equals_read_view() {
     run(Pattern::Rmw, true);
+}
+
+/// The epoch log is memory the adaptor holds: after one epoch of updates
+/// a captured store reports more than the same store bare, by at least a
+/// 48-byte row per logged call.
+#[test]
+fn a_captured_store_counts_its_epoch_log() {
+    const PAIRS: usize = 100;
+    let dir = ScratchDir::new("capture-memory").unwrap();
+    let store = |name: &str| {
+        BackendChoice::FlowKv(FlowKvConfig::small_for_tests())
+            .build(FactoryOptions::new())
+            .create(&OperatorContext {
+                operator: name.to_string(),
+                partition: 0,
+                semantics: Pattern::Rmw.semantics(),
+                data_dir: dir.path().to_path_buf(),
+                telemetry: None,
+                io: None,
+            })
+            .unwrap()
+    };
+    let mut bare = store("bare");
+    let (mut captured, mut capture) = ViewCapture::wrap(store("captured"));
+    // The first advance starts the view; what follows is recorded.
+    capture.advance(captured.as_mut()).unwrap();
+    for i in 0..PAIRS {
+        let key = format!("key-{i:03}").into_bytes();
+        for s in [&mut bare, &mut captured] {
+            s.put_aggregate(&key, WindowId::new(0, 100), b"aggregate")
+                .unwrap();
+        }
+    }
+    let logged = captured.memory_bytes() - bare.memory_bytes();
+    assert!(logged >= PAIRS * 48, "{logged} B for {PAIRS} logged rows");
 }
