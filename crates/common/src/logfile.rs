@@ -15,18 +15,17 @@
 //! of a crash mid-append — by stopping there; corruption anywhere else is
 //! reported as [`StoreError::Corruption`].
 //!
-//! Three readers share that framing: [`LogReader`] steps through a log
-//! one record at a time into a caller's buffer; [`scan_records_in`] is
-//! the whole-range scan — every generation log's full scan, the AUR and
-//! RMW rebuilds at reopen among them — which frames records inside its
-//! 64 KiB read buffer and lends each verified payload in place; [`RandomAccessLog`] reads
-//! records at known locations, neighbours sharing one device read.
+//! Two readers frame records, and only they: [`LogReader`] steps through
+//! a log in order — a whole-log scan at 64 KiB per device read (every
+//! recovery at open among them, [`LogWriter::open_append_in`]) or a
+//! stepped read at 8 KiB — and [`RandomAccessLog`] reads records at
+//! known locations, neighbours sharing one device read.
+//! [`LogReader::for_each_intact`] states the torn-tail rule once.
 //!
-//! All file access goes through the [`crate::vfs`] seam: the plain
-//! constructors use the passthrough [`StdVfs`], and the `_in` variants
-//! accept any [`Vfs`] — in particular a fault-injecting
-//! [`crate::vfs::FaultVfs`] — so every store built on these logs can be
-//! crash-tested without touching its code.
+//! All file access goes through the [`crate::vfs`] seam: every
+//! constructor takes a [`Vfs`] — the passthrough [`crate::vfs::StdVfs`]
+//! or a fault-injecting [`crate::vfs::FaultVfs`] — so every store built
+//! on these logs can be crash-tested without touching its code.
 
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
@@ -35,18 +34,19 @@ use std::sync::Arc;
 
 use crate::codec::crc32;
 use crate::error::{Result, StoreError};
-use crate::vfs::{StdVfs, Vfs, VfsFile};
+use crate::vfs::{Vfs, VfsFile};
 
 /// Size of the per-record header (`len` + `crc`).
 pub const RECORD_HEADER_LEN: u64 = 8;
 
-/// Bytes a [`LogReader`] fetches per device read (`BufReader`'s default:
-/// chunks that stay cache-resident while records are copied out of them).
+/// Bytes a stepped [`LogReader`] fetches per device read (`BufReader`'s
+/// default: chunks that stay cache-resident while records are copied out
+/// of them; 64 KiB made AAR window drains slower).
 const READ_BYTES: usize = 8 << 10;
 
-/// Bytes [`scan_records_in`] fetches per device read. A read costs a
-/// round trip, not a byte count: at 8 KiB a cold whole-log scan paid
-/// eight times the round trips it pays at 64 KiB.
+/// Bytes a whole-log scan ([`LogReader::open_scan_in`]) fetches per
+/// device read. A read costs a round trip, not a byte count: at 8 KiB a
+/// cold whole-log scan pays eight times the round trips it pays here.
 const SCAN_READ_BYTES: usize = 64 << 10;
 
 /// Largest run of unwanted bytes [`RandomAccessLog::read_records`] fetches
@@ -85,15 +85,17 @@ impl RecordLocation {
 /// ```
 /// use flowkv_common::logfile::{LogReader, LogWriter};
 /// use flowkv_common::scratch::ScratchDir;
+/// use flowkv_common::vfs::StdVfs;
 ///
 /// # fn main() -> flowkv_common::error::Result<()> {
 /// let dir = ScratchDir::new("logfile-doc")?;
 /// let path = dir.path().join("example.log");
-/// let mut w = LogWriter::create(&path)?;
+/// let vfs = StdVfs::shared();
+/// let mut w = LogWriter::create_in(&vfs, &path)?;
 /// w.append(b"hello")?;
 /// w.flush()?;
 ///
-/// let mut r = LogReader::open(&path)?;
+/// let mut r = LogReader::open_in(&vfs, &path)?;
 /// assert_eq!(r.next_record()?.unwrap().1, b"hello");
 /// assert!(r.next_record()?.is_none());
 /// # Ok(())
@@ -107,11 +109,6 @@ pub struct LogWriter {
 
 impl LogWriter {
     /// Creates a new log file, truncating any existing file at `path`.
-    pub fn create(path: impl AsRef<Path>) -> Result<Self> {
-        Self::create_in(&StdVfs::shared(), path)
-    }
-
-    /// [`LogWriter::create`] through an explicit [`Vfs`].
     pub fn create_in(vfs: &Arc<dyn Vfs>, path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let file = vfs
@@ -124,20 +121,21 @@ impl LogWriter {
         })
     }
 
-    /// Opens an existing log for appending after the last intact record.
+    /// Opens an existing log for appending after its last intact record,
+    /// handing `each` every intact record on the way: the one whole-log
+    /// scan of a reopen, so a caller rebuilding from the log reads it
+    /// once.
     ///
-    /// The file is scanned to find the recovery point; a torn record at
-    /// the tail is truncated away so new appends are contiguous. A bad
-    /// record that more bytes follow is [`StoreError::Corruption`], and
-    /// the file is not touched.
-    pub fn open_append(path: impl AsRef<Path>) -> Result<Self> {
-        Self::open_append_in(&StdVfs::shared(), path)
-    }
-
-    /// [`LogWriter::open_append`] through an explicit [`Vfs`].
-    pub fn open_append_in(vfs: &Arc<dyn Vfs>, path: impl AsRef<Path>) -> Result<Self> {
+    /// A torn record at the tail is truncated away so new appends are
+    /// contiguous. A bad record that more bytes follow is
+    /// [`StoreError::Corruption`], and the file is not touched.
+    pub fn open_append_in(
+        vfs: &Arc<dyn Vfs>,
+        path: impl AsRef<Path>,
+        each: impl FnMut(RecordLocation, &[u8]) -> Result<()>,
+    ) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let valid_len = recover_valid_length_in(vfs, &path)?;
+        let valid_len = LogReader::open_scan_in(vfs, &path)?.for_each_intact(each)?;
         let file = vfs
             .open_append(&path)
             .map_err(|e| StoreError::io_at("log open", &path, e))?;
@@ -212,26 +210,11 @@ fn split_header(header: &[u8; 8]) -> (u32, u32) {
     (len, crc)
 }
 
-/// Scans `path` and returns the length of its longest intact prefix.
-/// A bad record that reaches the end of the file is a torn tail; a bad
-/// record that more bytes follow is corruption.
-fn recover_valid_length_in(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<u64> {
-    let mut reader = LogReader::open_in(vfs, path)?;
-    let mut valid = 0u64;
-    let mut payload = Vec::new();
-    loop {
-        match reader.next_record_into(&mut payload) {
-            Ok(Some(loc)) => valid = loc.end_offset(),
-            Ok(None) => return Ok(valid),
-            // A torn tail is expected after a crash; everything before it
-            // is intact.
-            Err(e) if e.is_corruption() && reader.torn_tail => return Ok(valid),
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 /// Sequential reader over the records of a log file.
+///
+/// How it is opened says how it reads: [`LogReader::open_scan_in`] scans
+/// a whole log at 64 KiB per device read; [`LogReader::open_in`] and
+/// [`LogReader::open_at_in`] step through one at 8 KiB.
 pub struct LogReader {
     file: BufReader<Box<dyn VfsFile>>,
     path: PathBuf,
@@ -245,25 +228,24 @@ pub struct LogReader {
 }
 
 impl LogReader {
-    /// Opens `path` for sequential record iteration.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        Self::open_at(path, 0)
-    }
-
-    /// [`LogReader::open`] through an explicit [`Vfs`].
+    /// Opens `path` to step through its records from the start.
     pub fn open_in(vfs: &Arc<dyn Vfs>, path: impl AsRef<Path>) -> Result<Self> {
         Self::open_at_in(vfs, path, 0)
     }
 
     /// Opens `path` positioned at `offset`, which must be a record
     /// boundary previously returned by this reader or a writer.
-    pub fn open_at(path: impl AsRef<Path>, offset: u64) -> Result<Self> {
-        Self::open_at_in(&StdVfs::shared(), path, offset)
+    pub fn open_at_in(vfs: &Arc<dyn Vfs>, path: impl AsRef<Path>, offset: u64) -> Result<Self> {
+        Self::open_with(vfs, path.as_ref(), offset, READ_BYTES)
     }
 
-    /// [`LogReader::open_at`] through an explicit [`Vfs`].
-    pub fn open_at_in(vfs: &Arc<dyn Vfs>, path: impl AsRef<Path>, offset: u64) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
+    /// Opens `path` for a scan of the whole log.
+    pub fn open_scan_in(vfs: &Arc<dyn Vfs>, path: impl AsRef<Path>) -> Result<Self> {
+        Self::open_with(vfs, path.as_ref(), 0, SCAN_READ_BYTES)
+    }
+
+    fn open_with(vfs: &Arc<dyn Vfs>, path: &Path, offset: u64, read_bytes: usize) -> Result<Self> {
+        let path = path.to_path_buf();
         let file = vfs
             .open_read(&path)
             .map_err(|e| StoreError::io_at("log open", &path, e))?;
@@ -277,7 +259,7 @@ impl LogReader {
                 "start offset past end of log",
             ));
         }
-        let mut reader = BufReader::with_capacity(READ_BYTES, file);
+        let mut reader = BufReader::with_capacity(read_bytes, file);
         reader
             .seek(SeekFrom::Start(offset))
             .map_err(|e| StoreError::io_at("log seek", &path, e))?;
@@ -294,8 +276,8 @@ impl LogReader {
     ///
     /// A record that extends past the end of the file (torn write) or
     /// fails its checksum yields [`StoreError::Corruption`] carrying the
-    /// record's offset; callers recovering a log treat a corruption at the
-    /// tail as the recovery point.
+    /// record's offset; [`LogReader::for_each_intact`] tells a torn tail
+    /// from corruption.
     pub fn next_record(&mut self) -> Result<Option<(RecordLocation, Vec<u8>)>> {
         let mut payload = Vec::new();
         let loc = self.next_record_into(&mut payload)?;
@@ -344,6 +326,27 @@ impl LogReader {
         Ok(Some(loc))
     }
 
+    /// Steps to the end of the log, handing `each` every record, and
+    /// returns where the intact records end: the end of the file, or the
+    /// start of a torn tail. A bad record that reaches the end of the
+    /// file is what a crash mid-append leaves and ends the log; a bad
+    /// record that more bytes follow is [`StoreError::Corruption`], after
+    /// `each` has seen every record before it.
+    pub fn for_each_intact(
+        &mut self,
+        mut each: impl FnMut(RecordLocation, &[u8]) -> Result<()>,
+    ) -> Result<u64> {
+        let mut payload = Vec::new();
+        loop {
+            match self.next_record_into(&mut payload) {
+                Ok(Some(loc)) => each(loc, &payload)?,
+                Ok(None) => return Ok(self.offset),
+                Err(e) if e.is_corruption() && self.torn_tail => return Ok(self.offset),
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
     /// Offset of the next record to be read.
     pub fn offset(&self) -> u64 {
         self.offset
@@ -351,117 +354,6 @@ impl LogReader {
 
     fn corruption(&self, detail: &str) -> StoreError {
         StoreError::corruption(&self.path, self.offset, detail)
-    }
-}
-
-/// Hands `each` every record of the log at `path` from `start` — a record
-/// boundary — up to `limit`, in log order: its location and its
-/// CRC-verified payload, a slice of the scan's read buffer.
-///
-/// The scan reads `SCAN_READ_BYTES` per device read (`read_exact_at`),
-/// frames records inside that chunk and carries a record its end splits
-/// to the front of the buffer before the next read, so no record is
-/// copied or zero-filled on its own; a record larger than a chunk is
-/// fetched whole by one read of its rest. Bytes at or past `limit` are
-/// never read: a scan bounded by a writer's offset cannot meet a record
-/// being appended beside it. The bound is clamped to the file's length
-/// at open, so `u64::MAX` scans to the end of the file. A record whose
-/// framing runs past the bound is a torn tail and a record that fails its
-/// checksum is bad: either is [`StoreError::Corruption`] at the record's
-/// offset, as a [`LogReader`] reports it, after `each` has seen every
-/// record before it.
-pub fn scan_records_in(
-    vfs: &Arc<dyn Vfs>,
-    path: &Path,
-    start: u64,
-    limit: u64,
-    mut each: impl FnMut(RecordLocation, &[u8]) -> Result<()>,
-) -> Result<()> {
-    let file = vfs
-        .open_read(path)
-        .map_err(|e| StoreError::io_at("log open", path, e))?;
-    let file_len = file
-        .len()
-        .map_err(|e| StoreError::io_at("log stat", path, e))?;
-    if start > file_len {
-        return Err(StoreError::corruption(
-            path,
-            start,
-            "start offset past end of log",
-        ));
-    }
-    let mut chunk = ScanChunk {
-        file,
-        path,
-        end: limit.min(file_len),
-        buf: Vec::new(),
-        at: 0,
-        filled: 0,
-    };
-    let mut offset = start;
-    while offset < chunk.end {
-        let header = chunk.bytes(offset, RECORD_HEADER_LEN, "torn record header")?;
-        let (len, crc) = split_header(header.try_into().expect("a header long"));
-        let disk_len = RECORD_HEADER_LEN + u64::from(len);
-        let record = chunk.bytes(offset, disk_len, "torn record body")?;
-        let payload = record_payload(record);
-        if crc32(payload) != crc {
-            return Err(StoreError::corruption(path, offset, "checksum mismatch"));
-        }
-        each(RecordLocation { offset, len }, payload)?;
-        chunk.at += record.len();
-        offset += disk_len;
-    }
-    Ok(())
-}
-
-/// The read buffer of [`scan_records_in`]: `buf[at..filled]` holds the
-/// file's bytes from the record being framed on, read but not framed.
-struct ScanChunk<'a> {
-    file: Box<dyn VfsFile>,
-    path: &'a Path,
-    /// Where the scan stops: its limit, clamped to the file's length.
-    end: u64,
-    buf: Vec<u8>,
-    at: usize,
-    filled: usize,
-}
-
-impl ScanChunk<'_> {
-    /// The `need` bytes of the record at `offset` (the file position of
-    /// `buf[at]`), read first if the buffer holds fewer. Bytes past `end`
-    /// are a torn record, reported as `torn`. Inlined into the scan,
-    /// which the caller's crate instantiates: only a read leaves it.
-    #[inline]
-    fn bytes(&mut self, offset: u64, need: u64, torn: &str) -> Result<&[u8]> {
-        if need > self.end - offset {
-            return Err(StoreError::corruption(self.path, offset, torn));
-        }
-        // Fits in memory: the bytes lie inside the file.
-        let need = need as usize;
-        if self.filled - self.at < need {
-            self.refill(offset, need)?;
-        }
-        Ok(&self.buf[self.at..self.at + need])
-    }
-
-    /// Moves the unframed bytes to the front of the buffer, then appends
-    /// one read: a chunk, or the rest of a record larger than one —
-    /// clamped to `end`, which lies at least `need` bytes past `offset`.
-    #[inline(never)]
-    fn refill(&mut self, offset: u64, need: usize) -> Result<()> {
-        let held = self.filled - self.at;
-        self.buf.copy_within(self.at..self.filled, 0);
-        let read_at = offset + held as u64;
-        let n = ((need - held).max(SCAN_READ_BYTES) as u64).min(self.end - read_at) as usize;
-        if self.buf.len() < held + n {
-            self.buf.resize(held + n, 0);
-        }
-        self.file
-            .read_exact_at(&mut self.buf[held..held + n], read_at)
-            .map_err(|e| StoreError::io_at("log scan read", self.path, e))?;
-        (self.at, self.filled) = (0, held + n);
-        Ok(())
     }
 }
 
@@ -477,11 +369,6 @@ pub struct RandomAccessLog {
 
 impl RandomAccessLog {
     /// Opens `path` for positioned record reads.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        Self::open_in(&StdVfs::shared(), path)
-    }
-
-    /// [`RandomAccessLog::open`] through an explicit [`Vfs`].
     pub fn open_in(vfs: &Arc<dyn Vfs>, path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let file = vfs
@@ -630,11 +517,6 @@ impl RandomAccessLog {
     fn corruption(&self, offset: u64, detail: &str) -> StoreError {
         StoreError::corruption(&self.path, offset, detail)
     }
-
-    /// Path of the underlying file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 /// The payload of a record handed out by
@@ -648,7 +530,7 @@ pub fn record_payload(record: &[u8]) -> &[u8] {
 mod tests {
     use super::*;
     use crate::scratch::ScratchDir;
-    use crate::vfs::{FaultKind, FaultPlan, FaultVfs};
+    use crate::vfs::{FaultKind, FaultPlan, FaultVfs, StdVfs};
     use proptest::prelude::*;
     use std::fs::OpenOptions;
 
@@ -656,11 +538,27 @@ mod tests {
         ScratchDir::new(name).expect("scratch dir")
     }
 
+    fn create(path: &Path) -> LogWriter {
+        LogWriter::create_in(&StdVfs::shared(), path).unwrap()
+    }
+
+    fn reader(path: &Path) -> LogReader {
+        LogReader::open_in(&StdVfs::shared(), path).unwrap()
+    }
+
+    fn random_access(path: &Path) -> RandomAccessLog {
+        RandomAccessLog::open_in(&StdVfs::shared(), path).unwrap()
+    }
+
+    fn open_append(path: &Path) -> Result<LogWriter> {
+        LogWriter::open_append_in(&StdVfs::shared(), path, |_, _| Ok(()))
+    }
+
     #[test]
     fn roundtrip_multiple_records() {
         let dir = scratch("log-roundtrip");
         let path = dir.path().join("a.log");
-        let mut w = LogWriter::create(&path).unwrap();
+        let mut w = create(&path);
         let payloads: Vec<Vec<u8>> = (0..50).map(|i| vec![i as u8; i * 7]).collect();
         let mut locs = Vec::new();
         for p in &payloads {
@@ -668,7 +566,7 @@ mod tests {
         }
         w.flush().unwrap();
 
-        let mut r = LogReader::open(&path).unwrap();
+        let mut r = reader(&path);
         for (expected_loc, expected_payload) in locs.iter().zip(&payloads) {
             let (loc, payload) = r.next_record().unwrap().unwrap();
             assert_eq!(loc, *expected_loc);
@@ -681,12 +579,12 @@ mod tests {
     fn random_access_read() {
         let dir = scratch("log-random");
         let path = dir.path().join("a.log");
-        let mut w = LogWriter::create(&path).unwrap();
+        let mut w = create(&path);
         let l1 = w.append(b"first").unwrap();
         let l2 = w.append(b"second").unwrap();
         w.flush().unwrap();
 
-        let mut ra = RandomAccessLog::open(&path).unwrap();
+        let mut ra = random_access(&path);
         assert_eq!(ra.read_record_at(l2.offset).unwrap(), b"second");
         assert_eq!(ra.read_record_at(l1.offset).unwrap(), b"first");
     }
@@ -695,7 +593,7 @@ mod tests {
     fn torn_tail_is_detected_and_recovered() {
         let dir = scratch("log-torn");
         let path = dir.path().join("a.log");
-        let mut w = LogWriter::create(&path).unwrap();
+        let mut w = create(&path);
         w.append(b"intact").unwrap();
         let torn = w.append(b"will be torn").unwrap();
         w.flush().unwrap();
@@ -706,17 +604,17 @@ mod tests {
         f.set_len(torn.offset + torn.disk_len() / 2).unwrap();
         drop(f);
 
-        let mut r = LogReader::open(&path).unwrap();
+        let mut r = reader(&path);
         assert_eq!(r.next_record().unwrap().unwrap().1, b"intact");
         assert!(r.next_record().unwrap_err().is_corruption());
 
         // Recovery truncates to the intact prefix and appends after it.
-        let mut w = LogWriter::open_append(&path).unwrap();
+        let mut w = open_append(&path).unwrap();
         assert_eq!(w.offset(), torn.offset);
         w.append(b"recovered").unwrap();
         w.flush().unwrap();
 
-        let mut r = LogReader::open(&path).unwrap();
+        let mut r = reader(&path);
         assert_eq!(r.next_record().unwrap().unwrap().1, b"intact");
         assert_eq!(r.next_record().unwrap().unwrap().1, b"recovered");
         assert!(r.next_record().unwrap().is_none());
@@ -726,7 +624,7 @@ mod tests {
     fn bitflip_is_corruption() {
         let dir = scratch("log-bitflip");
         let path = dir.path().join("a.log");
-        let mut w = LogWriter::create(&path).unwrap();
+        let mut w = create(&path);
         let loc = w.append(b"payload-bytes").unwrap();
         w.append(b"second").unwrap();
         w.flush().unwrap();
@@ -738,13 +636,13 @@ mod tests {
         data[idx] ^= 0x01;
         std::fs::write(&path, &data).unwrap();
 
-        let mut r = LogReader::open(&path).unwrap();
+        let mut r = reader(&path);
         let err = r.next_record().unwrap_err();
         assert!(err.is_corruption());
 
         // An intact record follows the bad one, so this is no torn tail:
         // reopening for append reports it and cuts nothing away.
-        let err = LogWriter::open_append(&path).err().expect("a corrupt log");
+        let err = open_append(&path).err().expect("a corrupt log");
         assert!(err.is_corruption(), "{err}");
         assert_eq!(std::fs::metadata(&path).unwrap().len(), data.len() as u64);
     }
@@ -753,12 +651,12 @@ mod tests {
     fn random_access_rejects_bad_offsets_and_lengths() {
         let dir = scratch("log-random-bad");
         let path = dir.path().join("a.log");
-        let mut w = LogWriter::create(&path).unwrap();
+        let mut w = create(&path);
         let loc = w.append(b"only record").unwrap();
         w.flush().unwrap();
         drop(w);
 
-        let mut ra = RandomAccessLog::open(&path).unwrap();
+        let mut ra = random_access(&path);
         // Offset past the end of the file.
         assert!(ra
             .read_record_at(loc.end_offset() + 100)
@@ -770,7 +668,7 @@ mod tests {
         let mut data = std::fs::read(&path).unwrap();
         data[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&path, &data).unwrap();
-        let mut ra = RandomAccessLog::open(&path).unwrap();
+        let mut ra = random_access(&path);
         assert!(ra.read_record_at(0).unwrap_err().is_corruption());
     }
 
@@ -778,13 +676,13 @@ mod tests {
     fn random_access_sees_records_appended_after_open() {
         let dir = scratch("log-random-grow");
         let path = dir.path().join("a.log");
-        let mut w = LogWriter::create(&path).unwrap();
+        let mut w = create(&path);
         w.append(b"first").unwrap();
         w.flush().unwrap();
 
         // Open the reader, then keep appending: the reader must follow
         // the growing file (AUR holds one reader across appends).
-        let mut ra = RandomAccessLog::open(&path).unwrap();
+        let mut ra = random_access(&path);
         let l2 = w.append(b"second, after open").unwrap();
         w.flush().unwrap();
         assert_eq!(ra.read_record_at(l2.offset).unwrap(), b"second, after open");
@@ -793,7 +691,7 @@ mod tests {
     /// Writes one record per payload and returns the `(offset, on-disk
     /// length)` of each, as an index would hold them.
     fn write_records(path: &Path, payloads: &[Vec<u8>]) -> Vec<(u64, u64)> {
-        let mut w = LogWriter::create(path).unwrap();
+        let mut w = create(path);
         let locations = payloads
             .iter()
             .map(|p| {
@@ -886,7 +784,7 @@ mod tests {
             let batched = collect_records(&mut log, &wanted).unwrap();
             prop_assert_eq!(counting.ops() - opened, expected_extents(&wanted));
 
-            let mut single = RandomAccessLog::open(&path).unwrap();
+            let mut single = random_access(&path);
             let one_by_one: Vec<Vec<u8>> = wanted
                 .iter()
                 .map(|&(offset, _)| single.read_record_at(offset).unwrap())
@@ -895,22 +793,52 @@ mod tests {
         }
     }
 
-    /// Cases of the scan property: 32 unless `PROPTEST_CASES` says
+    /// Cases of the reader properties: 32 unless `PROPTEST_CASES` says
     /// otherwise (CI's crash-matrix job runs 256).
-    fn scan_cases() -> u32 {
+    fn reader_cases() -> u32 {
         let cases = std::env::var("PROPTEST_CASES").ok();
         cases.and_then(|n| n.parse().ok()).unwrap_or(32)
     }
 
-    /// What a scan of a log yields: each record's location and payload,
+    /// What a read of a log yields: each record's location and payload,
     /// then the offset of the corruption that stopped it, if any.
     type Scanned = (Vec<(RecordLocation, Vec<u8>)>, Option<u64>);
 
-    /// The loop [`scan_records_in`] replaced: a [`LogReader`] fetching a
-    /// scan chunk per device read, stepped while it is short of `limit`.
-    fn scan_by_reader(vfs: &Arc<dyn Vfs>, path: &Path, start: u64, limit: u64) -> Scanned {
+    /// The reference the readers are checked against: `bytes` framed
+    /// from `start` while short of `limit`, each record's location and
+    /// payload, then — if a record fails — its offset and whether it is a
+    /// torn tail (its framing reaches the end of the bytes).
+    fn frame(bytes: &[u8], start: u64, limit: u64) -> (Scanned, bool) {
+        let mut records = Vec::new();
+        let mut at = start as usize;
+        while (at as u64) < limit && at < bytes.len() {
+            let rest = &bytes[at..];
+            let bad = |torn| ((records.clone(), Some(at as u64)), torn);
+            if rest.len() < 8 {
+                return bad(true);
+            }
+            let len = u32::from_le_bytes(rest[..4].try_into().unwrap());
+            let crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
+            let end = 8 + len as usize;
+            if end > rest.len() {
+                return bad(true);
+            }
+            if crc32(&rest[8..end]) != crc {
+                return bad(end == rest.len());
+            }
+            let loc = RecordLocation {
+                offset: at as u64,
+                len,
+            };
+            records.push((loc, rest[8..end].to_vec()));
+            at += end;
+        }
+        ((records, None), false)
+    }
+
+    /// A stepped reader from `start`, stepped while it is short of `limit`.
+    fn step(vfs: &Arc<dyn Vfs>, path: &Path, start: u64, limit: u64) -> Scanned {
         let mut reader = LogReader::open_at_in(vfs, path, start).unwrap();
-        reader.file = BufReader::with_capacity(SCAN_READ_BYTES, reader.file.into_inner());
         let mut records = Vec::new();
         while reader.offset() < limit {
             match reader.next_record() {
@@ -922,38 +850,62 @@ mod tests {
         (records, None)
     }
 
-    fn scan_in_place(vfs: &Arc<dyn Vfs>, path: &Path, start: u64, limit: u64) -> Scanned {
+    /// A whole-log scan of `path` through [`LogReader::for_each_intact`]:
+    /// the records it lends and where it says the intact records end.
+    fn scan_intact(
+        vfs: &Arc<dyn Vfs>,
+        path: &Path,
+    ) -> (Vec<(RecordLocation, Vec<u8>)>, Result<u64>) {
         let mut records = Vec::new();
-        let scanned = scan_records_in(vfs, path, start, limit, |loc, payload| {
+        let mut reader = LogReader::open_scan_in(vfs, path).unwrap();
+        let end = reader.for_each_intact(|loc, payload| {
             records.push((loc, payload.to_vec()));
             Ok(())
         });
-        (records, scanned.err().map(corruption_offset))
+        (records, end)
     }
 
-    /// Both scans of `path` through one counting Vfs: what each yields
-    /// and the device ops each issues.
-    fn scan_both(path: &Path, start: u64, limit: u64) -> ((Scanned, u64), (Scanned, u64)) {
-        let counting = FaultVfs::counting(StdVfs::shared());
-        let vfs: Arc<dyn Vfs> = counting.clone();
-        let counted = |scan: fn(&Arc<dyn Vfs>, &Path, u64, u64) -> Scanned| {
-            let before = counting.ops();
-            let scanned = scan(&vfs, path, start, limit);
-            (scanned, counting.ops() - before)
-        };
-        (counted(scan_by_reader), counted(scan_in_place))
+    /// Both readers of `path` against the reference framing of its bytes:
+    /// the stepped read from `start` to `limit` yields the same records
+    /// and stops at the same corruption; the whole-log scan lends the
+    /// same records and ends a torn tail where it starts, while a bad
+    /// record that more bytes follow is corruption at its offset.
+    fn check_readers(
+        path: &Path,
+        start: u64,
+        limit: u64,
+    ) -> std::result::Result<(), TestCaseError> {
+        let bytes = std::fs::read(path).unwrap();
+        let vfs = StdVfs::shared();
+        prop_assert_eq!(
+            step(&vfs, path, start, limit),
+            frame(&bytes, start, limit).0
+        );
+        let ((records, bad), torn) = frame(&bytes, 0, u64::MAX);
+        let (scanned, end) = scan_intact(&vfs, path);
+        prop_assert_eq!(&scanned, &records);
+        match (bad, end) {
+            (None, Ok(end)) => prop_assert_eq!(end, bytes.len() as u64),
+            (Some(at), Ok(end)) => {
+                prop_assert!(torn && end == at, "torn {torn} at {at}, end {end}")
+            }
+            (Some(at), Err(e)) => {
+                prop_assert!(!torn, "a torn tail at {at} is corruption: {e}");
+                prop_assert_eq!(corruption_offset(e), at);
+            }
+            (None, Err(e)) => prop_assert!(false, "an intact log is corrupt: {e}"),
+        }
+        Ok(())
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(scan_cases()))]
+        #![proptest_config(ProptestConfig::with_cases(reader_cases()))]
         /// Random logs of 0-300 B records around one record larger than a
-        /// scan chunk, scanned from a random record boundary to a record
+        /// scan chunk, read from a random record boundary to a record
         /// boundary, the end of the file or `u64::MAX`, whole, with a torn
-        /// tail, or with one byte flipped: the in-place scan yields what
-        /// the reader loop does and stops at the same corruption — and
-        /// over an intact prefix it issues as many device reads.
+        /// tail, or with one byte flipped.
         #[test]
-        fn in_place_scan_is_the_reader_loop(
+        fn the_readers_frame_what_the_reference_frames(
             sizes in prop::collection::vec(0usize..300, 200..700),
             large in (SCAN_READ_BYTES + 1..SCAN_READ_BYTES + 16_000, any::<prop::sample::Index>()),
             fill in any::<u8>(),
@@ -962,7 +914,7 @@ mod tests {
             torn in (any::<bool>(), any::<prop::sample::Index>()),
             flip in (any::<bool>(), any::<prop::sample::Index>()),
         ) {
-            let dir = scratch("log-scan-prop");
+            let dir = scratch("log-reader-prop");
             let path = dir.path().join("a.log");
             let mut sizes = sizes;
             sizes.insert(large.1.index(sizes.len() + 1), large.0);
@@ -991,16 +943,35 @@ mod tests {
                 1 => file_len,
                 _ => u64::MAX,
             };
-            let ((by_reader, reader_ops), (in_place, scan_ops)) = scan_both(&path, start, limit);
-            prop_assert_eq!(&in_place, &by_reader);
-            if !flip.0 {
-                prop_assert_eq!(scan_ops, reader_ops);
+            check_readers(&path, start, limit)?;
+        }
+
+        /// Any bytes at all — intact records, then arbitrary bytes: both
+        /// readers lend records, then end or report corruption as the
+        /// reference does, and never panic.
+        #[test]
+        fn any_bytes_read_as_the_reference_frames_them(
+            payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 0..4),
+            tail in prop::collection::vec(any::<u8>(), 0..64),
+            header in (any::<bool>(), 0u32..80),
+        ) {
+            let dir = scratch("log-reader-bytes");
+            let path = dir.path().join("a.log");
+            write_records(&path, &payloads);
+            let mut bytes = std::fs::read(&path).unwrap();
+            // Often a plausible length, so the tail frames as a record
+            // that fails its checksum or runs past the end.
+            if header.0 {
+                bytes.extend_from_slice(&header.1.to_le_bytes());
             }
+            bytes.extend_from_slice(&tail);
+            std::fs::write(&path, &bytes).unwrap();
+            check_readers(&path, 0, u64::MAX)?;
         }
     }
 
     #[test]
-    fn in_place_scan_carries_records_across_chunk_edges() {
+    fn a_whole_log_scan_carries_records_across_chunk_edges_in_64_kib_reads() {
         let dir = scratch("log-scan-edges");
         let path = dir.path().join("a.log");
         // A record ending one byte short of the first chunk edge (the
@@ -1015,35 +986,18 @@ mod tests {
             vec![5u8; 0],
             vec![6u8; 7],
         ];
-        let locations = write_records(&path, &payloads);
-        for start in [0, locations[2].0, locations[3].0] {
-            let ((by_reader, reader_ops), (in_place, scan_ops)) = scan_both(&path, start, u64::MAX);
-            assert_eq!(in_place, by_reader, "from {start}");
-            assert_eq!(in_place.1, None);
-            assert_eq!(scan_ops, reader_ops, "from {start}");
-        }
-        let (_, (whole, _)) = scan_both(&path, 0, u64::MAX);
-        let scanned: Vec<Vec<u8>> = whole.0.into_iter().map(|(_, p)| p).collect();
+        write_records(&path, &payloads);
+        check_readers(&path, 0, u64::MAX).unwrap();
+        let counting = FaultVfs::counting(StdVfs::shared());
+        let vfs: Arc<dyn Vfs> = counting.clone();
+        let (scanned, end) = scan_intact(&vfs, &path);
+        let scanned: Vec<Vec<u8>> = scanned.into_iter().map(|(_, p)| p).collect();
         assert_eq!(scanned, payloads);
-        // A limit inside the log stops the scan there.
-        let (_, (cut, _)) = scan_both(&path, 0, locations[3].0);
-        assert_eq!(cut.0.len(), 3);
-        assert_eq!(cut.1, None);
-    }
-
-    #[test]
-    fn in_place_scan_stops_at_the_first_bad_record_after_lending_the_rest() {
-        let dir = scratch("log-scan-bad");
-        let path = dir.path().join("a.log");
-        let locations = write_records(&path, &[vec![1u8; 10], vec![2u8; 10], vec![3u8; 10]]);
-        flip_byte(&path, locations[1].0 + RECORD_HEADER_LEN + 3);
-        let vfs = StdVfs::shared();
-        let (records, bad) = scan_in_place(&vfs, &path, 0, u64::MAX);
-        assert_eq!(records.len(), 1);
-        assert_eq!(bad, Some(locations[1].0));
-        // A start past the end is corrupt before any read.
-        let err = scan_records_in(&vfs, &path, 1 << 20, u64::MAX, |_, _| Ok(())).unwrap_err();
-        assert_eq!(corruption_offset(err), 1 << 20);
+        assert_eq!(end.unwrap(), std::fs::metadata(&path).unwrap().len());
+        // The open and five reads: a chunk each from 0, 64 Ki and
+        // 128 Ki, the rest of the oversized record in one read past
+        // them, and the 23 bytes behind it.
+        assert_eq!(counting.ops(), 6);
     }
 
     #[test]
@@ -1056,7 +1010,7 @@ mod tests {
 
         // A flipped bit in the skipped record sits in a gap: never examined.
         flip_byte(&path, locations[1].0 + RECORD_HEADER_LEN + 5);
-        let mut log = RandomAccessLog::open(&path).unwrap();
+        let mut log = random_access(&path);
         assert_eq!(
             collect_records(&mut log, &wanted).unwrap(),
             vec![
@@ -1085,7 +1039,7 @@ mod tests {
         let dir = scratch("log-batch-eof");
         let path = dir.path().join("a.log");
         let locations = write_records(&path, &[vec![7u8; 16], vec![8u8; 16]]);
-        let mut log = RandomAccessLog::open(&path).unwrap();
+        let mut log = random_access(&path);
         // Lengths no file could hold must fail before any buffer is sized
         // for them; so must an offset whose end overflows.
         for bad in [
@@ -1110,10 +1064,10 @@ mod tests {
     fn batched_read_sees_records_appended_after_open() {
         let dir = scratch("log-batch-grow");
         let path = dir.path().join("a.log");
-        let mut w = LogWriter::create(&path).unwrap();
+        let mut w = create(&path);
         let l1 = w.append(b"first").unwrap();
         w.flush().unwrap();
-        let mut log = RandomAccessLog::open(&path).unwrap();
+        let mut log = random_access(&path);
         let l2 = w.append(b"second, after open").unwrap();
         w.flush().unwrap();
         let wanted = [(l1.offset, l1.disk_len()), (l2.offset, l2.disk_len())];
@@ -1142,8 +1096,8 @@ mod tests {
     fn empty_log_reads_cleanly() {
         let dir = scratch("log-empty");
         let path = dir.path().join("a.log");
-        LogWriter::create(&path).unwrap().flush().unwrap();
-        let mut r = LogReader::open(&path).unwrap();
+        create(&path).flush().unwrap();
+        let mut r = reader(&path);
         assert!(r.next_record().unwrap().is_none());
     }
 
@@ -1152,14 +1106,14 @@ mod tests {
         let dir = scratch("log-append");
         let path = dir.path().join("a.log");
         {
-            let mut w = LogWriter::create(&path).unwrap();
+            let mut w = create(&path);
             w.append(b"one").unwrap();
             w.flush().unwrap();
         }
-        let mut w = LogWriter::open_append(&path).unwrap();
+        let mut w = open_append(&path).unwrap();
         w.append(b"two").unwrap();
         w.flush().unwrap();
-        let mut r = LogReader::open(&path).unwrap();
+        let mut r = reader(&path);
         assert_eq!(r.next_record().unwrap().unwrap().1, b"one");
         assert_eq!(r.next_record().unwrap().unwrap().1, b"two");
         assert!(r.next_record().unwrap().is_none());

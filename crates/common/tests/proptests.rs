@@ -6,6 +6,7 @@ use flowkv_common::codec::{
 use flowkv_common::logfile::{LogReader, LogWriter};
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::types::{Tuple, WindowId};
+use flowkv_common::vfs::StdVfs;
 use proptest::prelude::*;
 
 proptest! {
@@ -78,7 +79,8 @@ proptest! {
     ) {
         let dir = ScratchDir::new("prop-log").unwrap();
         let path = dir.path().join("p.log");
-        let mut w = LogWriter::create(&path).unwrap();
+        let vfs = StdVfs::shared();
+        let mut w = LogWriter::create_in(&vfs, &path).unwrap();
         let mut locs = Vec::new();
         for p in &payloads {
             locs.push(w.append(p).unwrap());
@@ -87,7 +89,7 @@ proptest! {
         drop(w);
 
         // Full read-back.
-        let mut r = LogReader::open(&path).unwrap();
+        let mut r = LogReader::open_in(&vfs, &path).unwrap();
         for p in &payloads {
             prop_assert_eq!(&r.next_record().unwrap().unwrap().1, p);
         }
@@ -101,10 +103,10 @@ proptest! {
         f.set_len(cut_at).unwrap();
         drop(f);
 
-        let w = LogWriter::open_append(&path).unwrap();
+        let w = LogWriter::open_append_in(&vfs, &path, |_, _| Ok(())).unwrap();
         prop_assert_eq!(w.offset(), last.offset);
         drop(w);
-        let mut r = LogReader::open(&path).unwrap();
+        let mut r = LogReader::open_in(&vfs, &path).unwrap();
         for p in &payloads[..payloads.len() - 1] {
             prop_assert_eq!(&r.next_record().unwrap().unwrap().1, p);
         }

@@ -413,7 +413,7 @@ impl AarStore {
                 closed => {
                     let path = window_path(&self.dir, window);
                     let writer = if entry.on_disk {
-                        LogWriter::open_append_in(&self.vfs, &path)?
+                        LogWriter::open_append_in(&self.vfs, &path, |_, _| Ok(()))?
                     } else {
                         LogWriter::create_in(&self.vfs, &path)?
                     };
@@ -569,7 +569,8 @@ impl AarStore {
         self.open_writers
     }
 
-    /// Writes a self-contained snapshot into `dst`.
+    /// Writes a self-contained snapshot into `dst`, every file of it
+    /// synced.
     pub fn checkpoint(&mut self, dst: &Path) -> Result<()> {
         self.flush()?;
         self.vfs
@@ -579,16 +580,22 @@ impl AarStore {
         let windows: Vec<WindowId> = on_disk.map(|(&window, _)| window).collect();
         let mut manifest = Vec::new();
         put_varint_u64(&mut manifest, windows.len() as u64);
+        // A file is synced through a handle of its own once the whole-file
+        // call that wrote it returns.
+        let sync = |path: &Path| self.vfs.open_rw(path)?.sync_data();
         for window in windows {
             window.encode_to(&mut manifest);
             let name = window_file_name(window);
+            let copy = dst.join(&name);
             self.vfs
-                .copy(&self.dir.join(&name), &dst.join(&name))
-                .map_err(|e| StoreError::io_at("aar checkpoint copy", dst.join(&name), e))?;
+                .copy(&self.dir.join(&name), &copy)
+                .and_then(|_| sync(&copy))
+                .map_err(|e| StoreError::io_at("aar checkpoint copy", &copy, e))?;
         }
         let path = dst.join(MANIFEST_NAME);
         self.vfs
             .write(&path, &manifest)
+            .and_then(|()| sync(&path))
             .map_err(|e| StoreError::io_at("aar checkpoint manifest", &path, e))
     }
 
@@ -729,6 +736,11 @@ mod tests {
     use super::*;
     use crate::test_common::merge_chunks;
     use flowkv_common::scratch::ScratchDir;
+    use flowkv_common::vfs::VfsFile;
+    use std::collections::BTreeSet;
+    use std::io;
+    use std::path::PathBuf;
+    use std::sync::Mutex;
 
     fn store(dir: &Path) -> AarStore {
         AarStore::open(dir, 1024, 4, StoreMetrics::new_shared()).unwrap()
@@ -848,6 +860,161 @@ mod tests {
         s.restore(ckpt.path()).unwrap();
         let state = drain_all(&mut s, win);
         assert_eq!(state, vec![(b"k".to_vec(), vec![b"v1".to_vec()])]);
+    }
+
+    /// A filesystem that remembers which files were written since their
+    /// last `sync_data`.
+    struct SyncLedger {
+        inner: Arc<dyn Vfs>,
+        unsynced: Arc<Mutex<BTreeSet<PathBuf>>>,
+    }
+
+    impl SyncLedger {
+        fn wrote(&self, path: &Path) {
+            self.unsynced.lock().unwrap().insert(path.to_path_buf());
+        }
+
+        fn handle(
+            &self,
+            path: &Path,
+            file: io::Result<Box<dyn VfsFile>>,
+        ) -> io::Result<Box<dyn VfsFile>> {
+            Ok(Box::new(LedgerFile {
+                inner: file?,
+                path: path.to_path_buf(),
+                unsynced: Arc::clone(&self.unsynced),
+            }))
+        }
+    }
+
+    struct LedgerFile {
+        inner: Box<dyn VfsFile>,
+        path: PathBuf,
+        unsynced: Arc<Mutex<BTreeSet<PathBuf>>>,
+    }
+
+    impl LedgerFile {
+        fn wrote(&self) {
+            self.unsynced.lock().unwrap().insert(self.path.clone());
+        }
+    }
+
+    impl io::Read for LedgerFile {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.inner.read(buf)
+        }
+    }
+
+    impl io::Write for LedgerFile {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.wrote();
+            self.inner.write(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl io::Seek for LedgerFile {
+        fn seek(&mut self, pos: io::SeekFrom) -> io::Result<u64> {
+            self.inner.seek(pos)
+        }
+    }
+
+    impl VfsFile for LedgerFile {
+        fn sync_data(&mut self) -> io::Result<()> {
+            self.inner.sync_data()?;
+            self.unsynced.lock().unwrap().remove(&self.path);
+            Ok(())
+        }
+        fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+            self.inner.read_exact_at(buf, offset)
+        }
+        fn write_all_at(&self, buf: &[u8], offset: u64) -> io::Result<()> {
+            self.wrote();
+            self.inner.write_all_at(buf, offset)
+        }
+        fn set_len(&self, len: u64) -> io::Result<()> {
+            self.wrote();
+            self.inner.set_len(len)
+        }
+        fn len(&self) -> io::Result<u64> {
+            self.inner.len()
+        }
+    }
+
+    impl Vfs for SyncLedger {
+        fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+            self.wrote(path);
+            self.handle(path, self.inner.create(path))
+        }
+        fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+            self.handle(path, self.inner.open_append(path))
+        }
+        fn open_read(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+            self.inner.open_read(path)
+        }
+        fn open_rw(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+            self.handle(path, self.inner.open_rw(path))
+        }
+        fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+            self.inner.create_dir_all(path)
+        }
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            self.inner.remove_file(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn copy(&self, from: &Path, to: &Path) -> io::Result<u64> {
+            self.wrote(to);
+            self.inner.copy(from, to)
+        }
+        fn link_or_copy(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.wrote(to);
+            self.inner.link_or_copy(from, to)
+        }
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            self.inner.read(path)
+        }
+        fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+            self.wrote(path);
+            self.inner.write(path, data)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+        fn file_len(&self, path: &Path) -> io::Result<u64> {
+            self.inner.file_len(path)
+        }
+        fn read_dir_names(&self, path: &Path) -> io::Result<Vec<String>> {
+            self.inner.read_dir_names(path)
+        }
+    }
+
+    #[test]
+    fn every_file_of_a_checkpoint_is_synced_after_its_last_write() {
+        let dir = ScratchDir::new("aar-ckpt-sync").unwrap();
+        let ckpt = ScratchDir::new("aar-ckpt-sync-dst").unwrap();
+        let unsynced = Arc::new(Mutex::new(BTreeSet::new()));
+        let vfs = Arc::new(SyncLedger {
+            inner: StdVfs::shared(),
+            unsynced: Arc::clone(&unsynced),
+        });
+        let mut s =
+            AarStore::open_with_vfs(dir.path(), 1 << 10, 8, Default::default(), vfs).unwrap();
+        for i in 0..200i64 {
+            s.append(b"k", w(i % 4 * 100, i % 4 * 100 + 100), &[i as u8; 20])
+                .unwrap();
+        }
+        s.checkpoint(ckpt.path()).unwrap();
+        let files = StdVfs.read_dir_names(ckpt.path()).unwrap();
+        assert_eq!(files.len(), 5, "four windows and the manifest: {files:?}");
+        let unsynced = unsynced.lock().unwrap();
+        for name in files {
+            let path = ckpt.path().join(&name);
+            assert!(!unsynced.contains(&path), "{name} is not synced");
+        }
     }
 
     #[test]

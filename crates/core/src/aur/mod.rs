@@ -34,8 +34,8 @@
 //! re-appending to the same `(key, window)` must not resurrect them: a
 //! window's live records are exactly those its table entry lists, and a
 //! consumed window's entry is gone. Those lists live in memory only; a
-//! reopen or a restore rebuilds them from the records' headers with one
-//! scan of the data log (`rebuild_from_log`).
+//! reopen or a restore rebuilds them from the records' headers
+//! (`rebuild_record`) in the one scan that recovers the data log.
 
 pub(crate) mod record;
 mod table;
@@ -48,7 +48,7 @@ use flowkv_common::backend::ValueSink;
 use flowkv_common::codec::Decoder;
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::{IoRing, Lane, PrefetchProbe};
-use flowkv_common::logfile::{record_payload, RandomAccessLog};
+use flowkv_common::logfile::{record_payload, RandomAccessLog, RecordLocation};
 use flowkv_common::metrics::{OpCategory, RecordTimer, StoreMetrics};
 use flowkv_common::registry::ViewValue;
 use flowkv_common::telemetry::{Counter, Histogram, Telemetry};
@@ -242,12 +242,16 @@ impl AurStore {
     ) -> Result<Self> {
         vfs.create_dir_all(dir)
             .map_err(|e| StoreError::io_at("aur dir", dir, e))?;
-        let mut store = AurStore {
+        let (mut table, mut latest_ts) = (LiveTable::default(), Timestamp::MIN);
+        let data = GenLog::open(Arc::clone(&vfs), dir, "data", "aurd", |loc, payload| {
+            rebuild_record(&mut table, &mut latest_ts, &predictor, loc, payload)
+        })?;
+        Ok(AurStore {
             cfg,
             predictor,
-            table: LiveTable::default(),
-            data: GenLog::open(Arc::clone(&vfs), dir, "data", "aurd")?,
-            latest_ts: Timestamp::MIN,
+            table,
+            data,
+            latest_ts,
             encode_buf: Vec::new(),
             metrics,
             append_timer: RecordTimer::default(),
@@ -256,9 +260,7 @@ impl AurStore {
             epoch: 0,
             prefetch_probe: None,
             next_prefetch_scan: None,
-        };
-        store.rebuild_from_log()?;
-        Ok(store)
+        })
     }
 
     /// Enables predicted-vs-actual trigger-time telemetry, tagging
@@ -528,8 +530,10 @@ impl AurStore {
     /// Replaces the store contents with the snapshot in `src`.
     pub fn restore(&mut self, src: &Path) -> Result<()> {
         self.close()?;
-        self.data.restore_from(src, "data.aurd")?;
-        self.rebuild_from_log()
+        let (table, latest_ts, predictor) = (&mut self.table, &mut self.latest_ts, &self.predictor);
+        self.data.restore_from(src, "data.aurd", |loc, payload| {
+            rebuild_record(table, latest_ts, predictor, loc, payload)
+        })
     }
 
     /// Deletes every file of the store and clears its memory.
@@ -748,32 +752,33 @@ impl AurStore {
         live.sort_unstable();
         live
     }
+}
 
-    /// Rebuilds the table and `latest_ts` from the headers of the data
-    /// log's records, every one of them live: a consume leaves no mark on
-    /// disk, which is why a checkpoint copies the listed records only. A
-    /// torn tail was cut at open; a record whose count no [`DiskRecord`]
-    /// can hold is corruption.
-    fn rebuild_from_log(&mut self) -> Result<()> {
-        let path = self.data.path();
-        self.data.scan(|loc, payload| {
-            let mut dec = Decoder::new(payload);
-            let (key, window, max_ts) = read_header(&mut dec)?;
-            let count = dec.get_varint_u64()?;
-            let count = u32::try_from(count).map_err(|_| {
-                StoreError::corruption(&path, loc.offset, format!("record of {count} values"))
-            })?;
-            self.latest_ts = self.latest_ts.max(max_ts);
-            let record = DiskRecord {
-                offset: loc.offset,
-                len: loc.len,
-                count,
-            };
-            self.table
-                .rebuild_entry(key, window, max_ts, record, &self.predictor);
-            Ok(())
-        })
-    }
+/// Rebuilds one data record into `table` and `latest_ts` at reopen and
+/// restore, from its header: every record of the log is live — a consume
+/// leaves no mark on disk, which is why a checkpoint copies the listed
+/// records only. A torn tail never gets here; a record whose count no
+/// [`DiskRecord`] can hold is refused.
+fn rebuild_record(
+    table: &mut LiveTable,
+    latest_ts: &mut Timestamp,
+    predictor: &EttPredictor,
+    loc: RecordLocation,
+    payload: &[u8],
+) -> Result<()> {
+    let mut dec = Decoder::new(payload);
+    let (key, window, max_ts) = read_header(&mut dec)?;
+    let count = dec.get_varint_u64()?;
+    let count = u32::try_from(count)
+        .map_err(|_| StoreError::invalid_state(format!("record of {count} values")))?;
+    *latest_ts = (*latest_ts).max(max_ts);
+    let record = DiskRecord {
+        offset: loc.offset,
+        len: loc.len,
+        count,
+    };
+    table.rebuild_entry(key, window, max_ts, record, predictor);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -8,6 +8,12 @@
 //! `total`/`dead` accounting, the amplification rule, rewrite, and the
 //! checkpoint — a copy of the records the store lists as live.
 //!
+//! **Recovery reads the log once.** [`GenLog::open`] and
+//! [`GenLog::restore_from`] take the store's rebuild: the one whole-log
+//! scan that finds the intact length and cuts a torn tail
+//! ([`LogWriter::open_append_in`]) hands it every intact record, so the
+//! store rebuilds its index from the same reads.
+//!
 //! **Stage → rename → remove.** A rewrite is synced under `<name>.tmp`;
 //! [`GenLog::commit`] makes it current with one rename, and only then
 //! removes the previous file. A final name therefore always holds a
@@ -19,7 +25,7 @@ use std::sync::Arc;
 
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::logfile::{
-    record_payload, scan_records_in, LogWriter, RandomAccessLog, RecordLocation,
+    record_payload, LogReader, LogWriter, RandomAccessLog, RecordLocation,
 };
 use flowkv_common::vfs::Vfs;
 
@@ -47,13 +53,37 @@ pub(crate) struct Staged {
 impl GenLog {
     /// Opens the log `<stem>_<N>.<ext>` in the existing `dir` at its
     /// highest generation, deleting every other generation and temp,
-    /// truncating a torn tail.
+    /// truncating a torn tail; `rebuild` sees every intact record, in
+    /// log order. An error it returns for a record, other than I/O, is
+    /// corruption at the record's offset.
     pub(crate) fn open(
         vfs: Arc<dyn Vfs>,
         dir: &Path,
         stem: &'static str,
         ext: &'static str,
+        rebuild: impl FnMut(RecordLocation, &[u8]) -> Result<()>,
     ) -> Result<Self> {
+        let mut log = Self::sweep(vfs, dir, stem, ext)?;
+        log.adopt(rebuild)?;
+        Ok(log)
+    }
+
+    /// An empty log `<stem>_<N>.<ext>` in the existing `dir`: every file
+    /// a previous one left there is deleted unread.
+    pub(crate) fn create(
+        vfs: Arc<dyn Vfs>,
+        dir: &Path,
+        stem: &'static str,
+        ext: &'static str,
+    ) -> Result<Self> {
+        let mut log = Self::sweep(vfs, dir, stem, ext)?;
+        log.destroy();
+        Ok(log)
+    }
+
+    /// The log in `dir` at its highest generation, its file not adopted
+    /// yet, every other generation and temp deleted.
+    fn sweep(vfs: Arc<dyn Vfs>, dir: &Path, stem: &'static str, ext: &'static str) -> Result<Self> {
         let names = vfs
             .read_dir_names(dir)
             .map_err(|e| StoreError::io_at("log scan", dir, e))?;
@@ -78,7 +108,6 @@ impl GenLog {
                 let _ = log.vfs.remove_file(&log.dir.join(name));
             }
         }
-        log.adopt()?;
         Ok(log)
     }
 
@@ -96,10 +125,18 @@ impl GenLog {
         Some((!temp).then_some(generation))
     }
 
-    /// Adopts the current generation's file, if any, less a torn tail.
-    fn adopt(&mut self) -> Result<()> {
-        if self.vfs.exists(&self.path()) {
-            self.writer = Some(LogWriter::open_append_in(&self.vfs, self.path())?);
+    /// Adopts the current generation's file, if any, less a torn tail,
+    /// handing `rebuild` every intact record on the way.
+    fn adopt(
+        &mut self,
+        mut rebuild: impl FnMut(RecordLocation, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        let path = self.path();
+        if self.vfs.exists(&path) {
+            let each = |loc: RecordLocation, payload: &[u8]| {
+                rebuild(loc, payload).map_err(|e| record_error(&path, loc, e))
+            };
+            self.writer = Some(LogWriter::open_append_in(&self.vfs, &path, each)?);
         }
         Ok(())
     }
@@ -157,8 +194,9 @@ impl GenLog {
         Ok(self.reader.as_mut().expect("opened above"))
     }
 
-    /// Hands every record of the log to `each`, in log order. A payload
-    /// `each` fails to decode is corruption at the record's offset.
+    /// Hands every record of the log to `each`, in log order. An error
+    /// `each` returns for a record, other than I/O, is corruption at the
+    /// record's offset.
     pub(crate) fn scan(
         &mut self,
         mut each: impl FnMut(RecordLocation, &[u8]) -> Result<()>,
@@ -166,14 +204,12 @@ impl GenLog {
         let Some(path) = self.flushed_path()? else {
             return Ok(());
         };
-        scan_records_in(&self.vfs, &path, 0, u64::MAX, |loc, payload| {
-            each(loc, payload).map_err(|e| match e {
-                StoreError::UnexpectedEof { .. } | StoreError::VarintOverflow => {
-                    StoreError::corruption(&path, loc.offset, e.to_string())
-                }
-                e => e,
-            })
-        })
+        let mut reader = LogReader::open_scan_in(&self.vfs, &path)?;
+        let mut payload = Vec::new();
+        while let Some(loc) = reader.next_record_into(&mut payload)? {
+            each(loc, &payload).map_err(|e| record_error(&path, loc, e))?;
+        }
+        Ok(())
     }
 
     /// Marks `bytes` of the log dead: the store no longer refers to them.
@@ -250,10 +286,16 @@ impl GenLog {
     }
 
     /// Replaces the log with the copy `name` in the checkpoint directory
-    /// `dir` (an empty log when there is none), as generation 0. A
-    /// checkpoint is synced whole before it counts, so a torn tail in
-    /// one is corruption, not a crash to recover from.
-    pub(crate) fn restore_from(&mut self, dir: &Path, name: &str) -> Result<()> {
+    /// `dir` (an empty log when there is none), as generation 0, handing
+    /// `rebuild` its records as [`GenLog::open`] does. A checkpoint is
+    /// synced whole before it counts, so a torn tail in one is
+    /// corruption, not a crash to recover from.
+    pub(crate) fn restore_from(
+        &mut self,
+        dir: &Path,
+        name: &str,
+        rebuild: impl FnMut(RecordLocation, &[u8]) -> Result<()>,
+    ) -> Result<()> {
         self.destroy();
         let src = dir.join(name);
         let copied = self
@@ -264,7 +306,7 @@ impl GenLog {
                 false => Ok(0),
             })
             .map_err(|e| StoreError::io_at("log restore copy", &src, e))?;
-        self.adopt()?;
+        self.adopt(rebuild)?;
         if self.total() != copied {
             let detail = format!("a checkpoint log of {copied} B ends in a torn record");
             return Err(StoreError::corruption(src, self.total(), detail));
@@ -277,6 +319,16 @@ impl GenLog {
         (self.writer, self.reader) = (None, None);
         let _ = self.vfs.remove_file(&self.path());
         (self.generation, self.dead) = (0, 0);
+    }
+}
+
+/// What a store's failure on a record of the log at `path` is: an I/O
+/// error stays one; anything else — a payload that does not decode, or
+/// one the store cannot hold — is corruption at the record's offset.
+fn record_error(path: &Path, loc: RecordLocation, e: StoreError) -> StoreError {
+    match e {
+        StoreError::Io { .. } => e,
+        e => StoreError::corruption(path, loc.offset, e.to_string()),
     }
 }
 
@@ -418,7 +470,7 @@ pub(crate) mod tests {
     }
 
     fn open_in(vfs: Arc<dyn Vfs>, dir: &Path) -> GenLog {
-        GenLog::open(vfs, dir, "data", "aurd").unwrap()
+        GenLog::open(vfs, dir, "data", "aurd", |_, _| Ok(())).unwrap()
     }
 
     fn open(dir: &Path) -> GenLog {
@@ -469,7 +521,7 @@ pub(crate) mod tests {
     fn reopen_takes_the_highest_generation_and_deletes_the_rest() {
         let dir = ScratchDir::new("genlog-reopen").unwrap();
         let write = |name: &str, payload: &[u8]| {
-            let mut w = LogWriter::create(dir.path().join(name)).unwrap();
+            let mut w = LogWriter::create_in(&StdVfs::shared(), dir.path().join(name)).unwrap();
             w.append(payload).unwrap();
             w.flush().unwrap();
         };
@@ -506,6 +558,61 @@ pub(crate) mod tests {
             payloads(&mut log),
             vec![b"intact".to_vec(), b"after".to_vec()]
         );
+    }
+
+    #[test]
+    fn open_hands_the_rebuild_every_intact_record_from_its_one_scan() {
+        let dir = ScratchDir::new("genlog-rebuild").unwrap();
+        let mut log = open(dir.path());
+        let records: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 100]).collect();
+        for record in &records {
+            log.append(record).unwrap();
+        }
+        let torn = log.append(b"torn").unwrap();
+        log.flush().unwrap();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(log.path())
+            .unwrap();
+        file.set_len(torn.end_offset() - 1).unwrap();
+        drop((file, log));
+
+        let counting = FaultVfs::counting(StdVfs::shared());
+        let mut rebuilt = Vec::new();
+        let log = GenLog::open(
+            counting.clone(),
+            dir.path(),
+            "data",
+            "aurd",
+            |loc, payload| {
+                rebuilt.push((loc.offset, payload.to_vec()));
+                Ok(())
+            },
+        )
+        .unwrap();
+        let offsets = (0..3).map(|i| i * 108);
+        assert_eq!(rebuilt, offsets.zip(records).collect::<Vec<_>>());
+        assert_eq!(log.total(), torn.offset);
+        // One open and one read find the intact records; the writer's
+        // open and the cut of the torn tail follow.
+        assert_eq!(counting.ops(), 4);
+
+        // A record the rebuild cannot take is corruption at its offset.
+        drop(log);
+        let err = GenLog::open(
+            StdVfs::shared(),
+            dir.path(),
+            "data",
+            "aurd",
+            |loc, _| match loc.offset {
+                108 => Err(StoreError::invalid_state("not a record of this store")),
+                _ => Ok(()),
+            },
+        )
+        .err()
+        .expect("a record the store rejects");
+        assert!(err.to_string().contains("at offset 108: "), "{err}");
+        assert!(err.is_corruption(), "{err}");
     }
 
     #[test]
@@ -600,12 +707,14 @@ pub(crate) mod tests {
         let restored = ScratchDir::new("genlog-ckpt-restored").unwrap();
         let mut other = open(restored.path());
         other
-            .restore_from(&ckpt.path().join("nested"), "data.aurd")
+            .restore_from(&ckpt.path().join("nested"), "data.aurd", |_, _| Ok(()))
             .unwrap();
         let expect: Vec<Vec<u8>> = [1, 2, 4].iter().map(|&i| records[i].clone()).collect();
         assert_eq!(payloads(&mut other), expect);
         log.checkpoint(&[], ckpt.path(), "empty").unwrap();
-        other.restore_from(ckpt.path(), "empty").unwrap();
+        other
+            .restore_from(ckpt.path(), "empty", |_, _| Ok(()))
+            .unwrap();
         assert_eq!((other.total(), payloads(&mut other).len()), (0, 0));
     }
 
@@ -625,7 +734,9 @@ pub(crate) mod tests {
         drop(file);
         // An open cuts such a tail; a checkpoint that has one never
         // completed.
-        let err = log.restore_from(dir.path(), "ckpt").unwrap_err();
+        let err = log
+            .restore_from(dir.path(), "ckpt", |_, _| Ok(()))
+            .unwrap_err();
         assert!(err.is_corruption(), "{err}");
         let at = format!("at offset {}: ", first.end_offset());
         assert!(err.to_string().contains(&at), "{err}");

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use flowkv_common::backend::AggregateUpdate;
 use flowkv_common::codec::{put_len_prefixed, Decoder};
 use flowkv_common::error::{Result, StoreError};
-use flowkv_common::logfile::record_payload;
+use flowkv_common::logfile::{record_payload, RecordLocation};
 use flowkv_common::metrics::{OpCategory, RecordTimer, StoreMetrics};
 use flowkv_common::registry::ViewValue;
 use flowkv_common::types::{Timestamp, WindowId};
@@ -97,18 +97,22 @@ impl RmwStore {
     ) -> Result<Self> {
         vfs.create_dir_all(dir)
             .map_err(|e| StoreError::io_at("rmw dir", dir, e))?;
-        let mut store = RmwStore {
+        let (mut index, mut superseded) = (WindowMap::default(), 0);
+        let mut log = GenLog::open(vfs, dir, "agg", "rmw", |loc, payload| {
+            superseded += index_record(&mut index, loc, payload)?;
+            Ok(())
+        })?;
+        log.retire(superseded);
+        Ok(RmwStore {
             cfg,
             buffer: WindowMap::default(),
             buffer_bytes: 0,
-            index: WindowMap::default(),
-            log: GenLog::open(vfs, dir, "agg", "rmw")?,
+            index,
+            log,
             encode_buf: Vec::new(),
             metrics,
             write_timer: RecordTimer::default(),
-        };
-        store.rebuild_from_log()?;
-        Ok(store)
+        })
     }
 
     /// Fetches and removes the aggregate of `(key, window)` (paper
@@ -268,8 +272,13 @@ impl RmwStore {
     /// Replaces the store contents with the snapshot in `src`.
     pub fn restore(&mut self, src: &Path) -> Result<()> {
         self.close()?;
-        self.log.restore_from(src, "agg.rmw")?;
-        self.rebuild_from_log()
+        let (index, mut superseded) = (&mut self.index, 0);
+        self.log.restore_from(src, "agg.rmw", |loc, payload| {
+            superseded += index_record(index, loc, payload)?;
+            Ok(())
+        })?;
+        self.log.retire(superseded);
+        Ok(())
     }
 
     /// Deletes every file of the store and clears its memory.
@@ -347,25 +356,20 @@ impl RmwStore {
         self.metrics.add_compaction();
         Ok(())
     }
+}
 
-    /// Rebuilds the index by replaying the value log (last write wins).
-    /// Aggregates a torn tail held were not durably flushed and are
-    /// recovered by the engine's source replay, as with every store here
-    /// (paper §8).
-    fn rebuild_from_log(&mut self) -> Result<()> {
-        self.index.clear();
-        let (index, mut superseded) = (&mut self.index, 0);
-        self.log.scan(|loc, payload| {
-            let (key, window) = split_composite(Decoder::new(payload).get_len_prefixed()?)?;
-            let at = (loc.offset, loc.disk_len());
-            if let Some((_, old_len)) = index.insert(key, window, at) {
-                superseded += old_len;
-            }
-            Ok(())
-        })?;
-        self.log.retire(superseded);
-        Ok(())
-    }
+/// Replays one value-log record into `index` at reopen and restore (last
+/// write wins), returning the on-disk bytes of the record it supersedes.
+/// Aggregates a torn tail held were not durably flushed and are recovered
+/// by the engine's source replay, as with every store here (paper §8).
+fn index_record(
+    index: &mut WindowMap<(u64, u64)>,
+    loc: RecordLocation,
+    payload: &[u8],
+) -> Result<u64> {
+    let (key, window) = split_composite(Decoder::new(payload).get_len_prefixed()?)?;
+    let old = index.insert(key, window, (loc.offset, loc.disk_len()));
+    Ok(old.map_or(0, |(_, len)| len))
 }
 
 #[cfg(test)]

@@ -33,16 +33,22 @@
 //!   per-key lists in that order, so nothing is written back. AUR/RMW
 //!   point reads *promote*: the cold rows are replayed into the wrapped
 //!   store under the hotter rows of their keys ([`merge_cold`], also
-//!   the rule of `read_view` and `extract_range`). Block reads ride the
-//!   worker's I/O ring when [`OperatorContext::io`] carries one;
+//!   the rule of `read_view` and `extract_range`). A block is a record
+//!   of the cold log, read where its [`RecordLocation`] says through
+//!   the one reader by location (`RandomAccessLog::read_records`), as
+//!   the AUR and RMW stores read theirs: checksum-verified, adjacent
+//!   blocks in one extent read. Block reads ride the worker's I/O ring
+//!   when [`OperatorContext::io`] carries one;
 //!   [`TieredStore::advance_prefetch`] submits them ahead of a trigger.
 //! - **Compaction** is the cold [`GenLog`]'s: once dead blocks dominate
 //!   (the stores' MSA rule, with the tier's own factor and floor) the
 //!   surviving blocks are relocated into the next generation.
 //! - **Checkpoints** seal every hot window into the cold tier first, so
 //!   a snapshot is the inner store's (empty) checkpoint plus the cold
-//!   log's live blocks — and restore rebuilds the block index with one
-//!   scan of them, each block's header naming its window and row count.
+//!   log's live blocks — and restore rebuilds the block index in the
+//!   one scan that recovers the restored log, each block's header naming
+//!   its window and row count. No index outlives the process otherwise:
+//!   a new store deletes the cold log a previous one left, unread.
 //!   `extract_range` merges both tiers and `inject_entries`
 //!   replays through the tier's own write path, so rescaling migrates
 //!   cold state losslessly.
@@ -58,7 +64,7 @@ use flowkv_common::backend::{
 use flowkv_common::columnar::{BlockKind, BlockReader, BlockWriter, ColdRow};
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::Lane;
-use flowkv_common::logfile::RECORD_HEADER_LEN;
+use flowkv_common::logfile::{record_payload, RandomAccessLog, RecordLocation};
 use flowkv_common::metrics::{OpCategory, StoreMetrics};
 use flowkv_common::registry::{StateView, ViewValue};
 use flowkv_common::telemetry::{Counter, Gauge, MetricRegistry, Telemetry};
@@ -112,13 +118,11 @@ impl TierConfig {
     }
 }
 
-/// Location of one cold block inside the cold log.
+/// One cold block: a record of the cold log.
 #[derive(Clone, Copy, Debug)]
 struct BlockRef {
-    /// Offset of the block: the payload of a log record, past its header.
-    offset: u64,
-    /// Payload length in bytes.
-    len: u32,
+    /// Where the record holding the block sits; its payload is the block.
+    at: RecordLocation,
     /// Rows inside, for accounting.
     rows: u32,
 }
@@ -126,8 +130,7 @@ struct BlockRef {
 impl BlockRef {
     /// `(offset, on-disk length)` of the log record holding the block.
     fn record(&self) -> (u64, u64) {
-        let len = u64::from(self.len) + RECORD_HEADER_LEN;
-        (self.offset - RECORD_HEADER_LEN, len)
+        (self.at.offset, self.at.disk_len())
     }
 }
 
@@ -135,18 +138,17 @@ impl BlockRef {
 /// blocks it had at submission.
 type PrefetchedBlocks = (WindowId, Vec<Vec<u8>>);
 
-/// The one cold-block reader: the payloads of `refs` from the cold log
-/// at `path`, in order. Every cold read is this function run as a lane
-/// job — blocking ([`TieredStore::read_blocks`]) or ahead of the
-/// trigger (`advance_prefetch`).
-fn read_blocks_in(vfs: &Arc<dyn Vfs>, path: &Path, refs: &[BlockRef]) -> Result<Vec<Vec<u8>>> {
-    let file = vfs.open_read(path)?;
+/// The payloads of `refs`, blocks of one window in log order, read from
+/// `log` — the cold log, opened by the lane job this runs in: blocking
+/// ([`TieredStore::read_blocks`]) or ahead of the trigger
+/// (`advance_prefetch`).
+fn read_window_blocks(log: &mut RandomAccessLog, refs: &[BlockRef]) -> Result<Vec<Vec<u8>>> {
+    let records: Vec<(u64, u64)> = refs.iter().map(BlockRef::record).collect();
     let mut out = Vec::with_capacity(refs.len());
-    for r in refs {
-        let mut buf = vec![0u8; r.len as usize];
-        file.read_exact_at(&mut buf, r.offset)?;
-        out.push(buf);
-    }
+    log.read_records(&records, |_, record| {
+        out.push(record_payload(record).to_vec());
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -312,8 +314,7 @@ impl TieredStore {
             .map_err(|e| StoreError::io_at("tier dir", &cold_dir, e))?;
         // No index outlives the process except inside a checkpoint:
         // whatever a previous incarnation left in the log is dead.
-        let mut log = GenLog::open(Arc::clone(&vfs), &cold_dir, "cold", "log")?;
-        log.retire(log.total());
+        let log = GenLog::create(Arc::clone(&vfs), &cold_dir, "cold", "log")?;
         let mut lane = Lane::inline(Arc::clone(&vfs));
         if let Some(ring) = &ctx.io {
             lane.attach(Arc::clone(ring));
@@ -423,16 +424,17 @@ impl TieredStore {
         })?;
         let plain_bytes = self.writer.plain_bytes();
         let blob = self.writer.finish_by_key(window, kind);
-        let loc = self.log.append(blob)?;
-        let (offset, len) = (loc.offset + RECORD_HEADER_LEN, loc.len);
-        let block = BlockRef { offset, len, rows };
-        self.index.entry(window).or_default().push(block);
+        let at = self.log.append(blob)?;
+        self.index
+            .entry(window)
+            .or_default()
+            .push(BlockRef { at, rows });
         self.counters.demotions.inc();
         self.counters.demoted_rows.add(u64::from(rows));
         self.counters.uncompressed_bytes.add(plain_bytes as u64);
         self.counters.cold_blocks.inc();
         self.counters.cold_bytes_written.add(blob.len() as u64);
-        self.store_metrics.add_bytes_written(loc.disk_len());
+        self.store_metrics.add_bytes_written(at.disk_len());
         Ok(())
     }
 
@@ -445,7 +447,9 @@ impl TieredStore {
         let job_path = path.clone();
         let blobs = self
             .lane
-            .read_through(move |vfs| read_blocks_in(vfs, &job_path, &refs))
+            .read_through(move |vfs| {
+                read_window_blocks(&mut RandomAccessLog::open_in(vfs, &job_path)?, &refs)
+            })
             .map_err(|e| StoreError::io_at(context, path, e))?;
         self.store_metrics
             .add_bytes_read(blobs.iter().map(|b| b.len() as u64).sum());
@@ -518,13 +522,14 @@ impl TieredStore {
             if window.end > due || self.prefetched.contains_key(window) || lane.covers(window) {
                 continue;
             }
-            let bytes = refs.iter().map(|r| u64::from(r.len)).sum();
+            let bytes = refs.iter().map(|r| u64::from(r.at.len)).sum();
             if !lane.admits(self.prefetched_bytes, bytes) {
                 break;
             }
             let (window, path, refs) = (*window, self.log.path(), refs.clone());
             lane.submit(vec![window], bytes, move |vfs| {
-                Ok((window, read_blocks_in(vfs, &path, &refs)?))
+                let mut log = RandomAccessLog::open_in(vfs, &path)?;
+                Ok((window, read_window_blocks(&mut log, &refs)?))
             });
             self.counters.prefetch_submitted.inc();
         }
@@ -733,7 +738,7 @@ impl TieredStore {
         // The index moves only once the rewrite is committed: a rewrite
         // that fails leaves it pointing into the log it still describes.
         let mut live: Vec<&mut BlockRef> = self.index.values_mut().flatten().collect();
-        live.sort_unstable_by_key(|block| block.offset);
+        live.sort_unstable_by_key(|block| block.at.offset);
         let locations: Vec<(u64, u64)> = live.iter().map(|block| block.record()).collect();
         let mut offsets = vec![0u64; live.len()];
         let staged = self.log.relocate(&locations, |i, offset| {
@@ -743,7 +748,7 @@ impl TieredStore {
         let reclaimed = self.log.dead();
         self.log.commit(staged)?;
         for (block, offset) in live.into_iter().zip(offsets) {
-            block.offset = offset + RECORD_HEADER_LEN;
+            block.at.offset = offset;
         }
         self.store_metrics.add_bytes_read(self.log.total());
         self.store_metrics.add_bytes_written(self.log.total());
@@ -764,28 +769,31 @@ impl TieredStore {
         }
         Ok(())
     }
+}
 
-    /// Rebuilds the block index from the cold log, every block of which
-    /// is live (a checkpoint copies no other): each block's header names
-    /// its window and row count. A record that is not a block of this
-    /// store is corruption at its offset.
-    fn rebuild_index(&mut self) -> Result<()> {
-        let (path, kind, index) = (self.log.path(), self.block_kind(), &mut self.index);
-        self.log.scan(|loc, payload| {
-            let corrupt = |detail: String| StoreError::corruption(&path, loc.offset, detail);
-            let block = BlockReader::open(payload).map_err(|e| corrupt(e.to_string()))?;
-            let found = block.kind();
-            if found != kind {
-                return Err(corrupt(format!("a {found:?} block in a {kind:?} store")));
-            }
-            let rows = u32::try_from(block.rows())
-                .map_err(|_| corrupt(format!("a block of {} rows", block.rows())))?;
-            let (offset, len) = (loc.offset + RECORD_HEADER_LEN, loc.len);
-            let refs = index.entry(block.window()).or_default();
-            refs.push(BlockRef { offset, len, rows });
-            Ok(())
-        })
+/// Lists one record of a restored cold log in `index`, every block of
+/// which is live (a checkpoint copies no other): the block's header names
+/// its window and row count. A record that is not a block of a `kind`
+/// store is refused.
+fn index_block(
+    index: &mut BTreeMap<WindowId, Vec<BlockRef>>,
+    kind: BlockKind,
+    at: RecordLocation,
+    payload: &[u8],
+) -> Result<()> {
+    let block = BlockReader::open(payload)?;
+    let found = block.kind();
+    if found != kind {
+        let detail = format!("a {found:?} block in a {kind:?} store");
+        return Err(StoreError::invalid_state(detail));
     }
+    let rows = u32::try_from(block.rows())
+        .map_err(|_| StoreError::invalid_state(format!("a block of {} rows", block.rows())))?;
+    index
+        .entry(block.window())
+        .or_default()
+        .push(BlockRef { at, rows });
+    Ok(())
 }
 
 impl StateBackend for TieredStore {
@@ -950,8 +958,10 @@ impl StateBackend for TieredStore {
         self.hot_bytes = 0;
         self.index.clear();
         self.inner.restore(&dir.join(CKPT_HOT))?;
-        self.log.restore_from(dir, CKPT_COLD)?;
-        self.rebuild_index()?;
+        let (kind, index) = (self.block_kind(), &mut self.index);
+        self.log.restore_from(dir, CKPT_COLD, |at, payload| {
+            index_block(index, kind, at, payload)
+        })?;
         self.update_gauges();
         Ok(())
     }
@@ -1014,6 +1024,7 @@ mod tests {
     use crate::config::FlowKvConfig;
     use crate::store::FlowKvFactory;
     use flowkv_common::backend::{OperatorSemantics, WindowKind};
+    use flowkv_common::logfile::{LogWriter, RECORD_HEADER_LEN};
     use flowkv_common::scratch::ScratchDir;
     use std::sync::Mutex;
     use std::time::{Duration, Instant};
@@ -1653,7 +1664,7 @@ mod tests {
             (&aggregates, "Aggregates"),
         ] {
             // A valid block, then the bad record right behind it.
-            let mut log = flowkv_common::logfile::LogWriter::create(&path).unwrap();
+            let mut log = LogWriter::create_in(&StdVfs::shared(), &path).unwrap();
             log.append(&block[RECORD_HEADER_LEN as usize..]).unwrap();
             log.append(second).unwrap();
             log.sync().unwrap();

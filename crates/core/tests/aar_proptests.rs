@@ -304,9 +304,11 @@ proptest! {
 /// the store to the next. The count was recorded at the parent of the
 /// change that gave the store its one window table; the `exists` probe
 /// that change removed never counted (`FaultVfs` passes it through).
+/// The checkpoint syncs what it writes: an open and a sync for each of
+/// the ten window files it copies and for its manifest.
 #[test]
 fn a_scripted_run_issues_a_pinned_number_of_device_ops() {
-    const SCRIPTED_OPS: u64 = 243;
+    const SCRIPTED_OPS: u64 = 265;
     let dir = ScratchDir::new("aar-opcount").unwrap();
     let ckpt = ScratchDir::new("aar-opcount-ckpt").unwrap();
     let counting = FaultVfs::counting(StdVfs::shared());

@@ -10,6 +10,9 @@
 //! and a trigger that beats its background read waits for that read
 //! instead of repeating it.
 //!
+//! A reopen or a restore reads its log once: the scan that finds the
+//! intact length and cuts a torn tail is the one the store rebuilds from.
+//!
 //! The same counter shows that `io_threads = 0` is not a second code
 //! path: a lane of width zero runs the very job bodies a ring runs, so a
 //! serving-view read, a checkpoint and a compaction issue the same
@@ -21,9 +24,15 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use flowkv::aar::AarStore;
 use flowkv::aur::{AurConfig, AurStore};
 use flowkv::ett::EttPredictor;
 use flowkv::rmw::{RmwConfig, RmwStore};
+use flowkv::tier::TierConfig;
+use flowkv::{FlowKvConfig, FlowKvFactory, TieredFactory};
+use flowkv_common::backend::{
+    AggregateKind, OperatorContext, OperatorSemantics, StateBackendFactory, WindowKind,
+};
 use flowkv_common::ioring::IoRing;
 use flowkv_common::metrics::StoreMetrics;
 use flowkv_common::scratch::ScratchDir;
@@ -272,6 +281,141 @@ fn rmw_point_read_is_one_device_read() {
         Some(b"aggregate".to_vec())
     );
     assert_eq!(counting.ops() - before, 1);
+}
+
+/// Records of about 1 KiB each, so every log below spans more than one
+/// 64 KiB scan read.
+const RECORDS: u64 = 96;
+
+/// Device ops of `open`, run over a counting filesystem.
+fn ops_of<T>(open: impl FnOnce(Arc<FaultVfs>) -> T) -> (T, u64) {
+    let counting = FaultVfs::counting(StdVfs::shared());
+    let opened = open(counting.clone());
+    (opened, counting.ops())
+}
+
+#[test]
+fn a_reopen_or_a_restore_reads_its_log_once() {
+    // Each reopen creates its directory (1), opens the log and reads it
+    // in 64 KiB scan reads (1 + 2), then opens it for appending and cuts
+    // it at its intact length (2): 6. The store rebuilds from that scan.
+    let value = [7u8; 1 << 10];
+    let aur_dir = ScratchDir::new("opcount-aur-reopen").unwrap();
+    let open_aur = |vfs: Arc<FaultVfs>| {
+        let predictor = EttPredictor::SessionGap { gap: 100 };
+        let cfg = AurConfig::default();
+        AurStore::open_with_vfs(aur_dir.path(), cfg, predictor, Default::default(), vfs).unwrap()
+    };
+    let (mut aur, _) = ops_of(open_aur);
+    for i in 0..RECORDS {
+        let key = format!("key-{i:03}");
+        aur.append(key.as_bytes(), window(), &value, i as i64)
+            .unwrap();
+    }
+    aur.flush().unwrap();
+    drop(aur);
+    let (mut aur, ops) = ops_of(open_aur);
+    assert!(aur.data_log_bytes() > 64 << 10);
+    assert_eq!(ops, 6, "an AUR reopen");
+    assert_eq!(aur.take(b"key-042", window()).unwrap(), [value]);
+
+    let rmw_dir = ScratchDir::new("opcount-rmw-reopen").unwrap();
+    let open_rmw = |vfs: Arc<FaultVfs>| {
+        let cfg = RmwConfig::default();
+        RmwStore::open_with_vfs(rmw_dir.path(), cfg, Default::default(), vfs).unwrap()
+    };
+    let (mut rmw, _) = ops_of(open_rmw);
+    for i in 0..RECORDS {
+        let key = format!("key-{i:03}");
+        rmw.put(key.as_bytes(), window(), &value).unwrap();
+    }
+    rmw.flush().unwrap();
+    drop(rmw);
+    let (mut rmw, ops) = ops_of(open_rmw);
+    assert_eq!(ops, 6, "an RMW reopen");
+    assert_eq!(
+        rmw.take(b"key-042", window()).unwrap(),
+        Some(value.to_vec())
+    );
+
+    // A tier checkpoint of a store that demoted every window: the inner
+    // store's two AAR instances each create their directory and read
+    // their manifest (4); the cold log's restore removes the old file,
+    // creates its directory and copies the checkpoint's (3), then
+    // recovers it as a reopen does (1 + 2 + 2): 12.
+    let tier_dir = ScratchDir::new("opcount-tier-restore").unwrap();
+    let tiered = |vfs: Arc<FaultVfs>, name: &str| {
+        let ctx = OperatorContext {
+            operator: "opcount".to_string(),
+            partition: 0,
+            semantics: OperatorSemantics::new(
+                AggregateKind::FullList,
+                WindowKind::Fixed { size: 1_000 },
+            ),
+            data_dir: tier_dir.path().join(name),
+            telemetry: None,
+            io: None,
+        };
+        let inner = FlowKvFactory::new(FlowKvConfig::small_for_tests()).with_vfs(vfs.clone());
+        let cfg = TierConfig {
+            compress: false,
+            ..TierConfig::new(0)
+        };
+        let factory = TieredFactory::new(Arc::new(inner), cfg).with_vfs(vfs);
+        factory.create(&ctx).unwrap()
+    };
+    let mut store = tiered(FaultVfs::counting(StdVfs::shared()), "source");
+    for i in 0..RECORDS {
+        let key = format!("key-{i:03}");
+        store
+            .append(
+                key.as_bytes(),
+                WindowId::new(i as i64, 1_000 + i as i64),
+                &value,
+                0,
+            )
+            .unwrap();
+    }
+    let ckpt = tier_dir.path().join("ckpt");
+    store.checkpoint(&ckpt).unwrap();
+    let counting = FaultVfs::counting(StdVfs::shared());
+    let mut restored = tiered(counting.clone(), "restored");
+    let before = counting.ops();
+    restored.restore(&ckpt).unwrap();
+    assert_eq!(counting.ops() - before, 12, "a tier restore");
+    let view = restored.read_view().unwrap().expect("a view");
+    assert_eq!(view.to_entries().len() as u64, RECORDS);
+}
+
+#[test]
+fn an_aar_drain_issues_the_reads_it_always_issued() {
+    // One window's file of about 100 KiB, drained by the stepped reader:
+    // an open and 13 reads of 8 KiB (64 KiB drains measured slower on
+    // `q7-aar-max`, DESIGN.md §9).
+    let dir = ScratchDir::new("opcount-aar-drain").unwrap();
+    let counting = FaultVfs::counting(StdVfs::shared());
+    let mut store = AarStore::open_with_vfs(
+        dir.path(),
+        8 << 10,
+        16,
+        Default::default(),
+        counting.clone(),
+    )
+    .unwrap();
+    for i in 0..2_000u32 {
+        let key = format!("key-{:02}", i % 13);
+        store
+            .append(key.as_bytes(), window(), &[i as u8; 40])
+            .unwrap();
+    }
+    store.flush().unwrap();
+    let before = counting.ops();
+    let mut pairs = 0;
+    while let Some(chunk) = store.get_window_chunk(window()).unwrap() {
+        pairs += chunk.iter().map(|(_, values)| values.len()).sum::<usize>();
+    }
+    assert_eq!(pairs, 2_000);
+    assert_eq!(counting.ops() - before, 14);
 }
 
 /// A store operation run at both lane widths, its result as text.

@@ -41,6 +41,7 @@ use flowkv_common::error::{Result, StoreError};
 use flowkv_common::hash::KeyHash;
 use flowkv_common::logfile::{LogReader, LogWriter};
 use flowkv_common::types::{Timestamp, Tuple, TupleRef, WindowId};
+use flowkv_common::vfs::StdVfs;
 
 use crate::batch::TupleBatch;
 use crate::job::{AggregateSpec, WindowSpec};
@@ -112,7 +113,7 @@ pub trait KeyedOperator {
         self.backend_mut().checkpoint(dir)?;
         let mut buf = Vec::new();
         self.encode_engine_state(&mut buf);
-        let mut writer = LogWriter::create(dir.join(OPSTATE))?;
+        let mut writer = LogWriter::create_in(&StdVfs::shared(), dir.join(OPSTATE))?;
         writer.append(&buf)?;
         writer.sync()
     }
@@ -121,7 +122,7 @@ pub trait KeyedOperator {
     /// [`checkpoint`](Self::checkpoint).
     fn restore(&mut self, dir: &Path) -> Result<()> {
         self.backend_mut().restore(dir)?;
-        let mut reader = LogReader::open(dir.join(OPSTATE))?;
+        let mut reader = LogReader::open_in(&StdVfs::shared(), dir.join(OPSTATE))?;
         let (_, payload) = reader
             .next_record()?
             .ok_or_else(|| StoreError::invalid_state("empty operator checkpoint"))?;

@@ -11,9 +11,10 @@
 use std::path::Path;
 
 use flowkv_common::codec::Decoder;
-use flowkv_common::error::Result;
+use flowkv_common::error::{Result, StoreError};
 use flowkv_common::logfile::{LogReader, LogWriter};
 use flowkv_common::types::Tuple;
+use flowkv_common::vfs::StdVfs;
 
 /// Writer persisting a tuple stream to a replayable log file.
 pub struct TupleLog;
@@ -21,7 +22,7 @@ pub struct TupleLog;
 impl TupleLog {
     /// Writes every tuple of `stream` to `path`, returning the count.
     pub fn record(path: impl AsRef<Path>, stream: impl Iterator<Item = Tuple>) -> Result<u64> {
-        let mut writer = LogWriter::create(path)?;
+        let mut writer = LogWriter::create_in(&StdVfs::shared(), path)?;
         let mut buf = Vec::new();
         let mut count = 0u64;
         for tuple in stream {
@@ -36,6 +37,12 @@ impl TupleLog {
 }
 
 /// Replays a [`TupleLog`] file as an iterator of tuples.
+///
+/// Opening checks the whole log with one pass of a reader: every record
+/// must frame, pass its checksum and decode as a tuple, except a torn
+/// tail — what a crash mid-append leaves — which ends the stream. Any
+/// other bad record, or an I/O error, fails the open: a replay of a
+/// shorter input would be a silently wrong answer.
 ///
 /// # Examples
 ///
@@ -53,6 +60,8 @@ impl TupleLog {
 /// ```
 pub struct LogSource {
     reader: LogReader,
+    /// Where the intact records end: the end of the file or a torn tail.
+    end: u64,
     /// Tuples consumed so far (the replay offset).
     position: u64,
 }
@@ -60,22 +69,27 @@ pub struct LogSource {
 impl LogSource {
     /// Opens `path` for replay from the beginning.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        Ok(LogSource {
-            reader: LogReader::open(path)?,
-            position: 0,
-        })
+        Self::open_at(path, 0)
     }
 
     /// Opens `path` and skips the first `offset` tuples — the resume
     /// path after restoring a checkpoint taken at that offset.
     pub fn open_at(path: impl AsRef<Path>, offset: u64) -> Result<Self> {
-        let mut source = Self::open(path)?;
-        for _ in 0..offset {
-            if source.next().is_none() {
-                break;
+        let (path, vfs) = (path.as_ref(), StdVfs::shared());
+        let (mut start, mut position) = (0, 0);
+        let end = LogReader::open_in(&vfs, path)?.for_each_intact(|loc, payload| {
+            Tuple::decode_from(&mut Decoder::new(payload))
+                .map_err(|e| StoreError::corruption(path, loc.offset, e.to_string()))?;
+            if position < offset {
+                (start, position) = (loc.end_offset(), position + 1);
             }
-        }
-        Ok(source)
+            Ok(())
+        })?;
+        Ok(LogSource {
+            reader: LogReader::open_at_in(&vfs, path, start)?,
+            end,
+            position,
+        })
     }
 
     /// Number of tuples consumed so far.
@@ -88,12 +102,18 @@ impl Iterator for LogSource {
     type Item = Tuple;
 
     fn next(&mut self) -> Option<Tuple> {
-        // A torn or corrupt tail ends the stream at the last intact
-        // tuple, matching the log-file recovery contract.
-        let (_, payload) = self.reader.next_record().ok().flatten()?;
-        let tuple = Tuple::decode_from(&mut Decoder::new(&payload)).ok()?;
+        if self.reader.offset() >= self.end {
+            return None;
+        }
+        // Every record before `end` framed and decoded at open: a failure
+        // now is the file changing under the replay, which must not pass
+        // for the end of the input.
+        let tuple = self.reader.next_record().and_then(|record| {
+            let (_, payload) = record.expect("the file the reader opened reaches `end`");
+            Tuple::decode_from(&mut Decoder::new(&payload))
+        });
         self.position += 1;
-        Some(tuple)
+        Some(tuple.unwrap_or_else(|e| panic!("input log changed after its check: {e}")))
     }
 }
 

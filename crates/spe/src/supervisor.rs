@@ -235,6 +235,7 @@ mod tests {
     use crate::job::{AggregateSpec, JobBuilder};
     use crate::source::TupleLog;
     use crate::window::WindowAssigner;
+    use flowkv_common::logfile::LogWriter;
     use flowkv_common::scratch::ScratchDir;
     use flowkv_common::telemetry::Telemetry;
     use flowkv_common::types::Tuple;
@@ -270,6 +271,59 @@ mod tests {
             .collect();
         v.sort();
         v
+    }
+
+    /// A supervised run of [`count_job`] over the input log at `log`.
+    fn run_over(log: &Path) -> Result<SupervisedResult, JobError> {
+        let dir = log.parent().unwrap().join("data");
+        let mut opts = RunOptions::new(dir);
+        opts.watermark_interval = 50;
+        opts.max_restarts = 2;
+        let factory = BackendChoice::all_small_for_tests()[1].build(FactoryOptions::new());
+        run_supervised(&count_job(), log, factory, &opts)
+    }
+
+    #[test]
+    fn a_corrupt_input_log_fails_the_run() {
+        // A flipped byte inside record 10 of 50, intact records after it.
+        let dir = ScratchDir::new("sup-bad-input").unwrap();
+        let log = dir.path().join("stream.log");
+        TupleLog::record(&log, tuples(50, 10).into_iter()).unwrap();
+        let mut bytes = std::fs::read(&log).unwrap();
+        let record_len = bytes.len() / 50;
+        bytes[10 * record_len + 12] ^= 0x10;
+        std::fs::write(&log, &bytes).unwrap();
+        match run_over(&log) {
+            Err(JobError::Store(e)) => assert!(e.is_corruption(), "{e}"),
+            other => panic!(
+                "a corrupt input log ran: {:?}",
+                other.map(|r| r.result.input_count)
+            ),
+        }
+
+        // A record that frames and passes its checksum but holds no
+        // tuple, with intact records after it.
+        let mut writer = LogWriter::create_in(&StdVfs::shared(), &log).unwrap();
+        for (i, tuple) in tuples(50, 10).iter().enumerate() {
+            let mut payload = Vec::new();
+            tuple.encode_to(&mut payload);
+            writer
+                .append(if i == 10 { &payload[..3] } else { &payload })
+                .unwrap();
+        }
+        writer.sync().unwrap();
+        match run_over(&log) {
+            Err(JobError::Store(e)) => assert!(e.is_corruption(), "{e}"),
+            other => panic!(
+                "an undecodable input ran: {:?}",
+                other.map(|r| r.result.input_count)
+            ),
+        }
+
+        // An input that cannot be read at all.
+        let unreadable = dir.path().join("a-directory");
+        std::fs::create_dir(&unreadable).unwrap();
+        assert!(matches!(run_over(&unreadable), Err(JobError::Store(_))));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property: a log truncated at *any* byte offset inside its final
 //! record recovers to the longest intact prefix — the reader serves
-//! every earlier record and stops cleanly, and `LogWriter::open_append`
+//! every earlier record and stops cleanly, and `LogWriter::open_append_in`
 //! resumes writing exactly at the recovery point. Holds identically
 //! through the plain [`StdVfs`] and a (fault-free) [`FaultVfs`], so the
 //! fault-injection decorator is proven transparent on the same inputs.
@@ -59,7 +59,7 @@ fn check_all_cut_points(vfs: Arc<dyn Vfs>, dir: &Path, payloads: &[Vec<u8>]) {
 
         // Re-opening for append truncates the torn tail and resumes at
         // the recovery point; the log is then fully usable again.
-        let mut appender = LogWriter::open_append_in(&vfs, &copy).unwrap();
+        let mut appender = LogWriter::open_append_in(&vfs, &copy, |_, _| Ok(())).unwrap();
         assert_eq!(appender.offset(), last_start, "cut at byte {cut}");
         appender.append(b"recovered").unwrap();
         appender.sync().unwrap();
