@@ -265,8 +265,14 @@ fn bench_aur_hot_session(c: &mut Criterion) {
                 let dir = ScratchDir::new("micro-aur-hot").unwrap();
                 let metrics = StoreMetrics::new_shared();
                 let predictor = flowkv::ett::EttPredictor::SessionGap { gap: GAP };
-                let store =
-                    AurStore::open(dir.path(), cfg.clone(), predictor, metrics.clone()).unwrap();
+                let store = AurStore::open(
+                    dir.path(),
+                    cfg.clone(),
+                    predictor,
+                    metrics.clone(),
+                    StdVfs::shared(),
+                )
+                .unwrap();
                 (store, metrics, dir)
             },
             |(mut store, metrics, _dir)| {
@@ -362,8 +368,14 @@ fn bench_aur_index_walk(c: &mut Criterion) {
                 let dir = ScratchDir::new("micro-aur-walk").unwrap();
                 let metrics = StoreMetrics::new_shared();
                 let predictor = walk_shape::predictor();
-                let mut store =
-                    AurStore::open(dir.path(), cfg.clone(), predictor, metrics.clone()).unwrap();
+                let mut store = AurStore::open(
+                    dir.path(),
+                    cfg.clone(),
+                    predictor,
+                    metrics.clone(),
+                    StdVfs::shared(),
+                )
+                .unwrap();
                 walk_shape::fill(&mut store);
                 (store, metrics, dir)
             },
@@ -407,7 +419,7 @@ fn bench_aur_reopen(c: &mut Criterion) {
     let open = |vfs: Arc<dyn Vfs>| {
         let metrics = StoreMetrics::new_shared();
         let cfg = walk_shape::cfg(0.02);
-        AurStore::open_with_vfs(dir.path(), cfg, walk_shape::predictor(), metrics, vfs).unwrap()
+        AurStore::open(dir.path(), cfg, walk_shape::predictor(), metrics, vfs).unwrap()
     };
     walk_shape::fill(&mut open(StdVfs::shared()));
     let counting = FaultVfs::counting(StdVfs::shared());
@@ -526,7 +538,10 @@ fn bench_session_extend(c: &mut Criterion) {
                     assigner: WindowAssigner::Session { gap },
                     aggregate: AggregateSpec::FullList(std::sync::Arc::new(MedianProcess)),
                 };
-                WindowOperator::new(spec, Box::new(InMemoryBackend::new(usize::MAX, 1_024)))
+                WindowOperator::new(
+                    spec,
+                    Box::new(InMemoryBackend::new(usize::MAX, 1_024, StdVfs::shared())),
+                )
             },
             |mut operator| {
                 let mut out = Vec::new();
@@ -955,7 +970,7 @@ fn bench_record_op(c: &mut Criterion) {
                 ..AurConfig::default()
             };
             let predictor = EttPredictor::SessionGap { gap: 1_000 };
-            AurStore::open(dir, cfg, predictor, metrics).unwrap()
+            AurStore::open(dir, cfg, predictor, metrics, StdVfs::shared()).unwrap()
         },
         |store, key, round| {
             store
@@ -966,7 +981,7 @@ fn bench_record_op(c: &mut Criterion) {
     cell(
         &mut group,
         "aar_append",
-        |dir, metrics| AarStore::open(dir, BUFFER, 1_024, metrics).unwrap(),
+        |dir, metrics| AarStore::open(dir, BUFFER, 1_024, metrics, StdVfs::shared()).unwrap(),
         |store, key, round| store.append(key, w, &round.to_le_bytes()).unwrap(),
     );
     cell(
@@ -977,7 +992,7 @@ fn bench_record_op(c: &mut Criterion) {
                 write_buffer_bytes: BUFFER,
                 ..RmwConfig::default()
             };
-            RmwStore::open(dir, cfg, metrics).unwrap()
+            RmwStore::open(dir, cfg, metrics, StdVfs::shared()).unwrap()
         },
         |store, key, round| {
             let mut fold = |acc: &mut Vec<u8>, _: bool| {

@@ -22,6 +22,7 @@ use flowkv_bench::{header, row, HarnessArgs, HARNESS_BUFFER};
 use flowkv_common::metrics::StoreMetrics;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::types::WindowId;
+use flowkv_common::vfs::StdVfs;
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -43,8 +44,14 @@ fn main() {
     {
         let dir = ScratchDir::new("abl-aar").unwrap();
         let metrics = StoreMetrics::new_shared();
-        let mut store =
-            AarStore::open(dir.path(), HARNESS_BUFFER, 1024, Arc::clone(&metrics)).unwrap();
+        let mut store = AarStore::open(
+            dir.path(),
+            HARNESS_BUFFER,
+            1024,
+            Arc::clone(&metrics),
+            StdVfs::shared(),
+        )
+        .unwrap();
         let start = Instant::now();
         for round in 0..rounds {
             let w = WindowId::new(round as i64 * 1_000, round as i64 * 1_000 + 1_000);
@@ -81,6 +88,7 @@ fn main() {
             cfg,
             EttPredictor::Unpredictable,
             Arc::clone(&metrics),
+            StdVfs::shared(),
         )
         .unwrap();
         let start = Instant::now();
@@ -122,6 +130,7 @@ fn main() {
             cfg,
             EttPredictor::WindowEnd,
             Arc::clone(&metrics),
+            StdVfs::shared(),
         )
         .unwrap();
         let start = Instant::now();

@@ -1022,9 +1022,12 @@ pub fn parse_chrome_trace(text: &str) -> std::result::Result<Vec<ChromeEvent>, S
     Ok(out)
 }
 
-/// Converts in-memory [`ThreadSpans`] to analyzer events without a
-/// JSON round trip — the serving layer's path from a live tracer
-/// snapshot to an attribution table.
+/// Converts in-memory [`ThreadSpans`] to analyzer events by a JSON
+/// round trip, [`parse_chrome_trace`] of [`chrome_trace_json`] — the
+/// serving layer's path from a live tracer snapshot to an attribution
+/// table. Going through the exporter means a live snapshot and an
+/// exported file follow one rule for pairing begins with ends and for
+/// spans lost from the ring: [`chrome_trace_json`]'s.
 pub fn flatten(threads: &[ThreadSpans]) -> Vec<ChromeEvent> {
     parse_chrome_trace(&chrome_trace_json(threads)).unwrap_or_default()
 }

@@ -124,7 +124,8 @@ pub trait Vfs: Send + Sync {
 pub struct StdVfs;
 
 impl StdVfs {
-    /// A shared trait-object handle, the default for every store.
+    /// A shared trait-object handle: what a store runs on when its
+    /// caller names the real file system.
     pub fn shared() -> Arc<dyn Vfs> {
         Arc::new(StdVfs)
     }

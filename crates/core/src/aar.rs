@@ -78,7 +78,7 @@ use flowkv_common::metrics::{OpCategory, RecordTimer, StoreMetrics};
 use flowkv_common::registry::ViewValue;
 use flowkv_common::telemetry::Telemetry;
 use flowkv_common::types::{Timestamp, WindowId};
-use flowkv_common::vfs::{StdVfs, Vfs};
+use flowkv_common::vfs::Vfs;
 
 /// File name of the log holding one window's state.
 fn window_file_name(window: WindowId) -> String {
@@ -201,7 +201,7 @@ pub struct AarStore {
     append_timer: RecordTimer,
     vfs: Arc<dyn Vfs>,
     /// Read-ahead lane keyed by window: without threads (every read
-    /// synchronous) until [`AarStore::with_ring`] attaches the worker's
+    /// synchronous) until [`AarStore::set_ring`] attaches the worker's
     /// background I/O ring.
     lane: Lane<WindowId, AarAsyncRead>,
     /// Bumped by close/restore so stale completions can't install.
@@ -210,24 +210,8 @@ pub struct AarStore {
 }
 
 impl AarStore {
-    /// Opens a store rooted at `dir` on the real filesystem.
-    pub fn open(
-        dir: &Path,
-        write_buffer_bytes: usize,
-        chunk_entries: usize,
-        metrics: Arc<StoreMetrics>,
-    ) -> Result<Self> {
-        Self::open_with_vfs(
-            dir,
-            write_buffer_bytes,
-            chunk_entries,
-            metrics,
-            StdVfs::shared(),
-        )
-    }
-
     /// Opens a store rooted at `dir`, performing all file IO through `vfs`.
-    pub fn open_with_vfs(
+    pub fn open(
         dir: &Path,
         write_buffer_bytes: usize,
         chunk_entries: usize,
@@ -261,17 +245,15 @@ impl AarStore {
     }
 
     /// Attaches the worker's background I/O ring.
-    pub fn with_ring(mut self, ring: Arc<IoRing>) -> Self {
+    pub fn set_ring(&mut self, ring: Arc<IoRing>) {
         self.lane.attach(ring);
-        self
     }
 
     /// Wires prefetch-accuracy telemetry, labelled `{store=tag}`.
-    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>, tag: &str) -> Self {
+    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>, tag: &str) {
         let probe = PrefetchProbe::new(&telemetry, tag);
         self.lane.set_probe(probe.clone());
         self.prefetch_probe = Some(probe);
-        self
     }
 
     /// Appends `(key, value)` to `window`'s bucket (paper Listing 1,
@@ -319,6 +301,7 @@ impl AarStore {
                     // The snapshot prefix was loaded in the background; a
                     // continuation reader covers post-snapshot flushes.
                     Some(prefix) => {
+                        self.metrics.add_prefetch_hit();
                         if let Some(p) = &self.prefetch_probe {
                             p.hits.inc();
                         }
@@ -329,6 +312,7 @@ impl AarStore {
                     None => {
                         // The window fired before its background read
                         // landed: fall back to a synchronous read.
+                        self.metrics.add_prefetch_miss();
                         let late = self.lane.covers(&window);
                         if let (true, Some(p)) = (late, &self.prefetch_probe) {
                             p.late.inc();
@@ -736,14 +720,14 @@ mod tests {
     use super::*;
     use crate::test_common::merge_chunks;
     use flowkv_common::scratch::ScratchDir;
-    use flowkv_common::vfs::VfsFile;
+    use flowkv_common::vfs::{StdVfs, VfsFile};
     use std::collections::BTreeSet;
     use std::io;
     use std::path::PathBuf;
     use std::sync::Mutex;
 
     fn store(dir: &Path) -> AarStore {
-        AarStore::open(dir, 1024, 4, StoreMetrics::new_shared()).unwrap()
+        AarStore::open(dir, 1024, 4, StoreMetrics::new_shared(), StdVfs::shared()).unwrap()
     }
 
     fn w(start: i64, end: i64) -> WindowId {
@@ -1001,8 +985,7 @@ mod tests {
             inner: StdVfs::shared(),
             unsynced: Arc::clone(&unsynced),
         });
-        let mut s =
-            AarStore::open_with_vfs(dir.path(), 1 << 10, 8, Default::default(), vfs).unwrap();
+        let mut s = AarStore::open(dir.path(), 1 << 10, 8, Default::default(), vfs).unwrap();
         for i in 0..200i64 {
             s.append(b"k", w(i % 4 * 100, i % 4 * 100 + 100), &[i as u8; 20])
                 .unwrap();
@@ -1020,7 +1003,14 @@ mod tests {
     #[test]
     fn open_writers_are_capped_across_many_windows() {
         let dir = ScratchDir::new("aar-fdcap").unwrap();
-        let mut s = AarStore::open(dir.path(), 1 << 20, 64, StoreMetrics::new_shared()).unwrap();
+        let mut s = AarStore::open(
+            dir.path(),
+            1 << 20,
+            64,
+            StoreMetrics::new_shared(),
+            StdVfs::shared(),
+        )
+        .unwrap();
         // 300 distinct window boundaries, each flushed to its own file.
         for round in 0..300i64 {
             s.append(b"k", w(round * 10, round * 10 + 10), b"v")
@@ -1086,9 +1076,9 @@ mod tests {
     }
 
     fn ring_store(dir: &Path) -> (AarStore, Arc<IoRing>) {
-        let s = store(dir);
+        let mut s = store(dir);
         let ring = Arc::new(IoRing::new(2, None, None));
-        let s = s.with_ring(ring.clone());
+        s.set_ring(ring.clone());
         (s, ring)
     }
 
@@ -1117,6 +1107,30 @@ mod tests {
         assert_eq!(map[&b"b".to_vec()], vec![b"2".to_vec(), b"4".to_vec()]);
         assert!(s.windows.values().all(|e| e.prefetched.is_none()));
         assert!(!dir.path().join(window_file_name(win)).exists());
+    }
+
+    #[test]
+    fn a_drain_counts_its_prefetch_hit_or_miss_in_the_store_metrics() {
+        let dir = ScratchDir::new("aar-ring-hits").unwrap();
+        let (mut s, ring) = ring_store(dir.path());
+        let (near, far) = (w(0, 100), w(0, 10_000));
+        s.append(b"k", near, b"1").unwrap();
+        s.append(b"k", far, b"2").unwrap();
+        s.flush().unwrap();
+        // Only the near window's end lies within the horizon of 0.
+        s.advance_prefetch(0).unwrap();
+        ring.wait_idle();
+        s.advance_prefetch(0).unwrap();
+        assert!(s.windows[&near].prefetched.is_some());
+        assert!(s.windows[&far].prefetched.is_none());
+        let counts = |s: &AarStore| {
+            let m = s.metrics.snapshot();
+            (m.prefetch_hits, m.prefetch_misses)
+        };
+        drain_all(&mut s, near);
+        assert_eq!(counts(&s), (1, 0), "a drain from the read-ahead prefix");
+        drain_all(&mut s, far);
+        assert_eq!(counts(&s), (1, 1), "a drain that opened its file itself");
     }
 
     #[test]
@@ -1285,8 +1299,7 @@ mod tests {
         use std::time::{Duration, Instant};
         let dir = ScratchDir::new("aar-timers").unwrap();
         let vfs = SlowWrites::shared(Duration::from_millis(1));
-        let mut s =
-            AarStore::open_with_vfs(dir.path(), 1024, 4, StoreMetrics::new_shared(), vfs).unwrap();
+        let mut s = AarStore::open(dir.path(), 1024, 4, StoreMetrics::new_shared(), vfs).unwrap();
         let win = w(0, 100);
         let start = Instant::now();
         for i in 0..200u32 {
@@ -1311,7 +1324,7 @@ mod tests {
             let plan = FaultPlan::new().with_fault(fault_at, FaultKind::Enospc);
             let vfs = FaultVfs::new(StdVfs::shared(), plan);
             let metrics = StoreMetrics::new_shared();
-            let mut s = AarStore::open_with_vfs(dir.path(), 1 << 20, 4, metrics, vfs).unwrap();
+            let mut s = AarStore::open(dir.path(), 1 << 20, 4, metrics, vfs).unwrap();
             for i in 0..64i64 {
                 s.append(b"k", w(i % 16 * 100, i % 16 * 100 + 100), &[i as u8; 16])
                     .unwrap();

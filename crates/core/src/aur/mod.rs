@@ -53,7 +53,7 @@ use flowkv_common::metrics::{OpCategory, RecordTimer, StoreMetrics};
 use flowkv_common::registry::ViewValue;
 use flowkv_common::telemetry::{Counter, Histogram, Telemetry};
 use flowkv_common::types::{Timestamp, WindowId};
-use flowkv_common::vfs::{StdVfs, Vfs};
+use flowkv_common::vfs::Vfs;
 
 use crate::aar::push_view_value;
 use crate::ett::{EttObservation, EttPredictor};
@@ -145,7 +145,7 @@ pub struct AurStore {
     /// Prefetch-accuracy telemetry; `None` keeps the hot path untouched.
     ett_probe: Option<EttProbe>,
     /// Read-ahead lane keyed by `(key, window)`: without threads until
-    /// [`AurStore::with_ring`] attaches the worker's I/O ring
+    /// [`AurStore::set_ring`] attaches the worker's I/O ring
     /// (every read synchronous — the default, and the reference
     /// semantics).
     lane: Lane<StateKey, BatchRead>,
@@ -222,18 +222,9 @@ impl EttProbe {
 }
 
 impl AurStore {
-    /// Opens a store rooted at `dir`, recovering any existing generation.
+    /// Opens a store rooted at `dir`, recovering any existing generation
+    /// and performing all file IO through `vfs`.
     pub fn open(
-        dir: &Path,
-        cfg: AurConfig,
-        predictor: EttPredictor,
-        metrics: Arc<StoreMetrics>,
-    ) -> Result<Self> {
-        Self::open_with_vfs(dir, cfg, predictor, metrics, StdVfs::shared())
-    }
-
-    /// Opens a store rooted at `dir`, performing all file IO through `vfs`.
-    pub fn open_with_vfs(
         dir: &Path,
         cfg: AurConfig,
         predictor: EttPredictor,
@@ -265,21 +256,19 @@ impl AurStore {
 
     /// Enables predicted-vs-actual trigger-time telemetry, tagging
     /// metrics and flight events with `tag` (typically `operator/p<N>`).
-    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>, tag: &str) -> Self {
+    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>, tag: &str) {
         let probe = PrefetchProbe::new(&telemetry, tag);
         self.lane.set_probe(probe.clone());
         self.prefetch_probe = Some(probe);
         self.ett_probe = Some(EttProbe::new(telemetry, tag));
-        self
     }
 
     /// Attaches the worker's background I/O ring: predictive
     /// batch reads become asynchronous submissions driven by
     /// [`AurStore::advance_prefetch`], and the serving view's read runs
     /// on the ring's pool.
-    pub fn with_ring(mut self, ring: Arc<IoRing>) -> Self {
+    pub fn set_ring(&mut self, ring: Arc<IoRing>) {
         self.lane.attach(ring);
-        self
     }
 
     /// Appends `value` for `(key, window)` with tuple timestamp `ts`
@@ -785,6 +774,7 @@ fn rebuild_record(
 mod tests {
     use super::*;
     use flowkv_common::scratch::ScratchDir;
+    use flowkv_common::vfs::StdVfs;
 
     fn cfg_small() -> AurConfig {
         AurConfig {
@@ -800,6 +790,7 @@ mod tests {
             cfg,
             EttPredictor::SessionGap { gap: 100 },
             StoreMetrics::new_shared(),
+            StdVfs::shared(),
         )
         .unwrap()
     }
@@ -1132,8 +1123,8 @@ mod tests {
     fn telemetry_emits_predicted_vs_actual_events() {
         let dir = ScratchDir::new("aur-telemetry").unwrap();
         let telemetry = Telemetry::new_shared();
-        let mut s = session_store(dir.path(), cfg_small())
-            .with_telemetry(Arc::clone(&telemetry), "median/p0");
+        let mut s = session_store(dir.path(), cfg_small());
+        s.set_telemetry(Arc::clone(&telemetry), "median/p0");
         // Session gap 100: appending at ts 10 predicts ETT 110. Stream
         // time then advances to 150 before the take, so actual = 150.
         s.append(b"k", w(0, 1000), b"v", 10).unwrap();
@@ -1214,6 +1205,7 @@ mod tests {
                 cfg_small(),
                 EttPredictor::SessionGap { gap: 100 },
                 StoreMetrics::new_shared(),
+                StdVfs::shared(),
             );
             match reopened {
                 Err(e) => assert!(e.is_corruption(), "{name}: {e}"),
@@ -1254,9 +1246,9 @@ mod tests {
     }
 
     fn ring_store(dir: &Path) -> (AurStore, Arc<IoRing>) {
-        let s = session_store(dir, cfg_small());
+        let mut s = session_store(dir, cfg_small());
         let ring = Arc::new(IoRing::new(2, None, None));
-        let s = s.with_ring(ring.clone());
+        s.set_ring(ring.clone());
         (s, ring)
     }
 
@@ -1353,7 +1345,7 @@ mod tests {
         (case.build)(&mut s);
         let ring = (width > 0).then(|| Arc::new(IoRing::new(width, None, None)));
         if let Some(ring) = &ring {
-            s = s.with_ring(Arc::clone(ring));
+            s.set_ring(Arc::clone(ring));
         }
         (dir, s, ring)
     }
@@ -1522,7 +1514,7 @@ mod tests {
                 let mut s = session_store(dir.path(), cfg);
                 let ring = (width > 0).then(|| Arc::new(IoRing::new(width, None, None)));
                 if let Some(ring) = &ring {
-                    s = s.with_ring(Arc::clone(ring));
+                    s.set_ring(Arc::clone(ring));
                 }
                 let mut rng = StdRng::seed_from_u64(seed);
                 for step in 0..300 {
@@ -1577,7 +1569,7 @@ mod tests {
             read_batch_ratio: 0.02,
             max_space_amplification: 3.0,
         };
-        let mut s = AurStore::open_with_vfs(
+        let mut s = AurStore::open(
             dir.path(),
             cfg,
             EttPredictor::SessionGap { gap: 100 },
@@ -1695,13 +1687,15 @@ mod tests {
         std::sync::mpsc::Sender<()>,
     ) {
         let telemetry = Telemetry::new_shared();
-        let s = session_store(dir, cfg_small()).with_telemetry(telemetry.clone(), "t/p0");
+        let mut s = session_store(dir, cfg_small());
+        s.set_telemetry(telemetry.clone(), "t/p0");
         let ring = Arc::new(IoRing::new(1, None, None));
         let (release, gate) = std::sync::mpsc::channel::<()>();
         ring.submit(move || {
             let _ = gate.recv();
         });
-        (s.with_ring(ring.clone()), ring, telemetry, release)
+        s.set_ring(ring.clone());
+        (s, ring, telemetry, release)
     }
 
     fn counter(telemetry: &Telemetry, name: &str) -> u64 {
@@ -1792,15 +1786,16 @@ mod tests {
     #[test]
     fn candidate_scan_reruns_after_a_flush_and_when_a_window_comes_due() {
         let dir = ScratchDir::new("aur-ring-rescan").unwrap();
-        let s = AurStore::open(
+        let mut s = AurStore::open(
             dir.path(),
             cfg_small(),
             EttPredictor::SessionGap { gap: 10_000 },
             StoreMetrics::new_shared(),
+            StdVfs::shared(),
         )
         .unwrap();
         let ring = Arc::new(IoRing::new(1, None, None));
-        let mut s = s.with_ring(ring.clone());
+        s.set_ring(ring.clone());
         let in_flight = |s: &AurStore| !s.lane.is_idle();
 
         // ETT 10_010 lies beyond the 500 ms horizon of stream time 50:
@@ -1853,7 +1848,7 @@ mod tests {
         use crate::genlog::tests::{assert_no_time_counted_twice, SlowWrites};
         use std::time::{Duration, Instant};
         let dir = ScratchDir::new("aur-timers").unwrap();
-        let mut s = AurStore::open_with_vfs(
+        let mut s = AurStore::open(
             dir.path(),
             cfg_small(),
             EttPredictor::SessionGap { gap: 100 },

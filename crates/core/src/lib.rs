@@ -37,14 +37,15 @@
 //! use flowkv_common::backend::{AggregateKind, OperatorSemantics, StateBackend, WindowKind};
 //! use flowkv_common::scratch::ScratchDir;
 //! use flowkv_common::types::WindowId;
+//! use flowkv_common::vfs::StdVfs;
 //!
 //! let dir = ScratchDir::new("flowkv-doc").unwrap();
 //! let semantics = OperatorSemantics::new(
 //!     AggregateKind::FullList,
 //!     WindowKind::Fixed { size: 1_000 },
 //! );
-//! let mut store =
-//!     FlowKvStore::open(dir.path(), semantics, FlowKvConfig::default()).unwrap();
+//! let config = FlowKvConfig::default();
+//! let mut store = FlowKvStore::open(dir.path(), semantics, config, StdVfs::shared()).unwrap();
 //! let w = WindowId::new(0, 1_000);
 //! store.append(b"user", w, b"bid-17", 42).unwrap();
 //! let chunk = store.get_window_chunk(w).unwrap().unwrap();

@@ -34,7 +34,7 @@ use flowkv_common::logfile::{record_payload, RecordLocation};
 use flowkv_common::metrics::{OpCategory, RecordTimer, StoreMetrics};
 use flowkv_common::registry::ViewValue;
 use flowkv_common::types::{Timestamp, WindowId};
-use flowkv_common::vfs::{StdVfs, Vfs};
+use flowkv_common::vfs::Vfs;
 
 use crate::aur::record::{put_composite, split_composite};
 use crate::genlog::GenLog;
@@ -83,13 +83,9 @@ pub struct RmwStore {
 }
 
 impl RmwStore {
-    /// Opens a store rooted at `dir`, recovering any existing generation.
-    pub fn open(dir: &Path, cfg: RmwConfig, metrics: Arc<StoreMetrics>) -> Result<Self> {
-        Self::open_with_vfs(dir, cfg, metrics, StdVfs::shared())
-    }
-
-    /// Opens a store rooted at `dir`, performing all file IO through `vfs`.
-    pub fn open_with_vfs(
+    /// Opens a store rooted at `dir`, recovering any existing generation
+    /// and performing all file IO through `vfs`.
+    pub fn open(
         dir: &Path,
         cfg: RmwConfig,
         metrics: Arc<StoreMetrics>,
@@ -376,6 +372,7 @@ fn index_record(
 mod tests {
     use super::*;
     use flowkv_common::scratch::ScratchDir;
+    use flowkv_common::vfs::StdVfs;
 
     fn cfg_small() -> RmwConfig {
         RmwConfig {
@@ -385,7 +382,13 @@ mod tests {
     }
 
     fn store(dir: &Path) -> RmwStore {
-        RmwStore::open(dir, cfg_small(), StoreMetrics::new_shared()).unwrap()
+        RmwStore::open(
+            dir,
+            cfg_small(),
+            StoreMetrics::new_shared(),
+            StdVfs::shared(),
+        )
+        .unwrap()
     }
 
     fn w(start: i64, end: i64) -> WindowId {
@@ -605,7 +608,7 @@ mod tests {
         let dir = ScratchDir::new("rmw-timers").unwrap();
         let vfs = SlowWrites::shared(Duration::from_millis(1));
         let metrics = StoreMetrics::new_shared();
-        let mut s = RmwStore::open_with_vfs(dir.path(), cfg_small(), metrics, vfs).unwrap();
+        let mut s = RmwStore::open(dir.path(), cfg_small(), metrics, vfs).unwrap();
         let win = w(0, 100);
         let start = Instant::now();
         for round in 0..12u8 {

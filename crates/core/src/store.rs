@@ -21,8 +21,9 @@ use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::IoRing;
 use flowkv_common::metrics::StoreMetrics;
 use flowkv_common::registry::{StatePattern, StateView, ViewValue};
+use flowkv_common::telemetry::Telemetry;
 use flowkv_common::types::{Timestamp, WindowId};
-use flowkv_common::vfs::{StdVfs, Vfs};
+use flowkv_common::vfs::Vfs;
 
 use crate::aar::AarStore;
 use crate::aur::{AurConfig, AurStore};
@@ -76,9 +77,9 @@ fn instance_dir(dir: &Path, j: usize) -> PathBuf {
 fn open_instances<S>(
     dir: &Path,
     m: usize,
-    open: impl Fn(&Path, usize) -> Result<S>,
+    open: impl Fn(&Path) -> Result<S>,
 ) -> Result<Partitioned<S>> {
-    let instances: Result<Vec<S>> = (0..m).map(|j| open(&instance_dir(dir, j), j)).collect();
+    let instances: Result<Vec<S>> = (0..m).map(|j| open(&instance_dir(dir, j))).collect();
     instances.map(Partitioned::new)
 }
 
@@ -92,26 +93,14 @@ pub struct FlowKvStore {
 }
 
 impl FlowKvStore {
-    /// Opens a store in `dir` for an operator with the given semantics.
-    pub fn open(dir: &Path, semantics: OperatorSemantics, config: FlowKvConfig) -> Result<Self> {
-        Self::open_with_vfs(dir, semantics, config, None, "", StdVfs::shared(), None)
-    }
-
-    /// Like [`FlowKvStore::open`], additionally wiring a job-wide
-    /// telemetry handle into the AAR and AUR instances (so prefetch
-    /// accuracy and predicted-vs-actual trigger times flow into the
-    /// flight recorder; `tag` labels the emitting partition,
-    /// `operator/p<N>`), routing every file operation of every inner
-    /// store instance through `vfs`, and — when `ring` is set — handing
-    /// the worker's background [`IoRing`] to every instance's lane.
-    pub fn open_with_vfs(
+    /// Opens a store in `dir` for an operator with the given semantics,
+    /// routing every file operation of every inner store instance
+    /// through `vfs`.
+    pub fn open(
         dir: &Path,
         semantics: OperatorSemantics,
         config: FlowKvConfig,
-        telemetry: Option<Arc<flowkv_common::telemetry::Telemetry>>,
-        tag: &str,
         vfs: Arc<dyn Vfs>,
-        ring: Option<Arc<IoRing>>,
     ) -> Result<Self> {
         config.validate()?;
         let pattern = classify(&semantics);
@@ -120,31 +109,14 @@ impl FlowKvStore {
         // Each instance gets an even share of the write buffer, matching
         // the paper's per-operator budget split across `m` instances.
         let per_instance_buffer = (config.write_buffer_bytes / m).max(1024);
-        // A store that reads ahead joins the ring and reports to the hub
-        // under its own label.
-        macro_rules! wired {
-            ($store:expr, $j:ident) => {{
-                let mut store = $store;
-                if let Some(r) = &ring {
-                    store = store.with_ring(Arc::clone(r));
-                }
-                if let Some(t) = &telemetry {
-                    store = store.with_telemetry(Arc::clone(t), &format!("{tag}/inst{}", $j));
-                }
-                Ok(store)
-            }};
-        }
         let inner = match pattern {
-            AccessPattern::Aar => Inner::Aar(open_instances(dir, m, |dir, j| {
-                wired!(
-                    AarStore::open_with_vfs(
-                        dir,
-                        per_instance_buffer,
-                        config.chunk_entries,
-                        Arc::clone(&metrics),
-                        Arc::clone(&vfs),
-                    )?,
-                    j
+            AccessPattern::Aar => Inner::Aar(open_instances(dir, m, |dir| {
+                AarStore::open(
+                    dir,
+                    per_instance_buffer,
+                    config.chunk_entries,
+                    Arc::clone(&metrics),
+                    Arc::clone(&vfs),
                 )
             })?),
             AccessPattern::Aur => {
@@ -155,16 +127,13 @@ impl FlowKvStore {
                     read_batch_ratio: config.read_batch_ratio,
                     max_space_amplification: config.max_space_amplification,
                 };
-                Inner::Aur(open_instances(dir, m, |dir, j| {
-                    wired!(
-                        AurStore::open_with_vfs(
-                            dir,
-                            aur_cfg.clone(),
-                            predictor.clone(),
-                            Arc::clone(&metrics),
-                            Arc::clone(&vfs),
-                        )?,
-                        j
+                Inner::Aur(open_instances(dir, m, |dir| {
+                    AurStore::open(
+                        dir,
+                        aur_cfg.clone(),
+                        predictor.clone(),
+                        Arc::clone(&metrics),
+                        Arc::clone(&vfs),
                     )
                 })?)
             }
@@ -173,13 +142,8 @@ impl FlowKvStore {
                     write_buffer_bytes: per_instance_buffer,
                     max_space_amplification: config.max_space_amplification,
                 };
-                Inner::Rmw(open_instances(dir, m, |dir, _| {
-                    RmwStore::open_with_vfs(
-                        dir,
-                        rmw_cfg.clone(),
-                        Arc::clone(&metrics),
-                        Arc::clone(&vfs),
-                    )
+                Inner::Rmw(open_instances(dir, m, |dir| {
+                    RmwStore::open(dir, rmw_cfg.clone(), Arc::clone(&metrics), Arc::clone(&vfs))
                 })?)
             }
         };
@@ -190,6 +154,33 @@ impl FlowKvStore {
             metrics,
             vfs,
         })
+    }
+
+    /// Hands the worker's background [`IoRing`] to the lane of every
+    /// instance that reads ahead (AAR and AUR).
+    pub fn set_ring(&mut self, ring: Arc<IoRing>) {
+        match &mut self.inner {
+            Inner::Aar(p) => p.iter_mut().for_each(|s| s.set_ring(Arc::clone(&ring))),
+            Inner::Aur(p) => p.iter_mut().for_each(|s| s.set_ring(Arc::clone(&ring))),
+            Inner::Rmw(_) => {}
+        }
+    }
+
+    /// Wires a job-wide telemetry handle into the AAR and AUR instances,
+    /// so prefetch accuracy and predicted-vs-actual trigger times flow
+    /// into the flight recorder. `tag` labels the emitting partition,
+    /// `operator/p<N>`; instance `j` reports as `tag/inst<j>`.
+    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>, tag: &str) {
+        let tag_of = |j: usize| format!("{tag}/inst{j}");
+        match &mut self.inner {
+            Inner::Aar(p) => p.iter_mut().enumerate().for_each(|(j, s)| {
+                s.set_telemetry(Arc::clone(&telemetry), &tag_of(j));
+            }),
+            Inner::Aur(p) => p.iter_mut().enumerate().for_each(|(j, s)| {
+                s.set_telemetry(Arc::clone(&telemetry), &tag_of(j));
+            }),
+            Inner::Rmw(_) => {}
+        }
     }
 
     /// The access pattern chosen at launch.
@@ -377,19 +368,10 @@ pub struct FlowKvFactory {
 }
 
 impl FlowKvFactory {
-    /// Creates a factory with the given configuration.
-    pub fn new(config: FlowKvConfig) -> Self {
-        FlowKvFactory {
-            config,
-            vfs: StdVfs::shared(),
-        }
-    }
-
-    /// Routes the file IO of every store this factory creates through
-    /// `vfs` (fault injection in tests; [`StdVfs`] by default).
-    pub fn with_vfs(mut self, vfs: Arc<dyn Vfs>) -> Self {
-        self.vfs = vfs;
-        self
+    /// Creates a factory with the given configuration, routing the file
+    /// IO of every store it creates through `vfs`.
+    pub fn new(config: FlowKvConfig, vfs: Arc<dyn Vfs>) -> Self {
+        FlowKvFactory { config, vfs }
     }
 }
 
@@ -399,15 +381,17 @@ impl StateBackendFactory for FlowKvFactory {
         self.vfs
             .create_dir_all(&dir)
             .map_err(|e| StoreError::io_at("backend dir", &dir, e))?;
-        Ok(Box::new(FlowKvStore::open_with_vfs(
-            &dir,
-            ctx.semantics,
-            self.config.clone(),
-            ctx.telemetry.clone(),
-            &ctx.telemetry_tag(),
-            Arc::clone(&self.vfs),
-            ctx.io.clone(),
-        )?))
+        let vfs = Arc::clone(&self.vfs);
+        let mut store = FlowKvStore::open(&dir, ctx.semantics, self.config.clone(), vfs)?;
+        // A store that reads ahead joins the ring and reports to the hub
+        // under its own label.
+        if let Some(ring) = &ctx.io {
+            store.set_ring(Arc::clone(ring));
+        }
+        if let Some(telemetry) = &ctx.telemetry {
+            store.set_telemetry(Arc::clone(telemetry), &ctx.telemetry_tag());
+        }
+        Ok(Box::new(store))
     }
 
     fn name(&self) -> &'static str {
@@ -420,6 +404,7 @@ mod tests {
     use super::*;
     use flowkv_common::backend::{AggregateKind, WindowKind};
     use flowkv_common::scratch::ScratchDir;
+    use flowkv_common::vfs::StdVfs;
 
     fn w(start: i64, end: i64) -> WindowId {
         WindowId::new(start, end)
@@ -430,6 +415,7 @@ mod tests {
             dir,
             OperatorSemantics::new(aggregate, window),
             FlowKvConfig::small_for_tests(),
+            StdVfs::shared(),
         )
         .unwrap()
     }
@@ -550,7 +536,7 @@ mod tests {
     #[test]
     fn factory_creates_and_names() {
         let dir = ScratchDir::new("fkv-factory").unwrap();
-        let factory = FlowKvFactory::new(FlowKvConfig::small_for_tests());
+        let factory = FlowKvFactory::new(FlowKvConfig::small_for_tests(), StdVfs::shared());
         assert_eq!(factory.name(), "flowkv");
         let ctx = OperatorContext {
             operator: "op".into(),
@@ -660,7 +646,7 @@ mod tests {
         let dir = ScratchDir::new("fkv-factory-vfs").unwrap();
         let plan = FaultPlan::new().with_fault(1, FaultKind::Enospc);
         let vfs = FaultVfs::new(StdVfs::shared(), plan);
-        let factory = FlowKvFactory::new(FlowKvConfig::small_for_tests()).with_vfs(vfs.clone());
+        let factory = FlowKvFactory::new(FlowKvConfig::small_for_tests(), vfs.clone());
         let ctx = OperatorContext {
             operator: "op".into(),
             partition: 1,

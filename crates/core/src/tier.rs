@@ -69,7 +69,7 @@ use flowkv_common::metrics::{OpCategory, StoreMetrics};
 use flowkv_common::registry::{StateView, ViewValue};
 use flowkv_common::telemetry::{Counter, Gauge, MetricRegistry, Telemetry};
 use flowkv_common::types::{Timestamp, WindowId};
-use flowkv_common::vfs::{StdVfs, Vfs};
+use flowkv_common::vfs::Vfs;
 
 use crate::genlog::GenLog;
 use crate::store::state_entry;
@@ -983,22 +983,10 @@ pub struct TieredFactory {
 }
 
 impl TieredFactory {
-    /// Tiers every store `inner` creates, with the given knobs.
-    pub fn new(inner: Arc<dyn StateBackendFactory>, cfg: TierConfig) -> Self {
-        TieredFactory {
-            inner,
-            cfg,
-            vfs: StdVfs::shared(),
-        }
-    }
-
-    /// Routes the cold log (and ring reads) of every tiered store
-    /// through `vfs`, so fault injection covers the cold tier too. The
-    /// inner factory needs its own `with_vfs` call — the tier cannot
-    /// reach inside it.
-    pub fn with_vfs(mut self, vfs: Arc<dyn Vfs>) -> Self {
-        self.vfs = vfs;
-        self
+    /// Tiers every store `inner` creates, with the given knobs, routing
+    /// the cold log (and ring reads) of every tiered store through `vfs`.
+    pub fn new(inner: Arc<dyn StateBackendFactory>, cfg: TierConfig, vfs: Arc<dyn Vfs>) -> Self {
+        TieredFactory { inner, cfg, vfs }
     }
 }
 
@@ -1026,6 +1014,7 @@ mod tests {
     use flowkv_common::backend::{OperatorSemantics, WindowKind};
     use flowkv_common::logfile::{LogWriter, RECORD_HEADER_LEN};
     use flowkv_common::scratch::ScratchDir;
+    use flowkv_common::vfs::StdVfs;
     use std::sync::Mutex;
     use std::time::{Duration, Instant};
 
@@ -1046,9 +1035,14 @@ mod tests {
         window: WindowKind,
         hot_bytes: usize,
     ) -> Box<dyn StateBackend> {
+        let vfs = StdVfs::shared();
         let factory = TieredFactory::new(
-            Arc::new(FlowKvFactory::new(FlowKvConfig::small_for_tests())),
+            Arc::new(FlowKvFactory::new(
+                FlowKvConfig::small_for_tests(),
+                vfs.clone(),
+            )),
             TierConfig::new(hot_bytes),
+            vfs,
         );
         factory
             .create(&ctx(dir, aggregate, window))
@@ -1344,7 +1338,9 @@ mod tests {
         let ctx = ctx(dir, aggregate, window);
         let appends = Appends::default();
         let inner = Recording {
-            inner: FlowKvFactory::new(cfg).create(&ctx).unwrap(),
+            inner: FlowKvFactory::new(cfg, StdVfs::shared())
+                .create(&ctx)
+                .unwrap(),
             appends: Arc::clone(&appends),
             read_sleep,
         };

@@ -129,10 +129,16 @@ impl Harness {
     fn new(write_buffer_bytes: usize, chunk_entries: usize, ring: Option<Arc<IoRing>>) -> Self {
         let dir = ScratchDir::new("aar-prop").unwrap();
         let metrics = StoreMetrics::new_shared();
-        let mut store =
-            AarStore::open(dir.path(), write_buffer_bytes, chunk_entries, metrics).unwrap();
+        let mut store = AarStore::open(
+            dir.path(),
+            write_buffer_bytes,
+            chunk_entries,
+            metrics,
+            StdVfs::shared(),
+        )
+        .unwrap();
         if let Some(ring) = &ring {
-            store = store.with_ring(Arc::clone(ring));
+            store.set_ring(Arc::clone(ring));
         }
         Harness {
             dir,
@@ -314,8 +320,7 @@ fn a_scripted_run_issues_a_pinned_number_of_device_ops() {
     let counting = FaultVfs::counting(StdVfs::shared());
     let metrics = StoreMetrics::new_shared();
     let mut store =
-        AarStore::open_with_vfs(dir.path(), 8 << 10, 16, metrics.clone(), counting.clone())
-            .unwrap();
+        AarStore::open(dir.path(), 8 << 10, 16, metrics.clone(), counting.clone()).unwrap();
     let window = |w: usize| WindowId::new(w as i64 * 100, w as i64 * 100 + 100);
     let drain = |store: &mut AarStore, w: usize| {
         let mut pairs = 0;

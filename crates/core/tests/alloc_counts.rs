@@ -29,6 +29,7 @@ use flowkv_common::backend::{
 use flowkv_common::registry::ViewCapture;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::types::WindowId;
+use flowkv_common::vfs::StdVfs;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -126,12 +127,15 @@ fn open_with(
         telemetry: None,
         io: None,
     };
-    let store = FlowKvFactory::new(cfg);
+    let store = FlowKvFactory::new(cfg, StdVfs::shared());
     match hot_bytes {
         None => store.create(&ctx),
-        Some(hot_bytes) => {
-            TieredFactory::new(std::sync::Arc::new(store), TierConfig::new(hot_bytes)).create(&ctx)
-        }
+        Some(hot_bytes) => TieredFactory::new(
+            std::sync::Arc::new(store),
+            TierConfig::new(hot_bytes),
+            StdVfs::shared(),
+        )
+        .create(&ctx),
     }
     .unwrap()
 }
@@ -503,7 +507,7 @@ fn a_q7_shaped_job_allocates_per_batch_not_per_tuple_between_source_and_store() 
             input
                 .into_iter()
                 .inspect(|_| ENROLLED.with(|e| e.set(true))),
-            std::sync::Arc::new(Enrolling(FlowKvFactory::new(cfg))),
+            std::sync::Arc::new(Enrolling(FlowKvFactory::new(cfg, StdVfs::shared()))),
             &opts,
         )
         .unwrap();

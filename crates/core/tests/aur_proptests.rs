@@ -21,6 +21,7 @@ use flowkv_common::metrics::StoreMetrics;
 use flowkv_common::registry::ViewValue;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::types::WindowId;
+use flowkv_common::vfs::StdVfs;
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -138,10 +139,11 @@ fn check_on(ops: &[Op], cfg: AurConfig, ring: Option<Arc<IoRing>>) -> Result<(),
         cfg,
         EttPredictor::SessionGap { gap: 50 },
         StoreMetrics::new_shared(),
+        StdVfs::shared(),
     )
     .unwrap();
     if let Some(ring) = &ring {
-        store = store.with_ring(Arc::clone(ring));
+        store.set_ring(Arc::clone(ring));
     }
     let key = |k: u8| format!("key{k}").into_bytes();
     let mut model: HashMap<(u8, u8), Vec<Vec<u8>>> = HashMap::new();
@@ -296,6 +298,7 @@ proptest! {
             cfg,
             EttPredictor::SessionGap { gap: 50 },
             StoreMetrics::new_shared(),
+            StdVfs::shared(),
         ).unwrap();
         let mut model: HashMap<(u8, u8), Vec<Vec<u8>>> = HashMap::new();
         let cut = cut.index(ops.len().max(1));

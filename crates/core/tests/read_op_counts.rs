@@ -69,7 +69,7 @@ fn flushed_aur_store_on(
     counting: Arc<FaultVfs>,
     cfg: AurConfig,
 ) -> (AurStore, Arc<FaultVfs>) {
-    let mut store = AurStore::open_with_vfs(
+    let mut store = AurStore::open(
         dir.path(),
         cfg,
         EttPredictor::SessionGap { gap: 100 },
@@ -102,9 +102,9 @@ fn synchronous_batch_read_pays_per_extent() {
 #[test]
 fn ring_batch_read_pays_per_extent() {
     let dir = ScratchDir::new("opcount-aur-ring").unwrap();
-    let (store, counting) = flushed_aur_store(&dir);
+    let (mut store, counting) = flushed_aur_store(&dir);
     let ring = Arc::new(IoRing::new(1, None, None));
-    let mut store = store.with_ring(ring.clone());
+    store.set_ring(ring.clone());
     let before = counting.ops();
     store.advance_prefetch(0).unwrap();
     ring.wait_idle();
@@ -145,9 +145,9 @@ fn an_append_after_a_synchronous_batch_read_pays_no_device_op() {
 #[test]
 fn an_append_after_a_landed_ring_read_pays_no_device_op() {
     let dir = ScratchDir::new("opcount-aur-ring-append").unwrap();
-    let (store, counting) = flushed_aur_store(&dir);
+    let (mut store, counting) = flushed_aur_store(&dir);
     let ring = Arc::new(IoRing::new(1, None, None));
-    let mut store = store.with_ring(ring.clone());
+    store.set_ring(ring.clone());
     store.advance_prefetch(0).unwrap();
     ring.wait_idle();
     store.advance_prefetch(0).unwrap();
@@ -164,7 +164,7 @@ fn a_miss_after_ring_served_takes_skips_the_dead_index() {
     let dir = ScratchDir::new("opcount-aur-ring-then-miss").unwrap();
     let counting = FaultVfs::counting(StdVfs::shared());
     let metrics = StoreMetrics::new_shared();
-    let store = AurStore::open_with_vfs(
+    let mut store = AurStore::open(
         dir.path(),
         AurConfig::default(),
         EttPredictor::SessionGap { gap: 100 },
@@ -173,7 +173,7 @@ fn a_miss_after_ring_served_takes_skips_the_dead_index() {
     )
     .unwrap();
     let ring = Arc::new(IoRing::new(2, None, None));
-    let mut store = store.with_ring(ring.clone());
+    store.set_ring(ring.clone());
     let key = |i: u32| format!("key-{i:05}");
     for i in 0..SERVED {
         store.append(key(i).as_bytes(), window(), b"v", 0).unwrap();
@@ -210,9 +210,9 @@ fn counter(telemetry: &Telemetry, name: &str) -> u64 {
 fn a_trigger_that_beats_its_ring_read_waits_for_it_and_reads_nothing_itself() {
     // What the ring read alone costs, on a twin store.
     let dir = ScratchDir::new("opcount-aur-late-twin").unwrap();
-    let (store, counting) = flushed_aur_store(&dir);
+    let (mut store, counting) = flushed_aur_store(&dir);
     let ring = Arc::new(IoRing::new(1, None, None));
-    let mut store = store.with_ring(ring.clone());
+    store.set_ring(ring.clone());
     let before = counting.ops();
     store.advance_prefetch(0).unwrap();
     ring.wait_idle();
@@ -220,16 +220,15 @@ fn a_trigger_that_beats_its_ring_read_waits_for_it_and_reads_nothing_itself() {
 
     // The same read parked behind a gate on the ring's one thread.
     let dir = ScratchDir::new("opcount-aur-late").unwrap();
-    let (store, counting) = flushed_aur_store(&dir);
+    let (mut store, counting) = flushed_aur_store(&dir);
     let telemetry = Telemetry::new_shared();
     let ring = Arc::new(IoRing::new(1, None, None));
     let (release, gate) = std::sync::mpsc::channel::<()>();
     ring.submit(move || {
         let _ = gate.recv();
     });
-    let mut store = store
-        .with_telemetry(telemetry.clone(), "t/p0")
-        .with_ring(ring.clone());
+    store.set_telemetry(telemetry.clone(), "t/p0");
+    store.set_ring(ring.clone());
     let before = counting.ops();
     store.advance_prefetch(0).unwrap();
     // The gate opens once the store has counted the trigger late, which
@@ -262,7 +261,7 @@ fn a_trigger_that_beats_its_ring_read_waits_for_it_and_reads_nothing_itself() {
 fn rmw_point_read_is_one_device_read() {
     let dir = ScratchDir::new("opcount-rmw").unwrap();
     let counting = FaultVfs::counting(StdVfs::shared());
-    let mut store = RmwStore::open_with_vfs(
+    let mut store = RmwStore::open(
         dir.path(),
         RmwConfig::default(),
         StoreMetrics::new_shared(),
@@ -304,7 +303,7 @@ fn a_reopen_or_a_restore_reads_its_log_once() {
     let open_aur = |vfs: Arc<FaultVfs>| {
         let predictor = EttPredictor::SessionGap { gap: 100 };
         let cfg = AurConfig::default();
-        AurStore::open_with_vfs(aur_dir.path(), cfg, predictor, Default::default(), vfs).unwrap()
+        AurStore::open(aur_dir.path(), cfg, predictor, Default::default(), vfs).unwrap()
     };
     let (mut aur, _) = ops_of(open_aur);
     for i in 0..RECORDS {
@@ -322,7 +321,7 @@ fn a_reopen_or_a_restore_reads_its_log_once() {
     let rmw_dir = ScratchDir::new("opcount-rmw-reopen").unwrap();
     let open_rmw = |vfs: Arc<FaultVfs>| {
         let cfg = RmwConfig::default();
-        RmwStore::open_with_vfs(rmw_dir.path(), cfg, Default::default(), vfs).unwrap()
+        RmwStore::open(rmw_dir.path(), cfg, Default::default(), vfs).unwrap()
     };
     let (mut rmw, _) = ops_of(open_rmw);
     for i in 0..RECORDS {
@@ -356,12 +355,12 @@ fn a_reopen_or_a_restore_reads_its_log_once() {
             telemetry: None,
             io: None,
         };
-        let inner = FlowKvFactory::new(FlowKvConfig::small_for_tests()).with_vfs(vfs.clone());
+        let inner = FlowKvFactory::new(FlowKvConfig::small_for_tests(), vfs.clone());
         let cfg = TierConfig {
             compress: false,
             ..TierConfig::new(0)
         };
-        let factory = TieredFactory::new(Arc::new(inner), cfg).with_vfs(vfs);
+        let factory = TieredFactory::new(Arc::new(inner), cfg, vfs);
         factory.create(&ctx).unwrap()
     };
     let mut store = tiered(FaultVfs::counting(StdVfs::shared()), "source");
@@ -394,7 +393,7 @@ fn an_aar_drain_issues_the_reads_it_always_issued() {
     // `q7-aar-max`, DESIGN.md §9).
     let dir = ScratchDir::new("opcount-aar-drain").unwrap();
     let counting = FaultVfs::counting(StdVfs::shared());
-    let mut store = AarStore::open_with_vfs(
+    let mut store = AarStore::open(
         dir.path(),
         8 << 10,
         16,
@@ -479,7 +478,7 @@ fn observe(io_threads: usize, fault_at: Option<u64>, op: LaneOp) -> (u64, u64, S
     }
     assert_eq!(store.generation(), 0, "the setup compacted");
     if io_threads > 0 {
-        store = store.with_ring(Arc::new(IoRing::new(io_threads, None, None)));
+        store.set_ring(Arc::new(IoRing::new(io_threads, None, None)));
     }
     let before = vfs.ops();
     let outcome = op(&mut store, dir.path()).unwrap_or_else(|e| e.to_string());

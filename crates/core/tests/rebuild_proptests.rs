@@ -222,6 +222,7 @@ proptest! {
             AurConfig::default(),
             EttPredictor::SessionGap { gap: 100 },
             StoreMetrics::new_shared(),
+            StdVfs::shared(),
         );
         if let Ok(store) = aur.as_mut() {
             // What the rebuild accepted serves or fails without a panic.
@@ -231,7 +232,8 @@ proptest! {
 
         let rmw_dir = dir.path().join("rmw");
         write_log(&rmw_dir, "agg_0.rmw", &payloads);
-        let mut rmw = RmwStore::open(&rmw_dir, RmwConfig::default(), StoreMetrics::new_shared());
+        let metrics = StoreMetrics::new_shared();
+        let mut rmw = RmwStore::open(&rmw_dir, RmwConfig::default(), metrics, StdVfs::shared());
         if let Ok(store) = rmw.as_mut() {
             let _ = store.collect_view(&mut BTreeMap::new());
         }
@@ -260,8 +262,9 @@ proptest! {
             telemetry: None,
             io: None,
         };
-        let inner = FlowKvFactory::new(FlowKvConfig::small_for_tests());
-        let mut store = TieredFactory::new(std::sync::Arc::new(inner), TierConfig::new(0))
+        let vfs = StdVfs::shared();
+        let inner = FlowKvFactory::new(FlowKvConfig::small_for_tests(), vfs.clone());
+        let mut store = TieredFactory::new(std::sync::Arc::new(inner), TierConfig::new(0), vfs)
             .create(&ctx)
             .unwrap();
         // A real checkpoint of the empty store, its cold log replaced.

@@ -36,6 +36,7 @@ use flowkv_common::backend::{
 use flowkv_common::metrics::StoreMetrics;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::types::WindowId;
+use flowkv_common::vfs::StdVfs;
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -114,12 +115,22 @@ impl Harness {
             telemetry: None,
             io: None,
         };
-        let inner = Arc::new(FlowKvFactory::new(FlowKvConfig::small_for_tests()));
-        let tiered = TieredFactory::new(inner, TierConfig::new(hot_bytes))
+        let inner = Arc::new(FlowKvFactory::new(
+            FlowKvConfig::small_for_tests(),
+            StdVfs::shared(),
+        ));
+        let tiered = TieredFactory::new(inner, TierConfig::new(hot_bytes), StdVfs::shared())
             .create(&ctx)
             .unwrap();
         let metrics = StoreMetrics::new_shared();
-        let bare = AarStore::open(&dir.path().join("bare"), 2 << 10, 8, metrics).unwrap();
+        let bare = AarStore::open(
+            &dir.path().join("bare"),
+            2 << 10,
+            8,
+            metrics,
+            StdVfs::shared(),
+        )
+        .unwrap();
         Harness {
             _dir: dir,
             empty_memory: tiered.memory_bytes(),
@@ -268,9 +279,12 @@ impl KeyedHarness {
             telemetry: None,
             io: None,
         };
-        let inner = Arc::new(FlowKvFactory::new(FlowKvConfig::small_for_tests()));
+        let inner = Arc::new(FlowKvFactory::new(
+            FlowKvConfig::small_for_tests(),
+            StdVfs::shared(),
+        ));
         let bare = inner.create(&ctx("bare")).unwrap();
-        let tiered = TieredFactory::new(inner, TierConfig::new(hot_bytes))
+        let tiered = TieredFactory::new(inner, TierConfig::new(hot_bytes), StdVfs::shared())
             .create(&ctx("tiered"))
             .unwrap();
         KeyedHarness {

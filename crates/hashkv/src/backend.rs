@@ -23,7 +23,7 @@ use flowkv_common::codec::{put_len_prefixed, Decoder};
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::metrics::{OpCategory, RecordTimer, StoreMetrics};
 use flowkv_common::types::{Timestamp, WindowId};
-use flowkv_common::vfs::{StdVfs, Vfs};
+use flowkv_common::vfs::Vfs;
 
 use crate::db::{HashDb, HashDbConfig};
 
@@ -73,13 +73,9 @@ pub struct HashBackend {
 }
 
 impl HashBackend {
-    /// Opens a backend over a store in `dir`.
-    pub fn open(dir: &Path, cfg: HashDbConfig, chunk_entries: usize) -> Result<Self> {
-        Self::open_with_vfs(dir, cfg, chunk_entries, StdVfs::shared())
-    }
-
-    /// Opens a backend performing all file IO through `vfs`.
-    pub fn open_with_vfs(
+    /// Opens a backend over a store in `dir`, performing all file IO
+    /// through `vfs`.
+    pub fn open(
         dir: &Path,
         cfg: HashDbConfig,
         chunk_entries: usize,
@@ -87,7 +83,7 @@ impl HashBackend {
     ) -> Result<Self> {
         let metrics = StoreMetrics::new_shared();
         let mut backend = HashBackend {
-            db: HashDb::open_with_vfs(dir, cfg, Arc::clone(&metrics), vfs)?,
+            db: HashDb::open(dir, cfg, Arc::clone(&metrics), vfs)?,
             metrics,
             window_keys: HashMap::new(),
             draining: HashMap::new(),
@@ -319,19 +315,10 @@ pub struct HashBackendFactory {
 }
 
 impl HashBackendFactory {
-    /// Creates a factory with the given store configuration.
-    pub fn new(cfg: HashDbConfig) -> Self {
-        HashBackendFactory {
-            cfg,
-            vfs: StdVfs::shared(),
-        }
-    }
-
-    /// Routes the file IO of every store this factory creates through
-    /// `vfs` (fault injection in tests; [`StdVfs`] by default).
-    pub fn with_vfs(mut self, vfs: Arc<dyn Vfs>) -> Self {
-        self.vfs = vfs;
-        self
+    /// Creates a factory with the given store configuration, whose
+    /// stores perform all file IO through `vfs`.
+    pub fn new(cfg: HashDbConfig, vfs: Arc<dyn Vfs>) -> Self {
+        HashBackendFactory { cfg, vfs }
     }
 }
 
@@ -341,11 +328,12 @@ impl StateBackendFactory for HashBackendFactory {
         self.vfs
             .create_dir_all(&dir)
             .map_err(|e| StoreError::io_at("backend dir", &dir, e))?;
-        Ok(Box::new(HashBackend::open_with_vfs(
+        let vfs = Arc::clone(&self.vfs);
+        Ok(Box::new(HashBackend::open(
             &dir,
             self.cfg.clone(),
             CHUNK_ENTRIES,
-            Arc::clone(&self.vfs),
+            vfs,
         )?))
     }
 
@@ -358,9 +346,10 @@ impl StateBackendFactory for HashBackendFactory {
 mod tests {
     use super::*;
     use flowkv_common::scratch::ScratchDir;
+    use flowkv_common::vfs::StdVfs;
 
     fn backend(dir: &Path) -> HashBackend {
-        HashBackend::open(dir, HashDbConfig::small_for_tests(), 4).unwrap()
+        HashBackend::open(dir, HashDbConfig::small_for_tests(), 4, StdVfs::shared()).unwrap()
     }
 
     fn w(start: i64, end: i64) -> WindowId {
@@ -461,8 +450,7 @@ mod tests {
         let dir = ScratchDir::new("hb-factory-vfs").unwrap();
         let plan = FaultPlan::new().with_fault(1, FaultKind::Enospc);
         let vfs = FaultVfs::new(StdVfs::shared(), plan);
-        let factory =
-            HashBackendFactory::new(HashDbConfig::small_for_tests()).with_vfs(vfs.clone());
+        let factory = HashBackendFactory::new(HashDbConfig::small_for_tests(), vfs.clone());
         let ctx = OperatorContext {
             operator: "op".into(),
             partition: 1,

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::metrics::{OpCategory, StoreMetrics};
-use flowkv_common::vfs::{StdVfs, Vfs};
+use flowkv_common::vfs::Vfs;
 
 use crate::epoch::EpochTable;
 use crate::hlog::{HybridLog, Record};
@@ -56,10 +56,14 @@ impl HashDbConfig {
 ///
 /// ```
 /// use flowkv_hashkv::{HashDb, HashDbConfig};
+/// use flowkv_common::metrics::StoreMetrics;
 /// use flowkv_common::scratch::ScratchDir;
+/// use flowkv_common::vfs::StdVfs;
 ///
 /// let dir = ScratchDir::new("hashdb-doc").unwrap();
-/// let mut db = HashDb::open(dir.path(), HashDbConfig::default()).unwrap();
+/// let metrics = StoreMetrics::new_shared();
+/// let cfg = HashDbConfig::default();
+/// let mut db = HashDb::open(dir.path(), cfg, metrics, StdVfs::shared()).unwrap();
 /// db.upsert(b"k", b"v").unwrap();
 /// assert_eq!(db.read(b"k").unwrap(), Some(b"v".to_vec()));
 /// ```
@@ -76,22 +80,9 @@ pub struct HashDb {
 }
 
 impl HashDb {
-    /// Opens (or creates) a store in `dir`.
-    pub fn open(dir: impl AsRef<Path>, cfg: HashDbConfig) -> Result<Self> {
-        Self::open_with_metrics(dir, cfg, StoreMetrics::new_shared())
-    }
-
-    /// Opens a store charging its work to an external metrics block.
-    pub fn open_with_metrics(
-        dir: impl AsRef<Path>,
-        cfg: HashDbConfig,
-        metrics: Arc<StoreMetrics>,
-    ) -> Result<Self> {
-        Self::open_with_vfs(dir, cfg, metrics, StdVfs::shared())
-    }
-
-    /// Opens a store performing all file IO through `vfs`.
-    pub fn open_with_vfs(
+    /// Opens (or creates) a store in `dir`, charging its work to
+    /// `metrics` and performing all file IO through `vfs`.
+    pub fn open(
         dir: impl AsRef<Path>,
         cfg: HashDbConfig,
         metrics: Arc<StoreMetrics>,
@@ -102,9 +93,9 @@ impl HashDb {
             .map_err(|e| StoreError::io_at("hashdb dir", &dir, e))?;
         let log_path = dir.join(LOG_NAME);
         let log = if vfs.exists(&log_path) {
-            HybridLog::open_in(&vfs, &log_path, cfg.mem_budget, Arc::clone(&metrics))?
+            HybridLog::open(&vfs, &log_path, cfg.mem_budget, Arc::clone(&metrics))?
         } else {
-            HybridLog::create_in(&vfs, &log_path, cfg.mem_budget, Arc::clone(&metrics))?
+            HybridLog::create(&vfs, &log_path, cfg.mem_budget, Arc::clone(&metrics))?
         };
         let mut db = HashDb {
             dir,
@@ -264,7 +255,7 @@ impl HashDb {
         self.vfs
             .copy(&from, &to)
             .map_err(|e| StoreError::io_at("restore copy", &from, e))?;
-        self.log = HybridLog::open_in(
+        self.log = HybridLog::open(
             &self.vfs,
             &to,
             self.cfg.mem_budget,
@@ -279,7 +270,7 @@ impl HashDb {
         self.index.clear();
         self.live_bytes = 0;
         let _ = self.vfs.remove_file(&self.dir.join(LOG_NAME));
-        self.log = HybridLog::create_in(
+        self.log = HybridLog::create(
             &self.vfs,
             self.dir.join(LOG_NAME),
             self.cfg.mem_budget,
@@ -354,7 +345,7 @@ impl HashDb {
         }
         let _t = self.metrics.timer(OpCategory::Compaction);
         let tmp_path = self.dir.join("hybrid.log.compact");
-        let mut new_log = HybridLog::create_in(
+        let mut new_log = HybridLog::create(
             &self.vfs,
             &tmp_path,
             self.cfg.mem_budget,
@@ -383,7 +374,7 @@ impl HashDb {
         self.vfs
             .rename(&tmp_path, &final_path)
             .map_err(|e| StoreError::io_at("compaction rename", &final_path, e))?;
-        self.log = HybridLog::open_in(
+        self.log = HybridLog::open(
             &self.vfs,
             &final_path,
             self.cfg.mem_budget,
@@ -401,9 +392,11 @@ impl HashDb {
 mod tests {
     use super::*;
     use flowkv_common::scratch::ScratchDir;
+    use flowkv_common::vfs::StdVfs;
 
     fn open_small(dir: &Path) -> HashDb {
-        HashDb::open(dir, HashDbConfig::small_for_tests()).unwrap()
+        let cfg = HashDbConfig::small_for_tests();
+        HashDb::open(dir, cfg, Default::default(), StdVfs::shared()).unwrap()
     }
 
     #[test]

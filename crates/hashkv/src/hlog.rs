@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::metrics::StoreMetrics;
-use flowkv_common::vfs::{StdVfs, Vfs, VfsFile};
+use flowkv_common::vfs::{Vfs, VfsFile};
 
 /// Size of the fixed record header.
 pub const HEADER_LEN: usize = 9;
@@ -63,17 +63,9 @@ pub struct HybridLog {
 }
 
 impl HybridLog {
-    /// Creates a fresh log at `path`, truncating any existing file.
+    /// Creates a fresh log at `path` through `vfs`, truncating any
+    /// existing file.
     pub fn create(
-        path: impl AsRef<Path>,
-        mem_budget: usize,
-        metrics: Arc<StoreMetrics>,
-    ) -> Result<Self> {
-        Self::create_in(&StdVfs::shared(), path, mem_budget, metrics)
-    }
-
-    /// [`HybridLog::create`] through an explicit [`Vfs`].
-    pub fn create_in(
         vfs: &Arc<dyn Vfs>,
         path: impl AsRef<Path>,
         mem_budget: usize,
@@ -100,15 +92,6 @@ impl HybridLog {
     /// stops at the first record whose declared length runs past the end
     /// of the file, and the file is cut there.
     pub fn open(
-        path: impl AsRef<Path>,
-        mem_budget: usize,
-        metrics: Arc<StoreMetrics>,
-    ) -> Result<Self> {
-        Self::open_in(&StdVfs::shared(), path, mem_budget, metrics)
-    }
-
-    /// [`HybridLog::open`] through an explicit [`Vfs`].
-    pub fn open_in(
         vfs: &Arc<dyn Vfs>,
         path: impl AsRef<Path>,
         mem_budget: usize,
@@ -296,6 +279,7 @@ fn parse_header(h: &[u8]) -> (usize, usize, u8) {
 mod tests {
     use super::*;
     use flowkv_common::scratch::ScratchDir;
+    use flowkv_common::vfs::StdVfs;
 
     fn rec(k: &str, v: &str) -> Record {
         Record {
@@ -306,7 +290,13 @@ mod tests {
     }
 
     fn new_log(dir: &Path, budget: usize) -> HybridLog {
-        HybridLog::create(dir.join("h.log"), budget, StoreMetrics::new_shared()).unwrap()
+        HybridLog::create(
+            &StdVfs::shared(),
+            dir.join("h.log"),
+            budget,
+            StoreMetrics::new_shared(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -382,12 +372,24 @@ mod tests {
         let dir = ScratchDir::new("hlog-reopen").unwrap();
         let path = dir.path().join("h.log");
         {
-            let mut log = HybridLog::create(&path, 1 << 20, StoreMetrics::new_shared()).unwrap();
+            let mut log = HybridLog::create(
+                &StdVfs::shared(),
+                &path,
+                1 << 20,
+                StoreMetrics::new_shared(),
+            )
+            .unwrap();
             log.append(&rec("k", "v")).unwrap();
             log.flush().unwrap();
             log.sync().unwrap();
         }
-        let log = HybridLog::open(&path, 1 << 20, StoreMetrics::new_shared()).unwrap();
+        let log = HybridLog::open(
+            &StdVfs::shared(),
+            &path,
+            1 << 20,
+            StoreMetrics::new_shared(),
+        )
+        .unwrap();
         assert_eq!(log.read(0).unwrap(), rec("k", "v"));
         assert_eq!(log.memory_bytes(), 0);
     }

@@ -7,6 +7,7 @@
 use std::collections::HashMap;
 
 use flowkv_common::scratch::ScratchDir;
+use flowkv_common::vfs::StdVfs;
 use flowkv_hashkv::{HashDb, HashDbConfig};
 use proptest::prelude::*;
 
@@ -85,7 +86,8 @@ proptest! {
     #[test]
     fn hashdb_matches_model(ops in ops()) {
         let dir = ScratchDir::new("hash-prop").unwrap();
-        let mut db = HashDb::open(dir.path(), tiny_cfg()).unwrap();
+        let mut db =
+            HashDb::open(dir.path(), tiny_cfg(), Default::default(), StdVfs::shared()).unwrap();
         let mut model = HashMap::new();
         for op in &ops {
             apply(&mut db, &mut model, op)?;
@@ -108,13 +110,15 @@ proptest! {
         let dir = ScratchDir::new("hash-prop-reopen").unwrap();
         let mut model = HashMap::new();
         {
-            let mut db = HashDb::open(dir.path(), tiny_cfg()).unwrap();
+            let mut db =
+                HashDb::open(dir.path(), tiny_cfg(), Default::default(), StdVfs::shared()).unwrap();
             for op in &ops {
                 apply(&mut db, &mut model, op)?;
             }
             db.flush().unwrap();
         }
-        let db = HashDb::open(dir.path(), tiny_cfg()).unwrap();
+        let db =
+            HashDb::open(dir.path(), tiny_cfg(), Default::default(), StdVfs::shared()).unwrap();
         prop_assert_eq!(db.len(), model.len());
         for (k, expect) in &model {
             prop_assert_eq!(&db.read(k).unwrap(), &Some(expect.clone()), "after reopen");
@@ -125,7 +129,8 @@ proptest! {
     fn checkpoint_restore_matches_model(ops in ops(), cut in any::<prop::sample::Index>()) {
         let dir = ScratchDir::new("hash-prop-ckpt").unwrap();
         let ckpt = ScratchDir::new("hash-prop-ckpt-dst").unwrap();
-        let mut db = HashDb::open(dir.path(), tiny_cfg()).unwrap();
+        let mut db =
+            HashDb::open(dir.path(), tiny_cfg(), Default::default(), StdVfs::shared()).unwrap();
         let mut model = HashMap::new();
         let cut = cut.index(ops.len().max(1));
         for op in &ops[..cut] {

@@ -25,7 +25,7 @@ use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::IoRing;
 use flowkv_common::metrics::{OpCategory, RecordTimer, StoreMetrics};
 use flowkv_common::types::{Timestamp, WindowId};
-use flowkv_common::vfs::{StdVfs, Vfs};
+use flowkv_common::vfs::Vfs;
 
 use crate::db::{Db, DbConfig};
 use crate::entry::Resolved;
@@ -74,13 +74,9 @@ pub struct LsmBackend {
 }
 
 impl LsmBackend {
-    /// Opens a backend over a database in `dir`.
-    pub fn open(dir: &Path, cfg: DbConfig, chunk_entries: usize) -> Result<Self> {
-        Self::open_with_vfs(dir, cfg, chunk_entries, StdVfs::shared())
-    }
-
-    /// Opens a backend whose file operations go through `vfs`.
-    pub fn open_with_vfs(
+    /// Opens a backend over a database in `dir`, every file operation
+    /// going through `vfs`.
+    pub fn open(
         dir: &Path,
         cfg: DbConfig,
         chunk_entries: usize,
@@ -88,7 +84,7 @@ impl LsmBackend {
     ) -> Result<Self> {
         let metrics = StoreMetrics::new_shared();
         Ok(LsmBackend {
-            db: Db::open_with_vfs(dir, cfg, Arc::clone(&metrics), vfs)?,
+            db: Db::open(dir, cfg, Arc::clone(&metrics), vfs)?,
             metrics,
             chunk_entries: chunk_entries.max(1),
             window_cursors: HashMap::new(),
@@ -302,18 +298,10 @@ pub struct LsmBackendFactory {
 }
 
 impl LsmBackendFactory {
-    /// Creates a factory with the given database configuration.
-    pub fn new(cfg: DbConfig) -> Self {
-        LsmBackendFactory {
-            cfg,
-            vfs: StdVfs::shared(),
-        }
-    }
-
-    /// Routes every file operation of produced backends through `vfs`.
-    pub fn with_vfs(mut self, vfs: Arc<dyn Vfs>) -> Self {
-        self.vfs = vfs;
-        self
+    /// Creates a factory with the given database configuration, whose
+    /// backends run every file operation through `vfs`.
+    pub fn new(cfg: DbConfig, vfs: Arc<dyn Vfs>) -> Self {
+        LsmBackendFactory { cfg, vfs }
     }
 }
 
@@ -323,12 +311,8 @@ impl StateBackendFactory for LsmBackendFactory {
         self.vfs
             .create_dir_all(&dir)
             .map_err(|e| StoreError::io_at("backend dir", &dir, e))?;
-        let mut backend = LsmBackend::open_with_vfs(
-            &dir,
-            self.cfg.clone(),
-            CHUNK_ENTRIES,
-            Arc::clone(&self.vfs),
-        )?;
+        let mut backend =
+            LsmBackend::open(&dir, self.cfg.clone(), CHUNK_ENTRIES, Arc::clone(&self.vfs))?;
         if let Some(ring) = &ctx.io {
             backend.set_ring(Arc::clone(ring));
         }
@@ -344,9 +328,10 @@ impl StateBackendFactory for LsmBackendFactory {
 mod tests {
     use super::*;
     use flowkv_common::scratch::ScratchDir;
+    use flowkv_common::vfs::StdVfs;
 
     fn backend(dir: &Path) -> LsmBackend {
-        LsmBackend::open(dir, DbConfig::small_for_tests(), 8).unwrap()
+        LsmBackend::open(dir, DbConfig::small_for_tests(), 8, StdVfs::shared()).unwrap()
     }
 
     fn w(start: i64, end: i64) -> WindowId {
@@ -467,7 +452,7 @@ mod tests {
     #[test]
     fn factory_wires_ring_from_context() {
         let dir = ScratchDir::new("lsmb-factory-io").unwrap();
-        let factory = LsmBackendFactory::new(DbConfig::small_for_tests());
+        let factory = LsmBackendFactory::new(DbConfig::small_for_tests(), StdVfs::shared());
         let ctx = OperatorContext {
             operator: "op".into(),
             partition: 0,
@@ -492,7 +477,7 @@ mod tests {
     #[test]
     fn factory_creates_partition_dirs() {
         let dir = ScratchDir::new("lsmb-factory").unwrap();
-        let factory = LsmBackendFactory::new(DbConfig::small_for_tests());
+        let factory = LsmBackendFactory::new(DbConfig::small_for_tests(), StdVfs::shared());
         let ctx = OperatorContext {
             operator: "op".into(),
             partition: 0,

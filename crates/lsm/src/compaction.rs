@@ -10,7 +10,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use flowkv_common::error::Result;
-use flowkv_common::vfs::{StdVfs, Vfs};
+use flowkv_common::vfs::Vfs;
 
 use crate::iter::MergingIter;
 use crate::sstable::{SstBuilder, SstMeta};
@@ -25,19 +25,9 @@ pub struct CompactionParams {
     pub bottom: bool,
 }
 
-/// Merges `inputs` into new table files in `dir`, allocating file numbers
-/// from `next_file_no`.
+/// Merges `inputs` into new table files in `dir`, written through `vfs`,
+/// allocating file numbers from `next_file_no`.
 pub fn compact(
-    inputs: MergingIter<'_>,
-    dir: &Path,
-    next_file_no: &mut u64,
-    params: &CompactionParams,
-) -> Result<Vec<SstMeta>> {
-    compact_in(&StdVfs::shared(), inputs, dir, next_file_no, params)
-}
-
-/// [`compact`], writing output tables through `vfs`.
-pub fn compact_in(
     vfs: &Arc<dyn Vfs>,
     mut inputs: MergingIter<'_>,
     dir: &Path,
@@ -59,12 +49,7 @@ pub fn compact_in(
             let file_no = *next_file_no;
             *next_file_no += 1;
             let path = dir.join(SstMeta::file_name(file_no));
-            builder = Some(SstBuilder::create_in(
-                vfs,
-                &path,
-                file_no,
-                params.block_size,
-            )?);
+            builder = Some(SstBuilder::create(vfs, &path, file_no, params.block_size)?);
         }
         let b = builder.as_mut().expect("just created");
         b.add(&key, &entry)?;
@@ -87,6 +72,7 @@ mod tests {
     use crate::iter::{EntrySource, VecSource};
     use flowkv_common::metrics::StoreMetrics;
     use flowkv_common::scratch::ScratchDir;
+    use flowkv_common::vfs::StdVfs;
 
     fn b(s: &str) -> Vec<u8> {
         s.as_bytes().to_vec()
@@ -100,6 +86,7 @@ mod tests {
         let merging = MergingIter::new(boxed).unwrap();
         let mut next = 1;
         let outs = compact(
+            &StdVfs::shared(),
             merging,
             dir,
             &mut next,
@@ -115,6 +102,7 @@ mod tests {
 
     fn read_all(dir: &Path, meta: SstMeta) -> Vec<(Vec<u8>, Entry)> {
         let r = crate::sstable::SstReader::open(
+            &StdVfs::shared(),
             dir,
             meta,
             crate::cache::BlockCache::new(1 << 20),
@@ -194,6 +182,7 @@ mod tests {
         let merging = MergingIter::new(boxed).unwrap();
         let mut next = 1;
         let outs = compact(
+            &StdVfs::shared(),
             merging,
             dir.path(),
             &mut next,

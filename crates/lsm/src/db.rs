@@ -13,10 +13,10 @@ use std::sync::Arc;
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::{IoRing, Lane};
 use flowkv_common::metrics::{OpCategory, StoreMetrics};
-use flowkv_common::vfs::{StdVfs, Vfs};
+use flowkv_common::vfs::Vfs;
 
 use crate::cache::BlockCache;
-use crate::compaction::{compact_in, CompactionParams};
+use crate::compaction::{compact, CompactionParams};
 use crate::entry::{Entry, Resolved};
 use crate::iter::{EntrySource, MergingIter, VecSource};
 use crate::memtable::MemTable;
@@ -83,10 +83,13 @@ pub type ScanPage = (Vec<(Vec<u8>, Resolved)>, Option<Vec<u8>>);
 /// ```
 /// use flowkv_lsm::{Db, DbConfig};
 /// use flowkv_lsm::entry::Resolved;
+/// use flowkv_common::metrics::StoreMetrics;
 /// use flowkv_common::scratch::ScratchDir;
+/// use flowkv_common::vfs::StdVfs;
 ///
 /// let dir = ScratchDir::new("lsm-doc").unwrap();
-/// let mut db = Db::open(dir.path(), DbConfig::default()).unwrap();
+/// let metrics = StoreMetrics::new_shared();
+/// let mut db = Db::open(dir.path(), DbConfig::default(), metrics, StdVfs::shared()).unwrap();
 /// db.put(b"k", b"v").unwrap();
 /// assert_eq!(db.get(b"k").unwrap(), Resolved::Value(b"v".to_vec()));
 /// db.merge(b"list", b"a").unwrap();
@@ -117,22 +120,9 @@ pub struct Db {
 type WarmBlock = (u64, u64, Vec<u8>);
 
 impl Db {
-    /// Opens (or creates) a database in `dir`.
-    pub fn open(dir: impl AsRef<Path>, cfg: DbConfig) -> Result<Self> {
-        Self::open_with_metrics(dir, cfg, StoreMetrics::new_shared())
-    }
-
-    /// Opens a database charging its work to an external metrics block.
-    pub fn open_with_metrics(
-        dir: impl AsRef<Path>,
-        cfg: DbConfig,
-        metrics: Arc<StoreMetrics>,
-    ) -> Result<Self> {
-        Self::open_with_vfs(dir, cfg, metrics, StdVfs::shared())
-    }
-
-    /// Opens a database whose every file operation goes through `vfs`.
-    pub fn open_with_vfs(
+    /// Opens (or creates) a database in `dir`, charging its work to
+    /// `metrics` and running every file operation through `vfs`.
+    pub fn open(
         dir: impl AsRef<Path>,
         cfg: DbConfig,
         metrics: Arc<StoreMetrics>,
@@ -141,7 +131,7 @@ impl Db {
         let dir = dir.as_ref().to_path_buf();
         vfs.create_dir_all(&dir)
             .map_err(|e| StoreError::io_at("db create dir", &dir, e))?;
-        let version = Version::load_in(&vfs, &dir)?;
+        let version = Version::load(&vfs, &dir)?;
         let cache = BlockCache::new(cfg.block_cache_bytes);
         let mut db = Db {
             dir,
@@ -287,7 +277,7 @@ impl Db {
         let mem = std::mem::take(&mut self.mem);
         let pairs: Vec<(Vec<u8>, Entry)> = mem.into_sorted().collect();
         let mut next = self.version.next_file_no;
-        let outputs = compact_in(
+        let outputs = compact(
             &self.vfs,
             MergingIter::new(vec![Box::new(VecSource::new(pairs))])?,
             &self.dir,
@@ -306,7 +296,7 @@ impl Db {
             self.version.levels[0].insert(0, meta);
         }
         self.metrics.add_flush();
-        self.version.save_in(&self.vfs, &self.dir)?;
+        self.version.save(&self.vfs, &self.dir)?;
         drop(_t);
         self.maybe_compact()
     }
@@ -457,7 +447,7 @@ impl Db {
                 .link_or_copy(&from, &to)
                 .map_err(|e| StoreError::io_at("checkpoint copy", &to, e))?;
         }
-        self.version.save_in(&self.vfs, dst)?;
+        self.version.save(&self.vfs, dst)?;
         Ok(())
     }
 
@@ -472,7 +462,7 @@ impl Db {
             self.cache.evict_file(file_no);
         }
         self.readers.clear();
-        let version = Version::load_in(&self.vfs, src)?;
+        let version = Version::load(&self.vfs, src)?;
         for file_no in version.all_file_nos() {
             let name = SstMeta::file_name(file_no);
             let from = src.join(&name);
@@ -482,7 +472,7 @@ impl Db {
                 .map_err(|e| StoreError::io_at("restore copy", &to, e))?;
         }
         self.version = version;
-        self.version.save_in(&self.vfs, &self.dir)?;
+        self.version.save(&self.vfs, &self.dir)?;
         for meta in self
             .version
             .levels
@@ -526,7 +516,7 @@ impl Db {
 
     fn ensure_reader(&mut self, meta: &SstMeta) -> Result<&SstReader> {
         if !self.readers.contains_key(&meta.file_no) {
-            let reader = SstReader::open_in(
+            let reader = SstReader::open(
                 &self.vfs,
                 &self.dir,
                 meta.clone(),
@@ -593,7 +583,7 @@ impl Db {
             .collect();
         let merging = MergingIter::new(sources)?;
         let mut next = self.version.next_file_no;
-        let outputs = compact_in(
+        let outputs = compact(
             &self.vfs,
             merging,
             &self.dir,
@@ -618,7 +608,7 @@ impl Db {
             self.ensure_reader(&meta)?;
             self.version.insert_sorted(output_level, meta);
         }
-        self.version.save_in(&self.vfs, &self.dir)?;
+        self.version.save(&self.vfs, &self.dir)?;
         for no in input_nos {
             self.readers.remove(&no);
             self.cache.evict_file(no);
@@ -632,9 +622,11 @@ impl Db {
 mod tests {
     use super::*;
     use flowkv_common::scratch::ScratchDir;
+    use flowkv_common::vfs::StdVfs;
 
     fn open_small(dir: &Path) -> Db {
-        Db::open(dir, DbConfig::small_for_tests()).unwrap()
+        let cfg = DbConfig::small_for_tests();
+        Db::open(dir, cfg, Default::default(), StdVfs::shared()).unwrap()
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use flowkv_common::codec::{crc32, put_len_prefixed, put_u64, put_varint_u64, Decoder};
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::metrics::StoreMetrics;
-use flowkv_common::vfs::{StdVfs, Vfs, VfsFile};
+use flowkv_common::vfs::{Vfs, VfsFile};
 
 use crate::bloom::BloomFilter;
 use crate::cache::BlockCache;
@@ -88,14 +88,8 @@ pub struct SstBuilder {
 }
 
 impl SstBuilder {
-    /// Creates a builder writing to `path` through the standard
-    /// filesystem.
-    pub fn create(path: impl AsRef<Path>, file_no: u64, block_target: usize) -> Result<Self> {
-        Self::create_in(&StdVfs::shared(), path, file_no, block_target)
-    }
-
     /// Creates a builder writing to `path` through `vfs`.
-    pub fn create_in(
+    pub fn create(
         vfs: &Arc<dyn Vfs>,
         path: impl AsRef<Path>,
         file_no: u64,
@@ -243,19 +237,8 @@ pub struct SstReader {
 }
 
 impl SstReader {
-    /// Opens the table file described by `meta` inside `dir` through the
-    /// standard filesystem.
-    pub fn open(
-        dir: &Path,
-        meta: SstMeta,
-        cache: Arc<BlockCache>,
-        metrics: Arc<StoreMetrics>,
-    ) -> Result<Self> {
-        Self::open_in(&StdVfs::shared(), dir, meta, cache, metrics)
-    }
-
     /// Opens the table file described by `meta` inside `dir` through `vfs`.
-    pub fn open_in(
+    pub fn open(
         vfs: &Arc<dyn Vfs>,
         dir: &Path,
         meta: SstMeta,
@@ -494,10 +477,11 @@ impl SstIter<'_> {
 mod tests {
     use super::*;
     use flowkv_common::scratch::ScratchDir;
+    use flowkv_common::vfs::StdVfs;
 
     fn build_table(dir: &Path, file_no: u64, n: usize, block: usize) -> SstMeta {
         let path = dir.join(SstMeta::file_name(file_no));
-        let mut b = SstBuilder::create(&path, file_no, block).unwrap();
+        let mut b = SstBuilder::create(&StdVfs::shared(), &path, file_no, block).unwrap();
         for i in 0..n {
             let key = format!("key-{i:06}");
             let entry = Entry::Put(format!("value-{i}").into_bytes());
@@ -508,6 +492,7 @@ mod tests {
 
     fn open(dir: &Path, meta: SstMeta) -> SstReader {
         SstReader::open(
+            &StdVfs::shared(),
             dir,
             meta,
             BlockCache::new(1 << 20),
@@ -607,6 +592,7 @@ mod tests {
         let meta = build_table(dir.path(), 1, 100, 4096);
         let metrics = StoreMetrics::new_shared();
         let r = SstReader::open(
+            &StdVfs::shared(),
             dir.path(),
             meta,
             BlockCache::new(1 << 20),
@@ -625,7 +611,7 @@ mod tests {
         // compression the file must be far smaller than the raw key bytes.
         let dir = ScratchDir::new("sst-prefix").unwrap();
         let path = dir.path().join(SstMeta::file_name(9));
-        let mut b = SstBuilder::create(&path, 9, 4096).unwrap();
+        let mut b = SstBuilder::create(&StdVfs::shared(), &path, 9, 4096).unwrap();
         let prefix = "shared-prefix-".repeat(5);
         let n = 1_000;
         for i in 0..n {
@@ -659,7 +645,7 @@ mod tests {
     fn merge_entries_survive_roundtrip() {
         let dir = ScratchDir::new("sst-merge").unwrap();
         let path = dir.path().join(SstMeta::file_name(7));
-        let mut b = SstBuilder::create(&path, 7, 512).unwrap();
+        let mut b = SstBuilder::create(&StdVfs::shared(), &path, 7, 512).unwrap();
         let entry = Entry::Merge(vec![b"a".to_vec(), b"b".to_vec()]);
         b.add(b"k", &entry).unwrap();
         let meta = b.finish().unwrap();

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use flowkv_common::codec::{crc32, put_len_prefixed, put_u64, put_varint_u64, Decoder};
 use flowkv_common::error::{Result, StoreError};
-use flowkv_common::vfs::{StdVfs, Vfs};
+use flowkv_common::vfs::Vfs;
 
 use crate::sstable::SstMeta;
 
@@ -144,13 +144,8 @@ impl Version {
         })
     }
 
-    /// Atomically persists the version as `dir/MANIFEST`.
-    pub fn save(&self, dir: &Path) -> Result<()> {
-        self.save_in(&StdVfs::shared(), dir)
-    }
-
     /// Atomically persists the version as `dir/MANIFEST` through `vfs`.
-    pub fn save_in(&self, vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<()> {
+    pub fn save(&self, vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<()> {
         let tmp = dir.join("MANIFEST.tmp");
         let target = dir.join(MANIFEST_NAME);
         vfs.write(&tmp, &self.encode())
@@ -160,14 +155,9 @@ impl Version {
         Ok(())
     }
 
-    /// Loads `dir/MANIFEST`, or returns a fresh version if none exists.
-    pub fn load(dir: &Path) -> Result<Self> {
-        Self::load_in(&StdVfs::shared(), dir)
-    }
-
     /// Loads `dir/MANIFEST` through `vfs`, or returns a fresh version if
     /// none exists.
-    pub fn load_in(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<Self> {
+    pub fn load(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<Self> {
         let path = dir.join(MANIFEST_NAME);
         match vfs.read(&path) {
             Ok(data) => Version::decode(&data, &path),
@@ -181,6 +171,7 @@ impl Version {
 mod tests {
     use super::*;
     use flowkv_common::scratch::ScratchDir;
+    use flowkv_common::vfs::StdVfs;
 
     fn meta(no: u64, smallest: &str, largest: &str) -> SstMeta {
         SstMeta {
@@ -209,14 +200,14 @@ mod tests {
         let dir = ScratchDir::new("version").unwrap();
         let mut v = Version::new();
         v.levels[0].push(meta(1, "k", "z"));
-        v.save(dir.path()).unwrap();
-        assert_eq!(Version::load(dir.path()).unwrap(), v);
+        v.save(&StdVfs::shared(), dir.path()).unwrap();
+        assert_eq!(Version::load(&StdVfs::shared(), dir.path()).unwrap(), v);
     }
 
     #[test]
     fn load_missing_is_fresh() {
         let dir = ScratchDir::new("version-fresh").unwrap();
-        let v = Version::load(dir.path()).unwrap();
+        let v = Version::load(&StdVfs::shared(), dir.path()).unwrap();
         assert_eq!(v.file_count(), 0);
         assert_eq!(v.next_file_no, 1);
     }
@@ -225,12 +216,14 @@ mod tests {
     fn corrupt_manifest_detected() {
         let dir = ScratchDir::new("version-corrupt").unwrap();
         let v = Version::new();
-        v.save(dir.path()).unwrap();
+        v.save(&StdVfs::shared(), dir.path()).unwrap();
         let path = dir.path().join(MANIFEST_NAME);
         let mut data = std::fs::read(&path).unwrap();
         data[0] ^= 0xff;
         std::fs::write(&path, &data).unwrap();
-        assert!(Version::load(dir.path()).unwrap_err().is_corruption());
+        assert!(Version::load(&StdVfs::shared(), dir.path())
+            .unwrap_err()
+            .is_corruption());
     }
 
     #[test]

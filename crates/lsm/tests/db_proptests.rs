@@ -7,6 +7,7 @@
 use std::collections::BTreeMap;
 
 use flowkv_common::scratch::ScratchDir;
+use flowkv_common::vfs::StdVfs;
 use flowkv_lsm::entry::Resolved;
 use flowkv_lsm::{Db, DbConfig};
 use proptest::prelude::*;
@@ -68,7 +69,7 @@ proptest! {
         cfg.write_buffer_bytes = 256;
         cfg.l0_compaction_trigger = 2;
         cfg.level_base_bytes = 2 << 10;
-        let mut db = Db::open(dir.path(), cfg).unwrap();
+        let mut db = Db::open(dir.path(), cfg, Default::default(), StdVfs::shared()).unwrap();
         let mut model: BTreeMap<Vec<u8>, ModelValue> = BTreeMap::new();
 
         for op in &ops {
@@ -142,7 +143,8 @@ proptest! {
         let dir = ScratchDir::new("lsm-prop-reopen").unwrap();
         let mut model: BTreeMap<Vec<u8>, ModelValue> = BTreeMap::new();
         {
-            let mut db = Db::open(dir.path(), DbConfig::small_for_tests()).unwrap();
+            let cfg = DbConfig::small_for_tests();
+            let mut db = Db::open(dir.path(), cfg, Default::default(), StdVfs::shared()).unwrap();
             for op in &ops {
                 match op {
                     Op::Put { k, v } => {
@@ -168,7 +170,8 @@ proptest! {
             }
             db.flush().unwrap();
         }
-        let mut db = Db::open(dir.path(), DbConfig::small_for_tests()).unwrap();
+        let cfg = DbConfig::small_for_tests();
+        let mut db = Db::open(dir.path(), cfg, Default::default(), StdVfs::shared()).unwrap();
         for (k, expect) in &model {
             let got = model_of(db.get(k).unwrap());
             prop_assert_eq!(&got, &Some(expect.clone()), "after reopen");

@@ -28,6 +28,7 @@ use flowkv_common::registry::{StateKey, StatePattern, StateRegistry, StateView, 
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::telemetry::{validate_prometheus, Telemetry};
 use flowkv_common::types::{Timestamp, Tuple, WindowId, MAX_TIMESTAMP, MIN_TIMESTAMP};
+use flowkv_common::vfs::StdVfs;
 use flowkv_nexmark::{EventGenerator, GeneratorConfig, QueryId, QueryParams};
 use flowkv_serve::protocol::{read_frame, split_request_id};
 use flowkv_serve::{
@@ -63,7 +64,10 @@ fn run_q12(
     opts.watermark_interval = 100;
     opts.rate_limit = rate;
     opts.registry = registry;
-    let factory = Arc::new(FlowKvFactory::new(FlowKvConfig::small_for_tests()));
+    let factory = Arc::new(FlowKvFactory::new(
+        FlowKvConfig::small_for_tests(),
+        StdVfs::shared(),
+    ));
     let result = run_job(
         &job,
         EventGenerator::new(generator()).tuples(),
@@ -402,7 +406,7 @@ fn published_views_match_read_view_through_whole_jobs() {
         let dir = ScratchDir::new(&format!("serve-int-layered-{}", query.name())).unwrap();
         let job = query.build(QueryParams::new(1_000).with_parallelism(2));
         let factory = Arc::new(CheckedFactory {
-            inner: FlowKvFactory::new(FlowKvConfig::small_for_tests()),
+            inner: FlowKvFactory::new(FlowKvConfig::small_for_tests(), StdVfs::shared()),
             registry: Arc::clone(&registry),
             job: job.name.clone(),
             checks: Arc::clone(&checks),
@@ -445,7 +449,10 @@ fn telemetry_server_exposes_prometheus_and_registry_samples() {
         opts.watermark_interval = 100;
         opts.registry = Some(Arc::clone(&registry));
         opts.telemetry = Some(Arc::clone(&telemetry));
-        let factory = Arc::new(FlowKvFactory::new(FlowKvConfig::small_for_tests()));
+        let factory = Arc::new(FlowKvFactory::new(
+            FlowKvConfig::small_for_tests(),
+            StdVfs::shared(),
+        ));
         run_job(
             &job,
             EventGenerator::new(generator()).tuples(),

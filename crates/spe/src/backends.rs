@@ -93,20 +93,23 @@ impl BackendChoice {
         let inner: Arc<dyn StateBackendFactory> = match self {
             BackendChoice::InMemory {
                 budget_per_partition,
-            } => Arc::new(InMemoryFactory::new(*budget_per_partition).with_vfs(Arc::clone(&vfs))),
+            } => Arc::new(InMemoryFactory::new(
+                *budget_per_partition,
+                Arc::clone(&vfs),
+            )),
             BackendChoice::FlowKv(cfg) => {
-                Arc::new(FlowKvFactory::new(cfg.clone()).with_vfs(Arc::clone(&vfs)))
+                Arc::new(FlowKvFactory::new(cfg.clone(), Arc::clone(&vfs)))
             }
             BackendChoice::Lsm(cfg) => {
-                Arc::new(LsmBackendFactory::new(cfg.clone()).with_vfs(Arc::clone(&vfs)))
+                Arc::new(LsmBackendFactory::new(cfg.clone(), Arc::clone(&vfs)))
             }
             BackendChoice::HashKv(cfg) => {
-                Arc::new(HashBackendFactory::new(cfg.clone()).with_vfs(Arc::clone(&vfs)))
+                Arc::new(HashBackendFactory::new(cfg.clone(), Arc::clone(&vfs)))
             }
         };
         match opts.tier {
             None => inner,
-            Some(cfg) => Arc::new(flowkv::tier::TieredFactory::new(inner, cfg).with_vfs(vfs)),
+            Some(cfg) => Arc::new(flowkv::tier::TieredFactory::new(inner, cfg, vfs)),
         }
     }
 

@@ -258,6 +258,7 @@ impl KeyedOperator for IntervalJoinOperator {
 mod tests {
     use super::*;
     use crate::memstore::InMemoryBackend;
+    use flowkv_common::vfs::StdVfs;
 
     fn op(lower: i64, upper: i64, bucket_ms: i64) -> IntervalJoinOperator {
         IntervalJoinOperator::new(
@@ -273,7 +274,7 @@ mod tests {
                     Some(v)
                 }),
             },
-            Box::new(InMemoryBackend::new(1 << 20, 8)),
+            Box::new(InMemoryBackend::new(1 << 20, 8, StdVfs::shared())),
         )
     }
 

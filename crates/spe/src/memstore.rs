@@ -20,7 +20,7 @@ use flowkv_common::error::{Result, StoreError};
 use flowkv_common::logfile::{LogReader, LogWriter};
 use flowkv_common::metrics::{OpCategory, RecordTimer, StoreMetrics};
 use flowkv_common::types::{Timestamp, WindowId};
-use flowkv_common::vfs::{StdVfs, Vfs};
+use flowkv_common::vfs::Vfs;
 
 type StateKey = (Vec<u8>, WindowId);
 
@@ -41,13 +41,9 @@ pub struct InMemoryBackend {
 }
 
 impl InMemoryBackend {
-    /// Creates a backend bounded at `budget` bytes of state.
-    pub fn new(budget: usize, chunk_entries: usize) -> Self {
-        Self::new_with_vfs(budget, chunk_entries, StdVfs::shared())
-    }
-
-    /// Creates a backend whose checkpoint files go through `vfs`.
-    pub fn new_with_vfs(budget: usize, chunk_entries: usize, vfs: Arc<dyn Vfs>) -> Self {
+    /// Creates a backend bounded at `budget` bytes of state, whose
+    /// checkpoint files go through `vfs`.
+    pub fn new(budget: usize, chunk_entries: usize, vfs: Arc<dyn Vfs>) -> Self {
         InMemoryBackend {
             budget,
             used: 0,
@@ -341,25 +337,20 @@ pub struct InMemoryFactory {
 }
 
 impl InMemoryFactory {
-    /// Creates a factory with a per-partition byte budget.
-    pub fn new(budget_per_partition: usize) -> Self {
+    /// Creates a factory with a per-partition byte budget, whose
+    /// backends' checkpoint files go through `vfs`.
+    pub fn new(budget_per_partition: usize, vfs: Arc<dyn Vfs>) -> Self {
         InMemoryFactory {
             budget_per_partition,
             chunk_entries: 1024,
-            vfs: StdVfs::shared(),
+            vfs,
         }
-    }
-
-    /// Routes checkpoint files of produced backends through `vfs`.
-    pub fn with_vfs(mut self, vfs: Arc<dyn Vfs>) -> Self {
-        self.vfs = vfs;
-        self
     }
 }
 
 impl StateBackendFactory for InMemoryFactory {
     fn create(&self, _ctx: &OperatorContext) -> Result<Box<dyn StateBackend>> {
-        Ok(Box::new(InMemoryBackend::new_with_vfs(
+        Ok(Box::new(InMemoryBackend::new(
             self.budget_per_partition,
             self.chunk_entries,
             Arc::clone(&self.vfs),
@@ -375,6 +366,7 @@ impl StateBackendFactory for InMemoryFactory {
 mod tests {
     use super::*;
     use flowkv_common::scratch::ScratchDir;
+    use flowkv_common::vfs::StdVfs;
 
     fn w(start: i64, end: i64) -> WindowId {
         WindowId::new(start, end)
@@ -382,7 +374,7 @@ mod tests {
 
     #[test]
     fn append_take_roundtrip() {
-        let mut b = InMemoryBackend::new(1 << 20, 4);
+        let mut b = InMemoryBackend::new(1 << 20, 4, StdVfs::shared());
         b.append(b"k", w(0, 10), b"v1", 1).unwrap();
         b.append(b"k", w(0, 10), b"v2", 2).unwrap();
         assert_eq!(
@@ -395,7 +387,7 @@ mod tests {
 
     #[test]
     fn window_chunks_drain() {
-        let mut b = InMemoryBackend::new(1 << 20, 3);
+        let mut b = InMemoryBackend::new(1 << 20, 3, StdVfs::shared());
         for i in 0..10u32 {
             b.append(format!("k{i}").as_bytes(), w(0, 10), b"v", 0)
                 .unwrap();
@@ -410,7 +402,7 @@ mod tests {
 
     #[test]
     fn aggregates_roundtrip() {
-        let mut b = InMemoryBackend::new(1 << 20, 4);
+        let mut b = InMemoryBackend::new(1 << 20, 4, StdVfs::shared());
         b.put_aggregate(b"k", w(0, 10), b"3").unwrap();
         b.put_aggregate(b"k", w(0, 10), b"7").unwrap();
         assert_eq!(
@@ -422,7 +414,7 @@ mod tests {
 
     #[test]
     fn budget_enforced_like_oom() {
-        let mut b = InMemoryBackend::new(256, 4);
+        let mut b = InMemoryBackend::new(256, 4, StdVfs::shared());
         let mut failed = false;
         for i in 0..100u32 {
             if b.append(b"k", w(0, 10), &[0u8; 16], i as i64).is_err() {
@@ -436,7 +428,7 @@ mod tests {
     #[test]
     fn checkpoint_restore_roundtrip() {
         let dir = ScratchDir::new("mem-ckpt").unwrap();
-        let mut b = InMemoryBackend::new(1 << 20, 4);
+        let mut b = InMemoryBackend::new(1 << 20, 4, StdVfs::shared());
         b.append(b"k", w(0, 10), b"v", 1).unwrap();
         b.put_aggregate(b"a", w(0, 10), b"9").unwrap();
         b.checkpoint(dir.path()).unwrap();

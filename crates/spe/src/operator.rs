@@ -952,7 +952,7 @@ mod tests {
                 assigner,
                 aggregate,
             },
-            Box::new(InMemoryBackend::new(1 << 20, 8)),
+            Box::new(InMemoryBackend::new(1 << 20, 8, StdVfs::shared())),
         )
     }
 
@@ -1035,7 +1035,7 @@ mod tests {
                 chunk_entries: 4,
                 ..FlowKvConfig::small_for_tests()
             };
-            FlowKvStore::open(&dir.path().join(name), semantics, cfg).unwrap()
+            FlowKvStore::open(&dir.path().join(name), semantics, cfg, StdVfs::shared()).unwrap()
         };
         let tuples: Vec<Tuple> = (0..12u64)
             .map(|i| t(["a", "b", "c"][i as usize % 3], i, i as i64))
@@ -1087,7 +1087,8 @@ mod tests {
                 store_instances,
                 ..FlowKvConfig::small_for_tests()
             };
-            let store = FlowKvStore::open(&dir.path().join(name), semantics, cfg).unwrap();
+            let store = FlowKvStore::open(&dir.path().join(name), semantics, cfg, StdVfs::shared())
+                .unwrap();
             let spec = WindowSpec {
                 name: "test".into(),
                 assigner: WindowAssigner::Fixed { size: 100 },
@@ -1134,7 +1135,8 @@ mod tests {
                 store_instances,
                 ..FlowKvConfig::small_for_tests()
             };
-            let store = FlowKvStore::open(&dir.path().join(name), semantics, cfg).unwrap();
+            let store = FlowKvStore::open(&dir.path().join(name), semantics, cfg, StdVfs::shared())
+                .unwrap();
             let spec = WindowSpec {
                 name: "test".into(),
                 assigner: WindowAssigner::Fixed { size: 100 },
@@ -1543,7 +1545,7 @@ mod tests {
                     aggregate,
                 };
                 let backend = Recording {
-                    inner: InMemoryBackend::new(1 << 20, 8),
+                    inner: InMemoryBackend::new(1 << 20, 8, StdVfs::shared()),
                     calls: Arc::clone(&calls),
                 };
                 (WindowOperator::new(spec, Box::new(backend)), calls)

@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use flowkv_common::types::{Tuple, MAX_TIMESTAMP};
+use flowkv_common::vfs::StdVfs;
 use flowkv_spe::join::{tag_left, tag_right, IntervalJoinOperator, IntervalJoinSpec};
 use flowkv_spe::memstore::InMemoryBackend;
 use flowkv_spe::operator::KeyedOperator;
@@ -84,7 +85,10 @@ fn run_operator(
             Some(v)
         }),
     };
-    let mut op = IntervalJoinOperator::new(spec, Box::new(InMemoryBackend::new(1 << 20, 8)));
+    let mut op = IntervalJoinOperator::new(
+        spec,
+        Box::new(InMemoryBackend::new(1 << 20, 8, StdVfs::shared())),
+    );
     let mut out = Vec::new();
     for (i, t) in tuples.iter().enumerate() {
         op.on_element(t.borrowed(), &mut out).unwrap();

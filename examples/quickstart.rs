@@ -14,6 +14,7 @@ use flowkv::store::FlowKvStore;
 use flowkv_common::backend::{AggregateKind, OperatorSemantics, StateBackend, WindowKind};
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::types::WindowId;
+use flowkv_common::vfs::StdVfs;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = ScratchDir::new("quickstart")?;
@@ -22,7 +23,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    tuple lists. FlowKV classifies this as AAR and lays data out in
     //    per-window log files.
     let aar = OperatorSemantics::new(AggregateKind::FullList, WindowKind::Fixed { size: 60_000 });
-    let mut store = FlowKvStore::open(&dir.path().join("aar"), aar, FlowKvConfig::default())?;
+    let mut store = FlowKvStore::open(
+        &dir.path().join("aar"),
+        aar,
+        FlowKvConfig::default(),
+        StdVfs::shared(),
+    )?;
     println!("fixed-window + full-list  -> pattern {}", store.pattern());
 
     let minute = WindowId::new(0, 60_000);
@@ -57,7 +63,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    global data log, each record naming its window, and predicts
     //    trigger times.
     let aur = OperatorSemantics::new(AggregateKind::FullList, WindowKind::Session { gap: 5_000 });
-    let mut store = FlowKvStore::open(&dir.path().join("aur"), aur, FlowKvConfig::default())?;
+    let mut store = FlowKvStore::open(
+        &dir.path().join("aur"),
+        aur,
+        FlowKvConfig::default(),
+        StdVfs::shared(),
+    )?;
     println!("session-window + full-list -> pattern {}", store.pattern());
     let session = WindowId::new(10_000, 15_000);
     store.append(b"alice", session, b"click-1", 10_000)?;
@@ -75,7 +86,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         AggregateKind::Incremental,
         WindowKind::Fixed { size: 60_000 },
     );
-    let mut store = FlowKvStore::open(&dir.path().join("rmw"), rmw, FlowKvConfig::default())?;
+    let mut store = FlowKvStore::open(
+        &dir.path().join("rmw"),
+        rmw,
+        FlowKvConfig::default(),
+        StdVfs::shared(),
+    )?;
     println!("fixed-window + incremental -> pattern {}", store.pattern());
     // One call per tuple: the store lends the closure the buffer that
     // *is* the aggregate (empty, `held == false`, the first time) and

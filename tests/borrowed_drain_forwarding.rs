@@ -51,7 +51,7 @@ struct BorrowedOnly {
 impl BorrowedOnly {
     fn new() -> Self {
         BorrowedOnly {
-            inner: InMemoryBackend::new(1 << 20, 4),
+            inner: InMemoryBackend::new(1 << 20, 4, StdVfs::shared()),
             steps: Arc::default(),
             updates: Arc::default(),
             takes: Arc::default(),
@@ -312,7 +312,12 @@ fn the_tier_answers_the_update_with_its_own_take_and_put() {
 fn the_flowkv_front_forwards_the_update_to_its_rmw_instances() {
     let dir = ScratchDir::new("forward-front-update").unwrap();
     let semantics = rmw_ctx(&dir).semantics;
-    let mut store = FlowKvStore::open(dir.path(), semantics, FlowKvConfig::small_for_tests());
+    let mut store = FlowKvStore::open(
+        dir.path(),
+        semantics,
+        FlowKvConfig::small_for_tests(),
+        StdVfs::shared(),
+    );
     let store = store.as_mut().unwrap();
     count_forty_tuples(store);
     let m = store.metrics().snapshot();

@@ -80,6 +80,7 @@ fn aur_survives_torn_data_tail() {
             cfg.clone(),
             EttPredictor::SessionGap { gap: 100 },
             StoreMetrics::new_shared(),
+            StdVfs::shared(),
         )
         .unwrap();
         for i in 0..50u64 {
@@ -105,6 +106,7 @@ fn aur_survives_torn_data_tail() {
         cfg,
         EttPredictor::SessionGap { gap: 100 },
         StoreMetrics::new_shared(),
+        StdVfs::shared(),
     )
     .unwrap();
     // The intact prefix must be fully readable.
@@ -124,7 +126,13 @@ fn rmw_survives_torn_log_tail() {
         max_space_amplification: 1.5,
     };
     {
-        let mut s = RmwStore::open(dir.path(), cfg.clone(), StoreMetrics::new_shared()).unwrap();
+        let mut s = RmwStore::open(
+            dir.path(),
+            cfg.clone(),
+            StoreMetrics::new_shared(),
+            StdVfs::shared(),
+        )
+        .unwrap();
         for i in 0..50u64 {
             s.put(format!("key-{i}").as_bytes(), w(0, 100), &i.to_le_bytes())
                 .unwrap();
@@ -135,7 +143,13 @@ fn rmw_survives_torn_log_tail() {
     }
     tear_tail(dir.path(), ".rmw", 3);
 
-    let mut s = RmwStore::open(dir.path(), cfg, StoreMetrics::new_shared()).unwrap();
+    let mut s = RmwStore::open(
+        dir.path(),
+        cfg,
+        StoreMetrics::new_shared(),
+        StdVfs::shared(),
+    )
+    .unwrap();
     for i in 0..50u64 {
         let got = s.take(format!("key-{i}").as_bytes(), w(0, 100)).unwrap();
         assert_eq!(got, Some(i.to_le_bytes().to_vec()), "key {i}");
@@ -151,7 +165,13 @@ fn hashdb_survives_torn_log_tail() {
         ..HashDbConfig::small_for_tests()
     };
     {
-        let mut db = HashDb::open(dir.path(), cfg.clone()).unwrap();
+        let mut db = HashDb::open(
+            dir.path(),
+            cfg.clone(),
+            Default::default(),
+            StdVfs::shared(),
+        )
+        .unwrap();
         for i in 0..50u64 {
             db.upsert(format!("key-{i}").as_bytes(), &i.to_le_bytes())
                 .unwrap();
@@ -162,7 +182,7 @@ fn hashdb_survives_torn_log_tail() {
     }
     tear_tail(dir.path(), "hybrid.log", 2);
 
-    let db = HashDb::open(dir.path(), cfg).unwrap();
+    let db = HashDb::open(dir.path(), cfg, Default::default(), StdVfs::shared()).unwrap();
     for i in 0..50u64 {
         assert_eq!(
             db.read(format!("key-{i}").as_bytes()).unwrap(),
@@ -178,7 +198,14 @@ fn aar_survives_torn_window_file_tail() {
     use flowkv::aar::AarStore;
     let dir = ScratchDir::new("crash-aar").unwrap();
     {
-        let mut s = AarStore::open(dir.path(), 1 << 20, 8, StoreMetrics::new_shared()).unwrap();
+        let mut s = AarStore::open(
+            dir.path(),
+            1 << 20,
+            8,
+            StoreMetrics::new_shared(),
+            StdVfs::shared(),
+        )
+        .unwrap();
         for i in 0..50u64 {
             s.append(format!("key-{i}").as_bytes(), w(0, 100), &i.to_le_bytes())
                 .unwrap();
@@ -191,7 +218,14 @@ fn aar_survives_torn_window_file_tail() {
 
     // The AAR read path reads sequentially; a torn tail surfaces as a
     // clean end of the drain at the last intact record.
-    let mut s = AarStore::open(dir.path(), 1 << 20, 8, StoreMetrics::new_shared()).unwrap();
+    let mut s = AarStore::open(
+        dir.path(),
+        1 << 20,
+        8,
+        StoreMetrics::new_shared(),
+        StdVfs::shared(),
+    )
+    .unwrap();
     let mut keys = Vec::new();
     loop {
         match s.get_window_chunk(w(0, 100)) {
@@ -330,7 +364,7 @@ fn aur_cfg() -> AurConfig {
 
 fn open_aur(dir: &Path, vfs: Arc<dyn Vfs>) -> AurStore {
     let predictor = EttPredictor::SessionGap { gap: 100 };
-    AurStore::open_with_vfs(dir, aur_cfg(), predictor, StoreMetrics::new_shared(), vfs).unwrap()
+    AurStore::open(dir, aur_cfg(), predictor, StoreMetrics::new_shared(), vfs).unwrap()
 }
 
 #[test]
@@ -376,7 +410,7 @@ fn open_aur_unspilled(dir: &Path, vfs: Arc<dyn Vfs>) -> (AurStore, Arc<StoreMetr
     };
     let predictor = EttPredictor::SessionGap { gap: 100 };
     let metrics = StoreMetrics::new_shared();
-    let store = AurStore::open_with_vfs(dir, cfg, predictor, Arc::clone(&metrics), vfs).unwrap();
+    let store = AurStore::open(dir, cfg, predictor, Arc::clone(&metrics), vfs).unwrap();
     (store, metrics)
 }
 
@@ -439,7 +473,7 @@ fn open_rmw(dir: &Path, vfs: Arc<dyn Vfs>) -> (RmwStore, Arc<StoreMetrics>) {
         max_space_amplification: 1.5,
     };
     let metrics = StoreMetrics::new_shared();
-    let store = RmwStore::open_with_vfs(dir, cfg, Arc::clone(&metrics), vfs).unwrap();
+    let store = RmwStore::open(dir, cfg, Arc::clone(&metrics), vfs).unwrap();
     (store, metrics)
 }
 
@@ -492,9 +526,8 @@ fn open_tiered(dir: &Path, vfs: Arc<dyn Vfs>) -> Tiered {
         telemetry: Some(Arc::clone(&telemetry)),
         io: None,
     };
-    let inner = FlowKvFactory::new(FlowKvConfig::small_for_tests()).with_vfs(Arc::clone(&vfs));
-    let store = TieredFactory::new(Arc::new(inner), TierConfig::new(0))
-        .with_vfs(vfs)
+    let inner = FlowKvFactory::new(FlowKvConfig::small_for_tests(), Arc::clone(&vfs));
+    let store = TieredFactory::new(Arc::new(inner), TierConfig::new(0), vfs)
         .create(&ctx)
         .unwrap();
     (store, telemetry)

@@ -319,7 +319,7 @@ impl WatchedRmw {
             max_space_amplification: 1.5,
         };
         let metrics = StoreMetrics::new_shared();
-        let store = RmwStore::open_with_vfs(dir.path(), cfg, metrics.clone(), vfs.clone());
+        let store = RmwStore::open(dir.path(), cfg, metrics.clone(), vfs.clone());
         Watched {
             store: store.unwrap(),
             memory_bytes: RmwStore::memory_bytes,
@@ -336,8 +336,7 @@ impl Watched<AurStore> {
         let vfs = FaultVfs::counting(StdVfs::shared());
         let metrics = StoreMetrics::new_shared();
         let predictor = EttPredictor::SessionGap { gap: 50 };
-        let store =
-            AurStore::open_with_vfs(dir.path(), cfg, predictor, metrics.clone(), vfs.clone());
+        let store = AurStore::open(dir.path(), cfg, predictor, metrics.clone(), vfs.clone());
         Watched {
             store: store.unwrap(),
             memory_bytes: AurStore::memory_bytes,

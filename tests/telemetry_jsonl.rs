@@ -14,6 +14,7 @@ use flowkv::{FlowKvConfig, FlowKvFactory};
 use flowkv_common::registry::StateRegistry;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::telemetry::{parse_json, validate_jsonl_line, Json};
+use flowkv_common::vfs::StdVfs;
 use flowkv_nexmark::{EventGenerator, GeneratorConfig, QueryId, QueryParams};
 use flowkv_spe::{run_job, RunOptions};
 
@@ -51,7 +52,10 @@ fn run_with_jsonl(
     opts.telemetry_interval = Duration::from_millis(25);
     opts.io_threads = io_threads;
     opts.registry = registry;
-    let factory = Arc::new(FlowKvFactory::new(FlowKvConfig::small_for_tests()));
+    let factory = Arc::new(FlowKvFactory::new(
+        FlowKvConfig::small_for_tests(),
+        StdVfs::shared(),
+    ));
     run_job(
         &job,
         EventGenerator::new(generator(events)).tuples(),
