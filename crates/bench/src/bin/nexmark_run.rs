@@ -14,8 +14,8 @@
 //!   [--trace-out=run.trace.json] [--trace-sample=1]`
 //!
 //! `--telemetry-out=` attaches the telemetry subsystem and streams
-//! periodic metric snapshots plus flight-recorder events (watermarks,
-//! checkpoint barriers, ETT predictions) to the given JSONL file.
+//! periodic registry snapshots (watermarks, checkpoint barriers, ETT
+//! prediction error, ...), one JSON object per line, to the given file.
 //!
 //! `--trace-out=` enables causal span tracing and writes a Chrome
 //! trace-event JSON file (load it at <https://ui.perfetto.dev> or feed

@@ -24,8 +24,8 @@
 //!   boundaries and the serving layer reads concurrently.
 //! - [`scratch`] — unique scratch directories for tests and benchmarks.
 //! - [`telemetry`] — the pipeline-wide metric registry (counters, gauges,
-//!   log-linear histograms), bounded-ring flight recorder, and the JSONL
-//!   and Prometheus exposition formats.
+//!   log-linear histograms) and its JSONL and Prometheus exposition
+//!   formats.
 //! - [`ioring`] — the per-worker background I/O pool and the read-ahead
 //!   lanes that run store reads on it through the [`vfs`] seam, used to
 //!   move predictable reads (prefetch, warm-up, snapshots) off the hot
@@ -60,8 +60,8 @@ pub use error::{Result, StoreError};
 pub use ioring::IoRing;
 pub use registry::{StateKey, StatePattern, StateRegistry, StateView, ViewValue};
 pub use telemetry::{
-    Counter, FlightRecorder, Gauge, Histogram, HistogramSnapshot, MetricRegistry, MetricSample,
-    SampleValue, Telemetry, TraceEvent,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricRegistry, MetricSample, SampleValue,
+    Telemetry,
 };
 pub use trace::{SpanRecorder, TraceCtx, TraceHandle, Tracer};
 pub use types::{Timestamp, Tuple, WindowId};

@@ -278,32 +278,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Element-wise difference since an earlier snapshot.
-    ///
-    /// Saturating: snapshots taken out of order (or a merged snapshot
-    /// diffed against a larger one) clamp to zero instead of panicking in
-    /// debug builds.
-    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            write_nanos: self.write_nanos.saturating_sub(earlier.write_nanos),
-            read_nanos: self.read_nanos.saturating_sub(earlier.read_nanos),
-            compaction_nanos: self
-                .compaction_nanos
-                .saturating_sub(earlier.compaction_nanos),
-            bytes_written: self.bytes_written.saturating_sub(earlier.bytes_written),
-            bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
-            records_written: self.records_written.saturating_sub(earlier.records_written),
-            records_read: self.records_read.saturating_sub(earlier.records_read),
-            prefetch_hits: self.prefetch_hits.saturating_sub(earlier.prefetch_hits),
-            prefetch_misses: self.prefetch_misses.saturating_sub(earlier.prefetch_misses),
-            prefetch_evictions: self
-                .prefetch_evictions
-                .saturating_sub(earlier.prefetch_evictions),
-            flushes: self.flushes.saturating_sub(earlier.flushes),
-            compactions: self.compactions.saturating_sub(earlier.compactions),
-        }
-    }
-
     /// Every counter as a `(name, value)` pair, in wire/display order.
     ///
     /// Shared by the serve-layer Prometheus renderer and anything else
@@ -450,23 +424,6 @@ mod tests {
         let sum = a.merged(&b);
         assert_eq!(sum.write_nanos, 15);
         assert_eq!(sum.read_nanos, 9);
-        assert_eq!(sum.since(&b), a);
-    }
-
-    #[test]
-    fn since_saturates_on_out_of_order_snapshots() {
-        let small = MetricsSnapshot {
-            write_nanos: 5,
-            ..MetricsSnapshot::default()
-        };
-        let large = MetricsSnapshot {
-            write_nanos: 10,
-            read_nanos: 3,
-            ..MetricsSnapshot::default()
-        };
-        let diff = small.since(&large);
-        assert_eq!(diff.write_nanos, 0);
-        assert_eq!(diff.read_nanos, 0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Pipeline-wide telemetry: metric registry, histograms, flight recorder.
+//! Pipeline-wide telemetry: metric registry and histograms.
 //!
 //! The store-level counters in [`crate::metrics`] attribute time and bytes
 //! to store operations, but the executor, the exchange, and the ETT
@@ -16,16 +16,14 @@
 //!   (`operator_busy_nanos{operator=count,partition=0}`), which keeps the
 //!   registry a flat string map while the Prometheus renderer recovers
 //!   proper label syntax.
-//! - [`FlightRecorder`] — a bounded ring of structured [`TraceEvent`]s
-//!   (predicted-vs-actual trigger times, etc.). When the ring is full the
-//!   oldest event is dropped and counted, never blocking the writer.
-//! - [`Telemetry`] — one registry plus one recorder plus a start instant,
-//!   shared by every thread of a running job via `Arc`.
+//! - [`Telemetry`] — one registry plus a start instant (and the job's
+//!   span tracer, when one is installed), shared by every thread of a
+//!   running job via `Arc`.
 //!
 //! Two exposition formats, both dependency-free:
 //!
-//! - JSONL ([`snapshot_json`] / [`event_json`]) — one JSON object per
-//!   line, written periodically by the executor when
+//! - JSONL ([`snapshot_json`]) — one registry snapshot per line,
+//!   written periodically by the executor when
 //!   `RunOptions::telemetry_out` is set. [`validate_jsonl_line`] is the
 //!   schema check CI runs against emitted files, and [`parse_json`] is a
 //!   minimal JSON reader tests use to inspect fields.
@@ -33,7 +31,7 @@
 //!   `crates/serve` and dumped by `flowkv-metrics-dump`.
 //!   [`validate_prometheus`] checks conformance line by line.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -89,8 +87,8 @@ const SUB_BITS: u32 = 5;
 const SUB: u64 = 1 << SUB_BITS;
 
 /// Bucket count: values `< 2*SUB` get one bucket each (exact), then 32
-/// sub-buckets for every exponent 6..=63.
-const NUM_BUCKETS: usize = (2 * SUB as usize) + (63 - 6 + 1) * SUB as usize;
+/// sub-buckets for every exponent 6..=63. No snapshot holds more.
+pub const NUM_BUCKETS: usize = (2 * SUB as usize) + (63 - 6 + 1) * SUB as usize;
 
 /// Maps a value to its bucket index.
 fn bucket_index(v: u64) -> usize {
@@ -174,16 +172,21 @@ impl Histogram {
             counts.pop();
         }
         let count = self.count.load(Ordering::Relaxed);
+        let max = self.max.load(Ordering::Relaxed);
+        // A `record` racing this copy may have counted its value but not
+        // yet moved `min` or `max`: bounding `min` by `max` keeps every
+        // snapshot `min <= max`, the one shape the wire decoder accepts.
+        let min = if count == 0 {
+            0
+        } else {
+            self.min.load(Ordering::Relaxed).min(max)
+        };
         HistogramSnapshot {
             counts,
             count,
             sum: self.sum.load(Ordering::Relaxed),
-            min: if count == 0 {
-                0
-            } else {
-                self.min.load(Ordering::Relaxed)
-            },
-            max: self.max.load(Ordering::Relaxed),
+            min,
+            max,
         }
     }
 }
@@ -228,10 +231,11 @@ impl HistogramSnapshot {
 
     /// The estimated `q`-quantile (`0.0 ..= 1.0`) of the recorded values.
     ///
-    /// Uses the nearest-rank definition on bucket midpoints and clamps the
+    /// Uses the nearest-rank definition on bucket midpoints and bounds the
     /// estimate into the exact observed `[min, max]`, so the relative
     /// error vs. the exact nearest-rank percentile is bounded by the
-    /// bucket width: at most 1/32 (~3.1%).
+    /// bucket width: at most 1/32 (~3.1%). Never panics: should `min`
+    /// exceed `max`, the estimate is `max`.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -239,9 +243,9 @@ impl HistogramSnapshot {
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for (idx, &c) in self.counts.iter().enumerate() {
-            seen += c;
+            seen = seen.saturating_add(c);
             if seen >= rank {
-                return bucket_value(idx).clamp(self.min, self.max);
+                return bucket_value(idx).max(self.min).min(self.max);
             }
         }
         self.max
@@ -384,78 +388,6 @@ pub enum SampleValue {
 }
 
 // ---------------------------------------------------------------------------
-// Flight recorder
-// ---------------------------------------------------------------------------
-
-/// One structured trace event.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Nanoseconds since [`Telemetry`] creation.
-    pub nanos: u64,
-    /// Event kind, e.g. `"ett"`.
-    pub kind: &'static str,
-    /// Free-form origin tag, e.g. `"median/p0"`.
-    pub tag: String,
-    /// Named integer payload fields.
-    pub fields: Vec<(&'static str, i64)>,
-}
-
-/// A bounded ring of [`TraceEvent`]s.
-///
-/// Full ring drops the oldest event (counted in `dropped`) rather than
-/// blocking or growing; the JSONL writer drains it periodically.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    ring: Mutex<VecDeque<TraceEvent>>,
-    capacity: usize,
-    dropped: AtomicU64,
-}
-
-/// Default flight-recorder capacity.
-pub const DEFAULT_RING_CAPACITY: usize = 8192;
-
-impl FlightRecorder {
-    /// Creates a recorder holding at most `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        FlightRecorder {
-            ring: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
-            capacity: capacity.max(1),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Appends an event, evicting the oldest when full.
-    pub fn record(&self, event: TraceEvent) {
-        let mut ring = self.ring.lock().unwrap();
-        if ring.len() >= self.capacity {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(event);
-    }
-
-    /// Removes and returns all buffered events.
-    pub fn drain(&self) -> Vec<TraceEvent> {
-        self.ring.lock().unwrap().drain(..).collect()
-    }
-
-    /// Number of currently buffered events.
-    pub fn len(&self) -> usize {
-        self.ring.lock().unwrap().len()
-    }
-
-    /// True when no events are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Telemetry handle
 // ---------------------------------------------------------------------------
 
@@ -463,7 +395,6 @@ impl FlightRecorder {
 #[derive(Debug)]
 pub struct Telemetry {
     registry: MetricRegistry,
-    recorder: FlightRecorder,
     epoch: Instant,
     trace: Mutex<Option<crate::trace::TraceHandle>>,
 }
@@ -475,16 +406,10 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// Creates a telemetry handle with the default ring capacity.
+    /// Creates a telemetry handle.
     pub fn new() -> Self {
-        Telemetry::with_ring_capacity(DEFAULT_RING_CAPACITY)
-    }
-
-    /// Creates a telemetry handle with an explicit ring capacity.
-    pub fn with_ring_capacity(capacity: usize) -> Self {
         Telemetry {
             registry: MetricRegistry::new(),
-            recorder: FlightRecorder::new(capacity),
             epoch: Instant::now(),
             trace: Mutex::new(None),
         }
@@ -500,24 +425,9 @@ impl Telemetry {
         &self.registry
     }
 
-    /// The flight recorder.
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
-    }
-
     /// Nanoseconds since this handle was created.
     pub fn now_nanos(&self) -> u64 {
         self.epoch.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-    }
-
-    /// Records a trace event stamped with [`Telemetry::now_nanos`].
-    pub fn event(&self, kind: &'static str, tag: &str, fields: Vec<(&'static str, i64)>) {
-        self.recorder.record(TraceEvent {
-            nanos: self.now_nanos(),
-            kind,
-            tag: tag.to_string(),
-            fields,
-        });
     }
 
     /// Installs the span tracer this job's threads, stores, and I/O
@@ -592,25 +502,6 @@ pub fn snapshot_json(seq: u64, uptime_ms: u64, samples: &[MetricSample]) -> Stri
                 ));
             }
         }
-    }
-    out.push_str("}}");
-    out
-}
-
-/// Renders one `{"type":"event",...}` JSONL line (no trailing newline).
-pub fn event_json(event: &TraceEvent) -> String {
-    let mut out = String::with_capacity(96);
-    out.push_str(&format!(
-        "{{\"type\":\"event\",\"kind\":\"{}\",\"tag\":\"",
-        event.kind
-    ));
-    out.push_str(&json_escape(&event.tag));
-    out.push_str(&format!("\",\"nanos\":{},\"fields\":{{", event.nanos));
-    for (i, (name, value)) in event.fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{value}"));
     }
     out.push_str("}}");
     out
@@ -887,71 +778,46 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
     Ok(value)
 }
 
-/// Validates one telemetry JSONL line against the emitted schema.
-///
-/// Accepted shapes:
-/// - `{"type":"snapshot","seq":N,"uptime_ms":N,"metrics":{name:{"kind":..},..}}`
-/// - `{"type":"event","kind":S,"tag":S,"nanos":N,"fields":{name:N,..}}`
+/// Validates one telemetry JSONL line against the emitted schema, whose
+/// one line type is
+/// `{"type":"snapshot","seq":N,"uptime_ms":N,"metrics":{name:{"kind":..},..}}`.
 pub fn validate_jsonl_line(line: &str) -> Result<(), String> {
     let doc = parse_json(line)?;
     let typ = doc
         .get("type")
         .and_then(Json::as_str)
         .ok_or("missing \"type\"")?;
-    match typ {
-        "snapshot" => {
-            doc.get("seq")
-                .and_then(Json::as_f64)
-                .ok_or("snapshot missing numeric \"seq\"")?;
-            doc.get("uptime_ms")
-                .and_then(Json::as_f64)
-                .ok_or("snapshot missing numeric \"uptime_ms\"")?;
-            let metrics = doc
-                .get("metrics")
-                .and_then(Json::as_obj)
-                .ok_or("snapshot missing object \"metrics\"")?;
-            for (name, value) in metrics {
-                let kind = value
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("metric {name:?} missing \"kind\""))?;
-                let required: &[&str] = match kind {
-                    "counter" | "gauge" => &["value"],
-                    "histogram" => &["count", "sum", "min", "max", "p50", "p90", "p99"],
-                    other => return Err(format!("metric {name:?} has unknown kind {other:?}")),
-                };
-                for field in required {
-                    value
-                        .get(field)
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| format!("metric {name:?} missing numeric {field:?}"))?;
-                }
-            }
-            Ok(())
-        }
-        "event" => {
-            doc.get("kind")
-                .and_then(Json::as_str)
-                .ok_or("event missing string \"kind\"")?;
-            doc.get("tag")
-                .and_then(Json::as_str)
-                .ok_or("event missing string \"tag\"")?;
-            doc.get("nanos")
-                .and_then(Json::as_f64)
-                .ok_or("event missing numeric \"nanos\"")?;
-            let fields = doc
-                .get("fields")
-                .and_then(Json::as_obj)
-                .ok_or("event missing object \"fields\"")?;
-            for (name, value) in fields {
-                value
-                    .as_f64()
-                    .ok_or_else(|| format!("event field {name:?} is not a number"))?;
-            }
-            Ok(())
-        }
-        other => Err(format!("unknown line type {other:?}")),
+    if typ != "snapshot" {
+        return Err(format!("unknown line type {typ:?}"));
     }
+    doc.get("seq")
+        .and_then(Json::as_f64)
+        .ok_or("snapshot missing numeric \"seq\"")?;
+    doc.get("uptime_ms")
+        .and_then(Json::as_f64)
+        .ok_or("snapshot missing numeric \"uptime_ms\"")?;
+    let metrics = doc
+        .get("metrics")
+        .and_then(Json::as_obj)
+        .ok_or("snapshot missing object \"metrics\"")?;
+    for (name, value) in metrics {
+        let kind = value
+            .get("kind")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("metric {name:?} missing \"kind\""))?;
+        let required: &[&str] = match kind {
+            "counter" | "gauge" => &["value"],
+            "histogram" => &["count", "sum", "min", "max", "p50", "p90", "p99"],
+            other => return Err(format!("metric {name:?} has unknown kind {other:?}")),
+        };
+        for field in required {
+            value
+                .get(field)
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("metric {name:?} missing numeric {field:?}"))?;
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1313,24 +1179,6 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_bounds_and_counts_drops() {
-        let rec = FlightRecorder::new(3);
-        for i in 0..5 {
-            rec.record(TraceEvent {
-                nanos: i,
-                kind: "t",
-                tag: String::new(),
-                fields: vec![("i", i as i64)],
-            });
-        }
-        assert_eq!(rec.dropped(), 2);
-        let events = rec.drain();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].nanos, 2);
-        assert!(rec.is_empty());
-    }
-
-    #[test]
     fn jsonl_lines_validate_and_parse() {
         let telemetry = Telemetry::new();
         telemetry
@@ -1342,7 +1190,6 @@ mod tests {
         for v in [10u64, 20, 30, 1000] {
             h.record(v);
         }
-        telemetry.event("ett", "agg/p0", vec![("predicted", 100), ("actual", 140)]);
 
         let line = snapshot_json(3, 250, &telemetry.registry().snapshot());
         validate_jsonl_line(&line).unwrap();
@@ -1351,15 +1198,6 @@ mod tests {
         let metrics = doc.get("metrics").unwrap();
         let ops = metrics.get("ops{operator=agg,partition=0}").unwrap();
         assert_eq!(ops.get("value").and_then(Json::as_i64), Some(7));
-
-        for event in telemetry.recorder().drain() {
-            let line = event_json(&event);
-            validate_jsonl_line(&line).unwrap();
-            let doc = parse_json(&line).unwrap();
-            assert_eq!(doc.get("kind").and_then(Json::as_str), Some("ett"));
-            let fields = doc.get("fields").unwrap();
-            assert_eq!(fields.get("actual").and_then(Json::as_i64), Some(140));
-        }
     }
 
     #[test]
@@ -1375,7 +1213,7 @@ mod tests {
         assert!(validate_jsonl_line(
             "{\"type\":\"event\",\"kind\":\"e\",\"tag\":\"\",\"nanos\":1,\"fields\":{}}"
         )
-        .is_ok());
+        .is_err());
     }
 
     #[test]

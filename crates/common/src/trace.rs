@@ -1,14 +1,14 @@
 //! Causal span tracing with Chrome-trace export and critical-path
 //! latency attribution.
 //!
-//! The telemetry registry (PR 3) answers *how much* — counters and
-//! histograms aggregated over a run. This module answers *where the
-//! time went* for an individual tuple batch: a sampled batch carries a
-//! [`TraceCtx`] from the source through exchange, operator `on_batch`,
-//! every store call, and (via submission tagging) into background
-//! [`ioring`](crate::ioring) jobs, so a p999 spike decomposes into
-//! queue wait, compute, store reads, prefetch-miss stalls, barrier
-//! alignment, and exchange backpressure.
+//! The telemetry registry ([`crate::telemetry`]) answers *how much* —
+//! counters and histograms aggregated over a run. This module answers
+//! *where the time went* for an individual tuple batch: a sampled
+//! batch carries a [`TraceCtx`] from the source through exchange,
+//! operator `on_batch`, every store call, and (via submission tagging)
+//! into background [`ioring`](crate::ioring) jobs, so a p999 spike
+//! decomposes into queue wait, compute, store reads, prefetch-miss
+//! stalls, barrier alignment, and exchange backpressure.
 //!
 //! Design rules, in decreasing order of importance:
 //!
@@ -16,11 +16,9 @@
 //!    installed *and* the batch was sampled; untraced calls cost one
 //!    thread-local read.
 //! 2. **One clock, per-thread rings.** Every [`SpanRecorder`] shares
-//!    the tracer's monotonic epoch but owns its ring
-//!    (the same bounded-ring discipline as
-//!    [`FlightRecorder`](crate::telemetry::FlightRecorder): oldest
+//!    the tracer's monotonic epoch but owns a bounded ring: oldest
 //!    events drop first, drops are counted, never blocking the hot
-//!    path on a global lock).
+//!    path on a global lock.
 //! 3. **Timestamps never cross threads.** A begin/end span measures
 //!    work on the recording thread only, so timestamps are monotone
 //!    per tid by construction. Cross-thread intervals (channel queue
@@ -1296,19 +1294,10 @@ pub fn render_attribution(a: &Attribution) -> String {
     out
 }
 
-/// Dumps post-mortem context to stderr as JSONL: the flight-recorder
-/// ring, then every open span. Called by the supervisor when a worker
-/// panic is caught so the last moments of the job are not discarded.
+/// Dumps post-mortem context to stderr as JSONL: every open span.
+/// Called by the supervisor when a worker panic is caught so the last
+/// moments of the job are not discarded.
 pub fn dump_crash_context(telemetry: &Telemetry) {
-    let events = telemetry.recorder().drain();
-    eprintln!(
-        "{{\"crash_dump\":\"flight_recorder\",\"events\":{},\"dropped\":{}}}",
-        events.len(),
-        telemetry.recorder().dropped()
-    );
-    for ev in &events {
-        eprintln!("{}", crate::telemetry::event_json(ev));
-    }
     if let Some(handle) = telemetry.trace() {
         let open = handle.tracer.open_spans();
         eprintln!("{{\"crash_dump\":\"open_spans\",\"count\":{}}}", open.len());

@@ -171,13 +171,10 @@ struct BatchRead {
     windows: Vec<WindowRead>,
 }
 
-/// Telemetry handles for predicted-vs-actual trigger-time accounting,
+/// Registry handles for predicted-vs-actual trigger-time accounting,
 /// resolved once at store open so consuming a window costs only atomic
-/// updates plus one ring append.
+/// updates.
 struct EttProbe {
-    telemetry: Arc<Telemetry>,
-    /// Flight-recorder tag, `operator/p<N>` of the owning partition.
-    tag: String,
     /// Histogram of `|actual - predicted|` in event-time milliseconds.
     abs_error_ms: Arc<Histogram>,
     /// Consumed windows that carried a trigger-time estimate.
@@ -187,7 +184,7 @@ struct EttProbe {
 }
 
 impl EttProbe {
-    fn new(telemetry: Arc<Telemetry>, tag: &str) -> Self {
+    fn new(telemetry: &Telemetry, tag: &str) -> Self {
         let registry = telemetry.registry();
         EttProbe {
             abs_error_ms: registry.histogram(&format!("store_ett_abs_error_ms{{store={tag}}}")),
@@ -195,29 +192,15 @@ impl EttProbe {
             unsafe_predictions: registry.counter(&format!(
                 "store_ett_unsafe_predictions_total{{store={tag}}}"
             )),
-            tag: tag.to_string(),
-            telemetry,
         }
     }
 
-    fn observe(&self, window: WindowId, obs: EttObservation, from_prefetch: bool) {
+    fn observe(&self, obs: EttObservation) {
         self.observations.inc();
         self.abs_error_ms.record(obs.abs_error() as u64);
         if !obs.was_safe() {
             self.unsafe_predictions.inc();
         }
-        self.telemetry.event(
-            "ett",
-            &self.tag,
-            vec![
-                ("window_start", window.start),
-                ("window_end", window.end),
-                ("predicted", obs.predicted),
-                ("actual", obs.actual),
-                ("error", obs.error()),
-                ("from_prefetch", i64::from(from_prefetch)),
-            ],
-        );
     }
 }
 
@@ -254,13 +237,14 @@ impl AurStore {
         })
     }
 
-    /// Enables predicted-vs-actual trigger-time telemetry, tagging
-    /// metrics and flight events with `tag` (typically `operator/p<N>`).
+    /// Enables the `store_ett_*` (predicted-vs-actual trigger time) and
+    /// `prefetch_*` metric families, labelled `{store=tag}` (typically
+    /// `operator/p<N>`).
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>, tag: &str) {
         let probe = PrefetchProbe::new(&telemetry, tag);
         self.lane.set_probe(probe.clone());
         self.prefetch_probe = Some(probe);
-        self.ett_probe = Some(EttProbe::new(telemetry, tag));
+        self.ett_probe = Some(EttProbe::new(&telemetry, tag));
     }
 
     /// Attaches the worker's background I/O ring: predictive
@@ -330,7 +314,7 @@ impl AurStore {
                             p.timeliness_ms.record(obs.abs_error() as u64);
                         }
                     }
-                    probe.observe(window, obs, from_prefetch);
+                    probe.observe(obs);
                 }
                 self.data.retire(lw.disk_bytes);
                 lw.lend(&mut |value| {
@@ -774,6 +758,7 @@ fn rebuild_record(
 mod tests {
     use super::*;
     use flowkv_common::scratch::ScratchDir;
+    use flowkv_common::telemetry::SampleValue;
     use flowkv_common::vfs::StdVfs;
 
     fn cfg_small() -> AurConfig {
@@ -1131,31 +1116,30 @@ mod tests {
         s.append(b"other", w(0, 1000), b"v", 150).unwrap();
         s.take(b"k", w(0, 1000)).unwrap();
 
-        let events = telemetry.recorder().drain();
-        assert_eq!(events.len(), 1);
-        let event = &events[0];
-        assert_eq!(event.kind, "ett");
-        assert_eq!(event.tag, "median/p0");
-        let field = |name: &str| {
-            event
-                .fields
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, v)| *v)
-                .unwrap()
-        };
-        assert_eq!(field("predicted"), 110);
-        assert_eq!(field("actual"), 150);
-        assert_eq!(field("error"), 40);
-
+        // One observation, |150 - 110| = 40, and a safe one: the window
+        // triggered after its estimate.
         let samples = telemetry.registry().snapshot();
-        let observations = samples
-            .iter()
-            .find(|s| s.name == "store_ett_observations_total{store=median/p0}")
-            .unwrap();
+        let value = |name: &str| {
+            let name = format!("{name}{{store=median/p0}}");
+            samples
+                .iter()
+                .find(|s| s.name == name)
+                .map(|s| s.value.clone())
+                .unwrap_or_else(|| panic!("{name} is not registered"))
+        };
+        match value("store_ett_abs_error_ms") {
+            SampleValue::Histogram(h) => {
+                assert_eq!((h.count, h.sum, h.min, h.max), (1, 40, 40, 40));
+            }
+            other => panic!("store_ett_abs_error_ms is {other:?}"),
+        }
         assert_eq!(
-            observations.value,
-            flowkv_common::telemetry::SampleValue::Counter(1)
+            value("store_ett_observations_total"),
+            SampleValue::Counter(1)
+        );
+        assert_eq!(
+            value("store_ett_unsafe_predictions_total"),
+            SampleValue::Counter(0)
         );
     }
 
@@ -1702,7 +1686,7 @@ mod tests {
         let name = format!("{name}{{store=t/p0}}");
         let samples = telemetry.registry().snapshot();
         match samples.iter().find(|s| s.name == name).map(|s| &s.value) {
-            Some(flowkv_common::telemetry::SampleValue::Counter(v)) => *v,
+            Some(SampleValue::Counter(v)) => *v,
             _ => panic!("{name} is not a registered counter"),
         }
     }

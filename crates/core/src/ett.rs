@@ -81,8 +81,8 @@ impl EttPredictor {
 /// The AUR store emits one observation per consumed window that carried
 /// an estimate: `predicted` is the Stat table's ETT at consume time and
 /// `actual` is the store's view of stream time when the read happened.
-/// The flight recorder turns these into `"ett"` trace events so prefetch
-/// error distributions can be computed offline from the JSONL record.
+/// Each one is recorded in the `store_ett_*` metric families, from
+/// which the JSONL snapshots carry the error distribution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EttObservation {
     /// The estimated trigger time.

@@ -167,9 +167,10 @@ impl FlowKvStore {
     }
 
     /// Wires a job-wide telemetry handle into the AAR and AUR instances,
-    /// so prefetch accuracy and predicted-vs-actual trigger times flow
-    /// into the flight recorder. `tag` labels the emitting partition,
-    /// `operator/p<N>`; instance `j` reports as `tag/inst<j>`.
+    /// so prefetch accuracy (`prefetch_*`) and predicted-vs-actual
+    /// trigger times (`store_ett_*`) are recorded in its registry. `tag`
+    /// labels the emitting partition, `operator/p<N>`; instance `j`
+    /// reports as `{store=tag/inst<j>}`.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>, tag: &str) {
         let tag_of = |j: usize| format!("{tag}/inst{j}");
         match &mut self.inner {

@@ -225,7 +225,6 @@ struct TierCounters {
     promoted_rows: Arc<Counter>,
     cold_bytes_written: Arc<Counter>,
     uncompressed_bytes: Arc<Counter>,
-    cold_blocks: Arc<Counter>,
     compactions: Arc<Counter>,
     compaction_reclaimed: Arc<Counter>,
     prefetch_submitted: Arc<Counter>,
@@ -249,7 +248,6 @@ impl TierCounters {
             promoted_rows: reg.counter("tier_promoted_rows_total"),
             cold_bytes_written: reg.counter("tier_cold_bytes_written_total"),
             uncompressed_bytes: reg.counter("tier_uncompressed_bytes_total"),
-            cold_blocks: reg.counter("tier_cold_blocks_total"),
             compactions: reg.counter("tier_compactions_total"),
             compaction_reclaimed: reg.counter("tier_compaction_reclaimed_bytes_total"),
             prefetch_submitted: reg.counter("tier_prefetch_submitted_total"),
@@ -432,7 +430,6 @@ impl TieredStore {
         self.counters.demotions.inc();
         self.counters.demoted_rows.add(u64::from(rows));
         self.counters.uncompressed_bytes.add(plain_bytes as u64);
-        self.counters.cold_blocks.inc();
         self.counters.cold_bytes_written.add(blob.len() as u64);
         self.store_metrics.add_bytes_written(at.disk_len());
         Ok(())

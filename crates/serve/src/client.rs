@@ -23,7 +23,6 @@ use flowkv_common::error::{Result, StoreError};
 use flowkv_common::metrics::MetricsSnapshot;
 use flowkv_common::registry::{StatePattern, ViewValue};
 use flowkv_common::telemetry::MetricSample;
-use flowkv_common::trace::AttributionRow;
 use flowkv_common::types::{Timestamp, WindowId};
 
 use crate::protocol::{
@@ -77,17 +76,6 @@ pub struct MetricsResult {
     pub watermark: Timestamp,
     /// Summed store counters.
     pub metrics: MetricsSnapshot,
-}
-
-/// A latency-attribution answer: the server-side trace table.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceSummary {
-    /// Sampled batches the table aggregates.
-    pub traces: u64,
-    /// One row per stage, in [`flowkv_common::trace::STAGES`] order.
-    pub rows: Vec<AttributionRow>,
-    /// End-to-end totals.
-    pub total: AttributionRow,
 }
 
 /// Blocking connection to a [`StateServer`](crate::server::StateServer).
@@ -346,25 +334,6 @@ impl StateClient {
     pub fn prometheus(&mut self) -> Result<String> {
         match self.call(&Request::Prometheus)? {
             Response::PrometheusText(text) => Ok(text),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Fetches the job's latency-attribution table. With `drain` set the
-    /// server empties its span rings, so the next summary covers only
-    /// batches traced after this call. All-zero when the job is
-    /// untraced.
-    pub fn trace_summary(&mut self, drain: bool) -> Result<TraceSummary> {
-        match self.call(&Request::TraceSummary { drain })? {
-            Response::TraceSummaryReport {
-                traces,
-                rows,
-                total,
-            } => Ok(TraceSummary {
-                traces,
-                rows,
-                total,
-            }),
             other => Err(unexpected(&other)),
         }
     }

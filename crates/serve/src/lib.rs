@@ -37,8 +37,6 @@ mod poll;
 pub mod protocol;
 pub mod server;
 
-pub use client::{
-    LookupBatchResult, LookupResult, MetricsResult, ScanResult, StateClient, TraceSummary,
-};
+pub use client::{LookupBatchResult, LookupResult, MetricsResult, ScanResult, StateClient};
 pub use protocol::{ErrorCode, Request, Response, ScanEntry, ScanFilter, StateInfo, MAX_FRAME};
 pub use server::{route_key, ServerBuilder, StateServer};

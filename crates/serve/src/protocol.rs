@@ -32,8 +32,7 @@ use flowkv_common::codec::{put_len_prefixed, put_u32, put_varint_u64, Decoder};
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::metrics::MetricsSnapshot;
 use flowkv_common::registry::{StateDescriptor, StateKey, StatePattern, ViewValue};
-use flowkv_common::telemetry::{HistogramSnapshot, MetricSample, SampleValue};
-use flowkv_common::trace::AttributionRow;
+use flowkv_common::telemetry::{HistogramSnapshot, MetricSample, SampleValue, NUM_BUCKETS};
 use flowkv_common::types::{Timestamp, WindowId};
 
 /// Upper bound on one frame's payload (request id + opcode + body), in
@@ -331,8 +330,21 @@ fn get_sample(dec: &mut Decoder<'_>) -> Result<MetricSample> {
             let sum = dec.get_u64()?;
             let min = dec.get_u64()?;
             let max = dec.get_u64()?;
+            let counts = get_list(dec, "bucket", |dec| Ok(dec.get_varint_u64()?))?;
+            // Only shapes `Histogram::snapshot` can take decode: more
+            // buckets than a histogram has, or a non-empty one whose `min`
+            // exceeds its `max`, is a protocol error.
+            if counts.len() > NUM_BUCKETS {
+                return Err(proto_err(format!(
+                    "histogram of {} buckets, at most {NUM_BUCKETS}",
+                    counts.len()
+                )));
+            }
+            if count > 0 && min > max {
+                return Err(proto_err(format!("histogram min {min} above max {max}")));
+            }
             SampleValue::Histogram(HistogramSnapshot {
-                counts: get_list(dec, "bucket", |dec| Ok(dec.get_varint_u64()?))?,
+                counts,
                 count,
                 sum,
                 min,
@@ -438,13 +450,6 @@ pub enum Request {
     /// The server's full telemetry registry rendered as Prometheus text
     /// exposition format 0.0.4.
     Prometheus,
-    /// The latency-attribution table computed from the job's span tracer
-    /// ([`flowkv_common::trace`]).
-    TraceSummary {
-        /// Also drain the tracer's span rings, so the next summary
-        /// covers only batches traced after this one.
-        drain: bool,
-    },
 }
 
 const OP_PING: u8 = 0x01;
@@ -452,7 +457,6 @@ const OP_LIST: u8 = 0x02;
 const OP_LOOKUP: u8 = 0x03;
 const OP_METRICS: u8 = 0x05;
 const OP_PROMETHEUS: u8 = 0x06;
-const OP_TRACE_SUMMARY: u8 = 0x07;
 const OP_LOOKUP_MANY: u8 = 0x08;
 const OP_SCAN_FILTERED: u8 = 0x09;
 
@@ -511,10 +515,6 @@ impl Request {
                 buf.push(u8::from(*include_registry));
             }
             Request::Prometheus => buf.push(OP_PROMETHEUS),
-            Request::TraceSummary { drain } => {
-                buf.push(OP_TRACE_SUMMARY);
-                buf.push(u8::from(*drain));
-            }
         }
         buf
     }
@@ -553,9 +553,6 @@ impl Request {
                 include_registry: get_flag(&mut dec, "registry flag")?,
             },
             OP_PROMETHEUS => Request::Prometheus,
-            OP_TRACE_SUMMARY => Request::TraceSummary {
-                drain: get_flag(&mut dec, "drain flag")?,
-            },
             other => return Err(proto_err(format!("unknown request opcode {other:#x}"))),
         };
         if !dec.is_empty() {
@@ -696,16 +693,6 @@ pub enum Response {
     /// Answer to [`Request::Prometheus`]: the registry in Prometheus
     /// text exposition format 0.0.4.
     PrometheusText(String),
-    /// Answer to [`Request::TraceSummary`]: the per-stage
-    /// latency-attribution table. All-zero when the job runs untraced.
-    TraceSummaryReport {
-        /// Sampled batches the table aggregates.
-        traces: u64,
-        /// One row per stage, in [`flowkv_common::trace::STAGES`] order.
-        rows: Vec<AttributionRow>,
-        /// End-to-end totals across stages.
-        total: AttributionRow,
-    },
     /// The request failed.
     Error {
         /// Machine-readable reason.
@@ -721,7 +708,6 @@ const OP_VALUE: u8 = 0x83;
 const OP_SCAN_RESULT: u8 = 0x84;
 const OP_METRICS_REPORT: u8 = 0x85;
 const OP_PROM_TEXT: u8 = 0x86;
-const OP_TRACE_SUMMARY_REPORT: u8 = 0x87;
 const OP_VALUE_BATCH: u8 = 0x88;
 const OP_ERROR: u8 = 0xee;
 
@@ -750,31 +736,6 @@ fn get_state_info(dec: &mut Decoder<'_>) -> Result<StateInfo> {
         entries: dec.get_u64()?,
         ttl_ms: get_opt(dec, "ttl flag", |dec| Ok(dec.get_u64()?))?,
     })
-}
-
-fn put_attr_row(buf: &mut Vec<u8>, row: &AttributionRow) {
-    put_str(buf, &row.stage);
-    for v in [row.count, row.p50, row.p99, row.p999, row.total_nanos] {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn get_attr_row(dec: &mut Decoder<'_>) -> Result<AttributionRow> {
-    let stage = get_str(dec)?;
-    let mut row = AttributionRow {
-        stage,
-        ..AttributionRow::default()
-    };
-    for field in [
-        &mut row.count,
-        &mut row.p50,
-        &mut row.p99,
-        &mut row.p999,
-        &mut row.total_nanos,
-    ] {
-        *field = dec.get_u64()?;
-    }
-    Ok(row)
 }
 
 impl Response {
@@ -841,16 +802,6 @@ impl Response {
                 buf.push(OP_PROM_TEXT);
                 put_str(&mut buf, text);
             }
-            Response::TraceSummaryReport {
-                traces,
-                rows,
-                total,
-            } => {
-                buf.push(OP_TRACE_SUMMARY_REPORT);
-                buf.extend_from_slice(&traces.to_le_bytes());
-                put_list(&mut buf, rows, put_attr_row);
-                put_attr_row(&mut buf, total);
-            }
             Response::Error { code, message } => {
                 buf.push(OP_ERROR);
                 buf.push(code.as_u8());
@@ -896,11 +847,6 @@ impl Response {
                 registry: get_list(&mut dec, "sample", get_sample)?,
             },
             OP_PROM_TEXT => Response::PrometheusText(get_str(&mut dec)?),
-            OP_TRACE_SUMMARY_REPORT => Response::TraceSummaryReport {
-                traces: dec.get_u64()?,
-                rows: get_list(&mut dec, "trace row", get_attr_row)?,
-                total: get_attr_row(&mut dec)?,
-            },
             OP_ERROR => Response::Error {
                 code: ErrorCode::from_u8(dec.take(1, "error code")?[0])?,
                 message: get_str(&mut dec)?,
@@ -983,6 +929,43 @@ mod tests {
         assert_eq!(Request::decode(body).unwrap(), Request::Ping);
         // A payload with no room for an opcode after the id is no frame.
         assert!(split_request_id(&[0u8; REQUEST_ID]).is_err());
+    }
+
+    #[test]
+    fn a_histogram_no_snapshot_can_take_is_refused() {
+        let report = |h: &HistogramSnapshot| {
+            Response::MetricsReport {
+                pattern: StatePattern::Rmw,
+                partitions: 1,
+                entries: 0,
+                watermark: 0,
+                metrics: MetricsSnapshot::default(),
+                registry: vec![MetricSample {
+                    name: "h".into(),
+                    value: SampleValue::Histogram(h.clone()),
+                }],
+            }
+            .encode()
+        };
+        let crafted = HistogramSnapshot {
+            counts: vec![1],
+            count: 1,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        };
+        assert!(Response::decode(&report(&crafted)).is_err());
+        let wide = HistogramSnapshot {
+            counts: vec![1; NUM_BUCKETS + 1],
+            count: NUM_BUCKETS as u64 + 1,
+            ..HistogramSnapshot::default()
+        };
+        assert!(Response::decode(&report(&wide)).is_err());
+        // Built in-process, the crafted shape still answers every
+        // quantile, bounded by its `max`.
+        for q in [0.0, 0.5, 1.0] {
+            assert_eq!(crafted.quantile(q), 0);
+        }
     }
 
     #[test]

@@ -26,7 +26,6 @@ use flowkv_common::registry::{StateKey, StatePattern, StateRegistry};
 use flowkv_common::telemetry::{
     self, Counter, Gauge, Histogram, MetricSample, SampleValue, Telemetry,
 };
-use flowkv_common::trace::{self, TraceHandle};
 use flowkv_common::types::{Timestamp, MAX_TIMESTAMP};
 
 use crate::protocol::{
@@ -126,7 +125,6 @@ pub struct ServerBuilder {
     addrs: std::io::Result<Vec<SocketAddr>>,
     registry: Arc<StateRegistry>,
     telemetry: Option<Arc<Telemetry>>,
-    trace: Option<TraceHandle>,
     max_connections: usize,
     read_timeout: Option<Duration>,
 }
@@ -139,7 +137,6 @@ impl ServerBuilder {
             addrs: addr.to_socket_addrs().map(|it| it.collect()),
             registry,
             telemetry: None,
-            trace: None,
             max_connections: DEFAULT_MAX_CONNECTIONS,
             read_timeout: None,
         }
@@ -149,14 +146,6 @@ impl ServerBuilder {
     /// and registers the server's own `serve_*` probes in it.
     pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Attaches a span tracer, served by the trace-summary opcode. The
-    /// handle is installed into the server's telemetry (which is created
-    /// if none was given).
-    pub fn tracer(mut self, handle: TraceHandle) -> Self {
-        self.trace = Some(handle);
         self
     }
 
@@ -192,20 +181,12 @@ impl ServerBuilder {
             .local_addr()
             .map_err(|e| StoreError::io("state server local_addr", e))?;
         let poller = crate::poll::Poller::new()?;
-        let telemetry = match (self.telemetry, self.trace) {
-            (telemetry, Some(handle)) => {
-                let t = telemetry.unwrap_or_else(Telemetry::new_shared);
-                t.set_trace(handle);
-                Some(t)
-            }
-            (telemetry, None) => telemetry,
-        };
-        let probes = telemetry.as_deref().map(ServeProbes::new);
+        let probes = self.telemetry.as_deref().map(ServeProbes::new);
         let stop = Arc::new(AtomicBool::new(false));
         let served = Arc::new(AtomicU64::new(0));
         let shared = Arc::new(ServeShared {
             registry: self.registry,
-            telemetry,
+            telemetry: self.telemetry,
             served: Arc::clone(&served),
             probes,
         });
@@ -458,26 +439,6 @@ pub(crate) fn answer(
         Request::Prometheus => {
             let samples = prometheus_samples(registry, telemetry);
             Response::PrometheusText(telemetry::render_prometheus(&samples))
-        }
-        Request::TraceSummary { drain } => {
-            // An untraced job answers with an empty (all-zero) table
-            // rather than an error: clients can poll unconditionally.
-            let threads = telemetry
-                .and_then(|t| t.trace())
-                .map(|h| {
-                    if drain {
-                        h.tracer.drain()
-                    } else {
-                        h.tracer.snapshot()
-                    }
-                })
-                .unwrap_or_default();
-            let a = trace::attribution(&trace::flatten(&threads));
-            Response::TraceSummaryReport {
-                traces: a.traces,
-                rows: a.rows,
-                total: a.total,
-            }
         }
     }
 }
@@ -804,46 +765,6 @@ mod tests {
         let (epoch, watermark, keys) = scan(&registry, ScanFilter::range(0, 50, 10));
         assert_eq!(keys.len(), 4);
         assert_eq!((epoch, watermark), (4, 400));
-    }
-
-    #[test]
-    fn trace_summary_of_an_untraced_server_is_all_zero() {
-        let registry = StateRegistry::new_shared();
-        let resp = answer(&registry, None, Request::TraceSummary { drain: false });
-        match resp {
-            Response::TraceSummaryReport {
-                traces,
-                rows,
-                total,
-            } => {
-                assert_eq!(traces, 0);
-                assert_eq!(rows.len(), trace::STAGES.len());
-                assert!(rows.iter().all(|r| r.count == 0 && r.total_nanos == 0));
-                assert_eq!(total.total_nanos, 0);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
-    }
-
-    #[test]
-    fn trace_summary_drain_empties_the_tracer() {
-        let registry = StateRegistry::new_shared();
-        let telemetry = Telemetry::new_shared();
-        let tracer = trace::Tracer::new();
-        telemetry.set_trace(trace::TraceHandle {
-            tracer: Arc::clone(&tracer),
-            pid: 0,
-        });
-        let rec = tracer.thread(0, "worker");
-        let span = rec.begin("on_batch", "compute", None);
-        rec.end(span, "on_batch", "compute");
-        assert_eq!(tracer.snapshot()[0].events.len(), 2);
-        let _ = answer(
-            &registry,
-            Some(&telemetry),
-            Request::TraceSummary { drain: true },
-        );
-        assert!(tracer.snapshot().iter().all(|t| t.events.is_empty()));
     }
 
     #[test]

@@ -126,13 +126,13 @@ pub struct RunOptions {
     /// Shared telemetry hub. When set, every worker records per-operator
     /// busy/idle time, queue depth, backpressure-stall time, batch fill,
     /// watermark lag, and checkpoint-barrier alignment time into its
-    /// registry, and the state stores emit flight-recorder events (e.g.
-    /// predicted-vs-actual trigger times). `None` (the default) skips
-    /// every probe — the hot path carries only untaken `if let None`
-    /// branches.
+    /// registry, and the state stores record theirs (e.g. the
+    /// `store_ett_*` predicted-vs-actual trigger times). `None` (the
+    /// default) skips every probe — the hot path carries only untaken
+    /// `if let None` branches.
     pub telemetry: Option<Arc<Telemetry>>,
-    /// Stream telemetry as JSONL to this file: periodic registry
-    /// snapshots plus drained flight-recorder events (see
+    /// Stream telemetry as JSONL to this file: one registry snapshot per
+    /// line, periodically and once more at the end of the run (see
     /// `flowkv_common::telemetry::validate_jsonl_line` for the schema).
     /// A fresh hub is created when `telemetry` is unset.
     pub telemetry_out: Option<PathBuf>,
@@ -167,9 +167,9 @@ pub struct RunOptions {
     /// seed to prove ordering independence. `None` in production.
     pub io_shuffle_seed: Option<u64>,
     /// Shared span tracer (see `flowkv_common::trace`). Set by callers
-    /// that want to observe the trace while the job runs (the serving
-    /// layer snapshots it live). When unset but `trace_sample` or
-    /// `trace_out` is set, the run creates a private tracer.
+    /// that read the trace after the run (the benchmark attributes its
+    /// stages with `trace::attribution`). When unset but `trace_sample`
+    /// or `trace_out` is set, the run creates a private tracer.
     pub trace: Option<Arc<flowkv_common::trace::Tracer>>,
     /// Causal-trace sampling: every `trace_sample`-th sealed source
     /// batch carries a trace context through exchange, operators,
@@ -954,9 +954,9 @@ pub(crate) fn run_job_inner(
         drop(receivers);
         drop(senders);
 
-        // JSONL telemetry writer: periodic registry snapshots interleaved
-        // with drained flight-recorder events, plus one final snapshot when
-        // the run ends. Best-effort — a full disk never fails the job.
+        // JSONL telemetry writer: periodic registry snapshots, plus one
+        // final snapshot when the run ends. Best-effort — a full disk
+        // never fails the job.
         let writer_handle = ctx
             .telemetry
             .as_deref()
@@ -1027,8 +1027,10 @@ pub(crate) fn run_job_inner(
         }
         writer_stop.store(true, Ordering::Relaxed);
         if let Some(w) = writer_handle {
-            if let Ok(Err(e)) = w.join() {
-                eprintln!("telemetry writer failed: {e}");
+            match w.join() {
+                Ok(Ok(())) => {}
+                Ok(Err(e)) => eprintln!("telemetry writer failed: {e}"),
+                Err(_) => eprintln!("telemetry writer panicked"),
             }
         }
         // Exported before any error return — the trace of a failed run
@@ -1327,10 +1329,9 @@ fn run_sink(run: RunShared<'_>, n: usize, rx: Receiver<Envelope>) -> SinkReport 
     report
 }
 
-/// The body of the `spe-telemetry` writer thread: drains the flight
-/// recorder and snapshots the registry every `interval` until `stop`,
-/// then writes one final drain + snapshot so short runs still leave a
-/// complete record.
+/// The body of the `spe-telemetry` writer thread: snapshots the registry
+/// every `interval` until `stop`, then writes one final snapshot so
+/// short runs still leave a complete record.
 fn write_telemetry_jsonl(
     t: &Telemetry,
     path: &std::path::Path,
@@ -1342,9 +1343,6 @@ fn write_telemetry_jsonl(
     let mut seq = 0u64;
     loop {
         let stopping = stop.load(Ordering::Relaxed);
-        for event in t.recorder().drain() {
-            writeln!(out, "{}", telemetry::event_json(&event))?;
-        }
         seq += 1;
         let uptime_ms = t.now_nanos() / 1_000_000;
         let samples = t.registry().snapshot();

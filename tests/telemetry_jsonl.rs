@@ -4,8 +4,8 @@
 //! validates the file the writer thread produced: every line passes the
 //! checked-in schema validator, snapshot sequence numbers and operator
 //! watermarks advance monotonically, stall counters never regress, and
-//! the Q11-Median (AUR session windows) flight record carries `"ett"`
-//! events from which prefetch trigger-time error is computable.
+//! the Q11-Median (AUR session windows) snapshots carry the `store_ett_*`
+//! families from which prefetch trigger-time error is read.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -288,35 +288,33 @@ fn prefetch_families_report_ring_accuracy() {
 #[test]
 fn q11_median_flight_record_yields_ett_error() {
     let lines = run_with_jsonl(QueryId::Q11Median, 60_000, "telemetry-q11m", 0, None);
-    let mut observations = 0u64;
-    let mut abs_error_sum = 0i64;
-    for line in &lines {
-        if line.get("type").and_then(Json::as_str) != Some("event") {
-            continue;
-        }
-        if line.get("kind").and_then(Json::as_str) != Some("ett") {
-            continue;
-        }
-        let fields = line.get("fields").expect("ett event without fields");
-        let predicted = fields.get("predicted").and_then(Json::as_i64).unwrap();
-        let actual = fields.get("actual").and_then(Json::as_i64).unwrap();
-        let error = fields.get("error").and_then(Json::as_i64).unwrap();
-        // The recorded error is exactly the predicted-vs-actual delta,
-        // so prefetch accuracy is computable from the flight record
-        // alone.
-        assert_eq!(error, actual - predicted, "inconsistent ett event");
-        observations += 1;
-        abs_error_sum += error.abs();
+    let terminal = lines.last().expect("run produced no snapshots");
+    let sum = |prefix: &str| -> i64 {
+        metric_values(terminal, prefix, "counter")
+            .iter()
+            .map(|(_, v)| *v)
+            .sum()
+    };
+    let observations = sum("store_ett_observations_total");
+    let unsafe_predictions = sum("store_ett_unsafe_predictions_total");
+    assert!(observations > 0, "AUR run observed no trigger times");
+    assert!(
+        unsafe_predictions <= observations,
+        "{unsafe_predictions} unsafe of {observations} observations"
+    );
+    // Every observation lands in the error histogram once, and the
+    // absolute trigger-time error in event-time ms stays within the
+    // stream's horizon, or the record is garbage.
+    let metrics = terminal.get("metrics").and_then(Json::as_obj).unwrap();
+    let mut recorded = 0i64;
+    for (name, h) in metrics
+        .iter()
+        .filter(|(name, _)| name.starts_with("store_ett_abs_error_ms"))
+    {
+        assert_eq!(h.get("kind").and_then(Json::as_str), Some("histogram"));
+        recorded += h.get("count").and_then(Json::as_i64).expect("no count");
+        let p99 = h.get("p99").and_then(Json::as_i64).expect("no p99");
+        assert!(p99 <= 60_000, "implausible ETT error p99 in {name}: {p99}");
     }
-    assert!(
-        observations > 0,
-        "AUR run produced no ett flight-recorder events"
-    );
-    // Mean absolute trigger-time error in event-time ms: finite and
-    // bounded by the stream's horizon, or the record is garbage.
-    let mean_abs_error = abs_error_sum as f64 / observations as f64;
-    assert!(
-        (0.0..=60_000.0).contains(&mean_abs_error),
-        "implausible mean ETT error: {mean_abs_error}"
-    );
+    assert_eq!(recorded, observations, "histogram count vs observations");
 }
