@@ -88,7 +88,7 @@ const SUB: u64 = 1 << SUB_BITS;
 
 /// Bucket count: values `< 2*SUB` get one bucket each (exact), then 32
 /// sub-buckets for every exponent 6..=63. No snapshot holds more.
-pub const NUM_BUCKETS: usize = (2 * SUB as usize) + (63 - 6 + 1) * SUB as usize;
+const NUM_BUCKETS: usize = (2 * SUB as usize) + (63 - 6 + 1) * SUB as usize;
 
 /// Maps a value to its bucket index.
 fn bucket_index(v: u64) -> usize {
@@ -1151,6 +1151,33 @@ mod tests {
                 err <= 1.0 / 32.0,
                 "q={q}: exact {truth}, est {est}, err {err}"
             );
+        }
+    }
+
+    #[test]
+    fn quantile_never_panics_on_a_snapshot_no_histogram_takes() {
+        // `min` above `max`: the estimate is `max`.
+        let inverted = HistogramSnapshot {
+            counts: vec![1],
+            count: 1,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        };
+        // Bucket counts summing past `u64::MAX` before either rank is
+        // met: the running sum saturates, and the estimate stays within
+        // `[min, max]`.
+        let overfull = HistogramSnapshot {
+            counts: vec![1, u64::MAX, 1],
+            count: u64::MAX,
+            sum: 0,
+            min: 1,
+            max: 2,
+        };
+        for q in [0.5, 0.99] {
+            assert_eq!(inverted.quantile(q), 0, "q={q}");
+            let v = overfull.quantile(q);
+            assert!((1..=2).contains(&v), "q={q}: {v}");
         }
     }
 

@@ -1,33 +1,23 @@
 //! `flowkv-metrics-dump`: one-shot metrics scrape of a live state
 //! server.
 //!
-//! Connects, fetches the server's full metric surface (telemetry
-//! registry plus per-operator store counters), and prints it to stdout.
-//! The default output is Prometheus text exposition format 0.0.4 —
-//! exactly what a scrape of the server's Prometheus opcode returns — so
-//! the binary doubles as a debugging `curl` for the binary protocol:
+//! Connects, fetches the server's full metric surface — the telemetry
+//! registry plus the `store_*{job,operator}` counters of every published
+//! operator — and prints it to stdout in Prometheus text exposition
+//! format 0.0.4, exactly what a scrape of the server's Prometheus opcode
+//! returns, so the binary doubles as a debugging `curl` for the binary
+//! protocol:
 //!
 //! ```text
-//! cargo run -p flowkv-serve --bin flowkv-metrics-dump -- \
-//!   --addr=127.0.0.1:7070 [--format=prometheus|samples] \
-//!   [--job=q12 --operator=count-global]
+//! cargo run -p flowkv-serve --bin flowkv-metrics-dump -- --addr=127.0.0.1:7070
 //! ```
-//!
-//! With `--format=samples` the raw registry samples from the metrics
-//! opcode are printed one per line (histograms as count/sum/min/max).
-//! With `--job`/`--operator` the merged store counters for that operator
-//! are appended in either mode.
 
 use flowkv_bench::HarnessArgs;
-use flowkv_common::telemetry::SampleValue;
 use flowkv_serve::StateClient;
 
 fn main() {
     let args = HarnessArgs::parse();
     let addr = args.str("addr", "127.0.0.1:7070");
-    let format = args.str("format", "prometheus");
-    let job = args.str("job", "");
-    let operator = args.str("operator", "");
 
     let mut client = match StateClient::connect(&addr) {
         Ok(c) => c,
@@ -39,66 +29,11 @@ fn main() {
     client
         .set_timeout(Some(std::time::Duration::from_secs(5)))
         .expect("set_timeout");
-
-    match format.as_str() {
-        "prometheus" => match client.prometheus() {
-            Ok(text) => print!("{text}"),
-            Err(e) => {
-                eprintln!("flowkv-metrics-dump: prometheus fetch: {e}");
-                std::process::exit(1);
-            }
-        },
-        "samples" => {
-            // The registry ride-along needs an operator to address; any
-            // published state works, so default to the first listed.
-            let (job, operator) = if job.is_empty() || operator.is_empty() {
-                match client.list_states().ok().and_then(|s| s.into_iter().next()) {
-                    Some(info) => (info.key.job.clone(), info.key.operator.clone()),
-                    None => {
-                        eprintln!("flowkv-metrics-dump: no published states to query");
-                        std::process::exit(1);
-                    }
-                }
-            } else {
-                (job.clone(), operator.clone())
-            };
-            match client.metrics_with_registry(&job, &operator) {
-                Ok((_, samples)) => {
-                    for s in samples {
-                        match s.value {
-                            SampleValue::Counter(v) => println!("{} counter {v}", s.name),
-                            SampleValue::Gauge(v) => println!("{} gauge {v}", s.name),
-                            SampleValue::Histogram(h) => println!(
-                                "{} histogram count={} sum={} min={} max={}",
-                                s.name, h.count, h.sum, h.min, h.max
-                            ),
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("flowkv-metrics-dump: metrics fetch: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        other => {
-            eprintln!("flowkv-metrics-dump: unknown --format={other} (prometheus|samples)");
+    match client.prometheus() {
+        Ok(text) => print!("{text}"),
+        Err(e) => {
+            eprintln!("flowkv-metrics-dump: prometheus fetch: {e}");
             std::process::exit(1);
-        }
-    }
-
-    if !job.is_empty() && !operator.is_empty() {
-        match client.metrics(&job, &operator) {
-            Ok(report) => {
-                eprintln!(
-                    "# store {}/{}: {} partitions, {} entries, watermark {}",
-                    job, operator, report.partitions, report.entries, report.watermark
-                );
-                for (name, value) in report.metrics.named() {
-                    eprintln!("# store_{name} {value}");
-                }
-            }
-            Err(e) => eprintln!("flowkv-metrics-dump: store metrics for {job}/{operator}: {e}"),
         }
     }
 }

@@ -20,9 +20,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use flowkv_common::error::{Result, StoreError};
-use flowkv_common::metrics::MetricsSnapshot;
-use flowkv_common::registry::{StatePattern, ViewValue};
-use flowkv_common::telemetry::MetricSample;
+use flowkv_common::registry::ViewValue;
 use flowkv_common::types::{Timestamp, WindowId};
 
 use crate::protocol::{
@@ -61,21 +59,6 @@ pub struct ScanResult {
     pub watermark: Timestamp,
     /// Matching entries.
     pub entries: Vec<ScanEntry>,
-}
-
-/// An operator-metrics answer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MetricsResult {
-    /// Pattern of the operator's store.
-    pub pattern: StatePattern,
-    /// Partitions merged into the report.
-    pub partitions: u64,
-    /// Live entries across partitions.
-    pub entries: u64,
-    /// Minimum watermark across partitions.
-    pub watermark: Timestamp,
-    /// Summed store counters.
-    pub metrics: MetricsSnapshot,
 }
 
 /// Blocking connection to a [`StateServer`](crate::server::StateServer).
@@ -277,54 +260,6 @@ impl StateClient {
                 watermark,
                 entries,
             }),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Fetches merged store metrics for one operator.
-    pub fn metrics(&mut self, job: &str, operator: &str) -> Result<MetricsResult> {
-        self.metrics_inner(job, operator, false).map(|(m, _)| m)
-    }
-
-    /// Fetches merged store metrics plus the server's telemetry-registry
-    /// samples (empty when the server was started without telemetry).
-    pub fn metrics_with_registry(
-        &mut self,
-        job: &str,
-        operator: &str,
-    ) -> Result<(MetricsResult, Vec<MetricSample>)> {
-        self.metrics_inner(job, operator, true)
-    }
-
-    fn metrics_inner(
-        &mut self,
-        job: &str,
-        operator: &str,
-        include_registry: bool,
-    ) -> Result<(MetricsResult, Vec<MetricSample>)> {
-        let request = Request::Metrics {
-            job: job.into(),
-            operator: operator.into(),
-            include_registry,
-        };
-        match self.call(&request)? {
-            Response::MetricsReport {
-                pattern,
-                partitions,
-                entries,
-                watermark,
-                metrics,
-                registry,
-            } => Ok((
-                MetricsResult {
-                    pattern,
-                    partitions,
-                    entries,
-                    watermark,
-                    metrics,
-                },
-                registry,
-            )),
             other => Err(unexpected(&other)),
         }
     }

@@ -12,8 +12,9 @@
 //!    `RunOptions::registry` in `flowkv-spe`).
 //! 2. [`StateServer`](server::StateServer) — built via
 //!    [`ServerBuilder`] — answers point lookups, batched multi-key
-//!    lookups, filtered range scans, and metrics queries over those
-//!    snapshots via a length-prefixed binary TCP protocol
+//!    lookups and filtered range scans over those snapshots, and a
+//!    Prometheus scrape of their store counters and the telemetry
+//!    registry, via a length-prefixed binary TCP protocol
 //!    ([`protocol`]). The core is a non-blocking **event loop**
 //!    multiplexing every connection onto one readiness-polled thread;
 //!    every frame carries a request id, so clients can pipeline many
@@ -37,6 +38,6 @@ mod poll;
 pub mod protocol;
 pub mod server;
 
-pub use client::{LookupBatchResult, LookupResult, MetricsResult, ScanResult, StateClient};
+pub use client::{LookupBatchResult, LookupResult, ScanResult, StateClient};
 pub use protocol::{ErrorCode, Request, Response, ScanEntry, ScanFilter, StateInfo, MAX_FRAME};
 pub use server::{route_key, ServerBuilder, StateServer};

@@ -30,9 +30,7 @@ use std::io::{Read, Write};
 
 use flowkv_common::codec::{put_len_prefixed, put_u32, put_varint_u64, Decoder};
 use flowkv_common::error::{Result, StoreError};
-use flowkv_common::metrics::MetricsSnapshot;
 use flowkv_common::registry::{StateDescriptor, StateKey, StatePattern, ViewValue};
-use flowkv_common::telemetry::{HistogramSnapshot, MetricSample, SampleValue, NUM_BUCKETS};
 use flowkv_common::types::{Timestamp, WindowId};
 
 /// Upper bound on one frame's payload (request id + opcode + body), in
@@ -253,109 +251,6 @@ fn get_found(dec: &mut Decoder<'_>) -> Result<Found> {
     })
 }
 
-fn put_metrics(buf: &mut Vec<u8>, m: &MetricsSnapshot) {
-    for v in [
-        m.write_nanos,
-        m.read_nanos,
-        m.compaction_nanos,
-        m.bytes_written,
-        m.bytes_read,
-        m.records_written,
-        m.records_read,
-        m.prefetch_hits,
-        m.prefetch_misses,
-        m.prefetch_evictions,
-        m.flushes,
-        m.compactions,
-    ] {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn get_metrics(dec: &mut Decoder<'_>) -> Result<MetricsSnapshot> {
-    let mut m = MetricsSnapshot::default();
-    for field in [
-        &mut m.write_nanos,
-        &mut m.read_nanos,
-        &mut m.compaction_nanos,
-        &mut m.bytes_written,
-        &mut m.bytes_read,
-        &mut m.records_written,
-        &mut m.records_read,
-        &mut m.prefetch_hits,
-        &mut m.prefetch_misses,
-        &mut m.prefetch_evictions,
-        &mut m.flushes,
-        &mut m.compactions,
-    ] {
-        *field = dec.get_u64()?;
-    }
-    Ok(m)
-}
-
-/// Sample-kind tags on the wire.
-const SAMPLE_COUNTER: u8 = 0;
-const SAMPLE_GAUGE: u8 = 1;
-const SAMPLE_HISTOGRAM: u8 = 2;
-
-fn put_sample(buf: &mut Vec<u8>, s: &MetricSample) {
-    put_str(buf, &s.name);
-    match &s.value {
-        SampleValue::Counter(v) => {
-            buf.push(SAMPLE_COUNTER);
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        SampleValue::Gauge(v) => {
-            buf.push(SAMPLE_GAUGE);
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        SampleValue::Histogram(h) => {
-            buf.push(SAMPLE_HISTOGRAM);
-            buf.extend_from_slice(&h.count.to_le_bytes());
-            buf.extend_from_slice(&h.sum.to_le_bytes());
-            buf.extend_from_slice(&h.min.to_le_bytes());
-            buf.extend_from_slice(&h.max.to_le_bytes());
-            put_list(buf, &h.counts, |buf, &c| put_varint_u64(buf, c));
-        }
-    }
-}
-
-fn get_sample(dec: &mut Decoder<'_>) -> Result<MetricSample> {
-    let name = get_str(dec)?;
-    let value = match dec.take(1, "sample kind")?[0] {
-        SAMPLE_COUNTER => SampleValue::Counter(dec.get_u64()?),
-        SAMPLE_GAUGE => SampleValue::Gauge(dec.get_i64()?),
-        SAMPLE_HISTOGRAM => {
-            let count = dec.get_u64()?;
-            let sum = dec.get_u64()?;
-            let min = dec.get_u64()?;
-            let max = dec.get_u64()?;
-            let counts = get_list(dec, "bucket", |dec| Ok(dec.get_varint_u64()?))?;
-            // Only shapes `Histogram::snapshot` can take decode: more
-            // buckets than a histogram has, or a non-empty one whose `min`
-            // exceeds its `max`, is a protocol error.
-            if counts.len() > NUM_BUCKETS {
-                return Err(proto_err(format!(
-                    "histogram of {} buckets, at most {NUM_BUCKETS}",
-                    counts.len()
-                )));
-            }
-            if count > 0 && min > max {
-                return Err(proto_err(format!("histogram min {min} above max {max}")));
-            }
-            SampleValue::Histogram(HistogramSnapshot {
-                counts,
-                count,
-                sum,
-                min,
-                max,
-            })
-        }
-        tag => return Err(proto_err(format!("unknown sample kind {tag}"))),
-    };
-    Ok(MetricSample { name, value })
-}
-
 /// Server-side filters applied to a [`Request::ScanFiltered`].
 ///
 /// All conditions are conjunctive. An empty `key_prefix` matches every
@@ -437,25 +332,15 @@ pub enum Request {
         /// The conjunctive filter set.
         filter: ScanFilter,
     },
-    /// Merged store metrics of one operator.
-    Metrics {
-        /// Job name.
-        job: String,
-        /// Operator name.
-        operator: String,
-        /// Also return the server's telemetry registry (counters,
-        /// gauges, histograms).
-        include_registry: bool,
-    },
-    /// The server's full telemetry registry rendered as Prometheus text
-    /// exposition format 0.0.4.
+    /// The server's telemetry registry and every published operator's
+    /// store counters, summed over its partitions, rendered as
+    /// Prometheus text exposition format 0.0.4.
     Prometheus,
 }
 
 const OP_PING: u8 = 0x01;
 const OP_LIST: u8 = 0x02;
 const OP_LOOKUP: u8 = 0x03;
-const OP_METRICS: u8 = 0x05;
 const OP_PROMETHEUS: u8 = 0x06;
 const OP_LOOKUP_MANY: u8 = 0x08;
 const OP_SCAN_FILTERED: u8 = 0x09;
@@ -504,16 +389,6 @@ impl Request {
                 buf.extend_from_slice(&filter.range_end.to_le_bytes());
                 buf.extend_from_slice(&filter.limit.to_le_bytes());
             }
-            Request::Metrics {
-                job,
-                operator,
-                include_registry,
-            } => {
-                buf.push(OP_METRICS);
-                put_str(&mut buf, job);
-                put_str(&mut buf, operator);
-                buf.push(u8::from(*include_registry));
-            }
             Request::Prometheus => buf.push(OP_PROMETHEUS),
         }
         buf
@@ -546,11 +421,6 @@ impl Request {
                     range_end: dec.get_i64()?,
                     limit: dec.get_u64()?,
                 },
-            },
-            OP_METRICS => Request::Metrics {
-                job: get_str(&mut dec)?,
-                operator: get_str(&mut dec)?,
-                include_registry: get_flag(&mut dec, "registry flag")?,
             },
             OP_PROMETHEUS => Request::Prometheus,
             other => return Err(proto_err(format!("unknown request opcode {other:#x}"))),
@@ -673,23 +543,6 @@ pub enum Response {
         /// Matching entries, in partition-then-key order.
         entries: Vec<ScanEntry>,
     },
-    /// Answer to [`Request::Metrics`]: counters merged across the
-    /// operator's partitions.
-    MetricsReport {
-        /// Pattern of the operator's store.
-        pattern: StatePattern,
-        /// Number of partitions merged.
-        partitions: u64,
-        /// Total live entries across partitions.
-        entries: u64,
-        /// Minimum watermark across partitions.
-        watermark: Timestamp,
-        /// Element-wise summed store counters.
-        metrics: MetricsSnapshot,
-        /// Telemetry registry samples: empty unless the request set
-        /// `include_registry` and the server has telemetry.
-        registry: Vec<MetricSample>,
-    },
     /// Answer to [`Request::Prometheus`]: the registry in Prometheus
     /// text exposition format 0.0.4.
     PrometheusText(String),
@@ -706,7 +559,6 @@ const OP_PONG: u8 = 0x81;
 const OP_STATES: u8 = 0x82;
 const OP_VALUE: u8 = 0x83;
 const OP_SCAN_RESULT: u8 = 0x84;
-const OP_METRICS_REPORT: u8 = 0x85;
 const OP_PROM_TEXT: u8 = 0x86;
 const OP_VALUE_BATCH: u8 = 0x88;
 const OP_ERROR: u8 = 0xee;
@@ -782,22 +634,6 @@ impl Response {
                     put_view_value(buf, &e.value);
                 });
             }
-            Response::MetricsReport {
-                pattern,
-                partitions,
-                entries,
-                watermark,
-                metrics,
-                registry,
-            } => {
-                buf.push(OP_METRICS_REPORT);
-                buf.push(pattern.as_u8());
-                buf.extend_from_slice(&partitions.to_le_bytes());
-                buf.extend_from_slice(&entries.to_le_bytes());
-                buf.extend_from_slice(&watermark.to_le_bytes());
-                put_metrics(&mut buf, metrics);
-                put_list(&mut buf, registry, put_sample);
-            }
             Response::PrometheusText(text) => {
                 buf.push(OP_PROM_TEXT);
                 put_str(&mut buf, text);
@@ -837,14 +673,6 @@ impl Response {
                         value: get_view_value(dec)?,
                     })
                 })?,
-            },
-            OP_METRICS_REPORT => Response::MetricsReport {
-                pattern: StatePattern::from_u8(dec.take(1, "pattern")?[0]),
-                partitions: dec.get_u64()?,
-                entries: dec.get_u64()?,
-                watermark: dec.get_i64()?,
-                metrics: get_metrics(&mut dec)?,
-                registry: get_list(&mut dec, "sample", get_sample)?,
             },
             OP_PROM_TEXT => Response::PrometheusText(get_str(&mut dec)?),
             OP_ERROR => Response::Error {
@@ -906,8 +734,20 @@ mod tests {
 
     #[test]
     fn unknown_opcodes_are_rejected() {
-        assert!(Request::decode(&[0x7f]).is_err());
-        assert!(Response::decode(&[0x7f]).is_err());
+        // 0x05/0x85 (the metrics report) and 0x07/0x87 (the trace
+        // summary) are retired: alone or with a body, each is a
+        // protocol error.
+        let refused = |r: Result<()>| matches!(r, Err(StoreError::InvalidState { .. }));
+        for op in [0x05, 0x07, 0x7f] {
+            for body in [&[op][..], &[op, 0, 0, 0]] {
+                assert!(refused(Request::decode(body).map(drop)), "{body:?}");
+            }
+        }
+        for op in [0x85, 0x87, 0x7f] {
+            for body in [&[op][..], &[op, 0, 0, 0]] {
+                assert!(refused(Response::decode(body).map(drop)), "{body:?}");
+            }
+        }
         assert!(Request::decode(&[]).is_err());
     }
 
@@ -929,43 +769,6 @@ mod tests {
         assert_eq!(Request::decode(body).unwrap(), Request::Ping);
         // A payload with no room for an opcode after the id is no frame.
         assert!(split_request_id(&[0u8; REQUEST_ID]).is_err());
-    }
-
-    #[test]
-    fn a_histogram_no_snapshot_can_take_is_refused() {
-        let report = |h: &HistogramSnapshot| {
-            Response::MetricsReport {
-                pattern: StatePattern::Rmw,
-                partitions: 1,
-                entries: 0,
-                watermark: 0,
-                metrics: MetricsSnapshot::default(),
-                registry: vec![MetricSample {
-                    name: "h".into(),
-                    value: SampleValue::Histogram(h.clone()),
-                }],
-            }
-            .encode()
-        };
-        let crafted = HistogramSnapshot {
-            counts: vec![1],
-            count: 1,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        };
-        assert!(Response::decode(&report(&crafted)).is_err());
-        let wide = HistogramSnapshot {
-            counts: vec![1; NUM_BUCKETS + 1],
-            count: NUM_BUCKETS as u64 + 1,
-            ..HistogramSnapshot::default()
-        };
-        assert!(Response::decode(&report(&wide)).is_err());
-        // Built in-process, the crafted shape still answers every
-        // quantile, bounded by its `max`.
-        for q in [0.0, 0.5, 1.0] {
-            assert_eq!(crafted.quantile(q), 0);
-        }
     }
 
     #[test]

@@ -22,11 +22,11 @@ use std::time::Duration;
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::hash::partition_of;
 use flowkv_common::metrics::MetricsSnapshot;
-use flowkv_common::registry::{StateKey, StatePattern, StateRegistry};
+use flowkv_common::registry::{StateKey, StateRegistry};
 use flowkv_common::telemetry::{
     self, Counter, Gauge, Histogram, MetricSample, SampleValue, Telemetry,
 };
-use flowkv_common::types::{Timestamp, MAX_TIMESTAMP};
+use flowkv_common::types::MAX_TIMESTAMP;
 
 use crate::protocol::{
     split_request_id, write_frame, ErrorCode, Request, Response, ScanEntry, StateInfo,
@@ -142,8 +142,9 @@ impl ServerBuilder {
         }
     }
 
-    /// Exposes `telemetry` through the metrics and Prometheus opcodes,
-    /// and registers the server's own `serve_*` probes in it.
+    /// Exposes `telemetry` through the Prometheus opcode, beside the
+    /// store counters of every published state, and registers the
+    /// server's own `serve_*` probes in it.
     pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -401,41 +402,6 @@ pub(crate) fn answer(
                 entries,
             }
         }
-        Request::Metrics {
-            job,
-            operator,
-            include_registry,
-        } => {
-            let views = registry.operator_views(&job, &operator);
-            if views.is_empty() {
-                return unknown_state(&job, &operator);
-            }
-            let mut metrics = MetricsSnapshot::default();
-            let mut entries = 0u64;
-            let mut watermark: Timestamp = MAX_TIMESTAMP;
-            let mut pattern = StatePattern::Unknown;
-            for (_, view) in &views {
-                metrics = metrics.merged(&view.metrics);
-                entries += view.len() as u64;
-                watermark = watermark.min(view.watermark);
-                pattern = view.pattern;
-            }
-            let samples = if include_registry {
-                telemetry
-                    .map(|t| t.registry().snapshot())
-                    .unwrap_or_default()
-            } else {
-                Vec::new()
-            };
-            Response::MetricsReport {
-                pattern,
-                partitions: views.len() as u64,
-                entries,
-                watermark,
-                metrics,
-                registry: samples,
-            }
-        }
         Request::Prometheus => {
             let samples = prometheus_samples(registry, telemetry);
             Response::PrometheusText(telemetry::render_prometheus(&samples))
@@ -488,7 +454,7 @@ mod tests {
     use super::*;
     use crate::protocol::{read_frame, ScanFilter};
     use flowkv_common::registry::{StatePattern, StateView, ViewValue};
-    use flowkv_common::types::WindowId;
+    use flowkv_common::types::{Timestamp, WindowId};
 
     fn view_with(entries: &[(&[u8], WindowId, ViewValue)], epoch: u64) -> StateView {
         let mut v = StateView::from_entries(
@@ -767,16 +733,62 @@ mod tests {
         assert_eq!((epoch, watermark), (4, 400));
     }
 
+    /// What one operator's state answers: its partitions, entries,
+    /// watermark and pattern through `ListStates`, its store counters
+    /// summed over the partitions and the telemetry registry through the
+    /// Prometheus samples.
+    #[test]
+    fn list_states_and_prometheus_answer_an_operators_report() {
+        let registry = StateRegistry::new_shared();
+        let w = WindowId::global();
+        for (p, written, flushes, watermark) in [(0, 5, 2, 1_000), (1, 7, 3, 400)] {
+            let mut view = view_with(&[(b"k", w, ViewValue::Aggregate(vec![p as u8]))], 4);
+            view.watermark = watermark;
+            view.metrics = MetricsSnapshot {
+                records_written: written,
+                flushes,
+                ..MetricsSnapshot::default()
+            };
+            registry.publish(StateKey::new("j", "op", p), view);
+        }
+        let Response::States(states) = answer(&registry, None, Request::ListStates) else {
+            panic!("ListStates answered no rows");
+        };
+        assert_eq!(states.len(), 2);
+        assert!(states.iter().all(|s| s.pattern == StatePattern::Rmw));
+        assert_eq!(states.iter().map(|s| s.entries).sum::<u64>(), 2);
+        assert_eq!(states.iter().map(|s| s.watermark).min(), Some(400));
+
+        let telemetry = Telemetry::new_shared();
+        telemetry.registry().counter("operator_busy_nanos").add(9);
+        let samples = prometheus_samples(&registry, Some(telemetry.as_ref()));
+        let counter = |name: &str| {
+            samples
+                .iter()
+                .find(|s| s.name == name)
+                .map(|s| s.value.clone())
+        };
+        for (name, sum) in [
+            ("store_records_written{job=j,operator=op}", 12),
+            ("store_flushes{job=j,operator=op}", 5),
+            ("store_compactions{job=j,operator=op}", 0),
+            ("operator_busy_nanos", 9),
+        ] {
+            assert_eq!(counter(name), Some(SampleValue::Counter(sum)), "{name}");
+        }
+    }
+
     #[test]
     fn missing_operator_yields_unknown_state() {
         let registry = StateRegistry::new_shared();
         let resp = answer(
             &registry,
             None,
-            Request::Metrics {
+            Request::Lookup {
                 job: "nope".into(),
                 operator: "nope".into(),
-                include_registry: false,
+                key: b"k".to_vec(),
+                window: None,
             },
         );
         assert!(matches!(

@@ -1,19 +1,12 @@
 //! Property tests of the wire protocol: every request and response frame
-//! round-trips byte-exactly under its request id, malformed frames
+//! round-trips byte-exactly under its request id, and malformed frames
 //! and bodies (truncation, strict prefixes, oversized or zero lengths,
-//! trailing garbage) are rejected rather than misparsed, and a histogram
-//! off the wire either answers every quantile within its `[min, max]`
-//! or is refused.
+//! trailing garbage) are rejected rather than misparsed.
 //!
 //! 256 cases per property unless `PROPTEST_CASES` says otherwise.
 
 use flowkv_common::codec::put_u32;
-use flowkv_common::error::StoreError;
-use flowkv_common::metrics::MetricsSnapshot;
 use flowkv_common::registry::{StateKey, StatePattern, ViewValue};
-use flowkv_common::telemetry::{
-    Histogram, HistogramSnapshot, MetricSample, SampleValue, NUM_BUCKETS,
-};
 use flowkv_common::types::WindowId;
 use flowkv_serve::protocol::{
     peek_frame, read_frame, split_request_id, write_frame, Request, Response, ScanEntry,
@@ -97,39 +90,8 @@ fn request_strategy() -> Union<Request> {
                 key,
                 window,
             }),
-        (name_strategy(), name_strategy(), any::<bool>()).prop_map(
-            |(job, operator, include_registry)| Request::Metrics {
-                job,
-                operator,
-                include_registry,
-            }
-        ),
         Just(Request::Prometheus),
     ]
-}
-
-fn sample_strategy() -> impl Strategy<Value = MetricSample> {
-    (
-        name_strategy(),
-        prop_oneof![
-            any::<u64>().prop_map(SampleValue::Counter),
-            any::<i64>().prop_map(SampleValue::Gauge),
-            histogram_strategy().prop_map(SampleValue::Histogram),
-        ],
-    )
-        .prop_map(|(name, value)| MetricSample { name, value })
-}
-
-/// A histogram as the program sends one: values of every magnitude
-/// recorded into a [`Histogram`], then its snapshot.
-fn histogram_strategy() -> impl Strategy<Value = HistogramSnapshot> {
-    prop::collection::vec((any::<u64>(), 0u32..64), 0..32).prop_map(|values| {
-        let h = Histogram::new();
-        for (v, shift) in values {
-            h.record(v >> shift);
-        }
-        h.snapshot()
-    })
 }
 
 fn state_info_strategy() -> impl Strategy<Value = StateInfo> {
@@ -155,23 +117,6 @@ fn state_info_strategy() -> impl Strategy<Value = StateInfo> {
 fn scan_entry_strategy() -> impl Strategy<Value = ScanEntry> {
     (bytes_strategy(), window_strategy(), view_value_strategy())
         .prop_map(|(key, window, value)| ScanEntry { key, window, value })
-}
-
-fn metrics_strategy() -> impl Strategy<Value = MetricsSnapshot> {
-    prop::collection::vec(any::<u64>(), 12..13).prop_map(|v| MetricsSnapshot {
-        write_nanos: v[0],
-        read_nanos: v[1],
-        compaction_nanos: v[2],
-        bytes_written: v[3],
-        bytes_read: v[4],
-        records_written: v[5],
-        records_read: v[6],
-        prefetch_hits: v[7],
-        prefetch_misses: v[8],
-        prefetch_evictions: v[9],
-        flushes: v[10],
-        compactions: v[11],
-    })
 }
 
 fn response_strategy() -> Union<Response> {
@@ -217,26 +162,6 @@ fn response_strategy() -> Union<Response> {
                 watermark,
                 entries,
             }),
-        (
-            0u64..4,
-            any::<u64>(),
-            any::<u64>(),
-            any::<i64>(),
-            metrics_strategy(),
-            prop::collection::vec(sample_strategy(), 0..6),
-        )
-            .prop_map(
-                |(pattern, partitions, entries, watermark, metrics, registry)| {
-                    Response::MetricsReport {
-                        pattern: StatePattern::from_u8(pattern as u8),
-                        partitions,
-                        entries,
-                        watermark,
-                        metrics,
-                        registry,
-                    }
-                }
-            ),
         name_strategy().prop_map(Response::PrometheusText),
         (0u64..3, name_strategy()).prop_map(|(code, message)| Response::Error {
             code: match code {
@@ -247,35 +172,6 @@ fn response_strategy() -> Union<Response> {
             message,
         }),
     ]
-}
-
-/// Histogram fields as a peer may send them, not as a [`Histogram`]
-/// snapshot has them: any count (often none), any bounds, and bucket
-/// lists that end a little before, or well past, a histogram's last
-/// bucket, where `bucket_value` would overflow.
-fn wire_histogram_strategy() -> impl Strategy<Value = HistogramSnapshot> {
-    let counts = prop_oneof![
-        prop::collection::vec(prop_oneof![0u64..3, any::<u64>()], 0..8),
-        (0usize..220, prop::collection::vec(1u64..3, 1..4)).prop_map(|(zeros, tail)| {
-            let mut counts = vec![0; NUM_BUCKETS - 20 + zeros];
-            counts.extend(tail);
-            counts
-        }),
-    ];
-    (
-        prop_oneof![Just(0u64), 1u64..4, any::<u64>()],
-        any::<u64>(),
-        prop_oneof![0u64..100, any::<u64>()],
-        prop_oneof![0u64..100, any::<u64>()],
-        counts,
-    )
-        .prop_map(|(count, sum, min, max, counts)| HistogramSnapshot {
-            counts,
-            count,
-            sum,
-            min,
-            max,
-        })
 }
 
 /// Cases per property: 256 unless `PROPTEST_CASES` says otherwise.
@@ -369,41 +265,6 @@ proptest! {
         // Any outcome but a panic is acceptable: either the mutation is
         // caught, or it decodes to a (different or equal-by-luck) value.
         let _ = Response::decode(&payload);
-    }
-
-    /// Whatever histogram fields a peer sends, the report either decodes
-    /// to a histogram whose every quantile lies in `[min, max]` (an empty
-    /// one answers 0) or fails as a protocol error; nothing panics.
-    #[test]
-    fn wire_histograms_answer_bounded_quantiles_or_fail(h in wire_histogram_strategy()) {
-        let report = Response::MetricsReport {
-            pattern: StatePattern::Aur,
-            partitions: 1,
-            entries: 0,
-            watermark: 0,
-            metrics: MetricsSnapshot::default(),
-            registry: vec![MetricSample {
-                name: "h".into(),
-                value: SampleValue::Histogram(h),
-            }],
-        };
-        match Response::decode(&report.encode()) {
-            Ok(Response::MetricsReport { registry, .. }) => {
-                let SampleValue::Histogram(h) = &registry[0].value else {
-                    panic!("decoded {:?}", registry[0]);
-                };
-                for q in [0.0, 0.001, 0.25, 0.5, 0.9, 0.99, 1.0] {
-                    let v = h.quantile(q);
-                    if h.is_empty() {
-                        prop_assert_eq!(v, 0);
-                    } else {
-                        prop_assert!((h.min..=h.max).contains(&v), "{:?} q={} -> {}", h, q, v);
-                    }
-                }
-            }
-            Ok(other) => panic!("decoded {other:?}"),
-            Err(e) => prop_assert!(matches!(e, StoreError::InvalidState { .. }), "{}", e),
-        }
     }
 
     #[test]

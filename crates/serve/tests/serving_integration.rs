@@ -30,7 +30,7 @@ use flowkv_common::telemetry::{validate_prometheus, Telemetry};
 use flowkv_common::types::{Timestamp, Tuple, WindowId, MAX_TIMESTAMP, MIN_TIMESTAMP};
 use flowkv_common::vfs::StdVfs;
 use flowkv_nexmark::{EventGenerator, GeneratorConfig, QueryId, QueryParams};
-use flowkv_serve::protocol::{read_frame, split_request_id};
+use flowkv_serve::protocol::{read_frame, split_request_id, write_frame};
 use flowkv_serve::{
     route_key, ErrorCode, Request, Response, ScanFilter, ServerBuilder, StateClient, MAX_FRAME,
 };
@@ -176,7 +176,7 @@ fn concurrent_queries_never_change_job_output() {
                     }
                 }
                 if i % 128 == t as usize {
-                    let _ = client.metrics(JOB, OPERATOR);
+                    let _ = client.prometheus();
                     let _ = client.list_states();
                 }
                 i += 1;
@@ -263,11 +263,18 @@ fn terminal_snapshot_reflects_the_drained_store() {
     assert!(batch.found.iter().all(|f| f.is_none()));
     assert_eq!(batch.watermark, MAX_TIMESTAMP);
 
-    let metrics = client.metrics(JOB, OPERATOR).unwrap();
-    assert_eq!(metrics.partitions, 2);
-    assert_eq!(metrics.entries, 0);
+    // The store counters, summed over both partitions, reflect the
+    // job's writes.
+    let text = client.prometheus().unwrap();
+    let series = format!("flowkv_store_records_written{{job=\"{JOB}\",operator=\"{OPERATOR}\"}} ");
+    let written: u64 = text
+        .lines()
+        .find_map(|line| line.strip_prefix(&series))
+        .unwrap_or_else(|| panic!("no {series}line in:\n{text}"))
+        .parse()
+        .unwrap();
     assert!(
-        metrics.metrics.records_written > 0,
+        written > 0,
         "merged metrics should reflect the job's writes"
     );
     server.shutdown();
@@ -486,17 +493,6 @@ fn telemetry_server_exposes_prometheus_and_registry_samples() {
         "missing serving probes in:\n{text}"
     );
     assert!(text.contains("# TYPE"), "missing TYPE comments");
-
-    // The metrics opcode carries the registry samples when asked to.
-    let (report, samples) = client.metrics_with_registry(JOB, OPERATOR).unwrap();
-    assert_eq!(report.partitions, 2);
-    assert!(
-        samples
-            .iter()
-            .any(|s| s.name.starts_with("operator_busy_nanos")),
-        "registry ride-along missing executor metrics"
-    );
-    assert!(client.metrics(JOB, OPERATOR).is_ok());
     server.shutdown();
 }
 
@@ -677,10 +673,12 @@ fn read_until_cut_off(mut stream: TcpStream) -> Vec<Response> {
 
 /// Socket-level robustness on one live server: peers that break the
 /// framing — an id-less frame, a length over `MAX_FRAME`, a half-close
-/// inside a frame body — are answered `BadRequest` or disconnected, and
-/// a pipelined client beside them gets every answer under its own
-/// request ids before, between and after them. Every connection closed,
-/// the open-connection gauge is back at its baseline.
+/// inside a frame body — are answered `BadRequest` or disconnected, a
+/// well-framed request under a retired opcode is answered `BadRequest`
+/// on a connection that stays open, and a pipelined client beside them
+/// gets every answer under its own request ids before, between and
+/// after them. Every connection closed, the open-connection gauge is
+/// back at its baseline.
 #[test]
 fn malformed_peers_are_cut_off_while_a_pipelined_client_is_served() {
     let registry = StateRegistry::new_shared();
@@ -755,6 +753,43 @@ fn malformed_peers_are_cut_off_while_a_pipelined_client_is_served() {
                 "peer {peer}: unexpected {answer:?}"
             );
         }
+    }
+    // D: a well-framed request under the retired metrics opcode 0x05
+    // (job, operator, registry flag) is refused under its own id, and
+    // the connection then answers a `Ping`.
+    {
+        let mut retired = TcpStream::connect(addr).unwrap();
+        retired
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut metrics = vec![0x05];
+        for name in [JOB, OPERATOR] {
+            metrics.push(name.len() as u8);
+            metrics.extend_from_slice(name.as_bytes());
+        }
+        metrics.push(0);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, 0x0505, &metrics).unwrap();
+        write_frame(&mut wire, 0x0506, &Request::Ping.encode()).unwrap();
+        retired.write_all(&wire).unwrap();
+        let mut answer = || {
+            let payload = read_frame(&mut retired).unwrap().expect("an answer");
+            let (id, body) = split_request_id(&payload).unwrap();
+            (id, Response::decode(body).unwrap())
+        };
+        let (id, refused) = answer();
+        assert_eq!(id, 0x0505);
+        assert!(
+            matches!(
+                refused,
+                Response::Error {
+                    code: ErrorCode::BadRequest,
+                    ..
+                }
+            ),
+            "opcode 0x05: unexpected {refused:?}"
+        );
+        assert_eq!(answer(), (0x0506, Response::Pong));
     }
     check(&mut pipelined);
 

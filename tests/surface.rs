@@ -127,7 +127,7 @@ fn pub_fns_per_crate() {
         ("hashkv", 48),
         ("lsm", 83),
         ("nexmark", 19),
-        ("serve", 42),
+        ("serve", 40),
         ("spe", 51),
     ];
     let pinned = pinned.map(|(name, n)| (name.to_string(), n));
