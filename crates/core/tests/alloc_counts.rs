@@ -421,10 +421,12 @@ fn a_session_trigger_allocates_per_fire_not_per_value() {
                 operator.on_element(tuple.borrowed(), &mut out).unwrap();
             }
         }
+        // A session fires once the watermark is strictly past its end.
         let end = per_session as i64 - 1 + SESSION_GAP;
-        operator.on_watermark(end - 1, &mut out).unwrap();
+        operator.on_watermark(end, &mut out).unwrap();
         assert!(out.is_empty());
-        let (allocations, ()) = allocations_of(|| operator.on_watermark(end, &mut out).unwrap());
+        let (allocations, ()) =
+            allocations_of(|| operator.on_watermark(end + 1, &mut out).unwrap());
         assert_eq!(out.len() as u64, SESSIONS);
         assert_eq!(operator.backend_mut().metrics().snapshot().flushes, 0);
         operator.backend_mut().close().unwrap();

@@ -120,8 +120,7 @@ pub struct RunOptions {
     /// barrier, and end-of-stream marker, so event-time semantics and
     /// checkpoint alignment are identical at every batch size. The
     /// default is `256`; `1` reproduces the classic tuple-at-a-time
-    /// exchange and is the reference the batching differential suite
-    /// compares against.
+    /// exchange, which the query matrix's `batch_1` rows run.
     pub batch_size: usize,
     /// Shared telemetry hub. When set, every worker records per-operator
     /// busy/idle time, queue depth, backpressure-stall time, batch fill,

@@ -40,7 +40,7 @@ use flowkv_common::dict::{group_stable, ByteDict};
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::hash::KeyHash;
 use flowkv_common::logfile::{LogReader, LogWriter};
-use flowkv_common::types::{Timestamp, Tuple, TupleRef, WindowId};
+use flowkv_common::types::{Timestamp, Tuple, TupleRef, WindowId, MAX_TIMESTAMP};
 use flowkv_common::vfs::StdVfs;
 
 use crate::batch::TupleBatch;
@@ -766,6 +766,13 @@ impl WindowOperator {
     /// popped, its key's sessions split in place into the expired and the
     /// open, and what expired fires in `(key, cover.end)` order.
     ///
+    /// A session expires once the watermark is strictly past its end: a
+    /// tuple at exactly `cover.end` is still on time (the late rule keeps
+    /// `ts ≥ watermark`) and touches the session, so firing at
+    /// `cover.end == watermark` would let the watermark positions decide
+    /// whether two sessions merge. The end-of-stream `MAX_TIMESTAMP`
+    /// watermark expires every session.
+    ///
     /// Not in order of their ends: the AUR store reads a missed window
     /// together with every window due no later than it, so a drain that
     /// asks for the earliest end first — the end-of-stream watermark
@@ -776,24 +783,21 @@ impl WindowOperator {
         // `(key, cover, initials)` per expired session. Two sessions of a
         // key never share an end (they would have merged).
         let mut expired: Vec<(Vec<u8>, WindowId, Vec<WindowId>)> = Vec::new();
-        while self
-            .session_timers
-            .first()
-            .is_some_and(|(at, _)| *at <= watermark)
-        {
+        let due = |end: Timestamp| end < watermark || watermark == MAX_TIMESTAMP;
+        while self.session_timers.first().is_some_and(|(at, _)| due(*at)) {
             let (_, key) = self.session_timers.pop_first().expect("checked above");
             let Some(sessions) = self.sessions.get_mut(key.as_slice()) else {
                 continue;
             };
             sessions.retain_mut(|s| {
-                let open = s.cover.end > watermark;
+                let open = !due(s.cover.end);
                 if !open {
                     expired.push((key.clone(), s.cover, std::mem::take(&mut s.initials)));
                 }
                 open
             });
             // One timer at the earliest open end is at or before every
-            // open end of the key; it lies past the watermark, so this
+            // open end of the key; it is not below the watermark, so this
             // loop does not pop it.
             match sessions.iter().map(|s| s.cover.end).min() {
                 Some(at) => self.arm_session(at, key),
@@ -942,7 +946,6 @@ mod tests {
     use super::*;
     use crate::functions::{CountAggregate, FnProcess, MedianProcess, SumAggregate};
     use crate::memstore::InMemoryBackend;
-    use flowkv_common::types::MAX_TIMESTAMP;
     use std::sync::Arc;
 
     fn op(assigner: WindowAssigner, aggregate: AggregateSpec) -> WindowOperator {
@@ -1210,6 +1213,28 @@ mod tests {
         o.on_watermark(MAX_TIMESTAMP, &mut out).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(u64_of(&out[0].value), 90);
+    }
+
+    #[test]
+    fn a_tuple_at_the_end_of_a_session_joins_it_after_a_watermark_there() {
+        let mut o = op(
+            WindowAssigner::Session { gap: 50 },
+            AggregateSpec::Incremental(Arc::new(CountAggregate)),
+        );
+        let mut out = Vec::new();
+        // The session covers [0, 50); a watermark at exactly 50 leaves a
+        // tuple at 50 on time, and that tuple touches the session.
+        o.on_element(t("k", 1, 0).borrowed(), &mut out).unwrap();
+        o.on_watermark(50, &mut out).unwrap();
+        assert!(out.is_empty(), "fired at its own end: {out:?}");
+        o.on_element(t("k", 2, 50).borrowed(), &mut out).unwrap();
+        assert_eq!(o.late.count, 0);
+        o.on_watermark(MAX_TIMESTAMP, &mut out).unwrap();
+        let fired: Vec<(u64, i64)> = out
+            .iter()
+            .map(|t| (u64_of(&t.value), t.timestamp))
+            .collect();
+        assert_eq!(fired, [(2, 99)], "one session [0, 100)");
     }
 
     #[test]

@@ -17,11 +17,12 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{cell_seed, fault_seed, nexmark_generator, sorted_triples};
+use common::{cell_seed, fault_seed, nexmark_shape, sorted_triples};
+use flowkv::FlowKvConfig;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::telemetry::{SampleValue, Telemetry};
 use flowkv_common::vfs::{FaultKind, FaultPlan, FaultVfs, StdVfs};
-use flowkv_nexmark::{QueryId, QueryParams};
+use flowkv_nexmark::{EventGenerator, QueryId, QueryParams};
 use flowkv_spe::source::{LogSource, TupleLog};
 use flowkv_spe::{run_job, run_supervised, BackendChoice, FactoryOptions, JobError, RunOptions};
 
@@ -49,7 +50,8 @@ fn crash_matrix_cell(
     ))
     .unwrap();
     let log = dir.path().join("events.log");
-    TupleLog::record(&log, nexmark_generator(NUM_EVENTS, 7).tuples()).unwrap();
+    let events = EventGenerator::new(nexmark_shape(NUM_EVENTS, 7));
+    TupleLog::record(&log, events.tuples()).unwrap();
     let params = QueryParams::new(1_000).with_parallelism(2);
     let job = query.build(params);
 
@@ -119,7 +121,7 @@ fn crash_matrix_cell(
     // Crash somewhere inside the capped slice of the op range (the cap
     // absorbs run-to-run scheduling variance in the op count), then
     // recover under supervision and compare byte-for-byte.
-    let combo_seed = cell_seed(seed, query, backend, if tiered { 13 } else { 0 });
+    let combo_seed = cell_seed(seed, query.name(), backend, if tiered { 13 } else { 0 });
     let plan = FaultPlan::random_crash(combo_seed, total_ops * cap_num / cap_den);
     let faulty = FaultVfs::new(StdVfs::shared(), plan);
     let telemetry = Telemetry::new_shared();
@@ -209,7 +211,7 @@ fn tiered_crash_row(query: QueryId) {
         "tiered crash matrix {}: FLOWKV_FAULT_SEED={seed} (set the env var to replay)",
         query.name()
     );
-    let backend = &BackendChoice::all_small_for_tests()[1];
+    let backend = &BackendChoice::FlowKv(FlowKvConfig::small_for_tests());
     crash_matrix_cell(query, backend, seed, true, 1, 3); // mid-demotion
     crash_matrix_cell(query, backend, seed, true, 9, 10); // mid-promotion
 }
@@ -256,10 +258,11 @@ fn tiered_crash_q11() {
 /// dies inside `log read extent`, then plant it there under supervision.
 #[test]
 fn short_read_inside_an_extent_recovers() {
-    let backend = &BackendChoice::all_small_for_tests()[1];
+    let backend = &BackendChoice::FlowKv(FlowKvConfig::small_for_tests());
     let dir = ScratchDir::new("crash-matrix-short-read").unwrap();
     let log = dir.path().join("events.log");
-    TupleLog::record(&log, nexmark_generator(NUM_EVENTS, 7).tuples()).unwrap();
+    let events = EventGenerator::new(nexmark_shape(NUM_EVENTS, 7));
+    TupleLog::record(&log, events.tuples()).unwrap();
     let job = QueryId::Q11Median.build(QueryParams::new(1_000).with_parallelism(1));
     let options = |name: &str| {
         let mut opts = RunOptions::new(dir.path().join(name));
@@ -322,10 +325,10 @@ fn short_read_inside_an_extent_recovers() {
 fn torn_tier_checkpoint_log_recovers() {
     const EVENTS: u64 = 1_000;
     let seed = fault_seed(DEFAULT_SEED);
-    let backend = &BackendChoice::all_small_for_tests()[1];
+    let backend = &BackendChoice::FlowKv(FlowKvConfig::small_for_tests());
     let dir = ScratchDir::new("crash-matrix-torn-coldlog").unwrap();
     let log = dir.path().join("events.log");
-    TupleLog::record(&log, nexmark_generator(EVENTS, 7).tuples()).unwrap();
+    TupleLog::record(&log, EventGenerator::new(nexmark_shape(EVENTS, 7)).tuples()).unwrap();
     let job = QueryId::Q11Median.build(QueryParams::new(1_000).with_parallelism(1));
     let options = |name: &str| {
         let mut opts = RunOptions::new(dir.path().join(name));

@@ -1,41 +1,36 @@
-//! Custom window functions end to end (paper §8, "Custom Window
+//! Custom window functions and the store (paper §8, "Custom Window
 //! Operations").
 //!
 //! A user-defined assigner (tumbling windows offset by 37 ms — a shape
-//! no built-in window function expresses) runs through the engine. The
-//! store sees only `WindowKind::Custom`, classifies the operator as
+//! no built-in window function expresses) runs through the engine and
+//! answers what the specification does, on FlowKV and on the baselines.
+//! The store sees only `WindowKind::Custom`, classifies the operator as
 //! unaligned-read, and — when the user registers an ETT predictor — runs
 //! predictive batch reads despite knowing nothing about the window
 //! function itself.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::matrix::{
+    baselines, check_row, flowkv, offset_assigner, short, OffsetTumbling, OFFSET, PLAIN, SIZE,
+};
+use common::spec::Schedule;
 use flowkv::FlowKvConfig;
 use flowkv_common::scratch::ScratchDir;
-use flowkv_common::types::{Tuple, WindowId};
-use flowkv_spe::functions::{decode_u64, FnProcess};
+use flowkv_common::types::Tuple;
+use flowkv_nexmark::{Event, EventGenerator, QueryParams};
+use flowkv_spe::functions::FnProcess;
 use flowkv_spe::job::{AggregateSpec, Job, JobBuilder};
-use flowkv_spe::window::WindowAssigner;
 use flowkv_spe::{run_job, BackendChoice, FactoryOptions, RunOptions};
-
-const OFFSET: i64 = 37;
-const SIZE: i64 = 500;
-
-fn offset_tumbling() -> WindowAssigner {
-    WindowAssigner::Custom {
-        assign: Arc::new(|ts| {
-            let start = (ts - OFFSET).div_euclid(SIZE) * SIZE + OFFSET;
-            vec![WindowId::new(start, start + SIZE)]
-        }),
-    }
-}
 
 fn job() -> Job {
     JobBuilder::new("custom-windows")
         .parallelism(2)
         .window(
             "offset-count",
-            offset_tumbling(),
+            offset_assigner(),
             AggregateSpec::FullList(Arc::new(FnProcess::new(|_k, _w, vals| {
                 vec![(vals.len() as u64).to_le_bytes().to_vec()]
             }))),
@@ -55,34 +50,21 @@ fn input() -> Vec<Tuple> {
         .collect()
 }
 
-fn run(backend: BackendChoice) -> Vec<(Vec<u8>, Vec<u8>, i64)> {
-    let dir = ScratchDir::new("custom-win").unwrap();
-    let mut opts = RunOptions::new(dir.path());
-    opts.collect_outputs = true;
-    opts.watermark_interval = 100;
-    let result = run_job(
-        &job(),
-        input().into_iter(),
-        backend.build(FactoryOptions::new()),
-        &opts,
-    )
-    .unwrap();
-    let mut out: Vec<(Vec<u8>, Vec<u8>, i64)> = result
-        .outputs
-        .into_iter()
-        .map(|t| (t.key, t.value, t.timestamp))
-        .collect();
-    out.sort();
-    out
-}
-
+/// The baselines answer the custom job as the specification does, and
+/// that answer sits on the offset boundaries and counts every bid once.
 #[test]
 fn custom_windows_have_offset_boundaries() {
-    let outputs = run(BackendChoice::all_small_for_tests().remove(0));
-    assert!(!outputs.is_empty());
+    let events: Vec<Event> = EventGenerator::new(short()).collect();
+    let schedule = Schedule {
+        interval: 100,
+        slack: 0,
+        barrier_after: None,
+    };
+    let want = OffsetTumbling.answer(QueryParams::new(1_000), &events, schedule);
+    assert!(!want.outputs.is_empty());
     // Output timestamps are window.end - 1, so (ts + 1 - OFFSET) must be
     // a multiple of the window size.
-    for (_, _, ts) in &outputs {
+    for (_, _, ts) in &want.outputs {
         assert_eq!(
             (ts + 1 - OFFSET).rem_euclid(SIZE),
             0,
@@ -90,15 +72,25 @@ fn custom_windows_have_offset_boundaries() {
         );
     }
     // Counts conserve the input.
-    let total: u64 = outputs.iter().map(|(_, v, _)| decode_u64(v)).sum();
-    assert_eq!(total, 20_000);
+    let counted: u64 = want
+        .outputs
+        .iter()
+        .map(|(_, v, _)| u64::from_le_bytes(v[..8].try_into().unwrap()))
+        .sum();
+    let bids = events.iter().filter(|e| matches!(e, Event::Bid(_))).count();
+    assert_eq!(counted, bids as u64);
+    check_row(
+        "custom_windows",
+        &[OffsetTumbling],
+        baselines,
+        short(),
+        PLAIN,
+    );
 }
 
 #[test]
 fn flowkv_matches_reference_on_custom_windows() {
-    let reference = run(BackendChoice::all_small_for_tests().remove(0));
-    let flowkv = run(BackendChoice::FlowKv(FlowKvConfig::small_for_tests()));
-    assert_eq!(flowkv, reference);
+    check_row("custom_windows", &[OffsetTumbling], flowkv, short(), PLAIN);
 }
 
 #[test]

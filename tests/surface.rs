@@ -1,6 +1,7 @@
 //! The surface pin: four counts of the source tree's surface, each
 //! defined beside its pin, that would otherwise only be taken by hand.
-//! A change that moves a count edits the pin and says why.
+//! A change that moves a count edits the pin and says why. And the CI
+//! workflow's check of itself: every test it names exists.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -174,4 +175,68 @@ fn std_vfs_in_library_code() {
         }
     }
     assert_eq!(sites.len(), 5, "{sites:#?}");
+}
+
+/// The names of the tests a test target declares: each `fn` after a
+/// `#[test]`, and each row of the `matrix!` table (one test per row).
+fn test_names(file: &Path) -> Vec<String> {
+    let text = read(file);
+    let mut names = Vec::new();
+    let (mut after_test, mut in_table) = (false, false);
+    for line in text.lines().map(str::trim) {
+        in_table = (in_table || line == "matrix! {") && line != "}";
+        let ident = |s: &str| s.split(['(', '<', ':']).next().unwrap().to_owned();
+        if let Some(row) = line.split_once(':').filter(|_| in_table) {
+            names.push(ident(row.0));
+        } else if let Some(f) = line.strip_prefix("fn ").filter(|_| after_test) {
+            names.push(ident(f));
+        }
+        after_test = line == "#[test]" || (after_test && line.starts_with("#["));
+    }
+    names
+}
+
+/// Every `cargo test --test NAME` in the CI workflow names a test file
+/// under `tests/` or `crates/*/tests/`, a filter after it selects at
+/// least one of that file's tests, and no plain `run:` scalar holds an
+/// unquoted `: ` or ends in `::` — YAML reads either as something else,
+/// and once kept the whole workflow from parsing.
+#[test]
+fn ci_steps_name_tests_that_exist() {
+    let ci = read(&root().join(".github/workflows/ci.yml"));
+    let mut checked = 0;
+    for line in ci.lines() {
+        let code = line.trim_start().trim_start_matches("- ");
+        if let Some(scalar) = code.strip_prefix("run: ") {
+            let plain = !scalar.starts_with(['|', '>', '"', '\'']);
+            let misread = scalar.contains(": ") || scalar.ends_with("::");
+            assert!(!(plain && misread), "quote this run scalar: {line}");
+        }
+        // Cargo's own arguments: a `--test` after `--` is the harness's.
+        let words: Vec<&str> = code.split_whitespace().take_while(|w| *w != "--").collect();
+        for at in (0..words.len()).filter(|&i| words[i] == "--test") {
+            let name = words[at + 1].trim_end_matches(')');
+            let mut dirs = vec![root().join("tests")];
+            dirs.extend(
+                fs::read_dir(root().join("crates"))
+                    .unwrap()
+                    .map(|d| d.unwrap().path().join("tests")),
+            );
+            let file = dirs
+                .iter()
+                .map(|d| d.join(format!("{name}.rs")))
+                .find(|f| f.exists());
+            let file = file.unwrap_or_else(|| panic!("no test file `{name}.rs`: {line}"));
+            let filter = words.get(at + 2).filter(|w| !w.starts_with('-'));
+            if let Some(filter) = filter.map(|f| f.trim_matches(['\'', '"'])) {
+                let names = test_names(&file);
+                assert!(
+                    names.iter().any(|n| n.contains(filter)),
+                    "`{filter}` selects no test of {name}: {names:?}"
+                );
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked > 10, "only {checked} `--test` steps found");
 }

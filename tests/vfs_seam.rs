@@ -16,11 +16,11 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use common::nexmark_generator;
+use common::nexmark_shape;
 use flowkv::tier::TierConfig;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::vfs::{StdVfs, Vfs, VfsFile};
-use flowkv_nexmark::{QueryId, QueryParams};
+use flowkv_nexmark::{EventGenerator, QueryId, QueryParams};
 use flowkv_spe::{run_job, BackendChoice, FactoryOptions, RunOptions};
 
 /// The files of a checkpoint the engine writes itself, past the `Vfs`.
@@ -142,7 +142,7 @@ fn checkpoint_goes_through_the_seam(query: QueryId, backend: &BackendChoice, tie
     opts.checkpoint_after_tuples = Some(2_000);
     opts.checkpoint_dir = Some(ckpt.clone());
     let job = query.build(QueryParams::new(1_000).with_parallelism(2));
-    let source = nexmark_generator(4_000, 11).tuples();
+    let source = EventGenerator::new(nexmark_shape(4_000, 11)).tuples();
     let result = run_job(&job, source, backend.build(options), &opts)
         .unwrap_or_else(|e| panic!("{label}: {e}"));
     assert!(result.checkpoint_taken, "{label}: no checkpoint");
