@@ -32,7 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 mod event_loop;
 mod poll;
 pub mod protocol;

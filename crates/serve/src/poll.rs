@@ -1,17 +1,17 @@
 //! Readiness polling for the event-loop server core.
 //!
-//! [`Poller`] is a thin, dependency-free wrapper over the operating
-//! system's readiness API — `epoll(7)` on Linux, `poll(2)` on other
-//! Unixes — declared directly against libc (which `std` already links)
-//! so no external crate is needed. The surface is the minimal subset the
-//! serving core uses: register a socket with a `u64` token and an
-//! interest set, modify the interest, and wait for batches of
-//! [`PollEvent`]s.
+//! [`Poller`] is a thin, dependency-free wrapper over Linux's
+//! readiness API, `epoll(7)`, declared directly against libc (which
+//! `std` already links) so no external crate is needed. The surface is
+//! the minimal subset the serving core uses: register a socket with a
+//! `u64` token and an interest set, modify the interest, and wait for
+//! batches of [`PollEvent`]s. Elsewhere `Poller::new` fails: the engine
+//! itself reads Linux's thread CPU clock, so no other target runs a job.
 //!
-//! Registration is **level-triggered** everywhere: an event keeps
-//! firing while the condition holds, so the event loop may consume as
-//! little or as much of a socket's readiness as it likes per wake-up
-//! without risking a lost edge.
+//! Registration is **level-triggered**: an event keeps firing while the
+//! condition holds, so the event loop may consume as little or as much
+//! of a socket's readiness as it likes per wake-up without risking a
+//! lost edge.
 
 use std::time::Duration;
 
@@ -176,122 +176,7 @@ mod imp {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod imp {
-    use super::*;
-    use std::collections::HashMap;
-    use std::os::raw::{c_int, c_short, c_ulong};
-    use std::os::unix::io::RawFd;
-    use std::sync::Mutex;
-
-    const POLLIN: c_short = 0x001;
-    const POLLOUT: c_short = 0x004;
-    const POLLERR: c_short = 0x008;
-    const POLLHUP: c_short = 0x010;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: c_int,
-        events: c_short,
-        revents: c_short,
-    }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
-    }
-
-    /// Readiness poller backed by `poll(2)`: the registration table
-    /// lives in userspace and is rebuilt into a `pollfd` array per wait.
-    pub struct Poller {
-        registered: Mutex<HashMap<RawFd, (u64, bool, bool)>>,
-    }
-
-    impl Poller {
-        /// Creates an empty poller.
-        pub fn new() -> Result<Self> {
-            Ok(Poller {
-                registered: Mutex::new(HashMap::new()),
-            })
-        }
-
-        /// Starts watching `fd` under `token`.
-        pub fn register(
-            &self,
-            fd: RawFd,
-            token: u64,
-            readable: bool,
-            writable: bool,
-        ) -> Result<()> {
-            self.registered
-                .lock()
-                .unwrap()
-                .insert(fd, (token, readable, writable));
-            Ok(())
-        }
-
-        /// Replaces the interest set of an already-registered `fd`.
-        pub fn modify(&self, fd: RawFd, token: u64, readable: bool, writable: bool) -> Result<()> {
-            self.register(fd, token, readable, writable)
-        }
-
-        /// Stops watching `fd`.
-        pub fn deregister(&self, fd: RawFd) -> Result<()> {
-            self.registered.lock().unwrap().remove(&fd);
-            Ok(())
-        }
-
-        /// Blocks until at least one event is ready or `timeout`
-        /// expires, appending events to `out`.
-        pub fn wait(&self, out: &mut Vec<PollEvent>, timeout: Option<Duration>) -> Result<()> {
-            let snapshot: Vec<(RawFd, (u64, bool, bool))> = self
-                .registered
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(fd, v)| (*fd, *v))
-                .collect();
-            let mut fds: Vec<PollFd> = snapshot
-                .iter()
-                .map(|(fd, (_, r, w))| PollFd {
-                    fd: *fd,
-                    events: if *r { POLLIN } else { 0 } | if *w { POLLOUT } else { 0 },
-                    revents: 0,
-                })
-                .collect();
-            let timeout_ms: c_int = match timeout {
-                Some(t) => t.as_millis().min(c_int::MAX as u128) as c_int,
-                None => -1,
-            };
-            // SAFETY: `fds` is a valid array of the stated length.
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
-            if n < 0 {
-                let err = std::io::Error::last_os_error();
-                if err.kind() == std::io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(StoreError::io("poll", err));
-            }
-            for (pfd, (_, (token, _, _))) in fds.iter().zip(snapshot.iter()) {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                out.push(PollEvent {
-                    token: *token,
-                    readable: pfd.revents & (POLLIN | POLLHUP) != 0,
-                    writable: pfd.revents & POLLOUT != 0,
-                    error: pfd.revents & (POLLERR | POLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-}
-
-#[cfg(unix)]
-pub use imp::Poller;
-
-#[cfg(not(unix))]
+#[cfg(not(target_os = "linux"))]
 mod imp {
     use super::*;
 
@@ -309,10 +194,9 @@ mod imp {
     }
 }
 
-#[cfg(not(unix))]
 pub use imp::Poller;
 
-#[cfg(all(test, unix))]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

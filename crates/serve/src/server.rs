@@ -198,7 +198,7 @@ impl ServerBuilder {
             std::thread::Builder::new()
                 .name("flowkv-serve-core".into())
                 .spawn(move || {
-                    #[cfg(unix)]
+                    #[cfg(target_os = "linux")]
                     crate::event_loop::run(
                         poller,
                         listener,
@@ -209,8 +209,8 @@ impl ServerBuilder {
                             idle_timeout,
                         },
                     );
-                    // Unreachable off unix: `Poller::new` above always fails there.
-                    #[cfg(not(unix))]
+                    // Unreachable off Linux: `Poller::new` above always fails there.
+                    #[cfg(not(target_os = "linux"))]
                     drop((
                         poller,
                         listener,

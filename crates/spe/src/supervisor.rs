@@ -171,9 +171,9 @@ pub fn run_supervised(
                 });
             }
             Err((err, salvage)) => {
-                // Post-mortem before anything is torn down: the flight
-                // recorder's last events and every span still open at
-                // the moment of death go to stderr as JSONL.
+                // Post-mortem before anything is torn down: every span
+                // still open at the moment of death goes to stderr as
+                // JSONL.
                 if matches!(err, JobError::Panic(_)) {
                     if let Some(t) = &ctx.telemetry {
                         flowkv_common::trace::dump_crash_context(t);

@@ -13,14 +13,21 @@
 //! demotes, a ring reads ahead, a rescale pauses and a plain run does
 //! not.
 //!
+//! Recovery is a tweak too. A resume row restarts from the barrier's
+//! checkpoint and replays the recorded stream past it; a crash row
+//! counts its run's device ops, then crashes a supervised run at an op
+//! drawn from the cell's seed and requires one restart and the spec's
+//! outputs, exactly once.
+//!
 //! The rows live with the suite whose question they answer:
 //! `query_equivalence` (every query on every backend),
 //! `batching_equivalence`, `async_ring_equivalence` (shuffled ring
-//! completions), `tiered_equivalence`, `rescale_equivalence`,
+//! completions, and ring runs crashed), `tiered_equivalence`,
+//! `crash_matrix` (resumes and crashes), `rescale_equivalence`,
 //! `out_of_order`, `custom_windows`, and `matrix` for the rest (short
-//! session gaps, the sharded ring, the late rule). Shuffle seeds derive
-//! from `FLOWKV_FAULT_SEED` (default below), so a red ring cell replays
-//! from the number it prints.
+//! session gaps, the sharded ring, the late rule). Shuffle seeds and
+//! crash ops derive from `FLOWKV_FAULT_SEED` (default below), so a red
+//! ring or crash cell replays from the number it prints.
 
 /// Declares one test per row: `name: queries, backends, shape, tweak;`.
 #[macro_export]
@@ -39,6 +46,7 @@ macro_rules! matrix {
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::Duration;
 
 use super::spec::{self, Answer, Schedule, Windows};
 use super::{cell_seed, fault_seed, nexmark_shape, sorted_triples, SortedOutputs};
@@ -46,12 +54,14 @@ use flowkv::tier::TierConfig;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::telemetry::{SampleValue, Telemetry};
 use flowkv_common::types::{Tuple, WindowId};
+use flowkv_common::vfs::{FaultPlan, FaultVfs, StdVfs, Vfs};
 use flowkv_nexmark::QueryId::{self, *};
 use flowkv_nexmark::{BidRef, Event, EventGenerator, GeneratorConfig, QueryParams};
 use flowkv_spe::functions::FnProcess;
+use flowkv_spe::source::{LogSource, TupleLog};
 use flowkv_spe::{
-    run_job, AggregateSpec, BackendChoice, FactoryOptions, Job, JobBuilder, RunOptions,
-    WindowAssigner,
+    run_job, run_supervised, AggregateSpec, BackendChoice, FactoryOptions, Job, JobBuilder,
+    RunOptions, WindowAssigner,
 };
 
 const WATERMARK_INTERVAL: u64 = 100;
@@ -189,10 +199,12 @@ pub struct Tweak {
     pub batch_size: usize,
     /// A checkpoint barrier after this many source tuples.
     pub barrier: Option<u64>,
-    /// Then resume from the barrier's checkpoint, replaying the stream
-    /// past it: the resumed run emits the spec's outputs less the
+    /// Then resume from the barrier's checkpoint, replaying the recorded
+    /// stream past it: the resumed run emits the spec's outputs less the
     /// pre-checkpoint ones.
     pub resume: bool,
+    /// Then crash a supervised run of the recorded stream.
+    pub crash: Option<Crash>,
     /// Rescale to this many workers at the barrier.
     pub rescale_to: Option<usize>,
     /// Background reads on a ring of two threads, completions shuffled
@@ -210,6 +222,7 @@ pub const PLAIN: Tweak = Tweak {
     batch_size: 256,
     barrier: None,
     resume: false,
+    crash: None,
     rescale_to: None,
     ring: None,
     hot_bytes: None,
@@ -217,6 +230,18 @@ pub const PLAIN: Tweak = Tweak {
     session_gap: None,
     collect_late: false,
 };
+
+/// Where a crash row crashes: once per cap, at a store op drawn from
+/// the cell's seed of `round`, at most that fraction of the device ops
+/// the barrier row's own run counted (the cap absorbs run-to-run
+/// variance in the count).
+#[derive(Clone, Copy)]
+pub struct Crash {
+    /// Fractions `(numerator, denominator)` of the counted op range.
+    pub caps: &'static [(u64, u64)],
+    /// The round of the cell's seed the crash op derives from.
+    pub round: u64,
+}
 
 pub fn check_row(
     row: &str,
@@ -249,7 +274,11 @@ pub fn check_row(
         if tweak.watermark_slack >= shape.out_of_order_ms {
             assert!(want.late.is_empty(), "{row}: late tuples at full slack");
         }
-        if tweak.barrier.is_some() && tweak.rescale_to.is_none() {
+        // A crash row's barrier is only its recovery point, and the
+        // global window closes at the end of the stream alone.
+        let splits =
+            tweak.rescale_to.is_none() && tweak.crash.is_none() && !matches!(query, N(Q12));
+        if tweak.barrier.is_some() && splits {
             assert!(
                 !want.pre_checkpoint.is_empty(),
                 "{row} / {}: no output before the barrier",
@@ -259,14 +288,7 @@ pub fn check_row(
         for backend in BackendChoice::all_small_for_tests() {
             if backends(&backend) {
                 let cell = format!("{row} / {} on {}", query.name(), backend.name());
-                let shuffle = tweak
-                    .ring
-                    .map(|r| cell_seed(seed, query.name(), &backend, r));
-                let run = || {
-                    check_cell(
-                        &cell, query, params, &backend, &shape, tweak, shuffle, &want,
-                    )
-                };
+                let run = || check_cell(&cell, query, params, &backend, &shape, tweak, seed, &want);
                 if panic::catch_unwind(AssertUnwindSafe(run)).is_err() {
                     red.push(cell);
                 }
@@ -284,10 +306,13 @@ fn check_cell(
     backend: &BackendChoice,
     shape: &GeneratorConfig,
     tweak: Tweak,
-    shuffle: Option<u64>,
+    seed: u64,
     want: &Answer,
 ) {
     let dir = ScratchDir::new(&format!("matrix-{}-{}", query.name(), backend.name())).unwrap();
+    let shuffle = tweak
+        .ring
+        .map(|r| cell_seed(seed, query.name(), backend, r));
     let telemetry = (tweak.hot_bytes.is_some() || tweak.ring.is_some()).then(Telemetry::new_shared);
     let mut opts = RunOptions::new(dir.path().join("data"));
     opts.collect_outputs = true;
@@ -302,13 +327,22 @@ fn check_cell(
     opts.checkpoint_dir = Some(dir.path().join("ckpt"));
     opts.io_threads = shuffle.map_or(0, |_| IO_THREADS);
     opts.io_shuffle_seed = shuffle;
-    let factory = || match tweak.hot_bytes {
-        Some(hot) => backend.build(FactoryOptions::new().tiered(TierConfig::new(hot))),
-        None => backend.build(FactoryOptions::new()),
+    let factory = |vfs: Arc<dyn Vfs>| {
+        let options = FactoryOptions::new().vfs(vfs);
+        match tweak.hot_bytes {
+            Some(hot) => backend.build(options.tiered(TierConfig::new(hot))),
+            None => backend.build(options),
+        }
+    };
+    let counted = FaultVfs::counting(StdVfs::shared());
+    let vfs: Arc<dyn Vfs> = match tweak.crash {
+        Some(_) => counted.clone(),
+        None => StdVfs::shared(),
     };
     let job = query.job(params);
     let source = EventGenerator::new(shape.clone()).tuples();
-    let result = run_job(&job, source, factory(), &opts).unwrap_or_else(|e| panic!("{cell}: {e}"));
+    let result =
+        run_job(&job, source, factory(vfs), &opts).unwrap_or_else(|e| panic!("{cell}: {e}"));
 
     assert_same(&result.outputs, &want.outputs, cell, "outputs");
     let late = (result.dropped_late, want.late.len() as u64);
@@ -340,16 +374,26 @@ fn check_cell(
         check_liveness(cell, query, backend, tweak, &telemetry);
     }
 
+    if !tweak.resume && tweak.crash.is_none() {
+        return;
+    }
+    let barrier = tweak
+        .barrier
+        .expect("a resume or a crash follows a barrier");
+    let log = dir.path().join("events.log");
+    TupleLog::record(&log, EventGenerator::new(shape.clone()).tuples()).unwrap();
     if tweak.resume {
-        // Restored from the checkpoint, the stream past the barrier
-        // yields the outputs the barrier had not.
-        opts.data_dir = dir.path().join("resumed");
-        opts.restore_from = opts.checkpoint_dir.take();
-        opts.checkpoint_after_tuples = None;
-        let rest = EventGenerator::new(shape.clone()).tuples();
-        let rest = rest.skip(tweak.barrier.expect("a resume follows a barrier") as usize);
-        let resumed =
-            run_job(&job, rest, factory(), &opts).unwrap_or_else(|e| panic!("{cell}: {e}"));
+        // Restored from the checkpoint, the log replayed from the
+        // barrier yields the outputs the barrier had not.
+        let mut resume = opts.clone();
+        resume.data_dir = dir.path().join("resumed");
+        resume.restore_from = opts.checkpoint_dir.clone();
+        resume.checkpoint_after_tuples = None;
+        let rest = LogSource::open_at(&log, barrier).unwrap();
+        let resumed = run_job(&job, rest, factory(StdVfs::shared()), &resume)
+            .unwrap_or_else(|e| panic!("{cell}: {e}"));
+        let replayed = (resumed.input_count, shape.num_events - barrier);
+        assert_eq!(replayed.0, replayed.1, "{cell}: tuples replayed");
         let post: SortedOutputs = want
             .outputs
             .iter()
@@ -357,6 +401,41 @@ fn check_cell(
             .cloned()
             .collect();
         assert_same(&resumed.outputs, &post, cell, "resumed outputs");
+    }
+    if let Some(crash) = tweak.crash {
+        let ops = counted.ops();
+        assert!(ops > 0, "{cell}: the store never touched its vfs");
+        let crash_seed = cell_seed(seed, query.name(), backend, crash.round);
+        for &(num, den) in crash.caps {
+            let plan = FaultPlan::random_crash(crash_seed, ops * num / den);
+            let faulty = FaultVfs::new(StdVfs::shared(), plan);
+            let telemetry = Telemetry::new_shared();
+            let mut crashed = opts.clone();
+            crashed.data_dir = dir.path().join(format!("crash-{num}-{den}"));
+            crashed.checkpoint_dir = Some(dir.path().join(format!("crash-{num}-{den}-ckpt")));
+            crashed.max_restarts = 2;
+            crashed.restart_backoff = Duration::from_millis(1);
+            crashed.telemetry = Some(Arc::clone(&telemetry));
+            let sup = run_supervised(&job, &log, factory(faulty.clone()), &crashed)
+                .unwrap_or_else(|e| panic!("{cell}: cap {num}/{den}: {e}"));
+            let fired = faulty.fired();
+            assert_eq!(fired.len(), 1, "{cell}: cap {num}/{den}: fired {fired:?}");
+            let at = format!("{cell}: crash at op {} of {ops}", fired[0].0);
+            assert_eq!(sup.restarts, 1, "{at}: restarts");
+            let restarts = counter(&telemetry, "recovery_restarts_total");
+            assert_eq!(restarts, 1, "{at}: recovery_restarts_total");
+            assert_same(&sup.all_outputs(), &want.outputs, &at, "recovered outputs");
+            // Committed only if the crashed attempt's checkpoint completed.
+            if !sup.committed.is_empty() {
+                assert_same(
+                    &sup.committed,
+                    &want.pre_checkpoint,
+                    &at,
+                    "committed outputs",
+                );
+            }
+            check_liveness(&at, query, backend, tweak, &telemetry);
+        }
     }
 }
 

@@ -2,10 +2,11 @@
 //! of the query matrix ([`matrix`], every cell against the executable
 //! specification in [`spec`]) in `matrix`, `query_equivalence`,
 //! `batching_equivalence`, `async_ring_equivalence`,
-//! `tiered_equivalence`, `rescale_equivalence`, `out_of_order` and
-//! `custom_windows`; the seeded crash cells of `crash_matrix`,
-//! `async_ring_equivalence` and `tiered_equivalence`;
-//! `chained_stateless`, `crash_recovery` and `vfs_seam`.
+//! `tiered_equivalence`, `crash_matrix` (its resume and crash rows),
+//! `rescale_equivalence`, `out_of_order` and `custom_windows`; the
+//! specification's interval join in `interval_join`; `crash_matrix`'s
+//! two probed-fault cells; `chained_stateless`, `crash_recovery` and
+//! `vfs_seam`.
 //!
 //! Any per-cell randomness derives from the one `FLOWKV_FAULT_SEED`
 //! stream, so a CI failure replays from a single number.
@@ -43,7 +44,9 @@ pub fn nexmark_shape(num_events: u64, seed: u64) -> GeneratorConfig {
 }
 
 /// The specification's outputs for `query` over `shape`, fed in order
-/// with a watermark every 100 tuples and 1 s windows.
+/// with a watermark every 100 tuples and 1 s windows: what
+/// `chained_stateless` runs and `crash_matrix`'s probed-fault cells
+/// recover to.
 pub fn spec_outputs(query: QueryId, shape: GeneratorConfig) -> SortedOutputs {
     let events: Vec<Event> = EventGenerator::new(shape).collect();
     let schedule = spec::Schedule {

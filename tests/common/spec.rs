@@ -26,13 +26,18 @@
 //!   watermark reaches its end, a session once the watermark is past its
 //!   end (a tuple at exactly the end would still join it).
 //!
+//! - **The interval join.** A left and a right tuple of one key join
+//!   when `r.ts ∈ [l.ts + lower, l.ts + upper]`, and the pair emits the
+//!   combined payloads at the later of its two timestamps. Its
+//!   pre-checkpoint rule: both inputs came before the barrier.
+//!
 //! It takes from the program only the tuple vocabulary, the generator's
 //! events and the queries' names and parameters.
 #![allow(dead_code)]
 
 use std::collections::BTreeMap;
 
-use flowkv_common::types::{Timestamp, MAX_TIMESTAMP, MIN_TIMESTAMP};
+use flowkv_common::types::{Timestamp, Tuple, MAX_TIMESTAMP, MIN_TIMESTAMP};
 use flowkv_nexmark::{Event, QueryId, QueryParams};
 
 use super::SortedOutputs;
@@ -303,6 +308,66 @@ pub fn median(_key: &[u8], values: &[&[u8]]) -> Option<Vec<u8>> {
 pub fn person_with_auction(key: &[u8], values: &[&[u8]]) -> Option<Vec<u8>> {
     let has = |tag: u8| values.iter().any(|v| v.first() == Some(&tag));
     (has(0) && has(1)).then(|| key.to_vec())
+}
+
+/// What an interval join emits for one key from a left and a right
+/// payload; `None` emits nothing.
+pub type JoinFn = fn(key: &[u8], left: &[u8], right: &[u8]) -> Option<Vec<u8>>;
+
+/// One interval-join output and the position in the stream of its later
+/// input.
+pub type Joined = (usize, Triple);
+
+/// The first byte of a left tuple's value, then its payload.
+pub const LEFT: u8 = 0;
+/// The first byte of a right tuple's value.
+pub const RIGHT: u8 = 1;
+
+/// The interval join of a stream of side-tagged tuples in timestamp
+/// order, so that the late rule drops none of them.
+pub fn interval_join(tuples: &[Tuple], lower: i64, upper: i64, combine: JoinFn) -> Vec<Joined> {
+    let in_order = tuples.windows(2).all(|w| w[0].timestamp <= w[1].timestamp);
+    assert!(in_order, "the stream is not in timestamp order");
+    let mut by_key: BTreeMap<&[u8], Vec<(usize, &Tuple)>> = BTreeMap::new();
+    for (at, t) in tuples.iter().enumerate() {
+        by_key.entry(&t.key).or_default().push((at, t));
+    }
+    let mut joined = Vec::new();
+    for (key, rows) in by_key {
+        for &(i, l) in &rows {
+            let Some(left) = tagged(l, LEFT) else {
+                continue;
+            };
+            for &(j, r) in &rows {
+                let Some(right) = tagged(r, RIGHT) else {
+                    continue;
+                };
+                let window = l.timestamp + lower..=l.timestamp + upper;
+                if !window.contains(&r.timestamp) {
+                    continue;
+                }
+                if let Some(value) = combine(key, left, right) {
+                    let ts = l.timestamp.max(r.timestamp);
+                    joined.push((i.max(j), (key.to_vec(), value, ts)));
+                }
+            }
+        }
+    }
+    joined
+}
+
+/// `t`'s payload when it is tagged `side`.
+fn tagged(t: &Tuple, side: u8) -> Option<&[u8]> {
+    let (tag, payload) = t.value.split_first()?;
+    (*tag == side).then_some(payload)
+}
+
+/// The join outputs whose later input sits at position `from` or past
+/// it, sorted: every output for 0, and for a barrier after `from`
+/// tuples the outputs it does not precede.
+pub fn joined_from(joined: &[Joined], from: usize) -> SortedOutputs {
+    let after = joined.iter().filter(|(at, _)| *at >= from);
+    sorted(after.map(|(_, t)| t.clone()).collect())
 }
 
 fn sorted(mut v: SortedOutputs) -> SortedOutputs {

@@ -1,255 +1,100 @@
-//! Randomized crash-point matrix: for every backend × query pair, crash
-//! the job at a random store operation, recover under supervision, and
-//! require byte-identical output versus an undisturbed run.
+//! Recovery rows of the query matrix (`common/matrix.rs`), every cell
+//! against the executable specification: a run resumed from its
+//! barrier's checkpoint emits the spec's outputs less the
+//! pre-checkpoint ones, and a run crashed at a random store op and
+//! recovered under supervision emits the spec's outputs exactly once.
 //!
-//! The crash point is drawn from the SplitMix64 stream seeded by
-//! `FLOWKV_FAULT_SEED` (default below); the seed appears in every
-//! failure message (not just the success-path banner), so any CI
-//! failure reproduces with `FLOWKV_FAULT_SEED=<seed> cargo test`.
+//! - `crash_matrix_*`: every backend × FlowKV access pattern, crashed
+//!   anywhere in nine tenths of the counted op range.
+//! - `tiered_crash_*`: FlowKV under forced demotion (`hot_bytes = 0`),
+//!   crashed under an early cap (most likely mid-demotion, while cold
+//!   blocks are sealed) and under a late one (most likely
+//!   mid-promotion, while cold blocks are read back).
+//! - `*_resumes_exactly`: the three patterns on every backend, and the
+//!   global window (Q12), chained window stages (Q5) and the windowed
+//!   join (Q8) on FlowKV.
 //!
-//! The tiered cells re-run the matrix with the two-tier hot/cold layout
-//! forced into pathological demotion (`TierConfig::hot_bytes = 0`), once with
-//! an early crash cap (most likely to land mid-demotion, while cold
-//! blocks are being sealed) and once with a late cap (most likely to
-//! land mid-promotion, while cold blocks are being read back).
+//! Crash ops are drawn from the SplitMix64 stream seeded by
+//! `FLOWKV_FAULT_SEED` (each row prints it), so any CI failure
+//! reproduces with `FLOWKV_FAULT_SEED=<seed> cargo test`. Two probed
+//! cells close the file: a fault planted at the op found to be an
+//! extent read, and at the op found to write the tier's checkpoint cold
+//! log.
 
 mod common;
 
 use std::sync::Arc;
 
-use common::{cell_seed, fault_seed, nexmark_shape, sorted_triples};
+use common::matrix::{every_backend, flowkv, short, Crash, Tweak, N, PLAIN};
+use common::{fault_seed, nexmark_shape, sorted_triples, spec_outputs};
 use flowkv::FlowKvConfig;
 use flowkv_common::scratch::ScratchDir;
-use flowkv_common::telemetry::{SampleValue, Telemetry};
 use flowkv_common::vfs::{FaultKind, FaultPlan, FaultVfs, StdVfs};
-use flowkv_nexmark::{EventGenerator, QueryId, QueryParams};
+use flowkv_nexmark::QueryId::*;
+use flowkv_nexmark::{EventGenerator, GeneratorConfig, QueryParams};
 use flowkv_spe::source::{LogSource, TupleLog};
 use flowkv_spe::{run_job, run_supervised, BackendChoice, FactoryOptions, JobError, RunOptions};
 
-const NUM_EVENTS: u64 = 8_000;
 const DEFAULT_SEED: u64 = 0xF10C;
 
-/// One matrix cell: crash at a random store op under the given cap
-/// fraction (numerator/denominator of the counted op range), recover,
-/// compare. `tiered` additionally wraps the backend in the forced-
-/// demotion two-tier layout on both sides of the comparison's fault
-/// path (the reference stays hot-only — that asymmetry *is* the test).
-fn crash_matrix_cell(
-    query: QueryId,
-    backend: &BackendChoice,
-    seed: u64,
-    tiered: bool,
-    cap_num: u64,
-    cap_den: u64,
-) {
-    let label = if tiered { "tiered" } else { "hot-only" };
-    let dir = ScratchDir::new(&format!(
-        "crash-matrix-{label}-{}-{}",
-        query.name(),
-        backend.name()
-    ))
-    .unwrap();
-    let log = dir.path().join("events.log");
-    let events = EventGenerator::new(nexmark_shape(NUM_EVENTS, 7));
-    TupleLog::record(&log, events.tuples()).unwrap();
-    let params = QueryParams::new(1_000).with_parallelism(2);
-    let job = query.build(params);
+/// Crashed anywhere in nine tenths of the run's ops.
+const CRASH: Tweak = Tweak {
+    barrier: Some(2_500),
+    crash: Some(Crash {
+        caps: &[(9, 10)],
+        round: 0,
+    }),
+    ..PLAIN
+};
+/// Forced demotion, crashed in the first third and in nine tenths.
+const TIERED_CRASH: Tweak = Tweak {
+    hot_bytes: Some(0),
+    crash: Some(Crash {
+        caps: &[(1, 3), (9, 10)],
+        round: 13,
+    }),
+    ..CRASH
+};
+/// Resumed from a barrier three quarters through [`resumed`], with
+/// sessions short enough to close before it.
+const RESUME: Tweak = Tweak {
+    barrier: Some(6_000),
+    resume: true,
+    session_gap: Some(50),
+    ..PLAIN
+};
 
-    let tier_cfg = flowkv::tier::TierConfig::new(0);
-
-    // Undisturbed hot-only reference run.
-    let mut ref_opts = RunOptions::new(dir.path().join("ref"));
-    ref_opts.collect_outputs = true;
-    ref_opts.watermark_interval = 100;
-    let reference = run_job(
-        &job,
-        LogSource::open(&log).unwrap(),
-        backend.build(FactoryOptions::new()),
-        &ref_opts,
-    )
-    .unwrap_or_else(|e| {
-        panic!(
-            "{} on {} [{label}]: reference run failed (seed {seed}): {e}",
-            query.name(),
-            backend.name()
-        )
-    });
-    assert!(
-        !reference.outputs.is_empty(),
-        "{} on {} [{label}]: reference run produced no output (seed {seed})",
-        query.name(),
-        backend.name()
-    );
-
-    // Measure the run's store-op footprint so the crash point can be
-    // drawn from the range the run actually exercises.
-    let counter = FaultVfs::counting(StdVfs::shared());
-    let mut counted_opts = RunOptions::new(dir.path().join("count"));
-    counted_opts.watermark_interval = 100;
-    counted_opts.checkpoint_after_tuples = Some(NUM_EVENTS / 2);
-    counted_opts.checkpoint_dir = Some(dir.path().join("count-ckpt"));
-    let counted_factory = if tiered {
-        backend.build(
-            FactoryOptions::new()
-                .tiered(tier_cfg.clone())
-                .vfs(counter.clone()),
-        )
-    } else {
-        backend.build(FactoryOptions::new().vfs(counter.clone()))
-    };
-    run_job(
-        &job,
-        LogSource::open(&log).unwrap(),
-        counted_factory,
-        &counted_opts,
-    )
-    .unwrap_or_else(|e| {
-        panic!(
-            "{} on {} [{label}]: counting run failed (seed {seed}): {e}",
-            query.name(),
-            backend.name()
-        )
-    });
-    let total_ops = counter.ops();
-    assert!(
-        total_ops > 0,
-        "{} on {} [{label}]: store never touched the vfs (seed {seed})",
-        query.name(),
-        backend.name()
-    );
-
-    // Crash somewhere inside the capped slice of the op range (the cap
-    // absorbs run-to-run scheduling variance in the op count), then
-    // recover under supervision and compare byte-for-byte.
-    let combo_seed = cell_seed(seed, query.name(), backend, if tiered { 13 } else { 0 });
-    let plan = FaultPlan::random_crash(combo_seed, total_ops * cap_num / cap_den);
-    let faulty = FaultVfs::new(StdVfs::shared(), plan);
-    let telemetry = Telemetry::new_shared();
-    let mut opts = RunOptions::new(dir.path().join("data"));
-    opts.collect_outputs = true;
-    opts.watermark_interval = 100;
-    opts.checkpoint_after_tuples = Some(NUM_EVENTS / 2);
-    opts.checkpoint_dir = Some(dir.path().join("ckpt"));
-    opts.max_restarts = 2;
-    opts.restart_backoff = std::time::Duration::from_millis(1);
-    opts.telemetry = Some(Arc::clone(&telemetry));
-    let faulty_factory = if tiered {
-        backend.build(FactoryOptions::new().tiered(tier_cfg).vfs(faulty.clone()))
-    } else {
-        backend.build(FactoryOptions::new().vfs(faulty.clone()))
-    };
-    let sup = run_supervised(&job, &log, faulty_factory, &opts).unwrap_or_else(|e| {
-        panic!(
-            "{} on {} [{label}]: supervised run failed (seed {seed}): {e}",
-            query.name(),
-            backend.name()
-        )
-    });
-
-    let fired = faulty.fired();
-    assert_eq!(
-        fired.len(),
-        1,
-        "{} on {} [{label}]: expected exactly one injected crash (seed {seed}), fired {fired:?}",
-        query.name(),
-        backend.name()
-    );
-    assert_eq!(
-        sup.restarts,
-        1,
-        "{} on {} [{label}]: one crash must cost exactly one restart (seed {seed})",
-        query.name(),
-        backend.name()
-    );
-    assert_eq!(
-        sorted_triples(&sup.all_outputs()),
-        sorted_triples(&reference.outputs),
-        "{} on {} [{label}]: recovered output diverged (seed {seed}, crash at op {})",
-        query.name(),
-        backend.name(),
-        fired[0].0
-    );
-
-    let samples = telemetry.registry().snapshot();
-    let restarts_total = samples
-        .iter()
-        .find(|s| s.name == "recovery_restarts_total")
-        .expect("recovery_restarts_total missing");
-    match restarts_total.value {
-        SampleValue::Counter(v) => assert_eq!(
-            v,
-            1,
-            "{} on {} [{label}]: recovery_restarts_total must equal the injected crash count \
-             (seed {seed})",
-            query.name(),
-            backend.name()
-        ),
-        _ => panic!("recovery_restarts_total is not a counter (seed {seed})"),
+/// 8 000 events, 1.6 s of event time, over 40 bidders and 60 auctions:
+/// past 1.2 s, the barrier follows the close of a window of every
+/// function but the global one.
+fn resumed() -> GeneratorConfig {
+    GeneratorConfig {
+        active_people: 40,
+        active_auctions: 60,
+        ..nexmark_shape(8_000, 21)
     }
 }
 
-fn crash_matrix_row(query: QueryId) {
-    let seed = fault_seed(DEFAULT_SEED);
-    println!(
-        "crash matrix {}: FLOWKV_FAULT_SEED={seed} (set the env var to replay)",
-        query.name()
-    );
-    for backend in &BackendChoice::all_small_for_tests() {
-        crash_matrix_cell(query, backend, seed, false, 9, 10);
-    }
-}
-
-/// Tiered crash cells: FlowKV under forced demotion, crashed early
-/// (mid-demotion: the run front-loads cold-block writes) and late
-/// (mid-promotion: the tail of the op range is dominated by cold-block
-/// reads as windows fire). Recovery restores both tiers from the last
-/// checkpoint; output must stay byte-identical to the hot-only
-/// reference either way.
-fn tiered_crash_row(query: QueryId) {
-    let seed = fault_seed(DEFAULT_SEED);
-    println!(
-        "tiered crash matrix {}: FLOWKV_FAULT_SEED={seed} (set the env var to replay)",
-        query.name()
-    );
-    let backend = &BackendChoice::FlowKv(FlowKvConfig::small_for_tests());
-    crash_matrix_cell(query, backend, seed, true, 1, 3); // mid-demotion
-    crash_matrix_cell(query, backend, seed, true, 9, 10); // mid-promotion
-}
-
-#[test]
-fn crash_matrix_q7() {
-    crash_matrix_row(QueryId::Q7);
-}
-
-#[test]
-fn crash_matrix_q11_median() {
-    crash_matrix_row(QueryId::Q11Median);
-}
-
-#[test]
-fn crash_matrix_q11() {
-    crash_matrix_row(QueryId::Q11);
-}
-
-#[test]
-fn tiered_crash_q7() {
-    tiered_crash_row(QueryId::Q7);
-}
-
-#[test]
-fn tiered_crash_q11_median() {
-    tiered_crash_row(QueryId::Q11Median);
-}
-
-#[test]
-fn tiered_crash_q11() {
-    tiered_crash_row(QueryId::Q11);
+matrix! {
+    // row:                                  queries,         backends,      shape,   tweak;
+    crash_matrix_q7:                         &[N(Q7)],        every_backend, short,   CRASH;
+    crash_matrix_q11_median:                 &[N(Q11Median)], every_backend, short,   CRASH;
+    crash_matrix_q11:                        &[N(Q11)],       every_backend, short,   CRASH;
+    tiered_crash_q7:                         &[N(Q7)],        flowkv,        short,   TIERED_CRASH;
+    tiered_crash_q11_median:                 &[N(Q11Median)], flowkv,        short,   TIERED_CRASH;
+    tiered_crash_q11:                        &[N(Q11)],       flowkv,        short,   TIERED_CRASH;
+    aar_fixed_window_query_resumes_exactly:  &[N(Q7)],        every_backend, resumed, RESUME;
+    aur_median_query_resumes_exactly:        &[N(Q11Median)], every_backend, resumed, RESUME;
+    rmw_session_query_resumes_exactly:       &[N(Q11)],       every_backend, resumed, RESUME;
+    global_window_query_resumes_exactly:     &[N(Q12)],       flowkv,        resumed, RESUME;
+    consecutive_window_query_resumes_exactly: &[N(Q5)],       flowkv,        resumed, RESUME;
+    windowed_join_resumes_exactly:           &[N(Q8)],        flowkv,        resumed, RESUME;
 }
 
 /// A short read landing inside a batched extent read of the AUR data log
 /// (`RandomAccessLog::read_records`): the attempt fails with a structured
-/// I/O error, supervision restores and replays, and the output is
-/// byte-identical to an undisturbed run.
+/// I/O error, supervision restores and replays, and the output is the
+/// specification's.
 ///
 /// One operator worker keeps the store-op sequence a function of the
 /// input, so the op that is an extent read can be found by probing: plant
@@ -258,17 +103,18 @@ fn tiered_crash_q11() {
 /// dies inside `log read extent`, then plant it there under supervision.
 #[test]
 fn short_read_inside_an_extent_recovers() {
+    const EVENTS: u64 = 8_000;
+    let shape = || nexmark_shape(EVENTS, 7);
     let backend = &BackendChoice::FlowKv(FlowKvConfig::small_for_tests());
     let dir = ScratchDir::new("crash-matrix-short-read").unwrap();
     let log = dir.path().join("events.log");
-    let events = EventGenerator::new(nexmark_shape(NUM_EVENTS, 7));
-    TupleLog::record(&log, events.tuples()).unwrap();
-    let job = QueryId::Q11Median.build(QueryParams::new(1_000).with_parallelism(1));
+    TupleLog::record(&log, EventGenerator::new(shape()).tuples()).unwrap();
+    let job = Q11Median.build(QueryParams::new(1_000).with_parallelism(1));
     let options = |name: &str| {
         let mut opts = RunOptions::new(dir.path().join(name));
         opts.collect_outputs = true;
         opts.watermark_interval = 100;
-        opts.checkpoint_after_tuples = Some(NUM_EVENTS / 2);
+        opts.checkpoint_after_tuples = Some(EVENTS / 2);
         opts.checkpoint_dir = Some(dir.path().join(format!("{name}-ckpt")));
         opts
     };
@@ -282,8 +128,7 @@ fn short_read_inside_an_extent_recovers() {
     };
 
     let counter = FaultVfs::counting(StdVfs::shared());
-    let reference = run("ref", counter.clone()).expect("undisturbed run");
-    assert!(!reference.outputs.is_empty());
+    run("count", counter.clone()).expect("undisturbed run");
     let total_ops = counter.ops();
 
     let short_read_at = |op| FaultPlan::new().with_fault(op, FaultKind::ShortRead);
@@ -306,15 +151,14 @@ fn short_read_inside_an_extent_recovers() {
     assert_eq!(sup.restarts, 1, "one short read must cost one restart");
     assert_eq!(
         sorted_triples(&sup.all_outputs()),
-        sorted_triples(&reference.outputs),
+        spec_outputs(Q11Median, shape()),
         "recovered output diverged (short read at op {extent_op})"
     );
 }
 
 /// A torn write of the tier's checkpoint cold log: the attempt fails
 /// with a structured I/O error and leaves a torn copy behind,
-/// supervision restarts once and the output is byte-identical to an
-/// undisturbed run; restoring from the torn checkpoint directly is a
+/// supervision restarts once and the output is the specification's; restoring from the torn checkpoint directly is a
 /// structural error, never a panic or a silently shorter cold tier.
 ///
 /// The op is found as in [`short_read_inside_an_extent_recovers`]: one
@@ -324,12 +168,13 @@ fn short_read_inside_an_extent_recovers() {
 #[test]
 fn torn_tier_checkpoint_log_recovers() {
     const EVENTS: u64 = 1_000;
+    let shape = || nexmark_shape(EVENTS, 7);
     let seed = fault_seed(DEFAULT_SEED);
     let backend = &BackendChoice::FlowKv(FlowKvConfig::small_for_tests());
     let dir = ScratchDir::new("crash-matrix-torn-coldlog").unwrap();
     let log = dir.path().join("events.log");
-    TupleLog::record(&log, EventGenerator::new(nexmark_shape(EVENTS, 7)).tuples()).unwrap();
-    let job = QueryId::Q11Median.build(QueryParams::new(1_000).with_parallelism(1));
+    TupleLog::record(&log, EventGenerator::new(shape()).tuples()).unwrap();
+    let job = Q11Median.build(QueryParams::new(1_000).with_parallelism(1));
     let options = |name: &str| {
         let mut opts = RunOptions::new(dir.path().join(name));
         opts.collect_outputs = true;
@@ -353,8 +198,7 @@ fn torn_tier_checkpoint_log_recovers() {
     };
 
     let counter = FaultVfs::counting(StdVfs::shared());
-    let reference = run("ref", counter.clone()).expect("undisturbed run");
-    assert!(!reference.outputs.is_empty());
+    run("count", counter.clone()).expect("undisturbed run");
     let total_ops = counter.ops();
 
     // The tear keeps a whole record header, so a restore has to catch
@@ -402,7 +246,7 @@ fn torn_tier_checkpoint_log_recovers() {
     );
     assert_eq!(
         sorted_triples(&sup.all_outputs()),
-        sorted_triples(&reference.outputs),
+        spec_outputs(Q11Median, shape()),
         "recovered output diverged (seed {seed}, torn cold log at op {copy_op})"
     );
 }

@@ -128,7 +128,7 @@ fn pub_fns_per_crate() {
         ("hashkv", 48),
         ("lsm", 83),
         ("nexmark", 19),
-        ("serve", 40),
+        ("serve", 35),
         ("spe", 51),
     ];
     let pinned = pinned.map(|(name, n)| (name.to_string(), n));
@@ -196,15 +196,98 @@ fn test_names(file: &Path) -> Vec<String> {
     names
 }
 
+/// The file of integration test `name`: under `tests/` or a crate's
+/// `tests/`, or under `crate_dir`'s alone when given.
+fn test_file(crate_dir: Option<&Path>, name: &str) -> PathBuf {
+    let mut dirs = Vec::new();
+    match crate_dir {
+        Some(dir) => dirs.push(dir.join("tests")),
+        None => {
+            dirs.push(root().join("tests"));
+            let crates = fs::read_dir(root().join("crates")).unwrap();
+            dirs.extend(crates.map(|d| d.unwrap().path().join("tests")));
+        }
+    }
+    let file = dirs
+        .iter()
+        .map(|d| d.join(format!("{name}.rs")))
+        .find(|f| f.exists());
+    file.unwrap_or_else(|| panic!("no test file `{name}.rs`"))
+}
+
+/// The directory of the workspace crate named `name`.
+fn crate_dir(name: &str) -> PathBuf {
+    let package = format!("name = \"{name}\"");
+    let dirs = fs::read_dir(root().join("crates"))
+        .unwrap()
+        .map(|d| d.unwrap().path());
+    let mut dirs = dirs.filter(|d| {
+        let manifest = fs::read_to_string(d.join("Cargo.toml")).unwrap_or_default();
+        manifest.lines().find(|l| l.starts_with("name = ")) == Some(package.as_str())
+    });
+    dirs.next().unwrap_or_else(|| panic!("no crate `{name}`"))
+}
+
+/// Checks every filter of one `ci/repeat.sh COUNT SELECTOR [FILTER...]...`
+/// call: after `--test NAME` or `-p CRATE --test NAME`, a filter
+/// selects one of that file's tests; after `-p CRATE --lib`, it names a
+/// module of the crate's `src/` (`x::` is `x.rs` or `x/mod.rs`) that
+/// holds a `#[test]`, or selects a `#[test]` fn there. Returns how many
+/// filters it checked.
+fn check_repeat_filters(args: &str) -> usize {
+    let words: Vec<&str> = args.split_whitespace().skip(1).collect();
+    // The tests a filter may select, or the `src/` of a `--lib` selector.
+    let (mut tests, mut lib) = (Vec::new(), None::<PathBuf>);
+    let (mut at, mut checked) = (0, 0);
+    while at < words.len() {
+        match words[at..] {
+            ["--test", name, ..] => {
+                (tests, lib) = (test_names(&test_file(None, name)), None);
+                at += 2;
+            }
+            ["-p", krate, "--test", name, ..] => {
+                let file = test_file(Some(&crate_dir(krate)), name);
+                (tests, lib) = (test_names(&file), None);
+                at += 4;
+            }
+            ["-p", krate, "--lib", ..] => {
+                lib = Some(crate_dir(krate).join("src"));
+                at += 3;
+            }
+            [filter, ..] => {
+                let selects = match (&lib, filter.strip_suffix("::")) {
+                    (Some(src), Some(module)) => {
+                        let path = src.join(module.replace("::", "/"));
+                        let file = [path.with_extension("rs"), path.join("mod.rs")];
+                        let file = file.into_iter().find(|f| f.exists());
+                        file.is_some_and(|f| read(&f).contains("#[test]"))
+                    }
+                    (Some(src), None) => rust_files(src)
+                        .iter()
+                        .any(|f| test_names(f).iter().any(|n| n.contains(filter))),
+                    (None, _) => tests.iter().any(|n| n.contains(filter)),
+                };
+                assert!(selects, "`{filter}` selects no test: ci/repeat.sh {args}");
+                checked += 1;
+                at += 1;
+            }
+            [] => unreachable!(),
+        }
+    }
+    checked
+}
+
 /// Every `cargo test --test NAME` in the CI workflow names a test file
 /// under `tests/` or `crates/*/tests/`, a filter after it selects at
-/// least one of that file's tests, and no plain `run:` scalar holds an
-/// unquoted `: ` or ends in `::` — YAML reads either as something else,
-/// and once kept the whole workflow from parsing.
+/// least one of that file's tests, every filter handed to `ci/repeat.sh`
+/// selects a test (see [`check_repeat_filters`]), and no plain `run:`
+/// scalar holds an unquoted `: ` or ends in `::` — YAML reads either as
+/// something else, and once kept the whole workflow from parsing.
 #[test]
 fn ci_steps_name_tests_that_exist() {
-    let ci = read(&root().join(".github/workflows/ci.yml"));
-    let mut checked = 0;
+    // A shell line continued with `\` is one command.
+    let ci = read(&root().join(".github/workflows/ci.yml")).replace("\\\n", " ");
+    let (mut checked, mut repeated) = (0, 0);
     for line in ci.lines() {
         let code = line.trim_start().trim_start_matches("- ");
         if let Some(scalar) = code.strip_prefix("run: ") {
@@ -212,21 +295,17 @@ fn ci_steps_name_tests_that_exist() {
             let misread = scalar.contains(": ") || scalar.ends_with("::");
             assert!(!(plain && misread), "quote this run scalar: {line}");
         }
+        let call = code
+            .split_once("ci/repeat.sh ")
+            .filter(|_| !code.starts_with('#'));
+        if let Some((_, args)) = call {
+            repeated += check_repeat_filters(args);
+        }
         // Cargo's own arguments: a `--test` after `--` is the harness's.
         let words: Vec<&str> = code.split_whitespace().take_while(|w| *w != "--").collect();
         for at in (0..words.len()).filter(|&i| words[i] == "--test") {
             let name = words[at + 1].trim_end_matches(')');
-            let mut dirs = vec![root().join("tests")];
-            dirs.extend(
-                fs::read_dir(root().join("crates"))
-                    .unwrap()
-                    .map(|d| d.unwrap().path().join("tests")),
-            );
-            let file = dirs
-                .iter()
-                .map(|d| d.join(format!("{name}.rs")))
-                .find(|f| f.exists());
-            let file = file.unwrap_or_else(|| panic!("no test file `{name}.rs`: {line}"));
+            let file = test_file(None, name);
             let filter = words.get(at + 2).filter(|w| !w.starts_with('-'));
             if let Some(filter) = filter.map(|f| f.trim_matches(['\'', '"'])) {
                 let names = test_names(&file);
@@ -239,4 +318,8 @@ fn ci_steps_name_tests_that_exist() {
         }
     }
     assert!(checked > 10, "only {checked} `--test` steps found");
+    assert!(
+        repeated > 5,
+        "only {repeated} filters handed to ci/repeat.sh"
+    );
 }
