@@ -11,9 +11,14 @@
 //! - **Timestamps** are delta-encoded against the window start and the
 //!   previous row (zigzag varints): tuples arrive in roughly ascending
 //!   event-time order, so deltas are tiny.
-//! - **Values** are optionally dictionary-encoded too (`compress`);
-//!   uncompressed blocks inline them length-prefixed, which keeps the
-//!   codec a strict superset of a plain row log.
+//! - **Values** are inlined length-prefixed per row, or — where that
+//!   pays, and the writer may (`compress`) — dictionary-encoded like the
+//!   keys. Whether it pays is a property of the rows: the writer stops
+//!   interning values once a block's first 256 rows show more than half
+//!   of them new, and emits the dictionary only when it is no larger
+//!   than the inline column. A block is therefore never larger than the
+//!   same rows with inline values, which is a plain row log with its
+//!   keys and timestamps encoded.
 //!
 //! A block carries its own window, kind, row count, and a trailing CRC32
 //! over everything after the magic.
@@ -40,6 +45,11 @@ pub const BLOCK_VERSION: u8 = 1;
 
 /// Flag bit: value column is dictionary-encoded.
 const FLAG_VALUE_DICT: u8 = 0b0000_0001;
+
+/// A writer allowed to dictionary-encode values decides, after this many
+/// rows of a block, whether to keep interning them: it stops when more
+/// than half were new.
+const DICT_PROBE_ROWS: usize = 256;
 
 /// What one block's rows are (mirrors the two shapes of
 /// [`StateEntry`](crate::backend::StateEntry)).
@@ -118,12 +128,19 @@ struct Row {
 /// one writer serves every block of a store.
 #[derive(Default)]
 pub struct BlockWriter {
+    /// Whether a block may dictionary-encode its values.
     compress: bool,
+    /// Whether this block still interns its values: `compress` until the
+    /// first `DICT_PROBE_ROWS` rows show more than half of them new.
+    interning: bool,
     keys: ByteDict,
-    /// The distinct values when compressing, else every row's value.
+    /// The distinct values while interning; every later row's value
+    /// after.
     values: ByteDict,
     rows: Vec<Row>,
     plain_bytes: usize,
+    /// The size of the value column inlined.
+    inline_bytes: usize,
     /// The block last finished.
     block: Vec<u8>,
     /// Scratch of a finish: for keys and values, which number sits at
@@ -138,12 +155,13 @@ pub struct BlockWriter {
 }
 
 impl BlockWriter {
-    /// A writer of blocks whose value column is dictionary-encoded when
-    /// `compress` is set (keys and timestamps always are), inlined
-    /// length-prefixed per row otherwise.
+    /// A writer of blocks whose value column is inlined length-prefixed
+    /// per row or, where `compress` allows it and the rows make it pay,
+    /// dictionary-encoded (keys and timestamps always are encoded).
     pub fn new(compress: bool) -> Self {
         BlockWriter {
             compress,
+            interning: compress,
             ..BlockWriter::default()
         }
     }
@@ -151,15 +169,18 @@ impl BlockWriter {
     /// Adds one row.
     pub fn push(&mut self, key: &[u8], ts: Timestamp, value: &[u8]) {
         self.plain_bytes += key.len() + value.len() + 8;
-        let row = Row {
-            key: self.keys.intern(key),
-            value: match self.compress {
-                true => self.values.intern(value),
-                false => self.values.push(value),
-            },
-            ts,
+        self.inline_bytes += len_prefixed_len(value);
+        let key = self.keys.intern(key);
+        let value = match self.interning {
+            true => self.values.intern(value),
+            false => self.values.push(value),
         };
-        self.rows.push(row);
+        self.rows.push(Row { key, value, ts });
+        // Mostly new values would cost a dictionary entry each on top of
+        // their index: the rest of the block inlines them.
+        if self.interning && self.rows.len() == DICT_PROBE_ROWS {
+            self.interning = self.values.len() * 2 <= DICT_PROBE_ROWS;
+        }
     }
 
     /// Forgets the rows pushed since the last finish, keeping the
@@ -169,6 +190,8 @@ impl BlockWriter {
         self.values.clear();
         self.rows.clear();
         self.plain_bytes = 0;
+        self.inline_bytes = 0;
+        self.interning = self.compress;
     }
 
     /// Rows pushed since the last finish.
@@ -198,10 +221,11 @@ impl BlockWriter {
 
     fn emit(&mut self, window: WindowId, kind: BlockKind, by_key: bool) -> &[u8] {
         let BlockWriter {
-            compress,
+            interning,
             keys,
             values,
             rows,
+            inline_bytes,
             block: out,
             key_order,
             key_place,
@@ -232,17 +256,25 @@ impl BlockWriter {
             true => &rows[order[at] as usize],
             false => &rows[at],
         };
+        // The value dictionary, when the writer kept one, is used only
+        // where its column is no larger than the inline one.
         value_order.clear();
-        if *compress {
+        let mut dict = *interning;
+        if dict {
             value_place.clear();
             value_place.resize(values.len(), u32::MAX);
+            let mut dict_bytes = 0;
             for at in 0..rows.len() {
                 let value = row(at).value;
                 if value_place[value as usize] == u32::MAX {
                     value_place[value as usize] = value_order.len() as u32;
                     value_order.push(value);
+                    dict_bytes += len_prefixed_len(values.get(value));
                 }
+                dict_bytes += varint_len(u64::from(value_place[value as usize]));
             }
+            dict_bytes += varint_len(value_order.len() as u64);
+            dict = dict_bytes <= *inline_bytes;
         }
 
         out.clear();
@@ -250,7 +282,7 @@ impl BlockWriter {
         out.extend_from_slice(&BLOCK_MAGIC);
         out.push(BLOCK_VERSION);
         out.push(kind.as_u8());
-        out.push(if *compress { FLAG_VALUE_DICT } else { 0 });
+        out.push(if dict { FLAG_VALUE_DICT } else { 0 });
         codec::put_varint_i64(out, window.start);
         codec::put_varint_i64(out, window.end);
         codec::put_varint_u64(out, rows.len() as u64);
@@ -258,7 +290,7 @@ impl BlockWriter {
         for &key in key_order.iter() {
             codec::put_len_prefixed(out, keys.get(key));
         }
-        if *compress {
+        if dict {
             codec::put_varint_u64(out, value_order.len() as u64);
             for &value in value_order.iter() {
                 codec::put_len_prefixed(out, values.get(value));
@@ -271,7 +303,7 @@ impl BlockWriter {
             codec::put_varint_u64(out, u64::from(key_place[row.key as usize]));
             codec::put_varint_i64(out, row.ts.wrapping_sub(prev_ts));
             prev_ts = row.ts;
-            if *compress {
+            if dict {
                 codec::put_varint_u64(out, u64::from(value_place[row.value as usize]));
             } else {
                 codec::put_len_prefixed(out, values.get(row.value));
@@ -283,6 +315,16 @@ impl BlockWriter {
         self.clear();
         &self.block
     }
+}
+
+/// How many bytes a varint of `v` takes.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// How many bytes `bytes` takes length-prefixed.
+fn len_prefixed_len(bytes: &[u8]) -> usize {
+    varint_len(bytes.len() as u64) + bytes.len()
 }
 
 /// Encodes `rows` of `window`, in their order, into one self-describing

@@ -8,12 +8,18 @@
 //!   structured [`StoreError`], never panics.
 //! - One format: the streaming [`BlockWriter`] — in arrival order and
 //!   sorted by key, one writer reused from block to block — emits the
-//!   bytes of `reference_encode`, the version-1 encoder as it stood
-//!   before the writer replaced it; the streaming [`BlockReader`] lends
-//!   the rows `decode_block` returns and refuses a damaged block before
-//!   it lends any.
+//!   bytes of `reference_encode`, the version-1 encoder stating the
+//!   value-column rule itself; the streaming [`BlockReader`] lends the
+//!   rows `decode_block` returns and refuses a damaged block before it
+//!   lends any.
+//! - The value dictionary only ever pays: a block is never larger than
+//!   the same rows with an inline value column.
+//!
+//! Blocks are drawn small (up to 64 rows) and long (200 to 1 000 rows,
+//! values near-unique, repeating, or either side of the half-new line),
+//! so the writer's decision after 256 rows is crossed both ways.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use flowkv_common::codec;
 use flowkv_common::columnar::{
@@ -24,13 +30,28 @@ use flowkv_common::error::StoreError;
 use flowkv_common::types::WindowId;
 use proptest::prelude::*;
 
+/// Cases per property: 64 unless `PROPTEST_CASES` says otherwise (CI
+/// runs 256).
+fn cases() -> u32 {
+    let cases = std::env::var("PROPTEST_CASES").ok();
+    cases.and_then(|n| n.parse().ok()).unwrap_or(64)
+}
+
 /// The version-1 block encoder over owned rows, dictionaries by hash map:
-/// the reference the streaming writer must match byte for byte.
+/// the reference the streaming writer must match byte for byte. `rows`
+/// are in arrival order; `by_key` lays them out stably sorted by key.
+///
+/// The value column is a dictionary only when `compress` allows one, no
+/// more than half of the first 256 rows to arrive carry a value new
+/// among them (or fewer than 256 arrived), and the dictionary column —
+/// its count, its entries and a row's index each — is no larger than
+/// the inline one.
 fn reference_encode(
     window: WindowId,
     kind: BlockKind,
     rows: &[ColdRow],
     compress: bool,
+    by_key: bool,
 ) -> Vec<u8> {
     fn dictionary<'a>(
         column: impl Iterator<Item = &'a [u8]>,
@@ -44,6 +65,24 @@ fn reference_encode(
         }
         (order, index)
     }
+    let first: HashSet<&[u8]> = rows.iter().take(256).map(|r| r.value.as_slice()).collect();
+    let probe_passed = rows.len() < 256 || first.len() * 2 <= 256;
+    let mut rows: Vec<&ColdRow> = rows.iter().collect();
+    if by_key {
+        rows.sort_by(|a, b| a.key.cmp(&b.key));
+    }
+    let (val_dict, val_idx) = dictionary(rows.iter().map(|row| row.value.as_slice()));
+    let (mut dict_column, mut inline_column) = (Vec::new(), Vec::new());
+    codec::put_varint_u64(&mut dict_column, val_dict.len() as u64);
+    for value in &val_dict {
+        codec::put_len_prefixed(&mut dict_column, value);
+    }
+    for row in &rows {
+        codec::put_varint_u64(&mut dict_column, val_idx[row.value.as_slice()]);
+        codec::put_len_prefixed(&mut inline_column, &row.value);
+    }
+    let dict = compress && probe_passed && dict_column.len() <= inline_column.len();
+
     let mut buf = Vec::new();
     buf.extend_from_slice(&BLOCK_MAGIC);
     buf.push(BLOCK_VERSION);
@@ -51,7 +90,7 @@ fn reference_encode(
         BlockKind::Values => 0,
         BlockKind::Aggregates => 1,
     });
-    buf.push(u8::from(compress));
+    buf.push(u8::from(dict));
     codec::put_varint_i64(&mut buf, window.start);
     codec::put_varint_i64(&mut buf, window.end);
     codec::put_varint_u64(&mut buf, rows.len() as u64);
@@ -60,19 +99,18 @@ fn reference_encode(
     for key in &key_dict {
         codec::put_len_prefixed(&mut buf, key);
     }
-    let (val_dict, val_idx) = dictionary(rows.iter().map(|row| row.value.as_slice()));
-    if compress {
+    if dict {
         codec::put_varint_u64(&mut buf, val_dict.len() as u64);
         for value in &val_dict {
             codec::put_len_prefixed(&mut buf, value);
         }
     }
     let mut prev_ts = window.start;
-    for row in rows {
+    for row in &rows {
         codec::put_varint_u64(&mut buf, key_idx[row.key.as_slice()]);
         codec::put_varint_i64(&mut buf, row.ts.wrapping_sub(prev_ts));
         prev_ts = row.ts;
-        if compress {
+        if dict {
             codec::put_varint_u64(&mut buf, val_idx[row.value.as_slice()]);
         } else {
             codec::put_len_prefixed(&mut buf, &row.value);
@@ -113,6 +151,35 @@ fn rows_strategy() -> impl Strategy<Value = Vec<ColdRow>> {
     )
 }
 
+/// Blocks past the writer's decision point: 200 to 1 000 rows of 8-byte
+/// values drawn from a pool of a few, of 100 to 400 (either side of half
+/// new among 256 rows), or near-unique, under keys from a small alphabet.
+fn long_rows() -> impl Strategy<Value = Vec<ColdRow>> {
+    let pool = prop_oneof![1u64..8, 100u64..400, Just(u64::MAX)];
+    (200usize..1_000, pool, any::<u64>()).prop_map(|(n, pool, seed)| {
+        // xorshift64: the rows of one draw, from its seed.
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        (0..n)
+            .map(|i| ColdRow {
+                key: format!("k{}", next() % 40).into_bytes(),
+                ts: i as i64 * 3 + (next() % 5) as i64,
+                value: (next() % pool).to_le_bytes().to_vec(),
+            })
+            .collect()
+    })
+}
+
+/// Small blocks and long ones.
+fn any_rows() -> impl Strategy<Value = Vec<ColdRow>> {
+    prop_oneof![clustered_rows(), rows_strategy(), long_rows()]
+}
+
 fn windows() -> impl Strategy<Value = WindowId> {
     (any::<i32>(), 0i64..1_000_000)
         .prop_map(|(start, len)| WindowId::new(i64::from(start), i64::from(start) + len))
@@ -133,7 +200,7 @@ fn is_structured_failure(r: &Result<flowkv_common::columnar::ColdBlock, StoreErr
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// encode ∘ decode = id, with value dictionary on (the
     /// dictionary-ID path) and off (the plain len-prefixed path); the
@@ -142,7 +209,7 @@ proptest! {
     fn round_trip_is_identity(
         window in windows(),
         kind in kinds(),
-        rows in rows_strategy(),
+        rows in any_rows(),
         compress in any::<bool>(),
     ) {
         let blob = encode_block(window, kind, &rows, compress);
@@ -197,37 +264,72 @@ proptest! {
     }
 
     /// The owned wrapper and the streaming writer, reused over a run of
-    /// blocks (empty and one-row blocks among them), both write version
-    /// 1 as it always was: in arrival order, and stably sorted by key
-    /// without the rows ever being sorted.
+    /// blocks (empty, one-row and long blocks among them, and rows
+    /// cleared unfinished), both write the reference's bytes: in arrival
+    /// order, and stably sorted by key without the rows ever being
+    /// sorted. The writer's value-column decision is each block's own.
     #[test]
     fn the_streaming_writer_emits_the_reference_bytes(
         window in windows(),
         kind in kinds(),
-        blocks in prop::collection::vec(prop_oneof![clustered_rows(), rows_strategy()], 1..5),
+        blocks in prop::collection::vec(any_rows(), 1..5),
         compress in any::<bool>(),
     ) {
         let mut writer = BlockWriter::new(compress);
         // A one-row block between the others, as the tier's zero-byte
         // budget seals them.
         let one_row = vec![ColdRow { key: b"k".to_vec(), ts: 7, value: b"v".to_vec() }];
-        for rows in blocks.iter().flat_map(|rows| [rows, &one_row]) {
-            let reference = reference_encode(window, kind, rows, compress);
+        for (at, rows) in blocks.iter().flat_map(|rows| [rows, &one_row]).enumerate() {
+            let reference = reference_encode(window, kind, rows, compress, false);
             prop_assert_eq!(&encode_block(window, kind, rows, compress), &reference);
+            // Every other block starts after the last block's rows were
+            // pushed again and cleared.
+            if at % 2 == 1 {
+                for row in &blocks[at / 2] {
+                    writer.push(&row.key, row.ts, &row.value);
+                }
+                writer.clear();
+            }
             for row in rows {
                 writer.push(&row.key, row.ts, &row.value);
             }
             prop_assert_eq!(writer.rows(), rows.len());
             prop_assert_eq!(writer.finish(window, kind), &reference[..]);
 
-            let mut sorted = rows.clone();
-            sorted.sort_by(|a, b| a.key.cmp(&b.key));
             for row in rows {
                 writer.push(&row.key, row.ts, &row.value);
             }
-            let by_key = reference_encode(window, kind, &sorted, compress);
+            let by_key = reference_encode(window, kind, rows, compress, true);
             prop_assert_eq!(writer.finish_by_key(window, kind), &by_key[..]);
             prop_assert_eq!(writer.rows(), 0);
+        }
+    }
+
+    /// A writer allowed a value dictionary never writes a block larger
+    /// than the same rows with an inline value column, in either layout.
+    #[test]
+    fn a_block_is_never_larger_than_its_inline_twin(
+        window in windows(),
+        kind in kinds(),
+        rows in any_rows(),
+    ) {
+        let (mut dict, mut inline) = (BlockWriter::new(true), BlockWriter::new(false));
+        for by_key in [false, true] {
+            for row in &rows {
+                dict.push(&row.key, row.ts, &row.value);
+                inline.push(&row.key, row.ts, &row.value);
+            }
+            let (dict, inline) = match by_key {
+                false => (dict.finish(window, kind), inline.finish(window, kind)),
+                true => (dict.finish_by_key(window, kind), inline.finish_by_key(window, kind)),
+            };
+            prop_assert!(
+                dict.len() <= inline.len(),
+                "{} rows: {} bytes against {} inline",
+                rows.len(),
+                dict.len(),
+                inline.len()
+            );
         }
     }
 

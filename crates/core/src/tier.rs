@@ -94,8 +94,12 @@ pub struct TierConfig {
     /// footprint past the budget trigger a demotion wave. `0` demotes
     /// everything on every write — the harness's pathological cell.
     pub hot_bytes: usize,
-    /// Dictionary-encode the value column of cold blocks (keys and
-    /// timestamps are always dictionary/delta-encoded).
+    /// Allow cold blocks to dictionary-encode their value column (keys
+    /// and timestamps always are dictionary/delta-encoded). A block uses
+    /// the dictionary only where it pays: its writer stops interning
+    /// values once the block's first 256 rows show more than half of
+    /// them new, and keeps the dictionary only when it is no larger than
+    /// the values inlined. `false` inlines every block's values.
     pub compress: bool,
 }
 
@@ -915,9 +919,12 @@ impl StateBackend for TieredStore {
     fn memory_bytes(&self) -> usize {
         let tracked_keys = self.hot.values().flat_map(|hw| hw.keys.keys());
         let held_blocks = self.draining.values().flatten();
+        let index_entry = std::mem::size_of::<(WindowId, Vec<BlockRef>)>();
+        let block_refs = self.index.values().map(Vec::len).sum::<usize>();
         self.inner.memory_bytes()
             + self.prefetched_bytes as usize
-            + self.index.len() * std::mem::size_of::<(WindowId, Vec<BlockRef>)>()
+            + self.index.len() * index_entry
+            + block_refs * std::mem::size_of::<BlockRef>()
             + tracked_keys.map(Vec::len).sum::<usize>()
             + held_blocks.map(Vec::len).sum::<usize>()
     }
@@ -1009,6 +1016,7 @@ mod tests {
     use crate::config::FlowKvConfig;
     use crate::store::FlowKvFactory;
     use flowkv_common::backend::{OperatorSemantics, WindowKind};
+    use flowkv_common::columnar::BLOCK_MAGIC;
     use flowkv_common::logfile::{LogWriter, RECORD_HEADER_LEN};
     use flowkv_common::scratch::ScratchDir;
     use flowkv_common::vfs::StdVfs;
@@ -1432,6 +1440,58 @@ mod tests {
     }
 
     #[test]
+    fn long_blocks_dictionary_encode_values_only_where_that_pays() {
+        // Two windows of 1 200 rows, past the block writer's decision
+        // after 256 rows: near-unique 8-byte values, as Q7's prices are,
+        // and ten values repeating.
+        let window = WindowKind::Fixed { size: 100 };
+        let (unique, repeating) = (w(0, 100), w(100, 200));
+        let append_both = |s: &mut TieredStore| {
+            for i in 0..1_200u64 {
+                let key = format!("auction-{}", i % 37).into_bytes();
+                let ts = (i % 100) as i64;
+                let price = i * 7_919 + 1_000_003;
+                s.append(&key, unique, &price.to_le_bytes(), ts).unwrap();
+                s.append(&key, repeating, &(i % 10).to_le_bytes(), 100 + ts)
+                    .unwrap();
+            }
+        };
+        let dir = ScratchDir::new("tier-dict-choice").unwrap();
+        let mut s = tiered_store(dir.path(), AggregateKind::FullList, window);
+        append_both(&mut s);
+        s.demote_to_budget(0).unwrap();
+        let hot_dir = ScratchDir::new("tier-dict-choice-hot").unwrap();
+        let mut hot = tiered_store(hot_dir.path(), AggregateKind::FullList, window);
+        append_both(&mut hot);
+
+        let mut flags = Vec::new();
+        for win in [unique, repeating] {
+            let refs = s.index[&win].clone();
+            assert_eq!(refs.len(), 1, "one block of {win:?}");
+            let blobs = s.read_blocks("test", &refs).unwrap();
+            // The flags byte follows the magic, the version and the kind;
+            // its low bit marks a value dictionary.
+            flags.push(blobs[0][BLOCK_MAGIC.len() + 2]);
+            let mut lent: BTreeMap<Vec<u8>, Vec<Vec<u8>>> = BTreeMap::new();
+            let mut sink = |key: &[u8], _, value: &[u8]| {
+                lent.entry(key.to_vec()).or_default().push(value.to_vec())
+            };
+            s.lend_rows(win, &blobs[0], &mut sink).unwrap();
+            let drained = drain(&mut s, win, |_, _| ());
+            assert_eq!(drained, drain(&mut hot, win, |_, _| ()));
+            assert_eq!(lent, drained);
+        }
+        assert_eq!(
+            flags,
+            [0, 1],
+            "inline unique values, a dictionary of repeating ones"
+        );
+        assert!(hot.index.is_empty(), "the hot-only store demoted a window");
+        s.close().unwrap();
+        hot.close().unwrap();
+    }
+
+    #[test]
     fn cold_aar_trigger_drains_its_blocks_without_replaying_them() {
         let dir = ScratchDir::new("tier-aar-drain").unwrap();
         let window = WindowKind::Fixed { size: 100 };
@@ -1551,6 +1611,23 @@ mod tests {
             s.take_aggregate(key, win).unwrap();
         }
         assert_eq!(s.memory_bytes(), s.inner.memory_bytes());
+        s.close().unwrap();
+    }
+
+    #[test]
+    fn memory_bytes_grows_with_the_blocks_of_a_window() {
+        let dir = ScratchDir::new("tier-mem-blocks").unwrap();
+        let window = WindowKind::Session { gap: 50 };
+        let (mut s, _) = recorded(dir.path(), AggregateKind::FullList, window, 0, plain());
+        let win = w(0, 100);
+        let mut charged = Vec::new();
+        // Budget 0: every append seals one more block of the window.
+        for blocks in 1..=4 {
+            s.append(b"k", win, b"v", blocks as i64).unwrap();
+            assert_eq!(s.index[&win].len(), blocks);
+            charged.push(s.memory_bytes() - s.inner.memory_bytes());
+        }
+        assert!(charged.windows(2).all(|c| c[0] < c[1]), "{charged:?}");
         s.close().unwrap();
     }
 

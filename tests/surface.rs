@@ -228,12 +228,28 @@ fn crate_dir(name: &str) -> PathBuf {
     dirs.next().unwrap_or_else(|| panic!("no crate `{name}`"))
 }
 
+/// Whether `filter`, handed to a `-p CRATE --lib` test binary whose
+/// crate's sources are `src`, selects a test: it names a module of `src`
+/// (`x::` is `x.rs` or `x/mod.rs`) that holds a `#[test]`, or selects a
+/// `#[test]` fn there.
+fn lib_filter_selects(src: &Path, filter: &str) -> bool {
+    match filter.strip_suffix("::") {
+        Some(module) => {
+            let path = src.join(module.replace("::", "/"));
+            let file = [path.with_extension("rs"), path.join("mod.rs")];
+            let file = file.into_iter().find(|f| f.exists());
+            file.is_some_and(|f| read(&f).contains("#[test]"))
+        }
+        None => rust_files(src)
+            .iter()
+            .any(|f| test_names(f).iter().any(|n| n.contains(filter))),
+    }
+}
+
 /// Checks every filter of one `ci/repeat.sh COUNT SELECTOR [FILTER...]...`
 /// call: after `--test NAME` or `-p CRATE --test NAME`, a filter
-/// selects one of that file's tests; after `-p CRATE --lib`, it names a
-/// module of the crate's `src/` (`x::` is `x.rs` or `x/mod.rs`) that
-/// holds a `#[test]`, or selects a `#[test]` fn there. Returns how many
-/// filters it checked.
+/// selects one of that file's tests; after `-p CRATE --lib`, it passes
+/// [`lib_filter_selects`]. Returns how many filters it checked.
 fn check_repeat_filters(args: &str) -> usize {
     let words: Vec<&str> = args.split_whitespace().skip(1).collect();
     // The tests a filter may select, or the `src/` of a `--lib` selector.
@@ -255,17 +271,9 @@ fn check_repeat_filters(args: &str) -> usize {
                 at += 3;
             }
             [filter, ..] => {
-                let selects = match (&lib, filter.strip_suffix("::")) {
-                    (Some(src), Some(module)) => {
-                        let path = src.join(module.replace("::", "/"));
-                        let file = [path.with_extension("rs"), path.join("mod.rs")];
-                        let file = file.into_iter().find(|f| f.exists());
-                        file.is_some_and(|f| read(&f).contains("#[test]"))
-                    }
-                    (Some(src), None) => rust_files(src)
-                        .iter()
-                        .any(|f| test_names(f).iter().any(|n| n.contains(filter))),
-                    (None, _) => tests.iter().any(|n| n.contains(filter)),
+                let selects = match &lib {
+                    Some(src) => lib_filter_selects(src, filter),
+                    None => tests.iter().any(|n| n.contains(filter)),
                 };
                 assert!(selects, "`{filter}` selects no test: ci/repeat.sh {args}");
                 checked += 1;
@@ -280,16 +288,32 @@ fn check_repeat_filters(args: &str) -> usize {
 /// Every `cargo test --test NAME` in the CI workflow names a test file
 /// under `tests/` or `crates/*/tests/`, a filter after it selects at
 /// least one of that file's tests, every filter handed to `ci/repeat.sh`
-/// selects a test (see [`check_repeat_filters`]), and no plain `run:`
+/// selects a test (see [`check_repeat_filters`]), so does every filter
+/// of a `cargo test -p CRATE --lib` step, before `--` and after it (see
+/// [`lib_filter_selects`]), and no plain `run:`
 /// scalar holds an unquoted `: ` or ends in `::` — YAML reads either as
 /// something else, and once kept the whole workflow from parsing.
 #[test]
 fn ci_steps_name_tests_that_exist() {
     // A shell line continued with `\` is one command.
     let ci = read(&root().join(".github/workflows/ci.yml")).replace("\\\n", " ");
-    let (mut checked, mut repeated) = (0, 0);
+    let (mut checked, mut repeated, mut lib_filters) = (0, 0, 0);
     for line in ci.lines() {
         let code = line.trim_start().trim_start_matches("- ");
+        let words: Vec<&str> = code.split_whitespace().collect();
+        let lib_step = words
+            .windows(5)
+            .position(|w| matches!(w, ["cargo", "test", "-p", _, "--lib"]))
+            .filter(|_| !code.starts_with('#'));
+        if let Some(at) = lib_step {
+            let src = crate_dir(words[at + 3]).join("src");
+            for word in words[at + 5..].iter().filter(|w| !w.starts_with('-')) {
+                let filter = word.trim_matches(['\'', '"']);
+                let selects = lib_filter_selects(&src, filter);
+                assert!(selects, "`{filter}` selects no test: {line}");
+                lib_filters += 1;
+            }
+        }
         if let Some(scalar) = code.strip_prefix("run: ") {
             let plain = !scalar.starts_with(['|', '>', '"', '\'']);
             let misread = scalar.contains(": ") || scalar.ends_with("::");
@@ -321,5 +345,9 @@ fn ci_steps_name_tests_that_exist() {
     assert!(
         repeated > 5,
         "only {repeated} filters handed to ci/repeat.sh"
+    );
+    assert!(
+        lib_filters >= 6,
+        "only {lib_filters} filters of `cargo test --lib` steps"
     );
 }
