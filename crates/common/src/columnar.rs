@@ -250,7 +250,8 @@ impl BlockWriter {
         }
         if by_key {
             let rank = |at: usize| key_place[rows[at].key as usize];
-            group_stable(rows.len(), keys.len(), rank, starts, order);
+            group_stable(rows.len(), keys.len(), rank, starts, order)
+                .expect("a block's rows are numbered by u32");
         }
         let row = |at: usize| match by_key {
             true => &rows[order[at] as usize],

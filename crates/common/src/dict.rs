@@ -4,6 +4,7 @@
 
 use std::hash::BuildHasher;
 
+use crate::error::StoreError;
 use crate::hash::KeyHash;
 
 /// Byte strings held back to back in one allocation and numbered in the
@@ -98,17 +99,40 @@ impl ByteDict {
     }
 }
 
+/// [`group_stable`]'s refusal: positions and counts are `u32`, so it
+/// groups at most `u32::MAX` positions.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TooManyPositions {
+    /// The number of positions asked for.
+    pub n: usize,
+}
+
+impl From<TooManyPositions> for StoreError {
+    #[cold]
+    fn from(e: TooManyPositions) -> Self {
+        StoreError::invalid_state(format!(
+            "{} positions to group, more than the {} a u32 numbers",
+            e.n,
+            u32::MAX
+        ))
+    }
+}
+
 /// Stable counting sort of the positions `0..n` by `bucket_of`, which
 /// answers below `buckets`: on return `order` lists the positions bucket
 /// by bucket, each bucket's ascending, and bucket `b` is
-/// `order[starts[b]..starts[b + 1]]`.
+/// `order[starts[b]..starts[b + 1]]`. More than `u32::MAX` positions are
+/// refused before anything is allocated or `bucket_of` called.
 pub fn group_stable(
     n: usize,
     buckets: usize,
     bucket_of: impl Fn(usize) -> u32,
     starts: &mut Vec<u32>,
     order: &mut Vec<u32>,
-) {
+) -> Result<(), TooManyPositions> {
+    if u32::try_from(n).is_err() {
+        return Err(TooManyPositions { n });
+    }
     starts.clear();
     starts.resize(buckets + 1, 0);
     for at in 0..n {
@@ -127,6 +151,7 @@ pub fn group_stable(
     // Every start has moved to its bucket's end, the next bucket's start.
     starts.rotate_right(1);
     starts[0] = 0;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -162,10 +187,33 @@ mod tests {
     fn grouping_is_stable_and_leaves_empty_buckets_empty() {
         let buckets = [2u32, 0, 2, 4, 0, 2];
         let (mut starts, mut order) = (Vec::new(), Vec::new());
-        group_stable(6, 5, |at| buckets[at], &mut starts, &mut order);
+        group_stable(6, 5, |at| buckets[at], &mut starts, &mut order).unwrap();
         assert_eq!(order, [1, 4, 0, 2, 5, 3]);
         assert_eq!(starts, [0, 2, 2, 5, 5, 6]);
-        group_stable(0, 0, |_| unreachable!(), &mut starts, &mut order);
+        group_stable(0, 0, |_| unreachable!(), &mut starts, &mut order).unwrap();
         assert_eq!((starts.as_slice(), order.len()), (&[0][..], 0));
+    }
+
+    #[test]
+    fn grouping_more_positions_than_a_u32_numbers_is_refused_before_allocating() {
+        let n = u32::MAX as usize + 1;
+        let (mut starts, mut order) = (Vec::new(), Vec::new());
+        let refused = group_stable(n, 1, |_| unreachable!(), &mut starts, &mut order);
+        assert_eq!(refused, Err(TooManyPositions { n }));
+        assert_eq!((starts.capacity(), order.capacity()), (0, 0));
+    }
+
+    #[test]
+    fn a_refused_grouping_is_an_invalid_state_naming_the_count() {
+        let n = u32::MAX as usize + 1;
+        let error = StoreError::from(TooManyPositions { n });
+        assert!(
+            matches!(error, StoreError::InvalidState { .. }),
+            "{error:?}"
+        );
+        assert!(
+            error.to_string().contains("4294967296 positions"),
+            "{error}"
+        );
     }
 }

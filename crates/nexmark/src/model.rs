@@ -4,7 +4,9 @@
 //! records, matching the paper's byte-serialized tuples (≈16 B persons
 //! and auctions, ≈84 B bids once bid extras are included).
 
-use flowkv_common::codec::{put_len_prefixed, put_varint_i64, put_varint_u64, Decoder};
+use flowkv_common::codec::{
+    put_len_prefixed, put_varint_i64, put_varint_u64, zigzag_decode, Decoder,
+};
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::types::Timestamp;
 
@@ -74,17 +76,55 @@ pub struct BidRef<'a> {
 const BID_TAG: u8 = 2;
 
 impl<'a> BidRef<'a> {
-    /// Decodes `data` when it is a bid record, skipping others cheaply.
-    /// The one bid decoder: [`Event::decode`] and [`Event::decode_bid`]
-    /// own what it lends.
+    /// Decodes `data` when it is a bid record, skipping others cheaply;
+    /// [`Event::decode_bid`] owns what it lends.
+    ///
+    /// Every bid of the stream passes here, so a well-formed one takes a
+    /// lean path: varints of up to nine bytes read inline and an ASCII
+    /// channel. Whatever that path does not accept — a ten-byte varint,
+    /// a non-ASCII channel, any malformed record — is decoded by
+    /// `decode_body`, the general [`Decoder`] path [`Event::decode`]
+    /// takes, so the answer, `Ok` or `Err`, is always that path's.
+    #[inline]
     pub fn decode(data: &'a [u8]) -> Result<Option<BidRef<'a>>> {
-        if data.first() != Some(&BID_TAG) {
+        let Some((&BID_TAG, body)) = data.split_first() else {
             return Ok(None);
+        };
+        match BidRef::decode_lean(body) {
+            Some(bid) => Ok(Some(bid)),
+            None => BidRef::decode_body(&mut Decoder::new(body)).map(Some),
         }
-        BidRef::decode_body(&mut Decoder::new(&data[1..])).map(Some)
     }
 
-    /// The fields after the tag.
+    /// The fields after the tag when every varint is at most nine bytes
+    /// (no overflow is possible) and the channel is ASCII; `None` for any
+    /// other input. Bytes after the timestamp are ignored, as
+    /// [`BidRef::decode_body`] ignores them.
+    #[inline]
+    fn decode_lean(body: &'a [u8]) -> Option<BidRef<'a>> {
+        let mut at = 0;
+        let auction = lean_varint(body, &mut at)?;
+        let bidder = lean_varint(body, &mut at)?;
+        let price = lean_varint(body, &mut at)?;
+        let len = usize::try_from(lean_varint(body, &mut at)?).ok()?;
+        let channel = body.get(at..at.checked_add(len)?)?;
+        at += len;
+        if !channel.is_ascii() {
+            return None;
+        }
+        // SAFETY: ASCII bytes are valid UTF-8.
+        let channel = unsafe { std::str::from_utf8_unchecked(channel) };
+        let date_time = zigzag_decode(lean_varint(body, &mut at)?);
+        Some(BidRef {
+            auction,
+            bidder,
+            price,
+            channel,
+            date_time,
+        })
+    }
+
+    /// The fields after the tag, through the general [`Decoder`].
     fn decode_body(dec: &mut Decoder<'a>) -> Result<BidRef<'a>> {
         Ok(BidRef {
             auction: dec.get_varint_u64()?,
@@ -193,6 +233,24 @@ impl Event {
     pub fn decode_bid(data: &[u8]) -> Result<Option<Bid>> {
         Ok(BidRef::decode(data)?.map(|bid| bid.to_bid()))
     }
+}
+
+/// A LEB128 varint of at most nine bytes at `*at`, advancing past it;
+/// `None` when the input ends first or the varint is longer.
+#[inline(always)]
+fn lean_varint(body: &[u8], at: &mut usize) -> Option<u64> {
+    let mut value = 0;
+    let mut shift = 0;
+    while shift < 63 {
+        let byte = *body.get(*at)?;
+        *at += 1;
+        value |= u64::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            return Some(value);
+        }
+        shift += 7;
+    }
+    None
 }
 
 fn utf8(bytes: &[u8]) -> Result<&str> {
@@ -306,6 +364,137 @@ mod tests {
                     let event = Event::decode(&data).ok();
                     proptest::prop_assert_eq!(event, owned.map(Event::Bid));
                 }
+            }
+        }
+    }
+
+    /// `BidRef::decode` against the general decoder it falls back to.
+    mod lean_decoder {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Cases per property: 64 unless `PROPTEST_CASES` says otherwise
+        /// (CI's deep property step runs 256).
+        fn cases() -> u32 {
+            let cases = std::env::var("PROPTEST_CASES").ok();
+            cases.and_then(|n| n.parse().ok()).unwrap_or(64)
+        }
+
+        /// What `BidRef::decode` answered before it had a lean path.
+        fn general(data: &[u8]) -> Result<Option<BidRef<'_>>> {
+            match data.split_first() {
+                Some((&BID_TAG, body)) => BidRef::decode_body(&mut Decoder::new(body)).map(Some),
+                _ => Ok(None),
+            }
+        }
+
+        /// The same `Ok` fields, or an error of the same variant and text.
+        fn assert_same(data: &[u8]) -> TestCaseResult {
+            match (BidRef::decode(data), general(data)) {
+                (Ok(lean), Ok(general)) => prop_assert_eq!(lean, general, "{:?}", data),
+                (Err(lean), Err(general)) => {
+                    prop_assert_eq!(format!("{lean:?}"), format!("{general:?}"), "{:?}", data);
+                    prop_assert_eq!(lean.to_string(), general.to_string());
+                }
+                (lean, general) => {
+                    prop_assert!(false, "{data:?}: lean {lean:?}, general {general:?}")
+                }
+            }
+            Ok(())
+        }
+
+        /// A bid record with `channel` as its channel bytes, valid UTF-8 or
+        /// not.
+        fn record(fields: [u64; 3], channel: &[u8], date_time: i64) -> Vec<u8> {
+            let mut buf = vec![BID_TAG];
+            for field in fields {
+                put_varint_u64(&mut buf, field);
+            }
+            put_len_prefixed(&mut buf, channel);
+            put_varint_i64(&mut buf, date_time);
+            buf
+        }
+
+        /// A field value: small, one byte short of the lean path's nine,
+        /// or any, which is ten bytes half the time.
+        fn field() -> impl Strategy<Value = u64> {
+            prop_oneof![0u64..300, (1u64 << 56)..(1u64 << 63), any::<u64>(),]
+        }
+
+        /// Channel bytes: ASCII, non-ASCII UTF-8, or arbitrary (mostly
+        /// invalid UTF-8).
+        fn channel() -> impl Strategy<Value = Vec<u8>> {
+            prop_oneof![
+                prop::collection::vec(0u8..0x80, 0..30),
+                prop::collection::vec(0u32..0x800, 0..12).prop_map(|chars| {
+                    let s: String = chars.into_iter().filter_map(char::from_u32).collect();
+                    s.into_bytes()
+                }),
+                prop::collection::vec(any::<u8>(), 0..30),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+            /// Arbitrary bytes, half of them tagged as a bid.
+            #[test]
+            fn the_lean_decoder_answers_arbitrary_bytes_as_the_general_one(
+                tagged in any::<bool>(),
+                bytes in prop::collection::vec(any::<u8>(), 0..48),
+            ) {
+                let mut data = bytes;
+                if tagged {
+                    data.insert(0, BID_TAG);
+                }
+                assert_same(&data)?;
+            }
+
+            /// Well-formed bids, then each cut, bit-flipped, given a
+            /// ten-byte or an overflowing varint, and followed by
+            /// trailing bytes.
+            #[test]
+            fn the_lean_decoder_answers_mutated_bids_as_the_general_one(
+                fields in (field(), field(), field()),
+                date_time in any::<i64>(),
+                channel in channel(),
+                cut in any::<usize>(),
+                flip in any::<usize>(),
+                which in 0usize..5,
+                overflow in 2u8..0x80,
+                trailing in prop::collection::vec(any::<u8>(), 1..8),
+            ) {
+                let whole = record([fields.0, fields.1, fields.2], &channel, date_time);
+                assert_same(&whole)?;
+                assert_same(&whole[..cut % whole.len()])?;
+                let mut flipped = whole.clone();
+                flipped[flip / 8 % whole.len()] ^= 1 << (flip % 8);
+                assert_same(&flipped)?;
+                // Field `which` (the channel's length is field 3, the
+                // timestamp 4) re-encoded in ten bytes, then with a tenth
+                // byte past bit 63, then running to eleven.
+                let varints = |last: &[u8]| {
+                    let mut data = vec![BID_TAG];
+                    for at in 0..5 {
+                        if at == which {
+                            data.extend_from_slice(&[0x81; 9]);
+                            data.extend_from_slice(last);
+                        } else {
+                            put_varint_u64(&mut data, 1);
+                        }
+                        if at == 3 {
+                            data.push(b'x');
+                        }
+                    }
+                    data
+                };
+                assert_same(&varints(&[0x00]))?;
+                assert_same(&varints(&[0x01]))?;
+                assert_same(&varints(&[overflow]))?;
+                assert_same(&varints(&[0x80, 0x00]))?;
+                let mut longer = whole;
+                longer.extend_from_slice(&trailing);
+                assert_same(&longer)?;
             }
         }
     }

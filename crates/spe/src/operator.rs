@@ -36,7 +36,7 @@ use std::path::Path;
 
 use flowkv_common::backend::StateBackend;
 use flowkv_common::codec::{put_len_prefixed, put_varint_i64, put_varint_u64, Decoder};
-use flowkv_common::dict::{group_stable, ByteDict};
+use flowkv_common::dict::{group_stable, ByteDict, TooManyPositions};
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::hash::KeyHash;
 use flowkv_common::logfile::{LogReader, LogWriter};
@@ -213,8 +213,9 @@ impl TriggerArena {
     }
 
     /// Hands `fire` each key with its values in the order they were
-    /// pushed, and empties the arena, keeping its allocations.
-    fn fire_each_key(&mut self, mut fire: impl FnMut(&[u8], &[&[u8]])) {
+    /// pushed, and empties the arena, keeping its allocations. More
+    /// values than a `u32` numbers fail the trigger.
+    fn fire_each_key(&mut self, mut fire: impl FnMut(&[u8], &[&[u8]])) -> Result<()> {
         let TriggerArena {
             keys,
             values,
@@ -222,7 +223,7 @@ impl TriggerArena {
             starts,
             order,
         } = self;
-        group_stable(key_of.len(), keys.len(), |at| key_of[at], starts, order);
+        group_stable(key_of.len(), keys.len(), |at| key_of[at], starts, order)?;
         let mut list: Vec<&[u8]> = Vec::new();
         for key in 0..keys.len() {
             let of_key = &order[starts[key] as usize..starts[key + 1] as usize];
@@ -232,16 +233,20 @@ impl TriggerArena {
         }
         drop(list);
         self.clear();
+        Ok(())
     }
 
     /// Hands `fire` every value in push order as one list — what the
-    /// takes of one key's trigger lent — and empties the arena.
-    fn fire_all(&mut self, fire: impl FnOnce(&[&[u8]])) {
+    /// takes of one key's trigger lent — and empties the arena. More
+    /// values than a `u32` numbers fail the trigger.
+    fn fire_all(&mut self, fire: impl FnOnce(&[&[u8]])) -> Result<()> {
         let values = &self.values;
-        let list: Vec<&[u8]> = (0..values.len() as u32).map(|at| values.get(at)).collect();
+        let n = u32::try_from(values.len()).map_err(|_| TooManyPositions { n: values.len() })?;
+        let list: Vec<&[u8]> = (0..n).map(|at| values.get(at)).collect();
         fire(&list);
         drop(list);
         self.clear();
+        Ok(())
     }
 
     fn clear(&mut self) {
@@ -749,7 +754,7 @@ impl WindowOperator {
                         for output in f.process(key, window, values) {
                             out.push(Tuple::new(key.to_vec(), output, out_ts));
                         }
-                    });
+                    })?;
                 }
                 AggregateSpec::Incremental(agg) => {
                     for key in self.trigger_keys.remove(&window).unwrap_or_default() {
@@ -843,7 +848,7 @@ impl WindowOperator {
                     for output in f.process(key, logical, values) {
                         out.push(Tuple::new(key.to_vec(), output, out_ts));
                     }
-                });
+                })?;
             }
             AggregateSpec::Incremental(agg) => {
                 let mut acc: Option<Vec<u8>> = None;

@@ -57,7 +57,7 @@ use flowkv_common::types::{Tuple, WindowId};
 use flowkv_common::vfs::{FaultPlan, FaultVfs, StdVfs, Vfs};
 use flowkv_nexmark::QueryId::{self, *};
 use flowkv_nexmark::{BidRef, Event, EventGenerator, GeneratorConfig, QueryParams};
-use flowkv_spe::functions::FnProcess;
+use flowkv_spe::functions::{decode_u64, FnProcess};
 use flowkv_spe::source::{LogSource, TupleLog};
 use flowkv_spe::{
     run_job, run_supervised, AggregateSpec, BackendChoice, FactoryOptions, Job, JobBuilder,
@@ -71,6 +71,8 @@ const IO_THREADS: usize = 2;
 /// shape no built-in window function expresses.
 pub const OFFSET: i64 = 37;
 pub const SIZE: i64 = 500;
+/// The count job's windows: a bidder's bids, 16 at a time.
+pub const COUNT: u64 = 16;
 
 /// A job the matrix runs.
 #[derive(Clone, Copy, Debug)]
@@ -80,35 +82,56 @@ pub enum Query {
     /// assigner (paper §8, "Custom Window Operations"), kept as full
     /// lists: the store sees only `WindowKind::Custom`.
     OffsetTumbling,
+    /// The highest of every `COUNT` bids of a bidder, in the order they
+    /// arrive: count windows over full lists.
+    CountBids,
 }
 
-pub use Query::{Nexmark as N, OffsetTumbling};
+pub use Query::{CountBids, Nexmark as N, OffsetTumbling};
 
 impl Query {
     pub fn name(self) -> &'static str {
         match self {
             N(q) => q.name(),
             OffsetTumbling => "offset-tumbling",
+            CountBids => "count-bids",
         }
     }
 
     fn job(self, params: QueryParams) -> Job {
-        let N(query) = self else {
-            return offset_tumbling(params.parallelism);
-        };
-        query.build(params)
+        match self {
+            N(query) => query.build(params),
+            OffsetTumbling => {
+                bids_per_bidder(self, params, "offset-count", offset_assigner(), |values| {
+                    values.len() as u64
+                })
+            }
+            CountBids => {
+                let windows = WindowAssigner::Count { size: COUNT };
+                bids_per_bidder(self, params, "count-max", windows, |values| {
+                    values.iter().map(|v| decode_u64(v)).max().unwrap_or(0)
+                })
+            }
+        }
     }
 
     pub fn answer(self, params: QueryParams, events: &[Event], schedule: Schedule) -> Answer {
-        let N(query) = self else {
-            let windows = Windows::Periodic {
-                size: SIZE,
-                slide: SIZE,
-                offset: OFFSET,
-            };
-            return spec::windowed(events, spec::bids_by_bidder, schedule, windows, spec::count);
+        let (windows, f): (Windows, spec::WindowFn) = match self {
+            N(query) => return spec::answer(query, params, events, schedule),
+            OffsetTumbling => {
+                let windows = Windows::Periodic {
+                    size: SIZE,
+                    slide: SIZE,
+                    offset: OFFSET,
+                };
+                (windows, spec::count)
+            }
+            CountBids => {
+                let size = COUNT as usize;
+                (Windows::Count { size }, spec::max)
+            }
         };
-        spec::answer(query, params, events, schedule)
+        spec::windowed(events, spec::bids_by_bidder, schedule, windows, f)
     }
 }
 
@@ -123,9 +146,18 @@ pub fn offset_assigner() -> WindowAssigner {
     }
 }
 
-fn offset_tumbling(parallelism: usize) -> Job {
-    JobBuilder::new("offset-tumbling")
-        .parallelism(parallelism)
+/// `query`'s job: bids keyed by bidder and valued at their price, into
+/// the `windows` of stage `stage` kept as full lists, each emitting
+/// `result` of its prices.
+fn bids_per_bidder(
+    query: Query,
+    params: QueryParams,
+    stage: &str,
+    windows: WindowAssigner,
+    result: fn(&[&[u8]]) -> u64,
+) -> Job {
+    JobBuilder::new(query.name())
+        .parallelism(params.parallelism)
         .stateless("bids-by-bidder", |t, out| {
             if let Ok(Some(bid)) = BidRef::decode(t.value) {
                 out(
@@ -136,10 +168,10 @@ fn offset_tumbling(parallelism: usize) -> Job {
             }
         })
         .window(
-            "offset-count",
-            offset_assigner(),
-            AggregateSpec::FullList(Arc::new(FnProcess::new(|_k, _w, values| {
-                vec![(values.len() as u64).to_le_bytes().to_vec()]
+            stage,
+            windows,
+            AggregateSpec::FullList(Arc::new(FnProcess::new(move |_k, _w, values| {
+                vec![result(values).to_le_bytes().to_vec()]
             }))),
         )
         .build()

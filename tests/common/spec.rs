@@ -12,7 +12,11 @@
 //!   `ts ≤ max_ts + gap` joins (touching counts), and the session covers
 //!   `[min_ts, max_ts + gap)`. The global window covers all of event
 //!   time. A window's result carries timestamp `end − 1`
-//!   (`MAX_TIMESTAMP − 1` for the global window).
+//!   (`MAX_TIMESTAMP − 1` for the global window). A count window of
+//!   `size` takes a key's tuples in arrival order, `size` at a time: it
+//!   closes on the key's `size`-th tuple since the last one closed and
+//!   its result carries that tuple's timestamp; a key's last, unfilled
+//!   window emits nothing.
 //! - **The late rule.** The source puts a watermark after every
 //!   `interval`-th tuple, at the largest timestamp so far minus `slack`
 //!   (`MIN_TIMESTAMP` before the first). A tuple is late — dropped at the
@@ -24,7 +28,9 @@
 //!   output is pre-checkpoint when its window was due by the last
 //!   watermark before the barrier: a periodic or global window once the
 //!   watermark reaches its end, a session once the watermark is past its
-//!   end (a tuple at exactly the end would still join it).
+//!   end (a tuple at exactly the end would still join it). A count
+//!   window is due as its closing tuple arrives: before the barrier when
+//!   that tuple is.
 //!
 //! - **The interval join.** A left and a right tuple of one key join
 //!   when `r.ts ∈ [l.ts + lower, l.ts + upper]`, and the pair emits the
@@ -84,6 +90,8 @@ pub enum Windows {
     Session { gap: i64 },
     /// One window over all of event time.
     Global,
+    /// Per-key runs of `size` tuples in arrival order.
+    Count { size: usize },
 }
 
 impl Windows {
@@ -116,9 +124,19 @@ pub struct Answer {
 /// A key and one of its windows' bounds.
 type KeyWindow = (Vec<u8>, Timestamp, Timestamp);
 
-/// One window stage's result with the least watermark that closes its
-/// window (its end; one past it for a session).
-type Closing = (Triple, Timestamp);
+/// When a window stage's result is due.
+#[derive(Clone, Copy, Debug)]
+enum Due {
+    /// Once the watermark reaches this: a window's end, one past it for
+    /// a session.
+    Watermark(Timestamp),
+    /// As the tuple at this position of the source stream arrives: a
+    /// count window's closing tuple.
+    Arrival(usize),
+}
+
+/// One window stage's result and when it is due.
+type Closing = (Triple, Due);
 
 /// `query`'s answer over `events` fed under `schedule`.
 pub fn answer(query: QueryId, params: QueryParams, events: &[Event], schedule: Schedule) -> Answer {
@@ -151,7 +169,7 @@ pub fn answer(query: QueryId, params: QueryParams, events: &[Event], schedule: S
         .collect();
     let closing = window_stage(all, sliding, max);
     Answer {
-        outputs: closed_by(&closing, MAX_TIMESTAMP),
+        outputs: closed_by(&closing, MAX_TIMESTAMP, usize::MAX),
         pre_checkpoint: pre_checkpoint(&closing, events, schedule),
         late: first.late,
     }
@@ -169,25 +187,32 @@ pub fn windowed(
     let timestamps: Vec<Timestamp> = events.iter().map(Event::timestamp).collect();
     let watermarks = schedule.watermarks_before(&timestamps);
     let (mut late, mut on_time) = (Vec::new(), Vec::new());
-    for (event, watermark) in events.iter().zip(watermarks) {
+    for (at, (event, watermark)) in events.iter().zip(watermarks).enumerate() {
         match stage(event) {
             Some(t) if t.2 < watermark => late.push(t),
-            Some(t) => on_time.push(t),
+            Some(t) => on_time.push((at, t)),
             None => {}
         }
     }
-    let closing = window_stage(on_time, windows, f);
+    let closing = match windows {
+        Windows::Count { size } => count_stage(on_time, size, f),
+        _ => window_stage(on_time.into_iter().map(|(_, t)| t).collect(), windows, f),
+    };
     Answer {
-        outputs: closed_by(&closing, MAX_TIMESTAMP),
+        outputs: closed_by(&closing, MAX_TIMESTAMP, usize::MAX),
         pre_checkpoint: pre_checkpoint(&closing, events, schedule),
         late: sorted(late),
     }
 }
 
-/// The results whose window a watermark at `watermark` closes, sorted;
-/// the end-of-stream `MAX_TIMESTAMP` closes every window.
-fn closed_by(closing: &[Closing], watermark: Timestamp) -> SortedOutputs {
-    let due = closing.iter().filter(|(_, closes)| *closes <= watermark);
+/// The results due once the source's first `arrived` tuples have
+/// arrived and the watermark is at `watermark`, sorted; the end of the
+/// stream (`MAX_TIMESTAMP`, every tuple) makes every result due.
+fn closed_by(closing: &[Closing], watermark: Timestamp, arrived: usize) -> SortedOutputs {
+    let due = closing.iter().filter(|(_, due)| match *due {
+        Due::Watermark(closes) => closes <= watermark,
+        Due::Arrival(at) => at < arrived,
+    });
     sorted(due.map(|(t, _)| t.clone()).collect())
 }
 
@@ -199,7 +224,31 @@ fn pre_checkpoint(closing: &[Closing], events: &[Event], schedule: Schedule) -> 
     };
     let timestamps: Vec<Timestamp> = events[..after].iter().map(Event::timestamp).collect();
     // The watermark at the barrier's own offset comes after it.
-    closed_by(closing, schedule.watermarks_before(&timestamps)[after - 1])
+    closed_by(
+        closing,
+        schedule.watermarks_before(&timestamps)[after - 1],
+        after,
+    )
+}
+
+/// Count windows of `size` over `tuples`, each with its position in the
+/// source stream: a key's tuples in that order, `size` at a time, the
+/// last one's timestamp on the result.
+fn count_stage(mut tuples: Vec<(usize, Triple)>, size: usize, f: WindowFn) -> Vec<Closing> {
+    // The tuples come in arrival order, and a stable sort by key keeps
+    // each key's in it.
+    tuples.sort_by(|a, b| a.1 .0.cmp(&b.1 .0));
+    let mut closing = Vec::new();
+    for of_key in tuples.chunk_by(|a, b| a.1 .0 == b.1 .0) {
+        for window in of_key.chunks_exact(size) {
+            let values: Vec<&[u8]> = window.iter().map(|(_, t)| t.1.as_slice()).collect();
+            let (at, (key, _, ts)) = window.last().expect("a full window");
+            if let Some(value) = f(key, &values) {
+                closing.push(((key.clone(), value, *ts), Due::Arrival(*at)));
+            }
+        }
+    }
+    closing
 }
 
 /// Groups `tuples` by key and window and applies `f` to each group.
@@ -235,6 +284,7 @@ fn window_stage(mut tuples: Vec<Triple>, windows: Windows, f: WindowFn) -> Vec<C
                 }
                 _ => sessions.push(((key, ts, ts + gap), vec![value])),
             },
+            Windows::Count { .. } => unreachable!("count windows close by arrival"),
         }
     }
     groups.extend(sessions);
@@ -245,7 +295,7 @@ fn window_stage(mut tuples: Vec<Triple>, windows: Windows, f: WindowFn) -> Vec<C
         .filter_map(|((key, _, end), values)| {
             let values: Vec<&[u8]> = values.iter().map(Vec::as_slice).collect();
             let value = f(&key, &values)?;
-            Some(((key, value, end - 1), end + touching))
+            Some(((key, value, end - 1), Due::Watermark(end + touching)))
         })
         .collect()
 }

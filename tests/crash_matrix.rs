@@ -12,7 +12,8 @@
 //!   mid-promotion, while cold blocks are read back).
 //! - `*_resumes_exactly`: the three patterns on every backend, and the
 //!   global window (Q12), chained window stages (Q5) and the windowed
-//!   join (Q8) on FlowKV.
+//!   join (Q8) on FlowKV; count windows over bids on every backend (a
+//!   key's partly filled window crosses the barrier).
 //!
 //! Crash ops are drawn from the SplitMix64 stream seeded by
 //! `FLOWKV_FAULT_SEED` (each row prints it), so any CI failure
@@ -25,7 +26,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::matrix::{every_backend, flowkv, short, Crash, Tweak, N, PLAIN};
+use common::matrix::{every_backend, flowkv, short, CountBids, Crash, Tweak, N, PLAIN};
 use common::{fault_seed, nexmark_shape, sorted_triples, spec_outputs};
 use flowkv::FlowKvConfig;
 use flowkv_common::scratch::ScratchDir;
@@ -89,6 +90,7 @@ matrix! {
     global_window_query_resumes_exactly:     &[N(Q12)],       flowkv,        resumed, RESUME;
     consecutive_window_query_resumes_exactly: &[N(Q5)],       flowkv,        resumed, RESUME;
     windowed_join_resumes_exactly:           &[N(Q8)],        flowkv,        resumed, RESUME;
+    count_window_query_resumes_exactly:      &[CountBids],    every_backend, resumed, RESUME;
 }
 
 /// A short read landing inside a batched extent read of the AUR data log
