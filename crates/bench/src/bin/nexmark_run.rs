@@ -1,6 +1,6 @@
 //! General-purpose NEXMark runner: one query, one backend, full knobs.
 //!
-//! The per-figure harnesses sweep fixed grids; this binary runs a single
+//! `flowkv-figures` sweeps fixed grids; this binary runs a single
 //! configurable cell — handy for profiling, tuning, and ad-hoc
 //! comparisons.
 //!
@@ -13,6 +13,9 @@
 //!   [--telemetry-out=run.jsonl] [--telemetry-interval-ms=250] \
 //!   [--trace-out=run.trace.json] [--trace-sample=1]`
 //!
+//! `--ratio` and `--msa` apply to `flowkv` only; a flag the run does not
+//! read, or a value that does not parse, exits with status 2.
+//!
 //! `--telemetry-out=` attaches the telemetry subsystem and streams
 //! periodic registry snapshots (watermarks, checkpoint barriers, ETT
 //! prediction error, ...), one JSON object per line, to the given file.
@@ -22,18 +25,16 @@
 //! it to the `flowkv-trace` analyzer). `--trace-sample=N` traces every
 //! Nth sealed source batch (default 1 = every batch when tracing is on).
 
+use std::path::PathBuf;
 use std::time::Duration;
 
 use flowkv_bench::{flowkv_cfg, hashkv_cfg, lsm_cfg, run_cell, workload, CellOutcome, HarnessArgs};
-use flowkv_nexmark::{GeneratorConfig, QueryId, QueryParams};
+use flowkv_nexmark::{QueryId, QueryParams};
 use flowkv_spe::BackendChoice;
 
 fn main() {
     let args = HarnessArgs::parse();
-    let query_name = std::env::args()
-        .skip(1)
-        .find_map(|a| a.strip_prefix("--query=").map(str::to_string))
-        .unwrap_or_else(|| "Q11-Median".to_string());
+    let query_name = args.str("query", "Q11-Median");
     let query = QueryId::all()
         .into_iter()
         .find(|q| q.name().eq_ignore_ascii_case(&query_name))
@@ -45,10 +46,7 @@ fn main() {
             std::process::exit(2);
         });
 
-    let backend_name = std::env::args()
-        .skip(1)
-        .find_map(|a| a.strip_prefix("--backend=").map(str::to_string))
-        .unwrap_or_else(|| "flowkv".to_string());
+    let backend_name = args.str("backend", "flowkv");
     let buffer = (args.u64("buffer-kb", 1280) << 10) as usize;
     let backend = match backend_name.as_str() {
         "flowkv" => BackendChoice::FlowKv(
@@ -80,21 +78,19 @@ fn main() {
     let window_ms = args.u64("window-ms", 1_500) as i64;
     let parallelism = args.u64("parallelism", 2) as usize;
     let rate = args.u64("rate", 0);
-    let telemetry_out = {
-        let path = args.str("telemetry-out", "");
-        (!path.is_empty()).then(|| std::path::PathBuf::from(path))
+    let path = |key| {
+        Some(args.str(key, ""))
+            .filter(|p| !p.is_empty())
+            .map(PathBuf::from)
     };
+    let telemetry_out = path("telemetry-out");
     let telemetry_interval = Duration::from_millis(args.u64("telemetry-interval-ms", 250));
-    let trace_out = {
-        let path = args.str("trace-out", "");
-        (!path.is_empty()).then(|| std::path::PathBuf::from(path))
-    };
+    let trace_out = path("trace-out");
     let trace_sample = args.u64("trace-sample", 0);
-    let gen_cfg = GeneratorConfig {
-        seed: args.u64("seed", 1),
-        ..workload(events, args.u64("seed", 1))
-    };
+    let gen_cfg = workload(events, args.u64("seed", 1));
     let params = QueryParams::new(window_ms).with_parallelism(parallelism);
+    let timeout = Duration::from_secs(args.u64("timeout", 300));
+    args.finish();
 
     eprintln!(
         "{} on {backend_name}: {events} events, window {window_ms} ms, p={parallelism}{}",
@@ -105,31 +101,24 @@ fn main() {
             String::new()
         }
     );
-    let outcome = run_cell(
-        query,
-        &backend,
-        gen_cfg,
-        params,
-        Duration::from_secs(args.u64("timeout", 300)),
-        |opts| {
-            if rate > 0 {
-                opts.rate_limit = Some(rate);
-                opts.record_latency = true;
-            }
-            if let Some(path) = telemetry_out {
-                eprintln!("telemetry -> {}", path.display());
-                opts.telemetry_out = Some(path);
-                opts.telemetry_interval = telemetry_interval;
-            }
-            if let Some(path) = trace_out {
-                eprintln!("trace -> {}", path.display());
-                opts.trace_out = Some(path);
-            }
-            if trace_sample > 0 {
-                opts.trace_sample = trace_sample;
-            }
-        },
-    );
+    let outcome = run_cell(query, &backend, gen_cfg, params, timeout, |opts| {
+        if rate > 0 {
+            opts.rate_limit = Some(rate);
+            opts.record_latency = true;
+        }
+        if let Some(path) = telemetry_out {
+            eprintln!("telemetry -> {}", path.display());
+            opts.telemetry_out = Some(path);
+            opts.telemetry_interval = telemetry_interval;
+        }
+        if let Some(path) = trace_out {
+            eprintln!("trace -> {}", path.display());
+            opts.trace_out = Some(path);
+        }
+        if trace_sample > 0 {
+            opts.trace_sample = trace_sample;
+        }
+    });
     match outcome {
         CellOutcome::Ok(r) => {
             let m = &r.store_metrics;

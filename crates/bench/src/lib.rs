@@ -1,19 +1,19 @@
-//! Shared harness plumbing for the per-figure benchmark binaries.
+//! Shared plumbing of the benchmark binaries: `flowkv-figures`
+//! regenerates every figure of the paper's evaluation from one table
+//! (DESIGN.md §4 indexes them) and `nexmark_run` runs one cell. They
+//! share:
 //!
-//! Every binary in `src/bin/` regenerates one figure of the paper's
-//! evaluation (see DESIGN.md §4 for the experiment index). They share:
-//!
-//! - [`HarnessArgs`]: a tiny `--key=value` argument parser with a
-//!   `--scale` knob that multiplies the event count (default sizes run
-//!   each figure in minutes on a laptop);
+//! - [`HarnessArgs`]: a `--key=value` argument parser that refuses a
+//!   value that does not parse and a flag nothing reads;
 //! - backend configurations scaled so that state actually spills to disk
 //!   at harness event counts ([`bench_backends`]);
 //! - [`run_cell`]: one measured query execution with OOM/timeout
 //!   handling, returning a [`CellOutcome`] that prints like the paper's
-//!   crossed bars when a system fails;
-//! - TSV table output helpers.
+//!   crossed bars when a system fails.
 
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::str::FromStr;
 use std::time::Duration;
 
 use flowkv::FlowKvConfig;
@@ -24,23 +24,39 @@ use flowkv_nexmark::{EventGenerator, GeneratorConfig, QueryId, QueryParams};
 use flowkv_spe::executor::JobError;
 use flowkv_spe::{run_job, BackendChoice, FactoryOptions, JobResult, RunOptions};
 
-/// Parsed `--key=value` command-line arguments.
+/// Command-line arguments: bare names and `--key=value` flags.
+///
+/// A flag's value is parsed where it is read, and one that does not
+/// parse exits the process with status 2, naming the flag; so does, at
+/// [`HarnessArgs::finish`], a flag that nothing read.
 pub struct HarnessArgs {
-    map: HashMap<String, String>,
+    names: Vec<String>,
+    /// Each flag's value, and whether anything has read it.
+    flags: HashMap<String, (String, Cell<bool>)>,
 }
 
 impl HarnessArgs {
     /// Parses the process arguments.
     pub fn parse() -> Self {
-        let mut map = HashMap::new();
-        for arg in std::env::args().skip(1) {
-            if let Some(rest) = arg.strip_prefix("--") {
-                if let Some((k, v)) = rest.split_once('=') {
-                    map.insert(k.to_string(), v.to_string());
-                }
-            }
+        Self::from_args(std::env::args().skip(1))
+    }
+
+    fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+        let (mut names, mut flags) = (Vec::new(), HashMap::new());
+        for arg in args {
+            let Some(flag) = arg.strip_prefix("--") else {
+                names.push(arg);
+                continue;
+            };
+            let (key, value) = flag.split_once('=').unwrap_or((flag, ""));
+            flags.insert(key.to_string(), (value.to_string(), Cell::new(false)));
         }
-        HarnessArgs { map }
+        HarnessArgs { names, flags }
+    }
+
+    /// The arguments that are not flags, in order.
+    pub fn names(&self) -> &[String] {
+        &self.names
     }
 
     /// Returns `--scale` (default 1.0); event counts multiply by it.
@@ -50,27 +66,50 @@ impl HarnessArgs {
 
     /// A float argument with a default.
     pub fn f64(&self, key: &str, default: f64) -> f64 {
-        self.map
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.value(key, default).unwrap_or_else(|e| refuse(&e))
     }
 
     /// An integer argument with a default.
     pub fn u64(&self, key: &str, default: u64) -> u64 {
-        self.map
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.value(key, default).unwrap_or_else(|e| refuse(&e))
     }
 
     /// A string argument with a default.
     pub fn str(&self, key: &str, default: &str) -> String {
-        self.map
-            .get(key)
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
+        let value = self.value(key, default.to_string());
+        value.unwrap_or_else(|e| refuse(&e))
     }
+
+    /// Exits with status 2 if a flag was given that nothing has read.
+    pub fn finish(&self) {
+        if let Some(flag) = self.unread().first() {
+            refuse(&format!("--{flag}: not a flag this run reads"));
+        }
+    }
+
+    /// `--key`'s value, or `default` when it is absent.
+    fn value<T: FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        let Some((value, read)) = self.flags.get(key) else {
+            return Ok(default);
+        };
+        read.set(true);
+        value
+            .parse()
+            .map_err(|_| format!("--{key}={value}: not a valid value"))
+    }
+
+    /// The flags given that nothing has read, sorted.
+    fn unread(&self) -> Vec<&str> {
+        let unread = self.flags.iter().filter(|(_, (_, read))| !read.get());
+        let mut unread: Vec<&str> = unread.map(|(key, _)| key.as_str()).collect();
+        unread.sort_unstable();
+        unread
+    }
+}
+
+fn refuse(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
 }
 
 /// Base event count that `--scale` multiplies.
@@ -220,21 +259,6 @@ pub fn run_cell(
     }
 }
 
-/// Prints one TSV row.
-pub fn row(cells: &[String]) {
-    println!("{}", cells.join("\t"));
-}
-
-/// Prints a TSV header row.
-pub fn header(cells: &[&str]) {
-    println!("{}", cells.join("\t"));
-}
-
-/// Formats nanoseconds as seconds with millisecond precision.
-pub fn secs(nanos: u64) -> String {
-    format!("{:.3}", nanos as f64 / 1e9)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,5 +292,48 @@ mod tests {
         };
         assert_eq!(result.input_count, 5_000);
         assert!(result.output_count > 0);
+    }
+
+    fn args(list: &[&str]) -> HarnessArgs {
+        HarnessArgs::from_args(list.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn a_value_that_does_not_parse_is_refused_by_name() {
+        let args = args(&["--scale=0,05", "--timeout=2m", "--rate=7"]);
+        assert_eq!(
+            args.value("scale", 1.0),
+            Err("--scale=0,05: not a valid value".into())
+        );
+        assert!(args
+            .value("timeout", 120u64)
+            .unwrap_err()
+            .starts_with("--timeout=2m"));
+        assert_eq!(args.value("rate", 40_000u64), Ok(7));
+        assert_eq!(args.value("seconds", 4u64), Ok(4));
+    }
+
+    #[test]
+    fn a_flag_nothing_reads_is_refused_by_name() {
+        let args = args(&[
+            "fig8_throughput",
+            "--sclae=0.05",
+            "--scale=0.05",
+            "--verbose",
+        ]);
+        assert_eq!(args.names(), ["fig8_throughput"]);
+        assert_eq!(args.scale(), 0.05);
+        assert_eq!(args.unread(), ["sclae", "verbose"]);
+        args.str("sclae", "");
+        assert_eq!(args.unread(), ["verbose"]);
+    }
+
+    #[test]
+    fn metrics_dump_reads_its_address() {
+        const DEFAULT: &str = "127.0.0.1:7070";
+        let given = args(&["--addr=10.0.0.7:9090"]);
+        assert_eq!(given.str("addr", DEFAULT), "10.0.0.7:9090");
+        assert!(given.unread().is_empty());
+        assert_eq!(args(&[]).str("addr", DEFAULT), DEFAULT);
     }
 }

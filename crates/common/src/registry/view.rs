@@ -679,14 +679,14 @@ impl StateView {
     /// entries that materialised (the delta's own, plus whatever a
     /// merge or fold rewrote).
     ///
-    /// The chain is kept short by two rules. Every [`MERGE_FANOUT`]
+    /// The chain is kept short by two rules. Every `MERGE_FANOUT`
     /// deltas of one level merge into one delta of the next (unless a
     /// fold is about to make that moot), so the chain grows with the
     /// logarithm of the publishes since the last fold. And the chain is
     /// **folded** into a fresh base when the deltas together hold as
     /// many entries as the base (rewriting the base then costs no more
     /// than the changes that forced it — amortised O(changed) per
-    /// epoch), when it would outgrow [`MAX_CHAIN`], or when the delta
+    /// epoch), when it would outgrow `MAX_CHAIN`, or when the delta
     /// drops a window: a window drop names a window's worth of entries
     /// at once, and counting what it removed is the same pass as
     /// removing it.

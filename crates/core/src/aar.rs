@@ -17,11 +17,11 @@
 //!
 //! The on-disk layout — one file per boundary — is the only structure:
 //! the store keeps one table ordered by window, and an entry
-//! ([`AarWindow`]) is everything known about one boundary: the buffered
-//! [`Run`], the open [`LogWriter`] if the window holds one, whether its
+//! (`AarWindow`) is everything known about one boundary: the buffered
+//! `Run`, the open [`LogWriter`] if the window holds one, whether its
 //! file exists (a field, never a question put to the filesystem), the
-//! file [`Prefix`] the ring loaded ahead of the trigger, and the
-//! [`Drain`] in flight. An entry exists exactly while the window holds
+//! file `Prefix` the ring loaded ahead of the trigger, and the
+//! `Drain` in flight. An entry exists exactly while the window holds
 //! state. Window order is the order a flush writes files in, read-ahead
 //! candidates claim the byte budget in (soonest trigger first), and the
 //! view and a checkpoint copy in: which file an op lands on is a
@@ -35,14 +35,14 @@
 //! a record is "pairs to the end of its payload" — and keeps the run's
 //! allocation. Nothing is re-encoded on the way back either: the memory
 //! remainder of a drain is the run itself, served as the last payload.
-//! [`decode_pairs`] is the one decode, for file records, the run, and the
+//! `decode_pairs` is the one decode, for file records, the run, and the
 //! view's two passes, and it *lends*: a pair is two slices of the payload
 //! in hand, given to the caller's sink. The drain is borrowed all the way
 //! ([`AarStore::drain_window_chunk`]); the owned chunk is that step
-//! collected. [`next_record`] is the one step that reads a window file
+//! collected. `next_record` is the one step that reads a window file
 //! and the one statement of the rule that a torn record ends it: a drain
-//! takes a step per payload it needs, [`read_prefix`] loops it over a
-//! file for the serving view and for the ring job. A [`Prefix`] holds the
+//! takes a step per payload it needs, `read_prefix` loops it over a
+//! file for the serving view and for the ring job. A `Prefix` holds the
 //! record payloads as read, back to back — a record is "pairs to the end
 //! of its payload", so they are one payload, the first a drain serves:
 //! the ring takes the device read and the CRC off the worker thread, and
@@ -58,7 +58,7 @@
 //!
 //! # Open writers
 //!
-//! At most [`MAX_OPEN_WRITERS`] windows keep their writer between
+//! At most `MAX_OPEN_WRITERS` windows keep their writer between
 //! flushes: a writer opened beyond the cap is closed again once its
 //! flush is written. Every flush walks the live windows in the same
 //! order, so evicting the least recently flushed writer instead would

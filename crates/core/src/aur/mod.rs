@@ -5,8 +5,8 @@
 //! (wasted CPU) fit. The AUR store instead:
 //!
 //! - appends flushed value groups to a single **global data log**, each
-//!   record naming its window ([`record`]);
-//! - keeps one in-memory **table of live windows** ([`table`]) whose
+//!   record naming its window (`record`);
+//! - keeps one in-memory **table of live windows** (`table`) whose
 //!   entries hold Figure 7's three memory structures: the **Stat table**
 //!   is `ett`/`max_ts`/`disk_bytes` (updated on every append via the
 //!   [`EttPredictor`]), the **write buffer** `buffered`, the **prefetch
@@ -18,7 +18,7 @@
 //!   `N = ratio × live-windows` windows closest to triggering, loads them
 //!   in offset order — one device read per run of neighbouring records,
 //!   not one per record — and parks them in the windows' `prefetched`
-//!   slots. That read is one body, [`read_windows`], which a read-ahead
+//!   slots. That read is one body, `read_windows`, which a read-ahead
 //!   runs on the worker's I/O ring and the serving view for every window
 //!   on disk;
 //! - writes each flush in **predicted-trigger order**, so the windows a
@@ -28,7 +28,7 @@
 //!   exceeds the configured MSA the store relocates the live byte ranges
 //!   of the data log into a new generation — raw record bytes out of
 //!   the same extent reads, never decoded (paper §5). The log is a
-//!   [`GenLog`](crate::genlog), which owns the file's whole life.
+//!   `GenLog`, which owns the file's whole life.
 //!
 //! A consumed window's records stay in the log until compaction, and
 //! re-appending to the same `(key, window)` must not resurrect them: a

@@ -6,10 +6,10 @@
 //! write buffer of dirty aggregates in front of an in-memory hash index
 //! over an append-only value log — structurally a hash KV store, minus
 //! the concurrency machinery the paper shows Faster wastes cycles on for
-//! single-threaded stream workers. Both are [`WindowMap`]s, probed with
+//! single-threaded stream workers. Both are `WindowMap`s, probed with
 //! the `(key, window)` a call arrives with; the composite `window ‖ key`
 //! exists only inside a log record. The value log is a
-//! [`GenLog`](crate::genlog): rewritten when space amplification exceeds
+//! `GenLog`: rewritten when space amplification exceeds
 //! the MSA, like the AUR store's.
 //!
 //! A tuple costs one probe of the write buffer: [`RmwStore::update`]

@@ -4,7 +4,7 @@
 //! pinned hot tier holding the windows most likely to trigger next,
 //! while sealed cold windows are demoted into compressed columnar blocks
 //! ([`flowkv_common::columnar`]) appended, one record per block, to a
-//! single cold log ([`GenLog`]) on the [`Vfs`] seam. The store already
+//! single cold log (`GenLog`) on the [`Vfs`] seam. The store already
 //! knows the schema — pattern, window,
 //! key — so the tier keeps no second index beside it: demotion consumes
 //! the hot tier with the same pattern-legal calls the engine would issue
@@ -32,7 +32,7 @@
 //!   first, then come the wrapped store's steps — the operator joins
 //!   per-key lists in that order, so nothing is written back. AUR/RMW
 //!   point reads *promote*: the cold rows are replayed into the wrapped
-//!   store under the hotter rows of their keys ([`merge_cold`], also
+//!   store under the hotter rows of their keys (`merge_cold`, also
 //!   the rule of `read_view` and `extract_range`). A block is a record
 //!   of the cold log, read where its [`RecordLocation`] says through
 //!   the one reader by location (`RandomAccessLog::read_records`), as
@@ -40,7 +40,7 @@
 //!   blocks in one extent read. Block reads ride the worker's I/O ring
 //!   when [`OperatorContext::io`] carries one;
 //!   [`TieredStore::advance_prefetch`] submits them ahead of a trigger.
-//! - **Compaction** is the cold [`GenLog`]'s: once dead blocks dominate
+//! - **Compaction** is the cold `GenLog`'s: once dead blocks dominate
 //!   (the stores' MSA rule, with the tier's own factor and floor) the
 //!   surviving blocks are relocated into the next generation.
 //! - **Checkpoints** seal every hot window into the cold tier first, so

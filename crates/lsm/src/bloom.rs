@@ -67,8 +67,8 @@ impl BloomFilter {
 
     /// Decodes a filter previously written by [`BloomFilter::encode_to`],
     /// rejecting any shape [`BloomFilter::build`] cannot produce: fewer
-    /// than [`MIN_BITS`] bits (zero would divide by zero at every
-    /// lookup), a probe count outside `1..=`[`MAX_PROBES`], or a bit
+    /// than `MIN_BITS` bits (zero would divide by zero at every
+    /// lookup), a probe count outside `1..=``MAX_PROBES`, or a bit
     /// array shorter than the bit count.
     pub fn decode_from(dec: &mut Decoder<'_>) -> Result<Self> {
         let num_bits = dec.get_varint_u64()?;

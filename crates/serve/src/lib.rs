@@ -10,7 +10,7 @@
 //!    shared [`StateRegistry`](flowkv_common::registry::StateRegistry)
 //!    each time their watermark advances (see
 //!    `RunOptions::registry` in `flowkv-spe`).
-//! 2. [`StateServer`](server::StateServer) — built via
+//! 2. [`StateServer`] — built via
 //!    [`ServerBuilder`] — answers point lookups, batched multi-key
 //!    lookups and filtered range scans over those snapshots, and a
 //!    Prometheus scrape of their store counters and the telemetry
@@ -19,7 +19,7 @@
 //!    multiplexing every connection onto one readiness-polled thread;
 //!    every frame carries a request id, so clients can pipeline many
 //!    requests per connection.
-//! 3. [`StateClient`](client::StateClient) is the matching blocking
+//! 3. [`StateClient`] is the matching blocking
 //!    client with a pipelined batch façade; the `perf` benchmark's
 //!    `q12-rmw-serve` workload drives it against a live job and reports
 //!    lookup throughput and latency percentiles.

@@ -7,11 +7,11 @@
 //! workers.
 //!
 //! The serving core is a single-threaded event loop
-//! ([`event_loop`](crate::event_loop)): every connection is multiplexed
+//! (`event_loop`): every connection is multiplexed
 //! onto one readiness-polled thread with per-connection read/write
 //! buffers, and pipelined clients get every buffered frame answered per
 //! wake-up; each frame is answered by one stateless function
-//! ([`handle_frame`]). [`ServerBuilder`] is the one construction path.
+//! (`handle_frame`). [`ServerBuilder`] is the one construction path.
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -907,7 +907,7 @@ impl KeyedOperator for WindowOperator {
         std::mem::take(&mut self.late.kept)
     }
 
-    /// The one shard of [`export_engine_shards`](Self::export_engine_shards).
+    /// The one shard of `export_engine_shards`.
     fn encode_engine_state(&self, buf: &mut Vec<u8>) {
         let mut shards = self.export_engine_shards(1, &|_| 0);
         shards.pop().expect("one shard").encode_to(buf);
@@ -929,7 +929,7 @@ impl KeyedOperator for WindowOperator {
 
     /// Elements run in arrival order, the order a batch size of one runs
     /// them in: batching changes no store call. Only a backend that
-    /// wants the [`warm_hint`](Self::warm_hint) (the LSM) gets the rows
+    /// wants the `warm_hint` (the LSM) gets the rows
     /// stably sorted by key first, for the hint's dedupe of adjacent
     /// pairs; per-key arrival order survives and the watermark cannot
     /// move inside a batch (batches flush before watermarks), so no

@@ -4,10 +4,10 @@
 //! a checkpoint migration between the runs:
 //!
 //! 1. **Phase 1** runs the job at `job.parallelism` over the schedule up
-//!    to and including its barrier, then [`SourceItem::Halt`]: the
+//!    to and including its barrier, then `SourceItem::Halt`: the
 //!    workers checkpoint at the barrier and stop without the closing
 //!    `MAX_TIMESTAMP` watermark, so open windows stay in the checkpoint.
-//! 2. **Migration** ([`repartition`]) rewrites that checkpoint from `p`
+//! 2. **Migration** (`repartition`) rewrites that checkpoint from `p`
 //!    workers to `p′`. It restores every old partition's operator,
 //!    extracts all of its store's state, sends every entry and every
 //!    engine-side structure to partition `partition_of(key, p′)` — the

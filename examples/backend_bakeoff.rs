@@ -56,5 +56,5 @@ fn main() {
         }
     }
     println!("\n(the paper's Figure 8 sweeps all eight queries and three window sizes;");
-    println!(" see `cargo run --release -p flowkv-bench --bin fig8_throughput`)");
+    println!(" see `cargo run --release -p flowkv-bench --bin flowkv-figures -- fig8_throughput`)");
 }
