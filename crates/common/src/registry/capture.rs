@@ -259,7 +259,7 @@ impl ViewCapture {
         }
         let base = backend.read_view()?;
         let mut recorded = lock(&self.recorded);
-        recorded.delta = ViewDelta::default();
+        recorded.delta = ViewDelta::bounded(base.as_ref().map_or(0, StateView::len));
         recorded.draining.clear();
         Ok(match base {
             Some(view) => {

@@ -4,13 +4,15 @@
 //! Every layer is one byte arena plus fixed-size rows sorted by
 //! `(key, window)`, each row pointing at its key and value bytes in the
 //! arena. A point lookup is a binary search with a borrowed `&[u8]` (no
-//! allocation), a prefix scan seeks and walks, merging layers is one
-//! linear pass that copies bytes into a new arena, and dropping a layer
-//! frees two buffers. See the [module documentation](super) for what a
-//! reader pins and when the chain is folded.
+//! allocation), a prefix scan seeks and walks, merging layers sorts the
+//! rows above the oldest by key head and makes one pass against it that
+//! copies bytes into a new arena, and dropping a layer frees two
+//! buffers. See the [module documentation](super) for what a reader pins
+//! and when the chain is folded.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::metrics::MetricsSnapshot;
@@ -110,6 +112,9 @@ struct Row {
     key: Span,
     value: Span,
     kind: Kind,
+    /// In an epoch's log and the delta it collapses to, what the pair
+    /// held before the call ([`pack`]ed); read nowhere else.
+    held: u32,
 }
 
 impl Row {
@@ -124,6 +129,53 @@ impl Row {
     fn change<'a>(&self, arena: &'a [u8]) -> Change<'a> {
         Change(self.kind, self.value.of(arena))
     }
+}
+
+/// Sorts `items` stably by the `u64` that `head` reads from each: a
+/// counting pass on the highest byte in which two heads differ, then the
+/// same within each bucket, down to buckets of a few items, which are
+/// sorted by comparison. `scratch` holds a copy during a pass.
+fn sort_by_head<T: Copy>(items: &mut [T], scratch: &mut Vec<T>, head: impl Fn(&T) -> u64 + Copy) {
+    let Some(first) = items.first().map(head) else {
+        return;
+    };
+    if items.len() <= 24 {
+        return items.sort_by_key(head);
+    }
+    let spread = items
+        .iter()
+        .fold(0, |spread, item| spread | (head(item) ^ first));
+    if spread == 0 {
+        return;
+    }
+    let shift = (63 - spread.leading_zeros()) / 8 * 8;
+    let digit = |item: &T| (head(item) >> shift) as u8 as usize;
+    let mut starts = [0; 257];
+    items.iter().for_each(|item| starts[digit(item) + 1] += 1);
+    (1..257).for_each(|d| starts[d] += starts[d - 1]);
+    scratch.clear();
+    scratch.extend_from_slice(items);
+    let mut next = starts;
+    for item in scratch.iter() {
+        items[next[digit(item)]] = *item;
+        next[digit(item)] += 1;
+    }
+    for bucket in starts.windows(2).filter(|b| b[1] - b[0] > 1) {
+        sort_by_head(&mut items[bucket[0]..bucket[1]], scratch, head);
+    }
+}
+
+/// Orders two rows (each with its arena) by position, reading no key
+/// byte where the heads decide or hold both keys whole: two keys of at
+/// most eight bytes with one head differ only in trailing zeros, so the
+/// shorter sorts first.
+fn by_pos((a, of_a): (&Row, &[u8]), (b, of_b): (&Row, &[u8])) -> Ordering {
+    a.head
+        .cmp(&b.head)
+        .then_with(|| match a.key.1.max(b.key.1) {
+            ..=8 => (a.key.1, a.window).cmp(&(b.key.1, b.window)),
+            _ => a.pos(of_a).cmp(&b.pos(of_b)),
+        })
 }
 
 /// What one layer says about one pair, read in place: kind and bytes.
@@ -228,7 +280,7 @@ impl Layer {
     }
 
     /// Writes a row for `pos` whose value `write` appends to the arena.
-    fn push(&mut self, pos: Pos<'_>, kind: Kind, write: impl FnOnce(&mut Vec<u8>)) {
+    fn push(&mut self, pos: Pos<'_>, kind: Kind, held: u32, write: impl FnOnce(&mut Vec<u8>)) {
         let key = Span::write(&mut self.bytes, |arena| arena.extend_from_slice(pos.key));
         let (head, window, value) = (pos.head, pos.window, Span::write(&mut self.bytes, write));
         self.rows.push(Row {
@@ -237,14 +289,41 @@ impl Layer {
             key,
             value,
             kind,
+            held,
         });
+    }
+
+    /// Copies the rows `run` of `from` through unchanged. Every layer
+    /// writes each row's key and value after the row before's, so the
+    /// run's bytes are one stretch of `from`'s arena: one copy moves
+    /// them, and each row's spans shift by where the stretch lands.
+    fn copy_run(&mut self, from: &Layer, run: Range<usize>) {
+        let rows = &from.rows[run];
+        let (Some(first), Some(last)) = (rows.first(), rows.last()) else {
+            return;
+        };
+        let (start, end) = (first.key.0, last.value.0 + last.value.1);
+        let shift = offset(self.bytes.len()).wrapping_sub(start);
+        let moved = |span: Span| Span(span.0.wrapping_add(shift), span.1);
+        self.bytes
+            .extend_from_slice(&from.bytes[start as usize..end as usize]);
+        offset(self.bytes.len());
+        let rows = rows.iter().map(|row| Row {
+            key: moved(row.key),
+            value: moved(row.value),
+            ..*row
+        });
+        self.rows.extend(rows);
     }
 
     /// Writes the one change that `changes`, one pair's newest first,
     /// amount to. `live`: only a live value, as a whole one (what a base
     /// holds); else tombstones and bare appends stay, as in a delta.
-    fn push_collapsed(&mut self, pos: Pos<'_>, changes: &[Change<'_>], live: bool) {
-        let Some(&Change(newest, value)) = changes.first() else {
+    fn push_collapsed<'a, I>(&mut self, pos: Pos<'_>, changes: I, live: bool, held: u32)
+    where
+        I: DoubleEndedIterator<Item = Change<'a>> + ExactSizeIterator + Clone,
+    {
+        let Some(Change(newest, value)) = changes.clone().next() else {
             return;
         };
         // The newest change hides the rest, or is the only one.
@@ -254,19 +333,19 @@ impl Layer {
                 Kind::Append if live => Kind::Values,
                 kind => kind,
             };
-            return self.push(pos, kind, |arena| arena.extend_from_slice(value));
+            return self.push(pos, kind, held, |arena| arena.extend_from_slice(value));
         }
-        let floor_at = changes.iter().position(|change| change.0 != Kind::Append);
-        let (appended, floor) = changes.split_at(floor_at.unwrap_or(changes.len()));
-        let kind = match floor.first() {
+        let appended = changes.clone().take_while(|c| c.0 == Kind::Append).count();
+        let floor = changes.clone().nth(appended);
+        let kind = match floor {
             None if !live => Kind::Append,
             _ => Kind::Values,
         };
         // A value list never sits on an aggregate (a store has one
         // pattern); if it did, the list wins.
-        let below = floor.first().filter(|floor| floor.0 == Kind::Values);
-        let parts = below.into_iter().chain(appended.iter().rev());
-        self.push(pos, kind, |arena| {
+        let below = floor.filter(|floor| floor.0 == Kind::Values);
+        let parts = below.into_iter().chain(changes.take(appended).rev());
+        self.push(pos, kind, held, |arena| {
             parts.for_each(|part| arena.extend_from_slice(part.1))
         });
     }
@@ -323,20 +402,19 @@ impl<'a> Walk<'a> {
         Walk { layers, heads }
     }
 
-    /// Steps to the next `(key, window)` position any layer mentions:
-    /// fills `changes` with every layer's change there, newest first;
-    /// returns the position and the newest layer's index.
-    fn next(&mut self, changes: &mut Vec<Change<'a>>) -> Option<(Pos<'a>, usize)> {
+    /// Steps to the next `(key, window)` position any layer mentions and
+    /// fills `changes` with every layer's change there, newest first.
+    fn next(&mut self, changes: &mut Vec<Change<'a>>) -> Option<Pos<'a>> {
         let least = *self.heads.iter().min()?;
         let (mut next, mut at) = (None, 0u64);
         for i in (0..self.heads.len()).filter(|&i| self.heads[i] == least) {
             let (layer, rows) = self.layers[i];
             let Some(row) = rows.first() else { continue };
             let pos = row.pos(&layer.bytes);
-            match next.map(|(next, _)| pos.cmp(&next)) {
+            match next.map(|next| pos.cmp(&next)) {
                 Some(Ordering::Greater) => continue,
                 Some(Ordering::Equal) => {}
-                _ => (changes.clear(), at = 0, next = Some((pos, i))).0,
+                _ => (changes.clear(), at = 0, next = Some(pos)).0,
             }
             changes.push(row.change(&layer.bytes));
             at |= 1 << i;
@@ -354,23 +432,90 @@ impl<'a> Walk<'a> {
 /// `layers`, newest first, merged into one new layer: a base when
 /// `live`, else a delta (see [`Layer::push_collapsed`]). A pair of a
 /// `dropped` window keeps only what the newest layer says of it.
-fn merged<'a>(
-    layers: impl Iterator<Item = &'a Layer> + Clone,
-    live: bool,
-    dropped: &[(WindowId, usize)],
-) -> Layer {
+///
+/// The oldest layer is the floor. The rows above it (together about the
+/// size of the floor, by the size rule) are gathered into one run by
+/// position: a stable sort of the layers laid end to end, newest first,
+/// keeps each position's rows newest first. One two-way pass of that
+/// run against the floor writes the result, copying each stretch of
+/// floor rows nothing above touches straight through.
+fn merged(layers: &[&Layer], live: bool, dropped: &[(WindowId, usize)]) -> Layer {
+    let Some((floor, above)) = layers.split_last() else {
+        return Layer::default();
+    };
     // A merge writes no byte and no row its inputs do not hold.
-    let rows = layers.clone().map(|layer| layer.rows.len()).sum();
-    let bytes = layers.clone().map(|layer| layer.bytes.len()).sum();
+    let rows = layers.iter().map(|layer| layer.rows.len()).sum();
+    let bytes = layers.iter().map(|layer| layer.bytes.len()).sum();
     let mut out = Layer::with_capacity(rows, bytes);
-    let mut merge = Walk::new(layers.map(|layer| (layer, &layer.rows[..])));
-    let mut changes = Vec::new();
-    while let Some((pos, newest)) = merge.next(&mut changes) {
-        if dropped.iter().any(|(window, _)| *window == pos.window) {
-            changes.truncate(usize::from(newest == 0));
-        }
-        out.push_collapsed(pos, &changes, live);
+    // Each row as its head, layer and index: most comparisons read no row.
+    let mut run = Vec::with_capacity(rows - floor.rows.len());
+    for (i, layer) in above.iter().enumerate() {
+        let rows = layer.rows.iter().enumerate();
+        run.extend(rows.map(|(r, row)| (row.head, i as u32, r as u32)));
     }
+    let row = |&(_, i, r): &(u64, u32, u32)| {
+        (
+            &above[i as usize].rows[r as usize],
+            &above[i as usize].bytes[..],
+        )
+    };
+    // By head alone first (integers, stable), then each run of tied
+    // heads (mostly one key in several layers) by position.
+    sort_by_head(&mut run, &mut Vec::new(), |e| e.0);
+    for tied in run
+        .chunk_by_mut(|a, b| a.0 == b.0)
+        .filter(|tied| tied.len() > 1)
+    {
+        tied.sort_by(|a, b| by_pos(row(a), row(b)));
+    }
+    let is_dropped = |window| dropped.iter().any(|&(w, _)| w == window);
+    // Floor rows go through unless their window was dropped.
+    let copy = |out: &mut Layer, run: Range<usize>| match dropped {
+        [] => out.copy_run(floor, run),
+        _ => run
+            .filter(|&i| !is_dropped(floor.rows[i].window))
+            .for_each(|i| out.copy_run(floor, i..i + 1)),
+    };
+    let (mut at, mut next, mut changes) = (0, 0, Vec::new());
+    let on_floor = |at: usize| (&floor.rows[at], &floor.bytes[..]);
+    while next < run.len() {
+        let (newest, first) = (row(&run[next]), next);
+        next += 1;
+        while run
+            .get(next)
+            .is_some_and(|e| e.0 == newest.0.head && by_pos(row(e), newest).is_eq())
+        {
+            next += 1;
+        }
+        let untouched = at;
+        while at < floor.rows.len() && by_pos(on_floor(at), newest).is_lt() {
+            at += 1;
+        }
+        copy(&mut out, untouched..at);
+        let below = (at < floor.rows.len() && by_pos(on_floor(at), newest).is_eq()).then_some(at);
+        at += usize::from(below.is_some());
+        let (kind, at_pos) = (newest.0.kind, newest.0.pos(newest.1));
+        let dropped_here = is_dropped(at_pos.window);
+        if kind != Kind::Append && !dropped_here {
+            // The newest change hides the rest: its row goes through.
+            if !(live && kind == Kind::Tombstone) {
+                let (i, r) = (run[first].1 as usize, run[first].2 as usize);
+                out.copy_run(above[i], r..r + 1);
+            }
+            continue;
+        }
+        changes.clear();
+        changes.extend(run[first..next].iter().map(|e| {
+            let (row, bytes) = row(e);
+            row.change(bytes)
+        }));
+        changes.extend(below.map(|at| floor.rows[at].change(&floor.bytes)));
+        if dropped_here {
+            changes.truncate(usize::from(run[first].1 == 0));
+        }
+        out.push_collapsed(at_pos, changes.iter().copied(), live, UNKNOWN);
+    }
+    copy(&mut out, at..floor.rows.len());
     out.finish()
 }
 
@@ -378,6 +523,26 @@ fn merged<'a>(
 /// value (`Some(None)`: nothing), known from a take's or an update's
 /// answer. `None`: not known, [`StateView::apply`] looks it up.
 type Held = Option<Option<usize>>;
+
+/// [`Held`] as a log row keeps it: a size, or one of two marks (a size
+/// too large to keep is looked up instead).
+const UNKNOWN: u32 = u32::MAX;
+const NOTHING: u32 = u32::MAX - 1;
+
+fn pack(held: Held) -> u32 {
+    let size = |size| u32::try_from(size).ok().filter(|&s| s < NOTHING);
+    held.map_or(UNKNOWN, |held| {
+        held.map_or(Some(NOTHING), size).unwrap_or(UNKNOWN)
+    })
+}
+
+fn unpack(held: u32) -> Held {
+    (held != UNKNOWN).then_some((held != NOTHING).then_some(held as usize))
+}
+
+/// A log is collapsed in place once it holds this many rows and more
+/// than the view has entries.
+const LOG_FLOOR: usize = 4_096;
 
 /// The changes one epoch made to a store: one row per call, in call
 /// order, over one arena. Publishing sorts and collapses it per pair;
@@ -389,34 +554,53 @@ type Held = Option<Option<usize>>;
 /// pair change of the same window removes that change too.
 #[derive(Debug, Default)]
 pub struct ViewDelta {
-    /// One row per pair change, in call order.
+    /// One row per pair change, in call order, each with what its pair
+    /// held before it.
     log: Layer,
-    /// What each row's pair held before it.
-    held: Vec<Held>,
     /// Each dropped window with the rows logged before its last drop.
     dropped: Vec<(WindowId, usize)>,
+    /// Rows past which the log is collapsed in place: the view's entries
+    /// when last published, or twice what the last collapse left.
+    limit: usize,
+    /// The buffers an in-place collapse writes into, and the rows'
+    /// order during a collapse: kept, so that neither allocates again.
+    spare: Layer,
+    order: Vec<(u64, usize)>,
+    scratch: Vec<(u64, usize)>,
 }
 
 impl ViewDelta {
+    /// An empty log for a view of `entries` entries.
+    pub(super) fn bounded(entries: usize) -> Self {
+        let (limit, delta) = (entries, ViewDelta::default());
+        ViewDelta { limit, ..delta }
+    }
+
     fn record(&mut self, key: &[u8], window: WindowId, kind: Kind, value: &[u8], held: Held) {
         let (pos, log) = (Pos::new(key, window), &mut self.log);
         // A whole value or a take right after a change of the same pair,
         // with no drop between, replaces that row and keeps its `held`.
-        let undropped = self.dropped.iter().all(|d| d.1 < self.held.len());
-        let last = log.rows.last().filter(|last| last.pos(&log.bytes) == pos);
-        if kind != Kind::Append && undropped && last.is_some() {
-            let last = log.rows.last_mut().expect("a row of this pair");
-            // Its value is the arena's tail: the new one is written over it.
-            log.bytes.truncate(last.value.0 as usize);
-            let value = Span::write(&mut log.bytes, |arena| arena.extend_from_slice(value));
-            (last.kind, last.value) = (kind, value);
-            return;
+        // (The last drop is the latest: drops are logged in row order.)
+        let undropped = self.dropped.last().is_none_or(|d| d.1 < log.rows.len());
+        let same = |last: &&mut Row| {
+            last.head == pos.head && last.window == window && last.key.of(&log.bytes) == key
+        };
+        if let Some(last) = log.rows.last_mut().filter(same) {
+            if kind != Kind::Append && undropped {
+                // Its value is the arena's tail: the new one is written over it.
+                log.bytes.truncate(last.value.0 as usize);
+                let value = Span::write(&mut log.bytes, |arena| arena.extend_from_slice(value));
+                (last.kind, last.value) = (kind, value);
+                return;
+            }
         }
-        log.push(pos, kind, |arena| match kind {
+        if log.rows.len() >= self.limit.max(LOG_FLOOR) {
+            self.collapse_in_place();
+        }
+        self.log.push(pos, kind, pack(held), |arena| match kind {
             Kind::Append => frame(arena, value),
             _ => arena.extend_from_slice(value),
         });
-        self.held.push(held);
     }
 
     /// `put_aggregate`: the pair now holds exactly `aggregate`.
@@ -455,47 +639,80 @@ impl ViewDelta {
     /// First `get_window_chunk` of `window`: every pair of it is gone.
     pub fn drop_window(&mut self, window: WindowId) {
         self.dropped.retain(|(dropped, _)| *dropped != window);
-        self.dropped.push((window, self.held.len()));
+        self.dropped.push((window, self.log.rows.len()));
     }
 
     /// Heap bytes the log holds, spare capacity included: its buffers
     /// outlive each publish to serve the next epoch.
     pub(crate) fn memory_bytes(&self) -> usize {
-        self.log.bytes.capacity()
-            + self.log.rows.capacity() * std::mem::size_of::<Row>()
-            + self.held.capacity() * std::mem::size_of::<Held>()
-            + self.dropped.capacity() * std::mem::size_of::<(WindowId, usize)>()
+        let layer = |l: &Layer| l.bytes.capacity() + l.rows.capacity() * size_of::<Row>();
+        layer(&self.log)
+            + layer(&self.spare)
+            + (self.order.capacity() + self.scratch.capacity()) * size_of::<(u64, usize)>()
+            + self.dropped.capacity() * size_of::<(WindowId, usize)>()
     }
 
-    /// Orders the log by pair and collapses each pair's rows into one
-    /// change: the last whole value or take wins, the appends after it
-    /// concatenate. Returns the level-0 delta and what each of its pairs
-    /// held, from the pair's first row; leaves out rows a later drop
-    /// removed, and the log empty.
-    fn collapse(&mut self) -> (Layer, Vec<Held>) {
-        let ViewDelta { log, held, dropped } = self;
-        let rows = &log.rows;
+    /// Orders the log by pair and collapses each pair's rows into `out`
+    /// (empty) as one change: the last whole value or take wins, the
+    /// appends after it concatenate, and the pair keeps what its first
+    /// row says it held. Leaves out rows a later drop removed, and the
+    /// log empty.
+    ///
+    /// The operator sorts each batch by key, so a log is a few sorted
+    /// runs, and most pairs change once an epoch: such a pair's row is
+    /// copied as it is.
+    fn collapse_into(&mut self, out: &mut Layer) {
+        let ViewDelta {
+            log,
+            dropped,
+            order,
+            scratch,
+            ..
+        } = self;
+        let (rows, bytes) = (&log.rows, &log.bytes[..]);
         let kept = |i: usize| dropped.iter().all(|&(w, n)| w != rows[i].window || i >= n);
-        let pos = |&(_, i): &(u64, usize)| rows[i].pos(&log.bytes);
-        let mut order: Vec<_> = (0..rows.len()).map(|i| (rows[i].head, i)).collect();
-        order.retain(|&(_, i)| kept(i));
-        // By position, deciding by head where it can, then call order.
-        order.sort_unstable_by(|a, b| {
-            let by_pos = || pos(a).cmp(&pos(b)).then(a.1.cmp(&b.1));
-            a.0.cmp(&b.0).then_with(by_pos)
-        });
-        let mut top = Layer::with_capacity(order.len(), log.bytes.len());
-        let (mut first_held, mut changes) = (Vec::with_capacity(order.len()), Vec::new());
-        for run in order.chunk_by(|a, b| a.0 == b.0 && pos(a) == pos(b)) {
-            changes.clear();
-            changes.extend(run.iter().rev().map(|&(_, i)| rows[i].change(&log.bytes)));
-            top.push_collapsed(pos(&run[0]), &changes, false);
-            first_held.push(held[run[0].1]);
+        order.clear();
+        order.reserve(rows.len());
+        order.extend(
+            (0..rows.len())
+                .filter(|&i| kept(i))
+                .map(|i| (rows[i].head, i)),
+        );
+        let row = |&(_, i): &(u64, usize)| (&rows[i], bytes);
+        // By position, then call order: by head first, then each run of
+        // tied heads by position (both stable).
+        sort_by_head(order, scratch, |e| e.0);
+        for tied in order
+            .chunk_by_mut(|a, b| a.0 == b.0)
+            .filter(|tied| tied.len() > 1)
+        {
+            tied.sort_by(|a, b| by_pos(row(a), row(b)));
+        }
+        out.rows.reserve(order.len());
+        out.bytes.reserve(bytes.len());
+        for pair in order.chunk_by(|a, b| a.0 == b.0 && by_pos(row(a), row(b)).is_eq()) {
+            let first = &rows[pair[0].1];
+            match pair {
+                [(_, i)] => out.copy_run(log, *i..*i + 1),
+                _ => {
+                    let changes = pair.iter().rev().map(|&(_, i)| rows[i].change(bytes));
+                    out.push_collapsed(first.pos(bytes), changes, false, first.held);
+                }
+            }
         }
         log.bytes.clear();
         log.rows.clear();
-        held.clear();
-        (top.finish(), first_held)
+    }
+
+    /// Collapses the log into one row per pair where it stands, so that
+    /// an epoch's log grows with the pairs it changes, not its calls.
+    fn collapse_in_place(&mut self) {
+        let mut out = std::mem::take(&mut self.spare);
+        self.collapse_into(&mut out);
+        self.spare = std::mem::replace(&mut self.log, out);
+        // Every row left was logged after the drops it outlived.
+        self.dropped.iter_mut().for_each(|drop| drop.1 = 0);
+        self.limit = self.limit.max(2 * self.log.rows.len());
     }
 }
 
@@ -549,7 +766,9 @@ impl StateView {
         pattern: StatePattern,
         entries: BTreeMap<(Vec<u8>, WindowId), ViewValue>,
     ) -> Self {
-        let (mut log, mut list) = (ViewDelta::default(), Vec::new());
+        // Every entry is a pair of its own: nothing to collapse early.
+        let mut log = ViewDelta::bounded(usize::MAX);
+        let mut list = Vec::new();
         for ((key, window), value) in &entries {
             let (kind, value) = match value {
                 ViewValue::Aggregate(aggregate) => (Kind::Aggregate, &aggregate[..]),
@@ -635,7 +854,7 @@ impl StateView {
         let mut merge = Walk::new(self.layers().map(|l| (l, &l.rows[l.seek(from)..])));
         let (mut changes, mut out) = (Vec::new(), Vec::new());
         while out.len() < limit {
-            let Some((pos, _)) = merge.next(&mut changes) else {
+            let Some(pos) = merge.next(&mut changes) else {
                 break;
             };
             if !pos.key.starts_with(prefix) {
@@ -700,8 +919,16 @@ impl StateView {
     /// [`apply`](Self::apply) of a log that stays with its recorder: it
     /// is left empty, its buffers kept for the next epoch.
     pub(super) fn publish(&mut self, delta: &mut ViewDelta) -> usize {
-        let (top, held) = delta.collapse();
-        let dropped = &std::mem::take(&mut delta.dropped);
+        let mut top = Layer::default();
+        delta.collapse_into(&mut top);
+        let dropped = std::mem::take(&mut delta.dropped);
+        let written = self.stack(top.finish(), &dropped);
+        delta.limit = self.len;
+        written
+    }
+
+    /// Puts the collapsed `top` and the `dropped` windows on the view.
+    fn stack(&mut self, top: Layer, dropped: &[(WindowId, usize)]) -> usize {
         if top.rows.is_empty() && dropped.is_empty() {
             return 0;
         }
@@ -711,7 +938,7 @@ impl StateView {
         if !dropped.is_empty() || in_deltas >= base || self.deltas.len() >= MAX_CHAIN {
             return changed + self.fold(&top, dropped);
         }
-        self.account(&top, &held);
+        self.account(&top);
         self.deltas.push((0, Arc::new(top)));
         // At this epoch's rate the size rule folds within MERGE_FANOUT
         // epochs, and would only rewrite what a merge wrote now.
@@ -722,11 +949,11 @@ impl StateView {
     }
 
     /// Adjusts `len` and `bytes` for `top` going on top of the layers;
-    /// `held[i]` is what row `i`'s pair held, where the log knows it.
-    fn account(&mut self, top: &Layer, held: &[Held]) {
-        for (row, held) in top.rows.iter().zip(held) {
+    /// each row says what its pair held, where the log knew it.
+    fn account(&mut self, top: &Layer) {
+        for row in &top.rows {
             let (pos, own) = (row.pos(&top.bytes), std::iter::once(row.change(&top.bytes)));
-            let (before, after) = match *held {
+            let (before, after) = match unpack(row.held) {
                 // First touched by a take: a tombstone or a whole value.
                 Some(before) => (before, live_size(own)),
                 None => (
@@ -751,8 +978,12 @@ impl StateView {
                 break;
             }
             // Tombstones stay: they still hide the layers below.
-            let run = self.deltas[oldest..].iter().rev().map(|(_, d)| &**d);
-            let delta = merged(run, false, &[]);
+            let run: Vec<_> = self.deltas[oldest..]
+                .iter()
+                .rev()
+                .map(|(_, d)| &**d)
+                .collect();
+            let delta = merged(&run, false, &[]);
             written += delta.rows.len();
             self.deltas.truncate(oldest);
             self.deltas.push((level + 1, Arc::new(delta)));
@@ -764,7 +995,8 @@ impl StateView {
     /// `dropped` windows removed from below `top`; returns the new
     /// base's size.
     fn fold(&mut self, top: &Layer, dropped: &[(WindowId, usize)]) -> usize {
-        let base = merged(std::iter::once(top).chain(self.layers()), true, dropped);
+        let layers: Vec<_> = std::iter::once(top).chain(self.layers()).collect();
+        let base = merged(&layers, true, dropped);
         let sizes = base
             .rows
             .iter()
@@ -1039,6 +1271,169 @@ mod tests {
                 keys,
                 &format!("pinned epoch {}", held.epoch),
             );
+        }
+    }
+
+    /// Runs `epochs` epochs over a view seeded with `keys` keys, each
+    /// epoch's calls made by `calls` on the model and the delta, and
+    /// checks every epoch against a view rebuilt from the model. Returns
+    /// the longest chain seen and whether a fold happened.
+    fn run_epochs(
+        seed: u64,
+        keys: u32,
+        epochs: usize,
+        mut calls: impl FnMut(&mut StdRng, &mut Model, &mut ViewDelta),
+    ) -> (usize, bool) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut model, mut seeded) = (Model::new(), ViewDelta::default());
+        for k in 0..keys {
+            model.insert((key(k), w(0, 10)), ViewValue::Aggregate(vec![1; 3]));
+            seeded.put_aggregate(&key(k), w(0, 10), &[1; 3]);
+        }
+        let mut view = StateView::empty(StatePattern::Unknown);
+        view.apply(seeded);
+        let (mut longest, mut folded) = (0, false);
+        for epoch in 0..epochs {
+            let mut delta = ViewDelta::default();
+            calls(&mut rng, &mut model, &mut delta);
+            let before = view.chain_len();
+            view.apply(delta);
+            folded |= before > 0 && view.chain_len() == 0;
+            longest = longest.max(before);
+            let ctx = format!("seed {seed} epoch {epoch}");
+            assert_reads_as(&view, &model, &mut rng, keys, &ctx);
+        }
+        (longest, folded)
+    }
+
+    #[test]
+    fn epochs_of_key_sorted_runs_read_as_a_rebuilt_view() {
+        // As an operator that sorts each batch by key calls the store:
+        // a few runs per epoch, each in key order.
+        for seed in 0..seeds() {
+            run_epochs(seed, 200, 40, |rng, model, delta| {
+                for _ in 0..rng.gen_range(1..4) {
+                    let mut run: Vec<u32> = (0..rng.gen_range(1..40))
+                        .map(|_| rng.gen_range(0..200))
+                        .collect();
+                    run.sort_unstable();
+                    for k in run {
+                        let byte = rng.gen_range(0..=255u8);
+                        let prior =
+                            model.insert((key(k), w(0, 10)), ViewValue::Aggregate(vec![byte; 3]));
+                        delta.update_aggregate(
+                            &key(k),
+                            w(0, 10),
+                            prior.map(|v| v.memory_size()),
+                            &[byte; 3],
+                        );
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn a_long_chain_of_small_deltas_folds_into_the_same_reads() {
+        // Few changes per epoch over many keys: the size rule lets a
+        // dozen level-0 deltas pile up before the fold merges them.
+        for seed in 0..seeds() {
+            let (longest, folded) = run_epochs(seed, 400, 60, |rng, model, delta| {
+                for _ in 0..rng.gen_range(25..40) {
+                    let (key, window) = (key(rng.gen_range(0..400)), w(0, 10));
+                    let byte = rng.gen_range(0..=255u8);
+                    if byte < 16 {
+                        let taken = model.remove(&(key.clone(), window));
+                        delta.remove(&key, window, taken.map(|v| v.memory_size()));
+                    } else {
+                        let value = ViewValue::Aggregate(vec![byte; 2]);
+                        let prior = model.insert((key.clone(), window), value);
+                        let prior = prior.map(|v| v.memory_size());
+                        delta.update_aggregate(&key, window, prior, &[byte; 2]);
+                    }
+                }
+            });
+            assert!(longest >= 12, "seed {seed}: the chain grew to {longest}");
+            assert!(folded, "seed {seed}: no fold happened");
+        }
+    }
+
+    #[test]
+    fn a_pair_changed_in_several_layers_with_takes_between_reads_as_rebuilt() {
+        // Four keys changed every epoch, in turns a put, an append, a take:
+        // each pair's changes and tombstones sit in many layers at once.
+        for seed in 0..seeds() {
+            let mut turn = 0u32;
+            run_epochs(seed, 300, 40, |rng, model, delta| {
+                for k in 0..4 {
+                    let (key, window) = (key(k * 7), w(10, 20));
+                    let byte = rng.gen_range(0..=255u8);
+                    match (turn + k) % 3 {
+                        0 => {
+                            model.insert((key.clone(), window), ViewValue::Aggregate(vec![byte]));
+                            delta.put_aggregate(&key, window, &[byte]);
+                        }
+                        1 => {
+                            let taken = model.remove(&(key.clone(), window));
+                            delta.remove(&key, window, taken.map(|v| v.memory_size()));
+                        }
+                        _ => {
+                            match model
+                                .entry((key.clone(), window))
+                                .or_insert(ViewValue::Values(vec![]))
+                            {
+                                ViewValue::Values(values) => values.push(vec![byte]),
+                                whole => *whole = ViewValue::Values(vec![vec![byte]]),
+                            }
+                            delta.append(&key, window, &[byte]);
+                        }
+                    }
+                }
+                turn += 1;
+            });
+        }
+    }
+
+    #[test]
+    fn a_window_dropped_and_appended_again_in_one_epoch_reads_as_rebuilt() {
+        for seed in 0..seeds() {
+            run_epochs(seed, 50, 30, |rng, model, delta| {
+                let window = w(20, 30);
+                for k in 0..rng.gen_range(0..8) {
+                    model
+                        .entry((key(k), window))
+                        .or_insert(ViewValue::Values(vec![]));
+                    if let Some(ViewValue::Values(values)) = model.get_mut(&(key(k), window)) {
+                        values.push(vec![1]);
+                    }
+                    delta.append(&key(k), window, &[1]);
+                }
+                model.retain(|(_, win), _| *win != window);
+                delta.drop_window(window);
+                for k in 0..rng.gen_range(0..8) {
+                    let values = vec![vec![2], vec![k as u8]];
+                    model.insert((key(k), window), ViewValue::Values(values));
+                    delta.append(&key(k), window, &[2]);
+                    delta.append(&key(k), window, &[k as u8]);
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn a_log_past_its_bound_collapses_in_place_and_reads_the_same() {
+        // Far more calls in one epoch than the view has entries: the log
+        // collapses where it stands, drops and first-held sizes intact,
+        // and stays within a few times the floor.
+        for seed in 0..seeds().min(32) {
+            let mut most = 0;
+            run_epochs(seed, 60, 3, |rng, model, delta| {
+                for _ in 0..3 * LOG_FLOOR {
+                    random_op(rng, 60, model, delta);
+                    most = most.max(delta.log.rows.len());
+                }
+            });
+            assert!(most <= LOG_FLOOR, "seed {seed}: the log held {most} rows");
         }
     }
 

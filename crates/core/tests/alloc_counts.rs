@@ -280,6 +280,41 @@ fn a_captured_update_allocates_nothing_once_the_epoch_log_has_grown() {
 }
 
 #[test]
+fn an_epoch_log_grows_with_the_pairs_it_changes_not_its_calls() {
+    // One epoch of 200 000 updates over 1 000 keys: past its bound the
+    // log collapses in place to one row per pair, so what the capture
+    // holds beside the store stays flat (a row per call was ~16 MB).
+    const PAIRS: u32 = 1_000;
+    let dir = ScratchDir::new("alloc-log-bound").unwrap();
+    let mut bare = open_for(&dir, "bare", AggregateKind::Incremental, None);
+    let store = open_for(&dir, "captured", AggregateKind::Incremental, None);
+    let (mut captured, mut capture) = ViewCapture::wrap(store);
+    let bump = |count: &mut Vec<u8>, _: bool| {
+        count.resize(8, 0);
+        let n = u64::from_le_bytes(count[..].try_into().unwrap()) + 1;
+        count.copy_from_slice(&n.to_le_bytes());
+    };
+    let update = |mut stores: [&mut dyn StateBackend; 2], calls: u32| {
+        for i in 0..calls {
+            let key = (i % PAIRS).to_be_bytes();
+            for store in stores.iter_mut() {
+                store.update_aggregate(&key, WINDOW, &mut { bump }).unwrap();
+            }
+        }
+    };
+    update([bare.as_mut(), captured.as_mut()], PAIRS);
+    capture.advance(captured.as_mut()).unwrap().unwrap();
+    update([bare.as_mut(), captured.as_mut()], 200_000);
+    let held = captured.memory_bytes() - bare.memory_bytes();
+    assert!(held <= 1 << 20, "the capture holds {held} bytes");
+    capture.advance(captured.as_mut()).unwrap().unwrap();
+    assert_eq!(capture.view().len(), PAIRS as usize);
+    for mut store in [bare, captured] {
+        store.close().unwrap();
+    }
+}
+
+#[test]
 fn a_publish_allocates_per_layer_not_per_entry() {
     let dir = ScratchDir::new("alloc-view-publish").unwrap();
     for aggregate in [AggregateKind::FullList, AggregateKind::Incremental] {

@@ -18,6 +18,7 @@ use flowkv_serve::StateClient;
 fn main() {
     let args = HarnessArgs::parse();
     let addr = args.str("addr", "127.0.0.1:7070");
+    args.finish();
 
     let mut client = match StateClient::connect(&addr) {
         Ok(c) => c,
