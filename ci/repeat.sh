@@ -41,9 +41,12 @@ done
 
 binaries=()
 for selector in "${selectors[@]}"; do
-  # A selector is several cargo arguments: split it.
+  # A selector is several cargo arguments: split it. Only the test
+  # harness counts: a package's binaries are built beside it, and may
+  # be listed after it.
   # shellcheck disable=SC2086
   binaries+=("$(cargo test $selector --no-run --message-format=json |
+    grep -E '"profile":\{[^}]*"test":true' |
     sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | tail -1)")
 done
 

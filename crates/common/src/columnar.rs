@@ -33,7 +33,7 @@
 //! two over owned [`ColdRow`]s.
 
 use crate::codec::{self, Decoder};
-use crate::dict::{group_stable, ByteDict};
+use crate::dict::{group_stable, ByteDict, DictFull};
 use crate::error::{Result, StoreError};
 use crate::types::{Timestamp, WindowId};
 
@@ -125,7 +125,8 @@ struct Row {
 /// ([`BlockWriter::finish`]) or stably sorted by key
 /// ([`BlockWriter::finish_by_key`]). Finishing lends the block out of the
 /// writer's own buffer, empties the writer and keeps every allocation:
-/// one writer serves every block of a store.
+/// one writer serves every block of a store. Rows past what a block's
+/// `u32` numbering holds are refused by the finish.
 #[derive(Default)]
 pub struct BlockWriter {
     /// Whether a block may dictionary-encode its values.
@@ -138,6 +139,9 @@ pub struct BlockWriter {
     /// after.
     values: ByteDict,
     rows: Vec<Row>,
+    /// A row the dictionaries refused since the last finish: the block
+    /// cannot be written.
+    full: Option<DictFull>,
     plain_bytes: usize,
     /// The size of the value column inlined.
     inline_bytes: usize,
@@ -170,12 +174,19 @@ impl BlockWriter {
     pub fn push(&mut self, key: &[u8], ts: Timestamp, value: &[u8]) {
         self.plain_bytes += key.len() + value.len() + 8;
         self.inline_bytes += len_prefixed_len(value);
-        let key = self.keys.intern(key);
-        let value = match self.interning {
-            true => self.values.intern(value),
-            false => self.values.push(value),
-        };
-        self.rows.push(Row { key, value, ts });
+        let numbered = self.keys.intern(key).and_then(|key| {
+            let value = match self.interning {
+                true => self.values.intern(value),
+                false => self.values.push(value),
+            };
+            value.map(|value| Row { key, value, ts })
+        });
+        match numbered {
+            Ok(row) => self.rows.push(row),
+            Err(full) => {
+                self.full.get_or_insert(full);
+            }
+        }
         // Mostly new values would cost a dictionary entry each on top of
         // their index: the rest of the block inlines them.
         if self.interning && self.rows.len() == DICT_PROBE_ROWS {
@@ -189,6 +200,7 @@ impl BlockWriter {
         self.keys.clear();
         self.values.clear();
         self.rows.clear();
+        self.full = None;
         self.plain_bytes = 0;
         self.inline_bytes = 0;
         self.interning = self.compress;
@@ -207,19 +219,24 @@ impl BlockWriter {
     }
 
     /// Lays the rows out, in the order they were pushed, as one
-    /// self-describing block of `window`.
-    pub fn finish(&mut self, window: WindowId, kind: BlockKind) -> &[u8] {
+    /// self-describing block of `window`. Rows whose keys or values
+    /// pass 4 GiB together are refused, and the writer emptied.
+    pub fn finish(&mut self, window: WindowId, kind: BlockKind) -> Result<&[u8]> {
         self.emit(window, kind, false)
     }
 
     /// [`BlockWriter::finish`] with the rows stably sorted by key: the
     /// distinct keys are sorted and a counting pass places each row by
     /// its key's rank, so a key's rows keep the order they came in.
-    pub fn finish_by_key(&mut self, window: WindowId, kind: BlockKind) -> &[u8] {
+    pub fn finish_by_key(&mut self, window: WindowId, kind: BlockKind) -> Result<&[u8]> {
         self.emit(window, kind, true)
     }
 
-    fn emit(&mut self, window: WindowId, kind: BlockKind, by_key: bool) -> &[u8] {
+    fn emit(&mut self, window: WindowId, kind: BlockKind, by_key: bool) -> Result<&[u8]> {
+        if let Some(full) = self.full {
+            self.clear();
+            return Err(full.into());
+        }
         let BlockWriter {
             interning,
             keys,
@@ -250,8 +267,7 @@ impl BlockWriter {
         }
         if by_key {
             let rank = |at: usize| key_place[rows[at].key as usize];
-            group_stable(rows.len(), keys.len(), rank, starts, order)
-                .expect("a block's rows are numbered by u32");
+            group_stable(rows.len(), keys.len(), rank, starts, order)?;
         }
         let row = |at: usize| match by_key {
             true => &rows[order[at] as usize],
@@ -314,7 +330,7 @@ impl BlockWriter {
         codec::put_u32(out, crc);
 
         self.clear();
-        &self.block
+        Ok(&self.block)
     }
 }
 
@@ -330,6 +346,12 @@ fn len_prefixed_len(bytes: &[u8]) -> usize {
 
 /// Encodes `rows` of `window`, in their order, into one self-describing
 /// cold block: [`BlockWriter`] over owned rows.
+///
+/// # Panics
+///
+/// If the rows' distinct keys or values pass 4 GiB together: owned rows
+/// are a test's or a benchmark's, and a store writes through
+/// [`BlockWriter`], which refuses instead.
 pub fn encode_block(
     window: WindowId,
     kind: BlockKind,
@@ -340,7 +362,7 @@ pub fn encode_block(
     for row in rows {
         writer.push(&row.key, row.ts, &row.value);
     }
-    writer.finish(window, kind);
+    writer.finish(window, kind).expect("owned rows under 4 GiB");
     writer.block
 }
 
@@ -563,7 +585,7 @@ mod tests {
             writer.push(&row.key, row.ts, &row.value);
         }
         let plain = writer.plain_bytes();
-        let blob = writer.finish(w, BlockKind::Values);
+        let blob = writer.finish(w, BlockKind::Values).unwrap();
         assert_eq!(blob, encode_block(w, BlockKind::Values, &many, true));
         assert!(
             blob.len() * 3 < plain,
@@ -636,5 +658,32 @@ mod tests {
             decode_block(&blob).unwrap_err(),
             StoreError::Corruption { .. }
         ));
+    }
+    #[test]
+    fn a_block_past_the_dictionarys_byte_cap_is_refused_and_the_writer_emptied() {
+        // Unit tests cap a dictionary at 64 KiB; the real cap is 4 GiB.
+        let w = WindowId::new(0, 10);
+        let value = |ts: Timestamp| vec![ts as u8; 1 << 10];
+        for compress in [false, true] {
+            let mut writer = BlockWriter::new(compress);
+            for ts in 0..80 {
+                writer.push(format!("k{ts}").as_bytes(), ts, &value(ts));
+            }
+            let refused = writer.finish_by_key(w, BlockKind::Values);
+            let refused = refused.map(<[u8]>::to_vec).unwrap_err();
+            assert!(
+                matches!(refused, StoreError::InvalidState { .. }),
+                "{refused:?}"
+            );
+            // The writer starts over: a block that fits is written whole.
+            writer.push(b"k", 1, &value(1));
+            let blob = writer.finish(w, BlockKind::Values).unwrap().to_vec();
+            let rows = decode_block(&blob).unwrap().rows;
+            assert_eq!(
+                rows,
+                [ColdRow::new(&b"k"[..], 1, value(1))],
+                "compress={compress}"
+            );
+        }
     }
 }

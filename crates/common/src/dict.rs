@@ -7,10 +7,37 @@ use std::hash::BuildHasher;
 use crate::error::StoreError;
 use crate::hash::KeyHash;
 
+/// The most bytes a [`ByteDict`] holds: string ends are `u32`. Unit tests
+/// cap it low, so that a refusal costs no 4 GiB.
+const MAX_BYTES: usize = if cfg!(test) {
+    1 << 16
+} else {
+    u32::MAX as usize
+};
+
+/// A [`ByteDict`]'s refusal: its strings would pass 4 GiB together.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DictFull {
+    /// The bytes the dictionary would have held.
+    pub bytes: usize,
+}
+
+impl From<DictFull> for StoreError {
+    #[cold]
+    fn from(e: DictFull) -> Self {
+        StoreError::invalid_state(format!(
+            "{} bytes of strings to number, more than the {MAX_BYTES} a u32 ends",
+            e.bytes
+        ))
+    }
+}
+
 /// Byte strings held back to back in one allocation and numbered in the
 /// order they came. [`ByteDict::intern`] gives an equal string the number
 /// it already has (one [`KeyHash`] probe with the borrowed bytes);
-/// [`ByteDict::push`] numbers a string without looking.
+/// [`ByteDict::push`] numbers a string without looking. A string that
+/// would take the dictionary past 4 GiB is refused, and the
+/// dictionary is left as it was.
 #[derive(Default)]
 pub struct ByteDict {
     hash: KeyHash,
@@ -28,7 +55,7 @@ pub struct ByteDict {
 impl ByteDict {
     /// The number of `bytes`: the one an earlier `intern` of equal bytes
     /// returned, or the next.
-    pub fn intern(&mut self, bytes: &[u8]) -> u32 {
+    pub fn intern(&mut self, bytes: &[u8]) -> Result<u32, DictFull> {
         if (self.interned + 1) * 2 > self.slots.len() {
             self.grow();
         }
@@ -38,24 +65,27 @@ impl ByteDict {
         loop {
             let slot = self.slots[at];
             if slot == 0 {
-                let id = self.push(bytes);
+                let id = self.push(bytes)?;
                 self.slots[at] = u64::from(tag) << 32 | u64::from(id + 1);
                 self.interned += 1;
-                return id;
+                return Ok(id);
             }
             if (slot >> 32) as u32 == tag && self.get(slot as u32 - 1) == bytes {
-                return slot as u32 - 1;
+                return Ok(slot as u32 - 1);
             }
             at = (at + 1) & mask;
         }
     }
 
     /// Gives `bytes` the next number, equal to an earlier string or not.
-    pub fn push(&mut self, bytes: &[u8]) -> u32 {
+    pub fn push(&mut self, bytes: &[u8]) -> Result<u32, DictFull> {
+        let end = self.bytes.len() + bytes.len();
+        if end > MAX_BYTES {
+            return Err(DictFull { bytes: end });
+        }
         self.bytes.extend_from_slice(bytes);
-        let end = u32::try_from(self.bytes.len()).expect("a dictionary stays under 4 GiB");
-        self.ends.push(end);
-        (self.ends.len() - 1) as u32
+        self.ends.push(end as u32);
+        Ok((self.ends.len() - 1) as u32)
     }
 
     /// The string numbered `id`.
@@ -165,22 +195,55 @@ mod tests {
             .map(|i| format!("w{}", i % 170).into_bytes())
             .collect();
         for (i, word) in words.iter().enumerate() {
-            assert_eq!(dict.intern(word), (i % 170) as u32, "{i}");
+            assert_eq!(dict.intern(word), Ok((i % 170) as u32), "{i}");
         }
         assert_eq!(dict.len(), 170);
         assert_eq!(dict.get(0), b"w0");
         assert_eq!(dict.get(169), b"w169");
         // The empty string is a string; `push` never looks.
-        let empty = dict.intern(b"");
+        let empty = dict.intern(b"").unwrap();
         assert_eq!(
             (empty, dict.intern(b""), dict.get(empty)),
-            (170, 170, &[][..])
+            (170, Ok(170), &[][..])
         );
-        assert_eq!(dict.push(b"w0"), 171);
-        assert_eq!(dict.intern(b"w0"), 0);
+        assert_eq!(dict.push(b"w0"), Ok(171));
+        assert_eq!(dict.intern(b"w0"), Ok(0));
         dict.clear();
         assert!(dict.is_empty());
-        assert_eq!(dict.intern(b"w9"), 0);
+        assert_eq!(dict.intern(b"w9"), Ok(0));
+    }
+
+    #[test]
+    fn a_string_past_the_byte_cap_is_refused_and_leaves_the_dictionary_as_it_was() {
+        let mut dict = ByteDict::default();
+        let half = vec![7u8; MAX_BYTES / 2];
+        assert_eq!(dict.push(&half), Ok(0));
+        assert_eq!(dict.intern(b"a"), Ok(1));
+        let refused = DictFull {
+            bytes: MAX_BYTES + 1,
+        };
+        let rest = vec![8u8; MAX_BYTES - half.len()];
+        assert_eq!(dict.push(&rest), Err(refused));
+        assert_eq!(dict.intern(&rest), Err(refused));
+        assert_eq!((dict.len(), dict.get(1)), (2, &b"a"[..]));
+        // What fits still does, up to the last byte.
+        assert_eq!(dict.intern(&rest[1..]), Ok(2));
+        assert_eq!(dict.push(b""), Ok(3));
+        assert_eq!(
+            dict.push(b"b"),
+            Err(DictFull {
+                bytes: MAX_BYTES + 1
+            })
+        );
+        assert_eq!(dict.intern(&rest[1..]), Ok(2), "interned before");
+        dict.clear();
+        assert_eq!(dict.push(&rest), Ok(0));
+        let error = StoreError::from(refused);
+        assert!(
+            matches!(error, StoreError::InvalidState { .. }),
+            "{error:?}"
+        );
+        assert!(error.to_string().contains("bytes of strings"), "{error}");
     }
 
     #[test]

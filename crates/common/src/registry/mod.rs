@@ -15,21 +15,17 @@
 //!    call carries: nothing is re-read from the store, and what a store
 //!    does underneath (flushes, compaction, a tier's demotions) never
 //!    shows.
-//! 3. At a watermark [`ViewCapture::advance`] sorts and collapses the
-//!    log into a delta on top of the previous view
+//! 3. At a watermark, at most once per period, [`ViewCapture::advance`]
+//!    collapses the log into a delta on top of the previous view
 //!    ([`StateView::apply`]) and, by a size rule, now and then **folds**
 //!    the chain into a fresh base. The worker stamps a clone (a handful
 //!    of `Arc` clones) and publishes it into the process-wide
 //!    [`StateRegistry`] under its [`StateKey`].
 //!
-//! An advance costs what changed: a radix sort of the epoch's rows by
-//! key head and one copy of each changed pair, plus, amortised, about
-//! one fold row per change (the rows above the base sorted the same
-//! way, then one two-way pass that copies untouched stretches of the
-//! base whole). It stays on the worker because a view must show the
-//! epoch it names, and the worker is the only thread that has it
-//! without a lock: moving the kernels to the reader made answers 3-5x
-//! fewer for a 6 % gain in ingest.
+//! An advance costs what changed: a radix sort of the log by key head,
+//! a copy per changed pair and, amortised, about one fold row per
+//! change. It stays on the worker, the one thread that holds the epoch
+//! a view names without a lock (on the reader: 3-5x fewer answers).
 //! 4. Server threads resolve a `StateKey` to an `Arc<StateView>` and
 //!    read through the layers, newest first, lock-free.
 //!
@@ -45,8 +41,11 @@
 //! against.
 //!
 //! Readers observe a consistent snapshot aligned to a watermark, stale
-//! by at most one watermark interval. A window the engine is draining
-//! is omitted from its first chunk on, as `read_view` omits it. This
+//! by at most one period plus one watermark interval of wall time: the
+//! worker publishes at a watermark only once a period (1 ms) has passed
+//! since its last view, so one log may span several watermarks, and a
+//! pair they all changed is collapsed once. A window the engine is
+//! draining is omitted from its first chunk on, as `read_view` does. This
 //! mirrors Flink's queryable state, which reads a consistent copy
 //! rather than the live RocksDB instance.
 //!

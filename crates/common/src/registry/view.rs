@@ -1437,6 +1437,116 @@ mod tests {
         }
     }
 
+    /// Appends `value` to `key`'s list in `window`, in the model and the
+    /// log.
+    fn append_to(
+        model: &mut Model,
+        delta: &mut ViewDelta,
+        key: &[u8],
+        window: WindowId,
+        value: u8,
+    ) {
+        let entry = model.entry((key.to_vec(), window));
+        match entry.or_insert(ViewValue::Values(vec![])) {
+            ViewValue::Values(values) => values.push(vec![value]),
+            whole => *whole = ViewValue::Values(vec![vec![value]]),
+        }
+        delta.append(key, window, &[value]);
+    }
+
+    // Paced publication: one log spans several watermarks, so what a
+    // pair or a window went through between two publishes is longer
+    // than one watermark's worth. Each test below runs `k` simulated
+    // watermarks per epoch and checks every publish against the model.
+
+    #[test]
+    fn a_window_dropped_at_one_watermark_and_appended_at_a_later_one_reads_as_rebuilt() {
+        for seed in 0..seeds() {
+            run_epochs(seed, 40, 30, |rng, model, delta| {
+                let (fired, open) = (w(20, 30), w(30, 40));
+                let drop_at = rng.gen_range(0..3);
+                for watermark in 0..rng.gen_range(3..6) {
+                    for _ in 0..rng.gen_range(0..6) {
+                        let k = key(rng.gen_range(0..40));
+                        let value = rng.gen_range(0..=255u8);
+                        append_to(model, delta, &k, fired, value);
+                        append_to(model, delta, &k, open, value);
+                    }
+                    // The window fires (its drain drops it) at one
+                    // watermark, and now and then at a second one too.
+                    if watermark == drop_at || (watermark > drop_at && rng.gen_bool(0.3)) {
+                        model.retain(|(_, win), _| *win != fired);
+                        delta.drop_window(fired);
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn a_take_then_put_of_one_pair_across_watermarks_reads_as_rebuilt() {
+        for seed in 0..seeds() {
+            run_epochs(seed, 200, 30, |rng, model, delta| {
+                let window = w(0, 10);
+                // Pairs taken at one watermark, put back at a later one.
+                let mut taken: Vec<u32> = Vec::new();
+                for _ in 0..rng.gen_range(2..6) {
+                    for k in taken.drain(..) {
+                        let byte = rng.gen_range(0..=255u8);
+                        model.insert((key(k), window), ViewValue::Aggregate(vec![byte; 4]));
+                        delta.put_aggregate(&key(k), window, &[byte; 4]);
+                    }
+                    for _ in 0..rng.gen_range(5..30) {
+                        let k = rng.gen_range(0..200);
+                        let byte = rng.gen_range(0..=255u8);
+                        if byte < 48 {
+                            let held = model.remove(&(key(k), window));
+                            delta.remove(&key(k), window, held.map(|v| v.memory_size()));
+                            taken.push(k);
+                        } else {
+                            let value = ViewValue::Aggregate(vec![byte; 2]);
+                            let prior = model.insert((key(k), window), value);
+                            let prior = prior.map(|v| v.memory_size());
+                            delta.update_aggregate(&key(k), window, prior, &[byte; 2]);
+                        }
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn an_in_place_collapse_in_the_middle_of_a_paced_epoch_reads_as_rebuilt() {
+        // Three watermarks of two thirds of the log's bound each, every
+        // one ending in a window's drop and appends to it again: the log
+        // collapses in place between the first watermark and the last,
+        // with drops logged on both sides of it.
+        for seed in 0..seeds().min(32) {
+            let mut collapsed_at = Vec::new();
+            run_epochs(seed, 60, 3, |rng, model, delta| {
+                for watermark in 0..3 {
+                    for _ in 0..2 * LOG_FLOOR / 3 {
+                        let before = delta.log.rows.len();
+                        random_op(rng, 60, model, delta);
+                        if delta.log.rows.len() < before {
+                            collapsed_at.push(watermark);
+                        }
+                    }
+                    let fired = w(watermark * 10, watermark * 10 + 10);
+                    model.retain(|(_, win), _| *win != fired);
+                    delta.drop_window(fired);
+                    for k in 0..rng.gen_range(0..8) {
+                        append_to(model, delta, &key(k), fired, 9);
+                    }
+                }
+            });
+            assert!(
+                collapsed_at.iter().any(|&at| at > 0 && at < 2),
+                "seed {seed}: collapses at watermarks {collapsed_at:?}"
+            );
+        }
+    }
+
     #[test]
     fn an_empty_delta_adds_no_layer() {
         let mut view = view_with(vec![(b"a", w(0, 10), ViewValue::Aggregate(vec![1]))]);

@@ -294,13 +294,13 @@ proptest! {
                 writer.push(&row.key, row.ts, &row.value);
             }
             prop_assert_eq!(writer.rows(), rows.len());
-            prop_assert_eq!(writer.finish(window, kind), &reference[..]);
+            prop_assert_eq!(writer.finish(window, kind).unwrap(), &reference[..]);
 
             for row in rows {
                 writer.push(&row.key, row.ts, &row.value);
             }
             let by_key = reference_encode(window, kind, rows, compress, true);
-            prop_assert_eq!(writer.finish_by_key(window, kind), &by_key[..]);
+            prop_assert_eq!(writer.finish_by_key(window, kind).unwrap(), &by_key[..]);
             prop_assert_eq!(writer.rows(), 0);
         }
     }
@@ -320,8 +320,11 @@ proptest! {
                 inline.push(&row.key, row.ts, &row.value);
             }
             let (dict, inline) = match by_key {
-                false => (dict.finish(window, kind), inline.finish(window, kind)),
-                true => (dict.finish_by_key(window, kind), inline.finish_by_key(window, kind)),
+                false => (dict.finish(window, kind).unwrap(), inline.finish(window, kind).unwrap()),
+                true => (
+                    dict.finish_by_key(window, kind).unwrap(),
+                    inline.finish_by_key(window, kind).unwrap(),
+                ),
             };
             prop_assert!(
                 dict.len() <= inline.len(),

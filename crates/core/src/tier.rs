@@ -425,7 +425,7 @@ impl TieredStore {
             StoreError::invalid_state(format!("a cold block of {} rows", self.writer.rows()))
         })?;
         let plain_bytes = self.writer.plain_bytes();
-        let blob = self.writer.finish_by_key(window, kind);
+        let blob = self.writer.finish_by_key(window, kind)?;
         let at = self.log.append(blob)?;
         self.index
             .entry(window)
@@ -1728,7 +1728,10 @@ mod tests {
         let block = std::fs::read(&path).unwrap();
         let mut aggregates = BlockWriter::new(false);
         aggregates.push(b"k", 1, b"agg");
-        let aggregates = aggregates.finish(w(0, 100), BlockKind::Aggregates).to_vec();
+        let aggregates = aggregates
+            .finish(w(0, 100), BlockKind::Aggregates)
+            .unwrap()
+            .to_vec();
         for (second, detail) in [
             (&b"no block"[..], "cold-block"),
             (&aggregates, "Aggregates"),

@@ -171,7 +171,7 @@ impl BlockDraw {
             true => BlockKind::Aggregates,
             false => BlockKind::Values,
         };
-        let mut payload = writer.finish(window, kind).to_vec();
+        let mut payload = writer.finish(window, kind).unwrap().to_vec();
         let len = payload.len();
         match self.shape {
             2 => payload.truncate(self.at.index(len + 1)),

@@ -34,6 +34,7 @@ use flowkv_serve::protocol::{read_frame, split_request_id, write_frame};
 use flowkv_serve::{
     route_key, ErrorCode, Request, Response, ScanFilter, ServerBuilder, StateClient, MAX_FRAME,
 };
+use flowkv_spe::executor::PUBLISH_PERIOD;
 use flowkv_spe::{run_job, RunOptions};
 
 const JOB: &str = "q12";
@@ -397,50 +398,134 @@ impl StateBackendFactory for CheckedFactory {
     }
 }
 
+/// What one checked job left: its views as listed at the end, the
+/// epochs they count, the epochs checked against `read_view`, and the
+/// watermark advances its workers saw.
+struct CheckedRun {
+    states: Vec<flowkv_common::registry::StateDescriptor>,
+    epochs: u64,
+    checked: u64,
+    advances: u64,
+}
+
+/// Runs `query` over the events `generator` makes at parallelism 2 with
+/// every published view checked against its store, a watermark every
+/// `watermark_interval` tuples and the source capped at `rate` tuples
+/// per second.
+fn run_checked(
+    query: QueryId,
+    generator: GeneratorConfig,
+    watermark_interval: usize,
+    rate: Option<u64>,
+) -> CheckedRun {
+    let registry = StateRegistry::new_shared();
+    let telemetry = Telemetry::new_shared();
+    let checks = Arc::new(AtomicU64::new(0));
+    let dir = ScratchDir::new(&format!("serve-int-layered-{}", query.name())).unwrap();
+    let job = query.build(QueryParams::new(1_000).with_parallelism(2));
+    let factory = Arc::new(CheckedFactory {
+        inner: FlowKvFactory::new(FlowKvConfig::small_for_tests(), StdVfs::shared()),
+        registry: Arc::clone(&registry),
+        job: job.name.clone(),
+        checks: Arc::clone(&checks),
+    });
+    let mut opts = RunOptions::new(dir.path());
+    opts.watermark_interval = watermark_interval;
+    opts.io_threads = 2;
+    opts.rate_limit = rate;
+    opts.registry = Some(Arc::clone(&registry));
+    opts.telemetry = Some(Arc::clone(&telemetry));
+    let tuples = EventGenerator::new(generator).tuples();
+    run_job(&job, tuples, factory, &opts).expect("job run failed");
+    let states = registry.list();
+    // A worker records its view's staleness once per watermark advance
+    // short of the end-of-stream one.
+    let advances = states.iter().map(|s| {
+        let labels = format!(
+            "{{operator={},partition={}}}",
+            s.key.operator, s.key.partition
+        );
+        let staleness = telemetry
+            .registry()
+            .histogram(&format!("view_staleness_ms{labels}"));
+        staleness.count()
+    });
+    CheckedRun {
+        advances: advances.sum(),
+        epochs: states.iter().map(|s| s.epoch).sum(),
+        checked: checks.load(Ordering::Relaxed),
+        states,
+    }
+}
+
+/// The source rate that puts watermarks `watermark_interval` tuples
+/// apart at least two publication periods apart, so that every
+/// watermark is due to publish.
+fn paced(watermark_interval: usize) -> Option<u64> {
+    Some((watermark_interval as f64 / (2 * PUBLISH_PERIOD).as_secs_f64()) as u64)
+}
+
 #[test]
 fn published_views_match_read_view_through_whole_jobs() {
     // One query per access pattern. Every epoch each worker publishes —
     // built from captured store calls — must hold what its store's own
     // rebuild holds at that moment, down to the terminal view of the
-    // drained store.
+    // drained store. The source is paced so that every watermark is due
+    // to publish.
     for (query, pattern) in [
         (QueryId::Q7, StatePattern::Aar),
         (QueryId::Q11Median, StatePattern::Aur),
         (QueryId::Q12, StatePattern::Rmw),
     ] {
-        let registry = StateRegistry::new_shared();
-        let checks = Arc::new(AtomicU64::new(0));
-        let dir = ScratchDir::new(&format!("serve-int-layered-{}", query.name())).unwrap();
-        let job = query.build(QueryParams::new(1_000).with_parallelism(2));
-        let factory = Arc::new(CheckedFactory {
-            inner: FlowKvFactory::new(FlowKvConfig::small_for_tests(), StdVfs::shared()),
-            registry: Arc::clone(&registry),
-            job: job.name.clone(),
-            checks: Arc::clone(&checks),
-        });
-        let mut opts = RunOptions::new(dir.path());
-        opts.watermark_interval = 100;
-        opts.io_threads = 2;
-        opts.registry = Some(Arc::clone(&registry));
-        let tuples = EventGenerator::new(GeneratorConfig {
+        let events = GeneratorConfig {
             num_events: 20_000,
             ..generator()
-        })
-        .tuples();
-        run_job(&job, tuples, factory, &opts).expect("job run failed");
-
-        let states = registry.list();
+        };
+        let CheckedRun {
+            states,
+            epochs,
+            checked,
+            ..
+        } = run_checked(query, events, 100, paced(100));
         assert_eq!(states.len(), 2, "{}: one view per partition", query.name());
         for state in &states {
             assert_eq!(state.pattern, pattern, "{}", state.key);
             assert_eq!(state.watermark, MAX_TIMESTAMP, "{}", state.key);
             assert_eq!(state.entries, 0, "{}: terminal view not drained", state.key);
         }
-        let epochs: u64 = states.iter().map(|s| s.epoch).sum();
-        let checked = checks.load(Ordering::Relaxed);
         assert!(epochs > 40, "{}: only {epochs} epochs", query.name());
         assert_eq!(checked, epochs, "{}: epochs left unchecked", query.name());
     }
+}
+
+#[test]
+fn an_unpaced_job_publishes_once_per_period_and_every_view_matches_read_view() {
+    // Watermarks every 10 tuples at full speed come far faster than the
+    // publication period: most advances publish nothing, and each epoch
+    // that is published carries several watermarks' changes. Few
+    // bidders keep each epoch's check against `read_view` well inside
+    // a period, so the check does not make every watermark due.
+    let events = GeneratorConfig {
+        num_events: 20_000,
+        active_people: 10,
+        ..generator()
+    };
+    let CheckedRun {
+        states,
+        epochs,
+        checked,
+        advances,
+    } = run_checked(QueryId::Q12, events, 10, None);
+    assert_eq!(states.len(), 2, "one view per partition");
+    for state in &states {
+        assert_eq!(state.watermark, MAX_TIMESTAMP, "{}", state.key);
+        assert_eq!(state.entries, 0, "{}: terminal view not drained", state.key);
+    }
+    assert!(
+        epochs < advances,
+        "{epochs} epochs published at {advances} watermark advances"
+    );
+    assert_eq!(checked, epochs, "epochs left unchecked");
 }
 
 #[test]
@@ -492,6 +577,18 @@ fn telemetry_server_exposes_prometheus_and_registry_samples() {
         text.contains("flowkv_serve_requests_total"),
         "missing serving probes in:\n{text}"
     );
+    // Each partition's published view: what it is and how fresh.
+    for family in [
+        "view_epoch",
+        "view_age_us",
+        "view_memory_bytes",
+        "view_staleness_ms",
+    ] {
+        assert!(
+            text.contains(&format!("flowkv_{family}")),
+            "missing {family} in:\n{text}"
+        );
+    }
     assert!(text.contains("# TYPE"), "missing TYPE comments");
     server.shutdown();
 }

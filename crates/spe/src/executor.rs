@@ -1407,7 +1407,8 @@ impl WorkerProbe {
     }
 }
 
-/// What publishing costs one worker, labelled like [`WorkerProbe`].
+/// What publishing costs one worker, and how fresh its view is,
+/// labelled like [`WorkerProbe`].
 struct PublishProbe {
     /// Entries materialised for publication: each epoch's changed
     /// pairs, plus whatever a delta merge, a fold or a base rebuild
@@ -1417,6 +1418,17 @@ struct PublishProbe {
     /// folds included; recording the changes, which happens inside the
     /// store calls, is not).
     nanos: Arc<Counter>,
+    /// The newest published view's epoch, watermark and
+    /// [`StateView::memory_bytes`](flowkv_common::registry::StateView::memory_bytes).
+    epoch: Arc<Gauge>,
+    watermark: Arc<Gauge>,
+    view_bytes: Arc<Gauge>,
+    /// Wall time from the newest publish to the worker's latest
+    /// watermark advance, in microseconds.
+    age_us: Arc<Gauge>,
+    /// At each advance, how far in event time the worker's watermark
+    /// is ahead of the newest published view's.
+    staleness_ms: Arc<Histogram>,
 }
 
 impl PublishProbe {
@@ -1426,46 +1438,113 @@ impl PublishProbe {
         PublishProbe {
             entries: registry.counter(&format!("view_publish_entries_total{labels}")),
             nanos: registry.counter(&format!("view_publish_nanos{labels}")),
+            epoch: registry.gauge(&format!("view_epoch{labels}")),
+            watermark: registry.gauge(&format!("view_watermark{labels}")),
+            view_bytes: registry.gauge(&format!("view_memory_bytes{labels}")),
+            age_us: registry.gauge(&format!("view_age_us{labels}")),
+            staleness_ms: registry.histogram(&format!("view_staleness_ms{labels}")),
         }
     }
 }
 
+/// The least wall time between two views a worker publishes at
+/// watermarks. A watermark advance less than this after the worker's
+/// last publish publishes nothing; the changes wait in the epoch log
+/// and the next due advance publishes them all at once. Measured on
+/// `q12-rmw-serve` (EXPERIMENTS.md, "Publication paced by period"):
+/// at 1 ms the gain in ingest has reached its plateau. While
+/// watermarks keep coming, a view is replaced within one period plus
+/// one watermark interval of wall time.
+pub const PUBLISH_PERIOD: Duration = Duration::from_millis(1);
+
+/// Whether a worker publishes at an advance `now`: always at the end of
+/// its stream and for its first view (`last` is `None`), otherwise once
+/// [`PUBLISH_PERIOD`] has passed since the `last` publish.
+fn publish_due(last: Option<Instant>, now: Instant, end: bool) -> bool {
+    end || last.is_none_or(|last| now.saturating_duration_since(last) >= PUBLISH_PERIOD)
+}
+
 /// Publishes one worker's state into the queryable-state registry. The
 /// worker is the sole writer of its store and publishes between tuples,
-/// so a view never shows a half-applied update.
+/// so a view never shows a half-applied update; it publishes at a
+/// watermark advance at most once per [`PUBLISH_PERIOD`], and always at
+/// the end of its stream.
 struct ViewPublisher {
     registry: Arc<StateRegistry>,
     key: StateKey,
     capture: ViewCapture,
     /// Monotone snapshot counter.
     epoch: u64,
+    /// When the last view was published, and the watermark it is
+    /// aligned to.
+    last: Option<(Instant, Timestamp)>,
+    /// A watermark the period held back, while the store is still as
+    /// that watermark left it.
+    pending: Option<Timestamp>,
     ttl_ms: Option<u64>,
     probe: Option<PublishProbe>,
 }
 
 impl ViewPublisher {
-    /// Publishes the store's state as of now, aligned to `watermark`:
+    /// At a watermark advance (`end`: the stream's end), publishes the
+    /// store's state as of now aligned to `watermark` if
+    /// [`publish_due`] says so.
+    fn advance(
+        &mut self,
+        backend: &mut dyn StateBackend,
+        watermark: Timestamp,
+        end: bool,
+    ) -> Result<(), StoreError> {
+        let now = Instant::now();
+        if publish_due(self.last.map(|(at, _)| at), now, end) {
+            self.publish(backend, watermark, now)?;
+        } else {
+            self.pending = Some(watermark);
+        }
+        if let (Some(probe), Some((at, published))) = (&self.probe, self.last) {
+            probe
+                .age_us
+                .set(now.saturating_duration_since(at).as_micros() as i64);
+            if watermark != MAX_TIMESTAMP {
+                probe
+                    .staleness_ms
+                    .record(watermark.saturating_sub(published) as u64);
+            }
+        }
+        Ok(())
+    }
+
+    /// Publishes the store's state as of `now`, aligned to `watermark`:
     /// the previous view plus what the capture adaptor saw change since
     /// (a store that is not queryable publishes nothing).
     fn publish(
         &mut self,
         backend: &mut dyn StateBackend,
         watermark: Timestamp,
+        now: Instant,
     ) -> Result<(), StoreError> {
-        let started = self.probe.as_ref().map(|_| Instant::now());
         let Some(entries) = self.capture.advance(backend)? else {
             return Ok(());
         };
         self.epoch += 1;
+        self.last = Some((now, watermark));
+        self.pending = None;
         let mut view = self.capture.view().clone();
         view.epoch = self.epoch;
         view.watermark = watermark;
         view.ttl_ms = self.ttl_ms;
         view.metrics = backend.metrics().snapshot();
+        let view_bytes = view.memory_bytes();
         self.registry.publish(self.key.clone(), view);
-        if let (Some(probe), Some(started)) = (&self.probe, started) {
+        if let Some(probe) = &self.probe {
             probe.entries.add(entries as u64);
-            probe.nanos.add(started.elapsed().as_nanos() as u64);
+            probe.nanos.add(now.elapsed().as_nanos() as u64);
+            probe.epoch.set(self.epoch as i64);
+            probe.view_bytes.set(view_bytes as i64);
+            // Like the worker's own gauge, never the end-of-stream sentinel.
+            if watermark != MAX_TIMESTAMP {
+                probe.watermark.set(watermark);
+            }
         }
         Ok(())
     }
@@ -1609,6 +1688,8 @@ impl<'a> Worker<'a> {
                 key: StateKey::new(job.name.clone(), name, worker),
                 capture,
                 epoch: 0,
+                last: None,
+                pending: None,
                 // Advisory per-entry TTL published with every snapshot,
                 // derived from the stage's window semantics (the serving
                 // layer surfaces it on state listings).
@@ -1665,6 +1746,10 @@ impl<'a> Worker<'a> {
     ) -> Result<ControlFlow<()>, StoreError> {
         if let Some(p) = &self.probe {
             p.tuples.add(batch.len() as u64);
+        }
+        // The store moves past a held-back watermark.
+        if let Some(p) = self.publisher.as_mut() {
+            p.pending = None;
         }
         // Stream time feeds both the watermark-lag probe and the
         // prefetch horizon.
@@ -1771,7 +1856,7 @@ impl<'a> Worker<'a> {
             .outbox
             .broadcast(|| Msg::Watermark { ts: min_wm, origin });
         if let Some(p) = self.publisher.as_mut() {
-            p.publish(self.operator.backend_mut(), min_wm)?;
+            p.advance(self.operator.backend_mut(), min_wm, false)?;
         }
         // Watermark boundary: window fires just consumed prefetched
         // state — top the buffers back up.
@@ -1783,6 +1868,20 @@ impl<'a> Worker<'a> {
         ftrace::end_here(wm_span, &[("fired", fired as i64)]);
         drop(fire_scope);
         Ok(ControlFlow::Continue(()))
+    }
+
+    /// The input has been quiet for a receive timeout: publishes the
+    /// watermark the period held back, if the store is still where it
+    /// left it, so a paused stream's readers need not wait for its next
+    /// watermark.
+    fn on_idle(&mut self) -> Result<(), StoreError> {
+        let Some(p) = self.publisher.as_mut() else {
+            return Ok(());
+        };
+        match p.pending {
+            Some(wm) => p.publish(self.operator.backend_mut(), wm, Instant::now()),
+            None => Ok(()),
+        }
     }
 
     /// Records `sender`'s barrier. Once every upstream's has arrived,
@@ -1831,7 +1930,7 @@ impl<'a> Worker<'a> {
             return Ok(ControlFlow::Continue(()));
         }
         if let Some(p) = self.publisher.as_mut() {
-            p.publish(self.operator.backend_mut(), self.current_wm)?;
+            p.advance(self.operator.backend_mut(), self.current_wm, true)?;
         }
         self.exchange.outbox.broadcast(|| Msg::End);
         Ok(ControlFlow::Break(()))
@@ -1890,7 +1989,10 @@ fn run_worker(
                         env
                     }
                     Err(RecvTimeoutError::Timeout) if !run.abort.load(Ordering::Relaxed) => {
-                        continue
+                        match w.on_idle() {
+                            Ok(()) => continue,
+                            Err(e) => break Err(e),
+                        }
                     }
                     Err(_) => break Ok(()),
                 }
@@ -2468,6 +2570,67 @@ mod tests {
             assert_eq!(states.len(), 1);
             assert_eq!((states[0].epoch, states[0].watermark), (1, MIN_TIMESTAMP));
             assert_eq!(sent(rx), ["end"]);
+        });
+    }
+
+    #[test]
+    fn a_watermark_publishes_the_first_view_then_once_per_period_and_the_end_always() {
+        let t0 = Instant::now();
+        assert!(publish_due(None, t0, false), "the first view");
+        assert!(!publish_due(Some(t0), t0, false));
+        assert!(!publish_due(Some(t0), t0 + PUBLISH_PERIOD / 2, false));
+        assert!(publish_due(Some(t0), t0 + PUBLISH_PERIOD, false));
+        assert!(publish_due(Some(t0), t0 + 3 * PUBLISH_PERIOD, false));
+        assert!(publish_due(Some(t0), t0, true), "the end");
+        // An instant before the last publish is no time at all.
+        assert!(!publish_due(Some(t0 + PUBLISH_PERIOD), t0, false));
+    }
+
+    #[test]
+    fn a_held_back_watermark_is_published_at_the_next_due_advance_or_when_idle() {
+        let dir = ScratchDir::new("worker-paced").unwrap();
+        let registry = StateRegistry::new_shared();
+        let mut opts = RunOptions::new(dir.path());
+        opts.registry = Some(Arc::clone(&registry));
+        let flowkv = BackendChoice::all_small_for_tests().remove(1);
+        // One fixed window that no watermark here closes: a view's
+        // entries are the keys it has seen.
+        with_worker(&count_job(1), &opts, flowkv, 1, |w, _| {
+            let view = || {
+                let states = registry.list();
+                states.first().map(|s| (s.epoch, s.watermark, s.entries))
+            };
+            let step = |w: &mut Worker<'_>, msg| {
+                assert!(w.handle(env(0, msg)).unwrap().is_continue());
+                view()
+            };
+            let wm = |ts| Msg::Watermark { ts, origin: 0 };
+            assert_eq!(step(w, batch(&[("a", 1, 0)])), None);
+            assert_eq!(step(w, wm(10)), Some((1, 10, 1)), "the first view");
+            // The last publish is made recent for as long as the test runs.
+            let hold = |w: &mut Worker<'_>| {
+                let p = w.publisher.as_mut().unwrap();
+                p.last = Some((Instant::now() + Duration::from_secs(3600), 10));
+            };
+            hold(w);
+            assert_eq!(step(w, batch(&[("b", 11, 0)])), Some((1, 10, 1)));
+            assert_eq!(step(w, wm(20)), Some((1, 10, 1)), "held back");
+            assert_eq!(step(w, batch(&[("c", 21, 0)])), Some((1, 10, 1)));
+            assert_eq!(step(w, wm(30)), Some((1, 10, 1)), "held back");
+            // Idle while the store is as watermark 30 left it: published.
+            w.on_idle().unwrap();
+            assert_eq!(view(), Some((2, 30, 3)));
+            hold(w);
+            assert_eq!(step(w, wm(40)), Some((2, 30, 3)));
+            // A batch after the held-back watermark: idling publishes
+            // nothing, the next due watermark does.
+            assert_eq!(step(w, batch(&[("d", 41, 0)])), Some((2, 30, 3)));
+            w.on_idle().unwrap();
+            assert_eq!(view(), Some((2, 30, 3)));
+            w.publisher.as_mut().unwrap().last = Some((Instant::now() - PUBLISH_PERIOD, 40));
+            assert_eq!(step(w, wm(50)), Some((3, 50, 4)));
+            assert!(w.handle(env(0, Msg::End)).unwrap().is_break());
+            assert_eq!(view(), Some((4, 50, 4)), "the end publishes");
         });
     }
 

@@ -36,7 +36,7 @@ use std::path::Path;
 
 use flowkv_common::backend::StateBackend;
 use flowkv_common::codec::{put_len_prefixed, put_varint_i64, put_varint_u64, Decoder};
-use flowkv_common::dict::{group_stable, ByteDict, TooManyPositions};
+use flowkv_common::dict::{group_stable, ByteDict, DictFull, TooManyPositions};
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::hash::KeyHash;
 use flowkv_common::logfile::{LogReader, LogWriter};
@@ -195,7 +195,8 @@ fn store_tuple(
 /// 4 GiB). Grouping is a counting pass over those numbers — no `Vec` per
 /// pair or per key — and keys fire in the order the drain first showed
 /// them, a function of the input. A per-key trigger (session, count,
-/// custom window) fills `values` alone.
+/// custom window) fills `values` alone. Bytes past what a dictionary
+/// numbers are refused, and the fire that follows fails.
 #[derive(Default)]
 struct TriggerArena {
     keys: ByteDict,
@@ -204,24 +205,55 @@ struct TriggerArena {
     key_of: Vec<u32>,
     starts: Vec<u32>,
     order: Vec<u32>,
+    /// A pair or a value refused since the last clear.
+    full: Option<DictFull>,
 }
 
 impl TriggerArena {
     fn push(&mut self, key: &[u8], value: &[u8]) {
-        self.key_of.push(self.keys.intern(key));
-        self.values.push(value);
+        match self.keys.intern(key) {
+            Ok(key) => {
+                self.key_of.push(key);
+                self.push_value(value);
+            }
+            Err(full) => self.refuse(full),
+        }
+    }
+
+    fn push_value(&mut self, value: &[u8]) {
+        if let Err(full) = self.values.push(value) {
+            self.refuse(full);
+        }
+    }
+
+    #[cold]
+    fn refuse(&mut self, full: DictFull) {
+        self.full.get_or_insert(full);
+    }
+
+    /// Fails, emptying the arena, if a push was refused.
+    fn check(&mut self) -> Result<()> {
+        match self.full {
+            Some(full) => {
+                self.clear();
+                Err(full.into())
+            }
+            None => Ok(()),
+        }
     }
 
     /// Hands `fire` each key with its values in the order they were
     /// pushed, and empties the arena, keeping its allocations. More
-    /// values than a `u32` numbers fail the trigger.
+    /// values than a `u32` numbers, or a refused push, fail the trigger.
     fn fire_each_key(&mut self, mut fire: impl FnMut(&[u8], &[&[u8]])) -> Result<()> {
+        self.check()?;
         let TriggerArena {
             keys,
             values,
             key_of,
             starts,
             order,
+            ..
         } = self;
         group_stable(key_of.len(), keys.len(), |at| key_of[at], starts, order)?;
         let mut list: Vec<&[u8]> = Vec::new();
@@ -238,8 +270,9 @@ impl TriggerArena {
 
     /// Hands `fire` every value in push order as one list — what the
     /// takes of one key's trigger lent — and empties the arena. More
-    /// values than a `u32` numbers fail the trigger.
+    /// values than a `u32` numbers, or a refused push, fail the trigger.
     fn fire_all(&mut self, fire: impl FnOnce(&[&[u8]])) -> Result<()> {
+        self.check()?;
         let values = &self.values;
         let n = u32::try_from(values.len()).map_err(|_| TooManyPositions { n: values.len() })?;
         let list: Vec<&[u8]> = (0..n).map(|at| values.get(at)).collect();
@@ -253,6 +286,7 @@ impl TriggerArena {
         self.keys.clear();
         self.values.clear();
         self.key_of.clear();
+        self.full = None;
     }
 }
 
@@ -835,13 +869,11 @@ impl WindowOperator {
                 let arena = &mut self.arena;
                 // A take that failed half-way left its values behind.
                 arena.clear();
-                let mut keep = |value: &[u8]| {
-                    arena.values.push(value);
-                };
+                let mut keep = |value: &[u8]| arena.push_value(value);
                 for w in store_windows {
                     self.backend.take_values_with(key, *w, &mut keep)?;
                 }
-                if arena.values.is_empty() {
+                if arena.values.is_empty() && arena.full.is_none() {
                     return Ok(());
                 }
                 arena.fire_all(|values| {
@@ -970,6 +1002,36 @@ mod tests {
 
     fn u64_of(bytes: &[u8]) -> u64 {
         crate::functions::decode_u64(bytes)
+    }
+
+    #[test]
+    fn a_refused_push_fails_the_next_fire_and_leaves_the_arena_empty() {
+        // A dictionary refuses past 4 GiB; the refusal is what it hands
+        // the arena, so it is handed here directly.
+        let mut arena = TriggerArena::default();
+        let refused = DictFull { bytes: 1 << 32 };
+        for fire_all in [false, true] {
+            arena.push(b"a", b"1");
+            arena.refuse(refused);
+            arena.push(b"b", b"2");
+            let fired = match fire_all {
+                false => arena.fire_each_key(|_, _| panic!("a refused trigger fired")),
+                true => arena.fire_all(|_| panic!("a refused trigger fired")),
+            };
+            let error = fired.unwrap_err();
+            assert!(
+                matches!(error, StoreError::InvalidState { .. }),
+                "{error:?}"
+            );
+            assert!(error.to_string().contains("4294967296 bytes"), "{error}");
+            // The next trigger starts from nothing and fires.
+            arena.push(b"c", b"3");
+            let mut seen = Vec::new();
+            arena
+                .fire_each_key(|key, values| seen.push((key.to_vec(), values.len())))
+                .unwrap();
+            assert_eq!(seen, [(b"c".to_vec(), 1)]);
+        }
     }
 
     #[test]

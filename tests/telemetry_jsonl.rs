@@ -16,6 +16,7 @@ use flowkv_common::scratch::ScratchDir;
 use flowkv_common::telemetry::{parse_json, validate_jsonl_line, Json};
 use flowkv_common::vfs::StdVfs;
 use flowkv_nexmark::{EventGenerator, GeneratorConfig, QueryId, QueryParams};
+use flowkv_spe::executor::PUBLISH_PERIOD;
 use flowkv_spe::{run_job, RunOptions};
 
 fn generator(events: u64) -> GeneratorConfig {
@@ -31,22 +32,28 @@ fn generator(events: u64) -> GeneratorConfig {
     }
 }
 
+/// Watermarks come every this many source tuples.
+const WATERMARK_INTERVAL: usize = 100;
+
 /// Runs `query` with the JSONL writer attached and returns the parsed,
 /// schema-validated lines. `io_threads > 0` turns on the background I/O
 /// ring (asynchronous prefetch); a `registry` makes the workers publish
-/// queryable-state views into it.
+/// queryable-state views into it; `rate` caps the source's tuples per
+/// second.
 fn run_with_jsonl(
     query: QueryId,
     events: u64,
     scratch: &str,
     io_threads: usize,
     registry: Option<Arc<StateRegistry>>,
+    rate: Option<u64>,
 ) -> Vec<Json> {
     let dir = ScratchDir::new(scratch).unwrap();
     let out_path = dir.path().join("telemetry.jsonl");
     let job = query.build(QueryParams::new(1_000).with_parallelism(2));
     let mut opts = RunOptions::new(dir.path());
-    opts.watermark_interval = 100;
+    opts.watermark_interval = WATERMARK_INTERVAL;
+    opts.rate_limit = rate;
     opts.record_latency = true;
     opts.telemetry_out = Some(out_path.clone());
     opts.telemetry_interval = Duration::from_millis(25);
@@ -97,7 +104,7 @@ fn metric_values<'a>(snapshot: &'a Json, prefix: &str, kind: &str) -> Vec<(&'a s
 
 #[test]
 fn q7_jsonl_stream_is_well_formed_and_monotone() {
-    let lines = run_with_jsonl(QueryId::Q7, 60_000, "telemetry-q7", 0, None);
+    let lines = run_with_jsonl(QueryId::Q7, 60_000, "telemetry-q7", 0, None, None);
     let snapshots: Vec<&Json> = lines
         .iter()
         .filter(|l| l.get("type").and_then(Json::as_str) == Some("snapshot"))
@@ -183,6 +190,10 @@ fn q7_jsonl_stream_is_well_formed_and_monotone() {
 
 #[test]
 fn publication_cost_is_reported_per_partition() {
+    // Watermarks two publication periods apart: every one is due to
+    // publish.
+    let period = 2 * PUBLISH_PERIOD;
+    let rate = (WATERMARK_INTERVAL as f64 / period.as_secs_f64()) as u64;
     let registry = StateRegistry::new_shared();
     let lines = run_with_jsonl(
         QueryId::Q12,
@@ -190,6 +201,7 @@ fn publication_cost_is_reported_per_partition() {
         "telemetry-publish",
         0,
         Some(Arc::clone(&registry)),
+        Some(rate),
     );
     let terminal = lines
         .iter()
@@ -223,11 +235,48 @@ fn publication_cost_is_reported_per_partition() {
         entries < 2 * 60_000,
         "{entries} entries materialised to publish {epochs} epochs of a 60k-tuple run"
     );
+
+    // Freshness and size of each partition's newest view: the gauges
+    // name the epoch the registry holds, the view is younger than a
+    // period when the stream ends (its end always publishes), and every
+    // advance recorded how far behind the worker's watermark it was.
+    let gauge = |prefix: &str, partition: usize| {
+        let name = format!("{prefix}{{operator=count-global,partition={partition}}}");
+        let values = metric_values(terminal, prefix, "gauge");
+        let value = values.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
+        value.unwrap_or_else(|| panic!("terminal snapshot: no gauge {name}"))
+    };
+    let metrics = terminal.get("metrics").and_then(Json::as_obj).unwrap();
+    for state in registry.list() {
+        let partition = state.key.partition;
+        assert_eq!(gauge("view_epoch", partition) as u64, state.epoch);
+        assert!(gauge("view_watermark", partition) > 0, "{}", state.key);
+        assert!(gauge("view_memory_bytes", partition) >= 0, "{}", state.key);
+        let age = gauge("view_age_us", partition);
+        assert!(
+            (0..=PUBLISH_PERIOD.as_micros() as i64).contains(&age),
+            "{}: terminal view {age} us old",
+            state.key
+        );
+        let name = format!("view_staleness_ms{{operator=count-global,partition={partition}}}");
+        let staleness = metrics.iter().find(|(n, _)| *n == name).map(|(_, v)| v);
+        let count = staleness
+            .and_then(|v| v.get("count"))
+            .and_then(Json::as_i64);
+        assert!(count.is_some_and(|c| c > 0), "{name}: {staleness:?}");
+    }
 }
 
 #[test]
 fn prefetch_families_report_ring_accuracy() {
-    let lines = run_with_jsonl(QueryId::Q11Median, 60_000, "telemetry-prefetch", 2, None);
+    let lines = run_with_jsonl(
+        QueryId::Q11Median,
+        60_000,
+        "telemetry-prefetch",
+        2,
+        None,
+        None,
+    );
     let terminal = lines
         .iter()
         .rfind(|l| l.get("type").and_then(Json::as_str) == Some("snapshot"))
@@ -287,7 +336,7 @@ fn prefetch_families_report_ring_accuracy() {
 
 #[test]
 fn q11_median_flight_record_yields_ett_error() {
-    let lines = run_with_jsonl(QueryId::Q11Median, 60_000, "telemetry-q11m", 0, None);
+    let lines = run_with_jsonl(QueryId::Q11Median, 60_000, "telemetry-q11m", 0, None, None);
     let terminal = lines.last().expect("run produced no snapshots");
     let sum = |prefix: &str| -> i64 {
         metric_values(terminal, prefix, "counter")
