@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flowkv_common::backend::{
     AggregateKind, OperatorContext, OperatorSemantics, StateBackend, WindowKind,
 };
-use flowkv_common::registry::ViewCapture;
+use flowkv_common::registry::capture;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::types::WindowId;
 use flowkv_common::vfs::{SlowVfs, StdVfs};
@@ -777,8 +777,8 @@ fn bench_tier_aar_cycle(c: &mut Criterion) {
 /// which goes first), so a drift of the machine's speed moves both; the
 /// cell prints the median of `served` minus `bare` per changed pair, and
 /// its two halves: the record path per captured store call (the served
-/// run outside `advance`, minus the bare run) and `advance` per changed
-/// pair.
+/// run outside `read_view`, minus the bare run) and the `read_view`
+/// that advances the view (`advance`) per changed pair.
 ///
 /// That difference is not flat in the live-key count: the size rule
 /// folds the chain into a fresh base about once per base's worth of
@@ -800,7 +800,7 @@ fn bench_view_publish(c: &mut Criterion) {
     for keys in [1_000u64, 10_000, 100_000] {
         for call in ["take_put", "update"] {
             // Per sample: the bare run's time, the served run's, and the
-            // part of the served run spent in `advance`.
+            // part of the served run spent in `read_view`.
             let mut samples: Vec<[Duration; 3]> = Vec::new();
             let id = BenchmarkId::new(&format!("{keys}_keys"), call);
             group.bench_function(id, |b| {
@@ -809,18 +809,18 @@ fn bench_view_publish(c: &mut Criterion) {
                     || {
                         [false, true].map(|served| {
                             let (store, dir) = make(&choice, semantics, FactoryOptions::new());
-                            let (mut store, mut capture) = ViewCapture::wrap(store);
+                            let mut store = capture(store, None);
                             for k in 0..keys {
                                 store
                                     .put_aggregate(&k.to_le_bytes(), w, &0u64.to_le_bytes())
                                     .unwrap();
                             }
-                            // Bare: the capture never leaves its initial
-                            // state, in which the adaptor records nothing.
+                            // Bare: the adaptor never answers a view, and
+                            // until its first it records nothing.
                             if served {
-                                capture.advance(store.as_mut()).unwrap();
+                                store.read_view().unwrap();
                             }
-                            (store, capture, dir)
+                            (store, dir)
                         })
                     },
                     |runs| {
@@ -832,7 +832,7 @@ fn bench_view_publish(c: &mut Criterion) {
                             [1, 0]
                         };
                         for served in order {
-                            let (mut store, mut capture, dir) = runs[served].take().unwrap();
+                            let (mut store, dir) = runs[served].take().unwrap();
                             let t0 = Instant::now();
                             let mut cycle = 0u64;
                             let mut bump = |acc: &mut Vec<u8>, _: bool| {
@@ -856,14 +856,14 @@ fn bench_view_publish(c: &mut Criterion) {
                                 }
                                 if served == 1 {
                                     let advanced = Instant::now();
-                                    capture.advance(store.as_mut()).unwrap();
-                                    std::hint::black_box(capture.view().clone());
+                                    std::hint::black_box(store.read_view().unwrap());
                                     took[2] += advanced.elapsed();
                                 }
                             }
                             took[served] = t0.elapsed();
                             if served == 1 {
-                                assert_eq!(capture.view().len() as u64, keys);
+                                let view = store.read_view().unwrap().unwrap();
+                                assert_eq!(view.len() as u64, keys);
                             }
                             finished.push((store, dir));
                         }
@@ -886,7 +886,7 @@ fn bench_view_publish(c: &mut Criterion) {
             };
             let extra = median(&|[bare, served, _]| per_pair(*served) - per_pair(*bare));
             // The record path is what the served run spent outside
-            // `advance` beyond the bare run, per captured store call.
+            // `read_view` beyond the bare run, per captured store call.
             let calls = if call == "update" { 1.0 } else { 2.0 };
             let record = median(&|[bare, served, advance]| {
                 (per_pair(*served) - per_pair(*advance) - per_pair(*bare)) / calls

@@ -341,6 +341,10 @@ pub trait StateBackend: Send {
     /// or reorder state) but must never consume entries — a served store
     /// produces byte-identical job output to an unserved one.
     ///
+    /// An adaptor that records the calls it forwards may answer from
+    /// what it recorded rather than rebuild the view from the store it
+    /// wraps, as [`crate::registry::capture`] does.
+    ///
     /// The default returns `Ok(None)`: the store does not support
     /// snapshot reads and is simply not queryable.
     fn read_view(&mut self) -> Result<Option<crate::registry::StateView>> {

@@ -9,23 +9,22 @@
 //!    `(key, window)` entry as of the last fold) plus a short chain of
 //!    per-epoch **deltas**, each layer one byte arena and its sorted
 //!    fixed-size rows behind an `Arc`.
-//! 2. [`ViewCapture::wrap`] puts an adaptor around the worker's backend
-//!    that forwards every call and pushes one row per state change onto
-//!    the epoch's [`ViewDelta`] log, from the key, window and bytes the
-//!    call carries: nothing is re-read from the store, and what a store
-//!    does underneath (flushes, compaction, a tier's demotions) never
-//!    shows.
-//! 3. At a watermark, at most once per period, [`ViewCapture::advance`]
-//!    collapses the log into a delta on top of the previous view
-//!    ([`StateView::apply`]) and, by a size rule, now and then **folds**
-//!    the chain into a fresh base. The worker stamps a clone (a handful
-//!    of `Arc` clones) and publishes it into the process-wide
-//!    [`StateRegistry`] under its [`StateKey`].
+//! 2. [`capture`] puts an adaptor around the worker's backend that
+//!    forwards every call and pushes one row per state change onto the
+//!    epoch's log, from the key, window and bytes the call carries:
+//!    nothing is re-read from the store, and what a store does
+//!    underneath (flushes, compaction, a tier's demotions) never shows.
+//! 3. At a watermark, at most once per period, the worker calls the
+//!    adaptor's `read_view`. It collapses the log into a delta on top of
+//!    the previous view and, by a size rule, now and then **folds** the
+//!    chain into a fresh base, and it returns a clone (a handful of
+//!    `Arc` clones) that the worker stamps and publishes into the
+//!    process-wide [`StateRegistry`] under its [`StateKey`].
 //!
-//! An advance costs what changed: a radix sort of the log by key head,
-//! a copy per changed pair and, amortised, about one fold row per
-//! change. It stays on the worker, the one thread that holds the epoch
-//! a view names without a lock (on the reader: 3-5x fewer answers).
+//! A view costs what changed: a radix sort of the log by key head, a
+//! copy per changed pair and, amortised, about one fold row per change.
+//! It is built on the worker, the one thread that holds the epoch a
+//! view names without a lock (on the reader: 3-5x fewer answers).
 //! 4. Server threads resolve a `StateKey` to an `Arc<StateView>` and
 //!    read through the layers, newest first, lock-free.
 //!
@@ -34,11 +33,12 @@
 //! builds a *new* base, so a reader holding epoch N reads exactly epoch
 //! N, and the layers it alone references are freed when it lets go.
 //!
-//! **When `read_view` still runs.** [`StateBackend::read_view`] builds
+//! **When the store's own `read_view` runs.** The adaptor's
+//! [`StateBackend::read_view`] starts over from the wrapped store's for
 //! a worker's first base, and the next after a `restore` or
 //! `inject_entries` (state changed by a path the adaptor does not
-//! follow). It is also the reference the layered view is tested
-//! against.
+//! follow). The store's own is also the reference the layered view is
+//! tested against.
 //!
 //! Readers observe a consistent snapshot aligned to a watermark, stale
 //! by at most one period plus one watermark interval of wall time: the
@@ -60,8 +60,8 @@ use std::sync::{Arc, RwLock};
 
 use crate::types::Timestamp;
 
-pub use capture::ViewCapture;
-pub use view::{StateView, ViewDelta, ViewValue};
+pub use capture::capture;
+pub use view::{StateView, ViewValue};
 
 /// Identifies one operator partition's published state within a process.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -126,20 +126,11 @@ impl StatePattern {
             _ => StatePattern::Unknown,
         }
     }
-
-    /// Short lowercase name for logs and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            StatePattern::Aar => "aar",
-            StatePattern::Aur => "aur",
-            StatePattern::Rmw => "rmw",
-            StatePattern::Unknown => "unknown",
-        }
-    }
 }
 
-/// Summary of one published view, for state listings.
-#[derive(Clone, Debug)]
+/// Summary of one published view: a row of a state listing, on the
+/// wire as in the registry.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StateDescriptor {
     /// The registry key the view is published under.
     pub key: StateKey,
@@ -241,16 +232,6 @@ impl StateRegistry {
         out.sort_by(|a, b| a.key.cmp(&b.key));
         out
     }
-
-    /// Number of published views.
-    pub fn len(&self) -> usize {
-        self.views.read().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Whether nothing is published.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -272,7 +253,7 @@ mod tests {
         assert_eq!(listing[0].key, key);
         assert_eq!(listing[0].epoch, 7);
         reg.remove(&key);
-        assert!(reg.is_empty());
+        assert!(reg.list().is_empty());
     }
 
     #[test]
@@ -293,7 +274,7 @@ mod tests {
             StateKey::new("job", "op", 1),
             StateView::empty(StatePattern::Aur),
         );
-        assert_eq!(reg.len(), 2);
+        assert_eq!(reg.list().len(), 2);
     }
 
     #[test]
@@ -317,6 +298,6 @@ mod tests {
         assert_eq!(removed.epoch, 2);
         assert_eq!(Arc::strong_count(&removed), 1);
         assert!(reg.views.try_write().is_ok());
-        assert!(reg.is_empty());
+        assert!(reg.list().is_empty());
     }
 }

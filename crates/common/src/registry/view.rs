@@ -165,6 +165,23 @@ fn sort_by_head<T: Copy>(items: &mut [T], scratch: &mut Vec<T>, head: impl Fn(&T
     }
 }
 
+/// Sorts `items` stably by position: by the head that `head` reads
+/// ([`sort_by_head`]), then each run of tied heads by `cmp`, unless the
+/// run is in order already (as a run of one key's calls mostly is).
+fn sort_by_pos<T: Copy>(
+    items: &mut [T],
+    scratch: &mut Vec<T>,
+    head: impl Fn(&T) -> u64 + Copy,
+    cmp: impl Fn(&T, &T) -> Ordering,
+) {
+    sort_by_head(items, scratch, head);
+    for tied in items.chunk_by_mut(|a, b| head(a) == head(b)) {
+        if !tied.is_sorted_by(|a, b| cmp(a, b).is_le()) {
+            tied.sort_by(&cmp);
+        }
+    }
+}
+
 /// Orders two rows (each with its arena) by position, reading no key
 /// byte where the heads decide or hold both keys whole: two keys of at
 /// most eight bytes with one head differ only in trailing zeros, so the
@@ -459,15 +476,13 @@ fn merged(layers: &[&Layer], live: bool, dropped: &[(WindowId, usize)]) -> Layer
             &above[i as usize].bytes[..],
         )
     };
-    // By head alone first (integers, stable), then each run of tied
-    // heads (mostly one key in several layers) by position.
-    sort_by_head(&mut run, &mut Vec::new(), |e| e.0);
-    for tied in run
-        .chunk_by_mut(|a, b| a.0 == b.0)
-        .filter(|tied| tied.len() > 1)
-    {
-        tied.sort_by(|a, b| by_pos(row(a), row(b)));
-    }
+    // Tied heads are mostly one key in several layers.
+    sort_by_pos(
+        &mut run,
+        &mut Vec::new(),
+        |e| e.0,
+        |a, b| by_pos(row(a), row(b)),
+    );
     let is_dropped = |window| dropped.iter().any(|&(w, _)| w == window);
     // Floor rows go through unless their window was dropped.
     let copy = |out: &mut Layer, run: Range<usize>| match dropped {
@@ -522,7 +537,7 @@ fn merged(layers: &[&Layer], live: bool, dropped: &[(WindowId, usize)]) -> Layer
 /// What a pair held before a call: the [`ViewValue::memory_size`] of its
 /// value (`Some(None)`: nothing), known from a take's or an update's
 /// answer. `None`: not known, [`StateView::apply`] looks it up.
-type Held = Option<Option<usize>>;
+pub(super) type Held = Option<Option<usize>>;
 
 /// [`Held`] as a log row keeps it: a size, or one of two marks (a size
 /// too large to keep is looked up instead).
@@ -553,7 +568,7 @@ const LOG_FLOOR: usize = 4_096;
 /// go on top. A drop takes its place in the log: one recorded after a
 /// pair change of the same window removes that change too.
 #[derive(Debug, Default)]
-pub struct ViewDelta {
+pub(super) struct ViewDelta {
     /// One row per pair change, in call order, each with what its pair
     /// held before it.
     log: Layer,
@@ -603,28 +618,21 @@ impl ViewDelta {
         });
     }
 
-    /// `put_aggregate`: the pair now holds exactly `aggregate`.
-    pub fn put_aggregate(&mut self, key: &[u8], window: WindowId, aggregate: &[u8]) {
-        self.record(key, window, Kind::Aggregate, aggregate, None);
-    }
-
-    /// `update_aggregate`: the pair held `prior` bytes of aggregate
-    /// (`None`: nothing) and now holds exactly `aggregate`. The store
-    /// lent the old value to the update, so the view need not look its
-    /// size up — what [`remove`](Self::remove) then
-    /// [`put_aggregate`](Self::put_aggregate) record, as one row.
-    pub fn update_aggregate(
+    /// `put_aggregate` (`held` unknown) or `update_aggregate` (`held`:
+    /// the size of the aggregate the store lent the update): the pair
+    /// now holds exactly `aggregate`.
+    pub(super) fn put_aggregate(
         &mut self,
         key: &[u8],
         window: WindowId,
-        prior: Option<usize>,
+        held: Held,
         aggregate: &[u8],
     ) {
-        self.record(key, window, Kind::Aggregate, aggregate, Some(prior));
+        self.record(key, window, Kind::Aggregate, aggregate, held);
     }
 
     /// `append`: `value` joins the end of the pair's list.
-    pub fn append(&mut self, key: &[u8], window: WindowId, value: &[u8]) {
+    pub(super) fn append(&mut self, key: &[u8], window: WindowId, value: &[u8]) {
         self.record(key, window, Kind::Append, value, None);
     }
 
@@ -632,12 +640,12 @@ impl ViewDelta {
     /// the [`ViewValue::memory_size`] of what the take returned, `None`
     /// if it found nothing — what the pair held, so the view need not
     /// look it up to keep its entry and byte counts.
-    pub fn remove(&mut self, key: &[u8], window: WindowId, taken: Option<usize>) {
+    pub(super) fn remove(&mut self, key: &[u8], window: WindowId, taken: Option<usize>) {
         self.record(key, window, Kind::Tombstone, &[], Some(taken));
     }
 
     /// First `get_window_chunk` of `window`: every pair of it is gone.
-    pub fn drop_window(&mut self, window: WindowId) {
+    pub(super) fn drop_window(&mut self, window: WindowId) {
         self.dropped.retain(|(dropped, _)| *dropped != window);
         self.dropped.push((window, self.log.rows.len()));
     }
@@ -679,15 +687,8 @@ impl ViewDelta {
                 .map(|i| (rows[i].head, i)),
         );
         let row = |&(_, i): &(u64, usize)| (&rows[i], bytes);
-        // By position, then call order: by head first, then each run of
-        // tied heads by position (both stable).
-        sort_by_head(order, scratch, |e| e.0);
-        for tied in order
-            .chunk_by_mut(|a, b| a.0 == b.0)
-            .filter(|tied| tied.len() > 1)
-        {
-            tied.sort_by(|a, b| by_pos(row(a), row(b)));
-        }
+        // By position, then call order.
+        sort_by_pos(order, scratch, |e| e.0, |a, b| by_pos(row(a), row(b)));
         out.rows.reserve(order.len());
         out.bytes.reserve(bytes.len());
         for pair in order.chunk_by(|a, b| a.0 == b.0 && by_pos(row(a), row(b)).is_eq()) {
@@ -719,8 +720,8 @@ impl ViewDelta {
 /// An immutable point-in-time snapshot of one store's live state.
 ///
 /// Cloning a view clones `Arc`s, never entries: the clone and the
-/// original share every layer, and [`apply`](Self::apply) on one never
-/// changes what the other reads.
+/// original share every layer, and changes put on one never change what
+/// the other reads.
 #[derive(Clone, Debug, Default)]
 pub struct StateView {
     /// Pattern of the source store.
@@ -782,7 +783,7 @@ impl StateView {
         }
         // Onto nothing, the log folds into the base.
         let mut view = StateView::empty(pattern);
-        view.apply(log);
+        view.apply(&mut log);
         view
     }
 
@@ -894,9 +895,10 @@ impl StateView {
         self.deltas.len()
     }
 
-    /// Puts one epoch's changes on top of the view and returns how many
-    /// entries that materialised (the delta's own, plus whatever a
-    /// merge or fold rewrote).
+    /// Puts the changes `delta` logged on top of the view and returns
+    /// how many entries that materialised (the delta's own, plus
+    /// whatever a merge or fold rewrote). The log is left empty, its
+    /// buffers kept for the next epoch.
     ///
     /// The chain is kept short by two rules. Every `MERGE_FANOUT`
     /// deltas of one level merge into one delta of the next (unless a
@@ -912,13 +914,7 @@ impl StateView {
     ///
     /// Views cloned before the call keep reading exactly what they read
     /// before it.
-    pub fn apply(&mut self, mut delta: ViewDelta) -> usize {
-        self.publish(&mut delta)
-    }
-
-    /// [`apply`](Self::apply) of a log that stays with its recorder: it
-    /// is left empty, its buffers kept for the next epoch.
-    pub(super) fn publish(&mut self, delta: &mut ViewDelta) -> usize {
+    pub(super) fn apply(&mut self, delta: &mut ViewDelta) -> usize {
         let mut top = Layer::default();
         delta.collapse_into(&mut top);
         let dropped = std::mem::take(&mut delta.dropped);
@@ -1097,7 +1093,7 @@ mod tests {
         let mut delta = ViewDelta::default();
         delta.remove(b"k", w(31, 32), Some(1));
         delta.remove(b"k", w(30, 31), Some(1));
-        view.apply(delta);
+        view.apply(&mut delta);
         assert_eq!(view.chain_len(), 1, "a small delta must stack, not fold");
         assert_eq!(
             view.get_latest(b"k"),
@@ -1123,7 +1119,7 @@ mod tests {
         match rng.gen_range(0..100u32) {
             0..=34 => {
                 model.insert((key.clone(), window), ViewValue::Aggregate(vec![byte; 3]));
-                delta.put_aggregate(&key, window, &[byte; 3]);
+                delta.put_aggregate(&key, window, None, &[byte; 3]);
             }
             35..=69 => {
                 match model.get_mut(&(key.clone(), window)) {
@@ -1204,7 +1200,7 @@ mod tests {
                 random_op(&mut rng, keys, &mut model, &mut seeded);
             }
             let mut view = StateView::empty(StatePattern::Unknown);
-            view.apply(seeded);
+            view.apply(&mut seeded);
             let (mut merged, mut folded, mut longest) = (false, false, 0);
             for epoch in 0..160 {
                 let mut delta = ViewDelta::default();
@@ -1212,7 +1208,7 @@ mod tests {
                     random_op(&mut rng, keys, &mut model, &mut delta);
                 }
                 let before = view.chain_len();
-                view.apply(delta);
+                view.apply(&mut delta);
                 folded |= before > 0 && view.chain_len() == 0;
                 merged |= view.chain_len() > 0 && view.chain_len() < before;
                 longest = longest.max(view.chain_len());
@@ -1243,7 +1239,7 @@ mod tests {
             random_op(&mut rng, keys, &mut model, &mut delta);
         }
         let mut view = StateView::empty(StatePattern::Unknown);
-        view.apply(delta);
+        view.apply(&mut delta);
         // A reader takes a clone per epoch, as the registry hands them
         // out, and keeps the model of that moment.
         let mut pinned: Vec<(StateView, Model)> = Vec::new();
@@ -1254,7 +1250,7 @@ mod tests {
                 random_op(&mut rng, keys, &mut model, &mut delta);
             }
             let before = view.chain_len();
-            view.apply(delta);
+            view.apply(&mut delta);
             view.epoch = epoch;
             folds += usize::from(before > 0 && view.chain_len() == 0);
             if epoch.is_multiple_of(7) {
@@ -1288,16 +1284,16 @@ mod tests {
         let (mut model, mut seeded) = (Model::new(), ViewDelta::default());
         for k in 0..keys {
             model.insert((key(k), w(0, 10)), ViewValue::Aggregate(vec![1; 3]));
-            seeded.put_aggregate(&key(k), w(0, 10), &[1; 3]);
+            seeded.put_aggregate(&key(k), w(0, 10), None, &[1; 3]);
         }
         let mut view = StateView::empty(StatePattern::Unknown);
-        view.apply(seeded);
+        view.apply(&mut seeded);
         let (mut longest, mut folded) = (0, false);
         for epoch in 0..epochs {
             let mut delta = ViewDelta::default();
             calls(&mut rng, &mut model, &mut delta);
             let before = view.chain_len();
-            view.apply(delta);
+            view.apply(&mut delta);
             folded |= before > 0 && view.chain_len() == 0;
             longest = longest.max(before);
             let ctx = format!("seed {seed} epoch {epoch}");
@@ -1321,12 +1317,8 @@ mod tests {
                         let byte = rng.gen_range(0..=255u8);
                         let prior =
                             model.insert((key(k), w(0, 10)), ViewValue::Aggregate(vec![byte; 3]));
-                        delta.update_aggregate(
-                            &key(k),
-                            w(0, 10),
-                            prior.map(|v| v.memory_size()),
-                            &[byte; 3],
-                        );
+                        let held = Some(prior.map(|v| v.memory_size()));
+                        delta.put_aggregate(&key(k), w(0, 10), held, &[byte; 3]);
                     }
                 }
             });
@@ -1349,7 +1341,7 @@ mod tests {
                         let value = ViewValue::Aggregate(vec![byte; 2]);
                         let prior = model.insert((key.clone(), window), value);
                         let prior = prior.map(|v| v.memory_size());
-                        delta.update_aggregate(&key, window, prior, &[byte; 2]);
+                        delta.put_aggregate(&key, window, Some(prior), &[byte; 2]);
                     }
                 }
             });
@@ -1371,7 +1363,7 @@ mod tests {
                     match (turn + k) % 3 {
                         0 => {
                             model.insert((key.clone(), window), ViewValue::Aggregate(vec![byte]));
-                            delta.put_aggregate(&key, window, &[byte]);
+                            delta.put_aggregate(&key, window, None, &[byte]);
                         }
                         1 => {
                             let taken = model.remove(&(key.clone(), window));
@@ -1494,7 +1486,7 @@ mod tests {
                     for k in taken.drain(..) {
                         let byte = rng.gen_range(0..=255u8);
                         model.insert((key(k), window), ViewValue::Aggregate(vec![byte; 4]));
-                        delta.put_aggregate(&key(k), window, &[byte; 4]);
+                        delta.put_aggregate(&key(k), window, None, &[byte; 4]);
                     }
                     for _ in 0..rng.gen_range(5..30) {
                         let k = rng.gen_range(0..200);
@@ -1507,7 +1499,7 @@ mod tests {
                             let value = ViewValue::Aggregate(vec![byte; 2]);
                             let prior = model.insert((key(k), window), value);
                             let prior = prior.map(|v| v.memory_size());
-                            delta.update_aggregate(&key(k), window, prior, &[byte; 2]);
+                            delta.put_aggregate(&key(k), window, Some(prior), &[byte; 2]);
                         }
                     }
                 }
@@ -1550,7 +1542,7 @@ mod tests {
     #[test]
     fn an_empty_delta_adds_no_layer() {
         let mut view = view_with(vec![(b"a", w(0, 10), ViewValue::Aggregate(vec![1]))]);
-        assert_eq!(view.apply(ViewDelta::default()), 0);
+        assert_eq!(view.apply(&mut ViewDelta::default()), 0);
         assert_eq!(view.chain_len(), 0);
         assert_eq!(view.len(), 1);
     }

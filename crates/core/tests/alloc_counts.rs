@@ -5,7 +5,7 @@
 //! never per pair. Of the in-place RMW update: a fold into a buffered
 //! aggregate allocates nothing, captured for serving or not. Of a
 //! served store's publish: the capture logs into buffers it keeps, and
-//! an advance allocates per layer it writes, never per entry. And of the
+//! its `read_view` allocates per layer it writes, never per entry. And of the
 //! borrowed AUR take: the store lends a list of any length without
 //! allocating and the operator's session trigger allocates per fire,
 //! where the owned take allocates per value. And of a whole job: a
@@ -19,6 +19,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use flowkv::tier::TierConfig;
 use flowkv::{FlowKvConfig, FlowKvFactory, TieredFactory};
@@ -26,8 +27,9 @@ use flowkv_common::backend::{
     AggregateKind, OperatorContext, OperatorSemantics, StateBackend, StateBackendFactory,
     WindowKind,
 };
-use flowkv_common::registry::ViewCapture;
+use flowkv_common::registry::capture;
 use flowkv_common::scratch::ScratchDir;
+use flowkv_common::telemetry::Counter;
 use flowkv_common::types::WindowId;
 use flowkv_common::vfs::StdVfs;
 
@@ -261,10 +263,10 @@ fn an_update_of_a_buffered_aggregate_allocates_nothing_where_take_and_put_alloca
 fn a_captured_update_allocates_nothing_once_the_epoch_log_has_grown() {
     let dir = ScratchDir::new("alloc-rmw-capture").unwrap();
     let store = open_for(&dir, "capture", AggregateKind::Incremental, None);
-    let (mut store, mut capture) = ViewCapture::wrap(store);
+    let mut store = capture(store, None);
     count_up(store.as_mut(), KEYS, true);
     for epoch in 0..4 {
-        capture.advance(store.as_mut()).unwrap().unwrap();
+        store.read_view().unwrap().unwrap();
         // Recording a call pushes one row onto the epoch's log. Its
         // buffers double as the first epoch fills them, whatever the
         // key count, and every later epoch reuses them.
@@ -275,7 +277,7 @@ fn a_captured_update_allocates_nothing_once_the_epoch_log_has_grown() {
         let bound = if epoch == 0 { 64 } else { 0 };
         assert!(logged <= bound, "epoch {epoch}: {logged} allocations");
     }
-    assert_eq!(capture.view().len(), KEYS as usize);
+    assert_eq!(store.read_view().unwrap().unwrap().len(), KEYS as usize);
     store.close().unwrap();
 }
 
@@ -288,7 +290,7 @@ fn an_epoch_log_grows_with_the_pairs_it_changes_not_its_calls() {
     let dir = ScratchDir::new("alloc-log-bound").unwrap();
     let mut bare = open_for(&dir, "bare", AggregateKind::Incremental, None);
     let store = open_for(&dir, "captured", AggregateKind::Incremental, None);
-    let (mut captured, mut capture) = ViewCapture::wrap(store);
+    let mut captured = capture(store, None);
     let bump = |count: &mut Vec<u8>, _: bool| {
         count.resize(8, 0);
         let n = u64::from_le_bytes(count[..].try_into().unwrap()) + 1;
@@ -303,12 +305,12 @@ fn an_epoch_log_grows_with_the_pairs_it_changes_not_its_calls() {
         }
     };
     update([bare.as_mut(), captured.as_mut()], PAIRS);
-    capture.advance(captured.as_mut()).unwrap().unwrap();
+    captured.read_view().unwrap().unwrap();
     update([bare.as_mut(), captured.as_mut()], 200_000);
     let held = captured.memory_bytes() - bare.memory_bytes();
     assert!(held <= 1 << 20, "the capture holds {held} bytes");
-    capture.advance(captured.as_mut()).unwrap().unwrap();
-    assert_eq!(capture.view().len(), PAIRS as usize);
+    let view = captured.read_view().unwrap().unwrap();
+    assert_eq!(view.len(), PAIRS as usize);
     for mut store in [bare, captured] {
         store.close().unwrap();
     }
@@ -322,7 +324,8 @@ fn a_publish_allocates_per_layer_not_per_entry() {
         for keys in [1_024u32, 8_192] {
             let name = format!("publish-{aggregate:?}-{keys}");
             let store = open_for(&dir, &name, aggregate, None);
-            let (mut store, mut capture) = ViewCapture::wrap(store);
+            let entries = Arc::new(Counter::default());
+            let mut store = capture(store, Some(Arc::clone(&entries)));
             let change_every_key = |store: &mut dyn StateBackend| {
                 for i in 0..keys {
                     let (key, value) = (i.to_be_bytes(), u64::from(i).to_le_bytes());
@@ -334,14 +337,15 @@ fn a_publish_allocates_per_layer_not_per_entry() {
                 }
             };
             change_every_key(store.as_mut());
-            capture.advance(store.as_mut()).unwrap().unwrap();
+            store.read_view().unwrap().unwrap();
             // A delta as large as the base: the advance folds, and
             // rewrites every entry into one new base.
             change_every_key(store.as_mut());
-            let (allocations, materialised) =
-                allocations_of(|| capture.advance(store.as_mut()).unwrap().unwrap());
-            assert_eq!(materialised, 2 * keys as usize, "{name}");
-            assert_eq!(capture.view().chain_len(), 0, "{name}: no fold");
+            let before = entries.get();
+            let (allocations, view) = allocations_of(|| store.read_view().unwrap().unwrap());
+            let materialised = entries.get() - before;
+            assert_eq!(materialised, 2 * u64::from(keys), "{name}");
+            assert_eq!(view.chain_len(), 0, "{name}: no fold");
             assert!(allocations <= 16, "{name}: {allocations} allocations");
             counts.push(allocations);
             store.close().unwrap();

@@ -20,11 +20,11 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use flowkv_common::error::{Result, StoreError};
-use flowkv_common::registry::ViewValue;
+use flowkv_common::registry::{StateDescriptor, ViewValue};
 use flowkv_common::types::{Timestamp, WindowId};
 
 use crate::protocol::{
-    read_frame, split_request_id, write_frame, Request, Response, ScanEntry, ScanFilter, StateInfo,
+    read_frame, split_request_id, write_frame, Request, Response, ScanEntry, ScanFilter,
 };
 
 /// A point-lookup answer: the snapshot coordinates plus the value, if
@@ -156,7 +156,7 @@ impl StateClient {
     }
 
     /// Enumerates every published state, with each state's TTL.
-    pub fn list_states(&mut self) -> Result<Vec<StateInfo>> {
+    pub fn list_states(&mut self) -> Result<Vec<StateDescriptor>> {
         match self.call(&Request::ListStates)? {
             Response::States(states) => Ok(states),
             other => Err(unexpected(&other)),

@@ -39,5 +39,5 @@ pub mod protocol;
 pub mod server;
 
 pub use client::{LookupBatchResult, LookupResult, ScanResult, StateClient};
-pub use protocol::{ErrorCode, Request, Response, ScanEntry, ScanFilter, StateInfo, MAX_FRAME};
+pub use protocol::{ErrorCode, Request, Response, ScanEntry, ScanFilter, MAX_FRAME};
 pub use server::{route_key, ServerBuilder, StateServer};

@@ -80,7 +80,7 @@ mod imp {
 
     impl Poller {
         /// Creates an empty poller.
-        pub fn new() -> Result<Self> {
+        pub(crate) fn new() -> Result<Self> {
             // SAFETY: plain syscall, no pointers involved.
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
@@ -100,7 +100,7 @@ mod imp {
         }
 
         /// Starts watching `fd` under `token`.
-        pub fn register(
+        pub(crate) fn register(
             &self,
             fd: RawFd,
             token: u64,
@@ -111,19 +111,29 @@ mod imp {
         }
 
         /// Replaces the interest set of an already-registered `fd`.
-        pub fn modify(&self, fd: RawFd, token: u64, readable: bool, writable: bool) -> Result<()> {
+        pub(crate) fn modify(
+            &self,
+            fd: RawFd,
+            token: u64,
+            readable: bool,
+            writable: bool,
+        ) -> Result<()> {
             self.ctl(EPOLL_CTL_MOD, fd, Some(interest(token, readable, writable)))
         }
 
         /// Stops watching `fd`. Closing the descriptor also deregisters
         /// it implicitly; this is for keeping a live socket unwatched.
-        pub fn deregister(&self, fd: RawFd) -> Result<()> {
+        pub(crate) fn deregister(&self, fd: RawFd) -> Result<()> {
             self.ctl(EPOLL_CTL_DEL, fd, None)
         }
 
         /// Blocks until at least one event is ready or `timeout`
         /// expires, appending events to `out`.
-        pub fn wait(&self, out: &mut Vec<PollEvent>, timeout: Option<Duration>) -> Result<()> {
+        pub(crate) fn wait(
+            &self,
+            out: &mut Vec<PollEvent>,
+            timeout: Option<Duration>,
+        ) -> Result<()> {
             let mut buf = [EpollEvent { events: 0, data: 0 }; 128];
             let timeout_ms: c_int = match timeout {
                 Some(t) => t.as_millis().min(c_int::MAX as u128) as c_int,
@@ -186,7 +196,7 @@ mod imp {
 
     impl Poller {
         /// Always fails on this platform.
-        pub fn new() -> Result<Self> {
+        pub(crate) fn new() -> Result<Self> {
             Err(StoreError::invalid_state(
                 "readiness polling is unsupported on this platform",
             ))

@@ -432,40 +432,6 @@ impl Request {
     }
 }
 
-/// One row of a [`Response::States`] listing — a wire-friendly
-/// [`StateDescriptor`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StateInfo {
-    /// Registry key of the published view.
-    pub key: StateKey,
-    /// Pattern of the source store.
-    pub pattern: StatePattern,
-    /// Snapshot epoch.
-    pub epoch: u64,
-    /// Watermark the snapshot is aligned to.
-    pub watermark: Timestamp,
-    /// Number of live entries.
-    pub entries: u64,
-    /// Advisory retention of an entry, in event-time milliseconds,
-    /// derived from the operator's window semantics (window size for
-    /// fixed/sliding windows, gap for sessions). `None` when state never
-    /// expires (global windows).
-    pub ttl_ms: Option<u64>,
-}
-
-impl From<StateDescriptor> for StateInfo {
-    fn from(d: StateDescriptor) -> Self {
-        StateInfo {
-            key: d.key,
-            pattern: d.pattern,
-            epoch: d.epoch,
-            watermark: d.watermark,
-            entries: d.entries,
-            ttl_ms: d.ttl_ms,
-        }
-    }
-}
-
 /// One `(key, window, value)` row of a scan result.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScanEntry {
@@ -513,7 +479,7 @@ pub enum Response {
     /// Answer to [`Request::Ping`].
     Pong,
     /// Answer to [`Request::ListStates`].
-    States(Vec<StateInfo>),
+    States(Vec<StateDescriptor>),
     /// Answer to [`Request::LookupMany`]: one slot per requested key, in
     /// request order.
     ValueBatch {
@@ -563,7 +529,7 @@ const OP_PROM_TEXT: u8 = 0x86;
 const OP_VALUE_BATCH: u8 = 0x88;
 const OP_ERROR: u8 = 0xee;
 
-fn put_state_info(buf: &mut Vec<u8>, s: &StateInfo) {
+fn put_state_info(buf: &mut Vec<u8>, s: &StateDescriptor) {
     put_str(buf, &s.key.job);
     put_str(buf, &s.key.operator);
     buf.extend_from_slice(&(s.key.partition as u64).to_le_bytes());
@@ -576,11 +542,11 @@ fn put_state_info(buf: &mut Vec<u8>, s: &StateInfo) {
     });
 }
 
-fn get_state_info(dec: &mut Decoder<'_>) -> Result<StateInfo> {
+fn get_state_info(dec: &mut Decoder<'_>) -> Result<StateDescriptor> {
     let job = get_str(dec)?;
     let operator = get_str(dec)?;
     let partition = dec.get_u64()? as usize;
-    Ok(StateInfo {
+    Ok(StateDescriptor {
         key: StateKey::new(job, operator, partition),
         pattern: StatePattern::from_u8(dec.take(1, "pattern")?[0]),
         epoch: dec.get_u64()?,

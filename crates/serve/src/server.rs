@@ -28,9 +28,7 @@ use flowkv_common::telemetry::{
 };
 use flowkv_common::types::MAX_TIMESTAMP;
 
-use crate::protocol::{
-    split_request_id, write_frame, ErrorCode, Request, Response, ScanEntry, StateInfo,
-};
+use crate::protocol::{split_request_id, write_frame, ErrorCode, Request, Response, ScanEntry};
 
 /// Default cap on concurrently open client connections.
 const DEFAULT_MAX_CONNECTIONS: usize = 1024;
@@ -289,9 +287,7 @@ pub(crate) fn answer(
 ) -> Response {
     match request {
         Request::Ping => Response::Pong,
-        Request::ListStates => {
-            Response::States(registry.list().into_iter().map(StateInfo::from).collect())
-        }
+        Request::ListStates => Response::States(registry.list()),
         Request::Lookup {
             job,
             operator,

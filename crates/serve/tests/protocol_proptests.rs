@@ -6,11 +6,11 @@
 //! 256 cases per property unless `PROPTEST_CASES` says otherwise.
 
 use flowkv_common::codec::put_u32;
-use flowkv_common::registry::{StateKey, StatePattern, ViewValue};
+use flowkv_common::registry::{StateDescriptor, StateKey, StatePattern, ViewValue};
 use flowkv_common::types::WindowId;
 use flowkv_serve::protocol::{
     peek_frame, read_frame, split_request_id, write_frame, Request, Response, ScanEntry,
-    ScanFilter, StateInfo, MAX_FRAME,
+    ScanFilter, MAX_FRAME,
 };
 use proptest::prelude::*;
 use proptest::strategy::Union;
@@ -94,7 +94,7 @@ fn request_strategy() -> Union<Request> {
     ]
 }
 
-fn state_info_strategy() -> impl Strategy<Value = StateInfo> {
+fn state_info_strategy() -> impl Strategy<Value = StateDescriptor> {
     (
         (name_strategy(), name_strategy(), 0usize..64),
         0u64..4,
@@ -103,7 +103,7 @@ fn state_info_strategy() -> impl Strategy<Value = StateInfo> {
         prop_oneof![Just(None), any::<u64>().prop_map(Some)],
     )
         .prop_map(
-            |((job, operator, partition), pattern, epoch, watermark, ttl_ms)| StateInfo {
+            |((job, operator, partition), pattern, epoch, watermark, ttl_ms)| StateDescriptor {
                 key: StateKey::new(job, operator, partition),
                 pattern: StatePattern::from_u8(pattern as u8),
                 epoch,

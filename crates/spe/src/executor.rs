@@ -48,7 +48,7 @@ use flowkv_common::error::StoreError;
 use flowkv_common::hash::partition_of;
 use flowkv_common::ioring::IoRing;
 use flowkv_common::metrics::MetricsSnapshot;
-use flowkv_common::registry::{StateKey, StateRegistry, ViewCapture};
+use flowkv_common::registry::{capture, StateKey, StateRegistry};
 use flowkv_common::telemetry::{self, Counter, Gauge, Histogram, HistogramSnapshot, Telemetry};
 use flowkv_common::trace::{self as ftrace, SpanRecorder, TraceCtx, TraceHandle, Tracer};
 use flowkv_common::types::{Timestamp, Tuple, TupleRef, MAX_TIMESTAMP, MIN_TIMESTAMP};
@@ -1410,10 +1410,6 @@ impl WorkerProbe {
 /// What publishing costs one worker, and how fresh its view is,
 /// labelled like [`WorkerProbe`].
 struct PublishProbe {
-    /// Entries materialised for publication: each epoch's changed
-    /// pairs, plus whatever a delta merge, a fold or a base rebuild
-    /// rewrote.
-    entries: Arc<Counter>,
     /// Nanoseconds spent building and publishing views (merges and
     /// folds included; recording the changes, which happens inside the
     /// store calls, is not).
@@ -1432,18 +1428,22 @@ struct PublishProbe {
 }
 
 impl PublishProbe {
-    fn new(telemetry: &Telemetry, operator: &str, worker: usize) -> Self {
+    /// The probe, and the counter the capture adaptor adds the entries
+    /// it materialises for publication to: each epoch's changed pairs,
+    /// plus whatever a delta merge, a fold or a base rebuild rewrote.
+    fn new(telemetry: &Telemetry, operator: &str, worker: usize) -> (Self, Arc<Counter>) {
         let labels = format!("{{operator={operator},partition={worker}}}");
         let registry = telemetry.registry();
-        PublishProbe {
-            entries: registry.counter(&format!("view_publish_entries_total{labels}")),
+        let entries = registry.counter(&format!("view_publish_entries_total{labels}"));
+        let probe = PublishProbe {
             nanos: registry.counter(&format!("view_publish_nanos{labels}")),
             epoch: registry.gauge(&format!("view_epoch{labels}")),
             watermark: registry.gauge(&format!("view_watermark{labels}")),
             view_bytes: registry.gauge(&format!("view_memory_bytes{labels}")),
             age_us: registry.gauge(&format!("view_age_us{labels}")),
             staleness_ms: registry.histogram(&format!("view_staleness_ms{labels}")),
-        }
+        };
+        (probe, entries)
     }
 }
 
@@ -1472,7 +1472,6 @@ fn publish_due(last: Option<Instant>, now: Instant, end: bool) -> bool {
 struct ViewPublisher {
     registry: Arc<StateRegistry>,
     key: StateKey,
-    capture: ViewCapture,
     /// Monotone snapshot counter.
     epoch: u64,
     /// When the last view was published, and the watermark it is
@@ -1515,21 +1514,21 @@ impl ViewPublisher {
     }
 
     /// Publishes the store's state as of `now`, aligned to `watermark`:
-    /// the previous view plus what the capture adaptor saw change since
-    /// (a store that is not queryable publishes nothing).
+    /// the view the capture adaptor's `read_view` answers, the previous
+    /// one plus what changed since (a store that is not queryable
+    /// publishes nothing).
     fn publish(
         &mut self,
         backend: &mut dyn StateBackend,
         watermark: Timestamp,
         now: Instant,
     ) -> Result<(), StoreError> {
-        let Some(entries) = self.capture.advance(backend)? else {
+        let Some(mut view) = backend.read_view()? else {
             return Ok(());
         };
         self.epoch += 1;
         self.last = Some((now, watermark));
         self.pending = None;
-        let mut view = self.capture.view().clone();
         view.epoch = self.epoch;
         view.watermark = watermark;
         view.ttl_ms = self.ttl_ms;
@@ -1537,7 +1536,6 @@ impl ViewPublisher {
         let view_bytes = view.memory_bytes();
         self.registry.publish(self.key.clone(), view);
         if let Some(probe) = &self.probe {
-            probe.entries.add(entries as u64);
             probe.nanos.add(now.elapsed().as_nanos() as u64);
             probe.epoch.set(self.epoch as i64);
             probe.view_bytes.set(view_bytes as i64);
@@ -1681,12 +1679,13 @@ impl<'a> Worker<'a> {
         // attached — an unserved job runs the bare backend.
         let mut publisher = None;
         if let Some(registry) = &options.registry {
-            let (captured, capture) = ViewCapture::wrap(backend);
-            backend = captured;
+            let (probe, entries) = telemetry
+                .map(|t| PublishProbe::new(t, name, worker))
+                .unzip();
+            backend = capture(backend, entries);
             publisher = Some(ViewPublisher {
                 registry: Arc::clone(registry),
                 key: StateKey::new(job.name.clone(), name, worker),
-                capture,
                 epoch: 0,
                 last: None,
                 pending: None,
@@ -1694,7 +1693,7 @@ impl<'a> Worker<'a> {
                 // derived from the stage's window semantics (the serving
                 // layer surfaces it on state listings).
                 ttl_ms: semantics.window.retention_hint_ms(),
-                probe: telemetry.map(|t| PublishProbe::new(t, name, worker)),
+                probe,
             });
         }
         let mut operator = stage.operator(backend).expect("a keyed stage");

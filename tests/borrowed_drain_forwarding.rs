@@ -28,7 +28,7 @@ use flowkv_common::backend::{
 };
 use flowkv_common::error::Result;
 use flowkv_common::metrics::{StoreMetrics, RECORD_TIMER_STRIDE};
-use flowkv_common::registry::ViewCapture;
+use flowkv_common::registry::capture;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::trace::TracedBackend;
 use flowkv_common::types::{Timestamp, WindowId};
@@ -218,7 +218,7 @@ fn takes_through(
 #[test]
 fn the_trace_and_capture_adaptors_forward_the_borrowed_take() {
     assert_eq!(takes_through(false, TracedBackend::wrap), 11);
-    assert_eq!(takes_through(false, |inner| ViewCapture::wrap(inner).0), 11);
+    assert_eq!(takes_through(false, |inner| capture(inner, None)), 11);
 }
 
 #[test]
@@ -243,7 +243,7 @@ fn the_trace_and_capture_adaptors_forward_the_borrowed_step() {
     // Ten keys, four to a chunk: three steps that lend and the one that
     // finds the window drained.
     assert_eq!(steps_through(TracedBackend::wrap), 4);
-    assert_eq!(steps_through(|inner| ViewCapture::wrap(inner).0), 4);
+    assert_eq!(steps_through(|inner| capture(inner, None)), 4);
 }
 
 #[test]
@@ -277,10 +277,7 @@ fn the_tier_demotes_and_drains_through_the_borrowed_step() {
 #[test]
 fn the_trace_and_capture_adaptors_forward_the_update() {
     assert_eq!(updates_through(false, TracedBackend::wrap), 50);
-    assert_eq!(
-        updates_through(false, |inner| ViewCapture::wrap(inner).0),
-        50
-    );
+    assert_eq!(updates_through(false, |inner| capture(inner, None)), 50);
 }
 
 fn rmw_ctx(dir: &ScratchDir) -> OperatorContext {

@@ -123,12 +123,12 @@ fn pub_fns_per_crate() {
     }
     let pinned = [
         ("bench", 15),
-        ("common", 250),
+        ("common", 239),
         ("core", 111),
         ("hashkv", 48),
         ("lsm", 83),
         ("nexmark", 19),
-        ("serve", 35),
+        ("serve", 29),
         ("spe", 51),
     ];
     let pinned = pinned.map(|(name, n)| (name.to_string(), n));

@@ -1,15 +1,16 @@
-//! Layered ≡ rebuilt: the view a worker publishes from captured store
-//! calls must hold, entry for entry, what the store's own `read_view`
-//! rebuilds.
+//! Layered ≡ rebuilt: the view the capture adaptor answers `read_view`
+//! with, from the store calls it recorded, must hold, entry for entry,
+//! what the wrapped store's own `read_view` rebuilds.
 //!
 //! Random call sequences — appends, aggregate read-modify-writes, takes
 //! and peeks, chunked window drains, late appends into a window already
 //! drained, flushes, `inject_entries`, checkpoint + `restore` — run
 //! through the capture adaptor over FlowKV in each access pattern, bare
 //! and behind a tier that demotes everything it is given. After every
-//! simulated watermark the captured view is compared with a fresh
-//! `read_view`, and views pinned along the way must still read what
-//! they read when they were taken. Every assertion names its seed;
+//! simulated watermark the adaptor's view is compared with a fresh
+//! `read_view` of a bare twin of the store it wraps, fed the same calls,
+//! and views pinned along the way must still read what they read when
+//! they were taken. Every assertion names its seed;
 //! `PROPTEST_CASES` sets how many seeds each configuration runs.
 //!
 //! An RMW script runs twice, its read-modify-writes as one
@@ -18,7 +19,10 @@
 //! `memory_bytes` at every watermark.
 //!
 //! A captured store's own `memory_bytes` counts the epoch log the
-//! adaptor keeps beside the store.
+//! adaptor keeps beside the store. Two `read_view`s with no call between
+//! answer the same and the second materialises nothing; the first after
+//! a `restore` or an `inject_entries` starts over from the store's own;
+//! an unqueryable store answers `None` and the adaptor records nothing.
 //!
 //! Paced, as a worker publishes at most once per period, the scripts
 //! advance the view only at every k-th simulated watermark, so one
@@ -28,15 +32,20 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Range;
+use std::path::Path;
+use std::sync::Arc;
 
 use flowkv::tier::TierConfig;
 use flowkv::FlowKvConfig;
 use flowkv_common::backend::{
     AggregateKind, OperatorContext, OperatorSemantics, StateBackend, StateEntry, WindowKind,
 };
-use flowkv_common::registry::{StateView, ViewCapture, ViewValue};
+use flowkv_common::registry::{capture, StateView, ViewValue};
 use flowkv_common::scratch::ScratchDir;
+use flowkv_common::telemetry::Counter;
 use flowkv_common::types::WindowId;
+use flowkv_common::vfs::StdVfs;
+use flowkv_spe::memstore::InMemoryBackend;
 use flowkv_spe::{BackendChoice, FactoryOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,16 +75,21 @@ impl Pattern {
     }
 }
 
-/// One store under test with its capture and the test's own knowledge
-/// of which windows it has begun and not finished draining.
+/// One store under test behind the capture adaptor, a bare twin of it
+/// fed the same calls, and the test's own knowledge of which windows it
+/// has begun and not finished draining.
 struct Rig {
     ctx: String,
     pattern: Pattern,
     /// Whether a read-modify-write is one `update_aggregate` and a take
     /// of a list the borrowed `take_values_with`.
     fused: bool,
+    /// The adaptor around a store.
     backend: Box<dyn StateBackend>,
-    capture: ViewCapture,
+    /// The same store, bare: its own `read_view` is the oracle.
+    twin: Box<dyn StateBackend>,
+    /// Entries the adaptor materialised.
+    entries: Arc<Counter>,
     draining: HashSet<WindowId>,
     drain_steps: usize,
     /// Views taken at earlier watermarks with what they read then.
@@ -83,11 +97,11 @@ struct Rig {
     /// The view advances at every `every`-th simulated watermark.
     every: usize,
     watermarks: usize,
-    /// Advances of the view, each checked against `read_view`.
+    /// Views the adaptor answered, each checked against the twin's.
     publishes: usize,
     /// Longest delta chain any watermark left behind.
     longest_chain: usize,
-    /// Per publish: entries the advance materialised, then the view's
+    /// Per publish: entries the adaptor materialised, then the view's
     /// `len` and `memory_bytes`.
     published: Vec<(usize, usize, usize)>,
 }
@@ -107,6 +121,33 @@ fn bytes(rng: &mut StdRng) -> Vec<u8> {
         .collect()
 }
 
+/// A FlowKV store of `pattern`, behind a tier that demotes everything
+/// it is given if `tiered`.
+fn flowkv(pattern: Pattern, tiered: bool, name: &str, dir: &ScratchDir) -> Box<dyn StateBackend> {
+    let mut options = FactoryOptions::new();
+    if tiered {
+        // A zero-byte hot tier: every write is demoted at once.
+        options = options.tiered(TierConfig::new(0));
+    }
+    BackendChoice::FlowKv(FlowKvConfig::small_for_tests())
+        .build(options)
+        .create(&OperatorContext {
+            operator: name.to_string(),
+            partition: 0,
+            semantics: pattern.semantics(),
+            data_dir: dir.path().to_path_buf(),
+            telemetry: None,
+            io: None,
+        })
+        .unwrap()
+}
+
+/// `store` behind the capture adaptor, counting into a new counter.
+fn counted(store: Box<dyn StateBackend>) -> (Box<dyn StateBackend>, Arc<Counter>) {
+    let entries = Arc::new(Counter::default());
+    (capture(store, Some(Arc::clone(&entries))), entries)
+}
+
 impl Rig {
     fn new(
         pattern: Pattern,
@@ -116,29 +157,15 @@ impl Rig {
         seed: u64,
         dir: &ScratchDir,
     ) -> Self {
-        let mut options = FactoryOptions::new();
-        if tiered {
-            // A zero-byte hot tier: every write is demoted at once.
-            options = options.tiered(TierConfig::new(0));
-        }
-        let backend = BackendChoice::FlowKv(FlowKvConfig::small_for_tests())
-            .build(options)
-            .create(&OperatorContext {
-                operator: format!("capture-{pattern:?}-{tiered}-{fused}-{seed}"),
-                partition: 0,
-                semantics: pattern.semantics(),
-                data_dir: dir.path().to_path_buf(),
-                telemetry: None,
-                io: None,
-            })
-            .unwrap();
-        let (backend, capture) = ViewCapture::wrap(backend);
+        let name = format!("capture-{pattern:?}-{tiered}-{fused}-{seed}");
+        let (backend, entries) = counted(flowkv(pattern, tiered, &name, dir));
         Rig {
             ctx: format!("{pattern:?} tiered={tiered} fused={fused} every={every} seed={seed}"),
             pattern,
             fused,
             backend,
-            capture,
+            twin: flowkv(pattern, tiered, &format!("{name}-twin"), dir),
+            entries,
             draining: HashSet::new(),
             drain_steps: 0,
             pinned: Vec::new(),
@@ -150,18 +177,32 @@ impl Rig {
         }
     }
 
+    /// Makes `call` on the captured store, then on its twin; returns
+    /// what the captured store answered.
+    fn call<T>(&mut self, call: impl Fn(&mut dyn StateBackend) -> T) -> T {
+        let answer = call(self.backend.as_mut());
+        call(self.twin.as_mut());
+        answer
+    }
+
+    /// [`call`](Self::call) with a directory under `dir` of each store's
+    /// own.
+    fn call_in(&mut self, dir: &Path, call: impl Fn(&mut dyn StateBackend, &Path)) {
+        call(self.backend.as_mut(), &dir.join("captured"));
+        call(self.twin.as_mut(), &dir.join("twin"));
+    }
+
     /// One step of a drain — an owned chunk and a borrowed step by
     /// turns: begins, continues or ends it.
     fn drain_chunk(&mut self, window: WindowId) {
         self.drain_steps += 1;
-        let more = match self.drain_steps % 2 {
-            0 => self.backend.get_window_chunk(window).unwrap().is_some(),
-            _ => self
-                .backend
-                .drain_window_chunk(window, &mut |_, _| ())
-                .unwrap(),
-        };
-        match more {
+        let owned = self.drain_steps.is_multiple_of(2);
+        let more = [self.backend.as_mut(), self.twin.as_mut()].map(|s| match owned {
+            true => s.get_window_chunk(window).unwrap().is_some(),
+            false => s.drain_window_chunk(window, &mut |_, _| ()).unwrap(),
+        });
+        assert_eq!(more[0], more[1], "{}: the twin drains otherwise", self.ctx);
+        match more[0] {
             true => self.draining.insert(window),
             false => self.draining.remove(&window),
         };
@@ -188,10 +229,10 @@ impl Rig {
         let (k, w) = (key(rng), window(rng));
         let roll = rng.gen_range(rolls);
         match (self.pattern, roll) {
-            (_, 0..=2) => self.backend.flush().unwrap(),
+            (_, 0..=2) => self.call(|s| s.flush().unwrap()),
             (_, 3..=4) => {
                 self.finish_drains();
-                self.backend.checkpoint(checkpoint.path()).unwrap();
+                self.call_in(checkpoint.path(), |s, dir| s.checkpoint(dir).unwrap());
                 *checkpointed = true;
             }
             // After a `restore` or an `inject_entries` the view starts
@@ -200,7 +241,7 @@ impl Rig {
             // the rig publishes before a drain can begin.
             (_, 5) if *checkpointed => {
                 self.finish_drains();
-                self.backend.restore(checkpoint.path()).unwrap();
+                self.call_in(checkpoint.path(), |s, dir| s.restore(dir).unwrap());
                 self.publish();
             }
             (_, 7) => {
@@ -217,7 +258,7 @@ impl Rig {
                         values: vec![bytes(rng), bytes(rng)],
                     },
                 };
-                self.backend.inject_entries(vec![entry]).unwrap();
+                self.call(|s| s.inject_entries(vec![entry.clone()]).unwrap());
                 self.publish();
             }
             (_, 8..=20) => self.watermark(),
@@ -226,29 +267,37 @@ impl Rig {
             // (the drain runs to its end inside `on_watermark`); into
             // one it *has* drained, a late tuple may.
             (Pattern::Aar, _) if self.draining.contains(&w) => {}
-            (Pattern::Aar, _) => self.backend.append(&k, w, &bytes(rng), w.start).unwrap(),
             (Pattern::Aur, 21..=35) if self.fused => {
-                self.backend.take_values_with(&k, w, &mut |_| {}).unwrap();
+                self.call(|s| s.take_values_with(&k, w, &mut |_| {}).unwrap());
             }
-            (Pattern::Aur, 21..=35) => drop(self.backend.take_values(&k, w).unwrap()),
-            (Pattern::Aur, 36..=42) => drop(self.backend.peek_values(&k, w).unwrap()),
-            (Pattern::Aur, _) => self.backend.append(&k, w, &bytes(rng), w.start).unwrap(),
-            (Pattern::Rmw, 21..=35) => drop(self.backend.take_aggregate(&k, w).unwrap()),
-            (Pattern::Rmw, 36..=45) => self.backend.put_aggregate(&k, w, &bytes(rng)).unwrap(),
+            (Pattern::Aur, 21..=35) => drop(self.call(|s| s.take_values(&k, w).unwrap())),
+            (Pattern::Aur, 36..=42) => drop(self.call(|s| s.peek_values(&k, w).unwrap())),
+            (Pattern::Aar | Pattern::Aur, _) => {
+                let value = bytes(rng);
+                self.call(|s| s.append(&k, w, &value, w.start).unwrap());
+            }
+            (Pattern::Rmw, 21..=35) => drop(self.call(|s| s.take_aggregate(&k, w).unwrap())),
+            (Pattern::Rmw, 36..=45) => {
+                let value = bytes(rng);
+                self.call(|s| s.put_aggregate(&k, w, &value).unwrap());
+            }
             (Pattern::Rmw, _) => {
                 let tail = bytes(rng);
-                let mut fold = |acc: &mut Vec<u8>, _held: bool| {
+                let fold = |acc: &mut Vec<u8>, _held: bool| {
                     acc.truncate(12);
                     acc.extend_from_slice(&tail);
                 };
-                if self.fused {
-                    self.backend.update_aggregate(&k, w, &mut fold).unwrap();
-                } else {
-                    let taken = self.backend.take_aggregate(&k, w).unwrap();
-                    let mut acc = taken.unwrap_or_default();
-                    fold(&mut acc, true);
-                    self.backend.put_aggregate(&k, w, &acc).unwrap();
-                }
+                let fused = self.fused;
+                self.call(|s| {
+                    if fused {
+                        s.update_aggregate(&k, w, &mut { fold }).unwrap();
+                    } else {
+                        let taken = s.take_aggregate(&k, w).unwrap();
+                        let mut acc = taken.unwrap_or_default();
+                        fold(&mut acc, true);
+                        s.put_aggregate(&k, w, &acc).unwrap();
+                    }
+                });
             }
         }
     }
@@ -261,22 +310,23 @@ impl Rig {
         }
     }
 
-    /// Advances the captured view and holds it against the store's own
+    /// Reads the adaptor's view and holds it against the twin's own
     /// rebuild.
     fn publish(&mut self) {
         self.publishes += 1;
         let ctx = format!("{} publish {}", self.ctx, self.publishes);
-        let materialised = self
-            .capture
-            .advance(self.backend.as_mut())
+        let before = self.entries.get();
+        let view = self
+            .backend
+            .read_view()
             .unwrap()
             .expect("flowkv stores are queryable");
-        let view = self.capture.view();
+        let materialised = (self.entries.get() - before) as usize;
         self.published
             .push((materialised, view.len(), view.memory_bytes()));
         self.longest_chain = self.longest_chain.max(view.chain_len());
         let mut rebuilt = self
-            .backend
+            .twin
             .read_view()
             .unwrap()
             .expect("flowkv stores are queryable")
@@ -294,7 +344,7 @@ impl Rig {
             "{ctx}: memory_bytes"
         );
         if self.publishes.is_multiple_of(5) {
-            self.pinned.push((view.clone(), layered));
+            self.pinned.push((view, layered));
         }
     }
 
@@ -306,7 +356,7 @@ impl Rig {
             assert_eq!(&held.to_entries(), then, "{}: pinned view {i}", self.ctx);
             assert_eq!(held.len(), then.len(), "{}: pinned view {i} len", self.ctx);
         }
-        self.backend.close().unwrap();
+        self.call(|s| s.close().unwrap());
         self.published
     }
 }
@@ -445,23 +495,10 @@ fn a_paced_epoch_that_collapses_its_log_in_place_equals_read_view() {
 fn a_captured_store_counts_its_epoch_log() {
     const PAIRS: usize = 100;
     let dir = ScratchDir::new("capture-memory").unwrap();
-    let store = |name: &str| {
-        BackendChoice::FlowKv(FlowKvConfig::small_for_tests())
-            .build(FactoryOptions::new())
-            .create(&OperatorContext {
-                operator: name.to_string(),
-                partition: 0,
-                semantics: Pattern::Rmw.semantics(),
-                data_dir: dir.path().to_path_buf(),
-                telemetry: None,
-                io: None,
-            })
-            .unwrap()
-    };
-    let mut bare = store("bare");
-    let (mut captured, mut capture) = ViewCapture::wrap(store("captured"));
-    // The first advance starts the view; what follows is recorded.
-    capture.advance(captured.as_mut()).unwrap();
+    let mut bare = flowkv(Pattern::Rmw, false, "bare", &dir);
+    let mut captured = capture(flowkv(Pattern::Rmw, false, "captured", &dir), None);
+    // The first `read_view` starts the view; what follows is recorded.
+    captured.read_view().unwrap();
     for i in 0..PAIRS {
         let key = format!("key-{i:03}").into_bytes();
         for s in [&mut bare, &mut captured] {
@@ -471,4 +508,99 @@ fn a_captured_store_counts_its_epoch_log() {
     }
     let logged = captured.memory_bytes() - bare.memory_bytes();
     assert!(logged >= PAIRS * 48, "{logged} B for {PAIRS} logged rows");
+}
+
+/// Puts `n` aggregates of `round` into `store`, one per key.
+fn put_round(store: &mut dyn StateBackend, n: u32, round: u8) {
+    for i in 0..n {
+        let key = format!("key-{i:03}").into_bytes();
+        store
+            .put_aggregate(&key, WindowId::new(0, 100), &[round; 9])
+            .unwrap();
+    }
+}
+
+#[test]
+fn a_second_read_view_with_no_call_between_answers_the_same_and_materialises_nothing() {
+    let dir = ScratchDir::new("capture-twice").unwrap();
+    let (mut captured, entries) = counted(flowkv(Pattern::Rmw, false, "twice", &dir));
+    put_round(captured.as_mut(), 40, 1);
+    // Once after a fresh base, once after a delta.
+    for (round, materialised) in [(2, 40), (3, 30)] {
+        let before = entries.get();
+        let first = captured.read_view().unwrap().unwrap();
+        assert_eq!(entries.get() - before, materialised, "round {round}");
+        let second = captured.read_view().unwrap().unwrap();
+        let again = entries.get() - before - materialised;
+        assert_eq!(again, 0, "round {round}: the second materialised");
+        assert_eq!(first.to_entries(), second.to_entries(), "round {round}");
+        assert_eq!(
+            (first.len(), first.memory_bytes()),
+            (second.len(), second.memory_bytes()),
+            "round {round}"
+        );
+        put_round(captured.as_mut(), 30, round);
+    }
+    captured.close().unwrap();
+}
+
+#[test]
+fn after_a_restore_or_an_injection_the_next_read_view_starts_over_from_the_store() {
+    let dir = ScratchDir::new("capture-restart").unwrap();
+    let checkpoint = ScratchDir::new("capture-restart-ck").unwrap();
+    let (mut captured, entries) = counted(flowkv(Pattern::Rmw, false, "restart", &dir));
+    let mut twin = flowkv(Pattern::Rmw, false, "restart-twin", &dir);
+    let injected = StateEntry::Aggregate {
+        key: b"injected".to_vec(),
+        window: WindowId::new(0, 100),
+        value: b"value".to_vec(),
+    };
+    let dirs = ["captured", "twin"].map(|name| checkpoint.path().join(name));
+    for (s, dir) in [(&mut captured, &dirs[0]), (&mut twin, &dirs[1])] {
+        put_round(s.as_mut(), 40, 1);
+        s.checkpoint(dir).unwrap();
+    }
+    captured.read_view().unwrap().unwrap();
+    for name in ["restore", "inject"] {
+        // What the adaptor recorded before the change goes with the view:
+        // applied to it, the 60 changed pairs would be its entries.
+        put_round(captured.as_mut(), 60, 2);
+        put_round(twin.as_mut(), 60, 2);
+        for (s, dir) in [(&mut captured, &dirs[0]), (&mut twin, &dirs[1])] {
+            match name {
+                "restore" => s.restore(dir).unwrap(),
+                _ => s.inject_entries(vec![injected.clone()]).unwrap(),
+            }
+        }
+        let before = entries.get();
+        let view = captured.read_view().unwrap().unwrap();
+        let rebuilt = twin.read_view().unwrap().unwrap();
+        assert_eq!(view.to_entries(), rebuilt.to_entries(), "{name}");
+        let fresh = entries.get() - before;
+        assert_eq!(fresh, view.len() as u64, "{name}: not a fresh base");
+        // Recording again: the next view is built from the log.
+        put_round(captured.as_mut(), 5, 3);
+        put_round(twin.as_mut(), 5, 3);
+        let view = captured.read_view().unwrap().unwrap();
+        let rebuilt = twin.read_view().unwrap().unwrap();
+        assert_eq!(view.to_entries(), rebuilt.to_entries(), "{name}: recorded");
+        assert_eq!(entries.get() - before - fresh, 5, "{name}: recorded");
+    }
+    captured.close().unwrap();
+    twin.close().unwrap();
+}
+
+#[test]
+fn an_unqueryable_store_answers_none_and_the_adaptor_records_nothing() {
+    let in_memory = || Box::new(InMemoryBackend::new(usize::MAX, 64, StdVfs::shared()));
+    let (mut captured, entries) = counted(in_memory());
+    let mut twin = in_memory();
+    for round in 1..=3 {
+        put_round(captured.as_mut(), 100, round);
+        put_round(twin.as_mut(), 100, round);
+        assert!(captured.read_view().unwrap().is_none(), "round {round}");
+        let held = captured.memory_bytes() - twin.memory_bytes();
+        assert_eq!(held, 0, "round {round}: the adaptor holds a log");
+    }
+    assert_eq!(entries.get(), 0);
 }
