@@ -775,17 +775,18 @@ fn bench_tier_aar_cycle(c: &mut Criterion) {
 /// timing; every delta merge and base fold the 100 k changes cause is in
 /// it. Each sample times a bare and a served run back to back (in turns
 /// which goes first), so a drift of the machine's speed moves both; the
-/// cell prints the median of `served` minus `bare` per changed pair, and
-/// its two halves: the record path per captured store call (the served
-/// run outside `read_view`, minus the bare run) and the `read_view`
-/// that advances the view (`advance`) per changed pair.
+/// cell prints `served` minus `bare` per changed pair, the whole cycle
+/// (record path and publish together), as the median and quartiles of
+/// the paired samples.
 ///
 /// That difference is not flat in the live-key count: the size rule
 /// folds the chain into a fresh base about once per base's worth of
 /// changes, so a larger base is rewritten as often per change but costs
 /// more cache misses per entry, and the deltas it carries are walked by
 /// every lookup. It must grow far slower than the live keys do (a
-/// rebuild per publish grew 100x from the first cell to the last).
+/// rebuild per publish grew 100x from the first cell to the last). One
+/// fold swings a sample by more than the record path costs, so the cell
+/// does not split the cycle into parts.
 fn bench_view_publish(c: &mut Criterion) {
     use std::time::Instant;
 
@@ -799,9 +800,8 @@ fn bench_view_publish(c: &mut Criterion) {
     let choice = BackendChoice::FlowKv(flowkv_bench::flowkv_cfg());
     for keys in [1_000u64, 10_000, 100_000] {
         for call in ["take_put", "update"] {
-            // Per sample: the bare run's time, the served run's, and the
-            // part of the served run spent in `read_view`.
-            let mut samples: Vec<[Duration; 3]> = Vec::new();
+            // Per sample: the bare run's time and the served run's.
+            let mut samples: Vec<[Duration; 2]> = Vec::new();
             let id = BenchmarkId::new(&format!("{keys}_keys"), call);
             group.bench_function(id, |b| {
                 let mut finished = Vec::new();
@@ -824,7 +824,7 @@ fn bench_view_publish(c: &mut Criterion) {
                         })
                     },
                     |runs| {
-                        let mut took = [Duration::ZERO; 3];
+                        let mut took = [Duration::ZERO; 2];
                         let mut runs = runs.map(Some);
                         let order = if samples.len().is_multiple_of(2) {
                             [0, 1]
@@ -855,9 +855,7 @@ fn bench_view_publish(c: &mut Criterion) {
                                     }
                                 }
                                 if served == 1 {
-                                    let advanced = Instant::now();
                                     std::hint::black_box(store.read_view().unwrap());
-                                    took[2] += advanced.elapsed();
                                 }
                             }
                             took[served] = t0.elapsed();
@@ -879,27 +877,23 @@ fn bench_view_publish(c: &mut Criterion) {
                 continue;
             }
             let per_pair = |took: Duration| took.as_nanos() as f64 / (ROUNDS * PAIRS) as f64;
-            let median = |of: &dyn Fn(&[Duration; 3]) -> f64| {
-                let mut all: Vec<f64> = samples.iter().map(of).collect();
-                all.sort_by(f64::total_cmp);
-                all[all.len() / 2]
-            };
-            let extra = median(&|[bare, served, _]| per_pair(*served) - per_pair(*bare));
-            // The record path is what the served run spent outside
-            // `read_view` beyond the bare run, per captured store call.
-            let calls = if call == "update" { 1.0 } else { 2.0 };
-            let record = median(&|[bare, served, advance]| {
-                (per_pair(*served) - per_pair(*advance) - per_pair(*bare)) / calls
-            });
-            let advance = median(&|[_, _, advance]| per_pair(*advance));
+            let mut extra: Vec<f64> = samples
+                .iter()
+                .map(|[bare, served]| per_pair(*served) - per_pair(*bare))
+                .collect();
+            extra.sort_by(f64::total_cmp);
+            let quartile = |q: usize| extra[(extra.len() - 1) * q / 4];
             let mean_ms = |i: usize| {
                 let total: Duration = samples.iter().map(|took| took[i]).sum();
                 total.as_secs_f64() * 1e3 / samples.len() as f64
             };
             println!(
-                "view_publish_cycle/{keys}_keys/{call}/served_minus_bare_ns_per_pair: {extra:.0} \
-                 (record {record:.0} ns per captured call, advance {advance:.0} ns per changed \
-                 pair; medians of {} paired samples; bare {:.1} ms, served {:.1} ms per sample)",
+                "view_publish_cycle/{keys}_keys/{call}/served_minus_bare_ns_per_pair: {:.0} \
+                 (quartiles {:.0} to {:.0}; whole cycles, {} paired samples; bare {:.1} ms, \
+                 served {:.1} ms per sample)",
+                quartile(2),
+                quartile(1),
+                quartile(3),
                 samples.len(),
                 mean_ms(0),
                 mean_ms(1),

@@ -267,14 +267,27 @@ impl SstReader {
         if magic != MAGIC {
             return Err(StoreError::corruption(&path, len - 8, "bad magic"));
         }
+        // The footer has no checksum: every region it or the index names
+        // must lie inside the file before anything is sized from it.
+        let inside = |off: u64, region: u64, what: &str| {
+            let end = off.checked_add(region).and_then(|end| end.checked_add(4));
+            if end.is_some_and(|end| end <= len) {
+                return Ok(());
+            }
+            let detail = format!("{what} past the file's end");
+            Err(StoreError::corruption(&path, off, detail))
+        };
+        inside(index_off, index_len, "index")?;
+        inside(bloom_off, bloom_len, "bloom filter")?;
         let index_raw = read_region(file.as_ref(), &path, index_off, index_len)?;
         let mut dec = Decoder::new(&index_raw);
         let n = dec.get_varint_u64()? as usize;
-        let mut index = Vec::with_capacity(n);
+        let mut index = Vec::with_capacity(n.min(dec.remaining()));
         for _ in 0..n {
             let last_key = dec.get_len_prefixed()?.to_vec();
             let off = dec.get_u64()?;
             let blen = dec.get_u64()?;
+            inside(off, blen, "block")?;
             index.push((last_key, off, blen));
         }
         let bloom_raw = read_region(file.as_ref(), &path, bloom_off, bloom_len)?;
@@ -415,7 +428,8 @@ pub(crate) fn read_region_in(
     read_region(file.as_ref(), path, off, len)
 }
 
-/// Reads a CRC-protected region and verifies its checksum.
+/// Reads a CRC-protected region and verifies its checksum. The region
+/// must lie inside the file: [`SstReader::open`] checks every one.
 fn read_region(file: &dyn VfsFile, path: &Path, off: u64, len: u64) -> Result<Vec<u8>> {
     let mut buf = vec![0u8; len as usize + 4];
     file.read_exact_at(&mut buf, off)
@@ -490,15 +504,45 @@ mod tests {
         b.finish().unwrap()
     }
 
-    fn open(dir: &Path, meta: SstMeta) -> SstReader {
+    fn try_open(dir: &Path, meta: SstMeta) -> Result<SstReader> {
+        let cache = BlockCache::new(1 << 20);
         SstReader::open(
             &StdVfs::shared(),
             dir,
             meta,
-            BlockCache::new(1 << 20),
+            cache,
             StoreMetrics::new_shared(),
         )
-        .unwrap()
+    }
+
+    fn open(dir: &Path, meta: SstMeta) -> SstReader {
+        try_open(dir, meta).unwrap()
+    }
+
+    #[test]
+    fn a_flipped_footer_bit_fails_the_open_as_corruption() {
+        // The footer's four region fields are not checksummed: each of
+        // their 256 bits flipped in turn must fail the open, without
+        // sizing an allocation or a read from the damaged field.
+        let dir = ScratchDir::new("sst-footer-flip").unwrap();
+        let meta = build_table(dir.path(), 1, 200, 512);
+        let path = dir.path().join(SstMeta::file_name(1));
+        let good = std::fs::read(&path).unwrap();
+        let footer = good.len() - FOOTER_LEN as usize;
+        let mut wrong = Vec::new();
+        for bit in 0..4 * 64 {
+            let mut bad = good.clone();
+            bad[footer + bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&path, &bad).unwrap();
+            match try_open(dir.path(), meta.clone()) {
+                Err(err) if err.is_corruption() => {}
+                other => wrong.push((bit, other.err().map(|err| err.to_string()))),
+            }
+        }
+        assert!(
+            wrong.is_empty(),
+            "flipped bits not read as corruption: {wrong:?}"
+        );
     }
 
     #[test]

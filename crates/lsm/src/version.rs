@@ -117,11 +117,13 @@ impl Version {
         }
         let mut dec = Decoder::new(payload);
         let next_file_no = dec.get_u64()?;
+        // Counts are capped by the bytes left, which hold at least one
+        // byte per level and per file.
         let n_levels = dec.get_varint_u64()? as usize;
-        let mut levels = Vec::with_capacity(n_levels);
+        let mut levels = Vec::with_capacity(n_levels.min(dec.remaining()));
         for _ in 0..n_levels {
             let n_files = dec.get_varint_u64()? as usize;
-            let mut files = Vec::with_capacity(n_files);
+            let mut files = Vec::with_capacity(n_files.min(dec.remaining()));
             for _ in 0..n_files {
                 let file_no = dec.get_u64()?;
                 let size = dec.get_u64()?;

@@ -27,7 +27,9 @@ pub mod strategy {
                 h ^= b as u64;
                 h = h.wrapping_mul(0x1000_0000_01b3);
             }
-            TestRng(StdRng::seed_from_u64(h ^ ((case as u64) << 32) ^ case as u64))
+            TestRng(StdRng::seed_from_u64(
+                h ^ ((case as u64) << 32) ^ case as u64,
+            ))
         }
 
         /// Next raw 64-bit word.
