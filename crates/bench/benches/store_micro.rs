@@ -766,14 +766,15 @@ fn bench_tier_aar_cycle(c: &mut Criterion) {
 }
 
 /// What a served RMW worker pays per watermark beyond its store calls:
-/// 1 000 rounds of 100 read-modify-writes on 100 distinct keys over 1 k,
-/// 10 k and 100 k live keys, once on the bare store and once `served` —
+/// rounds of 100 read-modify-writes on 100 distinct keys over 1 k, 10 k
+/// and 100 k live keys (1 000 rounds, 4 000 at 100 k keys so that a
+/// sample spans several folds), once on the bare store and once `served` —
 /// the calls recorded by the capture adaptor and a view published after
 /// every round. A read-modify-write is `take_put` (a take and a put) or
 /// `update` (one `update_aggregate`, the call Q12 makes per tuple).
 /// Populating the stores and reading the first base are left out of the
-/// timing; every delta merge and base fold the 100 k changes cause is in
-/// it. Each sample times a bare and a served run back to back (in turns
+/// timing; every delta merge and base fold the changes cause is in it.
+/// Each sample times a bare and a served run back to back (in turns
 /// which goes first), so a drift of the machine's speed moves both; the
 /// cell prints `served` minus `bare` per changed pair, the whole cycle
 /// (record path and publish together), as the median and quartiles of
@@ -790,7 +791,6 @@ fn bench_tier_aar_cycle(c: &mut Criterion) {
 fn bench_view_publish(c: &mut Criterion) {
     use std::time::Instant;
 
-    const ROUNDS: u64 = 1_000;
     const PAIRS: u64 = 100;
     let mut group = c.benchmark_group("view_publish_cycle");
     group.measurement_time(Duration::from_secs(5));
@@ -799,6 +799,9 @@ fn bench_view_publish(c: &mut Criterion) {
     let w = WindowId::global();
     let choice = BackendChoice::FlowKv(flowkv_bench::flowkv_cfg());
     for keys in [1_000u64, 10_000, 100_000] {
+        // Every sample changes at least four times the keys it holds, so
+        // it spans several folds of the view, not one at a random point.
+        let rounds = (4 * keys / PAIRS).max(1_000);
         for call in ["take_put", "update"] {
             // Per sample: the bare run's time and the served run's.
             let mut samples: Vec<[Duration; 2]> = Vec::new();
@@ -839,7 +842,7 @@ fn bench_view_publish(c: &mut Criterion) {
                                 let n = u64::from_le_bytes(acc[..].try_into().unwrap());
                                 acc.copy_from_slice(&(n + 1).to_le_bytes());
                             };
-                            for _ in 0..ROUNDS {
+                            for _ in 0..rounds {
                                 for _ in 0..PAIRS {
                                     // A stride coprime to every key count:
                                     // 100 distinct keys per round.
@@ -876,7 +879,7 @@ fn bench_view_publish(c: &mut Criterion) {
             if samples.is_empty() {
                 continue;
             }
-            let per_pair = |took: Duration| took.as_nanos() as f64 / (ROUNDS * PAIRS) as f64;
+            let per_pair = |took: Duration| took.as_nanos() as f64 / (rounds * PAIRS) as f64;
             let mut extra: Vec<f64> = samples
                 .iter()
                 .map(|[bare, served]| per_pair(*served) - per_pair(*bare))

@@ -21,8 +21,7 @@ use flowkv_common::scratch::ScratchDir;
 use flowkv_hashkv::HashDbConfig;
 use flowkv_lsm::DbConfig;
 use flowkv_nexmark::{EventGenerator, GeneratorConfig, QueryId, QueryParams};
-use flowkv_spe::executor::JobError;
-use flowkv_spe::{run_job, BackendChoice, FactoryOptions, JobResult, RunOptions};
+use flowkv_spe::{run_job, BackendChoice, FactoryOptions, JobError, JobResult, RunOptions};
 
 /// Command-line arguments: bare names and `--key=value` flags.
 ///

@@ -209,12 +209,13 @@ fn worker_loop(shared: &Shared) {
         }
         let span = ctx.and_then(|ctx| {
             if recorder.is_none() {
-                recorder = shared.telemetry.as_ref().and_then(|t| t.trace()).map(|h| {
+                let tracer = shared.telemetry.as_ref().and_then(|t| t.trace());
+                recorder = tracer.map(|tracer| {
                     let name = std::thread::current()
                         .name()
                         .unwrap_or("ioring")
                         .to_string();
-                    h.thread(&name)
+                    tracer.thread(&name)
                 });
             }
             let args = vec![("queue_delay", delay as i64)];
@@ -780,15 +781,12 @@ mod tests {
     fn traced_submission_records_io_span() {
         let telemetry = Telemetry::new_shared();
         let tracer = crate::trace::Tracer::new();
-        telemetry.set_trace(crate::trace::TraceHandle {
-            tracer: Arc::clone(&tracer),
-            pid: 0,
-        });
+        telemetry.set_trace(Arc::clone(&tracer));
         let mut l: Lane<u32, u64> = lane_on(
             StdVfs::shared(),
             IoRing::new(1, None, Some(Arc::clone(&telemetry))),
         );
-        let rec = tracer.thread(0, "submitter");
+        let rec = tracer.thread("submitter");
         {
             let _scope = crate::trace::enter(
                 &rec,

@@ -63,6 +63,6 @@ pub use telemetry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricRegistry, MetricSample, SampleValue,
     Telemetry,
 };
-pub use trace::{SpanRecorder, TraceCtx, TraceHandle, Tracer};
+pub use trace::{SpanRecorder, TraceCtx, Tracer};
 pub use types::{Timestamp, Tuple, WindowId};
 pub use vfs::{FaultKind, FaultPlan, FaultVfs, StdVfs, Vfs, VfsFile};

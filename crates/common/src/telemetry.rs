@@ -396,7 +396,7 @@ pub enum SampleValue {
 pub struct Telemetry {
     registry: MetricRegistry,
     epoch: Instant,
-    trace: Mutex<Option<crate::trace::TraceHandle>>,
+    trace: Mutex<Option<Arc<crate::trace::Tracer>>>,
 }
 
 impl Default for Telemetry {
@@ -433,13 +433,13 @@ impl Telemetry {
     /// Installs the span tracer this job's threads, stores, and I/O
     /// rings record into (see [`crate::trace`]). Installing is what
     /// turns tracing on for everything reached through this handle.
-    pub fn set_trace(&self, handle: crate::trace::TraceHandle) {
-        *self.trace.lock().expect("trace handle lock") = Some(handle);
+    pub fn set_trace(&self, tracer: Arc<crate::trace::Tracer>) {
+        *self.trace.lock().expect("tracer lock") = Some(tracer);
     }
 
     /// The installed span tracer, if any.
-    pub fn trace(&self) -> Option<crate::trace::TraceHandle> {
-        self.trace.lock().expect("trace handle lock").clone()
+    pub fn trace(&self) -> Option<Arc<crate::trace::Tracer>> {
+        self.trace.lock().expect("tracer lock").clone()
     }
 }
 
@@ -568,6 +568,11 @@ impl Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse_json`] accepts. What
+/// the program writes nests at most four deep; the bound keeps a hostile
+/// file from recursing the parser off the end of its stack.
+const MAX_JSON_DEPTH: usize = 128;
+
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -602,11 +607,16 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// The value at the cursor, inside `depth` arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_JSON_DEPTH => Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -713,7 +723,7 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -726,7 +736,7 @@ impl<'a> JsonParser<'a> {
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
-            let value = self.value()?;
+            let value = self.value(depth)?;
             members.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -740,7 +750,7 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -749,7 +759,7 @@ impl<'a> JsonParser<'a> {
             return Ok(Json::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -770,7 +780,7 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
         bytes: text.as_bytes(),
         pos: 0,
     };
-    let value = parser.value()?;
+    let value = parser.value(0)?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
         return Err(format!("trailing bytes at {}", parser.pos));
@@ -1287,5 +1297,17 @@ mod tests {
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("q\"uoAte"));
         assert!(parse_json("{\"a\": 1} trailing").is_err());
         assert!(parse_json("{broken").is_err());
+    }
+
+    #[test]
+    fn json_parser_refuses_deep_nesting_instead_of_overflowing_its_stack() {
+        for open in ["[", "{\"a\":"] {
+            let err = parse_json(&open.repeat(100_000)).unwrap_err();
+            assert!(err.contains("nesting deeper"), "{open}: {err}");
+        }
+        let deepest = "[".repeat(MAX_JSON_DEPTH) + &"]".repeat(MAX_JSON_DEPTH);
+        assert!(parse_json(&deepest).is_ok());
+        let deeper = format!("[{deepest}]");
+        assert!(parse_json(&deeper).is_err());
     }
 }

@@ -26,8 +26,8 @@
 //!    carrying the measured duration as an argument.
 //!
 //! Export is the Chrome trace-event JSON format (`ph: B/E/i/M`), which
-//! Perfetto and `chrome://tracing` load directly: one `pid` per worker
-//! process/shard, one `tid` per operator or ring thread.
+//! Perfetto and `chrome://tracing` load directly: one `tid` per operator
+//! or ring thread, all under `pid` 0 (a job is one process).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -117,7 +117,6 @@ struct TracerCore {
 /// A handle a thread uses to record spans. Cheap to clone via `Arc`;
 /// the ring itself is only contended by the export path.
 pub struct SpanRecorder {
-    pid: u32,
     tid: u32,
     name: String,
     capacity: usize,
@@ -136,11 +135,6 @@ pub struct OpenSpan {
 }
 
 impl SpanRecorder {
-    /// The worker/shard this thread belongs to (Chrome `pid`).
-    pub fn pid(&self) -> u32 {
-        self.pid
-    }
-
     /// The thread lane id (Chrome `tid`), unique within the tracer.
     pub fn tid(&self) -> u32 {
         self.tid
@@ -267,8 +261,6 @@ impl SpanRecorder {
 /// One thread's recorded events, as returned by [`Tracer::snapshot`].
 #[derive(Clone, Debug)]
 pub struct ThreadSpans {
-    /// Worker/shard id.
-    pub pid: u32,
     /// Thread lane id.
     pub tid: u32,
     /// Thread name.
@@ -317,11 +309,10 @@ impl Tracer {
         self.core.next_trace.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Registers a recorder for the calling thread under worker `pid`.
-    pub fn thread(self: &Arc<Self>, pid: u32, name: &str) -> Arc<SpanRecorder> {
+    /// Registers a recorder for the calling thread.
+    pub fn thread(self: &Arc<Self>, name: &str) -> Arc<SpanRecorder> {
         let tid = self.core.next_tid.fetch_add(1, Ordering::Relaxed) as u32 + 1;
         let recorder = Arc::new(SpanRecorder {
-            pid,
             tid,
             name: name.to_string(),
             capacity: self.capacity,
@@ -343,37 +334,29 @@ impl Tracer {
     /// Clones every thread's events without consuming them — what the
     /// serving layer reads from a live job.
     pub fn snapshot(&self) -> Vec<ThreadSpans> {
-        self.recorders
-            .lock()
-            .expect("tracer registry lock")
-            .iter()
-            .map(|r| ThreadSpans {
-                pid: r.pid,
-                tid: r.tid,
-                name: r.name.clone(),
-                events: r.snapshot(),
-            })
-            .collect()
+        self.threads(SpanRecorder::snapshot)
     }
 
     /// Takes every thread's events, leaving the rings empty.
     pub fn drain(&self) -> Vec<ThreadSpans> {
-        self.recorders
-            .lock()
-            .expect("tracer registry lock")
-            .iter()
+        self.threads(SpanRecorder::drain)
+    }
+
+    fn threads(&self, events: fn(&SpanRecorder) -> Vec<SpanEvent>) -> Vec<ThreadSpans> {
+        let recorders = self.recorders.lock().expect("tracer registry lock");
+        (recorders.iter())
             .map(|r| ThreadSpans {
-                pid: r.pid,
                 tid: r.tid,
                 name: r.name.clone(),
-                events: r.drain(),
+                events: events(r),
             })
             .collect()
     }
 
-    /// Spans currently open (begun, not yet ended) across all threads —
-    /// the post-mortem payload the supervisor dumps on a crash.
-    pub fn open_spans(&self) -> Vec<(u32, u32, SpanEvent)> {
+    /// Spans currently open (begun, not yet ended) across all threads,
+    /// each with its thread's `tid` — the post-mortem payload the
+    /// supervisor dumps on a crash.
+    pub fn open_spans(&self) -> Vec<(u32, SpanEvent)> {
         let mut open = Vec::new();
         for t in self.snapshot() {
             let mut begun: Vec<SpanEvent> = Vec::new();
@@ -384,35 +367,15 @@ impl Tracer {
                     SpanPhase::Instant => {}
                 }
             }
-            open.extend(begun.into_iter().map(|ev| (t.pid, t.tid, ev)));
+            open.extend(begun.into_iter().map(|ev| (t.tid, ev)));
         }
         open
     }
 }
 
-/// A tracer plus the worker id its threads register under; this is what
-/// rides on [`Telemetry`] so stores and rings reached only through
-/// their telemetry handle can still record spans.
-#[derive(Clone)]
-pub struct TraceHandle {
-    /// The shared tracer.
-    pub tracer: Arc<Tracer>,
-    /// Chrome `pid` for threads registered through this handle.
-    pub pid: u32,
-}
-
-impl std::fmt::Debug for TraceHandle {
+impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceHandle")
-            .field("pid", &self.pid)
-            .finish()
-    }
-}
-
-impl TraceHandle {
-    /// Registers the calling thread.
-    pub fn thread(&self, name: &str) -> Arc<SpanRecorder> {
-        self.tracer.thread(self.pid, name)
+        f.debug_struct("Tracer").finish_non_exhaustive()
     }
 }
 
@@ -777,48 +740,33 @@ pub fn chrome_trace_json(threads: &[ThreadSpans]) -> String {
     for t in threads {
         push(
             format!(
-                "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{},\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
-                t.pid,
+                "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
                 t.tid,
                 json_escape(&t.name)
             ),
             &mut first,
         );
         for ev in &t.events {
-            let ts = ev.nanos as f64 / 1000.0;
+            // A span half goes out only beside its other half; an
+            // instant is scoped to its thread.
+            let (ph, scope) = match ev.phase {
+                SpanPhase::Instant => ("i", "\"s\":\"t\","),
+                _ if !emitted.contains(&ev.id) => continue,
+                SpanPhase::Begin => ("B", ""),
+                SpanPhase::End => ("E", ""),
+            };
             let parent = if emitted.contains(&ev.parent) {
                 ev.parent
             } else {
                 0
             };
-            match ev.phase {
-                SpanPhase::Begin | SpanPhase::End => {
-                    if !emitted.contains(&ev.id) {
-                        continue;
-                    }
-                    let ph = if ev.phase == SpanPhase::Begin {
-                        "B"
-                    } else {
-                        "E"
-                    };
-                    let mut line = format!(
-                        "{{\"ph\":\"{}\",\"name\":\"{}\",\"cat\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{:.3},\"args\":",
-                        ph, json_escape(ev.name), json_escape(ev.cat), t.pid, t.tid, ts
-                    );
-                    write_args(&mut line, ev, parent);
-                    line.push('}');
-                    push(line, &mut first);
-                }
-                SpanPhase::Instant => {
-                    let mut line = format!(
-                        "{{\"ph\":\"i\",\"s\":\"t\",\"name\":\"{}\",\"cat\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{:.3},\"args\":",
-                        json_escape(ev.name), json_escape(ev.cat), t.pid, t.tid, ts
-                    );
-                    write_args(&mut line, ev, parent);
-                    line.push('}');
-                    push(line, &mut first);
-                }
-            }
+            let mut line = format!(
+                "{{\"ph\":\"{ph}\",{scope}\"name\":\"{}\",\"cat\":\"{}\",\"pid\":0,\"tid\":{},\"ts\":{:.3},\"args\":",
+                json_escape(ev.name), json_escape(ev.cat), t.tid, ev.nanos as f64 / 1000.0
+            );
+            write_args(&mut line, ev, parent);
+            line.push('}');
+            push(line, &mut first);
         }
     }
     out.push_str("\n]}\n");
@@ -1298,19 +1246,18 @@ pub fn render_attribution(a: &Attribution) -> String {
 /// Called by the supervisor when a worker panic is caught so the last
 /// moments of the job are not discarded.
 pub fn dump_crash_context(telemetry: &Telemetry) {
-    if let Some(handle) = telemetry.trace() {
-        let open = handle.tracer.open_spans();
+    if let Some(tracer) = telemetry.trace() {
+        let open = tracer.open_spans();
         eprintln!("{{\"crash_dump\":\"open_spans\",\"count\":{}}}", open.len());
-        for (pid, tid, ev) in open {
+        for (tid, ev) in open {
             let mut args = String::new();
             for (k, v) in &ev.args {
                 args.push_str(&format!(",\"{}\":{}", json_escape(k), v));
             }
             eprintln!(
-                "{{\"open_span\":\"{}\",\"cat\":\"{}\",\"pid\":{},\"tid\":{},\"span\":{},\"parent\":{},\"trace\":{},\"begin_nanos\":{}{}}}",
+                "{{\"open_span\":\"{}\",\"cat\":\"{}\",\"tid\":{},\"span\":{},\"parent\":{},\"trace\":{},\"begin_nanos\":{}{}}}",
                 json_escape(ev.name),
                 json_escape(ev.cat),
-                pid,
                 tid,
                 ev.id,
                 ev.parent,
@@ -1329,7 +1276,7 @@ mod tests {
     #[test]
     fn ids_are_unique_and_nonzero() {
         let tracer = Tracer::new();
-        let rec = tracer.thread(0, "t");
+        let rec = tracer.thread("t");
         let a = rec.begin("a", "compute", None);
         let b = rec.begin("b", "compute", None);
         assert_ne!(a.id, 0);
@@ -1342,7 +1289,7 @@ mod tests {
     #[test]
     fn ring_drops_oldest_and_counts() {
         let tracer = Tracer::with_capacity(16);
-        let rec = tracer.thread(0, "t");
+        let rec = tracer.thread("t");
         for _ in 0..20 {
             let s = rec.begin("x", "compute", None);
             rec.end(s, "x", "compute");
@@ -1359,12 +1306,12 @@ mod tests {
     #[test]
     fn open_spans_reported() {
         let tracer = Tracer::new();
-        let rec = tracer.thread(0, "t");
+        let rec = tracer.thread("t");
         let outer = rec.begin("outer", "compute", None);
         let inner = rec.begin("inner", "store", None);
         rec.end(inner, "inner", "store");
         assert_eq!(tracer.open_spans().len(), 1);
-        assert_eq!(tracer.open_spans()[0].2.name, "outer");
+        assert_eq!(tracer.open_spans()[0].1.name, "outer");
         rec.end(outer, "outer", "compute");
         assert!(tracer.open_spans().is_empty());
     }
@@ -1372,7 +1319,7 @@ mod tests {
     #[test]
     fn thread_local_context_nests_and_restores() {
         let tracer = Tracer::new();
-        let rec = tracer.thread(0, "t");
+        let rec = tracer.thread("t");
         assert!(current().is_none());
         assert!(begin_here("noop", "store").is_none());
         let ctx = TraceCtx {
@@ -1403,7 +1350,7 @@ mod tests {
     #[test]
     fn chrome_export_round_trips_and_validates() {
         let tracer = Tracer::new();
-        let rec = tracer.thread(3, "worker");
+        let rec = tracer.thread("worker");
         let ctx = TraceCtx {
             trace: 1,
             span: 0,
@@ -1438,7 +1385,7 @@ mod tests {
     #[test]
     fn export_drops_unmatched_halves() {
         let tracer = Tracer::with_capacity(16);
-        let rec = tracer.thread(0, "t");
+        let rec = tracer.thread("t");
         let open = rec.begin("still_open", "compute", None);
         for _ in 0..20 {
             let s = rec.begin("x", "compute", None);
@@ -1587,7 +1534,7 @@ mod tests {
         // With an active context the per-tuple ops accumulate and the
         // scope's exit flushes one aggregate instant per op kind.
         let tracer = Tracer::new();
-        let rec = tracer.thread(0, "t");
+        let rec = tracer.thread("t");
         {
             let _scope = enter(
                 &rec,

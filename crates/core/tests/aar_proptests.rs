@@ -9,8 +9,9 @@
 //! partial drain survives appends to and flushes of other windows; a
 //! window drained to the end starts a new life with its next append; a
 //! view shows every window that is not mid-drain and consumes nothing;
-//! the window's file is gone once it is drained. The model is a map of
-//! pair lists.
+//! the window's file is gone once it is drained; and all of this holds
+//! whichever form, owned chunk or borrowed step, each step of a drain
+//! takes. The model is a map of pair lists.
 //!
 //! Tier-1 runs 32 cases per configuration; `PROPTEST_CASES` deepens the
 //! search (CI's crash-matrix job runs 256).
@@ -43,14 +44,18 @@ enum Op {
     },
     Flush,
     /// Read up to n chunks of window w, leaving it mid-drain if it holds
-    /// more.
+    /// more. Bit `i % 8` of `forms` says whether step i is an owned chunk
+    /// (`get_window_chunk`) or a borrowed step (`drain_window_chunk`).
     DrainChunks {
         w: u8,
         n: u8,
+        forms: u8,
     },
-    /// Drain window w to the end; later appends to w start its next life.
+    /// Drain window w to the end, each step in the form `forms` draws;
+    /// later appends to w start its next life.
     DrainAll {
         w: u8,
+        forms: u8,
     },
     /// Build the serving view and compare it with the model.
     CollectView,
@@ -69,8 +74,9 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
         prop_oneof![
             8 => (0u8..5, 0u8..4, any::<u8>()).prop_map(|(k, w, len)| Op::Append { k, w, len }),
             1 => Just(Op::Flush),
-            2 => (0u8..4, 1u8..4).prop_map(|(w, n)| Op::DrainChunks { w, n }),
-            1 => (0u8..4).prop_map(|w| Op::DrainAll { w }),
+            2 => (0u8..4, 1u8..4, any::<u8>())
+                .prop_map(|(w, n, forms)| Op::DrainChunks { w, n, forms }),
+            1 => (0u8..4, any::<u8>()).prop_map(|(w, forms)| Op::DrainAll { w, forms }),
             1 => prop_oneof![
                 4 => Just(Op::CollectView),
                 1 => Just(Op::CheckpointRestore),
@@ -157,10 +163,27 @@ impl Harness {
         self.dir.path().join(name)
     }
 
-    /// Reads one chunk of `window`; `false` once the drain is over, at
-    /// which point everything it served is checked against the model.
-    fn drain_chunk(&mut self, window: WindowId) -> Result<bool, TestCaseError> {
-        let Some(chunk) = self.store.get_window_chunk(window).unwrap() else {
+    /// Reads one chunk of `window`, owned or through a borrowed step
+    /// whose pairs are copied one entry each; `false` once the drain is
+    /// over, at which point everything it served is checked against the
+    /// model.
+    fn drain_chunk(&mut self, window: WindowId, owned: bool) -> Result<bool, TestCaseError> {
+        let chunk = if owned {
+            self.store.get_window_chunk(window).unwrap()
+        } else {
+            let mut lent: WindowChunk = Vec::new();
+            let mut keep = |key: &[u8], value: &[u8]| {
+                lent.push((key.to_vec(), vec![value.to_vec()]));
+            };
+            let more = self.store.drain_window_chunk(window, &mut keep).unwrap();
+            prop_assert!(
+                more || lent.is_empty(),
+                "a last step of {:?} lent pairs",
+                window
+            );
+            more.then_some(lent)
+        };
+        let Some(chunk) = chunk else {
             let served = self.served.remove(&window).unwrap_or_default();
             let expect = self.model.remove(&window).unwrap_or_default();
             prop_assert_eq!(
@@ -188,15 +211,19 @@ impl Harness {
         Ok(true)
     }
 
-    fn drain_all(&mut self, window: WindowId) -> Result<(), TestCaseError> {
-        while self.drain_chunk(window)? {}
+    fn drain_all(&mut self, window: WindowId, forms: u8) -> Result<(), TestCaseError> {
+        let mut step = 0;
+        while self.drain_chunk(window, forms & (1 << (step % 8)) != 0)? {
+            step += 1;
+        }
         Ok(())
     }
 
-    /// Finishes every drain in progress.
+    /// Finishes every drain in progress, alternating the two forms.
     fn settle_drains(&mut self) -> Result<(), TestCaseError> {
         let open: Vec<WindowId> = self.served.keys().copied().collect();
-        open.into_iter().try_for_each(|w| self.drain_all(w))
+        open.into_iter()
+            .try_for_each(|w| self.drain_all(w, 0b0101_0101))
     }
 
     fn apply(&mut self, op: &Op) -> Result<(), TestCaseError> {
@@ -213,14 +240,14 @@ impl Harness {
                 pairs.push((key(k), value));
             }
             Op::Flush => self.store.flush().unwrap(),
-            Op::DrainChunks { w, n } => {
-                for _ in 0..n {
-                    if !self.drain_chunk(window(w))? {
+            Op::DrainChunks { w, n, forms } => {
+                for step in 0..n {
+                    if !self.drain_chunk(window(w), forms & (1 << step) != 0)? {
                         break;
                     }
                 }
             }
-            Op::DrainAll { w } => self.drain_all(window(w))?,
+            Op::DrainAll { w, forms } => self.drain_all(window(w), forms)?,
             Op::CollectView => {
                 let mut view = BTreeMap::new();
                 self.store.collect_view(&mut view).unwrap();
@@ -260,7 +287,8 @@ impl Harness {
     fn finish(mut self) -> Result<(), TestCaseError> {
         self.settle_drains()?;
         let left: Vec<WindowId> = self.model.keys().copied().collect();
-        left.into_iter().try_for_each(|w| self.drain_all(w))?;
+        left.into_iter()
+            .try_for_each(|w| self.drain_all(w, 0b0101_0101))?;
         prop_assert_eq!(self.store.memory_bytes(), self.empty_memory);
         self.store.close().unwrap();
         Ok(())

@@ -34,7 +34,7 @@ use flowkv_serve::protocol::{read_frame, split_request_id, write_frame};
 use flowkv_serve::{
     route_key, ErrorCode, Request, Response, ScanFilter, ServerBuilder, StateClient, MAX_FRAME,
 };
-use flowkv_spe::executor::PUBLISH_PERIOD;
+use flowkv_spe::publish::PUBLISH_PERIOD;
 use flowkv_spe::{run_job, RunOptions};
 
 const JOB: &str = "q12";

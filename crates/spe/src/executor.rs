@@ -33,697 +33,31 @@
 //! them, so the sink observes true end-to-end latency including every
 //! store interaction (the paper's Kafka-based methodology, §6.2).
 
-use std::collections::VecDeque;
-use std::io::Write as _;
 use std::ops::ControlFlow;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 
-use flowkv_common::backend::{OperatorContext, StateBackend, StateBackendFactory};
+use flowkv_common::backend::{OperatorContext, StateBackendFactory};
 use flowkv_common::error::StoreError;
-use flowkv_common::hash::partition_of;
 use flowkv_common::ioring::IoRing;
 use flowkv_common::metrics::MetricsSnapshot;
-use flowkv_common::registry::{capture, StateKey, StateRegistry};
+use flowkv_common::registry::StateKey;
 use flowkv_common::telemetry::{self, Counter, Gauge, Histogram, HistogramSnapshot, Telemetry};
-use flowkv_common::trace::{self as ftrace, SpanRecorder, TraceCtx, TraceHandle, Tracer};
-use flowkv_common::types::{Timestamp, Tuple, TupleRef, MAX_TIMESTAMP, MIN_TIMESTAMP};
+use flowkv_common::trace::{self as ftrace, SpanRecorder, TraceCtx, Tracer};
+use flowkv_common::types::{Timestamp, Tuple, MAX_TIMESTAMP, MIN_TIMESTAMP};
 
 use crate::batch::TupleBatch;
+use crate::exchange::{BatchTrace, Envelope, Msg, Outbox};
 use crate::job::{Chain, Job};
-use crate::latency::{LatencySummary, Stamped};
+use crate::latency::Stamped;
 use crate::operator::KeyedOperator;
-
-/// Options controlling one job run.
-///
-/// The struct is `#[non_exhaustive]`: construct it with
-/// [`RunOptions::new`] and assign the fields that differ from the
-/// defaults. Struct-literal construction is impossible outside this
-/// crate, so new knobs can be added without a breaking change.
-///
-/// # Examples
-///
-/// ```
-/// use std::time::Duration;
-/// use flowkv_spe::executor::RunOptions;
-///
-/// let mut opts = RunOptions::new("/tmp/flowkv-doc");
-/// opts.collect_outputs = true;
-/// opts.watermark_interval = 50;
-/// opts.max_restarts = 2;
-/// opts.restart_backoff = Duration::from_millis(10);
-/// assert_eq!(opts.max_restarts, 2);
-/// ```
-#[derive(Clone)]
-#[non_exhaustive]
-pub struct RunOptions {
-    /// Directory for state-backend files.
-    pub data_dir: PathBuf,
-    /// Tuples between source watermarks.
-    pub watermark_interval: usize,
-    /// Out-of-orderness allowance subtracted from the max timestamp.
-    pub watermark_slack: i64,
-    /// Collect output tuples into [`JobResult::outputs`].
-    pub collect_outputs: bool,
-    /// Record per-output latencies.
-    pub record_latency: bool,
-    /// Cap the source rate (tuples per second of wall time).
-    pub rate_limit: Option<u64>,
-    /// Abort the run after this much wall time.
-    pub timeout: Option<Duration>,
-    /// Capacity of inter-stage channels.
-    pub channel_capacity: usize,
-    /// Emit an aligned checkpoint barrier after this many source tuples.
-    pub checkpoint_after_tuples: Option<u64>,
-    /// Directory receiving the aligned checkpoint (required when
-    /// `checkpoint_after_tuples` is set).
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Restore every window operator from this checkpoint before
-    /// processing (the resume path after a failure).
-    pub restore_from: Option<PathBuf>,
-    /// Collect tuples dropped as late into [`JobResult::late_tuples`]
-    /// (the late-data side output).
-    pub collect_late: bool,
-    /// Queryable-state registry. When set, every stateful worker
-    /// publishes an immutable snapshot of its operator state after each
-    /// watermark advance (and once more when its input ends), keyed by
-    /// `job/operator/partition`. `None` (the default) leaves runs
-    /// entirely unobserved — no snapshots are built.
-    pub registry: Option<Arc<StateRegistry>>,
-    /// Tuples per exchange micro-batch. Each inter-stage send carries up
-    /// to this many tuples in one channel operation, amortizing per-tuple
-    /// synchronization. Batches are force-flushed before every watermark,
-    /// barrier, and end-of-stream marker, so event-time semantics and
-    /// checkpoint alignment are identical at every batch size. The
-    /// default is `256`; `1` reproduces the classic tuple-at-a-time
-    /// exchange, which the query matrix's `batch_1` rows run.
-    pub batch_size: usize,
-    /// Shared telemetry hub. When set, every worker records per-operator
-    /// busy/idle time, queue depth, backpressure-stall time, batch fill,
-    /// watermark lag, and checkpoint-barrier alignment time into its
-    /// registry, and the state stores record theirs (e.g. the
-    /// `store_ett_*` predicted-vs-actual trigger times). `None` (the
-    /// default) skips every probe — the hot path carries only untaken
-    /// `if let None` branches.
-    pub telemetry: Option<Arc<Telemetry>>,
-    /// Stream telemetry as JSONL to this file: one registry snapshot per
-    /// line, periodically and once more at the end of the run (see
-    /// `flowkv_common::telemetry::validate_jsonl_line` for the schema).
-    /// A fresh hub is created when `telemetry` is unset.
-    pub telemetry_out: Option<PathBuf>,
-    /// Interval between JSONL snapshot lines.
-    pub telemetry_interval: Duration,
-    /// How many times [`crate::supervisor::run_supervised`] may restart
-    /// a failed run before giving up and surfacing the error. `0` (the
-    /// default) fails fast, matching plain [`run_job`].
-    pub max_restarts: u32,
-    /// Base delay between supervised restarts. Attempt `k` (1-based)
-    /// waits `restart_backoff * 2^(k-1)`, scaled by a deterministic
-    /// jitter factor derived from `FLOWKV_FAULT_SEED` (see
-    /// [`crate::backoff`]).
-    pub restart_backoff: Duration,
-    /// When set, [`run_job`] checkpoints at the
-    /// `checkpoint_after_tuples` barrier into `checkpoint_dir`,
-    /// repartitions that checkpoint to this many workers, and runs the
-    /// rest of the stream at that parallelism restored from it: live
-    /// rescaling as recovery at another parallelism (see
-    /// [`crate::rescale`]). The job's one keyed stage must be a window.
-    /// [`crate::supervisor::run_supervised`] ignores this knob.
-    pub rescale_to: Option<usize>,
-    /// Background I/O threads per keyed worker. `0` (the default) keeps
-    /// every store read synchronous on the worker thread; any positive
-    /// value builds one [`flowkv_common::ioring::IoRing`] of that many
-    /// threads for each keyed worker, which every store of the worker
-    /// shares for anticipatable reads (ETT-driven prefetch, AAR window
-    /// scans, cold-tier blocks, LSM block warm-ups, serving snapshots,
-    /// compaction scans). Outputs are byte-identical either way.
-    pub io_threads: usize,
-    /// Test-only knob: reorder ring completions pseudo-randomly from this
-    /// seed to prove ordering independence. `None` in production.
-    pub io_shuffle_seed: Option<u64>,
-    /// Shared span tracer (see `flowkv_common::trace`). Set by callers
-    /// that read the trace after the run (the benchmark attributes its
-    /// stages with `trace::attribution`). When unset but `trace_sample`
-    /// or `trace_out` is set, the run creates a private tracer.
-    pub trace: Option<Arc<flowkv_common::trace::Tracer>>,
-    /// Causal-trace sampling: every `trace_sample`-th sealed source
-    /// batch carries a trace context through exchange, operators,
-    /// stores, and I/O ring jobs. `0` (the default) disables tracing
-    /// entirely; `1` traces every batch. Ignored unless a tracer is
-    /// resolved (explicitly via `trace`, or implicitly by `trace_out`).
-    pub trace_sample: u64,
-    /// Write the run's spans as Chrome trace-event JSON (Perfetto-
-    /// loadable) to this file when the run ends. Implies `trace_sample
-    /// = 1` when no sample rate was chosen.
-    pub trace_out: Option<PathBuf>,
-}
-
-impl RunOptions {
-    /// Defaults rooted at `data_dir`.
-    pub fn new(data_dir: impl Into<PathBuf>) -> Self {
-        RunOptions {
-            data_dir: data_dir.into(),
-            watermark_interval: 200,
-            watermark_slack: 0,
-            collect_outputs: false,
-            record_latency: false,
-            rate_limit: None,
-            timeout: None,
-            channel_capacity: 1024,
-            checkpoint_after_tuples: None,
-            checkpoint_dir: None,
-            restore_from: None,
-            collect_late: false,
-            registry: None,
-            batch_size: 256,
-            telemetry: None,
-            telemetry_out: None,
-            telemetry_interval: Duration::from_millis(250),
-            max_restarts: 0,
-            restart_backoff: Duration::from_millis(50),
-            rescale_to: None,
-            io_threads: 0,
-            io_shuffle_seed: None,
-            trace: None,
-            trace_sample: 0,
-            trace_out: None,
-        }
-    }
-}
-
-/// Why a run failed.
-#[derive(Debug)]
-pub enum JobError {
-    /// A state store failed (out of memory, I/O, corruption).
-    Store(StoreError),
-    /// The configured wall-clock timeout expired (the paper terminates
-    /// Faster's append runs the same way, §2.2).
-    Timeout,
-    /// A worker thread panicked.
-    Panic(String),
-}
-
-impl std::fmt::Display for JobError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JobError::Store(e) => write!(f, "store failure: {e}"),
-            JobError::Timeout => write!(f, "wall-clock timeout"),
-            JobError::Panic(msg) => write!(f, "worker panic: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for JobError {}
-
-/// The outcome of a successful run.
-#[derive(Debug, Default)]
-pub struct JobResult {
-    /// Output tuples (when `collect_outputs` was set).
-    pub outputs: Vec<Tuple>,
-    /// Number of output tuples.
-    pub output_count: u64,
-    /// Number of source tuples.
-    pub input_count: u64,
-    /// Wall-clock duration of the run.
-    pub elapsed: Duration,
-    /// Merged store metrics across all window partitions.
-    pub store_metrics: MetricsSnapshot,
-    /// End-to-end latency distribution in nanoseconds (when
-    /// `record_latency`), summarised by [`JobResult::latency`]. A
-    /// mergeable log-linear histogram: the sink's memory stays
-    /// O(buckets) no matter how many tuples flow.
-    pub latency_histogram: HistogramSnapshot,
-    /// Tuples dropped for arriving behind the watermark.
-    pub dropped_late: u64,
-    /// Whether the aligned checkpoint barrier completed at the sink.
-    pub checkpoint_taken: bool,
-    /// Tuples dropped as late (populated when `collect_late` was set).
-    pub late_tuples: Vec<Tuple>,
-    /// Outputs emitted before the checkpoint barrier (only populated
-    /// when both `collect_outputs` and a checkpoint were requested).
-    pub outputs_pre_checkpoint: Vec<Tuple>,
-    /// How long a rescaled run paused the stream to migrate its state,
-    /// from the old workers' halt to the new workers' start; `None`
-    /// unless [`RunOptions::rescale_to`] was set.
-    pub rescale_pause: Option<Duration>,
-    /// CPU seconds each thread of the run used.
-    pub thread_cpu: ThreadCpu,
-}
-
-/// CPU seconds the threads of a run used, each read once as its thread
-/// ends (`CLOCK_THREAD_CPUTIME_ID`). Stateless stages run on the thread
-/// that feeds them and count there; a worker's I/O ring threads, the
-/// runner and the telemetry writer are not counted.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ThreadCpu {
-    /// The source thread.
-    pub source_s: f64,
-    /// Each keyed worker, stage by stage, worker by worker (a rescaled
-    /// run lists the first phase's workers, then the second's).
-    pub workers_s: Vec<f64>,
-    /// The sink thread.
-    pub sink_s: f64,
-}
-
-impl ThreadCpu {
-    /// The sum over every counted thread.
-    pub fn total_s(&self) -> f64 {
-        self.source_s + self.workers_s.iter().sum::<f64>() + self.sink_s
-    }
-
-    /// Adds the threads of a later phase of the same run.
-    pub(crate) fn absorb(&mut self, later: ThreadCpu) {
-        self.source_s += later.source_s;
-        self.workers_s.extend(later.workers_s);
-        self.sink_s += later.sink_s;
-    }
-}
-
-/// CPU seconds the calling thread has used so far.
-fn thread_cpu_seconds() -> f64 {
-    cpu_clock_seconds(CLOCK_THREAD_CPUTIME_ID)
-}
-
-const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
-
-/// Reads one of Linux's CPU-time clocks, in seconds.
-fn cpu_clock_seconds(clock: i32) -> f64 {
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
-    }
-    extern "C" {
-        fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
-    }
-    let mut ts = Timespec {
-        tv_sec: 0,
-        tv_nsec: 0,
-    };
-    // SAFETY: `ts` is a valid, writable `struct timespec` (two 64-bit
-    // fields on 64-bit Linux) and the call writes nothing else.
-    let rc = unsafe { clock_gettime(clock, &mut ts) };
-    assert_eq!(rc, 0, "clock_gettime({clock}) failed");
-    ts.tv_sec as f64 + ts.tv_nsec as f64 / 1e9
-}
-
-impl JobResult {
-    /// Summary of [`JobResult::latency_histogram`].
-    pub fn latency(&self) -> LatencySummary {
-        LatencySummary::from_histogram(&self.latency_histogram)
-    }
-
-    /// Source throughput in tuples per second.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.input_count as f64 / secs
-        }
-    }
-}
-
-/// One element of the source stream the runner consumes.
-///
-/// [`run_job`] and every supervised attempt derive the stream from a
-/// tuple iterator with [`Schedule`]; a rescale splits one schedule
-/// between its two phases at the barrier.
-#[derive(Debug)]
-pub(crate) enum SourceItem {
-    /// A data tuple.
-    Tuple(Tuple),
-    /// A source watermark.
-    Watermark(Timestamp),
-    /// An aligned checkpoint barrier.
-    Barrier,
-    /// Ends the stream *without* the final `MAX_TIMESTAMP` watermark:
-    /// open windows stay open in the operators' checkpointed state
-    /// instead of firing. This is how a rescale ends its first phase —
-    /// the un-fired windows migrate and fire at the new parallelism.
-    Halt,
-}
-
-/// The source schedule: the one place that decides where a tuple stream
-/// carries a watermark or a checkpoint barrier.
-///
-/// Every `interval` tuples a watermark follows, at the largest timestamp
-/// seen so far minus `slack`. A barrier follows tuple number
-/// `checkpoint_after`; when both fall on the same tuple the barrier
-/// comes first, so the snapshot never holds the effect of firing the
-/// watermark that shares its offset.
-pub(crate) struct Schedule<I> {
-    tuples: I,
-    interval: u64,
-    slack: i64,
-    checkpoint_after: Option<u64>,
-    count: u64,
-    max_ts: Timestamp,
-    barrier_due: bool,
-    watermark_due: Option<Timestamp>,
-}
-
-impl<I: Iterator<Item = Tuple>> Schedule<I> {
-    /// The schedule a single-stream run's options ask for.
-    pub(crate) fn for_run(tuples: I, options: &RunOptions) -> Self {
-        Schedule::new(
-            tuples,
-            options.watermark_interval,
-            options.watermark_slack,
-            options.checkpoint_after_tuples,
-        )
-    }
-
-    pub(crate) fn new(
-        tuples: I,
-        interval: usize,
-        slack: i64,
-        checkpoint_after: Option<u64>,
-    ) -> Self {
-        Schedule {
-            tuples,
-            interval: interval.max(1) as u64,
-            slack,
-            checkpoint_after,
-            count: 0,
-            max_ts: MIN_TIMESTAMP,
-            barrier_due: false,
-            watermark_due: None,
-        }
-    }
-}
-
-impl<I: Iterator<Item = Tuple>> Iterator for Schedule<I> {
-    type Item = SourceItem;
-
-    fn next(&mut self) -> Option<SourceItem> {
-        if std::mem::take(&mut self.barrier_due) {
-            return Some(SourceItem::Barrier);
-        }
-        if let Some(wm) = self.watermark_due.take() {
-            return Some(SourceItem::Watermark(wm));
-        }
-        let tuple = self.tuples.next()?;
-        self.count += 1;
-        self.max_ts = self.max_ts.max(tuple.timestamp);
-        self.barrier_due = self.checkpoint_after == Some(self.count);
-        if self.count.is_multiple_of(self.interval) {
-            self.watermark_due = Some(self.max_ts.saturating_sub(self.slack));
-        }
-        Some(SourceItem::Tuple(tuple))
-    }
-}
-
-/// One message on an inter-stage channel.
-///
-/// # Ordering invariant
-///
-/// Channels are FIFO per `(sender, channel)` pair, and every sender
-/// flushes its pending micro-batches *before* emitting a control message
-/// (watermark, barrier, end). Consequently a receiver observes, per
-/// upstream: all tuples produced before a watermark ahead of that
-/// watermark, and all pre-snapshot tuples ahead of that sender's
-/// barrier. Checkpoint alignment and the sink's pre/post-barrier output
-/// split both rely on this; the sink debug-asserts its observable
-/// consequence (per-sender watermarks never regress).
-enum Msg {
-    /// A micro-batch of tuples, each carrying its own origin stamp and,
-    /// when the batch was sampled for tracing, its causal context.
-    Batch(TupleBatch, Option<BatchTrace>),
-    Watermark {
-        ts: Timestamp,
-        origin: u64,
-    },
-    /// An aligned checkpoint barrier (Chandy–Lamport style, as in
-    /// Flink's snapshotting; paper §8).
-    Barrier,
-    End,
-}
-
-struct Envelope {
-    sender: usize,
-    msg: Msg,
-}
-
-/// Trace context riding on a sampled [`Msg::Batch`], plus the tracer
-/// nanos at which the sender sealed it — the receiver's `queue_wait`
-/// instant is `now − sent_nanos` (one shared clock, so the difference
-/// is a duration even though the stamps cross threads).
-#[derive(Clone, Copy)]
-struct BatchTrace {
-    ctx: TraceCtx,
-    sent_nanos: u64,
-}
-
-impl BatchTrace {
-    /// Records the batch's `queue_wait` on the receiving thread's `rec`;
-    /// returns the tracer instant it was received at.
-    fn queue_wait(self, rec: &SpanRecorder, tuples: usize) -> u64 {
-        let now = rec.now_nanos();
-        let wait = now.saturating_sub(self.sent_nanos) as i64;
-        let args = vec![("wait", wait), ("tuples", tuples as i64)];
-        rec.instant("queue_wait", "queue", Some(self.ctx), args);
-        now
-    }
-}
-
-/// How an [`Exchange`] participates in tracing.
-enum ExchangeTrace {
-    /// The source exchange *originates* traces: every `sample`-th sealed
-    /// batch gets a fresh trace id and a `source_batch` root instant.
-    Source {
-        tracer: Arc<Tracer>,
-        recorder: Arc<SpanRecorder>,
-        sample: u64,
-        sealed: u64,
-    },
-    /// Worker exchanges *propagate* the thread's active context (set
-    /// while the worker processes a sampled batch) onto the batches they
-    /// seal, stamping a fresh `sent_nanos`.
-    Inherit { tracer: Arc<Tracer> },
-}
-
-/// Registry handles for one exchange's backpressure accounting.
-///
-/// Only built when telemetry is enabled; the disabled path never takes a
-/// clock reading on a send.
-struct ExchangeProbe {
-    /// Nanoseconds spent inside channel sends (time blocked on a full
-    /// downstream queue dominates — the backpressure-stall signal).
-    stall_nanos: Arc<Counter>,
-    /// Tuples per sealed batch, recorded at flush time. Compare against
-    /// the configured batch size for the fill ratio.
-    batch_fill: Arc<Histogram>,
-}
-
-impl ExchangeProbe {
-    fn new(telemetry: &Telemetry, operator: &str, partition: usize) -> Self {
-        let labels = format!("{{operator={operator},partition={partition}}}");
-        let registry = telemetry.registry();
-        ExchangeProbe {
-            stall_nanos: registry.counter(&format!("exchange_stall_nanos{labels}")),
-            batch_fill: registry.histogram(&format!("exchange_batch_fill{labels}")),
-        }
-    }
-}
-
-/// A batching sender over one channel boundary: the stateless stages
-/// between this sender and the next keyed stage (or the sink), and the
-/// outbox their outputs land in.
-struct Exchange {
-    chain: Chain,
-    outbox: Outbox,
-}
-
-impl Exchange {
-    /// The exchange of stage `name`'s sender `sender` into `txs`, batching
-    /// at the run's batch size and probed when the run has telemetry. In
-    /// a traced run, the source's exchange originates traces on its
-    /// recorder `origin`; a worker's (`None`) inherits them.
-    fn new(
-        run: RunShared<'_>,
-        chain: Chain,
-        txs: Vec<Sender<Envelope>>,
-        name: &str,
-        sender: usize,
-        origin: Option<Arc<SpanRecorder>>,
-    ) -> Self {
-        let ctx = run.ctx;
-        let batch_size = run.options.batch_size.max(1);
-        let pending = (txs.iter())
-            .map(|_| TupleBatch::with_capacity(batch_size, 0))
-            .collect();
-        let trace = ctx.tracer.clone().map(|tracer| match origin {
-            Some(recorder) => ExchangeTrace::Source {
-                tracer,
-                recorder,
-                sample: ctx.trace_sample,
-                sealed: 0,
-            },
-            None => ExchangeTrace::Inherit { tracer },
-        });
-        let outbox = Outbox {
-            txs,
-            pending,
-            batch_size,
-            sender,
-            probe: (ctx.telemetry.as_deref()).map(|t| ExchangeProbe::new(t, name, sender)),
-            trace,
-        };
-        Exchange { chain, outbox }
-    }
-
-    /// Runs one lent tuple through the stateless chain and queues every
-    /// tuple it becomes — each carrying the input's `origin` — for its
-    /// key's partition. Returns `false` when the receiver hung up.
-    fn send(&mut self, tuple: TupleRef<'_>, origin: u64) -> bool {
-        let outbox = &mut self.outbox;
-        let mut ok = true;
-        self.chain.run(tuple, &mut |key, value, timestamp| {
-            ok &= outbox.push(key, value, timestamp, origin);
-        });
-        ok
-    }
-}
-
-/// Per-destination micro-batches, sealed at `batch_size` tuples. Control
-/// messages go through [`Outbox::broadcast`], which force-flushes every
-/// pending batch first so the [`Msg`] ordering invariant holds at any
-/// batch size.
-struct Outbox {
-    txs: Vec<Sender<Envelope>>,
-    pending: Vec<TupleBatch>,
-    batch_size: usize,
-    sender: usize,
-    probe: Option<ExchangeProbe>,
-    trace: Option<ExchangeTrace>,
-}
-
-impl Outbox {
-    /// Decides the trace context for a batch being sealed now. A source
-    /// batch it samples is entered until the returned scope drops, the
-    /// way a worker enters the batch it handles, so the batch's send
-    /// records through the active context on either thread.
-    fn seal_trace(&mut self) -> (Option<BatchTrace>, Option<ftrace::ActiveScope>) {
-        match &mut self.trace {
-            None => (None, None),
-            Some(ExchangeTrace::Source {
-                tracer,
-                recorder,
-                sample,
-                sealed,
-            }) => {
-                *sealed += 1;
-                if *sample == 0 || !(*sealed).is_multiple_of(*sample) {
-                    return (None, None);
-                }
-                let born = tracer.now_nanos();
-                let ctx = TraceCtx {
-                    trace: tracer.next_trace_id(),
-                    span: 0,
-                    born,
-                };
-                recorder.instant("source_batch", "source", Some(ctx), Vec::new());
-                let bt = BatchTrace {
-                    ctx,
-                    sent_nanos: born,
-                };
-                (Some(bt), Some(ftrace::enter(recorder, ctx)))
-            }
-            Some(ExchangeTrace::Inherit { tracer }) => {
-                let bt = ftrace::current().map(|ctx| BatchTrace {
-                    ctx,
-                    sent_nanos: tracer.now_nanos(),
-                });
-                (bt, None)
-            }
-        }
-    }
-
-    /// Copies one tuple into its key's pending batch, sending the batch
-    /// once full. Returns `false` when the receiver hung up.
-    fn push(&mut self, key: &[u8], value: &[u8], timestamp: Timestamp, origin: u64) -> bool {
-        let dest = if self.txs.len() == 1 {
-            0
-        } else {
-            partition_of(key, self.txs.len())
-        };
-        self.pending[dest].push(key, value, timestamp, origin);
-        self.pending[dest].len() < self.batch_size || self.flush_dest(dest)
-    }
-
-    fn flush_dest(&mut self, dest: usize) -> bool {
-        if self.pending[dest].is_empty() {
-            return true;
-        }
-        // The next batch starts with the room this one grew to: a run of
-        // like-sized tuples fills it without reallocating.
-        let next = TupleBatch::with_capacity(self.batch_size, self.pending[dest].byte_capacity());
-        let batch = std::mem::replace(&mut self.pending[dest], next);
-        let (bt, _scope) = self.seal_trace();
-        // An `exchange_send` span brackets the channel operation for
-        // sampled batches; its duration is the send-side backpressure
-        // share of the batch's latency.
-        let send_span = ftrace::begin_here("exchange_send", "exchange");
-        let rows = batch.len() as u64;
-        let env = Envelope {
-            sender: self.sender,
-            msg: Msg::Batch(batch, bt),
-        };
-        let ok = match &self.probe {
-            None => self.txs[dest].send(env).is_ok(),
-            Some(probe) => {
-                probe.batch_fill.record(rows);
-                // Clock the send only when the channel is actually full:
-                // the uncontended path stays timer-free, and the stall
-                // counter measures pure backpressure wait.
-                match self.txs[dest].try_send(env) {
-                    Ok(()) => true,
-                    Err(TrySendError::Disconnected(_)) => false,
-                    Err(TrySendError::Full(env)) => {
-                        let start = Instant::now();
-                        let ok = self.txs[dest].send(env).is_ok();
-                        probe.stall_nanos.add(start.elapsed().as_nanos() as u64);
-                        ok
-                    }
-                }
-            }
-        };
-        ftrace::end_here(send_span, &[]);
-        ok
-    }
-
-    /// Flushes every pending batch.
-    fn flush(&mut self) -> bool {
-        let mut ok = true;
-        for dest in 0..self.txs.len() {
-            ok &= self.flush_dest(dest);
-        }
-        ok
-    }
-
-    /// `true` while some destination holds an unsent partial batch.
-    fn has_pending(&self) -> bool {
-        self.pending.iter().any(|p| !p.is_empty())
-    }
-
-    /// Flushes pending batches, then sends one control message to every
-    /// destination (disconnects are ignored, as on the tuple path the
-    /// caller already observed them).
-    fn broadcast(&mut self, make: impl Fn() -> Msg) {
-        self.flush();
-        for tx in &self.txs {
-            let _ = tx.send(Envelope {
-                sender: self.sender,
-                msg: make(),
-            });
-        }
-    }
-}
+use crate::publish::ViewPublisher;
+use crate::run::{thread_cpu_seconds, JobError, JobResult, RunOptions, ThreadCpu};
+use crate::source::{write_source_offset, Schedule, SourceItem};
 
 /// What each worker reports on exit.
 struct WorkerReport {
@@ -774,10 +108,7 @@ impl RunCtx {
             (options.telemetry_out.is_some() || tracer.is_some()).then(Telemetry::new_shared)
         });
         if let (Some(t), Some(tracer)) = (&telemetry, &tracer) {
-            t.set_trace(TraceHandle {
-                tracer: Arc::clone(tracer),
-                pid: 0,
-            });
+            t.set_trace(Arc::clone(tracer));
         }
         RunCtx {
             telemetry,
@@ -790,7 +121,7 @@ impl RunCtx {
     /// source, every worker, the sink and a rescale's migration get
     /// theirs. `None` when the run is untraced.
     pub(crate) fn recorder(&self, name: &str) -> Option<Arc<SpanRecorder>> {
-        self.tracer.as_ref().map(|tracer| tracer.thread(0, name))
+        self.tracer.as_ref().map(|tracer| tracer.thread(name))
     }
 
     /// Drains the tracer into `path` as Chrome trace-event JSON.
@@ -820,7 +151,7 @@ pub fn run_job(
     options: &RunOptions,
 ) -> Result<JobResult, JobError> {
     let ctx = RunCtx::resolve(options);
-    let items = Schedule::for_run(source, options);
+    let items = Schedule::new(source, options);
     match options.rescale_to {
         Some(to) => crate::rescale::run_rescaled(job, items, factory, options, &ctx, to),
         None => run_job_inner(job, items, factory, options, &ctx).map_err(|(e, _)| e),
@@ -836,20 +167,6 @@ pub(crate) struct AttemptSalvage {
     pub(crate) checkpoint_complete: bool,
     pub(crate) outputs_pre: Vec<Tuple>,
     pub(crate) pre_count: u64,
-}
-
-/// Name of the file inside a checkpoint directory recording the source
-/// offset (in tuples) at which the aligned barrier was injected.
-pub(crate) const SOURCE_OFFSET_FILE: &str = "SOURCE_OFFSET";
-
-/// Writes `offset` as the checkpoint in `dir`'s [`SOURCE_OFFSET_FILE`]:
-/// a temporary file, fsynced, then renamed over the final name.
-fn write_source_offset(dir: &Path, offset: u64) -> std::io::Result<()> {
-    let tmp = dir.join(format!("{SOURCE_OFFSET_FILE}.tmp"));
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(offset.to_string().as_bytes())?;
-    file.sync_all()?;
-    std::fs::rename(&tmp, dir.join(SOURCE_OFFSET_FILE))
 }
 
 /// What every thread of one run shares.
@@ -1111,7 +428,8 @@ fn run_source(
     });
     let recorder = ctx.recorder("source");
     let chain = Chain::leading(&run.job.stages);
-    let mut exchange = Exchange::new(run, chain, txs, "source", 0, recorder.clone());
+    let batch_size = options.batch_size;
+    let mut outbox = Outbox::new(ctx, batch_size, chain, txs, "source", 0, recorder.clone());
     let now = || run.epoch.elapsed().as_nanos() as u64;
     // Under a rate limit the item after `count` tuples is due
     // `count / rate` seconds after pacing started, and is stamped with
@@ -1154,20 +472,20 @@ fn run_source(
                 let departure = burst_now;
                 // The stateless prefix reads the input in place; the
                 // input is freed here, on the thread that received it.
-                if !exchange.send(tuple.borrowed(), stamp(count, departure)) {
+                if !outbox.send(tuple.borrowed(), stamp(count, departure)) {
                     break;
                 }
                 count += 1;
                 if let Some((tuples, _)) = &counters {
                     tuples.inc();
                 }
-                if !exchange.outbox.has_pending() {
+                if !outbox.has_pending() {
                     last_flush = departure;
                 } else if rate.is_some()
                     && departure.saturating_sub(last_flush) >= BATCH_LINGER_NANOS
                 {
                     // Slow stream: don't sit on a partial batch forever.
-                    exchange.outbox.flush();
+                    outbox.flush();
                     last_flush = departure;
                 }
             }
@@ -1177,14 +495,14 @@ fn run_source(
                 if let Some((_, watermark)) = &counters {
                     watermark.set(ts);
                 }
-                exchange.outbox.broadcast(|| Msg::Watermark { ts, origin });
+                outbox.broadcast(|| Msg::Watermark { ts, origin });
                 last_flush = departure;
             }
             SourceItem::Barrier => {
                 if let Some(rec) = &recorder {
                     barrier_instant(rec, "barrier_inject", &mut barrier_seq);
                 }
-                exchange.outbox.broadcast(|| Msg::Barrier);
+                outbox.broadcast(|| Msg::Barrier);
             }
             SourceItem::Halt => {
                 halted = true;
@@ -1194,12 +512,12 @@ fn run_source(
     }
     if !halted {
         let origin = stamp(count, now());
-        exchange.outbox.broadcast(|| Msg::Watermark {
+        outbox.broadcast(|| Msg::Watermark {
             ts: MAX_TIMESTAMP,
             origin,
         });
     }
-    exchange.outbox.broadcast(|| Msg::End);
+    outbox.broadcast(|| Msg::End);
     count
 }
 
@@ -1407,147 +725,6 @@ impl WorkerProbe {
     }
 }
 
-/// What publishing costs one worker, and how fresh its view is,
-/// labelled like [`WorkerProbe`].
-struct PublishProbe {
-    /// Nanoseconds spent building and publishing views (merges and
-    /// folds included; recording the changes, which happens inside the
-    /// store calls, is not).
-    nanos: Arc<Counter>,
-    /// The newest published view's epoch, watermark and
-    /// [`StateView::memory_bytes`](flowkv_common::registry::StateView::memory_bytes).
-    epoch: Arc<Gauge>,
-    watermark: Arc<Gauge>,
-    view_bytes: Arc<Gauge>,
-    /// Wall time from the newest publish to the worker's latest
-    /// watermark advance, in microseconds.
-    age_us: Arc<Gauge>,
-    /// At each advance, how far in event time the worker's watermark
-    /// is ahead of the newest published view's.
-    staleness_ms: Arc<Histogram>,
-}
-
-impl PublishProbe {
-    /// The probe, and the counter the capture adaptor adds the entries
-    /// it materialises for publication to: each epoch's changed pairs,
-    /// plus whatever a delta merge, a fold or a base rebuild rewrote.
-    fn new(telemetry: &Telemetry, operator: &str, worker: usize) -> (Self, Arc<Counter>) {
-        let labels = format!("{{operator={operator},partition={worker}}}");
-        let registry = telemetry.registry();
-        let entries = registry.counter(&format!("view_publish_entries_total{labels}"));
-        let probe = PublishProbe {
-            nanos: registry.counter(&format!("view_publish_nanos{labels}")),
-            epoch: registry.gauge(&format!("view_epoch{labels}")),
-            watermark: registry.gauge(&format!("view_watermark{labels}")),
-            view_bytes: registry.gauge(&format!("view_memory_bytes{labels}")),
-            age_us: registry.gauge(&format!("view_age_us{labels}")),
-            staleness_ms: registry.histogram(&format!("view_staleness_ms{labels}")),
-        };
-        (probe, entries)
-    }
-}
-
-/// The least wall time between two views a worker publishes at
-/// watermarks. A watermark advance less than this after the worker's
-/// last publish publishes nothing; the changes wait in the epoch log
-/// and the next due advance publishes them all at once. Measured on
-/// `q12-rmw-serve` (EXPERIMENTS.md, "Publication paced by period"):
-/// at 1 ms the gain in ingest has reached its plateau. While
-/// watermarks keep coming, a view is replaced within one period plus
-/// one watermark interval of wall time.
-pub const PUBLISH_PERIOD: Duration = Duration::from_millis(1);
-
-/// Whether a worker publishes at an advance `now`: always at the end of
-/// its stream and for its first view (`last` is `None`), otherwise once
-/// [`PUBLISH_PERIOD`] has passed since the `last` publish.
-fn publish_due(last: Option<Instant>, now: Instant, end: bool) -> bool {
-    end || last.is_none_or(|last| now.saturating_duration_since(last) >= PUBLISH_PERIOD)
-}
-
-/// Publishes one worker's state into the queryable-state registry. The
-/// worker is the sole writer of its store and publishes between tuples,
-/// so a view never shows a half-applied update; it publishes at a
-/// watermark advance at most once per [`PUBLISH_PERIOD`], and always at
-/// the end of its stream.
-struct ViewPublisher {
-    registry: Arc<StateRegistry>,
-    key: StateKey,
-    /// Monotone snapshot counter.
-    epoch: u64,
-    /// When the last view was published, and the watermark it is
-    /// aligned to.
-    last: Option<(Instant, Timestamp)>,
-    /// A watermark the period held back, while the store is still as
-    /// that watermark left it.
-    pending: Option<Timestamp>,
-    ttl_ms: Option<u64>,
-    probe: Option<PublishProbe>,
-}
-
-impl ViewPublisher {
-    /// At a watermark advance (`end`: the stream's end), publishes the
-    /// store's state as of now aligned to `watermark` if
-    /// [`publish_due`] says so.
-    fn advance(
-        &mut self,
-        backend: &mut dyn StateBackend,
-        watermark: Timestamp,
-        end: bool,
-    ) -> Result<(), StoreError> {
-        let now = Instant::now();
-        if publish_due(self.last.map(|(at, _)| at), now, end) {
-            self.publish(backend, watermark, now)?;
-        } else {
-            self.pending = Some(watermark);
-        }
-        if let (Some(probe), Some((at, published))) = (&self.probe, self.last) {
-            probe
-                .age_us
-                .set(now.saturating_duration_since(at).as_micros() as i64);
-            if watermark != MAX_TIMESTAMP {
-                probe
-                    .staleness_ms
-                    .record(watermark.saturating_sub(published) as u64);
-            }
-        }
-        Ok(())
-    }
-
-    /// Publishes the store's state as of `now`, aligned to `watermark`:
-    /// the view the capture adaptor's `read_view` answers, the previous
-    /// one plus what changed since (a store that is not queryable
-    /// publishes nothing).
-    fn publish(
-        &mut self,
-        backend: &mut dyn StateBackend,
-        watermark: Timestamp,
-        now: Instant,
-    ) -> Result<(), StoreError> {
-        let Some(mut view) = backend.read_view()? else {
-            return Ok(());
-        };
-        self.epoch += 1;
-        self.last = Some((now, watermark));
-        self.pending = None;
-        view.epoch = self.epoch;
-        view.watermark = watermark;
-        view.ttl_ms = self.ttl_ms;
-        view.metrics = backend.metrics().snapshot();
-        let view_bytes = view.memory_bytes();
-        self.registry.publish(self.key.clone(), view);
-        if let Some(probe) = &self.probe {
-            probe.nanos.add(now.elapsed().as_nanos() as u64);
-            probe.epoch.set(self.epoch as i64);
-            probe.view_bytes.set(view_bytes as i64);
-            // Like the worker's own gauge, never the end-of-stream sentinel.
-            if watermark != MAX_TIMESTAMP {
-                probe.watermark.set(watermark);
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Aligned-barrier bookkeeping of one worker: once a sender's barrier
 /// has arrived, that sender's later messages are held until every
 /// sender's barrier has arrived, so the snapshot taken at alignment
@@ -1557,8 +734,6 @@ struct BarrierAlign {
     arrived: Vec<bool>,
     /// Post-barrier messages, in arrival order.
     held: Vec<Envelope>,
-    /// Messages a completed alignment let go, not yet handled.
-    released: VecDeque<Envelope>,
 }
 
 impl BarrierAlign {
@@ -1566,15 +741,7 @@ impl BarrierAlign {
         BarrierAlign {
             arrived: vec![false; upstreams],
             held: Vec::new(),
-            released: VecDeque::new(),
         }
-    }
-
-    /// The next released message; the worker takes these ahead of its
-    /// channel and offers them to [`admit`](Self::admit) like any other
-    /// (a released barrier opens the next alignment).
-    fn next_released(&mut self) -> Option<Envelope> {
-        self.released.pop_front()
     }
 
     /// Returns `env` when the worker should handle it now, or holds it
@@ -1588,30 +755,31 @@ impl BarrierAlign {
         Some(env)
     }
 
-    /// Records `sender`'s barrier. `true` once every sender's has
-    /// arrived: the worker snapshots and forwards the barrier, and what
-    /// was held comes back through [`next_released`](Self::next_released).
-    fn on_barrier(&mut self, sender: usize) -> bool {
+    /// Records `sender`'s barrier. Once every sender's has arrived, the
+    /// worker snapshots and forwards the barrier, and gets back what was
+    /// held, in arrival order, to offer to [`admit`](Self::admit) like
+    /// any other message (a released barrier opens the next alignment).
+    fn on_barrier(&mut self, sender: usize) -> Option<Vec<Envelope>> {
         self.arrived[sender] = true;
         if !self.arrived.iter().all(|&b| b) {
-            return false;
+            return None;
         }
         self.arrived.fill(false);
-        self.released.extend(self.held.drain(..));
-        true
+        Some(std::mem::take(&mut self.held))
     }
 }
 
 /// One keyed-stage worker between messages: its operator over its
-/// partition's store, the exchange to the next keyed stage (or the sink),
-/// and the event-time and barrier bookkeeping of its upstreams. Each
-/// message kind is one step; [`run_worker`] is the loop that feeds them.
+/// partition's store, the outbox to the next keyed stage (or the sink),
+/// and the event-time and barrier bookkeeping of its upstreams.
+/// [`Worker::step`] takes one message; [`run_worker`] is the loop that
+/// feeds it.
 struct Worker<'a> {
     run: RunShared<'a>,
     /// Where an aligned barrier's snapshot goes, when the run checkpoints.
     snapshot_dir: Option<PathBuf>,
     operator: Box<dyn KeyedOperator>,
-    exchange: Exchange,
+    outbox: Outbox,
     align: BarrierAlign,
     probe: Option<WorkerProbe>,
     /// This thread's span recorder, when the run is traced.
@@ -1674,27 +842,15 @@ impl<'a> Worker<'a> {
         if rec.is_some() {
             backend = ftrace::TracedBackend::wrap(backend);
         }
-        // Queryable state: the capture adaptor goes outermost, so store
-        // spans stay the store's own time, and only when a registry is
-        // attached — an unserved job runs the bare backend.
+        // Queryable state, only when a registry is attached: an unserved
+        // job runs the bare backend. The TTL comes from the stage's window
+        // semantics (the serving layer surfaces it on state listings).
         let mut publisher = None;
         if let Some(registry) = &options.registry {
-            let (probe, entries) = telemetry
-                .map(|t| PublishProbe::new(t, name, worker))
-                .unzip();
-            backend = capture(backend, entries);
-            publisher = Some(ViewPublisher {
-                registry: Arc::clone(registry),
-                key: StateKey::new(job.name.clone(), name, worker),
-                epoch: 0,
-                last: None,
-                pending: None,
-                // Advisory per-entry TTL published with every snapshot,
-                // derived from the stage's window semantics (the serving
-                // layer surfaces it on state listings).
-                ttl_ms: semantics.window.retention_hint_ms(),
-                probe,
-            });
+            let key = StateKey::new(job.name.clone(), name, worker);
+            let ttl_ms = semantics.window.retention_hint_ms();
+            let (captured, p) = ViewPublisher::attach(backend, registry, key, ttl_ms, telemetry);
+            (backend, publisher) = (captured, Some(p));
         }
         let mut operator = stage.operator(backend).expect("a keyed stage");
         if let Some(src) = &options.restore_from {
@@ -1707,7 +863,7 @@ impl<'a> Worker<'a> {
             snapshot_dir: (options.checkpoint_dir.as_ref())
                 .map(|d| worker_ckpt_dir(d, name, worker)),
             operator,
-            exchange: Exchange::new(run, chain, next, name, worker, None),
+            outbox: Outbox::new(ctx, options.batch_size, chain, next, name, worker, None),
             align: BarrierAlign::new(upstreams),
             probe: telemetry.map(|t| WorkerProbe::new(t, name, worker)),
             rec,
@@ -1725,9 +881,14 @@ impl<'a> Worker<'a> {
         })
     }
 
-    /// Hands one admitted message to its step. `Break` when the worker is
-    /// done: its last upstream ended, or its downstream hung up.
-    fn handle(&mut self, env: Envelope) -> Result<ControlFlow<()>, StoreError> {
+    /// Takes one message from upstream: holds it behind its sender's
+    /// barrier while aligning, or hands it to the step for its kind.
+    /// `Break` when the worker is done: its last upstream ended, or its
+    /// downstream hung up.
+    fn step(&mut self, env: Envelope) -> Result<ControlFlow<()>, StoreError> {
+        let Some(env) = self.align.admit(env) else {
+            return Ok(ControlFlow::Continue(()));
+        };
         match env.msg {
             Msg::Batch(batch, bt) => self.on_batch(batch, bt),
             Msg::Watermark { ts, origin } => self.on_watermark(env.sender, ts, origin),
@@ -1779,7 +940,7 @@ impl<'a> Worker<'a> {
         }
         ftrace::end_here(batch_span, &[("out", self.stamped.len() as i64)]);
         for stamped in self.stamped.drain(..) {
-            if !self.exchange.send(stamped.tuple.borrowed(), stamped.origin) {
+            if !self.outbox.send(stamped.tuple.borrowed(), stamped.origin) {
                 return Ok(ControlFlow::Break(()));
             }
         }
@@ -1845,14 +1006,13 @@ impl<'a> Worker<'a> {
         self.operator.on_watermark(min_wm, &mut self.outputs)?;
         let fired = self.outputs.len();
         for out in self.outputs.drain(..) {
-            if !self.exchange.send(out.borrowed(), origin) {
+            if !self.outbox.send(out.borrowed(), origin) {
                 return Ok(ControlFlow::Break(()));
             }
         }
         // Forwarding the watermark flushes every pending batch first,
         // preserving tuple-before-watermark order downstream.
-        self.exchange
-            .outbox
+        self.outbox
             .broadcast(|| Msg::Watermark { ts: min_wm, origin });
         if let Some(p) = self.publisher.as_mut() {
             p.advance(self.operator.backend_mut(), min_wm, false)?;
@@ -1884,9 +1044,9 @@ impl<'a> Worker<'a> {
     }
 
     /// Records `sender`'s barrier. Once every upstream's has arrived,
-    /// snapshots the operator (when the run checkpoints) and forwards the
+    /// snapshots the operator (when the run checkpoints), forwards the
     /// barrier behind every pending batch, keeping the pre/post-snapshot
-    /// split exact downstream.
+    /// split exact downstream, and steps through what alignment held.
     fn on_barrier(&mut self, sender: usize) -> Result<ControlFlow<()>, StoreError> {
         if self.probe.is_some() && self.barrier_started.is_none() {
             self.barrier_started = Some(Instant::now());
@@ -1896,9 +1056,9 @@ impl<'a> Worker<'a> {
             let seq = ("barrier", self.barrier_seq as i64);
             self.barrier_span = Some(rec.begin_with("barrier_align", "barrier", None, vec![seq]));
         }
-        if !self.align.on_barrier(sender) {
+        let Some(released) = self.align.on_barrier(sender) else {
             return Ok(ControlFlow::Continue(()));
-        }
+        };
         if let (Some(p), Some(t0)) = (&self.probe, self.barrier_started.take()) {
             p.barrier_align.record(t0.elapsed().as_nanos() as u64);
         }
@@ -1916,7 +1076,16 @@ impl<'a> Worker<'a> {
                 rec.end(span, "store_snapshot", "barrier");
             }
         }
-        self.exchange.outbox.broadcast(|| Msg::Barrier);
+        self.outbox.broadcast(|| Msg::Barrier);
+        // A released barrier opens the next alignment, which holds its
+        // sender's tail again. That alignment cannot complete inside this
+        // replay, so the recursion is one level deep: the sender whose
+        // barrier completed this one had nothing held.
+        for env in released {
+            if self.step(env)?.is_break() {
+                return Ok(ControlFlow::Break(()));
+            }
+        }
         Ok(ControlFlow::Continue(()))
     }
 
@@ -1931,7 +1100,7 @@ impl<'a> Worker<'a> {
         if let Some(p) = self.publisher.as_mut() {
             p.advance(self.operator.backend_mut(), self.current_wm, true)?;
         }
-        self.exchange.outbox.broadcast(|| Msg::End);
+        self.outbox.broadcast(|| Msg::End);
         Ok(ControlFlow::Break(()))
     }
 
@@ -1948,9 +1117,8 @@ impl<'a> Worker<'a> {
     }
 }
 
-/// The body of one keyed-stage worker thread: receives, holds what
-/// barrier alignment holds, and hands every other message to its
-/// [`Worker`] step until one says stop.
+/// The body of one keyed-stage worker thread: receives, and hands every
+/// message to [`Worker::step`] until one says stop.
 ///
 /// Busy/idle accounting runs on a single chained clock: each phase
 /// boundary takes ONE `Instant::now()` that ends the previous span and
@@ -1968,43 +1136,32 @@ fn run_worker(
     let mut clock = w.probe.as_ref().map(|_| Instant::now());
     let mut recv_count = 0u32;
     let result = loop {
-        // Held messages replay inside the busy span of the barrier that
-        // released them; no idle boundary before them.
-        let env = match w.align.next_released() {
-            Some(env) => env,
-            None => {
-                let received = rx.recv_timeout(Duration::from_millis(100));
-                if let (Some(p), Some(last)) = (&w.probe, clock.as_mut()) {
-                    lap(last, &p.idle_nanos);
-                }
-                match received {
-                    Ok(env) => {
-                        if let Some(p) = &w.probe {
-                            recv_count = recv_count.wrapping_add(1);
-                            if recv_count & 0xf == 0 {
-                                p.queue_depth.record(rx.len() as u64);
-                            }
-                        }
-                        env
-                    }
-                    Err(RecvTimeoutError::Timeout) if !run.abort.load(Ordering::Relaxed) => {
-                        match w.on_idle() {
-                            Ok(()) => continue,
-                            Err(e) => break Err(e),
-                        }
-                    }
-                    Err(_) => break Ok(()),
+        let received = rx.recv_timeout(Duration::from_millis(100));
+        if let (Some(p), Some(last)) = (&w.probe, clock.as_mut()) {
+            lap(last, &p.idle_nanos);
+        }
+        let env = match received {
+            Ok(env) => env,
+            Err(RecvTimeoutError::Timeout) if !run.abort.load(Ordering::Relaxed) => {
+                match w.on_idle() {
+                    Ok(()) => continue,
+                    Err(e) => break Err(e),
                 }
             }
+            Err(_) => break Ok(()),
         };
         if run.abort.load(Ordering::Relaxed) {
             break Ok(());
         }
-        let Some(env) = w.align.admit(env) else {
-            continue;
-        };
-        // Busy time covers operator work plus downstream sends.
-        match w.handle(env) {
+        if let Some(p) = &w.probe {
+            recv_count = recv_count.wrapping_add(1);
+            if recv_count & 0xf == 0 {
+                p.queue_depth.record(rx.len() as u64);
+            }
+        }
+        // Busy time covers operator work plus downstream sends, and the
+        // held messages a barrier's step replays.
+        match w.step(env) {
             Ok(ControlFlow::Continue(())) => {}
             done => break done.map(drop),
         }
@@ -2030,7 +1187,10 @@ mod tests {
     use crate::backends::{BackendChoice, FactoryOptions};
     use crate::functions::{CountAggregate, FnProcess};
     use crate::job::{AggregateSpec, JobBuilder};
+    use crate::publish::PUBLISH_PERIOD;
+    use crate::run::cpu_clock_seconds;
     use crate::window::WindowAssigner;
+    use flowkv_common::registry::StateRegistry;
     use flowkv_common::scratch::ScratchDir;
     use std::sync::Arc as StdArc;
 
@@ -2350,28 +1510,27 @@ mod tests {
     fn barrier_align_holds_a_senders_post_barrier_messages_until_all_arrived() {
         let mut align = BarrierAlign::new(3);
         assert_eq!(passed(align.admit(wm(0, 1))), Some((0, 1)));
-        assert!(!align.on_barrier(0));
+        assert!(align.on_barrier(0).is_none());
         // Sender 0 is past its barrier: held. Senders 1 and 2 are not.
         assert!(align.admit(wm(0, 2)).is_none());
         assert_eq!(passed(align.admit(wm(1, 3))), Some((1, 3)));
-        assert!(!align.on_barrier(1));
+        assert!(align.on_barrier(1).is_none());
         assert!(align.admit(wm(1, 4)).is_none());
         assert!(align
             .admit(env(0, Msg::Batch(TupleBatch::default(), None)))
             .is_none());
-        assert!(align.next_released().is_none());
-        assert!(align.on_barrier(2));
+        let mut released = align.on_barrier(2).expect("aligned").into_iter();
         // Released in arrival order, across senders.
-        assert_eq!(passed(align.next_released()), Some((0, 2)));
-        assert_eq!(passed(align.next_released()), Some((1, 4)));
+        assert_eq!(passed(released.next()), Some((0, 2)));
+        assert_eq!(passed(released.next()), Some((1, 4)));
         assert!(matches!(
-            align.next_released(),
+            released.next(),
             Some(Envelope {
                 sender: 0,
                 msg: Msg::Batch(..)
             })
         ));
-        assert!(align.next_released().is_none());
+        assert!(released.next().is_none());
         // Aligned: nobody is held any more.
         assert_eq!(passed(align.admit(wm(0, 5))), Some((0, 5)));
     }
@@ -2379,7 +1538,7 @@ mod tests {
     #[test]
     fn barrier_align_lets_end_pass_while_aligning() {
         let mut align = BarrierAlign::new(2);
-        assert!(!align.on_barrier(0));
+        assert!(align.on_barrier(0).is_none());
         assert!(matches!(
             align.admit(env(0, Msg::End)),
             Some(Envelope {
@@ -2387,35 +1546,34 @@ mod tests {
                 msg: Msg::End
             })
         ));
-        assert!(align.on_barrier(1));
-        assert!(align.next_released().is_none());
+        assert!(align.on_barrier(1).expect("aligned").is_empty());
     }
 
     #[test]
     fn barrier_align_second_barrier_starts_a_fresh_alignment() {
         let mut align = BarrierAlign::new(2);
-        assert!(!align.on_barrier(0));
+        assert!(align.on_barrier(0).is_none());
         // Sender 0 races ahead: its second barrier and what follows are
         // held behind the first alignment.
         assert!(align.admit(env(0, Msg::Barrier)).is_none());
         assert!(align.admit(wm(0, 7)).is_none());
-        assert!(align.on_barrier(1));
+        let mut released = align.on_barrier(1).expect("aligned").into_iter();
         // The released barrier goes through the worker like a received
         // one and re-opens alignment: sender 0's tail is held again.
-        let released = align.next_released().and_then(|e| align.admit(e));
+        let barrier = released.next().and_then(|e| align.admit(e));
         assert!(matches!(
-            released,
+            barrier,
             Some(Envelope {
                 sender: 0,
                 msg: Msg::Barrier
             })
         ));
-        assert!(!align.on_barrier(0));
-        let tail = align.next_released().expect("watermark 7 was released");
+        assert!(align.on_barrier(0).is_none());
+        let tail = released.next().expect("watermark 7 was released");
         assert!(align.admit(tail).is_none());
         assert_eq!(passed(align.admit(wm(1, 8))), Some((1, 8)));
-        assert!(align.on_barrier(1));
-        assert_eq!(passed(align.next_released()), Some((0, 7)));
+        let mut released = align.on_barrier(1).expect("aligned").into_iter();
+        assert_eq!(passed(released.next()), Some((0, 7)));
     }
 
     /// Runs `body` over worker 0 of `job`'s first keyed stage, fed by
@@ -2492,7 +1650,7 @@ mod tests {
         let opts = RunOptions::new(dir.path());
         with_worker(&count_job(1), &opts, in_memory(), 2, |w, rx| {
             let mut step = |sender, ts, origin| {
-                let flow = w.handle(env(sender, Msg::Watermark { ts, origin }));
+                let flow = w.step(env(sender, Msg::Watermark { ts, origin }));
                 assert!(flow.unwrap().is_continue());
                 sent(rx)
             };
@@ -2513,11 +1671,11 @@ mod tests {
         let opts = RunOptions::new(dir.path());
         with_worker(&per_element_job(), &opts, in_memory(), 1, |w, rx| {
             let rows = [("a", 1, 7), ("b", 2, 8), ("a", 3, 9)];
-            assert!(w.handle(env(0, batch(&rows))).unwrap().is_continue());
+            assert!(w.step(env(0, batch(&rows))).unwrap().is_continue());
             // Outputs wait in the outbox until a control message flushes
             // them; the only upstream's end is one.
             assert!(sent(rx).is_empty());
-            assert!(w.handle(env(0, Msg::End)).unwrap().is_break());
+            assert!(w.step(env(0, Msg::End)).unwrap().is_break());
             assert_eq!(sent(rx), ["batch a@7 b@8 a@9", "end"]);
         });
     }
@@ -2530,19 +1688,16 @@ mod tests {
         opts.checkpoint_dir = Some(ckpt.path().to_path_buf());
         let snapshot = worker_ckpt_dir(ckpt.path(), "counts", 0);
         with_worker(&per_element_job(), &opts, in_memory(), 2, |w, rx| {
-            assert!(w
-                .handle(env(0, batch(&[("a", 1, 7)])))
-                .unwrap()
-                .is_continue());
-            assert!(w.handle(env(0, Msg::Barrier)).unwrap().is_continue());
+            assert!(w.step(env(0, batch(&[("a", 1, 7)]))).unwrap().is_continue());
+            assert!(w.step(env(0, Msg::Barrier)).unwrap().is_continue());
             assert!(sent(rx).is_empty());
             assert!(!snapshot.exists(), "snapshot before alignment");
-            assert!(w.handle(env(1, Msg::Barrier)).unwrap().is_continue());
+            assert!(w.step(env(1, Msg::Barrier)).unwrap().is_continue());
             assert!(snapshot.join("OPSTATE").exists());
             assert_eq!(sent(rx), ["batch a@7", "barrier"]);
             // The alignment is spent: the next barrier opens a new one.
             std::fs::remove_dir_all(&snapshot).unwrap();
-            assert!(w.handle(env(0, Msg::Barrier)).unwrap().is_continue());
+            assert!(w.step(env(0, Msg::Barrier)).unwrap().is_continue());
             assert!(!snapshot.exists());
             assert!(sent(rx).is_empty());
         });
@@ -2557,32 +1712,16 @@ mod tests {
         // The in-memory store is not queryable; FlowKV is.
         let flowkv = BackendChoice::all_small_for_tests().remove(1);
         with_worker(&count_job(1), &opts, flowkv, 2, |w, rx| {
-            assert!(w
-                .handle(env(0, batch(&[("a", 1, 7)])))
-                .unwrap()
-                .is_continue());
-            assert!(w.handle(env(0, Msg::End)).unwrap().is_continue());
+            assert!(w.step(env(0, batch(&[("a", 1, 7)]))).unwrap().is_continue());
+            assert!(w.step(env(0, Msg::End)).unwrap().is_continue());
             assert!(registry.list().is_empty());
             assert!(sent(rx).is_empty());
-            assert!(w.handle(env(1, Msg::End)).unwrap().is_break());
+            assert!(w.step(env(1, Msg::End)).unwrap().is_break());
             let states = registry.list();
             assert_eq!(states.len(), 1);
             assert_eq!((states[0].epoch, states[0].watermark), (1, MIN_TIMESTAMP));
             assert_eq!(sent(rx), ["end"]);
         });
-    }
-
-    #[test]
-    fn a_watermark_publishes_the_first_view_then_once_per_period_and_the_end_always() {
-        let t0 = Instant::now();
-        assert!(publish_due(None, t0, false), "the first view");
-        assert!(!publish_due(Some(t0), t0, false));
-        assert!(!publish_due(Some(t0), t0 + PUBLISH_PERIOD / 2, false));
-        assert!(publish_due(Some(t0), t0 + PUBLISH_PERIOD, false));
-        assert!(publish_due(Some(t0), t0 + 3 * PUBLISH_PERIOD, false));
-        assert!(publish_due(Some(t0), t0, true), "the end");
-        // An instant before the last publish is no time at all.
-        assert!(!publish_due(Some(t0 + PUBLISH_PERIOD), t0, false));
     }
 
     #[test]
@@ -2600,7 +1739,7 @@ mod tests {
                 states.first().map(|s| (s.epoch, s.watermark, s.entries))
             };
             let step = |w: &mut Worker<'_>, msg| {
-                assert!(w.handle(env(0, msg)).unwrap().is_continue());
+                assert!(w.step(env(0, msg)).unwrap().is_continue());
                 view()
             };
             let wm = |ts| Msg::Watermark { ts, origin: 0 };
@@ -2628,9 +1767,67 @@ mod tests {
             assert_eq!(view(), Some((2, 30, 3)));
             w.publisher.as_mut().unwrap().last = Some((Instant::now() - PUBLISH_PERIOD, 40));
             assert_eq!(step(w, wm(50)), Some((3, 50, 4)));
-            assert!(w.handle(env(0, Msg::End)).unwrap().is_break());
+            assert!(w.step(env(0, Msg::End)).unwrap().is_break());
             assert_eq!(view(), Some((4, 50, 4)), "the end publishes");
         });
+    }
+
+    /// A whole job on one thread: the source's items become one
+    /// sender's message list (batches of up to 16 tuples, the watermarks,
+    /// the closing watermark and the end), a worker steps through it, and
+    /// what it sends is what `run_job` outputs for the same job and input.
+    #[test]
+    fn stepping_a_worker_through_a_message_list_reproduces_run_job() {
+        let dir = ScratchDir::new("worker-steps").unwrap();
+        let mut opts = RunOptions::new(dir.path().join("threads"));
+        opts.collect_outputs = true;
+        opts.watermark_interval = 50;
+        let job = count_job(1);
+        let flowkv = || BackendChoice::all_small_for_tests().remove(1);
+        let input = || tuples(5_000, 10).into_iter();
+        let factory = flowkv().build(FactoryOptions::new());
+        let key = |t: &Tuple| (t.key.clone(), t.value.clone(), t.timestamp);
+        let mut want: Vec<_> = run_job(&job, input(), factory, &opts).unwrap().outputs;
+        want.sort_by_key(key);
+
+        let mut msgs = Vec::new();
+        for item in Schedule::new(input(), &opts) {
+            match item {
+                SourceItem::Tuple(t) => {
+                    if !matches!(msgs.last(), Some(Msg::Batch(b, _)) if b.len() < 16) {
+                        msgs.push(Msg::Batch(TupleBatch::default(), None));
+                    }
+                    let Some(Msg::Batch(b, _)) = msgs.last_mut() else {
+                        unreachable!()
+                    };
+                    b.push(&t.key, &t.value, t.timestamp, 0);
+                }
+                SourceItem::Watermark(ts) => msgs.push(Msg::Watermark { ts, origin: 0 }),
+                SourceItem::Barrier | SourceItem::Halt => unreachable!("none scheduled"),
+            }
+        }
+        msgs.push(Msg::Watermark {
+            ts: MAX_TIMESTAMP,
+            origin: 0,
+        });
+        msgs.push(Msg::End);
+        let last = msgs.len() - 1;
+        opts.data_dir = dir.path().join("steps");
+        let mut got = Vec::new();
+        with_worker(&job, &opts, flowkv(), 1, |w, rx| {
+            for (i, msg) in msgs.into_iter().enumerate() {
+                let flow = w.step(env(0, msg)).unwrap();
+                assert_eq!(flow.is_break(), i == last, "message {i}");
+                for env in std::iter::from_fn(|| rx.try_recv().ok()) {
+                    if let Msg::Batch(batch, _) = env.msg {
+                        got.extend(batch.iter().map(|(t, _)| t.to_tuple()));
+                    }
+                }
+            }
+        });
+        got.sort_by_key(key);
+        assert_eq!(want.len(), 50);
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -2658,7 +1855,7 @@ mod tests {
             abort: &abort,
             epoch: Instant::now(),
         };
-        let items = Schedule::for_run(tuples(330, 5).into_iter(), &opts);
+        let items = Schedule::new(tuples(330, 5).into_iter(), &opts);
         let (tx, rx) = bounded::<Envelope>(1);
         // `Some(len)` for a batch, `None` for a control message.
         let seen: Vec<Option<usize>> = std::thread::scope(|scope| {

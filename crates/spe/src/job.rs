@@ -123,6 +123,7 @@ impl Stage {
 /// source or a keyed worker) applies the run before it partitions by
 /// key. Stages compose by nesting their emit calls, so nothing between
 /// the input and the last stage's output is buffered.
+#[derive(Default)]
 pub(crate) struct Chain {
     fns: Vec<StatelessFn>,
 }

@@ -5,8 +5,8 @@
 //!
 //! - timestamped keyed tuples flowing through a pipeline of stages
 //!   ([`job`]), executed by key-partitioned single-threaded workers with
-//!   watermark-driven event time ([`executor`]) — the deployment model
-//!   FlowKV's single-writer stores assume (paper §2.1);
+//!   watermark-driven event time ([`executor`], asked through [`run`]) —
+//!   the deployment model FlowKV's single-writer stores assume (paper §2.1);
 //! - window operators ([`operator`]) covering fixed, sliding, session,
 //!   global, and count windows ([`window`]), with both incremental
 //!   (`AggregateFunction`) and full-list (`ProcessWindowFunction`)
@@ -16,6 +16,7 @@
 //!   the LSM (RocksDB-analog) baseline, the hash (FASTER-analog)
 //!   baseline, and a budgeted in-memory store ([`memstore`]) that fails
 //!   with out-of-memory like the paper's in-memory baseline;
+//! - views of each worker's state for the serving layer ([`publish`]);
 //! - latency sampling at the sink ([`latency`]) for the paper's
 //!   tail-latency experiments (§6.2);
 //! - supervised recovery ([`supervisor`]): bounded restart-with-backoff
@@ -28,6 +29,7 @@
 pub mod backends;
 pub mod backoff;
 mod batch;
+mod exchange;
 pub mod executor;
 pub mod functions;
 pub mod job;
@@ -35,15 +37,18 @@ pub mod join;
 pub mod latency;
 pub mod memstore;
 pub mod operator;
+pub mod publish;
 pub mod rescale;
+pub mod run;
 pub mod source;
 pub mod supervisor;
 pub mod window;
 
 pub use backends::{BackendChoice, FactoryOptions};
 pub use batch::TupleBatch;
-pub use executor::{run_job, JobError, JobResult, RunOptions, ThreadCpu};
+pub use executor::run_job;
 pub use job::{AggregateSpec, Job, JobBuilder, Stage};
 pub use latency::Stamped;
+pub use run::{JobError, JobResult, RunOptions, ThreadCpu};
 pub use supervisor::{run_supervised, SupervisedResult};
 pub use window::WindowAssigner;

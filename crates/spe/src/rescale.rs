@@ -34,11 +34,11 @@ use flowkv_common::hash::partition_of;
 use flowkv_common::registry::StateKey;
 use flowkv_common::trace::SpanRecorder;
 
-use crate::executor::{
-    run_job_inner, worker_ckpt_dir, JobError, JobResult, RunCtx, RunOptions, SourceItem,
-};
+use crate::executor::{run_job_inner, worker_ckpt_dir, RunCtx};
 use crate::job::{Job, Stage, WindowSpec};
 use crate::operator::{KeyedOperator, WindowOperator};
+use crate::run::{JobError, JobResult, RunOptions};
+use crate::source::SourceItem;
 
 fn invalid(msg: &str) -> JobError {
     JobError::Store(StoreError::invalid_state(msg.to_string()))
@@ -284,9 +284,10 @@ fn open_operator(
 mod tests {
     use super::*;
     use crate::backends::{BackendChoice, FactoryOptions};
-    use crate::executor::{run_job, Schedule};
+    use crate::executor::run_job;
     use crate::functions::{CountAggregate, MedianProcess};
     use crate::job::{AggregateSpec, JobBuilder};
+    use crate::source::Schedule;
     use crate::window::WindowAssigner;
     use flowkv_common::registry::StateRegistry;
     use flowkv_common::scratch::ScratchDir;
@@ -299,6 +300,15 @@ mod tests {
     /// A hundred tuples, one per millisecond, each on its own key.
     fn hundred() -> impl Iterator<Item = Tuple> {
         (0..100i64).map(|i| t(&format!("k{i}"), i))
+    }
+
+    /// The schedule of [`hundred`] with a watermark every 10 tuples.
+    fn schedule(slack: i64, checkpoint_after: Option<u64>) -> impl Iterator<Item = SourceItem> {
+        let mut options = RunOptions::new("unused");
+        options.watermark_interval = 10;
+        options.watermark_slack = slack;
+        options.checkpoint_after_tuples = checkpoint_after;
+        Schedule::new(hundred(), &options)
     }
 
     /// The control items of `items` with their positions in tuples:
@@ -317,7 +327,7 @@ mod tests {
 
     #[test]
     fn schedule_puts_the_barrier_before_the_watermark_of_the_same_count() {
-        let got = controls(Schedule::new(hundred(), 10, 0, Some(50)));
+        let got = controls(schedule(0, Some(50)));
         let at_50: Vec<&SourceItem> = got
             .iter()
             .filter(|(seen, _)| *seen == 50)
@@ -334,7 +344,7 @@ mod tests {
 
     #[test]
     fn schedule_applies_the_slack_to_every_watermark() {
-        let got = controls(Schedule::new(hundred(), 10, 2, None));
+        let got = controls(schedule(2, None));
         let want: Vec<(u64, i64)> = (1..=10).map(|i| (i * 10, i as i64 * 10 - 1 - 2)).collect();
         let wms: Vec<(u64, i64)> = got
             .iter()
@@ -348,7 +358,7 @@ mod tests {
 
     #[test]
     fn phase_one_ends_at_the_barrier_and_phase_two_opens_with_its_watermark() {
-        let mut schedule = Schedule::new(hundred(), 10, 0, Some(50));
+        let mut schedule = schedule(0, Some(50));
         let phase1 = controls(through_barrier(&mut schedule));
         // Barrier then Halt close phase 1, with no watermark between: the
         // one due at offset 50 is phase 2's.
@@ -521,7 +531,7 @@ mod tests {
 
     #[test]
     fn a_barrier_offset_beyond_the_stream_end_is_an_error() {
-        let got = controls(Schedule::new(hundred(), 10, 0, Some(101)));
+        let got = controls(schedule(0, Some(101)));
         assert!(
             got.iter()
                 .all(|(_, item)| matches!(item, SourceItem::Watermark(_))),

@@ -7,14 +7,18 @@
 //! any offset — exactly the contract Kafka provides the paper's
 //! deployment. (The broker's other role, the fixed-rate feed of the
 //! paper's latency runs (§6.2), is `RunOptions::rate_limit`.)
+//! `Schedule` places the watermarks and the barrier in a tuple stream.
 
+use std::io::Write as _;
 use std::path::Path;
 
 use flowkv_common::codec::Decoder;
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::logfile::{LogReader, LogWriter};
-use flowkv_common::types::Tuple;
+use flowkv_common::types::{Timestamp, Tuple, MIN_TIMESTAMP};
 use flowkv_common::vfs::StdVfs;
+
+use crate::run::RunOptions;
 
 /// Writer persisting a tuple stream to a replayable log file.
 pub struct TupleLog;
@@ -115,6 +119,108 @@ impl Iterator for LogSource {
         self.position += 1;
         Some(tuple.unwrap_or_else(|e| panic!("input log changed after its check: {e}")))
     }
+}
+
+/// One element of the source stream the runner consumes.
+///
+/// [`run_job`](crate::run_job) and every supervised attempt derive the stream from a
+/// tuple iterator with [`Schedule`]; a rescale splits one schedule
+/// between its two phases at the barrier.
+#[derive(Debug)]
+pub(crate) enum SourceItem {
+    /// A data tuple.
+    Tuple(Tuple),
+    /// A source watermark.
+    Watermark(Timestamp),
+    /// An aligned checkpoint barrier.
+    Barrier,
+    /// Ends the stream *without* the final `MAX_TIMESTAMP` watermark:
+    /// open windows stay open in the operators' checkpointed state
+    /// instead of firing. This is how a rescale ends its first phase —
+    /// the un-fired windows migrate and fire at the new parallelism.
+    Halt,
+}
+
+/// The source schedule: the one place that decides where a tuple stream
+/// carries a watermark or a checkpoint barrier.
+///
+/// Every `interval` tuples a watermark follows, at the largest timestamp
+/// seen so far minus `slack`. A barrier follows tuple number
+/// `checkpoint_after`; when both fall on the same tuple the barrier
+/// comes first, so the snapshot never holds the effect of firing the
+/// watermark that shares its offset.
+pub(crate) struct Schedule<I> {
+    tuples: I,
+    interval: u64,
+    slack: i64,
+    checkpoint_after: Option<u64>,
+    count: u64,
+    max_ts: Timestamp,
+    barrier_due: bool,
+    watermark_due: Option<Timestamp>,
+}
+
+impl<I: Iterator<Item = Tuple>> Schedule<I> {
+    /// The schedule `options` ask for over `tuples`.
+    pub(crate) fn new(tuples: I, options: &RunOptions) -> Self {
+        Schedule {
+            tuples,
+            interval: options.watermark_interval.max(1) as u64,
+            slack: options.watermark_slack,
+            checkpoint_after: options.checkpoint_after_tuples,
+            count: 0,
+            max_ts: MIN_TIMESTAMP,
+            barrier_due: false,
+            watermark_due: None,
+        }
+    }
+}
+
+impl<I: Iterator<Item = Tuple>> Iterator for Schedule<I> {
+    type Item = SourceItem;
+
+    fn next(&mut self) -> Option<SourceItem> {
+        if std::mem::take(&mut self.barrier_due) {
+            return Some(SourceItem::Barrier);
+        }
+        if let Some(wm) = self.watermark_due.take() {
+            return Some(SourceItem::Watermark(wm));
+        }
+        let tuple = self.tuples.next()?;
+        self.count += 1;
+        self.max_ts = self.max_ts.max(tuple.timestamp);
+        self.barrier_due = self.checkpoint_after == Some(self.count);
+        if self.count.is_multiple_of(self.interval) {
+            self.watermark_due = Some(self.max_ts.saturating_sub(self.slack));
+        }
+        Some(SourceItem::Tuple(tuple))
+    }
+}
+
+/// Name of the file inside a checkpoint directory recording the source
+/// offset (in tuples) at which the aligned barrier was injected.
+pub(crate) const SOURCE_OFFSET_FILE: &str = "SOURCE_OFFSET";
+
+/// Writes `offset` as the checkpoint in `dir`'s [`SOURCE_OFFSET_FILE`]:
+/// a temporary file, fsynced, then renamed over the final name.
+pub(crate) fn write_source_offset(dir: &Path, offset: u64) -> std::io::Result<()> {
+    let tmp = dir.join(format!("{SOURCE_OFFSET_FILE}.tmp"));
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(offset.to_string().as_bytes())?;
+    file.sync_all()?;
+    std::fs::rename(&tmp, dir.join(SOURCE_OFFSET_FILE))
+}
+
+/// Reads the source offset recorded beside a completed checkpoint. It is
+/// part of the checkpoint: without it, replaying from any offset would
+/// double or drop input on top of the restored state.
+pub(crate) fn read_source_offset(dir: &Path) -> Result<u64> {
+    let path = dir.join(SOURCE_OFFSET_FILE);
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| StoreError::io_at("checkpoint source offset", &path, e))?;
+    text.trim()
+        .parse()
+        .map_err(|_| StoreError::corruption(&path, 0, "unparsable source offset"))
 }
 
 #[cfg(test)]

@@ -36,14 +36,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use flowkv_common::backend::StateBackendFactory;
-use flowkv_common::error::StoreError;
 use flowkv_common::types::Tuple;
 
-use crate::executor::{
-    run_job_inner, JobError, JobResult, RunCtx, RunOptions, Schedule, SOURCE_OFFSET_FILE,
-};
+use crate::executor::{run_job_inner, RunCtx};
 use crate::job::Job;
-use crate::source::LogSource;
+use crate::run::{JobError, JobResult, RunOptions};
+use crate::source::{read_source_offset, LogSource, Schedule};
 
 /// The outcome of a supervised run.
 #[derive(Debug)]
@@ -69,18 +67,6 @@ impl SupervisedResult {
         all.extend(self.result.outputs.iter().cloned());
         all
     }
-}
-
-/// Reads the source offset recorded beside a completed checkpoint. It is
-/// part of the checkpoint: without it, replaying from any offset would
-/// double or drop input on top of the restored state.
-fn read_source_offset(dir: &Path) -> Result<u64, StoreError> {
-    let path = dir.join(SOURCE_OFFSET_FILE);
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| StoreError::io_at("checkpoint source offset", &path, e))?;
-    text.trim()
-        .parse()
-        .map_err(|_| StoreError::corruption(&path, 0, "unparsable source offset"))
 }
 
 /// Runs `job` over the tuple log at `source_path` under supervision:
@@ -153,7 +139,7 @@ pub fn run_supervised(
             }
         }
         let source = LogSource::open_at(source_path, resume_offset).map_err(JobError::Store)?;
-        let items = Schedule::for_run(source, &attempt_opts);
+        let items = Schedule::new(source, &attempt_opts);
         match run_job_inner(job, items, Arc::clone(&factory), &attempt_opts, &ctx) {
             Ok(mut result) => {
                 if restarts > 0 {
@@ -234,6 +220,7 @@ mod tests {
     use crate::functions::CountAggregate;
     use crate::job::{AggregateSpec, JobBuilder};
     use crate::source::TupleLog;
+    use crate::source::SOURCE_OFFSET_FILE;
     use crate::window::WindowAssigner;
     use flowkv_common::logfile::LogWriter;
     use flowkv_common::scratch::ScratchDir;

@@ -16,7 +16,7 @@ use flowkv_common::scratch::ScratchDir;
 use flowkv_common::telemetry::{parse_json, validate_jsonl_line, Json};
 use flowkv_common::vfs::StdVfs;
 use flowkv_nexmark::{EventGenerator, GeneratorConfig, QueryId, QueryParams};
-use flowkv_spe::executor::PUBLISH_PERIOD;
+use flowkv_spe::publish::PUBLISH_PERIOD;
 use flowkv_spe::{run_job, RunOptions};
 
 fn generator(events: u64) -> GeneratorConfig {

@@ -76,7 +76,7 @@ proptest! {
     #[test]
     fn span_ring_wraparound_never_reorders(cap in 16u64..96, spans in 0u64..240) {
         let tracer = Tracer::with_capacity(cap as usize);
-        let rec = tracer.thread(0, "worker");
+        let rec = tracer.thread("worker");
         // Each iteration records two events (begin + end), both tagged
         // with the iteration's sequence number.
         for i in 0..spans {
