@@ -13,6 +13,8 @@
 //! Baseline stores ignore the semantics and map everything onto generic
 //! KV operations, exactly as Flink does with RocksDB.
 
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -70,8 +72,10 @@ impl WindowKind {
     /// Returns `true` when windows of all keys share trigger times.
     ///
     /// Fixed and sliding windows are aligned; session, count, and custom
-    /// windows are not (paper §2.1, "Window Functions").
-    pub fn is_aligned(&self) -> bool {
+    /// windows are not (paper §2.1, "Window Functions"). Only
+    /// [`OperatorSemantics::pattern`] asks: a layer that depends on
+    /// alignment reads the pattern.
+    fn is_aligned(&self) -> bool {
         matches!(self, WindowKind::Fixed { .. } | WindowKind::Sliding { .. })
     }
 
@@ -92,6 +96,17 @@ impl WindowKind {
     }
 }
 
+/// The three data-access patterns of window operations (paper §2.1).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pattern {
+    /// Append and aligned read.
+    Aar,
+    /// Append and unaligned read.
+    Aur,
+    /// Read-modify-write.
+    Rmw,
+}
+
 /// The launch-time description of a window operation used for store
 /// classification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,6 +121,24 @@ impl OperatorSemantics {
     /// Convenience constructor.
     pub fn new(aggregate: AggregateKind, window: WindowKind) -> Self {
         OperatorSemantics { aggregate, window }
+    }
+
+    /// The access pattern of the operator's state, decided once at
+    /// launch (paper §3.1) and read by every layer that depends on it.
+    ///
+    /// An incremental aggregate reads and rewrites one aggregate per
+    /// tuple → **RMW**, whatever the window function (a read on every
+    /// arrival makes read alignment moot). A full list appends, and its
+    /// reads follow the window function: fixed and sliding windows
+    /// trigger all keys together → **AAR**; session, count, global and
+    /// custom windows trigger per key → **AUR** (custom ones, of unknown
+    /// semantics, conservatively).
+    pub fn pattern(&self) -> Pattern {
+        match self.aggregate {
+            AggregateKind::Incremental => Pattern::Rmw,
+            AggregateKind::FullList if self.window.is_aligned() => Pattern::Aar,
+            AggregateKind::FullList => Pattern::Aur,
+        }
     }
 }
 
@@ -140,6 +173,59 @@ pub fn collect_chunk(
         _ => chunk.push((key.to_vec(), vec![value.to_vec()])),
     })?;
     Ok(more.then_some(chunk))
+}
+
+/// The keys each window holds, for a store that cannot scan a window
+/// (the point-keyed baselines), and the drain state of the windows it
+/// hands out in chunks — what their `get_window_chunk` walks.
+#[derive(Default)]
+pub struct WindowKeys {
+    live: HashMap<WindowId, HashSet<Vec<u8>>>,
+    /// Windows mid-drain: their keys not handed out yet.
+    draining: HashMap<WindowId, Vec<Vec<u8>>>,
+}
+
+impl WindowKeys {
+    /// Indexes `key` under `window`; a key already there is not copied.
+    pub fn insert(&mut self, key: &[u8], window: WindowId) {
+        let keys = self.live.entry(window).or_default();
+        if !keys.contains(key) {
+            keys.insert(key.to_vec());
+        }
+    }
+
+    /// Forgets `key` under `window`, which a take consumed. A drain under
+    /// way still hands it out.
+    pub fn remove(&mut self, key: &[u8], window: WindowId) {
+        if let Some(keys) = self.live.get_mut(&window) {
+            keys.remove(key);
+            if keys.is_empty() {
+                self.live.remove(&window);
+            }
+        }
+    }
+
+    /// The keys of `window`'s next drain step, at most `max` (≥ 1), or
+    /// `None` once none is left. The first step takes the keys the window
+    /// holds out of the index; a key indexed under it since comes after
+    /// them.
+    pub fn next_chunk(&mut self, window: WindowId, max: usize) -> Option<Vec<Vec<u8>>> {
+        let pending = match self.draining.entry(window) {
+            Entry::Occupied(pending) => pending.into_mut(),
+            Entry::Vacant(slot) => slot.insert(self.live.remove(&window)?.into_iter().collect()),
+        };
+        let chunk = pending.drain(..pending.len().min(max)).collect();
+        if pending.is_empty() {
+            self.draining.remove(&window);
+        }
+        Some(chunk)
+    }
+
+    /// Every indexed key, once per window it is indexed under; keys mid-
+    /// drain left out.
+    pub fn keys(&self) -> impl Iterator<Item = &[u8]> {
+        self.live.values().flatten().map(Vec::as_slice)
+    }
 }
 
 /// One migratable unit of store state, produced by
@@ -504,6 +590,75 @@ pub trait StateBackendFactory: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn incremental_is_always_rmw() {
+        for window in [
+            WindowKind::Fixed { size: 10 },
+            WindowKind::Sliding { size: 10, slide: 5 },
+            WindowKind::Session { gap: 10 },
+            WindowKind::Global,
+            WindowKind::Count { size: 10 },
+            WindowKind::Custom,
+        ] {
+            let semantics = OperatorSemantics::new(AggregateKind::Incremental, window);
+            assert_eq!(semantics.pattern(), Pattern::Rmw, "window {window:?}");
+        }
+    }
+
+    #[test]
+    fn full_list_splits_on_alignment() {
+        let full_list = |window| OperatorSemantics::new(AggregateKind::FullList, window).pattern();
+        assert_eq!(full_list(WindowKind::Fixed { size: 10 }), Pattern::Aar);
+        assert_eq!(
+            full_list(WindowKind::Sliding { size: 10, slide: 5 }),
+            Pattern::Aar
+        );
+        assert_eq!(full_list(WindowKind::Session { gap: 9 }), Pattern::Aur);
+        assert_eq!(full_list(WindowKind::Count { size: 3 }), Pattern::Aur);
+        assert_eq!(full_list(WindowKind::Global), Pattern::Aur);
+    }
+
+    #[test]
+    fn custom_windows_default_to_unaligned() {
+        let semantics = OperatorSemantics::new(AggregateKind::FullList, WindowKind::Custom);
+        assert_eq!(semantics.pattern(), Pattern::Aur);
+    }
+
+    #[test]
+    fn window_keys_drain_in_chunks_and_keep_what_a_drain_began_with() {
+        let (w, other) = (WindowId::new(0, 10), WindowId::new(10, 20));
+        let mut index = WindowKeys::default();
+        for key in [&b"a"[..], b"b", b"c", b"a"] {
+            index.insert(key, w);
+        }
+        index.insert(b"x", other);
+        assert_eq!(index.keys().count(), 4, "a key indexed twice is held once");
+        let mut first = index.next_chunk(w, 2).unwrap();
+        assert_eq!(first.len(), 2);
+        assert_eq!(
+            index.keys().collect::<Vec<_>>(),
+            [b"x"],
+            "drained keys leave the index"
+        );
+        // A take mid-drain forgets nothing the drain holds; a key indexed
+        // since comes after the drain's.
+        let rest: Vec<u8> = [b"a", b"b", b"c"]
+            .into_iter()
+            .find(|k| !first.iter().any(|f| f == k))
+            .unwrap()
+            .to_vec();
+        index.remove(&rest, w);
+        index.insert(b"d", w);
+        first.extend(index.next_chunk(w, 2).unwrap());
+        first.sort();
+        assert_eq!(first, [b"a", b"b", b"c"]);
+        assert_eq!(index.next_chunk(w, 2).unwrap(), [b"d"]);
+        assert_eq!(index.next_chunk(w, 2), None);
+        index.remove(b"x", other);
+        assert_eq!(index.keys().count(), 0);
+        assert_eq!(index.next_chunk(other, 2), None);
+    }
 
     #[test]
     fn alignment_classification() {

@@ -334,16 +334,9 @@ impl<T> Completions<T> {
         let mut guard = self.landed.lock().expect("lane completions lock");
         let landed = &mut *guard;
         let pos = match &mut landed.shuffle {
-            Some(seed) => {
-                // SplitMix64 step, mirroring vfs::FaultPlan's generator, so
-                // reorder tests are reproducible from a single seed.
-                *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = *seed;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^= z >> 31;
-                (z as usize) % (landed.done.len() + 1)
-            }
+            // The fault plans' generator, so reorder tests are
+            // reproducible from a single seed.
+            Some(seed) => (crate::vfs::splitmix64(seed) as usize) % (landed.done.len() + 1),
             None => landed.done.len(),
         };
         landed.done.insert(pos, (id, outcome));

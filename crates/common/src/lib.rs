@@ -58,7 +58,7 @@ pub mod vfs;
 pub use backend::StateBackend;
 pub use error::{Result, StoreError};
 pub use ioring::IoRing;
-pub use registry::{StateKey, StatePattern, StateRegistry, StateView, ViewValue};
+pub use registry::{StateKey, StateRegistry, StateView, ViewValue};
 pub use telemetry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricRegistry, MetricSample, SampleValue,
     Telemetry,

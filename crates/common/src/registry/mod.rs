@@ -58,6 +58,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
+use crate::backend::Pattern;
 use crate::types::Timestamp;
 
 pub use capture::capture;
@@ -91,51 +92,15 @@ impl fmt::Display for StateKey {
     }
 }
 
-/// The access pattern of the store a view was taken from (paper §3.1).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum StatePattern {
-    /// Append & Aligned Read.
-    Aar,
-    /// Append & Unaligned Read.
-    Aur,
-    /// Read-Modify-Write.
-    Rmw,
-    /// Pattern unknown (e.g. a baseline store).
-    #[default]
-    Unknown,
-}
-
-impl StatePattern {
-    /// Stable single-byte encoding for the wire protocol.
-    pub fn as_u8(self) -> u8 {
-        match self {
-            StatePattern::Aar => 0,
-            StatePattern::Aur => 1,
-            StatePattern::Rmw => 2,
-            StatePattern::Unknown => 3,
-        }
-    }
-
-    /// Inverse of [`as_u8`](Self::as_u8); unknown bytes map to
-    /// [`StatePattern::Unknown`].
-    pub fn from_u8(b: u8) -> Self {
-        match b {
-            0 => StatePattern::Aar,
-            1 => StatePattern::Aur,
-            2 => StatePattern::Rmw,
-            _ => StatePattern::Unknown,
-        }
-    }
-}
-
 /// Summary of one published view: a row of a state listing, on the
 /// wire as in the registry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StateDescriptor {
     /// The registry key the view is published under.
     pub key: StateKey,
-    /// Pattern of the source store.
-    pub pattern: StatePattern,
+    /// Access pattern of the source store; `None` when not known (a
+    /// listing byte this side does not recognise).
+    pub pattern: Option<Pattern>,
     /// Epoch of the most recent published view.
     pub epoch: u64,
     /// Watermark the view is aligned to.
@@ -243,7 +208,7 @@ mod tests {
         let reg = StateRegistry::new_shared();
         let key = StateKey::new("job", "op", 0);
         assert!(reg.get(&key).is_none());
-        let mut v = StateView::empty(StatePattern::Aar);
+        let mut v = StateView::empty(Some(Pattern::Aar));
         v.epoch = 7;
         reg.publish(key.clone(), v);
         let got = reg.get(&key).unwrap();
@@ -260,7 +225,7 @@ mod tests {
     fn registry_survives_poisoned_publisher() {
         let reg = StateRegistry::new_shared();
         let key = StateKey::new("job", "op", 0);
-        reg.publish(key.clone(), StateView::empty(StatePattern::Rmw));
+        reg.publish(key.clone(), StateView::empty(Some(Pattern::Rmw)));
         let reg2 = Arc::clone(&reg);
         // Panic while holding the write lock to poison it.
         let _ = std::thread::spawn(move || {
@@ -272,7 +237,7 @@ mod tests {
         assert!(reg.get(&key).is_some());
         reg.publish(
             StateKey::new("job", "op", 1),
-            StateView::empty(StatePattern::Aur),
+            StateView::empty(Some(Pattern::Aur)),
         );
         assert_eq!(reg.list().len(), 2);
     }
@@ -281,10 +246,10 @@ mod tests {
     fn a_replaced_view_leaves_the_lock_before_it_is_dropped() {
         let reg = StateRegistry::new_shared();
         let key = StateKey::new("job", "op", 0);
-        let mut first = StateView::empty(StatePattern::Rmw);
+        let mut first = StateView::empty(Some(Pattern::Rmw));
         first.epoch = 1;
         reg.publish(key.clone(), first);
-        let mut second = StateView::empty(StatePattern::Rmw);
+        let mut second = StateView::empty(Some(Pattern::Rmw));
         second.epoch = 2;
         // The replaced view comes back out instead of dying under the
         // write guard: this reference is its last, and the lock is free

@@ -15,10 +15,9 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
+use crate::backend::Pattern;
 use crate::metrics::MetricsSnapshot;
 use crate::types::{Timestamp, WindowId, MAX_TIMESTAMP, MIN_TIMESTAMP};
-
-use super::StatePattern;
 
 /// Deltas of one level that merge into a single delta of the next level
 /// (a base-8 counter: `n` publishes leave at most `7 · log8 n` deltas,
@@ -724,8 +723,8 @@ impl ViewDelta {
 /// the other reads.
 #[derive(Clone, Debug, Default)]
 pub struct StateView {
-    /// Pattern of the source store.
-    pub pattern: StatePattern,
+    /// Access pattern of the source store, if known.
+    pub pattern: Option<Pattern>,
     /// Monotonic snapshot counter; increments per published view.
     pub epoch: u64,
     /// Event-time watermark the snapshot is aligned to.
@@ -753,7 +752,7 @@ pub struct StateView {
 impl StateView {
     /// An empty view, useful as a published placeholder before the first
     /// watermark.
-    pub fn empty(pattern: StatePattern) -> Self {
+    pub fn empty(pattern: Option<Pattern>) -> Self {
         StateView {
             pattern,
             watermark: MIN_TIMESTAMP,
@@ -764,7 +763,7 @@ impl StateView {
     /// A view holding exactly `entries` — what a store's `read_view`
     /// returns.
     pub fn from_entries(
-        pattern: StatePattern,
+        pattern: Option<Pattern>,
         entries: BTreeMap<(Vec<u8>, WindowId), ViewValue>,
     ) -> Self {
         // Every entry is a pair of its own: nothing to collapse early.
@@ -1021,7 +1020,7 @@ mod tests {
 
     fn view_with(entries: Vec<(&[u8], WindowId, ViewValue)>) -> StateView {
         StateView::from_entries(
-            StatePattern::Rmw,
+            Some(Pattern::Rmw),
             entries
                 .into_iter()
                 .map(|(k, win, val)| ((k.to_vec(), win), val))
@@ -1199,7 +1198,7 @@ mod tests {
             for _ in 0..keys * 3 {
                 random_op(&mut rng, keys, &mut model, &mut seeded);
             }
-            let mut view = StateView::empty(StatePattern::Unknown);
+            let mut view = StateView::empty(None);
             view.apply(&mut seeded);
             let (mut merged, mut folded, mut longest) = (false, false, 0);
             for epoch in 0..160 {
@@ -1238,7 +1237,7 @@ mod tests {
         for _ in 0..200 {
             random_op(&mut rng, keys, &mut model, &mut delta);
         }
-        let mut view = StateView::empty(StatePattern::Unknown);
+        let mut view = StateView::empty(None);
         view.apply(&mut delta);
         // A reader takes a clone per epoch, as the registry hands them
         // out, and keeps the model of that moment.
@@ -1286,7 +1285,7 @@ mod tests {
             model.insert((key(k), w(0, 10)), ViewValue::Aggregate(vec![1; 3]));
             seeded.put_aggregate(&key(k), w(0, 10), None, &[1; 3]);
         }
-        let mut view = StateView::empty(StatePattern::Unknown);
+        let mut view = StateView::empty(None);
         view.apply(&mut seeded);
         let (mut longest, mut folded) = (0, false);
         for epoch in 0..epochs {

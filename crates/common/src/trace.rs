@@ -135,16 +135,6 @@ pub struct OpenSpan {
 }
 
 impl SpanRecorder {
-    /// The thread lane id (Chrome `tid`), unique within the tracer.
-    pub fn tid(&self) -> u32 {
-        self.tid
-    }
-
-    /// Human-readable thread name, e.g. `"window/p0"`.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Nanoseconds since the tracer epoch.
     pub fn now_nanos(&self) -> u64 {
         self.core.epoch.elapsed().as_nanos() as u64

@@ -367,13 +367,14 @@ impl Vfs for SlowVfs {
 // ---------------------------------------------------------------------------
 
 /// One step of the SplitMix64 sequence — the workspace-local seeded RNG
-/// used to derive fault plans (no external dependency).
+/// used to derive fault plans (no external dependency): the state moves
+/// on by the generator's increment, and the output is the new state
+/// through the finalizing mixer, [`crate::hash::splitmix64`], which adds
+/// that increment to the state it is handed.
 pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let at = *state;
+    *state = at.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    crate::hash::splitmix64(at)
 }
 
 /// The injectable fault taxonomy (DESIGN.md §7).
@@ -744,6 +745,23 @@ impl VfsFile for FaultFile {
 mod tests {
     use super::*;
     use crate::scratch::ScratchDir;
+
+    #[test]
+    fn splitmix64_steps_the_reference_sequence() {
+        // SplitMix64 from state 0 (Steele, Lea & Flood), which seeded
+        // fault plans and ring shuffles are drawn from.
+        let mut state = 0;
+        let drawn = [(); 3].map(|_| splitmix64(&mut state));
+        assert_eq!(
+            drawn,
+            [
+                0xE220_A839_7B1D_CDAF,
+                0x6E78_9E6A_A1B9_65F4,
+                0x06C4_5D18_8009_454F
+            ]
+        );
+        assert_eq!(state, 3u64.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    }
 
     #[test]
     fn slow_vfs_delays_reads_not_writes() {

@@ -6,9 +6,11 @@
 //! KV stores, FlowKV exploits what the stream engine knows about **how**
 //! and **when** window operators access their state:
 //!
-//! - At application launch, [`pattern::classify`] inspects the operator's
-//!   aggregate-function and window-function signatures and selects one of
-//!   three specialized stores (paper §3.1):
+//! - At application launch, the operator's aggregate-function and
+//!   window-function signatures decide its access pattern
+//!   ([`flowkv_common::backend::OperatorSemantics::pattern`]), and
+//!   [`store::FlowKvStore::open`] opens the one of three specialized
+//!   stores that serves it (paper §3.1):
 //!   [`aar::AarStore`] (append + aligned read),
 //!   [`aur::AurStore`] (append + unaligned read), and
 //!   [`rmw::RmwStore`] (read-modify-write).
@@ -58,7 +60,6 @@ pub mod config;
 pub mod ett;
 mod genlog;
 pub mod partition;
-pub mod pattern;
 pub mod rmw;
 pub mod store;
 pub(crate) mod table;
@@ -69,6 +70,5 @@ pub mod tier;
 
 pub use config::FlowKvConfig;
 pub use ett::EttObservation;
-pub use pattern::AccessPattern;
 pub use store::{FlowKvFactory, FlowKvStore};
 pub use tier::{TierConfig, TieredFactory, TieredStore};

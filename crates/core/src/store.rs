@@ -1,13 +1,13 @@
-//! The composite FlowKV store: classification, dispatch, and the
+//! The composite FlowKV store: dispatch by access pattern, and the
 //! [`StateBackend`] integration (paper §3, Figure 5).
 //!
-//! At construction, [`FlowKvStore::open`] classifies the operator's
-//! semantics into one of the three access patterns and instantiates `m`
-//! partitioned instances of the matching specialized store. At runtime,
-//! the pattern determines which of the Listing-1 APIs are legal; calling
-//! a mismatched API is a contract violation and returns
-//! [`StoreError::InvalidState`] — the engine selects the right calls from
-//! the same classification.
+//! At construction, [`FlowKvStore::open`] reads the access pattern of
+//! the operator's semantics ([`OperatorSemantics::pattern`]) and
+//! instantiates `m` partitioned instances of the matching specialized
+//! store. At runtime, the pattern determines which of the Listing-1 APIs
+//! are legal; calling a mismatched API is a contract violation and
+//! returns [`StoreError::InvalidState`] — the engine selects the right
+//! calls from the same pattern.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -15,12 +15,12 @@ use std::sync::Arc;
 
 use flowkv_common::backend::{
     collect_chunk, AggregateKind, AggregateUpdate, KeyFilter, OperatorContext, OperatorSemantics,
-    PairSink, StateBackend, StateBackendFactory, StateEntry, ValueSink, WindowChunk,
+    PairSink, Pattern, StateBackend, StateBackendFactory, StateEntry, ValueSink, WindowChunk,
 };
 use flowkv_common::error::{Result, StoreError};
 use flowkv_common::ioring::IoRing;
 use flowkv_common::metrics::StoreMetrics;
-use flowkv_common::registry::{StatePattern, StateView, ViewValue};
+use flowkv_common::registry::{StateView, ViewValue};
 use flowkv_common::telemetry::Telemetry;
 use flowkv_common::types::{Timestamp, WindowId};
 use flowkv_common::vfs::Vfs;
@@ -30,7 +30,6 @@ use crate::aur::{AurConfig, AurStore};
 use crate::config::FlowKvConfig;
 use crate::ett::EttPredictor;
 use crate::partition::Partitioned;
-use crate::pattern::{classify, AccessPattern};
 use crate::rmw::{RmwConfig, RmwStore};
 
 /// The migratable form of one view entry (`extract_range` answers in
@@ -86,7 +85,6 @@ fn open_instances<S>(
 /// The semantic-aware composite store for one operator partition.
 pub struct FlowKvStore {
     dir: PathBuf,
-    pattern: AccessPattern,
     inner: Inner,
     metrics: Arc<StoreMetrics>,
     vfs: Arc<dyn Vfs>,
@@ -103,14 +101,13 @@ impl FlowKvStore {
         vfs: Arc<dyn Vfs>,
     ) -> Result<Self> {
         config.validate()?;
-        let pattern = classify(&semantics);
         let metrics = StoreMetrics::new_shared();
         let m = config.store_instances;
         // Each instance gets an even share of the write buffer, matching
         // the paper's per-operator budget split across `m` instances.
         let per_instance_buffer = (config.write_buffer_bytes / m).max(1024);
-        let inner = match pattern {
-            AccessPattern::Aar => Inner::Aar(open_instances(dir, m, |dir| {
+        let inner = match semantics.pattern() {
+            Pattern::Aar => Inner::Aar(open_instances(dir, m, |dir| {
                 AarStore::open(
                     dir,
                     per_instance_buffer,
@@ -119,7 +116,7 @@ impl FlowKvStore {
                     Arc::clone(&vfs),
                 )
             })?),
-            AccessPattern::Aur => {
+            Pattern::Aur => {
                 let predictor =
                     EttPredictor::for_window_kind(semantics.window, config.custom_ett.clone());
                 let aur_cfg = AurConfig {
@@ -137,7 +134,7 @@ impl FlowKvStore {
                     )
                 })?)
             }
-            AccessPattern::Rmw => {
+            Pattern::Rmw => {
                 let rmw_cfg = RmwConfig {
                     write_buffer_bytes: per_instance_buffer,
                     max_space_amplification: config.max_space_amplification,
@@ -149,7 +146,6 @@ impl FlowKvStore {
         };
         Ok(FlowKvStore {
             dir: dir.to_path_buf(),
-            pattern,
             inner,
             metrics,
             vfs,
@@ -184,9 +180,13 @@ impl FlowKvStore {
         }
     }
 
-    /// The access pattern chosen at launch.
-    pub fn pattern(&self) -> AccessPattern {
-        self.pattern
+    /// The access pattern chosen at launch: that of the store it opened.
+    pub fn pattern(&self) -> Pattern {
+        match self.inner {
+            Inner::Aar(_) => Pattern::Aar,
+            Inner::Aur(_) => Pattern::Aur,
+            Inner::Rmw(_) => Pattern::Rmw,
+        }
     }
 
     /// Number of store instances (`m`).
@@ -208,8 +208,8 @@ impl FlowKvStore {
 
     fn wrong_pattern(&self, method: &str) -> StoreError {
         StoreError::invalid_state(format!(
-            "{method} is not part of the {} store API",
-            self.pattern
+            "{method} is not part of the {:?} store API",
+            self.pattern()
         ))
     }
 }
@@ -305,14 +305,8 @@ impl StateBackend for FlowKvStore {
     }
 
     fn read_view(&mut self) -> Result<Option<StateView>> {
-        let pattern = match self.pattern {
-            AccessPattern::Aar => StatePattern::Aar,
-            AccessPattern::Aur => StatePattern::Aur,
-            AccessPattern::Rmw => StatePattern::Rmw,
-        };
-        let mut view = StateView::from_entries(pattern, self.collect_entries()?);
-        view.metrics = self.metrics.snapshot();
-        Ok(Some(view))
+        let entries = self.collect_entries()?;
+        Ok(Some(StateView::from_entries(Some(self.pattern()), entries)))
     }
 
     fn extract_range(
@@ -429,7 +423,7 @@ mod tests {
             AggregateKind::FullList,
             WindowKind::Fixed { size: 100 },
         );
-        assert_eq!(s.pattern(), AccessPattern::Aar);
+        assert_eq!(s.pattern(), Pattern::Aar);
         assert_eq!(s.instances(), 2);
         let win = w(0, 100);
         for i in 0..40u32 {
@@ -455,7 +449,7 @@ mod tests {
             AggregateKind::FullList,
             WindowKind::Session { gap: 50 },
         );
-        assert_eq!(s.pattern(), AccessPattern::Aur);
+        assert_eq!(s.pattern(), Pattern::Aur);
         let win = w(0, 100);
         s.append(b"k", win, b"v1", 10).unwrap();
         s.append(b"k", win, b"v2", 20).unwrap();
@@ -475,7 +469,7 @@ mod tests {
             AggregateKind::Incremental,
             WindowKind::Session { gap: 50 },
         );
-        assert_eq!(s.pattern(), AccessPattern::Rmw);
+        assert_eq!(s.pattern(), Pattern::Rmw);
         let win = w(0, 100);
         s.put_aggregate(b"k", win, b"7").unwrap();
         assert_eq!(s.take_aggregate(b"k", win).unwrap(), Some(b"7".to_vec()));
@@ -570,7 +564,7 @@ mod tests {
                 .unwrap();
         }
         let view = s.read_view().unwrap().expect("flowkv is queryable");
-        assert_eq!(view.pattern, StatePattern::Aur);
+        assert_eq!(view.pattern, Some(Pattern::Aur));
         assert_eq!(view.len(), 20);
         for i in 0..20u32 {
             assert_eq!(

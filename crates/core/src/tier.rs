@@ -14,11 +14,12 @@
 //!
 //! Key mechanics:
 //!
-//! - **Bookkeeping** holds each fact once. An aligned full-list (AAR)
-//!   window is charged *bytes only*: the wrapped store's window drain
-//!   returns every key, so the tier copies none. An AUR/RMW window keeps
-//!   one `key → {bytes, max_ts}` map: the keys to take at demotion (in
-//!   sorted order, so a block's layout is deterministic) and the one
+//! - **Bookkeeping** holds each fact once, as the operator's access
+//!   pattern (`OperatorSemantics::pattern`, read at construction) says.
+//!   An AAR window is charged *bytes only*: the wrapped store's window
+//!   drain returns every key, so the tier copies none. An AUR/RMW window
+//!   keeps one `key → {bytes, max_ts}` map: the keys to take at demotion
+//!   (in sorted order, so a block's layout is deterministic) and the one
 //!   timestamp the AUR store's trigger-time estimate reads of them.
 //! - **Demotion** triggers on write paths whenever the tracked hot
 //!   footprint exceeds [`TierConfig::hot_bytes`] (`0`, the differential
@@ -58,7 +59,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use flowkv_common::backend::{
-    collect_chunk, AggregateKind, KeyFilter, OperatorContext, PairSink, StateBackend,
+    collect_chunk, AggregateKind, KeyFilter, OperatorContext, PairSink, Pattern, StateBackend,
     StateBackendFactory, StateEntry, WindowChunk,
 };
 use flowkv_common::columnar::{BlockKind, BlockReader, BlockWriter, ColdRow};
@@ -172,7 +173,7 @@ struct HotWindow {
     /// Bytes the window's resident rows charge against the hot budget.
     bytes: usize,
     /// The keys holding those rows; demotion takes them in sorted order.
-    /// Empty for an aligned full-list operator (see `track`).
+    /// Empty for an AAR operator (see `track`).
     keys: HashMap<Vec<u8>, KeyTrack>,
 }
 
@@ -190,20 +191,20 @@ type Entries = BTreeMap<(Vec<u8>, WindowId), ViewValue>;
 fn merge_cold(
     hot: &mut Entries,
     window: WindowId,
-    kind: AggregateKind,
+    pattern: Pattern,
     rows: Vec<ColdRow>,
     keep: KeyFilter<'_>,
 ) {
     let rows = rows.into_iter().filter(|row| keep(&row.key));
-    match kind {
-        AggregateKind::Incremental => {
+    match pattern {
+        Pattern::Rmw => {
             // Newest first, so the first row to claim a key is the last.
             for row in rows.rev() {
                 hot.entry((row.key, window))
                     .or_insert(ViewValue::Aggregate(row.value));
             }
         }
-        AggregateKind::FullList => {
+        Pattern::Aar | Pattern::Aur => {
             let mut lists: BTreeMap<Vec<u8>, Vec<Vec<u8>>> = BTreeMap::new();
             for row in rows {
                 lists.entry(row.key).or_default().push(row.value);
@@ -269,8 +270,9 @@ impl TierCounters {
 pub struct TieredStore {
     inner: Box<dyn StateBackend>,
     cfg: TierConfig,
-    aggregate: AggregateKind,
-    aligned: bool,
+    /// The operator's access pattern: what the tier tracks of a row,
+    /// the shape of its blocks and how a read brings them back.
+    pattern: Pattern,
     vfs: Arc<dyn Vfs>,
     cold_dir: PathBuf,
     /// The cold log, `cold_<generation>.log`; retired blocks are its
@@ -324,8 +326,7 @@ impl TieredStore {
         let store_metrics = inner.metrics();
         Ok(TieredStore {
             inner,
-            aggregate: ctx.semantics.aggregate,
-            aligned: ctx.semantics.window.is_aligned(),
+            pattern: ctx.semantics.pattern(),
             vfs,
             cold_dir,
             log,
@@ -349,15 +350,14 @@ impl TieredStore {
     /// an aggregate replaces what its key held, a value adds to it.
     fn track(&mut self, key: &[u8], window: WindowId, value_len: usize, ts: Timestamp) {
         let cost = key.len() + value_len + 8;
-        // An aligned full-list window is tracked as bytes alone: its
-        // drain returns every key, so the tier remembers none.
-        let by_key = !(self.aligned && self.aggregate == AggregateKind::FullList);
+        // An AAR window is tracked as bytes alone: its drain returns
+        // every key, so the tier remembers none.
         let hw = self.hot.entry(window).or_default();
         let mut replaced = 0;
-        if by_key {
+        if self.pattern != Pattern::Aar {
             match hw.keys.get_mut(key) {
                 Some(kt) => {
-                    if self.aggregate == AggregateKind::Incremental {
+                    if self.pattern == Pattern::Rmw {
                         replaced = std::mem::take(&mut kt.bytes);
                     }
                     kt.bytes += cost;
@@ -408,9 +408,9 @@ impl TieredStore {
 
     /// The shape of this store's cold blocks.
     fn block_kind(&self) -> BlockKind {
-        match self.aggregate {
-            AggregateKind::Incremental => BlockKind::Aggregates,
-            AggregateKind::FullList => BlockKind::Values,
+        match self.pattern {
+            Pattern::Rmw => BlockKind::Aggregates,
+            Pattern::Aar | Pattern::Aur => BlockKind::Values,
         }
     }
 
@@ -547,11 +547,9 @@ impl TieredStore {
         let mut keys: Vec<_> = track.keys.iter().collect();
         keys.sort_unstable_by_key(|(key, _)| *key);
         for (key, kt) in keys {
-            let values = match self.aggregate {
-                AggregateKind::FullList => self.inner.take_values(key, window)?,
-                AggregateKind::Incremental => {
-                    Vec::from_iter(self.inner.take_aggregate(key, window)?)
-                }
+            let values = match self.pattern {
+                Pattern::Rmw => Vec::from_iter(self.inner.take_aggregate(key, window)?),
+                Pattern::Aar | Pattern::Aur => self.inner.take_values(key, window)?,
             };
             let row = |value| ColdRow::new(key.as_slice(), kt.max_ts, value);
             rows.extend(values.into_iter().map(row));
@@ -681,7 +679,7 @@ impl TieredStore {
         // Hot value lists come out to be replayed behind the cold rows;
         // a live aggregate stays put and hides its key's cold rows.
         let mut hot = Vec::new();
-        if self.aggregate == AggregateKind::FullList {
+        if self.pattern != Pattern::Rmw {
             if let Some(track) = self.untrack_window(window) {
                 hot = self.take_hot_rows(window, &track)?;
             }
@@ -698,8 +696,8 @@ impl TieredStore {
         let live = self.hot.get(&window);
         let keep = |key: &[u8]| !live.is_some_and(|hw| hw.keys.contains_key(key));
         let mut entries = Entries::new();
-        merge_cold(&mut entries, window, self.aggregate, hot, &|_| true);
-        merge_cold(&mut entries, window, self.aggregate, cold, &keep);
+        merge_cold(&mut entries, window, self.pattern, hot, &|_| true);
+        merge_cold(&mut entries, window, self.pattern, cold, &keep);
         for ((key, _), value) in entries {
             let ts = max_ts[&key];
             match value {
@@ -766,7 +764,7 @@ impl TieredStore {
         for (window, refs) in self.index.clone() {
             let blobs = self.read_blocks("tier cold scan", &refs)?;
             let rows = self.decode_rows(window, &blobs)?;
-            merge_cold(hot, window, self.aggregate, rows, keep);
+            merge_cold(hot, window, self.pattern, rows, keep);
         }
         Ok(())
     }
@@ -862,9 +860,7 @@ impl StateBackend for TieredStore {
         }
         let mut entries = hot.to_entries();
         self.merge_all_cold(&mut entries, &|_| true)?;
-        let mut view = StateView::from_entries(hot.pattern, entries);
-        view.metrics = hot.metrics;
-        Ok(Some(view))
+        Ok(Some(StateView::from_entries(hot.pattern, entries)))
     }
 
     fn extract_range(

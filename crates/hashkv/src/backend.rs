@@ -11,13 +11,12 @@
 //! - maintain a **key registry per window** so `GetWindow` can enumerate
 //!   keys despite the store being point-access only.
 
-use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 
 use flowkv_common::backend::{
     AggregateKind, AggregateUpdate, KeyFilter, OperatorContext, StateBackend, StateBackendFactory,
-    StateEntry, WindowChunk,
+    StateEntry, WindowChunk, WindowKeys,
 };
 use flowkv_common::codec::{put_len_prefixed, Decoder};
 use flowkv_common::error::{Result, StoreError};
@@ -56,10 +55,9 @@ fn decode_list(data: &[u8]) -> Result<Vec<Vec<u8>>> {
 /// Window-state backend over [`HashDb`].
 pub struct HashBackend {
     db: HashDb,
-    /// Keys appended per window, required because the store cannot scan.
-    window_keys: HashMap<WindowId, HashSet<Vec<u8>>>,
-    /// Drain state for chunked window reads.
-    draining: HashMap<WindowId, Vec<Vec<u8>>>,
+    /// Keys appended per window, required because the store cannot
+    /// scan, and the drain state of chunked window reads.
+    window_keys: WindowKeys,
     chunk_entries: usize,
     /// Reusable scratch for re-encoding value lists on append, so the
     /// read-modify-write hot path allocates no per-record `Vec<u8>`.
@@ -85,8 +83,7 @@ impl HashBackend {
         let mut backend = HashBackend {
             db: HashDb::open(dir, cfg, Arc::clone(&metrics), vfs)?,
             metrics,
-            window_keys: HashMap::new(),
-            draining: HashMap::new(),
+            window_keys: WindowKeys::default(),
             chunk_entries: chunk_entries.max(1),
             encode_buf: Vec::new(),
             write_timer: RecordTimer::default(),
@@ -97,20 +94,15 @@ impl HashBackend {
 
     /// Rebuilds the per-window key registry from live records.
     fn rebuild_registry(&mut self) -> Result<()> {
-        self.window_keys.clear();
-        self.draining.clear();
-        let mut pairs: Vec<(WindowId, Vec<u8>)> = Vec::new();
+        let index = &mut self.window_keys;
+        *index = WindowKeys::default();
         self.db.scan_live(|composite, _| {
             if composite.len() >= 16 {
                 if let Ok(window) = WindowId::from_ordered_bytes(&composite[..16]) {
-                    pairs.push((window, composite[16..].to_vec()));
+                    index.insert(&composite[16..], window);
                 }
             }
-        })?;
-        for (window, key) in pairs {
-            self.window_keys.entry(window).or_default().insert(key);
-        }
-        Ok(())
+        })
     }
 }
 
@@ -127,37 +119,17 @@ impl StateBackend for HashBackend {
         values.push(value.to_vec());
         encode_list_into(&mut self.encode_buf, &values);
         self.db.upsert(&composite, &self.encode_buf)?;
-        self.window_keys
-            .entry(window)
-            .or_default()
-            .insert(key.to_vec());
+        self.window_keys.insert(key, window);
         Ok(())
     }
 
     fn get_window_chunk(&mut self, window: WindowId) -> Result<Option<WindowChunk>> {
         let _t = self.db.metrics().timer(OpCategory::Read);
-        let pending = match self.draining.get_mut(&window) {
-            Some(p) => p,
-            None => {
-                let Some(keys) = self.window_keys.remove(&window) else {
-                    return Ok(None);
-                };
-                self.draining
-                    .entry(window)
-                    .or_insert_with(|| keys.into_iter().collect())
-            }
-        };
-        if pending.is_empty() {
-            self.draining.remove(&window);
+        let Some(keys) = self.window_keys.next_chunk(window, self.chunk_entries) else {
             return Ok(None);
-        }
-        let take = pending.len().min(self.chunk_entries);
-        let batch: Vec<Vec<u8>> = pending.drain(..take).collect();
-        if pending.is_empty() {
-            self.draining.remove(&window);
-        }
-        let mut chunk: WindowChunk = Vec::with_capacity(batch.len());
-        for key in batch {
+        };
+        let mut chunk: WindowChunk = Vec::with_capacity(keys.len());
+        for key in keys {
             let composite = composite_key(&key, window);
             let values = match self.db.read(&composite)? {
                 Some(raw) => decode_list(&raw)?,
@@ -166,11 +138,7 @@ impl StateBackend for HashBackend {
             self.db.delete(&composite)?;
             chunk.push((key, values));
         }
-        if chunk.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(chunk))
-        }
+        Ok(Some(chunk))
     }
 
     fn take_values(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {
@@ -183,12 +151,7 @@ impl StateBackend for HashBackend {
             }
             None => Vec::new(),
         };
-        if let Some(keys) = self.window_keys.get_mut(&window) {
-            keys.remove(key);
-            if keys.is_empty() {
-                self.window_keys.remove(&window);
-            }
-        }
+        self.window_keys.remove(key, window);
         Ok(values)
     }
 
@@ -281,11 +244,7 @@ impl StateBackend for HashBackend {
     }
 
     fn memory_bytes(&self) -> usize {
-        let registry: usize = self
-            .window_keys
-            .values()
-            .map(|ks| ks.iter().map(|k| k.len() + 48).sum::<usize>())
-            .sum();
+        let registry: usize = self.window_keys.keys().map(|k| k.len() + 48).sum();
         self.db.memory_bytes() + registry
     }
 
@@ -299,8 +258,7 @@ impl StateBackend for HashBackend {
     }
 
     fn close(&mut self) -> Result<()> {
-        self.window_keys.clear();
-        self.draining.clear();
+        self.window_keys = WindowKeys::default();
         self.db.destroy()
     }
 }

@@ -28,9 +28,10 @@
 
 use std::io::{Read, Write};
 
+use flowkv_common::backend::Pattern;
 use flowkv_common::codec::{put_len_prefixed, put_u32, put_varint_u64, Decoder};
 use flowkv_common::error::{Result, StoreError};
-use flowkv_common::registry::{StateDescriptor, StateKey, StatePattern, ViewValue};
+use flowkv_common::registry::{StateDescriptor, StateKey, ViewValue};
 use flowkv_common::types::{Timestamp, WindowId};
 
 /// Upper bound on one frame's payload (request id + opcode + body), in
@@ -529,11 +530,31 @@ const OP_PROM_TEXT: u8 = 0x86;
 const OP_VALUE_BATCH: u8 = 0x88;
 const OP_ERROR: u8 = 0xee;
 
+/// A state row's pattern byte: 0 AAR, 1 AUR, 2 RMW, 3 for none.
+fn pattern_byte(pattern: Option<Pattern>) -> u8 {
+    match pattern {
+        Some(Pattern::Aar) => 0,
+        Some(Pattern::Aur) => 1,
+        Some(Pattern::Rmw) => 2,
+        None => 3,
+    }
+}
+
+/// Inverse of [`pattern_byte`]; a byte it never writes reads as none.
+fn byte_pattern(byte: u8) -> Option<Pattern> {
+    match byte {
+        0 => Some(Pattern::Aar),
+        1 => Some(Pattern::Aur),
+        2 => Some(Pattern::Rmw),
+        _ => None,
+    }
+}
+
 fn put_state_info(buf: &mut Vec<u8>, s: &StateDescriptor) {
     put_str(buf, &s.key.job);
     put_str(buf, &s.key.operator);
     buf.extend_from_slice(&(s.key.partition as u64).to_le_bytes());
-    buf.push(s.pattern.as_u8());
+    buf.push(pattern_byte(s.pattern));
     buf.extend_from_slice(&s.epoch.to_le_bytes());
     buf.extend_from_slice(&s.watermark.to_le_bytes());
     buf.extend_from_slice(&s.entries.to_le_bytes());
@@ -548,7 +569,7 @@ fn get_state_info(dec: &mut Decoder<'_>) -> Result<StateDescriptor> {
     let partition = dec.get_u64()? as usize;
     Ok(StateDescriptor {
         key: StateKey::new(job, operator, partition),
-        pattern: StatePattern::from_u8(dec.take(1, "pattern")?[0]),
+        pattern: byte_pattern(dec.take(1, "pattern")?[0]),
         epoch: dec.get_u64()?,
         watermark: dec.get_i64()?,
         entries: dec.get_u64()?,
@@ -657,6 +678,21 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_state_rows_pattern_byte_is_fixed() {
+        let bytes = [
+            (Some(Pattern::Aar), 0),
+            (Some(Pattern::Aur), 1),
+            (Some(Pattern::Rmw), 2),
+            (None, 3),
+        ];
+        for (pattern, byte) in bytes {
+            assert_eq!(pattern_byte(pattern), byte);
+            assert_eq!(byte_pattern(byte), pattern);
+        }
+        assert_eq!(byte_pattern(0xff), None);
+    }
 
     #[test]
     fn frame_roundtrip_over_a_buffer() {

@@ -449,12 +449,13 @@ pub fn route_key(job: &str, operator: &str, key: &[u8], partitions: usize) -> St
 mod tests {
     use super::*;
     use crate::protocol::{read_frame, ScanFilter};
-    use flowkv_common::registry::{StatePattern, StateView, ViewValue};
+    use flowkv_common::backend::Pattern;
+    use flowkv_common::registry::{StateView, ViewValue};
     use flowkv_common::types::{Timestamp, WindowId};
 
     fn view_with(entries: &[(&[u8], WindowId, ViewValue)], epoch: u64) -> StateView {
         let mut v = StateView::from_entries(
-            StatePattern::Rmw,
+            Some(Pattern::Rmw),
             entries
                 .iter()
                 .map(|(k, w, val)| ((k.to_vec(), *w), val.clone()))
@@ -751,7 +752,7 @@ mod tests {
             panic!("ListStates answered no rows");
         };
         assert_eq!(states.len(), 2);
-        assert!(states.iter().all(|s| s.pattern == StatePattern::Rmw));
+        assert!(states.iter().all(|s| s.pattern == Some(Pattern::Rmw)));
         assert_eq!(states.iter().map(|s| s.entries).sum::<u64>(), 2);
         assert_eq!(states.iter().map(|s| s.watermark).min(), Some(400));
 

@@ -5,8 +5,9 @@
 //!
 //! 256 cases per property unless `PROPTEST_CASES` says otherwise.
 
+use flowkv_common::backend::Pattern;
 use flowkv_common::codec::put_u32;
-use flowkv_common::registry::{StateDescriptor, StateKey, StatePattern, ViewValue};
+use flowkv_common::registry::{StateDescriptor, StateKey, ViewValue};
 use flowkv_common::types::WindowId;
 use flowkv_serve::protocol::{
     peek_frame, read_frame, split_request_id, write_frame, Request, Response, ScanEntry,
@@ -97,7 +98,12 @@ fn request_strategy() -> Union<Request> {
 fn state_info_strategy() -> impl Strategy<Value = StateDescriptor> {
     (
         (name_strategy(), name_strategy(), 0usize..64),
-        0u64..4,
+        prop_oneof![
+            Just(None),
+            Just(Some(Pattern::Aar)),
+            Just(Some(Pattern::Aur)),
+            Just(Some(Pattern::Rmw)),
+        ],
         any::<u64>(),
         any::<i64>(),
         prop_oneof![Just(None), any::<u64>().prop_map(Some)],
@@ -105,7 +111,7 @@ fn state_info_strategy() -> impl Strategy<Value = StateDescriptor> {
         .prop_map(
             |((job, operator, partition), pattern, epoch, watermark, ttl_ms)| StateDescriptor {
                 key: StateKey::new(job, operator, partition),
-                pattern: StatePattern::from_u8(pattern as u8),
+                pattern,
                 epoch,
                 watermark,
                 entries: epoch.wrapping_mul(31),

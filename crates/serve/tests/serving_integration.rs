@@ -18,13 +18,13 @@ use std::time::{Duration, Instant};
 
 use flowkv::{FlowKvConfig, FlowKvFactory};
 use flowkv_common::backend::{
-    AggregateKind, KeyFilter, OperatorContext, StateBackend, StateBackendFactory, StateEntry,
-    WindowChunk,
+    AggregateKind, KeyFilter, OperatorContext, Pattern, StateBackend, StateBackendFactory,
+    StateEntry, WindowChunk,
 };
 use flowkv_common::codec::put_u32;
 use flowkv_common::error::Result;
 use flowkv_common::metrics::StoreMetrics;
-use flowkv_common::registry::{StateKey, StatePattern, StateRegistry, StateView, ViewValue};
+use flowkv_common::registry::{StateKey, StateRegistry, StateView, ViewValue};
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::telemetry::{validate_prometheus, Telemetry};
 use flowkv_common::types::{Timestamp, Tuple, WindowId, MAX_TIMESTAMP, MIN_TIMESTAMP};
@@ -97,7 +97,7 @@ fn publish_fixture(registry: &StateRegistry, partitions: usize) -> Vec<Vec<u8>> 
         );
     }
     for (p, entries) in held.into_iter().enumerate() {
-        let mut view = StateView::from_entries(StatePattern::Rmw, entries);
+        let mut view = StateView::from_entries(Some(Pattern::Rmw), entries);
         view.epoch = 3;
         view.watermark = 5_000;
         view.ttl_ms = Some(1_000);
@@ -473,9 +473,9 @@ fn published_views_match_read_view_through_whole_jobs() {
     // drained store. The source is paced so that every watermark is due
     // to publish.
     for (query, pattern) in [
-        (QueryId::Q7, StatePattern::Aar),
-        (QueryId::Q11Median, StatePattern::Aur),
-        (QueryId::Q12, StatePattern::Rmw),
+        (QueryId::Q7, Pattern::Aar),
+        (QueryId::Q11Median, Pattern::Aur),
+        (QueryId::Q12, Pattern::Rmw),
     ] {
         let events = GeneratorConfig {
             num_events: 20_000,
@@ -489,7 +489,7 @@ fn published_views_match_read_view_through_whole_jobs() {
         } = run_checked(query, events, 100, paced(100));
         assert_eq!(states.len(), 2, "{}: one view per partition", query.name());
         for state in &states {
-            assert_eq!(state.pattern, pattern, "{}", state.key);
+            assert_eq!(state.pattern, Some(pattern), "{}", state.key);
             assert_eq!(state.watermark, MAX_TIMESTAMP, "{}", state.key);
             assert_eq!(state.entries, 0, "{}: terminal view not drained", state.key);
         }

@@ -2019,11 +2019,11 @@ mod tests {
         let shares = [cpu.source_s, cpu.sink_s]
             .into_iter()
             .chain(cpu.workers_s.iter().copied());
-        for share in shares {
+        for share in shares.clone() {
             assert!(share > 0.0, "{cpu:?}");
         }
         assert!(
-            cpu.total_s() <= process,
+            shares.sum::<f64>() <= process,
             "{cpu:?} over {process} s of process CPU"
         );
     }

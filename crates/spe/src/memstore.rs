@@ -7,13 +7,13 @@
 //! honestly: a hard byte budget, checked on every write, producing
 //! [`StoreError::OutOfMemory`] when exceeded.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
 use flowkv_common::backend::{
     AggregateKind, AggregateUpdate, KeyFilter, OperatorContext, StateBackend, StateBackendFactory,
-    StateEntry, WindowChunk,
+    StateEntry, WindowChunk, WindowKeys,
 };
 use flowkv_common::codec::{put_len_prefixed, put_varint_u64, Decoder};
 use flowkv_common::error::{Result, StoreError};
@@ -30,8 +30,7 @@ pub struct InMemoryBackend {
     used: usize,
     lists: HashMap<StateKey, Vec<Vec<u8>>>,
     aggregates: HashMap<StateKey, Vec<u8>>,
-    window_keys: HashMap<WindowId, HashSet<Vec<u8>>>,
-    draining: HashMap<WindowId, Vec<Vec<u8>>>,
+    window_keys: WindowKeys,
     chunk_entries: usize,
     metrics: Arc<StoreMetrics>,
     /// Samples the per-record `append` / `put_aggregate` /
@@ -49,8 +48,7 @@ impl InMemoryBackend {
             used: 0,
             lists: HashMap::new(),
             aggregates: HashMap::new(),
-            window_keys: HashMap::new(),
-            draining: HashMap::new(),
+            window_keys: WindowKeys::default(),
             chunk_entries: chunk_entries.max(1),
             metrics: StoreMetrics::new_shared(),
             write_timer: RecordTimer::default(),
@@ -91,49 +89,25 @@ impl StateBackend for InMemoryBackend {
             .entry(state_key)
             .or_default()
             .push(value.to_vec());
-        self.window_keys
-            .entry(window)
-            .or_default()
-            .insert(key.to_vec());
+        self.window_keys.insert(key, window);
         self.metrics.add_records_written(1);
         Ok(())
     }
 
     fn get_window_chunk(&mut self, window: WindowId) -> Result<Option<WindowChunk>> {
         let _t = self.metrics.timer(OpCategory::Read);
-        let pending = match self.draining.get_mut(&window) {
-            Some(p) => p,
-            None => {
-                let Some(keys) = self.window_keys.remove(&window) else {
-                    return Ok(None);
-                };
-                self.draining
-                    .entry(window)
-                    .or_insert_with(|| keys.into_iter().collect())
-            }
-        };
-        if pending.is_empty() {
-            self.draining.remove(&window);
+        let Some(keys) = self.window_keys.next_chunk(window, self.chunk_entries) else {
             return Ok(None);
-        }
-        let take = pending.len().min(self.chunk_entries);
-        let batch: Vec<Vec<u8>> = pending.drain(..take).collect();
-        if pending.is_empty() {
-            self.draining.remove(&window);
-        }
-        let mut chunk: WindowChunk = Vec::with_capacity(batch.len());
-        for key in batch {
-            let state_key = (key.clone(), window);
+        };
+        let mut chunk: WindowChunk = Vec::with_capacity(keys.len());
+        for key in keys {
+            let state_key = (key, window);
             let values = self.lists.remove(&state_key).unwrap_or_default();
             self.release(Self::list_cost(&state_key, &values));
             self.metrics.add_records_read(values.len() as u64);
-            chunk.push((key, values));
+            chunk.push((state_key.0, values));
         }
-        if chunk.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(chunk))
-        }
+        Ok(Some(chunk))
     }
 
     fn take_values(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {
@@ -141,12 +115,7 @@ impl StateBackend for InMemoryBackend {
         let state_key = (key.to_vec(), window);
         let values = self.lists.remove(&state_key).unwrap_or_default();
         self.release(Self::list_cost(&state_key, &values));
-        if let Some(keys) = self.window_keys.get_mut(&window) {
-            keys.remove(key);
-            if keys.is_empty() {
-                self.window_keys.remove(&window);
-            }
-        }
+        self.window_keys.remove(key, window);
         self.metrics.add_records_read(values.len() as u64);
         Ok(values)
     }
@@ -278,8 +247,7 @@ impl StateBackend for InMemoryBackend {
     fn restore(&mut self, dir: &Path) -> Result<()> {
         self.lists.clear();
         self.aggregates.clear();
-        self.window_keys.clear();
-        self.draining.clear();
+        self.window_keys = WindowKeys::default();
         self.used = 0;
         let mut r = LogReader::open_in(&self.vfs, dir.join("mem.ckpt"))?;
         while let Some((_, payload)) = r.next_record()? {
@@ -298,10 +266,7 @@ impl StateBackend for InMemoryBackend {
                         self.charge(v.len() + 24)?;
                     }
                     self.charge(key.len() + 48)?;
-                    self.window_keys
-                        .entry(window)
-                        .or_default()
-                        .insert(key.clone());
+                    self.window_keys.insert(&key, window);
                     self.lists.insert((key, window), values);
                 }
                 1 => {
@@ -322,8 +287,7 @@ impl StateBackend for InMemoryBackend {
     fn close(&mut self) -> Result<()> {
         self.lists.clear();
         self.aggregates.clear();
-        self.window_keys.clear();
-        self.draining.clear();
+        self.window_keys = WindowKeys::default();
         self.used = 0;
         Ok(())
     }

@@ -3,7 +3,8 @@
 //! One operator instance runs per physical partition and owns its state
 //! backend exclusively (paper §2.1). The operator translates arriving
 //! tuples and watermarks into the store calls of the pattern chosen at
-//! launch:
+//! launch (`OperatorSemantics::pattern`, read once when the operator is
+//! built):
 //!
 //! | pattern | on element | on trigger |
 //! |---|---|---|
@@ -34,7 +35,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 
-use flowkv_common::backend::StateBackend;
+use flowkv_common::backend::{Pattern, StateBackend};
 use flowkv_common::codec::{put_len_prefixed, put_varint_i64, put_varint_u64, Decoder};
 use flowkv_common::dict::{group_stable, ByteDict, DictFull, TooManyPositions};
 use flowkv_common::error::{Result, StoreError};
@@ -426,13 +427,15 @@ impl EngineShard {
 /// A window operator bound to one state-backend partition.
 pub struct WindowOperator {
     spec: WindowSpec,
+    /// The access pattern of `spec`'s semantics, read once.
+    pattern: Pattern,
     backend: Box<dyn StateBackend>,
     /// Aligned windows awaiting their trigger.
     aligned_timers: BTreeSet<(Timestamp, WindowId)>,
-    /// Keys needing per-key firing per window: the RMW trigger set for
-    /// aligned windows, and every pattern's trigger set for custom
-    /// windows (whose store is per-key unaligned). Ordered sets: a window
-    /// fires key by key in key order, a function of the input.
+    /// Keys needing per-key firing per window of deterministic
+    /// boundaries: every window's trigger set unless the pattern is AAR,
+    /// whose windows drain whole. Ordered sets: a window fires key by key
+    /// in key order, a function of the input.
     trigger_keys: HashMap<WindowId, BTreeSet<Vec<u8>>>,
     /// Open sessions per key.
     sessions: HashMap<Vec<u8>, Vec<Session>, KeyHash>,
@@ -458,6 +461,7 @@ impl WindowOperator {
     /// Creates an operator for `spec` over `backend`.
     pub fn new(spec: WindowSpec, backend: Box<dyn StateBackend>) -> Self {
         WindowOperator {
+            pattern: spec.semantics().pattern(),
             spec,
             backend,
             aligned_timers: BTreeSet::new(),
@@ -480,7 +484,7 @@ impl WindowOperator {
     /// Only aligned assigners have a pure assignment the hint can
     /// anticipate; the hint is advisory and never changes results.
     fn warm_hint(&mut self, batch: &TupleBatch) -> Result<()> {
-        if !matches!(self.spec.aggregate, AggregateSpec::Incremental(_))
+        if self.pattern != Pattern::Rmw
             || !matches!(
                 self.spec.assigner,
                 WindowAssigner::Fixed { .. } | WindowAssigner::Sliding { .. }
@@ -590,13 +594,12 @@ impl WindowOperator {
     }
 
     /// Windows with deterministic boundaries: fixed, sliding, global, and
-    /// custom ones from the user function. Aggregates fire key by key, so
-    /// their windows track the keys to trigger; so do the full lists of
-    /// custom windows, whose state lives per key in the store (classified
-    /// unaligned, paper §8). An aligned full list is drained whole.
+    /// custom ones from the user function. RMW and AUR state fires key by
+    /// key, so their windows track the keys to trigger (the full lists of
+    /// global and custom windows live per key in the store, classified
+    /// unaligned, paper §8). An AAR window is drained whole.
     fn on_aligned_element(&mut self, tuple: TupleRef<'_>) -> Result<()> {
-        let per_key = matches!(self.spec.assigner, WindowAssigner::Custom { .. })
-            || matches!(self.spec.aggregate, AggregateSpec::Incremental(_));
+        let per_key = self.pattern != Pattern::Aar;
         self.spec
             .assigner
             .assign_into(tuple.timestamp, &mut self.assigned);
@@ -750,7 +753,7 @@ impl WindowOperator {
         if state.in_window >= size {
             state.seq += 1;
             state.in_window = 0;
-            self.fire_key_window(tuple.key, &[window], window, tuple.timestamp, out)?;
+            self.fire_key_window(tuple.key.to_vec(), &[window], window, tuple.timestamp, out)?;
         }
         Ok(())
     }
@@ -766,16 +769,8 @@ impl WindowOperator {
             }
             self.aligned_timers.remove(&(end, window));
             let out_ts = window.end.saturating_sub(1);
-            let custom = matches!(self.spec.assigner, WindowAssigner::Custom { .. });
             match self.spec.aggregate.clone() {
-                AggregateSpec::FullList(_) if custom => {
-                    // Custom windows live in a per-key (unaligned) store:
-                    // fire each tracked key individually.
-                    for key in self.trigger_keys.remove(&window).unwrap_or_default() {
-                        self.fire_key_window(&key, &[window], window, out_ts, out)?;
-                    }
-                }
-                AggregateSpec::FullList(f) => {
+                AggregateSpec::FullList(f) if self.pattern == Pattern::Aar => {
                     // Gradual loading: the store lends the window step by
                     // step, the arena keeps the bytes, then each complete
                     // key is processed over slices of it.
@@ -790,11 +785,11 @@ impl WindowOperator {
                         }
                     })?;
                 }
-                AggregateSpec::Incremental(agg) => {
+                // Per-key state (aggregates, and the lists of an AUR
+                // store): fire each tracked key individually.
+                _ => {
                     for key in self.trigger_keys.remove(&window).unwrap_or_default() {
-                        if let Some(acc) = self.backend.take_aggregate(&key, window)? {
-                            out.push(Tuple::new(key, agg.result(&acc), out_ts));
-                        }
+                        self.fire_key_window(key, &[window], window, out_ts, out)?;
                     }
                 }
             }
@@ -848,7 +843,7 @@ impl WindowOperator {
         expired.sort_unstable_by(|a, b| (&a.0, a.1.end).cmp(&(&b.0, b.1.end)));
         for (key, cover, initials) in expired {
             let out_ts = cover.end.saturating_sub(1);
-            self.fire_key_window(&key, &initials, cover, out_ts, out)?;
+            self.fire_key_window(key, &initials, cover, out_ts, out)?;
         }
         Ok(())
     }
@@ -856,13 +851,13 @@ impl WindowOperator {
     /// Reads, aggregates, and emits one key's window state.
     fn fire_key_window(
         &mut self,
-        key: &[u8],
+        key: Vec<u8>,
         store_windows: &[WindowId],
         logical: WindowId,
         out_ts: Timestamp,
         out: &mut Vec<Tuple>,
     ) -> Result<()> {
-        match self.spec.aggregate.clone() {
+        match &self.spec.aggregate {
             AggregateSpec::FullList(f) => {
                 // The store lends each value once, the arena keeps the
                 // bytes, the window function reads slices of it.
@@ -871,21 +866,21 @@ impl WindowOperator {
                 arena.clear();
                 let mut keep = |value: &[u8]| arena.push_value(value);
                 for w in store_windows {
-                    self.backend.take_values_with(key, *w, &mut keep)?;
+                    self.backend.take_values_with(&key, *w, &mut keep)?;
                 }
                 if arena.values.is_empty() && arena.full.is_none() {
                     return Ok(());
                 }
                 arena.fire_all(|values| {
-                    for output in f.process(key, logical, values) {
-                        out.push(Tuple::new(key.to_vec(), output, out_ts));
+                    for output in f.process(&key, logical, values) {
+                        out.push(Tuple::new(key.clone(), output, out_ts));
                     }
                 })?;
             }
             AggregateSpec::Incremental(agg) => {
                 let mut acc: Option<Vec<u8>> = None;
                 for w in store_windows {
-                    if let Some(a) = self.backend.take_aggregate(key, *w)? {
+                    if let Some(a) = self.backend.take_aggregate(&key, *w)? {
                         acc = Some(match acc {
                             None => a,
                             Some(prev) => agg.merge(&prev, &a),
@@ -893,7 +888,7 @@ impl WindowOperator {
                     }
                 }
                 if let Some(acc) = acc {
-                    out.push(Tuple::new(key.to_vec(), agg.result(&acc), out_ts));
+                    out.push(Tuple::new(key, agg.result(&acc), out_ts));
                 }
             }
         }
@@ -1808,5 +1803,36 @@ mod tests {
         o.on_watermark(MAX_TIMESTAMP, &mut out).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(u64_of(&out[0].value), 5);
+    }
+
+    #[test]
+    fn a_global_full_list_window_fires_key_by_key_from_its_aur_store() {
+        // A global window's lists classify AUR: FlowKV keeps them per key
+        // and has no window drain for them, so the window fires each
+        // tracked key, in key order.
+        use flowkv::{FlowKvConfig, FlowKvStore};
+        use flowkv_common::scratch::ScratchDir;
+        let dir = ScratchDir::new("op-global-list").unwrap();
+        let spec = WindowSpec {
+            name: "test".into(),
+            assigner: WindowAssigner::Global,
+            aggregate: AggregateSpec::FullList(Arc::new(FnProcess::new(|_, _, values| {
+                vec![(values.len() as u64).to_le_bytes().to_vec()]
+            }))),
+        };
+        let cfg = FlowKvConfig::small_for_tests();
+        let store = FlowKvStore::open(dir.path(), spec.semantics(), cfg, StdVfs::shared()).unwrap();
+        assert_eq!(store.pattern(), Pattern::Aur);
+        let mut o = WindowOperator::new(spec, Box::new(store));
+        let mut out = Vec::new();
+        for (i, key) in ["b", "a", "b", "c", "b"].into_iter().enumerate() {
+            o.on_element(t(key, i as u64, i as i64).borrowed(), &mut out)
+                .unwrap();
+        }
+        o.on_watermark(1_000_000, &mut out).unwrap();
+        assert!(out.is_empty(), "global window fired early");
+        o.on_watermark(MAX_TIMESTAMP, &mut out).unwrap();
+        let fired: Vec<(&[u8], u64)> = out.iter().map(|t| (&t.key[..], u64_of(&t.value))).collect();
+        assert_eq!(fired, [(&b"a"[..], 1), (b"b", 3), (b"c", 1)]);
     }
 }

@@ -245,11 +245,6 @@ pub struct ThreadCpu {
 }
 
 impl ThreadCpu {
-    /// The sum over every counted thread.
-    pub fn total_s(&self) -> f64 {
-        self.source_s + self.workers_s.iter().sum::<f64>() + self.sink_s
-    }
-
     /// Adds the threads of a later phase of the same run.
     pub(crate) fn absorb(&mut self, later: ThreadCpu) {
         self.source_s += later.source_s;

@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         FlowKvConfig::default(),
         StdVfs::shared(),
     )?;
-    println!("fixed-window + full-list  -> pattern {}", store.pattern());
+    println!("fixed-window + full-list  -> pattern {:?}", store.pattern());
 
     let minute = WindowId::new(0, 60_000);
     for (user, page, ts) in [
@@ -69,7 +69,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         FlowKvConfig::default(),
         StdVfs::shared(),
     )?;
-    println!("session-window + full-list -> pattern {}", store.pattern());
+    println!(
+        "session-window + full-list -> pattern {:?}",
+        store.pattern()
+    );
     let session = WindowId::new(10_000, 15_000);
     store.append(b"alice", session, b"click-1", 10_000)?;
     store.append(b"alice", session, b"click-2", 12_500)?;
@@ -92,7 +95,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         FlowKvConfig::default(),
         StdVfs::shared(),
     )?;
-    println!("fixed-window + incremental -> pattern {}", store.pattern());
+    println!(
+        "fixed-window + incremental -> pattern {:?}",
+        store.pattern()
+    );
     // One call per tuple: the store lends the closure the buffer that
     // *is* the aggregate (empty, `held == false`, the first time) and
     // keeps whatever the closure leaves in it. The paper's two-call

@@ -7,6 +7,12 @@
 //! generated with small key/window alphabets so collisions, overwrites,
 //! re-reads of consumed state, and buffer spills all occur.
 //!
+//! Window drains — the AAR pattern's read — are checked apart: appends to
+//! fixed windows, then every window drained in chunks of 1, 2 or 5
+//! entries, step by step through `get_window_chunk` or
+//! `drain_window_chunk`, each key's values joined across chunks in the
+//! order they came.
+//!
 //! `update_aggregate` is held to its contract twice: against the model
 //! on every backend, and — for the stores that implement it rather than
 //! inherit the default — against a twin store fed the two calls it
@@ -14,11 +20,13 @@
 //! lists against a twin whose lists are taken owned.
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::Arc;
 
 use flowkv::aur::{AurConfig, AurStore};
 use flowkv::ett::EttPredictor;
 use flowkv::rmw::{RmwConfig, RmwStore};
+use flowkv::{FlowKvConfig, FlowKvStore};
 use flowkv_common::backend::{
     AggregateKind, AggregateUpdate, OperatorContext, OperatorSemantics, StateBackend, WindowKind,
 };
@@ -26,6 +34,9 @@ use flowkv_common::metrics::StoreMetrics;
 use flowkv_common::scratch::ScratchDir;
 use flowkv_common::types::WindowId;
 use flowkv_common::vfs::{FaultVfs, StdVfs};
+use flowkv_hashkv::{HashBackend, HashDbConfig};
+use flowkv_lsm::{DbConfig, LsmBackend};
+use flowkv_spe::memstore::InMemoryBackend;
 use flowkv_spe::{BackendChoice, FactoryOptions};
 use proptest::prelude::*;
 
@@ -98,6 +109,24 @@ fn agg_ops() -> impl Strategy<Value = Vec<AggOp>> {
     )
 }
 
+/// What a drain-model case does before it drains every window.
+#[derive(Clone, Debug)]
+enum FillOp {
+    Append { k: u8, w: u8, value: Vec<u8> },
+    Flush,
+}
+
+fn fill_ops() -> impl Strategy<Value = Vec<FillOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            8 => (0u8..16, 0u8..4, prop::collection::vec(any::<u8>(), 0..24))
+                .prop_map(|(k, w, value)| FillOp::Append { k, w, value }),
+            1 => Just(FillOp::Flush),
+        ],
+        1..160,
+    )
+}
+
 fn make_store(choice: &BackendChoice, semantics: OperatorSemantics) -> Box<dyn StateBackend> {
     let dir = ScratchDir::new(&format!("model-{}", choice.name())).unwrap();
     let ctx = OperatorContext {
@@ -146,6 +175,94 @@ fn check_append_model(choice: &BackendChoice, ops: &[AppendOp]) -> Result<(), Te
             "backend {} final ({},{})",
             choice.name(),
             k,
+            w
+        );
+    }
+    store.close().unwrap();
+    Ok(())
+}
+
+/// Opens backend `which` (the order of `BackendChoice::all_small_for_tests`)
+/// for an AAR operator over fixed windows, draining `chunk` entries a step.
+fn drain_store(which: usize, dir: &Path, chunk: usize) -> Box<dyn StateBackend> {
+    let vfs = StdVfs::shared();
+    match which {
+        0 => Box::new(InMemoryBackend::new(64 << 20, chunk, vfs)),
+        1 => {
+            let semantics =
+                OperatorSemantics::new(AggregateKind::FullList, WindowKind::Fixed { size: 100 });
+            let cfg = FlowKvConfig {
+                chunk_entries: chunk,
+                ..FlowKvConfig::small_for_tests()
+            };
+            Box::new(FlowKvStore::open(dir, semantics, cfg, vfs).unwrap())
+        }
+        2 => Box::new(LsmBackend::open(dir, DbConfig::small_for_tests(), chunk, vfs).unwrap()),
+        _ => Box::new(HashBackend::open(dir, HashDbConfig::small_for_tests(), chunk, vfs).unwrap()),
+    }
+}
+
+/// Fills backend `which` by `ops`, then drains window 0 to 3, each to its
+/// end, a step at a time — lent (`drain_window_chunk`) where `lent` says
+/// so, owned (`get_window_chunk`) elsewhere — and holds each window's
+/// values per key, joined across steps, to the model.
+fn check_drain_model(
+    which: usize,
+    ops: &[FillOp],
+    chunk: usize,
+    lent: &[bool],
+) -> Result<(), TestCaseError> {
+    let dir = ScratchDir::new(&format!("drain-model-{which}")).unwrap();
+    let mut store = drain_store(which, dir.path(), chunk);
+    let mut model: HashMap<(u8, u8), Vec<Vec<u8>>> = HashMap::new();
+    for op in ops {
+        match op {
+            FillOp::Append { k, w, value } => {
+                store.append(&key(*k), window(*w), value, 0).unwrap();
+                model.entry((*k, *w)).or_default().push(value.clone());
+            }
+            FillOp::Flush => store.flush().unwrap(),
+        }
+    }
+    let mut steps = 0;
+    for w in 0..4u8 {
+        let mut got: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
+        loop {
+            let more = if lent[steps % lent.len()] {
+                let mut sink =
+                    |k: &[u8], v: &[u8]| got.entry(k.to_vec()).or_default().push(v.to_vec());
+                store.drain_window_chunk(window(w), &mut sink).unwrap()
+            } else {
+                let chunk = store.get_window_chunk(window(w)).unwrap();
+                let more = chunk.is_some();
+                for (k, values) in chunk.into_iter().flatten() {
+                    got.entry(k).or_default().extend(values);
+                }
+                more
+            };
+            steps += 1;
+            if !more {
+                break;
+            }
+        }
+        let expect: HashMap<Vec<u8>, Vec<Vec<u8>>> = model
+            .iter()
+            .filter(|((_, mw), _)| *mw == w)
+            .map(|((k, _), values)| (key(*k), values.clone()))
+            .collect();
+        prop_assert_eq!(
+            got,
+            expect,
+            "backend {} window {} chunk {}",
+            which,
+            w,
+            chunk
+        );
+        let again = store.get_window_chunk(window(w)).unwrap();
+        prop_assert!(
+            again.is_none(),
+            "backend {} window {} drained twice",
+            which,
             w
         );
     }
@@ -487,6 +604,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
+    fn inmemory_append_matches_model(ops in append_ops()) {
+        check_append_model(&BackendChoice::all_small_for_tests()[0], &ops)?;
+    }
+
+    #[test]
     fn flowkv_append_matches_model(ops in append_ops()) {
         check_append_model(&BackendChoice::all_small_for_tests()[1], &ops)?;
     }
@@ -499,6 +621,42 @@ proptest! {
     #[test]
     fn hashkv_append_matches_model(ops in append_ops()) {
         check_append_model(&BackendChoice::all_small_for_tests()[3], &ops)?;
+    }
+
+    #[test]
+    fn inmemory_drain_matches_model(
+        ops in fill_ops(),
+        chunk in prop_oneof![Just(1usize), Just(2), Just(5)],
+        lent in prop::collection::vec(any::<bool>(), 1..8),
+    ) {
+        check_drain_model(0, &ops, chunk, &lent)?;
+    }
+
+    #[test]
+    fn flowkv_drain_matches_model(
+        ops in fill_ops(),
+        chunk in prop_oneof![Just(1usize), Just(2), Just(5)],
+        lent in prop::collection::vec(any::<bool>(), 1..8),
+    ) {
+        check_drain_model(1, &ops, chunk, &lent)?;
+    }
+
+    #[test]
+    fn lsm_drain_matches_model(
+        ops in fill_ops(),
+        chunk in prop_oneof![Just(1usize), Just(2), Just(5)],
+        lent in prop::collection::vec(any::<bool>(), 1..8),
+    ) {
+        check_drain_model(2, &ops, chunk, &lent)?;
+    }
+
+    #[test]
+    fn hashkv_drain_matches_model(
+        ops in fill_ops(),
+        chunk in prop_oneof![Just(1usize), Just(2), Just(5)],
+        lent in prop::collection::vec(any::<bool>(), 1..8),
+    ) {
+        check_drain_model(3, &ops, chunk, &lent)?;
     }
 
     #[test]

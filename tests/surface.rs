@@ -124,12 +124,12 @@ fn pub_fns_per_crate() {
     let pinned = [
         ("bench", 15),
         ("common", 237),
-        ("core", 111),
+        ("core", 109),
         ("hashkv", 48),
         ("lsm", 83),
         ("nexmark", 19),
         ("serve", 29),
-        ("spe", 51),
+        ("spe", 50),
     ];
     let pinned = pinned.map(|(name, n)| (name.to_string(), n));
     assert_eq!(counts, BTreeMap::from(pinned));
@@ -153,28 +153,77 @@ fn pub_fns_per_crate() {
 fn std_vfs_in_library_code() {
     const CALL: &str = "StdVfs::shared";
     let mut sites = Vec::new();
+    for (file, n, line) in library_lines() {
+        let src = file.ancestors().find(|dir| dir.ends_with("src")).unwrap();
+        if file.ends_with("vfs.rs") || file.starts_with(src.join("bin")) {
+            continue;
+        }
+        let at = file.strip_prefix(root()).unwrap().display();
+        sites.extend(line.matches(CALL).map(|_| format!("{at}:{n}")));
+    }
+    assert_eq!(sites.len(), 5, "{sites:#?}");
+}
+
+/// Library code: every line of every first-party crate's `src/` above
+/// the unindented line that opens its `mod tests` (`mod tests {` or
+/// `pub(crate) mod tests {`), comment lines (`//`, `///`, `//!`) left
+/// out and the shims with them, as `(file, line number, line)`.
+fn library_lines() -> Vec<(PathBuf, usize, String)> {
+    let mut lines = Vec::new();
     for dir in fs::read_dir(root().join("crates")).unwrap() {
         let dir = dir.unwrap().path();
         if dir.ends_with("shims") {
             continue;
         }
-        let src = dir.join("src");
-        for file in rust_files(&src) {
-            if file.ends_with("vfs.rs") || file.starts_with(src.join("bin")) {
-                continue;
-            }
+        for file in rust_files(&dir.join("src")) {
             let text = read(&file);
             let tests_mod = |line: &str| line.ends_with("mod tests {") && !line.starts_with(' ');
-            let lines = text.lines().enumerate();
-            for (n, line) in lines.take_while(|(_, line)| !tests_mod(line)) {
-                if !line.trim_start().starts_with("//") {
-                    let at = file.strip_prefix(root()).unwrap().display();
-                    sites.extend(line.matches(CALL).map(|_| format!("{at}:{}", n + 1)));
-                }
+            let code = text
+                .lines()
+                .enumerate()
+                .take_while(|(_, line)| !tests_mod(line));
+            for (n, line) in code.filter(|(_, line)| !line.trim_start().starts_with("//")) {
+                lines.push((file.clone(), n + 1, line.to_owned()));
             }
         }
     }
-    assert_eq!(sites.len(), 5, "{sites:#?}");
+    lines
+}
+
+/// The access pattern is decided in one place: in library code only
+/// `crates/common/src/backend.rs`, where `OperatorSemantics::pattern`
+/// combines the aggregate kind with the window kind's alignment, asks a
+/// window kind `.is_aligned()`, and the one enum named `…Pattern` is its
+/// `Pattern`. A layer that needs the pattern reads that answer.
+#[test]
+fn one_access_pattern_classification() {
+    let defining = root().join("crates/common/src/backend.rs");
+    let (mut aligned, mut enums) = (Vec::new(), Vec::new());
+    for (file, n, line) in library_lines() {
+        let at = format!("{}:{n}", file.strip_prefix(root()).unwrap().display());
+        if line.contains(".is_aligned()") && file != defining {
+            aligned.push(at.clone());
+        }
+        let item = line
+            .trim_start()
+            .trim_start_matches("pub ")
+            .trim_start_matches("pub(crate) ");
+        let name = item
+            .strip_prefix("enum ")
+            .map(|rest| rest.split([' ', '<', '{']).next().unwrap());
+        if name.is_some_and(|name| name.ends_with("Pattern")) {
+            enums.push(format!("{at} {}", name.unwrap()));
+        }
+    }
+    assert!(
+        aligned.is_empty(),
+        "alignment asked outside backend.rs: {aligned:#?}"
+    );
+    assert_eq!(enums.len(), 1, "{enums:#?}");
+    assert!(
+        enums[0].starts_with("crates/common/src/backend.rs:"),
+        "{enums:#?}"
+    );
 }
 
 /// The names of the tests a test target declares: each `fn` after a

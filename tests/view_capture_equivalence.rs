@@ -38,7 +38,8 @@ use std::sync::Arc;
 use flowkv::tier::TierConfig;
 use flowkv::FlowKvConfig;
 use flowkv_common::backend::{
-    AggregateKind, OperatorContext, OperatorSemantics, StateBackend, StateEntry, WindowKind,
+    AggregateKind, OperatorContext, OperatorSemantics, Pattern, StateBackend, StateEntry,
+    WindowKind,
 };
 use flowkv_common::registry::{capture, StateView, ViewValue};
 use flowkv_common::scratch::ScratchDir;
@@ -52,27 +53,16 @@ use rand::{Rng, SeedableRng};
 
 type Entries = BTreeMap<(Vec<u8>, WindowId), ViewValue>;
 
-#[derive(Clone, Copy, Debug)]
-enum Pattern {
-    Aar,
-    Aur,
-    Rmw,
-}
-
-impl Pattern {
-    fn semantics(self) -> OperatorSemantics {
-        match self {
-            Pattern::Aar => {
-                OperatorSemantics::new(AggregateKind::FullList, WindowKind::Fixed { size: 100 })
-            }
-            Pattern::Aur => {
-                OperatorSemantics::new(AggregateKind::FullList, WindowKind::Session { gap: 50 })
-            }
-            Pattern::Rmw => {
-                OperatorSemantics::new(AggregateKind::Incremental, WindowKind::Fixed { size: 100 })
-            }
-        }
-    }
+/// Semantics the FlowKV store under test classifies as `pattern`.
+fn semantics(pattern: Pattern) -> OperatorSemantics {
+    let (aggregate, window) = match pattern {
+        Pattern::Aar => (AggregateKind::FullList, WindowKind::Fixed { size: 100 }),
+        Pattern::Aur => (AggregateKind::FullList, WindowKind::Session { gap: 50 }),
+        Pattern::Rmw => (AggregateKind::Incremental, WindowKind::Fixed { size: 100 }),
+    };
+    let semantics = OperatorSemantics::new(aggregate, window);
+    assert_eq!(semantics.pattern(), pattern);
+    semantics
 }
 
 /// One store under test behind the capture adaptor, a bare twin of it
@@ -134,7 +124,7 @@ fn flowkv(pattern: Pattern, tiered: bool, name: &str, dir: &ScratchDir) -> Box<d
         .create(&OperatorContext {
             operator: name.to_string(),
             partition: 0,
-            semantics: pattern.semantics(),
+            semantics: semantics(pattern),
             data_dir: dir.path().to_path_buf(),
             telemetry: None,
             io: None,
