@@ -40,6 +40,8 @@
 pub(crate) mod record;
 mod table;
 
+pub use record::ValueRun;
+
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -58,7 +60,7 @@ use flowkv_common::vfs::Vfs;
 use crate::aar::push_view_value;
 use crate::ett::{EttObservation, EttPredictor};
 use crate::genlog::GenLog;
-use record::{read_header, ValueRun};
+use record::read_header;
 use table::{DiskRecord, LiveTable, Pick};
 
 /// Identifies one window of one key.

@@ -40,6 +40,8 @@ pub(crate) fn read_header<'a>(dec: &mut Decoder<'a>) -> Result<(&'a [u8], Window
 /// from its disk records — in data-record form: each length-prefixed,
 /// back to back, so an append copies into one growing allocation and a
 /// flush writes the run (and extends a prefetched one) as it stands.
+/// The in-memory backend (`flowkv_spe::memstore`) holds each pair's
+/// list as one too.
 #[derive(Debug, Default)]
 pub struct ValueRun {
     count: u64,

@@ -62,7 +62,7 @@ mod genlog;
 pub mod partition;
 pub mod rmw;
 pub mod store;
-pub(crate) mod table;
+pub mod table;
 #[cfg(test)]
 #[path = "../tests/common/mod.rs"]
 pub(crate) mod test_common;

@@ -186,7 +186,7 @@ impl RmwStore {
 
     /// Flushes dirty aggregates to the value log.
     pub fn flush(&mut self) -> Result<()> {
-        if self.buffer.len() == 0 {
+        if self.buffer.is_empty() {
             return Ok(());
         }
         let _t = self.metrics.timer(OpCategory::Write);
@@ -227,7 +227,7 @@ impl RmwStore {
         &mut self,
         out: &mut BTreeMap<(Vec<u8>, WindowId), ViewValue>,
     ) -> Result<()> {
-        if self.index.len() > 0 {
+        if !self.index.is_empty() {
             self.log.scan(|loc, payload| {
                 let mut dec = Decoder::new(payload);
                 let (key, window) = split_composite(dec.get_len_prefixed()?)?;

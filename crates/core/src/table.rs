@@ -1,4 +1,5 @@
-//! The per-key table the AUR and RMW stores keep their memory side in:
+//! The per-key table the AUR and RMW stores keep their memory side in,
+//! and the in-memory backend (`flowkv_spe::memstore`) all its state:
 //! state is addressed by `(key, window)` and probed with the borrowed
 //! pair, so a lookup hashes the key once and builds nothing.
 
@@ -88,6 +89,11 @@ impl<T> WindowMap<T> {
     /// Number of windows over all keys.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Whether no key holds a window.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// Iterates `(key, window, entry)` triples.

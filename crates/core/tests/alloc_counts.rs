@@ -10,7 +10,10 @@
 //! allocating and the operator's session trigger allocates per fire,
 //! where the owned take allocates per value. And of a whole job: a
 //! micro-batch crosses the exchange as one arena, so the threads between
-//! the source and the store allocate per batch, not per tuple.
+//! the source and the store allocate per batch, not per tuple. And of the
+//! in-memory backend: a pair's values are one byte run, so filling a
+//! pair and draining or taking it allocates per doubling of the run,
+//! never per value.
 //!
 //! The counter is per thread (the stores under test run no thread of
 //! their own), so the tests of this binary do not see each other; the
@@ -217,6 +220,42 @@ fn a_tier_demote_then_drain_cycle_allocates_per_block_not_per_pair() {
         (allocations, KEYS * per_key)
     };
     assert_not_per_pair("tier cycle", counted(8), counted(32));
+}
+
+/// Allocations of a fresh in-memory store appending `values` 8-byte
+/// values to one pair and handing them all back, by drain steps or by a
+/// borrowed take.
+fn in_memory_cycle(values: u64, drain: bool) -> u64 {
+    use flowkv_spe::memstore::InMemoryBackend;
+    let mut store = InMemoryBackend::new(usize::MAX, 64, StdVfs::shared());
+    let (allocations, lent) = allocations_of(|| {
+        for i in 0..values {
+            store.append(b"key", WINDOW, &i.to_le_bytes(), 0).unwrap();
+        }
+        let mut lent = 0;
+        if drain {
+            let mut sink = |_: &[u8], _: &[u8]| lent += 1;
+            while store.drain_window_chunk(WINDOW, &mut sink).unwrap() {}
+        } else {
+            let taken = store.take_values_with(b"key", WINDOW, &mut |_| lent += 1);
+            assert_eq!(taken.unwrap() as u64, values);
+        }
+        lent
+    });
+    assert_eq!((lent, store.memory_bytes()), (values, 0));
+    allocations
+}
+
+#[test]
+fn an_in_memory_pair_allocates_per_pair_not_per_value() {
+    for drain in [true, false] {
+        let (few, many) = (in_memory_cycle(16, drain), in_memory_cycle(1_024, drain));
+        // 64 times the values is six more doublings of the pair's run.
+        assert!(
+            many <= few + 8 && many < 64,
+            "drain {drain}: {few} allocations for 16 values, {many} for 1 024"
+        );
+    }
 }
 
 /// `calls` read-modify-writes of a little-endian counter, round robin

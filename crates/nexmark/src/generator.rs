@@ -136,6 +136,9 @@ impl EventGenerator {
             )
         });
         let mut seq: u64 = 0;
+        // Each event is encoded into one reused buffer and copied out at
+        // its exact length.
+        let mut scratch = Vec::new();
         self.map(move |event| {
             let ts = event.timestamp();
             if let Some((people, auctions, bids, event_time)) = &probe {
@@ -146,7 +149,9 @@ impl EventGenerator {
                 }
                 event_time.set(ts);
             }
-            let t = Tuple::new(seq.to_le_bytes().to_vec(), event.encode(), ts);
+            scratch.clear();
+            event.encode_into(&mut scratch);
+            let t = Tuple::new(seq.to_le_bytes().to_vec(), scratch.to_vec(), ts);
             seq += 1;
             t
         })
@@ -229,6 +234,14 @@ impl Iterator for EventGenerator {
                 date_time: ts,
             })
         })
+    }
+
+    /// Exact: the events left to generate.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match usize::try_from(self.cfg.num_events - self.next) {
+            Ok(left) => (left, Some(left)),
+            Err(_) => (usize::MAX, None),
+        }
     }
 }
 

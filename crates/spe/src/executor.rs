@@ -535,6 +535,8 @@ fn barrier_instant(rec: &SpanRecorder, name: &'static str, seq: &mut u64) {
 fn run_sink(run: RunShared<'_>, n: usize, rx: Receiver<Envelope>) -> SinkReport {
     let RunShared { options, ctx, .. } = run;
     let collect = options.collect_outputs;
+    // Only a run that checkpoints has outputs to split at its barrier.
+    let collect_pre = collect && options.checkpoint_after_tuples.is_some();
     // The latency histogram lives in the registry when telemetry is on
     // (so snapshots and Prometheus scrapes see it live), standalone
     // otherwise; either way the sink never buffers raw samples.
@@ -602,7 +604,7 @@ fn run_sink(run: RunShared<'_>, n: usize, rx: Receiver<Envelope>) -> SinkReport 
                     // checkpoint split under batching.
                     if !barrier_from[env.sender] {
                         report.salvage.pre_count += 1;
-                        if collect {
+                        if collect_pre {
                             report.salvage.outputs_pre.push(tuple.to_tuple());
                         }
                     }
@@ -1488,6 +1490,32 @@ mod tests {
                 Some(want) => assert_eq!(&got, want, "batch_size {batch_size} diverged"),
             }
         }
+    }
+
+    #[test]
+    fn a_collecting_run_without_a_checkpoint_keeps_no_pre_checkpoint_copy() {
+        let job = count_job(2);
+        let run = |checkpoint: bool| {
+            let dir = ScratchDir::new("exec-no-split").unwrap();
+            let ckpt = ScratchDir::new("exec-no-split-ckpt").unwrap();
+            let mut opts = RunOptions::new(dir.path());
+            opts.collect_outputs = true;
+            opts.watermark_interval = 50;
+            if checkpoint {
+                opts.checkpoint_after_tuples = Some(2_500);
+                opts.checkpoint_dir = Some(ckpt.path().to_path_buf());
+            }
+            let backend = BackendChoice::all_small_for_tests()[0].build(FactoryOptions::new());
+            let result = run_job(&job, tuples(5_000, 10).into_iter(), backend, &opts).unwrap();
+            let mut outputs: Vec<_> = (result.outputs.iter())
+                .map(|t| (t.key.clone(), t.value.clone(), t.timestamp))
+                .collect();
+            outputs.sort();
+            (outputs, result.outputs_pre_checkpoint.len())
+        };
+        let (split, pre) = run(true);
+        assert!(pre > 0, "the checkpointed run split nothing off");
+        assert_eq!(run(false), (split, 0));
     }
 
     fn env(sender: usize, msg: Msg) -> Envelope {

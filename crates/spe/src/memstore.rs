@@ -6,14 +6,28 @@
 //! GC pressure at large heaps). This store reproduces the failure mode
 //! honestly: a hard byte budget, checked on every write, producing
 //! [`StoreError::OutOfMemory`] when exceeded.
+//!
+//! State lives in two [`WindowMap`]s probed with the borrowed
+//! `(key, window)`: a pair's appended values are one [`ValueRun`] —
+//! length-prefixed, end to end in one growing allocation — that a drain
+//! step or a borrowed take lends slices of, and an aggregate is one
+//! buffer an update edits in place. A key is indexed under its window
+//! (for the drain) only when its pair is new.
+//!
+//! What the budget counts is a model of a heap layout, not `size_of` of
+//! what the store holds: a pair costs its key plus 48 bytes, each value
+//! its bytes plus 24, an aggregate its key and bytes plus 64. A take or
+//! a drain step releases a pair's key and overhead whether or not the
+//! pair was held.
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
+use flowkv::aur::ValueRun;
+use flowkv::table::WindowMap;
 use flowkv_common::backend::{
-    AggregateKind, AggregateUpdate, KeyFilter, OperatorContext, StateBackend, StateBackendFactory,
-    StateEntry, WindowChunk, WindowKeys,
+    collect_chunk, AggregateKind, AggregateUpdate, KeyFilter, OperatorContext, PairSink,
+    StateBackend, StateBackendFactory, StateEntry, ValueSink, WindowChunk, WindowKeys,
 };
 use flowkv_common::codec::{put_len_prefixed, put_varint_u64, Decoder};
 use flowkv_common::error::{Result, StoreError};
@@ -22,14 +36,57 @@ use flowkv_common::metrics::{OpCategory, RecordTimer, StoreMetrics};
 use flowkv_common::types::{Timestamp, WindowId};
 use flowkv_common::vfs::Vfs;
 
-type StateKey = (Vec<u8>, WindowId);
+/// What a pair costs the budget beside its key and values.
+const PAIR_OVERHEAD: usize = 48;
+/// What a value costs the budget beside its bytes.
+const VALUE_OVERHEAD: usize = 24;
+/// What an aggregate costs the budget beside its key and bytes.
+const AGGREGATE_OVERHEAD: usize = 64;
+
+/// The byte budget and the model bytes charged against it.
+struct Budget {
+    limit: usize,
+    used: usize,
+}
+
+impl Budget {
+    /// Charges `bytes`; past the limit the charge stays and the write
+    /// fails.
+    fn charge(&mut self, bytes: usize) -> Result<()> {
+        self.used += bytes;
+        if self.used > self.limit {
+            return Err(StoreError::OutOfMemory {
+                requested: self.used,
+                budget: self.limit,
+            });
+        }
+        Ok(())
+    }
+
+    fn release(&mut self, bytes: usize) {
+        self.used = self.used.saturating_sub(bytes);
+    }
+}
+
+/// One pair's appended values and the value bytes they charged.
+#[derive(Default)]
+struct List {
+    values: ValueRun,
+    charged: usize,
+}
+
+impl List {
+    fn push(&mut self, value: &[u8]) {
+        self.values.push(value);
+        self.charged += value.len() + VALUE_OVERHEAD;
+    }
+}
 
 /// An in-memory window-state backend with a hard byte budget.
 pub struct InMemoryBackend {
-    budget: usize,
-    used: usize,
-    lists: HashMap<StateKey, Vec<Vec<u8>>>,
-    aggregates: HashMap<StateKey, Vec<u8>>,
+    budget: Budget,
+    lists: WindowMap<List>,
+    aggregates: WindowMap<Vec<u8>>,
     window_keys: WindowKeys,
     chunk_entries: usize,
     metrics: Arc<StoreMetrics>,
@@ -44,10 +101,12 @@ impl InMemoryBackend {
     /// checkpoint files go through `vfs`.
     pub fn new(budget: usize, chunk_entries: usize, vfs: Arc<dyn Vfs>) -> Self {
         InMemoryBackend {
-            budget,
-            used: 0,
-            lists: HashMap::new(),
-            aggregates: HashMap::new(),
+            budget: Budget {
+                limit: budget,
+                used: 0,
+            },
+            lists: WindowMap::default(),
+            aggregates: WindowMap::default(),
             window_keys: WindowKeys::default(),
             chunk_entries: chunk_entries.max(1),
             metrics: StoreMetrics::new_shared(),
@@ -56,97 +115,111 @@ impl InMemoryBackend {
         }
     }
 
-    fn charge(&mut self, bytes: usize) -> Result<()> {
-        self.used += bytes;
-        if self.used > self.budget {
-            return Err(StoreError::OutOfMemory {
-                requested: self.used,
-                budget: self.budget,
-            });
-        }
-        Ok(())
+    /// Removes `(key, window)`'s list, releasing its charge — the key and
+    /// the pair's overhead even when the pair holds nothing.
+    fn remove_list(&mut self, key: &[u8], window: WindowId) -> Option<List> {
+        let list = self.lists.remove(key, window);
+        let (charged, count) = (list.as_ref()).map_or((0, 0), |l| (l.charged, l.values.count()));
+        self.budget.release(key.len() + PAIR_OVERHEAD + charged);
+        self.metrics.add_records_read(count);
+        list
     }
 
-    fn release(&mut self, bytes: usize) {
-        self.used = self.used.saturating_sub(bytes);
-    }
-
-    fn list_cost(key: &StateKey, values: &[Vec<u8>]) -> usize {
-        key.0.len() + 48 + values.iter().map(|v| v.len() + 24).sum::<usize>()
+    fn clear(&mut self) {
+        self.lists.clear();
+        self.aggregates.clear();
+        self.window_keys = WindowKeys::default();
+        self.budget.used = 0;
     }
 }
 
 impl StateBackend for InMemoryBackend {
     fn append(&mut self, key: &[u8], window: WindowId, value: &[u8], _ts: Timestamp) -> Result<()> {
         let _t = self.write_timer.start(&self.metrics, OpCategory::Write);
-        let state_key = (key.to_vec(), window);
-        if !self.lists.contains_key(&state_key) {
-            // First value of the pair: account the key overhead too.
-            self.charge(key.len() + 48)?;
+        match self.lists.get_mut(key, window) {
+            Some(list) => {
+                self.budget.charge(value.len() + VALUE_OVERHEAD)?;
+                list.push(value);
+            }
+            None => {
+                self.budget.charge(key.len() + PAIR_OVERHEAD)?;
+                self.budget.charge(value.len() + VALUE_OVERHEAD)?;
+                let mut list = List::default();
+                list.push(value);
+                self.lists.insert(key, window, list);
+                self.window_keys.insert(key, window);
+            }
         }
-        self.charge(value.len() + 24)?;
-        self.lists
-            .entry(state_key)
-            .or_default()
-            .push(value.to_vec());
-        self.window_keys.insert(key, window);
         self.metrics.add_records_written(1);
         Ok(())
     }
 
     fn get_window_chunk(&mut self, window: WindowId) -> Result<Option<WindowChunk>> {
+        collect_chunk(|sink| self.drain_window_chunk(window, sink))
+    }
+
+    fn drain_window_chunk(&mut self, window: WindowId, sink: PairSink<'_>) -> Result<bool> {
         let _t = self.metrics.timer(OpCategory::Read);
         let Some(keys) = self.window_keys.next_chunk(window, self.chunk_entries) else {
-            return Ok(None);
+            return Ok(false);
         };
-        let mut chunk: WindowChunk = Vec::with_capacity(keys.len());
         for key in keys {
-            let state_key = (key, window);
-            let values = self.lists.remove(&state_key).unwrap_or_default();
-            self.release(Self::list_cost(&state_key, &values));
-            self.metrics.add_records_read(values.len() as u64);
-            chunk.push((state_key.0, values));
+            if let Some(list) = self.remove_list(&key, window) {
+                list.values.lend(&mut |value| sink(&key, value))?;
+            }
         }
-        Ok(Some(chunk))
+        Ok(true)
     }
 
     fn take_values(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {
-        let _t = self.metrics.timer(OpCategory::Read);
-        let state_key = (key.to_vec(), window);
-        let values = self.lists.remove(&state_key).unwrap_or_default();
-        self.release(Self::list_cost(&state_key, &values));
-        self.window_keys.remove(key, window);
-        self.metrics.add_records_read(values.len() as u64);
+        let mut values = Vec::new();
+        self.take_values_with(key, window, &mut |value| values.push(value.to_vec()))?;
         Ok(values)
+    }
+
+    fn take_values_with(
+        &mut self,
+        key: &[u8],
+        window: WindowId,
+        sink: ValueSink<'_>,
+    ) -> Result<usize> {
+        let _t = self.metrics.timer(OpCategory::Read);
+        self.window_keys.remove(key, window);
+        let Some(list) = self.remove_list(key, window) else {
+            return Ok(0);
+        };
+        list.values.lend(sink)?;
+        Ok(list.values.count() as usize)
     }
 
     fn peek_values(&mut self, key: &[u8], window: WindowId) -> Result<Vec<Vec<u8>>> {
         let _t = self.metrics.timer(OpCategory::Read);
-        let state_key = (key.to_vec(), window);
-        let values = self.lists.get(&state_key).cloned().unwrap_or_default();
+        let mut values = Vec::new();
+        if let Some(list) = self.lists.get(key, window) {
+            list.values.decode_into(&mut values)?;
+        }
         self.metrics.add_records_read(values.len() as u64);
         Ok(values)
     }
 
     fn take_aggregate(&mut self, key: &[u8], window: WindowId) -> Result<Option<Vec<u8>>> {
         let _t = self.metrics.timer(OpCategory::Read);
-        let state_key = (key.to_vec(), window);
-        match self.aggregates.remove(&state_key) {
-            Some(v) => {
-                self.release(key.len() + v.len() + 64);
-                self.metrics.add_records_read(1);
-                Ok(Some(v))
-            }
-            None => Ok(None),
+        let taken = self.aggregates.remove(key, window);
+        if let Some(v) = &taken {
+            self.budget
+                .release(key.len() + v.len() + AGGREGATE_OVERHEAD);
+            self.metrics.add_records_read(1);
         }
+        Ok(taken)
     }
 
     fn put_aggregate(&mut self, key: &[u8], window: WindowId, aggregate: &[u8]) -> Result<()> {
         let _t = self.write_timer.start(&self.metrics, OpCategory::Write);
-        let state_key = (key.to_vec(), window);
-        self.charge(key.len() + aggregate.len() + 64)?;
-        if let Some(old) = self.aggregates.insert(state_key, aggregate.to_vec()) {
-            self.release(key.len() + old.len() + 64);
+        self.budget
+            .charge(key.len() + aggregate.len() + AGGREGATE_OVERHEAD)?;
+        if let Some(old) = self.aggregates.insert(key, window, aggregate.to_vec()) {
+            self.budget
+                .release(key.len() + old.len() + AGGREGATE_OVERHEAD);
         }
         self.metrics.add_records_written(1);
         Ok(())
@@ -159,23 +232,24 @@ impl StateBackend for InMemoryBackend {
         update: AggregateUpdate<'_>,
     ) -> Result<()> {
         let _t = self.write_timer.start(&self.metrics, OpCategory::Write);
-        let mut held = true;
-        let aggregate = self
-            .aggregates
-            .entry((key.to_vec(), window))
-            .or_insert_with(|| {
-                held = false;
-                Vec::new()
-            });
-        let before = aggregate.len();
-        update(aggregate, held);
-        let after = aggregate.len();
         // Charged as the take and the put it stands for.
-        if held {
-            self.release(key.len() + before + 64);
-            self.metrics.add_records_read(1);
-        }
-        self.charge(key.len() + after + 64)?;
+        let after = match self.aggregates.get_mut(key, window) {
+            Some(aggregate) => {
+                let before = aggregate.len();
+                update(aggregate, true);
+                self.budget.release(key.len() + before + AGGREGATE_OVERHEAD);
+                self.metrics.add_records_read(1);
+                aggregate.len()
+            }
+            None => {
+                let mut aggregate = Vec::new();
+                update(&mut aggregate, false);
+                let after = aggregate.len();
+                self.aggregates.insert(key, window, aggregate);
+                after
+            }
+        };
+        self.budget.charge(key.len() + after + AGGREGATE_OVERHEAD)?;
         self.metrics.add_records_written(1);
         Ok(())
     }
@@ -190,20 +264,22 @@ impl StateBackend for InMemoryBackend {
         _kind: AggregateKind,
     ) -> Result<Vec<StateEntry>> {
         let mut entries = Vec::new();
-        for ((key, window), values) in &self.lists {
+        for (key, window, list) in self.lists.iter() {
             if in_range(key) {
+                let mut values = Vec::new();
+                list.values.decode_into(&mut values)?;
                 entries.push(StateEntry::Values {
-                    key: key.clone(),
-                    window: *window,
-                    values: values.clone(),
+                    key: key.to_vec(),
+                    window,
+                    values,
                 });
             }
         }
-        for ((key, window), value) in &self.aggregates {
+        for (key, window, value) in self.aggregates.iter() {
             if in_range(key) {
                 entries.push(StateEntry::Aggregate {
-                    key: key.clone(),
-                    window: *window,
+                    key: key.to_vec(),
+                    window,
                     value: value.clone(),
                 });
             }
@@ -216,7 +292,7 @@ impl StateBackend for InMemoryBackend {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.used
+        self.budget.used
     }
 
     fn checkpoint(&mut self, dir: &Path) -> Result<()> {
@@ -224,18 +300,19 @@ impl StateBackend for InMemoryBackend {
             .create_dir_all(dir)
             .map_err(|e| StoreError::io_at("mem checkpoint dir", dir, e))?;
         let mut w = LogWriter::create_in(&self.vfs, dir.join("mem.ckpt"))?;
-        for ((key, window), values) in &self.lists {
-            let mut buf = vec![0u8];
+        let mut buf = Vec::new();
+        for (key, window, list) in self.lists.iter() {
+            buf.clear();
+            buf.push(0);
             put_len_prefixed(&mut buf, key);
             window.encode_to(&mut buf);
-            put_varint_u64(&mut buf, values.len() as u64);
-            for v in values {
-                put_len_prefixed(&mut buf, v);
-            }
+            put_varint_u64(&mut buf, list.values.count());
+            list.values.lend(&mut |v| put_len_prefixed(&mut buf, v))?;
             w.append(&buf)?;
         }
-        for ((key, window), agg) in &self.aggregates {
-            let mut buf = vec![1u8];
+        for (key, window, agg) in self.aggregates.iter() {
+            buf.clear();
+            buf.push(1);
             put_len_prefixed(&mut buf, key);
             window.encode_to(&mut buf);
             put_len_prefixed(&mut buf, agg);
@@ -245,34 +322,34 @@ impl StateBackend for InMemoryBackend {
     }
 
     fn restore(&mut self, dir: &Path) -> Result<()> {
-        self.lists.clear();
-        self.aggregates.clear();
-        self.window_keys = WindowKeys::default();
-        self.used = 0;
+        self.clear();
         let mut r = LogReader::open_in(&self.vfs, dir.join("mem.ckpt"))?;
         while let Some((_, payload)) = r.next_record()? {
             let mut dec = Decoder::new(&payload);
             let tag = dec.take(1, "mem tag")?[0];
-            let key = dec.get_len_prefixed()?.to_vec();
+            let key = dec.get_len_prefixed()?;
             let window = WindowId::decode_from(&mut dec)?;
             match tag {
                 0 => {
                     let n = dec.get_varint_u64()? as usize;
-                    let mut values = Vec::with_capacity(n);
+                    let mut values = Vec::with_capacity(n.min(4096));
                     for _ in 0..n {
-                        values.push(dec.get_len_prefixed()?.to_vec());
+                        values.push(dec.get_len_prefixed()?);
                     }
                     for v in &values {
-                        self.charge(v.len() + 24)?;
+                        self.budget.charge(v.len() + VALUE_OVERHEAD)?;
                     }
-                    self.charge(key.len() + 48)?;
-                    self.window_keys.insert(&key, window);
-                    self.lists.insert((key, window), values);
+                    self.budget.charge(key.len() + PAIR_OVERHEAD)?;
+                    let mut list = List::default();
+                    values.into_iter().for_each(|v| list.push(v));
+                    self.window_keys.insert(key, window);
+                    self.lists.insert(key, window, list);
                 }
                 1 => {
-                    let agg = dec.get_len_prefixed()?.to_vec();
-                    self.charge(key.len() + agg.len() + 64)?;
-                    self.aggregates.insert((key, window), agg);
+                    let agg = dec.get_len_prefixed()?;
+                    self.budget
+                        .charge(key.len() + agg.len() + AGGREGATE_OVERHEAD)?;
+                    self.aggregates.insert(key, window, agg.to_vec());
                 }
                 other => {
                     return Err(StoreError::invalid_state(format!(
@@ -285,10 +362,7 @@ impl StateBackend for InMemoryBackend {
     }
 
     fn close(&mut self) -> Result<()> {
-        self.lists.clear();
-        self.aggregates.clear();
-        self.window_keys = WindowKeys::default();
-        self.used = 0;
+        self.clear();
         Ok(())
     }
 }
@@ -387,6 +461,163 @@ mod tests {
             }
         }
         assert!(failed, "budget never enforced");
+    }
+
+    /// One call of the budget cell's script.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Append(usize, i64, usize),
+        Take(usize, i64),
+        TakeWith(usize, i64),
+        Put(usize, i64, usize),
+        Update(usize, i64, usize),
+        TakeAggregate(usize, i64),
+        Drain(i64),
+    }
+
+    /// A seeded script over 6 keys of 5 bytes and 3 windows, values and
+    /// aggregates of 0–39 bytes; takes of pairs that hold nothing
+    /// included, takes mid-drain not (the engine makes none).
+    fn script(seed: u64, len: usize) -> Vec<Op> {
+        let mut state = seed;
+        let mut next = |n: u64| {
+            state = flowkv_common::hash::splitmix64(state);
+            (state % n) as usize
+        };
+        (0..len)
+            .map(|_| {
+                let (op, k, w, bytes) = (next(20), next(6), next(3) as i64, next(40));
+                match op {
+                    0..=7 => Op::Append(k, w, bytes),
+                    8 => Op::Take(k, w),
+                    9 => Op::TakeWith(k, w),
+                    10..=12 => Op::Put(k, w, bytes),
+                    13..=16 => Op::Update(k, w, bytes),
+                    17 => Op::TakeAggregate(k, w),
+                    _ => Op::Drain(w),
+                }
+            })
+            .collect()
+    }
+
+    fn key(k: usize) -> Vec<u8> {
+        format!("key-{k}").into_bytes()
+    }
+
+    /// The charge model, independent of the store: a pair's key plus 48
+    /// on its first value, a value's bytes plus 24, an aggregate's key
+    /// and bytes plus 64; a take or a drain releases a pair's key plus 48
+    /// and its values whether or not it holds any, and a put charges
+    /// before it releases the aggregate it replaces. Returns, per op, the
+    /// highest `used` it checks against the budget (0 for an op that
+    /// charges nothing) and `used` after it.
+    fn model(ops: &[Op]) -> Vec<(usize, usize)> {
+        use std::collections::HashMap;
+        let mut lists: HashMap<(usize, i64), Vec<usize>> = HashMap::new();
+        let mut aggregates: HashMap<(usize, i64), usize> = HashMap::new();
+        let mut used = 0usize;
+        let release = |used: &mut usize, k: usize, values: Option<Vec<usize>>| {
+            let values: usize = values.unwrap_or_default().iter().map(|v| v + 24).sum();
+            *used = used.saturating_sub(key(k).len() + 48 + values);
+        };
+        let mut out = Vec::new();
+        for op in ops {
+            let mut checked = 0;
+            match *op {
+                Op::Append(k, w, bytes) => {
+                    if !lists.contains_key(&(k, w)) {
+                        used += key(k).len() + 48;
+                    }
+                    used += bytes + 24;
+                    checked = used;
+                    lists.entry((k, w)).or_default().push(bytes);
+                }
+                Op::Take(k, w) | Op::TakeWith(k, w) => {
+                    release(&mut used, k, lists.remove(&(k, w)));
+                }
+                Op::Put(k, w, bytes) => {
+                    used += key(k).len() + bytes + 64;
+                    checked = used;
+                    if let Some(old) = aggregates.insert((k, w), bytes) {
+                        used = used.saturating_sub(key(k).len() + old + 64);
+                    }
+                }
+                Op::Update(k, w, bytes) => {
+                    let old = aggregates.remove(&(k, w));
+                    if let Some(old) = old {
+                        used = used.saturating_sub(key(k).len() + old + 64);
+                    }
+                    let new = old.unwrap_or(0) + bytes;
+                    used += key(k).len() + new + 64;
+                    checked = used;
+                    aggregates.insert((k, w), new);
+                }
+                Op::TakeAggregate(k, w) => {
+                    if let Some(old) = aggregates.remove(&(k, w)) {
+                        used = used.saturating_sub(key(k).len() + old + 64);
+                    }
+                }
+                Op::Drain(w) => {
+                    let pairs: Vec<usize> = (lists.keys())
+                        .filter(|(_, lw)| *lw == w)
+                        .map(|(k, _)| *k)
+                        .collect();
+                    for k in pairs {
+                        release(&mut used, k, lists.remove(&(k, w)));
+                    }
+                }
+            }
+            out.push((checked, used));
+        }
+        out
+    }
+
+    fn apply(b: &mut InMemoryBackend, op: Op) -> Result<()> {
+        let win = |w: i64| WindowId::new(w * 10, w * 10 + 10);
+        match op {
+            Op::Append(k, w, bytes) => b.append(&key(k), win(w), &vec![7; bytes], 0),
+            Op::Take(k, w) => b.take_values(&key(k), win(w)).map(drop),
+            Op::TakeWith(k, w) => b.take_values_with(&key(k), win(w), &mut |_| {}).map(drop),
+            Op::Put(k, w, bytes) => b.put_aggregate(&key(k), win(w), &vec![7; bytes]),
+            Op::Update(k, w, bytes) => {
+                let grow = &mut |a: &mut Vec<u8>, _| a.resize(a.len() + bytes, 7);
+                b.update_aggregate(&key(k), win(w), grow)
+            }
+            Op::TakeAggregate(k, w) => b.take_aggregate(&key(k), win(w)).map(drop),
+            Op::Drain(w) => {
+                while b.drain_window_chunk(win(w), &mut |_, _| {})? {}
+                Ok(())
+            }
+        }
+    }
+
+    #[test]
+    fn memory_bytes_and_the_out_of_memory_point_follow_the_charge_model() {
+        for seed in 0..8 {
+            let ops = script(seed, 300);
+            let model = model(&ops);
+            let mut b = InMemoryBackend::new(usize::MAX, 2, StdVfs::shared());
+            for (i, (op, &(_, used))) in ops.iter().zip(&model).enumerate() {
+                apply(&mut b, *op).unwrap();
+                assert_eq!(b.memory_bytes(), used, "seed {seed}, op {i}: {op:?}");
+            }
+            // A budget just under each charge the script checks fails at
+            // the first op that checks more than it, and not before.
+            for &(limit, _) in model.iter().filter(|(checked, _)| *checked > 0) {
+                let limit = limit - 1;
+                let first = model.iter().position(|(checked, _)| *checked > limit);
+                let mut b = InMemoryBackend::new(limit, 2, StdVfs::shared());
+                let mut failed = None;
+                for (i, op) in ops.iter().enumerate() {
+                    if let Err(e) = apply(&mut b, *op) {
+                        assert!(matches!(e, StoreError::OutOfMemory { .. }), "{e}");
+                        failed = Some(i);
+                        break;
+                    }
+                }
+                assert_eq!(failed, first, "seed {seed}, budget {limit}");
+            }
+        }
     }
 
     #[test]
